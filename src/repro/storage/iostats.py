@@ -198,7 +198,7 @@ class IOStats:
         full-array applies), of which ``scatter_levels`` composed at
         O(nnz) via sparse/hybrid scatter instead of a dense pass.  The
         equivalence oracle asserts the counter is zero whenever the
-        stepwise path must run (prefetch admission, non-composable
+        stepwise path must run (a cache warm fill, non-composable
         codecs, fusion off)."""
         with self._lock:
             self.chains_fused += 1

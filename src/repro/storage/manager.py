@@ -81,7 +81,6 @@ class VersionedStorageManager:
                  cache_bytes: int = 0,
                  backend: "StorageBackend | str | None" = None,
                  workers: int | None = None,
-                 prefetch: bool = True,
                  fuse_chains: bool | None = None,
                  planner: bool | None = None):
         # Validate configuration before creating any durable state
@@ -110,19 +109,19 @@ class VersionedStorageManager:
         # The paper's cost model "ignores caching effects ... since they
         # are often negligible in our context for very large arrays";
         # the cache is therefore off unless given an entry or byte
-        # budget, and exists for interactive workloads.
+        # budget, and exists for interactive workloads.  Like the hot
+        # slot below it relies on version contents never changing:
+        # only deletions invalidate it.
         self.cache = ChunkCache(max_entries=cache_chunks,
                                 max_bytes=cache_bytes, stats=self.stats)
         self.encoder = EncodePipeline(self.catalog, self.store,
                                       delta_policy=delta_policy,
                                       delta_codec=delta_codec,
-                                      cache=self.cache,
                                       workers=self.workers,
                                       planner=self.planner)
         self.decoder = DecodePipeline(self.catalog, self.store,
                                       cache=self.cache,
                                       workers=self.workers,
-                                      prefetch=prefetch,
                                       fuse_chains=self.fuse_chains)
         # Write-side hot-version slot: the last version this manager
         # wrote, kept so a chain-policy insert deltas against the data
@@ -384,7 +383,6 @@ class VersionedStorageManager:
         """
         record = self.catalog.get_array(name)
         self.catalog.get_version(record.array_id, version)
-        self.cache.invalidate_array(record.array_id)
         dependents = {chunk.version for chunk in
                       self.catalog.dependents_of(record.array_id, version)}
         deleted_parent = self.catalog.get_version(
@@ -398,6 +396,10 @@ class VersionedStorageManager:
                                 base_version=deleted_parent,
                                 replace=True)
         self.catalog.delete_version(record.array_id, version)
+        # A deleted head's number is reused by the next insert.  Not
+        # earlier: the dependents' selects above may have re-cached
+        # the deleted version on their way down the chain.
+        self.cache.invalidate_array(record.array_id)
         # Keep the lineage consistent: children of the deleted version
         # are re-parented to its own parent, so later deletes never
         # chase a dangling parent reference.
@@ -757,9 +759,9 @@ class VersionedStorageManager:
         version — the delta-of-delta re-base input for inserts whose
         parent canvas is not hot.  Returns None when the fast path is
         unavailable (planner off, materialize policy, a candidate that
-        needs the base canvas, a non-composable chain level, or a
-        cache-enabled pipeline) — the caller falls back to a full
-        select."""
+        needs the base canvas, or a non-composable chain level) — the
+        caller falls back to a full select.  A chain state is composed,
+        not decoded, so it neither reads nor fills the chunk cache."""
         if not self.encoder.can_rebase:
             return None
         grid = self.grid_for(record)

@@ -462,6 +462,46 @@ class MetadataCatalog:
                 f"{attribute}/{chunk_name}")
         return self._chunk_from_row(row)
 
+    _CHUNK_CHAIN_SQL = (
+        "WITH RECURSIVE chain AS ("
+        " SELECT * FROM chunks WHERE array_id = ? AND version_num = ?"
+        " AND attribute = ? AND chunk_name = ?"
+        " UNION"
+        " SELECT c.* FROM chunks c JOIN chain p"
+        " ON c.array_id = p.array_id AND c.version_num = p.base_version"
+        " AND c.attribute = p.attribute AND c.chunk_name = p.chunk_name)"
+        " SELECT * FROM chain")
+
+    def get_chunk_chain(self, array_id: int, version: int,
+                        attribute: str,
+                        chunk_name: str) -> list[ChunkRecord]:
+        """One chunk's delta chain in a single query: the record of
+        ``version``, then of each successive ``base_version``, down to
+        the materialized root (``base_version`` None).
+
+        A chain that loops ends at the record whose base was already
+        visited (``UNION`` drops the repeated row, so the recursion
+        terminates) — callers tell a cycle from a root by the last
+        record's ``base_version``.  A base with no row raises like
+        :meth:`get_chunk`.
+        """
+        rows = self._query_all(self._CHUNK_CHAIN_SQL,
+                               (array_id, version, attribute, chunk_name))
+        by_version = {row["version_num"]: row for row in rows}
+        chain: list[ChunkRecord] = []
+        seen: set[int] = set()
+        cursor: int | None = version
+        while cursor is not None and cursor not in seen:
+            row = by_version.get(cursor)
+            if row is None:
+                raise VersionNotFoundError(
+                    f"no chunk record for array {array_id} v{cursor} "
+                    f"{attribute}/{chunk_name}")
+            seen.add(cursor)
+            chain.append(self._chunk_from_row(row))
+            cursor = row["base_version"]
+        return chain
+
     def chunks_for_version(self, array_id: int,
                            version: int) -> list[ChunkRecord]:
         rows = self._query_all(

@@ -17,9 +17,9 @@ makes the stages first-class:
   open per distinct object), **decompress** the materialized root,
   **delta-decode** forward along the chain, and **assemble** result
   arrays;
-* :class:`ChunkCache` — one bytes-bounded LRU of decoded chunks shared
-  by both pipelines (writes invalidate, reads populate), replacing the
-  seed's ad-hoc per-manager LRU.  The paper's cost model "ignores
+* :class:`ChunkCache` — one bytes-bounded LRU of decoded chunks,
+  populated by reads (version contents are immutable, so only deleting
+  a version or an array invalidates).  The paper's cost model "ignores
   caching effects ... since they are often negligible in our context for
   very large arrays", so the cache is off unless given a budget.
 
@@ -38,11 +38,9 @@ Two invariants both pipelines are built around:
   depend on ``REPRO_NATIVE``, ``REPRO_FUSE``, worker count, or which
   base-resolution path an insert happened to take.
 * **Graceful fallback.**  Each fast path gates itself on dtype,
-  layout, codec composability, and configuration (e.g. re-base is
-  skipped whenever the chunk cache is enabled, because reconstructing
-  the parent is what populates the cache) and returns ``None``/raises
-  nothing when it does not apply; the caller falls back to the slower
-  exact path silently.
+  layout, codec composability, and configuration and returns
+  ``None``/raises nothing when it does not apply; the caller falls
+  back to the slower exact path silently.
 """
 
 from __future__ import annotations
@@ -183,6 +181,12 @@ class ChunkCache:
     concurrency.  A single entry larger than ``max_bytes`` is never
     admitted (admitting it would evict the entire cache, itself
     included); rejections are counted and reported by :meth:`info`.
+
+    Admission comes in two strengths: the version a read asked for may
+    evict least-recently-used entries (:meth:`put`); the intermediates
+    a warm fill decoded on the way only ever take free space
+    (``put(..., evict=False)``), so they can never displace a demanded
+    entry however parallel readers interleave with :meth:`fits`.
     """
 
     def __init__(self, max_entries: int = 0, max_bytes: int = 0,
@@ -196,6 +200,8 @@ class ChunkCache:
         self.hits = 0
         self.misses = 0
         self.oversized = 0
+        self.prefetched = 0
+        self.prefetch_declined = 0
 
     @property
     def enabled(self) -> bool:
@@ -234,8 +240,18 @@ class ChunkCache:
             self.stats.record_cache_hit()
         return entry
 
-    def put(self, key: tuple, data: np.ndarray) -> None:
+    def put(self, key: tuple, data: np.ndarray, *,
+            evict: bool = True) -> None:
+        """Admit one entry; with ``evict=False`` only if it fits the
+        free space as it is right now (dropped otherwise)."""
         with self._lock:
+            if not evict:
+                if key not in self._entries and \
+                        self._has_room(1, data.nbytes):
+                    self._entries[key] = data
+                    self._bytes += data.nbytes
+                    self.prefetched += 1
+                return
             stale = self._entries.pop(key, None)
             if stale is not None:
                 self._bytes -= stale.nbytes
@@ -246,16 +262,28 @@ class ChunkCache:
                 return
             self._entries[key] = data
             self._bytes += data.nbytes
-            while self._entries and self._over_budget():
+            while self._entries and not self._has_room(0, 0):
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
 
-    def _over_budget(self) -> bool:
-        return (0 < self.max_entries < len(self._entries)) or \
-            (0 < self.max_bytes < self._bytes)
+    def _has_room(self, entries: int, nbytes: int) -> bool:
+        """Whether ``entries`` more entries totalling ``nbytes`` keep
+        both budgets (lock held)."""
+        return not (0 < self.max_entries < len(self._entries) + entries
+                    or 0 < self.max_bytes < self._bytes + nbytes)
+
+    def fits(self, entries: int, entry_nbytes: int) -> bool:
+        """The warm fill's go/no-go: whether ``entries`` chunks of
+        ``entry_nbytes`` each fit the free space.  Refusals count."""
+        with self._lock:
+            room = self._has_room(entries, entries * entry_nbytes)
+            if not room:
+                self.prefetch_declined += 1
+            return room
 
     def invalidate_array(self, array_id: int) -> None:
-        """Drop cached chunks of one array after any re-encoding."""
+        """Drop cached chunks of one array after a deletion — the only
+        event that lets an ``(array, version)`` key name new contents."""
         with self._lock:
             stale = [key for key in self._entries if key[0] == array_id]
             for key in stale:
@@ -267,7 +295,9 @@ class ChunkCache:
             self._bytes = 0
 
     def info(self) -> dict:
-        """Budgets, occupancy, hit/miss, and admission counters."""
+        """Budgets, occupancy, hit/miss, and admission counters
+        (``prefetched`` intermediates admitted by warm fills,
+        ``prefetch_declined`` chains that did not fit and went fused)."""
         with self._lock:
             return {
                 "capacity": self.max_entries,
@@ -277,6 +307,8 @@ class ChunkCache:
                 "hits": self.hits,
                 "misses": self.misses,
                 "oversized": self.oversized,
+                "prefetched": self.prefetched,
+                "prefetch_declined": self.prefetch_declined,
             }
 
 
@@ -352,7 +384,6 @@ class EncodePipeline(_PooledStage):
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
                  delta_policy: str = POLICY_CHAIN,
                  delta_codec: str = "hybrid",
-                 cache: ChunkCache | None = None,
                  workers: int = 0,
                  planner: bool | None = None):
         ensure_policy(delta_policy)
@@ -360,7 +391,6 @@ class EncodePipeline(_PooledStage):
         self.store = store
         self.delta_policy = delta_policy
         self.delta_codec_name = delta_codec
-        self.cache = cache if cache is not None else ChunkCache()
         self.planner = resolve_planner(planner)
         self._init_pool(workers)
 
@@ -601,11 +631,9 @@ class EncodePipeline(_PooledStage):
         partially-described version, and never a version a reader can
         name but not read.  (Orphaned payload bytes in co-located
         objects are reclaimed by the next repack.)  The chunk cache is
-        invalidated only *after* the catalog commit succeeds: a version
-        whose encode fails must not cold-start a perfectly good cache.
+        not touched: version contents are immutable, and both
+        ``replace=True`` callers rewrite the same logical contents.
         """
-        # Validate before any side effect: a rejected overwrite must
-        # not invalidate a perfectly good cache.
         if not replace:
             existing = self.catalog.chunks_for_version(record.array_id,
                                                        version)
@@ -629,8 +657,6 @@ class EncodePipeline(_PooledStage):
                                max_workers=degree)
         self.catalog.put_chunks(records, version=version_row,
                                 merge_parents=merge_parents)
-        if self.cache.enabled:
-            self.cache.invalidate_array(record.array_id)
 
 
 class DecodePipeline(_PooledStage):
@@ -644,31 +670,35 @@ class DecodePipeline(_PooledStage):
     writes a disjoint region of the output canvas, so the result is
     byte-identical to the serial pass regardless of completion order.
 
-    ``prefetch`` is the chain-aware cache policy: the first miss on a
-    chunk decodes its whole delta chain anyway, so every intermediate
-    version resolved along the walk is admitted to the cache in the
-    same pass (deepest first, requested version most-recently-used)
-    instead of re-walking the chain once per version later.
+    A cache miss does one of two jobs, chosen per chunk from what the
+    code can observe (the located chain's size, the cache's free
+    space), not from a setting:
+
+    * **Read one version** (the default).  ``fuse_chains`` folds the
+      chain: both delta modes compose associatively (ARITHMETIC by
+      wrapping int64 summation, XOR by xor), so k composable deltas
+      fold into one accumulator — sparse/hybrid levels at O(nnz) by
+      scatter — applied to the materialized root in a *single* pass
+      instead of k full-array applies.  A non-composable level
+      (``bsdiff``, ``mpeg_like`` transform the base rather than
+      difference against it) forces the stepwise decode.  Either way
+      only the requested version is admitted to the cache.
+    * **Warm-fill a chain.**  When every located level fits the
+      cache's *free* space, the chain decodes stepwise and every
+      intermediate version is admitted too, through the non-evicting
+      put: later reads of those versions are hits, and no entry a
+      caller asked for is ever displaced.  A chain that does not fit
+      is declined and read as one version.
+
+    The walk probes the cache at every level, so a cached ancestor
+    ends it and only the suffix is read.  Both jobs read the same
+    payloads and produce the same bytes.
 
     The chain reads inherit the backend's latency profile through the
     chunk store: on a high-latency (object-store) backend each chain's
     spans coalesce into few ranged GETs and multi-object reads fan
     their per-object requests concurrently, so a cold chain walk costs
-    round trips per *object*, not per payload — which is exactly what
-    makes the prefetch's decode-whole-chain-once policy pay for itself
-    there.
-
-    ``fuse_chains`` selects the fused delta-decode: both delta modes
-    compose associatively (ARITHMETIC by wrapping int64 summation, XOR
-    by xor), so a chain of k composable deltas folds into one
-    accumulator — sparse/hybrid levels at O(nnz) by scatter — and is
-    applied to the materialized root in a *single* pass instead of k
-    full-array applies.  The stepwise path remains and is selected
-    whenever intermediates must be admitted to the cache (chain-aware
-    prefetch on) or any level's codec is non-composable (``bsdiff``,
-    ``mpeg_like`` transform the base rather than difference against
-    it).  Either path reads the same payloads and produces the same
-    bytes; only wall-clock and allocations differ.
+    round trips per *object*, not per payload.
     """
 
     _pool_prefix = "repro-decode"
@@ -676,12 +706,10 @@ class DecodePipeline(_PooledStage):
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
                  cache: ChunkCache | None = None,
                  workers: int = 0,
-                 prefetch: bool = True,
                  fuse_chains: bool = True):
         self.catalog = catalog
         self.store = store
         self.cache = cache if cache is not None else ChunkCache()
-        self.prefetch = prefetch
         self.fuse_chains = fuse_chains
         self._init_pool(workers)
 
@@ -706,33 +734,14 @@ class DecodePipeline(_PooledStage):
                 scope[version] = cached
                 return cached
 
-        # Stage 1: locate — walk the chain in the metadata.  With
-        # prefetch on, the cache is probed at every level, not just the
-        # requested version: a chain prefetched by an earlier read
-        # terminates the walk at the deepest cached version, so only
-        # the suffix is read.  (Without prefetch, intermediates are
-        # never admitted, so mid-walk probes would only inflate the
-        # miss counters.)
-        chain: list[ChunkRecord] = []
-        cursor: int | None = version
-        seen: set[int] = set()
-        while cursor is not None and cursor not in scope:
-            if cursor in seen:
-                raise StorageError(
-                    f"delta cycle detected for {record.name!r} "
-                    f"chunk {chunk.name} at version {cursor}")
-            seen.add(cursor)
-            if self.cache.enabled and self.prefetch and \
-                    cursor != version:
-                cached = self.cache.peek(
-                    (record.array_id, cursor, attribute, chunk.name))
-                if cached is not None:
-                    scope[cursor] = cached
-                    break
-            chunk_record = self.catalog.get_chunk(
-                record.array_id, cursor, attribute, chunk.name)
-            chain.append(chunk_record)
-            cursor = chunk_record.base_version
+        # Stage 1: locate, and pick the job — past the cache hit that
+        # most reads end at, which the size arithmetic must not slow.
+        chain, base_version = self._locate_chain(record, version,
+                                                 attribute, chunk, scope)
+        warm_fill = self.cache.enabled and len(chain) > 1 and \
+            self.cache.fits(
+                len(chain), chunk.cell_count
+                * record.schema.attribute(attribute).dtype.itemsize)
 
         # Stage 2: read — the whole chain, one open per distinct object.
         payloads = self.store.read_chunks(
@@ -740,28 +749,25 @@ class DecodePipeline(_PooledStage):
 
         # Stage 3: decompress the materialized root (or start from the
         # already-resolved version the chain stopped at).  A fused
-        # read only ever *reads* the root (the apply writes into the
-        # accumulator), so with the cache off the decompress may hand
+        # read only ever *reads* its base (the apply writes into the
+        # accumulator) and never admits it, so the decompress may hand
         # back a zero-copy read-only view of the payload bytes; every
         # other consumer gets the owning copy it always got.
         resolved: list[int] = []
-        if cursor is not None:
-            data = scope[cursor]
+        root = chain.pop() if base_version is None else None
+        fused = self._fusible(chain, warm_fill)
+        if root is None:
+            data = scope[base_version]
         else:
-            root = chain.pop()
             codec = get_codec(root.compressor)
-            if self._fusible(chain) and not self.cache.enabled:
-                data = codec.decode_view(payloads.pop())
-            else:
-                data = codec.decode(payloads.pop())
+            data = codec.decode_view(payloads.pop()) if fused \
+                else codec.decode(payloads.pop())
             scope[root.version] = data
             resolved.append(root.version)
 
         # Stage 4: delta-decode — fused when the whole chain composes
-        # (one accumulator, one apply), stepwise otherwise.  With
-        # prefetch off, the stepwise path admits only the requested
-        # version too, so the fused path changes no cache behavior.
-        if self._fusible(chain):
+        # (one accumulator, one apply), stepwise otherwise.
+        if fused:
             data = self._fused_apply(chain, payloads, data)
             scope[version] = data
         else:
@@ -773,35 +779,62 @@ class DecodePipeline(_PooledStage):
                 resolved.append(chunk_record.version)
 
         if self.cache.enabled:
-            if self.prefetch:
-                # Chain-aware prefetch: the whole chain was decoded in
-                # this one pass — admit every intermediate version now
-                # (deepest first) instead of re-walking the chain when
-                # it is queried later.
+            if warm_fill:
+                # Deepest first; a put drops if a parallel reader has
+                # used the room since ``fits`` looked.
                 for intermediate in resolved:
                     if intermediate != version:
                         self.cache.put(
                             (record.array_id, intermediate, attribute,
-                             chunk.name), scope[intermediate])
+                             chunk.name), scope[intermediate],
+                            evict=False)
             self.cache.put(key, data)
         return data
 
-    def _fusible(self, chain: list[ChunkRecord]) -> bool:
-        """Whether a located delta chain takes the fused path.
+    def _locate_chain(self, record: ArrayRecord, version: int,
+                      attribute: str, chunk: ChunkRef,
+                      stop_at: dict[int, np.ndarray] | None = None
+                      ) -> tuple[list[ChunkRecord], int | None]:
+        """Stage 1: one chunk's delta chain, in one catalog round trip.
 
-        Depth-1 chains are already a single apply.  With the cache on
-        *and* chain-aware prefetch, the stepwise path is required:
-        prefetch's contract is that every intermediate version decoded
-        along the walk is admitted, and the fused path materializes
-        none of them.
+        Returns the chunk records from ``version`` downwards and the
+        version the walk stopped at, or None when it reached the
+        materialized root (then the last record).  ``stop_at`` maps
+        resolved versions to their contents: the walk ends at the first
+        version found there or in the chunk cache (which is then
+        recorded into it); without it the walk runs to the root.
         """
-        if not self.fuse_chains or len(chain) < 2:
-            return False
-        if self.cache.enabled and self.prefetch:
-            return False
-        return all(record.delta_codec is not None
-                   and get_delta_codec(record.delta_codec).composable
-                   for record in chain)
+        chain = self.catalog.get_chunk_chain(record.array_id, version,
+                                             attribute, chunk.name)
+        if stop_at is not None:
+            for depth, row in enumerate(chain):
+                if row.version not in stop_at and self.cache.enabled \
+                        and row.version != version:
+                    cached = self.cache.peek((record.array_id, row.version,
+                                              attribute, chunk.name))
+                    if cached is not None:
+                        stop_at[row.version] = cached
+                if row.version in stop_at:
+                    return chain[:depth], row.version
+        if chain[-1].base_version is not None:
+            raise StorageError(
+                f"delta cycle detected for {record.name!r} "
+                f"chunk {chunk.name} at version {chain[-1].base_version}")
+        return chain, None
+
+    def _fusible(self, chain: list[ChunkRecord], warm_fill: bool) -> bool:
+        """Whether the located delta levels take the fused path: knob
+        on, two or more levels (one is already a single apply), all
+        composable, and not a warm fill, which wants the intermediates
+        the fused walk never materializes."""
+        return not warm_fill and self.fuse_chains and len(chain) >= 2 \
+            and self._composable(chain)
+
+    @staticmethod
+    def _composable(levels: list[ChunkRecord]) -> bool:
+        return all(level.delta_codec is not None
+                   and get_delta_codec(level.delta_codec).composable
+                   for level in levels)
 
     def _fused_apply(self, chain: list[ChunkRecord],
                      payloads: list[bytes],
@@ -856,31 +889,15 @@ class DecodePipeline(_PooledStage):
         :class:`~repro.delta.auto.RebaseState` — the decoded root plus
         the chain's composed accumulator (None for a materialized
         version with no deltas above the root) — or None when the
-        state cannot stand in for the canvas: a non-composable level
-        in the chain, or a cache-enabled pipeline (bypassing
-        :meth:`reconstruct` would skip the admissions the cache
-        contract promises).  The root may be a zero-copy read-only
-        view of the payload bytes; callers must not write through it.
+        state cannot stand in for the canvas (a non-composable level
+        in the chain).  The chunk cache is neither probed nor filled:
+        a composed state has no version contents to admit.  The root
+        may be a zero-copy read-only view of the payload bytes;
+        callers must not write through it.
         """
-        if self.cache.enabled:
-            return None
-        chain: list[ChunkRecord] = []
-        cursor: int | None = version
-        seen: set[int] = set()
-        while cursor is not None:
-            if cursor in seen:
-                raise StorageError(
-                    f"delta cycle detected for {record.name!r} "
-                    f"chunk {chunk.name} at version {cursor}")
-            seen.add(cursor)
-            chunk_record = self.catalog.get_chunk(
-                record.array_id, cursor, attribute, chunk.name)
-            chain.append(chunk_record)
-            cursor = chunk_record.base_version
+        chain, _ = self._locate_chain(record, version, attribute, chunk)
         root_record = chain[-1]
-        if any(chunk_record.delta_codec is None
-               or not get_delta_codec(chunk_record.delta_codec).composable
-               for chunk_record in chain[:-1]):
+        if not self._composable(chain[:-1]):
             return None
         payloads = self.store.read_chunks(
             [chunk_record.location for chunk_record in chain])

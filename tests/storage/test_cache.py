@@ -78,6 +78,35 @@ class TestChunkCache:
         np.testing.assert_array_equal(
             manager.select("A", 3).single(), versions[2])
 
+    def test_deleted_head_number_reuse_reads_new_contents(self, filled,
+                                                          rng):
+        manager, versions = filled
+        manager.select("A", 4)  # head (and its chain) cached
+        manager.delete_version("A", 4)
+        fresh = rng.integers(500, 600, (16, 16)).astype(np.int32)
+        assert manager.insert("A", fresh) == 4
+        np.testing.assert_array_equal(manager.select("A", 4).single(),
+                                      fresh)
+        np.testing.assert_array_equal(manager.select("A", 3).single(),
+                                      versions[2])
+
+    def test_deleted_head_with_dependents_is_not_recached(self, filled,
+                                                          rng):
+        # v2 deltas against the head, so deleting the head re-encodes
+        # v2 — and that select walks *through* the head, warm-filling
+        # it.  The invalidation must come after.
+        manager, versions = filled
+        manager.apply_layout("A", {3: None, 4: 3, 2: 4, 1: 2})
+        manager.delete_version("A", 4)
+        fresh = rng.integers(500, 600, (16, 16)).astype(np.int32)
+        assert manager.insert("A", fresh) == 4
+        np.testing.assert_array_equal(manager.select("A", 4).single(),
+                                      fresh)
+        for number in (1, 2, 3):
+            np.testing.assert_array_equal(
+                manager.select("A", number).single(),
+                versions[number - 1])
+
     def test_delete_array_invalidates(self, filled, rng):
         manager, _ = filled
         manager.select("A", 1)

@@ -1,4 +1,4 @@
-"""Concurrent decode, chain prefetch, and transactional write batching.
+"""Concurrent decode, chain warm fill, and transactional write batching.
 
 The parallel select path must be invisible except in wall-clock: the
 same bytes, the same exact I/O counters, the same cache occupancy as
@@ -171,19 +171,33 @@ def _chained(root, depth=5, **kwargs):
     return manager
 
 
+#: The tight-cache tests assert exact counters, which need the serial
+#: chunk order and the fused path whatever the CI matrix cell says.
+SERIAL_FUSED = dict(workers=0, fuse_chains=True)
+
+
 class TestChainPrefetch:
-    def test_deep_select_prefetches_whole_chain(self, tmp_path):
+    """A cache miss does one of two jobs: warm-fill the whole chain
+    when it fits the cache's free space, or read just the requested
+    version (fused) when it does not."""
+
+    def test_roomy_cache_warm_fills_whole_chain(self, tmp_path):
         manager = _chained(tmp_path, cache_bytes=1 << 20)
         with manager.stats.measure() as first:
             manager.select("C", 5)  # decodes every chain root→5 once
         assert first.chunks_read == 4 * 5  # 4 chunks, 5-deep chains
+        assert first.chains_fused == 0
+        info = manager.cache_info()
+        assert info["prefetched"] == 4 * 4  # every level below v5
+        assert info["prefetch_declined"] == 0
         with manager.stats.measure() as window:
             for version in (1, 2, 3, 4):
                 manager.select("C", version)
-        assert window.chunks_read == 0  # all served by the prefetch
+        assert window.chunks_read == 0  # all served by the warm fill
+        assert window.cache_misses == 0
         manager.close()
 
-    def test_prefetch_terminates_later_chain_walks(self, tmp_path):
+    def test_cached_ancestor_terminates_later_chain_walks(self, tmp_path):
         manager = _chained(tmp_path, cache_bytes=1 << 20)
         manager.select("C", 3)
         with manager.stats.measure() as window:
@@ -192,25 +206,80 @@ class TestChainPrefetch:
         assert window.chunks_read == 4 * 2
         manager.close()
 
-    def test_prefetch_disabled(self, tmp_path):
-        manager = _chained(tmp_path, cache_bytes=1 << 20,
-                           prefetch=False)
-        manager.select("C", 5)
+    def test_tight_cache_fuses_and_admits_requested_only(self, tmp_path):
+        # Budget: one whole version (4 chunks of 800 B) plus one chunk
+        # — a 5-deep chain of any chunk can never fit the free space.
+        budget = 5 * 800
+        manager = _chained(tmp_path, cache_bytes=budget, **SERIAL_FUSED)
+        manager.select("C", 1)  # demanded: v1's four chunks
+        demanded = manager.cache_info()["entries"]
+        assert demanded == 4
         with manager.stats.measure() as window:
-            manager.select("C", 1)
-        assert window.chunks_read > 0  # v1 was not prefetched
+            manager.select("C", 5)  # deep cold read
+        assert window.chains_fused == 4
+        info = manager.cache_info()
+        assert info["prefetch_declined"] == 4
+        assert info["prefetched"] == 0
+        assert info["bytes"] <= budget
+        # Only the requested version went in; versions 2-4 did not.
+        with manager.stats.measure() as window:
+            manager.select("C", 5)
+        assert window.chunks_read == 0
+        for version in (2, 3, 4):
+            with manager.stats.measure() as window:
+                manager.select("C", version)
+                assert manager.cache_info()["bytes"] <= budget
+            assert window.cache_misses == 4
         manager.close()
 
-    def test_prefetch_identical_results(self, tmp_path):
+    def test_deep_cold_read_keeps_demanded_entries(self, tmp_path):
+        # Budget: array D's four demanded chunks plus the four chunks
+        # of the version about to be requested.  The free space is
+        # under one 5-deep chain, so every fill declines, the requested
+        # chunks fit exactly, and nothing demanded is evicted.
+        budget = 8 * 800
+        manager = _chained(tmp_path, cache_bytes=budget, **SERIAL_FUSED)
+        manager.create_array("D", ArraySchema.simple((20, 20),
+                                                     dtype=np.int64))
+        manager.insert("D", np.arange(400, dtype=np.int64)
+                       .reshape(20, 20))
+        manager.select("D", 1)
+        with manager.stats.measure() as window:
+            manager.select("C", 5)
+        assert window.chains_fused == 4
+        info = manager.cache_info()
+        assert info["prefetch_declined"] == 4
+        assert info["entries"] == 8 and info["bytes"] <= budget
+        with manager.stats.measure() as window:
+            manager.select("D", 1)
+        assert window.chunks_read == 0  # still cached
+        manager.close()
+
+    def test_fused_read_leaves_cached_base_untouched(self, tmp_path):
+        """A fused walk that stops at a cached ancestor applies onto a
+        fresh accumulator, never through the cached array."""
+        manager = _chained(tmp_path, cache_bytes=8 * 800, **SERIAL_FUSED)
+        manager.select("C", 2)  # warm fill: v1 + v2 use every byte
+        before = manager.select("C", 2).single().copy()
+        with manager.stats.measure() as window:
+            manager.select("C", 5)  # walk stops at cached v2, fuses 3
+        assert window.chains_fused == 4
+        assert window.fused_levels == 4 * 3
+        assert window.chunks_read == 4 * 3
+        np.testing.assert_array_equal(manager.select("C", 2).single(),
+                                      before)
+        manager.close()
+
+    @pytest.mark.parametrize("cache_bytes", (5 * 800, 1 << 20))
+    def test_identical_results_either_job(self, tmp_path, cache_bytes):
         plain = _chained(tmp_path / "plain")  # cache off entirely
-        prefetching = _chained(tmp_path / "pre", cache_bytes=1 << 20)
-        prefetching.select("C", 5)
-        for version in (1, 2, 3, 4, 5):
+        cached = _chained(tmp_path / "cached", cache_bytes=cache_bytes)
+        for version in (5, 1, 3, 2, 4, 5):
             np.testing.assert_array_equal(
-                prefetching.select("C", version).single(),
+                cached.select("C", version).single(),
                 plain.select("C", version).single())
         plain.close()
-        prefetching.close()
+        cached.close()
 
 
 class TestTransactionalWriteBatching:

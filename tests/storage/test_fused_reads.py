@@ -216,48 +216,75 @@ def test_select_versions_shares_chain_scope(tmp_path):
         assert np.array_equal(got[layer], expected)
 
 
-def test_prefetch_cache_keeps_stepwise_path(tmp_path):
-    """Chain-aware prefetch needs the intermediates: no fusion, and
-    every version along the chain is admitted to the cache."""
+def _cached_chain(root, versions, **cache):
+    manager = VersionedStorageManager(
+        root, delta_policy="chain", delta_codec="sparse",
+        fuse_chains=True, **cache)
+    manager.create_array(
+        "A", ArraySchema.simple(SHAPE, np.int64, attribute="value"))
+    for data in versions:
+        manager.insert("A", data.copy())
+    return manager
+
+
+def test_roomy_cache_warm_fills_stepwise(tmp_path):
+    """A chain that fits the cache's free space is warm-filled: no
+    fusion on that first read, every version along the chain admitted,
+    and every later read a hit."""
     versions = _int_versions()
-    with VersionedStorageManager(
-            tmp_path / "s", delta_policy="chain", delta_codec="sparse",
-            cache_chunks=64, fuse_chains=True) as manager:
-        manager.create_array(
-            "A", ArraySchema.simple(SHAPE, np.int64, attribute="value"))
-        for data in versions:
-            manager.insert("A", data.copy())
-        manager.cache.clear()
+    with _cached_chain(tmp_path / "s", versions,
+                       cache_chunks=64) as manager:
         with manager.stats.measure() as window:
             manager.select("A", DEPTH)
         assert window.chains_fused == 0
-        # The prefetch contract holds: an intermediate version is now
-        # served from cache without any chunk read.
+        assert manager.cache_info()["prefetched"] == DEPTH - 1
         with manager.stats.measure() as window:
-            manager.select("A", DEPTH // 2)
+            for version in range(1, DEPTH + 1):
+                got = manager.select("A", version).attribute("value")
+                assert got.tobytes() == versions[version - 1].tobytes()
         assert window.chunks_read == 0
+        assert window.cache_misses == 0
 
 
-def test_prefetch_off_cache_fuses(tmp_path):
-    """Cache without prefetch admits only requested versions on either
-    path, so the fused path runs and repeat reads still hit."""
+def test_tight_cache_fuses_and_admits_requested_only(tmp_path):
+    """A chain that does not fit the free space is read for the
+    requested version alone: fused, one admission, repeat reads hit."""
     versions = _int_versions()
-    with VersionedStorageManager(
-            tmp_path / "s", delta_policy="chain", delta_codec="sparse",
-            cache_chunks=64, prefetch=False,
-            fuse_chains=True) as manager:
-        manager.create_array(
-            "A", ArraySchema.simple(SHAPE, np.int64, attribute="value"))
-        for data in versions:
-            manager.insert("A", data.copy())
-        manager.cache.clear()
+    with _cached_chain(tmp_path / "s", versions,
+                       cache_chunks=2) as manager:
         with manager.stats.measure() as window:
             first = manager.select("A", DEPTH).attribute("value")
         assert window.chains_fused == 1
+        info = manager.cache_info()
+        assert (info["entries"], info["prefetched"],
+                info["prefetch_declined"]) == (1, 0, 1)
         with manager.stats.measure() as window:
             again = manager.select("A", DEPTH).attribute("value")
         assert window.chunks_read == 0
-        assert first.tobytes() == again.tobytes()
+        assert first.tobytes() == again.tobytes() \
+            == versions[DEPTH - 1].tobytes()
+
+
+def test_append_leaves_cache_in_place(tmp_path):
+    """Version contents are immutable, so an append invalidates
+    nothing: old versions are still hits afterwards."""
+    versions = _int_versions()
+    with _cached_chain(tmp_path / "s", versions[:-1],
+                       cache_chunks=64) as manager:
+        manager.select("A", DEPTH - 1)
+        entries = manager.cache_info()["entries"]
+        assert entries == DEPTH - 1
+        manager.insert("A", versions[-1].copy())
+        assert manager.cache_info()["entries"] == entries
+        with manager.stats.measure() as window:
+            old = manager.select("A", 3).attribute("value")
+        assert window.chunks_read == 0 and window.cache_misses == 0
+        assert old.tobytes() == versions[2].tobytes()
+        # The new head reads through the cached chain below it.
+        with manager.stats.measure() as window:
+            head = manager.select("A", DEPTH).attribute("value")
+        assert window.chunks_read == 1
+        assert head.tobytes() == versions[-1].tobytes()
 
 
 def test_read_region_single_chunk_returns_view(tmp_path):

@@ -163,3 +163,40 @@ class TestChunks:
     def test_missing_chunk(self, catalog, array_id):
         with pytest.raises(VersionNotFoundError):
             catalog.get_chunk(array_id, 1, "value", "none.dat")
+
+    @staticmethod
+    def _link(catalog, array_id, version, base, chunk_name="c.dat"):
+        catalog.put_chunk(ChunkRecord(
+            array_id, version, "value", chunk_name,
+            None if base is None else "hybrid", base, "none",
+            ChunkLocation("p", version * 10, 10)))
+
+    def test_chunk_chain_walks_to_the_root_in_order(self, catalog,
+                                                    array_id):
+        # Bases need not descend (layouts re-root chains freely), and
+        # a sibling chunk's rows must not leak into the walk.
+        for version, base in ((3, None), (1, 3), (4, 1), (2, 4)):
+            self._link(catalog, array_id, version, base)
+            self._link(catalog, array_id, version, None, "other.dat")
+        chain = catalog.get_chunk_chain(array_id, 2, "value", "c.dat")
+        assert [row.version for row in chain] == [2, 4, 1, 3]
+        assert chain == [catalog.get_chunk(array_id, row.version,
+                                           "value", "c.dat")
+                         for row in chain]
+        assert [row.version for row in catalog.get_chunk_chain(
+            array_id, 3, "value", "c.dat")] == [3]
+
+    def test_chunk_chain_ends_where_a_cycle_closes(self, catalog,
+                                                   array_id):
+        for version, base in ((1, 3), (2, 1), (3, 2)):
+            self._link(catalog, array_id, version, base)
+        chain = catalog.get_chunk_chain(array_id, 3, "value", "c.dat")
+        assert [row.version for row in chain] == [3, 2, 1]
+        assert chain[-1].base_version == 3  # not a root: a revisit
+
+    def test_chunk_chain_missing_row(self, catalog, array_id):
+        with pytest.raises(VersionNotFoundError):
+            catalog.get_chunk_chain(array_id, 1, "value", "c.dat")
+        self._link(catalog, array_id, 2, 1)
+        with pytest.raises(VersionNotFoundError, match="v1"):
+            catalog.get_chunk_chain(array_id, 2, "value", "c.dat")

@@ -202,8 +202,17 @@ class TestMidEncodeFailure:
         with manager.stats.measure() as window:
             manager.select("A", 1)
         assert window.chunks_read == 0  # still served from cache
-        # The store recovers once the fault clears.
-        assert manager.insert("A", data) == 2
+        # The store recovers once the fault clears, and the faulted
+        # version left no stale entry: the insert that takes its
+        # number is what a reader sees.
+        retry = ArrayData(schema, {
+            "a": rng.integers(0, 9, (20, 20)).astype(np.int64),
+            "b": rng.random((20, 20)).astype(np.float32)})
+        assert manager.insert("A", retry) == 2
+        got = manager.select("A", 2)
+        for name in ("a", "b"):
+            np.testing.assert_array_equal(got.attribute(name),
+                                          retry.attribute(name))
         manager.close()
 
     def test_version_row_and_chunk_rows_commit_atomically(self,
@@ -244,7 +253,7 @@ class TestMidEncodeFailure:
             == []
         manager.close()
 
-    def test_successful_insert_invalidates_after_commit(self, tmp_path):
+    def test_successful_insert_leaves_cache_in_place(self, tmp_path):
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
                                           delta_policy="chain",
                                           cache_bytes=1 << 20)
@@ -256,11 +265,15 @@ class TestMidEncodeFailure:
             "b": rng.random((20, 20)).astype(np.float32)})
         manager.insert("A", data)
         manager.select("A", 1)
-        assert manager.cache_info()["entries"] > 0
+        warm = manager.cache_info()["entries"]
+        assert warm > 0
         manager.insert("A", data)
-        # The commit succeeded, so the array's cache entries were
-        # dropped (the seed behaviour, now ordered after the commit).
-        assert manager.cache_info()["entries"] == 0
+        # Version 1's contents did not change, so its entries stay and
+        # a re-read is served without touching the store.
+        assert manager.cache_info()["entries"] == warm
+        with manager.stats.measure() as window:
+            manager.select("A", 1)
+        assert window.chunks_read == 0
         manager.close()
 
 
