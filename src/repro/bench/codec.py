@@ -21,8 +21,8 @@ to native=0 on hosts without a compiler) and reports, per cell:
 
 ``count`` defaults to the sizes the storage manager actually runs: a
 32768-value cell is one default-chunk int64 payload (``chunk_bytes`` =
-256 KiB), and a 4096-value cell exercises the scatter/gather kernels
-below the blocked-kernel threshold.
+256 KiB), and a 4096-value cell exercises the gather unpack below the
+blocked-unpack threshold.
 """
 
 from __future__ import annotations

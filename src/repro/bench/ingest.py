@@ -62,8 +62,7 @@ def _dataset(versions: int, shape: tuple[int, ...],
 
 
 def _ingest_once(root: Path, datas: list[np.ndarray], backend: str,
-                 degree: int, chunk_bytes: int, delta_policy: str,
-                 planner: bool | None = None
+                 degree: int, chunk_bytes: int, delta_policy: str
                  ) -> tuple[float, VersionedStorageManager]:
     """Build a fresh store, insert every version, return the elapsed
     insert-loop seconds and the (still open) manager."""
@@ -72,8 +71,7 @@ def _ingest_once(root: Path, datas: list[np.ndarray], backend: str,
                                       delta_codec="hybrid",
                                       delta_policy=delta_policy,
                                       backend=backend,
-                                      workers=degree,
-                                      planner=planner)
+                                      workers=degree)
     manager.create_array(ARRAY, ArraySchema.simple(
         datas[0].shape, dtype=datas[0].dtype))
     with timed() as clock:
@@ -84,7 +82,7 @@ def _ingest_once(root: Path, datas: list[np.ndarray], backend: str,
 
 def run(versions: int = 12, shape: tuple[int, ...] = (1024, 1024),
         chunk_bytes: int = 1 << 18, *, backends=None, workers=None,
-        delta_policy: str = "materialize", planners=(None,),
+        delta_policy: str = "materialize",
         repeats: int = 5, workdir: str | None = None,
         json_path: str | Path | None = None,
         quiet: bool = False) -> list[dict]:
@@ -98,48 +96,37 @@ def run(versions: int = 12, shape: tuple[int, ...] = (1024, 1024),
     cannot systematically favor whichever cell happens to run later.
     Counters and the byte-identity fingerprint come from the final
     pass.
-
-    ``planners`` extends the grid with a write-planner axis: True runs
-    the single-pass encode planner, False the exhaustive two-pass
-    ``choose_encoding``, None the environment default.  Because the
-    planner may change wall-clock only, planner-on and planner-off
-    cells must land on the same fingerprint — the axis doubles as a
-    conformance check — and interleaving the attempts makes the
-    on-vs-off throughput ratio an apples-to-apples comparison.
     """
     datas = _dataset(versions, shape)
     logical_bytes = sum(data.nbytes for data in datas)
-    cells = [(backend, degree, planner)
+    cells = [(backend, degree)
              for backend in backend_axis(backends)
-             for degree in workers_axis(workers)
-             for planner in planners]
+             for degree in workers_axis(workers)]
     best: dict[tuple, float] = {cell: float("inf") for cell in cells}
     rows = []
     reference: str | None = None
     with tempfile.TemporaryDirectory(dir=workdir) as scratch:
         # Attempt -1 is a discarded warm-up sweep over every cell.
         for attempt in range(-1, max(1, repeats)):
-            for backend, degree, planner in cells:
-                plan_tag = {True: "p1", False: "p0", None: "pd"}[planner]
+            for backend, degree in cells:
                 root = (Path(scratch) / backend.replace(":", "_")
-                        / f"w{degree}-{plan_tag}-r{attempt}")
+                        / f"w{degree}-r{attempt}")
                 seconds, manager = _ingest_once(
                     root, datas, backend, degree, chunk_bytes,
-                    delta_policy, planner)
+                    delta_policy)
                 if attempt >= 0:
-                    best[(backend, degree, planner)] = min(
-                        best[(backend, degree, planner)], seconds)
+                    best[(backend, degree)] = min(
+                        best[(backend, degree)], seconds)
                 if attempt == max(1, repeats) - 1:
                     window = manager.stats
                     fingerprint = manager.fingerprint(ARRAY)
                     if reference is None:
                         reference = fingerprint
-                    cell_best = best[(backend, degree, planner)]
+                    cell_best = best[(backend, degree)]
                     rows.append({
                         "backend": backend,
                         "workers": degree,
                         "delta_policy": delta_policy,
-                        "planner": manager.planner,
                         "versions": versions,
                         "logical_mb": logical_bytes / 1e6,
                         "ingest_seconds": cell_best,
@@ -170,10 +157,9 @@ def run(versions: int = 12, shape: tuple[int, ...] = (1024, 1024),
             "Ingest throughput: whole-version inserts through the "
             "staged write pipeline (stored bytes identical in every "
             "cell)",
-            ["Backend", "Workers", "Planner", "Versions/s", "MB/s",
+            ["Backend", "Workers", "Versions/s", "MB/s",
              "Bytes Written", "Encodes Avoided", "Identical"],
             [[row["backend"], str(row["workers"]),
-              "on" if row["planner"] else "off",
               f"{row['versions_per_sec']:.2f}",
               f"{row['mb_per_sec']:.1f}",
               fmt_bytes(row["bytes_written"]),
@@ -190,18 +176,12 @@ def run_full(json_path: str | Path | None = "BENCH_ingest.json",
     against its parent) on the fast substrates, merged into one
     artifact.  Each profile carries its own reference fingerprint —
     the two store different bytes by design — and the regression gate
-    tells the rows apart by their ``delta_policy`` column.
-
-    The chain cells sweep the planner axis both ways: the single-pass
-    encode planner against the exhaustive two-pass ``choose_encoding``,
-    interleaved within one sweep so their throughput ratio is a fair
-    measurement and their shared fingerprint a conformance proof."""
+    tells the rows apart by their ``delta_policy`` column."""
     rows = run(backends=("local", "durable", "memory", "striped:2",
                          "object"),
                workers=(1, 4), quiet=quiet)
     rows += run(backends=("local", "memory"), workers=(1, 4),
-                delta_policy="chain", planners=(True, False),
-                quiet=quiet)
+                delta_policy="chain", quiet=quiet)
     if json_path is not None:
         Path(json_path).write_text(json.dumps(rows, indent=2))
     return rows

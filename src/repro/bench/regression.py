@@ -1,9 +1,10 @@
 """Fingerprint regression gate over committed benchmark artifacts.
 
-The benchmark JSON artifacts (``BENCH_fig2.json``,
-``BENCH_ingest.json``, ``BENCH_cluster.json``)
-carry a ``fingerprint`` column per row: a SHA-256 over every catalog row
-and every stored payload byte of the store that cell built.  Those
+The five benchmark JSON artifacts CI gates (``BENCH_fig2.json``,
+``BENCH_ingest.json``, ``BENCH_cluster.json``, ``BENCH_codec.json``,
+``BENCH_scan.json``) carry a ``fingerprint`` column per row: a SHA-256
+over every catalog row and every stored payload byte of the store that
+cell built (for the codec artifact, over the packed stream).  Those
 fingerprints are *deterministic* — the datasets are seeded, placement is
 canonical, and the whole point of the conformance grids is that no
 backend or workers degree may change a stored byte — so the committed

@@ -1,18 +1,15 @@
-"""Read-throughput scan — fused vs stepwise delta-chain decode.
+"""Read-throughput scan — deep delta-chain selects.
 
 Deep delta chains are where Section III's chain policy pays its read
 amplification: a depth-*k* select must decode *k* delta levels on top
-of the materialized root.  The stepwise path applies each level to a
-full-size intermediate (*k* array-sized applies); the fused path folds
-every composable level into one accumulator — dense levels by a
-vectorized ``out=`` add/xor, sparse and hybrid levels by an O(nnz)
-scatter — and applies it to the root exactly once.
+of the materialized root.  The fused decode folds every composable
+level into one accumulator — dense levels by a vectorized ``out=``
+add/xor, sparse and hybrid levels by an O(nnz) scatter — and applies
+it to the root exactly once.
 
-This experiment measures what that buys on multi-MB chunks (the
-1M-value cells also route the D-bit unpack through the transposed
-block kernel).  The grid is ``chain_depth`` x ``delta_codec`` x
-``backend`` x ``fuse`` x ``native`` (the compiled decode kernels
-vs the numpy fallbacks, swept in-process via
+This experiment measures that read on multi-MB chunks.  The grid is
+``chain_depth`` x ``delta_codec`` x ``backend`` x ``native`` (the
+compiled decode kernels vs the numpy fallbacks, swept in-process via
 :func:`repro.core.native.disabled`; the axis collapses to native=0
 on hosts without a compiler) and each cell reports:
 
@@ -22,14 +19,9 @@ on hosts without a compiler) and each cell reports:
   :class:`IOStats` fused-read counters for one deep select, identity
   columns pinning which decode path the cell actually ran;
 * ``fingerprint`` — the store's SHA-256, byte-identical between the
-  ``fuse``/``native`` rows of one (depth, codec, backend) store
-  *by construction* (all rows read the same store; both knobs are
-  read-only) and stable across runs for the regression gate.
-
-All fuse and native settings read the *same* store — the bench
-toggles ``manager.decoder.fuse_chains`` and the in-process native
-scope between timed passes — so any throughput difference is purely
-the decode path.
+  ``native`` rows of one (depth, codec, backend) store *by
+  construction* (both rows read the same store) and stable across
+  runs for the regression gate.
 """
 
 from __future__ import annotations
@@ -53,8 +45,7 @@ from repro.storage import VersionedStorageManager
 
 ARRAY = "scan"
 #: 1024x1024 int64 = 8 MiB per version; with an 8 MiB chunk budget the
-#: array is a single 1M-value chunk, past the transposed-unpack
-#: threshold (``bitpack._TRANSPOSE_THRESHOLD`` = 1<<20).
+#: array is a single 1M-value chunk — 16 tiles of the blocked unpack.
 SHAPE = (1024, 1024)
 CHUNK_BYTES = 8 << 20
 DEFAULT_DEPTHS = (2, 8)
@@ -109,8 +100,8 @@ def run(depths=DEFAULT_DEPTHS, codecs=DEFAULT_CODECS, *,
     """Measure deep-select throughput across the scan grid.
 
     Each (depth, codec, backend) cell builds one store, then times the
-    deepest select under both decode paths, asserting byte-identical
-    results before recording either row.
+    deepest select under each native setting, asserting the selected
+    bytes before recording the rows.
     """
     rows = []
     logical_mb = (SHAPE[0] * SHAPE[1] * 8) / 1e6
@@ -123,64 +114,47 @@ def run(depths=DEFAULT_DEPTHS, codecs=DEFAULT_CODECS, *,
                     versions = _versions(depth, rng)
                     manager = _build(root, codec, versions, backend)
                     fingerprint = manager.fingerprint(ARRAY)
-                    results = {}
-                    for fuse in (0, 1):
-                        manager.decoder.fuse_chains = bool(fuse)
-                        for use_native in native_axis():
-                            with contextlib.ExitStack() as stack:
-                                if not use_native:
-                                    stack.enter_context(
-                                        native.disabled())
-                                got = manager.select(ARRAY, depth)
-                                results[(fuse, use_native)] = \
-                                    got.attribute("value").tobytes()
-                                with manager.stats.measure() as window:
-                                    manager.select(ARRAY, depth)
-                                seconds = _time_select(manager, depth,
-                                                       repeats)
-                            rows.append({
-                                "backend": backend,
-                                "delta_codec": codec,
-                                "chain_depth": depth,
-                                "fuse": fuse,
-                                "native": use_native,
-                                "chains_fused": window.chains_fused,
-                                "fused_levels": window.fused_levels,
-                                "scatter_levels": window.scatter_levels,
-                                "select_seconds": seconds,
-                                "mb_per_sec": logical_mb / seconds,
-                                "fingerprint": fingerprint,
-                            })
-                    expected = np.ascontiguousarray(versions[-1])
-                    for key, got_bytes in results.items():
-                        if got_bytes != expected.tobytes():
-                            raise AssertionError(
-                                f"select returned wrong bytes at "
-                                f"backend={backend} codec={codec} "
-                                f"depth={depth} (fuse, native)={key}")
+                    for use_native in native_axis():
+                        with contextlib.ExitStack() as stack:
+                            if not use_native:
+                                stack.enter_context(native.disabled())
+                            got = manager.select(ARRAY, depth)
+                            if not np.array_equal(got.attribute("value"),
+                                                  versions[-1]):
+                                raise AssertionError(
+                                    f"select returned wrong bytes at "
+                                    f"backend={backend} codec={codec} "
+                                    f"depth={depth} native={use_native}")
+                            with manager.stats.measure() as window:
+                                manager.select(ARRAY, depth)
+                            seconds = _time_select(manager, depth,
+                                                   repeats)
+                        rows.append({
+                            "backend": backend,
+                            "delta_codec": codec,
+                            "chain_depth": depth,
+                            "native": use_native,
+                            "chains_fused": window.chains_fused,
+                            "fused_levels": window.fused_levels,
+                            "scatter_levels": window.scatter_levels,
+                            "select_seconds": seconds,
+                            "mb_per_sec": logical_mb / seconds,
+                            "fingerprint": fingerprint,
+                        })
                     manager.close()
 
     if json_path is not None:
         Path(json_path).write_text(json.dumps(rows, indent=2))
     if not quiet:
-        speedups = {}
-        for row in rows:
-            key = (row["backend"], row["delta_codec"],
-                   row["chain_depth"], row["native"])
-            speedups.setdefault(key, {})[row["fuse"]] = \
-                row["mb_per_sec"]
         print_table(
-            "Scan throughput: deep-chain select, fused vs stepwise"
-            " decode (byte-identical results; one store per cell)",
-            ["Backend", "Codec", "Depth", "Fuse", "Native", "MB/s",
-             "Scatter Lvls", "Speedup"],
+            "Scan throughput: deep-chain select (one store per cell)",
+            ["Backend", "Codec", "Depth", "Native", "MB/s",
+             "Fused Lvls", "Scatter Lvls"],
             [[row["backend"], row["delta_codec"],
-              str(row["chain_depth"]), str(row["fuse"]),
-              str(row["native"]),
+              str(row["chain_depth"]), str(row["native"]),
               f"{row['mb_per_sec']:.0f}",
-              str(row["scatter_levels"]),
-              (f"{row['mb_per_sec'] / speedups[(row['backend'], row['delta_codec'], row['chain_depth'], row['native'])][0]:.1f}x"
-               if row["fuse"] else "1.0x")]
+              str(row["fused_levels"]),
+              str(row["scatter_levels"])]
              for row in rows])
     return rows
 

@@ -74,7 +74,7 @@ from repro.core.schema import ArraySchema, Attribute, Dimension
 from repro.storage.backend import StorageBackend
 from repro.storage.iostats import IOStats
 from repro.storage.manager import VersionedStorageManager
-from repro.storage.pipeline import resolve_fuse, resolve_workers
+from repro.storage.pipeline import resolve_workers
 
 #: How many times a compensating undo (delete of a landed version or
 #: array) is retried before the rollback gives up on that replica.
@@ -174,17 +174,11 @@ class ClusterCoordinator:
     for the replication counters: ``failovers``, ``replica_writes``,
     and ``migrated_chunks``.  Per-node byte counters stay on each
     manager (:meth:`node_stats`).
-
-    ``fuse_chains`` threads the fused delta-chain decode knob to every
-    node manager (and to the fresh generation a rebalance builds), so
-    deep-chain reads on every replica fold their composable delta
-    levels into one apply; results are byte-identical either way.
     """
 
     def __init__(self, root: str | Path, nodes: int = 4, *,
                  replication: int = 1, partition_axis: int = 0,
                  backend=None, workers: int | None = None,
-                 fuse_chains: bool | None = None,
                  **manager_kwargs):
         if nodes < 1:
             raise StorageError("a cluster needs at least one node")
@@ -199,7 +193,6 @@ class ClusterCoordinator:
                 "a cluster needs one backend per node; pass a backend"
                 " name or factory, not a shared instance")
         self.workers = resolve_workers(workers)
-        self.fuse_chains = resolve_fuse(fuse_chains)
         self.root = Path(root)
         self.replication = replication
         self.partition_axis = partition_axis
@@ -228,7 +221,6 @@ class ClusterCoordinator:
                         self._node_root(node, replica),
                         backend=backend,
                         workers=self.workers,
-                        fuse_chains=self.fuse_chains,
                         **manager_kwargs))
         except BaseException:
             # A half-built cluster must not leak the managers (and
@@ -457,8 +449,7 @@ class ClusterCoordinator:
             digest.update(f"extra:{extra}".encode())
         return digest.hexdigest()
 
-    def repair(self, node: int, replica: int = 0, *,
-               workers: int | None = None) -> dict:
+    def repair(self, node: int, replica: int = 0) -> dict:
         """Resync one stale or empty band copy from its live peers.
 
         Per-array, the copy's per-version logical digests are compared
@@ -490,11 +481,10 @@ class ClusterCoordinator:
                 f"replica {replica} from "
                 f"(replication={self.replication})")
         with self._maintenance_lock:
-            return self._repair_locked(node, replica, peers, workers)
+            return self._repair_locked(node, replica, peers)
 
     def _repair_locked(self, node: int, replica: int,
-                       peers: list[int],
-                       workers: int | None) -> dict:
+                       peers: list[int]) -> dict:
         target = self.replicas[node][replica]
 
         def from_peer(op):
@@ -549,7 +539,7 @@ class ClusterCoordinator:
                     name, data, version=version, kind=row.kind,
                     parent_version=row.parent_version,
                     timestamp=row.timestamp,
-                    merge_parents=parents or None, workers=workers)
+                    merge_parents=parents or None)
                 replayed += 1
                 replayed_bytes += sum(
                     data.attribute(attr.name).nbytes
@@ -584,7 +574,7 @@ class ClusterCoordinator:
             shutil.rmtree(root)
         fresh = VersionedStorageManager(
             root, backend=self._backend_spec, workers=self.workers,
-            fuse_chains=self.fuse_chains, **self._manager_kwargs)
+            **self._manager_kwargs)
         self.replicas[node][replica] = fresh
         self._dead.add((node, replica))
         return fresh
@@ -678,15 +668,13 @@ class ClusterCoordinator:
     # Versions
     # ------------------------------------------------------------------
     def insert(self, name: str, payload: Payload | ArrayData | np.ndarray,
-               timestamp: float | None = None, *,
-               workers: int | None = None) -> int:
+               timestamp: float | None = None) -> int:
         """Split a version into bands and insert on every band copy.
 
         The per-replica inserts are independent (each copy owns its own
         catalog, store, and encoder), so they fan out across the
         coordinator's node executor — the write-side mirror of the
-        region select's concurrent node queries.  ``workers`` overrides
-        each node's encode parallelism for this one insert.
+        region select's concurrent node queries.
 
         Band slicing happens against the live generation *before* the
         write lock is taken (slicing a large payload under the lock
@@ -705,7 +693,7 @@ class ClusterCoordinator:
                 for node in range(self.nodes)]
             try:
                 return self._insert_locals(name, locals_by_node,
-                                           timestamp, workers)
+                                           timestamp)
             except _ReshardedMidWrite:
                 continue
         raise StorageError(
@@ -713,8 +701,7 @@ class ClusterCoordinator:
 
     def _insert_locals(self, name: str,
                        locals_by_node: list[ArrayData],
-                       timestamp: float | None,
-                       workers: int | None) -> int:
+                       timestamp: float | None) -> int:
         """Fan pre-sliced band payloads to every (band, replica) copy,
         all-or-nothing: if any copy fails (or the copies land different
         version numbers), every landed version is deleted again — it
@@ -742,8 +729,7 @@ class ClusterCoordinator:
                 node, replica = pair
                 self._check_writable(node, replica)
                 return self.replicas[node][replica].insert(
-                    name, locals_by_node[node], timestamp,
-                    workers=workers)
+                    name, locals_by_node[node], timestamp)
 
             results, error = self._settle_nodes(insert_one, pairs)
             landed = {version for version in results
@@ -772,8 +758,8 @@ class ClusterCoordinator:
                        version: int, kind: str,
                        parent_version: int | None,
                        timestamp: float | None,
-                       merge_parents: list[tuple[str, int]] | None,
-                       workers: int | None = None) -> int:
+                       merge_parents: list[tuple[str, int]] | None
+                       ) -> int:
         """The migration twin of :meth:`_insert_locals`: fan one
         version's pre-sliced band payloads to every copy through
         :meth:`VersionedStorageManager.replay_version`, preserving the
@@ -792,8 +778,7 @@ class ClusterCoordinator:
                 return self.replicas[node][replica].replay_version(
                     name, locals_by_node[node], version=version,
                     kind=kind, parent_version=parent_version,
-                    timestamp=timestamp, merge_parents=merge_parents,
-                    workers=workers)
+                    timestamp=timestamp, merge_parents=merge_parents)
 
             results, error = self._settle_nodes(replay_one, pairs)
             if error is not None:
@@ -809,8 +794,7 @@ class ClusterCoordinator:
 
     def branch(self, source_name: str, source_version: int,
                new_name: str,
-               timestamp: float | None = None, *,
-               workers: int | None = None):
+               timestamp: float | None = None):
         """Branch every band copy of the source version (Branch).
 
         All-or-nothing across the cluster: if any replica fails, the
@@ -821,7 +805,7 @@ class ClusterCoordinator:
 
         def branch_node(manager: VersionedStorageManager):
             return manager.branch(source_name, source_version, new_name,
-                                  timestamp, workers=workers)
+                                  timestamp)
 
         with self._write_lock:
             partitioner = self._partitioner(source_name)
@@ -835,8 +819,7 @@ class ClusterCoordinator:
         return new_name
 
     def merge(self, parents: list[tuple[str, int]], new_name: str,
-              timestamp: float | None = None, *,
-              workers: int | None = None):
+              timestamp: float | None = None):
         """Merge parent versions into a new array sequence on every
         band copy (the paper's Merge: versions 1..k replay the
         parents)."""
@@ -849,8 +832,7 @@ class ClusterCoordinator:
                     "merge parents must share the same schema")
 
         def merge_node(manager: VersionedStorageManager):
-            return manager.merge(parents, new_name, timestamp,
-                                 workers=workers)
+            return manager.merge(parents, new_name, timestamp)
 
         with self._write_lock:
             partitioner = self._partitioner(parents[0][0])
@@ -1131,7 +1113,6 @@ class ClusterCoordinator:
                 replication=self.replication,
                 partition_axis=self.partition_axis,
                 backend=self._backend_spec, workers=self.workers,
-                fuse_chains=self.fuse_chains,
                 **self._manager_kwargs)
         except BaseException:
             # A half-built generation (its constructor closed the

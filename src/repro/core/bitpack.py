@@ -21,17 +21,15 @@ and the stream is stored little-endian — which makes the byte string
 exactly the memory image of a little-endian uint64 word array.  The
 kernels exploit that: each value contributes one-or-two shifted 64-bit
 words to the stream, O(count) word operations instead of the seed's
-O(count x bits) per-bit matrix expansion.  Large arrays use the block
-kernel — 64 values of width D span exactly D words, so the shift/word
-pattern repeats with period 64 and one vectorized column op per lane
-packs (or unpacks) that lane across *every* block at once; small
-arrays use a constant-call-count scatter (``np.bitwise_or.reduceat``
-over the non-decreasing word indices) / gather instead, which costs a
-dozen numpy calls regardless of width.  Past ~1M values the blocked
-unpack goes *transposed*: the same 64-lane recovery runs per
-cache-sized tile of blocks instead of column-striding the whole
-multi-MB word array once per lane — identical bytes, cache-resident
-working set.  For D in {8, 16, 32, 64} the
+O(count x bits) per-bit matrix expansion.  The compiled kernels in
+:mod:`repro.core.native` do that in one streaming pass; the numpy
+fallbacks here are the block kernels — 64 values of width D span
+exactly D words, so the shift/word pattern repeats with period 64 and
+the whole array packs (or unpacks) with a fixed number of column
+operations, run per cache-sized tile of blocks so the working set
+stays cache-resident on multi-MB arrays.  The blocked unpack issues
+~2 numpy calls per lane, so small inputs unpack with a
+constant-call-count gather instead.  For D in {8, 16, 32, 64} the
 stream *is* a little-endian fixed-width integer array, so those widths
 reduce to pure ``astype``/``view`` reinterprets.
 
@@ -61,32 +59,21 @@ _FAST_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
-#: Element count above which the 64-value block kernels beat the
-#: constant-call-count scatter/gather kernels (the block kernels issue
-#: ~2 numpy calls per lane, a fixed ~128-call overhead that only pays
-#: off once the per-element savings outgrow it).
+#: Element count above which the blocked unpack beats the
+#: constant-call-count gather (the lane loop issues ~2 numpy calls per
+#: lane, a fixed ~128-call overhead that only pays off once the
+#: per-element savings outgrow it).
 _BLOCK_THRESHOLD = 8192
 
 #: Values per block: 64 values of width D span exactly D uint64 words,
 #: so the (word, shift) pattern repeats with this period.
 _BLOCK = 64
 
-#: Widest width still unpacked by per-bit expansion (unpackbits +
-#: weight matmul): below this the bit matrix is tiny and beats the
-#: word kernels' per-element constants.
-_MATMUL_BITS = 5
-
-#: Element count above which the blocked unpack walks its 64 lanes in
-#: *tiles* of blocks (the transposed variant).  Each lane pass strides
-#: the whole word array column-wise; past ~1M values that working set
-#: (words + values, several MB) is evicted 64 times over, so the lane
-#: loop runs per tile small enough for words and values to stay
-#: cache-resident across all 64 lanes.
-_TRANSPOSE_THRESHOLD = 1 << 20
-
-#: Blocks per tile of the transposed unpack: the per-tile working set
-#: is ``_TILE_BLOCKS * (bits + 64) * 8`` bytes — ~1 MiB at the widest
-#: widths, comfortably L2-resident.
+#: Blocks per tile of the block kernels.  Each lane pass strides its
+#: whole input column-wise; run over a multi-MB array at once that
+#: working set is evicted 64 times over, so the lane loops run per
+#: tile: ``_TILE_BLOCKS * (bits + 64) * 8`` bytes — ~1 MiB at the
+#: widest widths, comfortably L2-resident.
 _TILE_BLOCKS = 1024
 
 
@@ -113,43 +100,6 @@ def required_bits_for(values: np.ndarray) -> int:
     if values.size == 0:
         return 0
     return required_bits(int(values.max()))
-
-
-def _scatter_or(words: np.ndarray, index: np.ndarray,
-                contributions: np.ndarray) -> None:
-    """OR ``contributions`` into ``words`` at ``index`` (non-decreasing).
-
-    Duplicate indices are legal (several values land in one word); the
-    non-decreasing order lets ``np.bitwise_or.reduceat`` collapse each
-    run of equal indices in one vectorized pass instead of a per-element
-    ``ufunc.at`` scatter.
-    """
-    starts = np.flatnonzero(index[1:] != index[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    words[index[starts]] |= np.bitwise_or.reduceat(contributions, starts)
-
-
-def _pack_words_scatter(values: np.ndarray, bits: int,
-                        n_words: int) -> np.ndarray:
-    """Pack via per-value word scatter — a dozen numpy calls total."""
-    count = values.size
-    bit_start = np.arange(count, dtype=np.uint64) * np.uint64(bits)
-    word = (bit_start >> np.uint64(6)).astype(np.intp)
-    shift = bit_start & np.uint64(63)
-
-    words = np.zeros(n_words, dtype=np.uint64)
-    # Low contribution: the value's bits that land inside word[i].
-    _scatter_or(words, word, values << shift)
-    # High contribution: the spill into word[i] + 1 when the value
-    # straddles a word boundary.  A shift by 64 is undefined for
-    # uint64, so shift == 0 (which can never spill at width <= 64) is
-    # masked to a zero contribution, and the spill index of the final
-    # value is clamped — whenever the clamp engages the contribution
-    # is provably zero, because the stream ends inside the last word.
-    spill = np.where(shift == np.uint64(0), np.uint64(0),
-                     values >> ((np.uint64(64) - shift) & np.uint64(63)))
-    _scatter_or(words, np.minimum(word + 1, n_words - 1), spill)
-    return words
 
 
 #: Per-width assembly plans for the blocked pack kernel, built lazily.
@@ -235,15 +185,9 @@ def _pack_words_blocked(values: np.ndarray, bits: int) -> np.ndarray:
     lanes = values.reshape(-1, _BLOCK)
     n_blocks = lanes.shape[0]
     words = np.empty((n_blocks, bits), dtype=np.uint64)
-    if n_blocks > _TILE_BLOCKS:
-        # Same cache argument as the transposed unpack: the gathers
-        # stride the whole array column-wise once per schedule step,
-        # so past ~64K values they run per cache-sized tile of blocks.
-        for start in range(0, n_blocks, _TILE_BLOCKS):
-            stop = min(start + _TILE_BLOCKS, n_blocks)
-            _pack_assemble(lanes[start:stop], words[start:stop], plan)
-    else:
-        _pack_assemble(lanes, words, plan)
+    for start in range(0, n_blocks, _TILE_BLOCKS):
+        stop = start + _TILE_BLOCKS
+        _pack_assemble(lanes[start:stop], words[start:stop], plan)
     return words.reshape(-1)
 
 
@@ -285,18 +229,13 @@ def pack_unsigned(values: np.ndarray, bits: int) -> bytes:
     if fast is not None:
         return values.astype(fast, copy=False).tobytes()
 
-    count = values.size
-    n_words = (count * bits + 63) // 64
     # The compiled carry-register kernel emits the identical stream in
-    # one pass when available; the numpy kernels are the fallback.
+    # one pass when available; the numpy block kernel is the fallback.
     words = native.pack_bits(values, bits)
     if words is None:
-        if count >= _BLOCK_THRESHOLD:
-            words = _pack_words_blocked(values, bits)
-        else:
-            words = _pack_words_scatter(values, bits, n_words)
+        words = _pack_words_blocked(values, bits)
 
-    needed = (count * bits + 7) // 8
+    needed = (values.size * bits + 7) // 8
     if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
         words = words.astype("<u8")
     return words.view(np.uint8)[:needed].tobytes()
@@ -338,27 +277,11 @@ def unpack_unsigned(data, bits: int, count: int) -> np.ndarray:
     if values is not None:
         return values
 
-    if bits <= _MATMUL_BITS:
-        return _unpack_bits_matmul(data, bits, count, needed)
     mask = np.uint64(0xFFFFFFFFFFFFFFFF) if bits == MAX_BITS \
         else np.uint64((1 << bits) - 1)
     if count >= _BLOCK_THRESHOLD:
         return _unpack_words_blocked(data, bits, count, needed, mask)
     return _unpack_words_gather(data, bits, count, needed, mask)
-
-
-def _unpack_bits_matmul(data, bits: int, count: int,
-                        needed: int) -> np.ndarray:
-    """Unpack via per-bit expansion — only for the narrowest widths.
-
-    At D <= ~5 the O(count x D) ``unpackbits`` + weight matmul beats
-    the O(count) word kernels because D is so small that the per-bit
-    matrix stays tiny while the word kernels' per-element constants
-    don't shrink; measured crossover is between 5 and 6 bits."""
-    raw = np.frombuffer(data, dtype=np.uint8, count=needed)
-    flat = np.unpackbits(raw, bitorder="little", count=count * bits)
-    matrix = flat.reshape(count, bits).astype(np.uint64)
-    return matrix @ (np.uint64(1) << np.arange(bits, dtype=np.uint64))
 
 
 def _load_words(data, needed: int, n_words: int) -> np.ndarray:
@@ -393,9 +316,9 @@ def _unpack_words_gather(data, bits: int, count: int, needed: int,
 
 def _unpack_lanes(words: np.ndarray, values: np.ndarray, bits: int,
                   mask: np.uint64) -> None:
-    """The 64-lane shift/mask recovery shared by the whole-array and
-    transposed (tiled) blocked unpacks; ``words`` is ``(blocks, bits)``
-    and ``values`` the matching ``(blocks, 64)`` output view."""
+    """The 64-lane shift/mask recovery of one tile; ``words`` is
+    ``(blocks, bits)`` and ``values`` the matching ``(blocks, 64)``
+    output view."""
     for lane in range(_BLOCK):
         start = lane * bits
         word, shift = start >> 6, start & 63
@@ -410,26 +333,16 @@ def _unpack_words_blocked(data, bits: int, count: int, needed: int,
                           mask: np.uint64) -> np.ndarray:
     """Unpack via the 64-value block kernel (see
     :func:`_pack_words_blocked`): one shift/mask per lane recovers that
-    lane across all blocks at once.
-
-    Multi-MB arrays take the transposed variant: the identical lane
-    loop, tiled over block ranges so each tile's words and values stay
-    cache-resident across all 64 lane passes (one strided column walk
-    over a whole multi-MB array per lane evicts the cache 64 times
-    over).  The tiling only reorders independent per-row operations,
-    so the output is byte-identical to the untiled kernel.
+    lane across every block of a tile at once.  The tiling only
+    reorders independent per-row operations.
     """
     n_blocks = -(-count // _BLOCK)
     words = _load_words(data, needed, n_blocks * bits)
     words = words.reshape(n_blocks, bits)
     values = np.empty((n_blocks, _BLOCK), dtype=np.uint64)
-    if count >= _TRANSPOSE_THRESHOLD:
-        for start in range(0, n_blocks, _TILE_BLOCKS):
-            stop = min(start + _TILE_BLOCKS, n_blocks)
-            _unpack_lanes(words[start:stop], values[start:stop],
-                          bits, mask)
-    else:
-        _unpack_lanes(words, values, bits, mask)
+    for start in range(0, n_blocks, _TILE_BLOCKS):
+        stop = start + _TILE_BLOCKS
+        _unpack_lanes(words[start:stop], values[start:stop], bits, mask)
     return values.reshape(-1)[:count]
 
 

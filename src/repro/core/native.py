@@ -19,11 +19,12 @@ every caller keeps its numpy path, which produces byte-identical
 output (the equivalence is part of the test suite, width by width and
 boundary value by boundary value).  No compiler, a failed compile, a
 read-only tree, ``REPRO_NATIVE=0``, or an in-process
-:func:`disabled` scope all degrade silently to numpy — behaviour,
-stored bytes, fingerprints and test results are identical either way;
-only throughput changes.  Every wrapper returns ``None`` (or
-``False`` for in-place kernels) instead of raising when its gate
-rejects the input, and callers fall through to numpy.
+:func:`disabled` scope all degrade to numpy — behaviour, stored
+bytes, fingerprints and test results are identical either way; only
+throughput changes, so a build that failed under every cache root
+says so once on the ``repro.native`` logger.  Every wrapper returns
+``None`` (or ``False`` for in-place kernels) instead of raising when
+its gate rejects the input, and callers fall through to numpy.
 
 The shared object is cached under ``.cache/native/`` next to the
 package (keyed by a hash of the C source, so edits rebuild) and falls
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import logging
 import os
 import subprocess
 import sys
@@ -194,6 +196,8 @@ _I64_P = ctypes.POINTER(ctypes.c_int64)
 _U64_P = ctypes.POINTER(ctypes.c_uint64)
 _U8_P = ctypes.POINTER(ctypes.c_uint8)
 
+_log = logging.getLogger("repro.native")
+
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
 _tried = False
@@ -215,6 +219,7 @@ def _cache_dir() -> Path:
 def _compile() -> ctypes.CDLL | None:
     compiler = os.environ.get("CC", "cc")
     digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    failures = []
     for root in (_cache_dir(), Path(tempfile.gettempdir()) / "repro-native"):
         so_path = root / f"reprokernels-{digest}.so"
         try:
@@ -230,7 +235,12 @@ def _compile() -> ctypes.CDLL | None:
                 # Atomic publish: concurrent builders race benignly.
                 os.replace(staging, so_path)
             lib = ctypes.CDLL(str(so_path))
-        except (OSError, subprocess.SubprocessError):
+        except (OSError, subprocess.SubprocessError) as exc:
+            # CalledProcessError / TimeoutExpired name the command and
+            # exit status themselves; the compiler's own words follow.
+            stderr = (getattr(exc, "stderr", None) or b"").decode(
+                errors="replace").strip().splitlines()[-3:]
+            failures.append(" | ".join([f"{root}: {exc}", *stderr]))
             continue
         lib.repro_delta_zigzag_hist.argtypes = [
             _I64_P, _I64_P, _U64_P, _I64_P, ctypes.c_int64]
@@ -258,6 +268,8 @@ def _compile() -> ctypes.CDLL | None:
             _I64_P, _I64_P, _I64_P, _U64_P, _I64_P, ctypes.c_int64]
         lib.repro_rebase_zigzag_hist.restype = None
         return lib
+    _log.warning("compiled kernels unavailable (CC=%s), numpy fallbacks"
+                 " in use: %s", compiler, "; ".join(failures))
     return None
 
 
@@ -338,7 +350,7 @@ def pack_bits(values: np.ndarray, bits: int) -> np.ndarray | None:
 
     ``values`` must be flat, C-contiguous uint64 already validated to
     fit ``bits`` (the caller, :func:`repro.core.bitpack.pack_unsigned`,
-    checks).  Byte-identical to the numpy block kernels.
+    checks).  Byte-identical to the numpy block kernel.
     """
     lib = _active()
     if (lib is None or not isinstance(values, np.ndarray)
@@ -377,7 +389,7 @@ def unpack_bits(data, bits: int, count: int) -> np.ndarray | None:
     the caller (:func:`repro.core.bitpack.unpack_unsigned`); any width
     1..63 is handled by the one carry-register loop (64 never gets
     here — it is a dtype reinterpret upstream).  Byte-identical to the
-    numpy gather/blocked/tiled kernels.
+    numpy gather/blocked kernels.
     """
     lib = _active()
     if lib is None or not 0 < bits < 64 or count <= 0 \

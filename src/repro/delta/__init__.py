@@ -9,7 +9,6 @@ from repro.delta.auto import (
     CodePlan,
     EncodingDecision,
     PlannedEncoding,
-    choose_encoding,
     default_delta_candidates,
     plan_encoding,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "MPEGLikeDeltaCodec",
     "PlannedEncoding",
     "SparseDeltaCodec",
-    "choose_encoding",
     "default_delta_candidates",
     "plan_encoding",
     "delta_codec_names",

@@ -7,24 +7,17 @@ economical one."  Section II-A adds that "delta-ing is performed
 automatically by comparing the new version to versions already in the
 system" — the user never has to supply the delta-list form to benefit.
 
-Two implementations of that decision live here:
-
-* :func:`choose_encoding` — the exhaustive two-pass form: fully encode
-  the materialized representation *and* every candidate delta codec,
-  keep the smallest.  Every loser's payload is thrown away, and each
-  candidate independently recomputes the same delta, zigzag and width
-  statistics.  It remains the reference oracle (the planner's property
-  suite asserts equality against it) and the ``REPRO_ENCODE_PLANNER=0``
-  fallback path.
-* :func:`plan_encoding` — the single-pass planner: one
-  :class:`CodePlan` computes the delta, the unsigned code array and its
-  width statistics exactly once; every candidate is *sized* from the
-  shared plan (exact sizes, not estimates — the codecs' ``plan_size``
-  is byte-accurate), the materialized size is derived analytically
-  under the identity compressor, and exactly one encoder runs: the
-  winner's, fed the already-computed codes.  Same winner, same size,
-  same payload bytes as the two-pass form — only the wasted encodes are
-  gone.
+:func:`plan_encoding` makes that decision in a single pass: one
+:class:`CodePlan` computes the delta, the unsigned code array and its
+width statistics exactly once; every candidate is *sized* from the
+shared plan (exact sizes, not estimates — the codecs' ``plan_size`` is
+byte-accurate), the materialized size is derived analytically under
+the identity compressor, and exactly one encoder runs: the winner's,
+fed the already-computed codes.  The literal "try both" form — encode
+the materialized representation and every candidate, keep the smallest
+— picks the same winner with the same payload bytes; it lives in
+``tests/delta/encoding_oracle.py`` as the reference the planner's
+property suite asserts equality against.
 
 The planner additionally supports **delta-of-delta re-base**: when the
 insert path has the base version's chain state (the decoded root plus
@@ -112,12 +105,11 @@ class CodePlan:
     codec: the raw ``delta`` and its ``mode``, the flat unsigned
     ``codes`` the strategies of Section III-B.3 operate on, and the
     code array's :class:`~repro.delta.codes.CodeStats` — the one-pass
-    width order statistics (a counting sort over code bit widths) that
-    replace the per-candidate ``np.sort`` + ``searchsorted`` the
-    two-pass path repeated for every estimator.  Dense width, sparse
-    nonzero count and the full hybrid split-cost curve all fall out of
-    the same statistics, so sizing a candidate costs arithmetic on a
-    65-bucket histogram, not a pass over the chunk.
+    width order statistics (a counting sort over code bit widths).
+    Dense width, sparse nonzero count and the full hybrid split-cost
+    curve all fall out of the same statistics, so sizing a candidate
+    costs arithmetic on a 65-bucket histogram, not a pass over the
+    chunk.
     """
 
     target: np.ndarray
@@ -221,11 +213,12 @@ class CodePlan:
 
 @dataclass(frozen=True)
 class PlannedEncoding:
-    """A planner decision plus what the plan saved over the two-pass
-    path: ``encodes_avoided`` counts representations that were sized
-    exactly but never encoded (losing candidates, and the materialized
-    form when a delta provably wins under the identity compressor), and
-    ``bytes_saved`` is the total size of those never-produced payloads.
+    """A planner decision plus what the plan saved over encoding every
+    representation: ``encodes_avoided`` counts representations that
+    were sized exactly but never encoded (losing candidates, and the
+    materialized form when a delta provably wins under the identity
+    compressor), and ``bytes_saved`` is the total size of those
+    never-produced payloads.
     """
 
     decision: EncodingDecision
@@ -241,33 +234,6 @@ def default_delta_candidates() -> tuple[DeltaCodec, ...]:
     insert path fast while matching the paper's behaviour.
     """
     return (HybridDeltaCodec(), SparseDeltaCodec())
-
-
-def choose_encoding(target: np.ndarray, base: np.ndarray | None,
-                    compressor: Codec | None = None,
-                    candidates: tuple[DeltaCodec, ...] | None = None,
-                    ) -> EncodingDecision:
-    """Pick the cheapest representation of ``target`` (two-pass form).
-
-    ``base`` is the version the optimizer proposes to delta against
-    (None forces materialization).  ``compressor`` is applied to the
-    materialized representation; delta payloads carry their own optional
-    LZ stage.
-    """
-    compressor = compressor or IdentityCodec()
-    materialized = compressor.encode(target)
-    best = EncodingDecision(delta_codec=None, size=len(materialized),
-                            parts=(materialized,))
-    if base is None:
-        return best
-
-    for codec in candidates or default_delta_candidates():
-        parts = codec.encode_parts(target, base)
-        size = sum(len(part) for part in parts)
-        if size < best.size:
-            best = EncodingDecision(delta_codec=codec.name,
-                                    size=size, parts=tuple(parts))
-    return best
 
 
 @lru_cache(maxsize=256)
@@ -307,10 +273,13 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                   ) -> PlannedEncoding:
     """Pick the cheapest representation of ``target`` in a single pass.
 
-    Decision-equivalent and byte-identical to :func:`choose_encoding`
-    over the same arguments (same winner under the same first-strictly-
-    smaller tie-break, same size, same payload), but: the delta, code
-    array and width statistics are computed once and shared; candidates
+    ``base`` is the version the optimizer proposes to delta against
+    (None forces materialization).  ``compressor`` is applied to the
+    materialized representation; delta payloads carry their own
+    optional LZ stage.  Ties keep the earlier representation
+    (materialized first, then candidates in order; a later one must be
+    strictly smaller).  The delta, code array and width statistics are
+    computed once and shared; candidates
     that can size themselves from the plan are never encoded unless
     they win; candidates that cannot (LZ stages, transform codecs) are
     encoded exactly once and their parts cached for the win case; and

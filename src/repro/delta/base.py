@@ -151,9 +151,9 @@ class DeltaCodec(ABC):
 
         Must emit exactly the bytes :meth:`encode_parts` would for the
         plan's ``(target, base)`` pair — the planner's hard invariant
-        is byte identity with the two-pass path.  The default recomputes
-        from the arrays; code-array codecs override to reuse the shared
-        work.
+        is byte identity with encoding from scratch.  The default
+        recomputes from the arrays; code-array codecs override to
+        reuse the shared work.
         """
         return self.encode_parts(plan.target, plan.base)
 

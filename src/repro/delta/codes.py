@@ -117,7 +117,7 @@ class CodeStats:
     including the width-64 sentinel the seed search produced (its
     ``1 << 64`` threshold wraps to 0, counting every code as an
     outlier), so cost curves — and therefore every argmin tie-break —
-    are identical to the two-pass path's.
+    are identical to the sorted search's.
     """
 
     n: int

@@ -36,8 +36,7 @@ class Database:
                  backend: str | None = None,
                  cache_chunks: int = 0,
                  cache_bytes: int = 0,
-                 workers: int | None = None,
-                 fuse_chains: bool | None = None):
+                 workers: int | None = None):
         self.manager = VersionedStorageManager(
             root,
             chunk_bytes=chunk_bytes,
@@ -48,8 +47,7 @@ class Database:
             backend=backend,
             cache_chunks=cache_chunks,
             cache_bytes=cache_bytes,
-            workers=workers,
-            fuse_chains=fuse_chains)
+            workers=workers)
         self.processor = QueryProcessor(self.manager)
         self.executor = AQLExecutor(self.manager, base_path=Path(root))
 
@@ -68,12 +66,8 @@ class Database:
 
     def insert(self, name: str,
                payload: Payload | ArrayData | np.ndarray,
-               timestamp: float | None = None, *,
-               workers: int | None = None) -> int:
-        """Append one version; ``workers`` overrides the database's
-        configured encode parallelism for this one insert."""
-        return self.manager.insert(name, payload, timestamp,
-                                   workers=workers)
+               timestamp: float | None = None) -> int:
+        return self.manager.insert(name, payload, timestamp)
 
     def select(self, spec: str | VersionSpec, **kwargs) -> np.ndarray:
         """Select by spec string (``"Example@3"``, ``"Example@*"``)."""
@@ -84,14 +78,11 @@ class Database:
     def versions(self, name: str) -> list[int]:
         return self.manager.get_versions(name)
 
-    def branch(self, source: str, version: int, new_name: str, *,
-               workers: int | None = None):
-        return self.manager.branch(source, version, new_name,
-                                   workers=workers)
+    def branch(self, source: str, version: int, new_name: str):
+        return self.manager.branch(source, version, new_name)
 
-    def merge(self, parents: list[tuple[str, int]], new_name: str, *,
-              workers: int | None = None):
-        return self.manager.merge(parents, new_name, workers=workers)
+    def merge(self, parents: list[tuple[str, int]], new_name: str):
+        return self.manager.merge(parents, new_name)
 
     def properties(self, name: str) -> dict:
         return self.manager.properties(name)

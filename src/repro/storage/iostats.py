@@ -37,9 +37,8 @@ is ever lost.  The write side is covered by four counters:
 stage's concurrent fan instead of the serial loop).
 
 The single-pass encode planner adds three more write-side counters:
-``encode_plans`` (chunk encodes that went through
-:func:`~repro.delta.auto.plan_encoding` instead of the exhaustive
-two-pass :func:`~repro.delta.auto.choose_encoding`),
+``encode_plans`` (chunk encodes decided by
+:func:`~repro.delta.auto.plan_encoding`),
 ``codec_encodes_avoided`` (representations the planner sized exactly
 from the shared code plan but never encoded — losing delta candidates,
 plus the materialized payload whenever the cost model proves a delta
@@ -199,7 +198,7 @@ class IOStats:
         O(nnz) via sparse/hybrid scatter instead of a dense pass.  The
         equivalence oracle asserts the counter is zero whenever the
         stepwise path must run (a cache warm fill, non-composable
-        codecs, fusion off)."""
+        codecs)."""
         with self._lock:
             self.chains_fused += 1
             self.fused_levels += levels

@@ -36,7 +36,7 @@ from repro.core.array import ArrayData, DeltaListPayload, Payload
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema
 from repro.storage.backend import StorageBackend, resolve_backend
-from repro.storage.chunking import DEFAULT_CHUNK_BYTES, ChunkGrid, ChunkRef
+from repro.storage.chunking import DEFAULT_CHUNK_BYTES, ChunkGrid
 from repro.storage.chunkstore import COLOCATED, ChunkStore
 from repro.storage.iostats import IOStats
 from repro.storage.metadata import (
@@ -54,8 +54,6 @@ from repro.storage.pipeline import (
     EncodePipeline,
     ensure_policy,
     overlap_slices as _overlap_slices,
-    resolve_fuse,
-    resolve_planner,
     resolve_workers,
 )
 
@@ -80,15 +78,11 @@ class VersionedStorageManager:
                  cache_chunks: int = 0,
                  cache_bytes: int = 0,
                  backend: "StorageBackend | str | None" = None,
-                 workers: int | None = None,
-                 fuse_chains: bool | None = None,
-                 planner: bool | None = None):
+                 workers: int | None = None):
         # Validate configuration before creating any durable state
         # (directories, catalog files, backend objects).
         ensure_policy(delta_policy)
         self.workers = resolve_workers(workers)
-        self.fuse_chains = resolve_fuse(fuse_chains)
-        self.planner = resolve_planner(planner)
         self.root = Path(root)
         backend = resolve_backend(backend, self.root / "data")
         if not backend.ephemeral:
@@ -117,12 +111,10 @@ class VersionedStorageManager:
         self.encoder = EncodePipeline(self.catalog, self.store,
                                       delta_policy=delta_policy,
                                       delta_codec=delta_codec,
-                                      workers=self.workers,
-                                      planner=self.planner)
+                                      workers=self.workers)
         self.decoder = DecodePipeline(self.catalog, self.store,
                                       cache=self.cache,
-                                      workers=self.workers,
-                                      fuse_chains=self.fuse_chains)
+                                      workers=self.workers)
         # Write-side hot-version slot: the last version this manager
         # wrote, kept so a chain-policy insert deltas against the data
         # it was just handed instead of re-reconstructing the parent
@@ -220,14 +212,12 @@ class VersionedStorageManager:
     # Version creation
     # ------------------------------------------------------------------
     def insert(self, name: str, payload: Payload | ArrayData | np.ndarray,
-               timestamp: float | None = None, *,
-               workers: int | None = None) -> int:
+               timestamp: float | None = None) -> int:
         """Append a new version to an array (the Insert command).
 
         Accepts any of the paper's three payload forms (dense, sparse,
         delta-list), a normalized :class:`ArrayData`, or a bare ndarray
-        for single-attribute arrays.  ``workers`` overrides the
-        manager's configured encode parallelism for this one insert.
+        for single-attribute arrays.
 
         The version row and all of its chunk rows commit in one
         catalog transaction *after* every payload is placed: a
@@ -241,7 +231,7 @@ class VersionedStorageManager:
         data = self._normalize_payload(record, payload)
         version = (parent or 0) + 1
         self._write_version(record, version, data,
-                            base_version=parent, workers=workers,
+                            base_version=parent,
                             version_row=VersionRecord(
                                 record.array_id, version, parent,
                                 "insert", timestamp or self._now()))
@@ -249,8 +239,7 @@ class VersionedStorageManager:
 
     def branch(self, source_name: str, source_version: int,
                new_name: str,
-               timestamp: float | None = None, *,
-               workers: int | None = None) -> ArrayRecord:
+               timestamp: float | None = None) -> ArrayRecord:
         """Create a named branch rooted at a past version (Branch).
 
         "Branches are formed off of a particular version of an existing
@@ -270,7 +259,7 @@ class VersionedStorageManager:
             # Version row + chunk rows commit together at the end, so
             # the branch's root version appears only once readable.
             self._write_version(branch_record, 1, contents,
-                                base_version=None, workers=workers,
+                                base_version=None,
                                 version_row=VersionRecord(
                                     branch_record.array_id, 1, None,
                                     "branch-root",
@@ -283,8 +272,7 @@ class VersionedStorageManager:
         return branch_record
 
     def merge(self, parents: list[tuple[str, int]], new_name: str,
-              timestamp: float | None = None, *,
-              workers: int | None = None) -> ArrayRecord:
+              timestamp: float | None = None) -> ArrayRecord:
         """Combine parent versions into a new sequence of arrays (Merge).
 
         Per Section II-A, Merge "takes a collection of two or more parent
@@ -314,7 +302,6 @@ class VersionedStorageManager:
                 self._write_version(
                     merged, sequence, contents,
                     base_version=sequence - 1 if sequence > 1 else None,
-                    workers=workers,
                     version_row=VersionRecord(
                         merged.array_id, sequence,
                         sequence - 1 if sequence > 1 else None,
@@ -333,8 +320,8 @@ class VersionedStorageManager:
                        kind: str = "insert",
                        parent_version: int | None = None,
                        timestamp: float | None = None,
-                       merge_parents: list[tuple[str, int]] | None = None,
-                       workers: int | None = None) -> int:
+                       merge_parents: list[tuple[str, int]] | None = None
+                       ) -> int:
         """Re-create one version with an explicit lineage row.
 
         The resync primitive behind anti-entropy repair and the
@@ -359,7 +346,7 @@ class VersionedStorageManager:
         data = self._normalize_payload(record, payload)
         self._write_version(
             record, version, data,
-            base_version=parent_version, workers=workers,
+            base_version=parent_version,
             version_row=VersionRecord(
                 record.array_id, version, parent_version, kind,
                 self._now() if timestamp is None else timestamp),
@@ -387,13 +374,20 @@ class VersionedStorageManager:
                       self.catalog.dependents_of(record.array_id, version)}
         deleted_parent = self.catalog.get_version(
             record.array_id, version).parent_version
+        # The deleted version's stored delta base — not its lineage
+        # parent, which after a re-organization may itself be one of
+        # the dependents (a head-rooted chain deltas old against new).
+        bases = {chunk.base_version for chunk in
+                 self.catalog.chunks_for_version(record.array_id, version)
+                 if chunk.is_delta}
+        deleted_base = bases.pop() if len(bases) == 1 else None
 
         # Re-encode each dependent against the deleted version's own base
         # (or materialize when the chain ends here).
         for dependent in sorted(dependents):
             contents = self.select(name, dependent)
             self._write_version(record, dependent, contents,
-                                base_version=deleted_parent,
+                                base_version=deleted_base,
                                 replace=True)
         self.catalog.delete_version(record.array_id, version)
         # A deleted head's number is reused by the next insert.  Not
@@ -720,7 +714,6 @@ class VersionedStorageManager:
     def _write_version(self, record: ArrayRecord, version: int,
                        data: ArrayData, base_version: int | None,
                        replace: bool = False,
-                       workers: int | None = None,
                        version_row: VersionRecord | None = None,
                        merge_parents: list[tuple[str, int]] | None = None
                        ) -> None:
@@ -748,7 +741,7 @@ class VersionedStorageManager:
                                    data, base_data=base_data,
                                    base_version=base_version,
                                    rebase_states=rebase_states,
-                                   replace=replace, workers=workers,
+                                   replace=replace,
                                    version_row=version_row,
                                    merge_parents=merge_parents)
         self._hot_version = (record.name, version, data)
@@ -758,7 +751,7 @@ class VersionedStorageManager:
         """Chain-walk states for every (attribute, chunk) of a base
         version — the delta-of-delta re-base input for inserts whose
         parent canvas is not hot.  Returns None when the fast path is
-        unavailable (planner off, materialize policy, a candidate that
+        unavailable (materialize policy, a candidate that
         needs the base canvas, or a non-composable chain level) — the
         caller falls back to a full select.  A chain state is composed,
         not decoded, so it neither reads nor fills the chunk cache."""
@@ -775,14 +768,6 @@ class VersionedStorageManager:
                 states[(attr.name, chunk.name)] = state
         self.stats.record_encode_rebase(len(states))
         return states
-
-    def _reconstruct_chunk(self, record: ArrayRecord, version: int,
-                           attribute: str, chunk: ChunkRef,
-                           cache: dict[int, np.ndarray] | None = None
-                           ) -> np.ndarray:
-        """Back-compat shim over :meth:`DecodePipeline.reconstruct`."""
-        return self.decoder.reconstruct(record, version, attribute, chunk,
-                                        cache)
 
     def _repack(self, record: ArrayRecord) -> None:
         """Rewrite co-located chunk objects keeping only live payloads.

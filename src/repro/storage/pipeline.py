@@ -35,12 +35,12 @@ Two invariants both pipelines are built around:
   ``write_version(rebase_states=...)``), and the compiled kernels in
   :mod:`repro.core.native` — must produce exactly the bytes of the
   plain numpy, level-by-level path.  Store fingerprints may never
-  depend on ``REPRO_NATIVE``, ``REPRO_FUSE``, worker count, or which
-  base-resolution path an insert happened to take.
+  depend on ``REPRO_NATIVE``, worker count, or which base-resolution
+  path an insert happened to take.
 * **Graceful fallback.**  Each fast path gates itself on dtype,
-  layout, codec composability, and configuration and returns
-  ``None``/raises nothing when it does not apply; the caller falls
-  back to the slower exact path silently.
+  layout, and codec composability and returns ``None``/raises nothing
+  when it does not apply; the caller falls back to the slower exact
+  path silently.
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from repro.core.errors import NoOverwriteError, StorageError
 from repro.delta.auto import (
     EncodingDecision,
     RebaseState,
-    choose_encoding,
     default_delta_candidates,
     plan_encoding,
 )
@@ -119,50 +118,6 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 0:
         raise StorageError(f"workers must be >= 0, got {workers}")
     return workers
-
-
-def resolve_fuse(fuse_chains: bool | None) -> bool:
-    """Resolve the fused-chain-decode knob to a concrete boolean.
-
-    ``None`` defers to the ``REPRO_FUSE`` environment variable (the CI
-    conformance matrix runs the suite down both read paths this way);
-    the default is on — the fused path reads the very same payloads as
-    the stepwise one and reproduces its bytes exactly, it just applies
-    them in one pass.  Like :func:`resolve_workers`, malformed values
-    are rejected loudly before any durable state is created: a
-    misconfigured matrix cell silently testing the wrong path would
-    test nothing.
-    """
-    if fuse_chains is None:
-        raw = os.environ.get("REPRO_FUSE", "1")
-        if raw not in ("0", "1"):
-            raise StorageError(
-                f"REPRO_FUSE must be 0 or 1, got {raw!r}")
-        return raw == "1"
-    return bool(fuse_chains)
-
-
-def resolve_planner(planner: bool | None) -> bool:
-    """Resolve the single-pass encode-planner knob to a concrete boolean.
-
-    ``None`` defers to the ``REPRO_ENCODE_PLANNER`` environment
-    variable (the CI conformance matrix runs the tier-1 storage suite
-    down both write paths this way); the default is on — the planner
-    picks the same winner and produces the same payload bytes as the
-    exhaustive two-pass :func:`~repro.delta.auto.choose_encoding`, it
-    just computes the delta and its width statistics once and encodes
-    only the winner.  Like :func:`resolve_workers`, malformed values
-    are rejected loudly before any durable state is created: a
-    misconfigured matrix cell silently testing the wrong path would
-    test nothing.
-    """
-    if planner is None:
-        raw = os.environ.get("REPRO_ENCODE_PLANNER", "1")
-        if raw not in ("0", "1"):
-            raise StorageError(
-                f"REPRO_ENCODE_PLANNER must be 0 or 1, got {raw!r}")
-        return raw == "1"
-    return bool(planner)
 
 
 class ChunkCache:
@@ -315,11 +270,8 @@ class ChunkCache:
 class _PooledStage:
     """Shared executor machinery for the encode and decode pipelines.
 
-    Each pipeline owns one lazily-created thread pool, sized at first
-    parallel call; a later call asking for more workers than the pool
-    holds still runs correctly, just with the original concurrency.
-    ``workers`` is the stage's default degree; per-call overrides
-    resolve through :meth:`_effective_workers` (None = the default).
+    Each pipeline owns one thread pool of ``workers`` threads, created
+    lazily by the first call that fans out.
     """
 
     _pool_prefix = "repro-stage"
@@ -336,16 +288,13 @@ class _PooledStage:
                 self._executor.shutdown(wait=True)
                 self._executor = None
 
-    def _pool(self, workers: int) -> ThreadPoolExecutor:
+    def _pool(self) -> ThreadPoolExecutor:
         with self._executor_lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=max(workers, self.workers),
+                    max_workers=self.workers,
                     thread_name_prefix=self._pool_prefix)
             return self._executor
-
-    def _effective_workers(self, workers: int | None) -> int:
-        return self.workers if workers is None else workers
 
 
 @dataclass(frozen=True)
@@ -384,14 +333,12 @@ class EncodePipeline(_PooledStage):
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
                  delta_policy: str = POLICY_CHAIN,
                  delta_codec: str = "hybrid",
-                 workers: int = 0,
-                 planner: bool | None = None):
+                 workers: int = 0):
         ensure_policy(delta_policy)
         self.catalog = catalog
         self.store = store
         self.delta_policy = delta_policy
         self.delta_codec_name = delta_codec
-        self.planner = resolve_planner(planner)
         self._init_pool(workers)
 
     @property
@@ -405,15 +352,11 @@ class EncodePipeline(_PooledStage):
         """Whether inserts may delta against chain state instead of a
         reconstructed base canvas (delta-of-delta re-base).
 
-        Requires the single-pass planner — the two-pass oracle encodes
-        every candidate from the base canvas — and candidates that size
-        and encode purely from the shared plan (``plan_sufficient``),
-        since a rebased plan carries no base canvas.  The stored bytes
-        are byte-identical either way; only the parent reconstruction
-        disappears.
+        Requires candidates that size and encode purely from the
+        shared plan (``plan_sufficient``), since a rebased plan carries
+        no base canvas.  The stored bytes are byte-identical either
+        way; only the parent reconstruction disappears.
         """
-        if not self.planner:
-            return False
         if self.delta_policy == POLICY_CHAIN:
             candidates: tuple = (get_delta_codec(self.delta_codec_name),)
         elif self.delta_policy == POLICY_AUTO:
@@ -446,19 +389,15 @@ class EncodePipeline(_PooledStage):
                      ) -> EncodingDecision:
         """Pick and produce one chunk's representation.
 
-        With the planner on (the default), the decision comes from the
-        single-pass :func:`~repro.delta.auto.plan_encoding` — one delta,
-        one code array, one set of width statistics, one encode — and
-        the representations it sized but never produced are recorded in
-        the store's counters.  With it off (``REPRO_ENCODE_PLANNER=0``)
-        the exhaustive two-pass :func:`~repro.delta.auto.choose_encoding`
-        runs instead.  Both paths pick the same winner and produce the
-        same payload bytes; the conformance matrix holds the knob fixed
-        per cell and asserts the fingerprints match.
+        The decision comes from the single-pass
+        :func:`~repro.delta.auto.plan_encoding` — one delta, one code
+        array, one set of width statistics, one encode — and the
+        representations it sized but never produced are recorded in
+        the store's counters.
 
         ``rebase`` supplies the base as chain state instead of a canvas
         (delta-of-delta re-base); callers are gated on
-        :attr:`can_rebase`, which implies the planner is on.
+        :attr:`can_rebase`.
         """
         if self.delta_policy == POLICY_MATERIALIZE or \
                 (base is None and rebase is None):
@@ -469,9 +408,6 @@ class EncodePipeline(_PooledStage):
             candidates = (get_delta_codec(self.delta_codec_name),)
         else:
             candidates = None
-        if not self.planner:
-            return choose_encoding(target, base, compressor=compressor,
-                                   candidates=candidates)
         planned = plan_encoding(target, base, compressor=compressor,
                                 candidates=candidates, rebase=rebase)
         self.store.stats.record_encode_plan(planned.encodes_avoided,
@@ -498,8 +434,7 @@ class EncodePipeline(_PooledStage):
 
     def _encode_tasks(self, tasks: list[EncodeTask], data: ArrayData,
                       base_data: ArrayData | None,
-                      rebase_states: dict | None, compressor,
-                      workers: int):
+                      rebase_states: dict | None, compressor):
         """Yield each task's :class:`EncodingDecision` in task order.
 
         The parallel path groups tasks into contiguous blocks (a few
@@ -512,8 +447,9 @@ class EncodePipeline(_PooledStage):
         encoded-payload memory in flight stays bounded by the window
         rather than the whole version.
         """
+        workers = self.workers
         if workers > 1 and len(tasks) > 1:
-            pool = self._pool(workers)
+            pool = self._pool()
             step = -(-len(tasks) // (workers * 4))  # ceil division
 
             def encode_block(block: list[EncodeTask]):
@@ -543,13 +479,12 @@ class EncodePipeline(_PooledStage):
                      tasks: list[EncodeTask], data: ArrayData,
                      base_data: ArrayData | None,
                      rebase_states: dict | None,
-                     base_version: int | None, compressor,
-                     degree: int):
+                     base_version: int | None, compressor):
         """Encode and place every task, yielding :class:`ChunkRecord`
         rows in task order.
 
         Within one version every chunk targets a distinct object, so
-        placements are order-free and — when ``degree`` > 1 and the
+        placements are order-free and — when ``workers`` > 1 and the
         backend does not demand serial writes — fan across the store's
         placement executor while later chunks are still encoding.  A
         bounded FIFO window keeps the encoded payloads in flight
@@ -562,9 +497,10 @@ class EncodePipeline(_PooledStage):
         preserved because one version writes each object exactly once
         and versions are committed one at a time.
         """
+        degree = self.workers
         decisions = zip(tasks, self._encode_tasks(tasks, data, base_data,
                                                   rebase_states,
-                                                  compressor, degree))
+                                                  compressor))
 
         def chunk_record(task: EncodeTask, decision: EncodingDecision,
                          location) -> ChunkRecord:
@@ -610,22 +546,20 @@ class EncodePipeline(_PooledStage):
                       base_version: int | None,
                       rebase_states: dict | None = None,
                       replace: bool = False,
-                      workers: int | None = None,
                       version_row: VersionRecord | None = None,
                       merge_parents: list[tuple[str, int]] | None = None
                       ) -> None:
         """Encode and persist every chunk of one version.
 
-        ``workers`` overrides the pipeline's configured encode
-        parallelism for this call; the stored bytes are identical either
-        way.  ``rebase_states`` — a ``(attribute, chunk_name)`` →
+        ``rebase_states`` — a ``(attribute, chunk_name)`` →
         :class:`~repro.delta.auto.RebaseState` mapping — supplies the
         base version as per-chunk chain state instead of ``base_data``
         (delta-of-delta re-base; gated on :attr:`can_rebase`); the
         stored bytes are byte-identical to encoding against the
-        reconstructed canvas.  The version's catalog rows — and, when ``version_row`` is
-        given, the version row itself — are committed in **one**
-        transaction (:meth:`MetadataCatalog.put_chunks`) after every
+        reconstructed canvas.  The version's catalog rows — and, when
+        ``version_row`` is given, the version row itself — are
+        committed in **one** transaction
+        (:meth:`MetadataCatalog.put_chunks`) after every
         payload is placed, so a mid-encode or mid-write failure leaves
         zero chunk rows and no version row in the catalog — never a
         partially-described version, and never a version a reader can
@@ -641,12 +575,10 @@ class EncodePipeline(_PooledStage):
                 raise NoOverwriteError(
                     f"version {version} of {record.name!r} already exists")
         compressor = get_codec(record.compressor)
-        degree = self._effective_workers(workers)
         tasks = self.plan_version(record, grid)
         records = list(self._place_tasks(record, version, tasks, data,
                                          base_data, rebase_states,
-                                         base_version,
-                                         compressor, degree))
+                                         base_version, compressor))
         # Durability barrier, then the transaction: the catalog must
         # never name bytes that would not survive a crash.  On the
         # object backend the same call is the finalize barrier that
@@ -654,7 +586,7 @@ class EncodePipeline(_PooledStage):
         # store raises the fan to the barrier's I/O depth when
         # per-request cost dominates).
         self.store.sync_chunks([chunk.location for chunk in records],
-                               max_workers=degree)
+                               max_workers=self.workers)
         self.catalog.put_chunks(records, version=version_row,
                                 merge_parents=merge_parents)
 
@@ -674,9 +606,9 @@ class DecodePipeline(_PooledStage):
     code can observe (the located chain's size, the cache's free
     space), not from a setting:
 
-    * **Read one version** (the default).  ``fuse_chains`` folds the
-      chain: both delta modes compose associatively (ARITHMETIC by
-      wrapping int64 summation, XOR by xor), so k composable deltas
+    * **Read one version** (the default).  The chain folds: both
+      delta modes compose associatively (ARITHMETIC by wrapping
+      int64 summation, XOR by xor), so k composable deltas
       fold into one accumulator — sparse/hybrid levels at O(nnz) by
       scatter — applied to the materialized root in a *single* pass
       instead of k full-array applies.  A non-composable level
@@ -705,12 +637,10 @@ class DecodePipeline(_PooledStage):
 
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
                  cache: ChunkCache | None = None,
-                 workers: int = 0,
-                 fuse_chains: bool = True):
+                 workers: int = 0):
         self.catalog = catalog
         self.store = store
         self.cache = cache if cache is not None else ChunkCache()
-        self.fuse_chains = fuse_chains
         self._init_pool(workers)
 
     def reconstruct(self, record: ArrayRecord, version: int,
@@ -823,11 +753,11 @@ class DecodePipeline(_PooledStage):
         return chain, None
 
     def _fusible(self, chain: list[ChunkRecord], warm_fill: bool) -> bool:
-        """Whether the located delta levels take the fused path: knob
-        on, two or more levels (one is already a single apply), all
-        composable, and not a warm fill, which wants the intermediates
-        the fused walk never materializes."""
-        return not warm_fill and self.fuse_chains and len(chain) >= 2 \
+        """Whether the located delta levels take the fused path: two
+        or more levels (one is already a single apply), all composable,
+        and not a warm fill, which wants the intermediates the fused
+        walk never materializes."""
+        return not warm_fill and len(chain) >= 2 \
             and self._composable(chain)
 
     @staticmethod
@@ -836,11 +766,11 @@ class DecodePipeline(_PooledStage):
                    and get_delta_codec(level.delta_codec).composable
                    for level in levels)
 
-    def _fused_apply(self, chain: list[ChunkRecord],
-                     payloads: list[bytes],
-                     base: np.ndarray) -> np.ndarray:
-        """Fold every level's delta into one accumulator and apply it
-        to the materialized root in a single pass.
+    @staticmethod
+    def _compose(codecs: list, payloads: list[bytes],
+                 accumulator: np.ndarray | None):
+        """Fold every level's delta into one accumulator; returns it
+        with the chain's ``(mode, dtype, shape)``.
 
         Compose order is irrelevant — both modes are associative *and*
         commutative (wrapping int64 addition, xor) — so levels fold in
@@ -848,28 +778,35 @@ class DecodePipeline(_PooledStage):
         without ever materializing a full-size codes canvas; their
         (position, delta) pairs are collected across the whole chain —
         the levels read together as one ``read_many`` span batch — and
-        folded in a single batched scatter, then the accumulator is
-        ceded to the apply so the final pass runs in place.
+        folded in a single batched scatter.
         """
-        codecs = [get_delta_codec(chunk_record.delta_codec)
-                  for chunk_record in chain]
-        # Scatter-only chains skip the full-array apply entirely: the
-        # accumulator starts as the widened root, so the batched
-        # O(nnz) scatter lands directly on the reconstructed cells.
-        seeded = all(codec.scatters for codec in codecs)
-        accumulator = numeric.seeded_accumulator(
-            base, numeric.delta_mode_for(base.dtype)) if seeded \
-            else None
-        scatter_levels = 0
         mode = dtype = shape = None
         batch: list = []
         for codec, payload in zip(codecs, payloads):
             accumulator, mode, dtype, shape = codec.accumulate(
                 payload, accumulator, batch=batch)
-            if codec.scatters:
-                scatter_levels += 1
         if batch:
             numeric.scatter_delta_batch(accumulator, batch, mode)
+        return accumulator, mode, dtype, shape
+
+    def _fused_apply(self, chain: list[ChunkRecord],
+                     payloads: list[bytes],
+                     base: np.ndarray) -> np.ndarray:
+        """Compose the chain (:meth:`_compose`) and apply it to the
+        materialized root in a single pass; the accumulator is ceded
+        to the apply so that pass runs in place."""
+        codecs = [get_delta_codec(chunk_record.delta_codec)
+                  for chunk_record in chain]
+        scatter_levels = sum(codec.scatters for codec in codecs)
+        # Scatter-only chains skip the full-array apply entirely: the
+        # accumulator starts as the widened root, so the batched
+        # O(nnz) scatter lands directly on the reconstructed cells.
+        seeded = scatter_levels == len(codecs)
+        accumulator = numeric.seeded_accumulator(
+            base, numeric.delta_mode_for(base.dtype)) if seeded \
+            else None
+        accumulator, mode, dtype, shape = self._compose(
+            codecs, payloads, accumulator)
         self.store.stats.record_chain_fused(len(chain), scatter_levels)
         if seeded:
             return numeric.finalize_seeded(accumulator, mode, dtype,
@@ -907,35 +844,22 @@ class DecodePipeline(_PooledStage):
         if not chain:
             return RebaseState(root=root, accumulator=None,
                                mode=numeric.delta_mode_for(root.dtype))
-        accumulator = None
-        mode = None
-        batch: list = []
-        for chunk_record, payload in zip(chain, payloads):
-            codec = get_delta_codec(chunk_record.delta_codec)
-            accumulator, mode, _, _ = codec.accumulate(
-                payload, accumulator, batch=batch)
-        if batch:
-            numeric.scatter_delta_batch(accumulator, batch, mode)
+        accumulator, mode, _, _ = self._compose(
+            [get_delta_codec(chunk_record.delta_codec)
+             for chunk_record in chain], payloads, None)
         return RebaseState(root=root, accumulator=accumulator, mode=mode)
 
     # ------------------------------------------------------------------
     # Stage 5: assembly
     # ------------------------------------------------------------------
     def read_version(self, record: ArrayRecord, grid: ChunkGrid,
-                     version: int, *,
-                     workers: int | None = None) -> ArrayData:
-        """Assemble the full contents of one version.
-
-        ``workers`` overrides the pipeline's configured parallelism for
-        this call; > 1 fans per-chunk reconstruction across the shared
-        executor.  The output is byte-identical either way.
-        """
+                     version: int) -> ArrayData:
+        """Assemble the full contents of one version."""
         tasks = [(attr, chunk) for attr in record.schema.attributes
                  for chunk in grid.chunks()]
         attributes: dict[str, np.ndarray] = {}
         for (attr, chunk), data in self._reconstruct_tasks(
-                record, version, tasks,
-                self._effective_workers(workers)):
+                record, version, tasks):
             if data.shape == record.schema.shape:
                 # A single chunk spanning the whole canvas *is* the
                 # canvas: skip the copy.  ArrayData marks every buffer
@@ -952,8 +876,7 @@ class DecodePipeline(_PooledStage):
 
     def read_region(self, record: ArrayRecord, grid: ChunkGrid,
                     version: int, lo: tuple[int, ...],
-                    hi: tuple[int, ...], *,
-                    workers: int | None = None) -> ArrayData:
+                    hi: tuple[int, ...]) -> ArrayData:
         """Assemble a zero-based hyper-rectangle of one version.
 
         When exactly one chunk covers the query, the reconstructed
@@ -973,8 +896,7 @@ class DecodePipeline(_PooledStage):
             attributes = {
                 attr.name: data[src]
                 for (attr, _), data in self._reconstruct_tasks(
-                    record, version, tasks,
-                    self._effective_workers(workers))
+                    record, version, tasks)
             }
             return ArrayData(_sliced_schema(schema, lo, hi), attributes)
 
@@ -986,14 +908,13 @@ class DecodePipeline(_PooledStage):
             for attr in schema.attributes
         }
         for (attr, chunk), data in self._reconstruct_tasks(
-                record, version, tasks,
-                self._effective_workers(workers)):
+                record, version, tasks):
             src, dst = overlap_slices(chunk, lo, hi)
             attributes[attr.name][dst] = data[src]
         return ArrayData(_sliced_schema(schema, lo, hi), attributes)
 
     def _reconstruct_tasks(self, record: ArrayRecord, version: int,
-                           tasks: list, workers: int):
+                           tasks: list):
         """Reconstruct every (attribute, chunk) task, yielding
         ``(task, chunk_data)`` pairs in task order.
 
@@ -1002,8 +923,8 @@ class DecodePipeline(_PooledStage):
         canvases identically to the serial path; each chunk's scope is
         private, making the tasks fully independent.
         """
-        if workers > 1 and len(tasks) > 1:
-            pool = self._pool(workers)
+        if self.workers > 1 and len(tasks) > 1:
+            pool = self._pool()
             futures = [
                 pool.submit(self.reconstruct, record, version,
                             attr.name, chunk)

@@ -7,17 +7,9 @@ The suite honors two environment knobs the CI matrix sweeps:
   the encode/decode thread pools;
 * ``REPRO_BACKEND`` — the default storage backend spec of every
   manager (``resolve_backend``), so ``object`` runs the same subset
-  against the S3-style object path (ranged GETs, multipart staging);
-* ``REPRO_FUSE`` — the default fused-chain-decode setting of every
-  manager (``resolve_fuse``), so ``0`` runs the whole subset down the
-  stepwise delta-decode path and ``1`` (the default) down the fused
-  single-apply path;
-* ``REPRO_ENCODE_PLANNER`` — the default write-path planner setting of
-  every manager (``resolve_planner``), so ``0`` runs the whole subset
-  through the exhaustive two-pass ``choose_encoding`` and ``1`` (the
-  default) through the single-pass encode planner.
+  against the S3-style object path (ranged GETs, multipart staging).
 
-All are validated once, up front: a matrix cell with a typo must fail
+Both are validated once, up front: a matrix cell with a typo must fail
 the whole session loudly, not silently test the serial/local path
 under a parallel/object label.
 """
@@ -30,23 +22,16 @@ import numpy as np
 import pytest
 
 from repro.storage.backend import ensure_backend_spec
-from repro.storage.pipeline import (
-    resolve_fuse,
-    resolve_planner,
-    resolve_workers,
-)
+from repro.storage.pipeline import resolve_workers
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _validate_matrix_env() -> None:
-    """Fail fast on a malformed ``REPRO_BACKEND`` / ``REPRO_WORKERS``
-    / ``REPRO_FUSE`` / ``REPRO_ENCODE_PLANNER``."""
+    """Fail fast on a malformed ``REPRO_BACKEND`` / ``REPRO_WORKERS``."""
     spec = os.environ.get("REPRO_BACKEND")
     if spec:
         ensure_backend_spec(spec)
     resolve_workers(None)
-    resolve_fuse(None)
-    resolve_planner(None)
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import bitpack
+from repro.core import bitpack, native
 from repro.core.errors import CodecError
 
 
@@ -135,7 +135,7 @@ def _random_codes(rng, bits: int, size: int) -> np.ndarray:
 
 #: Sizes that straddle every kernel boundary: empty, sub-word, word
 #: edges (7/8/9 values and the 63/64/65 lane block), and both sides of
-#: the scatter-vs-blocked threshold (8192).
+#: the gather-vs-blocked unpack threshold (8192).
 _ORACLE_SIZES = (0, 1, 7, 8, 9, 63, 64, 65, 4096, 8191, 8192, 8193)
 
 
@@ -258,33 +258,45 @@ class TestZigzag:
         assert data == b""
 
 
-class TestTiledUnpackEquivalence:
-    """The tiled (transposed) block-unpack dispatches by element count;
-    tiling only reorders independent per-lane operations, so its output
-    must be byte-identical to the straight-line kernel."""
+class TestNumpyKernelsAgainstBitMatrixOracle:
+    """With the compiled kernels off, the numpy fallbacks — the one
+    blocked pack, the gather and blocked unpacks — carry every width on
+    their own, so they are held to the seed oracle directly: every
+    width 1-63 at sizes straddling the 64-value block, the
+    gather-vs-blocked threshold, and one tile boundary."""
 
-    @pytest.mark.parametrize("bits", (1, 13, 21, 47, 63, 64))
-    def test_tiled_matches_straight(self, monkeypatch, bits):
+    _TILE = bitpack._TILE_BLOCKS * bitpack._BLOCK
+    SIZES = (63, 64, 65,
+             bitpack._BLOCK_THRESHOLD - 1, bitpack._BLOCK_THRESHOLD,
+             bitpack._BLOCK_THRESHOLD + 1,
+             _TILE - 1, _TILE, _TILE + 1)
+
+    @pytest.mark.parametrize("bits", range(1, 64))
+    def test_native_off_round_trip(self, bits):
+        rng = np.random.default_rng(1000 + bits)
+        with native.disabled():
+            for size in self.SIZES:
+                values = _random_codes(rng, bits, size)
+                packed = bitpack.pack_unsigned(values, bits)
+                assert packed == _oracle_pack(values, bits), \
+                    f"pack mismatch at bits={bits} size={size}"
+                out = bitpack.unpack_unsigned(packed, bits, size)
+                assert out.tobytes() == \
+                    _oracle_unpack(packed, bits, size).tobytes(), \
+                    f"unpack mismatch at bits={bits} size={size}"
+                assert out.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("bits", (1, 13, 21, 47, 63))
+    def test_partial_tiles(self, monkeypatch, bits):
+        """A tiny tile makes the lane loops run over many tiles with a
+        ragged last one; tiling only reorders independent per-row
+        operations, so the bytes may not move."""
         rng = np.random.default_rng(bits)
-        # Odd count: the final partial block crosses a tile boundary.
-        size = 64 * 3 * 5 + 17
+        size = max(bitpack._BLOCK_THRESHOLD, 64 * 3 * 50) + 17
         values = _random_codes(rng, bits, size)
-        packed = bitpack.pack_unsigned(values, bits)
-        straight = bitpack.unpack_unsigned(packed, bits, size)
-        # Force the large-array path (tiny threshold and tile) so the
-        # tiled kernel runs over many partial tiles.
-        monkeypatch.setattr(bitpack, "_TRANSPOSE_THRESHOLD", 1)
         monkeypatch.setattr(bitpack, "_TILE_BLOCKS", 3)
-        tiled = bitpack.unpack_unsigned(packed, bits, size)
-        assert tiled.tobytes() == straight.tobytes()
-        np.testing.assert_array_equal(tiled, values)
-
-    def test_real_threshold_roundtrip(self):
-        """One genuinely large array exercises the production dispatch
-        (count past ``_TRANSPOSE_THRESHOLD``) without monkeypatching."""
-        rng = np.random.default_rng(42)
-        size = bitpack._TRANSPOSE_THRESHOLD + 777
-        values = _random_codes(rng, 21, size)
-        packed = bitpack.pack_unsigned(values, 21)
-        out = bitpack.unpack_unsigned(packed, 21, size)
-        np.testing.assert_array_equal(out, values)
+        with native.disabled():
+            packed = bitpack.pack_unsigned(values, bits)
+            assert packed == _oracle_pack(values, bits)
+            out = bitpack.unpack_unsigned(packed, bits, size)
+        assert out.tobytes() == values.tobytes()

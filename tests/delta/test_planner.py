@@ -1,14 +1,15 @@
 """Property suite: the single-pass planner against the two-pass oracle.
 
 :func:`repro.delta.auto.plan_encoding` must be *decision- and
-byte-equivalent* to :func:`repro.delta.auto.choose_encoding` — same
+byte-equivalent* to the paper's literal "try both" form, kept next to
+this file as :func:`encoding_oracle.choose_encoding` — same
 winner under the same first-strictly-smaller tie-break, same size, same
 payload bytes — while encoding at most one representation.  The suite
 drives both through randomized dtypes, sparsity profiles, outlier
 mixes and degenerate shapes, and separately pins the exactness of the
 plan-fed size estimators, the shared width statistics (including the
-fused native kernel when it compiled), and the planner plumbing in the
-write pipeline.
+fused native kernel when it compiled), and — at store level — that a
+write pipeline deciding through the oracle lands the same fingerprint.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import LempelZivCodec
+from encoding_oracle import choose_encoding
 from repro.core import bitpack, native
-from repro.core.errors import StorageError
 from repro.core.numeric import compute_delta
 from repro.core.schema import ArraySchema
 from repro.delta import (
@@ -28,12 +29,11 @@ from repro.delta import (
     DenseDeltaCodec,
     HybridDeltaCodec,
     SparseDeltaCodec,
-    choose_encoding,
+    get_delta_codec,
 )
 from repro.delta.auto import CodePlan, plan_encoding
 from repro.delta.codes import delta_to_codes
 from repro.storage import VersionedStorageManager
-from repro.storage.pipeline import resolve_planner
 
 _DTYPES = (np.int64, np.int32, np.uint16, np.int8,
            np.float64, np.float32, np.bool_)
@@ -230,7 +230,7 @@ class TestNativeKernels:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), bits=st.integers(1, 64),
            n=st.integers(1, 3000))
-    def test_pack_matches_numpy_kernels(self, seed, bits, n):
+    def test_pack_matches_numpy_kernel(self, seed, bits, n):
         rng = np.random.default_rng(seed)
         if bits < 64:
             values = rng.integers(0, 1 << bits, n, dtype=np.uint64)
@@ -241,11 +241,8 @@ class TestNativeKernels:
         assert words is not None
         needed = (n * bits + 7) // 8
         got = words.view(np.uint8)[:needed].tobytes()
-        n_words = (n * bits + 63) // 64
         ref_blocked = bitpack._pack_words_blocked(values, bits)
-        ref_scatter = bitpack._pack_words_scatter(values, bits, n_words)
         assert got == ref_blocked.view(np.uint8)[:needed].tobytes()
-        assert got == ref_scatter.view(np.uint8)[:needed].tobytes()
 
     def test_gated_off_by_dtype_and_layout(self, rng):
         f = rng.normal(size=8)
@@ -257,30 +254,28 @@ class TestNativeKernels:
         assert native.delta_zigzag_stats(empty, empty) is None
 
 
-class TestResolvePlanner:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENCODE_PLANNER", raising=False)
-        assert resolve_planner(None) is True
+def _decide_with_oracle(manager: VersionedStorageManager) -> None:
+    """Shadow ``encoder.encode_chunk`` with the two-pass oracle, under
+    the same policy-to-candidates rule the pipeline applies."""
+    encoder = manager.encoder
 
-    def test_env_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_PLANNER", "0")
-        assert resolve_planner(None) is False
+    def encode_chunk(target, base, compressor, *, rebase=None):
+        assert rebase is None  # the oracle needs the base canvas
+        if encoder.delta_policy == "materialize":
+            base = None
+        candidates = (get_delta_codec(encoder.delta_codec_name),) \
+            if encoder.delta_policy == "chain" else None
+        return choose_encoding(target, base, compressor=compressor,
+                               candidates=candidates)
 
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_PLANNER", "0")
-        assert resolve_planner(True) is True
-
-    def test_malformed_env_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODE_PLANNER", "maybe")
-        with pytest.raises(StorageError):
-            resolve_planner(None)
+    encoder.encode_chunk = encode_chunk
 
 
 class TestPipelinePlanner:
     @pytest.mark.parametrize("delta_policy", ["auto", "chain",
                                               "materialize"])
-    def test_on_off_fingerprints_match(self, tmp_path, rng,
-                                       delta_policy):
+    def test_store_fingerprint_matches_oracle(self, tmp_path, rng,
+                                              delta_policy):
         datas = [rng.integers(0, 1 << 30, (40, 40)).astype(np.int64)]
         for _ in range(3):
             datas.append(datas[-1]
@@ -289,8 +284,9 @@ class TestPipelinePlanner:
         for planner in (True, False):
             root = tmp_path / f"planner-{planner}"
             manager = VersionedStorageManager(
-                root, chunk_bytes=4000, delta_policy=delta_policy,
-                planner=planner)
+                root, chunk_bytes=4000, delta_policy=delta_policy)
+            if not planner:
+                _decide_with_oracle(manager)
             manager.create_array("a", ArraySchema.simple(
                 datas[0].shape, dtype=datas[0].dtype))
             for data in datas:
@@ -310,8 +306,7 @@ class TestPipelinePlanner:
                                                       rng):
         base = rng.integers(0, 100, (64, 64)).astype(np.int64)
         manager = VersionedStorageManager(
-            tmp_path / "s", chunk_bytes=8192, delta_policy="chain",
-            planner=True)
+            tmp_path / "s", chunk_bytes=8192, delta_policy="chain")
         manager.create_array("a", ArraySchema.simple(
             base.shape, dtype=base.dtype))
         manager.insert("a", base)

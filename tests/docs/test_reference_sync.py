@@ -7,6 +7,9 @@ reference pages are held to the code by tier-1 tests:
   exactly the ``REPRO_*`` variables the library reads — a knob added
   to ``src/`` without a row here (or a row whose knob was removed)
   fails the suite;
+* ``.github/workflows/ci.yml`` may only name ``REPRO_*`` variables
+  that page documents, so a deleted knob cannot linger as a CI axis
+  that silently selects nothing;
 * the backend-spec table must cover every registry name and every
   parameterized spec form ``ensure_backend_spec`` accepts, and its
   example specs must actually validate;
@@ -26,6 +29,7 @@ from repro.storage.backend import BACKEND_NAMES, ensure_backend_spec
 REPO = Path(__file__).resolve().parents[2]
 DOCS = REPO / "docs"
 KNOBS = DOCS / "reference" / "env-knobs.md"
+CI = REPO / ".github" / "workflows" / "ci.yml"
 
 
 def _src_knobs() -> set[str]:
@@ -63,6 +67,14 @@ class TestKnobTable:
         assert "REPRO_FAULT_SEED" not in _documented_knobs()
         assert not any("REPRO_FAULT_SEED" in p.read_text()
                        for p in (REPO / "src").rglob("*.py"))
+
+    def test_ci_names_only_documented_knobs(self):
+        # The table's knobs plus the footnoted test-suite convention.
+        known = _documented_knobs() | {"REPRO_FAULT_SEED"}
+        in_ci = set(re.findall(r"REPRO_[A-Z_]+", CI.read_text()))
+        assert in_ci <= known, (
+            f"ci.yml names undocumented (deleted?) knobs: "
+            f"{sorted(in_ci - known)}")
 
 
 class TestBackendSpecs:

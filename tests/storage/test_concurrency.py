@@ -75,17 +75,22 @@ class TestParallelDecodeDeterminism:
         serial.close()
         parallel.close()
 
-    def test_per_call_workers_override(self, tmp_path):
-        manager = _loaded(tmp_path, workers=0)
-        record = manager.catalog.get_array("A")
-        grid = manager.grid_for(record)
-        serial = manager.decoder.read_version(record, grid, 4, workers=1)
-        parallel = manager.decoder.read_version(record, grid, 4,
-                                                workers=4)
+    def test_constructor_workers_sizes_the_decode_pool(self, tmp_path):
+        """The constructor's degree is the only one: a parallel manager
+        reopened over a serially written store fans its reads across a
+        pool of exactly that many threads, same bytes."""
+        _loaded(tmp_path, workers=0).close()
+        serial = VersionedStorageManager(tmp_path, workers=1)
+        parallel = VersionedStorageManager(tmp_path, workers=4)
+        left = serial.select("A", 4)
+        right = parallel.select("A", 4)
         for attr in ("a", "b"):
-            np.testing.assert_array_equal(serial.attribute(attr),
-                                          parallel.attribute(attr))
-        manager.close()
+            np.testing.assert_array_equal(left.attribute(attr),
+                                          right.attribute(attr))
+        assert serial.decoder._executor is None  # never fanned out
+        assert parallel.decoder._executor._max_workers == 4
+        serial.close()
+        parallel.close()
 
     def test_io_counters_exact_under_parallelism(self, tmp_path):
         """Lock-protected IOStats: not one lost increment at workers=4."""
@@ -172,8 +177,8 @@ def _chained(root, depth=5, **kwargs):
 
 
 #: The tight-cache tests assert exact counters, which need the serial
-#: chunk order and the fused path whatever the CI matrix cell says.
-SERIAL_FUSED = dict(workers=0, fuse_chains=True)
+#: chunk order whatever the CI matrix cell says.
+SERIAL = dict(workers=0)
 
 
 class TestChainPrefetch:
@@ -210,7 +215,7 @@ class TestChainPrefetch:
         # Budget: one whole version (4 chunks of 800 B) plus one chunk
         # — a 5-deep chain of any chunk can never fit the free space.
         budget = 5 * 800
-        manager = _chained(tmp_path, cache_bytes=budget, **SERIAL_FUSED)
+        manager = _chained(tmp_path, cache_bytes=budget, **SERIAL)
         manager.select("C", 1)  # demanded: v1's four chunks
         demanded = manager.cache_info()["entries"]
         assert demanded == 4
@@ -238,7 +243,7 @@ class TestChainPrefetch:
         # under one 5-deep chain, so every fill declines, the requested
         # chunks fit exactly, and nothing demanded is evicted.
         budget = 8 * 800
-        manager = _chained(tmp_path, cache_bytes=budget, **SERIAL_FUSED)
+        manager = _chained(tmp_path, cache_bytes=budget, **SERIAL)
         manager.create_array("D", ArraySchema.simple((20, 20),
                                                      dtype=np.int64))
         manager.insert("D", np.arange(400, dtype=np.int64)
@@ -258,7 +263,7 @@ class TestChainPrefetch:
     def test_fused_read_leaves_cached_base_untouched(self, tmp_path):
         """A fused walk that stops at a cached ancestor applies onto a
         fresh accumulator, never through the cached array."""
-        manager = _chained(tmp_path, cache_bytes=8 * 800, **SERIAL_FUSED)
+        manager = _chained(tmp_path, cache_bytes=8 * 800, **SERIAL)
         manager.select("C", 2)  # warm fill: v1 + v2 use every byte
         before = manager.select("C", 2).single().copy()
         with manager.stats.measure() as window:

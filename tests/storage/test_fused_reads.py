@@ -1,14 +1,16 @@
 """Fused-vs-stepwise delta-chain read equivalence oracle.
 
-The fused read path (:meth:`DecodePipeline.reconstruct` with
-``fuse_chains``) folds a chain of composable deltas into one
-accumulator and applies it to the materialized root in a single pass.
-Its contract is byte-exactness: for every delta policy, both delta
-modes (ARITHMETIC for integers, XOR for floats), every chain depth,
-and adversarial cell values (int64 wraparound, NaN / signed-zero /
-infinity bit patterns), the fused result must equal the stepwise
-result bit for bit — and the store fingerprint must be identical too,
-since the knob is read-only and may never leak into written bytes.
+The fused read path (:meth:`DecodePipeline.reconstruct`) folds a
+chain of composable deltas into one accumulator and applies it to the
+materialized root in a single pass.  Its contract is byte-exactness:
+for every delta policy, both delta modes (ARITHMETIC for integers, XOR
+for floats), every chain depth, and adversarial cell values (int64
+wraparound, NaN / signed-zero / infinity bit patterns), the fused
+result must equal the level-by-level result bit for bit.  The
+level-by-level reference is :func:`_stepwise_select` below — the
+stored chain walked with one ``decode_forward`` per level, straight
+off the catalog and the chunk store — so both sides decode the very
+same stored bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compression.registry import get_codec
 from repro.core.schema import ArraySchema
+from repro.delta.registry import get_delta_codec
 from repro.storage.manager import VersionedStorageManager
 
 DEPTH = 8
@@ -98,13 +102,33 @@ MODES = [("arith", np.int64, _int_versions),
          ("xor", np.float64, _float_versions)]
 
 
-def _build(root, versions, dtype, fuse, **kwargs):
-    manager = VersionedStorageManager(root, fuse_chains=fuse, **kwargs)
+def _build(root, versions, dtype, **kwargs):
+    manager = VersionedStorageManager(root, **kwargs)
     manager.create_array(
         "A", ArraySchema.simple(SHAPE, dtype, attribute="value"))
     for data in versions:
         manager.insert("A", data.copy())
     return manager
+
+
+def _stepwise_select(manager, name, version) -> np.ndarray:
+    """The reference decode: each chunk's stored chain, root first,
+    one full-array ``decode_forward`` per delta level."""
+    record = manager.catalog.get_array(name)
+    attr = record.schema.attributes[0]
+    out = np.empty(record.schema.shape, dtype=attr.dtype)
+    for chunk in manager.grid_for(record).chunks():
+        chain = manager.catalog.get_chunk_chain(
+            record.array_id, version, attr.name, chunk.name)
+        payloads = manager.store.read_chunks(
+            [level.location for level in chain])
+        data = get_codec(chain[-1].compressor).decode(payloads[-1])
+        for level, payload in zip(reversed(chain[:-1]),
+                                  reversed(payloads[:-1])):
+            data = get_delta_codec(level.delta_codec) \
+                .decode_forward(payload, data)
+        out[chunk.slices()] = data
+    return out
 
 
 @pytest.mark.parametrize("policy,kwargs", POLICIES,
@@ -113,33 +137,28 @@ def _build(root, versions, dtype, fuse, **kwargs):
                          ids=[m for m, _, _ in MODES])
 def test_fused_equals_stepwise(tmp_path, policy, kwargs, mode, dtype,
                                make_versions):
-    """Byte-identical arrays and fingerprints at every depth 1..DEPTH."""
+    """Byte-identical arrays at every depth 1..DEPTH."""
     versions = make_versions()
-    with _build(tmp_path / "fused", versions, dtype, True,
-                **kwargs) as fused, \
-            _build(tmp_path / "step", versions, dtype, False,
-                   **kwargs) as step:
-        # The knob is read-only: both stores hold identical bytes.
-        assert fused.fingerprint("A") == step.fingerprint("A")
+    with _build(tmp_path / "s", versions, dtype, **kwargs) as manager:
+        before = manager.fingerprint("A")
         for depth in range(1, DEPTH + 1):
-            got_fused = fused.select("A", depth).attribute("value")
-            got_step = step.select("A", depth).attribute("value")
+            got_fused = manager.select("A", depth).attribute("value")
+            got_step = _stepwise_select(manager, "A", depth)
             expected = versions[depth - 1]
             # tobytes() comparison is NaN-exact and sign-of-zero-exact.
             assert got_fused.tobytes() == got_step.tobytes()
             assert got_fused.tobytes() == \
                 np.ascontiguousarray(expected).tobytes()
-        assert step.stats.snapshot().chains_fused == 0
-        # Depth-2+ selects of a composable chain must actually fuse.
-        assert fused.stats.snapshot().chains_fused > 0
-        # Reading must not disturb the stores.
-        assert fused.fingerprint("A") == step.fingerprint("A")
+        # Depth-3+ selects of a composable chain must actually fuse.
+        assert manager.stats.snapshot().chains_fused > 0
+        # Reading must not disturb the store.
+        assert manager.fingerprint("A") == before
 
 
 def test_fused_counters_exact(tmp_path):
     """One deep select records exactly one fused chain, all levels."""
     versions = _int_versions()
-    with _build(tmp_path / "s", versions, np.int64, True,
+    with _build(tmp_path / "s", versions, np.int64,
                 delta_policy="chain", delta_codec="sparse") as manager:
         with manager.stats.measure() as window:
             manager.select("A", DEPTH)
@@ -147,7 +166,7 @@ def test_fused_counters_exact(tmp_path):
         assert window.fused_levels == DEPTH - 1
         # Every sparse level composes by scatter, not a dense pass.
         assert window.scatter_levels == DEPTH - 1
-    with _build(tmp_path / "d", versions, np.int64, True,
+    with _build(tmp_path / "d", versions, np.int64,
                 delta_policy="chain", delta_codec="dense") as manager:
         with manager.stats.measure() as window:
             manager.select("A", DEPTH)
@@ -159,7 +178,7 @@ def test_fused_counters_exact(tmp_path):
 def test_depth_one_chain_stays_stepwise(tmp_path):
     """A single delta level is already one apply — no fusion counted."""
     versions = _int_versions()[:2]
-    with _build(tmp_path / "s", versions, np.int64, True,
+    with _build(tmp_path / "s", versions, np.int64,
                 delta_policy="chain", delta_codec="sparse") as manager:
         with manager.stats.measure() as window:
             got = manager.select("A", 2).attribute("value")
@@ -171,7 +190,7 @@ def test_depth_one_chain_stays_stepwise(tmp_path):
 def test_non_composable_codecs_fall_back(tmp_path, codec):
     """Directional codecs decode level-by-level, results still exact."""
     versions = _int_versions()
-    with _build(tmp_path / "s", versions, np.int64, True,
+    with _build(tmp_path / "s", versions, np.int64,
                 delta_policy="chain", delta_codec=codec) as manager:
         with manager.stats.measure() as window:
             got = manager.select("A", DEPTH).attribute("value")
@@ -186,40 +205,34 @@ def test_select_versions_shares_chain_scope(tmp_path):
     The fused path records only requested versions into the shared
     scope, so ``_stacked_select`` resolves in ascending version order —
     each chain walk stops at the previous version and the payload-read
-    count stays exactly one per stored chunk, fused or stepwise, for
-    any requested order.
+    count stays exactly one per stored chunk for any requested order.
     """
     versions = _int_versions()
     order = [DEPTH, 3, 5, 1]        # deliberately unsorted
-    stacks = {}
-    reads = {}
-    for fuse in (False, True):
-        with _build(tmp_path / f"f{fuse}", versions, np.int64, fuse,
-                    delta_policy="chain", delta_codec="hybrid") as m:
-            with m.stats.measure() as window:
-                full = m.select_versions("A", list(range(1, DEPTH + 1)))
-            # Ascending contiguous range: every chunk payload is read
-            # exactly once regardless of the decode path.
-            total_chunks = sum(
-                len(m.catalog.chunks_for_version(1, v))
-                for v in range(1, DEPTH + 1))
-            assert window.chunks_read == total_chunks
-            stacks[fuse] = (full.tobytes(),
-                            m.select_versions("A", order).tobytes())
-            reads[fuse] = window.chunks_read
-    assert stacks[False] == stacks[True]
-    assert reads[False] == reads[True]
+    with _build(tmp_path / "s", versions, np.int64,
+                delta_policy="chain", delta_codec="hybrid") as m:
+        with m.stats.measure() as window:
+            full = m.select_versions("A", list(range(1, DEPTH + 1)))
+        # Ascending contiguous range: every chunk payload is read
+        # exactly once.
+        total_chunks = sum(
+            len(m.catalog.chunks_for_version(1, v))
+            for v in range(1, DEPTH + 1))
+        assert window.chunks_read == total_chunks
+        assert np.array_equal(full, np.stack(versions))
+        with m.stats.measure() as window:
+            picked = m.select_versions("A", order)
+        # Sorted, the walks are 1, 3->1, 5->3, 8->5: the multi-level
+        # ones fuse, and again no payload is read twice.
+        assert window.chunks_read == DEPTH
+        assert window.chains_fused == 3
     for layer, version in enumerate(order):
-        expected = versions[version - 1]
-        got = np.frombuffer(stacks[True][1],
-                            dtype=np.int64).reshape((len(order),) + SHAPE)
-        assert np.array_equal(got[layer], expected)
+        assert np.array_equal(picked[layer], versions[version - 1])
 
 
 def _cached_chain(root, versions, **cache):
     manager = VersionedStorageManager(
-        root, delta_policy="chain", delta_codec="sparse",
-        fuse_chains=True, **cache)
+        root, delta_policy="chain", delta_codec="sparse", **cache)
     manager.create_array(
         "A", ArraySchema.simple(SHAPE, np.int64, attribute="value"))
     for data in versions:
@@ -291,7 +304,7 @@ def test_read_region_single_chunk_returns_view(tmp_path):
     """``read_region`` with one covering chunk slices the reconstructed
     chunk directly instead of copying through a canvas."""
     versions = _int_versions()
-    with _build(tmp_path / "s", versions, np.int64, True,
+    with _build(tmp_path / "s", versions, np.int64,
                 delta_policy="chain", delta_codec="hybrid") as manager:
         # SHAPE fits one default chunk, so any region is single-chunk.
         region = manager.select_region("A", DEPTH, (2, 3), (9, 12))

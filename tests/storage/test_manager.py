@@ -306,6 +306,61 @@ class TestDeleteVersion:
         manager.delete_version("A", 4)
         assert manager.store.total_bytes("A") < before
 
+    #: (layout, victim, the same layout with the victim's dependents
+    #: already moved onto the victim's own stored base).
+    REORGANIZED = [
+        pytest.param({4: None, 3: 4, 2: 3, 1: 2}, 4,
+                     {4: None, 3: None, 2: 3, 1: 2}, id="head-of-4"),
+        pytest.param({3: None, 2: 3, 1: 2}, 3,
+                     {3: None, 2: None, 1: 2}, id="head-rooted-3-chain"),
+        pytest.param({4: None, 3: 4, 2: 3, 1: 2}, 3,
+                     {4: None, 3: 4, 2: 4, 1: 2}, id="mid-chain"),
+    ]
+
+    @pytest.mark.parametrize("backend", ["memory", "local"])
+    @pytest.mark.parametrize("layout,victim,pre_moved", REORGANIZED)
+    def test_dependents_rebase_on_stored_base_not_lineage_parent(
+            self, tmp_path, schema, rng, backend, layout, victim,
+            pre_moved):
+        """After a re-organization the victim's lineage parent can be
+        its own dependent (a head-rooted chain deltas old against
+        new); re-encoding against it wrote a version as a delta of
+        itself.  The dependents must land on the victim's stored
+        base — exactly the encoding of a store where they were moved
+        there up front and the delete had nothing to re-encode."""
+        versions = _versions(rng, count=len(layout))
+
+        def encoded(root, parent_of):
+            manager = VersionedStorageManager(
+                root, chunk_bytes=400, compressor="none", backend=backend)
+            manager.create_array("A", schema)
+            for v in versions:
+                manager.insert("A", v)
+            manager.apply_layout("A", parent_of)
+            manager.delete_version("A", victim)
+            survivors = manager.get_versions("A")
+            for number in survivors:
+                np.testing.assert_array_equal(
+                    manager.select("A", number).single(),
+                    versions[number - 1])
+            # fingerprint() minus placement: repack generations name
+            # how often an object was rewritten, which differs between
+            # the two histories by construction.
+            record = manager.catalog.get_array("A")
+            rows = [(chunk.version, chunk.attribute, chunk.chunk_name,
+                     chunk.delta_codec, chunk.base_version,
+                     manager.store.read_chunk(chunk.location))
+                    for chunk in manager.catalog.all_chunks(
+                        record.array_id)]
+            manager.close()
+            return survivors, rows
+
+        expected = sorted(set(layout) - {victim})
+        moved = encoded(tmp_path / "deleted", layout)
+        untouched = encoded(tmp_path / "pre-moved", pre_moved)
+        assert moved[0] == untouched[0] == expected
+        assert moved[1] == untouched[1]
+
 
 class TestTimestamps:
     def test_version_at(self, manager, schema, rng):

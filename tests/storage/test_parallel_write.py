@@ -78,26 +78,28 @@ class TestParallelWriteConformance:
             manager.close()
         assert len(fingerprints) == 1
 
-    def test_per_call_workers_override(self, tmp_path):
+    def test_constructor_workers_sizes_the_encode_pool(self, tmp_path):
         serial = VersionedStorageManager(tmp_path / "serial",
                                          chunk_bytes=800,
                                          delta_policy="chain", workers=0)
-        override = VersionedStorageManager(tmp_path / "override",
+        parallel = VersionedStorageManager(tmp_path / "parallel",
                                            chunk_bytes=800,
                                            delta_policy="chain",
-                                           workers=0)
+                                           workers=4)
         schema = _schema()
         rng = np.random.default_rng(11)
         a = rng.integers(0, 100, (20, 20)).astype(np.int64)
         b = rng.random((20, 20)).astype(np.float32)
-        for manager in (serial, override):
+        for manager in (serial, parallel):
             manager.create_array("A", schema)
         data = ArrayData(schema, {"a": a, "b": b})
         serial.insert("A", data)
-        override.insert("A", data, workers=4)
-        assert serial.fingerprint() == override.fingerprint()
+        parallel.insert("A", data)
+        assert serial.fingerprint() == parallel.fingerprint()
+        assert serial.encoder._executor is None  # never fanned out
+        assert parallel.encoder._executor._max_workers == 4
         serial.close()
-        override.close()
+        parallel.close()
 
     @pytest.mark.parametrize("degree", DEGREES)
     def test_one_encode_task_per_chunk(self, tmp_path, degree):

@@ -7,9 +7,10 @@ a full parent select — must all produce the *same stored bytes*: the
 same codes, the same winning codec, the same fingerprint.  These tests
 drive all three paths over the same version sequences across every
 delta mode's dtype family and assert fingerprint identity, plus the
-gating contract: re-base only runs when the planner is on — with the
-chunk cache on or off alike — and the ``encode_rebases`` counter
-records exactly the chunks that took the fused path.
+gating contract: re-base only runs when every candidate codec can
+encode from the shared plan — with the chunk cache on or off alike —
+and the ``encode_rebases`` counter records exactly the chunks that
+took the fused path.
 """
 
 from __future__ import annotations
@@ -50,19 +51,28 @@ def _versions(dtype, depth=4, shape=(40, 40), seed=2012):
     return out
 
 
-def _build(root, versions, *, reopen=False, **kwargs):
+def _build(root, versions, *, reopen=False, rebase=True, **kwargs):
     """Insert ``versions``; with ``reopen`` each insert gets a fresh
     manager, so the hot slot is always cold and a chain-policy insert
-    must re-base (or fall back to a parent select)."""
+    must re-base — or, with ``rebase=False`` (the manager's chain-state
+    lookup shadowed to decline, as it does for a non-composable
+    chain), fall back to a full parent select."""
     kwargs.setdefault("chunk_bytes", 4000)
     kwargs.setdefault("delta_policy", "chain")
-    manager = VersionedStorageManager(root, **kwargs)
+
+    def open_manager():
+        manager = VersionedStorageManager(root, **kwargs)
+        if not rebase:
+            manager._chain_states = lambda record, base_version: None
+        return manager
+
+    manager = open_manager()
     manager.create_array("a", ArraySchema.simple(
         versions[0].shape, dtype=versions[0].dtype))
     for index, data in enumerate(versions):
         if reopen and index:
             manager.close()
-            manager = VersionedStorageManager(root, **kwargs)
+            manager = open_manager()
         manager.insert("a", data)
     return manager
 
@@ -78,12 +88,12 @@ class TestRebaseByteIdentity:
         managers["rebase"] = _build(tmp_path / "rebase", versions,
                                     reopen=True)
         managers["select"] = _build(tmp_path / "select", versions,
-                                    reopen=True, planner=False)
+                                    reopen=True, rebase=False)
         for name, manager in managers.items():
             prints[name] = manager.fingerprint("a")
         assert prints["hot"] == prints["rebase"] == prints["select"]
         # The re-opened store actually took the re-base path on its
-        # final (cold-slot) insert; planner-off never does.
+        # final (cold-slot) insert; the declined store never does.
         assert managers["rebase"].stats.encode_rebases > 0
         assert managers["select"].stats.encode_rebases == 0
         # ...and every path returns the exact version contents.
@@ -132,7 +142,7 @@ class TestRebaseGating:
         stores = {}
         for name, cache_bytes in (("off", 0), ("on", 1 << 20)):
             kwargs = dict(chunk_bytes=4000, delta_policy="chain",
-                          planner=True, cache_bytes=cache_bytes)
+                          cache_bytes=cache_bytes)
             manager = _build(tmp_path / name, versions[:1], **kwargs)
             rebases = 0
             for data in versions[1:]:
@@ -151,13 +161,18 @@ class TestRebaseGating:
         assert stores["on"] == stores["off"]
         assert stores["on"][0] > 0
 
-    def test_planner_off_disables_rebase(self, tmp_path):
+    @pytest.mark.parametrize("kwargs", [
+        dict(delta_policy="chain", delta_codec="bsdiff"),
+        dict(delta_policy="materialize"),
+    ], ids=["needs-base-canvas", "never-deltas"])
+    def test_policy_without_plan_sufficient_codecs_never_rebases(
+            self, tmp_path, kwargs):
         versions = _versions(np.int64, depth=3, shape=(16, 16))
-        kwargs = dict(chunk_bytes=1 << 20, delta_policy="chain",
-                      planner=False)
-        manager = _build(tmp_path / "s", versions[:1], **kwargs)
-        manager.close()
-        manager = VersionedStorageManager(tmp_path / "s", **kwargs)
-        manager.insert("a", versions[1])
+        kwargs = dict(chunk_bytes=1 << 20, **kwargs)
+        manager = _build(tmp_path / "s", versions, reopen=True, **kwargs)
+        assert not manager.encoder.can_rebase
         assert manager.stats.encode_rebases == 0
+        for index, data in enumerate(versions):
+            assert np.array_equal(
+                manager.select("a", index + 1).attribute("value"), data)
         manager.close()
