@@ -29,37 +29,17 @@ loss and cluster growth first-class:
   ``r`` of band ``b`` is hosted on physical node ``(b + r) % nodes``
   (chained declustering), so :meth:`mark_node_dead` takes out one
   primary *and* one neighbor's replica — the classic failure shape.
-* **Rebalancing** — :meth:`rebalance` reshards every array onto a new
-  node count *online*: a deterministic
-  :func:`~repro.cluster.partitioning.rebalance_plan` maps old bands to
-  new ones, slab reads (failover-capable, so a rebalance can evacuate
-  a cluster with dead replicas as long as a quorum survives) rebuild
-  each new band, and every version replays — lineage kinds, parent
-  links, and merge parents preserved — into a fresh manager
-  generation under ``root/gen<k>`` while the old generation keeps
-  serving.  Versions written mid-migration are absorbed by a
-  copy-then-catch-up loop; only the final catch-up pass and the
-  generation swap run under the cluster write lock.  The cluster
-  fingerprint is byte-identical before and after;
-  ``IOStats.migrated_chunks`` counts the placements the resharding
-  performed.
-* **Anti-entropy repair** — every band copy exposes a *logical* digest
-  (schema + lineage rows + reassembled payload bytes; timestamps and
-  physical placement excluded, since replicas legitimately diverge in
-  both).  :meth:`repair` compares a copy's per-version digests against
-  its live peers and resyncs the stale or empty tail version-by-
-  version through the managers' transactional write path, and
-  :meth:`revive` / :meth:`revive_node` verify the digest before
-  clearing a dead mark — a revived replica is either provably
-  byte-identical to its peers or loudly refused (``repair=True``
-  auto-repairs instead).  ``IOStats.repairs`` / ``repaired_versions``
-  / ``repair_bytes`` account the resync work.
+* **Rebalancing** (:mod:`repro.cluster.rebalance`) and **anti-entropy
+  repair** (:mod:`repro.cluster.repair`) are maintenance flows driven
+  through the primitives here — the write fan, the failover reader —
+  and :mod:`repro.cluster.sync`; this module keeps their public entry
+  points, which validate, take the maintenance lock and delegate.
 """
 
 from __future__ import annotations
 
 import hashlib
-import shutil
+import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -67,10 +47,18 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cluster.partitioning import RangePartitioner, rebalance_plan
-from repro.core.array import ArrayData, Payload
+from repro.cluster import rebalance as _rebalance
+from repro.cluster import repair as _repair
+from repro.cluster.partitioning import (
+    RangePartitioner,
+    axis_index,
+    band_schema,
+    band_slice,
+)
+from repro.cluster.sync import replay_row, version_rows
+from repro.core.array import ArrayData, Payload, _sliced_schema
 from repro.core.errors import ReproError, StorageError
-from repro.core.schema import ArraySchema, Attribute, Dimension
+from repro.core.schema import ArraySchema
 from repro.storage.backend import StorageBackend
 from repro.storage.iostats import IOStats
 from repro.storage.manager import VersionedStorageManager
@@ -84,19 +72,10 @@ from repro.storage.pipeline import resolve_workers
 #: step, the one state the write path promises never to expose.
 COMPENSATION_ATTEMPTS = 4
 
-#: How many unlocked catch-up passes an online rebalance runs before
-#: taking the write lock for the final pass.  The bound only limits
-#: how much write traffic is absorbed *without* blocking writers —
-#: convergence never depends on it, because the final pass runs with
-#: writes excluded and therefore syncs against a frozen cluster in
-#: one sweep.
-REBALANCE_CATCHUP_PASSES = 8
-
-
-class _ReshardedMidWrite(StorageError):
-    """A write's pre-sliced payload raced an online rebalance's
-    generation swap; the caller re-slices against the new topology
-    and retries."""
+#: Cluster lifecycle events: a debug line per failover hop, an info
+#: line per repair and per generation swap.  No handler is configured
+#: here — the application decides where the lines go.
+_log = logging.getLogger("repro.cluster")
 
 
 class _Generation:
@@ -201,7 +180,6 @@ class ClusterCoordinator:
         # with the same substrate and per-manager configuration.
         self._backend_spec = backend
         self._manager_kwargs = dict(manager_kwargs)
-        self._generation = 0
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
         # Serializes cluster writes against each other and against the
@@ -253,14 +231,10 @@ class ClusterCoordinator:
 
     @contextmanager
     def _pinned(self):
-        """Pin the live generation for the duration of one read.
-
-        The yielded :class:`_Generation` is immutable topology-wise
-        for the reader's purposes: a concurrent rebalance may adopt a
-        successor at any time, but it waits for every pin to drop
-        before closing the pinned generation's managers — so a read
-        that started against gen *k* always finishes against gen *k*.
-        """
+        """Pin the live generation for the duration of one read (see
+        :class:`_Generation`: a rebalance may adopt a successor at any
+        time, but the pinned one's managers stay open until the pin
+        drops)."""
         gen = self._live
         gen.pin()
         try:
@@ -311,23 +285,13 @@ class ClusterCoordinator:
         mark clears unverified (as it must: the copy *is* the band).
         """
         self._check_pair(node, replica)
-        peers = self._live_peers(node, replica)
-        if peers and not self._replica_in_sync(node, replica, peers):
-            if not repair:
-                raise StorageError(
-                    f"replica {replica} of node {node} is stale: its "
-                    f"logical digest does not match its live peers'; "
-                    f"repair(node, replica) it first or revive with "
-                    f"repair=True")
-            self.repair(node, replica)
-        self._dead.discard((node, replica))
+        _repair.revive(self, [(node, replica)], repair)
 
     def mark_node_dead(self, host: int) -> None:
         """Kill one physical host: every band copy it carries goes
         offline at once (its own primary and the neighbors' replicas
         it hosts)."""
-        for node, replica in self._copies_on(host):
-            self._dead.add((node, replica))
+        self._dead.update(self._copies_on(host))
 
     def revive_node(self, host: int, *, repair: bool = False) -> None:
         """Bring every band copy on one physical host back — verified,
@@ -336,46 +300,13 @@ class ClusterCoordinator:
         whole revive refuses (or, with ``repair=True``, resyncs the
         stale copies) before a single mark clears — a host never
         rejoins half-trustworthy."""
-        copies = self._copies_on(host)
-        stale = []
-        for node, replica in copies:
-            peers = self._live_peers(node, replica)
-            if peers and not self._replica_in_sync(node, replica, peers):
-                stale.append((node, replica))
-        if stale and not repair:
-            raise StorageError(
-                f"host {host} has stale copies {stale}: their logical "
-                f"digests do not match their live peers'; repair them "
-                f"first or revive_node with repair=True")
-        for node, replica in stale:
-            self.repair(node, replica)
-        for node, replica in copies:
-            self._dead.discard((node, replica))
+        _repair.revive(self, self._copies_on(host), repair)
 
     def _live_peers(self, node: int, replica: int) -> list[int]:
         """The other replicas of one band that are not marked dead —
         the candidate repair sources / verification witnesses."""
         return [r for r in range(self.replication)
                 if r != replica and (node, r) not in self._dead]
-
-    def _replica_in_sync(self, node: int, replica: int,
-                         peers: list[int]) -> bool:
-        """Whether one band copy's registry-scoped logical digest
-        matches the first live peer that can serve the comparison.
-        An unreadable target counts as out of sync; no serving peer
-        counts as in sync (recovery must not deadlock on an
-        unverifiable cluster)."""
-        try:
-            target = self._registry_digest(self.replicas[node][replica])
-        except ReproError:
-            return False
-        for peer in peers:
-            try:
-                return target == \
-                    self._registry_digest(self.replicas[node][peer])
-            except ReproError:
-                self.stats.record_failover()
-        return True
 
     def dead_replicas(self) -> list[tuple[int, int]]:
         """The (band, replica) copies currently marked offline."""
@@ -385,10 +316,15 @@ class ClusterCoordinator:
         if not 0 <= host < self.nodes:
             raise StorageError(
                 f"no node {host} (cluster has {self.nodes})")
+        return [pair for pair in self._pairs()
+                if self.host_of(*pair) == host]
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        """Every (band, replica) copy, node-major and replica-minor —
+        the serial fan order the seeded fault schedules count on."""
         return [(node, replica)
                 for node in range(self.nodes)
-                for replica in range(self.replication)
-                if self.host_of(node, replica) == host]
+                for replica in range(self.replication)]
 
     def _check_pair(self, node: int, replica: int) -> None:
         if not 0 <= node < self.nodes or \
@@ -430,39 +366,14 @@ class ClusterCoordinator:
         if name is not None:
             self._partitioner(name)
             return manager.logical_digest(name)
-        return self._registry_digest(manager)
-
-    def _registry_digest(self, manager: VersionedStorageManager) -> str:
-        """One copy's digest over the coordinator's array registry —
-        the comparison is anchored to the *cluster's* array set, so a
-        copy that is missing an array (or that still holds one deleted
-        cluster-wide) digests differently instead of raising."""
-        digest = hashlib.sha256()
-        held = set(manager.list_arrays())
-        for array_name in self.list_arrays():
-            if array_name in held:
-                digest.update(
-                    manager.logical_digest(array_name).encode())
-            else:
-                digest.update(f"missing:{array_name}".encode())
-        for extra in sorted(held - set(self.list_arrays())):
-            digest.update(f"extra:{extra}".encode())
-        return digest.hexdigest()
+        return _repair.registry_digest(self, manager)
 
     def repair(self, node: int, replica: int = 0) -> dict:
-        """Resync one stale or empty band copy from its live peers.
-
-        Per-array, the copy's per-version logical digests are compared
-        against the first live peer replica that can serve (peer reads
-        fail over); a copy whose digest list is a strict prefix of its
-        peer's replays only the missing tail, a diverged or unreadable
-        copy is dropped and rebuilt in full, and arrays deleted
-        cluster-wide while the copy was dead are dropped from it.
-        Every replayed version goes through the managers' transactional
-        write path with its *source* lineage row — kind, parent link,
-        merge parents, timestamp — so the repaired copy answers
-        lineage queries identically to its peers, which the closing
-        digest verification proves before the method returns.
+        """Resync one stale or empty band copy from its live peers
+        (:func:`repro.cluster.repair.repair` says how): a stale tail
+        is replayed, a diverged or unreadable copy rebuilt, and the
+        copy is *proven* digest-identical to a peer before the method
+        returns.
 
         The copy should be marked dead while it is repaired (the
         revive flow does this naturally): cluster writes refuse while
@@ -481,79 +392,7 @@ class ClusterCoordinator:
                 f"replica {replica} from "
                 f"(replication={self.replication})")
         with self._maintenance_lock:
-            return self._repair_locked(node, replica, peers)
-
-    def _repair_locked(self, node: int, replica: int,
-                       peers: list[int]) -> dict:
-        target = self.replicas[node][replica]
-
-        def from_peer(op):
-            last_error = None
-            for peer in peers:
-                try:
-                    return op(self.replicas[node][peer])
-                except ReproError as exc:
-                    last_error = exc
-                    self.stats.record_failover()
-            raise StorageError(
-                f"no live peer replica of node {node} could serve a "
-                f"repair read") from last_error
-
-        replayed = 0
-        replayed_bytes = 0
-        registry = self.list_arrays()
-        for extra in sorted(set(target.list_arrays()) - set(registry)):
-            # Deleted cluster-wide while this copy was dead.
-            target.delete_array(extra)
-        for name in registry:
-            source_digests = from_peer(
-                lambda m: m.version_digests(name))
-            try:
-                target_digests = target.version_digests(name)
-            except ReproError:
-                target_digests = None
-            if target_digests == source_digests:
-                continue
-            if target_digests is not None and \
-                    target_digests != source_digests[:len(target_digests)]:
-                # Diverged beyond a stale tail: rebuild from scratch.
-                target.delete_array(name)
-                target_digests = None
-            record = from_peer(lambda m: m.catalog.get_array(name))
-            if target_digests is None:
-                target.create_array(
-                    name, record.schema,
-                    chunk_bytes=record.chunk_bytes,
-                    compressor=record.compressor,
-                    chunk_shape=record.chunk_shape,
-                    parent_array=record.parent_array,
-                    parent_version=record.parent_version)
-                target_digests = []
-            for version, _ in source_digests[len(target_digests):]:
-                row = from_peer(lambda m: m.catalog.get_version(
-                    m.catalog.get_array(name).array_id, version))
-                parents = from_peer(lambda m: m.catalog.merge_parents_of(
-                    m.catalog.get_array(name).array_id, version))
-                data = from_peer(lambda m: m.select(name, version))
-                target.replay_version(
-                    name, data, version=version, kind=row.kind,
-                    parent_version=row.parent_version,
-                    timestamp=row.timestamp,
-                    merge_parents=parents or None)
-                replayed += 1
-                replayed_bytes += sum(
-                    data.attribute(attr.name).nbytes
-                    for attr in record.schema.attributes)
-        # The whole point is a *provably* identical copy: verify the
-        # registry digest against a live peer before reporting success.
-        if not self._replica_in_sync(node, replica, peers):
-            raise StorageError(
-                f"repair of replica {replica} of node {node} did not "
-                f"converge: logical digest still differs from its "
-                f"live peers'")
-        if replayed:
-            self.stats.record_repair(replayed, replayed_bytes)
-        return {"versions": replayed, "bytes": replayed_bytes}
+            return _repair.repair(self, node, replica, peers)
 
     def replace_replica(self, node: int, replica: int = 0
                         ) -> VersionedStorageManager:
@@ -567,17 +406,7 @@ class ClusterCoordinator:
         (or ``revive(..., repair=True)``) → :meth:`revive`.
         """
         self._check_pair(node, replica)
-        old = self.replicas[node][replica]
-        root = old.root
-        old.close()
-        if root.exists():
-            shutil.rmtree(root)
-        fresh = VersionedStorageManager(
-            root, backend=self._backend_spec, workers=self.workers,
-            **self._manager_kwargs)
-        self.replicas[node][replica] = fresh
-        self._dead.add((node, replica))
-        return fresh
+        return _repair.replace_replica(self, node, replica)
 
     def lineage(self, name: str) -> list[tuple]:
         """The array's lineage rows, served with failover:
@@ -586,16 +415,9 @@ class ClusterCoordinator:
         these exactly (timestamps excluded — every replica stamps its
         own clock)."""
         self._partitioner(name)
-
-        def rows(manager: VersionedStorageManager) -> list[tuple]:
-            record = manager.catalog.get_array(name)
-            return [
-                (row.version, row.parent_version, row.kind,
-                 tuple(manager.catalog.merge_parents_of(record.array_id,
-                                                        row.version)))
-                for row in manager.catalog.get_versions(record.array_id)]
-
-        return self._read_any(rows)
+        return [(version, parent_version, kind, parents)
+                for version, parent_version, kind, _, parents
+                in version_rows(self, name)]
 
     # ------------------------------------------------------------------
     # Array lifecycle
@@ -612,19 +434,13 @@ class ClusterCoordinator:
         with self._write_lock:
             partitioner = RangePartitioner(schema.shape, self.nodes,
                                            axis=self.partition_axis)
-            self._check_all_writable()
-            created: list[VersionedStorageManager] = []
-            try:
-                for node in range(self.nodes):
-                    band_schema = _band_schema(
-                        schema, partitioner.local_shape(node))
-                    for manager in self.replicas[node]:
-                        manager.create_array(name, band_schema, **kwargs)
-                        created.append(manager)
-            except BaseException:
-                for manager in created:
-                    self._compensate(manager.delete_array, name)
-                raise
+            schemas = [band_schema(schema, partitioner.local_shape(node))
+                       for node in range(self.nodes)]
+            self._write_all(
+                lambda node, manager: manager.create_array(
+                    name, schemas[node], **kwargs),
+                lambda manager, _: manager.delete_array(name),
+                versions=0)
             self._partitioners[name] = partitioner
             self._schemas[name] = schema
 
@@ -689,108 +505,30 @@ class ClusterCoordinator:
             partitioner = self._partitioner(name)
             schema = self._schemas[name]
             locals_by_node = [
-                _band_slice(schema, partitioner, node, data)
+                band_slice(schema, partitioner, node, data)
                 for node in range(self.nodes)]
-            try:
-                return self._insert_locals(name, locals_by_node,
-                                           timestamp)
-            except _ReshardedMidWrite:
-                continue
+            with self._write_lock:
+                if len(locals_by_node) != self.nodes:
+                    # Sliced against a generation that a rebalance
+                    # replaced before this write got the lock.
+                    continue
+                return self._write_all(
+                    lambda node, manager: manager.insert(
+                        name, locals_by_node[node], timestamp),
+                    _drop_version(name), verify=_landed_in_step)
         raise StorageError(
             f"insert of {name!r} kept racing generation swaps")
 
-    def _insert_locals(self, name: str,
-                       locals_by_node: list[ArrayData],
-                       timestamp: float | None) -> int:
-        """Fan pre-sliced band payloads to every (band, replica) copy,
-        all-or-nothing: if any copy fails (or the copies land different
-        version numbers), every landed version is deleted again — it
-        was by construction each copy's newest, so the undo returns
-        every catalog to the old head and no replica ever exposes a
-        partial version."""
+    def _replay(self, name: str, bands: list[ArrayData],
+                row: tuple) -> int:
+        """The migration twin of :meth:`insert`: fan one version's
+        pre-sliced band payloads to every copy with its *source*
+        lineage row instead of minting a plain insert."""
         with self._write_lock:
-            if len(locals_by_node) != self.nodes:
-                # The payload was sliced against a generation that a
-                # rebalance replaced before this write got the lock.
-                raise _ReshardedMidWrite(
-                    f"payload sliced for {len(locals_by_node)} bands "
-                    f"but the cluster now has {self.nodes}")
-            # Known-dead copies fail the write before any byte moves —
-            # encoding full band versions on every live replica only
-            # to compensate them all away would trade work for
-            # nothing.  The per-pair check below still covers marks
-            # set mid-fan-out.
-            self._check_all_writable()
-            pairs = [(node, replica)
-                     for node in range(self.nodes)
-                     for replica in range(self.replication)]
-
-            def insert_one(pair: tuple[int, int]) -> int:
-                node, replica = pair
-                self._check_writable(node, replica)
-                return self.replicas[node][replica].insert(
-                    name, locals_by_node[node], timestamp)
-
-            results, error = self._settle_nodes(insert_one, pairs)
-            landed = {version for version in results
-                      if version is not None}
-            if error is None and len(landed) > 1:
-                error = StorageError(
-                    f"cluster is out of step: replicas landed versions "
-                    f"{results}")
-            if error is not None:
-                for (node, replica), version in zip(pairs, results):
-                    if version is not None:
-                        # reclaim=False: the undo must never write
-                        # through the (possibly failing) backend —
-                        # consistency over space; the next successful
-                        # repack reclaims.
-                        self._compensate(
-                            self.replicas[node][replica].delete_version,
-                            name, version, reclaim=False)
-                raise error
-            self.stats.record_replica_writes(
-                self.nodes * (self.replication - 1))
-            return results[0]
-
-    def _replay_locals(self, name: str,
-                       locals_by_node: list[ArrayData], *,
-                       version: int, kind: str,
-                       parent_version: int | None,
-                       timestamp: float | None,
-                       merge_parents: list[tuple[str, int]] | None
-                       ) -> int:
-        """The migration twin of :meth:`_insert_locals`: fan one
-        version's pre-sliced band payloads to every copy through
-        :meth:`VersionedStorageManager.replay_version`, preserving the
-        source version's lineage row (kind, parent link, merge
-        parents, timestamp) instead of minting a plain insert.  Same
-        all-or-nothing settle-then-compensate contract."""
-        with self._write_lock:
-            self._check_all_writable()
-            pairs = [(node, replica)
-                     for node in range(self.nodes)
-                     for replica in range(self.replication)]
-
-            def replay_one(pair: tuple[int, int]) -> int:
-                node, replica = pair
-                self._check_writable(node, replica)
-                return self.replicas[node][replica].replay_version(
-                    name, locals_by_node[node], version=version,
-                    kind=kind, parent_version=parent_version,
-                    timestamp=timestamp, merge_parents=merge_parents)
-
-            results, error = self._settle_nodes(replay_one, pairs)
-            if error is not None:
-                for (node, replica), landed in zip(pairs, results):
-                    if landed is not None:
-                        self._compensate(
-                            self.replicas[node][replica].delete_version,
-                            name, landed, reclaim=False)
-                raise error
-            self.stats.record_replica_writes(
-                self.nodes * (self.replication - 1))
-            return results[0]
+            return self._write_all(
+                lambda node, manager: replay_row(manager, name,
+                                                 bands[node], row),
+                _drop_version(name))
 
     def branch(self, source_name: str, source_version: int,
                new_name: str,
@@ -801,21 +539,11 @@ class ClusterCoordinator:
         half-created branch is removed from every replica before the
         error propagates.
         """
-        self._partitioner(source_name)
-
-        def branch_node(manager: VersionedStorageManager):
-            return manager.branch(source_name, source_version, new_name,
-                                  timestamp)
-
-        with self._write_lock:
-            partitioner = self._partitioner(source_name)
-            schema = self._schema(source_name)
-            self._all_nodes_or_none(branch_node, new_name,
-                                    versions_created=1)
-            # The branch shares the source's shape, so its partitioning
-            # is identical by construction.
-            self._partitioners[new_name] = partitioner
-            self._schemas[new_name] = schema
+        self._derive_array(
+            new_name, source_name,
+            lambda manager: manager.branch(source_name, source_version,
+                                           new_name, timestamp),
+            versions=1)
         return new_name
 
     def merge(self, parents: list[tuple[str, int]], new_name: str,
@@ -830,24 +558,18 @@ class ClusterCoordinator:
             if self._schema(parent_name) != schema:
                 raise StorageError(
                     "merge parents must share the same schema")
-
-        def merge_node(manager: VersionedStorageManager):
-            return manager.merge(parents, new_name, timestamp)
-
-        with self._write_lock:
-            partitioner = self._partitioner(parents[0][0])
-            schema = self._schema(parents[0][0])
-            self._all_nodes_or_none(merge_node, new_name,
-                                    versions_created=len(parents))
-            self._partitioners[new_name] = partitioner
-            self._schemas[new_name] = schema
+        self._derive_array(
+            new_name, parents[0][0],
+            lambda manager: manager.merge(parents, new_name, timestamp),
+            versions=len(parents))
         return new_name
 
-    def _all_nodes_or_none(self, operation, new_name: str, *,
-                           versions_created: int) -> None:
-        """Run an array-creating write on every band copy; undo it on
-        every copy where it succeeded if any copy fails, so no replica
-        keeps a partial array.
+    def _derive_array(self, new_name: str, like: str, operation, *,
+                      versions: int) -> None:
+        """Branch/merge: create ``new_name`` on every band copy and
+        register it with ``like``'s partitioning (the derived array
+        shares its shape, so the partitioning is identical by
+        construction).
 
         The name must be unused: rollback deletes ``new_name`` on the
         replicas that created it, which would destroy a pre-existing
@@ -855,31 +577,58 @@ class ClusterCoordinator:
         The guard checks the node catalogs as well as the registry —
         coordinator state is session-scoped, but node arrays are not.
         """
-        if new_name in self._partitioners or \
-                new_name in self._read_node(
-                    0, lambda manager: manager.list_arrays()):
-            raise StorageError(
-                f"array {new_name!r} already exists on this cluster")
-        self._check_all_writable()
-        pairs = [(node, replica)
-                 for node in range(self.nodes)
-                 for replica in range(self.replication)]
+        with self._write_lock:
+            partitioner = self._partitioner(like)
+            schema = self._schema(like)
+            if new_name in self._partitioners or \
+                    new_name in self._read_node(
+                        0, lambda manager: manager.list_arrays()):
+                raise StorageError(
+                    f"array {new_name!r} already exists on this cluster")
+            self._write_all(
+                lambda node, manager: operation(manager),
+                lambda manager, _: manager.delete_array(new_name),
+                versions=versions)
+            self._partitioners[new_name] = partitioner
+            self._schemas[new_name] = schema
 
-        def run_one(pair: tuple[int, int]):
+    def _write_all(self, op, undo, *, versions: int = 1, verify=None):
+        """The one replicated write fan: ``op(node, manager)`` on every
+        (band, replica) copy, all-or-nothing, under the caller's
+        cluster write lock.
+
+        Known-dead copies fail the write before any byte moves —
+        encoding full band versions on every live replica only to
+        compensate them all away would trade work for nothing; the
+        per-copy check still covers marks set mid-fan-out.  Every copy
+        is settled first; if one failed — or ``verify(results)``
+        returns an error for the settled grid — ``undo(manager,
+        landed)`` takes back every result that did land before the
+        error propagates, so no replica exposes a partial version or
+        array.  Success counts ``versions`` redundant copies per extra
+        replica per band in ``stats.replica_writes`` and returns the
+        primary's result.
+        """
+        self._check_all_writable()
+        pairs = self._pairs()
+
+        def write_one(pair: tuple[int, int]):
             node, replica = pair
             self._check_writable(node, replica)
-            return operation(self.replicas[node][replica])
+            return op(node, self.replicas[node][replica])
 
-        results, error = self._settle_nodes(run_one, pairs)
+        results, error = self._settle_nodes(write_one, pairs)
+        if error is None and verify is not None:
+            error = verify(results)
         if error is not None:
-            for (node, replica), result in zip(pairs, results):
-                if result is not None:
-                    self._compensate(
-                        self.replicas[node][replica].delete_array,
-                        new_name)
+            for (node, replica), landed in zip(pairs, results):
+                if landed is not None:
+                    self._compensate(undo, self.replicas[node][replica],
+                                     landed)
             raise error
         self.stats.record_replica_writes(
-            self.nodes * (self.replication - 1) * versions_created)
+            self.nodes * (self.replication - 1) * versions)
+        return results[0]
 
     def _compensate(self, undo, *args, **kwargs) -> bool:
         """Run one compensating undo, retrying a few times.
@@ -899,21 +648,14 @@ class ClusterCoordinator:
                 continue
         return False
 
-    def _map_nodes(self, operation, items) -> list:
-        """Apply ``operation`` to every item, fanning across the node
-        executor when configured; results come back in item order."""
-        items = list(items)
-        if self.workers > 1 and len(items) > 1:
-            return list(self._pool().map(operation, items))
-        return [operation(item) for item in items]
-
     def _settle_nodes(self, operation, items) -> tuple[list, object]:
-        """Like :meth:`_map_nodes`, but *every* submitted operation is
-        waited for before returning — the write paths compensate by
+        """Apply ``operation`` to every item, fanning across the node
+        executor when configured, and wait for *every* submitted
+        operation before returning — the write paths compensate by
         inspecting which replicas succeeded, which is only sound once
         no straggler is still mutating its node.  Returns ``(results,
-        first_error)`` with None results for failed (or, serially,
-        never-attempted) items.
+        first_error)`` in item order, with None results for failed
+        (or, serially, never-attempted) items.
         """
         items = list(items)
         results: list = [None] * len(items)
@@ -943,8 +685,10 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Read routing (generation-pinned, failover-capable)
     # ------------------------------------------------------------------
-    def _read_node(self, node: int, op, gen: "_Generation | None" = None):
-        """Serve one band read from its first live replica.
+    def _read_node(self, node: int, op, gen: "_Generation | None" = None,
+                   replicas: list[int] | None = None):
+        """Serve one band read from its first live replica — the one
+        failover reader.
 
         Copies marked dead are skipped, and a copy that raises is
         abandoned for the next one; every abandoned copy is one
@@ -954,37 +698,40 @@ class ClusterCoordinator:
         explicitly pinned generation (multi-step reads pin once so an
         online rebalance can never swap the topology out from under
         them mid-read); without it the read pins the live generation
-        for its own duration.
+        for its own duration.  ``replicas`` restricts the candidates
+        (repair and revive read from a copy's live *peers* only).
         """
         if gen is None:
             with self._pinned() as pinned:
-                return self._read_node(node, op, pinned)
+                return self._read_node(node, op, pinned, replicas)
         last_error = None
-        for replica in range(self.replication):
+        for replica in (range(self.replication) if replicas is None
+                        else replicas):
             if (node, replica) in self._dead:
-                self.stats.record_failover()
-                continue
-            try:
-                return op(gen.replicas[node][replica])
-            except ReproError as exc:
-                last_error = exc
-                self.stats.record_failover()
+                reason = "marked dead"
+            else:
+                try:
+                    return op(gen.replicas[node][replica])
+                except ReproError as exc:
+                    last_error = exc
+                    reason = type(exc).__name__
+            self.stats.record_failover()
+            _log.debug("failover: abandoned replica %d of node %d (%s)",
+                       replica, node, reason)
         raise StorageError(
             f"no live replica of node {node} could serve the read "
             f"(replication={self.replication})") from last_error
 
-    def _read_any(self, op, gen: "_Generation | None" = None):
+    def _read_any(self, op):
         """Serve a band-agnostic read (version lists, catalogs agree
         everywhere) from the first band with a live replica."""
-        if gen is None:
-            with self._pinned() as pinned:
-                return self._read_any(op, pinned)
         last_error = None
-        for node in range(gen.nodes):
-            try:
-                return self._read_node(node, op, gen)
-            except ReproError as exc:
-                last_error = exc
+        with self._pinned() as gen:
+            for node in range(gen.nodes):
+                try:
+                    return self._read_node(node, op, gen)
+                except ReproError as exc:
+                    last_error = exc
         raise StorageError(
             "no live replica on any node could serve the read") \
             from last_error
@@ -1040,53 +787,38 @@ class ClusterCoordinator:
                 gen)
 
         bands = list(partitioner.bands_overlapping(lo, hi))
-        parts = self._map_nodes(fetch, bands)
-
+        parts, error = self._settle_nodes(fetch, bands)
+        if error is not None:
+            raise error
         for band, part in zip(bands, parts):
-            dest_lo = max(lo[axis], band.lo) - lo[axis]
-            dest_hi = min(hi[axis], band.hi) - lo[axis]
-            index = tuple(
-                np.s_[dest_lo:dest_hi + 1] if dim == axis else np.s_[:]
-                for dim in range(schema.ndim))
+            index = axis_index(schema.ndim, axis,
+                               max(lo[axis], band.lo) - lo[axis],
+                               min(hi[axis], band.hi) - lo[axis])
             for attr in schema.attributes:
                 canvases[attr.name][index] = part.attribute(attr.name)
-        from repro.core.array import _sliced_schema
-
         return ArrayData(_sliced_schema(schema, lo, hi), canvases)
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:
         """The stacked (N+1-dimensional) select across the cluster."""
         schema = self._schema(name)
-        attr = attribute or schema.attributes[0].name
-        layers = [self.select(name, v).attribute(attr) for v in versions]
-        return np.stack(layers, axis=0)
+        attr = schema.attribute(attribute or schema.attributes[0].name)
+        stack = np.empty((len(versions), *schema.shape), dtype=attr.dtype)
+        for layer, version in enumerate(versions):
+            stack[layer] = self.select(name, version).attribute(attr.name)
+        return stack
 
     # ------------------------------------------------------------------
     # Rebalancing (cluster growth / shrink)
     # ------------------------------------------------------------------
     def rebalance(self, new_node_count: int, *, seed: int = 0) -> int:
-        """Reshard every array across ``new_node_count`` nodes, online.
-
-        A deterministic :func:`rebalance_plan` (fixed by ``seed``) maps
-        old bands onto new ones; each slab is read from the first live
-        replica of its source band (so a cluster with dead copies can
-        still be evacuated while a quorum survives) and every version
-        replays, in order, into a fresh generation of managers under
-        ``root/gen<k>`` — with its *source* lineage row, so insert vs
-        branch-root vs merge kinds, parent links, and merge parents
-        survive the reshard.
-
-        The build is online: the old generation keeps serving reads
-        (and accepting writes) while the new one is copied, and a
-        catch-up loop re-syncs arrays and versions written
-        mid-migration.  Only the *final* catch-up pass and the
-        generation swap run under the cluster write lock — with
-        writes excluded the cluster is frozen, so one sweep provably
-        converges, the new generation is adopted, and in-flight reads
-        drain before the old managers are closed and removed.  A
-        failure at any point leaves the old cluster untouched and the
-        half-built generation deleted.
+        """Reshard every array across ``new_node_count`` nodes, online
+        (:func:`repro.cluster.rebalance.rebalance` says how): the old
+        generation keeps serving reads and accepting writes while the
+        new one is built under ``root/gen<k>``, and a failure at any
+        point leaves the old cluster untouched and the half-built
+        generation deleted.  ``seed`` fixes the order the
+        :func:`rebalance_plan` slabs migrate in.
 
         Contents, version numbering, and lineage are preserved exactly
         (the cluster :meth:`fingerprint` is byte-identical before and
@@ -1102,199 +834,7 @@ class ClusterCoordinator:
                 f"cannot rebalance to {new_node_count} node(s) with "
                 f"replication={self.replication}")
         with self._maintenance_lock:
-            return self._rebalance_locked(new_node_count, seed)
-
-    def _rebalance_locked(self, new_node_count: int, seed: int) -> int:
-        generation = self._generation + 1
-        new_root = self.root / f"gen{generation}"
-        try:
-            fresh = ClusterCoordinator(
-                new_root, nodes=new_node_count,
-                replication=self.replication,
-                partition_axis=self.partition_axis,
-                backend=self._backend_spec, workers=self.workers,
-                **self._manager_kwargs)
-        except BaseException:
-            # A half-built generation (its constructor closed the
-            # managers that did come up) must not leave node roots for
-            # a later rebalance to adopt as pre-existing state.
-            if new_root.exists():
-                shutil.rmtree(new_root)
-            raise
-        try:
-            # Initial copy plus bounded catch-up, all outside the
-            # write lock: the cluster keeps serving both reads and
-            # writes while the bulk of the migration runs.
-            self._sync_generation(fresh, seed)
-            for _ in range(REBALANCE_CATCHUP_PASSES):
-                if not self._sync_generation(fresh, seed):
-                    break
-            # The brief exclusive window: writers blocked, one final
-            # catch-up against the now-frozen cluster, then the swap.
-            with self._write_lock:
-                self._sync_generation(fresh, seed)
-                migrated = sum(manager.stats.chunks_written
-                               for row in fresh.replicas
-                               for manager in row)
-                old_gen = self._live
-                old_base = self.root / f"gen{self._generation}" \
-                    if self._generation else None
-                fresh._shutdown_executor()
-                self._live = _Generation(
-                    fresh._live.replicas, fresh._live.nodes,
-                    fresh._live.partitioners, fresh._live.schemas,
-                    generation)
-                self._dead = set()
-                self._generation = generation
-        except BaseException:
-            # Suppress close errors: the cleanup must never mask the
-            # error that sank the migration, and the half-built
-            # generation must be removed regardless so a later
-            # rebalance cannot adopt its node roots.
-            fresh._shutdown_executor()
-            fresh._close_managers(suppress=True)
-            if fresh.root.exists():
-                shutil.rmtree(fresh.root)
-            raise
-        # The node fan-out pool was sized for the old replica grid;
-        # drop it so the next fan-out recreates it at the new width.
-        self._shutdown_executor()
-        # Release the old generation only after every in-flight read
-        # that pinned it has finished — closing a manager out from
-        # under a serving read is exactly what "online" must not do.
-        old_gen.wait_drained()
-        for row in old_gen.replicas:
-            for manager in row:
-                manager.close()
-                if manager.root.exists():
-                    shutil.rmtree(manager.root)
-        if old_base is not None and old_base.exists():
-            # Generation 0 lives directly under the cluster root; later
-            # generations get their own base directory, removed once
-            # its node roots are gone.
-            shutil.rmtree(old_base)
-        self.stats.record_migrated_chunks(migrated)
-        return migrated
-
-    def _sync_generation(self, fresh: "ClusterCoordinator",
-                         seed: int) -> bool:
-        """One catch-up pass: make ``fresh`` logically identical to
-        the cluster's *current* contents.  Returns whether the pass
-        changed anything — a False means the generations were already
-        converged when the pass ran.
-
-        Convergence never depends on the pass bound: under the write
-        lock the cluster is frozen, so a single pass there syncs
-        everything the unlocked passes missed.
-        """
-        changed = False
-        names = set(self.list_arrays())
-        for name in list(fresh.list_arrays()):
-            if name not in names:
-                # Deleted cluster-wide mid-migration.
-                fresh.delete_array(name)
-                changed = True
-        for name in self.list_arrays():
-            changed |= self._sync_array(fresh, name, seed)
-        return changed
-
-    def _sync_array(self, fresh: "ClusterCoordinator", name: str,
-                    seed: int) -> bool:
-        """Catch one array up in the fresh generation.
-
-        The already-migrated prefix is validated by *lineage rows
-        including timestamps* (the replay preserves the source rows
-        verbatim, and source timestamps are strictly increasing per
-        replica) — so an array that was deleted and re-created under
-        the same name mid-migration can never masquerade as a valid
-        prefix; it is dropped and rebuilt.  Versions beyond the valid
-        prefix replay slab-by-slab with their source lineage rows.
-        """
-        changed = False
-        source_rows = self._version_rows(name)
-        if name in fresh._partitioners:
-            fresh_rows = fresh._version_rows(name)
-            if fresh_rows != source_rows[:len(fresh_rows)]:
-                fresh.delete_array(name)
-                changed = True
-        if name not in fresh._partitioners:
-            record = self._read_node(
-                0, lambda manager: manager.catalog.get_array(name))
-            fresh.create_array(name, self._schemas[name],
-                               chunk_bytes=record.chunk_bytes,
-                               compressor=record.compressor,
-                               chunk_shape=record.chunk_shape,
-                               parent_array=record.parent_array,
-                               parent_version=record.parent_version)
-            fresh_rows = []
-            changed = True
-        plan = rebalance_plan(self._partitioners[name],
-                              fresh._partitioners[name], seed=seed)
-        for version, parent_version, kind, timestamp, parents in \
-                source_rows[len(fresh_rows):]:
-            fresh._replay_locals(
-                name,
-                self._migrate_version(name, version, plan, fresh),
-                version=version, kind=kind,
-                parent_version=parent_version, timestamp=timestamp,
-                merge_parents=list(parents) or None)
-            changed = True
-        return changed
-
-    def _version_rows(self, name: str) -> list[tuple]:
-        """Full lineage rows — (version, parent, kind, timestamp,
-        merge parents) — of one array, from the first live replica."""
-        def rows(manager: VersionedStorageManager) -> list[tuple]:
-            record = manager.catalog.get_array(name)
-            return [
-                (row.version, row.parent_version, row.kind,
-                 row.timestamp,
-                 tuple(manager.catalog.merge_parents_of(record.array_id,
-                                                        row.version)))
-                for row in manager.catalog.get_versions(record.array_id)]
-
-        return self._read_any(rows)
-
-    def _migrate_version(self, name: str, version: int, plan,
-                         fresh: "ClusterCoordinator"
-                         ) -> list[ArrayData]:
-        """Rebuild one version's new band payloads from slab reads
-        against the old cluster (failover-capable)."""
-        schema = self._schemas[name]
-        old = self._partitioners[name]
-        new = fresh._partitioners[name]
-        axis = old.axis
-        canvases = [
-            {attr.name: np.empty(new.local_shape(node),
-                                 dtype=attr.dtype)
-             for attr in schema.attributes}
-            for node in range(fresh.nodes)]
-        for slab in plan:
-            source_band = old.band_of(slab.source)
-            local_lo = tuple(
-                slab.lo - source_band.lo if dim == axis else 0
-                for dim in range(schema.ndim))
-            local_hi = tuple(
-                slab.hi - source_band.lo if dim == axis
-                else schema.shape[dim] - 1
-                for dim in range(schema.ndim))
-            part = self._read_node(
-                slab.source,
-                lambda manager: manager.select_region(
-                    name, version, local_lo, local_hi))
-            target_band = new.band_of(slab.target)
-            dest = tuple(
-                np.s_[slab.lo - target_band.lo:
-                      slab.hi - target_band.lo + 1]
-                if dim == axis else np.s_[:]
-                for dim in range(schema.ndim))
-            for attr in schema.attributes:
-                canvases[slab.target][attr.name][dest] = \
-                    part.attribute(attr.name)
-        return [
-            ArrayData(_band_schema(schema, new.local_shape(node)),
-                      canvases[node])
-            for node in range(fresh.nodes)]
+            return _rebalance.rebalance(self, new_node_count, seed)
 
     # ------------------------------------------------------------------
     # Maintenance / introspection
@@ -1306,10 +846,8 @@ class ClusterCoordinator:
         replication guarantees); dead copies are skipped and pick a
         fresh layout whenever they next replay."""
         self._partitioner(name)
-        for node in range(self.nodes):
-            for replica in range(self.replication):
-                if (node, replica) in self._dead:
-                    continue
+        for node, replica in self._pairs():
+            if (node, replica) not in self._dead:
                 self.replicas[node][replica].reorganize(name, **kwargs)
 
     def stored_bytes(self, name: str) -> int:
@@ -1326,8 +864,7 @@ class ClusterCoordinator:
         disks actually hold; ~``replication`` x the logical bytes)."""
         self._partitioner(name)
         return sum(self.replicas[node][replica].stored_bytes(name)
-                   for node in range(self.nodes)
-                   for replica in range(self.replication)
+                   for node, replica in self._pairs()
                    if (node, replica) not in self._dead)
 
     def node_stats(self) -> list[IOStats]:
@@ -1424,12 +961,8 @@ class ClusterCoordinator:
                 "coordinator") from None
 
     def _schema(self, name: str) -> ArraySchema:
-        try:
-            return self._schemas[name]
-        except KeyError:
-            raise StorageError(
-                f"array {name!r} is not registered with this "
-                "coordinator") from None
+        self._partitioner(name)
+        return self._schemas[name]
 
     def _normalize(self, name: str,
                    payload: Payload | ArrayData | np.ndarray) -> ArrayData:
@@ -1441,27 +974,24 @@ class ClusterCoordinator:
         return payload.to_array_data(schema)
 
 
-def _band_slice(schema: ArraySchema, partitioner: RangePartitioner,
-                node: int, data: ArrayData) -> ArrayData:
-    """One node's band of a full-array payload, as local ArrayData."""
-    band = partitioner.band_of(node)
-    axis = partitioner.axis
-    index = tuple(
-        np.s_[band.lo:band.hi + 1] if dim == axis else np.s_[:]
-        for dim in range(schema.ndim))
-    return ArrayData(
-        _band_schema(schema, partitioner.local_shape(node)),
-        {attr.name: data.attribute(attr.name)[index]
-         for attr in schema.attributes})
+def _drop_version(name: str):
+    """The compensating undo of one landed version (the landed
+    version was by construction that copy's newest, so deleting it
+    returns the catalog to the old head)."""
+    def undo(manager: VersionedStorageManager, version: int) -> None:
+        # reclaim=False: the undo must never write through the
+        # (possibly failing) backend — consistency over space; the
+        # next successful repack reclaims.
+        manager.delete_version(name, version, reclaim=False)
+    return undo
 
 
-def _band_schema(schema: ArraySchema,
-                 local_shape: tuple[int, ...]) -> ArraySchema:
-    """The schema of one node's partition (zero-based, band-sized)."""
-    dims = tuple(
-        Dimension(dim.name, 0, extent - 1)
-        for dim, extent in zip(schema.dimensions, local_shape))
-    attrs = tuple(
-        Attribute(attr.name, attr.dtype, attr.default)
-        for attr in schema.attributes)
-    return ArraySchema(dimensions=dims, attributes=attrs)
+def _landed_in_step(results: list) -> StorageError | None:
+    """Insert's cross-copy check: every copy must have minted the
+    same version number."""
+    if len(set(results)) > 1:
+        return StorageError(
+            f"cluster is out of step: replicas landed versions "
+            f"{results}")
+    return None
+

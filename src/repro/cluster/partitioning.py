@@ -27,7 +27,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.array import ArrayData
 from repro.core.errors import DimensionError, StorageError
+from repro.core.schema import ArraySchema, Attribute, Dimension
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,36 @@ class RangePartitioner:
         local_lo[self.axis] = max(lo[self.axis], band.lo) - band.lo
         local_hi[self.axis] = min(hi[self.axis], band.hi) - band.lo
         return tuple(local_lo), tuple(local_hi)
+
+
+def axis_index(ndim: int, axis: int, lo: int, hi: int) -> tuple:
+    """The index selecting rows ``lo..hi`` (inclusive) along ``axis``
+    and everything along every other dimension."""
+    return tuple(slice(lo, hi + 1) if dim == axis else slice(None)
+                 for dim in range(ndim))
+
+
+def band_schema(schema: ArraySchema,
+                local_shape: tuple[int, ...]) -> ArraySchema:
+    """The schema of one node's partition (zero-based, band-sized)."""
+    dims = tuple(
+        Dimension(dim.name, 0, extent - 1)
+        for dim, extent in zip(schema.dimensions, local_shape))
+    attrs = tuple(
+        Attribute(attr.name, attr.dtype, attr.default)
+        for attr in schema.attributes)
+    return ArraySchema(dimensions=dims, attributes=attrs)
+
+
+def band_slice(schema: ArraySchema, partitioner: "RangePartitioner",
+               node: int, data: ArrayData) -> ArrayData:
+    """One node's band of a full-array payload, as local ArrayData."""
+    band = partitioner.band_of(node)
+    index = axis_index(schema.ndim, partitioner.axis, band.lo, band.hi)
+    return ArrayData(
+        band_schema(schema, partitioner.local_shape(node)),
+        {attr.name: data.attribute(attr.name)[index]
+         for attr in schema.attributes})
 
 
 @dataclass(frozen=True)

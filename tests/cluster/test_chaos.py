@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator
+from repro.cluster import rebalance as rebalance_flow
 from repro.core.errors import ReproError, StorageError
 from repro.core.schema import ArraySchema
 from repro.storage import FaultInjectingBackend, InMemoryBackend
@@ -314,7 +315,7 @@ class TestRebalanceChaos:
     """Online rebalance under mid-migration deaths and concurrent
     writes."""
 
-    def test_copy_dies_mid_rebalance(self, tmp_path,
+    def test_copy_dies_mid_rebalance(self, tmp_path, monkeypatch,
                                      reference_fingerprint):
         """A band copy's substrate dies while its slabs migrate; the
         migration reads fail over to the surviving replica and the
@@ -324,7 +325,7 @@ class TestRebalanceChaos:
             chunk_bytes=512, backend=_fault_factory(0))
         try:
             _workload(cluster)
-            original = cluster._migrate_version
+            original = rebalance_flow._migrate_version
             state = {"calls": 0}
 
             def kill_then_migrate(*args, **kwargs):
@@ -333,7 +334,8 @@ class TestRebalanceChaos:
                     cluster.replicas[0][0].backend.mark_dead()
                 return original(*args, **kwargs)
 
-            cluster._migrate_version = kill_then_migrate
+            monkeypatch.setattr(rebalance_flow, "_migrate_version",
+                                kill_then_migrate)
             migrated = cluster.rebalance(4, seed=3)
             assert cluster.nodes == 4
             assert migrated > 0
@@ -344,7 +346,8 @@ class TestRebalanceChaos:
         finally:
             cluster.close()
 
-    def test_writes_during_rebalance_are_caught_up(self, tmp_path):
+    def test_writes_during_rebalance_are_caught_up(self, tmp_path,
+                                                   monkeypatch):
         """A version inserted *between* catch-up passes (the build is
         outside the write lock, so this is legal) must appear in the
         new generation — the copy-then-catch-up loop's whole point."""
@@ -354,11 +357,11 @@ class TestRebalanceChaos:
         try:
             heads = _workload(cluster)
             late = heads["A"] + 77
-            original = cluster._sync_generation
+            original = rebalance_flow._sync_generation
             state = {"fired": False}
 
-            def insert_between_passes(fresh, seed):
-                changed = original(fresh, seed)
+            def insert_between_passes(old, fresh, seed):
+                changed = original(old, fresh, seed)
                 if not state["fired"]:
                     state["fired"] = True
                     # Fires after the *initial* (unlocked) pass only:
@@ -367,7 +370,8 @@ class TestRebalanceChaos:
                     cluster.insert("A", late)
                 return changed
 
-            cluster._sync_generation = insert_between_passes
+            monkeypatch.setattr(rebalance_flow, "_sync_generation",
+                                insert_between_passes)
             cluster.rebalance(3, seed=1)
             assert state["fired"]
             assert cluster.nodes == 3

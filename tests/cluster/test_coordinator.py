@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
 from repro.cluster import ClusterCoordinator
-from repro.core.errors import StorageError
+from repro.cluster import rebalance as rebalance_flow
+from repro.core.errors import ReproError, StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
-from repro.storage import InMemoryBackend
+from repro.storage import InMemoryBackend, VersionedStorageManager
+
+#: Every (band, replica) position of the 3 x 2 grid the rollback tests
+#: fail in turn.
+GRID_3X2 = [(node, replica) for node in range(3) for replica in range(2)]
 
 
 @pytest.fixture
@@ -98,6 +105,24 @@ class TestRouting:
         stack = cluster.select_versions("A", [1, 3])
         assert stack.shape == (2, 12, 8)
         np.testing.assert_array_equal(stack[1], versions[2])
+
+    def test_stacked_select_of_no_versions_is_an_empty_stack(self, loaded):
+        """Same answer as ``VersionedStorageManager.select_versions``:
+        an empty ``(0, *shape)`` stack of the attribute's dtype."""
+        cluster, _ = loaded
+        stack = cluster.select_versions("A", [])
+        assert stack.shape == (0, 12, 8)
+        assert stack.dtype == np.int32
+
+    def test_stacked_select_validates_attribute_before_reading(
+            self, loaded):
+        cluster, _ = loaded
+        for stats in cluster.node_stats():
+            stats.reset()
+        with pytest.raises(ReproError, match="no attribute 'ghost'"):
+            cluster.select_versions("A", [1, 2], attribute="ghost")
+        assert [stats.chunks_read for stats in cluster.node_stats()] \
+            == [0, 0, 0]
 
 
 class TestMaintenance:
@@ -333,9 +358,12 @@ class TestClusterBranchMerge:
                 manager.select("B", 1).single(),
                 np.ones((4, 8), dtype=np.int32))
 
-    def test_failed_node_insert_rolls_back_landed_nodes(self, filled):
+    @pytest.mark.parametrize("node", range(3))
+    def test_failed_node_insert_rolls_back_landed_nodes(self, filled,
+                                                        node):
         cluster, versions = filled
-        victim = cluster.managers[-1]
+        victim = cluster.managers[node]
+        writes = cluster.stats.replica_writes
         original = victim.insert
 
         def failing_insert(*args, **kwargs):
@@ -349,13 +377,16 @@ class TestClusterBranchMerge:
         # step and the next insert lands cleanly everywhere.
         for manager in cluster.managers:
             assert manager.get_versions("A") == [1, 2, 3]
+        assert cluster.stats.replica_writes == writes
         assert cluster.insert("A", versions[-1] + 50) == 4
         np.testing.assert_array_equal(cluster.select("A", 4).single(),
                                       versions[-1] + 50)
 
-    def test_failed_branch_leaves_no_node_partial(self, filled):
+    @pytest.mark.parametrize("node", range(3))
+    def test_failed_branch_leaves_no_node_partial(self, filled, node):
         cluster, versions = filled
-        victim = cluster.managers[-1]
+        victim = cluster.managers[node]
+        writes = cluster.stats.replica_writes
         original = victim.branch
 
         def failing_branch(*args, **kwargs):
@@ -369,6 +400,7 @@ class TestClusterBranchMerge:
         for manager in cluster.managers:
             assert manager.list_arrays() == ["A"]
         assert cluster.list_arrays() == ["A"]
+        assert cluster.stats.replica_writes == writes
         cluster.branch("A", 2, "B")
         np.testing.assert_array_equal(cluster.select("B", 1).single(),
                                       versions[1])
@@ -439,6 +471,24 @@ class TestReplication:
         # Exactly one failover: band 0's dead primary was skipped once.
         assert cluster.stats.failovers == before + 1
 
+    def test_every_failover_hop_is_logged(self, replicated, caplog):
+        """One debug line per abandoned copy, naming the copy and why
+        (a dead mark, or the class of the error it raised)."""
+        cluster, _ = replicated
+        cluster.mark_dead(0, 0)
+
+        def down(*args, **kwargs):
+            raise StorageError("disk gone")
+
+        cluster.replicas[1][0].select_region = down
+        with caplog.at_level(logging.DEBUG, logger="repro.cluster"):
+            cluster.select("A", 3)
+        hops = [r.message for r in caplog.records
+                if r.levelno == logging.DEBUG]
+        assert sorted(hops) == [
+            "failover: abandoned replica 0 of node 0 (marked dead)",
+            "failover: abandoned replica 0 of node 1 (StorageError)"]
+
     def test_kill_any_single_host_keeps_all_reads_serving(
             self, replicated):
         cluster, versions = replicated
@@ -505,9 +555,12 @@ class TestMidFanOutDeath:
     """A node dying mid-fan-out: compensation returns every landed
     replica to the old state and leaves no orphan catalog rows."""
 
-    def test_branch_node_death_rolls_back_landed_nodes(self, replicated):
+    @pytest.mark.parametrize("node,replica", GRID_3X2)
+    def test_branch_node_death_rolls_back_landed_nodes(
+            self, replicated, node, replica):
         cluster, versions = replicated
-        victim = cluster.replicas[1][1]
+        victim = cluster.replicas[node][replica]
+        writes = cluster.stats.replica_writes
         original = victim.branch
 
         def dying_branch(*args, **kwargs):
@@ -523,14 +576,18 @@ class TestMidFanOutDeath:
                 assert manager.list_arrays() == ["A"]
                 assert manager.get_versions("A") == [1, 2, 3]
                 _assert_no_orphan_rows(manager)
+        assert cluster.stats.replica_writes == writes
         # The name stayed free, so the retried branch lands everywhere.
         cluster.branch("A", 2, "B")
         np.testing.assert_array_equal(cluster.select("B", 1).single(),
                                       versions[1])
 
-    def test_merge_node_death_rolls_back_landed_nodes(self, replicated):
+    @pytest.mark.parametrize("node,replica", GRID_3X2)
+    def test_merge_node_death_rolls_back_landed_nodes(
+            self, replicated, node, replica):
         cluster, versions = replicated
-        victim = cluster.replicas[2][0]
+        victim = cluster.replicas[node][replica]
+        writes = cluster.stats.replica_writes
         original = victim.merge
 
         def dying_merge(*args, **kwargs):
@@ -544,6 +601,7 @@ class TestMidFanOutDeath:
             for manager in row:
                 assert manager.list_arrays() == ["A"]
                 _assert_no_orphan_rows(manager)
+        assert cluster.stats.replica_writes == writes
         cluster.merge([("A", 1), ("A", 3)], "M")
         np.testing.assert_array_equal(cluster.select("M", 2).single(),
                                       versions[2])
@@ -588,11 +646,14 @@ class TestArrayLifecycleAtomicity:
         assert cluster.list_arrays() == ["A"]
         cluster.close()
 
-    def test_create_array_mid_grid_failure_rolls_back(self, tmp_path):
+    @pytest.mark.parametrize("workers", [0, 4])
+    @pytest.mark.parametrize("node,replica", GRID_3X2)
+    def test_create_array_mid_grid_failure_rolls_back(
+            self, tmp_path, node, replica, workers):
         cluster = ClusterCoordinator(tmp_path, nodes=3, replication=2,
-                                     backend="memory")
+                                     backend="memory", workers=workers)
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
-        victim = cluster.replicas[2][0]
+        victim = cluster.replicas[node][replica]
         original = victim.create_array
 
         def refusing_create(*args, **kwargs):
@@ -606,6 +667,7 @@ class TestArrayLifecycleAtomicity:
         for row in cluster.replicas:
             for manager in row:
                 assert manager.list_arrays() == []
+        assert cluster.stats.replica_writes == 0
         cluster.create_array("A", schema)
         assert cluster.list_arrays() == ["A"]
         cluster.close()
@@ -814,7 +876,7 @@ class TestRebalance:
             self, grown, monkeypatch):
         cluster, versions = grown
         fingerprint = cluster.fingerprint()
-        original = ClusterCoordinator._migrate_version
+        original = rebalance_flow._migrate_version
         calls = []
 
         def dying_migrate(self, name, version, plan, fresh):
@@ -823,7 +885,7 @@ class TestRebalance:
                 raise StorageError("migration interrupted")
             return original(self, name, version, plan, fresh)
 
-        monkeypatch.setattr(ClusterCoordinator, "_migrate_version",
+        monkeypatch.setattr(rebalance_flow, "_migrate_version",
                             dying_migrate)
         with pytest.raises(StorageError, match="interrupted"):
             cluster.rebalance(4)
@@ -836,6 +898,72 @@ class TestRebalance:
         # And the reshard still lands once the interruption clears.
         cluster.rebalance(4)
         assert cluster.fingerprint() == fingerprint
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    @pytest.mark.parametrize("node,replica",
+                             [(n, r) for n in range(4) for r in range(2)])
+    def test_fault_in_replay_fan_leaves_no_partial_version(
+            self, tmp_path, rng, monkeypatch, node, replica, workers):
+        """A copy of the *fresh* generation failing mid-replay: the
+        version is compensated off every fresh copy that landed it (no
+        partial version, nothing counted) before the rebalance aborts
+        with the old generation untouched."""
+        cluster = ClusterCoordinator(tmp_path, nodes=3, replication=2,
+                                     chunk_bytes=512, backend="memory",
+                                     workers=workers)
+        cluster.create_array("A",
+                             ArraySchema.simple((12, 8), dtype=np.int32))
+        data = rng.integers(0, 100, (12, 8)).astype(np.int32)
+        for step in range(3):
+            cluster.insert("A", data + step)
+        fingerprint = cluster.fingerprint()
+        leaf = f"node{node}" if replica == 0 else f"node{node}-r{replica}"
+        original_replay = VersionedStorageManager.replay_version
+        original_sync = rebalance_flow._sync_generation
+        observed = []
+
+        def failing_replay(manager, name, payload, **row):
+            if row["version"] == 2 and manager.root.name == leaf \
+                    and manager.root.parent.name == "gen1":
+                raise StorageError("fresh copy down mid-replay")
+            return original_replay(manager, name, payload, **row)
+
+        def observing_sync(old, fresh, seed):
+            try:
+                return original_sync(old, fresh, seed)
+            except StorageError:
+                observed.append((
+                    [manager.get_versions("A")
+                     for row in fresh.replicas for manager in row],
+                    fresh.stats.replica_writes))
+                raise
+
+        monkeypatch.setattr(VersionedStorageManager, "replay_version",
+                            failing_replay)
+        monkeypatch.setattr(rebalance_flow, "_sync_generation",
+                            observing_sync)
+        with pytest.raises(StorageError, match="mid-replay"):
+            cluster.rebalance(4)
+        monkeypatch.undo()
+        # Version 1 landed everywhere (4 bands x 1 extra copy counted);
+        # version 2 left no trace on any of the 8 fresh copies.
+        assert observed == [([[1]] * 8, 4)]
+        assert cluster.nodes == 3
+        assert cluster.fingerprint() == fingerprint
+        cluster.rebalance(4)
+        assert cluster.fingerprint() == fingerprint
+        cluster.close()
+
+    def test_generation_swap_is_logged(self, grown, caplog):
+        cluster, _ = grown
+        with caplog.at_level(logging.INFO, logger="repro.cluster"):
+            migrated = cluster.rebalance(4)
+        (record,) = [r for r in caplog.records
+                     if r.message.startswith("generation swap")]
+        assert record.levelno == logging.INFO
+        assert "0 -> 1" in record.message
+        assert "1 catch-up passes" in record.message
+        assert f"{migrated} migrated chunks" in record.message
 
     def test_bad_target_counts_rejected(self, grown):
         cluster, _ = grown

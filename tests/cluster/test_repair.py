@@ -20,6 +20,8 @@ that closes that gap:
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,33 @@ def _workload(cluster: ClusterCoordinator) -> None:
     cluster.branch("A", 2, "B")
     cluster.insert("B", data * 2)
     cluster.merge([("A", 3), ("B", 2)], "M")
+
+
+class _RecordingCatalog:
+    """Counts the catalog calls made *through the wrapper* — i.e. by
+    the cluster layer, not by the manager's own methods."""
+
+    def __init__(self, catalog, calls: list[str]):
+        self._catalog = catalog
+        self._calls = calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._catalog, name)
+
+
+class _RecordingManager:
+    """A band copy that records the cluster layer's direct catalog
+    reads (everything else passes straight through)."""
+
+    def __init__(self, manager):
+        self._manager = manager
+        self.catalog_calls: list[str] = []
+        self.catalog = _RecordingCatalog(manager.catalog,
+                                         self.catalog_calls)
+
+    def __getattr__(self, name):
+        return getattr(self._manager, name)
 
 
 class TestReplicaDigest:
@@ -171,6 +200,35 @@ class TestRepair:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize("replication,already_dead",
+                             [(1, []), (2, [(0, 1)])])
+    def test_replace_refuses_the_last_live_copy(self, tmp_path,
+                                                replication,
+                                                already_dead):
+        """Replacing a copy with no live peer would wipe the only data
+        of its band (and a later unverified revive would report the
+        cluster healthy): refused before anything is closed or
+        removed."""
+        cluster = _cluster(tmp_path, nodes=2, replication=replication)
+        try:
+            _workload(cluster)
+            for pair in already_dead:
+                cluster.mark_dead(*pair)
+            survivor = cluster.replicas[0][0]
+            expected = survivor.select("A", 3).single()
+            with pytest.raises(StorageError, match="last live copy"):
+                cluster.replace_replica(0, 0)
+            # Same manager, still open, still holding the band.
+            assert cluster.replicas[0][0] is survivor
+            np.testing.assert_array_equal(
+                survivor.select("A", 3).single(), expected)
+            assert cluster.dead_replicas() == already_dead
+            np.testing.assert_array_equal(
+                cluster.select("A", 3).single()[:expected.shape[0]],
+                expected)
+        finally:
+            cluster.close()
+
     def test_blank_replacement_rebuilds_with_exact_counters(
             self, tmp_path):
         cluster = _cluster(tmp_path)
@@ -191,6 +249,50 @@ class TestRepair:
             cluster.revive(1, 0)
             cluster.mark_dead(1, 1)
             assert cluster.fingerprint() == reference
+        finally:
+            cluster.close()
+
+    def test_replay_reads_lineage_rows_once_per_array(self, tmp_path):
+        """Replaying *n* versions costs one lineage-row read per array
+        from one peer — not a per-version row read plus a per-version
+        merge-parents read, each free to land on a different peer."""
+        cluster = _cluster(tmp_path)
+        try:
+            _workload(cluster)
+            arrays = cluster.list_arrays()
+            versions = sum(len(cluster.get_versions(name))
+                           for name in arrays)
+            cluster.replace_replica(1, 0)
+            peer = _RecordingManager(cluster.replicas[1][1])
+            cluster.replicas[1][1] = peer
+            report = cluster.repair(1, 0)
+            cluster.replicas[1][1] = peer._manager
+            assert report["versions"] == versions > len(arrays)
+            assert peer.catalog_calls.count("get_versions") == len(arrays)
+            assert "get_version" not in peer.catalog_calls
+            # One merge-parents lookup per row of that single read.
+            assert peer.catalog_calls.count("merge_parents_of") == versions
+        finally:
+            cluster.close()
+
+    def test_repair_is_logged(self, tmp_path, caplog):
+        cluster = _cluster(tmp_path)
+        try:
+            _workload(cluster)
+            cluster.replicas[2][1].delete_version("A", 3)
+            cluster.replace_replica(1, 0)
+            with caplog.at_level(logging.INFO, logger="repro.cluster"):
+                tail = cluster.repair(2, 1)
+                rebuilt = cluster.repair(1, 0)
+            messages = [r.message for r in caplog.records
+                        if r.levelno == logging.INFO]
+            assert messages == [
+                f"repair node=2 replica=1: 1 versions, "
+                f"{tail['bytes']} bytes (0 arrays rebuilt, the rest "
+                f"tail-replayed)",
+                f"repair node=1 replica=0: {rebuilt['versions']} "
+                f"versions, {rebuilt['bytes']} bytes (3 arrays rebuilt, "
+                f"the rest tail-replayed)"]
         finally:
             cluster.close()
 

@@ -13,6 +13,8 @@ reference pages are held to the code by tier-1 tests:
 * the backend-spec table must cover every registry name and every
   parameterized spec form ``ensure_backend_spec`` accepts, and its
   example specs must actually validate;
+* every module under ``src/repro/cluster/`` must be named in
+  ``docs/architecture.md``, so the cluster package map cannot rot;
 * every relative link in ``README.md`` and ``docs/`` must resolve to
   a real file.
 """
@@ -101,6 +103,16 @@ class TestBackendSpecs:
         assert specs
         for spec in specs:
             assert ensure_backend_spec(spec) == spec
+
+
+def test_architecture_names_every_cluster_module():
+    text = (DOCS / "architecture.md").read_text()
+    modules = sorted(
+        path.name for path in (REPO / "src/repro/cluster").glob("*.py")
+        if path.name != "__init__.py")
+    missing = [name for name in modules if f"cluster/{name}" not in text]
+    assert modules and not missing, (
+        f"docs/architecture.md does not name cluster modules {missing}")
 
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)]+)\)")
