@@ -3,15 +3,25 @@
 The numpy kernels in :mod:`repro.core.bitpack` and the planner's
 shared-stats pass are bound by one structural cost: every logical step
 is a whole-array numpy operation, so a chunk is streamed through the
-cache once per step — the 32K-cell encode path reads and writes its
-256 KB intermediates a dozen times.  A scalar C loop does the same
-work in one stream per kernel.  The write side has the fused delta
-kernel (cell pair in, zigzag code + width-histogram bucket out) and
-the carry-register pack; the read side mirrors them with the zigzag
+cache once per step — the numpy encode path makes a dozen whole-array
+passes and ~20 MiB of temporaries per 1 MiB chunk.  A scalar C loop
+does the same work in one stream per kernel.
+
+The write side is two passes per chunk.  :func:`delta_zigzag_stats`
+is the *analysis* pass — cell pair in, delta code + width-histogram
+bucket out — one kernel family over every cell type
+(signed / unsigned / bool of 1, 2, 4, 8 bytes as wrapping int64
+differences, float16/32/64 as xor of bit images), reading the chunk in
+place from its canvas by ``(rows, cols, row_stride)`` and, given the
+base chain's accumulator, producing a delta-of-delta re-base's codes
+(``target - wrap(root + prior)``) without materializing the parent.
+:func:`split_pack` is the *split-and-pack* pass: the codes, split at
+the width the cost curve chose, leave as the packed dense section and
+the packed outlier table (at width 0: the sparse codec's table).
+:func:`pack_bits` is the carry-register pack behind every other
+``pack_unsigned`` call.  The read side mirrors them with the zigzag
 decode, the carry-register unpack, the sparse scatter-accumulate, and
-the single-pass chain apply; the rebase kernel fuses the write side's
-delta-of-delta (target − root − prior) into the same code+histogram
-pass.
+the single-pass chain apply.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they
 are gated behind runtime compilation with the host C compiler and
@@ -24,10 +34,12 @@ bytes, fingerprints and test results are identical either way; only
 throughput changes, so a build that failed under every cache root
 says so once on the ``repro.native`` logger.  Every wrapper returns
 ``None`` (or ``False`` for in-place kernels) instead of raising when
-its gate rejects the input, and callers fall through to numpy.
+its gate rejects the input, and callers fall through to numpy; the
+write-side wrappers say why at ``debug``, once per reason.
 
 The shared object is cached under ``.cache/native/`` next to the
-package (keyed by a hash of the C source, so edits rebuild) and falls
+package (keyed by a hash of the C source and the compiler flags —
+``CFLAGS`` is honoured next to ``CC`` — so edits rebuild) and falls
 back to a per-process temporary directory when the tree is not
 writable.  Compilation happens at most once per process, lazily, on
 the first kernel request; ctypes releases the GIL around every call.
@@ -52,25 +64,231 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* Fused arithmetic delta over int64 cells: one streaming pass emits
- * the wrap-around difference's zigzag code and counts its exact bit
- * length into a 65-bucket histogram.  Matches numpy's
- * compute_delta -> zigzag_encode -> width bincount bit for bit. */
-void repro_delta_zigzag_hist(const int64_t *t, const int64_t *b,
-                             uint64_t *codes, int64_t *hist,
-                             int64_t n)
+/* ---- Write side, pass 1: delta analysis --------------------------
+ *
+ * One kernel family over every cell type: the chunk is read in place
+ * as `rows` runs of `cols` cells, `*_stride` bytes apart (a chunk of a
+ * version canvas; rows = 1 for a contiguous array), through memcpy
+ * loads so zero-copy payload views need no alignment.  Each cell pair
+ * becomes its unsigned delta code — zigzag of the wrapping int64
+ * difference (ARITHMETIC) or the xor of the bit images (XOR) — and is
+ * counted into the 65-bucket exact-bit-length histogram in the same
+ * stream.  With `prior` (the chain's composed accumulator, flat, one
+ * 64-bit word per cell) the base is root (+|^) prior, the parent of a
+ * delta-of-delta re-base, canonicalised through the cell type exactly
+ * as a stepwise apply would have stored it.  64-byte runs of equal
+ * cells (and zero prior) are skipped: they are code 0, bucket 0.
+ * Matches numpy's compute_delta -> zigzag_encode -> width bincount bit
+ * for bit. */
+static inline int repro_same64(const unsigned char *a,
+                               const unsigned char *b)
 {
+    uint64_t x[8], y[8], diff = 0;
+    memcpy(x, a, 64);
+    memcpy(y, b, 64);
+    for (int k = 0; k < 8; k++)
+        diff |= x[k] ^ y[k];
+    return diff == 0;
+}
+
+static inline int repro_all_zero(const uint64_t *p, int64_t n)
+{
+    uint64_t any = 0;
+    for (int64_t k = 0; k < n; k++)
+        any |= p[k];
+    return any == 0;
+}
+
+/* WIDEN: cell -> its int64 value's (or bit image's) uint64 image;
+ * NARROW: that image wrapped back into the cell type. */
+#define DELTA_KERNEL(NAME, T, WIDEN, NARROW)                     \
+static void NAME(const unsigned char *t, const unsigned char *b,       \
+                 const uint64_t *prior, int use_xor,                   \
+                 int64_t rows, int64_t cols,                           \
+                 int64_t t_stride, int64_t b_stride,                   \
+                 uint64_t *codes, int64_t *hist)                       \
+{                                                                      \
+    enum { S = sizeof(T), RUN = 64 / sizeof(T) };                      \
+    int64_t zeros = 0;                                                 \
+    for (int64_t r = 0; r < rows; r++) {                               \
+        const unsigned char *tr = t + r * t_stride;                    \
+        const unsigned char *br = b + r * b_stride;                    \
+        const uint64_t *pr = prior ? prior + r * cols : 0;             \
+        uint64_t *cr = codes + r * cols;                               \
+        /* A chunk row ends mid-page, where the hardware streamer      \
+         * stops: ask for the head of the next row ourselves. */       \
+        if (r + 1 < rows)                                              \
+            for (int k = 0; k < 4; k++) {                              \
+                __builtin_prefetch(tr + t_stride + 64 * k);            \
+                __builtin_prefetch(br + b_stride + 64 * k);            \
+            }                                                          \
+        int64_t i = 0;                                                 \
+        while (i < cols) {                                             \
+            int64_t stop = i + RUN;                                    \
+            if (stop > cols) {                                         \
+                stop = cols;                                           \
+            } else if (repro_same64(tr + i * S, br + i * S)            \
+                       && (!pr || repro_all_zero(pr + i, RUN))) {      \
+                memset(cr + i, 0, RUN * sizeof(uint64_t));             \
+                zeros += RUN;                                          \
+                i = stop;                                              \
+                continue;                                              \
+            }                                                          \
+            for (; i < stop; i++) {                                    \
+                T tv, bv;                                              \
+                memcpy(&tv, tr + i * S, S);                            \
+                memcpy(&bv, br + i * S, S);                            \
+                uint64_t code;                                         \
+                if (use_xor) {                                         \
+                    code = WIDEN(tv) ^ WIDEN(bv);                      \
+                    if (pr)                                            \
+                        code ^= pr[i];                                 \
+                } else {                                               \
+                    uint64_t parent = WIDEN(bv);                       \
+                    if (pr) {                                          \
+                        T wrapped = NARROW(parent + pr[i]);            \
+                        parent = WIDEN(wrapped);                       \
+                    }                                                  \
+                    /* zigzag: (d << 1) ^ (d >> 63) with the sign      \
+                     * spread by negation, so no signed shift or       \
+                     * overflow is involved. */                        \
+                    uint64_t d = WIDEN(tv) - parent;                   \
+                    code = (d << 1) ^ (0 - (d >> 63));                 \
+                }                                                      \
+                cr[i] = code;                                          \
+                if (code)                                              \
+                    hist[64 - __builtin_clzll(code)]++;                \
+                else                                                   \
+                    zeros++;                                           \
+            }                                                          \
+        }                                                              \
+    }                                                                  \
+    hist[0] += zeros;                                                  \
+}
+
+#define AS_SIGNED(v) ((uint64_t)(int64_t)(v))
+#define AS_UNSIGNED(v) ((uint64_t)(v))
+#define AS_TRUTH(v) ((uint64_t)((v) != 0))
+DELTA_KERNEL(repro_delta_i8, int8_t, AS_SIGNED, (int8_t))
+DELTA_KERNEL(repro_delta_i16, int16_t, AS_SIGNED, (int16_t))
+DELTA_KERNEL(repro_delta_i32, int32_t, AS_SIGNED, (int32_t))
+DELTA_KERNEL(repro_delta_i64, int64_t, AS_SIGNED, (int64_t))
+DELTA_KERNEL(repro_delta_u8, uint8_t, AS_UNSIGNED, (uint8_t))
+DELTA_KERNEL(repro_delta_u16, uint16_t, AS_UNSIGNED, (uint16_t))
+DELTA_KERNEL(repro_delta_u32, uint32_t, AS_UNSIGNED, (uint32_t))
+DELTA_KERNEL(repro_delta_u64, uint64_t, AS_UNSIGNED, (uint64_t))
+DELTA_KERNEL(repro_delta_bool, uint8_t, AS_TRUTH, AS_TRUTH)
+
+/* `kind` indexes the cell types in the order above (floats arrive as
+ * the same-width unsigned kind with use_xor set).  Returns 0, or -1
+ * for a kind this build does not know. */
+int repro_delta_codes(const unsigned char *t, const unsigned char *b,
+                      const uint64_t *prior, int kind, int use_xor,
+                      int64_t rows, int64_t cols,
+                      int64_t t_stride, int64_t b_stride,
+                      uint64_t *codes, int64_t *hist)
+{
+    static void (*const kernels[])(
+        const unsigned char *, const unsigned char *, const uint64_t *,
+        int, int64_t, int64_t, int64_t, int64_t, uint64_t *,
+        int64_t *) = {
+        repro_delta_i8, repro_delta_i16, repro_delta_i32,
+        repro_delta_i64, repro_delta_u8, repro_delta_u16,
+        repro_delta_u32, repro_delta_u64, repro_delta_bool,
+    };
+    if (kind < 0 || kind >= (int)(sizeof kernels / sizeof kernels[0]))
+        return -1;
     memset(hist, 0, 65 * sizeof(int64_t));
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t d = (uint64_t)t[i] - (uint64_t)b[i];
-        /* zigzag: (d << 1) ^ (d >> 63) with an arithmetic shift,
-         * written with an explicit sign mask so the behaviour does
-         * not depend on the compiler's signed-shift choice. */
-        uint64_t sign = -(uint64_t)((int64_t)d < 0);
-        uint64_t code = (d << 1) ^ sign;
-        codes[i] = code;
-        hist[code ? 64 - __builtin_clzll(code) : 0]++;
+    kernels[kind](t, b, prior, use_xor, rows, cols, t_stride, b_stride,
+                  codes, hist);
+    return 0;
+}
+
+/* ---- Write side, pass 2: split and pack -------------------------- */
+typedef struct {
+    uint64_t *w;
+    uint64_t acc;
+    int64_t fill;
+    int64_t bits;
+} repro_stream;
+
+/* Append one value to an LSB-first stream (any width 0..64: at 64 the
+ * fill is always 0, at 0 nothing is ever stored). */
+static inline void repro_push(repro_stream *s, uint64_t x)
+{
+    s->acc |= x << s->fill;
+    s->fill += s->bits;
+    if (s->fill >= 64) {
+        *s->w++ = s->acc;
+        s->fill -= 64;
+        s->acc = s->fill ? x >> (s->bits - s->fill) : 0;
     }
+}
+
+/* Append `count` zero values. */
+static inline void repro_push_zeros(repro_stream *s, int64_t count)
+{
+    int64_t fill = s->fill + count * s->bits;
+    while (fill >= 64) {
+        *s->w++ = s->acc;
+        s->acc = 0;
+        fill -= 64;
+    }
+    s->fill = fill;
+}
+
+/* The hybrid codec's three sections in one pass over the codes: the
+ * dense stream of every code below 2**small_bits (zero at outlier
+ * positions), and the outliers' positions and values, each packed
+ * LSB-first at its own width.  small_bits = 0 stores no dense stream
+ * and makes every nonzero code an outlier — the sparse codec's
+ * layout.  The caller sizes the three word buffers from the width
+ * histogram (`outliers` codes need more than small_bits); the return
+ * value is the outlier count found, or -1 the moment the codes would
+ * overrun that count, so a stale histogram can never write out of
+ * bounds.  Runs of eight zero codes skip the per-code loop. */
+int64_t repro_split_pack(const uint64_t *codes, int64_t n,
+                         int64_t small_bits, int64_t position_bits,
+                         int64_t value_bits, int64_t outliers,
+                         uint64_t *small_words, uint64_t *position_words,
+                         uint64_t *value_words)
+{
+    repro_stream small = {small_words, 0, 0, small_bits};
+    repro_stream positions = {position_words, 0, 0, position_bits};
+    repro_stream values = {value_words, 0, 0, value_bits};
+    int64_t found = 0;
+    int64_t i = 0;
+    while (i < n) {
+        int64_t stop = i + 8;
+        if (stop > n) {
+            stop = n;
+        } else if (!(codes[i] | codes[i + 1] | codes[i + 2] | codes[i + 3]
+                     | codes[i + 4] | codes[i + 5] | codes[i + 6]
+                     | codes[i + 7])) {
+            repro_push_zeros(&small, 8);
+            i = stop;
+            continue;
+        }
+        for (; i < stop; i++) {
+            uint64_t x = codes[i];
+            if (small_bits < 64 && (x >> small_bits)) {
+                if (found == outliers)
+                    return -1;
+                found++;
+                repro_push(&positions, (uint64_t)i);
+                repro_push(&values, x);
+                x = 0;
+            }
+            repro_push(&small, x);
+        }
+    }
+    if (small.fill)
+        *small.w = small.acc;
+    if (positions.fill)
+        *positions.w = positions.acc;
+    if (values.fill)
+        *values.w = values.acc;
+    return found;
 }
 
 /* LSB-first bit stream pack for any width 1..64: value i occupies
@@ -173,23 +391,6 @@ void repro_apply_add64(const uint64_t *base, uint64_t *acc, int64_t n)
     for (int64_t i = 0; i < n; i++)
         acc[i] += base[i];
 }
-
-/* Rebase counterpart of repro_delta_zigzag_hist: the codes of
- * (target - parent) where parent = root + prior (all wrapping int64),
- * without ever materializing the parent cells. */
-void repro_rebase_zigzag_hist(const int64_t *t, const int64_t *r,
-                              const int64_t *p, uint64_t *codes,
-                              int64_t *hist, int64_t n)
-{
-    memset(hist, 0, 65 * sizeof(int64_t));
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t d = (uint64_t)t[i] - (uint64_t)r[i] - (uint64_t)p[i];
-        uint64_t sign = -(uint64_t)((int64_t)d < 0);
-        uint64_t code = (d << 1) ^ sign;
-        codes[i] = code;
-        hist[code ? 64 - __builtin_clzll(code) : 0]++;
-    }
-}
 """
 
 _I64_P = ctypes.POINTER(ctypes.c_int64)
@@ -218,7 +419,13 @@ def _cache_dir() -> Path:
 
 def _compile() -> ctypes.CDLL | None:
     compiler = os.environ.get("CC", "cc")
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    # CFLAGS follows the defaults so a build can add to or override
+    # them (a sanitizer cell, -march=native); like the source it is
+    # part of the cache key, so differently-built objects never mix.
+    flags = ["-O3", "-shared", "-fPIC",
+             *os.environ.get("CFLAGS", "").split()]
+    digest = hashlib.sha256(
+        "\0".join([_SOURCE, *flags]).encode()).hexdigest()[:16]
     failures = []
     for root in (_cache_dir(), Path(tempfile.gettempdir()) / "repro-native"):
         so_path = root / f"reprokernels-{digest}.so"
@@ -229,8 +436,7 @@ def _compile() -> ctypes.CDLL | None:
                 src.write_text(_SOURCE)
                 staging = root / f".build-{os.getpid()}-{digest}.so"
                 subprocess.run(
-                    [compiler, "-O2", "-shared", "-fPIC",
-                     "-o", str(staging), str(src)],
+                    [compiler, *flags, "-o", str(staging), str(src)],
                     check=True, capture_output=True, timeout=120)
                 # Atomic publish: concurrent builders race benignly.
                 os.replace(staging, so_path)
@@ -242,9 +448,20 @@ def _compile() -> ctypes.CDLL | None:
                 errors="replace").strip().splitlines()[-3:]
             failures.append(" | ".join([f"{root}: {exc}", *stderr]))
             continue
-        lib.repro_delta_zigzag_hist.argtypes = [
-            _I64_P, _I64_P, _U64_P, _I64_P, ctypes.c_int64]
-        lib.repro_delta_zigzag_hist.restype = None
+        # Buffers go in as plain addresses (``array.ctypes.data``):
+        # these two run once per chunk on the insert path, where a
+        # typed ``data_as`` cast per argument is measurable.
+        lib.repro_delta_codes.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_void_p]
+        lib.repro_delta_codes.restype = ctypes.c_int
+        lib.repro_split_pack.argtypes = [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+        lib.repro_split_pack.restype = ctypes.c_int64
         lib.repro_pack_bits.argtypes = [
             _U64_P, ctypes.c_int64, ctypes.c_int64, _U64_P]
         lib.repro_pack_bits.restype = None
@@ -264,9 +481,6 @@ def _compile() -> ctypes.CDLL | None:
         lib.repro_apply_add64.argtypes = [_U64_P, _U64_P,
                                           ctypes.c_int64]
         lib.repro_apply_add64.restype = None
-        lib.repro_rebase_zigzag_hist.argtypes = [
-            _I64_P, _I64_P, _I64_P, _U64_P, _I64_P, ctypes.c_int64]
-        lib.repro_rebase_zigzag_hist.restype = None
         return lib
     _log.warning("compiled kernels unavailable (CC=%s), numpy fallbacks"
                  " in use: %s", compiler, "; ".join(failures))
@@ -313,36 +527,184 @@ def _active() -> ctypes.CDLL | None:
     return None if _disabled else _load()
 
 
-def delta_zigzag_stats(target: np.ndarray, base: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Fused ``compute_delta`` + zigzag + width histogram, or None.
+#: ``dtype.kind + itemsize`` -> (kernel index, xor mode): every cell
+#: type :func:`repro.core.numeric.delta_mode_for` accepts.  Floats are
+#: differenced as the same-width unsigned bit image.
+_CELL_KINDS = {
+    "i1": (0, 0), "i2": (1, 0), "i4": (2, 0), "i8": (3, 0),
+    "u1": (4, 0), "u2": (5, 0), "u4": (6, 0), "u8": (7, 0),
+    "b1": (8, 0),
+    "f2": (5, 1), "f4": (6, 1), "f8": (7, 1),
+}
 
-    Applies only to the arithmetic int64 cell path over C-contiguous
-    arrays — exactly the layout the chunk pipeline produces.  Returns
-    ``(codes, width_counts)`` where ``codes`` is the flat uint64 zigzag
-    code array and ``width_counts[d]`` counts codes of exact bit length
-    ``d`` — both bit-identical to the numpy pipeline's.
+#: (kernel, reason) pairs already reported by :func:`_decline`.
+_declined: set[tuple[str, str]] = set()
+
+
+def _decline(kernel: str, reason: str) -> None:
+    """Say why a kernel's gate turned an input away — once per
+    (kernel, reason), at debug, so a caller silently running its numpy
+    path can be found without flooding the log."""
+    if (kernel, reason) not in _declined:
+        _declined.add((kernel, reason))
+        _log.debug("native declined %s: %s", kernel, reason)
+    return None
+
+
+def _as_rows(array: np.ndarray
+             ) -> tuple[np.ndarray, int, int, int] | None:
+    """``(array, rows, cols, row_stride_bytes)``: ``array`` as equally
+    spaced runs of adjacent cells — a contiguous array (one run), or a
+    chunk view of a row-major canvas.  A window whose runs are more
+    than one stride apart (a 3-d chunk view) comes back as a contiguous
+    copy: one extra pass, still a fraction of the numpy path.  None
+    when the cells of the last axis are not adjacent."""
+    if array.flags.c_contiguous:
+        return array, 1, array.size, 0
+    if array.shape[-1] != 1 and array.strides[-1] != array.itemsize:
+        return None
+    # Drop unit extents, then merge axes that are adjacent in memory.
+    dims = [(extent, stride)
+            for extent, stride in zip(array.shape, array.strides)
+            if extent != 1]
+    merged = [dims[-1]]
+    for extent, stride in reversed(dims[:-1]):
+        inner_extent, inner_stride = merged[0]
+        if stride == inner_extent * inner_stride:
+            merged[0] = (extent * inner_extent, inner_stride)
+        else:
+            merged.insert(0, (extent, stride))
+    if len(merged) == 1:
+        (rows, stride), = merged
+        return array, rows, 1, stride
+    if len(merged) == 2 and merged[1][1] == array.itemsize:
+        (rows, stride), (cols, _) = merged
+        return array, rows, cols, stride
+    return np.ascontiguousarray(array), 1, array.size, 0
+
+
+def delta_zigzag_stats(target: np.ndarray, base: np.ndarray,
+                       prior: np.ndarray | None = None, *,
+                       out: np.ndarray | None = None
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Fused delta + code + width histogram of one chunk, or None.
+
+    The write path's analysis pass for every cell type
+    :func:`repro.core.numeric.delta_mode_for` accepts, read in place:
+    ``target`` and ``base`` may be row-strided views of their canvases
+    (see :func:`_as_rows`).  With ``prior`` — the base chain's
+    composed accumulator, flat int64 (ARITHMETIC) or uint64 (XOR) —
+    the codes are those against ``wrap(base + prior)`` resp.
+    ``base ^ prior``, the parent of a delta-of-delta re-base, which is
+    never materialized.  Returns ``(codes, width_counts)``: the flat
+    uint64 code array and the count of codes per exact bit length,
+    both bit-identical to the numpy pipeline's.  ``out`` (flat uint64,
+    at least ``target.size`` long) receives the codes instead of a
+    fresh array; the caller must be done with the previous contents.
     """
     lib = _active()
-    # The isinstance gate matters: numpy *scalars* (0-d arithmetic
-    # results) satisfy the dtype/flags/size checks but carry no
-    # ``.ctypes`` buffer interface.
-    if (lib is None
-            or not isinstance(target, np.ndarray)
-            or not isinstance(base, np.ndarray)
-            or target.dtype != np.int64 or base.dtype != np.int64
-            or not target.flags.c_contiguous
-            or not base.flags.c_contiguous
-            or target.size == 0):
+    if lib is None:
         return None
+    kernel = "delta_zigzag_stats"
+    # The isinstance gate matters: numpy *scalars* (0-d arithmetic
+    # results) satisfy the dtype/size checks but carry no ``.ctypes``
+    # buffer interface.
+    if not isinstance(target, np.ndarray) \
+            or not isinstance(base, np.ndarray):
+        return _decline(kernel, "not an ndarray")
+    if target.dtype != base.dtype or target.shape != base.shape:
+        return _decline(kernel, "dtype or shape mismatch")
+    cell = _CELL_KINDS.get(target.dtype.kind + str(target.itemsize))
+    if cell is None or not target.dtype.isnative:
+        return _decline(kernel, f"unsupported dtype {target.dtype}")
     n = target.size
-    codes = np.empty(n, dtype=np.uint64)
+    if n == 0:
+        return _decline(kernel, "empty")
+    sides = (_as_rows(target), _as_rows(base))
+    if None in sides:
+        return _decline(kernel, "non-unit inner stride")
+    # A contiguous side reads as rows of any length, so it adopts the
+    # other side's (a chunk view of a canvas against a decoded root).
+    rows, cols = next((side[1:3] for side in sides if side[1] > 1),
+                      (1, n))
+    strides = [side[3] if side[1:3] == (rows, cols)
+               else cols * target.itemsize if side[1] == 1 else None
+               for side in sides]
+    if None in strides:
+        return _decline(kernel, "target and base rows differ")
+    kind, use_xor = cell
+    if prior is not None:
+        wanted = np.uint64 if use_xor else np.int64
+        if not isinstance(prior, np.ndarray) or prior.dtype != wanted \
+                or prior.size != n or not prior.flags.c_contiguous \
+                or not prior.flags.aligned:
+            return _decline(kernel, "prior is not a flat 64-bit "
+                                    "accumulator of the chunk's size")
+    if out is None or out.size < n or out.dtype != np.uint64 \
+            or not out.flags.c_contiguous or not out.flags.writeable:
+        out = np.empty(n, dtype=np.uint64)
+    codes = out[:n]
     hist = np.empty(65, dtype=np.int64)
-    lib.repro_delta_zigzag_hist(
-        target.ctypes.data_as(_I64_P), base.ctypes.data_as(_I64_P),
-        codes.ctypes.data_as(_U64_P), hist.ctypes.data_as(_I64_P),
-        ctypes.c_int64(n))
+    status = lib.repro_delta_codes(
+        sides[0][0].ctypes.data, sides[1][0].ctypes.data,
+        None if prior is None else prior.ctypes.data,
+        kind, use_xor, rows, cols, *strides,
+        codes.ctypes.data, hist.ctypes.data)
+    if status:
+        return _decline(kernel, "cell kind unknown to this build")
     return codes, hist
+
+
+def rebase_zigzag_stats(target: np.ndarray, root: np.ndarray,
+                        prior: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`delta_zigzag_stats` with a mandatory ``prior``: the codes
+    of ``target - wrap(root + prior)``."""
+    return delta_zigzag_stats(target, root, prior)
+
+
+def split_pack(codes: np.ndarray, small_bits: int, outliers: int,
+               value_bits: int) -> tuple[bytes, bytes, bytes] | None:
+    """The hybrid split's three packed sections in one pass, or None.
+
+    ``codes`` is the flat uint64 code array, ``outliers`` how many of
+    them need more than ``small_bits`` bits and ``value_bits`` the
+    width of the largest — both read off the width histogram the
+    analysis pass already produced, never re-derived.  Returns the
+    packed ``(small, positions, values)`` byte strings exactly as
+    :func:`repro.core.bitpack.pack_unsigned` would emit them for the
+    masked small array, the outlier positions and the outlier values;
+    ``small_bits = 0`` is the sparse codec's layout (empty dense
+    section, every nonzero code in the table).
+    """
+    lib = _active()
+    if lib is None:
+        return None
+    kernel = "split_pack"
+    if not isinstance(codes, np.ndarray) or codes.dtype != np.uint64 \
+            or codes.ndim != 1 or not codes.flags.c_contiguous:
+        return _decline(kernel, "codes are not a flat uint64 array")
+    n = codes.size
+    if n == 0:
+        return _decline(kernel, "empty")
+    if sys.byteorder != "little":
+        return _decline(kernel, "big-endian host")
+    if not (0 <= small_bits <= 64 and 0 <= value_bits <= 64
+            and 0 <= outliers <= n):
+        return _decline(kernel, "split parameters out of range")
+    position_bits = (n - 1).bit_length()
+    sections = [(n * small_bits + 7) // 8,
+                (outliers * position_bits + 7) // 8,
+                (outliers * value_bits + 7) // 8]
+    words = [np.empty((nbytes + 7) // 8, dtype=np.uint64)
+             for nbytes in sections]
+    found = lib.repro_split_pack(
+        codes.ctypes.data, n, small_bits, position_bits, value_bits,
+        outliers, *(section.ctypes.data for section in words))
+    if found != outliers:
+        return _decline(kernel, "outlier count disagrees with the codes")
+    return tuple(w.view(np.uint8)[:nbytes].tobytes()
+                 for w, nbytes in zip(words, sections))
 
 
 def pack_bits(values: np.ndarray, bits: int) -> np.ndarray | None:
@@ -482,38 +844,3 @@ def apply_add64(base: np.ndarray, accumulator: np.ndarray) -> bool:
         accumulator.ctypes.data_as(_U64_P),
         ctypes.c_int64(base.size))
     return True
-
-
-def rebase_zigzag_stats(target: np.ndarray, root: np.ndarray,
-                        prior: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Fused delta-of-delta: codes of ``target - (root + prior)``.
-
-    The re-base counterpart of :func:`delta_zigzag_stats` — same
-    ``(codes, width_counts)`` contract, but the parent is given as the
-    materialized root plus the composed prior-chain delta and is never
-    materialized itself.  int64 cells only; everything else returns
-    None and the caller re-bases in numpy.
-    """
-    lib = _active()
-    if (lib is None
-            or not isinstance(target, np.ndarray)
-            or not isinstance(root, np.ndarray)
-            or not isinstance(prior, np.ndarray)
-            or target.dtype != np.int64 or root.dtype != np.int64
-            or prior.dtype != np.int64
-            or not target.flags.c_contiguous
-            or not root.flags.c_contiguous
-            or not prior.flags.c_contiguous
-            or target.size != root.size
-            or target.size != prior.size
-            or target.size == 0):
-        return None
-    n = target.size
-    codes = np.empty(n, dtype=np.uint64)
-    hist = np.empty(65, dtype=np.int64)
-    lib.repro_rebase_zigzag_hist(
-        target.ctypes.data_as(_I64_P), root.ctypes.data_as(_I64_P),
-        prior.ctypes.data_as(_I64_P), codes.ctypes.data_as(_U64_P),
-        hist.ctypes.data_as(_I64_P), ctypes.c_int64(n))
-    return codes, hist

@@ -71,9 +71,8 @@ def compute_delta(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str]:
             delta = (a.astype(np.int64, copy=False)
                      - b.astype(np.int64, copy=False))
         return delta, mode
-    ua = _bits_of(a)
-    ub = _bits_of(b)
-    return (ua ^ ub).astype(np.uint64), mode
+    # _bits_of promotes 0-d inputs to shape (1,); restore the shape.
+    return (_bits_of(a) ^ _bits_of(b)).reshape(a.shape), mode
 
 
 def apply_delta_forward(base: np.ndarray, delta: np.ndarray,

@@ -26,9 +26,10 @@ produced by the decode pipeline) instead of a reconstructed canvas,
 :meth:`CodePlan.build_rebased` plans the new version's codes directly
 from that state.  Both delta modes compose associatively and
 commutatively — wrapping int64 addition and xor — so the base canvas
-is never materialized: ``codes = zigzag(target - root - acc)`` for
-arithmetic cells (one fused native pass for int64) and
-``codes = bits(target) ^ bits(root) ^ acc`` for floats.  The contract
+is never materialized: ``codes = zigzag(target - wrap(root + acc))``
+for arithmetic cells and ``codes = bits(target) ^ bits(root) ^ acc``
+for floats — the same compiled analysis pass as a canvas plan, for
+every cell type.  The contract
 is byte identity with :meth:`CodePlan.build` over the canvas the state
 denotes — same codes, same statistics, same winner, same payload — and
 every candidate offered a rebased plan must be ``plan_sufficient``
@@ -121,15 +122,24 @@ class CodePlan:
     stats: CodeStats
 
     @classmethod
-    def build(cls, target: np.ndarray, base: np.ndarray) -> "CodePlan":
+    def build(cls, target: np.ndarray, base: np.ndarray, *,
+              scratch: np.ndarray | None = None) -> "CodePlan":
+        """Plan ``target`` against the canvas ``base``.
+
+        Both may be strided chunk views; the compiled analysis pass
+        reads them in place.  ``scratch`` (flat uint64, at least
+        ``target.size`` long) lends the plan its code array's storage:
+        the plan is then only valid until the lender reuses it.
+        """
         numeric.check_same_layout(target, base)
-        fused = native.delta_zigzag_stats(target, base)
+        fused = native.delta_zigzag_stats(target, base, out=scratch)
         if fused is not None:
             # One streaming pass produced the codes and the width
             # histogram together; the raw delta is never materialized
             # (the :attr:`delta` property rebuilds it on demand).
             codes, counts = fused
-            return cls(target=target, base=base, mode=numeric.ARITHMETIC,
+            return cls(target=target, base=base,
+                       mode=numeric.delta_mode_for(target.dtype),
                        codes=codes,
                        stats=CodeStats.from_width_counts(codes.size,
                                                          counts))
@@ -142,19 +152,19 @@ class CodePlan:
         return plan
 
     @classmethod
-    def build_rebased(cls, target: np.ndarray,
-                      state: RebaseState) -> "CodePlan":
+    def build_rebased(cls, target: np.ndarray, state: RebaseState, *,
+                      scratch: np.ndarray | None = None) -> "CodePlan":
         """Plan ``target`` against a base given as chain state, without
         reconstructing the base canvas (delta-of-delta re-base).
 
-        The base the state denotes is ``wrap(root + acc)`` cell-wise,
-        so the new codes fall out of one fused pass:
-        ``zigzag(target - root - acc)`` mod 2**64 for arithmetic cells
-        (a single native kernel when the cells are int64; for narrower
-        dtypes the parent is canonicalized through the attribute dtype
-        — wrap, then re-widen — exactly the value a stepwise apply
-        would have stored) and ``bits(target) ^ bits(root) ^ acc`` for
-        floats, where xor needs no canonicalization.  Byte-identical
+        The base the state denotes is ``wrap(root + acc)`` cell-wise —
+        the parent canonicalized through the attribute dtype (wrap,
+        then re-widen), exactly the value a stepwise apply would have
+        stored — so the new codes are ``zigzag(target - wrap(root +
+        acc))`` mod 2**64 for arithmetic cells and
+        ``bits(target) ^ bits(root) ^ acc`` for floats, where xor
+        needs no canonicalization: the same compiled analysis pass as
+        :meth:`build`, handed the accumulator.  Byte-identical
         to ``build(target, base_canvas)``: same codes, same width
         statistics, hence the same candidate sizes and winner.  The
         returned plan carries ``base=None`` — only plan-sufficient
@@ -162,7 +172,7 @@ class CodePlan:
         """
         accumulator = state.accumulator
         if accumulator is None:
-            return cls.build(target, state.root)
+            return cls.build(target, state.root, scratch=scratch)
         root = state.root
         numeric.check_same_layout(target, root)
         mode = numeric.delta_mode_for(target.dtype)
@@ -170,24 +180,19 @@ class CodePlan:
             raise CodecError(
                 f"rebase state mode {state.mode!r} does not match "
                 f"target dtype {target.dtype} (mode {mode!r})")
+        fused = native.delta_zigzag_stats(target, root, accumulator,
+                                          out=scratch)
+        if fused is not None:
+            codes, counts = fused
+            return cls(target=target, base=None, mode=mode, codes=codes,
+                       stats=CodeStats.from_width_counts(codes.size,
+                                                         counts))
         if mode == numeric.ARITHMETIC:
-            if target.dtype == np.int64:
-                fused = native.rebase_zigzag_stats(
-                    np.ascontiguousarray(target).reshape(-1),
-                    np.ascontiguousarray(root).reshape(-1),
-                    accumulator)
-                if fused is not None:
-                    codes, counts = fused
-                    return cls(target=target, base=None, mode=mode,
-                               codes=codes,
-                               stats=CodeStats.from_width_counts(
-                                   codes.size, counts))
             with np.errstate(over="ignore"):
                 parent64 = (root.astype(np.int64, copy=False).reshape(-1)
                             + accumulator)
                 # Canonicalize through the attribute dtype: wrap, then
-                # re-widen — the exact cell values a stepwise apply
-                # would have stored (identity for int64).
+                # re-widen (identity for 64-bit cells).
                 parent64 = parent64.astype(target.dtype) \
                                    .astype(np.int64)
                 delta = (target.astype(np.int64, copy=False).reshape(-1)
@@ -269,7 +274,8 @@ def materialized_size(target: np.ndarray, compressor: Codec
 def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                   compressor: Codec | None = None,
                   candidates: tuple[DeltaCodec, ...] | None = None,
-                  *, rebase: RebaseState | None = None
+                  *, rebase: RebaseState | None = None,
+                  scratch: np.ndarray | None = None
                   ) -> PlannedEncoding:
     """Pick the cheapest representation of ``target`` in a single pass.
 
@@ -292,6 +298,10 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
     reconstructed, and every candidate must be ``plan_sufficient``.
     The decision is byte-identical to planning against the canvas the
     state denotes.
+
+    ``scratch`` is storage the plan's code array may live in (see
+    :meth:`CodePlan.build`); the returned decision holds only encoded
+    bytes, so the lender may reuse it as soon as this returns.
     """
     compressor = compressor or IdentityCodec()
     mat_size, mat_payload = materialized_size(target, compressor)
@@ -314,9 +324,9 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                 raise CodecError(
                     f"delta codec {codec.name!r} is not plan-sufficient; "
                     "it cannot be offered a rebased plan (no base canvas)")
-        plan = CodePlan.build_rebased(target, rebase)
+        plan = CodePlan.build_rebased(target, rebase, scratch=scratch)
     else:
-        plan = CodePlan.build(target, base)
+        plan = CodePlan.build(target, base, scratch=scratch)
     best_codec: DeltaCodec | None = None
     best_size = mat_size
     best_parts: list[bytes] | None = None

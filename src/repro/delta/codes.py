@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import bitpack, numeric
+from repro.core import bitpack, native, numeric
 from repro.core.errors import CodecError
 from repro.core.serial import (
     pack_i64,
@@ -275,6 +275,38 @@ def ensure_accumulator(accumulator: np.ndarray | None, mode: str,
 
 
 # ----------------------------------------------------------------------
+# Split-and-pack (shared by the sparse and hybrid encoders)
+# ----------------------------------------------------------------------
+def _split_parts(codes: np.ndarray, small_bits: int,
+                 stats: CodeStats | None
+                 ) -> tuple[bytes, list[bytes]] | None:
+    """One compiled pass over ``codes`` split at ``small_bits``, or None.
+
+    Returns the packed small-code section and the outlier table
+    (count, position width, value width, positions, values) — the
+    sparse encoding *is* that table at ``small_bits = 0``, the hybrid
+    encoding the small width byte, the section and the table.  The
+    outlier count and value width are read off ``stats`` (the outliers
+    include the array maximum whenever there are any), so nothing is
+    re-scanned.  None without ``stats`` or the kernel: the numpy
+    forms below are the byte-identical fallback.
+    """
+    if stats is None or not codes.size:
+        return None
+    # outliers[64] is the cost curve's wrapped-threshold sentinel; no
+    # code needs more than 64 bits.
+    outliers = stats.outliers_at(small_bits) if small_bits < 64 else 0
+    value_bits = stats.max_bits if outliers else 0
+    sections = native.split_pack(codes, small_bits, outliers, value_bits)
+    if sections is None:
+        return None
+    small, positions, values = sections
+    position_bits = bitpack.required_bits(codes.size - 1)
+    return small, [pack_i64(outliers), pack_u8(position_bits),
+                   pack_u8(value_bits), positions, values]
+
+
+# ----------------------------------------------------------------------
 # Sparse strategy
 # ----------------------------------------------------------------------
 def sparse_size(codes: np.ndarray, stats: CodeStats | None = None) -> int:
@@ -305,8 +337,12 @@ def encode_sparse_parts(codes: np.ndarray,
     One :func:`np.flatnonzero` pass yields the positions, which gather
     the values directly (no uint64/int64 index round trip); ``stats``
     additionally supplies the value width, skipping the max reduction
-    over the gathered values.
+    over the gathered values — and lets the compiled split-and-pack
+    pass (a split at width 0) replace the numpy form outright.
     """
+    split = _split_parts(codes, 0, stats)
+    if split is not None:
+        return split[1]
     positions = np.flatnonzero(codes)
     values = codes[positions]
     position_bits = bitpack.required_bits(max(0, codes.size - 1))
@@ -458,16 +494,22 @@ def encode_hybrid_parts(codes: np.ndarray,
     """Optimal small/large split encoding as its constituent buffers.
 
     With ``stats`` the cost search reuses the shared width histogram
-    instead of re-sorting, and the known outlier count batches the
-    gather: a split with no outliers packs ``codes`` directly — no
-    mask, no ``where`` copy, no nonzero scan — and a split with
-    outliers builds the mask exactly once for both the positions and
-    the zeroed small array.  Both forms emit identical bytes.
+    instead of re-sorting and the split itself is one compiled pass
+    (:func:`_split_parts`).  The numpy form below it is the fallback
+    and the oracle: with ``stats`` a split with no outliers packs
+    ``codes`` directly — no mask, no ``where`` copy, no nonzero scan —
+    and otherwise the mask is built exactly once for both the
+    positions and the zeroed small array.  All forms emit identical
+    bytes.
     """
     n = codes.size
     widths, costs, value_bits = _split_costs(codes, stats)
     small_bits = int(widths[int(np.argmin(costs))]) if n else 0
     position_bits = bitpack.required_bits(max(0, n - 1))
+
+    split = _split_parts(codes, small_bits, stats)
+    if split is not None:
+        return [pack_u8(small_bits), split[0], *split[1]]
 
     if n and stats is not None and not stats.outliers_at(small_bits):
         # The chosen split keeps every code dense: the packed small

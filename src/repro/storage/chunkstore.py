@@ -121,8 +121,7 @@ class ChunkStore:
         self.stats.record_open()
         return location
 
-    def sync_chunks(self, locations: list[ChunkLocation],
-                    max_workers: int | None = None) -> None:
+    def sync_chunks(self, locations: list[ChunkLocation]) -> None:
         """Durability barrier over the listed payloads' objects.
 
         The write pipeline raises this barrier once per version — after
@@ -130,21 +129,20 @@ class ChunkStore:
         row can never name bytes that would not survive a crash.  A
         no-op on a plain local backend; durable backends fsync here,
         and the object store finalizes every pending multipart upload.
-        ``max_workers`` > 1 fans the flushes across the backend's I/O
-        pool (defaults to the store's configured degree).  On a
-        high-latency backend the degree is raised to the barrier's
-        I/O depth even when the CPU-oriented workers degree is serial,
-        so whatever per-object waiting the barrier involves — the
-        durable mode's fsync leg today, real finalize round trips on a
-        remote store — overlaps rather than serializes.  (The local
+        The store's configured degree fans the flushes across the
+        backend's I/O pool.  On a high-latency backend the degree is
+        raised to the barrier's I/O depth even when the CPU-oriented
+        workers degree is serial, so whatever per-object waiting the
+        barrier involves — the durable mode's fsync leg today, real
+        finalize round trips on a remote store — overlaps rather than
+        serializes.  (The local
         emulation's finalize composition itself is lock-serialized;
         see :meth:`ObjectStoreBackend.sync`.)
         """
         paths = list(dict.fromkeys(location.path
                                    for location in locations))
-        degree = self.max_workers if max_workers is None else max_workers
-        if self.backend.high_latency:
-            degree = max(degree, SYNC_FAN)
+        degree = max(self.max_workers, SYNC_FAN) \
+            if self.backend.high_latency else self.max_workers
         self.backend.sync(paths, max_workers=degree)
 
     # ------------------------------------------------------------------

@@ -65,6 +65,54 @@ __all__ = [
 ]
 
 
+class _HotSlot:
+    """The last version written, snapshotted into store-owned memory.
+
+    A chain-policy insert deltas against the data the manager was just
+    handed instead of re-reconstructing the parent through its whole
+    delta chain.  The slot must never alias memory the caller can
+    still reach — ``ArrayData`` marks only its own view read-only, so
+    ``insert(buf[:])`` leaves ``buf`` writable, and a simulation loop
+    that mutates ``buf`` in place between inserts would otherwise
+    delta the next version against an already-mutated "base".  So the
+    version is copied into one canvas per attribute, allocated once
+    per layout and reused across inserts (one ``np.copyto`` each).
+    """
+
+    def __init__(self):
+        self._key: tuple[str, int] | None = None
+        self._canvases: dict[str, np.ndarray] = {}
+        self._data: ArrayData | None = None
+
+    def get(self, name: str, version: int) -> ArrayData | None:
+        """The snapshot of ``name@version`` when that is what is held."""
+        return self._data if self._key == (name, version) else None
+
+    def remember(self, name: str, version: int, data: ArrayData) -> None:
+        sources = {attr: data.attribute(attr)
+                   for attr in data.attribute_names}
+        layout = {attr: (values.shape, values.dtype)
+                  for attr, values in sources.items()}
+        if layout != {attr: (canvas.shape, canvas.dtype)
+                      for attr, canvas in self._canvases.items()}:
+            self._canvases = {attr: np.empty_like(values)
+                              for attr, values in sources.items()}
+            # ArrayData flips the arrays it is given read-only: hand
+            # it views, keep the writable canvases here.
+            self._data = ArrayData(data.schema, {
+                attr: canvas.view()
+                for attr, canvas in self._canvases.items()})
+        self._key = None  # never a named, half-copied canvas
+        for attr, values in sources.items():
+            np.copyto(self._canvases[attr], values)
+        self._key = (name, version)
+
+    def forget(self, name: str) -> None:
+        """Drop the snapshot if it is of array ``name``."""
+        if self._key is not None and self._key[0] == name:
+            self._key = None
+
+
 class VersionedStorageManager:
     """Single-node versioned array storage (the paper's prototype)."""
 
@@ -115,14 +163,11 @@ class VersionedStorageManager:
         self.decoder = DecodePipeline(self.catalog, self.store,
                                       cache=self.cache,
                                       workers=self.workers)
-        # Write-side hot-version slot: the last version this manager
-        # wrote, kept so a chain-policy insert deltas against the data
-        # it was just handed instead of re-reconstructing the parent
-        # through its whole delta chain (O(depth) reads per insert).
-        # Safe because ArrayData is immutable and version contents
-        # never change once written; deletion invalidates the slot
-        # since a deleted head's number can be reused.
-        self._hot_version: tuple[str, int, ArrayData] | None = None
+        # Write-side hot-version slot: saves the O(depth) parent
+        # reconstruction per insert.  Version contents never change
+        # once written; deletion invalidates the slot since a deleted
+        # head's number can be reused.
+        self._hot = _HotSlot()
 
     @property
     def backend(self) -> StorageBackend:
@@ -199,8 +244,7 @@ class VersionedStorageManager:
         """Drop an array, its versions, and its stored bytes."""
         record = self.catalog.get_array(name)  # existence check
         self.cache.invalidate_array(record.array_id)
-        if self._hot_version is not None and self._hot_version[0] == name:
-            self._hot_version = None
+        self._hot.forget(name)
         self.catalog.delete_array(name)
         self.store.delete_array(name)
 
@@ -403,8 +447,7 @@ class VersionedStorageManager:
         # The re-encode loop above repopulates the hot slot with live
         # contents, but a deleted head's version number can be reused
         # by the next insert — drop the slot for this array outright.
-        if self._hot_version is not None and self._hot_version[0] == name:
-            self._hot_version = None
+        self._hot.forget(name)
         if reclaim:
             self._repack(record)
 
@@ -721,19 +764,16 @@ class VersionedStorageManager:
         pipeline for one version.
 
         The base is resolved cheapest-first: the hot-version slot (the
-        data is already in hand), then delta-of-delta re-base (the
-        parent's chain state stands in for its canvas — the parent is
-        never reconstructed), then a full :meth:`select`.  All three
-        produce byte-identical stored bytes.
+        store's own snapshot of the version it wrote last), then
+        delta-of-delta re-base (the parent's chain state stands in for
+        its canvas — the parent is never reconstructed), then a full
+        :meth:`select`.  All three produce byte-identical stored bytes.
         """
         base_data: ArrayData | None = None
         rebase_states: dict | None = None
         if base_version is not None and self.encoder.wants_base:
-            hot = self._hot_version
-            if hot is not None and hot[0] == record.name \
-                    and hot[1] == base_version:
-                base_data = hot[2]
-            else:
+            base_data = self._hot.get(record.name, base_version)
+            if base_data is None:
                 rebase_states = self._chain_states(record, base_version)
                 if rebase_states is None:
                     base_data = self.select(record.name, base_version)
@@ -744,7 +784,8 @@ class VersionedStorageManager:
                                    replace=replace,
                                    version_row=version_row,
                                    merge_parents=merge_parents)
-        self._hot_version = (record.name, version, data)
+        if self.encoder.wants_base:
+            self._hot.remember(record.name, version, data)
 
     def _chain_states(self, record: ArrayRecord, base_version: int
                       ) -> dict | None:

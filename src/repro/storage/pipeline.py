@@ -301,12 +301,11 @@ class _PooledStage:
 class EncodeTask:
     """One (attribute, chunk) unit of the encode stage's fan-out.
 
-    Tasks are deliberately light — just coordinates.  The target and
-    base slices are materialized *inside* the encode stage (the input
-    canvases are shared read-only, which is thread-safe for numpy
-    views), so the copies in flight stay bounded by the dispatch
-    window rather than the whole version, and the serial path holds
-    one chunk's copies at a time exactly as the seed loop did.
+    Tasks are deliberately light — just coordinates.  The encode
+    stage slices the target and base *views* out of the input canvases
+    (shared read-only, which is thread-safe for numpy views) and the
+    analysis kernel reads them in place, so no chunk is copied unless
+    its materialized form wins.
     """
 
     attribute: str
@@ -339,6 +338,10 @@ class EncodePipeline(_PooledStage):
         self.store = store
         self.delta_policy = delta_policy
         self.delta_codec_name = delta_codec
+        # One code-array buffer per encoding thread, reused chunk
+        # after chunk: a plan's codes are dead once its decision (pure
+        # bytes) is returned, and a task runs on one thread.
+        self._scratch = threading.local()
         self._init_pool(workers)
 
     @property
@@ -399,17 +402,22 @@ class EncodePipeline(_PooledStage):
         (delta-of-delta re-base); callers are gated on
         :attr:`can_rebase`.
         """
+        scratch = None
         if self.delta_policy == POLICY_MATERIALIZE or \
                 (base is None and rebase is None):
             base = None
             rebase = None
             candidates = None
-        elif self.delta_policy == POLICY_CHAIN:
-            candidates = (get_delta_codec(self.delta_codec_name),)
         else:
-            candidates = None
+            candidates = (get_delta_codec(self.delta_codec_name),) \
+                if self.delta_policy == POLICY_CHAIN else None
+            scratch = getattr(self._scratch, "codes", None)
+            if scratch is None or scratch.size < target.size:
+                scratch = self._scratch.codes = np.empty(
+                    target.size, dtype=np.uint64)
         planned = plan_encoding(target, base, compressor=compressor,
-                                candidates=candidates, rebase=rebase)
+                                candidates=candidates, rebase=rebase,
+                                scratch=scratch)
         self.store.stats.record_encode_plan(planned.encodes_avoided,
                                             planned.bytes_saved)
         return planned.decision
@@ -418,15 +426,14 @@ class EncodePipeline(_PooledStage):
                      base_data: ArrayData | None,
                      rebase_states: dict | None,
                      compressor) -> EncodingDecision:
-        target = np.ascontiguousarray(
-            data.attribute(task.attribute)[task.chunk.slices()])
+        target = data.attribute(task.attribute)[task.chunk.slices()]
         base = None
         rebase = None
         if rebase_states is not None:
             rebase = rebase_states[(task.attribute, task.chunk.name)]
         elif base_data is not None:
-            base = np.ascontiguousarray(
-                base_data.attribute(task.attribute)[task.chunk.slices()])
+            base = base_data.attribute(
+                task.attribute)[task.chunk.slices()]
         decision = self.encode_chunk(target, base, compressor,
                                      rebase=rebase)
         self.store.stats.record_encode_task()
@@ -585,8 +592,7 @@ class EncodePipeline(_PooledStage):
         # completes every multipart upload this version staged (the
         # store raises the fan to the barrier's I/O depth when
         # per-request cost dominates).
-        self.store.sync_chunks([chunk.location for chunk in records],
-                               max_workers=self.workers)
+        self.store.sync_chunks([chunk.location for chunk in records])
         self.catalog.put_chunks(records, version=version_row,
                                 merge_parents=merge_parents)
 

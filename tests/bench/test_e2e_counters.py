@@ -1,15 +1,20 @@
 """Counter gate over the end-to-end benchmark (``benchmarks/e2e``).
 
 The benchmark's timings belong to the box that ran them; its counters
-do not — for one seed they repeat exactly.  This file runs two
+do not — for one seed they repeat exactly.  This file runs three
 workloads at ``--scale smoke`` under the tracer and holds the
-machine-independent facts the read path's two-job rule establishes:
+machine-independent facts the read path's two-job rule and the write
+path's one-plan-per-chunk rule establish:
 
 * ``mixed-rw`` (cache an eighth of the working set): deep snapshots do
   not fit the cache's free space, so they are read fused, and what the
   cache does keep survives the appends in between;
 * ``region-hot`` (cache = working set): the warm-up's cold reads
-  warm-fill whole chains, so the measured phase never misses.
+  warm-fill whole chains, so the measured phase never misses;
+* ``ingest-chain`` (appends onto a hot chain): every insert plans its
+  16 chunks once each, proves the delta smaller without producing the
+  materialized payload, never re-bases (the hot slot holds the
+  parent), writes 16 payloads and raises one durability barrier.
 """
 
 from __future__ import annotations
@@ -48,3 +53,12 @@ def test_region_hot_measured_phase_never_misses(tmp_path):
     metrics = traced_metrics(tmp_path, "region-hot", "--seconds", "2")
     assert metrics["cache_misses_per_op"] == 0
     assert metrics["pipeline.cache_hit_ratio"] == 1.0
+
+
+def test_ingest_chain_plans_each_chunk_once(tmp_path):
+    metrics = traced_metrics(tmp_path, "ingest-chain", "--seconds", "2")
+    assert metrics["encode_tasks_per_insert"] == 16
+    assert metrics["encodes_avoided_per_insert"] == 16
+    assert metrics["rebases_per_insert"] == 0
+    assert metrics["chunks_written_per_op"] == 16
+    assert metrics["syncs_per_insert"] == 1

@@ -43,6 +43,26 @@ class TestLifecycle:
             out = cluster.select("A", number)
             np.testing.assert_array_equal(out.single(), expected)
 
+    def test_insert_snapshots_a_buffer_the_caller_keeps_mutating(
+            self, tmp_path):
+        # The coordinator hands each node a *view* of the caller's
+        # array; a node must not delta the next insert against it.
+        cluster = ClusterCoordinator(tmp_path, nodes=2, replication=2,
+                                     chunk_bytes=1024)
+        cluster.create_array("A", ArraySchema.simple((12, 8),
+                                                     dtype=np.int32))
+        buf = np.arange(96, dtype=np.int32).reshape(12, 8)
+        cluster.insert("A", buf[:])
+        first = buf.copy()
+        buf[0, 0] += 5       # node 0's band
+        buf[11, 2:6] = -7    # node 1's band
+        cluster.insert("A", buf[:])
+        np.testing.assert_array_equal(cluster.select("A", 1).single(),
+                                      first)
+        np.testing.assert_array_equal(cluster.select("A", 2).single(),
+                                      buf)
+        cluster.close()
+
     def test_versions_consistent(self, loaded):
         cluster, _ = loaded
         assert cluster.get_versions("A") == [1, 2, 3]

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.compression import LempelZivCodec
 from encoding_oracle import choose_encoding
 from repro.core import bitpack, native
-from repro.core.numeric import compute_delta
+from repro.core.numeric import compute_delta, delta_mode_for
 from repro.core.schema import ArraySchema
 from repro.delta import (
     CodeStats,
@@ -31,12 +31,17 @@ from repro.delta import (
     SparseDeltaCodec,
     get_delta_codec,
 )
-from repro.delta.auto import CodePlan, plan_encoding
-from repro.delta.codes import delta_to_codes
+from repro.delta.auto import CodePlan, RebaseState, plan_encoding
+from repro.delta.codes import (
+    delta_to_codes,
+    encode_hybrid_parts,
+    encode_sparse_parts,
+    hybrid_split_width,
+)
 from repro.storage import VersionedStorageManager
 
-_DTYPES = (np.int64, np.int32, np.uint16, np.int8,
-           np.float64, np.float32, np.bool_)
+_DTYPES = (np.int64, np.int32, np.uint16, np.int8, np.uint64, np.uint8,
+           np.float64, np.float32, np.float16, np.bool_)
 
 
 @st.composite
@@ -54,7 +59,7 @@ def _version_pair(draw):
     else:
         info = np.iinfo(dtype)
         base = rng.integers(info.min, int(info.max) + 1,
-                            size=shape).astype(dtype)
+                            size=shape, dtype=dtype)
     profile = draw(st.sampled_from(
         ["identical", "sparse", "smooth", "outliers", "random"]))
     target = base.copy()
@@ -81,7 +86,8 @@ def _version_pair(draw):
         hits = rng.choice(base.size, size=min(n_out, base.size),
                           replace=False)
         if dtype.kind == "f":
-            flat[hits] = -flat[hits] * 1e30
+            with np.errstate(over="ignore"):  # float16 saturates to inf
+                flat[hits] = -flat[hits] * 1e30
         elif dtype.kind != "b":
             info = np.iinfo(dtype)
             flat[hits] = info.max
@@ -93,7 +99,7 @@ def _version_pair(draw):
         else:
             info = np.iinfo(dtype)
             target = rng.integers(info.min, int(info.max) + 1,
-                                  size=shape).astype(dtype)
+                                  size=shape, dtype=dtype)
     return target, base
 
 
@@ -245,13 +251,241 @@ class TestNativeKernels:
         assert got == ref_blocked.view(np.uint8)[:needed].tobytes()
 
     def test_gated_off_by_dtype_and_layout(self, rng):
-        f = rng.normal(size=8)
-        assert native.delta_zigzag_stats(f, f) is None
-        ints = rng.integers(0, 9, (8, 8), dtype=np.int64)
+        # The gates that legitimately remain: the inner (last-axis)
+        # stride must be one cell, there must be cells, both sides
+        # must be ndarrays of one dtype and shape.
+        ints = rng.integers(0, 9, (8, 8), dtype=np.int32)
         assert native.delta_zigzag_stats(ints[:, ::2],
                                          ints[:, ::2]) is None
+        assert native.delta_zigzag_stats(ints[0, ::2],
+                                         ints[0, ::2]) is None
         empty = np.zeros(0, dtype=np.int64)
         assert native.delta_zigzag_stats(empty, empty) is None
+        assert native.delta_zigzag_stats(ints.tolist(), ints) is None
+        assert native.delta_zigzag_stats(np.int32(3),
+                                         np.int32(4)) is None
+        assert native.delta_zigzag_stats(
+            ints, ints.astype(np.int64)) is None
+        assert native.delta_zigzag_stats(ints, ints[:4]) is None
+        swapped = ints.astype(ints.dtype.newbyteorder())
+        assert native.delta_zigzag_stats(swapped, swapped) is None
+        # The accumulator of a re-base is flat, 64-bit, chunk-sized.
+        assert native.delta_zigzag_stats(
+            ints, ints, np.zeros(ints.size, dtype=np.int32)) is None
+        assert native.delta_zigzag_stats(
+            ints, ints, np.zeros(ints.size - 1, dtype=np.int64)) is None
+
+    def test_decline_is_logged_once_per_reason(self, caplog,
+                                               monkeypatch):
+        monkeypatch.setattr(native, "_declined", set())
+        ints = np.arange(16, dtype=np.int32).reshape(4, 4)
+        with caplog.at_level("DEBUG", logger="repro.native"):
+            for _ in range(3):
+                assert native.delta_zigzag_stats(ints[:, ::2],
+                                                 ints[:, ::2]) is None
+            assert native.delta_zigzag_stats(ints[:0], ints[:0]) is None
+        messages = [record.getMessage() for record in caplog.records]
+        assert messages == [
+            "native declined delta_zigzag_stats: non-unit inner stride",
+            "native declined delta_zigzag_stats: empty",
+        ]
+        assert all(record.levelname == "DEBUG"
+                   for record in caplog.records)
+
+
+_LAYOUTS = {
+    "contiguous": lambda canvas: np.ascontiguousarray(canvas[2:8, 3:11]),
+    "row-strided": lambda canvas: canvas[2:8, 3:11],
+    "1-d": lambda canvas: canvas[4],
+    "1-column": lambda canvas: canvas[:, 5:6],
+    "size-1": lambda canvas: canvas[3:4, 7:8],
+    "0-d": lambda canvas: canvas[3, 7, ...],
+    # A 3-d window: rows more than one stride apart (read via a copy).
+    "3-d": lambda canvas: canvas.reshape(2, 5, 12)[:, 1:4, 2:9],
+}
+
+
+def _cells(rng, dtype: np.dtype, shape) -> np.ndarray:
+    """Uniformly random bit patterns of ``dtype`` (NaNs, infinities,
+    subnormals and both zeros included for floats)."""
+    if dtype.kind == "b":
+        return rng.integers(0, 2, size=shape).astype(dtype)
+    raw = rng.integers(0, 256, size=(*shape, dtype.itemsize),
+                       dtype=np.uint8)
+    return raw.view(dtype).reshape(shape)
+
+
+def _reference_plan(target, base, accumulator=None) -> CodePlan:
+    """The plan the numpy path builds for the same inputs."""
+    with native.disabled():
+        if accumulator is None:
+            return CodePlan.build(target, base)
+        return CodePlan.build_rebased(
+            target, RebaseState(root=base, accumulator=accumulator,
+                                mode=delta_mode_for(target.dtype)))
+
+
+def _accumulator(rng, dtype: np.dtype, count: int) -> np.ndarray:
+    """A composed-chain accumulator as ``DecodePipeline._compose``
+    leaves it: flat, mostly zero, int64 sums or float-width xors."""
+    values = rng.integers(-2**63, 2**63, count, dtype=np.int64)
+    values[rng.random(count) < 0.6] = 0
+    if dtype.kind == "f":
+        return values.view(np.uint64) >> np.uint64(64 - 8 * dtype.itemsize)
+    return values
+
+
+@pytest.mark.skipif(not native.available(),
+                    reason="native kernels did not compile")
+class TestNativeEveryCellType:
+    """The write path's two kernels are held to the numpy path — the
+    oracle — for every dtype ``delta_mode_for`` accepts, so a gate can
+    never again quietly send a whole class of arrays to the fallback."""
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    @pytest.mark.parametrize("base_kind", ["canvas", "root",
+                                           "root+accumulator"])
+    @pytest.mark.parametrize("dtype", [
+        np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+        np.uint32, np.uint64, np.bool_, np.float16, np.float32,
+        np.float64])
+    def test_gate_accepts(self, rng, dtype, layout, base_kind):
+        dtype = np.dtype(dtype)
+        target = _LAYOUTS[layout](_cells(rng, dtype, (10, 12)))
+        base = _LAYOUTS[layout](_cells(rng, dtype, (10, 12)))
+        accumulator = None
+        if base_kind != "canvas":
+            # A decoded root is its own contiguous array.
+            base = np.ascontiguousarray(base).reshape(target.shape)
+        if base_kind == "root+accumulator":
+            accumulator = _accumulator(rng, dtype, target.size)
+        fused = native.delta_zigzag_stats(target, base, accumulator)
+        assert fused is not None
+        reference = _reference_plan(target, base, accumulator)
+        codes, counts = fused
+        assert np.array_equal(codes, reference.codes)
+        assert np.array_equal(counts, reference.stats.width_counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=version_pairs, strided=st.booleans(),
+           rebased=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_plan_and_payload_match_numpy(self, pair, strided, rebased,
+                                          seed):
+        target, base = pair
+        rng = np.random.default_rng(seed)
+        if strided and target.ndim:
+            # The same cells as a chunk view of a larger canvas.
+            def embed(cells):
+                canvas = _cells(rng, cells.dtype,
+                                tuple(n + 3 for n in cells.shape))
+                window = canvas[tuple(slice(1, n + 1)
+                                      for n in cells.shape)]
+                window[...] = cells
+                return window
+            target, base = embed(target), embed(base)
+        accumulator = _accumulator(rng, target.dtype, target.size) \
+            if rebased else None
+        reference = _reference_plan(target, base, accumulator)
+        if accumulator is None:
+            plan = CodePlan.build(target, base)
+        else:
+            plan = CodePlan.build_rebased(target, RebaseState(
+                root=base, accumulator=accumulator, mode=reference.mode))
+        assert plan.mode == reference.mode
+        assert np.array_equal(plan.codes, reference.codes)
+        assert np.array_equal(plan.stats.width_counts,
+                              reference.stats.width_counts)
+        assert hybrid_split_width(plan.codes, plan.stats) == \
+            hybrid_split_width(reference.codes, reference.stats)
+        with native.disabled():
+            expected = {
+                codec.name: b"".join(codec.encode_from_plan(reference))
+                for codec in (HybridDeltaCodec(), SparseDeltaCodec())}
+        for codec in (HybridDeltaCodec(), SparseDeltaCodec()):
+            assert b"".join(codec.encode_from_plan(plan)) == \
+                expected[codec.name], codec.name
+
+    @pytest.mark.parametrize("dtype, target, base", [
+        # 33-bit deltas out of 32-bit cells, in both directions.
+        (np.int32, [-2**31, 2**31 - 1, 0, -1], [2**31 - 1, -2**31, 0, -1]),
+        (np.int8, [-128, 127, 0], [127, -128, 0]),
+        # uint64 wraparound: the int64 image of the difference.
+        (np.uint64, [0, 2**64 - 1, 2**63, 1], [2**64 - 1, 0, 0, 2**63]),
+        (np.int64, [-2**63, 2**63 - 1, 0], [2**63 - 1, -2**63, -2**63]),
+        (np.uint8, [0, 255, 7], [255, 0, 7]),
+        (np.bool_, [True, False, True], [False, True, True]),
+    ])
+    def test_integer_boundaries(self, dtype, target, base):
+        target = np.array(target, dtype=dtype)
+        base = np.array(base, dtype=dtype)
+        for accumulator in (None,
+                            np.array([1, -1, 2**62, -2**63][:target.size],
+                                     dtype=np.int64)):
+            self._assert_same_encoding(target, base, accumulator)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32,
+                                       np.float64])
+    def test_float_bit_patterns(self, dtype):
+        specials = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
+                             1.0, np.finfo(dtype).tiny, -1.5],
+                            dtype=dtype)
+        self._assert_same_encoding(specials, specials[::-1].copy(), None)
+        self._assert_same_encoding(
+            specials, np.zeros_like(specials),
+            np.arange(specials.size, dtype=np.uint64))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float32])
+    def test_all_equal_and_all_outlier_chunks(self, rng, dtype):
+        dtype = np.dtype(dtype)
+        base = _cells(rng, dtype, (40, 50))
+        self._assert_same_encoding(base.copy(), base, None)
+        # Every cell changed by a full-width amount: no small codes.
+        self._assert_same_encoding(_cells(rng, dtype, (40, 50)), base,
+                                   None)
+
+    @staticmethod
+    def _assert_same_encoding(target, base, accumulator):
+        reference = _reference_plan(target, base, accumulator)
+        if accumulator is None:
+            plan = CodePlan.build(target, base)
+        else:
+            plan = CodePlan.build_rebased(target, RebaseState(
+                root=base, accumulator=accumulator, mode=reference.mode))
+        assert np.array_equal(plan.codes, reference.codes)
+        assert np.array_equal(plan.stats.width_counts,
+                              reference.stats.width_counts)
+        for encode in (encode_hybrid_parts, encode_sparse_parts):
+            with native.disabled():
+                expected = b"".join(encode(reference.codes,
+                                           reference.stats))
+            assert b"".join(encode(plan.codes, plan.stats)) == expected
+
+    @pytest.mark.parametrize("small_bits", range(65))
+    def test_split_pack_at_every_width(self, rng, small_bits):
+        # Codes of every exact bit length 0..64, zero runs included.
+        widths = rng.integers(0, 65, 1500)
+        widths[rng.random(1500) < 0.5] = 0
+        codes = np.array(
+            [int(rng.integers(1 << (w - 1), 1 << w, dtype=np.uint64))
+             if w else 0 for w in widths.tolist()], dtype=np.uint64)
+        stats = CodeStats.from_codes(codes)
+        is_outlier = np.array([int(c) >> small_bits > 0 for c in codes])
+        positions = np.flatnonzero(is_outlier)
+        values = codes[positions]
+        value_bits = stats.max_bits if positions.size else 0
+        with native.disabled():
+            expected = (
+                bitpack.pack_unsigned(np.where(is_outlier, np.uint64(0),
+                                               codes), small_bits),
+                bitpack.pack_unsigned(positions, 11),
+                bitpack.pack_unsigned(values, value_bits))
+        assert native.split_pack(codes, small_bits, positions.size,
+                                 value_bits) == expected
+        # A count the codes overrun is refused, not written past.
+        if positions.size:
+            assert native.split_pack(codes, small_bits,
+                                     positions.size - 1,
+                                     value_bits) is None
 
 
 def _decide_with_oracle(manager: VersionedStorageManager) -> None:

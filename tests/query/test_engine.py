@@ -59,6 +59,20 @@ class TestDatabaseFacade:
         out = db.select("A@1", window=((1, 1), (2, 2)))
         np.testing.assert_array_equal(out, data[1:3, 1:3])
 
+    def test_insert_snapshots_a_buffer_the_caller_keeps_mutating(self, db):
+        # The simulation loop: one buffer, mutated in place between
+        # inserts.  The store must delta version 2 against version 1
+        # as inserted, not against the buffer's current contents.
+        buf = np.arange(16, dtype=np.int32).reshape(4, 4)
+        db.insert("A", buf[:])
+        first = buf.copy()
+        buf[0, 0] += 5
+        buf[3, 1:3] = -7
+        db.insert("A", buf[:])
+        assert np.array_equal(db.select("A@1"), first)
+        assert np.array_equal(db.select("A@2"), buf)
+        assert buf.flags.writeable
+
     def test_versions_and_properties(self, db, rng):
         db.insert("A", rng.integers(0, 9, (4, 4)).astype(np.int32))
         db.insert("A", rng.integers(0, 9, (4, 4)).astype(np.int32))

@@ -7,9 +7,12 @@ one object per co-located chunk chain, not one per payload.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from repro.core import native
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema
 from repro.storage import (
@@ -207,3 +210,89 @@ class TestBatchedChainReads:
                 per_version.select("A", version).single())
         colocated.close()
         per_version.close()
+
+
+def _history(rng, dtype, shape=(150, 170), versions=5):
+    """A version chain of sparse bumps plus one dense patch per step."""
+    data = rng.integers(0, 1000, shape).astype(dtype)
+    out = [data]
+    for step in range(1, versions):
+        data = data.copy()
+        hits = rng.integers(0, data.size, data.size // 100)
+        data.reshape(-1)[hits] += np.asarray(step, dtype=dtype)
+        data[10 * step:10 * step + 9, 20:60] += np.asarray(7, dtype=dtype)
+        out.append(data)
+    return out
+
+
+class TestEncodeScratch:
+    """The encode stage reads chunk views in place and lends every plan
+    one per-thread code buffer; neither may show in the stored bytes or
+    in the allocator."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32])
+    @pytest.mark.parametrize("delta_policy", ["chain", "auto"])
+    def test_one_fingerprint_across_workers_and_kernels(
+            self, tmp_path, rng, dtype, delta_policy):
+        # 150 x 170 in ~4 KiB chunks: edge chunks of three other sizes
+        # follow full ones through the same (larger) scratch buffer.
+        history = _history(rng, dtype)
+        prints = {}
+        for label, workers, numpy_only in (("serial", 0, False),
+                                           ("pool", 4, False),
+                                           ("numpy", 4, True)):
+            manager = VersionedStorageManager(
+                tmp_path / label, chunk_bytes=4096, backend="local",
+                delta_policy=delta_policy, workers=workers)
+            manager.create_array("a", ArraySchema.simple(
+                history[0].shape, dtype=dtype))
+            scope = native.disabled() if numpy_only else nullcontext()
+            with scope:
+                for data in history[:-1]:
+                    manager.insert("a", data)
+                # A write elsewhere takes the hot slot, so the last
+                # insert is a delta-of-delta re-base.
+                manager.branch("a", 2, "b")
+                manager.insert("a", history[-1])
+            assert manager.stats.encode_rebases > 0
+            prints[label] = manager.fingerprint()
+            for version, data in enumerate(history, start=1):
+                assert np.array_equal(
+                    manager.select("a", version).single(), data)
+            manager.close()
+        assert len(set(prints.values())) == 1
+
+    @pytest.mark.skipif(not native.available(),
+                        reason="native kernels did not compile")
+    @pytest.mark.parametrize("delta_policy", ["chain", "auto"])
+    def test_delta_encode_allocates_no_chunk_sized_temporary(
+            self, tmp_path, rng, delta_policy):
+        import tracemalloc
+
+        from repro.compression.registry import get_codec
+
+        # One 1 MiB int32 chunk, read as a view of a 2 MiB-per-row-band
+        # canvas, 1 % of its cells changed.
+        canvas = rng.integers(0, 1000, (512, 1024)).astype(np.int32)
+        changed = canvas.copy()
+        hits = rng.integers(0, canvas.size, canvas.size // 100)
+        changed.reshape(-1)[hits] += 5
+        target, base = changed[:, 256:768], canvas[:, 256:768]
+        assert target.nbytes == 1 << 20 and not target.flags.c_contiguous
+        manager = VersionedStorageManager(
+            tmp_path / "s", backend="memory", delta_policy=delta_policy)
+        encoder, compressor = manager.encoder, get_codec("none")
+        first = encoder.encode_chunk(target, base, compressor)
+        tracemalloc.start()
+        try:
+            again = encoder.encode_chunk(target, base, compressor)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again.is_delta and again.payload == first.payload
+        # Second call: the scratch exists, so all that is allocated is
+        # the encoded sections (~11 KiB, twice while being cut to size)
+        # and histogram-sized bookkeeping — nowhere near the 1 MiB
+        # chunk, let alone its 2 MiB code array.
+        assert peak < 96 * 1024, peak
+        manager.close()
