@@ -25,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.harness import fmt_bytes, fmt_seconds, print_table, timed
-from repro.core import numeric
 from repro.core.schema import ArraySchema
 from repro.datasets import noaa_series, osm_series
-from repro.delta import codes as code_store
+from repro.delta import CodePlan, codes as code_store
 from repro.storage import (
     COLOCATED,
     PER_VERSION,
@@ -125,23 +124,20 @@ def run_hybrid_threshold(versions: int = 6,
                          quiet: bool = False) -> list[dict]:
     """Optimal hybrid split vs fixed small-code widths."""
     frames = noaa_series(versions, shape=shape)["humidity"]
-    code_arrays = []
-    for previous, current in zip(frames, frames[1:]):
-        delta, mode = numeric.compute_delta(current, previous)
-        code_arrays.append(code_store.delta_to_codes(delta, mode))
+    plans = [CodePlan.build(current, previous)
+             for previous, current in zip(frames, frames[1:])]
 
     rows = []
-    optimal_total = sum(code_store.hybrid_size(codes)
-                        for codes in code_arrays)
+    optimal_total = sum(code_store.hybrid_size(plan.codes, plan.stats)
+                        for plan in plans)
     rows.append({"strategy": "optimal threshold",
                  "size_bytes": optimal_total})
     for fixed_bits in (0, 8, 16, 32):
         total = 0
-        for codes in code_arrays:
-            n = codes.size
-            threshold = np.uint64(1) << np.uint64(fixed_bits) \
-                if fixed_bits < 64 else np.uint64(2**64 - 1)
-            outliers = int(np.count_nonzero(codes >= threshold))
+        for plan in plans:
+            n = plan.codes.size
+            outliers = int(np.count_nonzero(
+                plan.codes >> np.uint64(fixed_bits)))
             position_bits = max(1, (n - 1).bit_length())
             value_bits = 64
             total += ((n * fixed_bits + 7) // 8

@@ -29,9 +29,8 @@ from repro.compression import (
     PNGLikeCodec,
     RunLengthCodec,
 )
-from repro.core import numeric
 from repro.datasets import noaa_series
-from repro.delta import HybridDeltaCodec, codes as code_store
+from repro.delta import CodePlan, codes as code_store
 
 
 def compressors() -> dict[str, Codec | None]:
@@ -45,30 +44,27 @@ def compressors() -> dict[str, Codec | None]:
     }
 
 
-def _delta_arrays(corpus: dict[str, list[np.ndarray]]) -> list[np.ndarray]:
-    """The cell-wise delta arrays of every consecutive pair."""
-    deltas = []
-    for frames in corpus.values():
-        for previous, current in zip(frames, frames[1:]):
-            delta, mode = numeric.compute_delta(current, previous)
-            codes = code_store.delta_to_codes(delta, mode)
-            deltas.append(codes.reshape(current.shape))
-    return deltas
+def _delta_plans(corpus: dict[str, list[np.ndarray]]) -> list[CodePlan]:
+    """The delta plan (codes + width statistics) of every consecutive
+    pair."""
+    return [CodePlan.build(current, previous)
+            for frames in corpus.values()
+            for previous, current in zip(frames, frames[1:])]
 
 
 def run(versions: int = 10, shape: tuple[int, int] = (96, 96), *,
         quiet: bool = False) -> list[dict]:
     """Regenerate Table II at reproduction scale."""
     corpus = noaa_series(versions, shape=shape)
-    deltas = _delta_arrays(corpus)
-    hybrid = HybridDeltaCodec()
+    plans = _delta_plans(corpus)
+    deltas = [plan.codes.reshape(plan.target.shape) for plan in plans]
 
     rows = []
     for name, codec in compressors().items():
         if codec is None:
             # The baseline row: the hybrid delta encoding itself.
-            encoded = [code_store.encode_hybrid(delta.ravel())
-                       for delta in deltas]
+            encoded = [b"".join(code_store.encode_hybrid_parts(
+                plan.codes, plan.stats)) for plan in plans]
             size = sum(len(e) for e in encoded)
             with timed() as query_timer:
                 for blob, delta in zip(encoded, deltas):
@@ -86,7 +82,6 @@ def run(versions: int = 10, shape: tuple[int, int] = (96, 96), *,
             "size_bytes": size,
             "query_seconds": query_timer.seconds,
         })
-    del hybrid
 
     if not quiet:
         print_table(

@@ -27,13 +27,14 @@ def registry_digest(cluster, manager) -> str:
     cluster-wide) digests differently instead of raising."""
     digest = hashlib.sha256()
     held = set(manager.list_arrays())
-    for array_name in cluster.list_arrays():
+    registered = cluster.list_arrays()
+    for array_name in registered:
         if array_name in held:
             digest.update(
                 manager.logical_digest(array_name).encode())
         else:
             digest.update(f"missing:{array_name}".encode())
-    for extra in sorted(held - set(cluster.list_arrays())):
+    for extra in sorted(held - set(registered)):
         digest.update(f"extra:{extra}".encode())
     return digest.hexdigest()
 

@@ -655,14 +655,6 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray,
     return codes, hist
 
 
-def rebase_zigzag_stats(target: np.ndarray, root: np.ndarray,
-                        prior: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray] | None:
-    """:func:`delta_zigzag_stats` with a mandatory ``prior``: the codes
-    of ``target - wrap(root + prior)``."""
-    return delta_zigzag_stats(target, root, prior)
-
-
 def split_pack(codes: np.ndarray, small_bits: int, outliers: int,
                value_bits: int) -> tuple[bytes, bytes, bytes] | None:
     """The hybrid split's three packed sections in one pass, or None.

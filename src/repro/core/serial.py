@@ -57,7 +57,9 @@ def unpack_array_header(data: bytes, offset: int = 0
             (extent,) = _I64.unpack_from(data, offset)
             offset += _I64.size
             shape.append(extent)
-    except (struct.error, UnicodeDecodeError, TypeError) as exc:
+    except (struct.error, ValueError, TypeError, SyntaxError) as exc:
+        # np.dtype() on corrupt bytes fails in every one of these ways
+        # (comma strings even reach ast.literal_eval).
         raise CodecError(f"corrupt array header: {exc}") from exc
     return dtype, tuple(shape), offset
 

@@ -8,12 +8,14 @@ automatically by comparing the new version to versions already in the
 system" — the user never has to supply the delta-list form to benefit.
 
 :func:`plan_encoding` makes that decision in a single pass: one
-:class:`CodePlan` computes the delta, the unsigned code array and its
-width statistics exactly once; every candidate is *sized* from the
-shared plan (exact sizes, not estimates — the codecs' ``plan_size`` is
-byte-accurate), the materialized size is derived analytically under
-the identity compressor, and exactly one encoder runs: the winner's,
-fed the already-computed codes.  The literal "try both" form — encode
+:class:`~repro.delta.codes.CodePlan` computes the delta, the unsigned
+code array and its width statistics exactly once — the same plan
+``codec.encode`` / ``encoded_size`` and the Materialization Matrix
+build, so there is one way to price or emit a delta; every candidate is
+*sized* from the shared plan (exact sizes, not estimates — the codecs'
+``plan_size`` is byte-accurate), the materialized size is derived
+analytically under the identity compressor, and exactly one encoder
+runs: the winner's, fed the already-computed codes.  The literal "try both" form — encode
 the materialized representation and every candidate, keep the smallest
 — picks the same winner with the same payload bytes; it lives in
 ``tests/delta/encoding_oracle.py`` as the reference the planner's
@@ -23,18 +25,18 @@ The planner additionally supports **delta-of-delta re-base**: when the
 insert path has the base version's chain state (the decoded root plus
 the chain's composed-but-unapplied accumulator, a :class:`RebaseState`
 produced by the decode pipeline) instead of a reconstructed canvas,
-:meth:`CodePlan.build_rebased` plans the new version's codes directly
-from that state.  Both delta modes compose associatively and
-commutatively — wrapping int64 addition and xor — so the base canvas
-is never materialized: ``codes = zigzag(target - wrap(root + acc))``
-for arithmetic cells and ``codes = bits(target) ^ bits(root) ^ acc``
-for floats — the same compiled analysis pass as a canvas plan, for
-every cell type.  The contract
-is byte identity with :meth:`CodePlan.build` over the canvas the state
-denotes — same codes, same statistics, same winner, same payload — and
-every candidate offered a rebased plan must be ``plan_sufficient``
-(it sizes and encodes from the shared arrays, never ``plan.base``,
-which a rebased plan does not carry).
+``CodePlan.build(target, root, prior=accumulator)`` plans the new
+version's codes directly from that state.  Both delta modes compose
+associatively and commutatively — wrapping int64 addition and xor — so
+the base canvas is never materialized: ``codes = zigzag(target -
+wrap(root + acc))`` for arithmetic cells and ``codes = bits(target) ^
+bits(root) ^ acc`` for floats — the same compiled analysis pass as a
+canvas plan, for every cell type.  The contract is byte identity with
+planning against the canvas the state denotes — same codes, same
+statistics, same winner, same payload — and every candidate offered a
+rebased plan must be ``plan_sufficient`` (it sizes and encodes from the
+shared arrays, never ``plan.base``, which a rebased plan does not
+carry).
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from repro.compression.base import Codec, IdentityCodec
-from repro.core import native, numeric
 from repro.core.errors import CodecError
 from repro.core.serial import pack_array_header
 from repro.delta.base import DeltaCodec
-from repro.delta.codes import CodeStats, codes_to_delta, delta_to_codes
+from repro.delta.codes import CodePlan
 from repro.delta.hybrid import HybridDeltaCodec
 from repro.delta.sparse import SparseDeltaCodec
 
@@ -90,130 +91,12 @@ class RebaseState:
     uint64 for XOR; None when the base *is* the root and no deltas sit
     above it), and ``mode`` the compose mode.  Produced by
     ``DecodePipeline.chain_state``; consumed by
-    :meth:`CodePlan.build_rebased`.
+    :func:`plan_encoding`.
     """
 
     root: np.ndarray
     accumulator: np.ndarray | None
     mode: str
-
-
-@dataclass(frozen=True)
-class CodePlan:
-    """The shared single-pass state of one chunk's encode.
-
-    Computed once per (target, base) pair and handed to every candidate
-    codec: the raw ``delta`` and its ``mode``, the flat unsigned
-    ``codes`` the strategies of Section III-B.3 operate on, and the
-    code array's :class:`~repro.delta.codes.CodeStats` — the one-pass
-    width order statistics (a counting sort over code bit widths).
-    Dense width, sparse nonzero count and the full hybrid split-cost
-    curve all fall out of the same statistics, so sizing a candidate
-    costs arithmetic on a 65-bucket histogram, not a pass over the
-    chunk.
-    """
-
-    target: np.ndarray
-    #: The base canvas — None for plans built by delta-of-delta
-    #: re-base, which only plan-sufficient codecs may consume.
-    base: np.ndarray | None
-    mode: str
-    codes: np.ndarray
-    stats: CodeStats
-
-    @classmethod
-    def build(cls, target: np.ndarray, base: np.ndarray, *,
-              scratch: np.ndarray | None = None) -> "CodePlan":
-        """Plan ``target`` against the canvas ``base``.
-
-        Both may be strided chunk views; the compiled analysis pass
-        reads them in place.  ``scratch`` (flat uint64, at least
-        ``target.size`` long) lends the plan its code array's storage:
-        the plan is then only valid until the lender reuses it.
-        """
-        numeric.check_same_layout(target, base)
-        fused = native.delta_zigzag_stats(target, base, out=scratch)
-        if fused is not None:
-            # One streaming pass produced the codes and the width
-            # histogram together; the raw delta is never materialized
-            # (the :attr:`delta` property rebuilds it on demand).
-            codes, counts = fused
-            return cls(target=target, base=base,
-                       mode=numeric.delta_mode_for(target.dtype),
-                       codes=codes,
-                       stats=CodeStats.from_width_counts(codes.size,
-                                                         counts))
-        delta, mode = numeric.compute_delta(target, base)
-        codes = delta_to_codes(delta, mode)
-        plan = cls(target=target, base=base, mode=mode, codes=codes,
-                   stats=CodeStats.from_codes(codes))
-        # Seed the lazy property: this path already paid for the delta.
-        plan.__dict__["delta"] = delta
-        return plan
-
-    @classmethod
-    def build_rebased(cls, target: np.ndarray, state: RebaseState, *,
-                      scratch: np.ndarray | None = None) -> "CodePlan":
-        """Plan ``target`` against a base given as chain state, without
-        reconstructing the base canvas (delta-of-delta re-base).
-
-        The base the state denotes is ``wrap(root + acc)`` cell-wise —
-        the parent canonicalized through the attribute dtype (wrap,
-        then re-widen), exactly the value a stepwise apply would have
-        stored — so the new codes are ``zigzag(target - wrap(root +
-        acc))`` mod 2**64 for arithmetic cells and
-        ``bits(target) ^ bits(root) ^ acc`` for floats, where xor
-        needs no canonicalization: the same compiled analysis pass as
-        :meth:`build`, handed the accumulator.  Byte-identical
-        to ``build(target, base_canvas)``: same codes, same width
-        statistics, hence the same candidate sizes and winner.  The
-        returned plan carries ``base=None`` — only plan-sufficient
-        codecs may size or encode from it.
-        """
-        accumulator = state.accumulator
-        if accumulator is None:
-            return cls.build(target, state.root, scratch=scratch)
-        root = state.root
-        numeric.check_same_layout(target, root)
-        mode = numeric.delta_mode_for(target.dtype)
-        if mode != state.mode:
-            raise CodecError(
-                f"rebase state mode {state.mode!r} does not match "
-                f"target dtype {target.dtype} (mode {mode!r})")
-        fused = native.delta_zigzag_stats(target, root, accumulator,
-                                          out=scratch)
-        if fused is not None:
-            codes, counts = fused
-            return cls(target=target, base=None, mode=mode, codes=codes,
-                       stats=CodeStats.from_width_counts(codes.size,
-                                                         counts))
-        if mode == numeric.ARITHMETIC:
-            with np.errstate(over="ignore"):
-                parent64 = (root.astype(np.int64, copy=False).reshape(-1)
-                            + accumulator)
-                # Canonicalize through the attribute dtype: wrap, then
-                # re-widen (identity for 64-bit cells).
-                parent64 = parent64.astype(target.dtype) \
-                                   .astype(np.int64)
-                delta = (target.astype(np.int64, copy=False).reshape(-1)
-                         - parent64)
-        else:
-            # XOR folds bit patterns; the low float-width bits are
-            # closed under xor, so no canonicalization is needed.
-            folded, _ = numeric.compute_delta(target, root)
-            delta = folded.reshape(-1) ^ accumulator
-        codes = delta_to_codes(delta, mode)
-        plan = cls(target=target, base=None, mode=mode, codes=codes,
-                   stats=CodeStats.from_codes(codes))
-        plan.__dict__["delta"] = delta.reshape(target.shape)
-        return plan
-
-    @cached_property
-    def delta(self) -> np.ndarray:
-        """The raw delta array, rebuilt from the codes when the fused
-        kernel skipped materializing it (codes round-trip exactly)."""
-        return codes_to_delta(self.codes,
-                              self.mode).reshape(self.target.shape)
 
 
 @dataclass(frozen=True)
@@ -293,14 +176,14 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
     compressor, so when a delta wins its payload is never produced.
 
     ``rebase`` supplies the base as chain state instead of ``base``
-    (pass exactly one): the plan comes from
-    :meth:`CodePlan.build_rebased`, so the base canvas is never
+    (pass exactly one): the plan is built against the state's root
+    with its accumulator as ``prior``, so the base canvas is never
     reconstructed, and every candidate must be ``plan_sufficient``.
     The decision is byte-identical to planning against the canvas the
     state denotes.
 
     ``scratch`` is storage the plan's code array may live in (see
-    :meth:`CodePlan.build`); the returned decision holds only encoded
+    ``CodePlan.build``); the returned decision holds only encoded
     bytes, so the lender may reuse it as soon as this returns.
     """
     compressor = compressor or IdentityCodec()
@@ -313,25 +196,25 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
         return PlannedEncoding(decision=decision, encodes_avoided=0,
                                bytes_saved=0)
 
+    candidates = candidates or default_delta_candidates()
+    prior = None
     if rebase is not None:
         if base is not None:
             raise CodecError(
                 "plan_encoding takes a base canvas or a rebase state, "
                 "not both")
-        offered = candidates or default_delta_candidates()
-        for codec in offered:
+        for codec in candidates:
             if not codec.plan_sufficient:
                 raise CodecError(
                     f"delta codec {codec.name!r} is not plan-sufficient; "
                     "it cannot be offered a rebased plan (no base canvas)")
-        plan = CodePlan.build_rebased(target, rebase, scratch=scratch)
-    else:
-        plan = CodePlan.build(target, base, scratch=scratch)
+        base, prior = rebase.root, rebase.accumulator
+    plan = CodePlan.build(target, base, prior, scratch=scratch)
     best_codec: DeltaCodec | None = None
     best_size = mat_size
     best_parts: list[bytes] | None = None
     sized: list[tuple[DeltaCodec, int, list[bytes] | None]] = []
-    for codec in candidates or default_delta_candidates():
+    for codec in candidates:
         size = codec.plan_size(plan)
         parts = None
         if size is None:

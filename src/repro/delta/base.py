@@ -12,10 +12,30 @@ Framing shared by all codecs::
     array header (dtype, shape)     - of the target/base arrays
     u8 delta mode                   - arithmetic (ints) or XOR (floats)
     codec-specific payload
+
+:class:`DeltaCodec` is the interface; :class:`CodeArrayDeltaCodec` is
+the one body behind the dense / sparse / hybrid family (Section
+III-B.3), whose members differ only in which four
+:mod:`repro.delta.codes` functions they name.  That body computes,
+prices and encodes every delta through one
+:class:`~repro.delta.codes.CodePlan`, so ``encode`` / ``encode_parts``
+/ ``encoded_size`` are the planner's own code, not a second path next
+to it.
+
+**Corrupt payloads.**  A decoder is handed the array it decodes
+against, and the frame must agree with it: ``decode_forward`` /
+``decode_backward`` check the frame's ``(dtype, shape)`` against the
+``base`` / ``target`` argument, ``accumulate`` checks its ``(mode,
+cell count)`` against the accumulator the read pipeline pre-sized from
+the chunk — in both cases *before* anything is sized from the bytes —
+and every codec rejects undecoded trailing bytes.  Whatever is wrong
+with a payload, the only exception that escapes is a
+:class:`~repro.core.errors.CodecError`.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -28,6 +48,7 @@ from repro.core.serial import (
     unpack_array_header,
     unpack_u8,
 )
+from repro.delta.codes import CodePlan, codes_to_delta, ensure_accumulator
 
 _MODE_TO_TAG = {numeric.ARITHMETIC: 0, numeric.XOR: 1}
 _TAG_TO_MODE = {tag: mode for mode, tag in _MODE_TO_TAG.items()}
@@ -73,12 +94,35 @@ class DeltaCodec(ABC):
         return 1 + dtype_len + 1 + 8 * target.ndim + 1
 
     @staticmethod
-    def _unframe(data: bytes) -> tuple[np.dtype, tuple[int, ...], str, int]:
+    def _unframe(data: bytes, like: np.ndarray | None = None
+                 ) -> tuple[np.dtype, tuple[int, ...], str, int]:
+        """Parse the frame; returns ``(dtype, shape, mode, offset)``.
+
+        ``like`` is the array the caller decodes against: a frame that
+        disagrees with its dtype or shape is corrupt (or belongs to
+        another chunk) and must not size or shape anything.
+        """
         dtype, shape, offset = unpack_array_header(data)
         tag, offset = unpack_u8(data, offset)
-        if tag not in _TAG_TO_MODE:
-            raise CodecError(f"unknown delta mode tag {tag}")
+        # The mode is a function of the dtype (which must be one the
+        # delta kernels support at all); the tag only records it.
+        if _TAG_TO_MODE.get(tag) != numeric.delta_mode_for(dtype):
+            raise CodecError(
+                f"delta mode tag {tag} does not belong to dtype {dtype}")
+        if min(shape, default=0) < 0:
+            raise CodecError(f"delta frame has negative extents {shape}")
+        if like is not None and \
+                (dtype, shape) != (like.dtype, like.shape):
+            raise CodecError(
+                f"delta frame ({dtype}, {shape}) does not match the "
+                f"array it decodes against ({like.dtype}, {like.shape})")
         return dtype, shape, _TAG_TO_MODE[tag], offset
+
+    def _check_consumed(self, end: int, payload) -> None:
+        if end != len(payload):
+            raise CodecError(
+                f"{self.name} delta payload has {len(payload) - end} "
+                "undecoded trailing bytes")
 
     # ------------------------------------------------------------------
     # Interface
@@ -133,7 +177,7 @@ class DeltaCodec(ABC):
     # ------------------------------------------------------------------
     # Planner integration (single-pass encode selection)
     # ------------------------------------------------------------------
-    def plan_size(self, plan: "CodePlan") -> int | None:
+    def plan_size(self, plan: CodePlan) -> int | None:
         """Exact encoded size derived from a shared :class:`CodePlan`.
 
         The single-pass planner sizes every candidate from one delta /
@@ -146,16 +190,97 @@ class DeltaCodec(ABC):
         """
         return None
 
-    def encode_from_plan(self, plan: "CodePlan") -> list[bytes]:
+    def encode_from_plan(self, plan: CodePlan) -> list[bytes]:
         """Encode using the plan's precomputed delta, codes and stats.
 
         Must emit exactly the bytes :meth:`encode_parts` would for the
-        plan's ``(target, base)`` pair — the planner's hard invariant
-        is byte identity with encoding from scratch.  The default
-        recomputes from the arrays; code-array codecs override to
-        reuse the shared work.
+        plan's ``(target, base)`` pair.  This default serves the
+        transform codecs (bsdiff, mpeg-like), which take nothing from a
+        code array and encode from the plan's two arrays; the
+        code-array family encodes *only* from plans.
         """
         return self.encode_parts(plan.target, plan.base)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+class CodeArrayDeltaCodec(DeltaCodec):
+    """The one body of the dense / sparse / hybrid family.
+
+    A strategy declares four :mod:`repro.delta.codes` functions —
+    ``_size(codes, stats)``, ``_encode(codes, stats)``,
+    ``_decode(data, offset, count)`` and ``_fold(data, offset, count,
+    accumulator, mode, batch)`` — and inherits everything else:
+    framing, the unframe prelude with its frame-vs-array check, the
+    trailing-bytes check, both decode directions, the fused fold, and
+    an encode side that is the planner's (``encode_parts(t, b)`` *is*
+    ``encode_from_plan(CodePlan.build(t, b))``).  :meth:`_seal` /
+    :meth:`_unseal` are the hook for a byte-level stage between the
+    frame and the packed sections (hybrid's LZ flag).
+    """
+
+    bidirectional = True
+    composable = True
+    plan_sufficient = True
+
+    def _seal(self, parts: list[bytes]) -> list[bytes]:
+        return parts
+
+    def _unseal(self, payload: memoryview):
+        return payload
+
+    # -- encode: always from a plan ------------------------------------
+    def encode_from_plan(self, plan: CodePlan) -> list[bytes]:
+        return [self._frame(plan.target, plan.mode),
+                *self._seal(self._encode(plan.codes, plan.stats))]
+
+    def plan_size(self, plan: CodePlan) -> int | None:
+        return self._frame_size(plan.target) + \
+            self._size(plan.codes, plan.stats)
+
+    def encode_parts(self, target: np.ndarray,
+                     base: np.ndarray) -> list[bytes]:
+        return self.encode_from_plan(CodePlan.build(target, base))
+
+    def encode(self, target: np.ndarray, base: np.ndarray) -> bytes:
+        return b"".join(self.encode_parts(target, base))
+
+    def encoded_size(self, target: np.ndarray, base: np.ndarray) -> int:
+        plan = CodePlan.build(target, base)
+        size = self.plan_size(plan)
+        if size is None:
+            size = sum(map(len, self.encode_from_plan(plan)))
+        return size
+
+    # -- decode --------------------------------------------------------
+    def _open(self, data, like: np.ndarray | None = None):
+        """The shared decode prelude: ``(payload, count, mode, dtype,
+        shape)`` of a frame already checked against ``like``."""
+        data = memoryview(data)
+        dtype, shape, mode, offset = self._unframe(data, like)
+        # A memoryview slice, not a bytes copy — the packed sections
+        # are unpacked straight out of the stored payload.
+        return (self._unseal(data[offset:]), math.prod(shape), mode,
+                dtype, shape)
+
+    def _decode_delta(self, data, like: np.ndarray) -> tuple:
+        payload, count, mode, dtype, shape = self._open(data, like)
+        codes, end = self._decode(payload, 0, count)
+        self._check_consumed(end, payload)
+        return codes_to_delta(codes, mode).reshape(shape), mode, dtype
+
+    def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
+        return numeric.apply_delta_forward(
+            base, *self._decode_delta(data, base))
+
+    def decode_backward(self, data: bytes, target: np.ndarray) -> np.ndarray:
+        return numeric.apply_delta_backward(
+            target, *self._decode_delta(data, target))
+
+    def accumulate(self, data, accumulator, batch=None):
+        payload, count, mode, dtype, shape = self._open(data)
+        accumulator = ensure_accumulator(accumulator, mode, count)
+        end = self._fold(payload, 0, count, accumulator, mode, batch)
+        self._check_consumed(end, payload)
+        return accumulator, mode, dtype, shape

@@ -189,10 +189,11 @@ class BSDiffDeltaCodec(DeltaCodec):
         ])
 
     def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
-        dtype, shape, _mode, offset = self._unframe(data)
+        dtype, shape, _mode, offset = self._unframe(data, base)
         control_blob, offset = unpack_bytes(data, offset)
         diff_blob, offset = unpack_bytes(data, offset)
         extra_blob, offset = unpack_bytes(data, offset)
+        self._check_consumed(offset, data)
         control_bytes = unlz_bytes(control_blob)
         diff = unlz_bytes(diff_blob)
         extra = unlz_bytes(extra_blob)
@@ -206,6 +207,15 @@ class BSDiffDeltaCodec(DeltaCodec):
             copy_pos, position = unpack_i64(control_bytes, position)
             copy_len, position = unpack_i64(control_bytes, position)
             literal_len, position = unpack_i64(control_bytes, position)
+            # Every length and position is read from the bytes: each
+            # must land inside the stream it indexes, and the output
+            # may not outgrow the array being rebuilt.
+            if not (0 <= literal_len <= len(extra) - extra_at
+                    and 0 <= copy_len <= len(diff) - diff_at
+                    and 0 <= copy_pos <= len(base_bytes) - copy_len
+                    and len(output) + literal_len + copy_len
+                    <= len(base_bytes)):
+                raise CodecError("bsdiff control stream is corrupt")
             output.extend(extra[extra_at:extra_at + literal_len])
             extra_at += literal_len
             if copy_len:
@@ -215,10 +225,9 @@ class BSDiffDeltaCodec(DeltaCodec):
                                       count=copy_len, offset=diff_at)
                 output.extend((old + delta).tobytes())
                 diff_at += copy_len
-        count = int(np.prod(shape)) if shape else 1
-        expected = count * np.dtype(dtype).itemsize
-        if len(output) != expected:
+        if len(output) != len(base_bytes):
             raise CodecError(
-                f"bsdiff output is {len(output)} bytes, expected {expected}")
-        flat = np.frombuffer(bytes(output), dtype=dtype, count=count)
-        return flat.reshape(shape).copy()
+                f"bsdiff output is {len(output)} bytes, "
+                f"expected {len(base_bytes)}")
+        return np.frombuffer(bytes(output), dtype=dtype) \
+            .reshape(shape).copy()

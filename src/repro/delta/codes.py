@@ -1,10 +1,17 @@
-"""Shared encodings of delta *code arrays*.
+"""Shared encodings of delta *code arrays*, and the plan that feeds them.
 
 Every delta codec in this package first reduces the cell-wise difference
 of two versions to a flat array of unsigned 64-bit *codes* (arithmetic
 deltas are zigzag-mapped so small signed differences become small codes;
-float XOR deltas are already unsigned).  The three storage strategies of
-Section III-B.3 then apply to the code array:
+float XOR deltas are already unsigned).  :class:`CodePlan` is the one
+place that reduction happens: one pass over a ``(target, base)`` pair
+yields the codes and their :class:`CodeStats` width histogram, and
+everything downstream — pricing a candidate, pricing a Materialization
+Matrix entry (Section IV-A), choosing the hybrid split, emitting a
+payload — is arithmetic on that histogram plus at most one
+split-and-pack pass over the codes.
+
+The three storage strategies of Section III-B.3 apply to the code array:
 
 * **dense** — every code at the minimal uniform width D;
 * **sparse** — positions and values of the nonzero codes only;
@@ -12,19 +19,26 @@ Section III-B.3 then apply to the code array:
   D' > D bits per cell, we create a separate matrix and store cells that
   require D' bits separately": a D-bit dense array for the small codes
   plus a sparse outlier table, with D chosen by exact cost minimization.
+  Sparse *is* the hybrid split at D = 0 without the dense section, so
+  both share one split writer and one outlier-table reader.
 
-Each strategy has an encoder, a decoder, and a *size estimator* that
-predicts the encoded byte count without materializing it — the estimators
-feed the Materialization Matrix (Section IV-A).
+Each strategy is four functions: ``*_size`` (the exact encoded byte
+count, without encoding), ``encode_*_parts`` (the list of buffers the
+payload is made of — the zero-copy handoff the write pipeline joins
+exactly once at placement; ``encode_*`` is the joined form),
+``decode_*`` (the stepwise canvas form the fused read is tested
+against) and ``decode_*_into`` (folds the level into a fused-chain
+accumulator).  The size and encode functions take the plan's ``stats``;
+a caller holding bare codes omits it and pays for the histogram on the
+function's first line — there is one body either way.
 
-The encoders come in two forms: ``encode_*`` returns one joined byte
-string, and ``encode_*_parts`` returns the list of buffers that byte
-string is made of (headers and packed sections).  The parts form is the
-zero-copy handoff the write pipeline uses — the delta codecs prepend
-their framing parts and the chunk store joins the final payload exactly
-once at placement, so encoded sections are never recopied between
-stages.  The decoders accept any buffer-protocol object and slice it
-through ``memoryview`` (no ``bytes()`` copies on the read path).
+The decoders accept any buffer-protocol object and slice it through
+``memoryview`` (no ``bytes()`` copies on the read path).  They trust
+nothing in the bytes: every section length is re-derived from the
+``count`` the *caller* supplies, and the one count the payload itself
+carries (the outlier table's) is checked against it before anything is
+sized from it — a corrupt payload raises
+:class:`~repro.core.errors.CodecError`, never allocates by its own say.
 """
 
 from __future__ import annotations
@@ -41,8 +55,6 @@ from repro.core.serial import (
     unpack_i64,
     unpack_u8,
 )
-
-_UINT64_MAX = np.uint64(np.iinfo(np.uint64).max)
 
 
 def delta_to_codes(delta: np.ndarray, mode: str) -> np.ndarray:
@@ -66,37 +78,6 @@ def codes_to_delta(codes: np.ndarray, mode: str) -> np.ndarray:
 def _view(data) -> memoryview:
     """``data`` as a memoryview so slicing never copies bytes."""
     return data if isinstance(data, memoryview) else memoryview(data)
-
-
-def _checked_positions(positions: np.ndarray, count: int,
-                       what: str) -> np.ndarray:
-    """Sparse/hybrid scatter positions as a bounds-checked int64 index.
-
-    Every decoder that scatters ``(position, value)`` pairs shares this
-    one conversion + range check, so a corrupt payload fails the same
-    way on every path (stepwise, fused, sparse, hybrid outliers).
-    """
-    index = positions.astype(np.int64)
-    if index.size and (index.max() >= count or index.min() < 0):
-        raise CodecError(f"{what} position out of range")
-    return index
-
-
-def _code_bit_lengths(codes: np.ndarray) -> np.ndarray:
-    """Exact per-element bit length of an unsigned 64-bit code array.
-
-    ``frexp`` on the float64 image yields the bit length directly for
-    every value the conversion represents exactly; values that round
-    *up* across a power-of-two boundary (possible above 2**53, and at
-    the very top where 2**64 - 1 rounds to 2**64) come back one high
-    and are corrected with a single shift-compare, so the result equals
-    ``int(v).bit_length()`` for every uint64 — no sort, no Python loop.
-    """
-    exponents = np.frexp(codes.astype(np.float64))[1].astype(np.int64)
-    np.minimum(exponents, 64, out=exponents)
-    shifts = np.maximum(exponents - 1, 0).astype(np.uint64)
-    rounded_up = (codes < (np.uint64(1) << shifts)) & (exponents > 0)
-    return exponents - rounded_up
 
 
 @dataclass(frozen=True)
@@ -187,42 +168,111 @@ class CodeStats:
         """Codes the hybrid split at ``width`` stores as outliers."""
         return int(self.outliers[width])
 
-    def split_curve(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """The hybrid cost curve of this code array, computed once.
+    def split_curve(self) -> np.ndarray:
+        """The hybrid cost curve: ``curve[d]`` is the byte cost of
+        storing codes below ``2**d`` densely at ``d`` bits and the rest
+        as outliers, for every candidate width ``0..max_bits``.
 
-        The planner evaluates the curve twice per chunk — sizing the
+        The planner reads the curve twice per chunk — sizing the
         hybrid candidate, then choosing the winning split width at
-        encode time — so the result is cached on the instance (stored
-        through ``__dict__`` because the dataclass is frozen).
+        encode time — so it is cached on the instance (stored through
+        ``__dict__`` because the dataclass is frozen).
         """
         curve = self.__dict__.get("_split_curve")
         if curve is None:
-            curve = _curve_from_outliers(self.n, self.max_bits,
-                                         self.outliers)
+            widths = np.arange(self.max_bits + 1)
+            position_bits = bitpack.required_bits(max(0, self.n - 1))
+            curve = ((self.n * widths + 7) // 8
+                     + (self.outliers * position_bits + 7) // 8
+                     + (self.outliers * self.max_bits + 7) // 8
+                     + 8 + 1 + 1 + 1)  # count, small / pos / val widths
             self.__dict__["_split_curve"] = curve
         return curve
+
+
+@dataclass(frozen=True)
+class CodePlan:
+    """The shared single-pass state of one ``(target, base)`` delta.
+
+    Computed once per pair and handed to every consumer — each
+    candidate codec on the write path, the Materialization Matrix, the
+    table benches: the compose ``mode``, the flat unsigned ``codes``
+    the strategies of Section III-B.3 operate on, and the code array's
+    :class:`CodeStats`.  Dense width, sparse nonzero count and the full
+    hybrid split-cost curve all fall out of the same statistics, so
+    pricing a representation costs arithmetic on a 65-bucket histogram,
+    not a pass over the chunk.
+    """
+
+    target: np.ndarray
+    #: The base canvas — None for plans built against a ``prior``
+    #: (delta-of-delta re-base), which only plan-sufficient codecs may
+    #: consume.
+    base: np.ndarray | None
+    mode: str
+    codes: np.ndarray
+    stats: CodeStats
+
+    @classmethod
+    def build(cls, target: np.ndarray, base: np.ndarray,
+              prior: np.ndarray | None = None, *,
+              scratch: np.ndarray | None = None) -> "CodePlan":
+        """Plan ``target`` against ``base``, or against the version
+        ``prior`` composes onto it.
+
+        Both arrays may be strided chunk views; the compiled analysis
+        pass reads them in place.  ``prior`` is a chain's composed but
+        unapplied accumulator over ``base`` as its decoded root (flat
+        int64 sums for arithmetic cells, uint64 xors for floats): the
+        codes are then those against ``wrap(base + prior)`` resp.
+        ``base ^ prior`` — the parent of a delta-of-delta re-base,
+        which the kernel never materializes — byte-identical to
+        planning against that canvas.  ``scratch`` (flat uint64, at
+        least ``target.size`` long) lends the plan its code array's
+        storage: the plan is then only valid until the lender reuses
+        it.
+        """
+        numeric.check_same_layout(target, base)
+        mode = numeric.delta_mode_for(target.dtype)
+        if prior is not None and (
+                prior.dtype != numeric.accumulator_dtype(mode)
+                or prior.size != target.size):
+            raise CodecError(
+                f"prior ({prior.dtype}, {prior.size} cells) is not a "
+                f"{mode} accumulator over {target.size} cells")
+        canvas = base if prior is None else None
+        fused = native.delta_zigzag_stats(target, base, prior,
+                                          out=scratch)
+        if fused is not None:
+            codes, counts = fused
+            return cls(target, canvas, mode, codes,
+                       CodeStats.from_width_counts(codes.size, counts))
+        if prior is not None:
+            # reshape: the xor apply promotes a 0-d root to (1,).
+            base = numeric.apply_delta_forward(
+                base, prior.reshape(base.shape), mode,
+                base.dtype).reshape(base.shape)
+        delta, _ = numeric.compute_delta(target, base)
+        codes = delta_to_codes(delta, mode)
+        return cls(target, canvas, mode, codes,
+                   CodeStats.from_codes(codes))
 
 
 # ----------------------------------------------------------------------
 # Dense strategy
 # ----------------------------------------------------------------------
 def dense_size(codes: np.ndarray, stats: CodeStats | None = None) -> int:
-    """Encoded bytes of the dense strategy (1-byte width header).
-
-    ``stats`` supplies the precomputed width when the planner already
-    paid for the shared pass; without it the width is derived here.
-    """
-    bits = stats.max_bits if stats is not None else \
-        bitpack.required_bits_for(codes)
-    return 1 + bitpack.packed_size(codes.size, bits)
+    """Encoded bytes of the dense strategy (1-byte width header)."""
+    stats = stats or CodeStats.from_codes(codes)
+    return 1 + bitpack.packed_size(stats.n, stats.max_bits)
 
 
 def encode_dense_parts(codes: np.ndarray,
                        stats: CodeStats | None = None) -> list[bytes]:
     """Dense D-bit encoding as its constituent buffers."""
-    bits = stats.max_bits if stats is not None else \
-        bitpack.required_bits_for(codes)
-    return [pack_u8(bits), bitpack.pack_unsigned(codes, bits)]
+    stats = stats or CodeStats.from_codes(codes)
+    return [pack_u8(stats.max_bits),
+            bitpack.pack_unsigned(codes, stats.max_bits)]
 
 
 def encode_dense(codes: np.ndarray) -> bytes:
@@ -263,7 +313,10 @@ def ensure_accumulator(accumulator: np.ndarray | None, mode: str,
     Allocates on first use; on reuse verifies the chain is uniform —
     every level of one chunk's chain must share the delta mode and
     cell count (the dtype is fixed per attribute), so a mismatch means
-    a corrupt chain rather than a composable one.
+    a corrupt chain rather than a composable one.  The read pipeline
+    always hands in an accumulator sized from the chunk it is
+    decoding, so a payload whose frame lies about either fails here,
+    before anything is allocated on its say.
     """
     if accumulator is None:
         return numeric.delta_accumulator(mode, count)
@@ -275,35 +328,84 @@ def ensure_accumulator(accumulator: np.ndarray | None, mode: str,
 
 
 # ----------------------------------------------------------------------
-# Split-and-pack (shared by the sparse and hybrid encoders)
+# The split: packed small codes + an outlier table (sparse and hybrid)
 # ----------------------------------------------------------------------
-def _split_parts(codes: np.ndarray, small_bits: int,
-                 stats: CodeStats | None
-                 ) -> tuple[bytes, list[bytes]] | None:
-    """One compiled pass over ``codes`` split at ``small_bits``, or None.
+def _split_parts(codes: np.ndarray, small_bits: int, stats: CodeStats
+                 ) -> tuple[bytes, list[bytes]]:
+    """``codes`` split at ``small_bits``: the packed small-code section
+    (zeros at the outlier positions) and the outlier table (count,
+    position width, value width, positions, values).
 
-    Returns the packed small-code section and the outlier table
-    (count, position width, value width, positions, values) — the
-    sparse encoding *is* that table at ``small_bits = 0``, the hybrid
-    encoding the small width byte, the section and the table.  The
-    outlier count and value width are read off ``stats`` (the outliers
-    include the array maximum whenever there are any), so nothing is
-    re-scanned.  None without ``stats`` or the kernel: the numpy
-    forms below are the byte-identical fallback.
+    The sparse encoding *is* that table at ``small_bits = 0``; the
+    hybrid encoding the small width byte, the section and the table.
+    The outlier count and value width are read off ``stats`` (the
+    outliers include the array maximum whenever there are any), so
+    nothing is re-scanned, and the compiled pass writes all three
+    streams at once; the numpy form under it is the byte-identical
+    fallback.  ``small_bits`` < 64: the cost curve never selects 64
+    (``curve[64] >= curve[63]``), and sparse passes 0.
     """
-    if stats is None or not codes.size:
-        return None
-    # outliers[64] is the cost curve's wrapped-threshold sentinel; no
-    # code needs more than 64 bits.
-    outliers = stats.outliers_at(small_bits) if small_bits < 64 else 0
+    outliers = stats.outliers_at(small_bits)
     value_bits = stats.max_bits if outliers else 0
+    position_bits = bitpack.required_bits(max(0, codes.size - 1))
     sections = native.split_pack(codes, small_bits, outliers, value_bits)
     if sections is None:
-        return None
+        positions = np.flatnonzero(codes >> np.uint64(small_bits)) \
+            if outliers else codes[:0]
+        small = codes
+        if outliers and small_bits:
+            small = codes.copy()
+            small[positions] = 0
+        sections = (
+            bitpack.pack_unsigned(small, small_bits) if small_bits
+            else b"",
+            bitpack.pack_unsigned(positions, position_bits),
+            bitpack.pack_unsigned(codes[positions], value_bits))
     small, positions, values = sections
-    position_bits = bitpack.required_bits(codes.size - 1)
     return small, [pack_i64(outliers), pack_u8(position_bits),
                    pack_u8(value_bits), positions, values]
+
+
+def _read_outliers(data: memoryview, offset: int, count: int, what: str
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Parse one outlier table; returns ``(index, values, next_offset)``.
+
+    The one reader behind every sparse / hybrid decoder, stepwise and
+    fused, so a corrupt payload fails the same way on every path: the
+    entry count is read from the bytes and must fit the ``count`` cells
+    the caller is decoding *before* it sizes anything, and the
+    positions come back as a bounds-checked int64 index.
+    """
+    outliers, offset = unpack_i64(data, offset)
+    if not 0 <= outliers <= count:
+        raise CodecError(
+            f"{what} table claims {outliers} entries for {count} cells")
+    position_bits, offset = unpack_u8(data, offset)
+    value_bits, offset = unpack_u8(data, offset)
+    end = offset + bitpack.packed_size(outliers, position_bits)
+    index = bitpack.unpack_unsigned(
+        data[offset:end], position_bits, outliers).astype(np.int64)
+    offset = end + bitpack.packed_size(outliers, value_bits)
+    values = bitpack.unpack_unsigned(
+        data[end:offset], value_bits, outliers)
+    if index.size and (index.max() >= count or index.min() < 0):
+        raise CodecError(f"{what} position out of range")
+    return index, values, offset
+
+
+def _fold_outliers(index: np.ndarray, values: np.ndarray,
+                   accumulator: np.ndarray, mode: str,
+                   batch: list | None) -> None:
+    """Scatter-accumulate ``(index, values)`` into ``accumulator`` at
+    O(nnz) — or, with ``batch`` given, defer the pair to the caller's
+    one batched scatter per chain
+    (:func:`repro.core.numeric.scatter_delta_batch`)."""
+    if index.size:
+        delta = codes_to_delta(values, mode)
+        if batch is not None:
+            batch.append((index, delta))
+        else:
+            numeric.scatter_delta(accumulator, index, delta, mode)
 
 
 # ----------------------------------------------------------------------
@@ -313,50 +415,22 @@ def sparse_size(codes: np.ndarray, stats: CodeStats | None = None) -> int:
     """Encoded bytes of the sparse strategy without materializing it.
 
     Codes are unsigned, so when any is nonzero the array maximum *is*
-    the nonzero maximum — no re-masking pass over the array; with
-    ``stats`` both the nonzero count and the value width come straight
-    from the shared histogram and no array pass runs at all.
+    the nonzero maximum: both the nonzero count and the value width
+    come straight from the histogram.
     """
-    if stats is not None:
-        nonzero = stats.nonzero
-        value_bits = stats.max_bits
-    else:
-        nonzero = int(np.count_nonzero(codes))
-        value_bits = bitpack.required_bits(int(codes.max())) \
-            if nonzero else 0
-    position_bits = bitpack.required_bits(max(0, codes.size - 1))
+    stats = stats or CodeStats.from_codes(codes)
+    position_bits = bitpack.required_bits(max(0, stats.n - 1))
     return (8 + 1 + 1
-            + bitpack.packed_size(nonzero, position_bits)
-            + bitpack.packed_size(nonzero, value_bits))
+            + bitpack.packed_size(stats.nonzero, position_bits)
+            + bitpack.packed_size(stats.nonzero, stats.max_bits))
 
 
 def encode_sparse_parts(codes: np.ndarray,
                         stats: CodeStats | None = None) -> list[bytes]:
-    """Sparse encoding as its constituent buffers.
-
-    One :func:`np.flatnonzero` pass yields the positions, which gather
-    the values directly (no uint64/int64 index round trip); ``stats``
-    additionally supplies the value width, skipping the max reduction
-    over the gathered values — and lets the compiled split-and-pack
-    pass (a split at width 0) replace the numpy form outright.
-    """
-    split = _split_parts(codes, 0, stats)
-    if split is not None:
-        return split[1]
-    positions = np.flatnonzero(codes)
-    values = codes[positions]
-    position_bits = bitpack.required_bits(max(0, codes.size - 1))
-    if stats is not None:
-        value_bits = stats.max_bits if positions.size else 0
-    else:
-        value_bits = bitpack.required_bits_for(values)
-    return [
-        pack_i64(len(positions)),
-        pack_u8(position_bits),
-        pack_u8(value_bits),
-        bitpack.pack_unsigned(positions, position_bits),
-        bitpack.pack_unsigned(values, value_bits),
-    ]
+    """Sparse encoding as its constituent buffers: the outlier table of
+    the split at width 0."""
+    stats = stats or CodeStats.from_codes(codes)
+    return _split_parts(codes, 0, stats)[1]
 
 
 def encode_sparse(codes: np.ndarray) -> bytes:
@@ -367,20 +441,9 @@ def encode_sparse(codes: np.ndarray) -> bytes:
 def decode_sparse(data, offset: int, count: int
                   ) -> tuple[np.ndarray, int]:
     """Inverse of :func:`encode_sparse`."""
-    data = _view(data)
-    nonzero, offset = unpack_i64(data, offset)
-    position_bits, offset = unpack_u8(data, offset)
-    value_bits, offset = unpack_u8(data, offset)
-    positions_len = bitpack.packed_size(nonzero, position_bits)
-    positions = bitpack.unpack_unsigned(
-        data[offset:offset + positions_len], position_bits, nonzero)
-    offset += positions_len
-    values_len = bitpack.packed_size(nonzero, value_bits)
-    values = bitpack.unpack_unsigned(
-        data[offset:offset + values_len], value_bits, nonzero)
-    offset += values_len
+    index, values, offset = _read_outliers(_view(data), offset, count,
+                                           "sparse delta")
     codes = np.zeros(count, dtype=np.uint64)
-    index = _checked_positions(positions, count, "sparse delta")
     codes[index] = values
     return codes, offset
 
@@ -395,160 +458,38 @@ def decode_sparse_into(data, offset: int, count: int,
     ``accumulator`` — no full-size ``codes`` canvas is ever allocated,
     so a level that changed n cells costs O(n), not O(count).  With
     ``batch`` given, the decoded (bounds-checked) pairs are appended
-    to it instead of scattered, so the caller can fold every scatter
-    level of a chain in one batched call
-    (:func:`repro.core.numeric.scatter_delta_batch`).  Returns the
-    next offset.
+    to it instead of scattered.  Returns the next offset.
     """
-    data = _view(data)
-    nonzero, offset = unpack_i64(data, offset)
-    position_bits, offset = unpack_u8(data, offset)
-    value_bits, offset = unpack_u8(data, offset)
-    positions_len = bitpack.packed_size(nonzero, position_bits)
-    positions = bitpack.unpack_unsigned(
-        data[offset:offset + positions_len], position_bits, nonzero)
-    offset += positions_len
-    values_len = bitpack.packed_size(nonzero, value_bits)
-    values = bitpack.unpack_unsigned(
-        data[offset:offset + values_len], value_bits, nonzero)
-    offset += values_len
-    index = _checked_positions(positions, count, "sparse delta")
-    if index.size:
-        if batch is not None:
-            batch.append((index, codes_to_delta(values, mode)))
-        else:
-            numeric.scatter_delta(accumulator, index,
-                                  codes_to_delta(values, mode), mode)
+    index, values, offset = _read_outliers(_view(data), offset, count,
+                                           "sparse delta")
+    _fold_outliers(index, values, accumulator, mode, batch)
     return offset
 
 
 # ----------------------------------------------------------------------
 # Hybrid strategy
 # ----------------------------------------------------------------------
-def _split_costs(codes: np.ndarray, stats: CodeStats | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cost of the hybrid encoding for every candidate small-width d.
-
-    Returns ``(candidate_widths, costs, value_bits)`` where ``costs[k]``
-    is the total byte cost of storing codes < 2**widths[k] densely at
-    widths[k] bits and the rest as sparse outliers.  With ``stats`` the
-    per-threshold outlier counts come from the shared width histogram
-    (no sort); the curve arithmetic is one code path either way, so the
-    two forms cannot disagree on a single cost or tie-break.
-    """
-    if stats is not None:
-        return stats.split_curve()
-    n = codes.size
-    max_bits = bitpack.required_bits_for(codes)
-    if n == 0:
-        return _curve_from_outliers(n, max_bits,
-                                    np.zeros(1, dtype=np.int64))
-    widths = np.arange(max_bits + 1)
-    sorted_codes = np.sort(codes)
-    # outliers(d) = number of codes >= 2**d  (d = max_bits -> none).
-    thresholds = np.minimum(np.uint64(1) << widths.astype(np.uint64),
-                            _UINT64_MAX)
-    below = np.searchsorted(sorted_codes, thresholds, side="left")
-    return _curve_from_outliers(n, max_bits, n - below)
-
-
-def _curve_from_outliers(n: int, max_bits: int, outliers: np.ndarray
-                         ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The shared curve arithmetic behind :func:`_split_costs`.
-
-    Both outlier-count sources — the sorted search and the width
-    histogram's suffix sums — feed this one function, so the two forms
-    cannot disagree on a single cost or tie-break.
-    """
-    widths = np.arange(max_bits + 1)
-    if n == 0:
-        return widths, np.zeros(len(widths)), 0
-
-    position_bits = bitpack.required_bits(max(0, n - 1))
-    value_bits = max_bits
-    dense_bytes = (n * widths + 7) // 8
-    outlier_bytes = ((outliers * position_bits + 7) // 8
-                     + (outliers * value_bits + 7) // 8)
-    overhead = 8 + 1 + 1 + 1  # count + small width + pos/val widths
-    costs = dense_bytes + outlier_bytes + overhead
-    return widths, costs, value_bits
-
-
 def hybrid_size(codes: np.ndarray, stats: CodeStats | None = None) -> int:
-    """Encoded bytes of the optimal hybrid split (estimator)."""
-    widths, costs, _ = _split_costs(codes, stats)
-    if codes.size == 0:
-        return 11
-    return int(costs.min())
+    """Encoded bytes of the optimal hybrid split, without encoding."""
+    stats = stats or CodeStats.from_codes(codes)
+    return int(stats.split_curve().min())
 
 
 def hybrid_split_width(codes: np.ndarray,
                        stats: CodeStats | None = None) -> int:
-    """The small-code bit width the optimal hybrid split uses."""
-    widths, costs, _ = _split_costs(codes, stats)
-    return int(widths[int(np.argmin(costs))])
+    """The small-code bit width the optimal hybrid split uses (the
+    narrowest of the cheapest)."""
+    stats = stats or CodeStats.from_codes(codes)
+    return int(np.argmin(stats.split_curve()))
 
 
 def encode_hybrid_parts(codes: np.ndarray,
                         stats: CodeStats | None = None) -> list[bytes]:
-    """Optimal small/large split encoding as its constituent buffers.
-
-    With ``stats`` the cost search reuses the shared width histogram
-    instead of re-sorting and the split itself is one compiled pass
-    (:func:`_split_parts`).  The numpy form below it is the fallback
-    and the oracle: with ``stats`` a split with no outliers packs
-    ``codes`` directly — no mask, no ``where`` copy, no nonzero scan —
-    and otherwise the mask is built exactly once for both the
-    positions and the zeroed small array.  All forms emit identical
-    bytes.
-    """
-    n = codes.size
-    widths, costs, value_bits = _split_costs(codes, stats)
-    small_bits = int(widths[int(np.argmin(costs))]) if n else 0
-    position_bits = bitpack.required_bits(max(0, n - 1))
-
-    split = _split_parts(codes, small_bits, stats)
-    if split is not None:
-        return [pack_u8(small_bits), split[0], *split[1]]
-
-    if n and stats is not None and not stats.outliers_at(small_bits):
-        # The chosen split keeps every code dense: the packed small
-        # array is the code array itself (bytes identical to the
-        # masked copy the general path would have produced).
-        empty = codes[:0]
-        return [
-            pack_u8(small_bits),
-            bitpack.pack_unsigned(codes, small_bits),
-            pack_i64(0),
-            pack_u8(position_bits),
-            pack_u8(0),
-            bitpack.pack_unsigned(empty, position_bits),
-            bitpack.pack_unsigned(empty, 0),
-        ]
-
-    if n:
-        threshold = (np.uint64(1) << np.uint64(small_bits)) \
-            if small_bits < 64 else _UINT64_MAX
-        is_outlier = codes >= threshold if small_bits < 64 else \
-            np.zeros(n, dtype=bool)
-    else:
-        is_outlier = np.zeros(0, dtype=bool)
-
-    small = np.where(is_outlier, np.uint64(0), codes)
-    # One nonzero pass over the outlier mask: the positions index the
-    # outlier values directly.
-    positions = np.flatnonzero(is_outlier)
-    values = codes[positions]
-    out_value_bits = bitpack.required_bits_for(values)
-    return [
-        pack_u8(small_bits),
-        bitpack.pack_unsigned(small, small_bits),
-        pack_i64(len(positions)),
-        pack_u8(position_bits),
-        pack_u8(out_value_bits),
-        bitpack.pack_unsigned(positions, position_bits),
-        bitpack.pack_unsigned(values, out_value_bits),
-    ]
+    """Optimal small/large split encoding as its constituent buffers."""
+    stats = stats or CodeStats.from_codes(codes)
+    small_bits = hybrid_split_width(codes, stats)
+    small, table = _split_parts(codes, small_bits, stats)
+    return [pack_u8(small_bits), small, *table]
 
 
 def encode_hybrid(codes: np.ndarray) -> bytes:
@@ -564,21 +505,8 @@ def decode_hybrid(data, offset: int, count: int
     small_len = bitpack.packed_size(count, small_bits)
     codes = bitpack.unpack_unsigned(
         data[offset:offset + small_len], small_bits, count)
-    offset += small_len
-
-    outlier_count, offset = unpack_i64(data, offset)
-    position_bits, offset = unpack_u8(data, offset)
-    value_bits, offset = unpack_u8(data, offset)
-    positions_len = bitpack.packed_size(outlier_count, position_bits)
-    positions = bitpack.unpack_unsigned(
-        data[offset:offset + positions_len], position_bits, outlier_count)
-    offset += positions_len
-    values_len = bitpack.packed_size(outlier_count, value_bits)
-    values = bitpack.unpack_unsigned(
-        data[offset:offset + values_len], value_bits, outlier_count)
-    offset += values_len
-
-    index = _checked_positions(positions, count, "hybrid delta outlier")
+    index, values, offset = _read_outliers(
+        data, offset + small_len, count, "hybrid delta outlier")
     codes[index] = values
     return codes, offset
 
@@ -604,25 +532,7 @@ def decode_hybrid_into(data, offset: int, count: int,
             data[offset:offset + small_len], small_bits, count)
         numeric.accumulate_delta(accumulator,
                                  codes_to_delta(small, mode), mode)
-    offset += small_len
-
-    outlier_count, offset = unpack_i64(data, offset)
-    position_bits, offset = unpack_u8(data, offset)
-    value_bits, offset = unpack_u8(data, offset)
-    positions_len = bitpack.packed_size(outlier_count, position_bits)
-    positions = bitpack.unpack_unsigned(
-        data[offset:offset + positions_len], position_bits, outlier_count)
-    offset += positions_len
-    values_len = bitpack.packed_size(outlier_count, value_bits)
-    values = bitpack.unpack_unsigned(
-        data[offset:offset + values_len], value_bits, outlier_count)
-    offset += values_len
-
-    index = _checked_positions(positions, count, "hybrid delta outlier")
-    if index.size:
-        if batch is not None:
-            batch.append((index, codes_to_delta(values, mode)))
-        else:
-            numeric.scatter_delta(accumulator, index,
-                                  codes_to_delta(values, mode), mode)
+    index, values, offset = _read_outliers(
+        data, offset + small_len, count, "hybrid delta outlier")
+    _fold_outliers(index, values, accumulator, mode, batch)
     return offset

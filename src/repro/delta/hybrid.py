@@ -5,123 +5,49 @@ delta array into two arrays, one (sparse or dense) array of large values
 and one (dense) array of small values" (Section III-B.3 / V-A).
 
 The threshold (a small-code bit width D) is chosen by exact cost search
-over all candidate widths — see :func:`repro.delta.codes._split_costs`.
-An optional Lempel-Ziv stage over the packed payload implements the
-"Hybrid + LZ" configuration used throughout Section V.
+over all candidate widths — see
+:meth:`repro.delta.codes.CodeStats.split_curve`.  An optional Lempel-Ziv
+stage over the packed payload implements the "Hybrid + LZ" configuration
+used throughout Section V.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.compression.lz import lz_bytes, unlz_bytes
-from repro.core import numeric
-from repro.core.errors import CodecError
 from repro.core.serial import pack_u8, unpack_u8
 from repro.delta import codes as code_store
-from repro.delta.base import DeltaCodec
+from repro.delta.base import CodeArrayDeltaCodec
 
 
-class HybridDeltaCodec(DeltaCodec):
+class HybridDeltaCodec(CodeArrayDeltaCodec):
     """Optimal small/large split delta, optionally LZ-compressed."""
 
     name = "hybrid"
-    bidirectional = True
-    composable = True
     scatters = True
-    plan_sufficient = True
+    _size = staticmethod(code_store.hybrid_size)
+    _encode = staticmethod(code_store.encode_hybrid_parts)
+    _decode = staticmethod(code_store.decode_hybrid)
+    _fold = staticmethod(code_store.decode_hybrid_into)
 
     def __init__(self, lz: bool = False):
         self.lz = lz
         if lz:
             self.name = "hybrid+lz"
 
-    # ------------------------------------------------------------------
-    def encode_parts(self, target: np.ndarray,
-                     base: np.ndarray) -> list[bytes]:
-        delta, mode = numeric.compute_delta(target, base)
-        codes = code_store.delta_to_codes(delta, mode)
-        parts = code_store.encode_hybrid_parts(codes)
+    def _seal(self, parts: list[bytes]) -> list[bytes]:
         if self.lz:
             # The LZ stage consumes one contiguous buffer, so it joins
             # here; the un-compressed path hands its sections through.
             parts = [lz_bytes(b"".join(parts))]
-        return [self._frame(target, mode), pack_u8(int(self.lz)), *parts]
+        return [pack_u8(int(self.lz)), *parts]
 
-    def encode(self, target: np.ndarray, base: np.ndarray) -> bytes:
-        return b"".join(self.encode_parts(target, base))
-
-    def accumulate(self, data, accumulator, batch=None):
-        data = memoryview(data)
-        dtype, shape, mode, offset = self._unframe(data)
-        lz_flag, offset = unpack_u8(data, offset)
-        payload = data[offset:]
-        if lz_flag:
-            payload = unlz_bytes(payload)
-        count = int(np.prod(shape)) if shape else 1
-        accumulator = code_store.ensure_accumulator(accumulator, mode,
-                                                    count)
-        end = code_store.decode_hybrid_into(payload, 0, count,
-                                            accumulator, mode,
-                                            batch=batch)
-        if end != len(payload):
-            raise CodecError(
-                f"hybrid delta payload has {len(payload) - end} "
-                "undecoded trailing bytes")
-        return accumulator, mode, dtype, shape
-
-    def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
-        delta, mode, dtype, shape = self._decode_delta(data)
-        return numeric.apply_delta_forward(
-            base, delta.reshape(shape), mode, dtype)
-
-    def decode_backward(self, data: bytes, target: np.ndarray) -> np.ndarray:
-        delta, mode, dtype, shape = self._decode_delta(data)
-        return numeric.apply_delta_backward(
-            target, delta.reshape(shape), mode, dtype)
-
-    def encoded_size(self, target: np.ndarray, base: np.ndarray) -> int:
-        delta, mode = numeric.compute_delta(target, base)
-        codes = code_store.delta_to_codes(delta, mode)
-        header = self._frame_size(target) + 1  # + the LZ flag byte
-        if self.lz:
-            # The LZ output size is data dependent, so the compressor
-            # must run — but only over the packed split sections; the
-            # framing never reaches the LZ stage, so its size is added
-            # analytically instead of round-tripping a full encode().
-            packed = b"".join(code_store.encode_hybrid_parts(codes))
-            return header + len(lz_bytes(packed))
-        return header + code_store.hybrid_size(codes)
+    def _unseal(self, payload: memoryview):
+        lz_flag, offset = unpack_u8(payload, 0)
+        payload = payload[offset:]
+        return unlz_bytes(payload) if lz_flag else payload
 
     def plan_size(self, plan) -> int | None:
         if self.lz:
             # Data dependent: the planner falls back to (one) encode.
             return None
-        return self._frame_size(plan.target) + 1 + \
-            code_store.hybrid_size(plan.codes, plan.stats)
-
-    def encode_from_plan(self, plan) -> list[bytes]:
-        parts = code_store.encode_hybrid_parts(plan.codes, plan.stats)
-        if self.lz:
-            parts = [lz_bytes(b"".join(parts))]
-        return [self._frame(plan.target, plan.mode),
-                pack_u8(int(self.lz)), *parts]
-
-    # ------------------------------------------------------------------
-    def _decode_delta(self, data: bytes):
-        data = memoryview(data)
-        dtype, shape, mode, offset = self._unframe(data)
-        lz_flag, offset = unpack_u8(data, offset)
-        # A memoryview slice, not a bytes copy — the packed sections
-        # are unpacked straight out of the stored payload.
-        payload = data[offset:]
-        if lz_flag:
-            payload = unlz_bytes(payload)
-        count = int(np.prod(shape)) if shape else 1
-        codes, end = code_store.decode_hybrid(payload, 0, count)
-        if end != len(payload):
-            raise CodecError(
-                f"hybrid delta payload has {len(payload) - end} "
-                "undecoded trailing bytes")
-        delta = code_store.codes_to_delta(codes, mode)
-        return delta, mode, dtype, shape
+        return 1 + super().plan_size(plan)  # + the LZ flag byte

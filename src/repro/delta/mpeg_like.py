@@ -93,9 +93,12 @@ class MPEGLikeDeltaCodec(DeltaCodec):
         ])
 
     def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
-        dtype, shape, mode, offset = self._unframe(data)
+        dtype, shape, mode, offset = self._unframe(data, base)
         block, offset = unpack_i64(data, offset)
         radius, offset = unpack_i64(data, offset)
+        if block < 1 or radius < 0:
+            raise CodecError(
+                f"mpeg-like payload has block {block}, radius {radius}")
         base2d = _fold_2d(np.ascontiguousarray(base))
         rows, cols = base2d.shape
         grid_shape = (len(range(0, rows, block)), len(range(0, cols, block)))
@@ -113,8 +116,9 @@ class MPEGLikeDeltaCodec(DeltaCodec):
         offset += mv_len
 
         predicted = _predict(base2d, dy, dx, block)
-        count = int(np.prod(shape)) if shape else 1
-        residual_codes, _ = code_store.decode_hybrid(data, offset, count)
+        residual_codes, end = code_store.decode_hybrid(data, offset,
+                                                       base.size)
+        self._check_consumed(end, data)
         residual = code_store.codes_to_delta(residual_codes, mode) \
             .reshape(predicted.shape)
         target2d = numeric.apply_delta_forward(predicted, residual, mode,

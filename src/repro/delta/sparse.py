@@ -8,79 +8,16 @@ stored.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import numeric
-from repro.core.errors import CodecError
 from repro.delta import codes as code_store
-from repro.delta.base import DeltaCodec
+from repro.delta.base import CodeArrayDeltaCodec
 
 
-class SparseDeltaCodec(DeltaCodec):
+class SparseDeltaCodec(CodeArrayDeltaCodec):
     """Position/value pairs for the nonzero delta codes only."""
 
     name = "sparse"
-    bidirectional = True
-    composable = True
     scatters = True
-    plan_sufficient = True
-
-    def encode_parts(self, target: np.ndarray,
-                     base: np.ndarray) -> list[bytes]:
-        delta, mode = numeric.compute_delta(target, base)
-        codes = code_store.delta_to_codes(delta, mode)
-        return [self._frame(target, mode),
-                *code_store.encode_sparse_parts(codes)]
-
-    def encode(self, target: np.ndarray, base: np.ndarray) -> bytes:
-        return b"".join(self.encode_parts(target, base))
-
-    def _decode_codes(self, data) -> tuple[np.ndarray, str, np.dtype,
-                                           tuple[int, ...]]:
-        data = memoryview(data)
-        dtype, shape, mode, offset = self._unframe(data)
-        count = int(np.prod(shape)) if shape else 1
-        codes, end = code_store.decode_sparse(data, offset, count)
-        if end != len(data):
-            raise CodecError(
-                f"sparse delta payload has {len(data) - end} undecoded "
-                "trailing bytes")
-        return codes, mode, dtype, shape
-
-    def accumulate(self, data, accumulator, batch=None):
-        data = memoryview(data)
-        dtype, shape, mode, offset = self._unframe(data)
-        count = int(np.prod(shape)) if shape else 1
-        accumulator = code_store.ensure_accumulator(accumulator, mode,
-                                                    count)
-        end = code_store.decode_sparse_into(data, offset, count,
-                                            accumulator, mode,
-                                            batch=batch)
-        if end != len(data):
-            raise CodecError(
-                f"sparse delta payload has {len(data) - end} undecoded "
-                "trailing bytes")
-        return accumulator, mode, dtype, shape
-
-    def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
-        codes, mode, dtype, shape = self._decode_codes(data)
-        delta = code_store.codes_to_delta(codes, mode).reshape(shape)
-        return numeric.apply_delta_forward(base, delta, mode, dtype)
-
-    def decode_backward(self, data: bytes, target: np.ndarray) -> np.ndarray:
-        codes, mode, dtype, shape = self._decode_codes(data)
-        delta = code_store.codes_to_delta(codes, mode).reshape(shape)
-        return numeric.apply_delta_backward(target, delta, mode, dtype)
-
-    def encoded_size(self, target: np.ndarray, base: np.ndarray) -> int:
-        delta, mode = numeric.compute_delta(target, base)
-        codes = code_store.delta_to_codes(delta, mode)
-        return self._frame_size(target) + code_store.sparse_size(codes)
-
-    def plan_size(self, plan) -> int:
-        return self._frame_size(plan.target) + \
-            code_store.sparse_size(plan.codes, plan.stats)
-
-    def encode_from_plan(self, plan) -> list[bytes]:
-        return [self._frame(plan.target, plan.mode),
-                *code_store.encode_sparse_parts(plan.codes, plan.stats)]
+    _size = staticmethod(code_store.sparse_size)
+    _encode = staticmethod(code_store.encode_sparse_parts)
+    _decode = staticmethod(code_store.decode_sparse)
+    _fold = staticmethod(code_store.decode_sparse_into)

@@ -9,8 +9,9 @@ O(n^2) pairwise comparisons."
 
 Two construction strategies are provided:
 
-* **exact** — every pairwise delta size is measured with the hybrid
-  delta's closed-form size estimator (no bytes are actually encoded);
+* **exact** — every pairwise delta is priced as the write path prices
+  it: one :class:`~repro.delta.codes.CodePlan` per pair, the hybrid
+  size read off its width histogram (no bytes are actually encoded);
 * **sampled** — "computing the space S to store the deltas based on a
   random sample of R of the total of N cells ... and then computing
   S x R / N yields a fairly approximate estimate of the actual delta
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.base import Codec, IdentityCodec
-from repro.core import numeric
 from repro.core.errors import DeltaShapeMismatchError, ReproError
-from repro.delta import codes as code_store
+from repro.delta.codes import CodePlan, hybrid_size
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,9 @@ def _delta_cost(flat_a: np.ndarray, flat_b: np.ndarray,
     ``flat_a`` as the earlier version (see :meth:`build` and
     :func:`repro.materialize.updates.extend_matrix`).
     """
-    if sample_index is None:
-        delta, mode = numeric.compute_delta(flat_a, flat_b)
-        codes = code_store.delta_to_codes(delta, mode)
-        return float(code_store.hybrid_size(codes))
-    sample_a = flat_a[sample_index]
-    sample_b = flat_b[sample_index]
-    delta, mode = numeric.compute_delta(sample_a, sample_b)
-    codes = code_store.delta_to_codes(delta, mode)
-    sampled = float(code_store.hybrid_size(codes))
-    return sampled * (total_cells / len(sample_index))
+    scale = 1.0
+    if sample_index is not None:
+        flat_a, flat_b = flat_a[sample_index], flat_b[sample_index]
+        scale = total_cells / len(sample_index)
+    plan = CodePlan.build(flat_a, flat_b)
+    return float(hybrid_size(plan.codes, plan.stats)) * scale

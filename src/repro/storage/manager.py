@@ -413,11 +413,10 @@ class VersionedStorageManager:
         the substrate does.
         """
         record = self.catalog.get_array(name)
-        self.catalog.get_version(record.array_id, version)
-        dependents = {chunk.version for chunk in
-                      self.catalog.dependents_of(record.array_id, version)}
         deleted_parent = self.catalog.get_version(
             record.array_id, version).parent_version
+        dependents = {chunk.version for chunk in
+                      self.catalog.dependents_of(record.array_id, version)}
         # The deleted version's stored delta base — not its lineage
         # parent, which after a re-organization may itself be one of
         # the dependents (a head-rooted chain deltas old against new).

@@ -57,7 +57,7 @@ import numpy as np
 from repro.compression.registry import get_codec
 from repro.core import numeric
 from repro.core.array import ArrayData
-from repro.core.errors import NoOverwriteError, StorageError
+from repro.core.errors import CodecError, NoOverwriteError, StorageError
 from repro.delta.auto import (
     EncodingDecision,
     RebaseState,
@@ -773,10 +773,17 @@ class DecodePipeline(_PooledStage):
                    for level in levels)
 
     @staticmethod
-    def _compose(codecs: list, payloads: list[bytes],
-                 accumulator: np.ndarray | None):
-        """Fold every level's delta into one accumulator; returns it
-        with the chain's ``(mode, dtype, shape)``.
+    def _compose(codecs: list, payloads: list[bytes], root: np.ndarray,
+                 *, seeded: bool = False) -> tuple[np.ndarray, str]:
+        """Fold every level's delta into one accumulator over ``root``;
+        returns it with the chain's delta mode.
+
+        The accumulator is sized from the decoded root — zeroed, or
+        ``seeded`` with the root's widened cells — never from a
+        payload's frame: a level whose header lies about its mode or
+        cell count fails against it inside ``accumulate``, and one that
+        lies about dtype or shape fails here, before anything is sized
+        or shaped on its say.
 
         Compose order is irrelevant — both modes are associative *and*
         commutative (wrapping int64 addition, xor) — so levels fold in
@@ -786,14 +793,20 @@ class DecodePipeline(_PooledStage):
         the levels read together as one ``read_many`` span batch — and
         folded in a single batched scatter.
         """
-        mode = dtype = shape = None
+        mode = numeric.delta_mode_for(root.dtype)
+        accumulator = numeric.seeded_accumulator(root, mode) if seeded \
+            else numeric.delta_accumulator(mode, root.size)
         batch: list = []
         for codec, payload in zip(codecs, payloads):
-            accumulator, mode, dtype, shape = codec.accumulate(
-                payload, accumulator, batch=batch)
+            _, _, dtype, shape = codec.accumulate(payload, accumulator,
+                                                  batch=batch)
+            if (dtype, shape) != (root.dtype, root.shape):
+                raise CodecError(
+                    f"delta level framed ({dtype}, {shape}) in a chain "
+                    f"over a ({root.dtype}, {root.shape}) root")
         if batch:
             numeric.scatter_delta_batch(accumulator, batch, mode)
-        return accumulator, mode, dtype, shape
+        return accumulator, mode
 
     def _fused_apply(self, chain: list[ChunkRecord],
                      payloads: list[bytes],
@@ -808,17 +821,14 @@ class DecodePipeline(_PooledStage):
         # accumulator starts as the widened root, so the batched
         # O(nnz) scatter lands directly on the reconstructed cells.
         seeded = scatter_levels == len(codecs)
-        accumulator = numeric.seeded_accumulator(
-            base, numeric.delta_mode_for(base.dtype)) if seeded \
-            else None
-        accumulator, mode, dtype, shape = self._compose(
-            codecs, payloads, accumulator)
+        accumulator, mode = self._compose(codecs, payloads, base,
+                                          seeded=seeded)
         self.store.stats.record_chain_fused(len(chain), scatter_levels)
         if seeded:
-            return numeric.finalize_seeded(accumulator, mode, dtype,
-                                           shape)
+            return numeric.finalize_seeded(accumulator, mode, base.dtype,
+                                           base.shape)
         return numeric.apply_delta_forward(
-            base, accumulator.reshape(shape), mode, dtype,
+            base, accumulator.reshape(base.shape), mode, base.dtype,
             reuse_delta=True)
 
     def chain_state(self, record: ArrayRecord, version: int,
@@ -850,9 +860,9 @@ class DecodePipeline(_PooledStage):
         if not chain:
             return RebaseState(root=root, accumulator=None,
                                mode=numeric.delta_mode_for(root.dtype))
-        accumulator, mode, _, _ = self._compose(
+        accumulator, mode = self._compose(
             [get_delta_codec(chunk_record.delta_codec)
-             for chunk_record in chain], payloads, None)
+             for chunk_record in chain], payloads, root)
         return RebaseState(root=root, accumulator=accumulator, mode=mode)
 
     # ------------------------------------------------------------------

@@ -176,7 +176,7 @@ class TestRebaseStats:
         root = rng.integers(-2**40, 2**40, n, dtype=np.int64)
         prior = rng.integers(-2**20, 2**20, n, dtype=np.int64)
         target = rng.integers(-2**40, 2**40, n, dtype=np.int64)
-        fused = native.rebase_zigzag_stats(target, root, prior)
+        fused = native.delta_zigzag_stats(target, root, prior)
         assert fused is not None
         codes, hist = fused
         with np.errstate(over="ignore"):
@@ -188,13 +188,13 @@ class TestRebaseStats:
 
     def test_rejects_layouts(self):
         a = np.zeros(8, dtype=np.int64)
-        assert native.rebase_zigzag_stats(a.astype(np.int32), a,
+        assert native.delta_zigzag_stats(a.astype(np.int32), a,
                                           a) is None
-        assert native.rebase_zigzag_stats(a, a[:4], a) is None
-        assert native.rebase_zigzag_stats(a[::2], a[::2],
+        assert native.delta_zigzag_stats(a, a[:4], a) is None
+        assert native.delta_zigzag_stats(a[::2], a[::2],
                                           a[::2]) is None
         empty = np.zeros(0, dtype=np.int64)
-        assert native.rebase_zigzag_stats(empty, empty, empty) is None
+        assert native.delta_zigzag_stats(empty, empty, empty) is None
 
 
 class TestDisabledScope:
@@ -209,7 +209,7 @@ class TestDisabledScope:
             assert native.scatter_add(acc, idx, one) is False
             assert native.scatter_xor(acc, idx, one) is False
             assert native.apply_add64(acc, acc.copy()) is False
-            assert native.rebase_zigzag_stats(acc, acc, acc) is None
+            assert native.delta_zigzag_stats(acc, acc, acc) is None
         assert native.zigzag_decode(codes) is not None
 
     def test_disabled_nests(self):
@@ -239,7 +239,7 @@ class TestDisabledScope:
             "idx = np.array([0], dtype=np.int64)\n"
             "one = np.array([1], dtype=np.int64)\n"
             "assert native.scatter_add(acc, idx, one) is False\n"
-            "assert native.rebase_zigzag_stats(acc, acc, acc) is None\n"
+            "assert native.delta_zigzag_stats(acc, acc, acc) is None\n"
         )
         subprocess.run([sys.executable, "-c", probe], check=True,
                        env=env)

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.errors import CodecError, DeltaShapeMismatchError
+from repro.core import native, numeric
+from repro.core.errors import (
+    CodecError,
+    DeltaShapeMismatchError,
+    ReproError,
+)
+from repro.core.serial import unpack_array_header
 from repro.delta import (
     BSDiffDeltaCodec,
     DenseDeltaCodec,
@@ -283,3 +292,85 @@ class TestStrictDecode:
         blob = codec.encode(target, base)
         out = codec.decode_forward(memoryview(blob), base)
         np.testing.assert_array_equal(out, target)
+
+
+def _corruptions(rng, payload: bytes, trials: int):
+    """Seeded hostile variants of ``payload``: truncations, single bit
+    flips anywhere, and whole-byte smashes in the header region (frame,
+    width bytes, the outlier count) — the fields that size things."""
+    for _ in range(trials):
+        yield payload[:int(rng.integers(0, len(payload)))]
+        flipped = bytearray(payload)
+        flipped[int(rng.integers(0, len(payload)))] ^= \
+            1 << int(rng.integers(0, 8))
+        yield bytes(flipped)
+        smashed = bytearray(payload)
+        smashed[int(rng.integers(0, min(48, len(payload))))] = \
+            int(rng.integers(0, 256))
+        yield bytes(smashed)
+
+
+def _frame_agrees(payload: bytes, base: np.ndarray) -> bool:
+    try:
+        dtype, shape, _ = unpack_array_header(payload)
+    except CodecError:
+        return False
+    return (dtype, shape) == (base.dtype, base.shape)
+
+
+@pytest.mark.parametrize("kernels", [True, False],
+                         ids=["native", "numpy"])
+@pytest.mark.parametrize("dtype", [np.int32, np.float32], ids=str)
+class TestCorruptPayloads:
+    """A payload is bytes from disk: whatever is wrong with it, a
+    decoder raises a typed :class:`ReproError` — never a MemoryError
+    from an allocation the bytes sized, never numpy's ValueError from
+    a shape the bytes chose — and never hands back an array for a
+    frame that disagrees with the array it was asked to decode
+    against."""
+
+    TRIALS = 40
+
+    @staticmethod
+    def _payload(name, dtype, rng):
+        target, base = _pair(dtype, (12, 16), rng, similarity=0.8)
+        target[3, 5] = 1 << 20  # an outlier: hybrid keeps a real table
+        return get_delta_codec(name).encode(target, base), target, base
+
+    @pytest.mark.parametrize("name", delta_codec_names())
+    def test_decode_forward(self, name, dtype, kernels, rng):
+        codec = get_delta_codec(name)
+        payload, target, base = self._payload(name, dtype, rng)
+        with contextlib.nullcontext() if kernels else native.disabled():
+            assert codec.decode_forward(payload, base).tobytes() == \
+                target.tobytes()
+            wrong = np.zeros((16, 12), dtype=base.dtype)
+            with pytest.raises(ReproError):
+                codec.decode_forward(payload, wrong)
+            for bad in _corruptions(rng, payload, self.TRIALS):
+                try:
+                    out = codec.decode_forward(bad, base)
+                except ReproError:
+                    continue
+                assert _frame_agrees(bad, base)
+                assert (out.dtype, out.shape) == (base.dtype, base.shape)
+
+    @pytest.mark.parametrize("name", [
+        name for name in delta_codec_names()
+        if get_delta_codec(name).composable])
+    def test_accumulate(self, name, dtype, kernels, rng):
+        codec = get_delta_codec(name)
+        payload, _, base = self._payload(name, dtype, rng)
+        mode = numeric.delta_mode_for(base.dtype)
+        with contextlib.nullcontext() if kernels else native.disabled():
+            for bad in _corruptions(rng, payload, self.TRIALS):
+                # As the read pipeline calls it: an accumulator sized
+                # from the chunk being decoded, never from the bytes.
+                accumulator = numeric.delta_accumulator(mode, base.size)
+                try:
+                    out, got_mode, _, shape = codec.accumulate(
+                        bad, accumulator, batch=[])
+                except ReproError:
+                    continue
+                assert out is accumulator and got_mode == mode
+                assert math.prod(shape) == base.size

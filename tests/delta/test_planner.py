@@ -14,15 +14,17 @@ write pipeline deciding through the oracle lands the same fingerprint.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compression import LempelZivCodec
-from encoding_oracle import choose_encoding
+from encoding_oracle import choose_encoding, reference_encode
 from repro.core import bitpack, native
-from repro.core.numeric import compute_delta, delta_mode_for
+from repro.core.numeric import apply_delta_forward, compute_delta
 from repro.core.schema import ArraySchema
 from repro.delta import (
     CodeStats,
@@ -31,11 +33,10 @@ from repro.delta import (
     SparseDeltaCodec,
     get_delta_codec,
 )
-from repro.delta.auto import CodePlan, RebaseState, plan_encoding
+from repro.delta.auto import CodePlan, plan_encoding
 from repro.delta.codes import (
+    codes_to_delta,
     delta_to_codes,
-    encode_hybrid_parts,
-    encode_sparse_parts,
     hybrid_split_width,
 )
 from repro.storage import VersionedStorageManager
@@ -116,6 +117,12 @@ candidate_sets = st.sampled_from([
 ])
 
 
+def _code_array_codecs():
+    """The whole dense / sparse / hybrid family: one body, four names."""
+    return (DenseDeltaCodec(), SparseDeltaCodec(), HybridDeltaCodec(),
+            HybridDeltaCodec(lz=True))
+
+
 class TestPlannerMatchesOracle:
     @settings(max_examples=120, deadline=None)
     @given(pair=version_pairs, candidates=candidate_sets,
@@ -169,6 +176,24 @@ class TestEstimatorsExact:
             payload = b"".join(codec.encode_from_plan(plan))
             assert size == len(payload), codec.name
 
+    @settings(max_examples=80, deadline=None)
+    @given(pair=version_pairs, kernels=st.booleans())
+    def test_every_entry_point_is_the_plan(self, pair, kernels):
+        """``encode`` / ``encode_parts`` / ``encoded_size`` *are* the
+        planner: same bytes as encoding from the plan, and both equal
+        the independent sort-and-mask reference."""
+        target, base = pair
+        with contextlib.nullcontext() if kernels else native.disabled():
+            plan = CodePlan.build(target, base)
+            for codec in _code_array_codecs():
+                payload = codec.encode(target, base)
+                assert payload == b"".join(codec.encode_from_plan(plan))
+                assert payload == b"".join(
+                    codec.encode_parts(target, base))
+                assert payload == reference_encode(codec.name, target,
+                                                   base), codec.name
+                assert codec.encoded_size(target, base) == len(payload)
+
     @settings(max_examples=40, deadline=None)
     @given(pair=version_pairs)
     def test_lz_hybrid_has_no_analytic_size(self, pair):
@@ -206,13 +231,14 @@ class TestSharedStats:
 
     @settings(max_examples=60, deadline=None)
     @given(pair=version_pairs)
-    def test_lazy_delta_roundtrip(self, pair):
+    def test_codes_roundtrip_to_the_delta(self, pair):
         target, base = pair
         plan = CodePlan.build(target, base)
         delta, mode = compute_delta(target, base)
         assert plan.mode == mode
-        assert plan.delta.dtype == delta.dtype
-        assert np.array_equal(plan.delta, delta)
+        rebuilt = codes_to_delta(plan.codes, mode)
+        assert rebuilt.dtype == delta.dtype
+        assert np.array_equal(rebuilt.reshape(delta.shape), delta)
 
 
 @pytest.mark.skipif(not native.available(),
@@ -318,11 +344,29 @@ def _cells(rng, dtype: np.dtype, shape) -> np.ndarray:
 def _reference_plan(target, base, accumulator=None) -> CodePlan:
     """The plan the numpy path builds for the same inputs."""
     with native.disabled():
-        if accumulator is None:
-            return CodePlan.build(target, base)
-        return CodePlan.build_rebased(
-            target, RebaseState(root=base, accumulator=accumulator,
-                                mode=delta_mode_for(target.dtype)))
+        return CodePlan.build(target, base, accumulator)
+
+
+def _assert_family_agrees(target, base, accumulator, plan, reference):
+    """All four code-array codecs emit the same payload from the
+    kernel-built ``plan``, from the numpy-built ``reference`` plan
+    with the kernels off, and from the sort-and-mask oracle over the
+    canvas the (root, accumulator) state denotes; and the sizes priced
+    from either plan are that payload's length."""
+    canvas = base if accumulator is None else apply_delta_forward(
+        base, accumulator.reshape(base.shape), plan.mode,
+        base.dtype).reshape(base.shape)
+    for codec in _code_array_codecs():
+        expected = reference_encode(codec.name, target, canvas)
+        assert b"".join(codec.encode_from_plan(plan)) == expected, \
+            codec.name
+        with native.disabled():
+            assert b"".join(codec.encode_from_plan(reference)) == \
+                expected, codec.name
+            assert codec.encoded_size(target, canvas) == len(expected)
+        assert codec.encode(target, canvas) == expected, codec.name
+        assert codec.encoded_size(target, canvas) == len(expected)
+        assert codec.plan_size(plan) in (None, len(expected))
 
 
 def _accumulator(rng, dtype: np.dtype, count: int) -> np.ndarray:
@@ -386,24 +430,14 @@ class TestNativeEveryCellType:
         accumulator = _accumulator(rng, target.dtype, target.size) \
             if rebased else None
         reference = _reference_plan(target, base, accumulator)
-        if accumulator is None:
-            plan = CodePlan.build(target, base)
-        else:
-            plan = CodePlan.build_rebased(target, RebaseState(
-                root=base, accumulator=accumulator, mode=reference.mode))
+        plan = CodePlan.build(target, base, accumulator)
         assert plan.mode == reference.mode
         assert np.array_equal(plan.codes, reference.codes)
         assert np.array_equal(plan.stats.width_counts,
                               reference.stats.width_counts)
         assert hybrid_split_width(plan.codes, plan.stats) == \
             hybrid_split_width(reference.codes, reference.stats)
-        with native.disabled():
-            expected = {
-                codec.name: b"".join(codec.encode_from_plan(reference))
-                for codec in (HybridDeltaCodec(), SparseDeltaCodec())}
-        for codec in (HybridDeltaCodec(), SparseDeltaCodec()):
-            assert b"".join(codec.encode_from_plan(plan)) == \
-                expected[codec.name], codec.name
+        _assert_family_agrees(target, base, accumulator, plan, reference)
 
     @pytest.mark.parametrize("dtype, target, base", [
         # 33-bit deltas out of 32-bit cells, in both directions.
@@ -446,19 +480,11 @@ class TestNativeEveryCellType:
     @staticmethod
     def _assert_same_encoding(target, base, accumulator):
         reference = _reference_plan(target, base, accumulator)
-        if accumulator is None:
-            plan = CodePlan.build(target, base)
-        else:
-            plan = CodePlan.build_rebased(target, RebaseState(
-                root=base, accumulator=accumulator, mode=reference.mode))
+        plan = CodePlan.build(target, base, accumulator)
         assert np.array_equal(plan.codes, reference.codes)
         assert np.array_equal(plan.stats.width_counts,
                               reference.stats.width_counts)
-        for encode in (encode_hybrid_parts, encode_sparse_parts):
-            with native.disabled():
-                expected = b"".join(encode(reference.codes,
-                                           reference.stats))
-            assert b"".join(encode(plan.codes, plan.stats)) == expected
+        _assert_family_agrees(target, base, accumulator, plan, reference)
 
     @pytest.mark.parametrize("small_bits", range(65))
     def test_split_pack_at_every_width(self, rng, small_bits):

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.compression import LempelZivCodec
+from repro.compression import IdentityCodec, LempelZivCodec
 from repro.core.errors import DeltaShapeMismatchError, ReproError
-from repro.materialize import MaterializationMatrix
+from repro.materialize import (
+    MaterializationMatrix,
+    extend_matrix,
+    optimal_layout,
+)
+
+# The sort-based hybrid pricing lives with the planner's oracle.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "delta"))
+import encoding_oracle  # noqa: E402
 
 
 def _version_family(rng, count=5, shape=(32, 32)):
@@ -103,6 +114,77 @@ class TestSampling:
             MaterializationMatrix.build(contents, sample_fraction=0.0)
         with pytest.raises(ReproError):
             MaterializationMatrix.build(contents, sample_fraction=1.5)
+
+
+def _oracle_costs(contents, sample_index=None):
+    """The matrix the seed built: every pair's sort-based hybrid size,
+    lower id differenced against higher id, sampled costs scaled by
+    N / R; the identity-compressed size on the diagonal."""
+    ids = sorted(contents)
+    costs = np.zeros((len(ids), len(ids)))
+    for i, a in enumerate(ids):
+        costs[i, i] = len(IdentityCodec().encode(contents[a]))
+        for j in range(i + 1, len(ids)):
+            flat_a = contents[a].ravel()
+            flat_b = contents[ids[j]].ravel()
+            scale = 1.0
+            if sample_index is not None:
+                scale = flat_a.size / len(sample_index)
+                flat_a, flat_b = flat_a[sample_index], flat_b[sample_index]
+            codes, _ = encoding_oracle.reference_codes(flat_a, flat_b)
+            costs[i, j] = costs[j, i] = \
+                float(encoding_oracle.hybrid_size(codes)) * scale
+    return MaterializationMatrix(versions=tuple(ids), costs=costs)
+
+
+class TestPricedLikeTheOracle:
+    """The matrix prices a pair from the write path's ``CodePlan``
+    histogram; the numbers must be the ones the sort-and-search
+    estimator gave, so every layout computed from them is unchanged."""
+
+    @staticmethod
+    def _series(rng, dtype, count=5, shape=(48, 40)):
+        dtype = np.dtype(dtype)
+        if dtype.kind == "f":
+            frames = [rng.normal(0, 50, shape).astype(dtype)]
+        else:
+            frames = [rng.integers(0, 200, shape).astype(dtype)]
+        for _ in range(count - 1):
+            nxt = frames[-1].copy()
+            mask = rng.random(shape) > 0.9
+            nxt[mask] = nxt[mask] * 2 + 1 if dtype.kind == "f" \
+                else nxt[mask] + dtype.type(3)
+            frames.append(nxt)
+        return dict(enumerate(frames, start=1))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32],
+                             ids=str)
+    def test_exact_sampled_and_extended(self, rng, dtype):
+        contents = self._series(rng, dtype)
+        exact = MaterializationMatrix.build(contents)
+        oracle = _oracle_costs(contents)
+        assert np.array_equal(exact.costs, oracle.costs)
+        assert optimal_layout(exact) == optimal_layout(oracle)
+
+        total = contents[1].size
+        sample_index = np.random.default_rng(0).choice(
+            total, size=round(total * 0.1), replace=False)
+        sampled = MaterializationMatrix.build(contents,
+                                              sample_fraction=0.1)
+        sampled_oracle = _oracle_costs(contents, sample_index)
+        assert np.array_equal(sampled.costs, sampled_oracle.costs)
+        assert optimal_layout(sampled) == optimal_layout(sampled_oracle)
+
+        head = max(contents)
+        older = {v: a for v, a in contents.items() if v != head}
+        for index, full in ((None, exact), (sample_index, sampled)):
+            grown = extend_matrix(
+                MaterializationMatrix.build(
+                    older, sample_fraction=None if index is None else 0.1),
+                older, head, contents[head],
+                materialized_size=full.materialize_size(head),
+                sample_index=index)
+            assert np.array_equal(grown.costs, full.costs)
 
 
 class TestRestrict:

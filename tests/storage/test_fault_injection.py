@@ -81,6 +81,29 @@ class TestCorruptChunks:
         with pytest.raises(ReproError):
             filled.select("A", 2)
 
+    @pytest.mark.parametrize("extents, complaint", [
+        ((8, 32), "framed"),           # same cells, another shape
+        ((16, 17), "cell counts"),     # a count the root does not have
+        ((1 << 40, 1 << 20), "cell counts"),   # 4 EiB if believed
+    ])
+    def test_reframed_delta_level(self, filled, tmp_path, extents,
+                                  complaint):
+        # Version 3 reads fused (two delta levels).  Rewrite the shape
+        # in the head level's frame: the fold is sized from the decoded
+        # root, so the lie is refused, never allocated or reshaped.
+        record = filled.catalog.get_array("A")
+        (head,) = filled.catalog.chunks_for_version(record.array_id, 3)
+        assert head.is_delta
+        path = tmp_path / "data" / head.location.path
+        stored = bytearray(path.read_bytes())
+        at = head.location.offset + 1 + len("<i4") + 1  # past dtype, ndim
+        stored[at:at + 16] = b"".join(
+            extent.to_bytes(8, "little") for extent in extents)
+        path.write_bytes(bytes(stored))
+        with pytest.raises(CodecError, match=complaint):
+            filled.select("A", 3)
+        assert filled.stats.chains_fused == 0
+
 
 class TestCatalogRobustness:
     def test_missing_chunk_record(self, filled):
