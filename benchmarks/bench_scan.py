@@ -33,17 +33,13 @@ def bench_scan_throughput(run_once):
         codec, depth = row["delta_codec"], row["chain_depth"]
         stores.setdefault((row["backend"], codec, depth), set()) \
             .add(row["fingerprint"])
-        # A select fuses exactly the depth's chain (depth 2 = one
-        # delta level = nothing to fold).
-        if depth - 1 >= 2:
-            assert row["chains_fused"] == 1
-            assert row["fused_levels"] == depth - 1
-            if codec in ("sparse", "hybrid"):
-                assert row["scatter_levels"] == depth - 1
-            else:
-                assert row["scatter_levels"] == 0
+        # A select folds exactly the depth's chain, one level or many.
+        assert row["chains_fused"] == 1
+        assert row["fused_levels"] == depth - 1
+        if codec in ("sparse", "hybrid"):
+            assert row["scatter_levels"] == depth - 1
         else:
-            assert row["chains_fused"] == 0
+            assert row["scatter_levels"] == 0
     for store_key, prints in stores.items():
         assert len(prints) == 1, \
             f"native axis changed stored bytes at {store_key}"

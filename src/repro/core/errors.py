@@ -54,6 +54,18 @@ class DeltaShapeMismatchError(CodecError):
     """Deltas can only be created between arrays of identical shape/dtype."""
 
 
+class DeltaLevelError(CodecError):
+    """One level of a delta chain is not a well-formed payload.
+
+    ``level`` indexes the chain's payloads as they were handed to the
+    fold, so the caller that knows the chain can name the version.
+    """
+
+    def __init__(self, level: int, message: str):
+        self.level = level
+        super().__init__(message)
+
+
 class CorruptChunkError(CodecError):
     """A chunk read from disk failed integrity checks during decoding."""
 

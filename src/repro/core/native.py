@@ -19,9 +19,12 @@ base chain's accumulator, producing a delta-of-delta re-base's codes
 the width the cost curve chose, leave as the packed dense section and
 the packed outlier table (at width 0: the sparse codec's table).
 :func:`pack_bits` is the carry-register pack behind every other
-``pack_unsigned`` call.  The read side mirrors them with the zigzag
-decode, the carry-register unpack, the sparse scatter-accumulate, and
-the single-pass chain apply.
+``pack_unsigned`` call.  The read side is one call per chunk:
+:func:`fold_chain` parses every level of a delta chain out of its
+stored payload, zigzag-decodes in register and applies it straight to
+the cells of the version being read, in the cell's own width and in
+place in the output canvas.  The zigzag decode and the carry-register
+unpack serve the level-by-level decoders.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they
 are gated behind runtime compilation with the host C compiler and
@@ -35,7 +38,8 @@ throughput changes, so a build that failed under every cache root
 says so once on the ``repro.native`` logger.  Every wrapper returns
 ``None`` (or ``False`` for in-place kernels) instead of raising when
 its gate rejects the input, and callers fall through to numpy; the
-write-side wrappers say why at ``debug``, once per reason.
+write-side wrappers and the fold say why at ``debug``, once per
+reason.
 
 The shared object is cached under ``.cache/native/`` next to the
 package (keyed by a hash of the C source and the compiler flags —
@@ -364,32 +368,204 @@ void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
     }
 }
 
-/* Sparse scatter-accumulate over the uint64 bit image:
- * acc[pos[i]] op= delta[i].  The sequential loop is exact under
- * duplicate positions — unlike numpy fancy indexing — which is what
- * lets the fused read path batch every scatter level of a chain into
- * one call.  Bounds are checked by the caller. */
-void repro_scatter_add(uint64_t *acc, const int64_t *pos,
-                       const uint64_t *delta, int64_t n)
+/* ---- Read side: the chain fold ------------------------------------
+ *
+ * A delta chain is folded level by level straight into the cells of
+ * the version being read: the destination already holds the decoded
+ * root (or a zeroed 64-bit accumulator, for a re-base), laid out as
+ * `count` cells in runs of `cols`, `row_stride` bytes apart (a chunk
+ * of the output canvas; cols = count for a contiguous buffer).  Each
+ * level is one code-array payload section — `layout` says which parts
+ * it has:
+ *
+ *   FOLD_SMALL  u8 width, then `count` codes packed at it (dense, and
+ *               hybrid's small codes: zero at outlier positions);
+ *   FOLD_TABLE  i64 entries, u8 position width, u8 value width, the
+ *               packed positions, the packed values (sparse, and
+ *               hybrid's outliers).
+ *
+ * Codes are zigzag-decoded in register (ADD) or taken as they are
+ * (XOR) and applied as `cell op= (cell_t)delta` in the cell's own
+ * width: the deltas were computed mod 2^64 and mod 2^w is a ring
+ * image of that, so the narrow fold is exact.  Nothing in the bytes is
+ * trusted: every width, the entry count and every section length are
+ * checked against `len` and `count` before the section is read, and
+ * every position before the cell is touched. */
+enum {
+    FOLD_SMALL = 1, FOLD_TABLE = 2,
+    FOLD_TRUNCATED = 1, FOLD_WIDTH, FOLD_ENTRIES, FOLD_POSITION,
+    FOLD_TRAILING, FOLD_ARGUMENT
+};
+
+/* LSB-first reader of `bits`-wide values (0..64): the carry register
+ * of repro_unpack_bits, pulled one value at a time so two streams can
+ * advance in lock step.  The caller has checked that the stream holds
+ * every value it pulls; the tail word is zero-extended. */
+typedef struct {
+    const unsigned char *src, *end;
+    uint64_t acc, mask;
+    int64_t avail, bits;
+} repro_reader;
+
+static inline repro_reader repro_reader_at(const unsigned char *src,
+                                           int64_t nbytes, int64_t bits)
 {
-    for (int64_t i = 0; i < n; i++)
-        acc[pos[i]] += delta[i];
+    repro_reader r = {src, src + nbytes, 0,
+                      bits == 64 ? ~0ULL : (1ULL << bits) - 1, 0, bits};
+    return r;
 }
 
-void repro_scatter_xor(uint64_t *acc, const int64_t *pos,
-                       const uint64_t *delta, int64_t n)
+static inline uint64_t repro_pull(repro_reader *r)
 {
-    for (int64_t i = 0; i < n; i++)
-        acc[pos[i]] ^= delta[i];
+    uint64_t v;
+    if (r->avail < r->bits) {
+        uint64_t nxt = 0;
+        int64_t left = r->end - r->src;
+        if (left >= 8) {
+            memcpy(&nxt, r->src, 8);
+            r->src += 8;
+        } else if (left > 0) {
+            memcpy(&nxt, r->src, (size_t)left);
+            r->src = r->end;
+        }
+        /* avail < bits <= 64: the shift by avail stays in range, and
+         * `taken` bits of nxt (1..64) are consumed by this value. */
+        int64_t taken = r->bits - r->avail;
+        v = (r->acc | (nxt << r->avail)) & r->mask;
+        r->acc = taken < 64 ? nxt >> taken : 0;
+        r->avail = 64 - taken;
+    } else {
+        v = r->acc & r->mask;
+        r->acc >>= r->bits;
+        r->avail -= r->bits;
+    }
+    return v;
 }
 
-/* Fused chain apply for 64-bit cells: acc[i] += base[i] over the
- * uint64 bit image — the same mod-2^64 group numpy's int64 out= add
- * wraps in, so the result is bit-identical. */
-void repro_apply_add64(const uint64_t *base, uint64_t *acc, int64_t n)
+#define FOLD_ADD(cell, c) \
+    ((cell) + (((c) >> 1) ^ (0 - ((c) & 1))))
+#define FOLD_XOR(cell, c) ((cell) ^ (c))
+
+/* One level into one destination, for one cell width and operation. */
+#define FOLD_KERNEL(NAME, T, OP)                                       \
+static int NAME(unsigned char *dest, int64_t count, int64_t cols,      \
+                int64_t row_stride, const unsigned char *p,            \
+                int64_t len, int layout)                               \
+{                                                                      \
+    enum { S = sizeof(T) };                                            \
+    int64_t at = 0;                                                    \
+    if (layout & FOLD_SMALL) {                                         \
+        if (len < 1)                                                   \
+            return FOLD_TRUNCATED;                                     \
+        int64_t bits = p[at++];                                        \
+        if (bits > 64)                                                 \
+            return FOLD_WIDTH;                                         \
+        int64_t need = (count * bits + 7) / 8;                         \
+        if (need > len - at)                                           \
+            return FOLD_TRUNCATED;                                     \
+        if (bits) {                                                    \
+            repro_reader codes = repro_reader_at(p + at, need, bits);  \
+            for (int64_t lo = 0; lo < count; lo += cols) {             \
+                unsigned char *q = dest + (lo / cols) * row_stride;    \
+                for (int64_t i = 0; i < cols; i++, q += S) {           \
+                    uint64_t c = repro_pull(&codes);                   \
+                    T cell;                                            \
+                    memcpy(&cell, q, S);                               \
+                    cell = (T)OP((uint64_t)cell, c);                   \
+                    memcpy(q, &cell, S);                               \
+                }                                                      \
+            }                                                          \
+        }                                                              \
+        at += need;                                                    \
+    }                                                                  \
+    if (layout & FOLD_TABLE) {                                         \
+        if (len - at < 10)                                             \
+            return FOLD_TRUNCATED;                                     \
+        int64_t entries;                                               \
+        memcpy(&entries, p + at, 8);                                   \
+        int64_t position_bits = p[at + 8], value_bits = p[at + 9];     \
+        at += 10;                                                      \
+        if (entries < 0 || entries > count)                            \
+            return FOLD_ENTRIES;                                       \
+        if (position_bits > 64 || value_bits > 64)                     \
+            return FOLD_WIDTH;                                         \
+        int64_t position_bytes = (entries * position_bits + 7) / 8;    \
+        int64_t value_bytes = (entries * value_bits + 7) / 8;          \
+        if (position_bytes > len - at                                  \
+                || value_bytes > len - at - position_bytes)            \
+            return FOLD_TRUNCATED;                                     \
+        repro_reader positions =                                       \
+            repro_reader_at(p + at, position_bytes, position_bits);    \
+        repro_reader values = repro_reader_at(                         \
+            p + at + position_bytes, value_bytes, value_bits);         \
+        /* Positions ascend within a level, so the row of the last    \
+         * one is almost always the row of the next: divide only on   \
+         * leaving it (a step back wraps the unsigned difference and  \
+         * leaves it too). */                                          \
+        uint64_t row_lo = 0, width = (uint64_t)cols;                   \
+        unsigned char *row = dest;                                     \
+        for (int64_t i = 0; i < entries; i++) {                        \
+            uint64_t where = repro_pull(&positions);                   \
+            uint64_t c = repro_pull(&values);                          \
+            if (where >= (uint64_t)count)                              \
+                return FOLD_POSITION;                                  \
+            if (where - row_lo >= width) {                             \
+                row_lo = where - where % width;                        \
+                row = dest + (int64_t)(where / width) * row_stride;    \
+            }                                                          \
+            unsigned char *q = row + (where - row_lo) * S;             \
+            T cell;                                                    \
+            memcpy(&cell, q, S);                                       \
+            cell = (T)OP((uint64_t)cell, c);                           \
+            memcpy(q, &cell, S);                                       \
+        }                                                              \
+        at += position_bytes + value_bytes;                            \
+    }                                                                  \
+    return at == len ? 0 : FOLD_TRAILING;                              \
+}
+
+FOLD_KERNEL(repro_fold_add1, uint8_t, FOLD_ADD)
+FOLD_KERNEL(repro_fold_add2, uint16_t, FOLD_ADD)
+FOLD_KERNEL(repro_fold_add4, uint32_t, FOLD_ADD)
+FOLD_KERNEL(repro_fold_add8, uint64_t, FOLD_ADD)
+FOLD_KERNEL(repro_fold_xor1, uint8_t, FOLD_XOR)
+FOLD_KERNEL(repro_fold_xor2, uint16_t, FOLD_XOR)
+FOLD_KERNEL(repro_fold_xor4, uint32_t, FOLD_XOR)
+FOLD_KERNEL(repro_fold_xor8, uint64_t, FOLD_XOR)
+
+/* Fold `levels` sections — pointer, length and layout each — into one
+ * destination of `rows` x `cols` cells of `width` bytes.  Returns 0,
+ * or -(8 * level + reason) for the first level that is not a
+ * well-formed section over `rows * cols` cells; the destination is
+ * then partly folded and must be discarded. */
+int64_t repro_fold_chain(unsigned char *dest, int width, int use_xor,
+                         int64_t rows, int64_t cols, int64_t row_stride,
+                         int64_t levels,
+                         const unsigned char *const *sections,
+                         const int64_t *lengths, const int *layouts)
 {
-    for (int64_t i = 0; i < n; i++)
-        acc[i] += base[i];
+    static int (*const kernels[2][4])(
+        unsigned char *, int64_t, int64_t, int64_t,
+        const unsigned char *, int64_t, int) = {
+        {repro_fold_add1, repro_fold_add2, repro_fold_add4,
+         repro_fold_add8},
+        {repro_fold_xor1, repro_fold_xor2, repro_fold_xor4,
+         repro_fold_xor8},
+    };
+    int slot = width == 1 ? 0 : width == 2 ? 1 : width == 4 ? 2
+        : width == 8 ? 3 : -1;
+    /* 2^56 cells keep every count * bits below 2^63. */
+    if (slot < 0 || rows < 1 || cols < 1
+            || rows > (1LL << 56) / cols)
+        return -FOLD_ARGUMENT;
+    for (int64_t level = 0; level < levels; level++) {
+        int reason = kernels[use_xor != 0][slot](
+            dest, rows * cols, cols, row_stride, sections[level],
+            lengths[level], layouts[level]);
+        if (reason)
+            return -(8 * level + reason);
+    }
+    return 0;
 }
 """
 
@@ -472,15 +648,11 @@ def _compile() -> ctypes.CDLL | None:
             _U8_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             _U64_P]
         lib.repro_unpack_bits.restype = None
-        lib.repro_scatter_add.argtypes = [_U64_P, _I64_P, _U64_P,
-                                          ctypes.c_int64]
-        lib.repro_scatter_add.restype = None
-        lib.repro_scatter_xor.argtypes = [_U64_P, _I64_P, _U64_P,
-                                          ctypes.c_int64]
-        lib.repro_scatter_xor.restype = None
-        lib.repro_apply_add64.argtypes = [_U64_P, _U64_P,
-                                          ctypes.c_int64]
-        lib.repro_apply_add64.restype = None
+        lib.repro_fold_chain.argtypes = [
+            ctypes.c_void_p, ctypes.c_int, ctypes.c_int, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+        lib.repro_fold_chain.restype = ctypes.c_int64
         return lib
     _log.warning("compiled kernels unavailable (CC=%s), numpy fallbacks"
                  " in use: %s", compiler, "; ".join(failures))
@@ -537,12 +709,12 @@ _CELL_KINDS = {
     "f2": (5, 1), "f4": (6, 1), "f8": (7, 1),
 }
 
-#: (kernel, reason) pairs already reported by :func:`_decline`.
+#: (kernel, reason) pairs already reported by :func:`decline`.
 _declined: set[tuple[str, str]] = set()
 
 
-def _decline(kernel: str, reason: str) -> None:
-    """Say why a kernel's gate turned an input away — once per
+def decline(kernel: str, reason: str) -> None:
+    """Say why a kernel's fast path was not taken — once per
     (kernel, reason), at debug, so a caller silently running its numpy
     path can be found without flooding the log."""
     if (kernel, reason) not in _declined:
@@ -611,18 +783,18 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray,
     # buffer interface.
     if not isinstance(target, np.ndarray) \
             or not isinstance(base, np.ndarray):
-        return _decline(kernel, "not an ndarray")
+        return decline(kernel, "not an ndarray")
     if target.dtype != base.dtype or target.shape != base.shape:
-        return _decline(kernel, "dtype or shape mismatch")
+        return decline(kernel, "dtype or shape mismatch")
     cell = _CELL_KINDS.get(target.dtype.kind + str(target.itemsize))
     if cell is None or not target.dtype.isnative:
-        return _decline(kernel, f"unsupported dtype {target.dtype}")
+        return decline(kernel, f"unsupported dtype {target.dtype}")
     n = target.size
     if n == 0:
-        return _decline(kernel, "empty")
+        return decline(kernel, "empty")
     sides = (_as_rows(target), _as_rows(base))
     if None in sides:
-        return _decline(kernel, "non-unit inner stride")
+        return decline(kernel, "non-unit inner stride")
     # A contiguous side reads as rows of any length, so it adopts the
     # other side's (a chunk view of a canvas against a decoded root).
     rows, cols = next((side[1:3] for side in sides if side[1] > 1),
@@ -631,14 +803,14 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray,
                else cols * target.itemsize if side[1] == 1 else None
                for side in sides]
     if None in strides:
-        return _decline(kernel, "target and base rows differ")
+        return decline(kernel, "target and base rows differ")
     kind, use_xor = cell
     if prior is not None:
         wanted = np.uint64 if use_xor else np.int64
         if not isinstance(prior, np.ndarray) or prior.dtype != wanted \
                 or prior.size != n or not prior.flags.c_contiguous \
                 or not prior.flags.aligned:
-            return _decline(kernel, "prior is not a flat 64-bit "
+            return decline(kernel, "prior is not a flat 64-bit "
                                     "accumulator of the chunk's size")
     if out is None or out.size < n or out.dtype != np.uint64 \
             or not out.flags.c_contiguous or not out.flags.writeable:
@@ -651,7 +823,7 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray,
         kind, use_xor, rows, cols, *strides,
         codes.ctypes.data, hist.ctypes.data)
     if status:
-        return _decline(kernel, "cell kind unknown to this build")
+        return decline(kernel, "cell kind unknown to this build")
     return codes, hist
 
 
@@ -675,15 +847,15 @@ def split_pack(codes: np.ndarray, small_bits: int, outliers: int,
     kernel = "split_pack"
     if not isinstance(codes, np.ndarray) or codes.dtype != np.uint64 \
             or codes.ndim != 1 or not codes.flags.c_contiguous:
-        return _decline(kernel, "codes are not a flat uint64 array")
+        return decline(kernel, "codes are not a flat uint64 array")
     n = codes.size
     if n == 0:
-        return _decline(kernel, "empty")
+        return decline(kernel, "empty")
     if sys.byteorder != "little":
-        return _decline(kernel, "big-endian host")
+        return decline(kernel, "big-endian host")
     if not (0 <= small_bits <= 64 and 0 <= value_bits <= 64
             and 0 <= outliers <= n):
-        return _decline(kernel, "split parameters out of range")
+        return decline(kernel, "split parameters out of range")
     position_bits = (n - 1).bit_length()
     sections = [(n * small_bits + 7) // 8,
                 (outliers * position_bits + 7) // 8,
@@ -694,7 +866,7 @@ def split_pack(codes: np.ndarray, small_bits: int, outliers: int,
         codes.ctypes.data, n, small_bits, position_bits, value_bits,
         outliers, *(section.ctypes.data for section in words))
     if found != outliers:
-        return _decline(kernel, "outlier count disagrees with the codes")
+        return decline(kernel, "outlier count disagrees with the codes")
     return tuple(w.view(np.uint8)[:nbytes].tobytes()
                  for w, nbytes in zip(words, sections))
 
@@ -761,78 +933,60 @@ def unpack_bits(data, bits: int, count: int) -> np.ndarray | None:
     return out
 
 
-def _scatter_ready(accumulator: np.ndarray, index: np.ndarray,
-                   delta: np.ndarray) -> bool:
-    """Layout gate shared by both scatter kernels: 64-bit cells,
-    C-contiguous, int64 positions, matching pair length."""
-    return (isinstance(accumulator, np.ndarray)
-            and isinstance(index, np.ndarray)
-            and isinstance(delta, np.ndarray)
-            and accumulator.dtype.itemsize == 8
-            and delta.dtype.itemsize == 8
-            and index.dtype == np.int64
-            and accumulator.flags.c_contiguous
-            and accumulator.flags.writeable
-            and index.flags.c_contiguous
-            and delta.flags.c_contiguous
-            and index.size == delta.size
-            and index.size > 0)
+#: ``layouts`` bits of :func:`fold_chain`: the parts one code-array
+#: payload section has (the C side's ``FOLD_SMALL`` / ``FOLD_TABLE``).
+FOLD_SMALL = 1
+FOLD_TABLE = 2
 
 
-def scatter_add(accumulator: np.ndarray, index: np.ndarray,
-                delta: np.ndarray) -> bool:
-    """``accumulator[index] += delta`` over the uint64 bit image.
+def fold_chain(dest: np.ndarray, sections: list, layouts: list[int],
+               use_xor: bool) -> int | None:
+    """Fold a chain's code-array sections into ``dest`` in place.
 
-    Returns True when the kernel ran.  Positions must already be
-    bounds-checked; unlike numpy fancy indexing the sequential loop is
-    exact under duplicate positions, so batched multi-level scatters
-    are safe here and only here.
+    The read path's one kernel: ``dest`` holds the decoded root in the
+    cell's own dtype — in place in its canvas, as rows of adjacent
+    cells (see :func:`_as_rows`; a window no two strides describe is
+    folded in a contiguous copy and copied back) — or a zeroed 64-bit
+    accumulator, and every level (``sections[i]`` any bytes-like
+    object, ``layouts[i]`` its ``FOLD_*`` parts) is parsed,
+    zigzag-decoded unless ``use_xor`` and applied as wrapping add / xor
+    at the cell width.  Returns 0 when every level folded,
+    ``-(8 * level + reason)`` for the first malformed one (reason 1: a
+    section overruns its payload, 2: a bit width above 64, 3: more
+    table entries than cells, 4: a position outside the chunk, 5:
+    trailing bytes; ``dest`` is then partly folded — discard it), or
+    None when the gate declined and the caller must run the numpy
+    fold.
     """
     lib = _active()
-    if lib is None or not _scatter_ready(accumulator, index, delta):
-        return False
-    lib.repro_scatter_add(
-        accumulator.ctypes.data_as(_U64_P),
-        index.ctypes.data_as(_I64_P), delta.ctypes.data_as(_U64_P),
-        ctypes.c_int64(index.size))
-    return True
-
-
-def scatter_xor(accumulator: np.ndarray, index: np.ndarray,
-                delta: np.ndarray) -> bool:
-    """``accumulator[index] ^= delta``; see :func:`scatter_add`."""
-    lib = _active()
-    if lib is None or not _scatter_ready(accumulator, index, delta):
-        return False
-    lib.repro_scatter_xor(
-        accumulator.ctypes.data_as(_U64_P),
-        index.ctypes.data_as(_I64_P), delta.ctypes.data_as(_U64_P),
-        ctypes.c_int64(index.size))
-    return True
-
-
-def apply_add64(base: np.ndarray, accumulator: np.ndarray) -> bool:
-    """``accumulator += base`` over the uint64 bit image, in place.
-
-    The fused chain's single apply for 64-bit integer cells: one
-    wrapping-add pass folds the materialized root into the composed
-    accumulator, which then *is* the reconstructed version.  Returns
-    True when the kernel ran.
-    """
-    lib = _active()
-    if (lib is None or not isinstance(base, np.ndarray)
-            or not isinstance(accumulator, np.ndarray)
-            or base.dtype.itemsize != 8
-            or base.dtype.kind not in ("i", "u")
-            or accumulator.dtype.itemsize != 8
-            or accumulator.dtype.kind not in ("i", "u")
-            or not base.flags.c_contiguous
-            or not accumulator.flags.c_contiguous
-            or not accumulator.flags.writeable
-            or base.size != accumulator.size or base.size == 0):
-        return False
-    lib.repro_apply_add64(
-        base.ctypes.data_as(_U64_P),
-        accumulator.ctypes.data_as(_U64_P),
-        ctypes.c_int64(base.size))
-    return True
+    kernel = "fold_chain"
+    if lib is None:
+        return decline(kernel, "kernels disabled or unavailable")
+    if sys.byteorder != "little":
+        return decline(kernel, "big-endian host")
+    if not isinstance(dest, np.ndarray) or not dest.flags.writeable:
+        return decline(kernel, "destination is not a writable ndarray")
+    if dest.itemsize not in (1, 2, 4, 8) or dest.dtype.kind not in "iubf":
+        return decline(kernel, f"unsupported dtype {dest.dtype}")
+    if not dest.dtype.isnative:
+        return decline(kernel, f"byte-swapped dtype {dest.dtype}")
+    if dest.size == 0:
+        return decline(kernel, "empty")
+    rows = _as_rows(dest)
+    if rows is None:
+        return decline(kernel, "non-unit inner stride")
+    work, row_count, cols, row_stride = rows
+    levels = len(sections)
+    # The uint8 views keep every section's buffer alive (and give its
+    # address, read-only or not) for the duration of the call.
+    raw = [np.frombuffer(section, dtype=np.uint8) for section in sections]
+    pointers = (ctypes.c_void_p * levels)(
+        *[view.ctypes.data for view in raw])
+    lengths = (ctypes.c_int64 * levels)(*[view.size for view in raw])
+    status = lib.repro_fold_chain(
+        work.ctypes.data, dest.itemsize, use_xor, row_count, cols,
+        row_stride, levels, pointers, lengths,
+        (ctypes.c_int * levels)(*layouts))
+    if status == 0 and work is not dest:
+        np.copyto(dest, work.reshape(dest.shape))
+    return status

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import native
 from repro.core.errors import CodecError, DeltaShapeMismatchError
 
 ARITHMETIC = "arith"
@@ -76,37 +75,12 @@ def compute_delta(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, str]:
 
 
 def apply_delta_forward(base: np.ndarray, delta: np.ndarray,
-                        mode: str, dtype: np.dtype, *,
-                        reuse_delta: bool = False) -> np.ndarray:
-    """Recover ``a`` from ``b`` (= ``base``) and ``delta = diff(a, b)``.
-
-    ``reuse_delta=True`` declares that the caller owns ``delta`` and
-    never reads it again, so the apply may run in place on its buffer
-    (the fused chain path hands over its composed accumulator this
-    way: the apply then allocates nothing, and the compiled add kernel
-    takes it when the layout fits).  The returned bytes are identical
-    either way.
-    """
+                        mode: str, dtype: np.dtype) -> np.ndarray:
+    """Recover ``a`` from ``b`` (= ``base``) and ``delta = diff(a, b)``."""
     dtype = np.dtype(dtype)
     if mode == ARITHMETIC:
-        base64 = base.astype(np.int64, copy=False)
-        if reuse_delta and isinstance(delta, np.ndarray) \
-                and delta.dtype == np.int64 and delta.flags.writeable:
-            # Contiguity first: reshape(-1) of a non-contiguous array
-            # would hand the kernel a *copy* to write into.
-            if not (base64.shape == delta.shape
-                    and base64.flags.c_contiguous
-                    and delta.flags.c_contiguous
-                    and native.apply_add64(base64.reshape(-1),
-                                           delta.reshape(-1))):
-                with np.errstate(over="ignore"):
-                    np.add(base64, delta, out=delta)
-            result = delta
-        else:
-            with np.errstate(over="ignore"):
-                result = base64 + delta
-        # ``result`` is freshly allocated or caller-ceded either way,
-        # so the no-op wrap (dtype already int64) can skip its copy.
+        with np.errstate(over="ignore"):
+            result = base.astype(np.int64, copy=False) + delta
         return _wrap_to(result, dtype, copy=False)
     if mode == XOR:
         bits = _bits_of(base) ^ delta.astype(np.uint64, copy=False)
@@ -156,119 +130,6 @@ def delta_accumulator(mode: str, count: int) -> np.ndarray:
     deltas holds exactly their composition.
     """
     return np.zeros(count, dtype=accumulator_dtype(mode))
-
-
-def seeded_accumulator(base: np.ndarray, mode: str) -> np.ndarray:
-    """A fused-chain accumulator pre-loaded with ``base``'s cells.
-
-    For chains whose every level scatters, seeding the accumulator
-    with the widened root means the O(nnz) scatters land directly on
-    the reconstructed cells — the final full-array apply (and the
-    zeroed canvas it needs) disappears entirely.  Exact because a
-    scatter into ``root + 0`` is the same wrapping-add/xor group as
-    ``root + (0 + delta)``.  Finish with :func:`finalize_seeded`.
-    """
-    if mode == ARITHMETIC:
-        if (base.dtype == np.int64 and base.flags.c_contiguous
-                and not base.flags.aligned):
-            # Zero-copy roots are views into a framed payload whose
-            # header skews 8-byte alignment; element-wise astype of a
-            # misaligned source is slow, a byte-level copy is not.
-            return base.reshape(-1).view(np.uint8).copy().view(np.int64)
-        with np.errstate(over="ignore"):
-            return base.astype(np.int64).reshape(-1)
-    if mode == XOR:
-        return _bits_of(base).reshape(-1)
-    raise CodecError(f"unknown delta mode {mode!r}")
-
-
-def finalize_seeded(accumulator: np.ndarray, mode: str,
-                    dtype: np.dtype, shape: tuple[int, ...]
-                    ) -> np.ndarray:
-    """The reconstructed version held by a seeded accumulator.
-
-    The inverse widening of :func:`seeded_accumulator`: wrap (or
-    reinterpret) the 64-bit cells back into the attribute dtype.  The
-    accumulator is consumed — for 64-bit dtypes the result shares its
-    buffer.
-    """
-    if mode == ARITHMETIC:
-        return _wrap_to(accumulator.reshape(shape), np.dtype(dtype),
-                        copy=False)
-    if mode == XOR:
-        return _bits_to_float(accumulator.reshape(shape), dtype)
-    raise CodecError(f"unknown delta mode {mode!r}")
-
-
-def accumulate_delta(accumulator: np.ndarray, delta: np.ndarray,
-                     mode: str) -> None:
-    """Fold one dense level delta into ``accumulator`` in place.
-
-    The ``out=`` form is the point: a k-level fused read reuses one
-    accumulator buffer instead of allocating k intermediate arrays.
-    ARITHMETIC wraps mod 2**64 — the same group :func:`compute_delta`
-    produced the per-level deltas in, so the fused sum telescopes to
-    exactly the stepwise result for every integer dtype.
-    """
-    if mode == ARITHMETIC:
-        with np.errstate(over="ignore"):
-            np.add(accumulator, delta, out=accumulator)
-    elif mode == XOR:
-        np.bitwise_xor(accumulator, delta, out=accumulator)
-    else:
-        raise CodecError(f"unknown delta mode {mode!r}")
-
-
-def scatter_delta(accumulator: np.ndarray, positions: np.ndarray,
-                  delta: np.ndarray, mode: str) -> None:
-    """Fold a sparse level delta — ``delta[i]`` at ``positions[i]`` —
-    into ``accumulator`` in place, at O(nnz) for the level.
-
-    Positions within one level are unique (they come from a
-    ``flatnonzero`` over that level's codes), so fancy-indexed in-place
-    ops are exact — no ``ufunc.at`` needed.  The compiled scatter
-    kernel takes the call when the layout fits; being a sequential
-    loop it is additionally exact under duplicates, which only
-    :func:`scatter_delta_batch` relies on.
-    """
-    if mode == ARITHMETIC:
-        if native.scatter_add(accumulator, positions, delta):
-            return
-        with np.errstate(over="ignore"):
-            accumulator[positions] += delta
-    elif mode == XOR:
-        if native.scatter_xor(accumulator, positions, delta):
-            return
-        accumulator[positions] ^= delta
-    else:
-        raise CodecError(f"unknown delta mode {mode!r}")
-
-
-def scatter_delta_batch(accumulator: np.ndarray,
-                        parts: list[tuple[np.ndarray, np.ndarray]],
-                        mode: str) -> None:
-    """Fold several scatter levels — ``(positions, delta)`` pairs, one
-    per level — into ``accumulator`` in place.
-
-    Positions may repeat *across* levels (the same cell touched at
-    several chain depths), so the concatenated pair list is only
-    handed to the compiled kernel, whose sequential loop accumulates
-    duplicates exactly like consecutive per-level scatters.  Without
-    the kernel each level scatters separately — numpy fancy indexing
-    would silently drop duplicate contributions if batched.  Both
-    orders compose the same values (wrapping add and xor are
-    associative and commutative), so the result is byte-identical.
-    """
-    if len(parts) > 1 and native.available():
-        positions = np.concatenate([index for index, _ in parts])
-        delta = np.concatenate([delta for _, delta in parts])
-        scattered = native.scatter_add(accumulator, positions, delta) \
-            if mode == ARITHMETIC \
-            else native.scatter_xor(accumulator, positions, delta)
-        if scattered:
-            return
-    for positions, delta in parts:
-        scatter_delta(accumulator, positions, delta, mode)
 
 
 def _bits_of(values: np.ndarray) -> np.ndarray:

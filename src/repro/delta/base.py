@@ -22,14 +22,20 @@ prices and encodes every delta through one
 / ``encoded_size`` are the planner's own code, not a second path next
 to it.
 
+The read path does not decode that family level by level:
+:func:`fold_chain` checks each level's frame, hands the sections of the
+whole chain to :func:`repro.delta.codes.fold_chain` and they are
+applied straight to the cells of the version being read.
+
 **Corrupt payloads.**  A decoder is handed the array it decodes
 against, and the frame must agree with it: ``decode_forward`` /
 ``decode_backward`` check the frame's ``(dtype, shape)`` against the
-``base`` / ``target`` argument, ``accumulate`` checks its ``(mode,
-cell count)`` against the accumulator the read pipeline pre-sized from
-the chunk — in both cases *before* anything is sized from the bytes —
-and every codec rejects undecoded trailing bytes.  Whatever is wrong
-with a payload, the only exception that escapes is a
+``base`` / ``target`` argument, :func:`fold_chain` against the decoded
+root (one prefix compare with the frame the root implies),
+``accumulate`` its ``(mode, cell count)`` against the accumulator it is
+given — always *before* anything is sized from the bytes — and every
+codec rejects undecoded trailing bytes.  Whatever is wrong with a
+payload, the only exception that escapes is a
 :class:`~repro.core.errors.CodecError`.
 """
 
@@ -40,15 +46,16 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.core import numeric
-from repro.core.errors import CodecError
+from repro.core import native, numeric
+from repro.core.errors import CodecError, DeltaLevelError
 from repro.core.serial import (
     pack_array_header,
     pack_u8,
     unpack_array_header,
     unpack_u8,
 )
-from repro.delta.codes import CodePlan, codes_to_delta, ensure_accumulator
+from repro.delta import codes as code_store
+from repro.delta.codes import CodePlan, codes_to_delta
 
 _MODE_TO_TAG = {numeric.ARITHMETIC: 0, numeric.XOR: 1}
 _TAG_TO_MODE = {tag: mode for mode, tag in _MODE_TO_TAG.items()}
@@ -62,12 +69,12 @@ class DeltaCodec(ABC):
     #: Whether decode_backward is supported.
     bidirectional: bool = True
     #: Whether this codec's deltas compose associatively — a chain of
-    #: such deltas can be folded into one accumulator and applied to
-    #: the root once (the fused read path).  Codecs that transform the
-    #: base rather than difference against it (bsdiff, mpeg-like) stay
-    #: False and decode level-by-level.
+    #: such deltas folds straight into the root's cells
+    #: (:func:`fold_chain`, the fused read path).  Codecs that
+    #: transform the base rather than difference against it (bsdiff,
+    #: mpeg-like) stay False and decode level-by-level.
     composable: bool = False
-    #: Whether :meth:`accumulate` folds at O(nnz) via scatter rather
+    #: Whether a level folds at O(nnz) via its outlier table rather
     #: than a full dense pass (sparse/hybrid; observability only).
     scatters: bool = False
     #: Whether :meth:`plan_size` and :meth:`encode_from_plan` consume
@@ -153,18 +160,14 @@ class DeltaCodec(ABC):
             f"delta codec {self.name!r} is directional; "
             "the base cannot be reconstructed from the target")
 
-    def accumulate(self, data: bytes, accumulator: np.ndarray | None,
-                   batch: list | None = None
+    def accumulate(self, data: bytes, accumulator: np.ndarray | None
                    ) -> tuple[np.ndarray, str, np.dtype, tuple[int, ...]]:
-        """Fold this delta's codes into a fused-chain accumulator.
+        """Fold this one delta into a flat 64-bit accumulator
+        (:func:`repro.core.numeric.delta_accumulator`).
 
         Returns ``(accumulator, mode, dtype, shape)``; ``None`` starts
         a fresh accumulator.  Only meaningful for ``composable``
-        codecs — the decode pipeline calls it once per level and
-        applies the folded delta to the materialized root in a single
-        pass.  Scattering codecs append their (positions, delta)
-        pairs to ``batch`` instead of scattering when it is given, so
-        the pipeline can issue one batched scatter per chain.
+        codecs; a whole chain goes through :func:`fold_chain`.
         """
         raise CodecError(
             f"delta codec {self.name!r} does not compose; "
@@ -208,13 +211,15 @@ class DeltaCodec(ABC):
 class CodeArrayDeltaCodec(DeltaCodec):
     """The one body of the dense / sparse / hybrid family.
 
-    A strategy declares four :mod:`repro.delta.codes` functions —
-    ``_size(codes, stats)``, ``_encode(codes, stats)``,
-    ``_decode(data, offset, count)`` and ``_fold(data, offset, count,
-    accumulator, mode, batch)`` — and inherits everything else:
-    framing, the unframe prelude with its frame-vs-array check, the
-    trailing-bytes check, both decode directions, the fused fold, and
-    an encode side that is the planner's (``encode_parts(t, b)`` *is*
+    A strategy declares three :mod:`repro.delta.codes` functions —
+    ``_size(codes, stats)``, ``_encode(codes, stats)`` and
+    ``_decode(data, offset, count)`` — plus the ``layout`` of its
+    payload (which of the :data:`~repro.delta.codes.SMALL` /
+    :data:`~repro.delta.codes.TABLE` sections it has), and inherits
+    everything else: framing, the unframe prelude with its
+    frame-vs-array check, the trailing-bytes check, both decode
+    directions, the fold, and an encode side that is the planner's
+    (``encode_parts(t, b)`` *is*
     ``encode_from_plan(CodePlan.build(t, b))``).  :meth:`_seal` /
     :meth:`_unseal` are the hook for a byte-level stage between the
     frame and the packed sections (hybrid's LZ flag).
@@ -278,9 +283,56 @@ class CodeArrayDeltaCodec(DeltaCodec):
         return numeric.apply_delta_backward(
             target, *self._decode_delta(data, target))
 
-    def accumulate(self, data, accumulator, batch=None):
+    def section(self, data, frame: bytes, like: np.ndarray):
+        """The unframed, unsealed payload of a level over ``like``.
+
+        ``frame`` is the frame ``like`` implies, built once per chain:
+        a level that starts with exactly those bytes needs no parsing.
+        One that does not is either corrupt — :meth:`_unframe` says
+        how — or spelled differently, and then parsed the long way.
+        """
+        data = memoryview(data)
+        offset = len(frame)
+        if data[:offset] != frame:
+            native.decline("fold_chain", "frame prefix mismatch")
+            offset = self._unframe(data, like)[3]
+        return self._unseal(data[offset:])
+
+    def accumulate(self, data, accumulator):
         payload, count, mode, dtype, shape = self._open(data)
-        accumulator = ensure_accumulator(accumulator, mode, count)
-        end = self._fold(payload, 0, count, accumulator, mode, batch)
-        self._check_consumed(end, payload)
+        if accumulator is None:
+            accumulator = numeric.delta_accumulator(mode, count)
+        elif accumulator.dtype != numeric.accumulator_dtype(mode) or \
+                accumulator.size != count:
+            # Nothing is sized on the frame's say: a level whose mode
+            # or cell count is not the accumulator's is corrupt.
+            raise CodecError(
+                f"delta frame ({mode}, {count} cells) does not match "
+                f"the accumulator ({accumulator.dtype}, "
+                f"{accumulator.size} cells)")
+        code_store.fold_chain([payload], [self.layout], accumulator, mode)
         return accumulator, mode, dtype, shape
+
+
+def fold_chain(codecs: list[CodeArrayDeltaCodec], payloads: list,
+               like: np.ndarray, dest: np.ndarray) -> None:
+    """Fold a chain of composable levels into ``dest`` in place.
+
+    ``payloads[i]`` is a stored delta, encoded by ``codecs[i]``,
+    between two arrays of ``like``'s dtype and shape (the chain's
+    decoded root); ``dest`` holds ``like.size`` cells — see
+    :func:`repro.delta.codes.fold_chain` for what it may be.  Every
+    level's frame is checked against ``like`` before anything is
+    folded.  A malformed level raises
+    :class:`~repro.core.errors.DeltaLevelError` carrying its index.
+    """
+    mode = numeric.delta_mode_for(like.dtype)
+    frame = DeltaCodec._frame(like, mode)
+    sections = []
+    try:
+        for codec, payload in zip(codecs, payloads):
+            sections.append(codec.section(payload, frame, like))
+    except CodecError as exc:
+        raise DeltaLevelError(len(sections), str(exc)) from exc
+    code_store.fold_chain(sections, [codec.layout for codec in codecs],
+                          dest, mode)

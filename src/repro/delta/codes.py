@@ -22,15 +22,18 @@ The three storage strategies of Section III-B.3 apply to the code array:
   Sparse *is* the hybrid split at D = 0 without the dense section, so
   both share one split writer and one outlier-table reader.
 
-Each strategy is four functions: ``*_size`` (the exact encoded byte
-count, without encoding), ``encode_*_parts`` (the list of buffers the
-payload is made of — the zero-copy handoff the write pipeline joins
-exactly once at placement; ``encode_*`` is the joined form),
-``decode_*`` (the stepwise canvas form the fused read is tested
-against) and ``decode_*_into`` (folds the level into a fused-chain
-accumulator).  The size and encode functions take the plan's ``stats``;
-a caller holding bare codes omits it and pays for the histogram on the
-function's first line — there is one body either way.
+Each strategy is three functions and a layout: ``*_size`` (the exact
+encoded byte count, without encoding), ``encode_*_parts`` (the list of
+buffers the payload is made of — the zero-copy handoff the write
+pipeline joins exactly once at placement; ``encode_*`` is the joined
+form), ``decode_*`` (the stepwise canvas form the fused read is tested
+against), and which of the two section kinds — :data:`SMALL`,
+:data:`TABLE` — its payload is made of, which is all :func:`fold_chain`
+(the read path: every level of a chain folded straight into the cells
+of the version being read) needs to know of it.  The size and encode
+functions take the plan's ``stats``; a caller holding bare codes omits
+it and pays for the histogram on the function's first line — there is
+one body either way.
 
 The decoders accept any buffer-protocol object and slice it through
 ``memoryview`` (no ``bytes()`` copies on the read path).  They trust
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import bitpack, native, numeric
-from repro.core.errors import CodecError
+from repro.core.errors import CodecError, DeltaLevelError
 from repro.core.serial import (
     pack_i64,
     pack_u8,
@@ -291,42 +294,6 @@ def decode_dense(data, offset: int, count: int
     return codes, offset + packed_len
 
 
-def decode_dense_into(data, offset: int, count: int,
-                      accumulator: np.ndarray, mode: str) -> int:
-    """Fold a dense section into a fused-chain accumulator.
-
-    The fused read path's counterpart of :func:`decode_dense`: the
-    decoded level delta is added/xored into ``accumulator`` via the
-    ``out=`` kernels instead of materializing an intermediate version.
-    Returns the next offset.
-    """
-    codes, offset = decode_dense(data, offset, count)
-    numeric.accumulate_delta(accumulator, codes_to_delta(codes, mode),
-                             mode)
-    return offset
-
-
-def ensure_accumulator(accumulator: np.ndarray | None, mode: str,
-                       count: int) -> np.ndarray:
-    """A fused-chain accumulator matching ``(mode, count)``.
-
-    Allocates on first use; on reuse verifies the chain is uniform —
-    every level of one chunk's chain must share the delta mode and
-    cell count (the dtype is fixed per attribute), so a mismatch means
-    a corrupt chain rather than a composable one.  The read pipeline
-    always hands in an accumulator sized from the chunk it is
-    decoding, so a payload whose frame lies about either fails here,
-    before anything is allocated on its say.
-    """
-    if accumulator is None:
-        return numeric.delta_accumulator(mode, count)
-    if accumulator.dtype != numeric.accumulator_dtype(mode) or \
-            accumulator.size != count:
-        raise CodecError(
-            "fused chain mixes delta modes or cell counts across levels")
-    return accumulator
-
-
 # ----------------------------------------------------------------------
 # The split: packed small codes + an outlier table (sparse and hybrid)
 # ----------------------------------------------------------------------
@@ -393,21 +360,6 @@ def _read_outliers(data: memoryview, offset: int, count: int, what: str
     return index, values, offset
 
 
-def _fold_outliers(index: np.ndarray, values: np.ndarray,
-                   accumulator: np.ndarray, mode: str,
-                   batch: list | None) -> None:
-    """Scatter-accumulate ``(index, values)`` into ``accumulator`` at
-    O(nnz) — or, with ``batch`` given, defer the pair to the caller's
-    one batched scatter per chain
-    (:func:`repro.core.numeric.scatter_delta_batch`)."""
-    if index.size:
-        delta = codes_to_delta(values, mode)
-        if batch is not None:
-            batch.append((index, delta))
-        else:
-            numeric.scatter_delta(accumulator, index, delta, mode)
-
-
 # ----------------------------------------------------------------------
 # Sparse strategy
 # ----------------------------------------------------------------------
@@ -446,24 +398,6 @@ def decode_sparse(data, offset: int, count: int
     codes = np.zeros(count, dtype=np.uint64)
     codes[index] = values
     return codes, offset
-
-
-def decode_sparse_into(data, offset: int, count: int,
-                       accumulator: np.ndarray, mode: str,
-                       batch: list | None = None) -> int:
-    """Fold a sparse section into a fused-chain accumulator.
-
-    The fused read path's replacement for :func:`decode_sparse`: the
-    ``(positions, values)`` pairs scatter-accumulate straight into
-    ``accumulator`` — no full-size ``codes`` canvas is ever allocated,
-    so a level that changed n cells costs O(n), not O(count).  With
-    ``batch`` given, the decoded (bounds-checked) pairs are appended
-    to it instead of scattered.  Returns the next offset.
-    """
-    index, values, offset = _read_outliers(_view(data), offset, count,
-                                           "sparse delta")
-    _fold_outliers(index, values, accumulator, mode, batch)
-    return offset
 
 
 # ----------------------------------------------------------------------
@@ -511,28 +445,99 @@ def decode_hybrid(data, offset: int, count: int
     return codes, offset
 
 
-def decode_hybrid_into(data, offset: int, count: int,
-                       accumulator: np.ndarray, mode: str,
-                       batch: list | None = None) -> int:
-    """Fold a hybrid section into a fused-chain accumulator.
+# ----------------------------------------------------------------------
+# The chain fold (the read path)
+# ----------------------------------------------------------------------
+#: The two kinds of section a strategy's payload is made of: the small
+#: width byte with every code packed at it (dense; hybrid's small
+#: codes, zero at the outlier positions), and the outlier table
+#: (sparse; hybrid's outliers).
+SMALL = native.FOLD_SMALL
+TABLE = native.FOLD_TABLE
 
-    The small-code array stores code 0 (delta 0, the compose identity)
-    at every outlier position, so accumulating the dense part and then
-    scatter-accumulating the outliers composes exactly under both
-    modes.  A 0-bit small width (every code an outlier, or an all-zero
-    level) skips the dense pass entirely.  With ``batch`` given the
-    outlier pairs are deferred to the caller's batched scatter exactly
-    as in :func:`decode_sparse_into`.  Returns the next offset.
+#: What the compiled fold found wrong with a level, by reason code.
+_FOLD_REASONS = {
+    1: "a packed section overruns the payload",
+    2: "bit width outside [0, 64]",
+    3: "outlier table claims more entries than the chunk has cells",
+    4: "outlier position out of range",
+    5: "undecoded trailing bytes",
+}
+
+
+def fold_chain(sections: list, layouts: list[int], dest: np.ndarray,
+               mode: str) -> None:
+    """Fold every level of a delta chain into ``dest`` in place.
+
+    ``dest`` already holds what the chain composes onto: the decoded
+    root in the cell's own dtype — any layout, so a chunk is folded
+    where it lies in its version's canvas — or a zeroed flat 64-bit
+    accumulator (:func:`repro.core.numeric.delta_accumulator`) for a
+    chain state.  ``sections[i]`` is level *i*'s unframed payload and
+    ``layouts[i]`` its :data:`SMALL` / :data:`TABLE` parts.  Each level
+    is applied as ``cell op= (cell type) delta``: the deltas were
+    computed as wrapping int64 differences (xor images for floats) and
+    arithmetic mod 2^w is a ring image of arithmetic mod 2^64, so
+    folding at the cell's width gives exactly the bytes of widening the
+    root, composing in 64 bits and narrowing back — without the two
+    conversions.  Both operations commute, so level order is free.
+
+    One compiled call folds the whole chain
+    (:func:`repro.core.native.fold_chain`); where its gate declines,
+    each level is unpacked and applied with numpy.  A malformed level
+    raises :class:`~repro.core.errors.DeltaLevelError` naming its
+    index, and ``dest`` is then partly folded: discard it.
     """
-    data = _view(data)
-    small_bits, offset = unpack_u8(data, offset)
-    small_len = bitpack.packed_size(count, small_bits)
-    if small_bits:
-        small = bitpack.unpack_unsigned(
-            data[offset:offset + small_len], small_bits, count)
-        numeric.accumulate_delta(accumulator,
-                                 codes_to_delta(small, mode), mode)
-    index, values, offset = _read_outliers(
-        data, offset + small_len, count, "hybrid delta outlier")
-    _fold_outliers(index, values, accumulator, mode, batch)
-    return offset
+    status = native.fold_chain(dest, sections, layouts,
+                               mode == numeric.XOR)
+    if status is None:
+        _fold_numpy(sections, layouts, dest, mode)
+    elif status:
+        level, reason = divmod(-status, 8)
+        raise DeltaLevelError(
+            level, _FOLD_REASONS.get(reason, f"fold reason {reason}"))
+    if dest.dtype.kind == "b":
+        # Valid chains only ever produce 0 and 1; bytes from a corrupt
+        # one must still leave a bool array holding booleans.
+        truth = dest.view(np.uint8)
+        np.not_equal(truth, 0, out=truth)
+
+
+def _fold_numpy(sections: list, layouts: list[int], dest: np.ndarray,
+                mode: str) -> None:
+    """The fold without the kernel: per level, unpack and apply in
+    place on the unsigned image of the cells (positions are unique
+    within a level, so fancy-indexed in-place ops are exact)."""
+    work = dest if dest.flags.c_contiguous else np.ascontiguousarray(dest)
+    cells = work.reshape(-1).view(f"{work.dtype.str[0]}u{work.itemsize}")
+    count = cells.size
+
+    def apply(where, codes: np.ndarray) -> None:
+        delta = codes_to_delta(codes, mode).astype(cells.dtype)
+        if mode == numeric.ARITHMETIC:
+            cells[where] += delta
+        else:
+            cells[where] ^= delta
+
+    for level, (section, layout) in enumerate(zip(sections, layouts)):
+        try:
+            data = _view(section)
+            offset = 0
+            if layout & SMALL:
+                bits, offset = unpack_u8(data, offset)
+                end = offset + bitpack.packed_size(count, bits)
+                if bits:
+                    apply(slice(None), bitpack.unpack_unsigned(
+                        data[offset:end], bits, count))
+                offset = end
+            if layout & TABLE:
+                index, values, offset = _read_outliers(
+                    data, offset, count, "delta outlier")
+                apply(index, values)
+            if offset != len(data):
+                raise CodecError(
+                    f"{len(data) - offset} undecoded trailing bytes")
+        except CodecError as exc:
+            raise DeltaLevelError(level, str(exc)) from exc
+    if work is not dest:
+        dest[...] = work

@@ -19,9 +19,4 @@ class DenseDeltaCodec(CodeArrayDeltaCodec):
     _size = staticmethod(code_store.dense_size)
     _encode = staticmethod(code_store.encode_dense_parts)
     _decode = staticmethod(code_store.decode_dense)
-
-    @staticmethod
-    def _fold(data, offset, count, accumulator, mode, batch):
-        # A dense level has no (position, delta) pairs to defer.
-        return code_store.decode_dense_into(data, offset, count,
-                                            accumulator, mode)
+    layout = code_store.SMALL

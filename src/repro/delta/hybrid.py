@@ -27,7 +27,7 @@ class HybridDeltaCodec(CodeArrayDeltaCodec):
     _size = staticmethod(code_store.hybrid_size)
     _encode = staticmethod(code_store.encode_hybrid_parts)
     _decode = staticmethod(code_store.decode_hybrid)
-    _fold = staticmethod(code_store.decode_hybrid_into)
+    layout = code_store.SMALL | code_store.TABLE
 
     def __init__(self, lz: bool = False):
         self.lz = lz

@@ -20,4 +20,4 @@ class SparseDeltaCodec(CodeArrayDeltaCodec):
     _size = staticmethod(code_store.sparse_size)
     _encode = staticmethod(code_store.encode_sparse_parts)
     _decode = staticmethod(code_store.decode_sparse)
-    _fold = staticmethod(code_store.decode_sparse_into)
+    layout = code_store.TABLE

@@ -51,11 +51,11 @@ contract is that they change no stored byte, so these counters are the
 only place their work is visible outside wall-clock time.
 
 The fused read path is covered by three counters: ``chains_fused``
-(chunk reconstructions that folded their whole delta chain into one
-accumulator and applied it to the root once), ``fused_levels`` (delta
-levels those folds absorbed — the full-array applies the fusion
-avoided), and ``scatter_levels`` (the subset of those levels composed
-at O(nnz) by sparse/hybrid scatter instead of a dense pass).  The scan
+(chunk reconstructions that folded their whole delta chain, one level
+or many, onto one copy of the root), ``fused_levels`` (delta levels
+those folds absorbed — the level-by-level decodes the fusion avoided),
+and ``scatter_levels`` (the subset of those levels applied at O(nnz)
+from a sparse/hybrid outlier table instead of a dense pass).  The scan
 bench reports them next to MB/s so the fused path's coverage is
 visible, and the equivalence oracle asserts they are exactly zero when
 the stepwise path must run.
@@ -192,10 +192,10 @@ class IOStats:
 
     def record_chain_fused(self, levels: int, scatter_levels: int) -> None:
         """Account one chunk reconstruction served by the fused read
-        path: ``levels`` delta levels folded into one accumulator and
-        applied to the root in a single pass (instead of ``levels``
-        full-array applies), of which ``scatter_levels`` composed at
-        O(nnz) via sparse/hybrid scatter instead of a dense pass.  The
+        path: ``levels`` delta levels folded onto one copy of the root
+        (instead of ``levels`` full-array decodes), of which
+        ``scatter_levels`` were applied at O(nnz) from a sparse/hybrid
+        outlier table instead of a dense pass.  The
         equivalence oracle asserts the counter is zero whenever the
         stepwise path must run (a cache warm fill, non-composable
         codecs)."""

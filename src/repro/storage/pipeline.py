@@ -29,9 +29,9 @@ bookkeeping, version lineage, and layout re-organization.
 
 Two invariants both pipelines are built around:
 
-* **Byte identity across acceleration.**  Every fast path — the fused
-  chain decode, the O(nnz) scatter composition, the delta-of-delta
-  re-base (:meth:`DecodePipeline.chain_state` feeding
+* **Byte identity across acceleration.**  Every fast path — the chain
+  fold at the cell's own width, the delta-of-delta re-base
+  (:meth:`DecodePipeline.chain_state` feeding
   ``write_version(rebase_states=...)``), and the compiled kernels in
   :mod:`repro.core.native` — must produce exactly the bytes of the
   plain numpy, level-by-level path.  Store fingerprints may never
@@ -57,13 +57,19 @@ import numpy as np
 from repro.compression.registry import get_codec
 from repro.core import numeric
 from repro.core.array import ArrayData
-from repro.core.errors import CodecError, NoOverwriteError, StorageError
+from repro.core.errors import (
+    CodecError,
+    DeltaLevelError,
+    NoOverwriteError,
+    StorageError,
+)
 from repro.delta.auto import (
     EncodingDecision,
     RebaseState,
     default_delta_candidates,
     plan_encoding,
 )
+from repro.delta.base import fold_chain
 from repro.delta.registry import get_delta_codec
 from repro.storage.chunking import ChunkGrid, ChunkRef
 from repro.storage.chunkstore import ChunkStore
@@ -613,14 +619,16 @@ class DecodePipeline(_PooledStage):
     space), not from a setting:
 
     * **Read one version** (the default).  The chain folds: both
-      delta modes compose associatively (ARITHMETIC by wrapping
-      int64 summation, XOR by xor), so k composable deltas
-      fold into one accumulator — sparse/hybrid levels at O(nnz) by
-      scatter — applied to the materialized root in a *single* pass
-      instead of k full-array applies.  A non-composable level
-      (``bsdiff``, ``mpeg_like`` transform the base rather than
-      difference against it) forces the stepwise decode.  Either way
-      only the requested version is admitted to the cache.
+      delta modes compose associatively and commutatively (wrapping
+      addition, xor), so the decoded root is copied once to where the
+      chunk belongs — straight into the caller's canvas when nothing
+      else will hold on to it — and every composable level is applied
+      to those cells in place, at the cells' own width, sparse/hybrid
+      levels at O(nnz): one compiled call per chunk instead of k
+      full-array decodes.  A non-composable level (``bsdiff``,
+      ``mpeg_like`` transform the base rather than difference against
+      it) forces the stepwise decode.  Either way only the requested
+      version is admitted to the cache.
     * **Warm-fill a chain.**  When every located level fits the
       cache's *free* space, the chain decodes stepwise and every
       intermediate version is admitted too, through the non-evicting
@@ -651,8 +659,8 @@ class DecodePipeline(_PooledStage):
 
     def reconstruct(self, record: ArrayRecord, version: int,
                     attribute: str, chunk: ChunkRef,
-                    scope: dict[int, np.ndarray] | None = None
-                    ) -> np.ndarray:
+                    scope: dict[int, np.ndarray] | None = None, *,
+                    out: np.ndarray | None = None) -> np.ndarray:
         """Unwind the delta chain of one chunk (Figure 2's read pattern).
 
         ``scope`` maps already-resolved versions of this chunk to their
@@ -660,11 +668,18 @@ class DecodePipeline(_PooledStage):
         so multi-version queries share the work of common prefixes.  The
         whole chain is read in one batched pass — for co-located
         placement that is a single backend open regardless of depth.
+
+        ``out`` is where the caller will put the chunk anyway (its
+        window of the version's canvas).  A folded read the cache
+        will not keep is built right there and ``out`` itself
+        returned; every other result is an array of its own that the
+        caller copies, as without ``out``.
         """
         if scope is None:
             scope = {}
         key = (record.array_id, version, attribute, chunk.name)
         if self.cache.enabled:
+            out = None      # a cache entry must own its bytes
             cached = self.cache.get(key)
             if cached is not None:
                 scope[version] = cached
@@ -684,27 +699,30 @@ class DecodePipeline(_PooledStage):
             [chunk_record.location for chunk_record in chain])
 
         # Stage 3: decompress the materialized root (or start from the
-        # already-resolved version the chain stopped at).  A fused
-        # read only ever *reads* its base (the apply writes into the
-        # accumulator) and never admits it, so the decompress may hand
+        # already-resolved version the chain stopped at).  A fold only
+        # ever *reads* its base (it is copied to where the levels are
+        # applied) and never admits it, so the decompress may hand
         # back a zero-copy read-only view of the payload bytes; every
         # other consumer gets the owning copy it always got.
         resolved: list[int] = []
         root = chain.pop() if base_version is None else None
-        fused = self._fusible(chain, warm_fill)
+        folded = self._fusible(chain, warm_fill)
         if root is None:
             data = scope[base_version]
+            # The resolved version itself: nothing to fold onto it.
+            folded = folded and bool(chain)
         else:
             codec = get_codec(root.compressor)
-            data = codec.decode_view(payloads.pop()) if fused \
+            data = codec.decode_view(payloads.pop()) if folded \
                 else codec.decode(payloads.pop())
             scope[root.version] = data
             resolved.append(root.version)
 
-        # Stage 4: delta-decode — fused when the whole chain composes
-        # (one accumulator, one apply), stepwise otherwise.
-        if fused:
-            data = self._fused_apply(chain, payloads, data)
+        # Stage 4: delta-decode — folded into one copy of the root
+        # when the whole chain composes, stepwise otherwise.
+        if folded:
+            data = self._fused_apply(record, chunk, chain, payloads,
+                                     data, out)
             scope[version] = data
         else:
             for chunk_record, payload in zip(reversed(chain),
@@ -759,12 +777,10 @@ class DecodePipeline(_PooledStage):
         return chain, None
 
     def _fusible(self, chain: list[ChunkRecord], warm_fill: bool) -> bool:
-        """Whether the located delta levels take the fused path: two
-        or more levels (one is already a single apply), all composable,
-        and not a warm fill, which wants the intermediates the fused
-        walk never materializes."""
-        return not warm_fill and len(chain) >= 2 \
-            and self._composable(chain)
+        """Whether the located delta levels fold: all composable (a
+        bare materialized root trivially so), and not a warm fill,
+        which wants the intermediates a fold never materializes."""
+        return not warm_fill and self._composable(chain)
 
     @staticmethod
     def _composable(levels: list[ChunkRecord]) -> bool:
@@ -773,70 +789,55 @@ class DecodePipeline(_PooledStage):
                    for level in levels)
 
     @staticmethod
-    def _compose(codecs: list, payloads: list[bytes], root: np.ndarray,
-                 *, seeded: bool = False) -> tuple[np.ndarray, str]:
-        """Fold every level's delta into one accumulator over ``root``;
-        returns it with the chain's delta mode.
+    def _compose(record: ArrayRecord, chunk: ChunkRef,
+                 chain: list[ChunkRecord], payloads: list[bytes],
+                 root: np.ndarray, dest: np.ndarray) -> None:
+        """Fold every level of ``chain`` into ``dest`` in place
+        (:func:`repro.delta.base.fold_chain`): ``dest`` is a copy of
+        the decoded ``root`` for a read, a zeroed accumulator for a
+        chain state.
 
-        The accumulator is sized from the decoded root — zeroed, or
-        ``seeded`` with the root's widened cells — never from a
-        payload's frame: a level whose header lies about its mode or
-        cell count fails against it inside ``accumulate``, and one that
-        lies about dtype or shape fails here, before anything is sized
-        or shaped on its say.
-
-        Compose order is irrelevant — both modes are associative *and*
-        commutative (wrapping int64 addition, xor) — so levels fold in
-        read order.  Sparse/hybrid levels scatter-accumulate at O(nnz)
-        without ever materializing a full-size codes canvas; their
-        (position, delta) pairs are collected across the whole chain —
-        the levels read together as one ``read_many`` span batch — and
-        folded in a single batched scatter.
+        Everything is sized from the decoded root, never from a
+        payload's frame: a level whose header disagrees with the
+        root's dtype or shape fails its frame check before anything is
+        folded, and a malformed one is named — array, version, chunk —
+        in the error.  Compose order is irrelevant (wrapping addition
+        and xor are associative *and* commutative), so levels fold in
+        read order.
         """
-        mode = numeric.delta_mode_for(root.dtype)
-        accumulator = numeric.seeded_accumulator(root, mode) if seeded \
-            else numeric.delta_accumulator(mode, root.size)
-        batch: list = []
-        for codec, payload in zip(codecs, payloads):
-            _, _, dtype, shape = codec.accumulate(payload, accumulator,
-                                                  batch=batch)
-            if (dtype, shape) != (root.dtype, root.shape):
-                raise CodecError(
-                    f"delta level framed ({dtype}, {shape}) in a chain "
-                    f"over a ({root.dtype}, {root.shape}) root")
-        if batch:
-            numeric.scatter_delta_batch(accumulator, batch, mode)
-        return accumulator, mode
+        try:
+            fold_chain([get_delta_codec(level.delta_codec)
+                        for level in chain], payloads, root, dest)
+        except DeltaLevelError as exc:
+            raise CodecError(
+                f"{record.name!r} version {chain[exc.level].version} "
+                f"chunk {chunk.name}: corrupt "
+                f"{chain[exc.level].delta_codec} delta: {exc}") from exc
 
-    def _fused_apply(self, chain: list[ChunkRecord],
-                     payloads: list[bytes],
-                     base: np.ndarray) -> np.ndarray:
-        """Compose the chain (:meth:`_compose`) and apply it to the
-        materialized root in a single pass; the accumulator is ceded
-        to the apply so that pass runs in place."""
-        codecs = [get_delta_codec(chunk_record.delta_codec)
-                  for chunk_record in chain]
-        scatter_levels = sum(codec.scatters for codec in codecs)
-        # Scatter-only chains skip the full-array apply entirely: the
-        # accumulator starts as the widened root, so the batched
-        # O(nnz) scatter lands directly on the reconstructed cells.
-        seeded = scatter_levels == len(codecs)
-        accumulator, mode = self._compose(codecs, payloads, base,
-                                          seeded=seeded)
-        self.store.stats.record_chain_fused(len(chain), scatter_levels)
-        if seeded:
-            return numeric.finalize_seeded(accumulator, mode, base.dtype,
-                                           base.shape)
-        return numeric.apply_delta_forward(
-            base, accumulator.reshape(base.shape), mode, base.dtype,
-            reuse_delta=True)
+    def _fused_apply(self, record: ArrayRecord, chunk: ChunkRef,
+                     chain: list[ChunkRecord], payloads: list[bytes],
+                     base: np.ndarray, out: np.ndarray | None
+                     ) -> np.ndarray:
+        """The one copy of the materialized root — into ``out`` when
+        the caller lent its canvas window, else a buffer of its own —
+        with the chain folded onto it (:meth:`_compose`)."""
+        if out is None or (out.dtype, out.shape) != \
+                (base.dtype, base.shape):
+            out = np.empty(base.shape, dtype=base.dtype)
+        np.copyto(out, base)
+        if chain:
+            self._compose(record, chunk, chain, payloads, base, out)
+            self.store.stats.record_chain_fused(
+                len(chain), sum(get_delta_codec(level.delta_codec).scatters
+                                for level in chain))
+        return out
 
     def chain_state(self, record: ArrayRecord, version: int,
                     attribute: str, chunk: ChunkRef
                     ) -> RebaseState | None:
         """Locate, read, and *compose* one chunk's delta chain without
-        the final apply — the encode-side counterpart of the fused
-        read, feeding delta-of-delta re-base.
+        the root — the encode-side counterpart of the fused read,
+        feeding delta-of-delta re-base.
 
         Returns the chunk's state as a
         :class:`~repro.delta.auto.RebaseState` — the decoded root plus
@@ -857,12 +858,12 @@ class DecodePipeline(_PooledStage):
         chain.pop()
         root = get_codec(root_record.compressor) \
             .decode_view(payloads.pop())
-        if not chain:
-            return RebaseState(root=root, accumulator=None,
-                               mode=numeric.delta_mode_for(root.dtype))
-        accumulator, mode = self._compose(
-            [get_delta_codec(chunk_record.delta_codec)
-             for chunk_record in chain], payloads, root)
+        mode = numeric.delta_mode_for(root.dtype)
+        accumulator = None
+        if chain:
+            accumulator = numeric.delta_accumulator(mode, root.size)
+            self._compose(record, chunk, chain, payloads, root,
+                          accumulator)
         return RebaseState(root=root, accumulator=accumulator, mode=mode)
 
     # ------------------------------------------------------------------
@@ -870,24 +871,31 @@ class DecodePipeline(_PooledStage):
     # ------------------------------------------------------------------
     def read_version(self, record: ArrayRecord, grid: ChunkGrid,
                      version: int) -> ArrayData:
-        """Assemble the full contents of one version."""
-        tasks = [(attr, chunk) for attr in record.schema.attributes
+        """Assemble the full contents of one version.
+
+        Every chunk is lent its window of the output canvas
+        (``reconstruct(out=)``): a folded chain is built in place and
+        only results that live elsewhere (cache entries, stepwise
+        decodes) are copied in.
+        """
+        attributes = {
+            attr.name: np.empty(record.schema.shape, dtype=attr.dtype)
+            for attr in record.schema.attributes}
+        tasks = [(attr, chunk, attributes[attr.name][chunk.slices()])
+                 for attr in record.schema.attributes
                  for chunk in grid.chunks()]
-        attributes: dict[str, np.ndarray] = {}
-        for (attr, chunk), data in self._reconstruct_tasks(
+        for (attr, _, window), data in self._reconstruct_tasks(
                 record, version, tasks):
+            if data is window:
+                continue
             if data.shape == record.schema.shape:
                 # A single chunk spanning the whole canvas *is* the
                 # canvas: skip the copy.  ArrayData marks every buffer
                 # read-only regardless, so the contents are exactly as
                 # immutable as the copied canvas was.
                 attributes[attr.name] = data
-                continue
-            canvas = attributes.get(attr.name)
-            if canvas is None:
-                canvas = attributes[attr.name] = np.empty(
-                    record.schema.shape, dtype=attr.dtype)
-            canvas[chunk.slices()] = data
+            else:
+                window[...] = data
         return ArrayData(record.schema, attributes)
 
     def read_region(self, record: ArrayRecord, grid: ChunkGrid,
@@ -908,22 +916,23 @@ class DecodePipeline(_PooledStage):
         chunks = list(grid.chunks_overlapping(lo, hi))
         if len(chunks) == 1:
             src, _ = overlap_slices(chunks[0], lo, hi)
-            tasks = [(attr, chunks[0]) for attr in schema.attributes]
+            tasks = [(attr, chunks[0], None)
+                     for attr in schema.attributes]
             attributes = {
                 attr.name: data[src]
-                for (attr, _), data in self._reconstruct_tasks(
+                for (attr, _, _), data in self._reconstruct_tasks(
                     record, version, tasks)
             }
             return ArrayData(_sliced_schema(schema, lo, hi), attributes)
 
         region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        tasks = [(attr, chunk) for attr in schema.attributes
+        tasks = [(attr, chunk, None) for attr in schema.attributes
                  for chunk in chunks]
         attributes = {
             attr.name: np.empty(region_shape, dtype=attr.dtype)
             for attr in schema.attributes
         }
-        for (attr, chunk), data in self._reconstruct_tasks(
+        for (attr, chunk, _), data in self._reconstruct_tasks(
                 record, version, tasks):
             src, dst = overlap_slices(chunk, lo, hi)
             attributes[attr.name][dst] = data[src]
@@ -931,27 +940,29 @@ class DecodePipeline(_PooledStage):
 
     def _reconstruct_tasks(self, record: ArrayRecord, version: int,
                            tasks: list):
-        """Reconstruct every (attribute, chunk) task, yielding
+        """Reconstruct every ``(attribute, chunk, out)`` task, yielding
         ``(task, chunk_data)`` pairs in task order.
 
         The parallel path submits all tasks to the shared executor and
         collects results in submission order, so callers assemble
         canvases identically to the serial path; each chunk's scope is
-        private, making the tasks fully independent.
+        private and the ``out`` windows are disjoint, making the tasks
+        fully independent.
         """
         if self.workers > 1 and len(tasks) > 1:
             pool = self._pool()
             futures = [
                 pool.submit(self.reconstruct, record, version,
-                            attr.name, chunk)
-                for attr, chunk in tasks
+                            attr.name, chunk, out=out)
+                for attr, chunk, out in tasks
             ]
             for task, future in zip(tasks, futures):
                 yield task, future.result()
         else:
-            for attr, chunk in tasks:
-                yield (attr, chunk), self.reconstruct(
-                    record, version, attr.name, chunk)
+            for task in tasks:
+                attr, chunk, out = task
+                yield task, self.reconstruct(
+                    record, version, attr.name, chunk, out=out)
 
 
 def overlap_slices(chunk: ChunkRef, lo: tuple[int, ...],

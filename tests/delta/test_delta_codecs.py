@@ -11,13 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import native, numeric
+from repro.core import bitpack, native, numeric
 from repro.core.errors import (
     CodecError,
     DeltaShapeMismatchError,
     ReproError,
 )
 from repro.core.serial import unpack_array_header
+from repro.delta import codes as code_store
+from repro.delta.base import fold_chain
+from repro.delta.codes import CodePlan
 from repro.delta import (
     BSDiffDeltaCodec,
     DenseDeltaCodec,
@@ -369,8 +372,163 @@ class TestCorruptPayloads:
                 accumulator = numeric.delta_accumulator(mode, base.size)
                 try:
                     out, got_mode, _, shape = codec.accumulate(
-                        bad, accumulator, batch=[])
+                        bad, accumulator)
                 except ReproError:
                     continue
                 assert out is accumulator and got_mode == mode
                 assert math.prod(shape) == base.size
+
+
+COMPOSABLE = [name for name in delta_codec_names()
+              if get_delta_codec(name).composable]
+CANARY = 0x5A
+
+
+@pytest.mark.parametrize("kernels", [True, False],
+                         ids=["native", "numpy"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64,
+                                   np.float16, np.float32, np.float64],
+                         ids=str)
+@pytest.mark.parametrize("name", COMPOSABLE)
+class TestCorruptFold:
+    """The read path's entry point (:func:`repro.delta.base.fold_chain`)
+    parses stored bytes and writes through the caller's strides: for
+    every cell width x operation x strategy, whatever is wrong with a
+    level only a :class:`CodecError` escapes and no byte outside the
+    destination window changes."""
+
+    SHAPE = (12, 16)    # 192 cells: 8 position bits can say up to 255
+
+    @classmethod
+    def _level(cls, name, dtype, rng):
+        """``(codec, section, target, base)``: one level with a dense
+        part and real outliers, as its unframed, unsealed section."""
+        codec = get_delta_codec(name)
+        target, base = _pair(dtype, cls.SHAPE, rng, similarity=0.8)
+        bits = target.view(f"u{target.itemsize}")
+        bits[3, 5] ^= 1 << (8 * target.itemsize - 2)
+        bits[7, 2] ^= 1 << (8 * target.itemsize - 3)
+        plan = CodePlan.build(target, base)
+        section = b"".join(codec._encode(plan.codes, plan.stats))
+        return codec, section, target, base
+
+    @staticmethod
+    def _payload(codec, section, base) -> bytes:
+        mode = numeric.delta_mode_for(base.dtype)
+        return codec._frame(base, mode) + b"".join(codec._seal([section]))
+
+    @staticmethod
+    def _fold(codec, payload, base, kernels):
+        """Fold one level onto ``base`` inside a canary frame, as
+        ``read_version`` does into its canvas; the folded window, or
+        None for a refused payload."""
+        frame = np.full((base.shape[0] + 4,
+                         (base.shape[1] + 4) * base.itemsize), CANARY,
+                        dtype=np.uint8).view(base.dtype)
+        window = frame[2:-2, 2:-2]
+        window[...] = base
+        refused = False
+        with contextlib.nullcontext() if kernels else native.disabled():
+            try:
+                fold_chain([codec], [payload], base, window)
+            except CodecError:
+                refused = True
+        outside = np.ones(frame.shape, dtype=bool)
+        outside[2:-2, 2:-2] = False
+        assert (frame.view(np.uint8).reshape(frame.shape[0], -1)
+                [np.repeat(outside, frame.itemsize, axis=1)]
+                == CANARY).all()
+        return None if refused else window
+
+    def test_valid_level_folds_in_place(self, name, dtype, kernels, rng):
+        codec, section, target, base = self._level(name, dtype, rng)
+        for payload in (self._payload(codec, section, base),
+                        codec.encode(target, base)):
+            got = self._fold(codec, payload, base, kernels)
+            assert got.tobytes() == target.tobytes()
+
+    def test_every_truncation(self, name, dtype, kernels, rng):
+        """Cut the section at every byte — so at every part boundary
+        and inside every part — and the payload likewise."""
+        codec, section, _, base = self._level(name, dtype, rng)
+        for cut in range(len(section)):
+            assert self._fold(
+                codec, self._payload(codec, section[:cut], base), base,
+                kernels) is None, cut
+        payload = self._payload(codec, section, base)
+        for cut in range(len(payload)):
+            assert self._fold(codec, payload[:cut], base, kernels) \
+                is None, cut
+        assert self._fold(codec, payload + b"\0", base, kernels) is None
+
+    def test_hostile_fields(self, name, dtype, kernels, rng):
+        codec, section, _, base = self._level(name, dtype, rng)
+        count = base.size
+
+        def refused(at, replacement: bytes) -> bool:
+            bad = bytearray(section)
+            bad[at:at + len(replacement)] = replacement
+            return self._fold(codec, self._payload(codec, bytes(bad), base),
+                              base, kernels) is None
+
+        table_at = 0
+        if codec.layout & code_store.SMALL:
+            # The small width: every value a byte can hold.
+            for width in range(256):
+                assert refused(0, bytes([width])) or width <= 64
+            table_at = 1 + bitpack.packed_size(count, section[0])
+        if not codec.layout & code_store.TABLE:
+            return
+        entries = int.from_bytes(section[table_at:table_at + 8], "little")
+        assert 0 < entries < count
+        for width in range(65, 256):        # position / value widths
+            assert refused(table_at + 8, bytes([width]))
+            assert refused(table_at + 9, bytes([width]))
+        for width in range(65):
+            refused(table_at + 8, bytes([width]))   # canaries only
+            refused(table_at + 9, bytes([width]))
+        # Entry counts: negative, more than the cells, and one the
+        # cells allow but the payload does not hold.
+        for claim in (-1, count + 1, 1 << 40, (1 << 63) - 1, -(1 << 63),
+                      count):
+            assert refused(table_at, claim.to_bytes(8, "little",
+                                                    signed=True)), claim
+        # A position past the last cell: all ones in the first one.
+        assert section[table_at + 8] == 8
+        assert refused(table_at + 10, b"\xff")
+        # And bit flips through every header field.
+        for at in [0] * bool(table_at) + list(range(table_at,
+                                                    table_at + 10)):
+            for bit in range(8):
+                refused(at, bytes([section[at] ^ (1 << bit)]))
+
+    def test_random_corruption(self, name, dtype, kernels, rng):
+        codec, section, _, base = self._level(name, dtype, rng)
+        payload = self._payload(codec, section, base)
+        for bad in _corruptions(rng, payload, 30):
+            got = self._fold(codec, bad, base, kernels)
+            assert got is None or _frame_agrees(bad, base)
+
+
+
+def test_respelled_frame_takes_the_long_way_and_says_so(rng, caplog,
+                                                        monkeypatch):
+    """The fold recognises a level by comparing its first bytes with
+    the frame the root implies.  A frame that names the same dtype
+    another way ("=i4" for "<i4") is not corrupt: it is parsed in full,
+    the level still folds, and the miss is logged once."""
+    monkeypatch.setattr(native, "_declined", set())
+    codec = get_delta_codec("hybrid")
+    target, base = _pair(np.int32, (12, 16), rng)
+    payload = codec.encode(target, base)
+    assert payload[:4] == b"\x03<i4"
+    respelled = b"\x03=i4" + payload[4:]
+    out = base.copy()
+    with caplog.at_level("DEBUG", logger="repro.native"):
+        fold_chain([codec, codec], [payload, respelled], base,
+                   np.zeros_like(base))
+        fold_chain([codec], [respelled], base, out)
+    assert out.tobytes() == target.tobytes()
+    said = [record.getMessage() for record in caplog.records]
+    assert said.count(
+        "native declined fold_chain: frame prefix mismatch") == 1
