@@ -968,7 +968,8 @@ class ClusterCoordinator:
                    payload: Payload | ArrayData | np.ndarray) -> ArrayData:
         schema = self._schema(name)
         if isinstance(payload, ArrayData):
-            return payload
+            # Band slicing would crop or cast a foreign layout silently.
+            return payload.conforming(schema)
         if isinstance(payload, np.ndarray):
             return ArrayData.from_single(schema, payload)
         return payload.to_array_data(schema)

@@ -130,6 +130,23 @@ class ArrayData:
             name: values[index] for name, values in self._attributes.items()
         })
 
+    def conforming(self, schema: ArraySchema) -> "ArrayData":
+        """``self``, once known to be laid out as ``schema`` says.
+
+        The constructor checks the arrays against the schema it is
+        given; a store must also check that schema against the array
+        being inserted into — same shape, same attribute names and
+        cell types (dimension names and origins are free: slices and
+        cluster bands are zero-based).
+        """
+        mine, wanted = (
+            (s.shape, [(a.name, a.dtype) for a in s.attributes])
+            for s in (self.schema, schema))
+        if mine != wanted:
+            raise SchemaError(
+                f"payload is laid out as {mine}, the array as {wanted}")
+        return self
+
     def equals(self, other: "ArrayData") -> bool:
         """Exact cell-wise equality across all attributes."""
         if self.attribute_names != other.attribute_names:

@@ -12,9 +12,7 @@ is the *analysis* pass — cell pair in, delta code + width-histogram
 bucket out — one kernel family over every cell type
 (signed / unsigned / bool of 1, 2, 4, 8 bytes as wrapping int64
 differences, float16/32/64 as xor of bit images), reading the chunk in
-place from its canvas by ``(rows, cols, row_stride)`` and, given the
-base chain's accumulator, producing a delta-of-delta re-base's codes
-(``target - wrap(root + prior)``) without materializing the parent.
+place from its canvas by ``(rows, cols, row_stride)``.
 :func:`split_pack` is the *split-and-pack* pass: the codes, split at
 the width the cost curve chose, leave as the packed dense section and
 the packed outlier table (at width 0: the sparse codec's table).
@@ -77,13 +75,9 @@ _SOURCE = r"""
  * becomes its unsigned delta code — zigzag of the wrapping int64
  * difference (ARITHMETIC) or the xor of the bit images (XOR) — and is
  * counted into the 65-bucket exact-bit-length histogram in the same
- * stream.  With `prior` (the chain's composed accumulator, flat, one
- * 64-bit word per cell) the base is root (+|^) prior, the parent of a
- * delta-of-delta re-base, canonicalised through the cell type exactly
- * as a stepwise apply would have stored it.  64-byte runs of equal
- * cells (and zero prior) are skipped: they are code 0, bucket 0.
- * Matches numpy's compute_delta -> zigzag_encode -> width bincount bit
- * for bit. */
+ * stream.  64-byte runs of equal cells are skipped: they are code 0,
+ * bucket 0.  Matches numpy's compute_delta -> zigzag_encode -> width
+ * bincount bit for bit. */
 static inline int repro_same64(const unsigned char *a,
                                const unsigned char *b)
 {
@@ -95,20 +89,10 @@ static inline int repro_same64(const unsigned char *a,
     return diff == 0;
 }
 
-static inline int repro_all_zero(const uint64_t *p, int64_t n)
-{
-    uint64_t any = 0;
-    for (int64_t k = 0; k < n; k++)
-        any |= p[k];
-    return any == 0;
-}
-
-/* WIDEN: cell -> its int64 value's (or bit image's) uint64 image;
- * NARROW: that image wrapped back into the cell type. */
-#define DELTA_KERNEL(NAME, T, WIDEN, NARROW)                     \
+/* WIDEN: cell -> its int64 value's (or bit image's) uint64 image. */
+#define DELTA_KERNEL(NAME, T, WIDEN)                                   \
 static void NAME(const unsigned char *t, const unsigned char *b,       \
-                 const uint64_t *prior, int use_xor,                   \
-                 int64_t rows, int64_t cols,                           \
+                 int use_xor, int64_t rows, int64_t cols,              \
                  int64_t t_stride, int64_t b_stride,                   \
                  uint64_t *codes, int64_t *hist)                       \
 {                                                                      \
@@ -117,7 +101,6 @@ static void NAME(const unsigned char *t, const unsigned char *b,       \
     for (int64_t r = 0; r < rows; r++) {                               \
         const unsigned char *tr = t + r * t_stride;                    \
         const unsigned char *br = b + r * b_stride;                    \
-        const uint64_t *pr = prior ? prior + r * cols : 0;             \
         uint64_t *cr = codes + r * cols;                               \
         /* A chunk row ends mid-page, where the hardware streamer      \
          * stops: ask for the head of the next row ourselves. */       \
@@ -131,8 +114,7 @@ static void NAME(const unsigned char *t, const unsigned char *b,       \
             int64_t stop = i + RUN;                                    \
             if (stop > cols) {                                         \
                 stop = cols;                                           \
-            } else if (repro_same64(tr + i * S, br + i * S)            \
-                       && (!pr || repro_all_zero(pr + i, RUN))) {      \
+            } else if (repro_same64(tr + i * S, br + i * S)) {         \
                 memset(cr + i, 0, RUN * sizeof(uint64_t));             \
                 zeros += RUN;                                          \
                 i = stop;                                              \
@@ -145,18 +127,11 @@ static void NAME(const unsigned char *t, const unsigned char *b,       \
                 uint64_t code;                                         \
                 if (use_xor) {                                         \
                     code = WIDEN(tv) ^ WIDEN(bv);                      \
-                    if (pr)                                            \
-                        code ^= pr[i];                                 \
                 } else {                                               \
-                    uint64_t parent = WIDEN(bv);                       \
-                    if (pr) {                                          \
-                        T wrapped = NARROW(parent + pr[i]);            \
-                        parent = WIDEN(wrapped);                       \
-                    }                                                  \
                     /* zigzag: (d << 1) ^ (d >> 63) with the sign      \
                      * spread by negation, so no signed shift or       \
                      * overflow is involved. */                        \
-                    uint64_t d = WIDEN(tv) - parent;                   \
+                    uint64_t d = WIDEN(tv) - WIDEN(bv);                \
                     code = (d << 1) ^ (0 - (d >> 63));                 \
                 }                                                      \
                 cr[i] = code;                                          \
@@ -173,29 +148,27 @@ static void NAME(const unsigned char *t, const unsigned char *b,       \
 #define AS_SIGNED(v) ((uint64_t)(int64_t)(v))
 #define AS_UNSIGNED(v) ((uint64_t)(v))
 #define AS_TRUTH(v) ((uint64_t)((v) != 0))
-DELTA_KERNEL(repro_delta_i8, int8_t, AS_SIGNED, (int8_t))
-DELTA_KERNEL(repro_delta_i16, int16_t, AS_SIGNED, (int16_t))
-DELTA_KERNEL(repro_delta_i32, int32_t, AS_SIGNED, (int32_t))
-DELTA_KERNEL(repro_delta_i64, int64_t, AS_SIGNED, (int64_t))
-DELTA_KERNEL(repro_delta_u8, uint8_t, AS_UNSIGNED, (uint8_t))
-DELTA_KERNEL(repro_delta_u16, uint16_t, AS_UNSIGNED, (uint16_t))
-DELTA_KERNEL(repro_delta_u32, uint32_t, AS_UNSIGNED, (uint32_t))
-DELTA_KERNEL(repro_delta_u64, uint64_t, AS_UNSIGNED, (uint64_t))
-DELTA_KERNEL(repro_delta_bool, uint8_t, AS_TRUTH, AS_TRUTH)
+DELTA_KERNEL(repro_delta_i8, int8_t, AS_SIGNED)
+DELTA_KERNEL(repro_delta_i16, int16_t, AS_SIGNED)
+DELTA_KERNEL(repro_delta_i32, int32_t, AS_SIGNED)
+DELTA_KERNEL(repro_delta_i64, int64_t, AS_SIGNED)
+DELTA_KERNEL(repro_delta_u8, uint8_t, AS_UNSIGNED)
+DELTA_KERNEL(repro_delta_u16, uint16_t, AS_UNSIGNED)
+DELTA_KERNEL(repro_delta_u32, uint32_t, AS_UNSIGNED)
+DELTA_KERNEL(repro_delta_u64, uint64_t, AS_UNSIGNED)
+DELTA_KERNEL(repro_delta_bool, uint8_t, AS_TRUTH)
 
 /* `kind` indexes the cell types in the order above (floats arrive as
  * the same-width unsigned kind with use_xor set).  Returns 0, or -1
  * for a kind this build does not know. */
 int repro_delta_codes(const unsigned char *t, const unsigned char *b,
-                      const uint64_t *prior, int kind, int use_xor,
-                      int64_t rows, int64_t cols,
+                      int kind, int use_xor, int64_t rows, int64_t cols,
                       int64_t t_stride, int64_t b_stride,
                       uint64_t *codes, int64_t *hist)
 {
     static void (*const kernels[])(
-        const unsigned char *, const unsigned char *, const uint64_t *,
-        int, int64_t, int64_t, int64_t, int64_t, uint64_t *,
-        int64_t *) = {
+        const unsigned char *, const unsigned char *, int, int64_t,
+        int64_t, int64_t, int64_t, uint64_t *, int64_t *) = {
         repro_delta_i8, repro_delta_i16, repro_delta_i32,
         repro_delta_i64, repro_delta_u8, repro_delta_u16,
         repro_delta_u32, repro_delta_u64, repro_delta_bool,
@@ -203,8 +176,8 @@ int repro_delta_codes(const unsigned char *t, const unsigned char *b,
     if (kind < 0 || kind >= (int)(sizeof kernels / sizeof kernels[0]))
         return -1;
     memset(hist, 0, 65 * sizeof(int64_t));
-    kernels[kind](t, b, prior, use_xor, rows, cols, t_stride, b_stride,
-                  codes, hist);
+    kernels[kind](t, b, use_xor, rows, cols, t_stride, b_stride, codes,
+                  hist);
     return 0;
 }
 
@@ -372,7 +345,7 @@ void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
  *
  * A delta chain is folded level by level straight into the cells of
  * the version being read: the destination already holds the decoded
- * root (or a zeroed 64-bit accumulator, for a re-base), laid out as
+ * root (or is `accumulate`'s zeroed 64-bit accumulator), laid out as
  * `count` cells in runs of `cols`, `row_stride` bytes apart (a chunk
  * of the output canvas; cols = count for a contiguous buffer).  Each
  * level is one code-array payload section — `layout` says which parts
@@ -628,10 +601,9 @@ def _compile() -> ctypes.CDLL | None:
         # these two run once per chunk on the insert path, where a
         # typed ``data_as`` cast per argument is measurable.
         lib.repro_delta_codes.argtypes = [
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_int, ctypes.c_int, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-            ctypes.c_void_p]
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, ctypes.c_int,
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
         lib.repro_delta_codes.restype = ctypes.c_int
         lib.repro_split_pack.argtypes = [
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
@@ -755,8 +727,7 @@ def _as_rows(array: np.ndarray
     return np.ascontiguousarray(array), 1, array.size, 0
 
 
-def delta_zigzag_stats(target: np.ndarray, base: np.ndarray,
-                       prior: np.ndarray | None = None, *,
+def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
                        out: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray] | None:
     """Fused delta + code + width histogram of one chunk, or None.
@@ -764,11 +735,7 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray,
     The write path's analysis pass for every cell type
     :func:`repro.core.numeric.delta_mode_for` accepts, read in place:
     ``target`` and ``base`` may be row-strided views of their canvases
-    (see :func:`_as_rows`).  With ``prior`` — the base chain's
-    composed accumulator, flat int64 (ARITHMETIC) or uint64 (XOR) —
-    the codes are those against ``wrap(base + prior)`` resp.
-    ``base ^ prior``, the parent of a delta-of-delta re-base, which is
-    never materialized.  Returns ``(codes, width_counts)``: the flat
+    (see :func:`_as_rows`).  Returns ``(codes, width_counts)``: the flat
     uint64 code array and the count of codes per exact bit length,
     both bit-identical to the numpy pipeline's.  ``out`` (flat uint64,
     at least ``target.size`` long) receives the codes instead of a
@@ -805,13 +772,6 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray,
     if None in strides:
         return decline(kernel, "target and base rows differ")
     kind, use_xor = cell
-    if prior is not None:
-        wanted = np.uint64 if use_xor else np.int64
-        if not isinstance(prior, np.ndarray) or prior.dtype != wanted \
-                or prior.size != n or not prior.flags.c_contiguous \
-                or not prior.flags.aligned:
-            return decline(kernel, "prior is not a flat 64-bit "
-                                    "accumulator of the chunk's size")
     if out is None or out.size < n or out.dtype != np.uint64 \
             or not out.flags.c_contiguous or not out.flags.writeable:
         out = np.empty(n, dtype=np.uint64)
@@ -819,7 +779,6 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray,
     hist = np.empty(65, dtype=np.int64)
     status = lib.repro_delta_codes(
         sides[0][0].ctypes.data, sides[1][0].ctypes.data,
-        None if prior is None else prior.ctypes.data,
         kind, use_xor, rows, cols, *strides,
         codes.ctypes.data, hist.ctypes.data)
     if status:

@@ -20,23 +20,6 @@ the materialized representation and every candidate, keep the smallest
 — picks the same winner with the same payload bytes; it lives in
 ``tests/delta/encoding_oracle.py`` as the reference the planner's
 property suite asserts equality against.
-
-The planner additionally supports **delta-of-delta re-base**: when the
-insert path has the base version's chain state (the decoded root plus
-the chain's composed-but-unapplied accumulator, a :class:`RebaseState`
-produced by the decode pipeline) instead of a reconstructed canvas,
-``CodePlan.build(target, root, prior=accumulator)`` plans the new
-version's codes directly from that state.  Both delta modes compose
-associatively and commutatively — wrapping int64 addition and xor — so
-the base canvas is never materialized: ``codes = zigzag(target -
-wrap(root + acc))`` for arithmetic cells and ``codes = bits(target) ^
-bits(root) ^ acc`` for floats — the same compiled analysis pass as a
-canvas plan, for every cell type.  The contract is byte identity with
-planning against the canvas the state denotes — same codes, same
-statistics, same winner, same payload — and every candidate offered a
-rebased plan must be ``plan_sufficient`` (it sizes and encodes from the
-shared arrays, never ``plan.base``, which a rebased plan does not
-carry).
 """
 
 from __future__ import annotations
@@ -47,7 +30,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from repro.compression.base import Codec, IdentityCodec
-from repro.core.errors import CodecError
 from repro.core.serial import pack_array_header
 from repro.delta.base import DeltaCodec
 from repro.delta.codes import CodePlan
@@ -79,24 +61,6 @@ class EncodingDecision:
     @property
     def is_delta(self) -> bool:
         return self.delta_codec is not None
-
-
-@dataclass(frozen=True)
-class RebaseState:
-    """One chunk's base version as chain-walk state instead of canvas.
-
-    ``root`` is the decoded materialized root (possibly a zero-copy
-    read-only view — never written through), ``accumulator`` the
-    chain's composed-but-unapplied delta (flat int64 for ARITHMETIC,
-    uint64 for XOR; None when the base *is* the root and no deltas sit
-    above it), and ``mode`` the compose mode.  Produced by
-    ``DecodePipeline.chain_state``; consumed by
-    :func:`plan_encoding`.
-    """
-
-    root: np.ndarray
-    accumulator: np.ndarray | None
-    mode: str
 
 
 @dataclass(frozen=True)
@@ -157,8 +121,7 @@ def materialized_size(target: np.ndarray, compressor: Codec
 def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                   compressor: Codec | None = None,
                   candidates: tuple[DeltaCodec, ...] | None = None,
-                  *, rebase: RebaseState | None = None,
-                  scratch: np.ndarray | None = None
+                  *, scratch: np.ndarray | None = None
                   ) -> PlannedEncoding:
     """Pick the cheapest representation of ``target`` in a single pass.
 
@@ -175,20 +138,13 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
     the materialized form is sized analytically under the identity
     compressor, so when a delta wins its payload is never produced.
 
-    ``rebase`` supplies the base as chain state instead of ``base``
-    (pass exactly one): the plan is built against the state's root
-    with its accumulator as ``prior``, so the base canvas is never
-    reconstructed, and every candidate must be ``plan_sufficient``.
-    The decision is byte-identical to planning against the canvas the
-    state denotes.
-
     ``scratch`` is storage the plan's code array may live in (see
     ``CodePlan.build``); the returned decision holds only encoded
     bytes, so the lender may reuse it as soon as this returns.
     """
     compressor = compressor or IdentityCodec()
     mat_size, mat_payload = materialized_size(target, compressor)
-    if base is None and rebase is None:
+    if base is None:
         if mat_payload is None:
             mat_payload = compressor.encode(target)
         decision = EncodingDecision(delta_codec=None, size=mat_size,
@@ -197,19 +153,7 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                                bytes_saved=0)
 
     candidates = candidates or default_delta_candidates()
-    prior = None
-    if rebase is not None:
-        if base is not None:
-            raise CodecError(
-                "plan_encoding takes a base canvas or a rebase state, "
-                "not both")
-        for codec in candidates:
-            if not codec.plan_sufficient:
-                raise CodecError(
-                    f"delta codec {codec.name!r} is not plan-sufficient; "
-                    "it cannot be offered a rebased plan (no base canvas)")
-        base, prior = rebase.root, rebase.accumulator
-    plan = CodePlan.build(target, base, prior, scratch=scratch)
+    plan = CodePlan.build(target, base, scratch=scratch)
     best_codec: DeltaCodec | None = None
     best_size = mat_size
     best_parts: list[bytes] | None = None

@@ -77,12 +77,6 @@ class DeltaCodec(ABC):
     #: Whether a level folds at O(nnz) via its outlier table rather
     #: than a full dense pass (sparse/hybrid; observability only).
     scatters: bool = False
-    #: Whether :meth:`plan_size` and :meth:`encode_from_plan` consume
-    #: only the plan's shared arrays (target, codes, stats, mode) and
-    #: never ``plan.base``.  Plans built by delta-of-delta re-base
-    #: carry no base canvas at all, so only plan-sufficient codecs may
-    #: be offered one.
-    plan_sufficient: bool = False
 
     # ------------------------------------------------------------------
     # Framing helpers shared by implementations
@@ -227,7 +221,6 @@ class CodeArrayDeltaCodec(DeltaCodec):
 
     bidirectional = True
     composable = True
-    plan_sufficient = True
 
     def _seal(self, parts: list[bytes]) -> list[bytes]:
         return parts

@@ -208,57 +208,31 @@ class CodePlan:
     """
 
     target: np.ndarray
-    #: The base canvas — None for plans built against a ``prior``
-    #: (delta-of-delta re-base), which only plan-sufficient codecs may
-    #: consume.
-    base: np.ndarray | None
+    base: np.ndarray
     mode: str
     codes: np.ndarray
     stats: CodeStats
 
     @classmethod
-    def build(cls, target: np.ndarray, base: np.ndarray,
-              prior: np.ndarray | None = None, *,
+    def build(cls, target: np.ndarray, base: np.ndarray, *,
               scratch: np.ndarray | None = None) -> "CodePlan":
-        """Plan ``target`` against ``base``, or against the version
-        ``prior`` composes onto it.
+        """Plan ``target`` against ``base``.
 
         Both arrays may be strided chunk views; the compiled analysis
-        pass reads them in place.  ``prior`` is a chain's composed but
-        unapplied accumulator over ``base`` as its decoded root (flat
-        int64 sums for arithmetic cells, uint64 xors for floats): the
-        codes are then those against ``wrap(base + prior)`` resp.
-        ``base ^ prior`` — the parent of a delta-of-delta re-base,
-        which the kernel never materializes — byte-identical to
-        planning against that canvas.  ``scratch`` (flat uint64, at
-        least ``target.size`` long) lends the plan its code array's
-        storage: the plan is then only valid until the lender reuses
-        it.
+        pass reads them in place.  ``scratch`` (flat uint64, at least
+        ``target.size`` long) lends the plan its code array's storage:
+        the plan is then only valid until the lender reuses it.
         """
         numeric.check_same_layout(target, base)
         mode = numeric.delta_mode_for(target.dtype)
-        if prior is not None and (
-                prior.dtype != numeric.accumulator_dtype(mode)
-                or prior.size != target.size):
-            raise CodecError(
-                f"prior ({prior.dtype}, {prior.size} cells) is not a "
-                f"{mode} accumulator over {target.size} cells")
-        canvas = base if prior is None else None
-        fused = native.delta_zigzag_stats(target, base, prior,
-                                          out=scratch)
+        fused = native.delta_zigzag_stats(target, base, out=scratch)
         if fused is not None:
             codes, counts = fused
-            return cls(target, canvas, mode, codes,
+            return cls(target, base, mode, codes,
                        CodeStats.from_width_counts(codes.size, counts))
-        if prior is not None:
-            # reshape: the xor apply promotes a 0-d root to (1,).
-            base = numeric.apply_delta_forward(
-                base, prior.reshape(base.shape), mode,
-                base.dtype).reshape(base.shape)
         delta, _ = numeric.compute_delta(target, base)
         codes = delta_to_codes(delta, mode)
-        return cls(target, canvas, mode, codes,
-                   CodeStats.from_codes(codes))
+        return cls(target, base, mode, codes, CodeStats.from_codes(codes))
 
 
 # ----------------------------------------------------------------------
@@ -472,8 +446,8 @@ def fold_chain(sections: list, layouts: list[int], dest: np.ndarray,
     ``dest`` already holds what the chain composes onto: the decoded
     root in the cell's own dtype — any layout, so a chunk is folded
     where it lies in its version's canvas — or a zeroed flat 64-bit
-    accumulator (:func:`repro.core.numeric.delta_accumulator`) for a
-    chain state.  ``sections[i]`` is level *i*'s unframed payload and
+    accumulator (:func:`repro.core.numeric.delta_accumulator`) for
+    ``accumulate``.  ``sections[i]`` is level *i*'s unframed payload and
     ``layouts[i]`` its :data:`SMALL` / :data:`TABLE` parts.  Each level
     is applied as ``cell op= (cell type) delta``: the deltas were
     computed as wrapping int64 differences (xor images for floats) and

@@ -43,12 +43,9 @@ The single-pass encode planner adds three more write-side counters:
 from the shared code plan but never encoded — losing delta candidates,
 plus the materialized payload whenever the cost model proves a delta
 wins under the identity compressor), and ``planner_bytes_saved`` (the
-total size of those never-produced payloads).  ``encode_rebases``
-counts chunk encodes planned by delta-of-delta re-base — the insert
-diffed against (root, accumulator) chain state instead of a
-reconstructed parent canvas.  The planner's and re-base's shared
-contract is that they change no stored byte, so these counters are the
-only place their work is visible outside wall-clock time.
+total size of those never-produced payloads).  The planner's contract
+is that it changes no stored byte, so these counters are the only
+place its work is visible outside wall-clock time.
 
 The fused read path is covered by three counters: ``chains_fused``
 (chunk reconstructions that folded their whole delta chain, one level
@@ -97,7 +94,6 @@ class IOStats:
     chunks_written: int = 0
     encode_tasks: int = 0
     encode_plans: int = 0
-    encode_rebases: int = 0
     codec_encodes_avoided: int = 0
     planner_bytes_saved: int = 0
     concurrent_placements: int = 0
@@ -155,16 +151,6 @@ class IOStats:
             self.encode_plans += 1
             self.codec_encodes_avoided += encodes_avoided
             self.planner_bytes_saved += bytes_saved
-
-    def record_encode_rebase(self, chunks: int) -> None:
-        """Account one insert whose base came from delta-of-delta
-        re-base: ``chunks`` chunk encodes were planned directly from
-        (root, accumulator) chain state instead of a reconstructed
-        parent canvas.  The re-base contract is that it changes no
-        stored byte, so — like the planner's counters — this is the
-        only place its work is visible outside wall-clock time."""
-        with self._lock:
-            self.encode_rebases += chunks
 
     def record_concurrent_placement(self) -> None:
         """Account one chunk placement dispatched through the commit

@@ -734,15 +734,27 @@ class VersionedStorageManager:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _version_contents(self, record: ArrayRecord,
+                          version: int) -> ArrayData:
+        """The contents of a version the write path deltas against or
+        patches: the hot slot's snapshot when that is the version
+        held, else an ordinary :meth:`select`.  Every write-path base
+        comes from here, so a base is always a canvas."""
+        held = self._hot.get(record.name, version)
+        return held if held is not None \
+            else self.select(record.name, version)
+
     def _normalize_payload(self, record: ArrayRecord,
                            payload: Payload | ArrayData | np.ndarray
                            ) -> ArrayData:
         if isinstance(payload, ArrayData):
-            return payload
+            # The one form that arrives with a schema of its own: an
+            # encode with no delta base would never compare the two.
+            return payload.conforming(record.schema)
         if isinstance(payload, np.ndarray):
             return ArrayData.from_single(record.schema, payload)
         if isinstance(payload, DeltaListPayload):
-            base = self.select(record.name, payload.base_version)
+            base = self._version_contents(record, payload.base_version)
             return payload.to_array_data(record.schema, base=base)
         return payload.to_array_data(record.schema)
 
@@ -760,54 +772,18 @@ class VersionedStorageManager:
                        merge_parents: list[tuple[str, int]] | None = None
                        ) -> None:
         """Resolve the base (when the policy deltas) and run the encode
-        pipeline for one version.
-
-        The base is resolved cheapest-first: the hot-version slot (the
-        store's own snapshot of the version it wrote last), then
-        delta-of-delta re-base (the parent's chain state stands in for
-        its canvas — the parent is never reconstructed), then a full
-        :meth:`select`.  All three produce byte-identical stored bytes.
-        """
+        pipeline for one version."""
         base_data: ArrayData | None = None
-        rebase_states: dict | None = None
         if base_version is not None and self.encoder.wants_base:
-            base_data = self._hot.get(record.name, base_version)
-            if base_data is None:
-                rebase_states = self._chain_states(record, base_version)
-                if rebase_states is None:
-                    base_data = self.select(record.name, base_version)
+            base_data = self._version_contents(record, base_version)
         self.encoder.write_version(record, self.grid_for(record), version,
                                    data, base_data=base_data,
                                    base_version=base_version,
-                                   rebase_states=rebase_states,
                                    replace=replace,
                                    version_row=version_row,
                                    merge_parents=merge_parents)
         if self.encoder.wants_base:
             self._hot.remember(record.name, version, data)
-
-    def _chain_states(self, record: ArrayRecord, base_version: int
-                      ) -> dict | None:
-        """Chain-walk states for every (attribute, chunk) of a base
-        version — the delta-of-delta re-base input for inserts whose
-        parent canvas is not hot.  Returns None when the fast path is
-        unavailable (materialize policy, a candidate that
-        needs the base canvas, or a non-composable chain level) — the
-        caller falls back to a full select.  A chain state is composed,
-        not decoded, so it neither reads nor fills the chunk cache."""
-        if not self.encoder.can_rebase:
-            return None
-        grid = self.grid_for(record)
-        states: dict = {}
-        for attr in record.schema.attributes:
-            for chunk in grid.chunks():
-                state = self.decoder.chain_state(record, base_version,
-                                                 attr.name, chunk)
-                if state is None:
-                    return None
-                states[(attr.name, chunk.name)] = state
-        self.stats.record_encode_rebase(len(states))
-        return states
 
     def _repack(self, record: ArrayRecord) -> None:
         """Rewrite co-located chunk objects keeping only live payloads.

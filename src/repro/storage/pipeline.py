@@ -30,13 +30,11 @@ bookkeeping, version lineage, and layout re-organization.
 Two invariants both pipelines are built around:
 
 * **Byte identity across acceleration.**  Every fast path — the chain
-  fold at the cell's own width, the delta-of-delta re-base
-  (:meth:`DecodePipeline.chain_state` feeding
-  ``write_version(rebase_states=...)``), and the compiled kernels in
+  fold at the cell's own width and the compiled kernels in
   :mod:`repro.core.native` — must produce exactly the bytes of the
   plain numpy, level-by-level path.  Store fingerprints may never
-  depend on ``REPRO_NATIVE``, worker count, or which base-resolution
-  path an insert happened to take.
+  depend on ``REPRO_NATIVE``, worker count, or whether an insert's
+  base canvas came from the manager's hot slot or a ``select``.
 * **Graceful fallback.**  Each fast path gates itself on dtype,
   layout, and codec composability and returns ``None``/raises nothing
   when it does not apply; the caller falls back to the slower exact
@@ -55,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compression.registry import get_codec
-from repro.core import numeric
 from repro.core.array import ArrayData
 from repro.core.errors import (
     CodecError,
@@ -63,12 +60,7 @@ from repro.core.errors import (
     NoOverwriteError,
     StorageError,
 )
-from repro.delta.auto import (
-    EncodingDecision,
-    RebaseState,
-    default_delta_candidates,
-    plan_encoding,
-)
+from repro.delta.auto import EncodingDecision, plan_encoding
 from repro.delta.base import fold_chain
 from repro.delta.registry import get_delta_codec
 from repro.storage.chunking import ChunkGrid, ChunkRef
@@ -356,24 +348,6 @@ class EncodePipeline(_PooledStage):
         reconstructing before encoding)."""
         return self.delta_policy != POLICY_MATERIALIZE
 
-    @property
-    def can_rebase(self) -> bool:
-        """Whether inserts may delta against chain state instead of a
-        reconstructed base canvas (delta-of-delta re-base).
-
-        Requires candidates that size and encode purely from the
-        shared plan (``plan_sufficient``), since a rebased plan carries
-        no base canvas.  The stored bytes are byte-identical either
-        way; only the parent reconstruction disappears.
-        """
-        if self.delta_policy == POLICY_CHAIN:
-            candidates: tuple = (get_delta_codec(self.delta_codec_name),)
-        elif self.delta_policy == POLICY_AUTO:
-            candidates = default_delta_candidates()
-        else:
-            return False
-        return all(codec.plan_sufficient for codec in candidates)
-
     # ------------------------------------------------------------------
     # Stage 1: plan
     # ------------------------------------------------------------------
@@ -393,9 +367,7 @@ class EncodePipeline(_PooledStage):
     # Stage 2: encode
     # ------------------------------------------------------------------
     def encode_chunk(self, target: np.ndarray, base: np.ndarray | None,
-                     compressor, *,
-                     rebase: RebaseState | None = None
-                     ) -> EncodingDecision:
+                     compressor) -> EncodingDecision:
         """Pick and produce one chunk's representation.
 
         The decision comes from the single-pass
@@ -403,16 +375,10 @@ class EncodePipeline(_PooledStage):
         array, one set of width statistics, one encode — and the
         representations it sized but never produced are recorded in
         the store's counters.
-
-        ``rebase`` supplies the base as chain state instead of a canvas
-        (delta-of-delta re-base); callers are gated on
-        :attr:`can_rebase`.
         """
         scratch = None
-        if self.delta_policy == POLICY_MATERIALIZE or \
-                (base is None and rebase is None):
+        if self.delta_policy == POLICY_MATERIALIZE or base is None:
             base = None
-            rebase = None
             candidates = None
         else:
             candidates = (get_delta_codec(self.delta_codec_name),) \
@@ -422,32 +388,25 @@ class EncodePipeline(_PooledStage):
                 scratch = self._scratch.codes = np.empty(
                     target.size, dtype=np.uint64)
         planned = plan_encoding(target, base, compressor=compressor,
-                                candidates=candidates, rebase=rebase,
-                                scratch=scratch)
+                                candidates=candidates, scratch=scratch)
         self.store.stats.record_encode_plan(planned.encodes_avoided,
                                             planned.bytes_saved)
         return planned.decision
 
     def _encode_task(self, task: EncodeTask, data: ArrayData,
                      base_data: ArrayData | None,
-                     rebase_states: dict | None,
                      compressor) -> EncodingDecision:
         target = data.attribute(task.attribute)[task.chunk.slices()]
         base = None
-        rebase = None
-        if rebase_states is not None:
-            rebase = rebase_states[(task.attribute, task.chunk.name)]
-        elif base_data is not None:
+        if base_data is not None:
             base = base_data.attribute(
                 task.attribute)[task.chunk.slices()]
-        decision = self.encode_chunk(target, base, compressor,
-                                     rebase=rebase)
+        decision = self.encode_chunk(target, base, compressor)
         self.store.stats.record_encode_task()
         return decision
 
     def _encode_tasks(self, tasks: list[EncodeTask], data: ArrayData,
-                      base_data: ArrayData | None,
-                      rebase_states: dict | None, compressor):
+                      base_data: ArrayData | None, compressor):
         """Yield each task's :class:`EncodingDecision` in task order.
 
         The parallel path groups tasks into contiguous blocks (a few
@@ -467,7 +426,7 @@ class EncodePipeline(_PooledStage):
 
             def encode_block(block: list[EncodeTask]):
                 return [self._encode_task(task, data, base_data,
-                                          rebase_states, compressor)
+                                          compressor)
                         for task in block]
 
             pending = (tasks[i:i + step]
@@ -482,8 +441,7 @@ class EncodePipeline(_PooledStage):
                 yield from future.result()
         else:
             for task in tasks:
-                yield self._encode_task(task, data, base_data,
-                                        rebase_states, compressor)
+                yield self._encode_task(task, data, base_data, compressor)
 
     # ------------------------------------------------------------------
     # Stage 3: commit
@@ -491,7 +449,6 @@ class EncodePipeline(_PooledStage):
     def _place_tasks(self, record: ArrayRecord, version: int,
                      tasks: list[EncodeTask], data: ArrayData,
                      base_data: ArrayData | None,
-                     rebase_states: dict | None,
                      base_version: int | None, compressor):
         """Encode and place every task, yielding :class:`ChunkRecord`
         rows in task order.
@@ -512,7 +469,6 @@ class EncodePipeline(_PooledStage):
         """
         degree = self.workers
         decisions = zip(tasks, self._encode_tasks(tasks, data, base_data,
-                                                  rebase_states,
                                                   compressor))
 
         def chunk_record(task: EncodeTask, decision: EncodingDecision,
@@ -557,19 +513,14 @@ class EncodePipeline(_PooledStage):
                       version: int, data: ArrayData, *,
                       base_data: ArrayData | None,
                       base_version: int | None,
-                      rebase_states: dict | None = None,
                       replace: bool = False,
                       version_row: VersionRecord | None = None,
                       merge_parents: list[tuple[str, int]] | None = None
                       ) -> None:
         """Encode and persist every chunk of one version.
 
-        ``rebase_states`` — a ``(attribute, chunk_name)`` →
-        :class:`~repro.delta.auto.RebaseState` mapping — supplies the
-        base version as per-chunk chain state instead of ``base_data``
-        (delta-of-delta re-base; gated on :attr:`can_rebase`); the
-        stored bytes are byte-identical to encoding against the
-        reconstructed canvas.  The version's catalog rows — and, when
+        ``base_data`` is the base version's contents (None to
+        materialize).  The version's catalog rows — and, when
         ``version_row`` is given, the version row itself — are
         committed in **one** transaction
         (:meth:`MetadataCatalog.put_chunks`) after every
@@ -590,8 +541,8 @@ class EncodePipeline(_PooledStage):
         compressor = get_codec(record.compressor)
         tasks = self.plan_version(record, grid)
         records = list(self._place_tasks(record, version, tasks, data,
-                                         base_data, rebase_states,
-                                         base_version, compressor))
+                                         base_data, base_version,
+                                         compressor))
         # Durability barrier, then the transaction: the catalog must
         # never name bytes that would not survive a crash.  On the
         # object backend the same call is the finalize barrier that
@@ -706,23 +657,24 @@ class DecodePipeline(_PooledStage):
         # other consumer gets the owning copy it always got.
         resolved: list[int] = []
         root = chain.pop() if base_version is None else None
-        folded = self._fusible(chain, warm_fill)
+        codecs = self._fusible(chain, warm_fill)
         if root is None:
             data = scope[base_version]
-            # The resolved version itself: nothing to fold onto it.
-            folded = folded and bool(chain)
+            if not chain:
+                # The resolved version itself: nothing to fold onto it.
+                codecs = None
         else:
             codec = get_codec(root.compressor)
-            data = codec.decode_view(payloads.pop()) if folded \
-                else codec.decode(payloads.pop())
+            data = codec.decode_view(payloads.pop()) \
+                if codecs is not None else codec.decode(payloads.pop())
             scope[root.version] = data
             resolved.append(root.version)
 
         # Stage 4: delta-decode — folded into one copy of the root
         # when the whole chain composes, stepwise otherwise.
-        if folded:
-            data = self._fused_apply(record, chunk, chain, payloads,
-                                     data, out)
+        if codecs is not None:
+            data = self._fused_apply(record, chunk, chain, codecs,
+                                     payloads, data, out)
             scope[version] = data
         else:
             for chunk_record, payload in zip(reversed(chain),
@@ -747,7 +699,7 @@ class DecodePipeline(_PooledStage):
 
     def _locate_chain(self, record: ArrayRecord, version: int,
                       attribute: str, chunk: ChunkRef,
-                      stop_at: dict[int, np.ndarray] | None = None
+                      stop_at: dict[int, np.ndarray]
                       ) -> tuple[list[ChunkRecord], int | None]:
         """Stage 1: one chunk's delta chain, in one catalog round trip.
 
@@ -756,46 +708,52 @@ class DecodePipeline(_PooledStage):
         materialized root (then the last record).  ``stop_at`` maps
         resolved versions to their contents: the walk ends at the first
         version found there or in the chunk cache (which is then
-        recorded into it); without it the walk runs to the root.
+        recorded into it).
         """
         chain = self.catalog.get_chunk_chain(record.array_id, version,
                                              attribute, chunk.name)
-        if stop_at is not None:
-            for depth, row in enumerate(chain):
-                if row.version not in stop_at and self.cache.enabled \
-                        and row.version != version:
-                    cached = self.cache.peek((record.array_id, row.version,
-                                              attribute, chunk.name))
-                    if cached is not None:
-                        stop_at[row.version] = cached
-                if row.version in stop_at:
-                    return chain[:depth], row.version
+        for depth, row in enumerate(chain):
+            if row.version not in stop_at and self.cache.enabled \
+                    and row.version != version:
+                cached = self.cache.peek((record.array_id, row.version,
+                                          attribute, chunk.name))
+                if cached is not None:
+                    stop_at[row.version] = cached
+            if row.version in stop_at:
+                return chain[:depth], row.version
         if chain[-1].base_version is not None:
             raise StorageError(
                 f"delta cycle detected for {record.name!r} "
                 f"chunk {chunk.name} at version {chain[-1].base_version}")
         return chain, None
 
-    def _fusible(self, chain: list[ChunkRecord], warm_fill: bool) -> bool:
-        """Whether the located delta levels fold: all composable (a
-        bare materialized root trivially so), and not a warm fill,
-        which wants the intermediates a fold never materializes."""
-        return not warm_fill and self._composable(chain)
-
     @staticmethod
-    def _composable(levels: list[ChunkRecord]) -> bool:
-        return all(level.delta_codec is not None
-                   and get_delta_codec(level.delta_codec).composable
-                   for level in levels)
+    def _fusible(chain: list[ChunkRecord], warm_fill: bool
+                 ) -> list | None:
+        """The codecs of the located delta levels, in chain order,
+        when the chain folds — every level composable (a bare
+        materialized root trivially so: no levels), and not a warm
+        fill, which wants the intermediates a fold never
+        materializes — else None.  The one codec lookup per level."""
+        if warm_fill:
+            return None
+        codecs = []
+        for level in chain:
+            codec = get_delta_codec(level.delta_codec) \
+                if level.delta_codec is not None else None
+            if codec is None or not codec.composable:
+                return None
+            codecs.append(codec)
+        return codecs
 
-    @staticmethod
-    def _compose(record: ArrayRecord, chunk: ChunkRef,
-                 chain: list[ChunkRecord], payloads: list[bytes],
-                 root: np.ndarray, dest: np.ndarray) -> None:
-        """Fold every level of ``chain`` into ``dest`` in place
-        (:func:`repro.delta.base.fold_chain`): ``dest`` is a copy of
-        the decoded ``root`` for a read, a zeroed accumulator for a
-        chain state.
+    def _fused_apply(self, record: ArrayRecord, chunk: ChunkRef,
+                     chain: list[ChunkRecord], codecs: list,
+                     payloads: list[bytes], base: np.ndarray,
+                     out: np.ndarray | None) -> np.ndarray:
+        """The one copy of the materialized root — into ``out`` when
+        the caller lent its canvas window, else a buffer of its own —
+        with every level of ``chain`` folded onto it in place
+        (:func:`repro.delta.base.fold_chain`).
 
         Everything is sized from the decoded root, never from a
         payload's frame: a level whose header disagrees with the
@@ -805,66 +763,21 @@ class DecodePipeline(_PooledStage):
         and xor are associative *and* commutative), so levels fold in
         read order.
         """
-        try:
-            fold_chain([get_delta_codec(level.delta_codec)
-                        for level in chain], payloads, root, dest)
-        except DeltaLevelError as exc:
-            raise CodecError(
-                f"{record.name!r} version {chain[exc.level].version} "
-                f"chunk {chunk.name}: corrupt "
-                f"{chain[exc.level].delta_codec} delta: {exc}") from exc
-
-    def _fused_apply(self, record: ArrayRecord, chunk: ChunkRef,
-                     chain: list[ChunkRecord], payloads: list[bytes],
-                     base: np.ndarray, out: np.ndarray | None
-                     ) -> np.ndarray:
-        """The one copy of the materialized root — into ``out`` when
-        the caller lent its canvas window, else a buffer of its own —
-        with the chain folded onto it (:meth:`_compose`)."""
         if out is None or (out.dtype, out.shape) != \
                 (base.dtype, base.shape):
             out = np.empty(base.shape, dtype=base.dtype)
         np.copyto(out, base)
         if chain:
-            self._compose(record, chunk, chain, payloads, base, out)
+            try:
+                fold_chain(codecs, payloads, base, out)
+            except DeltaLevelError as exc:
+                raise CodecError(
+                    f"{record.name!r} version {chain[exc.level].version} "
+                    f"chunk {chunk.name}: corrupt "
+                    f"{chain[exc.level].delta_codec} delta: {exc}") from exc
             self.store.stats.record_chain_fused(
-                len(chain), sum(get_delta_codec(level.delta_codec).scatters
-                                for level in chain))
+                len(chain), sum(codec.scatters for codec in codecs))
         return out
-
-    def chain_state(self, record: ArrayRecord, version: int,
-                    attribute: str, chunk: ChunkRef
-                    ) -> RebaseState | None:
-        """Locate, read, and *compose* one chunk's delta chain without
-        the root — the encode-side counterpart of the fused read,
-        feeding delta-of-delta re-base.
-
-        Returns the chunk's state as a
-        :class:`~repro.delta.auto.RebaseState` — the decoded root plus
-        the chain's composed accumulator (None for a materialized
-        version with no deltas above the root) — or None when the
-        state cannot stand in for the canvas (a non-composable level
-        in the chain).  The chunk cache is neither probed nor filled:
-        a composed state has no version contents to admit.  The root
-        may be a zero-copy read-only view of the payload bytes;
-        callers must not write through it.
-        """
-        chain, _ = self._locate_chain(record, version, attribute, chunk)
-        root_record = chain[-1]
-        if not self._composable(chain[:-1]):
-            return None
-        payloads = self.store.read_chunks(
-            [chunk_record.location for chunk_record in chain])
-        chain.pop()
-        root = get_codec(root_record.compressor) \
-            .decode_view(payloads.pop())
-        mode = numeric.delta_mode_for(root.dtype)
-        accumulator = None
-        if chain:
-            accumulator = numeric.delta_accumulator(mode, root.size)
-            self._compose(record, chunk, chain, payloads, root,
-                          accumulator)
-        return RebaseState(root=root, accumulator=accumulator, mode=mode)
 
     # ------------------------------------------------------------------
     # Stage 5: assembly

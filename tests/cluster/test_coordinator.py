@@ -9,7 +9,8 @@ import pytest
 
 from repro.cluster import ClusterCoordinator
 from repro.cluster import rebalance as rebalance_flow
-from repro.core.errors import ReproError, StorageError
+from repro.core.array import ArrayData
+from repro.core.errors import ReproError, SchemaError, StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
 from repro.storage import InMemoryBackend, VersionedStorageManager
 
@@ -61,6 +62,46 @@ class TestLifecycle:
                                       first)
         np.testing.assert_array_equal(cluster.select("A", 2).single(),
                                       buf)
+        cluster.close()
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((64, 64), np.int64), ((32, 32), np.int32), ((128, 128), np.int32),
+        # Larger along the partition axis only: every band slice has
+        # the right shape, so the nodes would never notice.
+        ((128, 64), np.int32),
+    ], ids=["wrong-dtype", "smaller", "larger", "longer"])
+    @pytest.mark.parametrize("situation", [
+        "first-insert", "materialize", "chain-hot-base",
+        "chain-cold-base"])
+    def test_insert_rejects_a_foreign_schema_on_every_node(
+            self, tmp_path, rng, situation, shape, dtype):
+        cluster = ClusterCoordinator(
+            tmp_path, nodes=2, replication=2, chunk_bytes=4096,
+            delta_policy="materialize" if situation == "materialize"
+            else "chain")
+        schema = ArraySchema.simple((64, 64), dtype=np.int32)
+        cluster.create_array("A", schema)
+        good = rng.integers(0, 9, (64, 64)).astype(np.int32)
+        if situation != "first-insert":
+            cluster.insert("A", good)
+        if situation == "chain-cold-base":
+            # A write to another array takes every node's hot slot.
+            cluster.create_array("B", schema)
+            cluster.insert("B", good)
+        versions = cluster.get_versions("A")
+        stored = cluster.stored_bytes("A")
+        fingerprint = cluster.fingerprint()
+        foreign = ArrayData.from_single(
+            ArraySchema.simple(shape, dtype=dtype),
+            np.arange(shape[0] * shape[1], dtype=dtype).reshape(shape))
+        with pytest.raises(SchemaError):
+            cluster.insert("A", foreign)
+        assert cluster.get_versions("A") == versions
+        assert cluster.stored_bytes("A") == stored
+        assert cluster.fingerprint() == fingerprint
+        number = cluster.insert("A", good + 1)
+        np.testing.assert_array_equal(cluster.select("A", number).single(),
+                                      good + 1)
         cluster.close()
 
     def test_versions_consistent(self, loaded):

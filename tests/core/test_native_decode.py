@@ -2,14 +2,13 @@
 
 The encode-side kernels are covered next to the planner
 (``tests/delta/test_planner.py``); this file owns the decode side:
-zigzag decode, D-bit unpack across every width, the chain fold, and
-the delta-of-delta re-base statistics.  Every kernel's contract is the
-same — byte-identical to the numpy fallback, returning ``None`` (so
-the caller falls back) on any dtype, layout, or size it does not
-handle — and every test here asserts both halves of it.  The fold
-additionally parses bytes from disk and writes through caller strides:
-whatever the bytes say, it reports a malformed level and never touches
-a cell outside its destination.
+zigzag decode, D-bit unpack across every width and the chain fold.
+Every kernel's contract is the same — byte-identical to the numpy
+fallback, returning ``None`` (so the caller falls back) on any dtype,
+layout, or size it does not handle — and every test here asserts both
+halves of it.  The fold additionally parses bytes from disk and writes
+through caller strides: whatever the bytes say, it reports a malformed
+level and never touches a cell outside its destination.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core import bitpack, native
 from repro.delta import codes as code_store
-from repro.delta.codes import CodeStats, delta_to_codes
 
 pytestmark = pytest.mark.skipif(not native.available(),
                                 reason="native kernels did not compile")
@@ -354,35 +352,6 @@ class TestFoldChain:
         assert not cells.any() and not read_only.any()
 
 
-class TestRebaseStats:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000))
-    def test_matches_numpy_rebase(self, seed, n):
-        rng = np.random.default_rng(seed)
-        root = rng.integers(-2**40, 2**40, n, dtype=np.int64)
-        prior = rng.integers(-2**20, 2**20, n, dtype=np.int64)
-        target = rng.integers(-2**40, 2**40, n, dtype=np.int64)
-        fused = native.delta_zigzag_stats(target, root, prior)
-        assert fused is not None
-        codes, hist = fused
-        with np.errstate(over="ignore"):
-            delta = target - (root + prior)
-        expected = delta_to_codes(delta, "arith")
-        assert np.array_equal(codes, expected)
-        assert np.array_equal(
-            hist, CodeStats.from_codes(expected).width_counts)
-
-    def test_rejects_layouts(self):
-        a = np.zeros(8, dtype=np.int64)
-        assert native.delta_zigzag_stats(a.astype(np.int32), a,
-                                          a) is None
-        assert native.delta_zigzag_stats(a, a[:4], a) is None
-        assert native.delta_zigzag_stats(a[::2], a[::2],
-                                          a[::2]) is None
-        empty = np.zeros(0, dtype=np.int64)
-        assert native.delta_zigzag_stats(empty, empty, empty) is None
-
-
 class TestDisabledScope:
     def test_disabled_turns_every_kernel_off(self):
         codes = np.arange(8, dtype=np.uint64)
@@ -393,7 +362,7 @@ class TestDisabledScope:
             assert native.unpack_bits(b"\x00" * 8, 7, 4) is None
             assert native.fold_chain(acc, [section], [native.FOLD_SMALL],
                                      False) is None
-            assert native.delta_zigzag_stats(acc, acc, acc) is None
+            assert native.delta_zigzag_stats(acc, acc) is None
         assert native.zigzag_decode(codes) is not None
 
     def test_disabled_nests(self):
@@ -421,7 +390,7 @@ class TestDisabledScope:
             "assert native.unpack_bits(b'\\x00' * 8, 7, 4) is None\n"
             "acc = np.zeros(8, dtype=np.int64)\n"
             "assert native.fold_chain(acc, [b'\\x00'], [1], False) is None\n"
-            "assert native.delta_zigzag_stats(acc, acc, acc) is None\n"
+            "assert native.delta_zigzag_stats(acc, acc) is None\n"
         )
         subprocess.run([sys.executable, "-c", probe], check=True,
                        env=env)

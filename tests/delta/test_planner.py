@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.compression import LempelZivCodec
 from encoding_oracle import choose_encoding, reference_encode
 from repro.core import bitpack, native
-from repro.core.numeric import apply_delta_forward, compute_delta
+from repro.core.numeric import compute_delta
 from repro.core.schema import ArraySchema
 from repro.delta import (
     CodeStats,
@@ -295,11 +295,6 @@ class TestNativeKernels:
         assert native.delta_zigzag_stats(ints, ints[:4]) is None
         swapped = ints.astype(ints.dtype.newbyteorder())
         assert native.delta_zigzag_stats(swapped, swapped) is None
-        # The accumulator of a re-base is flat, 64-bit, chunk-sized.
-        assert native.delta_zigzag_stats(
-            ints, ints, np.zeros(ints.size, dtype=np.int32)) is None
-        assert native.delta_zigzag_stats(
-            ints, ints, np.zeros(ints.size - 1, dtype=np.int64)) is None
 
     def test_decline_is_logged_once_per_reason(self, caplog,
                                                monkeypatch):
@@ -341,42 +336,28 @@ def _cells(rng, dtype: np.dtype, shape) -> np.ndarray:
     return raw.view(dtype).reshape(shape)
 
 
-def _reference_plan(target, base, accumulator=None) -> CodePlan:
+def _reference_plan(target, base) -> CodePlan:
     """The plan the numpy path builds for the same inputs."""
     with native.disabled():
-        return CodePlan.build(target, base, accumulator)
+        return CodePlan.build(target, base)
 
 
-def _assert_family_agrees(target, base, accumulator, plan, reference):
+def _assert_family_agrees(target, base, plan, reference):
     """All four code-array codecs emit the same payload from the
     kernel-built ``plan``, from the numpy-built ``reference`` plan
-    with the kernels off, and from the sort-and-mask oracle over the
-    canvas the (root, accumulator) state denotes; and the sizes priced
-    from either plan are that payload's length."""
-    canvas = base if accumulator is None else apply_delta_forward(
-        base, accumulator.reshape(base.shape), plan.mode,
-        base.dtype).reshape(base.shape)
+    with the kernels off, and from the sort-and-mask oracle; and the
+    sizes priced from either plan are that payload's length."""
     for codec in _code_array_codecs():
-        expected = reference_encode(codec.name, target, canvas)
+        expected = reference_encode(codec.name, target, base)
         assert b"".join(codec.encode_from_plan(plan)) == expected, \
             codec.name
         with native.disabled():
             assert b"".join(codec.encode_from_plan(reference)) == \
                 expected, codec.name
-            assert codec.encoded_size(target, canvas) == len(expected)
-        assert codec.encode(target, canvas) == expected, codec.name
-        assert codec.encoded_size(target, canvas) == len(expected)
+            assert codec.encoded_size(target, base) == len(expected)
+        assert codec.encode(target, base) == expected, codec.name
+        assert codec.encoded_size(target, base) == len(expected)
         assert codec.plan_size(plan) in (None, len(expected))
-
-
-def _accumulator(rng, dtype: np.dtype, count: int) -> np.ndarray:
-    """A composed-chain accumulator as ``DecodePipeline._compose``
-    leaves it: flat, mostly zero, int64 sums or float-width xors."""
-    values = rng.integers(-2**63, 2**63, count, dtype=np.int64)
-    values[rng.random(count) < 0.6] = 0
-    if dtype.kind == "f":
-        return values.view(np.uint64) >> np.uint64(64 - 8 * dtype.itemsize)
-    return values
 
 
 @pytest.mark.skipif(not native.available(),
@@ -387,8 +368,7 @@ class TestNativeEveryCellType:
     never again quietly send a whole class of arrays to the fallback."""
 
     @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
-    @pytest.mark.parametrize("base_kind", ["canvas", "root",
-                                           "root+accumulator"])
+    @pytest.mark.parametrize("base_kind", ["canvas", "root"])
     @pytest.mark.parametrize("dtype", [
         np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
         np.uint32, np.uint64, np.bool_, np.float16, np.float32,
@@ -397,24 +377,20 @@ class TestNativeEveryCellType:
         dtype = np.dtype(dtype)
         target = _LAYOUTS[layout](_cells(rng, dtype, (10, 12)))
         base = _LAYOUTS[layout](_cells(rng, dtype, (10, 12)))
-        accumulator = None
-        if base_kind != "canvas":
+        if base_kind == "root":
             # A decoded root is its own contiguous array.
             base = np.ascontiguousarray(base).reshape(target.shape)
-        if base_kind == "root+accumulator":
-            accumulator = _accumulator(rng, dtype, target.size)
-        fused = native.delta_zigzag_stats(target, base, accumulator)
+        fused = native.delta_zigzag_stats(target, base)
         assert fused is not None
-        reference = _reference_plan(target, base, accumulator)
+        reference = _reference_plan(target, base)
         codes, counts = fused
         assert np.array_equal(codes, reference.codes)
         assert np.array_equal(counts, reference.stats.width_counts)
 
     @settings(max_examples=150, deadline=None)
     @given(pair=version_pairs, strided=st.booleans(),
-           rebased=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_plan_and_payload_match_numpy(self, pair, strided, rebased,
-                                          seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_plan_and_payload_match_numpy(self, pair, strided, seed):
         target, base = pair
         rng = np.random.default_rng(seed)
         if strided and target.ndim:
@@ -427,17 +403,15 @@ class TestNativeEveryCellType:
                 window[...] = cells
                 return window
             target, base = embed(target), embed(base)
-        accumulator = _accumulator(rng, target.dtype, target.size) \
-            if rebased else None
-        reference = _reference_plan(target, base, accumulator)
-        plan = CodePlan.build(target, base, accumulator)
+        reference = _reference_plan(target, base)
+        plan = CodePlan.build(target, base)
         assert plan.mode == reference.mode
         assert np.array_equal(plan.codes, reference.codes)
         assert np.array_equal(plan.stats.width_counts,
                               reference.stats.width_counts)
         assert hybrid_split_width(plan.codes, plan.stats) == \
             hybrid_split_width(reference.codes, reference.stats)
-        _assert_family_agrees(target, base, accumulator, plan, reference)
+        _assert_family_agrees(target, base, plan, reference)
 
     @pytest.mark.parametrize("dtype, target, base", [
         # 33-bit deltas out of 32-bit cells, in both directions.
@@ -452,10 +426,7 @@ class TestNativeEveryCellType:
     def test_integer_boundaries(self, dtype, target, base):
         target = np.array(target, dtype=dtype)
         base = np.array(base, dtype=dtype)
-        for accumulator in (None,
-                            np.array([1, -1, 2**62, -2**63][:target.size],
-                                     dtype=np.int64)):
-            self._assert_same_encoding(target, base, accumulator)
+        self._assert_same_encoding(target, base)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32,
                                        np.float64])
@@ -463,28 +434,25 @@ class TestNativeEveryCellType:
         specials = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
                              1.0, np.finfo(dtype).tiny, -1.5],
                             dtype=dtype)
-        self._assert_same_encoding(specials, specials[::-1].copy(), None)
-        self._assert_same_encoding(
-            specials, np.zeros_like(specials),
-            np.arange(specials.size, dtype=np.uint64))
+        self._assert_same_encoding(specials, specials[::-1].copy())
+        self._assert_same_encoding(specials, np.zeros_like(specials))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float32])
     def test_all_equal_and_all_outlier_chunks(self, rng, dtype):
         dtype = np.dtype(dtype)
         base = _cells(rng, dtype, (40, 50))
-        self._assert_same_encoding(base.copy(), base, None)
+        self._assert_same_encoding(base.copy(), base)
         # Every cell changed by a full-width amount: no small codes.
-        self._assert_same_encoding(_cells(rng, dtype, (40, 50)), base,
-                                   None)
+        self._assert_same_encoding(_cells(rng, dtype, (40, 50)), base)
 
     @staticmethod
-    def _assert_same_encoding(target, base, accumulator):
-        reference = _reference_plan(target, base, accumulator)
-        plan = CodePlan.build(target, base, accumulator)
+    def _assert_same_encoding(target, base):
+        reference = _reference_plan(target, base)
+        plan = CodePlan.build(target, base)
         assert np.array_equal(plan.codes, reference.codes)
         assert np.array_equal(plan.stats.width_counts,
                               reference.stats.width_counts)
-        _assert_family_agrees(target, base, accumulator, plan, reference)
+        _assert_family_agrees(target, base, plan, reference)
 
     @pytest.mark.parametrize("small_bits", range(65))
     def test_split_pack_at_every_width(self, rng, small_bits):
@@ -519,8 +487,7 @@ def _decide_with_oracle(manager: VersionedStorageManager) -> None:
     the same policy-to-candidates rule the pipeline applies."""
     encoder = manager.encoder
 
-    def encode_chunk(target, base, compressor, *, rebase=None):
-        assert rebase is None  # the oracle needs the base canvas
+    def encode_chunk(target, base, compressor):
         if encoder.delta_policy == "materialize":
             base = None
         candidates = (get_delta_codec(encoder.delta_codec_name),) \

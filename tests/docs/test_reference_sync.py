@@ -15,12 +15,17 @@ reference pages are held to the code by tier-1 tests:
   example specs must actually validate;
 * every module under ``src/repro/cluster/`` must be named in
   ``docs/architecture.md``, so the cluster package map cannot rot;
+* every backticked ``ClassName.attr`` in ``README.md`` and
+  ``docs/architecture.md`` whose class the storage, delta, cluster or
+  core package exports must still have that attribute, so the prose
+  cannot go on naming a method or counter after the code is gone;
 * every relative link in ``README.md`` and ``docs/`` must resolve to
   a real file.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -113,6 +118,27 @@ def test_architecture_names_every_cluster_module():
     missing = [name for name in modules if f"cluster/{name}" not in text]
     assert modules and not missing, (
         f"docs/architecture.md does not name cluster modules {missing}")
+
+
+MEMBER = re.compile(r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)")
+PACKAGES = ("repro.storage", "repro.delta", "repro.cluster", "repro.core")
+
+
+def test_named_class_members_exist():
+    packages = [importlib.import_module(name) for name in PACKAGES]
+    checked, stale = 0, set()
+    for path in (REPO / "README.md", DOCS / "architecture.md"):
+        for owner, member in MEMBER.findall(path.read_text()):
+            cls = next((getattr(package, owner) for package in packages
+                        if hasattr(package, owner)), None)
+            if cls is None:
+                continue  # a file name, or a class kept private
+            checked += 1
+            if not hasattr(cls, member) and \
+                    member not in getattr(cls, "__dataclass_fields__", {}):
+                stale.add(f"{path.name}: {owner}.{member}")
+    assert checked, "the gate matched nothing: pattern or docs moved"
+    assert not stale, f"docs name members that no longer exist: {stale}"
 
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)]+)\)")

@@ -5,9 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.array import DeltaListPayload, DensePayload, SparsePayload
+from repro.core.array import (
+    ArrayData,
+    DeltaListPayload,
+    DensePayload,
+    SparsePayload,
+)
 from repro.core.errors import (
     ArrayNotFoundError,
+    SchemaError,
     StorageError,
     VersionNotFoundError,
 )
@@ -109,6 +115,77 @@ class TestPayloadForms:
         out = manager.select("A", 2).single()
         assert out[0, 0] == 99
         np.testing.assert_array_equal(out.ravel()[1:], base.ravel()[1:])
+
+
+def _foreign(kind: str) -> ArrayData:
+    """An ``ArrayData`` that is valid for its own schema, which is not
+    that of a ``(64, 64) int32`` array."""
+    shape, dtype = {"wrong-dtype": ((64, 64), np.int64),
+                    "smaller": ((32, 32), np.int32),
+                    "larger": ((128, 128), np.int32)}[kind]
+    return ArrayData.from_single(
+        ArraySchema.simple(shape, dtype=dtype),
+        np.arange(shape[0] * shape[1], dtype=dtype).reshape(shape))
+
+
+FOREIGN = ["wrong-dtype", "smaller", "larger"]
+
+
+class TestForeignSchemaRejected:
+    """An ``ArrayData`` carries its own schema; ``insert`` must hold it
+    to the array's before anything is placed — an encode with no delta
+    base (a first version, the materialize policy) compares nothing,
+    and with one the first to notice would be a codec, too late and
+    with the wrong error."""
+
+    @pytest.mark.parametrize("kind", FOREIGN)
+    @pytest.mark.parametrize("situation", [
+        "first-insert", "materialize", "chain-hot-base",
+        "chain-cold-base"])
+    def test_insert_raises_schema_error_and_stores_nothing(
+            self, tmp_path, rng, situation, kind):
+        policy = POLICY_MATERIALIZE if situation == "materialize" \
+            else "chain"
+
+        def open_manager():
+            return VersionedStorageManager(tmp_path, chunk_bytes=4096,
+                                           delta_policy=policy)
+
+        manager = open_manager()
+        manager.create_array("A", ArraySchema.simple((64, 64),
+                                                     dtype=np.int32))
+        good = rng.integers(0, 9, (64, 64)).astype(np.int32)
+        if situation != "first-insert":
+            manager.insert("A", good)
+        if situation == "chain-cold-base":
+            manager.close()
+            manager = open_manager()
+        versions = manager.get_versions("A")
+        stored = manager.stored_bytes("A")
+        fingerprint = manager.fingerprint()
+        with pytest.raises(SchemaError):
+            manager.insert("A", _foreign(kind))
+        assert manager.get_versions("A") == versions
+        assert manager.stored_bytes("A") == stored
+        assert manager.fingerprint() == fingerprint
+        # ...and the array is as usable as before.
+        number = manager.insert("A", good + 1)
+        np.testing.assert_array_equal(manager.select("A", number).single(),
+                                      good + 1)
+        manager.close()
+
+    def test_dimension_names_and_origins_are_free(self, manager, schema,
+                                                  rng):
+        # A slice of another array, or a cluster band, is zero-based
+        # with names of its own: only shape and cell types must agree.
+        manager.create_array("A", schema)
+        data = rng.integers(0, 9, (20, 20)).astype(np.int32)
+        elsewhere = ArraySchema(
+            dimensions=(Dimension("row", 5, 24), Dimension("col", -3, 16)),
+            attributes=schema.attributes)
+        manager.insert("A", ArrayData.from_single(elsewhere, data))
+        np.testing.assert_array_equal(manager.select("A", 1).single(),
+                                      data)
 
 
 class TestDeltaEncodingOnInsert:
