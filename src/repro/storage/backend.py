@@ -28,9 +28,7 @@ Four implementations ship today:
   ``write`` is a whole-object PUT, ``append`` stages a part of a
   multipart upload that :meth:`~StorageBackend.sync` finalizes into a
   new committed object, and reads are **ranged GETs** coalesced under
-  a configurable request-size floor.  The backend advertises
-  ``high_latency = True`` so the chunk store batches requests harder
-  (per-request cost dominates on an object store, not bytes moved);
+  a configurable request-size floor;
 * :class:`FaultInjectingBackend` — a transparent wrapper (spec
   ``faulty:<seed>[:<inner>]``) that follows a **deterministic seeded
   schedule** of injected failures: the Nth write raises before any
@@ -45,10 +43,11 @@ Four implementations ship today:
 ``read_many`` is the performance-critical batched read: a co-located
 delta chain lives at many ``(offset, length)`` spans of *one* object,
 and the batched read resolves the whole chain with a single open + seek
-pass instead of one ``open()`` per payload.  ``max_workers`` adds a
-parallel fan-out path — spans are sharded across a thread pool, each
-worker serving its shard from its own handle — for deep chains on
-substrates that profit from request concurrency.
+pass instead of one ``open()`` per payload.  The contract carries no
+concurrency argument: reads are parallelised above it (one
+reconstruction task per chunk, in the decode pipeline) and the one fan
+below it is the durability barrier's own (:data:`SYNC_FAN`), which a
+backend with a real barrier raises by itself.
 
 Paths are backend-relative strings with ``/`` separators (the same
 strings the metadata catalog records in chunk locations), so a store
@@ -71,18 +70,14 @@ from pathlib import Path
 from repro.core.errors import StorageError
 from repro.storage.iostats import IOStats
 
-#: Names accepted by :func:`resolve_backend` (and the CLI / bench axis).
-#: ``striped:<n>[:<child>]``, ``object[:durable]``, and
-#: ``faulty:<seed>[:<inner>]`` specs are also accepted — see
-#: :func:`parse_striped_spec` / :func:`parse_object_spec` /
-#: :func:`parse_faulty_spec`; :func:`ensure_backend_spec` validates any
-#: of them without side effects.
-BACKEND_NAMES = ("local", "memory", "durable", "object")
+#: Durability-barrier fan depth.  An fsync wait is I/O, not CPU: the
+#: filesystem journal group-commits concurrent flushes, and batching
+#: saturates around this queue depth on commodity disks — so the
+#: barrier fans to this fixed width (bounded by the object count).
+SYNC_FAN = 8
 
-#: A backend spec: a registry name, a ready instance, or a factory
-#: called with the store root (so multi-node deployments can build one
-#: backend per node).
-BackendSpec = "str | StorageBackend | Callable[[Path], StorageBackend] | None"
+# Guards the lazy creation (and detach) of every backend's barrier pool.
+_barrier_guard = threading.Lock()
 
 
 class StorageBackend(ABC):
@@ -100,21 +95,9 @@ class StorageBackend(ABC):
     name: str = "abstract"
     #: True when the backend holds no durable state (nothing on disk).
     ephemeral: bool = False
-    #: The backend's latency profile: True when per-request cost
-    #: dominates per-byte cost (object stores), so callers should
-    #: batch harder — coalesce spans into fewer, larger requests and
-    #: fan independent requests concurrently — rather than minimize
-    #: bytes moved.  Local and in-memory substrates leave this False.
-    high_latency: bool = False
-    #: True when the backend's observable behaviour depends on the
-    #: *order* its write-side operations arrive in, so callers must not
-    #: issue writes to distinct objects concurrently.  All production
-    #: backends leave this False — within one version every chunk
-    #: targets a distinct object, so the commit stage may fan
-    #: placements freely.  The fault-injecting wrapper sets it: its
-    #: seeded schedule counts operations, and a concurrent fan would
-    #: make which placement draws fault #N racy instead of replayable.
-    serial_writes: bool = False
+    # The durability barrier's executor (see _fan_barrier): built by
+    # the first barrier that has more than one object to flush.
+    _barrier_pool: ThreadPoolExecutor | None = None
 
     def bind_stats(self, stats: "IOStats") -> None:
         """Attach an :class:`IOStats` sink for backend-level counters.
@@ -141,35 +124,30 @@ class StorageBackend(ABC):
 
     @abstractmethod
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]], *,
-                  max_workers: int = 0) -> list[bytes]:
+                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
         """Read several ``(offset, length)`` spans of one object.
 
         The whole batch is served from a single open of ``path`` — this
         is what turns a co-located delta chain into one open + seek
-        pass.  ``max_workers`` > 1 shards the spans across a thread
-        pool (each worker serves its shard from its own handle); the
-        serial and parallel paths return identical payloads, in span
-        order.
+        pass.  Payloads come back in span order.
         """
 
-    def sync(self, paths: Sequence[str], *, max_workers: int = 0) -> None:
+    def sync(self, paths: Sequence[str]) -> None:
         """Durability barrier: block until the listed objects survive a
         crash.
 
         The default is a no-op — the paper's prototype semantics, where
         the page cache owns write-back.  Backends opened in durable
         mode (``LocalFileBackend(durable=True)``) honor the barrier by
-        fsyncing every listed object; ``max_workers`` > 1 fans the
-        fsyncs across the shared I/O pool, letting the filesystem
-        journal batch the commits instead of paying one full flush per
-        object.  On the object store the barrier is a **finalize
-        barrier**: every listed object's pending multipart upload is
-        completed, so the staged parts become committed object bytes.
-        The write pipeline calls this once per version, after
-        placement and before the catalog transaction, so a catalog row
-        can never name bytes the kernel still held in memory (or an
-        upload nobody completed).
+        fsyncing every listed object, :data:`SYNC_FAN` at a time, so
+        the filesystem journal batches the commits instead of paying
+        one full flush per object.  On the object store the barrier is
+        a **finalize barrier**: every listed object's pending multipart
+        upload is completed, so the staged parts become committed
+        object bytes.  The write pipeline calls this once per version,
+        after placement and before the catalog transaction, so a
+        catalog row can never name bytes the kernel still held in
+        memory (or an upload nobody completed).
         """
 
     @abstractmethod
@@ -196,89 +174,42 @@ class StorageBackend(ABC):
     def total_bytes(self, prefix: str = "") -> int:
         """Stored bytes under ``prefix`` (the whole backend when '')."""
 
+    def _fan_barrier(self, flush, targets: Sequence) -> None:
+        """Run ``flush(target)`` for every target, :data:`SYNC_FAN` at
+        a time — the one fan below the backend contract.
+
+        What a barrier waits on is I/O (an fsync, a remote store's
+        complete-upload round trip), so its depth is the barrier's own
+        and has nothing to do with the CPU-oriented ``workers`` degree
+        above: it is the same at ``workers=0``.  One task per object;
+        a single object is flushed inline and builds no pool, so a
+        backend whose barrier is a no-op never owns a thread.
+        """
+        if len(targets) < 2:
+            for target in targets:
+                flush(target)
+            return
+        with _barrier_guard:
+            if self._barrier_pool is None:
+                self._barrier_pool = ThreadPoolExecutor(
+                    max_workers=SYNC_FAN,
+                    thread_name_prefix="repro-sync")
+            pool = self._barrier_pool
+        list(pool.map(flush, targets))
+
     def close(self) -> None:
         """Release auxiliary resources (idempotent).
 
-        Shuts down the lazily-created span-read and sync executors; a
-        later parallel read or durability barrier simply recreates
-        them, so a backend instance stays usable after close.  The
-        pools are detached under the guard but drained outside it, so
-        closing one backend never stalls other backends' I/O on the
-        shared creation lock.
+        Shuts down the barrier executor if one was ever built; a later
+        barrier simply recreates it, so a backend instance stays usable
+        after close.  The pool is detached under the guard but drained
+        outside it, so closing one backend never stalls other backends'
+        barriers on the shared creation lock.
         """
-        with _span_pool_guard:
-            pools = [getattr(self, "_span_executor", None),
-                     getattr(self, "_sync_executor", None)]
-            self._span_executor = None
-            self._sync_executor = None
-        for pool in pools:
-            if pool is not None:
-                pool.shutdown(wait=True)
-
-
-_span_pool_guard = threading.Lock()
-
-#: Durability-barrier fan depth.  An fsync wait is I/O, not CPU: the
-#: filesystem journal group-commits concurrent flushes, and batching
-#: saturates around this queue depth on commodity disks — so the
-#: barrier fans to this fixed width (bounded by the object count)
-#: whenever concurrency is enabled, independent of the CPU-oriented
-#: ``workers`` degree.
-SYNC_FAN = 8
-
-
-def _sync_pool(backend: "StorageBackend") -> ThreadPoolExecutor:
-    """One lazily-created durability-barrier executor per backend.
-
-    Separate from the span-read pool so the barrier's I/O depth is
-    never silently capped by whatever size the read path happened to
-    create its pool with."""
-    with _span_pool_guard:
-        pool = getattr(backend, "_sync_executor", None)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=SYNC_FAN,
-                thread_name_prefix=f"repro-{backend.name}-sync")
-            backend._sync_executor = pool
-        return pool
-
-
-def _span_pool(backend: "StorageBackend",
-               max_workers: int) -> ThreadPoolExecutor:
-    """One lazily-created span-read executor per backend instance.
-
-    Reused across every ``read_many`` call (a fresh pool per read would
-    put thread spawn/join on the hot chain-read path).  Sized at first
-    use; later calls asking for more workers still run correctly, just
-    at the original concurrency.  :meth:`StorageBackend.close` (called
-    from the manager's close) shuts the pool down.
-    """
-    with _span_pool_guard:
-        pool = getattr(backend, "_span_executor", None)
-        if pool is None:
-            pool = ThreadPoolExecutor(
-                max_workers=max_workers,
-                thread_name_prefix=f"repro-{backend.name}-span")
-            backend._span_executor = pool
-        return pool
-
-
-def _fan_out_spans(backend: "StorageBackend",
-                   spans: Sequence[tuple[int, int]], max_workers: int,
-                   read_shard) -> list[bytes]:
-    """Shard ``spans`` into contiguous blocks read concurrently.
-
-    ``read_shard`` maps one block of spans to its payloads; blocks are
-    reassembled in span order, so the result is indistinguishable from
-    a serial pass.
-    """
-    shards = min(max_workers, len(spans))
-    step = -(-len(spans) // shards)  # ceil division
-    blocks = [spans[i:i + step] for i in range(0, len(spans), step)]
-    pool = _span_pool(backend, max_workers)
-    return [payload
-            for block in pool.map(read_shard, blocks)
-            for payload in block]
+        with _barrier_guard:
+            pool, self._barrier_pool = self._barrier_pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
 
 class LocalFileBackend(StorageBackend):
@@ -290,9 +221,9 @@ class LocalFileBackend(StorageBackend):
     barrier fsyncs the touched objects in one group — so the write
     pipeline leaves payload bytes crash-safe *before* the catalog
     transaction that names them commits, at a per-version rather than
-    per-chunk flush cost.  The fsync waits release the GIL and can be
-    fanned across the shared I/O pool (``max_workers``), which lets
-    the filesystem journal batch the commits.
+    per-chunk flush cost.  The fsync waits release the GIL and are
+    fanned :data:`SYNC_FAN` deep, which lets the filesystem journal
+    batch the commits.
     """
 
     name = "local"
@@ -333,7 +264,7 @@ class LocalFileBackend(StorageBackend):
             handle.write(payload)
         return offset
 
-    def sync(self, paths: Sequence[str], *, max_workers: int = 0) -> None:
+    def sync(self, paths: Sequence[str]) -> None:
         if not self.durable or not paths:
             return
         distinct = list(dict.fromkeys(paths))
@@ -345,18 +276,10 @@ class LocalFileBackend(StorageBackend):
             finally:
                 os.close(fd)
 
-        def fsync_one(path: str) -> None:
-            fsync_at(self._resolve(path))
-
-        if max_workers > 1 and len(distinct) > 1:
-            # One task per object at the barrier's own I/O depth: the
-            # journal group-commits whatever flushes are in flight, so
-            # depth — not CPU parallelism — sets the batching factor.
-            pool = _sync_pool(self)
-            list(pool.map(fsync_one, distinct))
-        else:
-            for path in distinct:
-                fsync_one(path)
+        # The journal group-commits whatever flushes are in flight, so
+        # depth — not CPU parallelism — sets the batching factor.
+        self._fan_barrier(lambda path: fsync_at(self._resolve(path)),
+                          distinct)
         # A freshly created file is only crash-safe once its directory
         # entry is too: fsync each distinct parent directory up to the
         # backend root, or the barrier could survive the data but lose
@@ -383,17 +306,8 @@ class LocalFileBackend(StorageBackend):
         return self.read_many(path, [(offset, length)])[0]
 
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]], *,
-                  max_workers: int = 0) -> list[bytes]:
+                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
         target = self._resolve(path)
-        if max_workers > 1 and len(spans) > 1:
-            return _fan_out_spans(
-                self, list(spans), max_workers,
-                lambda shard: self._read_spans(target, shard))
-        return self._read_spans(target, spans)
-
-    def _read_spans(self, target: Path,
-                    spans: Sequence[tuple[int, int]]) -> list[bytes]:
         try:
             with open(target, "rb") as handle:
                 payloads = []
@@ -490,20 +404,11 @@ class InMemoryBackend(StorageBackend):
         return self.read_many(path, [(offset, length)])[0]
 
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]], *,
-                  max_workers: int = 0) -> list[bytes]:
+                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
         obj = self._objects.get(path)
         if obj is None:
             raise StorageError(f"missing chunk file {path}")
         buffer = obj.consolidated()
-        if max_workers > 1 and len(spans) > 1:
-            return _fan_out_spans(
-                self, list(spans), max_workers,
-                lambda shard: self._read_spans(path, buffer, shard))
-        return self._read_spans(path, buffer, spans)
-
-    def _read_spans(self, path: str, buffer: bytearray,
-                    spans: Sequence[tuple[int, int]]) -> list[bytes]:
         payloads = []
         for offset, length in spans:
             payload = bytes(buffer[offset:offset + length])
@@ -552,15 +457,6 @@ class StripedBackend(StorageBackend):
             raise StorageError("a striped backend needs at least one child")
         self.children = children
         self.ephemeral = all(child.ephemeral for child in children)
-        # One high-latency stripe makes the composite request-cost
-        # dominated: the routing hash cannot steer hot objects away
-        # from the slow child, so callers must batch as if every
-        # request could land there.
-        self.high_latency = any(child.high_latency for child in children)
-        # One order-sensitive stripe serializes the composite's write
-        # path: the routing hash decides which child sees a write, so
-        # any concurrent fan could reorder that child's operations.
-        self.serial_writes = any(child.serial_writes for child in children)
 
     def bind_stats(self, stats: "IOStats") -> None:
         for child in self.children:
@@ -581,31 +477,18 @@ class StripedBackend(StorageBackend):
         return self.child_for(path).read(path, offset, length)
 
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]], *,
-                  max_workers: int = 0) -> list[bytes]:
-        return self.child_for(path).read_many(path, spans,
-                                              max_workers=max_workers)
+                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
+        return self.child_for(path).read_many(path, spans)
 
-    def sync(self, paths: Sequence[str], *, max_workers: int = 0) -> None:
+    def sync(self, paths: Sequence[str]) -> None:
+        # Each stripe raises its own barrier over its own objects, and
+        # fans it if it has one worth fanning.
         by_child: dict[int, tuple[StorageBackend, list[str]]] = {}
         for path in paths:
             child = self.child_for(path)
             by_child.setdefault(id(child), (child, []))[1].append(path)
-        groups = list(by_child.values())
-
-        def sync_child(group: tuple[StorageBackend, list[str]]) -> None:
-            child, child_paths = group
-            child.sync(child_paths, max_workers=max_workers)
-
-        if max_workers > 1 and len(groups) > 1:
-            # The stripes are independent substrates: their group
-            # commits overlap, so the barrier costs the slowest child,
-            # not the sum of all of them.
-            pool = _sync_pool(self)
-            list(pool.map(sync_child, groups))
-        else:
-            for group in groups:
-                sync_child(group)
+        for child, child_paths in by_child.values():
+            child.sync(child_paths)
 
     def delete(self, prefix: str) -> None:
         for child in self.children:
@@ -673,7 +556,6 @@ class ObjectStoreBackend(StorageBackend):
     """
 
     name = "object"
-    high_latency = True
 
     def __init__(self, root: str | Path, durable: bool = False,
                  request_floor: int = OBJECT_REQUEST_FLOOR):
@@ -746,28 +628,26 @@ class ObjectStoreBackend(StorageBackend):
             parts.append(bytes(payload))
         return offset
 
-    def sync(self, paths: Sequence[str], *, max_workers: int = 0) -> None:
+    def sync(self, paths: Sequence[str]) -> None:
         distinct = list(dict.fromkeys(paths))
         # The emulated finalize is a memory-compose + local append, so
         # it runs serially under the staging lock (offset accounting
         # must never race a concurrent append); a remote backend would
-        # fan its complete-multipart round trips at ``max_workers``
-        # here instead.
+        # fan its complete-multipart round trips here instead.
         with self._stage_lock:
             for path in distinct:
                 self._finalize_locked(path)
-        # Durable mode stacks the local fsync barrier on top of the
-        # finalize (fanned at ``max_workers``); otherwise the
-        # committed map's sync is a no-op.
-        self._committed.sync(distinct, max_workers=max_workers)
+        # Durable mode stacks the local fsync barrier (and its fan) on
+        # top of the finalize; otherwise the committed map's sync is a
+        # no-op.
+        self._committed.sync(distinct)
 
     # -- reads ---------------------------------------------------------
     def read(self, path: str, offset: int, length: int) -> bytes:
         return self.read_many(path, [(offset, length)])[0]
 
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]], *,
-                  max_workers: int = 0) -> list[bytes]:
+                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
         spans = list(spans)
         if not spans:
             return []
@@ -789,8 +669,7 @@ class ObjectStoreBackend(StorageBackend):
                     f"{length} bytes at {offset}, got "
                     f"{max(0, size - offset)}")
         gets = self._plan_gets(spans, size)
-        payloads = self._committed.read_many(path, gets,
-                                             max_workers=max_workers)
+        payloads = self._committed.read_many(path, gets)
         buffers = {start: payload
                    for (start, _), payload in zip(gets, payloads)}
         starts = [start for start, _ in gets]
@@ -866,6 +745,18 @@ class ObjectStoreBackend(StorageBackend):
         super().close()
 
 
+def _union_bytes(spans: Sequence[tuple[int, int]]) -> int:
+    """Bytes covered by at least one ``(offset, length)`` span."""
+    total = 0
+    covered_to = 0
+    for offset, length in sorted(spans):
+        end = offset + length
+        if end > covered_to:
+            total += end - max(offset, covered_to)
+            covered_to = end
+    return total
+
+
 #: Operation kinds the seeded fault schedule can target.  Reads are
 #: deliberately absent: a failed read is what replica *failover*
 #: recovers from, and the chaos suite injects those by marking whole
@@ -931,26 +822,21 @@ class FaultInjectingBackend(StorageBackend):
     — the conformance grid runs that mode to prove the wrapper itself
     honors the full backend contract.
 
-    The counters are lock-protected (parallel encode fan-outs hammer
-    one instance from many threads), and the fault decision depends
-    only on ``(seed, kind, index)`` — never on thread interleaving —
-    so a schedule replays identically across runs and workers degrees
-    for any serial-per-backend write path.
+    The counters are lock-protected (concurrent readers and a writer
+    may share one instance), and the fault decision depends only on
+    ``(seed, kind, index)``.  The write pipeline places a version's
+    chunks from one thread in canonical task order at every ``workers``
+    degree, so which placement draws fault #N — and with it the whole
+    schedule — replays identically across runs and degrees.
     """
 
     name = "faulty"
-    #: The seeded schedule assigns faults to operation *indices*, so
-    #: which placement draws fault #N must not depend on a concurrent
-    #: fan's thread interleaving — the commit stage keeps this
-    #: backend's write path serial.
-    serial_writes = True
 
     def __init__(self, inner: StorageBackend, seed: int = 0,
                  schedule: "dict[str, frozenset[int]] | None" = None):
         self.inner = inner
         self.seed = seed
         self.ephemeral = inner.ephemeral
-        self.high_latency = inner.high_latency
         raw = seeded_fault_schedule(seed) if schedule is None else schedule
         unknown = set(raw) - set(FAULT_KINDS)
         if unknown:
@@ -1026,23 +912,22 @@ class FaultInjectingBackend(StorageBackend):
                 f"{torn}/{len(payload)} bytes")
         return self.inner.append(path, payload)
 
-    def sync(self, paths: Sequence[str], *, max_workers: int = 0) -> None:
+    def sync(self, paths: Sequence[str]) -> None:
         index = self._tick("sync")
         if index is not None:
             raise StorageError(
                 f"injected fault: sync #{index} failed before the "
                 "barrier was raised")
-        self.inner.sync(paths, max_workers=max_workers)
+        self.inner.sync(paths)
 
     def read(self, path: str, offset: int, length: int) -> bytes:
         self._check_alive()
         return self.inner.read(path, offset, length)
 
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]], *,
-                  max_workers: int = 0) -> list[bytes]:
+                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
         self._check_alive()
-        return self.inner.read_many(path, spans, max_workers=max_workers)
+        return self.inner.read_many(path, spans)
 
     def delete(self, prefix: str) -> None:
         self._check_alive()
@@ -1061,23 +946,19 @@ class FaultInjectingBackend(StorageBackend):
     def __getattr__(self, name: str):
         # Transparent introspection (e.g. the object store's
         # ``pending_parts``) so a wrapped backend stays observable in
-        # tests.  Private attributes stay local: the executor slots of
-        # StorageBackend.close must never resolve to the inner's.
+        # tests.  Private attributes stay local.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self.inner, name)
 
 
-def _union_bytes(spans: Sequence[tuple[int, int]]) -> int:
-    """Bytes covered by at least one ``(offset, length)`` span."""
-    total = 0
-    covered_to = 0
-    for offset, length in sorted(spans):
-        end = offset + length
-        if end > covered_to:
-            total += end - max(offset, covered_to)
-            covered_to = end
-    return total
+#: Names accepted by :func:`resolve_backend` (and the CLI / bench axis).
+#: ``striped:<n>[:<child>]``, ``object[:durable]``, and
+#: ``faulty:<seed>[:<inner>]`` specs are also accepted — see
+#: :func:`parse_striped_spec` / :func:`parse_object_spec` /
+#: :func:`parse_faulty_spec`; :func:`ensure_backend_spec` validates any
+#: of them without side effects.
+BACKEND_NAMES = ("local", "memory", "durable", "object")
 
 
 def parse_striped_spec(spec: str) -> tuple[int, str]:
@@ -1161,6 +1042,52 @@ def parse_faulty_spec(spec: str) -> tuple[int, str]:
     return seed, inner
 
 
+def _build_object(durable: bool, root: Path) -> StorageBackend:
+    return ObjectStoreBackend(root, durable=durable)
+
+
+def _build_striped(parsed: tuple[int, str], root: Path) -> StorageBackend:
+    stripes, child = parsed
+    return StripedBackend([resolve_backend(child, root / f"stripe{i}")
+                           for i in range(stripes)])
+
+
+def _build_faulty(parsed: tuple[int, str], root: Path) -> StorageBackend:
+    seed, inner = parsed
+    return FaultInjectingBackend(resolve_backend(inner, root), seed=seed)
+
+
+# The spec grammar, walked in one place (_spec_builder): a registry
+# name builds from the root alone; a parameterized form is its prefix,
+# the parser that validates it without side effects, and the builder
+# taking what the parser returned.
+_PLAIN_SPECS = {
+    "local": LocalFileBackend,
+    "durable": lambda root: LocalFileBackend(root, durable=True),
+    "memory": lambda root: InMemoryBackend(),
+}
+_SPEC_FORMS = {
+    "object": (parse_object_spec, _build_object),
+    "striped": (parse_striped_spec, _build_striped),
+    "faulty": (parse_faulty_spec, _build_faulty),
+}
+_SPEC_GRAMMAR = (f"one of {BACKEND_NAMES}, 'object[:durable]',"
+                 " 'striped:<n>[:<child>]', or 'faulty:<seed>[:<inner>]'")
+
+
+def _spec_builder(spec: str):
+    """Validate a string spec; returns ``build`` with ``build(root)``
+    the backend it names.  Nothing is created until ``build`` runs."""
+    if spec in _PLAIN_SPECS:
+        return _PLAIN_SPECS[spec]
+    for prefix, (parse, build) in _SPEC_FORMS.items():
+        if spec.startswith(prefix):
+            parsed = parse(spec)
+            return lambda root: build(parsed, root)
+    raise StorageError(
+        f"unknown storage backend {spec!r}; expected {_SPEC_GRAMMAR}")
+
+
 def ensure_backend_spec(spec: str) -> str:
     """Validate a string backend spec without building anything.
 
@@ -1172,21 +1099,8 @@ def ensure_backend_spec(spec: str) -> str:
     here, so a bad flag or a misconfigured CI matrix cell fails loudly
     before any directory or catalog is created.
     """
-    if spec in BACKEND_NAMES:
-        return spec
-    if spec.startswith("striped"):
-        parse_striped_spec(spec)
-        return spec
-    if spec.startswith("object"):
-        parse_object_spec(spec)
-        return spec
-    if spec.startswith("faulty"):
-        parse_faulty_spec(spec)
-        return spec
-    raise StorageError(
-        f"unknown storage backend {spec!r}; expected one of "
-        f"{BACKEND_NAMES}, 'object[:durable]',"
-        " 'striped:<n>[:<child>]', or 'faulty:<seed>[:<inner>]'")
+    _spec_builder(spec)
+    return spec
 
 
 def default_backend_spec() -> str:
@@ -1225,31 +1139,8 @@ def resolve_backend(spec, root: str | Path) -> StorageBackend:
     """
     if spec is None:
         spec = default_backend_spec()
-    if spec == "local":
-        return LocalFileBackend(root)
-    if spec == "durable":
-        return LocalFileBackend(root, durable=True)
-    if spec == "memory":
-        return InMemoryBackend()
-    if isinstance(spec, str) and spec.startswith("object"):
-        return ObjectStoreBackend(root, durable=parse_object_spec(spec))
-    if isinstance(spec, str) and spec.startswith("faulty"):
-        seed, inner = parse_faulty_spec(spec)
-        return FaultInjectingBackend(resolve_backend(inner, root),
-                                     seed=seed)
-    if isinstance(spec, str) and spec.startswith("striped"):
-        stripes, child = parse_striped_spec(spec)
-        if child == "memory":
-            return StripedBackend([InMemoryBackend()
-                                   for _ in range(stripes)])
-        if child == "object":
-            return StripedBackend(
-                [ObjectStoreBackend(Path(root) / f"stripe{i}")
-                 for i in range(stripes)])
-        return StripedBackend(
-            [LocalFileBackend(Path(root) / f"stripe{i}",
-                              durable=child == "durable")
-             for i in range(stripes)])
+    if isinstance(spec, str):
+        return _spec_builder(spec)(Path(root))
     if isinstance(spec, StorageBackend):
         return spec
     if callable(spec):
@@ -1260,7 +1151,5 @@ def resolve_backend(spec, root: str | Path) -> StorageBackend:
                 " not a StorageBackend")
         return backend
     raise StorageError(
-        f"unknown storage backend {spec!r}; expected one of "
-        f"{BACKEND_NAMES}, 'object[:durable]', 'striped:<n>[:<child>]',"
-        " 'faulty:<seed>[:<inner>]', a StorageBackend, or a factory"
-        " callable")
+        f"unknown storage backend {spec!r}; expected {_SPEC_GRAMMAR},"
+        " a StorageBackend, or a factory callable")

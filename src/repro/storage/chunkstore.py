@@ -22,18 +22,22 @@ bytes themselves live in a :class:`~repro.storage.backend.StorageBackend`
 Delta/compression framing is the codecs' business, and which
 (offset, length) belongs to which version is recorded in the metadata
 catalog.
+
+The store runs on its caller's thread and owns no pool: a read is
+parallelised above it (the decode pipeline hands each chunk's
+reconstruction — and with it that chunk's ``read_chunks`` call — to
+its own worker), placements arrive one at a time in canonical task
+order, and the durability barrier's fan belongs to the backend.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.errors import StorageError
-from repro.storage.backend import SYNC_FAN, StorageBackend, resolve_backend
+from repro.storage.backend import StorageBackend, resolve_backend
 from repro.storage.iostats import IOStats
 
 PER_VERSION = "per-version"
@@ -56,8 +60,7 @@ class ChunkStore:
     def __init__(self, root: str | os.PathLike,
                  placement: str = COLOCATED,
                  stats: IOStats | None = None,
-                 backend: "StorageBackend | str | None" = None,
-                 max_workers: int = 0):
+                 backend: "StorageBackend | str | None" = None):
         if placement not in _PLACEMENTS:
             raise StorageError(
                 f"unknown placement {placement!r}; expected {_PLACEMENTS}")
@@ -67,29 +70,6 @@ class ChunkStore:
         # Request-level counters (ranged GETs, over-fetched bytes) land
         # in the same stats instance as the chunk-level accounting.
         self.backend.bind_stats(self.stats)
-        #: Span-level read parallelism handed to the backend's
-        #: ``read_many`` fan-out path (0/1 = serial).
-        self.max_workers = max_workers
-        # Per-object request fan-out for high-latency backends (see
-        # read_chunks); lazily created, distinct from the backend's
-        # span pools so an outer per-path task never waits on an inner
-        # span task queued to the same saturated pool.
-        self._path_executor: ThreadPoolExecutor | None = None
-        # Write-side placement fan-out (see placement_pool); its own
-        # executor so commit-stage placements never queue behind read
-        # traffic.
-        self._placement_executor: ThreadPoolExecutor | None = None
-        self._path_lock = threading.Lock()
-
-    @property
-    def concurrent_placement_ok(self) -> bool:
-        """Whether the commit stage may fan placements concurrently.
-
-        Within one version every chunk targets a distinct object, so
-        placement order is only observable on backends that declare
-        ``serial_writes`` (the fault injector's seeded op counting).
-        """
-        return not self.backend.serial_writes
 
     def _chunk_path(self, array: str, version: int, attribute: str,
                     chunk_name: str) -> str:
@@ -127,23 +107,12 @@ class ChunkStore:
         The write pipeline raises this barrier once per version — after
         every placement, before the catalog transaction — so a catalog
         row can never name bytes that would not survive a crash.  A
-        no-op on a plain local backend; durable backends fsync here,
-        and the object store finalizes every pending multipart upload.
-        The store's configured degree fans the flushes across the
-        backend's I/O pool.  On a high-latency backend the degree is
-        raised to the barrier's I/O depth even when the CPU-oriented
-        workers degree is serial, so whatever per-object waiting the
-        barrier involves — the durable mode's fsync leg today, real
-        finalize round trips on a remote store — overlaps rather than
-        serializes.  (The local
-        emulation's finalize composition itself is lock-serialized;
-        see :meth:`ObjectStoreBackend.sync`.)
+        no-op on a plain local backend; durable backends fsync here
+        (at their own I/O depth), and the object store finalizes every
+        pending multipart upload.
         """
-        paths = list(dict.fromkeys(location.path
-                                   for location in locations))
-        degree = max(self.max_workers, SYNC_FAN) \
-            if self.backend.high_latency else self.max_workers
-        self.backend.sync(paths, max_workers=degree)
+        self.backend.sync(list(dict.fromkeys(
+            location.path for location in locations)))
 
     # ------------------------------------------------------------------
     # Reading
@@ -162,74 +131,22 @@ class ChunkStore:
         This is the chain-read fast path: a co-located delta chain's
         payloads share one object, so the whole chain costs a single
         open + seek pass (``file_opens`` in :class:`IOStats` counts the
-        difference).  ``max_workers`` > 1 additionally shards each
-        object's spans across the backend's thread-pool fan-out; the
-        accounting is unchanged — one logical open per distinct object.
-        Payloads are returned in ``locations`` order.
-
-        The batching adapts to the backend's latency profile: on a
-        high-latency (object-store) backend, per-request cost dominates
-        per-byte cost, so when the read covers several distinct objects
-        the per-object requests are issued **concurrently** (each one
-        already coalesces its spans into few ranged GETs) instead of
-        sharding spans within one object — the decode path's chain and
-        prefetch reads pay the round trip once per object, overlapped,
-        rather than once per span, serialized.
+        difference).  Payloads are returned in ``locations`` order.
         """
         by_path: dict[str, list[int]] = {}
         for index, location in enumerate(locations):
             by_path.setdefault(location.path, []).append(index)
 
         payloads: list[bytes | None] = [None] * len(locations)
-
-        def read_path(path: str, indexes: list[int],
-                      span_workers: int) -> None:
+        for path, indexes in by_path.items():
             spans = [(locations[i].offset, locations[i].length)
                      for i in indexes]
             self.stats.record_open()
             for i, payload in zip(indexes,
-                                  self.backend.read_many(
-                                      path, spans,
-                                      max_workers=span_workers)):
+                                  self.backend.read_many(path, spans)):
                 self.stats.record_read(len(payload))
                 payloads[i] = payload
-
-        if self.backend.high_latency and self.max_workers > 1 and \
-                len(by_path) > 1:
-            # Request-cost-dominated substrate: fan whole objects, not
-            # spans (span workers stay serial inside each task so the
-            # two fan levels never share — and never deadlock — a pool).
-            pool = self._path_pool()
-            list(pool.map(lambda item: read_path(item[0], item[1], 0),
-                          by_path.items()))
-        else:
-            for path, indexes in by_path.items():
-                read_path(path, indexes, self.max_workers)
         return payloads  # type: ignore[return-value]
-
-    def _path_pool(self) -> ThreadPoolExecutor:
-        """One lazily-created per-object request executor per store."""
-        with self._path_lock:
-            if self._path_executor is None:
-                self._path_executor = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-store-path")
-            return self._path_executor
-
-    def placement_pool(self, degree: int) -> ThreadPoolExecutor:
-        """The commit stage's write-side placement executor.
-
-        Lazily created and sized at first use (at least 2 — a degree
-        of 1 never reaches here); shut down with the store.  Separate
-        from the read-side pools so a placement fan never waits behind
-        a saturated chain read, and vice versa.
-        """
-        with self._path_lock:
-            if self._placement_executor is None:
-                self._placement_executor = ThreadPoolExecutor(
-                    max_workers=max(degree, 2),
-                    thread_name_prefix="repro-store-place")
-            return self._placement_executor
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -340,7 +257,7 @@ class ChunkStore:
             self.backend.write(target, bytes(blob))
             self.stats.record_open()
             new_paths.append(target)
-        self.backend.sync(new_paths, max_workers=self.max_workers)
+        self.backend.sync(new_paths)
         return new_locations
 
     def reclaim(self, paths: list[str] | set[str]) -> None:
@@ -358,13 +275,5 @@ class ChunkStore:
         return self.backend.total_bytes(array or "")
 
     def close(self) -> None:
-        """Shut down the store's executors and the backend (idempotent;
-        a later read or placement simply recreates its pool)."""
-        with self._path_lock:
-            pools = [self._path_executor, self._placement_executor]
-            self._path_executor = None
-            self._placement_executor = None
-        for pool in pools:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        """Close the backend (idempotent)."""
         self.backend.close()

@@ -13,10 +13,10 @@ is what the batched chain read
 (:meth:`~repro.storage.chunkstore.ChunkStore.read_chunks`) improves: a
 co-located chain of *k* payloads is one object access, not *k* — and
 the chunk-cache hit/miss counters, so cache effectiveness shows up in
-the same report as the I/O it avoided.  The counter is deliberately
-logical: when the backend's parallel span fan-out shards one object's
-reads over several worker handles, that remains *one* open here, so
-the chain-depth invariants stay comparable across workers settings.
+the same report as the I/O it avoided.  The counter is logical — one
+per distinct object per batched read, whatever the backend does to
+serve it — so the chain-depth invariants are the same on every
+backend and at every ``workers`` degree.
 
 The object-store backend adds request-level accounting: every ranged
 GET it issues is counted in ``ranged_gets``, and every byte the
@@ -30,11 +30,13 @@ pipeline's per-chunk fan-out) and parallel chunk encodes (the encode
 pipeline's write-side fan-out) hammer one shared instance from many
 threads, and benchmark invariants like "file opens stay constant in
 chain depth" or "one encode task per chunk" only hold if no increment
-is ever lost.  The write side is covered by four counters:
-``encode_tasks`` (delta+compress units executed by the encode stage),
-``chunks_written`` and ``bytes_written`` (placements that follow), and
-``concurrent_placements`` (placements dispatched through the commit
-stage's concurrent fan instead of the serial loop).
+is ever lost — nor gained after the fact: a pipeline whose operation
+raises settles every task it started before the error leaves it, so
+the counters stop moving when the call returns.  The write side is
+covered by three counters: ``encode_tasks`` (delta+compress units
+executed by the encode stage), and ``chunks_written`` and
+``bytes_written`` (the placements that follow, one at a time in task
+order).
 
 The single-pass encode planner adds three more write-side counters:
 ``encode_plans`` (chunk encodes decided by
@@ -96,7 +98,6 @@ class IOStats:
     encode_plans: int = 0
     codec_encodes_avoided: int = 0
     planner_bytes_saved: int = 0
-    concurrent_placements: int = 0
     file_opens: int = 0
     ranged_gets: int = 0
     bytes_over_fetched: int = 0
@@ -152,18 +153,9 @@ class IOStats:
             self.codec_encodes_avoided += encodes_avoided
             self.planner_bytes_saved += bytes_saved
 
-    def record_concurrent_placement(self) -> None:
-        """Account one chunk placement dispatched through the commit
-        stage's concurrent fan (rather than the serial loop).  The
-        counter makes the fan observable — a bench cell claiming
-        parallel commit must show it nonzero, and the chaos suite's
-        fault-injecting backend must show it zero."""
-        with self._lock:
-            self.concurrent_placements += 1
-
     def record_open(self, count: int = 1) -> None:
         """Account ``count`` logical object opens (distinct objects
-        accessed; parallel span shards of one object count once)."""
+        accessed)."""
         with self._lock:
             self.file_opens += count
 

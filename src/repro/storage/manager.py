@@ -137,8 +137,7 @@ class VersionedStorageManager:
             self.root.mkdir(parents=True, exist_ok=True)
         self.stats = IOStats()
         self.store = ChunkStore(self.root / "data", placement=placement,
-                                stats=self.stats, backend=backend,
-                                max_workers=self.workers)
+                                stats=self.stats, backend=backend)
         # An ephemeral backend keeps the catalog off disk too, so a
         # memory-backed store performs zero file I/O end to end.
         catalog_path = None if catalog_in_memory or backend.ephemeral \

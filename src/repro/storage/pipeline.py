@@ -9,9 +9,9 @@ makes the stages first-class:
   base slices), **encode** (delta-encode against the policy-selected
   base and compress, fanned across a shared thread pool when
   ``workers`` > 1), and **commit** (place every payload in the chunk
-  store in deterministic task order, raise the backend's durability
-  barrier, then record all encoding decisions in the Version Metadata
-  in one transaction);
+  store in task order from the calling thread, raise the backend's
+  durability barrier, then record all encoding decisions in the
+  Version Metadata in one transaction);
 * :class:`DecodePipeline` — the select path: **locate** the chunk's
   delta chain in the metadata, **read** the chain (batched, one backend
   open per distinct object), **decompress** the materialized root,
@@ -26,6 +26,13 @@ makes the stages first-class:
 The pipelines own *how* versions are encoded and decoded;
 ``VersionedStorageManager`` shrinks to orchestration — catalog
 bookkeeping, version lineage, and layout re-organization.
+
+They also own the store's CPU concurrency — all of it.  ``workers`` is
+one fan per direction (:class:`_PooledStage`): encode blocks on the way
+in, per-chunk reconstructions on the way out.  Nothing below fans
+again — a task reads its chain and the consuming thread places its
+payload serially — so no pool ever waits on another, and an operation
+that raises first cancels or waits out every task it started.
 
 Two invariants both pipelines are built around:
 
@@ -47,7 +54,8 @@ import itertools
 import os
 import threading
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,6 +302,16 @@ class _PooledStage:
                     thread_name_prefix=self._pool_prefix)
             return self._executor
 
+    @staticmethod
+    def _abandon(futures) -> None:
+        """Cancel the tasks that have not started and wait for those
+        that have, so nothing of an operation that is about to raise
+        keeps running — bumping counters, writing into a canvas nobody
+        holds — after it has."""
+        for future in futures:
+            future.cancel()
+        wait(futures)
+
 
 @dataclass(frozen=True)
 class EncodeTask:
@@ -317,12 +335,12 @@ class EncodePipeline(_PooledStage):
     CPU-bound and independent per chunk, so the encode stage fans tasks
     across a shared thread-pool executor when ``workers`` > 1 — the
     write-side mirror of :class:`DecodePipeline`'s per-chunk fan-out.
-    The commit stage fans too: within a version every chunk targets a
-    distinct object, so placements run concurrently on the store's
-    placement executor (unless the backend demands serial writes),
-    while catalog rows are still gathered in task order — co-located
-    append offsets, every stored byte, and every catalog row are
-    identical for any worker count.
+    The commit stage does not fan: the calling thread places each
+    decision as it arrives, in task order, while the encode window
+    keeps later blocks in flight — so placement overlaps encoding, and
+    every backend sees its writes in the same order at every worker
+    count (co-located append offsets, stored bytes, catalog rows and
+    a seeded fault schedule all replay exactly).
     """
 
     _pool_prefix = "repro-encode"
@@ -417,7 +435,9 @@ class EncodePipeline(_PooledStage):
         decisions exactly as the serial loop produced them, placement
         of early chunks overlaps the encoding of later ones, and the
         encoded-payload memory in flight stays bounded by the window
-        rather than the whole version.
+        rather than the whole version.  Closing the generator early
+        (a placement failed) or an encode error settles the window
+        first: see :meth:`_abandon`.
         """
         workers = self.workers
         if workers > 1 and len(tasks) > 1:
@@ -434,11 +454,14 @@ class EncodePipeline(_PooledStage):
             window: deque = deque(
                 pool.submit(encode_block, block)
                 for block in itertools.islice(pending, workers + 1))
-            while window:
-                future = window.popleft()
-                for block in itertools.islice(pending, 1):
-                    window.append(pool.submit(encode_block, block))
-                yield from future.result()
+            try:
+                while window:
+                    future = window.popleft()
+                    for block in itertools.islice(pending, 1):
+                        window.append(pool.submit(encode_block, block))
+                    yield from future.result()
+            finally:
+                self._abandon(window)
         else:
             for task in tasks:
                 yield self._encode_task(task, data, base_data, compressor)
@@ -449,65 +472,35 @@ class EncodePipeline(_PooledStage):
     def _place_tasks(self, record: ArrayRecord, version: int,
                      tasks: list[EncodeTask], data: ArrayData,
                      base_data: ArrayData | None,
-                     base_version: int | None, compressor):
-        """Encode and place every task, yielding :class:`ChunkRecord`
-        rows in task order.
+                     base_version: int | None,
+                     compressor) -> list[ChunkRecord]:
+        """Encode and place every task; the :class:`ChunkRecord` rows,
+        in task order.
 
-        Within one version every chunk targets a distinct object, so
-        placements are order-free and — when ``workers`` > 1 and the
-        backend does not demand serial writes — fan across the store's
-        placement executor while later chunks are still encoding.  A
-        bounded FIFO window keeps the encoded payloads in flight
-        proportional to the degree, results are gathered in submission
-        order, and the caller drains the generator before the
-        durability barrier — so catalog rows, co-located append
-        offsets, and every stored byte are identical to the serial
-        loop's.  The only ordering the fan gives up is *between*
-        distinct objects, which nothing observes; per-object order is
-        preserved because one version writes each object exactly once
-        and versions are committed one at a time.
+        The calling thread places each decision the moment the encode
+        stage yields it, so placements reach the backend one at a time
+        in canonical task order whatever ``workers`` is — while the
+        encode window keeps the following blocks in flight.
         """
-        degree = self.workers
-        decisions = zip(tasks, self._encode_tasks(tasks, data, base_data,
-                                                  compressor))
-
-        def chunk_record(task: EncodeTask, decision: EncodingDecision,
-                         location) -> ChunkRecord:
-            return ChunkRecord(
-                array_id=record.array_id,
-                version=version,
-                attribute=task.attribute,
-                chunk_name=task.chunk.name,
-                delta_codec=decision.delta_codec,
-                base_version=base_version if decision.is_delta
-                else None,
-                compressor=record.compressor,
-                location=location,
-            )
-
-        if degree > 1 and len(tasks) > 1 and \
-                self.store.concurrent_placement_ok:
-            pool = self.store.placement_pool(degree)
-            window: deque = deque()
-            for task, decision in decisions:
-                while len(window) >= degree * 2:
-                    task_done, decision_done, future = window.popleft()
-                    yield chunk_record(task_done, decision_done,
-                                       future.result())
-                self.store.stats.record_concurrent_placement()
-                window.append((task, decision, pool.submit(
-                    self.store.write_chunk, record.name, version,
-                    task.attribute, task.chunk.name, decision.parts)))
-            while window:
-                task_done, decision_done, future = window.popleft()
-                yield chunk_record(task_done, decision_done,
-                                   future.result())
-        else:
-            for task, decision in decisions:
+        records = []
+        with closing(self._encode_tasks(tasks, data, base_data,
+                                        compressor)) as decisions:
+            for task, decision in zip(tasks, decisions):
                 location = self.store.write_chunk(
                     record.name, version, task.attribute,
                     task.chunk.name, decision.parts)
-                yield chunk_record(task, decision, location)
+                records.append(ChunkRecord(
+                    array_id=record.array_id,
+                    version=version,
+                    attribute=task.attribute,
+                    chunk_name=task.chunk.name,
+                    delta_codec=decision.delta_codec,
+                    base_version=base_version if decision.is_delta
+                    else None,
+                    compressor=record.compressor,
+                    location=location,
+                ))
+        return records
 
     def write_version(self, record: ArrayRecord, grid: ChunkGrid,
                       version: int, data: ArrayData, *,
@@ -540,15 +533,12 @@ class EncodePipeline(_PooledStage):
                     f"version {version} of {record.name!r} already exists")
         compressor = get_codec(record.compressor)
         tasks = self.plan_version(record, grid)
-        records = list(self._place_tasks(record, version, tasks, data,
-                                         base_data, base_version,
-                                         compressor))
+        records = self._place_tasks(record, version, tasks, data,
+                                    base_data, base_version, compressor)
         # Durability barrier, then the transaction: the catalog must
         # never name bytes that would not survive a crash.  On the
         # object backend the same call is the finalize barrier that
-        # completes every multipart upload this version staged (the
-        # store raises the fan to the barrier's I/O depth when
-        # per-request cost dominates).
+        # completes every multipart upload this version staged.
         self.store.sync_chunks([chunk.location for chunk in records])
         self.catalog.put_chunks(records, version=version_row,
                                 merge_parents=merge_parents)
@@ -590,12 +580,6 @@ class DecodePipeline(_PooledStage):
     The walk probes the cache at every level, so a cached ancestor
     ends it and only the suffix is read.  Both jobs read the same
     payloads and produce the same bytes.
-
-    The chain reads inherit the backend's latency profile through the
-    chunk store: on a high-latency (object-store) backend each chain's
-    spans coalesce into few ranged GETs and multi-object reads fan
-    their per-object requests concurrently, so a cold chain walk costs
-    round trips per *object*, not per payload.
     """
 
     _pool_prefix = "repro-decode"
@@ -860,7 +844,8 @@ class DecodePipeline(_PooledStage):
         collects results in submission order, so callers assemble
         canvases identically to the serial path; each chunk's scope is
         private and the ``out`` windows are disjoint, making the tasks
-        fully independent.
+        fully independent.  A chunk that fails (a corrupt payload)
+        settles the rest before its error leaves: see :meth:`_abandon`.
         """
         if self.workers > 1 and len(tasks) > 1:
             pool = self._pool()
@@ -869,8 +854,11 @@ class DecodePipeline(_PooledStage):
                             attr.name, chunk, out=out)
                 for attr, chunk, out in tasks
             ]
-            for task, future in zip(tasks, futures):
-                yield task, future.result()
+            try:
+                for task, future in zip(tasks, futures):
+                    yield task, future.result()
+            finally:
+                self._abandon(futures)
         else:
             for task in tasks:
                 attr, chunk, out = task

@@ -2,7 +2,7 @@
 
 The :class:`~repro.storage.backend.StorageBackend` contract is
 exercised twice — once against the raw byte API (including the striped
-composite and the parallel ``read_many`` fan-out), once end-to-end
+composite and the batched ``read_many``), once end-to-end
 through :class:`VersionedStorageManager` across the (backend x
 placement x workers) grid, where every configuration must return
 byte-identical query results.
@@ -135,29 +135,16 @@ class TestByteContract:
         assert backend.total_bytes("missing") == 0
 
 
-class TestParallelReadMany:
-    """The ``max_workers`` fan-out must be indistinguishable from the
-    serial pass for every backend."""
+class TestReadManyChain:
+    """A deep co-located chain — many appended spans of one object —
+    comes back whole and in order from one batched read."""
 
-    def test_parallel_matches_serial(self, backend):
+    def test_every_appended_span_reads_back(self, backend):
         chunks = [bytes([i]) * (7 + i) for i in range(23)]
         offsets = [backend.append("A/c.dat", chunk) for chunk in chunks]
         spans = [(offset, len(chunk))
                  for offset, chunk in zip(offsets, chunks)]
-        serial = backend.read_many("A/c.dat", spans)
-        parallel = backend.read_many("A/c.dat", spans, max_workers=4)
-        assert parallel == serial == chunks
-
-    def test_parallel_short_span_raises(self, backend):
-        backend.write("A/c.dat", b"abcdef")
-        with pytest.raises(StorageError):
-            backend.read_many("A/c.dat", [(0, 2), (2, 2), (4, 50)],
-                              max_workers=3)
-
-    def test_more_workers_than_spans(self, backend):
-        backend.write("A/c.dat", b"xy")
-        assert backend.read_many("A/c.dat", [(0, 1), (1, 1)],
-                                 max_workers=16) == [b"x", b"y"]
+        assert backend.read_many("A/c.dat", spans) == chunks
 
 
 class TestDeleteContract:
@@ -417,7 +404,6 @@ class TestStripedSpec:
         assert isinstance(backend, StripedBackend)
         assert all(isinstance(child, ObjectStoreBackend)
                    for child in backend.children)
-        assert backend.high_latency
         assert not backend.ephemeral
         assert sorted(child.root.name for child in backend.children) == \
             ["stripe0", "stripe1"]
@@ -445,7 +431,7 @@ class TestObjectSpec:
     def test_resolve(self, tmp_path):
         backend = resolve_backend("object", tmp_path)
         assert isinstance(backend, ObjectStoreBackend)
-        assert backend.high_latency and not backend.durable
+        assert not backend.durable
         durable = resolve_backend("object:durable", tmp_path)
         assert isinstance(durable, ObjectStoreBackend)
         assert durable.durable
@@ -487,7 +473,6 @@ class TestFaultySpec:
         assert wrapped.ephemeral
         objecty = resolve_backend("faulty:3:object", tmp_path)
         assert isinstance(objecty.inner, ObjectStoreBackend)
-        assert objecty.high_latency
 
 
 class TestEnsureBackendSpec:

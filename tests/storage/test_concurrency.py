@@ -4,20 +4,29 @@ The parallel select path must be invisible except in wall-clock: the
 same bytes, the same exact I/O counters, the same cache occupancy as
 the serial pass.  The write path must be atomic at version granularity:
 a failure anywhere mid-write leaves zero chunk rows in the catalog.
+Concurrency itself is held to a census — three kinds of pool under
+one manager, none of them nested, none alive after ``close()`` — and
+an operation that raises leaves none of its tasks running.
 """
 
 from __future__ import annotations
 
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.core.errors import NoOverwriteError, StorageError
+from repro.core.errors import CodecError, NoOverwriteError, StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
 from repro.storage import (
+    COLOCATED,
+    PER_VERSION,
     ChunkLocation,
     ChunkRecord,
+    FaultInjectingBackend,
+    InMemoryBackend,
     MetadataCatalog,
     VersionedStorageManager,
 )
@@ -148,16 +157,151 @@ class TestWorkersConfiguration:
             VersionedStorageManager(tmp_path / "bad", workers=-1)
         assert not (tmp_path / "bad").exists()
 
-    def test_close_shuts_down_span_pool(self, tmp_path):
-        manager = _loaded(tmp_path, workers=4)
-        manager.select("A", 4)  # spins up decode + span executors
-        backend = manager.store.backend
+
+def _repro_threads(before: set) -> list[threading.Thread]:
+    """Live library threads started since ``before`` was taken."""
+    return [thread for thread in threading.enumerate()
+            if thread not in before and thread.name.startswith("repro-")]
+
+
+class TestThreadCensus:
+    """One fan per direction plus the barrier's own: whatever the
+    backend spec and placement, a manager at ``workers=4`` runs encode
+    workers, decode workers and — only where a leg of the backend has
+    a real barrier — ``SYNC_FAN`` barrier workers, and nothing else."""
+
+    SPECS = ("local", "durable", "memory", "object", "object:durable",
+             "striped:2", "striped:2:durable", "striped:2:object",
+             "faulty:0:durable")
+
+    @pytest.mark.parametrize("placement", (COLOCATED, PER_VERSION))
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_pool_kinds_and_lifetime(self, tmp_path, spec, placement):
+        before = set(threading.enumerate())
+        manager = _loaded(tmp_path, versions=5, workers=4, backend=spec,
+                          placement=placement)
+        manager.select("A", 5)
+        manager.select_region("A", 4, (3, 5), (20, 18))
+        manager.delete_version("A", 3)
+
+        kinds = {thread.name.rsplit("_", 1)[0]
+                 for thread in _repro_threads(before)}
+        assert {"repro-encode", "repro-decode"} <= kinds
+        assert kinds <= {"repro-encode", "repro-decode", "repro-sync"}
+        # A barrier pool exists exactly where a barrier does.
+        assert ("repro-sync" in kinds) == ("durable" in spec)
+
+        backend = manager.backend
         manager.close()
-        assert getattr(backend, "_span_executor", None) is None
-        # The backend stays usable: a pool is lazily recreated.
-        backend.write("probe.dat", b"xy")
-        assert backend.read_many("probe.dat", [(0, 1), (1, 1)],
-                                 max_workers=2) == [b"x", b"y"]
+        assert _repro_threads(before) == []
+        # Closed is not dead: the backend serves, and raises its
+        # barrier (rebuilding the pool it needs), again.
+        backend.write("probe/a.dat", b"xy")
+        backend.append("probe/b.dat", b"z")
+        backend.sync(["probe/a.dat", "probe/b.dat"])
+        assert backend.read_many("probe/a.dat", [(1, 1), (0, 1)]) == \
+            [b"y", b"x"]
+        backend.close()
+        assert _repro_threads(before) == []
+
+
+class _InFlight:
+    """Wraps a pipeline's per-chunk function: how many calls have
+    started, and how many are running right now."""
+
+    def __init__(self, function):
+        self.function = function
+        self.started = 0
+        self.running = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, *args, **kwargs):
+        with self._lock:
+            self.started += 1
+            self.running += 1
+        try:
+            return self.function(*args, **kwargs)
+        finally:
+            with self._lock:
+                self.running -= 1
+
+
+class TestFailedOperationsLeaveNothingRunning:
+    """An insert or select that raises has cancelled or waited out
+    every task it started by the time the caller sees the error: the
+    counters stop with it and a retry's window is its own."""
+
+    SHAPE = (512, 512)
+
+    def _manager(self, tmp_path, backend):
+        manager = VersionedStorageManager(
+            tmp_path, chunk_bytes=16 * 1024, delta_policy="chain",
+            backend=backend, workers=4)
+        manager.create_array(
+            "A", ArraySchema.simple(self.SHAPE, dtype=np.int32))
+        return manager
+
+    def test_failed_insert_stops_its_encode_tasks(self, tmp_path):
+        rng = np.random.default_rng(20)
+        data = rng.integers(0, 1000, self.SHAPE).astype(np.int32)
+        clean = self._manager(tmp_path / "clean", InMemoryBackend())
+        with clean.stats.measure() as expected:
+            clean.insert("A", data)
+        clean.close()
+        assert expected.encode_tasks == 64
+
+        backend = FaultInjectingBackend(
+            InMemoryBackend(), schedule={"append": frozenset({3})})
+        manager = self._manager(tmp_path / "faulty", backend)
+        encodes = manager.encoder.encode_chunk = _InFlight(
+            manager.encoder.encode_chunk)
+        with pytest.raises(StorageError, match="append #3"):
+            manager.insert("A", data)
+        at_raise = manager.stats.snapshot(), encodes.started
+        assert encodes.running == 0
+        time.sleep(0.3)
+        assert (manager.stats.snapshot(), encodes.started) == at_raise
+        # The window that was in flight, not the rest of the version.
+        assert 3 <= encodes.started < 64
+
+        # The schedule is spent; the retry's window is a clean insert's.
+        with manager.stats.measure() as retried:
+            assert manager.insert("A", data) == 1
+        assert retried == expected
+        np.testing.assert_array_equal(manager.select("A", 1).single(),
+                                      data)
+        manager.close()
+
+    def test_failed_select_stops_its_decode_tasks(self, tmp_path):
+        rng = np.random.default_rng(21)
+        data = rng.integers(0, 1000, self.SHAPE).astype(np.int32)
+        manager = self._manager(tmp_path, "memory")
+        manager.insert("A", data)
+        manager.insert("A", data + 1)
+        record = manager.catalog.get_array("A")
+        # Smash the second chunk's delta level: its frame no longer
+        # parses, the 62 chunks queued behind it still would.
+        victim = manager.catalog.chunks_for_version(record.array_id, 2)[1]
+        location = victim.location
+        blob = bytearray(manager.backend.read(
+            location.path, 0, manager.backend.total_bytes(location.path)))
+        blob[location.offset:location.offset + location.length] = \
+            b"\xff" * location.length
+        manager.backend.write(location.path, bytes(blob))
+
+        decodes = manager.decoder.reconstruct = _InFlight(
+            manager.decoder.reconstruct)
+        with pytest.raises(CodecError):
+            manager.select("A", 2)
+        at_raise = manager.stats.snapshot(), decodes.started
+        assert decodes.running == 0
+        time.sleep(0.3)
+        assert (manager.stats.snapshot(), decodes.started) == at_raise
+        assert 2 <= decodes.started < 64
+        # Version 1 shares the objects but not the smashed bytes.
+        np.testing.assert_array_equal(manager.select("A", 1).single(),
+                                      data)
+        manager.close()
 
 
 def _chained(root, depth=5, **kwargs):

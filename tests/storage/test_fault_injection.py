@@ -209,7 +209,7 @@ class TestInjectedFaults:
     def test_sync_fault_raises_before_barrier(self, tmp_path):
         inner = InMemoryBackend()
         synced = []
-        inner.sync = lambda paths, max_workers=0: synced.append(paths)
+        inner.sync = lambda paths: synced.append(paths)
         backend = FaultInjectingBackend(
             inner, schedule={"sync": frozenset({1})})
         with pytest.raises(StorageError, match="sync #1"):

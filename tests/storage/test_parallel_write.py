@@ -19,7 +19,11 @@ import pytest
 from repro.core.array import ArrayData
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
-from repro.storage import VersionedStorageManager
+from repro.storage import (
+    FaultInjectingBackend,
+    InMemoryBackend,
+    VersionedStorageManager,
+)
 
 BACKENDS = ("local", "durable", "memory", "striped:2:memory",
             "object", "striped:2:object")
@@ -121,46 +125,85 @@ class TestParallelWriteConformance:
         manager.close()
 
 
-class TestConcurrentPlacement:
-    """The commit stage's placement fan must be observable in IOStats
-    and must stand down for order-sensitive backends."""
+class _RecordingBackend(InMemoryBackend):
+    """Logs every write-side operation in arrival order."""
 
-    @pytest.mark.parametrize("backend", ("local", "memory"))
-    def test_fan_engages_at_parallel_degree(self, tmp_path, backend):
-        manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
-                                          backend=backend,
-                                          delta_policy="chain", workers=4)
-        _fill(manager)
-        assert manager.stats.concurrent_placements > 0
-        # Every concurrently dispatched placement is still exactly one
-        # chunk write — the fan changes scheduling, not accounting.
-        assert manager.stats.concurrent_placements <= \
-            manager.stats.chunks_written
-        manager.close()
+    def __init__(self):
+        super().__init__()
+        self.log: list[tuple[str, str]] = []
 
-    def test_serial_degree_never_fans(self, tmp_path):
-        manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
-                                          delta_policy="chain", workers=1)
-        _fill(manager)
-        assert manager.stats.concurrent_placements == 0
-        manager.close()
+    def write(self, path, payload):
+        self.log.append(("write", path))
+        super().write(path, payload)
 
-    def test_fault_injecting_backend_stays_serial(self, tmp_path):
-        """The chaos backend's seeded schedule counts operation indices,
-        so placements must reach it in deterministic order even when the
-        manager is configured for parallel writes."""
-        from repro.storage.backend import (FaultInjectingBackend,
-                                           InMemoryBackend)
-        backend = FaultInjectingBackend(InMemoryBackend(), schedule={})
-        assert backend.serial_writes
-        manager = VersionedStorageManager(tmp_path, backend=backend,
-                                          chunk_bytes=800,
-                                          delta_policy="chain", workers=4)
-        _fill(manager)
-        assert manager.stats.concurrent_placements == 0
-        # The encode stage still fans — only placement order is pinned.
-        assert manager.stats.encode_tasks > 0
-        manager.close()
+    def append(self, path, payload):
+        self.log.append(("append", path))
+        return super().append(path, payload)
+
+
+class TestPlacementOrder:
+    """Placements reach the backend one at a time in canonical task
+    order — attributes in schema order, chunks in grid order — at every
+    workers degree.  That is what lets a backend whose behaviour
+    depends on operation order (the fault injector's seeded schedule)
+    sit under a parallel manager without a flag."""
+
+    @pytest.mark.parametrize("placement", ("colocated", "per-version"))
+    def test_backend_sees_task_order_at_every_degree(self, tmp_path,
+                                                     placement):
+        logs = []
+        for degree in DEGREES:
+            backend = _RecordingBackend()
+            manager = VersionedStorageManager(
+                tmp_path / f"w{degree}", chunk_bytes=800,
+                delta_policy="chain", placement=placement,
+                backend=backend, workers=degree)
+            _fill(manager)
+            record = manager.catalog.get_array("A")
+            tasks = manager.encoder.plan_version(
+                record, manager.grid_for(record))
+            # The first insert's placements, in plan order.
+            assert [path for _, path in backend.log[:len(tasks)]] == [
+                manager.store._chunk_path("A", 1, task.attribute,
+                                          task.chunk.name)
+                for task in tasks]
+            logs.append(backend.log)
+            manager.close()
+        assert logs[0] == logs[1] == logs[2]
+
+    @pytest.mark.parametrize("seed", (7, 23))
+    def test_fault_schedule_replays_at_every_degree(self, tmp_path,
+                                                    seed):
+        """The Nth append is the same append at workers 0, 1 and 4, so
+        a seeded schedule tears the same payload at the same byte and
+        the retried history leaves the same store."""
+        outcomes = []
+        for degree in DEGREES:
+            backend = FaultInjectingBackend(InMemoryBackend(), seed=seed)
+            assert backend.schedule["append"]
+            manager = VersionedStorageManager(
+                tmp_path / f"w{degree}", chunk_bytes=800,
+                delta_policy="chain", backend=backend, workers=degree)
+            schema = _schema()
+            manager.create_array("A", schema)
+            rng = np.random.default_rng(seed)
+            failed = []
+            for version in range(1, 7):
+                data = ArrayData(schema, {
+                    "a": rng.integers(0, 9, (20, 20)).astype(np.int64),
+                    "b": rng.random((20, 20)).astype(np.float32)})
+                while True:
+                    try:
+                        assert manager.insert("A", data) == version
+                        break
+                    except StorageError as exc:
+                        failed.append((version, str(exc)))
+            assert failed, "the schedule never fired: nothing was tested"
+            outcomes.append((failed, backend.injected,
+                             backend.total_bytes(),
+                             manager.fingerprint()))
+            manager.close()
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 class TestMidEncodeFailure:
