@@ -13,8 +13,9 @@ reference pages are held to the code by tier-1 tests:
 * the backend-spec table must cover every registry name and every
   parameterized spec form ``ensure_backend_spec`` accepts, and its
   example specs must actually validate;
-* every module under ``src/repro/cluster/`` must be named in
-  ``docs/architecture.md``, so the cluster package map cannot rot;
+* every module under ``src/repro/cluster/`` and
+  ``src/repro/storage/backend/`` must be named in
+  ``docs/architecture.md``, so the package maps cannot rot;
 * every backticked ``ClassName.attr`` in ``README.md`` and
   ``docs/architecture.md`` whose class the storage, delta, cluster or
   core package exports must still have that attribute, so the prose
@@ -110,14 +111,27 @@ class TestBackendSpecs:
             assert ensure_backend_spec(spec) == spec
 
 
-def test_architecture_names_every_cluster_module():
+def _unnamed_modules(package: str) -> list[str]:
+    """Modules of ``src/repro/<package>/`` that ``docs/architecture.md``
+    does not name as ``<package>/<module>.py``."""
     text = (DOCS / "architecture.md").read_text()
     modules = sorted(
-        path.name for path in (REPO / "src/repro/cluster").glob("*.py")
+        path.name for path in (REPO / "src/repro" / package).glob("*.py")
         if path.name != "__init__.py")
-    missing = [name for name in modules if f"cluster/{name}" not in text]
-    assert modules and not missing, (
+    assert modules, f"no modules under src/repro/{package}: gate moved?"
+    return [name for name in modules if f"{package}/{name}" not in text]
+
+
+def test_architecture_names_every_cluster_module():
+    missing = _unnamed_modules("cluster")
+    assert not missing, (
         f"docs/architecture.md does not name cluster modules {missing}")
+
+
+def test_architecture_names_every_backend_module():
+    missing = _unnamed_modules("storage/backend")
+    assert not missing, (
+        f"docs/architecture.md does not name backend modules {missing}")
 
 
 MEMBER = re.compile(r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)")
