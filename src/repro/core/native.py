@@ -21,8 +21,10 @@ the packed outlier table (at width 0: the sparse codec's table).
 :func:`fold_chain` parses every level of a delta chain out of its
 stored payload, zigzag-decodes in register and applies it straight to
 the cells of the version being read, in the cell's own width and in
-place in the output canvas.  The zigzag decode and the carry-register
-unpack serve the level-by-level decoders.
+place in one contiguous run of cells — a contiguous canvas window, or
+the decode thread's L2-sized chunk buffer that is copied into a
+strided window once.  The zigzag decode and the carry-register unpack
+serve the level-by-level decoders.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they
 are gated behind runtime compilation with the host C compiler and
@@ -345,11 +347,11 @@ void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
  *
  * A delta chain is folded level by level straight into the cells of
  * the version being read: the destination already holds the decoded
- * root (or is `accumulate`'s zeroed 64-bit accumulator), laid out as
- * `count` cells in runs of `cols`, `row_stride` bytes apart (a chunk
- * of the output canvas; cols = count for a contiguous buffer).  Each
- * level is one code-array payload section — `layout` says which parts
- * it has:
+ * root (or is `accumulate`'s zeroed 64-bit accumulator) as `count`
+ * adjacent cells — a contiguous canvas window, or the decode thread's
+ * chunk buffer, which stays in L2 across the levels where a window
+ * whose rows sit a canvas row apart would not.  Each level is one
+ * code-array payload section — `layout` says which parts it has:
  *
  *   FOLD_SMALL  u8 width, then `count` codes packed at it (dense, and
  *               hybrid's small codes: zero at outlier positions);
@@ -421,9 +423,8 @@ static inline uint64_t repro_pull(repro_reader *r)
 
 /* One level into one destination, for one cell width and operation. */
 #define FOLD_KERNEL(NAME, T, OP)                                       \
-static int NAME(unsigned char *dest, int64_t count, int64_t cols,      \
-                int64_t row_stride, const unsigned char *p,            \
-                int64_t len, int layout)                               \
+static int NAME(unsigned char *dest, int64_t count,                    \
+                const unsigned char *p, int64_t len, int layout)       \
 {                                                                      \
     enum { S = sizeof(T) };                                            \
     int64_t at = 0;                                                    \
@@ -438,15 +439,13 @@ static int NAME(unsigned char *dest, int64_t count, int64_t cols,      \
             return FOLD_TRUNCATED;                                     \
         if (bits) {                                                    \
             repro_reader codes = repro_reader_at(p + at, need, bits);  \
-            for (int64_t lo = 0; lo < count; lo += cols) {             \
-                unsigned char *q = dest + (lo / cols) * row_stride;    \
-                for (int64_t i = 0; i < cols; i++, q += S) {           \
-                    uint64_t c = repro_pull(&codes);                   \
-                    T cell;                                            \
-                    memcpy(&cell, q, S);                               \
-                    cell = (T)OP((uint64_t)cell, c);                   \
-                    memcpy(q, &cell, S);                               \
-                }                                                      \
+            unsigned char *q = dest;                                   \
+            for (int64_t i = 0; i < count; i++, q += S) {              \
+                uint64_t c = repro_pull(&codes);                       \
+                T cell;                                                \
+                memcpy(&cell, q, S);                                   \
+                cell = (T)OP((uint64_t)cell, c);                       \
+                memcpy(q, &cell, S);                                   \
             }                                                          \
         }                                                              \
         at += need;                                                    \
@@ -471,22 +470,12 @@ static int NAME(unsigned char *dest, int64_t count, int64_t cols,      \
             repro_reader_at(p + at, position_bytes, position_bits);    \
         repro_reader values = repro_reader_at(                         \
             p + at + position_bytes, value_bytes, value_bits);         \
-        /* Positions ascend within a level, so the row of the last    \
-         * one is almost always the row of the next: divide only on   \
-         * leaving it (a step back wraps the unsigned difference and  \
-         * leaves it too). */                                          \
-        uint64_t row_lo = 0, width = (uint64_t)cols;                   \
-        unsigned char *row = dest;                                     \
         for (int64_t i = 0; i < entries; i++) {                        \
             uint64_t where = repro_pull(&positions);                   \
             uint64_t c = repro_pull(&values);                          \
             if (where >= (uint64_t)count)                              \
                 return FOLD_POSITION;                                  \
-            if (where - row_lo >= width) {                             \
-                row_lo = where - where % width;                        \
-                row = dest + (int64_t)(where / width) * row_stride;    \
-            }                                                          \
-            unsigned char *q = row + (where - row_lo) * S;             \
+            unsigned char *q = dest + where * S;                       \
             T cell;                                                    \
             memcpy(&cell, q, S);                                       \
             cell = (T)OP((uint64_t)cell, c);                           \
@@ -507,19 +496,18 @@ FOLD_KERNEL(repro_fold_xor4, uint32_t, FOLD_XOR)
 FOLD_KERNEL(repro_fold_xor8, uint64_t, FOLD_XOR)
 
 /* Fold `levels` sections — pointer, length and layout each — into one
- * destination of `rows` x `cols` cells of `width` bytes.  Returns 0,
+ * destination of `count` adjacent cells of `width` bytes.  Returns 0,
  * or -(8 * level + reason) for the first level that is not a
- * well-formed section over `rows * cols` cells; the destination is
- * then partly folded and must be discarded. */
+ * well-formed section over `count` cells; the destination is then
+ * partly folded and must be discarded. */
 int64_t repro_fold_chain(unsigned char *dest, int width, int use_xor,
-                         int64_t rows, int64_t cols, int64_t row_stride,
-                         int64_t levels,
+                         int64_t count, int64_t levels,
                          const unsigned char *const *sections,
                          const int64_t *lengths, const int *layouts)
 {
     static int (*const kernels[2][4])(
-        unsigned char *, int64_t, int64_t, int64_t,
-        const unsigned char *, int64_t, int) = {
+        unsigned char *, int64_t, const unsigned char *, int64_t,
+        int) = {
         {repro_fold_add1, repro_fold_add2, repro_fold_add4,
          repro_fold_add8},
         {repro_fold_xor1, repro_fold_xor2, repro_fold_xor4,
@@ -528,13 +516,12 @@ int64_t repro_fold_chain(unsigned char *dest, int width, int use_xor,
     int slot = width == 1 ? 0 : width == 2 ? 1 : width == 4 ? 2
         : width == 8 ? 3 : -1;
     /* 2^56 cells keep every count * bits below 2^63. */
-    if (slot < 0 || rows < 1 || cols < 1
-            || rows > (1LL << 56) / cols)
+    if (slot < 0 || count < 1 || count > (1LL << 56))
         return -FOLD_ARGUMENT;
     for (int64_t level = 0; level < levels; level++) {
         int reason = kernels[use_xor != 0][slot](
-            dest, rows * cols, cols, row_stride, sections[level],
-            lengths[level], layouts[level]);
+            dest, count, sections[level], lengths[level],
+            layouts[level]);
         if (reason)
             return -(8 * level + reason);
     }
@@ -622,8 +609,8 @@ def _compile() -> ctypes.CDLL | None:
         lib.repro_unpack_bits.restype = None
         lib.repro_fold_chain.argtypes = [
             ctypes.c_void_p, ctypes.c_int, ctypes.c_int, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_void_p]
         lib.repro_fold_chain.restype = ctypes.c_int64
         return lib
     _log.warning("compiled kernels unavailable (CC=%s), numpy fallbacks"
@@ -902,10 +889,8 @@ def fold_chain(dest: np.ndarray, sections: list, layouts: list[int],
                use_xor: bool) -> int | None:
     """Fold a chain's code-array sections into ``dest`` in place.
 
-    The read path's one kernel: ``dest`` holds the decoded root in the
-    cell's own dtype — in place in its canvas, as rows of adjacent
-    cells (see :func:`_as_rows`; a window no two strides describe is
-    folded in a contiguous copy and copied back) — or a zeroed 64-bit
+    The read path's one kernel: ``dest`` is C-contiguous and holds the
+    decoded root in the cell's own dtype, or a zeroed 64-bit
     accumulator, and every level (``sections[i]`` any bytes-like
     object, ``layouts[i]`` its ``FOLD_*`` parts) is parsed,
     zigzag-decoded unless ``use_xor`` and applied as wrapping add / xor
@@ -931,10 +916,8 @@ def fold_chain(dest: np.ndarray, sections: list, layouts: list[int],
         return decline(kernel, f"byte-swapped dtype {dest.dtype}")
     if dest.size == 0:
         return decline(kernel, "empty")
-    rows = _as_rows(dest)
-    if rows is None:
-        return decline(kernel, "non-unit inner stride")
-    work, row_count, cols, row_stride = rows
+    if not dest.flags.c_contiguous:
+        return decline(kernel, "destination is not C-contiguous")
     levels = len(sections)
     # The uint8 views keep every section's buffer alive (and give its
     # address, read-only or not) for the duration of the call.
@@ -942,10 +925,6 @@ def fold_chain(dest: np.ndarray, sections: list, layouts: list[int],
     pointers = (ctypes.c_void_p * levels)(
         *[view.ctypes.data for view in raw])
     lengths = (ctypes.c_int64 * levels)(*[view.size for view in raw])
-    status = lib.repro_fold_chain(
-        work.ctypes.data, dest.itemsize, use_xor, row_count, cols,
-        row_stride, levels, pointers, lengths,
-        (ctypes.c_int * levels)(*layouts))
-    if status == 0 and work is not dest:
-        np.copyto(dest, work.reshape(dest.shape))
-    return status
+    return lib.repro_fold_chain(
+        dest.ctypes.data, dest.itemsize, use_xor, dest.size, levels,
+        pointers, lengths, (ctypes.c_int * levels)(*layouts))

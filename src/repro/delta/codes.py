@@ -443,12 +443,13 @@ def fold_chain(sections: list, layouts: list[int], dest: np.ndarray,
                mode: str) -> None:
     """Fold every level of a delta chain into ``dest`` in place.
 
-    ``dest`` already holds what the chain composes onto: the decoded
-    root in the cell's own dtype — any layout, so a chunk is folded
-    where it lies in its version's canvas — or a zeroed flat 64-bit
-    accumulator (:func:`repro.core.numeric.delta_accumulator`) for
-    ``accumulate``.  ``sections[i]`` is level *i*'s unframed payload and
-    ``layouts[i]`` its :data:`SMALL` / :data:`TABLE` parts.  Each level
+    ``dest`` is C-contiguous (anything else raises ``ValueError``) and
+    already holds what the chain composes onto: the decoded root in the
+    cell's own dtype — the read path folds a chunk in a contiguous
+    window of its canvas or in its thread's chunk buffer — or a zeroed
+    flat 64-bit accumulator (:func:`repro.core.numeric.delta_accumulator`)
+    for ``accumulate``.  ``sections[i]`` is level *i*'s unframed payload
+    and ``layouts[i]`` its :data:`SMALL` / :data:`TABLE` parts.  Each level
     is applied as ``cell op= (cell type) delta``: the deltas were
     computed as wrapping int64 differences (xor images for floats) and
     arithmetic mod 2^w is a ring image of arithmetic mod 2^64, so
@@ -462,6 +463,8 @@ def fold_chain(sections: list, layouts: list[int], dest: np.ndarray,
     raises :class:`~repro.core.errors.DeltaLevelError` naming its
     index, and ``dest`` is then partly folded: discard it.
     """
+    if not dest.flags.c_contiguous:
+        raise ValueError("fold_chain needs a C-contiguous destination")
     status = native.fold_chain(dest, sections, layouts,
                                mode == numeric.XOR)
     if status is None:
@@ -482,8 +485,7 @@ def _fold_numpy(sections: list, layouts: list[int], dest: np.ndarray,
     """The fold without the kernel: per level, unpack and apply in
     place on the unsigned image of the cells (positions are unique
     within a level, so fancy-indexed in-place ops are exact)."""
-    work = dest if dest.flags.c_contiguous else np.ascontiguousarray(dest)
-    cells = work.reshape(-1).view(f"{work.dtype.str[0]}u{work.itemsize}")
+    cells = dest.reshape(-1).view(f"{dest.dtype.str[0]}u{dest.itemsize}")
     count = cells.size
 
     def apply(where, codes: np.ndarray) -> None:
@@ -513,5 +515,3 @@ def _fold_numpy(sections: list, layouts: list[int], dest: np.ndarray,
                     f"{len(data) - offset} undecoded trailing bytes")
         except CodecError as exc:
             raise DeltaLevelError(level, str(exc)) from exc
-    if work is not dest:
-        dest[...] = work

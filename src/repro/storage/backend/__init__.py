@@ -32,7 +32,9 @@ Import names from this package, not from the modules.
 ``read_many`` is the performance-critical batched read: a co-located
 delta chain lives at many ``(offset, length)`` spans of *one* object,
 and the batched read resolves the whole chain with a single open + seek
-pass instead of one ``open()`` per payload.  The contract carries no
+pass instead of one ``open()`` per payload.  Its payloads are
+read-only bytes-like objects and may be views of the stored bytes (the
+memory and object backends copy nothing).  The contract carries no
 concurrency argument: reads are parallelised above it (one
 reconstruction task per chunk, in the decode pipeline) and the one fan
 below it is the durability barrier's own (:data:`SYNC_FAN`), which a

@@ -9,6 +9,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.core.errors import StorageError
 from repro.storage.iostats import IOStats
 
 #: Durability-barrier fan depth.  An fsync wait is I/O, not CPU: the
@@ -25,11 +26,14 @@ class StorageBackend(ABC):
     """Abstract keyed byte container beneath the chunk store.
 
     Implementations must satisfy the shared conformance suite
-    (``tests/storage/test_backends.py``): reads of missing objects or
-    short spans raise :class:`~repro.core.errors.StorageError`, ``write``
-    replaces an object wholesale, ``append`` returns the offset at which
-    the payload landed, and ``delete`` removes an object or a whole
-    prefix subtree.
+    (``tests/storage/test_backends.py``): reads of missing objects,
+    short spans or negative spans raise
+    :class:`~repro.core.errors.StorageError`, ``write`` replaces an
+    object wholesale, ``append`` returns the offset at which the
+    payload landed, and ``delete`` removes an object or a whole prefix
+    subtree.  A read hands back read-only bytes-like payloads, which
+    may be views of the stored bytes: they stay unchanged whatever is
+    later appended, written or deleted.
     """
 
     #: Human-readable registry name.
@@ -59,18 +63,21 @@ class StorageBackend(ABC):
     def append(self, path: str, payload: bytes) -> int:
         """Append to the object at ``path``; returns the write offset."""
 
-    @abstractmethod
-    def read(self, path: str, offset: int, length: int) -> bytes:
+    def read(self, path: str, offset: int, length: int):
         """Read exactly ``length`` bytes at ``offset`` of ``path``."""
+        return self.read_many(path, [(offset, length)])[0]
 
     @abstractmethod
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
+                  spans: Sequence[tuple[int, int]]) -> list:
         """Read several ``(offset, length)`` spans of one object.
 
         The whole batch is served from a single open of ``path`` — this
         is what turns a co-located delta chain into one open + seek
-        pass.  Payloads come back in span order.
+        pass.  Payloads come back in span order, each a read-only
+        bytes-like object (a view where the backend holds the bytes).
+        A backend that addresses bytes itself vets ``spans`` with
+        :func:`checked_spans` first.
         """
 
     def sync(self, paths: Sequence[str]) -> None:
@@ -151,3 +158,15 @@ class StorageBackend(ABC):
             pool, self._barrier_pool = self._barrier_pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+
+
+def checked_spans(path: str, spans: Sequence[tuple[int, int]]
+                  ) -> Sequence[tuple[int, int]]:
+    """``spans``, once no offset or length is negative — which a slice
+    or a memoryview would wrap silently and a seek would raise as a
+    bare ``OSError``."""
+    for offset, length in spans:
+        if offset < 0 or length < 0:
+            raise StorageError(
+                f"invalid span of {path}: {length} bytes at {offset}")
+    return spans

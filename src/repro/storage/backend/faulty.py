@@ -174,12 +174,8 @@ class FaultInjectingBackend(StorageBackend):
                 "barrier was raised")
         self.inner.sync(paths)
 
-    def read(self, path: str, offset: int, length: int) -> bytes:
-        self._check_alive()
-        return self.inner.read(path, offset, length)
-
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
+                  spans: Sequence[tuple[int, int]]) -> list:
         self._check_alive()
         return self.inner.read_many(path, spans)
 

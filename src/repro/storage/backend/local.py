@@ -10,7 +10,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.core.errors import StorageError
-from repro.storage.backend.base import StorageBackend
+from repro.storage.backend.base import StorageBackend, checked_spans
 
 
 class LocalFileBackend(StorageBackend):
@@ -103,16 +103,13 @@ class LocalFileBackend(StorageBackend):
         for directory in directories:
             fsync_at(directory)
 
-    def read(self, path: str, offset: int, length: int) -> bytes:
-        return self.read_many(path, [(offset, length)])[0]
-
     def read_many(self, path: str,
                   spans: Sequence[tuple[int, int]]) -> list[bytes]:
         target = self._resolve(path)
         try:
             with open(target, "rb") as handle:
                 payloads = []
-                for offset, length in spans:
+                for offset, length in checked_spans(target, spans):
                     handle.seek(offset)
                     payload = handle.read(length)
                     if len(payload) != length:

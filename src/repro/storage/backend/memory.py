@@ -3,57 +3,73 @@
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections.abc import Sequence
 
 from repro.core.errors import StorageError
-from repro.storage.backend.base import StorageBackend
+from repro.storage.backend.base import StorageBackend, checked_spans
 
 
 class _MemoryObject:
-    """One in-memory object: a consolidated head plus appended tail
-    segments, merged lazily on first read.
+    """One in-memory object: an append-only list of immutable ``bytes``
+    segments and the offset each one starts at.
 
-    Appending straight onto one growing ``bytearray`` realloc-copies
-    the whole object every few appends once it reaches co-located
-    version-chain size (measured ~115us per 168 KB append at 6 MB —
-    pure copy churn that lands inside the write pipeline's timed
-    path), so appends just collect segments and reads pay one join.
-    The lock makes concurrent consolidation safe: parallel chunk
-    reconstructions may read one object from several threads.
+    Every chunk payload is one ``write`` or ``append``, so it is one
+    segment, and reading it back is a read-only ``memoryview`` slice of
+    that segment: no copy, and the view pins only its own payload.
+    Only a span that crosses segments is joined; the object as a whole
+    never is (one growing buffer would realloc-copy the whole object
+    every few appends, and slicing it would copy every payload read).
+    The lock keeps the two lists in step for readers on other threads.
     """
 
-    __slots__ = ("_head", "_tail", "_length", "_lock")
+    __slots__ = ("_segments", "_starts", "_length", "_lock")
 
     def __init__(self, payload: bytes = b""):
-        self._head = bytearray(payload)
-        self._tail: list[bytes] = []
-        self._length = len(payload)
+        self._segments: list[bytes] = []
+        self._starts: list[int] = []
+        self._length = 0
         self._lock = threading.Lock()
+        self.append(payload)
 
     def __len__(self) -> int:
         return self._length
 
     def append(self, payload: bytes) -> int:
+        segment = bytes(payload)
         with self._lock:
             offset = self._length
-            self._tail.append(bytes(payload))
-            self._length += len(payload)
+            if segment:
+                self._segments.append(segment)
+                self._starts.append(offset)
+                self._length += len(segment)
         return offset
 
-    def consolidated(self) -> bytearray:
-        """The whole object as one buffer (joins any pending tail)."""
+    def read(self, offset: int, length: int):
+        """``length`` bytes at ``offset``, or None past the end."""
         with self._lock:
-            if self._tail:
-                self._head += b"".join(self._tail)
-                self._tail.clear()
-            return self._head
+            if offset + length > self._length:
+                return None
+            index = bisect_right(self._starts, offset) - 1
+            pieces = []
+            while length:
+                start = offset - self._starts[index]
+                piece = memoryview(self._segments[index])[
+                    start:start + length]
+                pieces.append(piece)
+                offset += len(piece)
+                length -= len(piece)
+                index += 1
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
 
 class InMemoryBackend(StorageBackend):
-    """Dict-of-buffers backend: zero disk I/O, per-instance state.
+    """Dict-of-objects backend: zero disk I/O, per-instance state.
 
     Used by tests, benchmark baselines ("how fast without the disk?"),
     and cluster simulation, where every node gets its own instance.
+    Reads hand back views of the stored bytes (see
+    :class:`_MemoryObject`), so a payload costs no copy at all.
     """
 
     name = "memory"
@@ -69,22 +85,18 @@ class InMemoryBackend(StorageBackend):
         obj = self._objects.setdefault(path, _MemoryObject())
         return obj.append(payload)
 
-    def read(self, path: str, offset: int, length: int) -> bytes:
-        return self.read_many(path, [(offset, length)])[0]
-
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
+                  spans: Sequence[tuple[int, int]]) -> list:
         obj = self._objects.get(path)
         if obj is None:
             raise StorageError(f"missing chunk file {path}")
-        buffer = obj.consolidated()
         payloads = []
-        for offset, length in spans:
-            payload = bytes(buffer[offset:offset + length])
-            if len(payload) != length:
+        for offset, length in checked_spans(path, spans):
+            payload = obj.read(offset, length)
+            if payload is None:
                 raise StorageError(
                     f"chunk file {path} truncated: wanted {length} "
-                    f"bytes at {offset}, got {len(payload)}")
+                    f"bytes at {offset}, got {max(0, len(obj) - offset)}")
             payloads.append(payload)
         return payloads
 

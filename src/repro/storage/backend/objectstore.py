@@ -9,7 +9,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.core.errors import StorageError
-from repro.storage.backend.base import StorageBackend
+from repro.storage.backend.base import StorageBackend, checked_spans
 from repro.storage.backend.local import LocalFileBackend
 from repro.storage.iostats import IOStats
 
@@ -153,12 +153,9 @@ class ObjectStoreBackend(StorageBackend):
         self._committed.sync(distinct)
 
     # -- reads ---------------------------------------------------------
-    def read(self, path: str, offset: int, length: int) -> bytes:
-        return self.read_many(path, [(offset, length)])[0]
-
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
-        spans = list(spans)
+                  spans: Sequence[tuple[int, int]]) -> list:
+        spans = list(checked_spans(self.root / path, spans))
         if not spans:
             return []
         need = max(offset + length for offset, length in spans)
@@ -180,7 +177,8 @@ class ObjectStoreBackend(StorageBackend):
                     f"{max(0, size - offset)}")
         gets = self._plan_gets(spans, size)
         payloads = self._committed.read_many(path, gets)
-        buffers = {start: payload
+        # Each span is a view of its GET's buffer, never a copy.
+        buffers = {start: memoryview(payload)
                    for (start, _), payload in zip(gets, payloads)}
         starts = [start for start, _ in gets]
         results = []

@@ -48,11 +48,8 @@ class StripedBackend(StorageBackend):
     def append(self, path: str, payload: bytes) -> int:
         return self.child_for(path).append(path, payload)
 
-    def read(self, path: str, offset: int, length: int) -> bytes:
-        return self.child_for(path).read(path, offset, length)
-
     def read_many(self, path: str,
-                  spans: Sequence[tuple[int, int]]) -> list[bytes]:
+                  spans: Sequence[tuple[int, int]]) -> list:
         return self.child_for(path).read_many(path, spans)
 
     def sync(self, paths: Sequence[str]) -> None:

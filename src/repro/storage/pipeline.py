@@ -561,12 +561,15 @@ class DecodePipeline(_PooledStage):
 
     * **Read one version** (the default).  The chain folds: both
       delta modes compose associatively and commutatively (wrapping
-      addition, xor), so the decoded root is copied once to where the
-      chunk belongs — straight into the caller's canvas when nothing
-      else will hold on to it — and every composable level is applied
-      to those cells in place, at the cells' own width, sparse/hybrid
-      levels at O(nnz): one compiled call per chunk instead of k
-      full-array decodes.  A non-composable level (``bsdiff``,
+      addition, xor), so the decoded root is copied once into
+      contiguous cells and every composable level is applied to them
+      in place, at the cells' own width, sparse/hybrid levels at
+      O(nnz): one compiled call per chunk instead of k full-array
+      decodes.  The cells are the caller's canvas window when that is
+      contiguous and nothing else will hold on to it, a buffer of the
+      chunk's own when the cache will, and otherwise the decoding
+      thread's L2-sized chunk buffer, copied into the strided window
+      once after the fold.  A non-composable level (``bsdiff``,
       ``mpeg_like`` transform the base rather than difference against
       it) forces the stepwise decode.  Either way only the requested
       version is admitted to the cache.
@@ -590,6 +593,8 @@ class DecodePipeline(_PooledStage):
         self.catalog = catalog
         self.store = store
         self.cache = cache if cache is not None else ChunkCache()
+        # One chunk buffer per decoding thread (see _fused_apply).
+        self._buffers = threading.local()
         self._init_pool(workers)
 
     def reconstruct(self, record: ArrayRecord, version: int,
@@ -606,7 +611,7 @@ class DecodePipeline(_PooledStage):
 
         ``out`` is where the caller will put the chunk anyway (its
         window of the version's canvas).  A folded read the cache
-        will not keep is built right there and ``out`` itself
+        will not keep is written right there and ``out`` itself
         returned; every other result is an array of its own that the
         caller copies, as without ``out``.
         """
@@ -734,10 +739,16 @@ class DecodePipeline(_PooledStage):
                      chain: list[ChunkRecord], codecs: list,
                      payloads: list[bytes], base: np.ndarray,
                      out: np.ndarray | None) -> np.ndarray:
-        """The one copy of the materialized root — into ``out`` when
-        the caller lent its canvas window, else a buffer of its own —
-        with every level of ``chain`` folded onto it in place
-        (:func:`repro.delta.base.fold_chain`).
+        """The materialized root with every level of ``chain`` folded
+        onto it (:func:`repro.delta.base.fold_chain`), in ``out`` when
+        the caller lent its canvas window, else in a buffer of its own.
+
+        The fold runs on contiguous cells.  A contiguous ``out`` (or a
+        buffer of its own) is folded in place.  A strided window is
+        not: its rows sit a canvas row apart, so they crowd into a few
+        L2 sets and miss on every level.  The root is copied into this
+        thread's chunk buffer instead, folded there while it stays in
+        L2, and copied into the window once.
 
         Everything is sized from the decoded root, never from a
         payload's frame: a level whose header disagrees with the
@@ -750,10 +761,12 @@ class DecodePipeline(_PooledStage):
         if out is None or (out.dtype, out.shape) != \
                 (base.dtype, base.shape):
             out = np.empty(base.shape, dtype=base.dtype)
-        np.copyto(out, base)
+        cells = out if out.flags.c_contiguous or not chain \
+            else self._chunk_buffer(base)
+        np.copyto(cells, base)
         if chain:
             try:
-                fold_chain(codecs, payloads, base, out)
+                fold_chain(codecs, payloads, base, cells)
             except DeltaLevelError as exc:
                 raise CodecError(
                     f"{record.name!r} version {chain[exc.level].version} "
@@ -761,7 +774,22 @@ class DecodePipeline(_PooledStage):
                     f"{chain[exc.level].delta_codec} delta: {exc}") from exc
             self.store.stats.record_chain_fused(
                 len(chain), sum(codec.scatters for codec in codecs))
+        if cells is not out:
+            np.copyto(out, cells)
         return out
+
+    def _chunk_buffer(self, like: np.ndarray) -> np.ndarray:
+        """This thread's chunk buffer, as contiguous cells shaped like
+        ``like``: grow-only, so the fold allocates nothing per chunk."""
+        buffer = getattr(self._buffers, "cells", None)
+        if buffer is None or buffer.nbytes < like.nbytes:
+            buffer = self._buffers.cells = np.empty(like.nbytes, np.uint8)
+        return buffer[:like.nbytes].view(like.dtype).reshape(like.shape)
+
+    def close(self) -> None:
+        """Shut down the pool and release every thread's chunk buffer."""
+        super().close()
+        self._buffers = threading.local()
 
     # ------------------------------------------------------------------
     # Stage 5: assembly
@@ -771,9 +799,9 @@ class DecodePipeline(_PooledStage):
         """Assemble the full contents of one version.
 
         Every chunk is lent its window of the output canvas
-        (``reconstruct(out=)``): a folded chain is built in place and
-        only results that live elsewhere (cache entries, stepwise
-        decodes) are copied in.
+        (``reconstruct(out=)``): a folded chain lands there from the
+        fold itself and only results that live elsewhere (cache
+        entries, stepwise decodes) are copied in.
         """
         attributes = {
             attr.name: np.empty(record.schema.shape, dtype=attr.dtype)

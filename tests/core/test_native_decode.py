@@ -8,7 +8,8 @@ fallback, returning ``None`` (so the caller falls back) on any dtype,
 layout, or size it does not handle — and every test here asserts both
 halves of it.  The fold additionally parses bytes from disk and writes
 through caller strides: whatever the bytes say, it reports a malformed
-level and never touches a cell outside its destination.
+level and never touches a byte outside its destination, a contiguous
+run of cells inside a canary frame.
 """
 
 from __future__ import annotations
@@ -103,6 +104,8 @@ FOLD_SECTIONS = {
                native.FOLD_SMALL | native.FOLD_TABLE),
 }
 CANARY = 0xA5
+#: Canary bytes on each side of a destination.
+PAD = 16
 
 
 def _use_xor(dtype) -> bool:
@@ -136,22 +139,18 @@ def _fold_reference(cells: np.ndarray, codes: np.ndarray,
 
 
 def _in_canary_frame(shape, dtype):
-    """A destination of ``shape`` carved out of a larger array filled
-    with canary bytes; returns ``(frame, window)``."""
-    itemsize = np.dtype(dtype).itemsize
-    frame = np.full((shape[0] + 4, (shape[1] + 4) * itemsize), CANARY,
-                    dtype=np.uint8).view(dtype)
-    window = frame[2:-2, 2:-2]
-    assert window.shape == shape
+    """A contiguous destination of ``shape`` carved out of a larger
+    byte array filled with canary bytes; returns ``(frame, window)``."""
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    frame = np.full(nbytes + 2 * PAD, CANARY, dtype=np.uint8)
+    window = frame[PAD:-PAD].view(dtype).reshape(shape)
+    assert window.flags.c_contiguous
     return frame, window
 
 
 def _canaries_intact(frame: np.ndarray) -> bool:
-    outside = np.ones(frame.shape, dtype=bool)
-    outside[2:-2, 2:-2] = False
-    return bool((frame.view(np.uint8).reshape(frame.shape[0], -1)
-                 [np.repeat(outside, frame.itemsize, axis=1)]
-                 == CANARY).all())
+    return bool((frame[:PAD] == CANARY).all()
+                and (frame[-PAD:] == CANARY).all())
 
 
 class TestFoldChain:
@@ -159,7 +158,7 @@ class TestFoldChain:
     @pytest.mark.parametrize("dtype", FOLD_DTYPES, ids=str)
     def test_matches_wide_compose(self, dtype, strategy):
         """Every width x operation x section layout, three levels, in a
-        strided window: the narrow in-place fold equals widening,
+        canary frame: the narrow in-place fold equals widening,
         composing in 64 bits and truncating — and stays in its window."""
         rng = np.random.default_rng(2012)
         encode, layout = FOLD_SECTIONS[strategy]
@@ -194,26 +193,37 @@ class TestFoldChain:
                                  False) == 0
         assert wide.tolist() == [0, 2**63 - 1]
 
-    @pytest.mark.parametrize("shape, index", [
-        ((4, 5, 6), np.s_[1:3, 1:4, 2:5]),      # rows two strides apart
-        ((8, 1), np.s_[2:6, :]),                # one column
-        ((7,), np.s_[1:6]),                     # a contiguous run
-    ])
-    def test_destination_layouts(self, shape, index):
+    @pytest.mark.parametrize("shape", [(2, 3, 5), (4, 1), (5,)],
+                             ids=["three-d", "one-column", "run"])
+    def test_destination_shapes(self, shape):
+        """A destination of any shape is its cells in order: the kernel
+        folds ``count`` adjacent cells and nothing around them."""
         rng = np.random.default_rng(7)
-        canvas = rng.integers(-100, 100, shape).astype(np.int32)
+        frame, window = _in_canary_frame(shape, np.int32)
+        window[...] = rng.integers(-100, 100, shape)
+        codes = _level_codes(rng, window.size, False)
+        expected = _fold_reference(window.copy(), codes, False)
+        assert native.fold_chain(
+            window, [code_store.encode_hybrid(codes)],
+            [native.FOLD_SMALL | native.FOLD_TABLE], False) == 0
+        assert np.array_equal(window, expected)
+        assert _canaries_intact(frame)
+
+    @pytest.mark.parametrize("index", [
+        np.s_[1:3, 1:4, 2:5],       # rows two strides apart
+        np.s_[1:3, 2:4, :],         # rows one stride apart
+        np.s_[:, 2, 3:4],           # one column
+    ])
+    def test_strided_destination_is_declined(self, index):
+        """The kernel has no stride addressing: a window that is not
+        C-contiguous goes back to the caller untouched."""
+        canvas = np.arange(4 * 5 * 6, dtype=np.int32).reshape(4, 5, 6)
         before = canvas.copy()
         window = canvas[index]
-        codes = _level_codes(rng, window.size, False)
-        section = code_store.encode_hybrid(codes)
-        expected = _fold_reference(np.ascontiguousarray(window), codes,
-                                   False)
-        assert native.fold_chain(
-            window, [section], [native.FOLD_SMALL | native.FOLD_TABLE],
-            False) == 0
-        assert np.array_equal(window, expected)
-        # Nothing outside the window moved.
-        before[index] = expected
+        section = code_store.encode_dense(
+            np.ones(window.size, dtype=np.uint64))
+        assert native.fold_chain(window, [section], [native.FOLD_SMALL],
+                                 False) is None
         assert np.array_equal(canvas, before)
 
     def test_unsorted_and_repeated_positions_are_exact(self):
@@ -343,7 +353,8 @@ class TestFoldChain:
                 assert native.fold_chain(cells[:8], [section], layouts,
                                          False) is None
         said = [record.getMessage() for record in caplog.records]
-        for reason in ("non-unit inner stride", "byte-swapped dtype >i4",
+        for reason in ("destination is not C-contiguous",
+                       "byte-swapped dtype >i4",
                        "unsupported dtype complex64",
                        "not a writable ndarray",
                        "kernels disabled or unavailable"):

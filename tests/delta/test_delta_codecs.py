@@ -392,9 +392,9 @@ CANARY = 0x5A
 @pytest.mark.parametrize("name", COMPOSABLE)
 class TestCorruptFold:
     """The read path's entry point (:func:`repro.delta.base.fold_chain`)
-    parses stored bytes and writes through the caller's strides: for
-    every cell width x operation x strategy, whatever is wrong with a
-    level only a :class:`CodecError` escapes and no byte outside the
+    parses stored bytes and writes into the caller's cells: for every
+    cell width x operation x strategy, whatever is wrong with a level
+    only a :class:`CodecError` escapes and no byte outside the
     destination window changes."""
 
     SHAPE = (12, 16)    # 192 cells: 8 position bits can say up to 255
@@ -419,13 +419,11 @@ class TestCorruptFold:
 
     @staticmethod
     def _fold(codec, payload, base, kernels):
-        """Fold one level onto ``base`` inside a canary frame, as
-        ``read_version`` does into its canvas; the folded window, or
-        None for a refused payload."""
-        frame = np.full((base.shape[0] + 4,
-                         (base.shape[1] + 4) * base.itemsize), CANARY,
-                        dtype=np.uint8).view(base.dtype)
-        window = frame[2:-2, 2:-2]
+        """Fold one level onto ``base`` in a contiguous window of a
+        canary frame, as ``read_version`` does into its chunk buffer;
+        the folded window, or None for a refused payload."""
+        frame = np.full(base.nbytes + 32, CANARY, dtype=np.uint8)
+        window = frame[16:-16].view(base.dtype).reshape(base.shape)
         window[...] = base
         refused = False
         with contextlib.nullcontext() if kernels else native.disabled():
@@ -433,11 +431,8 @@ class TestCorruptFold:
                 fold_chain([codec], [payload], base, window)
             except CodecError:
                 refused = True
-        outside = np.ones(frame.shape, dtype=bool)
-        outside[2:-2, 2:-2] = False
-        assert (frame.view(np.uint8).reshape(frame.shape[0], -1)
-                [np.repeat(outside, frame.itemsize, axis=1)]
-                == CANARY).all()
+        assert (frame[:16] == CANARY).all() and \
+            (frame[-16:] == CANARY).all()
         return None if refused else window
 
     def test_valid_level_folds_in_place(self, name, dtype, kernels, rng):
@@ -532,3 +527,18 @@ def test_respelled_frame_takes_the_long_way_and_says_so(rng, caplog,
     said = [record.getMessage() for record in caplog.records]
     assert said.count(
         "native declined fold_chain: frame prefix mismatch") == 1
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
+def test_fold_refuses_a_strided_destination(rng, kernels):
+    """The fold writes only contiguous cells; a strided window is a
+    caller error, refused before anything is folded."""
+    codec = get_delta_codec("hybrid")
+    target, base = _pair(np.int32, (12, 16), rng)
+    payload = codec.encode(target, base)
+    canvas = np.zeros((12, 32), dtype=np.int32)
+    canvas[:, :16] = base
+    with contextlib.nullcontext() if kernels else native.disabled():
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fold_chain([codec], [payload], base, canvas[:, :16])
+    assert np.array_equal(canvas[:, :16], base) and not canvas[:, 16:].any()

@@ -653,3 +653,67 @@ class TestInMemoryManager:
         manager.delete_array("A")
         assert manager.store.total_bytes("A") == 0
         manager.close()
+
+
+#: Every backend spec of the conformance grid, once.
+SPECS = list(dict.fromkeys(spec for spec, _, _ in CONFIGS))
+#: The specs whose bytes the process holds, so a read can be a view.
+VIEW_SPECS = [spec for spec in SPECS if "memory" in spec or "object" in spec]
+PATH = "A/chunks/value/c.dat"
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("span", [(-4, 2), (2, -1), (-1, 0)])
+def test_negative_span_is_refused(tmp_path, spec, span):
+    """A negative offset or length is a StorageError naming the object
+    — never bytes from the wrong place, never a bare OSError."""
+    backend = resolve_backend(spec, tmp_path)
+    backend.write(PATH, b"0123456789")
+    with pytest.raises(StorageError, match="c.dat"):
+        backend.read_many(PATH, [(0, 2), span])
+    with pytest.raises(StorageError, match="c.dat"):
+        backend.read(PATH, *span)
+    backend.close()
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_payloads_are_read_only_and_stay_put(tmp_path, spec):
+    """A payload is bytes-like, read-only, equal to what was written,
+    and unchanged by a later append, replace or delete of its object."""
+    backend = resolve_backend(spec, tmp_path)
+    first, second = b"first payload", b"second, longer payload"
+    backend.append(PATH, first)
+    backend.append(PATH, second)
+    backend.sync([PATH])
+    payloads = backend.read_many(
+        PATH, [(len(first), len(second)), (0, len(first))])
+    payloads.append(backend.read(PATH, len(first), len(second)))
+    expected = [second, first, second]
+    for payload in payloads:
+        assert not np.frombuffer(payload, dtype=np.uint8).flags.writeable
+    assert [bytes(payload) for payload in payloads] == expected
+    backend.append(PATH, b"third")
+    backend.sync([PATH])
+    assert [bytes(payload) for payload in payloads] == expected
+    backend.write(PATH, b"replaced wholesale")
+    assert [bytes(payload) for payload in payloads] == expected
+    backend.delete(PATH)
+    assert [bytes(payload) for payload in payloads] == expected
+    backend.close()
+
+
+@pytest.mark.parametrize("spec", VIEW_SPECS)
+def test_reads_of_held_bytes_are_views(tmp_path, spec):
+    """Where the bytes already sit in the process, two reads of one
+    span are views of the same memory, not copies."""
+    backend = resolve_backend(spec, tmp_path)
+    # Bytes on both sides, so a view is never the whole buffer read.
+    backend.append(PATH, b"x" * 100)
+    backend.append(PATH, b"payload " * 10)
+    backend.append(PATH, b"y" * 40)
+    backend.sync([PATH])
+    one, two = backend.read_many(PATH, [(100, 80), (100, 80)])
+    assert bytes(one) == b"payload " * 10
+    assert np.shares_memory(np.frombuffer(one, dtype=np.uint8),
+                            np.frombuffer(two, dtype=np.uint8))
+    backend.close()

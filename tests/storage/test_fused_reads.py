@@ -1,9 +1,10 @@
 """Fused-vs-stepwise delta-chain read equivalence oracle.
 
 The fused read path (:meth:`DecodePipeline.reconstruct`) copies the
-decoded root once — into the caller's canvas window when it can — and
-folds every composable level of the chain onto those cells in place, at
-the cells' own width.  Its contract is byte-exactness: for every delta
+decoded root once into contiguous cells — the caller's canvas window
+when that is contiguous, else the decoding thread's chunk buffer, which
+is copied into the window after the fold — and folds every composable
+level of the chain onto those cells in place, at the cells' own width.  Its contract is byte-exactness: for every delta
 policy, both delta modes (ARITHMETIC for integers, XOR for floats),
 every cell type, chain depth and destination layout, and adversarial
 cell values (wraparound at every width, NaN / signed-zero / infinity
@@ -16,6 +17,8 @@ store — so both sides decode the very same stored bytes.
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -543,12 +546,13 @@ def test_corrupt_level_is_named(tmp_path):
                 delta_policy="chain", delta_codec="sparse") as manager:
         record = manager.catalog.get_array("A")
         (level,) = manager.catalog.chunks_for_version(record.array_id, 5)
-        stored = manager.store.backend._objects[level.location.path] \
-            .consolidated()
+        backend, path = manager.store.backend, level.location.path
+        stored = bytearray(backend.read(path, 0, backend.total_bytes(path)))
         # Past the frame: the sparse table's entry count, made huge.
         at = level.location.offset + \
             get_delta_codec("sparse")._frame_size(versions[0])
         stored[at:at + 8] = (1 << 40).to_bytes(8, "little")
+        backend.write(path, bytes(stored))
         for kernels_off in (False, True):
             with pytest.raises(CodecError) as refused:
                 if kernels_off:
@@ -563,3 +567,44 @@ def test_corrupt_level_is_named(tmp_path):
         # Versions below the damage still read.
         assert manager.select("A", 4).attribute("value").tobytes() == \
             versions[3].tobytes()
+
+
+@pytest.mark.parametrize("workers", [0, 4])
+def test_concurrent_reads_fold_in_their_own_buffers(tmp_path, workers):
+    """Every decoding thread folds in a chunk buffer of its own: four
+    clients reading different versions at once (strided windows, chunks
+    of two sizes, cache off) each get exactly their version."""
+    versions = _grid_versions(np.int32, (40, 36), DEPTH)
+    manager = VersionedStorageManager(tmp_path / "s", backend="memory",
+                                      delta_policy="chain", workers=workers)
+    with manager:
+        manager.create_array(
+            "A", ArraySchema.simple((40, 36), np.int32, attribute="value"),
+            chunk_shape=(20, 16))
+        for data in versions:
+            manager.insert("A", data.copy())
+        wrong = []
+        start = threading.Barrier(4)
+
+        def client(first: int) -> None:
+            start.wait()
+            for turn in range(12):
+                version = (first + turn) % DEPTH + 1
+                got = manager.select("A", version).attribute("value")
+                if got.tobytes() != versions[version - 1].tobytes():
+                    wrong.append(version)
+
+        clients = [threading.Thread(target=client, args=(first,))
+                   for first in (1, 3, 5, 7)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the clients finely
+        try:
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in clients)
+        assert wrong == []
+        assert manager.stats.snapshot().chains_fused > 0
