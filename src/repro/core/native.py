@@ -22,8 +22,8 @@ the packed outlier table (at width 0: the sparse codec's table).
 stored payload, zigzag-decodes in register and applies it straight to
 the cells of the version being read, in the cell's own width and in
 place in one contiguous run of cells — a contiguous canvas window, or
-the decode thread's L2-sized chunk buffer that is copied into a
-strided window once.  The zigzag decode and the carry-register unpack
+the decode thread's chunk buffer that is copied into a strided
+window once.  The zigzag decode and the carry-register unpack
 serve the level-by-level decoders.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they

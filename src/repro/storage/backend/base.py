@@ -31,9 +31,8 @@ class StorageBackend(ABC):
     :class:`~repro.core.errors.StorageError`, ``write`` replaces an
     object wholesale, ``append`` returns the offset at which the
     payload landed, and ``delete`` removes an object or a whole prefix
-    subtree.  A read hands back read-only bytes-like payloads, which
-    may be views of the stored bytes: they stay unchanged whatever is
-    later appended, written or deleted.
+    subtree.  Payloads read are read-only bytes-like, maybe views,
+    and unchanged by any later append, write or delete.
     """
 
     #: Human-readable registry name.
@@ -76,8 +75,6 @@ class StorageBackend(ABC):
         is what turns a co-located delta chain into one open + seek
         pass.  Payloads come back in span order, each a read-only
         bytes-like object (a view where the backend holds the bytes).
-        A backend that addresses bytes itself vets ``spans`` with
-        :func:`checked_spans` first.
         """
 
     def sync(self, paths: Sequence[str]) -> None:
@@ -162,9 +159,7 @@ class StorageBackend(ABC):
 
 def checked_spans(path: str, spans: Sequence[tuple[int, int]]
                   ) -> Sequence[tuple[int, int]]:
-    """``spans``, once no offset or length is negative — which a slice
-    or a memoryview would wrap silently and a seek would raise as a
-    bare ``OSError``."""
+    """``spans``, once none is negative (a slice would wrap it)."""
     for offset, length in spans:
         if offset < 0 or length < 0:
             raise StorageError(

@@ -87,6 +87,9 @@ POLICY_CHAIN = "chain"        # delta against the parent (fallback: smaller)
 POLICY_MATERIALIZE = "materialize"  # never delta on insert
 _POLICIES = (POLICY_AUTO, POLICY_CHAIN, POLICY_MATERIALIZE)
 
+#: The largest chunk buffer a decoding thread keeps: an L2's worth.
+_KEPT_FOLD_BYTES = 2 << 20
+
 
 def ensure_policy(delta_policy: str) -> str:
     """Validate an insert-time delta policy name (returns it unchanged).
@@ -568,8 +571,8 @@ class DecodePipeline(_PooledStage):
       decodes.  The cells are the caller's canvas window when that is
       contiguous and nothing else will hold on to it, a buffer of the
       chunk's own when the cache will, and otherwise the decoding
-      thread's L2-sized chunk buffer, copied into the strided window
-      once after the fold.  A non-composable level (``bsdiff``,
+      thread's chunk buffer, copied into the strided window once
+      after the fold.  A non-composable level (``bsdiff``,
       ``mpeg_like`` transform the base rather than difference against
       it) forces the stepwise decode.  Either way only the requested
       version is admitted to the cache.
@@ -748,7 +751,8 @@ class DecodePipeline(_PooledStage):
         not: its rows sit a canvas row apart, so they crowd into a few
         L2 sets and miss on every level.  The root is copied into this
         thread's chunk buffer instead, folded there while it stays in
-        L2, and copied into the window once.
+        L2, and copied into the window once.  That measures faster
+        even for chunks far larger than L2, whose buffer is not kept.
 
         Everything is sized from the decoded root, never from a
         payload's frame: a level whose header disagrees with the
@@ -779,8 +783,11 @@ class DecodePipeline(_PooledStage):
         return out
 
     def _chunk_buffer(self, like: np.ndarray) -> np.ndarray:
-        """This thread's chunk buffer, as contiguous cells shaped like
-        ``like``: grow-only, so the fold allocates nothing per chunk."""
+        """Contiguous cells shaped like ``like``: this thread's chunk
+        buffer, grow-only up to :data:`_KEPT_FOLD_BYTES` so the fold
+        allocates nothing per chunk, else cells of the chunk's own."""
+        if like.nbytes > _KEPT_FOLD_BYTES:
+            return np.empty(like.shape, like.dtype)
         buffer = getattr(self._buffers, "cells", None)
         if buffer is None or buffer.nbytes < like.nbytes:
             buffer = self._buffers.cells = np.empty(like.nbytes, np.uint8)

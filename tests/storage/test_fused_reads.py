@@ -4,7 +4,8 @@ The fused read path (:meth:`DecodePipeline.reconstruct`) copies the
 decoded root once into contiguous cells — the caller's canvas window
 when that is contiguous, else the decoding thread's chunk buffer, which
 is copied into the window after the fold — and folds every composable
-level of the chain onto those cells in place, at the cells' own width.  Its contract is byte-exactness: for every delta
+level of the chain onto those cells in place, at the cells' own width.
+Its contract is byte-exactness: for every delta
 policy, both delta modes (ARITHMETIC for integers, XOR for floats),
 every cell type, chain depth and destination layout, and adversarial
 cell values (wraparound at every width, NaN / signed-zero / infinity
@@ -29,6 +30,7 @@ from repro.core import native
 from repro.core.errors import CodecError
 from repro.core.schema import ArraySchema
 from repro.delta.registry import get_delta_codec
+from repro.storage import pipeline
 from repro.storage.manager import VersionedStorageManager
 from repro.storage.pipeline import DecodePipeline
 
@@ -505,9 +507,12 @@ def test_cache_entries_own_their_bytes(tmp_path):
 def test_read_allocates_no_chunk_sized_temporary(tmp_path):
     """The decode half of the allocation gate: a cache-off read of a
     16-chunk, depth-8 int32 array peaks at its canvas plus small
-    change — the root is copied straight into the canvas and the chain
-    folded there, so there is no widened accumulator, no concatenated
-    position / delta arrays and no narrowed copy per chunk."""
+    change — each strided chunk's root is copied into the thread's
+    chunk buffer (allocated by the warm-up read; what it keeps is
+    bounded by ``test_fold_buffer_kept_is_bounded``), the chain folded
+    there and the result copied into the canvas, so there is no widened
+    accumulator, no concatenated position / delta arrays and no
+    narrowed copy per chunk."""
     shape, chunk_shape = (1024, 1024), (256, 256)
     rng = np.random.default_rng(5)
     data = rng.integers(-1000, 1000, shape).astype(np.int32)
@@ -608,3 +613,50 @@ def test_concurrent_reads_fold_in_their_own_buffers(tmp_path, workers):
         assert not any(thread.is_alive() for thread in clients)
         assert wrong == []
         assert manager.stats.snapshot().chains_fused > 0
+
+
+@pytest.mark.parametrize("workers", [0, 4])
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "dropped"])
+def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, workers, kept):
+    """What the decoding threads keep once a read is over, counted from
+    before their first read: one strided chunk's cells per thread while
+    a chunk fits ``_KEPT_FOLD_BYTES``, released by ``close()``, and
+    nothing for a chunk larger than that."""
+    if not kept:
+        monkeypatch.setattr(pipeline, "_KEPT_FOLD_BYTES", 64 << 10)
+    shape, chunk_shape = (512, 512), (256, 256)
+    chunk_bytes, slack = 256 * 256 * 4, 128 << 10
+    rng = np.random.default_rng(9)
+    data = rng.integers(-1000, 1000, shape).astype(np.int32)
+    native.available()              # the kernels load before counting
+    manager = VersionedStorageManager(tmp_path / "s", backend="memory",
+                                      workers=workers, delta_policy="chain")
+    with manager:
+        manager.create_array(
+            "A", ArraySchema.simple(shape, np.int32, attribute="value"),
+            chunk_shape=chunk_shape)
+        for level in range(DEPTH):
+            if level:
+                data = data.copy()
+                cells = rng.choice(data.size, 500, replace=False)
+                data.reshape(-1)[cells] += 7
+            manager.insert("A", data)
+        record = manager.catalog.get_array("A")
+        grid = manager.grid_for(record)
+        tracemalloc.start()
+        try:
+            got = manager.decoder.read_version(record, grid, DEPTH)
+            held, _ = tracemalloc.get_traced_memory()
+            manager.decoder.close()
+            released, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    canvas = got.attribute("value")
+    assert canvas.tobytes() == data.tobytes()
+    threads = max(1, min(workers, grid.chunk_count))
+    if kept:
+        assert chunk_bytes <= held - canvas.nbytes \
+            <= threads * chunk_bytes + slack, held
+    else:
+        assert held - canvas.nbytes <= slack, held
+    assert released - canvas.nbytes <= slack, released
