@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +53,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "number" | "string" | "symbol"
     text: str
     position: int
@@ -426,8 +426,8 @@ class AQLExecutor:
         if isinstance(statement, SelectStatement):
             return AQLResult("select", self._run_select(statement))
         if isinstance(statement, BranchStatement):
-            versions = self.processor.resolve(statement.source)
-            self.manager.branch(statement.source.array, versions[0],
+            version = self._one_version("BRANCH", statement.source)
+            self.manager.branch(statement.source.array, version,
                                 statement.new_name)
             return AQLResult("branch", statement.new_name)
         if isinstance(statement, MergeStatement):
@@ -438,21 +438,30 @@ class AQLExecutor:
             self.manager.merge(parents, statement.new_name)
             return AQLResult("merge", statement.new_name)
         if isinstance(statement, LabelStatement):
-            versions = self.processor.resolve(statement.spec)
-            self.manager.label_version(statement.spec.array, versions[0],
+            version = self._one_version("LABEL", statement.spec)
+            self.manager.label_version(statement.spec.array, version,
                                        statement.label)
             return AQLResult("label", statement.label)
         if isinstance(statement, DropArrayStatement):
             self.manager.delete_array(statement.name)
             return AQLResult("drop", statement.name)
         if isinstance(statement, DeleteVersionStatement):
-            versions = self.processor.resolve(statement.spec)
-            self.manager.delete_version(statement.spec.array, versions[0])
-            return AQLResult("delete-version", versions[0])
+            version = self._one_version("DELETE VERSION", statement.spec)
+            self.manager.delete_version(statement.spec.array, version)
+            return AQLResult("delete-version", version)
         raise AQLExecutionError(
             f"unhandled statement {type(statement).__name__}")
 
     # ------------------------------------------------------------------
+    def _one_version(self, keyword: str, spec: VersionSpec) -> int:
+        """The single version a statement acts on.  ``@*`` names every
+        version, so it is refused."""
+        if spec.all_versions:
+            raise AQLExecutionError(
+                f"{keyword} acts on one version, but {spec.array}@* "
+                "names every version")
+        return self.processor.resolve(spec)[0]
+
     def _read_payload(self, statement: LoadStatement) -> np.ndarray:
         """LOAD payloads: .npy files, or raw row-major cell bytes."""
         path = self.base_path / statement.path

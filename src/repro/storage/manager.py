@@ -456,8 +456,7 @@ class VersionedStorageManager:
         """Form 1: the full contents of one version."""
         record = self.catalog.get_array(name)
         self.catalog.get_version(record.array_id, version)
-        return self.decoder.read_version(record, self.grid_for(record),
-                                         version)
+        return self.decoder.read_version(record, record.grid, version)
 
     def select_region(self, name: str, version: int,
                       corner_lo: tuple[int, ...],
@@ -468,8 +467,8 @@ class VersionedStorageManager:
         schema = record.schema
         lo = schema.to_zero_based(corner_lo)
         hi = schema.to_zero_based(corner_hi)
-        return self.decoder.read_region(record, self.grid_for(record),
-                                        version, lo, hi)
+        return self.decoder.read_region(record, record.grid, version,
+                                        lo, hi)
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:
@@ -520,7 +519,7 @@ class VersionedStorageManager:
         dtype = record.schema.attribute(attr).dtype
         region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         out = np.empty((len(versions),) + region_shape, dtype=dtype)
-        grid = self.grid_for(record)
+        grid = record.grid
         order = sorted(enumerate(versions), key=lambda pair: pair[1])
         for chunk in grid.chunks_overlapping(lo, hi):
             scope: dict[int, np.ndarray] = {}
@@ -659,10 +658,9 @@ class VersionedStorageManager:
         return digest.hexdigest()
 
     def grid_for(self, record: ArrayRecord) -> ChunkGrid:
-        """The chunk grid shared by every version of an array."""
-        return ChunkGrid(record.schema.shape, record.schema.cell_size,
-                         record.chunk_bytes,
-                         chunk_shape=record.chunk_shape)
+        """The chunk grid shared by every version of an array: the
+        record's own, built once per catalog record."""
+        return record.grid
 
     # ------------------------------------------------------------------
     # Layout re-organization (Section IV-E "background re-organization")
@@ -775,7 +773,7 @@ class VersionedStorageManager:
         base_data: ArrayData | None = None
         if base_version is not None and self.encoder.wants_base:
             base_data = self._version_contents(record, base_version)
-        self.encoder.write_version(record, self.grid_for(record), version,
+        self.encoder.write_version(record, record.grid, version,
                                    data, base_data=base_data,
                                    base_version=base_version,
                                    replace=replace,

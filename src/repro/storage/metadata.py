@@ -24,6 +24,7 @@ import json
 import sqlite3
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from repro.core.errors import (
@@ -32,6 +33,7 @@ from repro.core.errors import (
     VersionNotFoundError,
 )
 from repro.core.schema import ArraySchema
+from repro.storage.chunking import ChunkGrid
 from repro.storage.chunkstore import ChunkLocation
 
 _SCHEMA_SQL = """
@@ -100,6 +102,13 @@ class ArrayRecord:
     #: even division of the byte budget.
     chunk_shape: tuple[int, ...] | None = None
 
+    @cached_property
+    def grid(self) -> ChunkGrid:
+        """The chunk grid shared by every version, built once per
+        record (not a field: equality and repr are the catalog row's)."""
+        return ChunkGrid(self.schema.shape, self.schema.cell_size,
+                         self.chunk_bytes, chunk_shape=self.chunk_shape)
+
 
 @dataclass(frozen=True)
 class VersionRecord:
@@ -142,6 +151,12 @@ class MetadataCatalog:
     every statement runs under an internal re-entrant lock.  Multi-row
     writes (:meth:`put_chunks`) use an explicit ``BEGIN``/``COMMIT`` so
     a version's chunk records land atomically.
+
+    Array records are parsed once per catalog and kept by name: they
+    are immutable, shared by every caller and thread, and dropped only
+    by this catalog's own :meth:`delete_array`.  Another connection's
+    DROP or CREATE on the same file is therefore never seen — one open
+    catalog per store.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -150,6 +165,7 @@ class MetadataCatalog:
                                      check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.RLock()
+        self._arrays: dict[str, ArrayRecord] = {}
         self._conn.executescript(_SCHEMA_SQL)
         self._conn.commit()
 
@@ -179,7 +195,7 @@ class MetadataCatalog:
         """Register a new array; names are unique."""
         with self._lock:
             try:
-                cursor = self._conn.execute(
+                self._conn.execute(
                     "INSERT INTO arrays (name, schema_json, chunk_bytes,"
                     " chunk_shape, compressor, created_at, parent_array,"
                     " parent_version) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
@@ -190,21 +206,21 @@ class MetadataCatalog:
                 raise ArrayExistsError(
                     f"array {name!r} already exists") from None
             self._conn.commit()
-            return self.get_array_by_id(cursor.lastrowid)
+            return self.get_array(name)
 
     def get_array(self, name: str) -> ArrayRecord:
-        row = self._query_one(
-            "SELECT * FROM arrays WHERE name = ?", (name,))
-        if row is None:
-            raise ArrayNotFoundError(f"no array named {name!r}")
-        return self._array_from_row(row)
-
-    def get_array_by_id(self, array_id: int) -> ArrayRecord:
-        row = self._query_one(
-            "SELECT * FROM arrays WHERE id = ?", (array_id,))
-        if row is None:
-            raise ArrayNotFoundError(f"no array with id {array_id}")
-        return self._array_from_row(row)
+        """The record of array ``name``: answered from the parsed
+        records, and read and parsed (once) only on a miss."""
+        record = self._arrays.get(name)
+        if record is None:
+            with self._lock:
+                row = self._conn.execute(
+                    "SELECT * FROM arrays WHERE name = ?", (name,)
+                ).fetchone()
+                if row is None:
+                    raise ArrayNotFoundError(f"no array named {name!r}")
+                record = self._arrays[name] = self._array_from_row(row)
+        return record
 
     def list_arrays(self) -> list[str]:
         """Section II-C's List operation."""
@@ -212,14 +228,20 @@ class MetadataCatalog:
         return [row["name"] for row in rows]
 
     def delete_array(self, name: str) -> None:
-        record = self.get_array(name)
         with self._lock:
+            record = self.get_array(name)
+            # SQLite may hand the next array this one's id: the parsed
+            # record goes in the same locked section as its rows.
+            del self._arrays[name]
             self._conn.execute("DELETE FROM chunks WHERE array_id = ?",
                                (record.array_id,))
             self._conn.execute("DELETE FROM versions WHERE array_id = ?",
                                (record.array_id,))
             self._conn.execute(
                 "DELETE FROM merge_parents WHERE array_id = ?",
+                (record.array_id,))
+            self._conn.execute(
+                "DELETE FROM version_labels WHERE array_id = ?",
                 (record.array_id,))
             self._conn.execute("DELETE FROM arrays WHERE id = ?",
                                (record.array_id,))

@@ -286,3 +286,43 @@ class TestSubsampleValidation:
         window = db.execute(
             "SELECT * FROM SUBSAMPLE(A@1, 1, 2, 0, 1);").value
         np.testing.assert_array_equal(window, data[1:3, 0:2])
+
+
+class TestStarSpecRefused:
+    """``@*`` names every version: a statement that acts on one must
+    refuse it before changing anything, not act on version 1."""
+
+    @pytest.fixture
+    def three(self, db) -> Database:
+        db.execute("CREATE UPDATABLE ARRAY E ( V::INTEGER ) [ I=0:2 ];")
+        for step in range(3):
+            db.manager.insert("E", np.arange(3, dtype=np.int32) + step)
+        db.execute("LABEL(E@2 kept);")
+        return db
+
+    @staticmethod
+    def _state(db: Database):
+        return (db.execute("VERSIONS(E);").value, db.manager.labels("E"),
+                db.manager.list_arrays(), db.manager.fingerprint())
+
+    @pytest.mark.parametrize("statement, keyword", [
+        ("DELETE VERSION E@*;", "DELETE VERSION"),
+        ("BRANCH(E@* F);", "BRANCH"),
+        ("LABEL(E@* x);", "LABEL"),
+    ], ids=["delete-version", "branch", "label"])
+    def test_single_version_statement_refuses_star(self, three, statement,
+                                                   keyword):
+        before = self._state(three)
+        assert before[:3] == (["E@1", "E@2", "E@3"], [("kept", 2)], ["E"])
+        with pytest.raises(AQLExecutionError,
+                           match=f"{keyword} .*E@\\*"):
+            three.execute(statement)
+        assert self._state(three) == before
+
+    def test_merge_still_expands_star(self, three):
+        three.execute("MERGE(E@*, E@2, M);")
+        assert three.execute("VERSIONS(M);").value == \
+            ["M@1", "M@2", "M@3", "M@4"]
+        np.testing.assert_array_equal(
+            three.execute("SELECT * FROM M@4;").value,
+            np.arange(3, dtype=np.int32) + 1)

@@ -41,8 +41,6 @@ class TestArrays:
     def test_missing_array(self, catalog):
         with pytest.raises(ArrayNotFoundError):
             catalog.get_array("ghost")
-        with pytest.raises(ArrayNotFoundError):
-            catalog.get_array_by_id(999)
 
     def test_list_sorted(self, catalog, schema):
         for name in ("zulu", "alpha", "mike"):
