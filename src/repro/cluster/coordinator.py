@@ -275,9 +275,11 @@ class ClusterCoordinator:
 
         A dead mark only ever meant "skip this copy"; the copy behind
         it may have missed writes, been wiped and replaced, or be
-        perfectly intact.  Revive therefore compares the copy's
-        logical digest against a live peer replica of the same band
-        before clearing the mark: an in-sync copy rejoins silently, a
+        perfectly intact.  Revive therefore compares the copy against
+        a live peer replica of the same band before clearing the mark
+        — stored bytes first, logical digests only where the two
+        layouts differ (:func:`repro.cluster.repair.compare_copies`):
+        an in-sync copy rejoins silently, a
         stale (or unreadable) one either auto-repairs
         (``repair=True``) or fails loudly without clearing the mark —
         a data-less replica must never serve reads.  With
@@ -907,7 +909,7 @@ class ClusterCoordinator:
                     digest.update(repr((array_name, version,
                                         attr.name)).encode())
                     digest.update(np.ascontiguousarray(
-                        data.attribute(attr.name)).tobytes())
+                        data.attribute(attr.name)))
         return digest.hexdigest()
 
     def _pool(self) -> ThreadPoolExecutor:

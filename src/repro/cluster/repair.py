@@ -1,9 +1,12 @@
-"""Anti-entropy repair: copy digests and the resync driver.
+"""Anti-entropy repair: copy digests, the copy comparison and the
+resync driver.
 
 The flows behind :meth:`ClusterCoordinator.repair` (which states the
 contract, validates, and holds the maintenance lock around
 :func:`repair`), ``replica_digest`` and the verified ``revive`` /
 ``revive_node``, as module-level functions taking the coordinator.
+Repair, its closing verification and revive compare copies through
+:func:`compare_copies` only.
 """
 
 from __future__ import annotations
@@ -39,28 +42,81 @@ def registry_digest(cluster, manager) -> str:
     return digest.hexdigest()
 
 
+def compare_copies(target, name: str, read) -> tuple[list | None,
+                                                   list | None]:
+    """The one comparison of an array's two copies: ``(held, source)``
+    per-version keys for :func:`stale_tail`, from the cheapest
+    comparison that settles it.
+
+    Stored digests come first
+    (:meth:`~repro.storage.manager.VersionedStorageManager.stored_digests`,
+    no decode): equal stored bytes mean equal contents, so equal lists
+    mean in sync and a target list that is a prefix of the source's
+    means only the tail is missing.  Anything else — the copies store
+    their versions differently, say after one of them re-organized —
+    proves nothing, and both sides' logical
+    :meth:`~repro.storage.manager.VersionedStorageManager.version_digests`
+    are compared instead.  ``held`` is None when the target lacks the
+    array, cannot read it, or disagrees with the peer's record on
+    schema or branch origin: such a copy is rebuilt whatever the peer
+    holds, so ``source`` is then None too.  ``read`` is the failover
+    reader over the target's live peers; only its errors escape.
+    """
+    try:
+        identity = _identity(target, name)
+        held = target.stored_digests(name)
+    except ReproError:
+        return None, None
+    source_identity, source = read(
+        lambda peer: (_identity(peer, name), peer.stored_digests(name)))
+    if identity != source_identity:
+        return None, None
+    if held == source[:len(held)]:
+        return held, source
+    try:
+        held = target.version_digests(name)
+    except ReproError:
+        return None, None
+    return held, read(lambda peer: peer.version_digests(name))
+
+
+def _identity(manager, name: str) -> tuple:
+    """The part of an array's record a select or lineage query sees."""
+    record = manager.catalog.get_array(name)
+    return (record.schema.to_dict(), record.parent_array,
+            record.parent_version)
+
+
 def replica_in_sync(cluster, node: int, replica: int,
                     peers: list[int]) -> bool:
-    """Whether one band copy's registry-scoped logical digest
-    matches the first live peer that can serve the comparison.
-    An unreadable target counts as out of sync; no serving peer
-    counts as in sync (recovery must not deadlock on an
-    unverifiable cluster)."""
+    """Whether one band copy holds the cluster's arrays (no missing,
+    no extra) and, per array, the versions of the first live peer
+    that can serve the comparison, by :func:`compare_copies` — so an
+    intact copy is verified without decoding a version.  An unreadable
+    target counts as out of sync; no serving peer counts as in sync
+    (recovery must not deadlock on an unverifiable cluster)."""
+    target = cluster.replicas[node][replica]
+    registry = cluster.list_arrays()
     try:
-        target = registry_digest(cluster, cluster.replicas[node][replica])
+        if set(target.list_arrays()) != set(registry):
+            return False
     except ReproError:
         return False
+    read = partial(cluster._read_node, node, replicas=peers)
     try:
-        return target == cluster._read_node(
-            node, partial(registry_digest, cluster), replicas=peers)
+        for name in registry:
+            held, source = compare_copies(target, name, read)
+            if held is None or held != source:
+                return False
     except ReproError:
         return True
+    return True
 
 
 def revive(cluster, copies: list[tuple[int, int]], repair: bool) -> None:
-    """The one verified revive: collect the copies whose digest
-    differs from their live peers', refuse (or repair them all),
-    and only then clear the marks."""
+    """The one verified revive: collect the copies not in sync with
+    their live peers (:func:`replica_in_sync`), refuse (or repair them
+    all), and only then clear the marks."""
     stale = []
     for node, replica in copies:
         peers = cluster._live_peers(node, replica)
@@ -106,17 +162,18 @@ def replace_replica(cluster, node: int,
 def repair(cluster, node: int, replica: int, peers: list[int]) -> dict:
     """Resync copy ``(node, replica)`` from its live ``peers``.
 
-    Per-array, the copy's per-version logical digests are compared
-    against the first live peer replica that can serve (peer reads
-    fail over); a copy whose digest list is a strict prefix of its
-    peer's replays only the missing tail, a diverged or unreadable
-    copy is dropped and rebuilt in full, and arrays deleted
+    Per array, :func:`compare_copies` compares the copy against the
+    first live peer replica that can serve (peer reads fail over) —
+    stored digests first, logical digests only when the two store
+    their versions differently; a copy whose list is a strict prefix
+    of its peer's replays only the missing tail, a diverged or
+    unreadable copy is dropped and rebuilt in full, and arrays deleted
     cluster-wide while the copy was dead are dropped from it.
     Every replayed version goes through the managers' transactional
     write path with its *source* lineage row — kind, parent link,
     merge parents, timestamp — so the repaired copy answers
     lineage queries identically to its peers, which the closing
-    digest verification proves before the function returns.
+    :func:`replica_in_sync` proves before the function returns.
     """
     target = cluster.replicas[node][replica]
     read = partial(cluster._read_node, node, replicas=peers)
@@ -126,12 +183,8 @@ def repair(cluster, node: int, replica: int, peers: list[int]) -> dict:
         # Deleted cluster-wide while this copy was dead.
         target.delete_array(extra)
     for name in registry:
-        source_digests = read(lambda m: m.version_digests(name))
-        try:
-            target_digests = target.version_digests(name)
-        except ReproError:
-            target_digests = None
-        if target_digests == source_digests:
+        held, source = compare_copies(target, name, read)
+        if held is not None and held == source:
             continue
 
         def rebuild() -> None:
@@ -139,8 +192,8 @@ def repair(cluster, node: int, replica: int, peers: list[int]) -> dict:
             recreate(target, name, record.schema, record)
 
         tail, was_rebuilt = stale_tail(
-            target_digests, source_digests,
-            version_rows(cluster, name, node, peers), rebuild)
+            held, source, version_rows(cluster, name, node, peers),
+            rebuild)
         rebuilt += was_rebuilt
         for row in tail:
             data = read(lambda m: m.select(name, row[0]))
@@ -148,8 +201,8 @@ def repair(cluster, node: int, replica: int, peers: list[int]) -> dict:
             versions += 1
             nbytes += sum(data.attribute(attr.name).nbytes
                           for attr in data.schema.attributes)
-    # The whole point is a *provably* identical copy: verify the
-    # registry digest against a live peer before reporting success.
+    # The whole point is a *provably* identical copy: verify it
+    # against a live peer before reporting success.
     if not replica_in_sync(cluster, node, replica, peers):
         raise StorageError(
             f"repair of replica {replica} of node {node} did not "

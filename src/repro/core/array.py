@@ -34,8 +34,10 @@ class ArrayData:
 
     Holds one row-major numpy array per attribute, all with the schema's
     shape.  Instances are treated as immutable by the storage layer: the
-    constructor defensively marks the underlying buffers read-only so the
-    no-overwrite contract cannot be violated by aliasing.
+    constructor keeps a read-only view of each array it is given, so
+    the no-overwrite contract cannot be violated through the instance
+    (the caller's own arrays stay writable; the store copies what it
+    keeps).
     """
 
     def __init__(self, schema: ArraySchema,
@@ -57,7 +59,9 @@ class ArrayData:
                     raise AttributeTypeError(
                         f"attribute {attr.name!r}: cannot cast "
                         f"{values.dtype} to {attr.dtype}") from exc
-            values = np.ascontiguousarray(values)
+            # Freeze a view, never the caller's own array: it may be a
+            # buffer the caller goes on mutating between inserts.
+            values = np.ascontiguousarray(values).view()
             values.setflags(write=False)
             normalized[attr.name] = values
         extra = set(attributes) - {a.name for a in schema.attributes}

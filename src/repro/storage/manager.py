@@ -72,7 +72,7 @@ class _HotSlot:
     handed instead of re-reconstructing the parent through its whole
     delta chain.  The slot must never alias memory the caller can
     still reach — ``ArrayData`` marks only its own view read-only, so
-    ``insert(buf[:])`` leaves ``buf`` writable, and a simulation loop
+    ``insert(buf)`` leaves ``buf`` writable, and a simulation loop
     that mutates ``buf`` in place between inserts would otherwise
     delta the next version against an already-mutated "base".  So the
     version is copied into one canvas per attribute, allocated once
@@ -97,11 +97,9 @@ class _HotSlot:
                       for attr, canvas in self._canvases.items()}:
             self._canvases = {attr: np.empty_like(values)
                               for attr, values in sources.items()}
-            # ArrayData flips the arrays it is given read-only: hand
-            # it views, keep the writable canvases here.
-            self._data = ArrayData(data.schema, {
-                attr: canvas.view()
-                for attr, canvas in self._canvases.items()})
+            # ArrayData freezes views of its own; the canvases stay
+            # writable here.
+            self._data = ArrayData(data.schema, self._canvases)
         self._key = None  # never a named, half-copied canvas
         for attr, values in sources.items():
             np.copyto(self._canvases[attr], values)
@@ -617,8 +615,11 @@ class VersionedStorageManager:
         clock, so byte-identical contents carry different timestamps)
         and **placement** (paths, offsets, delta bases — replicas may
         legitimately diverge in layout after ``reorganize`` or a repack
-        while holding identical contents).  Anti-entropy repair
-        compares these lists between replicas: a stale copy shows up as
+        while holding identical contents).  These digests *define*
+        replica equality, and computing them decodes every version;
+        anti-entropy repair compares the cheaper :meth:`stored_digests`
+        first and falls back to these lists only when two copies
+        store their versions differently: a stale copy then shows up as
         a strict prefix of its peer's list, a diverged one as a
         mismatching entry.
         """
@@ -633,7 +634,54 @@ class VersionedStorageManager:
             data = self.select(name, row.version)
             for attr in record.schema.attributes:
                 digest.update(np.ascontiguousarray(
-                    data.attribute(attr.name)).tobytes())
+                    data.attribute(attr.name)))
+            digests.append((row.version, digest.hexdigest()))
+        return digests
+
+    def stored_digests(self, name: str) -> list[tuple[int, str]]:
+        """Per-version digests of what is *stored*, decoding nothing.
+
+        Each digest is SHA-256 over the array record's storage identity
+        (schema, ``chunk_bytes``, ``chunk_shape``, compressor, branch
+        origin), the version's lineage row (version, parent, kind,
+        merge parents) and, per chunk row in (attribute, chunk name)
+        order, its delta codec, delta base and compressor and its
+        length-framed payload bytes.  Timestamps and locations (path,
+        offset, length) are left out: each copy stamps its own clock
+        and places and repacks its own objects.
+
+        Equal lists prove equal contents: a version's contents are a
+        pure function of the array record, its chunk rows and payloads,
+        and those of every version its chains reach — so two copies
+        whose every version has an equal stored digest have equal
+        :meth:`version_digests` too.  Unequal lists prove nothing (a
+        copy that re-organized stores the same contents differently);
+        the caller falls back to :meth:`version_digests`.  Payloads
+        are read through :meth:`ChunkStore.read_chunks` and hashed as
+        read; nothing is decoded, cached, written or persisted.
+        """
+        record = self.catalog.get_array(name)
+        identity = repr((name, record.schema.to_dict(), record.chunk_bytes,
+                         record.chunk_shape, record.compressor,
+                         record.parent_array,
+                         record.parent_version)).encode()
+        digests: list[tuple[int, str]] = []
+        for row in self.catalog.get_versions(record.array_id):
+            digest = hashlib.sha256(identity)
+            parents = self.catalog.merge_parents_of(record.array_id,
+                                                    row.version)
+            digest.update(repr((row.version, row.parent_version,
+                                row.kind, parents)).encode())
+            chunks = self.catalog.chunks_for_version(record.array_id,
+                                                     row.version)
+            payloads = self.store.read_chunks(
+                [chunk.location for chunk in chunks])
+            for chunk, payload in zip(chunks, payloads):
+                digest.update(repr((
+                    chunk.attribute, chunk.chunk_name, chunk.delta_codec,
+                    chunk.base_version, chunk.compressor,
+                    len(payload))).encode())
+                digest.update(payload)
             digests.append((row.version, digest.hexdigest()))
         return digests
 

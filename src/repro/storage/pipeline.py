@@ -822,8 +822,8 @@ class DecodePipeline(_PooledStage):
                 continue
             if data.shape == record.schema.shape:
                 # A single chunk spanning the whole canvas *is* the
-                # canvas: skip the copy.  ArrayData marks every buffer
-                # read-only regardless, so the contents are exactly as
+                # canvas: skip the copy.  ArrayData hands out only a
+                # read-only view of it, so the contents are exactly as
                 # immutable as the copied canvas was.
                 attributes[attr.name] = data
             else:

@@ -7,6 +7,10 @@ that closes that gap:
 * per-copy *logical* digests agree across replicas of a band (and stay
   invariant under per-copy physical reorganization — placement and
   timestamps are explicitly outside the digest);
+* copies are compared by their *stored* digests first, which decode
+  nothing, and by logical digests only when the two store their
+  versions differently — and that fast path never calls differing
+  contents "in sync";
 * ``revive`` / ``revive_node`` verify the digest against live peers
   and either refuse loudly or auto-repair — a data-less replica never
   rejoins rotation silently;
@@ -20,7 +24,9 @@ that closes that gap:
 
 from __future__ import annotations
 
+import hashlib
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +34,8 @@ import pytest
 from repro.cluster import ClusterCoordinator
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema
+from repro.storage import FaultInjectingBackend, InMemoryBackend
+from repro.storage.pipeline import DecodePipeline
 
 SHAPE = (12, 8)
 
@@ -50,6 +58,38 @@ def _workload(cluster: ClusterCoordinator) -> None:
     cluster.branch("A", 2, "B")
     cluster.insert("B", data * 2)
     cluster.merge([("A", 3), ("B", 2)], "M")
+
+
+def _flip_last_payload_byte(manager, name: str, version: int) -> None:
+    """Corrupt one stored payload of ``name@version`` in place: the
+    last byte of its first chunk's payload (cell data, past every
+    header) is inverted and the object written back."""
+    record = manager.catalog.get_array(name)
+    location = manager.catalog.chunks_for_version(
+        record.array_id, version)[0].location
+    end = max(chunk.location.offset + chunk.location.length
+              for chunk in manager.catalog.all_chunks(record.array_id)
+              if chunk.location.path == location.path)
+    stored = bytearray(manager.backend.read(location.path, 0, end))
+    stored[location.offset + location.length - 1] ^= 0xFF
+    manager.backend.write(location.path, bytes(stored))
+
+
+@pytest.fixture
+def decodes(monkeypatch) -> Counter:
+    """Counts ``read_version`` and ``reconstruct`` calls on every
+    manager, keyed by (``id`` of its decode pipeline, method)."""
+    calls: Counter = Counter()
+    for method in ("read_version", "reconstruct"):
+        original = getattr(DecodePipeline, method)
+
+        def counted(self, *args, _method=method, _original=original,
+                    **kwargs):
+            calls[id(self), _method] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DecodePipeline, method, counted)
+    return calls
 
 
 class _RecordingCatalog:
@@ -124,6 +164,92 @@ class TestReplicaDigest:
             cluster.close()
 
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.bool_, np.float64])
+    def test_digests_hash_what_tobytes_would(self, tmp_path, dtype):
+        """The digests hash arrays and payloads in place; each must
+        equal the same digest taken over ``tobytes()`` / ``bytes()``
+        copies."""
+        cluster = ClusterCoordinator(tmp_path / "cluster", nodes=2,
+                                     replication=2, chunk_bytes=128,
+                                     backend="memory")
+        try:
+            schema = ArraySchema.simple(SHAPE, dtype=dtype)
+            cluster.create_array("A", schema)
+            rng = np.random.default_rng(7)
+            for _ in range(3):
+                cluster.insert("A", rng.integers(0, 3, SHAPE).astype(dtype))
+            attr = schema.attributes[0].name
+            versions = cluster.get_versions("A")
+            expected = hashlib.sha256(
+                repr(("A", schema.to_dict(), versions)).encode())
+            for version in versions:
+                expected.update(repr(("A", version, attr)).encode())
+                expected.update(
+                    cluster.select("A", version).single().tobytes())
+            assert cluster.fingerprint() == expected.hexdigest()
+
+            manager = cluster.replicas[0][0]
+            record = manager.catalog.get_array("A")
+            identity = repr((
+                "A", record.schema.to_dict(), record.chunk_bytes,
+                record.chunk_shape, record.compressor,
+                record.parent_array, record.parent_version)).encode()
+            logical, stored = [], []
+            for row in manager.catalog.get_versions(record.array_id):
+                lineage = (row.version, row.parent_version, row.kind,
+                           manager.catalog.merge_parents_of(
+                               record.array_id, row.version))
+                digest = hashlib.sha256(repr(("A", *lineage)).encode())
+                digest.update(
+                    manager.select("A", row.version).single().tobytes())
+                logical.append((row.version, digest.hexdigest()))
+                digest = hashlib.sha256(identity)
+                digest.update(repr(lineage).encode())
+                for chunk in manager.catalog.chunks_for_version(
+                        record.array_id, row.version):
+                    payload = bytes(manager.store.read_chunk(chunk.location))
+                    digest.update(repr((
+                        chunk.attribute, chunk.chunk_name,
+                        chunk.delta_codec, chunk.base_version,
+                        chunk.compressor, len(payload))).encode())
+                    digest.update(payload)
+                stored.append((row.version, digest.hexdigest()))
+            assert manager.version_digests("A") == logical
+            assert manager.stored_digests("A") == stored
+        finally:
+            cluster.close()
+
+    def test_stored_digests_ignore_placement_not_layout(self, tmp_path,
+                                                        decodes):
+        """Copies of one history store the same bytes: their stored
+        digests agree, a repack (new object names and offsets) leaves
+        them alone, and computing them decodes nothing and changes
+        nothing.  A re-organized copy stores its versions differently,
+        so its stored digests differ while its logical ones agree."""
+        cluster = _cluster(tmp_path)
+        try:
+            _workload(cluster)
+            copy, peer = cluster.replicas[0]
+            decodes.clear()
+            for name in cluster.list_arrays():
+                assert copy.stored_digests(name) == \
+                    peer.stored_digests(name)
+            assert not decodes
+            before = copy.fingerprint()
+            copy._repack(copy.catalog.get_array("A"))
+            assert copy.fingerprint() != before  # relocated payloads
+            assert copy.stored_digests("A") == peer.stored_digests("A")
+            before = copy.fingerprint()
+            copy.stored_digests("A")
+            assert copy.fingerprint() == before
+            assert not decodes
+            copy.reorganize("A", mode="head")
+            assert copy.stored_digests("A") != peer.stored_digests("A")
+            assert copy.version_digests("A") == peer.version_digests("A")
+        finally:
+            cluster.close()
+
+
 class TestVerifiedRevive:
     def test_revive_refuses_stale_replica(self, tmp_path):
         cluster = _cluster(tmp_path)
@@ -153,14 +279,19 @@ class TestVerifiedRevive:
         finally:
             cluster.close()
 
-    def test_revive_of_intact_copy_needs_no_repair(self, tmp_path):
+    def test_revive_of_intact_copy_needs_no_repair(self, tmp_path,
+                                                   decodes):
         cluster = _cluster(tmp_path)
         try:
             _workload(cluster)
             cluster.mark_dead(2, 1)
+            decodes.clear()
             cluster.revive(2, 1)
             assert cluster.dead_replicas() == []
             assert cluster.stats.repairs == 0
+            # An intact copy stores exactly its peer's bytes: the
+            # stored digests settle it, no manager decodes a version.
+            assert not decodes
         finally:
             cluster.close()
 
@@ -186,6 +317,68 @@ class TestVerifiedRevive:
             assert cluster.dead_replicas() == []
             assert cluster.stats.repairs == 1
             assert cluster.stats.repaired_versions == 1
+        finally:
+            cluster.close()
+
+    def test_revive_refuses_a_copy_with_a_flipped_payload_byte(
+            self, tmp_path):
+        cluster = _cluster(tmp_path)
+        try:
+            _workload(cluster)
+            reference = cluster.fingerprint()
+            cluster.mark_dead(1, 0)
+            _flip_last_payload_byte(cluster.replicas[1][0], "A", 1)
+            with pytest.raises(StorageError, match="is stale"):
+                cluster.revive(1, 0)
+            assert (1, 0) in set(cluster.dead_replicas())
+            cluster.revive(1, 0, repair=True)
+            assert cluster.dead_replicas() == []
+            assert cluster.stats.repairs == 1
+            cluster.mark_dead(1, 1)
+            assert cluster.fingerprint() == reference
+        finally:
+            cluster.close()
+
+    def test_revive_refuses_a_copy_whose_backend_is_dead(self, tmp_path):
+        cluster = ClusterCoordinator(
+            tmp_path / "cluster", nodes=3, replication=2, chunk_bytes=512,
+            backend=lambda root: FaultInjectingBackend(InMemoryBackend()))
+        try:
+            _workload(cluster)
+            cluster.mark_dead(1, 0)
+            backend = cluster.replicas[1][0].backend
+            backend.mark_dead()
+            with pytest.raises(StorageError, match="is stale"):
+                cluster.revive(1, 0)
+            assert (1, 0) in set(cluster.dead_replicas())
+            # The substrate comes back intact: the copy rejoins as is.
+            backend.revive()
+            cluster.revive(1, 0)
+            assert cluster.dead_replicas() == []
+            assert cluster.stats.repairs == 0
+        finally:
+            cluster.close()
+
+    def test_revive_of_a_reorganized_copy_falls_back_to_logical_digests(
+            self, tmp_path, decodes):
+        """A copy re-laid-out while dead stores different bytes for the
+        same contents: the stored comparison cannot settle it, the
+        logical one does, and the copy rejoins without a repair."""
+        cluster = _cluster(tmp_path)
+        try:
+            _workload(cluster)
+            cluster.mark_dead(2, 1)
+            copy, peer = cluster.replicas[2][1], cluster.replicas[2][0]
+            copy.reorganize("A", mode="head")
+            assert copy.stored_digests("A") != peer.stored_digests("A")
+            decodes.clear()
+            cluster.revive(2, 1)
+            assert cluster.dead_replicas() == []
+            assert cluster.stats.repairs == 0
+            versions = len(cluster.get_versions("A"))
+            for manager in (copy, peer):
+                assert decodes[id(manager.decoder), "read_version"] == \
+                    versions
         finally:
             cluster.close()
 
@@ -230,7 +423,7 @@ class TestRepair:
             cluster.close()
 
     def test_blank_replacement_rebuilds_with_exact_counters(
-            self, tmp_path):
+            self, tmp_path, decodes):
         cluster = _cluster(tmp_path)
         try:
             _workload(cluster)
@@ -240,9 +433,16 @@ class TestRepair:
             band_rows = cluster._partitioners["A"].band_of(1).length
             band_bytes = band_rows * SHAPE[1] * np.dtype(np.int32).itemsize
             cluster.replace_replica(1, 0)
+            decodes.clear()
             report = cluster.repair(1, 0)
             assert report == {"versions": versions,
                               "bytes": versions * band_bytes}
+            # Each replayed version is decoded once, on the peer it is
+            # read from; the replacement takes its delta bases from the
+            # hot slot, and the closing check compares stored bytes.
+            peer = cluster.replicas[1][1]
+            assert decodes[id(peer.decoder), "read_version"] == versions
+            assert {key[0] for key in decodes} == {id(peer.decoder)}
             assert cluster.stats.repairs == 1
             assert cluster.stats.repaired_versions == versions
             assert cluster.stats.repair_bytes == versions * band_bytes
@@ -382,5 +582,27 @@ class TestRepair:
             kinds = {row[2] for name in cluster.list_arrays()
                      for row in cluster.lineage(name)}
             assert kinds == {"insert", "branch-root", "merge"}
+        finally:
+            cluster.close()
+
+
+    def test_stale_copy_repair_against_a_reorganized_peer(self, tmp_path):
+        """The peer re-organized, so no stored list is a prefix of the
+        other: the logical fallback still finds the stale tail and only
+        the tail is replayed."""
+        cluster = _cluster(tmp_path)
+        try:
+            _workload(cluster)
+            copy, peer = cluster.replicas[2][1], cluster.replicas[2][0]
+            copy.delete_version("A", 3)
+            peer.reorganize("A", mode="head")
+            held, source = copy.stored_digests("A"), \
+                peer.stored_digests("A")
+            assert held != source[:len(held)]
+            report = cluster.repair(2, 1)
+            assert report["versions"] == 1
+            assert cluster.stats.repaired_versions == 1
+            assert cluster.replica_digest(2, 1) == \
+                cluster.replica_digest(2, 0)
         finally:
             cluster.close()

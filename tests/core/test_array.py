@@ -38,6 +38,12 @@ class TestArrayData:
         assert not stored.flags.writeable
         np.testing.assert_array_equal(stored, values)
 
+    def test_freezes_its_own_view_not_the_callers_array(self, schema):
+        values = np.arange(12, dtype=np.int32).reshape(3, 4)
+        data = ArrayData.from_single(schema, values)
+        assert values.flags.writeable
+        assert not data.single().flags.writeable
+
     def test_shape_mismatch_rejected(self, schema):
         with pytest.raises(DimensionError):
             ArrayData.from_single(schema, np.zeros((4, 3), dtype=np.int32))

@@ -73,6 +73,21 @@ class TestDatabaseFacade:
         assert np.array_equal(db.select("A@2"), buf)
         assert buf.flags.writeable
 
+    def test_insert_snapshots_the_callers_own_buffer(self, db):
+        # The same loop handing over the buffer itself, not a view of
+        # it: insert must not freeze it, and must not delta version 2
+        # against its mutated contents.
+        buf = np.arange(16, dtype=np.int32).reshape(4, 4)
+        db.insert("A", buf)
+        first = buf.copy()
+        buf += 1
+        buf[3, 1:3] = -7
+        db.insert("A", buf)
+        assert buf.flags.writeable
+        assert np.array_equal(db.select("A@1"), first)
+        assert np.array_equal(db.select("A@2"), buf)
+        assert not db.select("A@2").flags.writeable
+
     def test_versions_and_properties(self, db, rng):
         db.insert("A", rng.integers(0, 9, (4, 4)).astype(np.int32))
         db.insert("A", rng.integers(0, 9, (4, 4)).astype(np.int32))
