@@ -350,26 +350,6 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Anti-entropy repair
     # ------------------------------------------------------------------
-    def replica_digest(self, node: int, replica: int = 0,
-                       name: str | None = None) -> str:
-        """The *logical* digest of one band copy.
-
-        Covers one array's band, or (``name=None``) every registered
-        array — schema, lineage rows (version, parent, kind, merge
-        parents), and reassembled payload bytes, hashed per
-        :meth:`VersionedStorageManager.logical_digest`.  Timestamps
-        and physical placement are excluded, because replicas
-        legitimately diverge in both (each copy stamps its own clock
-        and may ``reorganize`` independently); equal digests mean the
-        copies answer every select and lineage query identically.
-        """
-        self._check_pair(node, replica)
-        manager = self.replicas[node][replica]
-        if name is not None:
-            self._partitioner(name)
-            return manager.logical_digest(name)
-        return _repair.registry_digest(self, manager)
-
     def repair(self, node: int, replica: int = 0) -> dict:
         """Resync one stale or empty band copy from its live peers
         (:func:`repro.cluster.repair.repair` says how): a stale tail

@@ -1,17 +1,15 @@
-"""Anti-entropy repair: copy digests, the copy comparison and the
-resync driver.
+"""Anti-entropy repair: the copy comparison and the resync driver.
 
 The flows behind :meth:`ClusterCoordinator.repair` (which states the
 contract, validates, and holds the maintenance lock around
-:func:`repair`), ``replica_digest`` and the verified ``revive`` /
-``revive_node``, as module-level functions taking the coordinator.
-Repair, its closing verification and revive compare copies through
-:func:`compare_copies` only.
+:func:`repair`) and the verified ``revive`` / ``revive_node``, as
+module-level functions taking the coordinator.  Repair, its closing
+verification and revive compare copies through :func:`compare_copies`
+only.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import shutil
 from functools import partial
@@ -21,25 +19,6 @@ from repro.core.errors import ReproError, StorageError
 from repro.storage.manager import VersionedStorageManager
 
 _log = logging.getLogger("repro.cluster")
-
-
-def registry_digest(cluster, manager) -> str:
-    """One copy's digest over the coordinator's array registry —
-    the comparison is anchored to the *cluster's* array set, so a
-    copy that is missing an array (or that still holds one deleted
-    cluster-wide) digests differently instead of raising."""
-    digest = hashlib.sha256()
-    held = set(manager.list_arrays())
-    registered = cluster.list_arrays()
-    for array_name in registered:
-        if array_name in held:
-            digest.update(
-                manager.logical_digest(array_name).encode())
-        else:
-            digest.update(f"missing:{array_name}".encode())
-    for extra in sorted(held - set(registered)):
-        digest.update(f"extra:{extra}".encode())
-    return digest.hexdigest()
 
 
 def compare_copies(target, name: str, read) -> tuple[list | None,

@@ -81,17 +81,26 @@ class ChunkStore:
     # Writing
     # ------------------------------------------------------------------
     def write_chunk(self, array: str, version: int, attribute: str,
-                    chunk_name: str, payload) -> ChunkLocation:
+                    chunk_name: str, payload,
+                    supersedes: ChunkLocation | None = None
+                    ) -> ChunkLocation:
         """Persist one encoded chunk payload; returns its location.
 
         ``payload`` is either one byte string or a sequence of buffer
         parts — the encode pipeline hands the parts straight through,
         so the payload is composed exactly once, here at placement.
+
+        ``supersedes`` is the committed location a rewrite replaces,
+        whose bytes the write never touches: co-located placement
+        appends past the end as always, per-version placement writes
+        the next ``@r<n>`` sibling (:meth:`repack_target`).
         """
         if not isinstance(payload, (bytes, bytearray, memoryview)):
             payload = b"".join(payload)
         path = self._chunk_path(array, version, attribute, chunk_name)
         if self.placement == PER_VERSION:
+            if supersedes is not None:
+                path = self.repack_target(supersedes.path)
             self.backend.write(path, payload)
             location = ChunkLocation(path, 0, len(payload))
         else:
@@ -155,22 +164,13 @@ class ChunkStore:
         """Remove every object belonging to one array."""
         self.backend.delete(array)
 
-    def delete_version_files(self, array: str, version: int) -> None:
-        """Remove a version's objects (meaningful for per-version placement).
-
-        Co-located objects interleave many versions, so their space is
-        reclaimed by :meth:`repack` instead.
-        """
-        if self.placement == PER_VERSION:
-            self.backend.delete(f"{array}/v{version}")
-
     @staticmethod
     def repack_target(path: str) -> str:
-        """The object path a repack of ``path`` rewrites into.
+        """The object path a rewrite of ``path`` writes into.
 
-        Repack must never overwrite an object the catalog still
-        references (a mid-repack fault would destroy co-located
-        payloads of *other* versions), so each pass writes a sibling
+        A rewrite must never overwrite an object the catalog still
+        references (a fault part-way would destroy committed
+        payloads), so each pass writes a sibling
         object with a bumped ``@r<n>`` suffix — ``c0-0`` → ``c0-0@r1``
         → ``c0-0@r2`` — and the old object is reclaimed only after the
         catalog has swapped to the new one.  The suffix sits after the
@@ -224,17 +224,17 @@ class ChunkStore:
         """Rewrite co-located objects keeping only the listed payloads.
 
         ``keep`` pairs each surviving location with an opaque key; the
-        returned mapping gives each key's new location.  Used after
-        version deletion and by layout re-organization.
+        returned mapping gives each key's new location.  This is the
+        compaction step of the manager's one rewrite protocol.
 
         Swap, don't overwrite: every rewritten blob lands at a *new*
-        object path (:meth:`repack_target`) and is made durable before
-        this method returns, so the caller can swap the catalog to the
-        new locations in one transaction and only then reclaim the old
-        objects (:meth:`reclaim`).  A fault at any point before that
-        commit leaves the old objects and the catalog untouched — at
-        worst an orphaned half-written sibling that the next successful
-        pass supersedes.
+        object path (:meth:`repack_target`), so the caller can raise
+        the durability barrier over the new locations, swap the
+        catalog to them in one transaction and only then reclaim the
+        old objects (:meth:`reclaim`).  A fault at any point before
+        that commit leaves the old objects and the catalog untouched —
+        at worst an orphaned half-written sibling that the next
+        successful pass supersedes.
         """
         by_path: dict[str, list[tuple[ChunkLocation, object]]] = {}
         for location, key in keep:
@@ -242,26 +242,22 @@ class ChunkStore:
         targets = self._repack_targets(by_path)
 
         new_locations: dict[object, ChunkLocation] = {}
-        new_paths: list[str] = []
         for path, entries in by_path.items():
             survivors = self.read_chunks([location for location, _ in
                                           entries])
             target = targets[path]
-            blob = bytearray()
+            offset = 0
             for (_, key), payload in zip(entries, survivors):
-                offset = len(blob)
-                blob += payload
                 new_locations[key] = ChunkLocation(target, offset,
                                                    len(payload))
+                offset += len(payload)
                 self.stats.record_write(len(payload))
-            self.backend.write(target, bytes(blob))
+            self.backend.write(target, b"".join(survivors))
             self.stats.record_open()
-            new_paths.append(target)
-        self.backend.sync(new_paths)
         return new_locations
 
     def reclaim(self, paths: list[str] | set[str]) -> None:
-        """Delete superseded objects after a repack's catalog swap.
+        """Delete superseded objects after a rewrite's catalog swap.
 
         Strictly post-commit space reclamation: by the time this runs
         the catalog no longer references ``paths``, so a fault here

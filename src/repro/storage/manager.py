@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -398,20 +399,21 @@ class VersionedStorageManager:
                        reclaim: bool = True) -> None:
         """Remove one version, re-encoding any versions delta'ed on it.
 
-        ``reclaim=False`` skips the co-located repack that normally
-        reclaims the deleted payloads' bytes.  The cluster rollback
-        path uses it: a compensating delete must *never* write through
-        the backend (a repack re-places every surviving payload, and
-        on a faulty or flaky substrate that write can fail between the
-        object rewrite and the catalog transaction re-pointing the
-        rows) — so the undo trades dead bytes, which no catalog row
-        references and which the next successful repack reclaims, for
-        the guarantee that the catalog stays consistent no matter what
-        the substrate does.
+        One rewrite (:meth:`_rewrite`): each dependent is re-encoded
+        against the deleted version's own stored base (or materialized
+        when the chain ends there), and one catalog transaction swaps
+        their rows, drops the version with its labels and merge
+        parents, and re-parents its children to its own parent.  A
+        fault before that commit leaves the store as it was.
+
+        ``reclaim=False`` skips the co-located compaction that drops
+        the deleted payloads' bytes.  The cluster rollback uses it: a
+        compensating delete of a head must never write through a
+        possibly failing backend, so it leaves dead bytes, which no
+        row names, to the next compacting rewrite.
         """
         record = self.catalog.get_array(name)
-        deleted_parent = self.catalog.get_version(
-            record.array_id, version).parent_version
+        deleted = self.catalog.get_version(record.array_id, version)
         dependents = {chunk.version for chunk in
                       self.catalog.dependents_of(record.array_id, version)}
         # The deleted version's stored delta base — not its lineage
@@ -421,31 +423,9 @@ class VersionedStorageManager:
                  self.catalog.chunks_for_version(record.array_id, version)
                  if chunk.is_delta}
         deleted_base = bases.pop() if len(bases) == 1 else None
-
-        # Re-encode each dependent against the deleted version's own base
-        # (or materialize when the chain ends here).
-        for dependent in sorted(dependents):
-            contents = self.select(name, dependent)
-            self._write_version(record, dependent, contents,
-                                base_version=deleted_base,
-                                replace=True)
-        self.catalog.delete_version(record.array_id, version)
-        # A deleted head's number is reused by the next insert.  Not
-        # earlier: the dependents' selects above may have re-cached
-        # the deleted version on their way down the chain.
-        self.cache.invalidate_array(record.array_id)
-        # Keep the lineage consistent: children of the deleted version
-        # are re-parented to its own parent, so later deletes never
-        # chase a dangling parent reference.
-        self.catalog.reparent_versions(record.array_id, version,
-                                       deleted_parent)
-        self.store.delete_version_files(name, version)
-        # The re-encode loop above repopulates the hot slot with live
-        # contents, but a deleted head's version number can be reused
-        # by the next insert — drop the slot for this array outright.
-        self._hot.forget(name)
-        if reclaim:
-            self._repack(record)
+        self._rewrite(record, [(dependent, deleted_base)
+                               for dependent in sorted(dependents)],
+                      drop=deleted, compact=reclaim)
 
     # ------------------------------------------------------------------
     # Selection (Section II-B's four forms)
@@ -721,6 +701,11 @@ class VersionedStorageManager:
         None to materialize ``v``.  The mapping must cover every version
         and form a forest (validity per Section IV-B is the optimizer's
         responsibility; this method verifies reconstructability).
+
+        One rewrite (:meth:`_rewrite`) in topological order of the new
+        forest.  The old layout stays readable until its one catalog
+        swap, so versions stream out of it a few canvases at a time,
+        and a fault part-way leaves it whole.
         """
         record = self.catalog.get_array(name)
         versions = [v.version for v in
@@ -729,14 +714,8 @@ class VersionedStorageManager:
             raise StorageError(
                 f"layout covers versions {sorted(parent_of)} but the array "
                 f"has {versions}")
-        order = _topological_order(parent_of)
-
-        # Snapshot all contents before rewriting anything.
-        contents = {v: self.select(name, v) for v in versions}
-        for v in order:
-            self._write_version(record, v, contents[v],
-                                base_version=parent_of[v], replace=True)
-        self._repack(record)
+        self._rewrite(record, [(v, parent_of[v])
+                               for v in _topological_order(parent_of)])
 
     def reorganize(self, name: str, *, mode: str = "space",
                    workload=None, attribute: str | None = None,
@@ -810,62 +789,84 @@ class VersionedStorageManager:
             return attribute
         return record.schema.attributes[0].name
 
-    def _write_version(self, record: ArrayRecord, version: int,
-                       data: ArrayData, base_version: int | None,
-                       replace: bool = False,
-                       version_row: VersionRecord | None = None,
-                       merge_parents: list[tuple[str, int]] | None = None
-                       ) -> None:
-        """Resolve the base (when the policy deltas) and run the encode
-        pipeline for one version."""
+    def _encode_version(self, stage, record: ArrayRecord, version: int,
+                        data: ArrayData, base_version: int | None,
+                        **kwargs):
+        """Resolve the base (when the policy deltas), run one encode
+        pipeline ``stage`` for one version, and keep the version in the
+        hot slot."""
         base_data: ArrayData | None = None
         if base_version is not None and self.encoder.wants_base:
             base_data = self._version_contents(record, base_version)
-        self.encoder.write_version(record, record.grid, version,
-                                   data, base_data=base_data,
-                                   base_version=base_version,
-                                   replace=replace,
-                                   version_row=version_row,
-                                   merge_parents=merge_parents)
+        result = stage(record, record.grid, version, data,
+                       base_data=base_data, base_version=base_version,
+                       **kwargs)
         if self.encoder.wants_base:
             self._hot.remember(record.name, version, data)
+        return result
 
-    def _repack(self, record: ArrayRecord) -> None:
-        """Rewrite co-located chunk objects keeping only live payloads.
+    def _write_version(self, record: ArrayRecord, version: int,
+                       data: ArrayData, base_version: int | None,
+                       version_row: VersionRecord | None = None,
+                       merge_parents: list[tuple[str, int]] | None = None
+                       ) -> None:
+        """Write one new version through the insert path."""
+        self._encode_version(self.encoder.write_version, record, version,
+                             data, base_version, version_row=version_row,
+                             merge_parents=merge_parents)
 
-        Swap, don't overwrite: the surviving payloads are rewritten to
-        *new* objects and made durable first, then every rewritten row
-        swaps to them in one catalog transaction, and only after that
-        commit are the superseded objects reclaimed.  A fault anywhere
-        before the commit leaves the catalog and the old objects
-        untouched (the half-written siblings are unreferenced debris a
-        later pass supersedes); a fault during reclaim leaks bytes but
-        can never corrupt.
+    def _rewrite(self, record: ArrayRecord,
+                 plan: list[tuple[int, int | None]], *,
+                 drop: VersionRecord | None = None,
+                 compact: bool = True) -> None:
+        """The one rewrite protocol: stage → barrier → swap → reclaim.
+
+        ``plan`` lists ``(version, base_version)`` re-encodes, bases
+        first; ``drop`` is a version to delete in the same swap.
+
+        1. *Stage* each planned version, ``select``-ed from the
+           committed layout, beside its committed encoding.
+        2. *Compact* (co-located, when ``compact``) every surviving
+           payload into new ``@r<n>`` objects.
+        3. One durability *barrier* over what the swap names.
+        4. *Swap* in one catalog transaction.
+        5. Invalidate the cache and hot slot, *reclaim* what no row
+           names any more.
+
+        Nothing before step 4 touches a committed row or a byte one
+        names: a fault there leaves the store reading as before, and a
+        concurrent reader sees the old layout until the swap.  A fault
+        during reclaim leaks bytes but never corrupts.
         """
-        if self.store.placement != COLOCATED:
-            return
-        live = self.catalog.all_chunks(record.array_id)
-        keep = [(chunk.location,
-                 (chunk.version, chunk.attribute, chunk.chunk_name))
-                for chunk in live]
-        new_locations = self.store.repack(record.name, keep)
-        # All rewritten rows land in one transaction: a crash mid-way
-        # must never leave the catalog pointing at a mix of old and new
-        # locations.
-        self.catalog.put_chunks([ChunkRecord(
-            array_id=chunk.array_id,
-            version=chunk.version,
-            attribute=chunk.attribute,
-            chunk_name=chunk.chunk_name,
-            delta_codec=chunk.delta_codec,
-            base_version=chunk.base_version,
-            compressor=chunk.compressor,
-            location=new_locations[(chunk.version, chunk.attribute,
-                                    chunk.chunk_name)],
-        ) for chunk in live])
-        retained = {location.path for location in new_locations.values()}
-        self.store.reclaim({location.path for location, _ in keep}
-                           - retained)
+        staged: list[ChunkRecord] = []
+        for version, base_version in plan:
+            staged += self._encode_version(
+                self.encoder.stage_version, record, version,
+                self.select(record.name, version), base_version)
+
+        old = self.catalog.all_chunks(record.array_id)
+        # Catalog order, each staged row in place of the one it replaces.
+        live = {(chunk.version, chunk.attribute, chunk.chunk_name): chunk
+                for chunk in old + staged
+                if drop is None or chunk.version != drop.version}
+        swap = staged
+        if compact and self.store.placement == COLOCATED:
+            moved = self.store.repack(record.name, [
+                (chunk.location, key) for key, chunk in live.items()])
+            swap = [replace(chunk, location=moved[key])
+                    for key, chunk in live.items()]
+            live = dict(zip(live, swap))
+        if swap:
+            self.store.sync_chunks([chunk.location for chunk in swap])
+        self.catalog.put_chunks(swap, drop=drop)
+        # Not earlier: the stage's selects may have re-cached a
+        # deleted version on their way down its chain, and a deleted
+        # head's number is reused by the next insert.
+        self.cache.invalidate_array(record.array_id)
+        self._hot.forget(record.name)
+        named = {chunk.location.path for chunk in live.values()}
+        self.store.reclaim({chunk.location.path for chunk in old + staged}
+                           - named)
 
     def _now(self) -> float:
         # A strictly increasing logical clock keeps catalog timestamps

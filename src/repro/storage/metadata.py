@@ -267,25 +267,6 @@ class MetadataCatalog:
     # ------------------------------------------------------------------
     # Versions
     # ------------------------------------------------------------------
-    def add_version(self, array_id: int, version: int,
-                    parent_version: int | None, kind: str,
-                    timestamp: float,
-                    merge_parents: list[tuple[str, int]] | None = None
-                    ) -> VersionRecord:
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO versions (array_id, version_num,"
-                " parent_version, kind, timestamp) VALUES (?, ?, ?, ?, ?)",
-                (array_id, version, parent_version, kind, timestamp))
-            for parent_array, parent_num in merge_parents or []:
-                self._conn.execute(
-                    "INSERT INTO merge_parents (array_id, version_num,"
-                    " parent_array, parent_version) VALUES (?, ?, ?, ?)",
-                    (array_id, version, parent_array, parent_num))
-            self._conn.commit()
-        return VersionRecord(array_id, version, parent_version, kind,
-                             timestamp)
-
     def get_version(self, array_id: int, version: int) -> VersionRecord:
         row = self._query_one(
             "SELECT * FROM versions WHERE array_id = ? AND version_num = ?",
@@ -377,33 +358,6 @@ class MetadataCatalog:
                 " AND label = ?", (array_id, label))
             self._conn.commit()
 
-    def reparent_versions(self, array_id: int, old_parent: int,
-                          new_parent: int | None) -> None:
-        """Relink the lineage of versions whose parent is being deleted."""
-        with self._lock:
-            self._conn.execute(
-                "UPDATE versions SET parent_version = ?"
-                " WHERE array_id = ? AND parent_version = ?",
-                (new_parent, array_id, old_parent))
-            self._conn.commit()
-
-    def delete_version(self, array_id: int, version: int) -> None:
-        self.get_version(array_id, version)  # existence check
-        with self._lock:
-            self._conn.execute(
-                "DELETE FROM version_labels WHERE array_id = ?"
-                " AND version_num = ?", (array_id, version))
-            self._conn.execute(
-                "DELETE FROM chunks WHERE array_id = ?"
-                " AND version_num = ?", (array_id, version))
-            self._conn.execute(
-                "DELETE FROM versions WHERE array_id = ?"
-                " AND version_num = ?", (array_id, version))
-            self._conn.execute(
-                "DELETE FROM merge_parents WHERE array_id = ?"
-                " AND version_num = ?", (array_id, version))
-            self._conn.commit()
-
     # ------------------------------------------------------------------
     # Chunks
     # ------------------------------------------------------------------
@@ -421,34 +375,39 @@ class MetadataCatalog:
                 record.location.path, record.location.offset,
                 record.location.length)
 
-    def put_chunk(self, record: ChunkRecord) -> None:
-        """Insert or replace one chunk encoding record."""
-        with self._lock:
-            self._conn.execute(self._PUT_CHUNK_SQL,
-                               self._chunk_row(record))
-            self._conn.commit()
-
     def put_chunks(self, records: list[ChunkRecord],
                    version: VersionRecord | None = None,
-                   merge_parents: list[tuple[str, int]] | None = None
-                   ) -> None:
-        """Insert or replace many chunk records in one transaction.
+                   merge_parents: list[tuple[str, int]] | None = None,
+                   drop: VersionRecord | None = None) -> None:
+        """Insert or replace many chunk records in one transaction —
+        the only writer of version, merge-parent and chunk rows besides
+        :meth:`delete_array`.
 
-        This is the write path's batching primitive: every chunk row of
-        a version commits atomically — observers see all of the
-        version's rows or none, and a failure rolls the whole batch
-        back (leaving zero rows, never a partial version).  Passing
-        ``version`` registers the version row *in the same
-        transaction*, so a freshly inserted version and its chunks are
-        indivisible: no crash or failure can leave one without the
-        other, and no reader can ever name a version that is not fully
-        readable.
+        Every chunk row of a version commits atomically — observers
+        see all of the version's rows or none, and a failure rolls the
+        whole batch back (leaving zero rows, never a partial version).
+        Passing ``version`` registers the version row (with its
+        ``merge_parents``) *in the same transaction*, so a freshly
+        inserted version and its chunks are indivisible: no crash or
+        failure can leave one without the other, and no reader can
+        ever name a version that is not fully readable.  Passing
+        ``drop`` deletes that version with its labels and merge
+        parents and re-parents its children, in the same transaction.
         """
-        if not records and version is None:
-            return
         with self._lock:
             try:
                 self._conn.execute("BEGIN")
+                if drop is not None:
+                    for table in ("chunks", "versions", "merge_parents",
+                                  "version_labels"):
+                        self._conn.execute(
+                            f"DELETE FROM {table} WHERE array_id = ?"
+                            " AND version_num = ?",
+                            (drop.array_id, drop.version))
+                    self._conn.execute(
+                        "UPDATE versions SET parent_version = ?"
+                        " WHERE array_id = ? AND parent_version = ?",
+                        (drop.parent_version, drop.array_id, drop.version))
                 if version is not None:
                     self._conn.execute(
                         "INSERT INTO versions (array_id, version_num,"

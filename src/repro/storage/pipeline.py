@@ -472,26 +472,33 @@ class EncodePipeline(_PooledStage):
     # ------------------------------------------------------------------
     # Stage 3: commit
     # ------------------------------------------------------------------
-    def _place_tasks(self, record: ArrayRecord, version: int,
-                     tasks: list[EncodeTask], data: ArrayData,
+    def _place_tasks(self, record: ArrayRecord, grid: ChunkGrid,
+                     version: int, data: ArrayData,
                      base_data: ArrayData | None,
                      base_version: int | None,
-                     compressor) -> list[ChunkRecord]:
-        """Encode and place every task; the :class:`ChunkRecord` rows,
-        in task order.
+                     committed: list[ChunkRecord]) -> list[ChunkRecord]:
+        """Plan, encode and place every task of one version; the
+        :class:`ChunkRecord` rows, in task order.
 
         The calling thread places each decision the moment the encode
         stage yields it, so placements reach the backend one at a time
         in canonical task order whatever ``workers`` is — while the
-        encode window keeps the following blocks in flight.
+        encode window keeps the following blocks in flight.  Each
+        placement lands beside the ``committed`` row it supersedes,
+        never on its bytes.
         """
+        compressor = get_codec(record.compressor)
+        tasks = self.plan_version(record, grid)
+        supersedes = {(chunk.attribute, chunk.chunk_name): chunk.location
+                      for chunk in committed}
         records = []
         with closing(self._encode_tasks(tasks, data, base_data,
                                         compressor)) as decisions:
             for task, decision in zip(tasks, decisions):
                 location = self.store.write_chunk(
                     record.name, version, task.attribute,
-                    task.chunk.name, decision.parts)
+                    task.chunk.name, decision.parts,
+                    supersedes.get((task.attribute, task.chunk.name)))
                 records.append(ChunkRecord(
                     array_id=record.array_id,
                     version=version,
@@ -505,15 +512,29 @@ class EncodePipeline(_PooledStage):
                 ))
         return records
 
+    def stage_version(self, record: ArrayRecord, grid: ChunkGrid,
+                      version: int, data: ArrayData, *,
+                      base_data: ArrayData | None,
+                      base_version: int | None) -> list[ChunkRecord]:
+        """Re-encode a committed version beside its committed encoding
+        (plan, encode, place — no barrier, no catalog write); the rows
+        the caller's rewrite swaps in.  No staged byte lands on bytes a
+        committed row names (:meth:`ChunkStore.write_chunk`)."""
+        return self._place_tasks(
+            record, grid, version, data, base_data, base_version,
+            self.catalog.chunks_for_version(record.array_id, version))
+
     def write_version(self, record: ArrayRecord, grid: ChunkGrid,
                       version: int, data: ArrayData, *,
                       base_data: ArrayData | None,
                       base_version: int | None,
-                      replace: bool = False,
                       version_row: VersionRecord | None = None,
                       merge_parents: list[tuple[str, int]] | None = None
                       ) -> None:
-        """Encode and persist every chunk of one version.
+        """Encode and persist every chunk of a *new* version: plan,
+        encode, place, barrier, commit (a committed version is refused
+        with :class:`NoOverwriteError`; rewrites stage instead, see
+        :meth:`stage_version`).
 
         ``base_data`` is the base version's contents (None to
         materialize).  The version's catalog rows — and, when
@@ -524,20 +545,14 @@ class EncodePipeline(_PooledStage):
         zero chunk rows and no version row in the catalog — never a
         partially-described version, and never a version a reader can
         name but not read.  (Orphaned payload bytes in co-located
-        objects are reclaimed by the next repack.)  The chunk cache is
-        not touched: version contents are immutable, and both
-        ``replace=True`` callers rewrite the same logical contents.
+        objects are dropped by the next compacting rewrite.)  The
+        chunk cache is not touched: an append only adds keys.
         """
-        if not replace:
-            existing = self.catalog.chunks_for_version(record.array_id,
-                                                       version)
-            if existing:
-                raise NoOverwriteError(
-                    f"version {version} of {record.name!r} already exists")
-        compressor = get_codec(record.compressor)
-        tasks = self.plan_version(record, grid)
-        records = self._place_tasks(record, version, tasks, data,
-                                    base_data, base_version, compressor)
+        if self.catalog.chunks_for_version(record.array_id, version):
+            raise NoOverwriteError(
+                f"version {version} of {record.name!r} already exists")
+        records = self._place_tasks(record, grid, version, data,
+                                    base_data, base_version, [])
         # Durability barrier, then the transaction: the catalog must
         # never name bytes that would not survive a crash.  On the
         # object backend the same call is the finalize barrier that

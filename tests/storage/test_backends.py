@@ -10,6 +10,8 @@ byte-identical query results.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -626,6 +628,45 @@ def test_manager_conformance_identical(tmp_path, backend_name, placement,
     np.testing.assert_array_equal(observed["region"], reference["region"])
     np.testing.assert_array_equal(observed["stack"], reference["stack"])
     np.testing.assert_array_equal(observed["branch"], reference["branch"])
+
+
+#: ``fingerprint()`` after the co-located ``_exercise`` history: one
+#: value on every backend at every worker count, pinned so that a
+#: change to how rewrites place, compact or commit shows up here.
+GOLDEN_COLOCATED = \
+    "df9969f19c99a0558ac27644bfa069b3d7c67726e93fa640156a4738a14531d6"
+#: SHA-256 over the stored and logical digest lists of both arrays after
+#: ``_exercise``: one value on both placements, since neither digest
+#: covers locations.
+GOLDEN_DIGESTS = \
+    "eb4fafb8da2016f76d6a879c20087bcc99cf6482d56581f9c5da6b3787744d73"
+
+
+@pytest.mark.parametrize("placement", [COLOCATED, PER_VERSION])
+def test_exercise_stores_the_golden_bytes(tmp_path, placement):
+    """Every backend and worker count stores one history as the same
+    bytes; co-located, those are the pinned golden bytes.  Per-version
+    placement names its objects differently where a rewrite ran, so
+    its fingerprint is only held to one value across the grid."""
+    specs = dict.fromkeys(spec for spec, where, _ in CONFIGS
+                          if where == placement)
+    fingerprints, digests = set(), set()
+    for index, spec in enumerate(specs):
+        for workers in (0, 4):
+            with VersionedStorageManager(
+                    tmp_path / f"{index}-w{workers}", chunk_bytes=512,
+                    placement=placement, backend=spec,
+                    workers=workers) as manager:
+                _exercise(manager)
+                fingerprints.add(manager.fingerprint())
+                lists = tuple(listing(name) for listing in (
+                    manager.stored_digests, manager.version_digests)
+                    for name in ("A", "B"))
+                digests.add(hashlib.sha256(repr(lists).encode()).hexdigest())
+    assert digests == {GOLDEN_DIGESTS}
+    assert len(fingerprints) == 1
+    if placement == COLOCATED:
+        assert fingerprints == {GOLDEN_COLOCATED}
 
 
 class TestInMemoryManager:

@@ -9,11 +9,18 @@ half of the story: instead of hand-corrupting files, a deterministic
 schedule makes the substrate itself misbehave — Nth-write failures,
 torn appends, barrier errors, dead nodes — and the storage stack must
 keep its transactional promises (no catalog trace of a failed version,
-clean retry, loud reads on a dead node).
+clean retry, loud reads on a dead node).  The rewrites —
+``delete_version``, ``apply_layout`` and ``reorganize`` through it —
+are swept fault point by fault point: a failed rewrite leaves the
+store reading exactly as before it, on either placement.
+``REPRO_FAULT_SEED`` (the CI chaos matrix) adds one seed to the seeded
+rewrite cell.
 """
 
 from __future__ import annotations
 
+import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +29,9 @@ import pytest
 from repro.core.errors import CodecError, ReproError, StorageError
 from repro.core.schema import ArraySchema
 from repro.storage import (
+    COLOCATED,
     FAULT_KINDS,
+    PER_VERSION,
     FaultInjectingBackend,
     InMemoryBackend,
     VersionedStorageManager,
@@ -314,3 +323,115 @@ class TestManagerUnderInjectedFaults:
         assert isinstance(manager.backend, FaultInjectingBackend)
         assert manager.backend.seed == 0
         manager.close()
+
+
+#: Always-on seeds of the seeded rewrite cell; the CI chaos job adds
+#: one more through REPRO_FAULT_SEED, as in tests/cluster/test_chaos.py.
+REWRITE_SEEDS = (5, 11)
+
+#: The rewrite flows: each maps a four-version chain to its rewrite.
+REWRITES = {
+    "delete-middle": lambda manager: manager.delete_version("A", 2),
+    "delete-head": lambda manager: manager.delete_version("A", 4),
+    "reverse-chain": lambda manager: manager.apply_layout(
+        "A", {4: None, 3: 4, 2: 3, 1: 2}),
+    "reorganize-head": lambda manager: manager.reorganize("A", mode="head"),
+}
+
+
+def _rewrite_seeds() -> list[int]:
+    seeds = list(REWRITE_SEEDS)
+    env = os.environ.get("REPRO_FAULT_SEED")
+    if env and int(env) not in seeds:
+        seeds.append(int(env))
+    return seeds
+
+
+def _chain(backend, placement) -> VersionedStorageManager:
+    """A labelled four-version chain of a four-chunk array, each write
+    retried through whatever faults ``backend`` schedules."""
+    manager = VersionedStorageManager("in-memory", chunk_bytes=256,
+                                      placement=placement, backend=backend)
+    manager.create_array("A", ArraySchema.simple((16, 16), dtype=np.int32))
+    rng = np.random.default_rng(2012)
+    data = rng.integers(0, 1000, (16, 16)).astype(np.int32)
+    for _ in range(4):
+        _until_landed(manager, lambda: manager.insert("A", data))
+        data = data + rng.integers(0, 3, (16, 16)).astype(np.int32)
+    manager.label_version("A", 2, "middle")
+    manager.label_version("A", 4, "head")
+    return manager
+
+
+def _state(manager) -> tuple:
+    """Everything a rewrite may change, locations aside: encoding rows,
+    lineage, labels and the contents of every version."""
+    record = manager.catalog.get_array("A")
+    rows = [(chunk.version, chunk.attribute, chunk.chunk_name,
+             chunk.delta_codec, chunk.base_version)
+            for chunk in manager.catalog.all_chunks(record.array_id)]
+    lineage = [(row.version, row.parent_version, row.kind)
+               for row in manager.catalog.get_versions(record.array_id)]
+    contents = {version: manager.select("A", version).single().tobytes()
+                for version, _, _ in lineage}
+    return rows, lineage, manager.labels("A"), contents
+
+
+def _until_landed(manager, op, attempts: int = 30) -> None:
+    """Run ``op`` until it lands; every failed attempt must leave the
+    store exactly as it found it."""
+    for _ in range(attempts):
+        before = _state(manager)
+        try:
+            return op()
+        except StorageError:
+            assert _state(manager) == before
+    raise AssertionError("operation never outlasted its fault schedule")
+
+
+class TestRewriteUnderInjectedFaults:
+    """A rewrite fails whole: each write, append and sync it issues is
+    failed in turn, and the store must then read exactly as before the
+    rewrite — rows, lineage, labels, contents — while a retry lands on
+    what a fault-free rewrite leaves."""
+
+    @pytest.mark.parametrize("placement", [COLOCATED, PER_VERSION])
+    @pytest.mark.parametrize("rewrite", sorted(REWRITES))
+    def test_every_fault_point_leaves_the_pre_rewrite_store(
+            self, placement, rewrite):
+        op = REWRITES[rewrite]
+        backend = FaultInjectingBackend(InMemoryBackend())
+        with _chain(backend, placement) as reference:
+            start = dict(backend._op_counts)
+            op(reference)
+            expected = _state(reference)
+        points = [(kind, index) for kind in FAULT_KINDS
+                  for index in range(start[kind] + 1,
+                                     backend._op_counts[kind] + 1)]
+        for kind, index in points:
+            backend = FaultInjectingBackend(
+                InMemoryBackend(), schedule={kind: frozenset({index})})
+            with _chain(backend, placement) as manager:
+                # The chain itself issued exactly the reference's ops.
+                assert backend.injected == []
+                before = _state(manager)
+                with pytest.raises(StorageError, match="injected"):
+                    op(manager)
+                assert backend.injected == [(kind, index)]
+                assert _state(manager) == before, (kind, index)
+                op(manager)
+                assert _state(manager) == expected, (kind, index)
+
+    @pytest.mark.parametrize("seed", _rewrite_seeds())
+    @pytest.mark.parametrize("placement", [COLOCATED, PER_VERSION])
+    def test_seeded_schedule_converges(self, placement, seed):
+        backend = FaultInjectingBackend(InMemoryBackend(), seed=seed)
+        with _chain(FaultInjectingBackend(InMemoryBackend()),
+                    placement) as reference, \
+                _chain(backend, placement) as manager:
+            for name in ("reverse-chain", "delete-middle",
+                         "reorganize-head", "delete-head"):
+                REWRITES[name](reference)
+                _until_landed(manager, partial(REWRITES[name], manager))
+                assert _state(manager) == _state(reference), name
+        assert backend.faults_injected > 0

@@ -12,12 +12,23 @@ from repro.core.errors import (
 )
 from repro.core.schema import ArraySchema
 from repro.storage.chunkstore import ChunkLocation
-from repro.storage.metadata import ChunkRecord, MetadataCatalog
+from repro.storage.metadata import (
+    ChunkRecord,
+    MetadataCatalog,
+    VersionRecord,
+)
 
 
 @pytest.fixture
 def catalog() -> MetadataCatalog:
     return MetadataCatalog(None)  # in-memory
+
+
+def _add_version(catalog, array_id, version, parent, kind, timestamp,
+                 merge_parents=None) -> VersionRecord:
+    row = VersionRecord(array_id, version, parent, kind, timestamp)
+    catalog.put_chunks([], version=row, merge_parents=merge_parents)
+    return row
 
 
 @pytest.fixture
@@ -56,10 +67,10 @@ class TestArrays:
 
     def test_delete_cascades(self, catalog, schema):
         record = catalog.create_array("A", schema, 1024, "none", 1.0)
-        catalog.add_version(record.array_id, 1, None, "insert", 1.0)
-        catalog.put_chunk(ChunkRecord(
+        _add_version(catalog, record.array_id, 1, None, "insert", 1.0)
+        catalog.put_chunks([ChunkRecord(
             record.array_id, 1, "value", "c.dat", None, None, "none",
-            ChunkLocation("p", 0, 10)))
+            ChunkLocation("p", 0, 10))])
         catalog.delete_array("A")
         with pytest.raises(ArrayNotFoundError):
             catalog.get_array("A")
@@ -74,8 +85,8 @@ class TestVersions:
         return catalog.create_array("A", schema, 1024, "none", 1.0).array_id
 
     def test_sequence(self, catalog, array_id):
-        catalog.add_version(array_id, 1, None, "insert", 10.0)
-        catalog.add_version(array_id, 2, 1, "insert", 20.0)
+        _add_version(catalog, array_id, 1, None, "insert", 10.0)
+        _add_version(catalog, array_id, 2, 1, "insert", 20.0)
         versions = catalog.get_versions(array_id)
         assert [v.version for v in versions] == [1, 2]
         assert versions[1].parent_version == 1
@@ -85,8 +96,8 @@ class TestVersions:
         assert catalog.latest_version(array_id) is None
 
     def test_version_at_timestamp(self, catalog, array_id):
-        catalog.add_version(array_id, 1, None, "insert", 10.0)
-        catalog.add_version(array_id, 2, 1, "insert", 20.0)
+        _add_version(catalog, array_id, 1, None, "insert", 10.0)
+        _add_version(catalog, array_id, 2, 1, "insert", 20.0)
         assert catalog.version_at(array_id, 15.0) == 1
         assert catalog.version_at(array_id, 20.0) == 2
         assert catalog.version_at(array_id, 99.0) == 2
@@ -94,8 +105,8 @@ class TestVersions:
             catalog.version_at(array_id, 5.0)
 
     def test_merge_parents(self, catalog, array_id):
-        catalog.add_version(array_id, 1, None, "merge", 1.0,
-                            merge_parents=[("X", 3), ("Y", 7)])
+        _add_version(catalog, array_id, 1, None, "merge", 1.0,
+                     merge_parents=[("X", 3), ("Y", 7)])
         assert catalog.merge_parents_of(array_id, 1) == [("X", 3), ("Y", 7)]
 
     def test_missing_version(self, catalog, array_id):
@@ -103,24 +114,42 @@ class TestVersions:
             catalog.get_version(array_id, 1)
 
     def test_delete_version(self, catalog, array_id):
-        catalog.add_version(array_id, 1, None, "insert", 1.0)
-        catalog.delete_version(array_id, 1)
+        _add_version(catalog, array_id, 1, None, "insert", 1.0)
+        middle = _add_version(catalog, array_id, 2, 1, "merge", 2.0,
+                              merge_parents=[("X", 3)])
+        _add_version(catalog, array_id, 3, 2, "insert", 3.0)
+        catalog.put_chunks([ChunkRecord(
+            array_id, 2, "value", "c.dat", None, None, "none",
+            ChunkLocation("p", 0, 10))])
+        catalog.set_label(array_id, "keep", 1)
+        catalog.set_label(array_id, "gone", 2)
+        statements = []
+        catalog._conn.set_trace_callback(statements.append)
+        catalog.put_chunks([], drop=middle)
+        catalog._conn.set_trace_callback(None)
+        # One transaction drops the version's rows, labels and merge
+        # parents and re-parents its child to its own parent.
+        assert statements.count("COMMIT") == 1
         with pytest.raises(VersionNotFoundError):
-            catalog.get_version(array_id, 1)
+            catalog.get_version(array_id, 2)
+        assert catalog.chunks_for_version(array_id, 2) == []
+        assert catalog.merge_parents_of(array_id, 2) == []
+        assert catalog.labels_of(array_id) == [("keep", 1)]
+        assert catalog.get_version(array_id, 3).parent_version == 1
 
 
 class TestChunks:
     @pytest.fixture
     def array_id(self, catalog, schema) -> int:
         record = catalog.create_array("A", schema, 1024, "none", 1.0)
-        catalog.add_version(record.array_id, 1, None, "insert", 1.0)
-        catalog.add_version(record.array_id, 2, 1, "insert", 2.0)
+        _add_version(catalog, record.array_id, 1, None, "insert", 1.0)
+        _add_version(catalog, record.array_id, 2, 1, "insert", 2.0)
         return record.array_id
 
     def test_put_get(self, catalog, array_id):
         record = ChunkRecord(array_id, 1, "value", "c.dat", None, None,
                              "lz", ChunkLocation("A/c.dat", 0, 128))
-        catalog.put_chunk(record)
+        catalog.put_chunks([record])
         fetched = catalog.get_chunk(array_id, 1, "value", "c.dat")
         assert fetched == record
         assert not fetched.is_delta
@@ -128,33 +157,33 @@ class TestChunks:
     def test_replace_on_put(self, catalog, array_id):
         original = ChunkRecord(array_id, 1, "value", "c.dat", None, None,
                                "none", ChunkLocation("p", 0, 10))
-        catalog.put_chunk(original)
+        catalog.put_chunks([original])
         updated = ChunkRecord(array_id, 1, "value", "c.dat", "hybrid", 2,
                               "none", ChunkLocation("p", 10, 4))
-        catalog.put_chunk(updated)
+        catalog.put_chunks([updated])
         fetched = catalog.get_chunk(array_id, 1, "value", "c.dat")
         assert fetched.is_delta
         assert fetched.base_version == 2
         assert fetched.location.offset == 10
 
     def test_dependents(self, catalog, array_id):
-        catalog.put_chunk(ChunkRecord(
+        catalog.put_chunks([ChunkRecord(
             array_id, 1, "value", "c.dat", None, None, "none",
-            ChunkLocation("p", 0, 10)))
-        catalog.put_chunk(ChunkRecord(
+            ChunkLocation("p", 0, 10))])
+        catalog.put_chunks([ChunkRecord(
             array_id, 2, "value", "c.dat", "hybrid", 1, "none",
-            ChunkLocation("p", 10, 4)))
+            ChunkLocation("p", 10, 4))])
         dependents = catalog.dependents_of(array_id, 1)
         assert [d.version for d in dependents] == [2]
         assert catalog.dependents_of(array_id, 2) == []
 
     def test_stored_bytes(self, catalog, array_id):
-        catalog.put_chunk(ChunkRecord(
+        catalog.put_chunks([ChunkRecord(
             array_id, 1, "value", "a.dat", None, None, "none",
-            ChunkLocation("p", 0, 100)))
-        catalog.put_chunk(ChunkRecord(
+            ChunkLocation("p", 0, 100))])
+        catalog.put_chunks([ChunkRecord(
             array_id, 2, "value", "a.dat", "hybrid", 1, "none",
-            ChunkLocation("p", 100, 20)))
+            ChunkLocation("p", 100, 20))])
         assert catalog.stored_bytes(array_id) == 120
         assert catalog.stored_bytes(array_id, 2) == 20
 
@@ -164,10 +193,10 @@ class TestChunks:
 
     @staticmethod
     def _link(catalog, array_id, version, base, chunk_name="c.dat"):
-        catalog.put_chunk(ChunkRecord(
+        catalog.put_chunks([ChunkRecord(
             array_id, version, "value", chunk_name,
             None if base is None else "hybrid", base, "none",
-            ChunkLocation("p", version * 10, 10)))
+            ChunkLocation("p", version * 10, 10))])
 
     def test_chunk_chain_walks_to_the_root_in_order(self, catalog,
                                                     array_id):

@@ -23,6 +23,7 @@ from repro.storage import (
     FaultInjectingBackend,
     InMemoryBackend,
     VersionedStorageManager,
+    VersionRecord,
 )
 
 BACKENDS = ("local", "durable", "memory", "striped:2:memory",
@@ -282,9 +283,9 @@ class TestMidEncodeFailure:
 
         def racing_write(*args, **kwargs):
             if manager.catalog.latest_version(record.array_id) == 1:
-                manager.catalog.add_version(record.array_id, 2, 1,
-                                            kind="insert",
-                                            timestamp=999.0)
+                manager.catalog.put_chunks([], version=VersionRecord(
+                    record.array_id, 2, 1, kind="insert",
+                    timestamp=999.0))
             return original(*args, **kwargs)
 
         manager.store.write_chunk = racing_write
@@ -394,31 +395,44 @@ class TestRepackTransactionality:
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
                                           delta_policy="chain")
         _fill(manager)
-        calls = {"put_chunk": 0, "put_chunks": 0}
-        original_put_chunk = manager.catalog.put_chunk
+        calls = []
         original_put_chunks = manager.catalog.put_chunks
 
-        def spy_put_chunk(record):
-            calls["put_chunk"] += 1
-            return original_put_chunk(record)
+        def spy_put_chunks(records, **kwargs):
+            calls.append(len(records))
+            return original_put_chunks(records, **kwargs)
 
-        def spy_put_chunks(records):
-            calls["put_chunks"] += 1
-            return original_put_chunks(records)
-
-        manager.catalog.put_chunk = spy_put_chunk
-        manager.catalog.put_chunks = spy_put_chunks
         record = manager.catalog.get_array("A")
-        manager._repack(record)
-        manager.catalog.put_chunk = original_put_chunk
+        rows = len(manager.catalog.all_chunks(record.array_id))
+        dropped = len(manager.catalog.chunks_for_version(record.array_id, 2))
+        manager.catalog.put_chunks = spy_put_chunks
+        manager.delete_version("A", 2)
         manager.catalog.put_chunks = original_put_chunks
 
-        # One transaction for all rewritten rows; never row-at-a-time.
-        assert calls["put_chunk"] == 0
-        assert calls["put_chunks"] == 1
+        # The re-encoded dependent and every compacted row swap in one
+        # transaction; never row-at-a-time, never version-at-a-time.
+        assert calls == [rows - dropped]
         # The store still reads cleanly through the new locations.
         for version in manager.get_versions("A"):
             manager.select("A", version)
+        manager.close()
+
+    @pytest.mark.parametrize("operation", [
+        lambda manager: manager.delete_version("A", 2),
+        lambda manager: manager.delete_version("A", 3),
+        lambda manager: manager.apply_layout("A", {3: None, 2: 3, 1: 2}),
+        lambda manager: manager.reorganize("A", mode="head"),
+    ], ids=["delete-middle", "delete-head", "apply-layout", "reorganize"])
+    def test_rewrite_commits_exactly_one_transaction(self, tmp_path,
+                                                     operation):
+        manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
+                                          delta_policy="chain")
+        _fill(manager)
+        statements = []
+        manager.catalog._conn.set_trace_callback(statements.append)
+        operation(manager)
+        manager.catalog._conn.set_trace_callback(None)
+        assert statements.count("COMMIT") == 1
         manager.close()
 
     def test_failed_catalog_rewrite_leaves_no_mixed_state(self, tmp_path):
@@ -428,22 +442,29 @@ class TestRepackTransactionality:
         record = manager.catalog.get_array("A")
         before = {(c.version, c.attribute, c.chunk_name): c.location
                   for c in manager.catalog.all_chunks(record.array_id)}
+        contents = {version: manager.select("A", version).attribute("a")
+                    for version in manager.get_versions("A")}
 
         original = manager.catalog.put_chunks
 
-        def failing_put_chunks(records):
+        def failing_put_chunks(records, **kwargs):
             raise StorageError("catalog unavailable")
 
         manager.catalog.put_chunks = failing_put_chunks
         with pytest.raises(StorageError):
-            manager._repack(record)
+            manager.delete_version("A", 2)
         manager.catalog.put_chunks = original
 
         after = {(c.version, c.attribute, c.chunk_name): c.location
                  for c in manager.catalog.all_chunks(record.array_id)}
         # All-or-nothing: the rewrite failed, so every row still holds
-        # its pre-repack location — never a mix of old and new.
+        # its pre-rewrite location — never a mix of old and new — and
+        # the version it was deleting still reads.
         assert after == before
+        assert manager.get_versions("A") == sorted(contents)
+        for version, expected in contents.items():
+            np.testing.assert_array_equal(
+                manager.select("A", version).attribute("a"), expected)
         manager.close()
 
 
