@@ -32,6 +32,7 @@ order, and the durability barrier's fan belongs to the backend.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +46,7 @@ COLOCATED = "colocated"
 _PLACEMENTS = (PER_VERSION, COLOCATED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkLocation:
     """Where one encoded chunk payload lives in the backend."""
 
@@ -195,20 +196,24 @@ class ChunkStore:
         return (f"{head}/{name}" if head else name), generation
 
     @staticmethod
-    def _repack_targets(by_path) -> dict[str, str]:
+    def _repack_targets(by_path, committed) -> dict[str, str]:
         """Collision-free rewrite targets for one repack batch.
 
         Live payloads can span several generations of the same object
         name (a post-repack write recreates the base path), so the
         naive per-path bump would aim one group's target at another
         group's *source* — truncating live bytes mid-repack, the exact
-        corruption the swap scheme exists to prevent.  Every target is
-        therefore assigned above the highest generation present in the
-        batch, in deterministic (sorted-path) order, so targets collide
-        with neither sources nor each other.
+        corruption the swap scheme exists to prevent.  Nor may a target
+        land on an object a ``committed`` row still names that no
+        payload in the batch comes from (a rewrite that re-stages every
+        payload leaves the previous compaction's objects out of the
+        batch).  Every target is therefore assigned above the highest
+        generation in the batch and the committed rows, in
+        deterministic (sorted-path) order, so targets collide with
+        neither sources, committed objects, nor each other.
         """
         ceiling: dict[str, int] = {}
-        for path in by_path:
+        for path in itertools.chain(by_path, committed):
             base, generation = ChunkStore._split_generation(path)
             ceiling[base] = max(ceiling.get(base, 0), generation)
         targets: dict[str, str] = {}
@@ -219,13 +224,16 @@ class ChunkStore:
         return targets
 
     def repack(self, array: str,
-               keep: list[tuple[ChunkLocation, object]]
+               keep: list[tuple[ChunkLocation, object]], *,
+               committed: set[str] | frozenset[str]
                ) -> dict[object, ChunkLocation]:
         """Rewrite co-located objects keeping only the listed payloads.
 
         ``keep`` pairs each surviving location with an opaque key; the
-        returned mapping gives each key's new location.  This is the
-        compaction step of the manager's one rewrite protocol.
+        returned mapping gives each key's new location.  ``committed``
+        are the paths the catalog names until the caller's swap; no
+        target lands on one.  This is the compaction step of the
+        manager's one rewrite protocol.
 
         Swap, don't overwrite: every rewritten blob lands at a *new*
         object path (:meth:`repack_target`), so the caller can raise
@@ -239,7 +247,7 @@ class ChunkStore:
         by_path: dict[str, list[tuple[ChunkLocation, object]]] = {}
         for location, key in keep:
             by_path.setdefault(location.path, []).append((location, key))
-        targets = self._repack_targets(by_path)
+        targets = self._repack_targets(by_path, committed)
 
         new_locations: dict[object, ChunkLocation] = {}
         for path, entries in by_path.items():

@@ -42,6 +42,7 @@ from repro.storage.chunkstore import COLOCATED, ChunkStore
 from repro.storage.iostats import IOStats
 from repro.storage.metadata import (
     ArrayRecord,
+    ArraySnapshot,
     ChunkRecord,
     MetadataCatalog,
     VersionRecord,
@@ -241,9 +242,12 @@ class VersionedStorageManager:
     def delete_array(self, name: str) -> None:
         """Drop an array, its versions, and its stored bytes."""
         record = self.catalog.get_array(name)  # existence check
+        self.catalog.delete_array(name)
+        # After the catalog drops it, as a rewrite invalidates after its
+        # swap: a read still decoding the array can no longer admit an
+        # entry under an id SQLite may hand the next array.
         self.cache.invalidate_array(record.array_id)
         self._hot.forget(name)
-        self.catalog.delete_array(name)
         self.store.delete_array(name)
 
     def list_arrays(self) -> list[str]:
@@ -412,41 +416,42 @@ class VersionedStorageManager:
         possibly failing backend, so it leaves dead bytes, which no
         row names, to the next compacting rewrite.
         """
-        record = self.catalog.get_array(name)
-        deleted = self.catalog.get_version(record.array_id, version)
-        dependents = {chunk.version for chunk in
-                      self.catalog.dependents_of(record.array_id, version)}
+        snap = self.catalog.snapshot(name)
+        deleted = snap.get_version(version)
+        dependents = {chunk.version for chunk in snap.dependents_of(version)}
         # The deleted version's stored delta base — not its lineage
         # parent, which after a re-organization may itself be one of
         # the dependents (a head-rooted chain deltas old against new).
         bases = {chunk.base_version for chunk in
-                 self.catalog.chunks_for_version(record.array_id, version)
-                 if chunk.is_delta}
+                 snap.chunks_for_version(version) if chunk.is_delta}
         deleted_base = bases.pop() if len(bases) == 1 else None
-        self._rewrite(record, [(dependent, deleted_base)
-                               for dependent in sorted(dependents)],
+        self._rewrite(snap, [(dependent, deleted_base)
+                             for dependent in sorted(dependents)],
                       drop=deleted, compact=reclaim)
 
     # ------------------------------------------------------------------
-    # Selection (Section II-B's four forms)
+    # Selection (Section II-B's four forms).  Each public call takes the
+    # array's catalog snapshot once and resolves everything from it, so
+    # it sees exactly one committed state.
     # ------------------------------------------------------------------
     def select(self, name: str, version: int) -> ArrayData:
         """Form 1: the full contents of one version."""
-        record = self.catalog.get_array(name)
-        self.catalog.get_version(record.array_id, version)
-        return self.decoder.read_version(record, record.grid, version)
+        return self._select(self.catalog.snapshot(name), version)
+
+    def _select(self, snap: ArraySnapshot, version: int) -> ArrayData:
+        snap.get_version(version)  # existence check
+        return self.decoder.read_version(snap, snap.record.grid, version)
 
     def select_region(self, name: str, version: int,
                       corner_lo: tuple[int, ...],
                       corner_hi: tuple[int, ...]) -> ArrayData:
         """Form 2: a hyper-rectangle of one version (user coordinates)."""
-        record = self.catalog.get_array(name)
-        self.catalog.get_version(record.array_id, version)
-        schema = record.schema
-        lo = schema.to_zero_based(corner_lo)
-        hi = schema.to_zero_based(corner_hi)
-        return self.decoder.read_region(record, record.grid, version,
-                                        lo, hi)
+        snap = self.catalog.snapshot(name)
+        snap.get_version(version)  # existence check
+        record = snap.record
+        lo = record.schema.to_zero_based(corner_lo)
+        hi = record.schema.to_zero_based(corner_hi)
+        return self.decoder.read_region(snap, record.grid, version, lo, hi)
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:
@@ -456,23 +461,23 @@ class VersionedStorageManager:
         N+1-dimensional array that is effectively a stack of the
         specified versions."
         """
-        record = self.catalog.get_array(name)
-        schema = record.schema
-        lo = tuple(0 for _ in schema.shape)
-        hi = tuple(extent - 1 for extent in schema.shape)
-        return self._stacked_select(record, versions, attribute, lo, hi)
+        snap = self.catalog.snapshot(name)
+        shape = snap.record.schema.shape
+        lo = tuple(0 for _ in shape)
+        hi = tuple(extent - 1 for extent in shape)
+        return self._stacked_select(snap, versions, attribute, lo, hi)
 
     def select_versions_region(self, name: str, versions: list[int],
                                corner_lo: tuple[int, ...],
                                corner_hi: tuple[int, ...],
                                attribute: str | None = None) -> np.ndarray:
         """Form 4: stack one hyper-rectangle across several versions."""
-        record = self.catalog.get_array(name)
-        lo = record.schema.to_zero_based(corner_lo)
-        hi = record.schema.to_zero_based(corner_hi)
-        return self._stacked_select(record, versions, attribute, lo, hi)
+        snap = self.catalog.snapshot(name)
+        lo = snap.record.schema.to_zero_based(corner_lo)
+        hi = snap.record.schema.to_zero_based(corner_hi)
+        return self._stacked_select(snap, versions, attribute, lo, hi)
 
-    def _stacked_select(self, record: ArrayRecord, versions: list[int],
+    def _stacked_select(self, snap: ArraySnapshot, versions: list[int],
                         attribute: str | None, lo: tuple[int, ...],
                         hi: tuple[int, ...]) -> np.ndarray:
         """Shared implementation of the stacked select forms.
@@ -491,9 +496,10 @@ class VersionedStorageManager:
         stepwise path got the same sharing for free from its
         materialized intermediates.
         """
+        record = snap.record
         attr = self._resolve_attribute(record, attribute)
         for v in versions:
-            self.catalog.get_version(record.array_id, v)
+            snap.get_version(v)
         dtype = record.schema.attribute(attr).dtype
         region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         out = np.empty((len(versions),) + region_shape, dtype=dtype)
@@ -503,7 +509,7 @@ class VersionedStorageManager:
             scope: dict[int, np.ndarray] = {}
             src, dst = _overlap_slices(chunk, lo, hi)
             for layer, version in order:
-                data = self.decoder.reconstruct(record, version, attr,
+                data = self.decoder.reconstruct(snap, version, attr,
                                                 chunk, scope)
                 out[(layer,) + dst] = data[src]
         return out
@@ -535,13 +541,14 @@ class VersionedStorageManager:
 
     def properties(self, name: str) -> dict:
         """Array properties: size, sparsity, version count (Section II-C)."""
-        record = self.catalog.get_array(name)
-        versions = self.catalog.get_versions(record.array_id)
-        stored = self.catalog.stored_bytes(record.array_id)
+        snap = self.catalog.snapshot(name)
+        record = snap.record
+        versions = snap.get_versions()
+        stored = snap.stored_bytes()
         dense = record.schema.dense_size * max(1, len(versions))
         sparsity = None
         if versions:
-            latest = self.select(name, versions[-1].version)
+            latest = self._select(snap, versions[-1].version)
             nonzero = sum(int(np.count_nonzero(latest.attribute(a.name)))
                           for a in record.schema.attributes)
             total = record.schema.cell_count * len(record.schema.attributes)
@@ -573,8 +580,7 @@ class VersionedStorageManager:
         digest = hashlib.sha256()
         names = [name] if name is not None else self.list_arrays()
         for array_name in names:
-            record = self.catalog.get_array(array_name)
-            for chunk in self.catalog.all_chunks(record.array_id):
+            for chunk in self.catalog.snapshot(array_name).all_chunks():
                 digest.update(repr((
                     array_name, chunk.version, chunk.attribute,
                     chunk.chunk_name, chunk.delta_codec,
@@ -603,16 +609,15 @@ class VersionedStorageManager:
         a strict prefix of its peer's list, a diverged one as a
         mismatching entry.
         """
-        record = self.catalog.get_array(name)
+        snap = self.catalog.snapshot(name)
         digests: list[tuple[int, str]] = []
-        for row in self.catalog.get_versions(record.array_id):
+        for row in snap.get_versions():
             digest = hashlib.sha256()
-            parents = self.catalog.merge_parents_of(record.array_id,
-                                                    row.version)
+            parents = snap.merge_parents_of(row.version)
             digest.update(repr((name, row.version, row.parent_version,
                                 row.kind, parents)).encode())
-            data = self.select(name, row.version)
-            for attr in record.schema.attributes:
+            data = self._select(snap, row.version)
+            for attr in snap.record.schema.attributes:
                 digest.update(np.ascontiguousarray(
                     data.attribute(attr.name)))
             digests.append((row.version, digest.hexdigest()))
@@ -640,20 +645,19 @@ class VersionedStorageManager:
         are read through :meth:`ChunkStore.read_chunks` and hashed as
         read; nothing is decoded, cached, written or persisted.
         """
-        record = self.catalog.get_array(name)
+        snap = self.catalog.snapshot(name)
+        record = snap.record
         identity = repr((name, record.schema.to_dict(), record.chunk_bytes,
                          record.chunk_shape, record.compressor,
                          record.parent_array,
                          record.parent_version)).encode()
         digests: list[tuple[int, str]] = []
-        for row in self.catalog.get_versions(record.array_id):
+        for row in snap.get_versions():
             digest = hashlib.sha256(identity)
-            parents = self.catalog.merge_parents_of(record.array_id,
-                                                    row.version)
+            parents = snap.merge_parents_of(row.version)
             digest.update(repr((row.version, row.parent_version,
                                 row.kind, parents)).encode())
-            chunks = self.catalog.chunks_for_version(record.array_id,
-                                                     row.version)
+            chunks = snap.chunks_for_version(row.version)
             payloads = self.store.read_chunks(
                 [chunk.location for chunk in chunks])
             for chunk, payload in zip(chunks, payloads):
@@ -707,15 +711,14 @@ class VersionedStorageManager:
         swap, so versions stream out of it a few canvases at a time,
         and a fault part-way leaves it whole.
         """
-        record = self.catalog.get_array(name)
-        versions = [v.version for v in
-                    self.catalog.get_versions(record.array_id)]
+        snap = self.catalog.snapshot(name)
+        versions = [v.version for v in snap.get_versions()]
         if set(parent_of) != set(versions):
             raise StorageError(
                 f"layout covers versions {sorted(parent_of)} but the array "
                 f"has {versions}")
-        self._rewrite(record, [(v, parent_of[v])
-                               for v in _topological_order(parent_of)])
+        self._rewrite(snap, [(v, parent_of[v])
+                             for v in _topological_order(parent_of)])
 
     def reorganize(self, name: str, *, mode: str = "space",
                    workload=None, attribute: str | None = None,
@@ -815,7 +818,7 @@ class VersionedStorageManager:
                              data, base_version, version_row=version_row,
                              merge_parents=merge_parents)
 
-    def _rewrite(self, record: ArrayRecord,
+    def _rewrite(self, snap: ArraySnapshot,
                  plan: list[tuple[int, int | None]], *,
                  drop: VersionRecord | None = None,
                  compact: bool = True) -> None:
@@ -824,8 +827,8 @@ class VersionedStorageManager:
         ``plan`` lists ``(version, base_version)`` re-encodes, bases
         first; ``drop`` is a version to delete in the same swap.
 
-        1. *Stage* each planned version, ``select``-ed from the
-           committed layout, beside its committed encoding.
+        1. *Stage* each planned version, ``select``-ed from ``snap``
+           (the committed layout), beside its committed encoding.
         2. *Compact* (co-located, when ``compact``) every surviving
            payload into new ``@r<n>`` objects.
         3. One durability *barrier* over what the swap names.
@@ -838,21 +841,24 @@ class VersionedStorageManager:
         concurrent reader sees the old layout until the swap.  A fault
         during reclaim leaks bytes but never corrupts.
         """
+        record = snap.record
         staged: list[ChunkRecord] = []
         for version, base_version in plan:
             staged += self._encode_version(
                 self.encoder.stage_version, record, version,
-                self.select(record.name, version), base_version)
+                self._select(snap, version), base_version)
 
-        old = self.catalog.all_chunks(record.array_id)
+        old = snap.all_chunks()
         # Catalog order, each staged row in place of the one it replaces.
         live = {(chunk.version, chunk.attribute, chunk.chunk_name): chunk
                 for chunk in old + staged
                 if drop is None or chunk.version != drop.version}
         swap = staged
         if compact and self.store.placement == COLOCATED:
-            moved = self.store.repack(record.name, [
-                (chunk.location, key) for key, chunk in live.items()])
+            moved = self.store.repack(
+                record.name,
+                [(chunk.location, key) for key, chunk in live.items()],
+                committed={chunk.location.path for chunk in old})
             swap = [replace(chunk, location=moved[key])
                     for key, chunk in live.items()]
             live = dict(zip(live, swap))
@@ -861,7 +867,9 @@ class VersionedStorageManager:
         self.catalog.put_chunks(swap, drop=drop)
         # Not earlier: the stage's selects may have re-cached a
         # deleted version on their way down its chain, and a deleted
-        # head's number is reused by the next insert.
+        # head's number is reused by the next insert.  A read pinned
+        # before the swap cannot re-cache it after this either
+        # (``MetadataCatalog.publishes`` refuses the entry).
         self.cache.invalidate_array(record.array_id)
         self._hot.forget(record.name)
         named = {chunk.location.path for chunk in live.values()}

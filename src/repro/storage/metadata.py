@@ -14,8 +14,12 @@ The catalog is a small embedded SQLite database holding three relations:
   delta codec (if any), which base version, which compressor, and the
   on-disk location.
 
-Section II-C's metadata queries (List, Get Versions, lookup by date,
-array properties) are all answered from here.
+SQLite is the durable log and the only thing a reopen reads.  Reads are
+answered from memory: each array is served from one immutable
+:class:`ArraySnapshot`, built from SQL on the array's first touch and,
+after every committing transaction, derived from the previous snapshot
+plus the rows just written.  Section II-C's metadata queries (List, Get
+Versions, lookup by date, array properties) are all answered here.
 """
 
 from __future__ import annotations
@@ -23,13 +27,16 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 from repro.core.errors import (
     ArrayExistsError,
     ArrayNotFoundError,
+    StorageError,
     VersionNotFoundError,
 )
 from repro.core.schema import ArraySchema
@@ -85,6 +92,16 @@ CREATE INDEX IF NOT EXISTS chunk_by_version
     ON chunks (array_id, version_num);
 """
 
+#: A first touch's version rows with their merge parents, in one
+#: statement: one row per (version, merge parent), or one with NULL
+#: parents, in version order and each version's parents in insert order.
+_VERSIONS_SQL = (
+    "SELECT v.version_num, v.parent_version, v.kind, v.timestamp,"
+    " m.parent_array, m.parent_version AS merge_version"
+    " FROM versions v LEFT JOIN merge_parents m"
+    " ON m.array_id = v.array_id AND m.version_num = v.version_num"
+    " WHERE v.array_id = ? ORDER BY v.version_num, m.rowid")
+
 
 @dataclass(frozen=True)
 class ArrayRecord:
@@ -110,7 +127,7 @@ class ArrayRecord:
                          self.chunk_bytes, chunk_shape=self.chunk_shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionRecord:
     """Catalog entry for one version of an array."""
 
@@ -121,7 +138,7 @@ class VersionRecord:
     timestamp: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChunkRecord:
     """Catalog entry describing how one chunk of one version is encoded.
 
@@ -142,21 +159,235 @@ class ChunkRecord:
         return self.delta_codec is not None
 
 
+def _shared_row(pool: dict, latest: dict, record: ChunkRecord
+                ) -> tuple[tuple[str, str], ChunkRecord]:
+    """``record`` as a snapshot keeps it, with its (attribute, chunk)
+    key.  Its repeated values are one copy per snapshot rather than one
+    per row: the key, version numbers and codec and compressor names
+    from ``pool``, and the path from ``latest`` — the same chunk's row
+    kept before it — when the two share an object, as co-located rows
+    do.  The row becomes that chunk's ``latest``."""
+    share = pool.setdefault
+    key = share((record.attribute, record.chunk_name),
+                (record.attribute, record.chunk_name))
+    prior, location = latest.get(key), record.location
+    path = prior.location.path if prior is not None \
+        and prior.location.path == location.path else location.path
+    row = latest[key] = ChunkRecord(
+        record.array_id, share(record.version, record.version), *key,
+        share(record.delta_codec, record.delta_codec),
+        share(record.base_version, record.base_version),
+        share(record.compressor, record.compressor),
+        ChunkLocation(path, location.offset, location.length))
+    return key, row
+
+
+class ArraySnapshot:
+    """One committed state of one array, never changed once published.
+
+    It holds the array's :class:`ArrayRecord`, its version rows in
+    version order, merge parents, labels, and its chunk rows indexed
+    version → (attribute, chunk name) → :class:`ChunkRecord`, each level
+    in catalog order (``ORDER BY version_num, attribute, chunk_name``).
+    Every read is a dict lookup or an ordered walk of these, with no
+    lock: a writer never touches a published snapshot, it
+    :meth:`derive`-s the next one — copying the two O(versions) top
+    levels and the levels it writes, sharing every other row.
+
+    The read methods are the catalog's, minus the array id; a caller
+    that takes one snapshot and resolves everything from it sees
+    exactly one committed state.
+    """
+
+    __slots__ = ("record", "_versions", "_parents", "_labels", "_chunks",
+                 "_pool")
+
+    def __init__(self, record: ArrayRecord,
+                 versions: dict[int, VersionRecord] | None = None,
+                 parents: dict[int, tuple] | None = None,
+                 labels: dict[str, int] | None = None,
+                 chunks: dict[int, dict[tuple[str, str], ChunkRecord]]
+                 | None = None,
+                 pool: dict | None = None):
+        self.record = record
+        self._versions = versions or {}
+        self._parents = parents or {}
+        self._labels = labels or {}
+        self._chunks = chunks or {}
+        self._pool = {} if pool is None else pool
+
+    # -- versions -------------------------------------------------------
+    def get_version(self, version: int) -> VersionRecord:
+        row = self._versions.get(version)
+        if row is None:
+            raise VersionNotFoundError(
+                f"array {self.record.array_id} has no version {version}")
+        return row
+
+    def get_versions(self) -> list[VersionRecord]:
+        """Section II-C's Get Versions: ordered list of all versions."""
+        return list(self._versions.values())
+
+    def latest_version(self) -> int | None:
+        return next(reversed(self._versions), None)
+
+    def version_at(self, timestamp: float) -> int:
+        """Latest version whose timestamp is <= the given time."""
+        eligible = [number for number, row in self._versions.items()
+                    if row.timestamp <= timestamp]
+        if not eligible:
+            raise VersionNotFoundError(
+                f"array {self.record.array_id} has no version at or "
+                f"before {timestamp}")
+        return eligible[-1]
+
+    def merge_parents_of(self, version: int) -> list[tuple[str, int]]:
+        return list(self._parents.get(version, ()))
+
+    def version_for_label(self, label: str) -> int:
+        version = self._labels.get(label)
+        if version is None:
+            raise VersionNotFoundError(
+                f"array {self.record.array_id} has no label {label!r}")
+        return version
+
+    def labels_of(self, version: int | None = None
+                  ) -> list[tuple[str, int]]:
+        """All (label, version) pairs by label, optionally for one
+        version."""
+        return sorted((label, number)
+                      for label, number in self._labels.items()
+                      if version is None or number == version)
+
+    # -- chunks ---------------------------------------------------------
+    def get_chunk(self, version: int, attribute: str,
+                  chunk_name: str) -> ChunkRecord:
+        level = self._chunks.get(version)
+        row = None if level is None else level.get((attribute, chunk_name))
+        if row is None:
+            raise VersionNotFoundError(
+                f"no chunk record for array {self.record.array_id} "
+                f"v{version} {attribute}/{chunk_name}")
+        return row
+
+    def walk_chain(self, version: int, attribute: str,
+                   chunk_name: str) -> Iterator[ChunkRecord]:
+        """One chunk's delta chain, lazily: the row of ``version``, then
+        of each successive ``base_version``, down to the materialized
+        root (``base_version`` None).
+
+        A chain that loops ends at the row whose base was already
+        yielded — callers tell a cycle from a root by the last row's
+        ``base_version``.  A base with no row raises like
+        :meth:`get_chunk` when the walk reaches it.
+        """
+        seen: set[int] = set()
+        cursor: int | None = version
+        while cursor is not None and cursor not in seen:
+            seen.add(cursor)
+            row = self.get_chunk(cursor, attribute, chunk_name)
+            yield row
+            cursor = row.base_version
+
+    def chunks_for_version(self, version: int) -> list[ChunkRecord]:
+        return list(self._chunks.get(version, {}).values())
+
+    def all_chunks(self) -> list[ChunkRecord]:
+        return [row for level in self._chunks.values()
+                for row in level.values()]
+
+    def dependents_of(self, version: int) -> list[ChunkRecord]:
+        """Chunk records delta-encoded against the given version."""
+        return [row for row in self.all_chunks()
+                if row.base_version == version]
+
+    def stored_bytes(self, version: int | None = None) -> int:
+        """Total encoded payload bytes for one version (or the array)."""
+        rows = self.all_chunks() if version is None \
+            else self.chunks_for_version(version)
+        return sum(row.location.length for row in rows)
+
+    # -- derivation (writers, under the catalog lock) -------------------
+    def derive(self, records: list[ChunkRecord],
+               version: VersionRecord | None = None,
+               merge_parents: list[tuple[str, int]] | None = None,
+               drop: VersionRecord | None = None) -> ArraySnapshot:
+        """The snapshot after one committed
+        :meth:`MetadataCatalog.put_chunks` transaction: the same edits,
+        in the same order, as its statements — ``drop`` deleted with its
+        rows and labels and its children re-parented, ``version``
+        inserted with its merge parents, ``records`` upserted.
+
+        An insert copies the version and chunk indexes' top levels
+        (O(versions)) and builds its own new level.
+        """
+        versions, parents = dict(self._versions), dict(self._parents)
+        chunks, labels = dict(self._chunks), self._labels
+        if drop is not None:
+            for table in (versions, parents, chunks):
+                table.pop(drop.version, None)
+            labels = {label: number for label, number in labels.items()
+                      if number != drop.version}
+            for number, row in versions.items():
+                if row.parent_version == drop.version:
+                    versions[number] = replace(
+                        row, parent_version=drop.parent_version)
+        if version is not None:
+            versions[version.version] = version
+            if merge_parents:
+                parents[version.version] = parents.get(
+                    version.version, ()) + tuple(merge_parents)
+        levels: dict[int, dict[tuple[str, str], ChunkRecord]] = {}
+        latest = dict(chunks[next(reversed(chunks))]) if chunks else {}
+        for record in records:
+            level = levels.get(record.version)
+            if level is None:
+                level = levels[record.version] = dict(
+                    chunks.get(record.version, {}))
+            key, row = _shared_row(self._pool, latest, record)
+            level[key] = row
+        for number, level in levels.items():
+            chunks[number] = dict(sorted(level.items()))
+        return ArraySnapshot(self.record, dict(sorted(versions.items())),
+                             parents, labels, dict(sorted(chunks.items())),
+                             self._pool)
+
+    def relabel(self, label: str, version: int | None) -> ArraySnapshot:
+        """The snapshot with ``label`` moved to ``version``, or dropped
+        when ``version`` is None."""
+        labels = {name: number for name, number in self._labels.items()
+                  if name != label}
+        if version is not None:
+            labels[label] = version
+        return ArraySnapshot(self.record, self._versions, self._parents,
+                             labels, self._chunks, self._pool)
+
+
 class MetadataCatalog:
-    """SQLite-backed version metadata.
+    """SQLite-backed version metadata, served from per-array snapshots.
 
-    One connection is shared by every caller — including the decode
-    pipeline's worker threads, which locate delta chains concurrently —
-    so the connection is opened with ``check_same_thread=False`` and
-    every statement runs under an internal re-entrant lock.  Multi-row
-    writes (:meth:`put_chunks`) use an explicit ``BEGIN``/``COMMIT`` so
-    a version's chunk records land atomically.
+    SQLite is the log.  Every write is one explicit ``BEGIN``/``COMMIT``
+    under an internal re-entrant lock, and only after its ``COMMIT``
+    does the catalog derive the array's next :class:`ArraySnapshot`
+    from the published one plus the rows just written — it never
+    re-reads — and publish it by one reference assignment, still under
+    the lock.  A rolled-back transaction publishes nothing.
 
-    Array records are parsed once per catalog and kept by name: they
-    are immutable, shared by every caller and thread, and dropped only
-    by this catalog's own :meth:`delete_array`.  Another connection's
-    DROP or CREATE on the same file is therefore never seen — one open
-    catalog per store.
+    Reads run no SQL and take no lock.  An array's snapshot is built on
+    its first touch, one ``SELECT`` per table (the versions and their
+    merge parents share one), so a reopened store reads SQLite exactly
+    as a fresh one writes it.  :meth:`snapshot` hands out the current
+    one; the array-id methods below answer from it, one lookup per
+    call.  A snapshot of 256 versions × 16 chunks built from SQL holds
+    ~270 B per chunk row when chunks are co-located and ~345 B with one
+    path per version (CPython 3.11; ``test_catalog_snapshot.py`` bounds
+    them at 300 and 380): the row, its location, offset and length, an
+    index slot, and the path when it is the row's own — every other
+    repeated value is shared within the snapshot.
+
+    Snapshots live until this catalog's own :meth:`delete_array`.
+    Another connection's writes to the same file are therefore never
+    seen — one open catalog per store.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -165,22 +396,105 @@ class MetadataCatalog:
                                      check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.RLock()
-        self._arrays: dict[str, ArrayRecord] = {}
+        self._by_name: dict[str, ArraySnapshot] = {}
+        self._by_id: dict[int, ArraySnapshot] = {}
         self._conn.executescript(_SCHEMA_SQL)
         self._conn.commit()
-
-    def _query_one(self, sql: str, params: tuple = ()) -> sqlite3.Row:
-        with self._lock:
-            return self._conn.execute(sql, params).fetchone()
-
-    def _query_all(self, sql: str,
-                   params: tuple = ()) -> list[sqlite3.Row]:
-        with self._lock:
-            return self._conn.execute(sql, params).fetchall()
 
     def close(self) -> None:
         with self._lock:
             self._conn.close()
+
+    # ------------------------------------------------------------------
+    # Snapshots
+    # ------------------------------------------------------------------
+    def snapshot(self, name: str) -> ArraySnapshot:
+        """Array ``name``'s current committed state.  An operation
+        takes it once and resolves everything from it."""
+        snap = self._by_name.get(name)
+        return snap if snap is not None else self._first_touch("name", name)
+
+    def publishes(self, snap: ArraySnapshot, version: int) -> bool:
+        """Whether ``version`` as ``snap`` knows it is still the
+        published one: neither dropped, re-parented nor re-created
+        since, nor its array deleted.  An insert, a label or a layout
+        swap keeps it.  Lock-free, like every read."""
+        row = snap._versions.get(version)
+        current = self._by_id.get(snap.record.array_id)
+        return row is not None and current is not None and \
+            current._versions.get(version) is row
+
+    def _snapshot_of(self, array_id: int) -> ArraySnapshot:
+        snap = self._by_id.get(array_id)
+        return snap if snap is not None \
+            else self._first_touch("id", array_id)
+
+    def _first_touch(self, column: str, key: str | int) -> ArraySnapshot:
+        """Build and publish an array's snapshot from its committed rows:
+        four statements."""
+        with self._lock:
+            snap = (self._by_name if column == "name"
+                    else self._by_id).get(key)
+            if snap is not None:
+                return snap
+            row = self._conn.execute(
+                f"SELECT * FROM arrays WHERE {column} = ?", (key,)
+            ).fetchone()
+            if row is None:
+                raise ArrayNotFoundError(
+                    f"no array named {key!r}" if column == "name"
+                    else f"no array with id {key}")
+            record = self._array_from_row(row)
+            array_id = record.array_id
+            versions: dict[int, VersionRecord] = {}
+            parents: dict[int, tuple[tuple[str, int], ...]] = {}
+            for row in self._conn.execute(_VERSIONS_SQL, (array_id,)):
+                number = row["version_num"]
+                if number not in versions:
+                    versions[number] = VersionRecord(
+                        array_id, number, row["parent_version"],
+                        row["kind"], row["timestamp"])
+                if row["parent_array"] is not None:
+                    parents[number] = parents.get(number, ()) + (
+                        (row["parent_array"], row["merge_version"]),)
+            labels = dict(self._conn.execute(
+                "SELECT label, version_num FROM version_labels"
+                " WHERE array_id = ?", (array_id,)).fetchall())
+            pool: dict = {}
+            chunks: dict[int, dict[tuple[str, str], ChunkRecord]] = {}
+            latest: dict[tuple[str, str], ChunkRecord] = {}
+            for row in self._conn.execute(
+                    "SELECT * FROM chunks WHERE array_id = ?"
+                    " ORDER BY version_num, attribute, chunk_name",
+                    (array_id,)):
+                key, chunk = _shared_row(pool, latest, ChunkRecord(
+                    array_id, row["version_num"], row["attribute"],
+                    row["chunk_name"], row["delta_codec"],
+                    row["base_version"], row["compressor"],
+                    ChunkLocation(row["path"], row["offset"],
+                                  row["length"])))
+                chunks.setdefault(chunk.version, {})[key] = chunk
+            snap = ArraySnapshot(record, versions, parents, labels,
+                                 chunks, pool)
+            self._publish(snap)
+            return snap
+
+    def _publish(self, snap: ArraySnapshot) -> None:
+        """Make ``snap`` the array's current state (lock held)."""
+        self._by_name[snap.record.name] = self._by_id[
+            snap.record.array_id] = snap
+
+    @contextmanager
+    def _transaction(self):
+        """``BEGIN`` … ``COMMIT``, or ``ROLLBACK`` on any error (lock
+        held); the caller publishes only after it."""
+        self._conn.execute("BEGIN")
+        try:
+            yield
+            self._conn.commit()
+        except BaseException:
+            self._conn.rollback()
+            raise
 
     # ------------------------------------------------------------------
     # Arrays
@@ -193,62 +507,57 @@ class MetadataCatalog:
                      chunk_shape: tuple[int, ...] | None = None
                      ) -> ArrayRecord:
         """Register a new array; names are unique."""
+        row = dict(name=name, schema_json=json.dumps(schema.to_dict()),
+                   chunk_bytes=chunk_bytes,
+                   chunk_shape=json.dumps(list(chunk_shape))
+                   if chunk_shape else None,
+                   compressor=compressor, created_at=created_at,
+                   parent_array=parent_array, parent_version=parent_version)
         with self._lock:
             try:
-                self._conn.execute(
-                    "INSERT INTO arrays (name, schema_json, chunk_bytes,"
-                    " chunk_shape, compressor, created_at, parent_array,"
-                    " parent_version) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (name, json.dumps(schema.to_dict()), chunk_bytes,
-                     json.dumps(list(chunk_shape)) if chunk_shape else None,
-                     compressor, created_at, parent_array, parent_version))
+                with self._transaction():
+                    cursor = self._conn.execute(
+                        "INSERT INTO arrays (name, schema_json, chunk_bytes,"
+                        " chunk_shape, compressor, created_at, parent_array,"
+                        " parent_version) VALUES (:name, :schema_json,"
+                        " :chunk_bytes, :chunk_shape, :compressor,"
+                        " :created_at, :parent_array, :parent_version)", row)
             except sqlite3.IntegrityError:
                 raise ArrayExistsError(
                     f"array {name!r} already exists") from None
-            self._conn.commit()
-            return self.get_array(name)
+            # Parsed from the row written, exactly as a reopen parses it.
+            record = self._array_from_row({**row, "id": cursor.lastrowid})
+            self._publish(ArraySnapshot(record))
+            return record
 
     def get_array(self, name: str) -> ArrayRecord:
-        """The record of array ``name``: answered from the parsed
-        records, and read and parsed (once) only on a miss."""
-        record = self._arrays.get(name)
-        if record is None:
-            with self._lock:
-                row = self._conn.execute(
-                    "SELECT * FROM arrays WHERE name = ?", (name,)
-                ).fetchone()
-                if row is None:
-                    raise ArrayNotFoundError(f"no array named {name!r}")
-                record = self._arrays[name] = self._array_from_row(row)
-        return record
+        """The record of array ``name``, parsed once per catalog."""
+        return self.snapshot(name).record
 
     def list_arrays(self) -> list[str]:
         """Section II-C's List operation."""
-        rows = self._query_all("SELECT name FROM arrays ORDER BY name")
-        return [row["name"] for row in rows]
+        with self._lock:
+            return [row["name"] for row in self._conn.execute(
+                "SELECT name FROM arrays ORDER BY name")]
 
     def delete_array(self, name: str) -> None:
         with self._lock:
             record = self.get_array(name)
-            # SQLite may hand the next array this one's id: the parsed
-            # record goes in the same locked section as its rows.
-            del self._arrays[name]
-            self._conn.execute("DELETE FROM chunks WHERE array_id = ?",
-                               (record.array_id,))
-            self._conn.execute("DELETE FROM versions WHERE array_id = ?",
-                               (record.array_id,))
-            self._conn.execute(
-                "DELETE FROM merge_parents WHERE array_id = ?",
-                (record.array_id,))
-            self._conn.execute(
-                "DELETE FROM version_labels WHERE array_id = ?",
-                (record.array_id,))
-            self._conn.execute("DELETE FROM arrays WHERE id = ?",
-                               (record.array_id,))
-            self._conn.commit()
+            with self._transaction():
+                for table, column in (("chunks", "array_id"),
+                                      ("versions", "array_id"),
+                                      ("merge_parents", "array_id"),
+                                      ("version_labels", "array_id"),
+                                      ("arrays", "id")):
+                    self._conn.execute(
+                        f"DELETE FROM {table} WHERE {column} = ?",
+                        (record.array_id,))
+            # SQLite may hand the next array this one's id: the snapshot
+            # goes in the same locked section as its rows.
+            del self._by_name[name], self._by_id[record.array_id]
 
     @staticmethod
-    def _array_from_row(row: sqlite3.Row) -> ArrayRecord:
+    def _array_from_row(row) -> ArrayRecord:
         chunk_shape = None
         if row["chunk_shape"]:
             chunk_shape = tuple(json.loads(row["chunk_shape"]))
@@ -268,49 +577,22 @@ class MetadataCatalog:
     # Versions
     # ------------------------------------------------------------------
     def get_version(self, array_id: int, version: int) -> VersionRecord:
-        row = self._query_one(
-            "SELECT * FROM versions WHERE array_id = ? AND version_num = ?",
-            (array_id, version))
-        if row is None:
-            raise VersionNotFoundError(
-                f"array {array_id} has no version {version}")
-        return VersionRecord(row["array_id"], row["version_num"],
-                             row["parent_version"], row["kind"],
-                             row["timestamp"])
+        return self._snapshot_of(array_id).get_version(version)
 
     def get_versions(self, array_id: int) -> list[VersionRecord]:
         """Section II-C's Get Versions: ordered list of all versions."""
-        rows = self._query_all(
-            "SELECT * FROM versions WHERE array_id = ?"
-            " ORDER BY version_num", (array_id,))
-        return [VersionRecord(r["array_id"], r["version_num"],
-                              r["parent_version"], r["kind"],
-                              r["timestamp"]) for r in rows]
+        return self._snapshot_of(array_id).get_versions()
 
     def latest_version(self, array_id: int) -> int | None:
-        row = self._query_one(
-            "SELECT MAX(version_num) AS v FROM versions WHERE array_id = ?",
-            (array_id,))
-        return row["v"]
+        return self._snapshot_of(array_id).latest_version()
 
     def version_at(self, array_id: int, timestamp: float) -> int:
         """Latest version whose timestamp is <= the given time."""
-        row = self._query_one(
-            "SELECT MAX(version_num) AS v FROM versions"
-            " WHERE array_id = ? AND timestamp <= ?",
-            (array_id, timestamp))
-        if row["v"] is None:
-            raise VersionNotFoundError(
-                f"array {array_id} has no version at or before {timestamp}")
-        return row["v"]
+        return self._snapshot_of(array_id).version_at(timestamp)
 
     def merge_parents_of(self, array_id: int,
                          version: int) -> list[tuple[str, int]]:
-        rows = self._query_all(
-            "SELECT parent_array, parent_version FROM merge_parents"
-            " WHERE array_id = ? AND version_num = ?",
-            (array_id, version))
-        return [(r["parent_array"], r["parent_version"]) for r in rows]
+        return self._snapshot_of(array_id).merge_parents_of(version)
 
     # ------------------------------------------------------------------
     # Version labels (Appendix A: "selecting versions by ... arbitrary
@@ -318,45 +600,36 @@ class MetadataCatalog:
     # ------------------------------------------------------------------
     def set_label(self, array_id: int, label: str, version: int) -> None:
         """Attach (or move) a named label to one version."""
-        self.get_version(array_id, version)  # existence check
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR REPLACE INTO version_labels"
-                " (array_id, label, version_num) VALUES (?, ?, ?)",
-                (array_id, label, version))
-            self._conn.commit()
+        self._relabel(array_id, label, version)
 
     def version_for_label(self, array_id: int, label: str) -> int:
-        row = self._query_one(
-            "SELECT version_num FROM version_labels"
-            " WHERE array_id = ? AND label = ?",
-            (array_id, label))
-        if row is None:
-            raise VersionNotFoundError(
-                f"array {array_id} has no label {label!r}")
-        return row["version_num"]
+        return self._snapshot_of(array_id).version_for_label(label)
 
     def labels_of(self, array_id: int,
                   version: int | None = None) -> list[tuple[str, int]]:
         """All (label, version) pairs, optionally for one version."""
-        if version is None:
-            rows = self._query_all(
-                "SELECT label, version_num FROM version_labels"
-                " WHERE array_id = ? ORDER BY label",
-                (array_id,))
-        else:
-            rows = self._query_all(
-                "SELECT label, version_num FROM version_labels"
-                " WHERE array_id = ? AND version_num = ? ORDER BY label",
-                (array_id, version))
-        return [(r["label"], r["version_num"]) for r in rows]
+        return self._snapshot_of(array_id).labels_of(version)
 
     def drop_label(self, array_id: int, label: str) -> None:
+        self._relabel(array_id, label, None)
+
+    def _relabel(self, array_id: int, label: str,
+                 version: int | None) -> None:
         with self._lock:
-            self._conn.execute(
-                "DELETE FROM version_labels WHERE array_id = ?"
-                " AND label = ?", (array_id, label))
-            self._conn.commit()
+            snap = self._snapshot_of(array_id)
+            if version is not None:
+                snap.get_version(version)  # existence check
+            with self._transaction():
+                if version is None:
+                    self._conn.execute(
+                        "DELETE FROM version_labels WHERE array_id = ?"
+                        " AND label = ?", (array_id, label))
+                else:
+                    self._conn.execute(
+                        "INSERT OR REPLACE INTO version_labels"
+                        " (array_id, label, version_num) VALUES (?, ?, ?)",
+                        (array_id, label, version))
+            self._publish(snap.relabel(label, version))
 
     # ------------------------------------------------------------------
     # Chunks
@@ -379,9 +652,9 @@ class MetadataCatalog:
                    version: VersionRecord | None = None,
                    merge_parents: list[tuple[str, int]] | None = None,
                    drop: VersionRecord | None = None) -> None:
-        """Insert or replace many chunk records in one transaction —
-        the only writer of version, merge-parent and chunk rows besides
-        :meth:`delete_array`.
+        """Insert or replace many chunk records of one array in one
+        transaction — the only writer of version, merge-parent and
+        chunk rows besides :meth:`delete_array`.
 
         Every chunk row of a version commits atomically — observers
         see all of the version's rows or none, and a failure rolls the
@@ -394,9 +667,13 @@ class MetadataCatalog:
         ``drop`` deletes that version with its labels and merge
         parents and re-parents its children, in the same transaction.
         """
+        array_ids = {record.array_id for record in records} | {
+            row.array_id for row in (version, drop) if row is not None}
+        if len(array_ids) > 1:
+            raise StorageError(
+                f"put_chunks writes one array, got ids {sorted(array_ids)}")
         with self._lock:
-            try:
-                self._conn.execute("BEGIN")
+            with self._transaction():
                 if drop is not None:
                     for table in ("chunks", "versions", "merge_parents",
                                   "version_labels"):
@@ -426,110 +703,25 @@ class MetadataCatalog:
                 self._conn.executemany(
                     self._PUT_CHUNK_SQL,
                     [self._chunk_row(record) for record in records])
-                self._conn.commit()
-            except BaseException:
-                self._conn.rollback()
-                raise
+            # An array not yet touched is read from SQL when it is.
+            snap = self._by_id.get(next(iter(array_ids), None))
+            if snap is not None:
+                self._publish(snap.derive(records, version, merge_parents,
+                                          drop))
 
     def get_chunk(self, array_id: int, version: int, attribute: str,
                   chunk_name: str) -> ChunkRecord:
-        row = self._query_one(
-            "SELECT * FROM chunks WHERE array_id = ? AND version_num = ?"
-            " AND attribute = ? AND chunk_name = ?",
-            (array_id, version, attribute, chunk_name))
-        if row is None:
-            raise VersionNotFoundError(
-                f"no chunk record for array {array_id} v{version} "
-                f"{attribute}/{chunk_name}")
-        return self._chunk_from_row(row)
-
-    _CHUNK_CHAIN_SQL = (
-        "WITH RECURSIVE chain AS ("
-        " SELECT * FROM chunks WHERE array_id = ? AND version_num = ?"
-        " AND attribute = ? AND chunk_name = ?"
-        " UNION"
-        " SELECT c.* FROM chunks c JOIN chain p"
-        " ON c.array_id = p.array_id AND c.version_num = p.base_version"
-        " AND c.attribute = p.attribute AND c.chunk_name = p.chunk_name)"
-        " SELECT * FROM chain")
-
-    def get_chunk_chain(self, array_id: int, version: int,
-                        attribute: str,
-                        chunk_name: str) -> list[ChunkRecord]:
-        """One chunk's delta chain in a single query: the record of
-        ``version``, then of each successive ``base_version``, down to
-        the materialized root (``base_version`` None).
-
-        A chain that loops ends at the record whose base was already
-        visited (``UNION`` drops the repeated row, so the recursion
-        terminates) — callers tell a cycle from a root by the last
-        record's ``base_version``.  A base with no row raises like
-        :meth:`get_chunk`.
-        """
-        rows = self._query_all(self._CHUNK_CHAIN_SQL,
-                               (array_id, version, attribute, chunk_name))
-        by_version = {row["version_num"]: row for row in rows}
-        chain: list[ChunkRecord] = []
-        seen: set[int] = set()
-        cursor: int | None = version
-        while cursor is not None and cursor not in seen:
-            row = by_version.get(cursor)
-            if row is None:
-                raise VersionNotFoundError(
-                    f"no chunk record for array {array_id} v{cursor} "
-                    f"{attribute}/{chunk_name}")
-            seen.add(cursor)
-            chain.append(self._chunk_from_row(row))
-            cursor = row["base_version"]
-        return chain
+        return self._snapshot_of(array_id).get_chunk(version, attribute,
+                                                     chunk_name)
 
     def chunks_for_version(self, array_id: int,
                            version: int) -> list[ChunkRecord]:
-        rows = self._query_all(
-            "SELECT * FROM chunks WHERE array_id = ? AND version_num = ?"
-            " ORDER BY attribute, chunk_name",
-            (array_id, version))
-        return [self._chunk_from_row(r) for r in rows]
+        return self._snapshot_of(array_id).chunks_for_version(version)
 
     def all_chunks(self, array_id: int) -> list[ChunkRecord]:
-        rows = self._query_all(
-            "SELECT * FROM chunks WHERE array_id = ?"
-            " ORDER BY version_num, attribute, chunk_name",
-            (array_id,))
-        return [self._chunk_from_row(r) for r in rows]
-
-    def dependents_of(self, array_id: int,
-                      version: int) -> list[ChunkRecord]:
-        """Chunk records delta-encoded against the given version."""
-        rows = self._query_all(
-            "SELECT * FROM chunks WHERE array_id = ? AND base_version = ?",
-            (array_id, version))
-        return [self._chunk_from_row(r) for r in rows]
+        return self._snapshot_of(array_id).all_chunks()
 
     def stored_bytes(self, array_id: int,
                      version: int | None = None) -> int:
         """Total encoded payload bytes for one version (or the array)."""
-        if version is None:
-            row = self._query_one(
-                "SELECT COALESCE(SUM(length), 0) AS s FROM chunks"
-                " WHERE array_id = ?", (array_id,))
-        else:
-            row = self._query_one(
-                "SELECT COALESCE(SUM(length), 0) AS s FROM chunks"
-                " WHERE array_id = ? AND version_num = ?",
-                (array_id, version))
-        return row["s"]
-
-    @staticmethod
-    def _chunk_from_row(row: sqlite3.Row) -> ChunkRecord:
-        return ChunkRecord(
-            array_id=row["array_id"],
-            version=row["version_num"],
-            attribute=row["attribute"],
-            chunk_name=row["chunk_name"],
-            delta_codec=row["delta_codec"],
-            base_version=row["base_version"],
-            compressor=row["compressor"],
-            location=ChunkLocation(row["path"], row["offset"],
-                                   row["length"]),
-        )
+        return self._snapshot_of(array_id).stored_bytes(version)

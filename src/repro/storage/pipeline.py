@@ -13,10 +13,10 @@ makes the stages first-class:
   durability barrier, then record all encoding decisions in the
   Version Metadata in one transaction);
 * :class:`DecodePipeline` — the select path: **locate** the chunk's
-  delta chain in the metadata, **read** the chain (batched, one backend
-  open per distinct object), **decompress** the materialized root,
-  **delta-decode** forward along the chain, and **assemble** result
-  arrays;
+  delta chain in the read's catalog snapshot, **read** the chain
+  (batched, one backend open per distinct object), **decompress** the
+  materialized root, **delta-decode** forward along the chain, and
+  **assemble** result arrays;
 * :class:`ChunkCache` — one bytes-bounded LRU of decoded chunks,
   populated by reads (version contents are immutable, so only deleting
   a version or an array invalidates).  The paper's cost model "ignores
@@ -28,11 +28,12 @@ The pipelines own *how* versions are encoded and decoded;
 bookkeeping, version lineage, and layout re-organization.
 
 They also own the store's CPU concurrency — all of it.  ``workers`` is
-one fan per direction (:class:`_PooledStage`): encode blocks on the way
-in, per-chunk reconstructions on the way out.  Nothing below fans
-again — a task reads its chain and the consuming thread places its
-payload serially — so no pool ever waits on another, and an operation
-that raises first cancels or waits out every task it started.
+one fan per direction, both through one ordered sliding window
+(:meth:`_PooledStage._ordered`): encode blocks on the way in, per-chunk
+reconstructions on the way out.  Nothing below fans again — a task
+reads its chain and the consuming thread places its payload serially —
+so no pool ever waits on another, and an operation that raises first
+cancels or waits out every task it started.
 
 Two invariants both pipelines are built around:
 
@@ -57,6 +58,8 @@ from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -76,6 +79,7 @@ from repro.storage.chunkstore import ChunkStore
 from repro.storage.iostats import IOStats
 from repro.storage.metadata import (
     ArrayRecord,
+    ArraySnapshot,
     ChunkRecord,
     MetadataCatalog,
     VersionRecord,
@@ -205,10 +209,20 @@ class ChunkCache:
         return entry
 
     def put(self, key: tuple, data: np.ndarray, *,
-            evict: bool = True) -> None:
+            evict: bool = True,
+            valid: Callable[[], bool] | None = None) -> None:
         """Admit one entry; with ``evict=False`` only if it fits the
-        free space as it is right now (dropped otherwise)."""
+        free space as it is right now (dropped otherwise).
+
+        ``valid``, when given, is asked under the cache lock whether
+        ``data`` is still what ``key`` names; a refused entry is
+        dropped.  Asking under the lock orders the answer against
+        :meth:`invalidate_array`: a writer that publishes first and
+        invalidates after either makes ``valid`` refuse or clears the
+        entry it admitted."""
         with self._lock:
+            if valid is not None and not valid():
+                return
             if not evict:
                 if key not in self._entries and \
                         self._has_room(1, data.nbytes):
@@ -304,6 +318,36 @@ class _PooledStage:
                     max_workers=self.workers,
                     thread_name_prefix=self._pool_prefix)
             return self._executor
+
+    def _ordered(self, function, items: list):
+        """Yield ``function(item)`` for every item, in item order.
+
+        Inline at ``workers`` <= 1.  Otherwise a sliding window of
+        ``workers + 1`` calls is in flight on the pool: each time the
+        consumer takes the oldest result, the next item is submitted,
+        so at most ``i + workers + 2`` calls have started when item
+        ``i``'s result (or error) reaches the consumer, and what is in
+        flight stays bounded by the window rather than the operation.
+        Closing the generator early (the consumer failed) or an error
+        settles the window first: see :meth:`_abandon`.
+        """
+        if self.workers <= 1 or len(items) <= 1:
+            for item in items:
+                yield function(item)
+            return
+        pool = self._pool()
+        pending = iter(items)
+        window: deque = deque(
+            pool.submit(function, item)
+            for item in itertools.islice(pending, self.workers + 1))
+        try:
+            while window:
+                future = window.popleft()
+                for item in itertools.islice(pending, 1):
+                    window.append(pool.submit(function, item))
+                yield future.result()
+        finally:
+            self._abandon(window)
 
     @staticmethod
     def _abandon(futures) -> None:
@@ -432,42 +476,24 @@ class EncodePipeline(_PooledStage):
 
         The parallel path groups tasks into contiguous blocks (a few
         per worker, so fine-grained grids do not pay one dispatch per
-        tiny chunk) and keeps a sliding window of ``workers + 1``
-        blocks in flight on the shared executor, yielding results in
-        submission order — the commit stage downstream consumes
+        tiny chunk) and runs them through the ordered window
+        (:meth:`_ordered`) — the commit stage downstream consumes
         decisions exactly as the serial loop produced them, placement
         of early chunks overlaps the encoding of later ones, and the
         encoded-payload memory in flight stays bounded by the window
-        rather than the whole version.  Closing the generator early
-        (a placement failed) or an encode error settles the window
-        first: see :meth:`_abandon`.
+        rather than the whole version.
         """
-        workers = self.workers
-        if workers > 1 and len(tasks) > 1:
-            pool = self._pool()
-            step = -(-len(tasks) // (workers * 4))  # ceil division
+        step = -(-len(tasks) // (self.workers * 4)) \
+            if self.workers > 1 else 1  # ceil division
 
-            def encode_block(block: list[EncodeTask]):
-                return [self._encode_task(task, data, base_data,
-                                          compressor)
-                        for task in block]
+        def encode_block(block: list[EncodeTask]):
+            return [self._encode_task(task, data, base_data, compressor)
+                    for task in block]
 
-            pending = (tasks[i:i + step]
-                       for i in range(0, len(tasks), step))
-            window: deque = deque(
-                pool.submit(encode_block, block)
-                for block in itertools.islice(pending, workers + 1))
-            try:
-                while window:
-                    future = window.popleft()
-                    for block in itertools.islice(pending, 1):
-                        window.append(pool.submit(encode_block, block))
-                    yield from future.result()
-            finally:
-                self._abandon(window)
-        else:
-            for task in tasks:
-                yield self._encode_task(task, data, base_data, compressor)
+        blocks = [tasks[i:i + step] for i in range(0, len(tasks), step)]
+        with closing(self._ordered(encode_block, blocks)) as decisions:
+            for block in decisions:
+                yield from block
 
     # ------------------------------------------------------------------
     # Stage 3: commit
@@ -615,12 +641,13 @@ class DecodePipeline(_PooledStage):
         self._buffers = threading.local()
         self._init_pool(workers)
 
-    def reconstruct(self, record: ArrayRecord, version: int,
+    def reconstruct(self, snap: ArraySnapshot, version: int,
                     attribute: str, chunk: ChunkRef,
                     scope: dict[int, np.ndarray] | None = None, *,
                     out: np.ndarray | None = None) -> np.ndarray:
         """Unwind the delta chain of one chunk (Figure 2's read pattern).
 
+        The chain is located in ``snap``, the caller's pinned snapshot.
         ``scope`` maps already-resolved versions of this chunk to their
         contents; chains stop as soon as they reach a resolved version,
         so multi-version queries share the work of common prefixes.  The
@@ -633,6 +660,7 @@ class DecodePipeline(_PooledStage):
         returned; every other result is an array of its own that the
         caller copies, as without ``out``.
         """
+        record = snap.record
         if scope is None:
             scope = {}
         key = (record.array_id, version, attribute, chunk.name)
@@ -645,7 +673,7 @@ class DecodePipeline(_PooledStage):
 
         # Stage 1: locate, and pick the job — past the cache hit that
         # most reads end at, which the size arithmetic must not slow.
-        chain, base_version = self._locate_chain(record, version,
+        chain, base_version = self._locate_chain(snap, version,
                                                  attribute, chunk, scope)
         warm_fill = self.cache.enabled and len(chain) > 1 and \
             self.cache.fits(
@@ -692,6 +720,11 @@ class DecodePipeline(_PooledStage):
                 resolved.append(chunk_record.version)
 
         if self.cache.enabled:
+            # Each entry is admitted only while its version is still the
+            # one the catalog publishes: a read pinned before a
+            # ``delete_version`` swap must not cache the deleted
+            # version under a number the next insert reuses.
+            publishes = self.catalog.publishes
             if warm_fill:
                 # Deepest first; a put drops if a parallel reader has
                 # used the room since ``fits`` looked.
@@ -700,37 +733,43 @@ class DecodePipeline(_PooledStage):
                         self.cache.put(
                             (record.array_id, intermediate, attribute,
                              chunk.name), scope[intermediate],
-                            evict=False)
-            self.cache.put(key, data)
+                            evict=False,
+                            valid=partial(publishes, snap, intermediate))
+            self.cache.put(key, data,
+                           valid=partial(publishes, snap, version))
         return data
 
-    def _locate_chain(self, record: ArrayRecord, version: int,
+    def _locate_chain(self, snap: ArraySnapshot, version: int,
                       attribute: str, chunk: ChunkRef,
                       stop_at: dict[int, np.ndarray]
                       ) -> tuple[list[ChunkRecord], int | None]:
-        """Stage 1: one chunk's delta chain, in one catalog round trip.
+        """Stage 1: one chunk's delta chain, walked in the read's pinned
+        snapshot (:meth:`ArraySnapshot.walk_chain`) — no SQL, no lock.
 
         Returns the chunk records from ``version`` downwards and the
         version the walk stopped at, or None when it reached the
         materialized root (then the last record).  ``stop_at`` maps
         resolved versions to their contents: the walk ends at the first
         version found there or in the chunk cache (which is then
-        recorded into it).
+        recorded into it).  A base with no row raises
+        :class:`VersionNotFoundError`; a chain that loops, a
+        :class:`StorageError`.
         """
-        chain = self.catalog.get_chunk_chain(record.array_id, version,
-                                             attribute, chunk.name)
-        for depth, row in enumerate(chain):
+        array_id = snap.record.array_id
+        chain: list[ChunkRecord] = []
+        for row in snap.walk_chain(version, attribute, chunk.name):
             if row.version not in stop_at and self.cache.enabled \
                     and row.version != version:
-                cached = self.cache.peek((record.array_id, row.version,
+                cached = self.cache.peek((array_id, row.version,
                                           attribute, chunk.name))
                 if cached is not None:
                     stop_at[row.version] = cached
             if row.version in stop_at:
-                return chain[:depth], row.version
+                return chain, row.version
+            chain.append(row)
         if chain[-1].base_version is not None:
             raise StorageError(
-                f"delta cycle detected for {record.name!r} "
+                f"delta cycle detected for {snap.record.name!r} "
                 f"chunk {chunk.name} at version {chain[-1].base_version}")
         return chain, None
 
@@ -816,26 +855,30 @@ class DecodePipeline(_PooledStage):
     # ------------------------------------------------------------------
     # Stage 5: assembly
     # ------------------------------------------------------------------
-    def read_version(self, record: ArrayRecord, grid: ChunkGrid,
-                     version: int) -> ArrayData:
-        """Assemble the full contents of one version.
+    def read_version(self, array: ArraySnapshot | ArrayRecord,
+                     grid: ChunkGrid, version: int) -> ArrayData:
+        """Assemble the full contents of one version, every chunk
+        located in ``array``'s snapshot — for a bare record the array's
+        current one, taken once for the call.
 
         Every chunk is lent its window of the output canvas
         (``reconstruct(out=)``): a folded chain lands there from the
         fold itself and only results that live elsewhere (cache
         entries, stepwise decodes) are copied in.
         """
-        attributes = {
-            attr.name: np.empty(record.schema.shape, dtype=attr.dtype)
-            for attr in record.schema.attributes}
+        snap = array if isinstance(array, ArraySnapshot) \
+            else self.catalog.snapshot(array.name)
+        schema = snap.record.schema
+        attributes = {attr.name: np.empty(schema.shape, dtype=attr.dtype)
+                      for attr in schema.attributes}
         tasks = [(attr, chunk, attributes[attr.name][chunk.slices()])
-                 for attr in record.schema.attributes
+                 for attr in schema.attributes
                  for chunk in grid.chunks()]
         for (attr, _, window), data in self._reconstruct_tasks(
-                record, version, tasks):
+                snap, version, tasks):
             if data is window:
                 continue
-            if data.shape == record.schema.shape:
+            if data.shape == schema.shape:
                 # A single chunk spanning the whole canvas *is* the
                 # canvas: skip the copy.  ArrayData hands out only a
                 # read-only view of it, so the contents are exactly as
@@ -843,12 +886,13 @@ class DecodePipeline(_PooledStage):
                 attributes[attr.name] = data
             else:
                 window[...] = data
-        return ArrayData(record.schema, attributes)
+        return ArrayData(schema, attributes)
 
-    def read_region(self, record: ArrayRecord, grid: ChunkGrid,
+    def read_region(self, snap: ArraySnapshot, grid: ChunkGrid,
                     version: int, lo: tuple[int, ...],
                     hi: tuple[int, ...]) -> ArrayData:
-        """Assemble a zero-based hyper-rectangle of one version.
+        """Assemble a zero-based hyper-rectangle of one version, every
+        chunk located in the pinned snapshot ``snap``.
 
         When exactly one chunk covers the query, the reconstructed
         chunk already holds the answer: its sliced view is returned
@@ -859,7 +903,7 @@ class DecodePipeline(_PooledStage):
         """
         from repro.core.array import _sliced_schema
 
-        schema = record.schema
+        schema = snap.record.schema
         chunks = list(grid.chunks_overlapping(lo, hi))
         if len(chunks) == 1:
             src, _ = overlap_slices(chunks[0], lo, hi)
@@ -868,7 +912,7 @@ class DecodePipeline(_PooledStage):
             attributes = {
                 attr.name: data[src]
                 for (attr, _, _), data in self._reconstruct_tasks(
-                    record, version, tasks)
+                    snap, version, tasks)
             }
             return ArrayData(_sliced_schema(schema, lo, hi), attributes)
 
@@ -880,40 +924,29 @@ class DecodePipeline(_PooledStage):
             for attr in schema.attributes
         }
         for (attr, chunk, _), data in self._reconstruct_tasks(
-                record, version, tasks):
+                snap, version, tasks):
             src, dst = overlap_slices(chunk, lo, hi)
             attributes[attr.name][dst] = data[src]
         return ArrayData(_sliced_schema(schema, lo, hi), attributes)
 
-    def _reconstruct_tasks(self, record: ArrayRecord, version: int,
+    def _reconstruct_tasks(self, snap: ArraySnapshot, version: int,
                            tasks: list):
-        """Reconstruct every ``(attribute, chunk, out)`` task, yielding
-        ``(task, chunk_data)`` pairs in task order.
+        """Reconstruct every ``(attribute, chunk, out)`` task in one
+        snapshot, yielding ``(task, chunk_data)`` pairs in task order.
 
-        The parallel path submits all tasks to the shared executor and
-        collects results in submission order, so callers assemble
-        canvases identically to the serial path; each chunk's scope is
-        private and the ``out`` windows are disjoint, making the tasks
-        fully independent.  A chunk that fails (a corrupt payload)
-        settles the rest before its error leaves: see :meth:`_abandon`.
+        The tasks run through the ordered window (:meth:`_ordered`), so
+        callers assemble canvases identically to the serial path; each
+        chunk's scope is private and the ``out`` windows are disjoint,
+        making the tasks fully independent.  A chunk that fails (a
+        corrupt payload) settles the window before its error leaves.
         """
-        if self.workers > 1 and len(tasks) > 1:
-            pool = self._pool()
-            futures = [
-                pool.submit(self.reconstruct, record, version,
-                            attr.name, chunk, out=out)
-                for attr, chunk, out in tasks
-            ]
-            try:
-                for task, future in zip(tasks, futures):
-                    yield task, future.result()
-            finally:
-                self._abandon(futures)
-        else:
-            for task in tasks:
-                attr, chunk, out = task
-                yield task, self.reconstruct(
-                    record, version, attr.name, chunk, out=out)
+        def run(task):
+            attr, chunk, out = task
+            return self.reconstruct(snap, version, attr.name, chunk,
+                                    out=out)
+
+        with closing(self._ordered(run, tasks)) as results:
+            yield from zip(tasks, results)
 
 
 def overlap_slices(chunk: ChunkRef, lo: tuple[int, ...],

@@ -242,13 +242,13 @@ class TestColdBaseCost:
             store.reopen()
             manager = store.manager
             located = []
-            locate = manager.catalog.get_chunk_chain
+            locate = manager.decoder._locate_chain
 
             def counting(*args):
                 located.append(args)
                 return locate(*args)
 
-            manager.catalog.get_chunk_chain = counting
+            manager.decoder._locate_chain = counting
             with manager.stats.measure() as stats:
                 action(manager)
             return stats, len(located)

@@ -118,9 +118,9 @@ def test_cached_store_equals_cache_off_store(depth, codec, dtype,
         # admission must never cost the cache an entry.
         admit = cached.cache.put
 
-        def checked_put(key, data, *, evict=True):
+        def checked_put(key, data, *, evict=True, valid=None):
             before = cached.cache_info()["entries"]
-            admit(key, data, evict=evict)
+            admit(key, data, evict=evict, valid=valid)
             assert evict or cached.cache_info()["entries"] >= before
 
         cached.cache.put = checked_put

@@ -3,8 +3,8 @@ never a record of a dropped array.
 
 ``MetadataCatalog.get_array`` answers from the records it has parsed,
 each carrying its chunk grid; only its own ``delete_array`` drops one.
-These tests pin both halves: a warm region read touches SQLite once
-(the version-existence check) and parses no schema, and every way an
+These tests pin both halves: a read runs no SQL once its array's
+snapshot is built and parses no schema, and every way an
 array can go away — drop, drop and re-create under the same id, a
 branch whose root write fails, close and reopen, a concurrent drop —
 leaves no stale record, grid or cached chunk behind.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -212,8 +213,22 @@ class TestDroppedArrays:
         db.close()
 
 
+@contextmanager
+def _statements(manager):
+    """Every SQL statement the manager's catalog runs inside the block."""
+    executed: list[str] = []
+    connection = manager.catalog._conn
+    connection.set_trace_callback(executed.append)
+    try:
+        yield executed
+    finally:
+        connection.set_trace_callback(None)
+
+
 class TestOneParsePerArray:
-    """Machine-independent gates on what a warm read costs the catalog."""
+    """Machine-independent gates on what reads and writes cost the
+    catalog: a read runs no SQL once its array is touched, a write only
+    its own transaction."""
 
     @pytest.fixture
     def warm(self, tmp_path) -> Database:
@@ -225,19 +240,52 @@ class TestOneParsePerArray:
         yield db
         db.close()
 
-    def test_warm_subsample_runs_only_the_version_check(self, warm):
+    def test_warm_subsample_runs_no_sql(self, warm):
         statement = _subsample("A", 2, 3, 12, 1, 9)  # spans 4 chunks
         expected = warm.execute(statement).value  # fills the cache
-        executed: list[str] = []
-        connection = warm.manager.catalog._conn
-        connection.set_trace_callback(executed.append)
-        try:
+        with _statements(warm.manager) as executed:
             np.testing.assert_array_equal(
                 warm.execute(statement).value, expected)
-        finally:
-            connection.set_trace_callback(None)
-        assert len(executed) == 1, executed
-        assert "FROM versions" in executed[0]
+        assert executed == []
+
+    def test_cold_deep_select_runs_no_sql(self):
+        manager = VersionedStorageManager("in-memory", chunk_bytes=256,
+                                          backend="memory")
+        manager.create_array("A", ArraySchema.simple((16, 16),
+                                                     dtype=np.int32))
+        data = _data((16, 16), 1)
+        for step in range(32):
+            manager.insert("A", data + step)
+        with _statements(manager) as executed:
+            np.testing.assert_array_equal(
+                manager.select("A", 32).single(), data + 31)
+        assert executed == []
+        manager.close()
+
+    def test_insert_runs_only_its_write_transaction(self, warm):
+        with _statements(warm.manager) as executed:
+            warm.insert("A", _data((16, 16), 3))
+        assert executed[0] == "BEGIN" and executed[-1] == "COMMIT"
+        assert executed.count("BEGIN") == executed.count("COMMIT") == 1
+        assert all(sql.startswith("INSERT ") for sql in executed[1:-1])
+
+    def test_first_touch_after_a_reopen_runs_four_statements(self,
+                                                            tmp_path):
+        first = Database(tmp_path, chunk_bytes=256, backend="local")
+        first.create_array("A", ArraySchema.simple((16, 16),
+                                                   dtype=np.int32))
+        for seed in (1, 2):
+            first.insert("A", _data((16, 16), seed))
+        first.execute("LABEL(A@2 latest);")
+        first.close()
+        second = Database(tmp_path, chunk_bytes=256, backend="local")
+        with _statements(second.manager) as executed:
+            np.testing.assert_array_equal(
+                second.execute(_subsample("A", 2, 3, 12, 1, 9)).value,
+                _data((16, 16), 2)[3:13, 1:10])
+        assert len(executed) <= 4, executed
+        assert all(sql.startswith("SELECT ") for sql in executed)
+        second.close()
 
     def test_schema_parsed_at_most_once_per_array(self, tmp_path,
                                                   monkeypatch):

@@ -97,7 +97,8 @@ class TestMaintenance:
         loc1 = store.write_chunk("A", 1, "value", "c.dat", b"live-one")
         store.write_chunk("A", 2, "value", "c.dat", b"dead")
         loc3 = store.write_chunk("A", 3, "value", "c.dat", b"live-two")
-        new = store.repack("A", [(loc1, "k1"), (loc3, "k3")])
+        new = store.repack("A", [(loc1, "k1"), (loc3, "k3")],
+                           committed=frozenset())
         assert store.read_chunk(new["k1"]) == b"live-one"
         assert store.read_chunk(new["k3"]) == b"live-two"
         # Swap, don't overwrite: the old object (and the payloads it
@@ -111,13 +112,14 @@ class TestMaintenance:
     def test_repack_writes_to_new_object_paths(self, tmp_path):
         store = ChunkStore(tmp_path, placement=COLOCATED)
         loc = store.write_chunk("A", 1, "value", "c.dat", b"payload!")
-        first = store.repack("A", [(loc, "k")])
+        first = store.repack("A", [(loc, "k")], committed=frozenset())
         assert first["k"].path != loc.path
         assert first["k"].path == ChunkStore.repack_target(loc.path)
         store.reclaim({loc.path})
         # A second pass bumps the suffix again — never an in-place
         # rewrite, even of a previous pass's object.
-        second = store.repack("A", [(first["k"], "k")])
+        second = store.repack("A", [(first["k"], "k")],
+                              committed={first["k"].path})
         assert second["k"].path not in (loc.path, first["k"].path)
         store.reclaim({first["k"].path})
         assert store.read_chunk(second["k"]) == b"payload!"
@@ -132,11 +134,12 @@ class TestMaintenance:
         # generation present in the batch.
         store = ChunkStore(tmp_path, placement=COLOCATED)
         loc1 = store.write_chunk("A", 1, "value", "c.dat", b"first-gen")
-        moved = store.repack("A", [(loc1, "k1")])
+        moved = store.repack("A", [(loc1, "k1")], committed=frozenset())
         store.reclaim({loc1.path})
         loc2 = store.write_chunk("A", 2, "value", "c.dat", b"second-gen")
         assert loc2.path == loc1.path  # the base path is back in use
-        new = store.repack("A", [(moved["k1"], "k1"), (loc2, "k2")])
+        new = store.repack("A", [(moved["k1"], "k1"), (loc2, "k2")],
+                           committed={moved["k1"].path, loc2.path})
         assert len({new["k1"].path, new["k2"].path,
                     moved["k1"].path, loc2.path}) == 4
         # Pre-swap locations still serve (nothing was overwritten) ...
@@ -179,13 +182,15 @@ class TestMaintenance:
                                        schedule={"write": frozenset({2})})
         store.backend = faulty
         with pytest.raises(StorageError):
-            store.repack("A", [(loc_a, "ka"), (loc_b, "kb")])
+            store.repack("A", [(loc_a, "ka"), (loc_b, "kb")],
+                         committed=frozenset())
         # Both pre-repack locations still serve correct bytes.
         store.backend = inner
         assert store.read_chunk(loc_a) == b"alpha-v1"
         assert store.read_chunk(loc_b) == b"bravo-v1"
         # The retry (fault schedule exhausted) completes the swap.
-        new = store.repack("A", [(loc_a, "ka"), (loc_b, "kb")])
+        new = store.repack("A", [(loc_a, "ka"), (loc_b, "kb")],
+                           committed=frozenset())
         assert store.read_chunk(new["ka"]) == b"alpha-v1"
         assert store.read_chunk(new["kb"]) == b"bravo-v1"
 

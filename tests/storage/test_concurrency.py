@@ -11,6 +11,7 @@ an operation that raises leaves none of its tasks running.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -279,9 +280,13 @@ class TestFailedOperationsLeaveNothingRunning:
         manager.insert("A", data)
         manager.insert("A", data + 1)
         record = manager.catalog.get_array("A")
-        # Smash the second chunk's delta level: its frame no longer
-        # parses, the 62 chunks queued behind it still would.
-        victim = manager.catalog.chunks_for_version(record.array_id, 2)[1]
+        # Smash the second chunk's delta level (in read order): its
+        # frame no longer parses, the 62 chunks queued behind it still
+        # would.
+        index = 1
+        victim = manager.catalog.get_chunk(
+            record.array_id, 2, record.schema.attributes[0].name,
+            list(record.grid.chunks())[index].name)
         location = victim.location
         blob = bytearray(manager.backend.read(
             location.path, 0, manager.backend.total_bytes(location.path)))
@@ -297,7 +302,10 @@ class TestFailedOperationsLeaveNothingRunning:
         assert decodes.running == 0
         time.sleep(0.3)
         assert (manager.stats.snapshot(), decodes.started) == at_raise
-        assert 2 <= decodes.started < 64
+        # The ordered window: when the victim's error reaches the
+        # consumer, only it, the chunks before it and the window
+        # behind it (workers + 1, one refilled) have been submitted.
+        assert index + 1 <= decodes.started <= index + manager.workers + 2
         # Version 1 shares the objects but not the smashed bytes.
         np.testing.assert_array_equal(manager.select("A", 1).single(),
                                       data)
@@ -323,6 +331,187 @@ def _chained(root, depth=5, **kwargs):
 #: The tight-cache tests assert exact counters, which need the serial
 #: chunk order whatever the CI matrix cell says.
 SERIAL = dict(workers=0)
+
+
+def _answers(snap) -> tuple:
+    """Everything a snapshot answers about its array."""
+    versions = snap.get_versions()
+    chains = {(row.version, row.attribute, row.chunk_name):
+              list(snap.walk_chain(row.version, row.attribute,
+                                   row.chunk_name))
+              for row in snap.all_chunks()}
+    return (versions, snap.latest_version(), snap.labels_of(),
+            [snap.merge_parents_of(row.version) for row in versions],
+            [snap.chunks_for_version(row.version) for row in versions],
+            snap.all_chunks(), chains)
+
+
+class TestOneSnapshotPerCall:
+    """A reader resolves a whole call from one published catalog
+    snapshot: a writer's commits publish new ones beside it and never
+    change it."""
+
+    def test_pinned_snapshot_survives_later_commits(self, tmp_path):
+        manager = _chained(tmp_path)
+        manager.label_version("C", 3, "middle")
+        pinned = manager.catalog.snapshot("C")
+        before = _answers(pinned)
+
+        def writer():
+            manager.insert("C", manager.select("C", 5).single() + 1)
+            manager.delete_version("C", 3)
+            manager.label_version("C", 6, "middle")
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert _answers(pinned) == before
+        current = manager.catalog.snapshot("C")
+        assert [row.version for row in current.get_versions()] == \
+            [1, 2, 4, 5, 6]
+        assert current.labels_of() == [("middle", 6)]
+        manager.close()
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_selects_beside_layout_swaps_see_one_snapshot(self, tmp_path,
+                                                          workers):
+        # Per-version placement never reuses an object name, so a read
+        # pinned on a snapshot whose objects were reclaimed can only be
+        # refused (co-located staging appends to a recreated base path).
+        manager = _chained(tmp_path, depth=8, workers=workers,
+                           backend="memory", placement=PER_VERSION)
+        truth = {v: manager.select("C", v).single().copy()
+                 for v in range(1, 9)}
+        # Which snapshot each chunk of each whole-version read was
+        # located in, keyed by the canvas its window belongs to.
+        located: list[tuple[np.ndarray, object]] = []
+        reconstruct = manager.decoder.reconstruct
+
+        def spy(array, version, attribute, chunk, scope=None, *,
+                out=None):
+            if out is not None:
+                located.append((out.base, array))
+            return reconstruct(array, version, attribute, chunk, scope,
+                               out=out)
+
+        manager.decoder.reconstruct = spy
+        stop = threading.Event()
+        wrong: list[str] = []
+        reads = [0]
+
+        def reader():
+            rng = np.random.default_rng(workers)
+            while not stop.is_set():
+                version = int(rng.integers(1, 9))
+                try:
+                    got = manager.select("C", version).single()
+                except StorageError as error:
+                    # A read pinned before a swap whose objects the
+                    # rewrite then reclaimed: refused, never wrong.
+                    if "missing chunk file" not in str(error):
+                        wrong.append(repr(error))
+                    continue
+                if not np.array_equal(got, truth[version]):
+                    wrong.append(f"C@{version}")
+                reads[0] += 1
+
+        thread = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave reads and the swaps
+        thread.start()
+        try:
+            for _ in range(3):
+                manager.apply_layout("C", {8: None, 7: 8, 6: 7, 5: 6,
+                                           4: 5, 3: 4, 2: 3, 1: 2})
+                manager.apply_layout("C", {1: None, 2: 1, 3: 2, 4: 3,
+                                           5: 4, 6: 5, 7: 6, 8: 7})
+        finally:
+            stop.set()
+            thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert wrong == [] and reads[0] > 0
+        by_canvas: dict[int, set[int]] = {}
+        for canvas, snap in located:
+            by_canvas.setdefault(id(canvas), set()).add(id(snap))
+        assert all(len(snaps) == 1 for snaps in by_canvas.values())
+        assert len({id(snap) for _, snap in located}) > 1  # swaps landed
+        manager.close()
+
+    @staticmethod
+    def _stalled_select(manager, name, version):
+        """Start ``select(name, version)`` on a thread that stalls right
+        after its first chunk read, holding those payloads and its
+        snapshot, until ``release`` is set.  Returns (release, thread,
+        result); ``result`` receives the array or the error."""
+        stalled, release = threading.Event(), threading.Event()
+        read_chunks = manager.store.read_chunks
+
+        def spy(locations):
+            payloads = read_chunks(locations)
+            if not stalled.is_set():
+                stalled.set()
+                release.wait(timeout=60)
+            return payloads
+
+        manager.store.read_chunks = spy
+        result: list = []
+
+        def reader():
+            try:
+                result.append(manager.select(name, version).single())
+            except StorageError as error:
+                result.append(error)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        assert stalled.wait(timeout=60)
+        return release, thread, result
+
+    @pytest.mark.parametrize("cache", [dict(cache_bytes=1 << 20),
+                                       dict(cache_chunks=1)],
+                             ids=["warm-fill", "fused"])
+    def test_read_pinned_before_a_delete_never_caches_it(self, tmp_path,
+                                                         cache):
+        # Co-located and reclaim=False: the deleted head's bytes stay,
+        # so the read pinned before the swap succeeds — and must not
+        # leave the deleted contents cached under the number the next
+        # insert reuses.
+        manager = _chained(tmp_path, depth=3, workers=0, backend="memory",
+                           placement=COLOCATED, **cache)
+        old = manager.select("C", 3).single().copy()
+        manager.cache.clear()
+        release, thread, result = self._stalled_select(manager, "C", 3)
+        manager.delete_version("C", 3, reclaim=False)
+        release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        np.testing.assert_array_equal(result[0], old)
+        assert not [key for key in manager.cache._entries if key[1] == 3]
+        assert manager.insert("C", old + 7) == 3
+        np.testing.assert_array_equal(manager.select("C", 3).single(),
+                                      old + 7)
+        manager.close()
+
+    def test_read_pinned_before_a_drop_never_caches_it(self, tmp_path):
+        # SQLite hands the re-created array the dropped one's id, so a
+        # stale entry would be read as the new array's version 1.
+        manager = VersionedStorageManager(tmp_path, backend="memory",
+                                          workers=0, cache_bytes=1 << 20)
+        schema = ArraySchema.simple((8, 8), dtype=np.int64)
+        array_id = manager.create_array("D", schema).array_id
+        manager.insert("D", np.ones((8, 8), np.int64))
+        release, thread, result = self._stalled_select(manager, "D", 1)
+        manager.delete_array("D")
+        assert manager.create_array("D", schema).array_id == array_id
+        manager.insert("D", np.full((8, 8), 5, np.int64))
+        release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        np.testing.assert_array_equal(result[0], 1)
+        np.testing.assert_array_equal(manager.select("D", 1).single(), 5)
+        manager.close()
 
 
 class TestChainPrefetch:

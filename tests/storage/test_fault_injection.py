@@ -12,7 +12,8 @@ keep its transactional promises (no catalog trace of a failed version,
 clean retry, loud reads on a dead node).  The rewrites —
 ``delete_version``, ``apply_layout`` and ``reorganize`` through it —
 are swept fault point by fault point: a failed rewrite leaves the
-store reading exactly as before it, on either placement.
+store reading exactly as before it, on either placement, with its
+catalog snapshot still equal to the SQL rows.
 ``REPRO_FAULT_SEED`` (the CI chaos matrix) adds one seed to the seeded
 rewrite cell.
 """
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from catalog_oracle import assert_catalog_matches_sql
 from repro.core.errors import CodecError, ReproError, StorageError
 from repro.core.schema import ArraySchema
 from repro.storage import (
@@ -115,34 +117,43 @@ class TestCorruptChunks:
         assert filled.stats.chains_fused == 0
 
 
+def _reopened_after(manager, *statements) -> VersionedStorageManager:
+    """Run raw SQL against a closed store's catalog file and reopen it:
+    the catalog serves reads from memory, so damage done behind its
+    back is what the next open finds."""
+    array_id = manager.catalog.get_array("A").array_id
+    for sql in statements:
+        manager.catalog._conn.execute(sql, (array_id,))
+    manager.catalog._conn.commit()
+    manager.close()
+    return VersionedStorageManager(manager.root, chunk_bytes=2048,
+                                   compressor="lz")
+
+
 class TestCatalogRobustness:
     def test_missing_chunk_record(self, filled):
         # Simulate a partially-committed version: drop one chunk row.
-        record = filled.catalog.get_array("A")
-        chunk = filled.catalog.chunks_for_version(record.array_id, 2)[0]
-        filled.catalog._conn.execute(
-            "DELETE FROM chunks WHERE array_id = ? AND version_num = ?"
-            " AND chunk_name = ? AND attribute = ?",
-            (record.array_id, 2, chunk.chunk_name, chunk.attribute))
-        filled.catalog._conn.commit()
-        with pytest.raises(ReproError):
-            filled.select("A", 2)
+        chunk = filled.catalog.chunks_for_version(
+            filled.catalog.get_array("A").array_id, 2)[0]
+        with _reopened_after(
+                filled, "DELETE FROM chunks WHERE array_id = ?"
+                " AND version_num = 2"
+                f" AND chunk_name = '{chunk.chunk_name}'"
+                f" AND attribute = '{chunk.attribute}'") as reopened:
+            with pytest.raises(ReproError):
+                reopened.select("A", 2)
 
     def test_cyclic_base_references_detected(self, filled):
         # Force a delta cycle directly in the catalog; reads must detect
         # it rather than loop forever (Observation 2 enforced at read).
-        record = filled.catalog.get_array("A")
-        filled.catalog._conn.execute(
-            "UPDATE chunks SET base_version = 2, delta_codec = 'hybrid'"
-            " WHERE array_id = ? AND version_num = 1",
-            (record.array_id,))
-        filled.catalog._conn.execute(
-            "UPDATE chunks SET base_version = 1"
-            " WHERE array_id = ? AND version_num = 2",
-            (record.array_id,))
-        filled.catalog._conn.commit()
-        with pytest.raises(StorageError, match="cycle"):
-            filled.select("A", 1)
+        with _reopened_after(
+                filled,
+                "UPDATE chunks SET base_version = 2, delta_codec = 'hybrid'"
+                " WHERE array_id = ? AND version_num = 1",
+                "UPDATE chunks SET base_version = 1"
+                " WHERE array_id = ? AND version_num = 2") as reopened:
+            with pytest.raises(StorageError, match="cycle"):
+                reopened.select("A", 1)
 
     def test_reopen_store_from_disk(self, tmp_path, rng):
         # Everything needed to read must survive a process restart.
@@ -336,7 +347,14 @@ REWRITES = {
     "reverse-chain": lambda manager: manager.apply_layout(
         "A", {4: None, 3: 4, 2: 3, 1: 2}),
     "reorganize-head": lambda manager: manager.reorganize("A", mode="head"),
+    # Every version again, right after "reverse-chain" (see SETUPS): no
+    # payload comes from the objects the committed rows name.
+    "re-layout": lambda manager: manager.apply_layout(
+        "A", {1: None, 2: 1, 3: 2, 4: 3}),
 }
+
+#: What a flow's chain has been through before the flow runs.
+SETUPS = {"re-layout": REWRITES["reverse-chain"]}
 
 
 def _rewrite_seeds() -> list[int]:
@@ -386,22 +404,26 @@ def _until_landed(manager, op, attempts: int = 30) -> None:
             return op()
         except StorageError:
             assert _state(manager) == before
+            assert_catalog_matches_sql(manager.catalog)
     raise AssertionError("operation never outlasted its fault schedule")
 
 
 class TestRewriteUnderInjectedFaults:
     """A rewrite fails whole: each write, append and sync it issues is
     failed in turn, and the store must then read exactly as before the
-    rewrite — rows, lineage, labels, contents — while a retry lands on
-    what a fault-free rewrite leaves."""
+    rewrite — rows, lineage, labels, contents, and a catalog snapshot
+    equal to its SQL rows (nothing of the failed rewrite published) —
+    while a retry lands on what a fault-free rewrite leaves."""
 
     @pytest.mark.parametrize("placement", [COLOCATED, PER_VERSION])
     @pytest.mark.parametrize("rewrite", sorted(REWRITES))
     def test_every_fault_point_leaves_the_pre_rewrite_store(
             self, placement, rewrite):
         op = REWRITES[rewrite]
+        setup = SETUPS.get(rewrite, lambda manager: None)
         backend = FaultInjectingBackend(InMemoryBackend())
         with _chain(backend, placement) as reference:
+            setup(reference)
             start = dict(backend._op_counts)
             op(reference)
             expected = _state(reference)
@@ -412,6 +434,7 @@ class TestRewriteUnderInjectedFaults:
             backend = FaultInjectingBackend(
                 InMemoryBackend(), schedule={kind: frozenset({index})})
             with _chain(backend, placement) as manager:
+                setup(manager)
                 # The chain itself issued exactly the reference's ops.
                 assert backend.injected == []
                 before = _state(manager)
@@ -419,6 +442,7 @@ class TestRewriteUnderInjectedFaults:
                     op(manager)
                 assert backend.injected == [(kind, index)]
                 assert _state(manager) == before, (kind, index)
+                assert_catalog_matches_sql(manager.catalog)
                 op(manager)
                 assert _state(manager) == expected, (kind, index)
 

@@ -129,8 +129,8 @@ def _stepwise_select(manager, name, version) -> np.ndarray:
     attr = record.schema.attributes[0]
     out = np.empty(record.schema.shape, dtype=attr.dtype)
     for chunk in manager.grid_for(record).chunks():
-        chain = manager.catalog.get_chunk_chain(
-            record.array_id, version, attr.name, chunk.name)
+        chain = list(manager.catalog.snapshot(name).walk_chain(
+            version, attr.name, chunk.name))
         payloads = manager.store.read_chunks(
             [level.location for level in chain])
         data = get_codec(chain[-1].compressor).decode(payloads[-1])
@@ -433,8 +433,8 @@ def test_equivalence_grid(tmp_path, dtype, layout, shape, chunk_shape):
         # The deepest read really is a mixed chain of DEPTH - 1 levels,
         # in every chunk.
         for chunk in grid.chunks():
-            chain = manager.catalog.get_chunk_chain(
-                record.array_id, DEPTH, "value", chunk.name)
+            chain = list(manager.catalog.snapshot("A").walk_chain(
+                DEPTH, "value", chunk.name))
             assert [level.delta_codec for level in reversed(chain)] == \
                 [None] + [LEVEL_CODECS[level % 4]
                           for level in range(1, DEPTH)]

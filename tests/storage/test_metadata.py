@@ -173,9 +173,9 @@ class TestChunks:
         catalog.put_chunks([ChunkRecord(
             array_id, 2, "value", "c.dat", "hybrid", 1, "none",
             ChunkLocation("p", 10, 4))])
-        dependents = catalog.dependents_of(array_id, 1)
-        assert [d.version for d in dependents] == [2]
-        assert catalog.dependents_of(array_id, 2) == []
+        snap = catalog.snapshot("A")
+        assert [d.version for d in snap.dependents_of(1)] == [2]
+        assert snap.dependents_of(2) == []
 
     def test_stored_bytes(self, catalog, array_id):
         catalog.put_chunks([ChunkRecord(
@@ -198,6 +198,11 @@ class TestChunks:
             None if base is None else "hybrid", base, "none",
             ChunkLocation("p", version * 10, 10))])
 
+    @staticmethod
+    def _chain(catalog, version, chunk_name="c.dat"):
+        return list(catalog.snapshot("A").walk_chain(version, "value",
+                                                     chunk_name))
+
     def test_chunk_chain_walks_to_the_root_in_order(self, catalog,
                                                     array_id):
         # Bases need not descend (layouts re-root chains freely), and
@@ -205,25 +210,24 @@ class TestChunks:
         for version, base in ((3, None), (1, 3), (4, 1), (2, 4)):
             self._link(catalog, array_id, version, base)
             self._link(catalog, array_id, version, None, "other.dat")
-        chain = catalog.get_chunk_chain(array_id, 2, "value", "c.dat")
+        chain = self._chain(catalog, 2)
         assert [row.version for row in chain] == [2, 4, 1, 3]
         assert chain == [catalog.get_chunk(array_id, row.version,
                                            "value", "c.dat")
                          for row in chain]
-        assert [row.version for row in catalog.get_chunk_chain(
-            array_id, 3, "value", "c.dat")] == [3]
+        assert [row.version for row in self._chain(catalog, 3)] == [3]
 
     def test_chunk_chain_ends_where_a_cycle_closes(self, catalog,
                                                    array_id):
         for version, base in ((1, 3), (2, 1), (3, 2)):
             self._link(catalog, array_id, version, base)
-        chain = catalog.get_chunk_chain(array_id, 3, "value", "c.dat")
+        chain = self._chain(catalog, 3)
         assert [row.version for row in chain] == [3, 2, 1]
         assert chain[-1].base_version == 3  # not a root: a revisit
 
     def test_chunk_chain_missing_row(self, catalog, array_id):
         with pytest.raises(VersionNotFoundError):
-            catalog.get_chunk_chain(array_id, 1, "value", "c.dat")
+            self._chain(catalog, 1)
         self._link(catalog, array_id, 2, 1)
         with pytest.raises(VersionNotFoundError, match="v1"):
-            catalog.get_chunk_chain(array_id, 2, "value", "c.dat")
+            self._chain(catalog, 2)

@@ -117,6 +117,16 @@ class TestChunkCacheBounds:
         assert (cache.hits, cache.misses) == (1, 1)
         assert (stats.cache_hits, stats.cache_misses) == (1, 1)
 
+    def test_put_asks_valid_under_the_lock(self):
+        cache = ChunkCache(max_entries=4)
+        data = np.zeros(4)
+        cache.put(("arr", 1), data, valid=lambda: cache._lock.locked())
+        cache.put(("arr", 2), data, valid=lambda: False)
+        cache.put(("arr", 3), data, evict=False, valid=lambda: False)
+        assert cache.get(("arr", 1)) is data
+        assert cache.info()["entries"] == 1
+        assert cache.info()["bytes"] == data.nbytes
+
     def test_clear(self):
         cache = ChunkCache(max_entries=4)
         cache.put(("arr", 1), np.zeros(4))
