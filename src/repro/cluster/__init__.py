@@ -8,7 +8,8 @@ reference [2]).
 Modules: ``coordinator`` (routing, generation pinning, locking; owns
 the all-or-nothing write fan and the failover reader), ``sync`` (the
 lineage-row reader, the prefix rule, re-create / replay), ``repair``
-(copy digests, anti-entropy repair, replacement, verified revive),
+(the copy comparison, anti-entropy repair by shipping stored bytes,
+replacement, verified revive),
 ``rebalance`` (online resharding), ``partitioning`` (band geometry).
 """
 

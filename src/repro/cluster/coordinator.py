@@ -352,19 +352,22 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     def repair(self, node: int, replica: int = 0) -> dict:
         """Resync one stale or empty band copy from its live peers
-        (:func:`repro.cluster.repair.repair` says how): a stale tail
-        is replayed, a diverged or unreadable copy rebuilt, and the
-        copy is *proven* digest-identical to a peer before the method
-        returns.
+        (:func:`repro.cluster.repair.repair` says how): the peer's
+        stored bytes are shipped — only the missing tail to a copy
+        that holds a stored prefix, the whole array to a diverged or
+        unreadable one — and the copy is *proven* digest-identical to
+        a peer before the method returns.
 
         The copy should be marked dead while it is repaired (the
         revive flow does this naturally): cluster writes refuse while
         any copy is dead, so no version can land mid-resync.  Repair
         under fault injection raises mid-way and is simply retried —
-        every landed version is transactional, so retries converge on
-        the missing tail.  Returns ``{"versions": n, "bytes": n}``
-        (also recorded in ``stats.repairs`` / ``repaired_versions`` /
-        ``repair_bytes`` when any version was replayed).
+        each array's shipment commits in one transaction, so retries
+        converge on what is still missing.  Returns ``{"versions": n,
+        "bytes": n}`` — versions shipped and their logical (dense)
+        bytes — also recorded in ``stats.repairs`` /
+        ``repaired_versions`` / ``repair_bytes`` when any version was
+        shipped.
         """
         self._check_pair(node, replica)
         peers = self._live_peers(node, replica)
@@ -825,8 +828,8 @@ class ClusterCoordinator:
         """Per-node background re-organization.  Every *live* copy
         re-lays-out independently (replica layouts may legitimately
         diverge — contents, not physical structure, are what
-        replication guarantees); dead copies are skipped and pick a
-        fresh layout whenever they next replay."""
+        replication guarantees); dead copies are skipped, and a
+        repair later ships them the layout of the peer it reads."""
         self._partitioner(name)
         for node, replica in self._pairs():
             if (node, replica) not in self._dead:

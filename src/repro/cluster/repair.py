@@ -14,49 +14,60 @@ import logging
 import shutil
 from functools import partial
 
-from repro.cluster.sync import recreate, replay_row, stale_tail, version_rows
+from repro.cluster.sync import recreate
 from repro.core.errors import ReproError, StorageError
 from repro.storage.manager import VersionedStorageManager
 
 _log = logging.getLogger("repro.cluster")
 
 
-def compare_copies(target, name: str, read) -> tuple[list | None,
-                                                   list | None]:
-    """The one comparison of an array's two copies: ``(held, source)``
-    per-version keys for :func:`stale_tail`, from the cheapest
-    comparison that settles it.
+def compare_copies(target, name: str, read) -> tuple[int | None, str]:
+    """The one comparison of an array's two copies, by the cheapest
+    comparison that settles it: ``(after, why)``.
+
+    ``after`` is None when the copies are in sync.  Otherwise the
+    target needs the source's stored versions numbered above
+    ``after``: its own last version when it holds a strict prefix of
+    the source's, else 0 — and then its copy of the array is dropped
+    and re-created first.  ``why`` names the comparison that failed.
 
     Stored digests come first
     (:meth:`~repro.storage.manager.VersionedStorageManager.stored_digests`,
     no decode): equal stored bytes mean equal contents, so equal lists
-    mean in sync and a target list that is a prefix of the source's
-    means only the tail is missing.  Anything else — the copies store
-    their versions differently, say after one of them re-organized —
-    proves nothing, and both sides' logical
+    mean in sync and a target list that is a strict prefix of the
+    source's means only the tail is missing.  Anything else — the
+    copies store their versions differently, say after one of them
+    re-organized — proves nothing, and both sides' logical
     :meth:`~repro.storage.manager.VersionedStorageManager.version_digests`
-    are compared instead.  ``held`` is None when the target lacks the
+    decide: equal lists mean in sync (a copy re-organized while dead
+    needs no work), anything else a rebuild.  A target that lacks the
     array, cannot read it, or disagrees with the peer's record on
-    schema or branch origin: such a copy is rebuilt whatever the peer
-    holds, so ``source`` is then None too.  ``read`` is the failover
-    reader over the target's live peers; only its errors escape.
+    schema or branch origin is rebuilt whatever the peer holds.
+    ``read`` is the failover reader over the target's live peers; only
+    its errors escape.
     """
     try:
         identity = _identity(target, name)
         held = target.stored_digests(name)
-    except ReproError:
-        return None, None
+    except ReproError as exc:
+        return 0, f"its {name!r} cannot be read ({exc})"
     source_identity, source = read(
         lambda peer: (_identity(peer, name), peer.stored_digests(name)))
     if identity != source_identity:
-        return None, None
-    if held == source[:len(held)]:
-        return held, source
+        return 0, f"its {name!r} record differs from its peer's"
+    if held == source:
+        return None, ""
+    if held and held == source[:len(held)]:
+        return held[-1][0], (f"its stored digests of {name!r} are a "
+                             f"strict prefix of its peer's")
     try:
-        held = target.version_digests(name)
-    except ReproError:
-        return None, None
-    return held, read(lambda peer: peer.version_digests(name))
+        logical = target.version_digests(name)
+    except ReproError as exc:
+        return 0, f"its {name!r} cannot be decoded ({exc})"
+    if logical == read(lambda peer: peer.version_digests(name)):
+        return None, ""
+    return 0, (f"neither its stored nor its logical digests of {name!r} "
+               f"match its peer's")
 
 
 def _identity(manager, name: str) -> tuple:
@@ -66,45 +77,48 @@ def _identity(manager, name: str) -> tuple:
             record.parent_version)
 
 
-def replica_in_sync(cluster, node: int, replica: int,
-                    peers: list[int]) -> bool:
-    """Whether one band copy holds the cluster's arrays (no missing,
-    no extra) and, per array, the versions of the first live peer
-    that can serve the comparison, by :func:`compare_copies` — so an
-    intact copy is verified without decoding a version.  An unreadable
-    target counts as out of sync; no serving peer counts as in sync
-    (recovery must not deadlock on an unverifiable cluster)."""
+def why_stale(cluster, node: int, replica: int,
+              peers: list[int]) -> str | None:
+    """Why one band copy is out of sync, or None when it holds the
+    cluster's arrays (no missing, no extra) and, per array, the
+    versions of the first live peer that can serve the comparison, by
+    :func:`compare_copies` — so an intact copy is verified without
+    decoding a version.  An unreadable target is out of sync; no
+    serving peer counts as in sync (recovery must not deadlock on an
+    unverifiable cluster)."""
     target = cluster.replicas[node][replica]
     registry = cluster.list_arrays()
     try:
-        if set(target.list_arrays()) != set(registry):
-            return False
-    except ReproError:
-        return False
+        held = target.list_arrays()
+    except ReproError as exc:
+        return f"its catalog cannot be read ({exc})"
+    if set(held) != set(registry):
+        return f"it holds arrays {sorted(held)}, the cluster {registry}"
     read = partial(cluster._read_node, node, replicas=peers)
     try:
         for name in registry:
-            held, source = compare_copies(target, name, read)
-            if held is None or held != source:
-                return False
+            after, why = compare_copies(target, name, read)
+            if after is not None:
+                return why
     except ReproError:
-        return True
-    return True
+        return None
+    return None
 
 
 def revive(cluster, copies: list[tuple[int, int]], repair: bool) -> None:
     """The one verified revive: collect the copies not in sync with
-    their live peers (:func:`replica_in_sync`), refuse (or repair them
-    all), and only then clear the marks."""
-    stale = []
+    their live peers (:func:`why_stale`), refuse (or repair them all),
+    and only then clear the marks."""
+    stale = {}
     for node, replica in copies:
         peers = cluster._live_peers(node, replica)
-        if peers and not replica_in_sync(cluster, node, replica, peers):
-            stale.append((node, replica))
+        why = why_stale(cluster, node, replica, peers) if peers else None
+        if why is not None:
+            stale[node, replica] = why
     if stale and not repair:
+        reasons = "; ".join(f"{copy}: {why}" for copy, why in stale.items())
         raise StorageError(
-            f"stale copies {stale}: each is stale — its logical "
-            f"digest does not match its live peers'; "
+            f"stale copies {list(stale)}: each is stale — {reasons}; "
             f"repair(node, replica) them first or revive with "
             f"repair=True")
     for node, replica in stale:
@@ -139,20 +153,29 @@ def replace_replica(cluster, node: int,
 
 
 def repair(cluster, node: int, replica: int, peers: list[int]) -> dict:
-    """Resync copy ``(node, replica)`` from its live ``peers``.
+    """Resync copy ``(node, replica)`` from its live ``peers`` by
+    shipping stored bytes.
 
     Per array, :func:`compare_copies` compares the copy against the
-    first live peer replica that can serve (peer reads fail over) —
-    stored digests first, logical digests only when the two store
-    their versions differently; a copy whose list is a strict prefix
-    of its peer's replays only the missing tail, a diverged or
-    unreadable copy is dropped and rebuilt in full, and arrays deleted
+    first live peer replica that can serve: in sync is skipped, a copy
+    whose stored list is a strict prefix of its peer's receives only
+    the missing versions, and anything else — diverged, unreadable,
+    absent, or stored differently and logically unequal — is dropped,
+    re-created and receives the whole array.  Arrays deleted
     cluster-wide while the copy was dead are dropped from it.
-    Every replayed version goes through the managers' transactional
-    write path with its *source* lineage row — kind, parent link,
-    merge parents, timestamp — so the repaired copy answers
-    lineage queries identically to its peers, which the closing
-    :func:`replica_in_sync` proves before the function returns.
+
+    The peer side is one failover read per array
+    (:meth:`~repro.storage.manager.VersionedStorageManager.export_versions`:
+    record, lineage rows, chunk rows and payloads from one snapshot,
+    decoding nothing); the target side, outside the failover so a
+    target fault never counts as one, places the payloads, raises one
+    barrier and commits every version in one catalog swap
+    (:meth:`~repro.storage.manager.VersionedStorageManager.import_versions`,
+    encoding nothing).  The repaired copy therefore stores exactly its
+    source's bytes and lineage rows — kinds, parents, merge parents,
+    timestamps — which the closing :func:`why_stale` proves before
+    the function returns.  ``"bytes"`` counts logical bytes: the
+    band's dense version size per version shipped.
     """
     target = cluster.replicas[node][replica]
     read = partial(cluster._read_node, node, replicas=peers)
@@ -162,34 +185,26 @@ def repair(cluster, node: int, replica: int, peers: list[int]) -> dict:
         # Deleted cluster-wide while this copy was dead.
         target.delete_array(extra)
     for name in registry:
-        held, source = compare_copies(target, name, read)
-        if held is not None and held == source:
+        after, _ = compare_copies(target, name, read)
+        if after is None:
             continue
-
-        def rebuild() -> None:
-            record = read(lambda m: m.catalog.get_array(name))
-            recreate(target, name, record.schema, record)
-
-        tail, was_rebuilt = stale_tail(
-            held, source, version_rows(cluster, name, node, peers),
-            rebuild)
-        rebuilt += was_rebuilt
-        for row in tail:
-            data = read(lambda m: m.select(name, row[0]))
-            replay_row(target, name, data, row)
-            versions += 1
-            nbytes += sum(data.attribute(attr.name).nbytes
-                          for attr in data.schema.attributes)
+        shipment = read(lambda peer: peer.export_versions(name, after))
+        if not after:
+            recreate(target, name, shipment.record.schema, shipment.record)
+            rebuilt += 1
+        target.import_versions(name, shipment)
+        versions += len(shipment.versions)
+        nbytes += len(shipment.versions) * shipment.record.schema.dense_size
     # The whole point is a *provably* identical copy: verify it
     # against a live peer before reporting success.
-    if not replica_in_sync(cluster, node, replica, peers):
+    why = why_stale(cluster, node, replica, peers)
+    if why is not None:
         raise StorageError(
             f"repair of replica {replica} of node {node} did not "
-            f"converge: logical digest still differs from its "
-            f"live peers'")
+            f"converge: {why}")
     if versions:
         cluster.stats.record_repair(versions, nbytes)
     _log.info("repair node=%d replica=%d: %d versions, %d bytes "
-              "(%d arrays rebuilt, the rest tail-replayed)",
+              "(%d arrays rebuilt, the rest tail-shipped)",
               node, replica, versions, nbytes, rebuilt)
     return {"versions": versions, "bytes": nbytes}

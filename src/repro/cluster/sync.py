@@ -2,22 +2,23 @@
 
 Anti-entropy repair (:mod:`repro.cluster.repair`) and the rebalance
 catch-up passes (:mod:`repro.cluster.rebalance`) do the same job —
-make a target hold exactly the source's versions, replaying only what
+make a target hold exactly the source's versions, writing only what
 is missing — against different targets (one manager, a whole fresh
-generation).  The pieces they share live here, each once.
+generation).  Repair's target has its source's chunk geometry, so it
+receives stored bytes and needs only :func:`recreate` from here;
+rebalance changes the geometry, so it reads lineage rows, applies
+the prefix rule and replays each missing version's contents with
+its source row.
 """
 
 from __future__ import annotations
 
 
-def version_rows(cluster, name: str, node: int | None = None,
-                 replicas: list[int] | None = None) -> list[tuple]:
+def version_rows(cluster, name: str) -> list[tuple]:
     """The one lineage-row reader: full rows — (version, parent, kind,
     timestamp, merge parents) in version order — of one array, read
     once from one copy with failover: the first band with a live
-    replica, or band ``node``'s listed ``replicas`` (repair reads its
-    own band's peers, so a replayed timestamp stays on that band's
-    clock)."""
+    replica."""
     def rows(manager) -> list[tuple]:
         record = manager.catalog.get_array(name)
         return [
@@ -26,9 +27,7 @@ def version_rows(cluster, name: str, node: int | None = None,
                                                     row.version)))
             for row in manager.catalog.get_versions(record.array_id)]
 
-    if node is None:
-        return cluster._read_any(rows)
-    return cluster._read_node(node, rows, replicas=replicas)
+    return cluster._read_any(rows)
 
 
 def replay_row(manager, name: str, data, row: tuple) -> int:
@@ -62,14 +61,13 @@ def stale_tail(held: list | None, source: list, rows: list[tuple],
     """The one prefix rule: which source ``rows`` a target still needs.
 
     ``held`` / ``source`` are the two sides' per-version comparison
-    keys in version order — what a key is stays the caller's (repair
-    compares logical digests, rebalance timestamped lineage rows) —
-    and ``held`` is None when the target lacks the array or cannot be
-    read.  A target whose keys are a prefix of the source's keeps what
-    it has and needs the rows past it; anything else has diverged
-    beyond a stale tail, so ``rebuild()`` drops and re-creates the
-    array and every row is needed.  Returns ``(rows to replay, whether
-    the array was rebuilt)``.
+    keys in version order (rebalance compares timestamped lineage
+    rows), and ``held`` is None when the target lacks the array or
+    cannot be read.  A target whose keys are a prefix of the source's
+    keeps what it has and needs the rows past it; anything else has
+    diverged beyond a stale tail, so ``rebuild()`` drops and re-creates
+    the array and every row is needed.  Returns ``(rows to replay,
+    whether the array was rebuilt)``.
     """
     rebuilt = held is None or held != source[:len(held)]
     if rebuilt:

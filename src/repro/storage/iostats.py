@@ -70,10 +70,10 @@ byte-level counters.
 
 Anti-entropy repair adds three more cluster counters: ``repairs``
 (repair passes that actually resynced at least one version onto a
-stale or empty replica), ``repaired_versions`` (versions replayed
-through the transactional write path during those passes), and
-``repair_bytes`` (logical payload bytes those replays carried — the
-numerator of the stale-replica resync MB/s the cluster bench
+stale or empty replica), ``repaired_versions`` (versions shipped
+as stored onto it during those passes), and ``repair_bytes`` (the
+logical — dense — bytes of those versions, not the stored bytes
+shipped: the numerator of the stale-replica resync MB/s the cluster bench
 reports).  Repair under chaos retries until the replica digests
 converge, so the counters accumulate across attempts; the fault-free
 tests assert exact values.
@@ -207,7 +207,7 @@ class IOStats:
             self.migrated_chunks += count
 
     def record_repair(self, versions: int, nbytes: int) -> None:
-        """Account one anti-entropy repair pass that replayed
+        """Account one anti-entropy repair pass that shipped
         ``versions`` versions carrying ``nbytes`` logical payload bytes
         onto a stale or empty replica.  Repair under fault injection
         retries until the digests converge, so increments accumulate

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.storage.metadata import (
     ChunkRecord,
     MetadataCatalog,
     VersionRecord,
+    VersionRows,
 )
 from repro.storage.pipeline import (
     POLICY_AUTO,
@@ -65,6 +66,25 @@ __all__ = [
     "POLICY_MATERIALIZE",
     "VersionedStorageManager",
 ]
+
+
+@dataclass(frozen=True)
+class Shipment:
+    """Some versions of one array exactly as one copy stores them:
+    :meth:`VersionedStorageManager.export_versions` reads it from one
+    snapshot, :meth:`~VersionedStorageManager.import_versions` commits
+    it on another copy.
+
+    ``versions`` pairs each lineage row with its merge parents, in
+    version order; ``chunks`` are their chunk rows in catalog order and
+    ``payloads`` each row's stored bytes, undecoded.  Array ids and
+    locations are the source's, and an import keeps neither.
+    """
+
+    record: ArrayRecord
+    versions: VersionRows
+    chunks: list[ChunkRecord]
+    payloads: list
 
 
 class _HotSlot:
@@ -368,14 +388,17 @@ class VersionedStorageManager:
                        timestamp: float | None = None,
                        merge_parents: list[tuple[str, int]] | None = None
                        ) -> int:
-        """Re-create one version with an explicit lineage row.
+        """Re-create one version from its contents with an explicit
+        lineage row.
 
-        The resync primitive behind anti-entropy repair and the
-        rebalance catch-up loop: unlike :meth:`insert` it preserves the
-        *source* version's kind (``insert`` / ``branch-root`` /
+        The resync primitive behind the rebalance catch-up loop, whose
+        bands change chunk geometry and so must re-encode (a copy with
+        the source's geometry receives stored bytes instead, see
+        :meth:`import_versions`): unlike :meth:`insert` it preserves
+        the *source* version's kind (``insert`` / ``branch-root`` /
         ``merge``), parent link, merge parents, and timestamp, so a
-        replica rebuilt version-by-version answers lineage queries
-        identically to the copy it was rebuilt from.  Replay is
+        copy rebuilt version-by-version answers lineage queries
+        identically to the one it was rebuilt from.  Replay is
         append-only — ``version`` must be exactly one past this
         array's latest — and runs through the same transactional write
         path as a fresh insert (chunk placement, durability barrier,
@@ -398,6 +421,83 @@ class VersionedStorageManager:
                 self._now() if timestamp is None else timestamp),
             merge_parents=list(merge_parents) if merge_parents else None)
         return version
+
+    def export_versions(self, name: str, after: int = 0) -> Shipment:
+        """Every version of ``name`` numbered above ``after`` exactly
+        as this copy stores it, for :meth:`import_versions` on another
+        copy: lineage rows, chunk rows and payloads, all from one
+        snapshot.  Payloads come through :meth:`ChunkStore.read_chunks`
+        undecoded — the stored bytes of the shipped versions, held in
+        memory (zero-copy views on the memory and object backends)."""
+        snap = self.catalog.snapshot(name)
+        rows = [row for row in snap.get_versions() if row.version > after]
+        chunks = [chunk for row in rows
+                  for chunk in snap.chunks_for_version(row.version)]
+        return Shipment(
+            snap.record,
+            [(row, snap.merge_parents_of(row.version)) for row in rows],
+            chunks,
+            self.store.read_chunks([chunk.location for chunk in chunks]))
+
+    def import_versions(self, name: str, shipment: Shipment) -> None:
+        """Append another copy's stored versions to ``name``: place →
+        one barrier → one catalog swap, with no encode stage.
+
+        Each payload goes through this store's own
+        :meth:`ChunkStore.write_chunk`, so this copy keeps its own
+        locations; each chunk row keeps the source's delta codec,
+        delta base and compressor under this array's id, and each
+        version its source lineage row (kind, parent, merge parents,
+        timestamp).  One durability barrier over every placed payload,
+        then one :meth:`MetadataCatalog.put_chunks` transaction commits
+        every version at once — so a version may delta against a later
+        one (a re-organized source), and a fault anywhere before the
+        commit leaves no shipped version behind, only bytes no row
+        names (dropped by the next compacting rewrite).
+
+        Nothing is decoded, encoded or verified here: the copy ends up
+        storing exactly its source's bytes.  Refused before anything is
+        placed: a source whose storage identity (schema, chunk
+        geometry, compressor) is not this array's, a version not above
+        this array's latest, and a delta base neither side holds.
+        """
+        snap = self.catalog.snapshot(name)
+        record, source = snap.record, shipment.record
+        if (record.schema, record.chunk_bytes, record.chunk_shape,
+                record.compressor) != (source.schema, source.chunk_bytes,
+                                       source.chunk_shape,
+                                       source.compressor):
+            raise StorageError(
+                f"cannot import into {name!r}: the shipment comes from "
+                f"an array stored differently")
+        numbers = [row.version for row, _ in shipment.versions]
+        latest = snap.latest_version() or 0
+        if numbers and (numbers != sorted(set(numbers))
+                        or numbers[0] <= latest):
+            raise StorageError(
+                f"import_versions is append-only: array {name!r} is at "
+                f"version {latest}, cannot import versions {numbers}")
+        shipped = set(numbers)
+        bases = {row.version for row in snap.get_versions()} | shipped | {
+            None}
+        for chunk in shipment.chunks:
+            if chunk.version not in shipped or \
+                    chunk.base_version not in bases:
+                raise StorageError(
+                    f"cannot import {name!r} v{chunk.version}: its chunk "
+                    f"{chunk.attribute}/{chunk.chunk_name} names a "
+                    f"version neither copy holds")
+        rows = [replace(chunk, array_id=record.array_id,
+                        location=self.store.write_chunk(
+                            name, chunk.version, chunk.attribute,
+                            chunk.chunk_name, payload))
+                for chunk, payload in zip(shipment.chunks,
+                                          shipment.payloads)]
+        if rows:
+            self.store.sync_chunks([chunk.location for chunk in rows])
+        self.catalog.put_chunks(
+            rows, versions=[(replace(row, array_id=record.array_id), parents)
+                            for row, parents in shipment.versions])
 
     def delete_version(self, name: str, version: int, *,
                        reclaim: bool = True) -> None:

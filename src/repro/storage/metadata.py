@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.core.errors import (
     ArrayExistsError,
@@ -136,6 +136,11 @@ class VersionRecord:
     parent_version: int | None
     kind: str
     timestamp: float
+
+
+#: The version rows one catalog transaction inserts, each with its
+#: merge parents (empty for none), in insert order.
+VersionRows = Sequence[tuple[VersionRecord, Sequence[tuple[str, int]]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,34 +314,34 @@ class ArraySnapshot:
 
     # -- derivation (writers, under the catalog lock) -------------------
     def derive(self, records: list[ChunkRecord],
-               version: VersionRecord | None = None,
-               merge_parents: list[tuple[str, int]] | None = None,
+               versions: VersionRows = (),
                drop: VersionRecord | None = None) -> ArraySnapshot:
         """The snapshot after one committed
         :meth:`MetadataCatalog.put_chunks` transaction: the same edits,
         in the same order, as its statements — ``drop`` deleted with its
-        rows and labels and its children re-parented, ``version``
-        inserted with its merge parents, ``records`` upserted.
+        rows and labels and its children re-parented, each of
+        ``versions`` inserted with its merge parents, ``records``
+        upserted.
 
-        An insert copies the version and chunk indexes' top levels
-        (O(versions)) and builds its own new level.
+        A commit copies the version and chunk indexes' top levels
+        (O(versions)) once and builds its own new levels.
         """
-        versions, parents = dict(self._versions), dict(self._parents)
+        rows, parents = dict(self._versions), dict(self._parents)
         chunks, labels = dict(self._chunks), self._labels
         if drop is not None:
-            for table in (versions, parents, chunks):
+            for table in (rows, parents, chunks):
                 table.pop(drop.version, None)
             labels = {label: number for label, number in labels.items()
                       if number != drop.version}
-            for number, row in versions.items():
+            for number, row in rows.items():
                 if row.parent_version == drop.version:
-                    versions[number] = replace(
+                    rows[number] = replace(
                         row, parent_version=drop.parent_version)
-        if version is not None:
-            versions[version.version] = version
+        for row, merge_parents in versions:
+            rows[row.version] = row
             if merge_parents:
-                parents[version.version] = parents.get(
-                    version.version, ()) + tuple(merge_parents)
+                parents[row.version] = parents.get(
+                    row.version, ()) + tuple(merge_parents)
         levels: dict[int, dict[tuple[str, str], ChunkRecord]] = {}
         latest = dict(chunks[next(reversed(chunks))]) if chunks else {}
         for record in records:
@@ -348,7 +353,7 @@ class ArraySnapshot:
             level[key] = row
         for number, level in levels.items():
             chunks[number] = dict(sorted(level.items()))
-        return ArraySnapshot(self.record, dict(sorted(versions.items())),
+        return ArraySnapshot(self.record, dict(sorted(rows.items())),
                              parents, labels, dict(sorted(chunks.items())),
                              self._pool)
 
@@ -649,8 +654,7 @@ class MetadataCatalog:
                 record.location.length)
 
     def put_chunks(self, records: list[ChunkRecord],
-                   version: VersionRecord | None = None,
-                   merge_parents: list[tuple[str, int]] | None = None,
+                   versions: VersionRows = (),
                    drop: VersionRecord | None = None) -> None:
         """Insert or replace many chunk records of one array in one
         transaction — the only writer of version, merge-parent and
@@ -659,16 +663,19 @@ class MetadataCatalog:
         Every chunk row of a version commits atomically — observers
         see all of the version's rows or none, and a failure rolls the
         whole batch back (leaving zero rows, never a partial version).
-        Passing ``version`` registers the version row (with its
-        ``merge_parents``) *in the same transaction*, so a freshly
-        inserted version and its chunks are indivisible: no crash or
-        failure can leave one without the other, and no reader can
-        ever name a version that is not fully readable.  Passing
-        ``drop`` deletes that version with its labels and merge
-        parents and re-parents its children, in the same transaction.
+        ``versions`` registers version rows, each with its merge
+        parents, *in the same transaction*, so freshly written versions
+        and their chunks are indivisible: no crash or failure can leave
+        one without the other, no reader can ever name a version that
+        is not fully readable, and a version may delta against a later
+        one of the same batch.  Passing ``drop`` deletes that version
+        with its labels and merge parents and re-parents its children,
+        in the same transaction.
         """
         array_ids = {record.array_id for record in records} | {
-            row.array_id for row in (version, drop) if row is not None}
+            row.array_id for row, _ in versions}
+        if drop is not None:
+            array_ids.add(drop.array_id)
         if len(array_ids) > 1:
             raise StorageError(
                 f"put_chunks writes one array, got ids {sorted(array_ids)}")
@@ -685,29 +692,27 @@ class MetadataCatalog:
                         "UPDATE versions SET parent_version = ?"
                         " WHERE array_id = ? AND parent_version = ?",
                         (drop.parent_version, drop.array_id, drop.version))
-                if version is not None:
+                for row, merge_parents in versions:
                     self._conn.execute(
                         "INSERT INTO versions (array_id, version_num,"
                         " parent_version, kind, timestamp)"
                         " VALUES (?, ?, ?, ?, ?)",
-                        (version.array_id, version.version,
-                         version.parent_version, version.kind,
-                         version.timestamp))
-                    for parent_array, parent_num in merge_parents or []:
+                        (row.array_id, row.version, row.parent_version,
+                         row.kind, row.timestamp))
+                    for parent_array, parent_num in merge_parents:
                         self._conn.execute(
                             "INSERT INTO merge_parents (array_id,"
                             " version_num, parent_array, parent_version)"
                             " VALUES (?, ?, ?, ?)",
-                            (version.array_id, version.version,
-                             parent_array, parent_num))
+                            (row.array_id, row.version, parent_array,
+                             parent_num))
                 self._conn.executemany(
                     self._PUT_CHUNK_SQL,
                     [self._chunk_row(record) for record in records])
             # An array not yet touched is read from SQL when it is.
             snap = self._by_id.get(next(iter(array_ids), None))
             if snap is not None:
-                self._publish(snap.derive(records, version, merge_parents,
-                                          drop))
+                self._publish(snap.derive(records, versions, drop))
 
     def get_chunk(self, array_id: int, version: int, attribute: str,
                   chunk_name: str) -> ChunkRecord:

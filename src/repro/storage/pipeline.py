@@ -584,8 +584,9 @@ class EncodePipeline(_PooledStage):
         # object backend the same call is the finalize barrier that
         # completes every multipart upload this version staged.
         self.store.sync_chunks([chunk.location for chunk in records])
-        self.catalog.put_chunks(records, version=version_row,
-                                merge_parents=merge_parents)
+        self.catalog.put_chunks(
+            records, versions=[(version_row, merge_parents or ())]
+            if version_row is not None else ())
 
 
 class DecodePipeline(_PooledStage):

@@ -275,27 +275,28 @@ class TestRepairChaos:
 
     def test_peer_dies_mid_repair(self, tmp_path,
                                   reference_fingerprint):
-        """The serving peer goes dark *during* the resync; repair
-        fails over to the remaining replica and still converges to
-        the fault-free fingerprint."""
+        """The serving peer goes dark *during* the resync, inside a
+        shipment fetch; repair fails over to the remaining replica and
+        still converges to the fault-free fingerprint."""
         cluster = ClusterCoordinator(
             tmp_path / "cluster", nodes=3, replication=3,
             chunk_bytes=512, backend=_fault_factory(0))
         try:
             _workload(cluster)
-            target = cluster.replace_replica(0, 0)
-            original = target.replay_version
-            state = {"replayed": 0}
+            cluster.replace_replica(0, 0)
+            peer = cluster.replicas[0][1]
+            original = peer.export_versions
+            state = {"exports": 0}
 
-            def dies_after_first(*args, **kwargs):
-                state["replayed"] += 1
-                if state["replayed"] == 2:
-                    # The first peer (the digest/read source so far)
-                    # goes dark mid-resync.
-                    cluster.replicas[0][1].backend.mark_dead()
-                return original(*args, **kwargs)
+            def dies_on_second_export(name, after=0):
+                state["exports"] += 1
+                if state["exports"] == 2:
+                    # The first peer (the source so far) goes dark
+                    # while the next array's shipment is fetched.
+                    peer.backend.mark_dead()
+                return original(name, after)
 
-            target.replay_version = dies_after_first
+            peer.export_versions = dies_on_second_export
             report = cluster.repair(0, 0)
             assert report["versions"] == sum(
                 len(cluster.get_versions(name))

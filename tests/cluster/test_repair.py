@@ -14,12 +14,15 @@ that closes that gap:
 * ``revive`` / ``revive_node`` verify the digest against live peers
   and either refuse loudly or auto-repair — a data-less replica never
   rejoins rotation silently;
-* ``repair`` resyncs a stale or blank copy version-by-version through
-  the transactional write path, replays *only* the missing tail of a
-  strict-prefix copy, rebuilds a diverged copy from scratch, preserves
-  lineage kinds exactly, and proves convergence before returning;
+* ``repair`` resyncs a stale or blank copy by shipping its peer's
+  stored bytes — decoding and encoding nothing — ships *only* the
+  missing tail of a strict-prefix copy, rebuilds anything else from
+  scratch, leaves the copy stored-identical to the peer it shipped
+  from, preserves lineage kinds exactly, commits each array's
+  shipment in one swap (a fault before it commits nothing), and proves
+  convergence before returning;
 * the ``repairs`` / ``repaired_versions`` / ``repair_bytes`` counters
-  account exactly for what was replayed.
+  account exactly for what was shipped.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from catalog_oracle import assert_catalog_matches_sql
 from repro.cluster import ClusterCoordinator
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema
@@ -108,31 +112,14 @@ def _copy_digest(cluster, node: int, replica: int,
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-class _RecordingCatalog:
-    """Counts the catalog calls made *through the wrapper* — i.e. by
-    the cluster layer, not by the manager's own methods."""
-
-    def __init__(self, catalog, calls: list[str]):
-        self._catalog = catalog
-        self._calls = calls
-
-    def __getattr__(self, name):
-        self._calls.append(name)
-        return getattr(self._catalog, name)
-
-
-class _RecordingManager:
-    """A band copy that records the cluster layer's direct catalog
-    reads (everything else passes straight through)."""
-
-    def __init__(self, manager):
-        self._manager = manager
-        self.catalog_calls: list[str] = []
-        self.catalog = _RecordingCatalog(manager.catalog,
-                                         self.catalog_calls)
-
-    def __getattr__(self, name):
-        return getattr(self._manager, name)
+def _assert_stored_identical(cluster, copy: tuple[int, int],
+                             source: tuple[int, int]) -> None:
+    """Band copy ``copy`` stores exactly what ``source`` stores: every
+    array in the cluster's registry has equal stored digests."""
+    held = cluster.replicas[copy[0]][copy[1]]
+    peer = cluster.replicas[source[0]][source[1]]
+    for name in cluster.list_arrays():
+        assert held.stored_digests(name) == peer.stored_digests(name)
 
 
 class TestReplicaDigest:
@@ -275,7 +262,8 @@ class TestVerifiedRevive:
         try:
             _workload(cluster)
             cluster.replace_replica(1, 0)
-            with pytest.raises(StorageError, match="is stale"):
+            with pytest.raises(StorageError,
+                               match="is stale — .* holds arrays"):
                 cluster.revive(1, 0)
             # The refusal must not clear the mark.
             assert (1, 0) in set(cluster.dead_replicas())
@@ -328,7 +316,9 @@ class TestVerifiedRevive:
             # Rot exactly one of the host's copies.
             node, replica = copies[0]
             cluster.replicas[node][replica].delete_version("M", 2)
-            with pytest.raises(StorageError, match="stale copies"):
+            with pytest.raises(StorageError, match="stale copies .*"
+                               "stored digests of 'M' are a strict "
+                               "prefix of its peer's"):
                 cluster.revive_node(host)
             # No mark cleared — not even for the intact copies.
             assert set(copies) <= set(cluster.dead_replicas())
@@ -347,7 +337,8 @@ class TestVerifiedRevive:
             reference = cluster.fingerprint()
             cluster.mark_dead(1, 0)
             _flip_last_payload_byte(cluster.replicas[1][0], "A", 1)
-            with pytest.raises(StorageError, match="is stale"):
+            with pytest.raises(StorageError, match="is stale — .*neither "
+                               "its stored nor its logical digests"):
                 cluster.revive(1, 0)
             assert (1, 0) in set(cluster.dead_replicas())
             cluster.revive(1, 0, repair=True)
@@ -367,7 +358,8 @@ class TestVerifiedRevive:
             cluster.mark_dead(1, 0)
             backend = cluster.replicas[1][0].backend
             backend.mark_dead()
-            with pytest.raises(StorageError, match="is stale"):
+            with pytest.raises(StorageError,
+                               match="is stale — .*cannot be read"):
                 cluster.revive(1, 0)
             assert (1, 0) in set(cluster.dead_replicas())
             # The substrate comes back intact: the copy rejoins as is.
@@ -456,12 +448,10 @@ class TestRepair:
             report = cluster.repair(1, 0)
             assert report == {"versions": versions,
                               "bytes": versions * band_bytes}
-            # Each replayed version is decoded once, on the peer it is
-            # read from; the replacement takes its delta bases from the
-            # hot slot, and the closing check compares stored bytes.
-            peer = cluster.replicas[1][1]
-            assert decodes[id(peer.decoder), "read_version"] == versions
-            assert {key[0] for key in decodes} == {id(peer.decoder)}
+            # Stored bytes are shipped as stored: no manager decodes a
+            # version, and the closing check compares stored bytes.
+            assert not decodes
+            _assert_stored_identical(cluster, (1, 0), (1, 1))
             assert cluster.stats.repairs == 1
             assert cluster.stats.repaired_versions == versions
             assert cluster.stats.repair_bytes == versions * band_bytes
@@ -471,26 +461,42 @@ class TestRepair:
         finally:
             cluster.close()
 
-    def test_replay_reads_lineage_rows_once_per_array(self, tmp_path):
-        """Replaying *n* versions costs one lineage-row read per array
-        from one peer — not a per-version row read plus a per-version
-        merge-parents read, each free to land on a different peer."""
-        cluster = _cluster(tmp_path)
+    def test_repair_reads_one_snapshot_per_array_from_one_peer(
+            self, tmp_path):
+        """Shipping *n* versions costs one export per array, from one
+        peer, resolved from one catalog snapshot — record, lineage
+        rows, chunk rows and payloads alike — not a read per version,
+        each free to land on a different peer or committed state."""
+        cluster = _cluster(tmp_path, replication=3)
         try:
             _workload(cluster)
             arrays = cluster.list_arrays()
             versions = sum(len(cluster.get_versions(name))
                            for name in arrays)
             cluster.replace_replica(1, 0)
-            peer = _RecordingManager(cluster.replicas[1][1])
-            cluster.replicas[1][1] = peer
+            exports = []
+            for replica in (1, 2):
+                peer = cluster.replicas[1][replica]
+                snapshots = Counter()
+
+                def counted(name, _original=peer.catalog.snapshot,
+                            _snapshots=snapshots):
+                    _snapshots[name] += 1
+                    return _original(name)
+
+                def spied(name, after=0, _original=peer.export_versions,
+                          _snapshots=snapshots, _replica=replica):
+                    before = _snapshots[name]
+                    shipment = _original(name, after)
+                    exports.append((_replica, name, after,
+                                    _snapshots[name] - before))
+                    return shipment
+
+                peer.catalog.snapshot = counted
+                peer.export_versions = spied
             report = cluster.repair(1, 0)
-            cluster.replicas[1][1] = peer._manager
             assert report["versions"] == versions > len(arrays)
-            assert peer.catalog_calls.count("get_versions") == len(arrays)
-            assert "get_version" not in peer.catalog_calls
-            # One merge-parents lookup per row of that single read.
-            assert peer.catalog_calls.count("merge_parents_of") == versions
+            assert exports == [(1, name, 0, 1) for name in arrays]
         finally:
             cluster.close()
 
@@ -508,24 +514,27 @@ class TestRepair:
             assert messages == [
                 f"repair node=2 replica=1: 1 versions, "
                 f"{tail['bytes']} bytes (0 arrays rebuilt, the rest "
-                f"tail-replayed)",
+                f"tail-shipped)",
                 f"repair node=1 replica=0: {rebuilt['versions']} "
                 f"versions, {rebuilt['bytes']} bytes (3 arrays rebuilt, "
-                f"the rest tail-replayed)"]
+                f"the rest tail-shipped)"]
         finally:
             cluster.close()
 
-    def test_stale_tail_replays_only_the_missing_versions(
-            self, tmp_path):
+    def test_stale_tail_repair_ships_only_the_missing_versions(
+            self, tmp_path, decodes):
         cluster = _cluster(tmp_path)
         try:
             _workload(cluster)
             copy = cluster.replicas[2][1]
             copy.delete_version("A", 3)
             copy.delete_version("B", 2)
+            decodes.clear()
             report = cluster.repair(2, 1)
             assert report["versions"] == 2
             assert cluster.stats.repaired_versions == 2
+            assert not decodes
+            _assert_stored_identical(cluster, (2, 1), (2, 0))
             assert _copy_digest(cluster, 2, 1) == \
                 _copy_digest(cluster, 2, 0)
         finally:
@@ -552,6 +561,7 @@ class TestRepair:
             copy.insert("B", band + 999)
             report = cluster.repair(0, 1)
             assert report["versions"] == len(cluster.get_versions("B"))
+            _assert_stored_identical(cluster, (0, 1), (0, 0))
             assert _copy_digest(cluster, 0, 1) == \
                 _copy_digest(cluster, 0, 0)
         finally:
@@ -607,8 +617,9 @@ class TestRepair:
 
     def test_stale_copy_repair_against_a_reorganized_peer(self, tmp_path):
         """The peer re-organized, so no stored list is a prefix of the
-        other: the logical fallback still finds the stale tail and only
-        the tail is replayed."""
+        other and the copy's versions would name delta bases stored
+        differently from the peer's: the whole array is shipped, and
+        the copy ends storing exactly the peer's bytes."""
         cluster = _cluster(tmp_path)
         try:
             _workload(cluster)
@@ -619,9 +630,124 @@ class TestRepair:
                 peer.stored_digests("A")
             assert held != source[:len(held)]
             report = cluster.repair(2, 1)
-            assert report["versions"] == 1
-            assert cluster.stats.repaired_versions == 1
+            versions = len(cluster.get_versions("A"))
+            assert report["versions"] == versions
+            assert cluster.stats.repaired_versions == versions
+            _assert_stored_identical(cluster, (2, 1), (2, 0))
             assert _copy_digest(cluster, 2, 1) == \
                 _copy_digest(cluster, 2, 0)
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("fault", ["placement", "barrier", "swap"])
+    def test_fault_mid_repair_commits_no_shipped_version(self, tmp_path,
+                                                         fault):
+        """A fault while an array ships — in one payload's placement,
+        in its barrier, or in its catalog swap — commits none of that
+        array's versions: the arrays shipped before it stay, the
+        catalog's snapshots still equal its SQL rows, and a retry
+        converges on the fault-free store."""
+        cluster = ClusterCoordinator(
+            tmp_path / "cluster", nodes=3, replication=2, chunk_bytes=512,
+            backend=lambda root: FaultInjectingBackend(InMemoryBackend()))
+        try:
+            _workload(cluster)
+            reference = cluster.fingerprint()
+            target = cluster.replace_replica(1, 0)
+            # "A" ships first (three versions of one chunk), then "B".
+            if fault == "swap":
+                original = target.catalog.put_chunks
+                swaps = []
+
+                def failing(records, **kwargs):
+                    swaps.append(len(records))
+                    if len(swaps) == 2:
+                        raise StorageError("injected fault: swap failed")
+                    return original(records, **kwargs)
+
+                target.catalog.put_chunks = failing
+            else:
+                kind, index = {"placement": ("append", 5),
+                               "barrier": ("sync", 2)}[fault]
+                target.backend.schedule = {**target.backend.schedule,
+                                           kind: frozenset({index})}
+            with pytest.raises(StorageError, match="injected fault"):
+                cluster.repair(1, 0)
+            assert target.get_versions("A") == cluster.get_versions("A")
+            assert target.get_versions("B") == []
+            assert "M" not in target.list_arrays()
+            assert cluster.stats.repairs == 0
+            assert_catalog_matches_sql(target.catalog)
+            report = cluster.repair(1, 0)
+            assert report["versions"] == len(cluster.get_versions("B")) \
+                + len(cluster.get_versions("M"))
+            _assert_stored_identical(cluster, (1, 0), (1, 1))
+            assert_catalog_matches_sql(target.catalog)
+            cluster.revive(1, 0)
+            cluster.mark_dead(1, 1)
+            assert cluster.fingerprint() == reference
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("reorganized", [1, 2])
+    def test_rf3_repair_ships_from_one_peer_beside_a_reorganized_one(
+            self, tmp_path, reorganized):
+        """Two live peers, one re-organized: the copy is compared with
+        and shipped from the first peer that serves — only the tail
+        when that peer stores what the copy stores, the whole array
+        when it is the re-organized one — and ends stored-identical to
+        that one peer, not to the other."""
+        cluster = _cluster(tmp_path, replication=3)
+        try:
+            _workload(cluster)
+            cluster.mark_dead(0, 0)
+            copy = cluster.replicas[0][0]
+            copy.delete_version("A", 3)
+            cluster.replicas[0][reorganized].reorganize("A", mode="head")
+            report = cluster.repair(0, 0)
+            assert report["versions"] == (3 if reorganized == 1 else 1)
+            _assert_stored_identical(cluster, (0, 0), (0, 1))
+            assert copy.stored_digests("A") != \
+                cluster.replicas[0][2].stored_digests("A")
+            cluster.revive(0, 0)
+            assert cluster.dead_replicas() == []
+        finally:
+            cluster.close()
+
+    def test_first_insert_after_repair_selects_its_base_cold_once(
+            self, tmp_path, decodes):
+        """A shipped copy holds no hot slot, so the next insert decodes
+        its delta base once on that copy (its peer's slot still holds
+        the base) — and both copies then store the same bytes."""
+        cluster = _cluster(tmp_path)
+        try:
+            _workload(cluster)
+            repaired = cluster.replace_replica(1, 0)
+            cluster.repair(1, 0)
+            cluster.revive(1, 0)
+            data = cluster.select("M", 2).single() + 1
+            decodes.clear()
+            cluster.insert("M", data)
+            peer = cluster.replicas[1][1]
+            assert decodes[id(repaired.decoder), "read_version"] == 1
+            assert decodes[id(peer.decoder), "read_version"] == 0
+            _assert_stored_identical(cluster, (1, 0), (1, 1))
+        finally:
+            cluster.close()
+
+    def test_repair_that_does_not_converge_names_the_failed_check(
+            self, tmp_path):
+        """The closing comparison runs after every shipment: a copy
+        that still differs fails the repair, naming the comparison
+        that failed, and nothing is counted."""
+        cluster = _cluster(tmp_path)
+        try:
+            _workload(cluster)
+            target = cluster.replace_replica(1, 0)
+            target.import_versions = lambda name, shipment: None
+            with pytest.raises(StorageError, match="did not converge: "
+                               "neither its stored nor its logical"):
+                cluster.repair(1, 0)
+            assert cluster.stats.repairs == 0
         finally:
             cluster.close()

@@ -122,7 +122,7 @@ def test_rolled_back_transactions_publish_nothing():
                                   created_at=1.0)
     first = VersionRecord(record.array_id, 1, None, "insert", 1.0)
     catalog.put_chunks([_row(record.array_id, 1, "c0"),
-                        _row(record.array_id, 1, "c1", 16)], version=first)
+                        _row(record.array_id, 1, "c1", 16)], [(first, ())])
     catalog.set_label(record.array_id, "one", 1)
     published = catalog.snapshot("A")
 
@@ -134,14 +134,45 @@ def test_rolled_back_transactions_publish_nothing():
     for failing in (
             lambda: catalog.put_chunks(
                 [_row(record.array_id, 2, "c0", 32, base=1), poisoned],
-                version=VersionRecord(record.array_id, 2, 1, "insert", 2.0)),
+                [(VersionRecord(record.array_id, 2, 1, "insert", 2.0), ())]),
             lambda: catalog.put_chunks(
                 [poisoned], drop=first),
-            lambda: catalog.put_chunks([], version=first)):
+            lambda: catalog.put_chunks([], [(first, ())])):
         with pytest.raises(Exception):
             failing()
         assert catalog.snapshot("A") is published
         assert_catalog_matches_sql(catalog)
+    catalog.close()
+
+
+def test_one_commit_publishes_several_versions_with_merge_parents():
+    catalog = MetadataCatalog()
+    array_id = catalog.create_array(
+        "A", ArraySchema.simple(SHAPE, np.int32), chunk_bytes=64,
+        compressor="none", created_at=1.0).array_id
+    first, second = (VersionRecord(array_id, version, version - 1 or None,
+                                   "merge", float(version))
+                     for version in (1, 2))
+    # Version 1 deltas against version 2, which the same batch adds.
+    catalog.put_chunks([_row(array_id, 1, "c0", base=2),
+                        _row(array_id, 2, "c0", 16)],
+                       versions=[(first, [("X", 3)]),
+                                 (second, [("Y", 1), ("Z", 2)])])
+    snap = catalog.snapshot("A")
+    assert snap.get_versions() == [first, second]
+    assert snap.merge_parents_of(1) == [("X", 3)]
+    assert snap.merge_parents_of(2) == [("Y", 1), ("Z", 2)]
+    assert [row.version for row in snap.walk_chain(1, "value", "c0")] == \
+        [1, 2]
+    assert_catalog_matches_sql(catalog)
+    # A batch whose second version row already exists commits neither.
+    with pytest.raises(Exception):
+        catalog.put_chunks(
+            [_row(array_id, 3, "c0", 32)],
+            versions=[(VersionRecord(array_id, 3, 2, "insert", 3.0), ()),
+                      (second, ())])
+    assert catalog.snapshot("A") is snap
+    assert_catalog_matches_sql(catalog)
     catalog.close()
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from catalog_oracle import assert_catalog_matches_sql
 from repro.core.array import (
     ArrayData,
     DeltaListPayload,
@@ -539,3 +540,88 @@ class TestMultiAttribute:
         np.testing.assert_array_equal(manager.select("F", 1).single(), base)
         np.testing.assert_array_equal(manager.select("F", 2).single(),
                                       base + 1e-9)
+
+
+class TestShipVersions:
+    """``export_versions`` / ``import_versions``: stored versions move
+    between copies as stored — one snapshot out, one swap in."""
+
+    def _source(self, tmp_path, schema, rng, **kwargs):
+        source = VersionedStorageManager(tmp_path / "source",
+                                         chunk_bytes=400, **kwargs)
+        source.create_array("A", schema)
+        for data in _versions(rng):
+            source.insert("A", data)
+        source.label_version("A", 2, "kept-apart")
+        return source
+
+    def _blank(self, tmp_path, source, **kwargs):
+        target = VersionedStorageManager(tmp_path / "target",
+                                         chunk_bytes=400, **kwargs)
+        record = source.catalog.get_array("A")
+        target.create_array("A", record.schema,
+                            chunk_bytes=record.chunk_bytes,
+                            compressor=record.compressor)
+        return target
+
+    @pytest.mark.parametrize("placement", [PER_VERSION, "colocated"])
+    def test_round_trip_stores_the_source_bytes(self, tmp_path, schema,
+                                                rng, placement):
+        source = self._source(tmp_path, schema, rng)
+        # Head-rooted chains: version 1 deltas against a later version.
+        source.reorganize("A", mode="head")
+        target = self._blank(tmp_path, source, placement=placement)
+        traced = []
+        target.catalog._conn.set_trace_callback(traced.append)
+        target.import_versions("A", source.export_versions("A"))
+        target.catalog._conn.set_trace_callback(None)
+        assert traced.count("COMMIT") == 1
+        assert target.stored_digests("A") == source.stored_digests("A")
+        assert [(row.version, row.parent_version, row.kind, row.timestamp)
+                for row in target.catalog.snapshot("A").get_versions()] == \
+            [(row.version, row.parent_version, row.kind, row.timestamp)
+             for row in source.catalog.snapshot("A").get_versions()]
+        assert target.labels("A") == []  # labels stay the copy's own
+        for version in source.get_versions("A"):
+            np.testing.assert_array_equal(
+                target.select("A", version).single(),
+                source.select("A", version).single())
+        assert_catalog_matches_sql(target.catalog)
+        source.close()
+        target.close()
+
+    def test_tail_ships_onto_a_prefix(self, tmp_path, schema, rng):
+        source = self._source(tmp_path, schema, rng)
+        target = self._blank(tmp_path, source)
+        target.import_versions("A", source.export_versions("A"))
+        for head in (4, 3):
+            target.delete_version("A", head)
+        target.import_versions("A", source.export_versions("A", after=2))
+        assert target.stored_digests("A") == source.stored_digests("A")
+        source.close()
+        target.close()
+
+    def test_refusals_place_nothing(self, tmp_path, schema, rng):
+        source = self._source(tmp_path, schema, rng)
+        target = self._blank(tmp_path, source)
+        target.import_versions("A", source.export_versions("A"))
+        before = target.fingerprint()
+        with pytest.raises(StorageError, match="append-only"):
+            target.import_versions("A", source.export_versions("A",
+                                                                after=3))
+        other = VersionedStorageManager(tmp_path / "other",
+                                        chunk_bytes=800)
+        other.create_array("A", schema)
+        with pytest.raises(StorageError, match="stored differently"):
+            other.import_versions("A", source.export_versions("A"))
+        # A tail whose chains reach versions the target never held.
+        other.close()
+        other = self._blank(tmp_path / "x", source)
+        with pytest.raises(StorageError, match="neither copy holds"):
+            other.import_versions("A", source.export_versions("A",
+                                                              after=2))
+        assert other.get_versions("A") == []
+        assert other.store.total_bytes() == 0
+        assert target.fingerprint() == before
+        for manager in (source, target, other):
+            manager.close()

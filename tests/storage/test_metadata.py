@@ -27,7 +27,7 @@ def catalog() -> MetadataCatalog:
 def _add_version(catalog, array_id, version, parent, kind, timestamp,
                  merge_parents=None) -> VersionRecord:
     row = VersionRecord(array_id, version, parent, kind, timestamp)
-    catalog.put_chunks([], version=row, merge_parents=merge_parents)
+    catalog.put_chunks([], [(row, merge_parents or ())])
     return row
 
 

@@ -283,9 +283,9 @@ class TestMidEncodeFailure:
 
         def racing_write(*args, **kwargs):
             if manager.catalog.latest_version(record.array_id) == 1:
-                manager.catalog.put_chunks([], version=VersionRecord(
+                manager.catalog.put_chunks([], [(VersionRecord(
                     record.array_id, 2, 1, kind="insert",
-                    timestamp=999.0))
+                    timestamp=999.0), ())])
             return original(*args, **kwargs)
 
         manager.store.write_chunk = racing_write
