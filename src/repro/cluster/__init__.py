@@ -5,12 +5,13 @@ instance per node, each independently delta-encoding its partition —
 with ArrayStore-style regular range partitioning (the paper's
 reference [2]).
 
-Modules: ``coordinator`` (routing, generation pinning, locking; owns
-the all-or-nothing write fan and the failover reader), ``sync`` (the
-lineage-row reader, the prefix rule, re-create / replay), ``repair``
-(the copy comparison, anti-entropy repair by shipping stored bytes,
-replacement, verified revive),
-``rebalance`` (online resharding), ``partitioning`` (band geometry).
+Modules: ``coordinator`` (routing, generation pinning, locking; builds
+every fleet of managers and owns the all-or-nothing write fan, the
+failover reader and the node fan), ``repair`` (the copy comparison,
+anti-entropy repair by shipping stored bytes, replacement, verified
+revive), ``rebalance`` (online resharding into a private fleet: the
+lineage-row reader, catch-up passes, one swap), ``partitioning`` (band
+geometry).
 """
 
 from repro.cluster.coordinator import ClusterCoordinator

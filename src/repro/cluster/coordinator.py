@@ -31,15 +31,16 @@ loss and cluster growth first-class:
   primary *and* one neighbor's replica — the classic failure shape.
 * **Rebalancing** (:mod:`repro.cluster.rebalance`) and **anti-entropy
   repair** (:mod:`repro.cluster.repair`) are maintenance flows driven
-  through the primitives here — the write fan, the failover reader —
-  and :mod:`repro.cluster.sync`; this module keeps their public entry
-  points, which validate, take the maintenance lock and delegate.
+  through the primitives here — the failover reader, the node fan, and
+  the fleet builder; this module keeps their public entry points,
+  which validate, take the maintenance lock and delegate.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -55,7 +56,6 @@ from repro.cluster.partitioning import (
     band_schema,
     band_slice,
 )
-from repro.cluster.sync import replay_row, version_rows
 from repro.core.array import ArrayData, Payload, _sliced_schema
 from repro.core.errors import ReproError, StorageError
 from repro.core.schema import ArraySchema
@@ -79,7 +79,7 @@ _log = logging.getLogger("repro.cluster")
 
 
 class _Generation:
-    """One adopted fleet of band replicas plus its routing state.
+    """One fleet of band replicas plus its routing state.
 
     Everything a read needs — the replica grid, the node count, and
     the per-array partitioners/schemas — swaps *together* at the end
@@ -88,18 +88,16 @@ class _Generation:
     swap lands.  The pin count lets the rebalance drain in-flight
     reads before closing and deleting the old generation's managers:
     a read that started against gen *k* finishes against gen *k*.
+    Generation *k* owns ``base`` (``root/gen<k>``; gen 0: the root).
     """
 
-    def __init__(self, replicas: list[list[VersionedStorageManager]],
-                 nodes: int,
-                 partitioners: "dict[str, RangePartitioner]",
-                 schemas: "dict[str, ArraySchema]",
-                 number: int):
-        self.replicas = replicas
-        self.nodes = nodes
-        self.partitioners = partitioners
-        self.schemas = schemas
+    def __init__(self, number: int, base: Path, nodes: int):
         self.number = number
+        self.base = base
+        self.nodes = nodes
+        self.replicas: list[list[VersionedStorageManager]] = []
+        self.partitioners: dict[str, RangePartitioner] = {}
+        self.schemas: dict[str, ArraySchema] = {}
         self._pins = 0
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
@@ -119,6 +117,29 @@ class _Generation:
         with self._lock:
             while self._pins:
                 self._drained.wait()
+
+    def close(self, suppress: bool = False) -> None:
+        """Close every manager, even when some close calls fail; the
+        first failure is raised afterwards unless ``suppress``."""
+        first_error = None
+        for row in self.replicas:
+            for manager in row:
+                try:
+                    manager.close()
+                except Exception as exc:
+                    if first_error is None:
+                        first_error = exc
+        if first_error is not None and not suppress:
+            raise first_error
+
+    def remove(self) -> None:
+        """Delete this closed generation's files: its base directory,
+        or only its node roots when that is the cluster root."""
+        roots = [self.base] if self.number else \
+            [manager.root for row in self.replicas for manager in row]
+        for root in roots:
+            if root.exists():
+                shutil.rmtree(root)
 
 
 class ClusterCoordinator:
@@ -143,11 +164,13 @@ class ClusterCoordinator:
 
     ``workers`` is per-node parallelism: each node's manager fans its
     chunk encodes and reconstructions across its own executors, and
-    the coordinator additionally fans *node-level* work concurrently —
-    region selects query the overlapping nodes in parallel, and
-    ``insert``/``branch``/``merge`` run every replica's write at once
-    (the replicas are fully independent storage systems, so node-level
-    fan-out needs no extra locking).
+    the coordinator additionally fans *node-level* work through one
+    pool (``repro-cluster``) — region selects query the overlapping
+    nodes in parallel, and ``insert``/``branch``/``merge`` and a
+    rebalance's replays write every copy at once (the replicas are
+    fully independent storage systems, so node-level fan-out needs no
+    extra locking).  Other keyword arguments configure every manager
+    the cluster builds, rebalanced and replacement copies included.
 
     The coordinator owns a cluster-level :class:`IOStats` (``stats``)
     for the replication counters: ``failovers``, ``replica_writes``,
@@ -156,7 +179,7 @@ class ClusterCoordinator:
     """
 
     def __init__(self, root: str | Path, nodes: int = 4, *,
-                 replication: int = 1, partition_axis: int = 0,
+                 replication: int = 1,
                  backend=None, workers: int | None = None,
                  **manager_kwargs):
         if nodes < 1:
@@ -174,10 +197,9 @@ class ClusterCoordinator:
         self.workers = resolve_workers(workers)
         self.root = Path(root)
         self.replication = replication
-        self.partition_axis = partition_axis
         self.stats = IOStats()
-        # Remembered for rebalance: a new manager generation is built
-        # with the same substrate and per-manager configuration.
+        # Remembered for rebalance and replacement: every manager is
+        # built with the same substrate and per-manager configuration.
         self._backend_spec = backend
         self._manager_kwargs = dict(manager_kwargs)
         self._executor: ThreadPoolExecutor | None = None
@@ -189,24 +211,38 @@ class ClusterCoordinator:
         # rebalance) against each other.
         self._maintenance_lock = threading.Lock()
         self._dead: set[tuple[int, int]] = set()
-        self._live = _Generation([], nodes, {}, {}, 0)
+        self._live = self._build_generation(0, nodes)
+
+    def _new_manager(self, root: Path) -> VersionedStorageManager:
+        """Every manager the cluster builds — constructor, rebalance,
+        replacement — has its backend spec, workers and settings."""
+        return VersionedStorageManager(
+            root, backend=self._backend_spec, workers=self.workers,
+            **self._manager_kwargs)
+
+    def _build_generation(self, number: int, nodes: int) -> _Generation:
+        """Bring up generation ``number``: ``nodes`` bands x
+        ``replication`` empty managers.  A fleet that fails to come up
+        is closed (never masking the error that sank it) and removed,
+        unless it is generation 0, whose node roots sit directly under
+        the cluster root and may hold an earlier session's data."""
+        base = self.root if number == 0 else self.root / f"gen{number}"
+        gen = _Generation(number, base, nodes)
         try:
             for node in range(nodes):
                 row: list[VersionedStorageManager] = []
-                self._live.replicas.append(row)
-                for replica in range(replication):
-                    row.append(VersionedStorageManager(
-                        self._node_root(node, replica),
-                        backend=backend,
-                        workers=self.workers,
-                        **manager_kwargs))
+                gen.replicas.append(row)  # so a failure closes the row
+                for replica in range(self.replication):
+                    # Replica 0 keeps the historical ``node<i>`` layout.
+                    leaf = f"node{node}-r{replica}" if replica \
+                        else f"node{node}"
+                    row.append(self._new_manager(base / leaf))
         except BaseException:
-            # A half-built cluster must not leak the managers (and
-            # their executors / SQLite handles) that did come up — and
-            # a close failure during that cleanup must not mask the
-            # error that actually sank the construction.
-            self._close_managers(suppress=True)
+            gen.close(suppress=True)
+            if number:
+                gen.remove()
             raise
+        return gen
 
     # ------------------------------------------------------------------
     # Generation plumbing: reads pin one consistent topology
@@ -247,12 +283,6 @@ class ClusterCoordinator:
         """The primary (replica 0) manager of every band — the
         single-copy view that predates replication."""
         return [row[0] for row in self.replicas]
-
-    def _node_root(self, node: int, replica: int) -> Path:
-        # Replica 0 keeps the historical ``root/node<i>`` layout so a
-        # replication=1 cluster is on-disk identical to earlier ones.
-        leaf = f"node{node}" if replica == 0 else f"node{node}-r{replica}"
-        return self.root / leaf
 
     # ------------------------------------------------------------------
     # Failure-domain controls
@@ -402,7 +432,9 @@ class ClusterCoordinator:
         self._partitioner(name)
         return [(version, parent_version, kind, parents)
                 for version, parent_version, kind, _, parents
-                in version_rows(self, name)]
+                in self._read_any(
+                    lambda manager: _rebalance.version_rows(
+                        manager.catalog.snapshot(name)))]
 
     # ------------------------------------------------------------------
     # Array lifecycle
@@ -417,8 +449,7 @@ class ClusterCoordinator:
         every copy that already created it — no replica keeps a
         partition the others lack."""
         with self._write_lock:
-            partitioner = RangePartitioner(schema.shape, self.nodes,
-                                           axis=self.partition_axis)
+            partitioner = RangePartitioner(schema.shape, self.nodes)
             schemas = [band_schema(schema, partitioner.local_shape(node))
                        for node in range(self.nodes)]
             self._write_all(
@@ -497,23 +528,19 @@ class ClusterCoordinator:
                     # Sliced against a generation that a rebalance
                     # replaced before this write got the lock.
                     continue
+                # The undo drops the landed version — by construction
+                # that copy's newest, so the catalog returns to the old
+                # head — with reclaim=False: it must never write through
+                # the (possibly failing) backend; the next successful
+                # repack reclaims.
                 return self._write_all(
                     lambda node, manager: manager.insert(
                         name, locals_by_node[node], timestamp),
-                    _drop_version(name), verify=_landed_in_step)
+                    lambda manager, version: manager.delete_version(
+                        name, version, reclaim=False),
+                    verify=_landed_in_step)
         raise StorageError(
             f"insert of {name!r} kept racing generation swaps")
-
-    def _replay(self, name: str, bands: list[ArrayData],
-                row: tuple) -> int:
-        """The migration twin of :meth:`insert`: fan one version's
-        pre-sliced band payloads to every copy with its *source*
-        lineage row instead of minting a plain insert."""
-        with self._write_lock:
-            return self._write_all(
-                lambda node, manager: replay_row(manager, name,
-                                                 bands[node], row),
-                _drop_version(name))
 
     def branch(self, source_name: str, source_version: int,
                new_name: str,
@@ -552,9 +579,10 @@ class ClusterCoordinator:
     def _derive_array(self, new_name: str, like: str, operation, *,
                       versions: int) -> None:
         """Branch/merge: create ``new_name`` on every band copy and
-        register it with ``like``'s partitioning (the derived array
-        shares its shape, so the partitioning is identical by
-        construction).
+        register it with a partitioning equal to ``like``'s (the
+        derived array shares its shape) but of its own: an online
+        rebalance pass tells a registration from a later one under the
+        same name by the partitioner's identity.
 
         The name must be unused: rollback deletes ``new_name`` on the
         replicas that created it, which would destroy a pre-existing
@@ -563,7 +591,6 @@ class ClusterCoordinator:
         coordinator state is session-scoped, but node arrays are not.
         """
         with self._write_lock:
-            partitioner = self._partitioner(like)
             schema = self._schema(like)
             if new_name in self._partitioners or \
                     new_name in self._read_node(
@@ -574,7 +601,8 @@ class ClusterCoordinator:
                 lambda node, manager: operation(manager),
                 lambda manager, _: manager.delete_array(new_name),
                 versions=versions)
-            self._partitioners[new_name] = partitioner
+            self._partitioners[new_name] = RangePartitioner(schema.shape,
+                                                            self.nodes)
             self._schemas[new_name] = schema
 
     def _write_all(self, op, undo, *, versions: int = 1, verify=None):
@@ -636,9 +664,9 @@ class ClusterCoordinator:
     def _settle_nodes(self, operation, items) -> tuple[list, object]:
         """Apply ``operation`` to every item, fanning across the node
         executor when configured, and wait for *every* submitted
-        operation before returning — the write paths compensate by
-        inspecting which replicas succeeded, which is only sound once
-        no straggler is still mutating its node.  Returns ``(results,
+        operation before returning — compensating a write, or closing
+        a failed rebalance's fleet, is only sound once no straggler is
+        still mutating its node.  Returns ``(results,
         first_error)`` in item order, with None results for failed
         (or, serially, never-attempted) items.
         """
@@ -916,25 +944,7 @@ class ClusterCoordinator:
 
     def close(self) -> None:
         self._shutdown_executor()
-        self._close_managers()
-
-    def _close_managers(self, suppress: bool = False) -> None:
-        """Close every manager that was successfully constructed,
-        letting nothing leak even when some close calls fail.
-
-        ``suppress=True`` swallows close errors entirely — the
-        construction-failure path uses it so the cleanup can never
-        replace the error that actually sank the construction."""
-        first_error = None
-        for row in self.replicas:
-            for manager in row:
-                try:
-                    manager.close()
-                except Exception as exc:
-                    if first_error is None:
-                        first_error = exc
-        if first_error is not None and not suppress:
-            raise first_error
+        self._live.close()
 
     # ------------------------------------------------------------------
     def _partitioner(self, name: str) -> RangePartitioner:
@@ -958,18 +968,6 @@ class ClusterCoordinator:
         if isinstance(payload, np.ndarray):
             return ArrayData.from_single(schema, payload)
         return payload.to_array_data(schema)
-
-
-def _drop_version(name: str):
-    """The compensating undo of one landed version (the landed
-    version was by construction that copy's newest, so deleting it
-    returns the catalog to the old head)."""
-    def undo(manager: VersionedStorageManager, version: int) -> None:
-        # reclaim=False: the undo must never write through the
-        # (possibly failing) backend — consistency over space; the
-        # next successful repack reclaims.
-        manager.delete_version(name, version, reclaim=False)
-    return undo
 
 
 def _landed_in_step(results: list) -> StorageError | None:

@@ -1,26 +1,31 @@
-"""Online rebalance: generation build, catch-up passes, the swap.
+"""Online rebalance: a private fleet, catch-up passes, one swap.
 
 The driver behind :meth:`ClusterCoordinator.rebalance` (which states
 the contract, validates, and holds the maintenance lock around
-:func:`rebalance`), as module-level functions taking the coordinator.
-The chaos suite interleaves faults and writes by patching
-:func:`_migrate_version` and :func:`_sync_generation` on this module.
+:func:`rebalance`), as module-level functions taking the coordinator,
+which builds the new generation; this module fills it directly.  No
+reader reaches it before the swap and any error removes all of it, so
+nothing written into it is compensated.  The chaos suite interleaves
+faults and writes by patching :func:`_migrate_version` and
+:func:`_sync_generation` on this module.
 """
 
 from __future__ import annotations
 
 import logging
-import shutil
+from operator import attrgetter
 
 import numpy as np
 
 from repro.cluster.partitioning import (
+    RangePartitioner,
     axis_index,
     band_schema,
     rebalance_plan,
 )
-from repro.cluster.sync import recreate, stale_tail, version_rows
+from repro.cluster.repair import recreate
 from repro.core.array import ArrayData
+from repro.core.errors import ReproError
 
 _log = logging.getLogger("repro.cluster")
 
@@ -32,18 +37,37 @@ _log = logging.getLogger("repro.cluster")
 #: one sweep.
 REBALANCE_CATCHUP_PASSES = 8
 
+#: What an array's record fixes besides its band geometry: the storage
+#: parameters and branch origin every copy shares.
+_ORIGIN = attrgetter("chunk_bytes", "compressor", "chunk_shape",
+                     "parent_array", "parent_version")
+
+
+class _Moved(Exception):
+    """The array a pass is reading was deleted, or deleted and
+    re-created, since the pass took its registration."""
+
+
+def version_rows(snap) -> list[tuple]:
+    """The one lineage-row reader: full rows — (version, parent, kind,
+    timestamp, merge parents) in version order — of one array, all
+    from one catalog snapshot of one copy."""
+    return [(row.version, row.parent_version, row.kind, row.timestamp,
+             tuple(snap.merge_parents_of(row.version)))
+            for row in snap.get_versions()]
+
 
 def rebalance(cluster, new_node_count: int, seed: int) -> int:
     """Build generation ``k+1`` on ``new_node_count`` nodes, catch it
-    up, swap it in and retire generation ``k``.
+    up, swap it in, drain generation ``k`` and remove it.
 
     A deterministic :func:`rebalance_plan` (fixed by ``seed``) maps
     old bands onto new ones; each slab is read from the first live
     replica of its source band (so a cluster with dead copies can
     still be evacuated while a quorum survives) and every version
-    replays, in order, into a fresh generation of managers under
-    ``root/gen<k>`` — with its *source* lineage row, so insert vs
-    branch-root vs merge kinds, parent links, and merge parents
+    replays, in order, onto every copy of a private fleet of managers
+    under ``root/gen<k>`` — with its *source* lineage row, so insert
+    vs branch-root vs merge kinds, parent links, and merge parents
     survive the reshard.
 
     The build is online: the old generation keeps serving reads
@@ -56,15 +80,9 @@ def rebalance(cluster, new_node_count: int, seed: int) -> int:
     drain before the old managers are closed and removed.
     """
     number = cluster._live.number + 1
-    new_root = cluster.root / f"gen{number}"
     fresh = None
     try:
-        fresh = type(cluster)(
-            new_root, nodes=new_node_count,
-            replication=cluster.replication,
-            partition_axis=cluster.partition_axis,
-            backend=cluster._backend_spec, workers=cluster.workers,
-            **cluster._manager_kwargs)
+        fresh = cluster._build_generation(number, new_node_count)
         # Initial copy plus bounded catch-up, all outside the
         # write lock: the cluster keeps serving both reads and
         # writes while the bulk of the migration runs.
@@ -81,23 +99,18 @@ def rebalance(cluster, new_node_count: int, seed: int) -> int:
             migrated = sum(manager.stats.chunks_written
                            for row in fresh.replicas
                            for manager in row)
-            fresh._shutdown_executor()
             # The swap site: the fresh fleet and its routing state
             # become the live generation in one attribute store.
             old_gen = cluster._live
-            fresh._live.number = number
-            cluster._live = fresh._live
+            cluster._live = fresh
             cluster._dead = set()
     except BaseException:
-        # The half-built generation must be removed whatever failed
-        # (a later rebalance must never adopt its node roots as
-        # pre-existing state), and a close error during that cleanup
-        # must not mask the error that sank the migration.
+        # The fleet nobody could reach goes whole (a later rebalance
+        # must never adopt its node roots as pre-existing state), and
+        # a close error must not mask the error that sank the migration.
         if fresh is not None:
-            fresh._shutdown_executor()
-            fresh._close_managers(suppress=True)
-        if new_root.exists():
-            shutil.rmtree(new_root)
+            fresh.close(suppress=True)
+            fresh.remove()
         raise
     _log.info("generation swap %d -> %d: %d nodes, %d catch-up passes, "
               "%d migrated chunks", old_gen.number, number,
@@ -109,17 +122,8 @@ def rebalance(cluster, new_node_count: int, seed: int) -> int:
     # that pinned it has finished — closing a manager out from
     # under a serving read is exactly what "online" must not do.
     old_gen.wait_drained()
-    for row in old_gen.replicas:
-        for manager in row:
-            manager.close()
-            if manager.root.exists():
-                shutil.rmtree(manager.root)
-    old_base = cluster.root / f"gen{old_gen.number}"
-    if old_gen.number and old_base.exists():
-        # Generation 0 lives directly under the cluster root; later
-        # generations get their own base directory, removed once
-        # its node roots are gone.
-        shutil.rmtree(old_base)
+    old_gen.close()
+    old_gen.remove()
     cluster.stats.record_migrated_chunks(migrated)
     return migrated
 
@@ -127,59 +131,114 @@ def rebalance(cluster, new_node_count: int, seed: int) -> int:
 def _sync_generation(cluster, fresh, seed: int) -> bool:
     """One catch-up pass: make ``fresh`` logically identical to
     the cluster's *current* contents.  Returns whether the pass
-    changed anything — a False means the generations were already
-    converged when the pass ran."""
+    changed anything or skipped an array — a False means the
+    generations were already converged when the pass ran."""
     changed = False
-    names = set(cluster.list_arrays())
-    for name in list(fresh.list_arrays()):
-        if name not in names:
-            # Deleted cluster-wide mid-migration.
-            fresh.delete_array(name)
+    names = cluster.list_arrays()
+    for name in sorted(set(fresh.partitioners) - set(names)):
+        # Deleted cluster-wide mid-migration.
+        for row in fresh.replicas:
+            for manager in row:
+                manager.delete_array(name)
+        del fresh.partitioners[name]
+        del fresh.schemas[name]
+        changed = True
+    for name in names:
+        try:
+            changed |= _sync_array(cluster, fresh, name, seed)
+        except _Moved:
             changed = True
-    for name in cluster.list_arrays():
-        changed |= _sync_array(cluster, fresh, name, seed)
     return changed
 
 
 def _sync_array(cluster, fresh, name: str, seed: int) -> bool:
     """Catch one array up in the fresh generation.
 
-    The already-migrated prefix is validated by *lineage rows
-    including timestamps* (the replay preserves the source rows
-    verbatim, and source timestamps are strictly increasing per
-    replica) — so an array that was deleted and re-created under
-    the same name mid-migration can never masquerade as a valid
-    prefix; it is dropped and rebuilt.  Versions beyond the valid
-    prefix replay slab-by-slab with their source lineage rows.
+    The already-migrated prefix (read from copy (0, 0): every copy
+    received the same writes) is validated by schema, :data:`_ORIGIN`
+    and *lineage rows including timestamps* (the replay preserves the
+    source rows verbatim, and source timestamps are strictly
+    increasing per replica) — so an array deleted and re-created
+    under the same name can never masquerade as a valid prefix, not
+    even with no versions; it is re-created on every copy.  Versions
+    past the prefix replay slab-by-slab with their source rows onto
+    every copy at once; the first error propagates.
+
+    An unlocked pass runs beside writers: an array deleted, or
+    deleted and re-created, under it raises :class:`_Moved`, and the
+    next pass settles it.  The final pass excludes writers, so no
+    registration changes under it and it never skips.
     """
-    source_rows = version_rows(cluster, name)
-    fresh_rows = version_rows(fresh, name) \
-        if name in fresh._partitioners else None
-
-    def rebuild() -> None:
-        record = cluster._read_node(
-            0, lambda manager: manager.catalog.get_array(name))
-        recreate(fresh, name, cluster._schemas[name], record)
-
-    tail, rebuilt = stale_tail(fresh_rows, source_rows, source_rows,
-                               rebuild)
-    plan = rebalance_plan(cluster._partitioners[name],
-                          fresh._partitioners[name], seed=seed)
-    for row in tail:
-        fresh._replay(
-            name, _migrate_version(cluster, name, row[0], plan, fresh),
-            row)
+    source = cluster._partitioners.get(name)
+    schema = cluster._schemas.get(name)
+    if source is None or schema is None:
+        raise _Moved(name)
+    record, source_rows = _read_source(
+        cluster, name, source,
+        lambda: cluster._read_any(lambda manager: _held(manager, name)))
+    held_record, held = _held(fresh.replicas[0][0], name) \
+        if fresh.schemas.get(name) == schema else (None, None)
+    rebuilt = held is None or _ORIGIN(held_record) != _ORIGIN(record) \
+        or held != source_rows[:len(held)]
+    if rebuilt:
+        partitioner = RangePartitioner(schema.shape, fresh.nodes)
+        for node, row in enumerate(fresh.replicas):
+            band = band_schema(schema, partitioner.local_shape(node))
+            for manager in row:
+                recreate(manager, name, band, record)
+        fresh.partitioners[name] = partitioner
+        fresh.schemas[name] = schema
+        held = []
+    tail = source_rows[len(held):]
+    plan = (source, rebalance_plan(source, fresh.partitioners[name],
+                                   seed=seed))
+    copies = [(node, manager) for node, row in enumerate(fresh.replicas)
+              for manager in row]
+    for version, parent_version, kind, timestamp, parents in tail:
+        bands = _migrate_version(cluster, name, version, plan, fresh)
+        _, error = cluster._settle_nodes(
+            lambda copy: copy[1].replay_version(
+                name, bands[copy[0]], version=version, kind=kind,
+                parent_version=parent_version, timestamp=timestamp,
+                merge_parents=list(parents) or None),
+            copies)
+        if error is not None:
+            raise error
     return rebuilt or bool(tail)
+
+
+def _held(manager, name: str) -> tuple:
+    """One copy's record and lineage rows of ``name``, from one
+    snapshot."""
+    snap = manager.catalog.snapshot(name)
+    return snap.record, version_rows(snap)
+
+
+def _read_source(cluster, name: str, source, read):
+    """``read()`` against the old generation for a pass that took
+    registration ``source`` of ``name``, or :class:`_Moved` if that
+    registration is gone — checked first, so a deleted array is never
+    read (nor counted as a failover), and again after a failed read."""
+    if cluster._partitioners.get(name) is not source:
+        raise _Moved(name)
+    try:
+        return read()
+    except ReproError:
+        if cluster._partitioners.get(name) is not source:
+            raise _Moved(name) from None
+        raise
 
 
 def _migrate_version(cluster, name: str, version: int, plan,
                      fresh) -> list[ArrayData]:
     """Rebuild one version's new band payloads from slab reads
-    against the old cluster (failover-capable)."""
-    schema = cluster._schemas[name]
-    old = cluster._partitioners[name]
-    new = fresh._partitioners[name]
-    axis = old.axis
+    against the old cluster (failover-capable).  ``plan`` is the
+    registered partitioner the pass started from and its
+    :func:`rebalance_plan` slabs onto ``fresh``'s bands."""
+    source, slabs = plan
+    schema = fresh.schemas[name]
+    new = fresh.partitioners[name]
+    axis = source.axis
     canvases = [
         {attr.name: np.empty(new.local_shape(node),
                              dtype=attr.dtype)
@@ -187,14 +246,16 @@ def _migrate_version(cluster, name: str, version: int, plan,
         for node in range(fresh.nodes)]
     lo = [0] * schema.ndim
     hi = [extent - 1 for extent in schema.shape]
-    for slab in plan:
+    for slab in slabs:
         lo[axis], hi[axis] = slab.lo, slab.hi
-        local_lo, local_hi = old.clip_region(old.band_of(slab.source),
-                                             lo, hi)
-        part = cluster._read_node(
-            slab.source,
-            lambda manager: manager.select_region(
-                name, version, local_lo, local_hi))
+        local_lo, local_hi = source.clip_region(
+            source.band_of(slab.source), lo, hi)
+        part = _read_source(
+            cluster, name, source,
+            lambda: cluster._read_node(
+                slab.source,
+                lambda manager: manager.select_region(
+                    name, version, local_lo, local_hi)))
         target_band = new.band_of(slab.target)
         dest = axis_index(schema.ndim, axis, slab.lo - target_band.lo,
                           slab.hi - target_band.lo)

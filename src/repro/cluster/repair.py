@@ -5,7 +5,7 @@ contract, validates, and holds the maintenance lock around
 :func:`repair`) and the verified ``revive`` / ``revive_node``, as
 module-level functions taking the coordinator.  Repair, its closing
 verification and revive compare copies through :func:`compare_copies`
-only.
+only; :func:`recreate` also serves the rebalance catch-up.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import logging
 import shutil
 from functools import partial
 
-from repro.cluster.sync import recreate
 from repro.core.errors import ReproError, StorageError
 from repro.storage.manager import VersionedStorageManager
 
@@ -68,6 +67,20 @@ def compare_copies(target, name: str, read) -> tuple[int | None, str]:
         return None, ""
     return 0, (f"neither its stored nor its logical digests of {name!r} "
                f"match its peer's")
+
+
+def recreate(manager, name: str, schema, record) -> None:
+    """Drop ``name`` from one manager if it holds it, and create it
+    empty with ``schema`` and the storage parameters and branch origin
+    of the source :class:`~repro.storage.metadata.ArrayRecord`."""
+    if name in manager.list_arrays():
+        manager.delete_array(name)
+    manager.create_array(name, schema,
+                         chunk_bytes=record.chunk_bytes,
+                         compressor=record.compressor,
+                         chunk_shape=record.chunk_shape,
+                         parent_array=record.parent_array,
+                         parent_version=record.parent_version)
 
 
 def _identity(manager, name: str) -> tuple:
@@ -144,9 +157,7 @@ def replace_replica(cluster, node: int,
     old.close()
     if root.exists():
         shutil.rmtree(root)
-    fresh = VersionedStorageManager(
-        root, backend=cluster._backend_spec, workers=cluster.workers,
-        **cluster._manager_kwargs)
+    fresh = cluster._new_manager(root)
     cluster.replicas[node][replica] = fresh
     cluster._dead.add((node, replica))
     return fresh

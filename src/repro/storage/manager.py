@@ -142,7 +142,6 @@ class VersionedStorageManager:
                  delta_codec: str = "hybrid",
                  delta_policy: str = POLICY_CHAIN,
                  placement: str = COLOCATED,
-                 catalog_in_memory: bool = False,
                  cache_chunks: int = 0,
                  cache_bytes: int = 0,
                  backend: "StorageBackend | str | None" = None,
@@ -160,7 +159,7 @@ class VersionedStorageManager:
                                 stats=self.stats, backend=backend)
         # An ephemeral backend keeps the catalog off disk too, so a
         # memory-backed store performs zero file I/O end to end.
-        catalog_path = None if catalog_in_memory or backend.ephemeral \
+        catalog_path = None if backend.ephemeral \
             else self.root / "metadata.db"
         self.catalog = MetadataCatalog(catalog_path)
         self.chunk_bytes = chunk_bytes

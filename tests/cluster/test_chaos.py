@@ -27,6 +27,7 @@ sweep without touching the defaults.
 from __future__ import annotations
 
 import os
+import threading
 import zlib
 
 import numpy as np
@@ -149,6 +150,24 @@ def _assert_no_partial_versions(cluster: ClusterCoordinator) -> None:
                  for row in cluster.replicas for manager in row}
         assert len(lists) == 1, \
             f"replicas disagree on {name!r} versions: {lists}"
+
+
+def _assert_matches_mirror(cluster: ClusterCoordinator, root,
+                           writes) -> None:
+    """The resharded cluster serves what a never-resharded one serves
+    after the workload plus ``writes(mirror)``: same fingerprint, same
+    lineage rows."""
+    mirror = ClusterCoordinator(root, nodes=4, chunk_bytes=512,
+                                backend="memory")
+    try:
+        _workload(mirror)
+        writes(mirror)
+        assert cluster.fingerprint() == mirror.fingerprint()
+        assert {name: cluster.lineage(name)
+                for name in cluster.list_arrays()} == \
+            {name: mirror.lineage(name) for name in mirror.list_arrays()}
+    finally:
+        mirror.close()
 
 
 def _assert_faults_were_scheduled(cluster: ClusterCoordinator) -> None:
@@ -391,6 +410,149 @@ class TestRebalanceChaos:
                 assert cluster.fingerprint() == mirror.fingerprint()
             finally:
                 mirror.close()
+        finally:
+            cluster.close()
+
+    def test_array_deleted_mid_pass_is_skipped(self, tmp_path,
+                                               monkeypatch):
+        """An array deleted while an unlocked catch-up pass runs is
+        skipped by that pass, never read, and settled by the next: the
+        reshard lands equal to a cluster that took the same writes, and
+        no failover is counted."""
+        cluster = ClusterCoordinator(
+            tmp_path / "cluster", nodes=3, replication=2,
+            chunk_bytes=512, backend="memory")
+        try:
+            _workload(cluster)
+            original = rebalance_flow._migrate_version
+            state = {"fired": False}
+
+            def delete_then_migrate(old, name, version, plan, fresh):
+                if not state["fired"]:
+                    state["fired"] = True
+                    cluster.delete_array("B")
+                return original(old, name, version, plan, fresh)
+
+            monkeypatch.setattr(rebalance_flow, "_migrate_version",
+                                delete_then_migrate)
+            failovers = cluster.stats.failovers
+            cluster.rebalance(4)
+            assert state["fired"]
+            assert cluster.nodes == 4
+            assert cluster.list_arrays() == ["A"]
+            assert cluster.stats.failovers == failovers
+            _assert_no_partial_versions(cluster)
+            _assert_matches_mirror(cluster, tmp_path / "mirror",
+                                   lambda mirror: mirror.delete_array("B"))
+        finally:
+            cluster.close()
+
+    def test_array_deleted_mid_read_is_skipped(self, tmp_path,
+                                               monkeypatch):
+        """A delete that lands while a pass's slab read is in flight
+        fails that read on every copy; the pass sees the registration
+        gone and skips the array instead of sinking the rebalance."""
+        cluster = ClusterCoordinator(
+            tmp_path / "cluster", nodes=3, replication=2,
+            chunk_bytes=512, backend="memory")
+        try:
+            _workload(cluster)
+            primary = cluster.replicas[0][0]
+            original = primary.select_region
+            state = {"fired": False}
+
+            def delete_then_read(name, *args):
+                if name == "B" and not state["fired"]:
+                    state["fired"] = True
+                    cluster.delete_array("B")
+                return original(name, *args)
+
+            monkeypatch.setattr(primary, "select_region",
+                                delete_then_read)
+            cluster.rebalance(4)
+            assert state["fired"]
+            assert cluster.nodes == 4
+            assert cluster.list_arrays() == ["A"]
+            _assert_no_partial_versions(cluster)
+            _assert_matches_mirror(cluster, tmp_path / "mirror",
+                                   lambda mirror: mirror.delete_array("B"))
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("versions", [0, 1])
+    def test_array_recreated_mid_pass_is_rebuilt(self, tmp_path,
+                                                 monkeypatch, versions):
+        """An array deleted and re-created under the same name while
+        an unlocked pass migrates it is skipped by that pass and rebuilt
+        by the next — record, lineage and contents of the new array,
+        never a mix — with no failover counted.  With no versions, only
+        the record (a plain array, no longer a branch) tells them
+        apart."""
+        schema = ArraySchema.simple(SHAPE, dtype=np.int32)
+        late = np.arange(np.prod(SHAPE), dtype=np.int32).reshape(SHAPE)
+
+        def recreate_b(target):
+            target.delete_array("B")
+            target.create_array("B", schema)
+            for step in range(versions):
+                target.insert("B", late + step)
+
+        cluster = ClusterCoordinator(
+            tmp_path / "cluster", nodes=3, replication=2,
+            chunk_bytes=512, backend="memory")
+        try:
+            _workload(cluster)
+            original = rebalance_flow._migrate_version
+            state = {"fired": False}
+
+            def recreate_then_migrate(old, name, version, plan, fresh):
+                if name == "B" and not state["fired"]:
+                    state["fired"] = True
+                    recreate_b(cluster)
+                return original(old, name, version, plan, fresh)
+
+            monkeypatch.setattr(rebalance_flow, "_migrate_version",
+                                recreate_then_migrate)
+            failovers = cluster.stats.failovers
+            cluster.rebalance(4)
+            assert state["fired"]
+            assert cluster.nodes == 4
+            assert cluster.stats.failovers == failovers
+            _assert_no_partial_versions(cluster)
+            _assert_matches_mirror(cluster, tmp_path / "mirror",
+                                   recreate_b)
+            origins = {(record.parent_array, record.parent_version)
+                       for row in cluster.replicas for manager in row
+                       for record in [manager.catalog.get_array("B")]}
+            assert origins == {(None, None)}
+        finally:
+            cluster.close()
+
+    def test_rebalance_runs_one_node_pool(self, tmp_path, monkeypatch):
+        """The fleet a rebalance fills has no coordinator of its own:
+        its replays fan through the cluster's one node pool, so no
+        ``repro-cluster`` thread name is ever held twice."""
+        cluster = ClusterCoordinator(
+            tmp_path / "cluster", nodes=3, replication=2,
+            chunk_bytes=512, backend="memory", workers=4)
+        try:
+            _workload(cluster)
+            original = rebalance_flow._sync_generation
+            census = []
+
+            def counting_sync(old, fresh, seed):
+                changed = original(old, fresh, seed)
+                census.append([
+                    thread.name for thread in threading.enumerate()
+                    if thread.name.startswith("repro-cluster")])
+                return changed
+
+            monkeypatch.setattr(rebalance_flow, "_sync_generation",
+                                counting_sync)
+            cluster.rebalance(4)
+            assert census and all(census)
+            for names in census:
+                assert len(names) == len(set(names)), names
         finally:
             cluster.close()
 
