@@ -6,7 +6,7 @@ with ArrayStore-style regular range partitioning (the paper's
 reference [2]).
 
 Modules: ``coordinator`` (routing, generation pinning, locking; builds
-every fleet of managers and owns the all-or-nothing write fan, the
+every fleet of managers and owns the stage → commit → fence write fan, the
 failover reader and the node fan), ``repair`` (the copy comparison,
 anti-entropy repair by shipping stored bytes, replacement, verified
 revive), ``rebalance`` (online resharding into a private fleet: the

@@ -19,13 +19,14 @@ Beyond the paper's single-copy picture, the coordinator makes node
 loss and cluster growth first-class:
 
 * **Replication** — ``replication=R`` keeps R identical copies of
-  every band, each in its own manager.  Writes fan to every replica
-  and are all-or-nothing across the whole (band x replica) grid: the
-  settle-all-then-compensate rollback deletes whatever landed if any
-  copy fails, so a failed replica write leaves no catalog trace on any
-  node.  Reads are served by the first live replica and *fail over*
-  to the next on error (``IOStats.failovers`` counts every hop, and
-  ``IOStats.replica_writes`` every redundant copy landed).  Replica
+  every band, each in its own manager.  Every copy *stages* a write
+  (place, barrier), then every copy *commits* it: a stage failure
+  commits nothing, and a copy whose commit fails is fenced for
+  revive/repair — never undone.  Reads see versions up to the head
+  (the newest every band committed), served by the first live replica
+  and *failing over* to the next on error (``IOStats.failovers``
+  counts every hop, ``IOStats.replica_writes`` every redundant copy
+  committed).  Replica
   ``r`` of band ``b`` is hosted on physical node ``(b + r) % nodes``
   (chained declustering), so :meth:`mark_node_dead` takes out one
   primary *and* one neighbor's replica — the classic failure shape.
@@ -44,6 +45,7 @@ import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -64,17 +66,8 @@ from repro.storage.iostats import IOStats
 from repro.storage.manager import VersionedStorageManager
 from repro.storage.pipeline import resolve_workers
 
-#: How many times a compensating undo (delete of a landed version or
-#: array) is retried before the rollback gives up on that replica.
-#: The retry matters under fault injection: the undo itself can hit an
-#: injected fault, and a finite fault schedule is outlasted by a short
-#: retry loop — giving up after one attempt would leave a node out of
-#: step, the one state the write path promises never to expose.
-COMPENSATION_ATTEMPTS = 4
-
-#: Cluster lifecycle events: a debug line per failover hop, an info
-#: line per repair and per generation swap.  No handler is configured
-#: here — the application decides where the lines go.
+#: Cluster lifecycle events — debug per failover hop, info per repair
+#: and generation swap, warning per fenced copy — routed by the caller.
 _log = logging.getLogger("repro.cluster")
 
 
@@ -82,10 +75,10 @@ class _Generation:
     """One fleet of band replicas plus its routing state.
 
     Everything a read needs — the replica grid, the node count, and
-    the per-array partitioners/schemas — swaps *together* at the end
-    of a rebalance, so readers capture one ``_Generation`` (a single
-    attribute load) and see a consistent topology no matter when the
-    swap lands.  The pin count lets the rebalance drain in-flight
+    the per-array partitioners, schemas and heads — swaps *together*
+    at the end of a rebalance, so readers capture one ``_Generation``
+    (a single attribute load) and see a consistent topology no matter
+    when the swap lands.  The pin count lets the rebalance drain in-flight
     reads before closing and deleting the old generation's managers:
     a read that started against gen *k* finishes against gen *k*.
     Generation *k* owns ``base`` (``root/gen<k>``; gen 0: the root).
@@ -98,6 +91,8 @@ class _Generation:
         self.replicas: list[list[VersionedStorageManager]] = []
         self.partitioners: dict[str, RangePartitioner] = {}
         self.schemas: dict[str, ArraySchema] = {}
+        #: Per array, the newest version every band holds.
+        self.heads: dict[str, int] = {}
         self._pins = 0
         self._lock = threading.Lock()
         self._drained = threading.Condition(self._lock)
@@ -265,6 +260,10 @@ class ClusterCoordinator:
     def _schemas(self) -> "dict[str, ArraySchema]":
         return self._live.schemas
 
+    @property
+    def _heads(self) -> "dict[str, int]":
+        return self._live.heads
+
     @contextmanager
     def _pinned(self):
         """Pin the live generation for the duration of one read (see
@@ -294,8 +293,8 @@ class ClusterCoordinator:
         return (node + replica) % self.nodes
 
     def mark_dead(self, node: int, replica: int = 0) -> None:
-        """Take one band copy offline: reads skip it (a failover),
-        writes to it fail the whole operation."""
+        """Take one band copy offline: reads skip it (a failover), and
+        every cluster write refuses until it is revived."""
         self._check_pair(node, replica)
         self._dead.add((node, replica))
 
@@ -365,17 +364,13 @@ class ClusterCoordinator:
                 f"no replica ({node}, {replica}) (cluster has "
                 f"{self.nodes} nodes x {self.replication} replicas)")
 
-    def _check_writable(self, node: int, replica: int) -> None:
-        if (node, replica) in self._dead:
-            raise StorageError(
-                f"replica {replica} of node {node} is marked dead")
-
     def _check_all_writable(self) -> None:
-        """Array-lifecycle writes touch every copy; any dead one fails
-        the operation before the first copy changes."""
+        """A write touches every copy; any dead one fails it before the
+        first copy changes."""
         if self._dead:
             node, replica = min(self._dead)
-            self._check_writable(node, replica)
+            raise StorageError(
+                f"replica {replica} of node {node} is marked dead")
 
     # ------------------------------------------------------------------
     # Anti-entropy repair
@@ -429,41 +424,56 @@ class ClusterCoordinator:
         version, in version order.  Rebalance and repair preserve
         these exactly (timestamps excluded — every replica stamps its
         own clock)."""
-        self._partitioner(name)
+        head = self._head(name)
         return [(version, parent_version, kind, parents)
                 for version, parent_version, kind, _, parents
                 in self._read_any(
                     lambda manager: _rebalance.version_rows(
-                        manager.catalog.snapshot(name)))]
+                        manager.catalog.snapshot(name)))
+                if version <= head]
 
     # ------------------------------------------------------------------
     # Array lifecycle
     # ------------------------------------------------------------------
     def create_array(self, name: str, schema: ArraySchema,
                      **kwargs) -> None:
-        """Create the array's partition on every band copy.
-
-        All-or-nothing like the other cluster writes: dead copies fail
-        the operation up front, and a copy that errors mid-creation
-        (a full disk, a refused catalog) rolls the array back off
-        every copy that already created it — no replica keeps a
-        partition the others lack."""
+        """Create the array's partition on every band copy: a write
+        fan (:meth:`_write_all`) whose commit is the create, convergent
+        like :meth:`delete_array` — a copy holding the name with this
+        storage identity and no versions (an earlier attempt's) counts
+        as created, and any other holder refuses the name up front."""
         with self._write_lock:
             partitioner = RangePartitioner(schema.shape, self.nodes)
             schemas = [band_schema(schema, partitioner.local_shape(node))
                        for node in range(self.nodes)]
-            self._write_all(
-                lambda node, manager: manager.create_array(
-                    name, schemas[node], **kwargs),
-                lambda manager, _: manager.delete_array(name),
-                versions=0)
-            self._partitioners[name] = partitioner
+
+            def created(node: int, manager) -> bool:
+                if name not in manager.list_arrays():
+                    return False
+                snap, get = manager.catalog.snapshot(name), kwargs.get
+                return not snap.get_versions() and snap.record == replace(
+                    snap.record, schema=schemas[node],
+                    chunk_bytes=get("chunk_bytes") or manager.chunk_bytes,
+                    compressor=get("compressor") or manager.compressor_name,
+                    chunk_shape=tuple(get("chunk_shape") or ()) or None,
+                    parent_array=get("parent_array"),
+                    parent_version=get("parent_version"))
+
+            def create(manager, node: int) -> None:
+                if not created(node, manager):
+                    manager.create_array(name, schemas[node], **kwargs)
+
+            self._check_name_free(name, created)
+            self._write_all(lambda node, _: node, create,
+                            what=f"array {name!r}", versions=0)
+            self._heads[name] = 0
             self._schemas[name] = schema
+            self._partitioners[name] = partitioner
 
     def delete_array(self, name: str) -> None:
         """Drop the array from every copy — convergently.
 
-        A delete cannot be compensated (the bytes are gone), so the
+        A delete cannot be staged (its bytes are gone at once), so the
         path is *retryable* instead of all-or-nothing: coordinator-
         marked dead copies fail it up front, every remaining copy is
         attempted even when one errors (a copy already missing the
@@ -492,6 +502,7 @@ class ClusterCoordinator:
                 raise first_error
             del self._partitioners[name]
             del self._schemas[name]
+            del self._heads[name]
 
     def list_arrays(self) -> list[str]:
         return sorted(self._partitioners)
@@ -501,12 +512,9 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     def insert(self, name: str, payload: Payload | ArrayData | np.ndarray,
                timestamp: float | None = None) -> int:
-        """Split a version into bands and insert on every band copy.
-
-        The per-replica inserts are independent (each copy owns its own
-        catalog, store, and encoder), so they fan out across the
-        coordinator's node executor — the write-side mirror of the
-        region select's concurrent node queries.
+        """Split a version into bands and write it on every band copy
+        through the write fan (:meth:`_write_all`), numbered one past
+        the array's head — so the copies cannot disagree on it.
 
         Band slicing happens against the live generation *before* the
         write lock is taken (slicing a large payload under the lock
@@ -528,34 +536,36 @@ class ClusterCoordinator:
                     # Sliced against a generation that a rebalance
                     # replaced before this write got the lock.
                     continue
-                # The undo drops the landed version — by construction
-                # that copy's newest, so the catalog returns to the old
-                # head — with reclaim=False: it must never write through
-                # the (possibly failing) backend; the next successful
-                # repack reclaims.
-                return self._write_all(
-                    lambda node, manager: manager.insert(
-                        name, locals_by_node[node], timestamp),
-                    lambda manager, version: manager.delete_version(
-                        name, version, reclaim=False),
-                    verify=_landed_in_step)
+                head = self._head(name)
+                version = head + 1
+
+                def stage(node: int, manager):
+                    # Unpublished (its write missed a band): dropped.
+                    for stale in reversed(manager.get_versions(name)):
+                        if stale <= head:
+                            break
+                        manager.delete_version(name, stale)
+                    return manager._stage(
+                        name, [locals_by_node[node]], version=version,
+                        parent_version=head or None, timestamp=timestamp)
+
+                self._write_all(stage, VersionedStorageManager._commit,
+                                what=f"version {version} of {name!r}")
+                self._heads[name] = version
+                return version
         raise StorageError(
             f"insert of {name!r} kept racing generation swaps")
 
     def branch(self, source_name: str, source_version: int,
                new_name: str,
                timestamp: float | None = None):
-        """Branch every band copy of the source version (Branch).
-
-        All-or-nothing across the cluster: if any replica fails, the
-        half-created branch is removed from every replica before the
-        error propagates.
-        """
+        """Branch every band copy of the source version (Branch)."""
         self._derive_array(
-            new_name, source_name,
-            lambda manager: manager.branch(source_name, source_version,
-                                           new_name, timestamp),
-            versions=1)
+            new_name, [(source_name, source_version)],
+            lambda _, manager: manager._stage(
+                new_name, [manager.select(source_name, source_version)],
+                kind="branch-root", timestamp=timestamp,
+                origin=(source_name, source_version)))
         return new_name
 
     def merge(self, parents: list[tuple[str, int]], new_name: str,
@@ -565,108 +575,107 @@ class ClusterCoordinator:
         parents)."""
         if len(parents) < 2:
             raise StorageError("merge requires at least two parent versions")
-        schema = self._schema(parents[0][0])
-        for parent_name, _ in parents:
-            if self._schema(parent_name) != schema:
-                raise StorageError(
-                    "merge parents must share the same schema")
         self._derive_array(
-            new_name, parents[0][0],
-            lambda manager: manager.merge(parents, new_name, timestamp),
-            versions=len(parents))
+            new_name, parents,
+            lambda _, manager: manager._stage(
+                new_name, (manager.select(*parent) for parent in parents),
+                kind="merge", timestamp=timestamp,
+                merge_parents=[[(array, number)]
+                               for array, number in parents],
+                origin=(parents[0][0], None)))
         return new_name
 
-    def _derive_array(self, new_name: str, like: str, operation, *,
-                      versions: int) -> None:
-        """Branch/merge: create ``new_name`` on every band copy and
-        register it with a partitioning equal to ``like``'s (the
-        derived array shares its shape) but of its own: an online
-        rebalance pass tells a registration from a later one under the
-        same name by the partitioner's identity.
-
-        The name must be unused: rollback deletes ``new_name`` on the
-        replicas that created it, which would destroy a pre-existing
-        array of that name had the operation been allowed to start.
-        The guard checks the node catalogs as well as the registry —
-        coordinator state is session-scoped, but node arrays are not.
-        """
+    def _derive_array(self, new_name: str, sources: list[tuple[str, int]],
+                      stage) -> None:
+        """Branch/merge: write ``new_name`` (one version per published
+        source version, all of one schema) through the write fan and
+        register it with a partitioning equal to the first source's but
+        of its own, which an online rebalance pass tells from a later
+        registration's.  The name must be free on the registry and every
+        live copy (node arrays outlive a session).  An array that
+        commits on some bands but not all stays there, unregistered and
+        refused, until an operator drops it."""
         with self._write_lock:
-            schema = self._schema(like)
-            if new_name in self._partitioners or \
-                    new_name in self._read_node(
-                        0, lambda manager: manager.list_arrays()):
-                raise StorageError(
-                    f"array {new_name!r} already exists on this cluster")
-            self._write_all(
-                lambda node, manager: operation(manager),
-                lambda manager, _: manager.delete_array(new_name),
-                versions=versions)
+            schema = self._schema(sources[0][0])
+            for name, version in sources:
+                if self._schema(name) != schema:
+                    raise StorageError(
+                        "merge parents must share the same schema")
+                if version > self._heads[name]:
+                    raise StorageError(f"array {name!r} has no published "
+                                       f"version {version}")
+            self._check_name_free(new_name)
+            self._write_all(stage, VersionedStorageManager._commit,
+                            what=f"array {new_name!r}",
+                            versions=len(sources))
+            self._heads[new_name] = len(sources)
+            self._schemas[new_name] = schema
             self._partitioners[new_name] = RangePartitioner(schema.shape,
                                                             self.nodes)
-            self._schemas[new_name] = schema
 
-    def _write_all(self, op, undo, *, versions: int = 1, verify=None):
-        """The one replicated write fan: ``op(node, manager)`` on every
-        (band, replica) copy, all-or-nothing, under the caller's
-        cluster write lock.
+    def _check_name_free(self, name: str,
+                         excused=lambda node, manager: False) -> None:
+        """Refuse ``name`` held by the registry or an unexcused live
+        copy."""
+        if name in self._partitioners or any(
+                name in self.replicas[node][replica].list_arrays()
+                and not excused(node, self.replicas[node][replica])
+                for node, replica in self._pairs()
+                if (node, replica) not in self._dead):
+            raise StorageError(
+                f"array {name!r} already exists on this cluster")
 
-        Known-dead copies fail the write before any byte moves —
-        encoding full band versions on every live replica only to
-        compensate them all away would trade work for nothing; the
-        per-copy check still covers marks set mid-fan-out.  Every copy
-        is settled first; if one failed — or ``verify(results)``
-        returns an error for the settled grid — ``undo(manager,
-        landed)`` takes back every result that did land before the
-        error propagates, so no replica exposes a partial version or
-        array.  Success counts ``versions`` redundant copies per extra
-        replica per band in ``stats.replica_writes`` and returns the
-        primary's result.
-        """
+    def _write_all(self, stage, commit, *, what: str,
+                   versions: int = 1) -> None:
+        """The one replicated write fan, under the caller's write lock:
+        ``stage(node, manager)`` (all that touches bytes) on every copy,
+        then ``commit(manager, handle)`` (one catalog transaction).  A
+        dead copy or a stage failure (once every straggler settled)
+        raises with nothing committed anywhere.  Every commit is tried;
+        a copy whose commit raises is fenced (marked dead, a warning
+        logged) for revive/repair.  The write stands when every band
+        has a live committed copy (``replica_writes`` counting
+        ``versions`` per redundant one), else raises naming the bands
+        that lack ``what``."""
         self._check_all_writable()
         pairs = self._pairs()
 
-        def write_one(pair: tuple[int, int]):
-            node, replica = pair
-            self._check_writable(node, replica)
-            return op(node, self.replicas[node][replica])
-
-        results, error = self._settle_nodes(write_one, pairs)
-        if error is None and verify is not None:
-            error = verify(results)
-        if error is not None:
-            for (node, replica), landed in zip(pairs, results):
-                if landed is not None:
-                    self._compensate(undo, self.replicas[node][replica],
-                                     landed)
-            raise error
-        self.stats.record_replica_writes(
-            self.nodes * (self.replication - 1) * versions)
-        return results[0]
-
-    def _compensate(self, undo, *args, **kwargs) -> bool:
-        """Run one compensating undo, retrying a few times.
-
-        Under fault injection the undo itself can fail (a co-located
-        repack re-places payloads through the same faulty backend); a
-        finite fault schedule is outlasted by the retry loop.  Returns
-        whether the undo eventually succeeded — a False leaves that
-        replica out of step, which the caller's raised error already
-        reports as a failed cluster write.
-        """
-        for _ in range(COMPENSATION_ATTEMPTS):
+        def commit_one(index: int) -> Exception | None:
+            node, replica = pairs[index]
             try:
-                undo(*args, **kwargs)
-                return True
-            except ReproError:
-                continue
-        return False
+                commit(self.replicas[node][replica], handles[index])
+            except Exception as exc:  # returned: the fan never stops
+                return exc
+            return None
+
+        handles, error = self._settle_nodes(
+            lambda pair: stage(pair[0], self.replicas[pair[0]][pair[1]]),
+            pairs)
+        if error is None:
+            errors, error = self._settle_nodes(commit_one,
+                                               range(len(pairs)))
+        if error is not None:
+            raise error
+        for (node, replica), exc in zip(pairs, errors):
+            if exc is not None:
+                self._dead.add((node, replica))
+                _log.warning("fenced replica %d of node %d: its commit of "
+                             "%s failed (%s)", replica, node, what, exc)
+        committed = [pair for pair in pairs if pair not in self._dead]
+        lacking = sorted(set(range(self.nodes))
+                         - {node for node, _ in committed})
+        if lacking:
+            raise StorageError(
+                f"{what} committed on no live copy of band(s) {lacking}")
+        self.stats.record_replica_writes(
+            (len(committed) - self.nodes) * versions)
 
     def _settle_nodes(self, operation, items) -> tuple[list, object]:
         """Apply ``operation`` to every item, fanning across the node
         executor when configured, and wait for *every* submitted
-        operation before returning — compensating a write, or closing
-        a failed rebalance's fleet, is only sound once no straggler is
-        still mutating its node.  Returns ``(results,
+        operation before returning — dropping a write's stages, or
+        closing a failed rebalance's fleet, is only sound once no
+        straggler is still mutating its node.  Returns ``(results,
         first_error)`` in item order, with None results for failed
         (or, serially, never-attempted) items.
         """
@@ -692,8 +701,10 @@ class ClusterCoordinator:
         return results, error
 
     def get_versions(self, name: str) -> list[int]:
-        self._partitioner(name)
-        return self._read_any(lambda manager: manager.get_versions(name))
+        """The array's published versions: up to its head."""
+        head = self._head(name)
+        return [version for version in self._read_any(
+            lambda manager: manager.get_versions(name)) if version <= head]
 
     # ------------------------------------------------------------------
     # Read routing (generation-pinned, failover-capable)
@@ -774,13 +785,13 @@ class ClusterCoordinator:
     def _select_region(self, gen: "_Generation", name: str, version: int,
                        corner_lo: tuple[int, ...],
                        corner_hi: tuple[int, ...]) -> ArrayData:
-        try:
-            partitioner = gen.partitioners[name]
-            schema = gen.schemas[name]
-        except KeyError:
+        partitioner = gen.partitioners.get(name)
+        if partitioner is None or version > gen.heads[name]:
             raise StorageError(
-                f"array {name!r} is not registered with this "
-                "coordinator") from None
+                f"array {name!r} is not registered with this coordinator"
+                if partitioner is None else f"array {name!r} has no "
+                f"published version {version}")
+        schema = gen.schemas[name]
         lo = schema.to_zero_based(corner_lo)
         hi = schema.to_zero_based(corner_hi)
         region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
@@ -959,6 +970,11 @@ class ClusterCoordinator:
         self._partitioner(name)
         return self._schemas[name]
 
+    def _head(self, name: str) -> int:
+        self._partitioner(name)
+        return self._heads[name]
+
+
     def _normalize(self, name: str,
                    payload: Payload | ArrayData | np.ndarray) -> ArrayData:
         schema = self._schema(name)
@@ -968,14 +984,3 @@ class ClusterCoordinator:
         if isinstance(payload, np.ndarray):
             return ArrayData.from_single(schema, payload)
         return payload.to_array_data(schema)
-
-
-def _landed_in_step(results: list) -> StorageError | None:
-    """Insert's cross-copy check: every copy must have minted the
-    same version number."""
-    if len(set(results)) > 1:
-        return StorageError(
-            f"cluster is out of step: replicas landed versions "
-            f"{results}")
-    return None
-

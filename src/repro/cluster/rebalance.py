@@ -5,7 +5,7 @@ the contract, validates, and holds the maintenance lock around
 :func:`rebalance`), as module-level functions taking the coordinator,
 which builds the new generation; this module fills it directly.  No
 reader reaches it before the swap and any error removes all of it, so
-nothing written into it is compensated.  The chaos suite interleaves
+nothing written into it is ever undone.  The chaos suite interleaves
 faults and writes by patching :func:`_migrate_version` and
 :func:`_sync_generation` on this module.
 """
@@ -142,6 +142,7 @@ def _sync_generation(cluster, fresh, seed: int) -> bool:
                 manager.delete_array(name)
         del fresh.partitioners[name]
         del fresh.schemas[name]
+        del fresh.heads[name]
         changed = True
     for name in names:
         try:
@@ -152,7 +153,7 @@ def _sync_generation(cluster, fresh, seed: int) -> bool:
 
 
 def _sync_array(cluster, fresh, name: str, seed: int) -> bool:
-    """Catch one array up in the fresh generation.
+    """Catch one array up in the fresh generation, to its head.
 
     The already-migrated prefix (read from copy (0, 0): every copy
     received the same writes) is validated by schema, :data:`_ORIGIN`
@@ -171,11 +172,13 @@ def _sync_array(cluster, fresh, name: str, seed: int) -> bool:
     """
     source = cluster._partitioners.get(name)
     schema = cluster._schemas.get(name)
-    if source is None or schema is None:
+    head = cluster._heads.get(name)
+    if source is None or schema is None or head is None:
         raise _Moved(name)
     record, source_rows = _read_source(
         cluster, name, source,
         lambda: cluster._read_any(lambda manager: _held(manager, name)))
+    source_rows = [row for row in source_rows if row[0] <= head]
     held_record, held = _held(fresh.replicas[0][0], name) \
         if fresh.schemas.get(name) == schema else (None, None)
     rebuilt = held is None or _ORIGIN(held_record) != _ORIGIN(record) \
@@ -188,6 +191,7 @@ def _sync_array(cluster, fresh, name: str, seed: int) -> bool:
                 recreate(manager, name, band, record)
         fresh.partitioners[name] = partitioner
         fresh.schemas[name] = schema
+        fresh.heads[name] = 0
         held = []
     tail = source_rows[len(held):]
     plan = (source, rebalance_plan(source, fresh.partitioners[name],
@@ -204,6 +208,7 @@ def _sync_array(cluster, fresh, name: str, seed: int) -> bool:
             copies)
         if error is not None:
             raise error
+        fresh.heads[name] = version
     return rebuilt or bool(tail)
 
 

@@ -23,7 +23,7 @@ FAULT_KINDS = ("write", "append", "sync")
 #: indices are drawn from ``1..FAULT_HORIZON``.  A finite horizon is
 #: what makes chaos workloads terminate — a retried operation
 #: eventually runs out of scheduled failures — while staying long
-#: enough that faults land mid-version, mid-compensation, and
+#: enough that faults land mid-version, mid-rewrite, and
 #: mid-repack across the sweep of seeds.
 FAULT_HORIZON = 24
 

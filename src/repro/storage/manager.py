@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.array import ArrayData, DeltaListPayload, Payload
-from repro.core.errors import StorageError
+from repro.core.errors import ArrayExistsError, StorageError
 from repro.core.schema import ArraySchema
 from repro.storage.backend import StorageBackend, resolve_backend
 from repro.storage.chunking import DEFAULT_CHUNK_BYTES, ChunkGrid
@@ -85,6 +85,18 @@ class Shipment:
     versions: VersionRows
     chunks: list[ChunkRecord]
     payloads: list
+
+
+@dataclass(frozen=True)
+class _Staged:
+    """A write placed and synced but not committed (``_stage``); a new
+    array's ``record`` and rows have no ``array_id`` until the commit.
+    ``head`` is the last version's contents."""
+
+    record: ArrayRecord
+    versions: VersionRows
+    chunks: list[ChunkRecord]
+    head: ArrayData
 
 
 class _HotSlot:
@@ -285,22 +297,14 @@ class VersionedStorageManager:
         for single-attribute arrays.
 
         The version row and all of its chunk rows commit in one
-        catalog transaction *after* every payload is placed: a
-        concurrent reader can never name a version whose chunks are
-        still being encoded, and a mid-encode failure (or a crash at
-        any point) leaves no catalog trace at all — nothing to roll
-        back or repair.
+        catalog transaction *after* every payload is placed and behind
+        the durability barrier (:meth:`_stage`, then :meth:`_commit`):
+        a concurrent reader can never name a version whose chunks are
+        still being encoded, and a failure (or a crash) before it
+        leaves no catalog trace at all.
         """
-        record = self.catalog.get_array(name)
-        parent = self.catalog.latest_version(record.array_id)
-        data = self._normalize_payload(record, payload)
-        version = (parent or 0) + 1
-        self._write_version(record, version, data,
-                            base_version=parent,
-                            version_row=VersionRecord(
-                                record.array_id, version, parent,
-                                "insert", timestamp or self._now()))
-        return version
+        return self._commit(self._stage(name, [payload],
+                                        timestamp=timestamp))
 
     def branch(self, source_name: str, source_version: int,
                new_name: str,
@@ -310,31 +314,13 @@ class VersionedStorageManager:
         "Branches are formed off of a particular version of an existing
         array ... but they create a new array with a new name."  The
         branch's version 1 has the same contents as the source version.
+        The array row commits with the version's rows, all or nothing.
         """
-        source = self.catalog.get_array(source_name)
-        contents = self.select(source_name, source_version)
-        branch_record = self.create_array(
-            new_name, source.schema,
-            chunk_bytes=source.chunk_bytes,
-            compressor=source.compressor,
-            parent_array=source_name,
-            parent_version=source_version,
-            chunk_shape=source.chunk_shape)
-        try:
-            # Version row + chunk rows commit together at the end, so
-            # the branch's root version appears only once readable.
-            self._write_version(branch_record, 1, contents,
-                                base_version=None,
-                                version_row=VersionRecord(
-                                    branch_record.array_id, 1, None,
-                                    "branch-root",
-                                    timestamp or self._now()))
-        except BaseException:
-            # The branch is unusable without its root version; undo
-            # the whole array so no partial branch remains.
-            self.delete_array(new_name)
-            raise
-        return branch_record
+        self._commit(self._stage(
+            new_name, [self.select(source_name, source_version)],
+            kind="branch-root", timestamp=timestamp,
+            origin=(source_name, source_version)))
+        return self.catalog.get_array(new_name)
 
     def merge(self, parents: list[tuple[str, int]], new_name: str,
               timestamp: float | None = None) -> ArrayRecord:
@@ -345,7 +331,7 @@ class VersionedStorageManager:
         does not attempt to combine data from two arrays into one
         array)" — the result is a new array whose versions 1..k replay
         the listed parents, with the parent links recorded so the
-        version hierarchy becomes a DAG.
+        version hierarchy becomes a DAG.  All or nothing, like a branch.
         """
         if len(parents) < 2:
             raise StorageError("merge requires at least two parent versions")
@@ -355,29 +341,12 @@ class VersionedStorageManager:
                     first_array.schema:
                 raise StorageError(
                     "merge parents must share the same schema")
-        merged = self.create_array(
-            new_name, first_array.schema,
-            chunk_bytes=first_array.chunk_bytes,
-            compressor=first_array.compressor,
-            chunk_shape=first_array.chunk_shape)
-        try:
-            for sequence, (parent_name, parent_version) in \
-                    enumerate(parents, 1):
-                contents = self.select(parent_name, parent_version)
-                self._write_version(
-                    merged, sequence, contents,
-                    base_version=sequence - 1 if sequence > 1 else None,
-                    version_row=VersionRecord(
-                        merged.array_id, sequence,
-                        sequence - 1 if sequence > 1 else None,
-                        "merge", timestamp or self._now()),
-                    merge_parents=[(parent_name, parent_version)])
-        except BaseException:
-            # A merge is all-or-nothing: drop the half-replayed array
-            # rather than leave a partial version sequence behind.
-            self.delete_array(new_name)
-            raise
-        return merged
+        self._commit(self._stage(
+            new_name, (self.select(*parent) for parent in parents),
+            kind="merge", timestamp=timestamp,
+            merge_parents=[[(array, number)] for array, number in parents],
+            origin=(parents[0][0], None)))
+        return self.catalog.get_array(new_name)
 
     def replay_version(self, name: str,
                        payload: Payload | ArrayData | np.ndarray, *,
@@ -388,38 +357,16 @@ class VersionedStorageManager:
                        merge_parents: list[tuple[str, int]] | None = None
                        ) -> int:
         """Re-create one version from its contents with an explicit
-        lineage row.
-
-        The resync primitive behind the rebalance catch-up loop, whose
-        bands change chunk geometry and so must re-encode (a copy with
-        the source's geometry receives stored bytes instead, see
-        :meth:`import_versions`): unlike :meth:`insert` it preserves
-        the *source* version's kind (``insert`` / ``branch-root`` /
-        ``merge``), parent link, merge parents, and timestamp, so a
-        copy rebuilt version-by-version answers lineage queries
-        identically to the one it was rebuilt from.  Replay is
-        append-only — ``version`` must be exactly one past this
-        array's latest — and runs through the same transactional write
-        path as a fresh insert (chunk placement, durability barrier,
-        then version row + chunk rows in one catalog transaction).
+        lineage row: an :meth:`insert` that keeps the *source* version's
+        kind, parent link, merge parents and timestamp, so a copy the
+        rebalance catch-up rebuilds (re-encoding: its bands change chunk
+        geometry) answers lineage queries like its source.  Append-only:
+        ``version`` must be exactly one past this array's latest.
         """
-        if kind not in ("insert", "branch-root", "merge"):
-            raise StorageError(f"unknown version kind {kind!r}")
-        record = self.catalog.get_array(name)
-        latest = self.catalog.latest_version(record.array_id) or 0
-        if version != latest + 1:
-            raise StorageError(
-                f"replay_version is append-only: array {name!r} is at "
-                f"version {latest}, cannot replay version {version}")
-        data = self._normalize_payload(record, payload)
-        self._write_version(
-            record, version, data,
-            base_version=parent_version,
-            version_row=VersionRecord(
-                record.array_id, version, parent_version, kind,
-                self._now() if timestamp is None else timestamp),
-            merge_parents=list(merge_parents) if merge_parents else None)
-        return version
+        return self._commit(self._stage(
+            name, [payload], kind=kind, version=version,
+            parent_version=parent_version, timestamp=timestamp,
+            merge_parents=[merge_parents or ()]))
 
     def export_versions(self, name: str, after: int = 0) -> Shipment:
         """Every version of ``name`` numbered above ``after`` exactly
@@ -498,8 +445,7 @@ class VersionedStorageManager:
             rows, versions=[(replace(row, array_id=record.array_id), parents)
                             for row, parents in shipment.versions])
 
-    def delete_version(self, name: str, version: int, *,
-                       reclaim: bool = True) -> None:
+    def delete_version(self, name: str, version: int) -> None:
         """Remove one version, re-encoding any versions delta'ed on it.
 
         One rewrite (:meth:`_rewrite`): each dependent is re-encoded
@@ -508,12 +454,6 @@ class VersionedStorageManager:
         their rows, drops the version with its labels and merge
         parents, and re-parents its children to its own parent.  A
         fault before that commit leaves the store as it was.
-
-        ``reclaim=False`` skips the co-located compaction that drops
-        the deleted payloads' bytes.  The cluster rollback uses it: a
-        compensating delete of a head must never write through a
-        possibly failing backend, so it leaves dead bytes, which no
-        row names, to the next compacting rewrite.
         """
         snap = self.catalog.snapshot(name)
         deleted = snap.get_version(version)
@@ -526,7 +466,7 @@ class VersionedStorageManager:
         deleted_base = bases.pop() if len(bases) == 1 else None
         self._rewrite(snap, [(dependent, deleted_base)
                              for dependent in sorted(dependents)],
-                      drop=deleted, compact=reclaim)
+                      drop=deleted)
 
     # ------------------------------------------------------------------
     # Selection (Section II-B's four forms).  Each public call takes the
@@ -862,10 +802,9 @@ class VersionedStorageManager:
     # ------------------------------------------------------------------
     def _version_contents(self, record: ArrayRecord,
                           version: int) -> ArrayData:
-        """The contents of a version the write path deltas against or
-        patches: the hot slot's snapshot when that is the version
-        held, else an ordinary :meth:`select`.  Every write-path base
-        comes from here, so a base is always a canvas."""
+        """A committed version the write path deltas against or
+        patches: the hot slot's snapshot when it holds that version,
+        else an ordinary :meth:`select` — a canvas either way."""
         held = self._hot.get(record.name, version)
         return held if held is not None \
             else self.select(record.name, version)
@@ -891,36 +830,85 @@ class VersionedStorageManager:
             return attribute
         return record.schema.attributes[0].name
 
-    def _encode_version(self, stage, record: ArrayRecord, version: int,
-                        data: ArrayData, base_version: int | None,
-                        **kwargs):
-        """Resolve the base (when the policy deltas), run one encode
-        pipeline ``stage`` for one version, and keep the version in the
-        hot slot."""
+    def _encode(self, stage, record: ArrayRecord, version: int,
+                data: ArrayData, base_version: int | None, held):
+        """Run one encode ``stage`` for one version, its base ``held``
+        (the version last staged, with its contents) when that is the
+        base, else :meth:`_version_contents`."""
         base_data: ArrayData | None = None
         if base_version is not None and self.encoder.wants_base:
-            base_data = self._version_contents(record, base_version)
-        result = stage(record, record.grid, version, data,
-                       base_data=base_data, base_version=base_version,
-                       **kwargs)
-        if self.encoder.wants_base:
-            self._hot.remember(record.name, version, data)
-        return result
+            base_data = held[1] if held is not None \
+                and held[0] == base_version \
+                else self._version_contents(record, base_version)
+        return stage(record, record.grid, version, data,
+                     base_data=base_data, base_version=base_version)
 
-    def _write_version(self, record: ArrayRecord, version: int,
-                       data: ArrayData, base_version: int | None,
-                       version_row: VersionRecord | None = None,
-                       merge_parents: list[tuple[str, int]] | None = None
-                       ) -> None:
-        """Write one new version through the insert path."""
-        self._encode_version(self.encoder.write_version, record, version,
-                             data, base_version, version_row=version_row,
-                             merge_parents=merge_parents)
+    def _stage(self, name: str, contents, *, kind: str = "insert",
+               version: int | None = None,
+               parent_version: int | None = None,
+               timestamp: float | None = None,
+               merge_parents: list | None = None,
+               origin: tuple[str, int | None] | None = None) -> _Staged:
+        """Plan, encode, place and barrier every version of one write;
+        no catalog write, no hot slot (:meth:`_commit` does both).
+
+        ``contents`` become consecutive versions of ``name``, each the
+        lineage child and delta of the one before; the first is
+        ``version``, child of ``parent_version`` (default: one past the
+        latest, and the latest).  ``merge_parents`` lists each one's.
+        ``origin`` = ``(array, v)`` creates ``name`` like ``array``,
+        branched off ``array@v`` unless ``v`` is None — refused before
+        a byte lands under the name's paths if the name is in use."""
+        if kind not in ("insert", "branch-root", "merge"):
+            raise StorageError(f"unknown version kind {kind!r}")
+        if origin is None:
+            record = self.catalog.get_array(name)
+            latest = self.catalog.latest_version(record.array_id) or 0
+        else:
+            if name in self.catalog.list_arrays():
+                raise ArrayExistsError(f"array {name!r} already exists")
+            record = replace(
+                self.catalog.get_array(origin[0]), array_id=None,
+                name=name, created_at=self._now(),
+                parent_array=None if origin[1] is None else origin[0],
+                parent_version=origin[1])
+            latest = 0
+        if version is None:
+            version, parent_version = latest + 1, latest or None
+        elif version != latest + 1:
+            raise StorageError(
+                f"array {name!r} is append-only: it is at version "
+                f"{latest}, cannot write version {version}")
+        rows, chunks, held = [], [], None
+        for number, payload in enumerate(contents, version):
+            parent = parent_version if number == version else number - 1
+            data = self._normalize_payload(record, payload)
+            chunks += self._encode(self.encoder.write_version, record,
+                                   number, data, parent, held)
+            rows.append((VersionRecord(
+                record.array_id, number, parent, kind,
+                self._now() if timestamp is None else timestamp),
+                tuple(merge_parents[number - version])
+                if merge_parents else ()))
+            held = (number, data)
+        return _Staged(record, rows, chunks, held[1])
+
+    def _commit(self, staged: _Staged) -> int:
+        """Commit a staged write in one catalog transaction, then put
+        its last version — returned — in the hot slot (its only
+        writer)."""
+        record = staged.record
+        self.catalog.put_chunks(
+            staged.chunks, versions=staged.versions,
+            create=record if record.array_id is None else None)
+        version = staged.versions[-1][0].version
+        if self.encoder.wants_base:
+            self._hot.remember(record.name, version, staged.head)
+        return version
 
     def _rewrite(self, snap: ArraySnapshot,
                  plan: list[tuple[int, int | None]], *,
-                 drop: VersionRecord | None = None,
-                 compact: bool = True) -> None:
+                 drop: VersionRecord | None = None) -> None:
         """The one rewrite protocol: stage → barrier → swap → reclaim.
 
         ``plan`` lists ``(version, base_version)`` re-encodes, bases
@@ -928,8 +916,8 @@ class VersionedStorageManager:
 
         1. *Stage* each planned version, ``select``-ed from ``snap``
            (the committed layout), beside its committed encoding.
-        2. *Compact* (co-located, when ``compact``) every surviving
-           payload into new ``@r<n>`` objects.
+        2. *Compact* (co-located) every surviving payload into new
+           ``@r<n>`` objects.
         3. One durability *barrier* over what the swap names.
         4. *Swap* in one catalog transaction.
         5. Invalidate the cache and hot slot, *reclaim* what no row
@@ -942,10 +930,12 @@ class VersionedStorageManager:
         """
         record = snap.record
         staged: list[ChunkRecord] = []
+        held = None
         for version, base_version in plan:
-            staged += self._encode_version(
-                self.encoder.stage_version, record, version,
-                self._select(snap, version), base_version)
+            data = self._select(snap, version)
+            staged += self._encode(self.encoder.stage_version, record,
+                                   version, data, base_version, held)
+            held = (version, data)
 
         old = snap.all_chunks()
         # Catalog order, each staged row in place of the one it replaces.
@@ -953,7 +943,7 @@ class VersionedStorageManager:
                 for chunk in old + staged
                 if drop is None or chunk.version != drop.version}
         swap = staged
-        if compact and self.store.placement == COLOCATED:
+        if self.store.placement == COLOCATED:
             moved = self.store.repack(
                 record.name,
                 [(chunk.location, key) for key, chunk in live.items()],

@@ -511,29 +511,12 @@ class MetadataCatalog:
                      parent_version: int | None = None,
                      chunk_shape: tuple[int, ...] | None = None
                      ) -> ArrayRecord:
-        """Register a new array; names are unique."""
-        row = dict(name=name, schema_json=json.dumps(schema.to_dict()),
-                   chunk_bytes=chunk_bytes,
-                   chunk_shape=json.dumps(list(chunk_shape))
-                   if chunk_shape else None,
-                   compressor=compressor, created_at=created_at,
-                   parent_array=parent_array, parent_version=parent_version)
+        """Register a new array (:meth:`put_chunks`, no versions)."""
         with self._lock:
-            try:
-                with self._transaction():
-                    cursor = self._conn.execute(
-                        "INSERT INTO arrays (name, schema_json, chunk_bytes,"
-                        " chunk_shape, compressor, created_at, parent_array,"
-                        " parent_version) VALUES (:name, :schema_json,"
-                        " :chunk_bytes, :chunk_shape, :compressor,"
-                        " :created_at, :parent_array, :parent_version)", row)
-            except sqlite3.IntegrityError:
-                raise ArrayExistsError(
-                    f"array {name!r} already exists") from None
-            # Parsed from the row written, exactly as a reopen parses it.
-            record = self._array_from_row({**row, "id": cursor.lastrowid})
-            self._publish(ArraySnapshot(record))
-            return record
+            self.put_chunks([], create=ArrayRecord(
+                None, name, schema, chunk_bytes, compressor, created_at,
+                parent_array, parent_version, chunk_shape))
+            return self.get_array(name)
 
     def get_array(self, name: str) -> ArrayRecord:
         """The record of array ``name``, parsed once per catalog."""
@@ -655,10 +638,11 @@ class MetadataCatalog:
 
     def put_chunks(self, records: list[ChunkRecord],
                    versions: VersionRows = (),
-                   drop: VersionRecord | None = None) -> None:
+                   drop: VersionRecord | None = None,
+                   create: ArrayRecord | None = None) -> None:
         """Insert or replace many chunk records of one array in one
-        transaction — the only writer of version, merge-parent and
-        chunk rows besides :meth:`delete_array`.
+        transaction — the only writer of array, version, merge-parent
+        and chunk rows besides :meth:`delete_array`.
 
         Every chunk row of a version commits atomically — observers
         see all of the version's rows or none, and a failure rolls the
@@ -670,17 +654,43 @@ class MetadataCatalog:
         is not fully readable, and a version may delta against a later
         one of the same batch.  Passing ``drop`` deletes that version
         with its labels and merge parents and re-parents its children,
-        in the same transaction.
+        in the same transaction.  Passing ``create`` (a new array's
+        record, with no ``array_id``, as every row given) inserts the
+        array row first and files every row under its new id.
         """
         array_ids = {record.array_id for record in records} | {
             row.array_id for row, _ in versions}
         if drop is not None:
             array_ids.add(drop.array_id)
-        if len(array_ids) > 1:
+        if len(array_ids) > 1 or (create is None and None in array_ids):
             raise StorageError(
-                f"put_chunks writes one array, got ids {sorted(array_ids)}")
+                f"put_chunks writes one array, got ids "
+                f"{sorted(array_ids, key=str)}")
         with self._lock:
             with self._transaction():
+                if create is not None:
+                    row = dict(
+                        name=create.name, compressor=create.compressor,
+                        schema_json=json.dumps(create.schema.to_dict()),
+                        chunk_bytes=create.chunk_bytes,
+                        chunk_shape=json.dumps(list(create.chunk_shape))
+                        if create.chunk_shape else None,
+                        created_at=create.created_at,
+                        parent_array=create.parent_array,
+                        parent_version=create.parent_version)
+                    try:
+                        row["id"] = self._conn.execute(
+                            f"INSERT INTO arrays ({', '.join(row)})"
+                            f" VALUES (:{', :'.join(row)})", row).lastrowid
+                    except sqlite3.IntegrityError:
+                        raise ArrayExistsError(f"array {create.name!r} "
+                                               "already exists") from None
+                    # Parsed from the row written, as a reopen parses it.
+                    create = self._array_from_row(row)
+                    records = [replace(record, array_id=create.array_id)
+                               for record in records]
+                    versions = [(replace(version, array_id=create.array_id),
+                                 parents) for version, parents in versions]
                 if drop is not None:
                     for table in ("chunks", "versions", "merge_parents",
                                   "version_labels"):
@@ -710,7 +720,8 @@ class MetadataCatalog:
                     self._PUT_CHUNK_SQL,
                     [self._chunk_row(record) for record in records])
             # An array not yet touched is read from SQL when it is.
-            snap = self._by_id.get(next(iter(array_ids), None))
+            snap = ArraySnapshot(create) if create is not None \
+                else self._by_id.get(next(iter(array_ids), None))
             if snap is not None:
                 self._publish(snap.derive(records, versions, drop))
 

@@ -376,13 +376,14 @@ class EncodeTask:
 
 
 class EncodePipeline(_PooledStage):
-    """The insert path: plan → encode → commit (Figure 1, left).
+    """The insert path: plan → encode → place → barrier (Figure 1,
+    left); the manager commits the rows it returns.
 
     Chunk encoding (delta against the base slice, then compress) is
     CPU-bound and independent per chunk, so the encode stage fans tasks
     across a shared thread-pool executor when ``workers`` > 1 — the
     write-side mirror of :class:`DecodePipeline`'s per-chunk fan-out.
-    The commit stage does not fan: the calling thread places each
+    The place stage does not fan: the calling thread places each
     decision as it arrives, in task order, while the encode window
     keeps later blocks in flight — so placement overlaps encoding, and
     every backend sees its writes in the same order at every worker
@@ -496,7 +497,7 @@ class EncodePipeline(_PooledStage):
                 yield from block
 
     # ------------------------------------------------------------------
-    # Stage 3: commit
+    # Stage 3: place
     # ------------------------------------------------------------------
     def _place_tasks(self, record: ArrayRecord, grid: ChunkGrid,
                      version: int, data: ArrayData,
@@ -554,39 +555,25 @@ class EncodePipeline(_PooledStage):
                       version: int, data: ArrayData, *,
                       base_data: ArrayData | None,
                       base_version: int | None,
-                      version_row: VersionRecord | None = None,
-                      merge_parents: list[tuple[str, int]] | None = None
-                      ) -> None:
-        """Encode and persist every chunk of a *new* version: plan,
-        encode, place, barrier, commit (a committed version is refused
-        with :class:`NoOverwriteError`; rewrites stage instead, see
-        :meth:`stage_version`).
-
-        ``base_data`` is the base version's contents (None to
-        materialize).  The version's catalog rows — and, when
-        ``version_row`` is given, the version row itself — are
-        committed in **one** transaction
-        (:meth:`MetadataCatalog.put_chunks`) after every
-        payload is placed, so a mid-encode or mid-write failure leaves
-        zero chunk rows and no version row in the catalog — never a
-        partially-described version, and never a version a reader can
-        name but not read.  (Orphaned payload bytes in co-located
-        objects are dropped by the next compacting rewrite.)  The
-        chunk cache is not touched: an append only adds keys.
+                      version_row: VersionRecord | None = None
+                      ) -> list[ChunkRecord]:
+        """Plan, encode, place and barrier every chunk of a *new*
+        version (a committed one raises :class:`NoOverwriteError`) and
+        return the rows for the caller to commit.  ``base_data`` is the
+        base's contents (None to materialize).  A failure leaves only
+        bytes no row names; ``version_row`` is unused (the e2e layer
+        ladder passes it).  The chunk cache is not touched.
         """
-        if self.catalog.chunks_for_version(record.array_id, version):
+        if record.array_id is not None and \
+                self.catalog.chunks_for_version(record.array_id, version):
             raise NoOverwriteError(
                 f"version {version} of {record.name!r} already exists")
         records = self._place_tasks(record, grid, version, data,
                                     base_data, base_version, [])
-        # Durability barrier, then the transaction: the catalog must
-        # never name bytes that would not survive a crash.  On the
-        # object backend the same call is the finalize barrier that
-        # completes every multipart upload this version staged.
+        # No row may name bytes a crash would lose; on the object backend
+        # this completes every multipart upload the version staged.
         self.store.sync_chunks([chunk.location for chunk in records])
-        self.catalog.put_chunks(
-            records, versions=[(version_row, merge_parents or ())]
-            if version_row is not None else ())
+        return records
 
 
 class DecodePipeline(_PooledStage):

@@ -13,8 +13,8 @@ cluster invariants the coordinator promises:
   every (nodes, replication, seed) cell, after killing a node (with a
   surviving quorum), and across a rebalance;
 * **no partial versions** — at any observation point, every replica of
-  every band agrees on every array's version list (the settle-all-
-  then-compensate rollback never leaves a replica out of step);
+  every band agrees on every array's version list (every copy stages
+  before any commits, and a failed stage commits nothing anywhere);
 * **exact counter accounting** — ``replica_writes`` counts exactly the
   redundant copies of successful cluster writes, ``failovers`` is zero
   until a copy is dead and positive after, and every injected fault
@@ -203,7 +203,7 @@ class TestChaosSweep:
             _assert_faults_were_scheduled(cluster)
             # Exact replication accounting: every successful cluster
             # version landed one redundant copy per extra replica per
-            # band — compensated attempts count nothing.
+            # band — failed attempts count nothing.
             assert cluster.stats.replica_writes == \
                 WORKLOAD_VERSIONS * nodes * (replication - 1)
             # No read ever needed a failover: injected faults target

@@ -13,10 +13,22 @@ from repro.core.array import ArrayData
 from repro.core.errors import ReproError, SchemaError, StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
 from repro.storage import InMemoryBackend, VersionedStorageManager
+from repro.storage.chunkstore import ChunkStore
 
 #: Every (band, replica) position of the 3 x 2 grid the rollback tests
 #: fail in turn.
 GRID_3X2 = [(node, replica) for node in range(3) for replica in range(2)]
+
+
+def _refuse_placements(manager, message: str) -> None:
+    """Make every chunk placement on one copy raise: any write's fault
+    then lands in its stage step.  ``del manager.store.write_chunk``
+    restores the store's own method."""
+
+    def refusing(*args, **kwargs):
+        raise StorageError(message)
+
+    manager.store.write_chunk = refusing
 
 
 @pytest.fixture
@@ -369,8 +381,8 @@ class TestClusterBranchMerge:
                                       versions[0] * 2)
 
     def test_insert_rollback_waits_for_stragglers(self, tmp_path, rng):
-        """A fast-failing node must not let a slow node's insert land
-        after compensation ran — rollback waits for every node."""
+        """A fast-failing node must not let a slow node's stage commit
+        after the write gave up — the stage fan waits for every node."""
         import time
 
         cluster = ClusterCoordinator(tmp_path, nodes=3, chunk_bytes=512,
@@ -382,42 +394,46 @@ class TestClusterBranchMerge:
 
         fast_fail = cluster.managers[0]
         slow = cluster.managers[2]
-        original_fail = fast_fail.insert
-        original_slow = slow.insert
+        original_slow = slow.store.write_chunk
 
-        def failing_insert(*args, **kwargs):
-            raise StorageError("node down")
-
-        def slow_insert(*args, **kwargs):
+        def slow_write(*args, **kwargs):
             time.sleep(0.05)
             return original_slow(*args, **kwargs)
 
-        fast_fail.insert = failing_insert
-        slow.insert = slow_insert
+        _refuse_placements(fast_fail, "node down")
+        slow.store.write_chunk = slow_write
         with pytest.raises(StorageError):
             cluster.insert("A", data + 1)
-        fast_fail.insert = original_fail
-        slow.insert = original_slow
+        del fast_fail.store.write_chunk
+        del slow.store.write_chunk
 
         for manager in cluster.managers:
             assert manager.get_versions("A") == [1]
         assert cluster.insert("A", data + 1) == 2
         cluster.close()
 
-    def test_branch_onto_unregistered_node_array_rejected(self, filled):
+    @pytest.mark.parametrize("holders", [range(3), [2]],
+                             ids=["every-node", "last-node"])
+    def test_branch_onto_unregistered_node_array_rejected(self, filled,
+                                                          holders):
         """Node catalogs may hold arrays the session-scoped registry
-        has never seen; branch/merge must not destroy them."""
+        has never seen — on any copy; branch/merge must not destroy
+        them."""
         cluster, versions = filled
         schema = ArraySchema.simple((4, 8), dtype=np.int32)
-        for manager in cluster.managers:  # bypass the coordinator
-            manager.create_array("B", schema)
-            manager.insert("B", np.ones((4, 8), dtype=np.int32))
+        for node in holders:  # bypass the coordinator
+            cluster.managers[node].create_array("B", schema)
+            cluster.managers[node].insert(
+                "B", np.ones((4, 8), dtype=np.int32))
         with pytest.raises(StorageError):
             cluster.branch("A", 1, "B")
-        for manager in cluster.managers:
-            np.testing.assert_array_equal(
-                manager.select("B", 1).single(),
-                np.ones((4, 8), dtype=np.int32))
+        for node, manager in enumerate(cluster.managers):
+            if node in holders:
+                np.testing.assert_array_equal(
+                    manager.select("B", 1).single(),
+                    np.ones((4, 8), dtype=np.int32))
+            else:
+                assert manager.list_arrays() == ["A"]
 
     @pytest.mark.parametrize("node", range(3))
     def test_failed_node_insert_rolls_back_landed_nodes(self, filled,
@@ -425,15 +441,10 @@ class TestClusterBranchMerge:
         cluster, versions = filled
         victim = cluster.managers[node]
         writes = cluster.stats.replica_writes
-        original = victim.insert
-
-        def failing_insert(*args, **kwargs):
-            raise StorageError("node down")
-
-        victim.insert = failing_insert
+        _refuse_placements(victim, "node down")
         with pytest.raises(StorageError):
             cluster.insert("A", versions[-1] + 50)
-        victim.insert = original
+        del victim.store.write_chunk
         # Every node is still at the old head, so the cluster stays in
         # step and the next insert lands cleanly everywhere.
         for manager in cluster.managers:
@@ -448,15 +459,10 @@ class TestClusterBranchMerge:
         cluster, versions = filled
         victim = cluster.managers[node]
         writes = cluster.stats.replica_writes
-        original = victim.branch
-
-        def failing_branch(*args, **kwargs):
-            raise StorageError("node down")
-
-        victim.branch = failing_branch
+        _refuse_placements(victim, "node down")
         with pytest.raises(StorageError):
             cluster.branch("A", 2, "B")
-        victim.branch = original
+        del victim.store.write_chunk
         # No node keeps a partial branch, and the name is reusable.
         for manager in cluster.managers:
             assert manager.list_arrays() == ["A"]
@@ -465,6 +471,46 @@ class TestClusterBranchMerge:
         cluster.branch("A", 2, "B")
         np.testing.assert_array_equal(cluster.select("B", 1).single(),
                                       versions[1])
+
+
+class TestStageThenCommit:
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_a_failed_undo_cannot_wedge_later_inserts(self, tmp_path, rng,
+                                                      workers):
+        """A 2 x 2 cluster whose insert fails on copy (1, 1) while copy
+        (0, 0) cannot delete a version: the insert leaves no trace on
+        any copy, fences none, and the next insert lands."""
+        cluster = ClusterCoordinator(tmp_path, nodes=2, replication=2,
+                                     chunk_bytes=512, backend="memory",
+                                     workers=workers)
+        schema = ArraySchema.simple((12, 8), dtype=np.int32)
+        cluster.create_array("A", schema)
+        data = rng.integers(0, 100, (12, 8)).astype(np.int32)
+        cluster.insert("A", data)
+        flaky = cluster.replicas[1][1].store
+        failed = []
+
+        def fails_once(*args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise StorageError("injected placement fault")
+            return ChunkStore.write_chunk(flaky, *args, **kwargs)
+
+        def refusing_delete(*args, **kwargs):
+            raise StorageError("injected delete fault")
+
+        flaky.write_chunk = fails_once
+        cluster.replicas[0][0].delete_version = refusing_delete
+        with pytest.raises(StorageError, match="injected placement"):
+            cluster.insert("A", data + 1)
+        for row in cluster.replicas:
+            for manager in row:
+                assert manager.get_versions("A") == [1]
+        assert cluster.dead_replicas() == []
+        assert cluster.insert("A", data + 1) == 2
+        np.testing.assert_array_equal(cluster.select("A", 2).single(),
+                                      data + 1)
+        cluster.close()
 
 
 def _assert_no_orphan_rows(manager) -> None:
@@ -613,8 +659,9 @@ class TestReplication:
 
 
 class TestMidFanOutDeath:
-    """A node dying mid-fan-out: compensation returns every landed
-    replica to the old state and leaves no orphan catalog rows."""
+    """A node dying mid-fan-out, in its stage step: no copy commits,
+    so every replica stays in the old state with no orphan catalog
+    rows."""
 
     @pytest.mark.parametrize("node,replica", GRID_3X2)
     def test_branch_node_death_rolls_back_landed_nodes(
@@ -622,15 +669,10 @@ class TestMidFanOutDeath:
         cluster, versions = replicated
         victim = cluster.replicas[node][replica]
         writes = cluster.stats.replica_writes
-        original = victim.branch
-
-        def dying_branch(*args, **kwargs):
-            raise StorageError("node down mid-fan-out")
-
-        victim.branch = dying_branch
+        _refuse_placements(victim, "node down mid-fan-out")
         with pytest.raises(StorageError):
             cluster.branch("A", 2, "B")
-        victim.branch = original
+        del victim.store.write_chunk
         # Every replica is back at the old head with a clean catalog.
         for row in cluster.replicas:
             for manager in row:
@@ -649,15 +691,10 @@ class TestMidFanOutDeath:
         cluster, versions = replicated
         victim = cluster.replicas[node][replica]
         writes = cluster.stats.replica_writes
-        original = victim.merge
-
-        def dying_merge(*args, **kwargs):
-            raise StorageError("node down mid-fan-out")
-
-        victim.merge = dying_merge
+        _refuse_placements(victim, "node down mid-fan-out")
         with pytest.raises(StorageError):
             cluster.merge([("A", 1), ("A", 3)], "M")
-        victim.merge = original
+        del victim.store.write_chunk
         for row in cluster.replicas:
             for manager in row:
                 assert manager.list_arrays() == ["A"]
@@ -670,15 +707,10 @@ class TestMidFanOutDeath:
     def test_insert_node_death_leaves_no_orphan_rows(self, replicated):
         cluster, versions = replicated
         victim = cluster.replicas[0][1]
-        original = victim.insert
-
-        def dying_insert(*args, **kwargs):
-            raise StorageError("node down mid-fan-out")
-
-        victim.insert = dying_insert
+        _refuse_placements(victim, "node down mid-fan-out")
         with pytest.raises(StorageError):
             cluster.insert("A", versions[-1] + 9)
-        victim.insert = original
+        del victim.store.write_chunk
         for row in cluster.replicas:
             for manager in row:
                 assert manager.get_versions("A") == [1, 2, 3]
@@ -709,8 +741,11 @@ class TestArrayLifecycleAtomicity:
 
     @pytest.mark.parametrize("workers", [0, 4])
     @pytest.mark.parametrize("node,replica", GRID_3X2)
-    def test_create_array_mid_grid_failure_rolls_back(
-            self, tmp_path, node, replica, workers):
+    def test_create_array_mid_grid_failure_fences_the_copy(
+            self, tmp_path, caplog, node, replica, workers):
+        """A copy whose create is refused is fenced and the array is
+        created on the rest; writes refuse until the copy is revived
+        with a repair, which creates it there too."""
         cluster = ClusterCoordinator(tmp_path, nodes=3, replication=2,
                                      backend="memory", workers=workers)
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
@@ -721,16 +756,70 @@ class TestArrayLifecycleAtomicity:
             raise StorageError("catalog refused")
 
         victim.create_array = refusing_create
-        with pytest.raises(StorageError, match="refused"):
+        with caplog.at_level(logging.WARNING, logger="repro.cluster"):
             cluster.create_array("A", schema)
         victim.create_array = original
-        # No copy keeps the partial array; the name stays usable.
-        for row in cluster.replicas:
-            for manager in row:
-                assert manager.list_arrays() == []
+        assert cluster.list_arrays() == ["A"]
+        assert cluster.dead_replicas() == [(node, replica)]
+        assert [r.message for r in caplog.records
+                if r.levelno == logging.WARNING] == [
+            f"fenced replica {replica} of node {node}: its commit of "
+            f"array 'A' failed (catalog refused)"]
+        for pair in GRID_3X2:
+            held = cluster.replicas[pair[0]][pair[1]].list_arrays()
+            assert held == ([] if pair == (node, replica) else ["A"])
+        # A create lands no version, so it counts no replica write.
         assert cluster.stats.replica_writes == 0
+        data = np.arange(96, dtype=np.int32).reshape(12, 8)
+        with pytest.raises(StorageError, match="marked dead"):
+            cluster.insert("A", data)
+        cluster.revive(node, replica, repair=True)
+        assert victim.list_arrays() == ["A"]
+        assert cluster.insert("A", data) == 1
+        np.testing.assert_array_equal(cluster.select("A", 1).single(),
+                                      data)
+        cluster.close()
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_create_array_converges_over_retries(self, tmp_path, workers):
+        """A band whose every copy refuses the create fails it and
+        leaves the partitions the other bands created; once the band
+        is back, a retry counts those as created.  A copy holding the
+        name any other way refuses it before any copy changes."""
+        cluster = ClusterCoordinator(tmp_path, nodes=3, replication=2,
+                                     backend="memory", workers=workers)
+        schema = ArraySchema.simple((12, 8), dtype=np.int32)
+
+        def refusing_create(*args, **kwargs):
+            raise StorageError("catalog refused")
+
+        for manager in cluster.replicas[1]:
+            manager.create_array = refusing_create
+        with pytest.raises(StorageError, match=r"band\(s\) \[1\]"):
+            cluster.create_array("A", schema)
+        for manager in cluster.replicas[1]:
+            del manager.create_array
+        assert cluster.list_arrays() == []
+        assert cluster.dead_replicas() == [(1, 0), (1, 1)]
+        assert [manager.list_arrays() for row in cluster.replicas
+                for manager in row] == [["A"], ["A"], [], [], ["A"], ["A"]]
+        cluster.revive(1, 0)
+        cluster.revive(1, 1)
+        # Band 2's shape, another cell type: not this create's partition.
+        cluster.replicas[2][1].create_array(
+            "C", ArraySchema.simple((4, 8), dtype=np.int64))
+        with pytest.raises(StorageError, match="already exists"):
+            cluster.create_array("C", schema)
+        assert [manager.list_arrays() for row in cluster.replicas
+                for manager in row] == [["A"], ["A"], [], [], ["A"],
+                                        ["A", "C"]]
         cluster.create_array("A", schema)
         assert cluster.list_arrays() == ["A"]
+        assert cluster.dead_replicas() == []
+        data = np.arange(96, dtype=np.int32).reshape(12, 8)
+        assert cluster.insert("A", data) == 1
+        np.testing.assert_array_equal(cluster.select("A", 1).single(),
+                                      data)
         cluster.close()
 
     def test_delete_array_converges_over_retries(self, tmp_path, rng):

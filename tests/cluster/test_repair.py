@@ -660,6 +660,9 @@ class TestRepair:
                 swaps = []
 
                 def failing(records, **kwargs):
+                    if kwargs.get("create") is not None:
+                        # A re-create's array row, not a shipment.
+                        return original(records, **kwargs)
                     swaps.append(len(records))
                     if len(swaps) == 2:
                         raise StorageError("injected fault: swap failed")
@@ -749,5 +752,136 @@ class TestRepair:
                                "neither its stored nor its logical"):
                 cluster.repair(1, 0)
             assert cluster.stats.repairs == 0
+        finally:
+            cluster.close()
+
+
+class TestCommitFence:
+    """A copy whose commit fails is fenced, never undone: the write
+    stands when every band committed somewhere, the array's head moves
+    only then, and revive/repair heals the fenced copy."""
+
+    @staticmethod
+    def _refuse_commits(manager) -> None:
+        """Refuse every catalog commit on one copy; ``del
+        manager.catalog.put_chunks`` lifts it."""
+
+        def refusing(records, **kwargs):
+            raise StorageError("catalog refused the commit")
+
+        manager.catalog.put_chunks = refusing
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_a_fenced_commit_heals_by_revive_with_repair(
+            self, tmp_path, caplog, workers):
+        cluster = ClusterCoordinator(tmp_path / "cluster", nodes=3,
+                                     replication=2, chunk_bytes=512,
+                                     backend="memory", workers=workers)
+        try:
+            _workload(cluster)
+            writes = cluster.stats.replica_writes
+            data = np.arange(96, dtype=np.int32).reshape(SHAPE)
+            victim = cluster.replicas[1][0]
+            self._refuse_commits(victim)
+            with caplog.at_level(logging.WARNING, logger="repro.cluster"):
+                assert cluster.insert("A", data) == 4
+            del victim.catalog.put_chunks
+            assert cluster.dead_replicas() == [(1, 0)]
+            assert [r.message for r in caplog.records
+                    if r.levelno == logging.WARNING] == [
+                "fenced replica 0 of node 1: its commit of version 4 of "
+                "'A' failed (catalog refused the commit)"]
+            # Two of the three redundant copies committed.
+            assert cluster.stats.replica_writes == writes + 2
+            assert victim.get_versions("A") == [1, 2, 3]
+            # The peer serves the version the fenced copy lacks.
+            np.testing.assert_array_equal(cluster.select("A", 4).single(),
+                                          data)
+            with pytest.raises(StorageError, match="marked dead"):
+                cluster.insert("A", data + 1)
+            repaired = cluster.stats.repaired_versions
+            cluster.revive(1, 0, repair=True)
+            assert cluster.stats.repaired_versions == repaired + 1
+            assert cluster.dead_replicas() == []
+            _assert_stored_identical(cluster, (1, 0), (1, 1))
+            assert cluster.insert("A", data + 1) == 5
+            cluster.mark_dead(1, 1)
+            np.testing.assert_array_equal(cluster.select("A", 5).single(),
+                                          data + 1)
+        finally:
+            cluster.close()
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_a_band_without_a_commit_keeps_the_head_until_revive(
+            self, tmp_path, workers):
+        cluster = ClusterCoordinator(tmp_path / "cluster", nodes=2,
+                                     chunk_bytes=512, backend="memory",
+                                     workers=workers)
+        mirror = ClusterCoordinator(tmp_path / "mirror", nodes=2,
+                                    chunk_bytes=512, backend="memory")
+        try:
+            schema = ArraySchema.simple(SHAPE, dtype=np.int32)
+            data = np.arange(96, dtype=np.int32).reshape(SHAPE)
+            for target in (cluster, mirror):
+                target.create_array("A", schema)
+                target.insert("A", data)
+            lineage = cluster.lineage("A")
+            fingerprint = cluster.fingerprint()
+            self._refuse_commits(cluster.replicas[1][0])
+            with pytest.raises(StorageError, match=r"band\(s\) \[1\]"):
+                cluster.insert("A", data + 1)
+            del cluster.replicas[1][0].catalog.put_chunks
+            # Band 0 committed v2, band 1 did not: v2 is not published.
+            assert cluster.replicas[0][0].get_versions("A") == [1, 2]
+            assert cluster.get_versions("A") == [1]
+            assert cluster.lineage("A") == lineage
+            with pytest.raises(StorageError, match="no published version"):
+                cluster.select("A", 2)
+            assert cluster.dead_replicas() == [(1, 0)]
+            # Band 1's one copy is fenced; once back, the cluster reads
+            # exactly as before the failed insert.
+            cluster.revive(1)
+            assert cluster.fingerprint() == fingerprint
+            with pytest.raises(StorageError, match="no published version"):
+                cluster.branch("A", 2, "B")
+            # The next insert drops band 0's unpublished v2 and lands.
+            assert cluster.insert("A", data + 2) == 2
+            mirror.insert("A", data + 2)
+            np.testing.assert_array_equal(cluster.select("A", 2).single(),
+                                          data + 2)
+            assert cluster.fingerprint() == mirror.fingerprint()
+            assert cluster.lineage("A") == mirror.lineage("A")
+        finally:
+            cluster.close()
+            mirror.close()
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_rebalance_leaves_an_unpublished_version_behind(
+            self, tmp_path, workers):
+        cluster = ClusterCoordinator(tmp_path / "cluster", nodes=2,
+                                     replication=2, chunk_bytes=512,
+                                     backend="memory", workers=workers)
+        try:
+            _workload(cluster)
+            for replica in range(2):
+                self._refuse_commits(cluster.replicas[1][replica])
+            with pytest.raises(StorageError, match="committed on no"):
+                cluster.insert("A", np.zeros(SHAPE, dtype=np.int32))
+            for replica in range(2):
+                del cluster.replicas[1][replica].catalog.put_chunks
+            assert cluster.replicas[0][0].get_versions("A") == [1, 2, 3, 4]
+            cluster.revive_node(1)
+            cluster.revive_node(0)
+            assert cluster.dead_replicas() == []
+            lineage = {name: cluster.lineage(name)
+                       for name in cluster.list_arrays()}
+            fingerprint = cluster.fingerprint()
+            cluster.rebalance(3, seed=4)
+            assert {name: cluster.lineage(name)
+                    for name in cluster.list_arrays()} == lineage
+            assert cluster.fingerprint() == fingerprint
+            for row in cluster.replicas:
+                for manager in row:
+                    assert manager.get_versions("A") == [1, 2, 3]
         finally:
             cluster.close()

@@ -474,16 +474,19 @@ class TestOneSnapshotPerCall:
                              ids=["warm-fill", "fused"])
     def test_read_pinned_before_a_delete_never_caches_it(self, tmp_path,
                                                          cache):
-        # Co-located and reclaim=False: the deleted head's bytes stay,
-        # so the read pinned before the swap succeeds — and must not
-        # leave the deleted contents cached under the number the next
-        # insert reuses.
+        # Co-located with the reclaim held back: the deleted head's
+        # bytes stay, so the read pinned before the swap succeeds — and
+        # must not leave the deleted contents cached under the number
+        # the next insert reuses.
         manager = _chained(tmp_path, depth=3, workers=0, backend="memory",
                            placement=COLOCATED, **cache)
         old = manager.select("C", 3).single().copy()
         manager.cache.clear()
         release, thread, result = self._stalled_select(manager, "C", 3)
-        manager.delete_version("C", 3, reclaim=False)
+        reclaim = manager.store.reclaim
+        manager.store.reclaim = lambda paths: None
+        manager.delete_version("C", 3)
+        manager.store.reclaim = reclaim
         release.set()
         thread.join(timeout=60)
         assert not thread.is_alive()

@@ -13,6 +13,7 @@ from repro.core.array import (
     SparsePayload,
 )
 from repro.core.errors import (
+    ArrayExistsError,
     ArrayNotFoundError,
     SchemaError,
     StorageError,
@@ -349,6 +350,76 @@ class TestBranchAndMerge:
         manager.insert("A", rng.integers(0, 9, (20, 20)).astype(np.int32))
         with pytest.raises(StorageError):
             manager.merge([("A", 1)], "M")
+
+
+class TestStageThenCommit:
+    """Every version write stages (place, barrier) and then commits in
+    one catalog transaction; nothing uncommitted is ever visible."""
+
+    @staticmethod
+    def _refuse_commits(manager) -> None:
+        def refusing(records, **kwargs):
+            raise StorageError("catalog refused the commit")
+
+        manager.catalog.put_chunks = refusing
+
+    def test_a_refused_commit_never_reaches_the_hot_slot(self, manager,
+                                                         schema, rng):
+        manager.create_array("A", schema)
+        base = rng.integers(0, 9, (20, 20)).astype(np.int32)
+        manager.insert("A", base)
+        self._refuse_commits(manager)
+        with pytest.raises(StorageError, match="refused"):
+            manager.insert("A", base + 1)
+        del manager.catalog.put_chunks
+        assert manager.get_versions("A") == [1]
+        # v2 was staged, never committed: a delta list naming it must
+        # find no such version, not the staged contents.
+        with pytest.raises(VersionNotFoundError):
+            manager.insert("A", DeltaListPayload.of(
+                coords=np.array([[0, 0]]),
+                values=np.array([5], dtype=np.int32), base_version=2))
+        assert manager.insert("A", base + 2) == 2
+        np.testing.assert_array_equal(manager.select("A", 2).single(),
+                                      base + 2)
+
+    def test_branch_onto_a_name_in_use_places_nothing(self, manager,
+                                                      schema, rng):
+        manager.create_array("A", schema)
+        manager.insert("A", rng.integers(0, 9, (20, 20)).astype(np.int32))
+        manager.create_array("B", schema)
+        manager.insert("B", np.ones((20, 20), dtype=np.int32))
+        stored = manager.store.total_bytes("B")
+        fingerprint = manager.fingerprint("B")
+        with pytest.raises(ArrayExistsError):
+            manager.branch("A", 1, "B")
+        with pytest.raises(ArrayExistsError):
+            manager.merge([("A", 1), ("B", 1)], "B")
+        assert manager.store.total_bytes("B") == stored
+        assert manager.fingerprint("B") == fingerprint
+
+    @pytest.mark.parametrize("derive", [
+        lambda manager: manager.branch("A", 2, "C"),
+        lambda manager: manager.merge([("A", 1), ("A", 2)], "C"),
+    ], ids=["branch", "merge"])
+    def test_a_refused_derive_commit_leaves_no_array(self, manager,
+                                                     schema, rng, derive):
+        manager.create_array("A", schema)
+        versions = _versions(rng, count=2)
+        for data in versions:
+            manager.insert("A", data)
+        self._refuse_commits(manager)
+        with pytest.raises(StorageError, match="refused"):
+            derive(manager)
+        del manager.catalog.put_chunks
+        assert manager.list_arrays() == ["A"]
+        assert_catalog_matches_sql(manager.catalog)
+        derive(manager)
+        assert manager.list_arrays() == ["A", "C"]
+        np.testing.assert_array_equal(
+            manager.select("C", manager.get_versions("C")[-1]).single(),
+            versions[1])
+        assert_catalog_matches_sql(manager.catalog)
 
 
 class TestDeleteVersion:
