@@ -44,7 +44,7 @@ import logging
 import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,7 +63,7 @@ from repro.core.errors import ReproError, StorageError
 from repro.core.schema import ArraySchema
 from repro.storage.backend import StorageBackend
 from repro.storage.iostats import IOStats
-from repro.storage.manager import VersionedStorageManager
+from repro.storage.manager import VersionedStorageManager, _Staged
 from repro.storage.pipeline import resolve_workers
 
 #: Cluster lifecycle events — debug per failover hop, info per repair
@@ -438,34 +438,34 @@ class ClusterCoordinator:
     def create_array(self, name: str, schema: ArraySchema,
                      **kwargs) -> None:
         """Create the array's partition on every band copy: a write
-        fan (:meth:`_write_all`) whose commit is the create, convergent
-        like :meth:`delete_array` — a copy holding the name with this
-        storage identity and no versions (an earlier attempt's) counts
-        as created, and any other holder refuses the name up front."""
+        fan (:meth:`_write_all`) whose commit is the create.  Convergent
+        like :meth:`delete_array`: a copy holding the name with no
+        versions and this storage identity counts as created."""
         with self._write_lock:
+            if name in self._partitioners:
+                raise StorageError(f"array {name!r} already exists")
             partitioner = RangePartitioner(schema.shape, self.nodes)
             schemas = [band_schema(schema, partitioner.local_shape(node))
                        for node in range(self.nodes)]
 
-            def created(node: int, manager) -> bool:
-                if name not in manager.list_arrays():
-                    return False
-                snap, get = manager.catalog.snapshot(name), kwargs.get
-                return not snap.get_versions() and snap.record == replace(
-                    snap.record, schema=schemas[node],
-                    chunk_bytes=get("chunk_bytes") or manager.chunk_bytes,
-                    compressor=get("compressor") or manager.compressor_name,
-                    chunk_shape=tuple(get("chunk_shape") or ()) or None,
-                    parent_array=get("parent_array"),
-                    parent_version=get("parent_version"))
+            def stage(node: int, manager) -> _Staged:
+                record = manager._new_record(name, schemas[node], **kwargs)
+                if name in manager.list_arrays():  # an earlier attempt's?
+                    held = manager.catalog.snapshot(name)
+                    if held.get_versions() or held.record != replace(
+                            record, array_id=held.record.array_id,
+                            created_at=held.record.created_at):
+                        raise StorageError(f"array {name!r} already "
+                                           f"exists on node {node}")
+                return _Staged(record, [], [], None)
 
-            def create(manager, node: int) -> None:
-                if not created(node, manager):
-                    manager.create_array(name, schemas[node], **kwargs)
+            def create(manager, staged: _Staged) -> None:
+                if name not in manager.list_arrays():  # else staged as held
+                    manager.create_array(name, staged.record.schema,
+                                         **kwargs)
 
-            self._check_name_free(name, created)
-            self._write_all(lambda node, _: node, create,
-                            what=f"array {name!r}", versions=0)
+            self._write_all(stage, create, what=f"array {name!r}",
+                            versions=0)
             self._heads[name] = 0
             self._schemas[name] = schema
             self._partitioners[name] = partitioner
@@ -592,7 +592,7 @@ class ClusterCoordinator:
         register it with a partitioning equal to the first source's but
         of its own, which an online rebalance pass tells from a later
         registration's.  The name must be free on the registry and every
-        live copy (node arrays outlive a session).  An array that
+        copy (node arrays outlive a session).  An array that
         commits on some bands but not all stays there, unregistered and
         refused, until an operator drops it."""
         with self._write_lock:
@@ -604,7 +604,10 @@ class ClusterCoordinator:
                 if version > self._heads[name]:
                     raise StorageError(f"array {name!r} has no published "
                                        f"version {version}")
-            self._check_name_free(new_name)
+            if new_name in self._partitioners or any(
+                    new_name in manager.list_arrays()
+                    for row in self.replicas for manager in row):
+                raise StorageError(f"array {new_name!r} already exists")
             self._write_all(stage, VersionedStorageManager._commit,
                             what=f"array {new_name!r}",
                             versions=len(sources))
@@ -613,30 +616,19 @@ class ClusterCoordinator:
             self._partitioners[new_name] = RangePartitioner(schema.shape,
                                                             self.nodes)
 
-    def _check_name_free(self, name: str,
-                         excused=lambda node, manager: False) -> None:
-        """Refuse ``name`` held by the registry or an unexcused live
-        copy."""
-        if name in self._partitioners or any(
-                name in self.replicas[node][replica].list_arrays()
-                and not excused(node, self.replicas[node][replica])
-                for node, replica in self._pairs()
-                if (node, replica) not in self._dead):
-            raise StorageError(
-                f"array {name!r} already exists on this cluster")
-
     def _write_all(self, stage, commit, *, what: str,
                    versions: int = 1) -> None:
         """The one replicated write fan, under the caller's write lock:
         ``stage(node, manager)`` (all that touches bytes) on every copy,
         then ``commit(manager, handle)`` (one catalog transaction).  A
-        dead copy or a stage failure (once every straggler settled)
-        raises with nothing committed anywhere.  Every commit is tried;
-        a copy whose commit raises is fenced (marked dead, a warning
-        logged) for revive/repair.  The write stands when every band
-        has a live committed copy (``replica_writes`` counting
-        ``versions`` per redundant one), else raises naming the bands
-        that lack ``what``."""
+        dead copy raises first; a stage failure (once every straggler
+        settled) discards every handle and raises, nothing committed.
+        Every commit is tried; a copy whose commit raises is fenced
+        (marked dead, a warning logged) for revive/repair, even if the
+        write then fails.  The write stands when every band has a live
+        committed copy (``replica_writes`` counting ``versions`` per
+        redundant one), else raises naming the bands that lack
+        ``what``."""
         self._check_all_writable()
         pairs = self._pairs()
 
@@ -651,11 +643,14 @@ class ClusterCoordinator:
         handles, error = self._settle_nodes(
             lambda pair: stage(pair[0], self.replicas[pair[0]][pair[1]]),
             pairs)
-        if error is None:
-            errors, error = self._settle_nodes(commit_one,
-                                               range(len(pairs)))
         if error is not None:
+            for (node, replica), handle in zip(pairs, handles):
+                if handle is not None:
+                    with suppress(ReproError):  # raise the stage's error
+                        self.replicas[node][replica]._discard(
+                            handle.record)
             raise error
+        errors, _ = self._settle_nodes(commit_one, range(len(pairs)))
         for (node, replica), exc in zip(pairs, errors):
             if exc is not None:
                 self._dead.add((node, replica))
@@ -973,7 +968,6 @@ class ClusterCoordinator:
     def _head(self, name: str) -> int:
         self._partitioner(name)
         return self._heads[name]
-
 
     def _normalize(self, name: str,
                    payload: Payload | ArrayData | np.ndarray) -> ArrayData:

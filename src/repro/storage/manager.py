@@ -257,18 +257,28 @@ class VersionedStorageManager:
         ``chunk_shape`` fixes explicit per-dimension chunk strides
         instead of the default even division of the byte budget.
         """
+        self.catalog.put_chunks([], create=self._new_record(
+            name, schema, chunk_bytes, compressor, parent_array,
+            parent_version, chunk_shape))
+        return self.catalog.get_array(name)
+
+    def _new_record(self, name: str, schema: ArraySchema,
+                    chunk_bytes: int | None = None,
+                    compressor: str | None = None,
+                    parent_array: str | None = None,
+                    parent_version: int | None = None,
+                    chunk_shape: tuple[int, ...] | None = None
+                    ) -> ArrayRecord:
+        """A new array's record, no ``array_id`` yet, defaults filled."""
         if chunk_shape is not None:
             # Validate eagerly so a bad shape fails at Create.
             ChunkGrid(schema.shape, schema.cell_size,
                       chunk_bytes or self.chunk_bytes, chunk_shape)
-        return self.catalog.create_array(
-            name, schema,
-            chunk_bytes=chunk_bytes or self.chunk_bytes,
-            compressor=compressor or self.compressor_name,
-            created_at=self._now(),
-            parent_array=parent_array,
-            parent_version=parent_version,
-            chunk_shape=chunk_shape)
+        return ArrayRecord(
+            None, name, schema, chunk_bytes or self.chunk_bytes,
+            compressor or self.compressor_name, self._now(),
+            parent_array, parent_version,
+            tuple(chunk_shape) if chunk_shape else None)
 
     def delete_array(self, name: str) -> None:
         """Drop an array, its versions, and its stored bytes."""
@@ -867,11 +877,12 @@ class VersionedStorageManager:
         else:
             if name in self.catalog.list_arrays():
                 raise ArrayExistsError(f"array {name!r} already exists")
-            record = replace(
-                self.catalog.get_array(origin[0]), array_id=None,
-                name=name, created_at=self._now(),
+            source = self.catalog.get_array(origin[0])
+            record = self._new_record(
+                name, source.schema, chunk_bytes=source.chunk_bytes,
+                compressor=source.compressor,
                 parent_array=None if origin[1] is None else origin[0],
-                parent_version=origin[1])
+                parent_version=origin[1], chunk_shape=source.chunk_shape)
             latest = 0
         if version is None:
             version, parent_version = latest + 1, latest or None
@@ -880,27 +891,42 @@ class VersionedStorageManager:
                 f"array {name!r} is append-only: it is at version "
                 f"{latest}, cannot write version {version}")
         rows, chunks, held = [], [], None
-        for number, payload in enumerate(contents, version):
-            parent = parent_version if number == version else number - 1
-            data = self._normalize_payload(record, payload)
-            chunks += self._encode(self.encoder.write_version, record,
-                                   number, data, parent, held)
-            rows.append((VersionRecord(
-                record.array_id, number, parent, kind,
-                self._now() if timestamp is None else timestamp),
-                tuple(merge_parents[number - version])
-                if merge_parents else ()))
-            held = (number, data)
+        try:
+            for number, payload in enumerate(contents, version):
+                parent = parent_version if number == version else number - 1
+                data = self._normalize_payload(record, payload)
+                chunks += self._encode(self.encoder.write_version, record,
+                                       number, data, parent, held)
+                rows.append((VersionRecord(
+                    record.array_id, number, parent, kind,
+                    self._now() if timestamp is None else timestamp),
+                    tuple(merge_parents[number - version])
+                    if merge_parents else ()))
+                held = (number, data)
+        except BaseException:
+            self._discard(record)
+            raise
         return _Staged(record, rows, chunks, held[1])
+
+    def _discard(self, record: ArrayRecord) -> None:
+        """Drop what a failed write placed for a new array (its name was
+        free: all of it); an append's wait for the next rewrite."""
+        if record.array_id is None \
+                and record.name not in self.catalog.list_arrays():
+            self.store.delete_array(record.name)
 
     def _commit(self, staged: _Staged) -> int:
         """Commit a staged write in one catalog transaction, then put
         its last version — returned — in the hot slot (its only
-        writer)."""
+        writer).  A refused commit discards the stage."""
         record = staged.record
-        self.catalog.put_chunks(
-            staged.chunks, versions=staged.versions,
-            create=record if record.array_id is None else None)
+        try:
+            self.catalog.put_chunks(
+                staged.chunks, versions=staged.versions,
+                create=record if record.array_id is None else None)
+        except BaseException:
+            self._discard(record)
+            raise
         version = staged.versions[-1][0].version
         if self.encoder.wants_base:
             self._hot.remember(record.name, version, staged.head)

@@ -82,7 +82,6 @@ from repro.storage.metadata import (
     ArraySnapshot,
     ChunkRecord,
     MetadataCatalog,
-    VersionRecord,
 )
 
 #: Insert-time delta policies.
@@ -554,15 +553,12 @@ class EncodePipeline(_PooledStage):
     def write_version(self, record: ArrayRecord, grid: ChunkGrid,
                       version: int, data: ArrayData, *,
                       base_data: ArrayData | None,
-                      base_version: int | None,
-                      version_row: VersionRecord | None = None
-                      ) -> list[ChunkRecord]:
+                      base_version: int | None) -> list[ChunkRecord]:
         """Plan, encode, place and barrier every chunk of a *new*
         version (a committed one raises :class:`NoOverwriteError`) and
         return the rows for the caller to commit.  ``base_data`` is the
         base's contents (None to materialize).  A failure leaves only
-        bytes no row names; ``version_row`` is unused (the e2e layer
-        ladder passes it).  The chunk cache is not touched.
+        bytes no row names.  The chunk cache is not touched.
         """
         if record.array_id is not None and \
                 self.catalog.chunks_for_version(record.array_id, version):

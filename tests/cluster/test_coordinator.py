@@ -463,9 +463,11 @@ class TestClusterBranchMerge:
         with pytest.raises(StorageError):
             cluster.branch("A", 2, "B")
         del victim.store.write_chunk
-        # No node keeps a partial branch, and the name is reusable.
+        # No node keeps a partial branch or its bytes, and the name is
+        # reusable.
         for manager in cluster.managers:
             assert manager.list_arrays() == ["A"]
+            assert manager.store.total_bytes("B") == 0
         assert cluster.list_arrays() == ["A"]
         assert cluster.stats.replica_writes == writes
         cluster.branch("A", 2, "B")
@@ -678,6 +680,7 @@ class TestMidFanOutDeath:
             for manager in row:
                 assert manager.list_arrays() == ["A"]
                 assert manager.get_versions("A") == [1, 2, 3]
+                assert manager.store.total_bytes("B") == 0
                 _assert_no_orphan_rows(manager)
         assert cluster.stats.replica_writes == writes
         # The name stayed free, so the retried branch lands everywhere.
@@ -698,6 +701,7 @@ class TestMidFanOutDeath:
         for row in cluster.replicas:
             for manager in row:
                 assert manager.list_arrays() == ["A"]
+                assert manager.store.total_bytes("M") == 0
                 _assert_no_orphan_rows(manager)
         assert cluster.stats.replica_writes == writes
         cluster.merge([("A", 1), ("A", 3)], "M")

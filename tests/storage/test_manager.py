@@ -413,6 +413,7 @@ class TestStageThenCommit:
             derive(manager)
         del manager.catalog.put_chunks
         assert manager.list_arrays() == ["A"]
+        assert manager.store.total_bytes("C") == 0
         assert_catalog_matches_sql(manager.catalog)
         derive(manager)
         assert manager.list_arrays() == ["A", "C"]
@@ -420,6 +421,37 @@ class TestStageThenCommit:
             manager.select("C", manager.get_versions("C")[-1]).single(),
             versions[1])
         assert_catalog_matches_sql(manager.catalog)
+
+
+    @pytest.mark.parametrize("derive", [
+        lambda manager: manager.branch("A", 2, "C"),
+        lambda manager: manager.merge([("A", 1), ("A", 2)], "C"),
+    ], ids=["branch", "merge"])
+    def test_a_failed_derive_stage_leaves_no_bytes(self, manager, schema,
+                                                   rng, derive):
+        manager.create_array("A", schema)
+        for data in _versions(rng, count=2):
+            manager.insert("A", data)
+        place, placed = manager.store.write_chunk, []
+
+        def failing_after_two(*args, **kwargs):
+            if len(placed) == 2:
+                raise StorageError("disk full")
+            placed.append(place(*args, **kwargs))
+            return placed[-1]
+
+        manager.store.write_chunk = failing_after_two
+        with pytest.raises(StorageError, match="disk full"):
+            derive(manager)
+        del manager.store.write_chunk
+        assert len(placed) == 2
+        assert manager.list_arrays() == ["A"]
+        assert manager.store.total_bytes("C") == 0
+        # A later array of the name starts from empty objects.
+        derive(manager)
+        assert manager.store.total_bytes("C") == \
+            manager.catalog.stored_bytes(
+                manager.catalog.get_array("C").array_id)
 
 
 class TestDeleteVersion:
