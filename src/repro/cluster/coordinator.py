@@ -878,23 +878,10 @@ class ClusterCoordinator:
                             lambda manager: manager.stored_bytes(name))
             for node in range(self.nodes))
 
-    def physical_bytes(self, name: str) -> int:
-        """Stored bytes across *all* live copies (what the fleet's
-        disks actually hold; ~``replication`` x the logical bytes)."""
-        self._partitioner(name)
-        return sum(self.replicas[node][replica].stored_bytes(name)
-                   for node, replica in self._pairs()
-                   if (node, replica) not in self._dead)
-
     def node_stats(self) -> list[IOStats]:
         """Per-node I/O counters of the primary copies (routing tests
         use these)."""
         return [row[0].stats for row in self.replicas]
-
-    def replica_stats(self) -> list[list[IOStats]]:
-        """The full (band x replica) grid of per-manager counters."""
-        return [[manager.stats for manager in row]
-                for row in self.replicas]
 
     def fingerprint(self, name: str | None = None) -> str:
         """SHA-256 over the cluster's *logical* catalog rows and

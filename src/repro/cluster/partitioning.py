@@ -87,23 +87,6 @@ class RangePartitioner:
         shape[self.axis] = band.length
         return tuple(shape)
 
-    def node_for_cell(self, cell: tuple[int, ...]) -> int:
-        """The node owning one zero-based cell."""
-        coordinate = cell[self.axis]
-        for band in self.bands:
-            if band.lo <= coordinate <= band.hi:
-                return band.node
-        raise DimensionError(
-            f"cell {cell} outside partitioned extent")
-
-    def to_local(self, node: int,
-                 cell: tuple[int, ...]) -> tuple[int, ...]:
-        """Translate a global cell into a node's local coordinates."""
-        band = self.band_of(node)
-        local = list(cell)
-        local[self.axis] = cell[self.axis] - band.lo
-        return tuple(local)
-
     def bands_overlapping(self, lo: tuple[int, ...],
                           hi: tuple[int, ...]) -> list[Band]:
         """Nodes whose band intersects a zero-based inclusive region."""

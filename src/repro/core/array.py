@@ -81,14 +81,6 @@ class ArrayData:
                 f"this schema has {len(schema.attributes)} attributes")
         return cls(schema, {schema.attributes[0].name: values})
 
-    @classmethod
-    def filled_with_defaults(cls, schema: ArraySchema) -> "ArrayData":
-        """An array where every cell holds each attribute's default."""
-        return cls(schema, {
-            attr.name: np.full(schema.shape, attr.default, dtype=attr.dtype)
-            for attr in schema.attributes
-        })
-
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
@@ -111,29 +103,6 @@ class ArrayData:
         """Total uncompressed bytes across all attributes."""
         return sum(v.nbytes for v in self._attributes.values())
 
-    def slice(self, corner_lo: tuple[int, ...],
-              corner_hi: tuple[int, ...]) -> "ArrayData":
-        """Return the hyper-rectangle between two *inclusive* user corners.
-
-        This implements the paper's second Select form: two coordinates
-        naming opposite corners of a hyper-rectangle.
-        """
-        lo = self.schema.to_zero_based(corner_lo)
-        hi = self.schema.to_zero_based(corner_hi)
-        if any(h < l for l, h in zip(lo, hi)):
-            raise DimensionError(
-                f"corner {corner_hi} precedes corner {corner_lo}")
-        index = tuple(np.s_[l:h + 1] for l, h in zip(lo, hi))
-        sub_schema = ArraySchema.simple(
-            tuple(h - l + 1 for l, h in zip(lo, hi)),
-            dtype=self.schema.attributes[0].dtype,
-            attribute=self.schema.attributes[0].name,
-        ) if len(self.schema.attributes) == 1 else _sliced_schema(
-            self.schema, lo, hi)
-        return ArrayData(sub_schema, {
-            name: values[index] for name, values in self._attributes.items()
-        })
-
     def conforming(self, schema: ArraySchema) -> "ArrayData":
         """``self``, once known to be laid out as ``schema`` says.
 
@@ -150,15 +119,6 @@ class ArrayData:
             raise SchemaError(
                 f"payload is laid out as {mine}, the array as {wanted}")
         return self
-
-    def equals(self, other: "ArrayData") -> bool:
-        """Exact cell-wise equality across all attributes."""
-        if self.attribute_names != other.attribute_names:
-            return False
-        return all(
-            np.array_equal(self._attributes[n], other._attributes[n])
-            for n in self.attribute_names
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ArrayData(shape={self.schema.shape}, "
@@ -291,20 +251,3 @@ def _scatter(schema: ArraySchema, canvas: np.ndarray,
                              f"outside array bounds")
     canvas[tuple(zero.T)] = values
 
-
-def coords_and_values_from_dense(
-        schema: ArraySchema, values: np.ndarray,
-        default) -> tuple[np.ndarray, np.ndarray]:
-    """Extract the sparse ``(coords, values)`` form of a dense array.
-
-    Returns the user-space coordinates and values of every cell that
-    differs from ``default``.  NaN defaults compare by ``isnan``.
-    """
-    values = np.asarray(values)
-    if isinstance(default, float) and np.isnan(default):
-        mask = ~np.isnan(values)
-    else:
-        mask = values != default
-    zero_coords = np.argwhere(mask)
-    origin = np.array(schema.origin, dtype=np.int64)
-    return zero_coords + origin, values[mask]

@@ -366,14 +366,3 @@ def packed_size(count: int, bits: int) -> int:
     """Bytes used by ``count`` codes of ``bits`` bits (no header)."""
     return (count * bits + 7) // 8
 
-
-def pack_signed(values: np.ndarray) -> tuple[bytes, int]:
-    """Pack signed integers at minimal width via zigzag; returns (data, bits)."""
-    codes = zigzag_encode(values)
-    bits = required_bits_for(codes)
-    return pack_unsigned(codes, bits), bits
-
-
-def unpack_signed(data, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_signed`; returns an int64 array."""
-    return zigzag_decode(unpack_unsigned(data, bits, count))

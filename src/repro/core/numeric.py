@@ -2,21 +2,19 @@
 
 The paper defines a delta as "the cell-wise difference between two
 versions" (Section III-B.3).  For integer attributes the arithmetic
-difference is exact and reversible in both directions ("our system can
-reconstruct the versions in both directions, by adding or subtracting the
-delta").  For floating point attributes the arithmetic difference is *not*
-lossless (catastrophic cancellation / rounding), so we difference the IEEE
-bit patterns with XOR instead — similar floats share sign, exponent and
-high mantissa bits, so the XOR of close values is a small unsigned code,
-and XOR is its own inverse, which preserves the bidirectional property.
+difference is exact.  For floating point attributes the arithmetic
+difference is *not* lossless (catastrophic cancellation / rounding), so
+we difference the IEEE bit patterns with XOR instead — similar floats
+share sign, exponent and high mantissa bits, so the XOR of close values
+is a small unsigned code.
 
-The two strategies are tagged so a stored delta knows how to invert
-itself:
+The two strategies are tagged so a stored delta knows how to apply
+itself to its base:
 
 * ``ARITHMETIC`` — ``delta = a - b`` as wrap-around int64;
-  ``a = b + delta``; ``b = a - delta``.
+  ``a = b + delta``.
 * ``XOR`` — ``delta = bits(a) ^ bits(b)`` as uint64;
-  either side is recovered by XORing the delta with the other.
+  ``bits(a) = bits(b) ^ delta``.
 """
 
 from __future__ import annotations
@@ -85,24 +83,6 @@ def apply_delta_forward(base: np.ndarray, delta: np.ndarray,
     if mode == XOR:
         bits = _bits_of(base) ^ delta.astype(np.uint64, copy=False)
         return _bits_to_float(bits, dtype)
-    raise CodecError(f"unknown delta mode {mode!r}")
-
-
-def apply_delta_backward(derived: np.ndarray, delta: np.ndarray,
-                         mode: str, dtype: np.dtype) -> np.ndarray:
-    """Recover ``b`` from ``a`` (= ``derived``) and ``delta = diff(a, b)``.
-
-    This is what lets the optimizer treat layout graphs as undirected:
-    a stored delta can be "unwound" from either endpoint.
-    """
-    dtype = np.dtype(dtype)
-    if mode == ARITHMETIC:
-        with np.errstate(over="ignore"):
-            result = derived.astype(np.int64, copy=False) - delta
-        return _wrap_to(result, dtype, copy=False)
-    if mode == XOR:
-        # XOR is an involution: forward and backward application coincide.
-        return apply_delta_forward(derived, delta, mode, dtype)
     raise CodecError(f"unknown delta mode {mode!r}")
 
 

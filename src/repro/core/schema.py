@@ -201,19 +201,6 @@ class ArraySchema:
         raise SchemaError(f"array has no attribute {name!r}; "
                           f"attributes are {[a.name for a in self.attributes]}")
 
-    def attribute_index(self, name: str) -> int:
-        """Position of an attribute within the schema."""
-        for index, attr in enumerate(self.attributes):
-            if attr.name == name:
-                return index
-        raise SchemaError(f"array has no attribute {name!r}")
-
-    def contains_point(self, coordinates: tuple[int, ...]) -> bool:
-        """True when the coordinate tuple lies inside every dimension."""
-        if len(coordinates) != self.ndim:
-            return False
-        return all(d.contains(c) for d, c in zip(self.dimensions, coordinates))
-
     def to_zero_based(self, coordinates: tuple[int, ...]) -> tuple[int, ...]:
         """Translate user coordinates into zero-based array indices."""
         if len(coordinates) != self.ndim:
@@ -227,16 +214,8 @@ class ArraySchema:
             zero.append(coord - dim.lo)
         return tuple(zero)
 
-    def flatten_index(self, coordinates: tuple[int, ...]) -> int:
-        """Row-major flat index of a user coordinate tuple."""
-        zero = self.to_zero_based(coordinates)
-        flat = 0
-        for extent, index in zip(self.shape, zero):
-            flat = flat * extent + index
-        return flat
-
     def unflatten_index(self, flat: int) -> tuple[int, ...]:
-        """Inverse of :meth:`flatten_index`."""
+        """The user coordinate tuple of a row-major flat index."""
         if not 0 <= flat < self.cell_count:
             raise DimensionError(
                 f"flat index {flat} outside [0, {self.cell_count})")

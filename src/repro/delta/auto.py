@@ -10,9 +10,9 @@ system" — the user never has to supply the delta-list form to benefit.
 :func:`plan_encoding` makes that decision in a single pass: one
 :class:`~repro.delta.codes.CodePlan` computes the delta, the unsigned
 code array and its width statistics exactly once — the same plan
-``codec.encode`` / ``encoded_size`` and the Materialization Matrix
-build, so there is one way to price or emit a delta; every candidate is
-*sized* from the shared plan (exact sizes, not estimates — the codecs'
+``codec.encode`` and the Materialization Matrix build, so there is one
+way to price or emit a delta; every candidate is *sized* from the
+shared plan (exact sizes, not estimates — the codecs'
 ``plan_size`` is byte-accurate), the materialized size is derived
 analytically under the identity compressor, and exactly one encoder
 runs: the winner's, fed the already-computed codes.  The literal "try both" form — encode

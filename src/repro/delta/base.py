@@ -1,11 +1,12 @@
 """Delta codec interface.
 
 A delta codec encodes a *target* version as a difference against a *base*
-version of identical shape and dtype (Section III-B.3).  Codecs that set
-``bidirectional = True`` can reconstruct either endpoint from the other —
-the property Observation 2's cycle analysis relies on ("our system can
-reconstruct the versions in both directions, by adding or subtracting the
-delta").  The MPEG-2-like and BSDiff codecs are inherently directional.
+version of identical shape and dtype (Section III-B.3).  Decoding runs
+one way, base to target.  Observation 2's "reconstruct the versions in
+both directions" is a property of the layout, not of a decoder:
+:meth:`~repro.storage.manager.VersionedStorageManager.apply_layout`
+re-encodes each version against whichever neighbour the chosen layout
+names as its base.
 
 Framing shared by all codecs::
 
@@ -18,8 +19,8 @@ the one body behind the dense / sparse / hybrid family (Section
 III-B.3), whose members differ only in which four
 :mod:`repro.delta.codes` functions they name.  That body computes,
 prices and encodes every delta through one
-:class:`~repro.delta.codes.CodePlan`, so ``encode`` / ``encode_parts``
-/ ``encoded_size`` are the planner's own code, not a second path next
+:class:`~repro.delta.codes.CodePlan`, so ``encode`` and
+``encode_parts`` are the planner's own code, not a second path next
 to it.
 
 The read path does not decode that family level by level:
@@ -28,13 +29,13 @@ whole chain to :func:`repro.delta.codes.fold_chain` and they are
 applied straight to the cells of the version being read.
 
 **Corrupt payloads.**  A decoder is handed the array it decodes
-against, and the frame must agree with it: ``decode_forward`` /
-``decode_backward`` check the frame's ``(dtype, shape)`` against the
-``base`` / ``target`` argument, :func:`fold_chain` against the decoded
-root (one prefix compare with the frame the root implies),
-``accumulate`` its ``(mode, cell count)`` against the accumulator it is
-given — always *before* anything is sized from the bytes — and every
-codec rejects undecoded trailing bytes.  Whatever is wrong with a
+against, and the frame must agree with it: ``decode_forward`` checks
+the frame's ``(dtype, shape)`` against its ``base`` argument,
+:func:`fold_chain` against the decoded root (one prefix compare with
+the frame the root implies), ``accumulate`` its ``(mode, cell
+count)`` against the accumulator it is given — always *before*
+anything is sized from the bytes — and every codec rejects undecoded
+trailing bytes.  Whatever is wrong with a
 payload, the only exception that escapes is a
 :class:`~repro.core.errors.CodecError`.
 """
@@ -66,8 +67,6 @@ class DeltaCodec(ABC):
 
     #: Registry key and the name recorded in version metadata.
     name: str = "abstract"
-    #: Whether decode_backward is supported.
-    bidirectional: bool = True
     #: Whether this codec's deltas compose associatively — a chain of
     #: such deltas folds straight into the root's cells
     #: (:func:`fold_chain`, the fused read path).  Codecs that
@@ -148,12 +147,6 @@ class DeltaCodec(ABC):
     def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
         """Reconstruct the target given the base it was encoded against."""
 
-    def decode_backward(self, data: bytes, target: np.ndarray) -> np.ndarray:
-        """Reconstruct the base given the target (bidirectional codecs)."""
-        raise CodecError(
-            f"delta codec {self.name!r} is directional; "
-            "the base cannot be reconstructed from the target")
-
     def accumulate(self, data: bytes, accumulator: np.ndarray | None
                    ) -> tuple[np.ndarray, str, np.dtype, tuple[int, ...]]:
         """Fold this one delta into a flat 64-bit accumulator
@@ -166,10 +159,6 @@ class DeltaCodec(ABC):
         raise CodecError(
             f"delta codec {self.name!r} does not compose; "
             "decode level-by-level instead")
-
-    def encoded_size(self, target: np.ndarray, base: np.ndarray) -> int:
-        """Exact encoded size; codecs may override with a cheaper estimate."""
-        return len(self.encode(target, base))
 
     # ------------------------------------------------------------------
     # Planner integration (single-pass encode selection)
@@ -211,15 +200,14 @@ class CodeArrayDeltaCodec(DeltaCodec):
     payload (which of the :data:`~repro.delta.codes.SMALL` /
     :data:`~repro.delta.codes.TABLE` sections it has), and inherits
     everything else: framing, the unframe prelude with its
-    frame-vs-array check, the trailing-bytes check, both decode
-    directions, the fold, and an encode side that is the planner's
+    frame-vs-array check, the trailing-bytes check, the decode, the
+    fold, and an encode side that is the planner's
     (``encode_parts(t, b)`` *is*
     ``encode_from_plan(CodePlan.build(t, b))``).  :meth:`_seal` /
     :meth:`_unseal` are the hook for a byte-level stage between the
     frame and the packed sections (hybrid's LZ flag).
     """
 
-    bidirectional = True
     composable = True
 
     def _seal(self, parts: list[bytes]) -> list[bytes]:
@@ -244,13 +232,6 @@ class CodeArrayDeltaCodec(DeltaCodec):
     def encode(self, target: np.ndarray, base: np.ndarray) -> bytes:
         return b"".join(self.encode_parts(target, base))
 
-    def encoded_size(self, target: np.ndarray, base: np.ndarray) -> int:
-        plan = CodePlan.build(target, base)
-        size = self.plan_size(plan)
-        if size is None:
-            size = sum(map(len, self.encode_from_plan(plan)))
-        return size
-
     # -- decode --------------------------------------------------------
     def _open(self, data, like: np.ndarray | None = None):
         """The shared decode prelude: ``(payload, count, mode, dtype,
@@ -262,19 +243,12 @@ class CodeArrayDeltaCodec(DeltaCodec):
         return (self._unseal(data[offset:]), math.prod(shape), mode,
                 dtype, shape)
 
-    def _decode_delta(self, data, like: np.ndarray) -> tuple:
-        payload, count, mode, dtype, shape = self._open(data, like)
+    def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
+        payload, count, mode, dtype, shape = self._open(data, base)
         codes, end = self._decode(payload, 0, count)
         self._check_consumed(end, payload)
-        return codes_to_delta(codes, mode).reshape(shape), mode, dtype
-
-    def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
         return numeric.apply_delta_forward(
-            base, *self._decode_delta(data, base))
-
-    def decode_backward(self, data: bytes, target: np.ndarray) -> np.ndarray:
-        return numeric.apply_delta_backward(
-            target, *self._decode_delta(data, target))
+            base, codes_to_delta(codes, mode).reshape(shape), mode, dtype)
 
     def section(self, data, frame: bytes, like: np.ndarray):
         """The unframed, unsealed payload of a level over ``like``.

@@ -142,7 +142,6 @@ class BSDiffDeltaCodec(DeltaCodec):
     """Suffix-array binary differ with diff/extra/control streams."""
 
     name = "bsdiff"
-    bidirectional = False
 
     def encode(self, target: np.ndarray, base: np.ndarray) -> bytes:
         numeric.check_same_layout(np.asarray(target), np.asarray(base))

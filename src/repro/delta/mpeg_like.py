@@ -34,7 +34,6 @@ class MPEGLikeDeltaCodec(DeltaCodec):
     """Block-matching motion-compensated delta (directional)."""
 
     name = "mpeg-like"
-    bidirectional = False
 
     def __init__(self, block: int = 16, radius: int = 16):
         if block < 1:

@@ -21,7 +21,6 @@ from repro.materialize.updates import (
     extend_matrix,
     incremental_insert,
 )
-from repro.materialize.spectral import SpectralEstimator
 from repro.materialize.workload_opt import (
     RangeQuery,
     RegionQuery,
@@ -43,7 +42,6 @@ __all__ = [
     "RangeQuery",
     "RegionQuery",
     "SnapshotQuery",
-    "SpectralEstimator",
     "UnionFind",
     "WeightedQuery",
     "Workload",

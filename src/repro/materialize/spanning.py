@@ -195,8 +195,9 @@ def _split_at(layout: Layout, version: int,
     cut_index = int(np.argmax(edge_costs))
     # Cutting the edge (path[k], path[k+1]) detaches the subtree holding
     # `version`; re-root that subtree at `version` by reversing the
-    # parent pointers strictly below the cut.  (Deltas are bidirectional,
-    # so reversing an edge keeps its cost — the matrix is symmetric.)
+    # parent pointers strictly below the cut.  (The matrix is symmetric,
+    # so reversing an edge keeps its cost; apply_layout re-encodes the
+    # reversed edge in its new direction.)
     parent_of = dict(layout.parent_of)
     for child, parent in list(zip(path, path[1:]))[:cut_index]:
         parent_of[parent] = child

@@ -15,7 +15,6 @@ from repro.core.array import ArrayData, Payload
 from repro.core.schema import ArraySchema
 from repro.query.aql import AQLExecutor, AQLResult
 from repro.query.processor import QueryProcessor, VersionSpec
-from repro.storage.chunking import DEFAULT_CHUNK_BYTES
 from repro.storage.manager import VersionedStorageManager
 
 
@@ -27,27 +26,10 @@ class Database:
     ...            "( A::INTEGER ) [ I=0:2, J=0:2 ];")    # doctest: +SKIP
     """
 
-    def __init__(self, root: str | Path, *,
-                 chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-                 compressor: str = "none",
-                 delta_codec: str = "hybrid",
-                 delta_policy: str = "chain",
-                 placement: str = "colocated",
-                 backend: str | None = None,
-                 cache_chunks: int = 0,
-                 cache_bytes: int = 0,
-                 workers: int | None = None):
-        self.manager = VersionedStorageManager(
-            root,
-            chunk_bytes=chunk_bytes,
-            compressor=compressor,
-            delta_codec=delta_codec,
-            delta_policy=delta_policy,
-            placement=placement,
-            backend=backend,
-            cache_chunks=cache_chunks,
-            cache_bytes=cache_bytes,
-            workers=workers)
+    def __init__(self, root: str | Path, **options):
+        """``options`` are :class:`VersionedStorageManager`'s keyword
+        options (``chunk_bytes``, ``backend``, ``cache_bytes``, ...)."""
+        self.manager = VersionedStorageManager(root, **options)
         self.processor = QueryProcessor(self.manager)
         self.executor = AQLExecutor(self.manager, base_path=Path(root))
 

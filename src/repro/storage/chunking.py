@@ -134,10 +134,6 @@ class ChunkGrid:
     def ndim(self) -> int:
         return len(self.shape)
 
-    @property
-    def chunk_count(self) -> int:
-        return math.prod(self.counts)
-
     def chunk_at(self, index: tuple[int, ...]) -> ChunkRef:
         """The chunk with the given grid index vector."""
         if len(index) != self.ndim:
@@ -191,19 +187,6 @@ class ChunkGrid:
                   for l, h, stride in zip(lo, hi, self.strides)]
         return [self.chunk_at(index)
                 for index in itertools.product(*ranges)]
-
-    def parse_name(self, name: str) -> ChunkRef:
-        """Inverse of :attr:`ChunkRef.name`."""
-        if not name.startswith("chunk-") or not name.endswith(".dat"):
-            raise StorageError(f"not a chunk file name: {name!r}")
-        fields = name[len("chunk-"):-len(".dat")].split("-")
-        if len(fields) != 2 * self.ndim:
-            raise StorageError(
-                f"chunk name {name!r} has {len(fields)} fields, "
-                f"expected {2 * self.ndim}")
-        values = [int(f) for f in fields]
-        lo = tuple(values[:self.ndim])
-        return self.chunk_for_cell(lo)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ChunkGrid(shape={self.shape}, strides={self.strides}, "

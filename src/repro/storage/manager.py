@@ -154,7 +154,6 @@ class VersionedStorageManager:
                  delta_codec: str = "hybrid",
                  delta_policy: str = POLICY_CHAIN,
                  placement: str = COLOCATED,
-                 cache_chunks: int = 0,
                  cache_bytes: int = 0,
                  backend: "StorageBackend | str | None" = None,
                  workers: int | None = None):
@@ -180,12 +179,11 @@ class VersionedStorageManager:
         self._tick = itertools.count(1)
         # The paper's cost model "ignores caching effects ... since they
         # are often negligible in our context for very large arrays";
-        # the cache is therefore off unless given an entry or byte
-        # budget, and exists for interactive workloads.  Like the hot
-        # slot below it relies on version contents never changing:
-        # only deletions invalidate it.
-        self.cache = ChunkCache(max_entries=cache_chunks,
-                                max_bytes=cache_bytes, stats=self.stats)
+        # the cache is therefore off unless given a byte budget, and
+        # exists for interactive workloads.  Like the hot slot below
+        # it relies on version contents never changing: only
+        # deletions invalidate it.
+        self.cache = ChunkCache(max_bytes=cache_bytes, stats=self.stats)
         self.encoder = EncodePipeline(self.catalog, self.store,
                                       delta_policy=delta_policy,
                                       delta_codec=delta_codec,
@@ -208,20 +206,8 @@ class VersionedStorageManager:
     def delta_policy(self) -> str:
         return self.encoder.delta_policy
 
-    @property
-    def cache_capacity(self) -> int:
-        return self.cache.max_entries
-
-    @property
-    def cache_hits(self) -> int:
-        return self.cache.hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self.cache.misses
-
     def cache_info(self) -> dict:
-        """Budgets, occupancy, and hit/miss counters of the chunk cache."""
+        """Budget, occupancy, and hit/miss counters of the chunk cache."""
         return self.cache.info()
 
     def close(self) -> None:

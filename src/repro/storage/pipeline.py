@@ -136,8 +136,7 @@ class ChunkCache:
     """Bytes-bounded LRU of decoded chunks, keyed by
     ``(array_id, version, attribute, chunk_name)``.
 
-    ``max_entries`` and ``max_bytes`` are independent budgets; zero
-    disables the bound, and both zero disables the cache entirely
+    ``max_bytes`` is the one budget; zero disables the cache entirely
     (:attr:`enabled`).  Hits and misses are mirrored into the attached
     :class:`IOStats` so cache effectiveness appears next to the I/O it
     avoided.
@@ -156,9 +155,8 @@ class ChunkCache:
     entry however parallel readers interleave with :meth:`fits`.
     """
 
-    def __init__(self, max_entries: int = 0, max_bytes: int = 0,
+    def __init__(self, max_bytes: int = 0,
                  stats: IOStats | None = None):
-        self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = stats
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
@@ -172,7 +170,7 @@ class ChunkCache:
 
     @property
     def enabled(self) -> bool:
-        return self.max_entries > 0 or self.max_bytes > 0
+        return self.max_bytes > 0
 
     def get(self, key: tuple) -> np.ndarray | None:
         with self._lock:
@@ -224,7 +222,7 @@ class ChunkCache:
                 return
             if not evict:
                 if key not in self._entries and \
-                        self._has_room(1, data.nbytes):
+                        self._has_room(data.nbytes):
                     self._entries[key] = data
                     self._bytes += data.nbytes
                     self.prefetched += 1
@@ -239,21 +237,19 @@ class ChunkCache:
                 return
             self._entries[key] = data
             self._bytes += data.nbytes
-            while self._entries and not self._has_room(0, 0):
+            while self._entries and not self._has_room(0):
                 _, evicted = self._entries.popitem(last=False)
                 self._bytes -= evicted.nbytes
 
-    def _has_room(self, entries: int, nbytes: int) -> bool:
-        """Whether ``entries`` more entries totalling ``nbytes`` keep
-        both budgets (lock held)."""
-        return not (0 < self.max_entries < len(self._entries) + entries
-                    or 0 < self.max_bytes < self._bytes + nbytes)
+    def _has_room(self, nbytes: int) -> bool:
+        """Whether ``nbytes`` more keep the budget (lock held)."""
+        return not 0 < self.max_bytes < self._bytes + nbytes
 
-    def fits(self, entries: int, entry_nbytes: int) -> bool:
-        """The warm fill's go/no-go: whether ``entries`` chunks of
-        ``entry_nbytes`` each fit the free space.  Refusals count."""
+    def fits(self, nbytes: int) -> bool:
+        """The warm fill's go/no-go: whether ``nbytes`` fit the free
+        space.  Refusals count."""
         with self._lock:
-            room = self._has_room(entries, entries * entry_nbytes)
+            room = self._has_room(nbytes)
             if not room:
                 self.prefetch_declined += 1
             return room
@@ -272,12 +268,11 @@ class ChunkCache:
             self._bytes = 0
 
     def info(self) -> dict:
-        """Budgets, occupancy, hit/miss, and admission counters
+        """Budget, occupancy, hit/miss, and admission counters
         (``prefetched`` intermediates admitted by warm fills,
         ``prefetch_declined`` chains that did not fit and went fused)."""
         with self._lock:
             return {
-                "capacity": self.max_entries,
                 "max_bytes": self.max_bytes,
                 "entries": len(self._entries),
                 "bytes": self._bytes,
@@ -661,7 +656,7 @@ class DecodePipeline(_PooledStage):
                                                  attribute, chunk, scope)
         warm_fill = self.cache.enabled and len(chain) > 1 and \
             self.cache.fits(
-                len(chain), chunk.cell_count
+                len(chain) * chunk.cell_count
                 * record.schema.attribute(attribute).dtype.itemsize)
 
         # Stage 2: read — the whole chain, one open per distinct object.

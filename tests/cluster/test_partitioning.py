@@ -46,20 +46,6 @@ class TestRouting:
     def partitioner(self) -> RangePartitioner:
         return RangePartitioner((12, 6), nodes=3)
 
-    def test_node_for_cell(self, partitioner):
-        assert partitioner.node_for_cell((0, 0)) == 0
-        assert partitioner.node_for_cell((3, 5)) == 0
-        assert partitioner.node_for_cell((4, 0)) == 1
-        assert partitioner.node_for_cell((11, 5)) == 2
-
-    def test_cell_out_of_range(self, partitioner):
-        with pytest.raises(DimensionError):
-            partitioner.node_for_cell((12, 0))
-
-    def test_to_local(self, partitioner):
-        assert partitioner.to_local(1, (4, 3)) == (0, 3)
-        assert partitioner.to_local(2, (11, 0)) == (3, 0)
-
     def test_bands_overlapping_one(self, partitioner):
         hits = partitioner.bands_overlapping((1, 0), (2, 5))
         assert [band.node for band in hits] == [0]
@@ -83,10 +69,9 @@ class TestRouting:
         for band in partitioner.bands:
             covered.extend(range(band.lo, band.hi + 1))
         assert covered == list(range(extent))
-        # Every cell routes to the band containing it.
+        # Every cell routes to the one band containing it.
         cell = data.draw(st.integers(0, extent - 1))
-        node = partitioner.node_for_cell((cell, 0))
-        band = partitioner.band_of(node)
+        [band] = partitioner.bands_overlapping((cell, 0), (cell, 0))
         assert band.lo <= cell <= band.hi
 
 

@@ -10,7 +10,6 @@ from repro.core.array import (
     DeltaListPayload,
     DensePayload,
     SparsePayload,
-    coords_and_values_from_dense,
 )
 from repro.core.errors import DimensionError, SchemaError
 from repro.core.schema import ArraySchema, Attribute, Dimension
@@ -65,45 +64,15 @@ class TestArrayData:
             schema, np.arange(12, dtype=np.int64).reshape(3, 4))
         assert data.single().dtype == np.int32
 
-    def test_defaults_fill(self, multi_schema):
-        data = ArrayData.filled_with_defaults(multi_schema)
-        assert np.isnan(data.attribute("temp")).all()
-        assert (data.attribute("count") == 0).all()
-
     def test_nbytes(self, schema):
         data = ArrayData.from_single(
             schema, np.zeros((3, 4), dtype=np.int32))
         assert data.nbytes() == 48
 
-    def test_slice_inclusive_corners(self, schema):
-        values = np.arange(12, dtype=np.int32).reshape(3, 4)
-        data = ArrayData.from_single(schema, values)
-        sub = data.slice((1, 1), (2, 3))
-        np.testing.assert_array_equal(sub.single(), values[1:3, 1:4])
-
-    def test_slice_single_cell(self, schema):
-        values = np.arange(12, dtype=np.int32).reshape(3, 4)
-        data = ArrayData.from_single(schema, values)
-        sub = data.slice((2, 3), (2, 3))
-        assert sub.single().shape == (1, 1)
-        assert sub.single()[0, 0] == values[2, 3]
-
-    def test_slice_bad_corners(self, schema):
-        data = ArrayData.from_single(
-            schema, np.zeros((3, 4), dtype=np.int32))
-        with pytest.raises(DimensionError):
-            data.slice((2, 2), (1, 1))
-
-    def test_equals(self, schema):
-        values = np.arange(12, dtype=np.int32).reshape(3, 4)
-        a = ArrayData.from_single(schema, values)
-        b = ArrayData.from_single(schema, values.copy())
-        c = ArrayData.from_single(schema, values + 1)
-        assert a.equals(b)
-        assert not a.equals(c)
-
     def test_single_requires_single_attribute(self, multi_schema):
-        data = ArrayData.filled_with_defaults(multi_schema)
+        data = ArrayData(multi_schema, {
+            "temp": np.zeros((3, 4)),
+            "count": np.zeros((3, 4), dtype=np.int32)})
         with pytest.raises(SchemaError):
             data.single()
 
@@ -176,22 +145,3 @@ class TestDeltaListPayload:
         with pytest.raises(SchemaError):
             payload.to_array_data(schema, base=None)
 
-
-class TestCoordsFromDense:
-    def test_extracts_non_default_cells(self, schema):
-        values = np.zeros((3, 4), dtype=np.int32)
-        values[1, 2] = 5
-        values[0, 3] = -1
-        coords, extracted = coords_and_values_from_dense(schema, values, 0)
-        assert len(coords) == 2
-        rebuilt = SparsePayload.of(coords, extracted).to_array_data(schema)
-        np.testing.assert_array_equal(rebuilt.single(), values)
-
-    def test_nan_default(self):
-        schema = ArraySchema.simple((2, 2), dtype=np.float64)
-        values = np.full((2, 2), np.nan)
-        values[0, 1] = 3.5
-        coords, extracted = coords_and_values_from_dense(
-            schema, values, np.nan)
-        assert len(coords) == 1
-        assert extracted[0] == 3.5

@@ -245,17 +245,6 @@ class TestZigzag:
         out = bitpack.zigzag_decode(bitpack.zigzag_encode(array))
         np.testing.assert_array_equal(out, array)
 
-    def test_pack_signed_roundtrip(self):
-        values = np.array([-5, 0, 5, 1000, -1000], dtype=np.int64)
-        data, bits = bitpack.pack_signed(values)
-        out = bitpack.unpack_signed(data, bits, 5)
-        np.testing.assert_array_equal(out, values)
-
-    def test_pack_signed_identical_values_zero_bits(self):
-        values = np.zeros(100, dtype=np.int64)
-        data, bits = bitpack.pack_signed(values)
-        assert bits == 0
-        assert data == b""
 
 
 class TestNumpyKernelsAgainstBitMatrixOracle:

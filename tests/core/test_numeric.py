@@ -53,7 +53,7 @@ class TestRoundTrips:
         np.testing.assert_array_equal(recovered, a)
 
     @pytest.mark.parametrize("dtype", INT_DTYPES)
-    def test_integer_forward_backward(self, dtype, rng):
+    def test_integer_forward(self, dtype, rng):
         info = np.iinfo(dtype)
         a = rng.integers(info.min, info.max, size=40,
                          endpoint=True, dtype=dtype)
@@ -62,11 +62,9 @@ class TestRoundTrips:
         delta, mode = numeric.compute_delta(a, b)
         np.testing.assert_array_equal(
             numeric.apply_delta_forward(b, delta, mode, a.dtype), a)
-        np.testing.assert_array_equal(
-            numeric.apply_delta_backward(a, delta, mode, a.dtype), b)
 
     @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-    def test_float_forward_backward_bit_exact(self, dtype, rng):
+    def test_float_forward_bit_exact(self, dtype, rng):
         a = rng.normal(0, 1e10, size=40).astype(dtype)
         b = rng.normal(0, 1e-10, size=40).astype(dtype)
         # Include the awkward IEEE citizens.
@@ -74,11 +72,8 @@ class TestRoundTrips:
         b[0], b[1], b[2] = 1.0, -np.inf, 0.0
         delta, mode = numeric.compute_delta(a, b)
         forward = numeric.apply_delta_forward(b, delta, mode, a.dtype)
-        backward = numeric.apply_delta_backward(a, delta, mode, a.dtype)
         np.testing.assert_array_equal(forward.view(np.uint8).tobytes(),
                                       a.view(np.uint8).tobytes())
-        np.testing.assert_array_equal(backward.view(np.uint8).tobytes(),
-                                      b.view(np.uint8).tobytes())
 
     def test_similar_floats_give_small_codes(self):
         # The XOR of close floats must zero the high bits — this is the
@@ -92,10 +87,6 @@ class TestRoundTrips:
     def test_unknown_mode_rejected(self):
         with pytest.raises(CodecError):
             numeric.apply_delta_forward(
-                np.zeros(3), np.zeros(3, dtype=np.uint64), "bogus",
-                np.float64)
-        with pytest.raises(CodecError):
-            numeric.apply_delta_backward(
                 np.zeros(3), np.zeros(3, dtype=np.uint64), "bogus",
                 np.float64)
 
@@ -115,6 +106,4 @@ class TestRoundTrips:
         b = data.draw(hnp.arrays(dtype, shape, elements=elements))
         delta, mode = numeric.compute_delta(a, b)
         forward = numeric.apply_delta_forward(b, delta, mode, a.dtype)
-        backward = numeric.apply_delta_backward(a, delta, mode, a.dtype)
         assert forward.tobytes() == a.tobytes()
-        assert backward.tobytes() == b.tobytes()

@@ -39,7 +39,6 @@ ALL_CODECS = [
     MPEGLikeDeltaCodec(block=8, radius=2),
     BSDiffDeltaCodec(),
 ]
-BIDIRECTIONAL = [codec for codec in ALL_CODECS if codec.bidirectional]
 DTYPES = [np.uint8, np.int16, np.int32, np.int64, np.float32, np.float64]
 
 
@@ -109,27 +108,6 @@ class TestForwardRoundTrip:
         assert out.tobytes() == target.tobytes()
 
 
-@pytest.mark.parametrize("codec", BIDIRECTIONAL, ids=lambda c: c.name)
-class TestBackwardRoundTrip:
-    @pytest.mark.parametrize("dtype", [np.int32, np.float64], ids=str)
-    def test_base_from_target(self, codec, dtype, rng):
-        target, base = _pair(dtype, (20, 20), rng)
-        data = codec.encode(target, base)
-        out = codec.decode_backward(data, target)
-        assert out.tobytes() == base.tobytes()
-
-
-class TestDirectionalCodecs:
-    @pytest.mark.parametrize("codec",
-                             [MPEGLikeDeltaCodec(), BSDiffDeltaCodec()],
-                             ids=lambda c: c.name)
-    def test_backward_rejected(self, codec, rng):
-        target, base = _pair(np.int32, (8, 8), rng)
-        data = codec.encode(target, base)
-        with pytest.raises(CodecError):
-            codec.decode_backward(data, target)
-
-
 class TestSizes:
     def test_identical_versions_negligible_space(self, rng):
         # Section III-B.3: identical arrays must delta to ~nothing.
@@ -164,13 +142,6 @@ class TestSizes:
             dense = len(DenseDeltaCodec().encode(target, base))
             sparse = len(SparseDeltaCodec().encode(target, base))
             assert hybrid <= min(dense, sparse) + 16
-
-    def test_encoded_size_matches_actual(self, rng):
-        target, base = _pair(np.int32, (32, 32), rng)
-        for codec in (DenseDeltaCodec(), SparseDeltaCodec(),
-                      HybridDeltaCodec()):
-            assert codec.encoded_size(target, base) == \
-                len(codec.encode(target, base))
 
     def test_mpeg_detects_shift(self, rng):
         # A pure translation must produce a much smaller residual with
@@ -251,7 +222,6 @@ def test_roundtrip_property(data, codec_name):
     base = data.draw(hnp.arrays(dtype, shape, elements=elements))
     blob = codec.encode(target, base)
     assert codec.decode_forward(blob, base).tobytes() == target.tobytes()
-    assert codec.decode_backward(blob, target).tobytes() == base.tobytes()
 
 
 @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)

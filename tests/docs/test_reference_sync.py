@@ -21,13 +21,20 @@ reference pages are held to the code by tier-1 tests:
   core package exports must still have that attribute, so the prose
   cannot go on naming a method or counter after the code is gone;
 * every relative link in ``README.md`` and ``docs/`` must resolve to
-  a real file.
+  a real file;
+* every third-party module imported under ``src/`` must be declared in
+  ``pyproject.toml``'s ``dependencies``, and ``import repro`` must
+  succeed without the undeclared ones.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,3 +181,54 @@ def test_relative_links_resolve(path):
         resolved = (path.parent / target).resolve()
         assert resolved.exists(), \
             f"{path.relative_to(REPO)} links to missing {target!r}"
+
+
+def _declared_dependencies() -> set[str]:
+    """Project names on ``pyproject.toml``'s ``dependencies = [...]``
+    line, read with a regex: Python 3.10 has no ``tomllib``."""
+    text = (REPO / "pyproject.toml").read_text()
+    line = re.search(r"^dependencies\s*=\s*\[(.*)\]", text, re.M)
+    assert line, "pyproject.toml has no one-line dependencies list"
+    return {re.match(r"[A-Za-z0-9_.-]+", spec.strip()).group(0)
+            for spec in re.findall(r'"([^"]+)"', line.group(1))}
+
+
+def _src_imports() -> dict[str, str]:
+    """Top-level module of every absolute import under ``src/``, with
+    the first file importing it."""
+    found: dict[str, str] = {}
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                found.setdefault(name.split(".")[0],
+                                 str(path.relative_to(REPO)))
+    return found
+
+
+def test_src_imports_only_declared_dependencies():
+    imported = _src_imports()
+    assert "numpy" in imported, "the gate matched nothing: src moved?"
+    declared = _declared_dependencies()
+    undeclared = {name: path for name, path in imported.items()
+                  if name != "repro" and name not in declared
+                  and name not in sys.stdlib_module_names}
+    assert not undeclared, (
+        f"src/ imports modules pyproject.toml does not declare: "
+        f"{undeclared}")
+
+
+def test_import_repro_without_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.modules['scipy'] = None; import repro, repro.cli"],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

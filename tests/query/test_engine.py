@@ -123,7 +123,7 @@ class TestDatabaseFacade:
     def test_cache_knobs_and_stats_exposed(self, tmp_path, rng):
         data = rng.integers(0, 9, (4, 4)).astype(np.int32)
         with Database(tmp_path / "cached", chunk_bytes=4096,
-                      cache_chunks=8) as db:
+                      cache_bytes=8 * data.nbytes) as db:
             db.execute("CREATE UPDATABLE ARRAY A ( V::INTEGER ) "
                        "[ I=0:3, J=0:3 ];")
             db.insert("A", data)
@@ -132,7 +132,7 @@ class TestDatabaseFacade:
             db.select("A@1")
             assert db.stats.chunks_read == before  # cache absorbed it
             info = db.cache_info()
-            assert info["capacity"] == 8
+            assert info["max_bytes"] == 8 * data.nbytes
             assert info["hits"] > 0
 
     def test_memory_backend_leaves_no_files(self, tmp_path, rng):

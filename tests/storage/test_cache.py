@@ -11,8 +11,9 @@ from repro.storage import VersionedStorageManager
 
 @pytest.fixture
 def cached_manager(tmp_path):
+    # Room for 32 of the 16x16 int32 (one-chunk) versions.
     return VersionedStorageManager(tmp_path, chunk_bytes=2048,
-                                   cache_chunks=32)
+                                   cache_bytes=32 * 1024)
 
 
 @pytest.fixture
@@ -38,7 +39,7 @@ class TestChunkCache:
         manager.select("A", 1)
         manager.select("A", 1)
         info = manager.cache_info()
-        assert info["capacity"] == 0
+        assert info["max_bytes"] == 0
         assert info["hits"] == 0
 
     def test_repeat_reads_hit(self, filled):
@@ -51,8 +52,9 @@ class TestChunkCache:
         np.testing.assert_array_equal(out.single(), versions[3])
 
     def test_capacity_evicts_lru(self, tmp_path, rng):
+        # Room for two of the 8x8 int32 (one-chunk) versions.
         manager = VersionedStorageManager(tmp_path, chunk_bytes=2048,
-                                          cache_chunks=2)
+                                          cache_bytes=2 * 256)
         manager.create_array("A", ArraySchema.simple((8, 8),
                                                      dtype=np.int32))
         for index in range(5):

@@ -3,8 +3,8 @@ cached stores against a cache-off twin.
 
 Whatever the chain depth, codec, cache budget, parallelism, and
 interleaving of reads with appends, a cached store must return exactly
-what the same store returns with the cache off; its byte and entry
-budgets must hold after every operation; and a speculative
+what the same store returns with the cache off; its byte budget must
+hold after every operation; and a speculative
 (non-evicting) admission must never cost the cache an entry.
 """
 
@@ -23,14 +23,13 @@ CHUNKS = 4
 
 
 @settings(max_examples=200, deadline=None)
-@given(max_entries=st.integers(0, 6),
-       max_bytes=st.sampled_from((0, 64, 200, 1000)),
+@given(max_bytes=st.sampled_from((0, 64, 200, 1000)),
        ops=st.lists(st.tuples(st.sampled_from(("put", "fill", "get")),
                               st.integers(0, 9),
                               st.sampled_from((8, 40, 160, 320))),
                     max_size=40))
-def test_cache_budgets_and_no_evict_admission(max_entries, max_bytes, ops):
-    cache = ChunkCache(max_entries=max_entries, max_bytes=max_bytes)
+def test_cache_budgets_and_no_evict_admission(max_bytes, ops):
+    cache = ChunkCache(max_bytes=max_bytes)
     for kind, key, nbytes in ops:
         before = cache.info()
         if kind == "get":
@@ -39,8 +38,6 @@ def test_cache_budgets_and_no_evict_admission(max_entries, max_bytes, ops):
         cache.put((key,), np.zeros(nbytes, dtype=np.uint8),
                   evict=kind == "put")
         after = cache.info()
-        if max_entries:
-            assert after["entries"] <= max_entries
         if max_bytes:
             assert after["bytes"] <= max_bytes
         if kind == "fill":
@@ -74,7 +71,6 @@ def _step(rng, data):
        dtype=st.sampled_from((np.int64, np.float64)),
        bsdiff_at=st.one_of(st.none(), st.integers(2, 7)),
        budget=st.sampled_from(("off", "chunk", "half-chain", "all")),
-       entry_bound=st.booleans(),
        workers=st.sampled_from((0, 4)),
        ops=st.lists(st.one_of(
            st.tuples(st.just("read"), st.integers(0, 63)),
@@ -83,21 +79,18 @@ def _step(rng, data):
            min_size=1, max_size=14),
        seed=st.integers(0, 2 ** 16))
 def test_cached_store_equals_cache_off_store(depth, codec, dtype,
-                                             bsdiff_at, budget,
-                                             entry_bound, workers, ops,
-                                             seed):
+                                             bsdiff_at, budget, workers,
+                                             ops, seed):
     max_bytes = {"off": 0, "chunk": CHUNK_BYTES,
                  "half-chain": max(1, depth // 2) * CHUNK_BYTES,
                  "all": 64 * CHUNKS * CHUNK_BYTES}[budget]
-    max_entries = max_bytes // CHUNK_BYTES if entry_bound else 0
     rng = np.random.default_rng(seed)
     schema = ArraySchema.simple(SHAPE, dtype=dtype)
     stores = [VersionedStorageManager(
         f"/unused/{name}", backend="memory", chunk_bytes=CHUNK_BYTES,
         delta_policy="chain", delta_codec=codec, workers=workers,
-        cache_bytes=cache_bytes, cache_chunks=cache_chunks)
-        for name, cache_bytes, cache_chunks in (
-            ("plain", 0, 0), ("cached", max_bytes, max_entries))]
+        cache_bytes=cache_bytes)
+        for name, cache_bytes in (("plain", 0), ("cached", max_bytes))]
     plain, cached = stores
     truth: list[np.ndarray] = []
 
@@ -129,8 +122,6 @@ def test_cached_store_equals_cache_off_store(depth, codec, dtype,
         info = cached.cache_info()
         if max_bytes:
             assert info["bytes"] <= max_bytes
-        if max_entries:
-            assert info["entries"] <= max_entries
 
     try:
         for store in stores:

@@ -53,7 +53,7 @@ class TestChunkGrid:
     def test_geometry(self, grid):
         assert grid.stride == 20
         assert grid.counts == (5, 3)
-        assert grid.chunk_count == 15
+        assert len(grid.chunks()) == 15
 
     def test_chunk_names_match_paper_scheme(self, grid):
         first = grid.chunk_at((0, 0))
@@ -98,24 +98,13 @@ class TestChunkGrid:
 
     def test_chunks_overlapping_whole_array(self, grid):
         hits = grid.chunks_overlapping((0, 0), (99, 59))
-        assert len(hits) == grid.chunk_count
+        assert len(hits) == len(grid.chunks())
 
     def test_chunks_overlapping_validation(self, grid):
         with pytest.raises(DimensionError):
             grid.chunks_overlapping((5, 5), (4, 4))
         with pytest.raises(DimensionError):
             grid.chunks_overlapping((0, 0), (100, 0))
-
-    def test_parse_name_roundtrip(self, grid):
-        for chunk in grid.chunks():
-            parsed = grid.parse_name(chunk.name)
-            assert parsed == chunk
-
-    def test_parse_name_rejects_garbage(self, grid):
-        with pytest.raises(StorageError):
-            grid.parse_name("not-a-chunk")
-        with pytest.raises(StorageError):
-            grid.parse_name("chunk-1-2.dat")
 
     def test_identical_chunking_across_versions(self):
         # "Every version of a given array is chunked identically" — the

@@ -470,7 +470,7 @@ class TestOneSnapshotPerCall:
         return release, thread, result
 
     @pytest.mark.parametrize("cache", [dict(cache_bytes=1 << 20),
-                                       dict(cache_chunks=1)],
+                                       dict(cache_bytes=800)],
                              ids=["warm-fill", "fused"])
     def test_read_pinned_before_a_delete_never_caches_it(self, tmp_path,
                                                          cache):

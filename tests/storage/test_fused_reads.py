@@ -36,6 +36,8 @@ from repro.storage.pipeline import DecodePipeline
 
 DEPTH = 8
 SHAPE = (16, 16)
+#: Bytes of one decoded chunk of the int64 ``SHAPE`` arrays below.
+CHUNK = 16 * 16 * 8
 
 #: (policy-id, manager kwargs) — the delta-policy axis of the oracle.
 POLICIES = [
@@ -264,7 +266,7 @@ def test_roomy_cache_warm_fills_stepwise(tmp_path):
     and every later read a hit."""
     versions = _int_versions()
     with _cached_chain(tmp_path / "s", versions,
-                       cache_chunks=64) as manager:
+                       cache_bytes=64 * CHUNK) as manager:
         with manager.stats.measure() as window:
             manager.select("A", DEPTH)
         assert window.chains_fused == 0
@@ -282,7 +284,7 @@ def test_tight_cache_fuses_and_admits_requested_only(tmp_path):
     requested version alone: fused, one admission, repeat reads hit."""
     versions = _int_versions()
     with _cached_chain(tmp_path / "s", versions,
-                       cache_chunks=2) as manager:
+                       cache_bytes=2 * CHUNK) as manager:
         with manager.stats.measure() as window:
             first = manager.select("A", DEPTH).attribute("value")
         assert window.chains_fused == 1
@@ -301,7 +303,7 @@ def test_append_leaves_cache_in_place(tmp_path):
     nothing: old versions are still hits afterwards."""
     versions = _int_versions()
     with _cached_chain(tmp_path / "s", versions[:-1],
-                       cache_chunks=64) as manager:
+                       cache_bytes=64 * CHUNK) as manager:
         manager.select("A", DEPTH - 1)
         entries = manager.cache_info()["entries"]
         assert entries == DEPTH - 1
@@ -448,7 +450,7 @@ def test_equivalence_grid(tmp_path, dtype, layout, shape, chunk_shape):
                     got = manager.select("A", depth).attribute("value")
                 assert got.tobytes() == expected
                 assert window.fused_levels == \
-                    (depth - 1) * grid.chunk_count
+                    (depth - 1) * len(grid.chunks())
                 assert fanned.read_version(record, grid, depth) \
                     .attribute("value").tobytes() == expected
                 with native.disabled():
@@ -530,7 +532,7 @@ def test_read_allocates_no_chunk_sized_temporary(tmp_path):
                 -50, 50, cells.size).astype(np.int32)
         record = manager.catalog.get_array("A")
         grid = manager.grid_for(record)
-        assert grid.chunk_count == 16
+        assert len(grid.chunks()) == 16
         manager.select("A", DEPTH)          # kernels built, pools warm
         tracemalloc.start()
         try:
@@ -653,7 +655,7 @@ def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, workers, kept):
             tracemalloc.stop()
     canvas = got.attribute("value")
     assert canvas.tobytes() == data.tobytes()
-    threads = max(1, min(workers, grid.chunk_count))
+    threads = max(1, min(workers, len(grid.chunks())))
     if kept:
         assert chunk_bytes <= held - canvas.nbytes \
             <= threads * chunk_bytes + slack, held

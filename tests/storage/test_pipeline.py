@@ -29,9 +29,9 @@ class TestChunkCacheBounds:
         cache = ChunkCache()
         assert not cache.enabled
 
-    def test_entry_budget_evicts_lru(self):
-        cache = ChunkCache(max_entries=2)
-        a, b, c = (np.full(4, i) for i in range(3))
+    def test_get_freshens_lru(self):
+        a, b, c = (np.full(4, i, dtype=np.int64) for i in range(3))
+        cache = ChunkCache(max_bytes=2 * a.nbytes)
         cache.put(("arr", 1), a)
         cache.put(("arr", 2), b)
         cache.get(("arr", 1))  # freshen 1; 2 becomes LRU
@@ -81,14 +81,6 @@ class TestChunkCacheBounds:
         assert cache.info()["bytes"] == 0
         assert cache.info()["oversized"] == 1
 
-    def test_entry_budget_alone_admits_any_size(self):
-        # Only the byte budget defines "oversized".
-        cache = ChunkCache(max_entries=2)
-        big = np.zeros(1000, dtype=np.int64)
-        cache.put(("arr", 1), big)
-        assert cache.get(("arr", 1)) is big
-        assert cache.info()["oversized"] == 0
-
     def test_reput_updates_byte_accounting(self):
         cache = ChunkCache(max_bytes=1000)
         cache.put(("arr", 1), np.zeros(10, dtype=np.int64))
@@ -97,8 +89,8 @@ class TestChunkCacheBounds:
         assert cache.info()["bytes"] == 16
 
     def test_invalidate_array_scopes_by_id(self):
-        cache = ChunkCache(max_entries=8)
         data = np.zeros(4)
+        cache = ChunkCache(max_bytes=8 * data.nbytes)
         cache.put((1, 1, "v", "c"), data)
         cache.put((1, 2, "v", "c"), data)
         cache.put((2, 1, "v", "c"), data)
@@ -109,8 +101,8 @@ class TestChunkCacheBounds:
 
     def test_hits_and_misses_flow_into_iostats(self):
         stats = IOStats()
-        cache = ChunkCache(max_entries=4, stats=stats)
         data = np.zeros(4)
+        cache = ChunkCache(max_bytes=4 * data.nbytes, stats=stats)
         cache.get(("arr", 1))
         cache.put(("arr", 1), data)
         cache.get(("arr", 1))
@@ -118,8 +110,8 @@ class TestChunkCacheBounds:
         assert (stats.cache_hits, stats.cache_misses) == (1, 1)
 
     def test_put_asks_valid_under_the_lock(self):
-        cache = ChunkCache(max_entries=4)
         data = np.zeros(4)
+        cache = ChunkCache(max_bytes=4 * data.nbytes)
         cache.put(("arr", 1), data, valid=lambda: cache._lock.locked())
         cache.put(("arr", 2), data, valid=lambda: False)
         cache.put(("arr", 3), data, evict=False, valid=lambda: False)
@@ -128,7 +120,7 @@ class TestChunkCacheBounds:
         assert cache.info()["bytes"] == data.nbytes
 
     def test_clear(self):
-        cache = ChunkCache(max_entries=4)
+        cache = ChunkCache(max_bytes=4 * 32)
         cache.put(("arr", 1), np.zeros(4))
         cache.clear()
         assert cache.info()["entries"] == 0
