@@ -46,6 +46,22 @@ class TestRouting:
     def partitioner(self) -> RangePartitioner:
         return RangePartitioner((12, 6), nodes=3)
 
+    def test_node_for_cell(self, partitioner):
+        def node(cell):
+            [band] = partitioner.bands_overlapping(cell, cell)
+            return band.node
+        assert node((0, 0)) == 0
+        assert node((3, 5)) == 0
+        assert node((4, 0)) == 1
+        assert node((11, 5)) == 2
+
+    def test_to_local(self, partitioner):
+        def local(node, cell):
+            return partitioner.clip_region(partitioner.band_of(node),
+                                           cell, cell)[0]
+        assert local(1, (4, 3)) == (0, 3)
+        assert local(2, (11, 0)) == (3, 0)
+
     def test_bands_overlapping_one(self, partitioner):
         hits = partitioner.bands_overlapping((1, 0), (2, 5))
         assert [band.node for band in hits] == [0]

@@ -76,6 +76,23 @@ class TestArrayData:
         with pytest.raises(SchemaError):
             data.single()
 
+    def test_conforming_same_layout(self, schema):
+        data = ArrayData.from_single(
+            schema, np.zeros((3, 4), dtype=np.int32))
+        # Dimension names and origins are free; shape and cells are not.
+        shifted = ArraySchema(
+            dimensions=(Dimension("X", 5, 7), Dimension("Y", 1, 4)),
+            attributes=schema.attributes)
+        assert data.conforming(shifted) is data
+
+    def test_conforming_rejects_other_layout(self, schema):
+        data = ArrayData.from_single(
+            schema, np.zeros((3, 4), dtype=np.int32))
+        with pytest.raises(SchemaError):
+            data.conforming(ArraySchema.simple((4, 3), dtype=np.int32))
+        with pytest.raises(SchemaError):
+            data.conforming(ArraySchema.simple((3, 4), dtype=np.int64))
+
 
 class TestDensePayload:
     def test_normalizes(self, schema):
@@ -94,6 +111,17 @@ class TestSparsePayload:
         assert data.single()[0, 0] == 7
         assert data.single()[2, 3] == 9
         assert data.single()[1, 1] == 0  # schema default
+
+    def test_defaults_fill(self, multi_schema):
+        # Unlisted cells, and attributes with no cells at all, take the
+        # schema default — NaN included.
+        payload = SparsePayload(cells={
+            "temp": (np.array([[1, 2]]), np.array([3.5]))})
+        data = payload.to_array_data(multi_schema)
+        temp = data.attribute("temp")
+        assert temp[1, 2] == 3.5
+        assert np.isnan(temp).sum() == 11
+        assert (data.attribute("count") == 0).all()
 
     def test_out_of_bounds_rejected(self, schema):
         payload = SparsePayload.of(

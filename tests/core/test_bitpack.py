@@ -245,6 +245,19 @@ class TestZigzag:
         out = bitpack.zigzag_decode(bitpack.zigzag_encode(array))
         np.testing.assert_array_equal(out, array)
 
+    def test_zigzag_pack_roundtrip(self):
+        values = np.array([-5, 0, 5, 1000, -1000], dtype=np.int64)
+        codes = bitpack.zigzag_encode(values)
+        bits = bitpack.required_bits_for(codes)
+        data = bitpack.pack_unsigned(codes, bits)
+        out = bitpack.zigzag_decode(bitpack.unpack_unsigned(data, bits, 5))
+        np.testing.assert_array_equal(out, values)
+
+    def test_identical_values_pack_to_zero_bits(self):
+        codes = bitpack.zigzag_encode(np.zeros(100, dtype=np.int64))
+        bits = bitpack.required_bits_for(codes)
+        assert bits == 0
+        assert bitpack.pack_unsigned(codes, bits) == b""
 
 
 class TestNumpyKernelsAgainstBitMatrixOracle:

@@ -124,6 +124,13 @@ class TestArraySchema:
         with pytest.raises(DimensionError):
             schema.unflatten_index(schema.cell_count)
 
+    def test_to_zero_based_bounds(self, schema):
+        assert schema.to_zero_based((1, 12)) == (1, 2)
+        with pytest.raises(DimensionError):
+            schema.to_zero_based((3, 12))
+        with pytest.raises(DimensionError):
+            schema.to_zero_based((1,))
+
     def test_dict_roundtrip(self, schema):
         rebuilt = ArraySchema.from_dict(schema.to_dict())
         assert rebuilt == schema

@@ -108,6 +108,23 @@ class TestForwardRoundTrip:
         assert out.tobytes() == target.tobytes()
 
 
+@pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
+class TestBackwardRoundTrip:
+    """Observation 2's "reconstruct ... in both directions": a layout
+    may store the older version as a delta against the newer one, and
+    the store then re-encodes the pair the other way round."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64], ids=str)
+    def test_base_from_target(self, codec, dtype, rng):
+        target, base = _pair(dtype, (20, 20), rng)
+        forward = codec.encode(target, base)
+        backward = codec.encode(base, target)
+        assert codec.decode_forward(forward, base).tobytes() == \
+            target.tobytes()
+        assert codec.decode_forward(backward, target).tobytes() == \
+            base.tobytes()
+
+
 class TestSizes:
     def test_identical_versions_negligible_space(self, rng):
         # Section III-B.3: identical arrays must delta to ~nothing.

@@ -5,8 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.errors import AQLSyntaxError
+from repro.core.errors import AQLSyntaxError, StorageError
 from repro.query import Database, spec_from_string
+from repro.storage import InMemoryBackend, VersionedStorageManager
+
+#: How each store option reads back from the manager it configured.
+_OPTIONS = {
+    "chunk_bytes": (2048, lambda m: m.chunk_bytes),
+    "compressor": ("lz", lambda m: m.compressor_name),
+    "delta_codec": ("sparse", lambda m: m.delta_codec_name),
+    "delta_policy": ("auto", lambda m: m.delta_policy),
+    "placement": ("per-version", lambda m: m.store.placement),
+    "cache_bytes": (4096, lambda m: m.cache.max_bytes),
+    "workers": (3, lambda m: m.workers),
+}
 
 
 class TestSpecFromString:
@@ -108,6 +120,35 @@ class TestDatabaseFacade:
         assert db.manager.delta_codec_name == "hybrid+lz"
         assert db.manager.store.placement == "per-version"
         db.close()
+
+    @pytest.mark.parametrize("option", sorted(_OPTIONS))
+    def test_option_forwarded(self, tmp_path, option):
+        value, read = _OPTIONS[option]
+        with Database(tmp_path / "opt", **{option: value}) as db:
+            assert read(db.manager) == value
+
+    def test_backend_instance_forwarded(self, tmp_path):
+        backend = InMemoryBackend()
+        with Database(tmp_path / "mem", backend=backend) as db:
+            assert db.manager.backend is backend
+
+    def test_defaults_are_the_managers(self, tmp_path):
+        """Each store default is written once, on the manager."""
+        with Database(tmp_path / "db") as db, \
+                VersionedStorageManager(tmp_path / "plain") as manager:
+            for option, (_, read) in _OPTIONS.items():
+                assert read(db.manager) == read(manager), option
+            assert type(db.manager.backend) is type(manager.backend)
+
+    def test_unknown_option_rejected_before_side_effects(self, tmp_path):
+        with pytest.raises(TypeError):
+            Database(tmp_path / "old", cache_chunks=8)
+        assert not (tmp_path / "old").exists()
+
+    def test_bad_option_fails_before_side_effects(self, tmp_path):
+        with pytest.raises(StorageError):
+            Database(tmp_path / "bad", delta_policy="bogus")
+        assert not (tmp_path / "bad").exists()
 
     def test_context_manager_closes(self, tmp_path, rng):
         data = rng.integers(0, 9, (4, 4)).astype(np.int32)

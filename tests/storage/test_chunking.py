@@ -61,6 +61,13 @@ class TestChunkGrid:
         second = grid.chunk_at((0, 1))
         assert second.name == "chunk-0-20-19-39.dat"
 
+    def test_names_identify_chunks(self, grid):
+        chunks = grid.chunks()
+        assert len({chunk.name for chunk in chunks}) == len(chunks)
+        for chunk in chunks:
+            assert grid.chunk_for_cell(chunk.lo) == chunk
+            assert grid.chunk_for_cell(chunk.hi) == chunk
+
     def test_chunk_for_cell_closed_form(self, grid):
         assert grid.chunk_for_cell((0, 0)).index == (0, 0)
         assert grid.chunk_for_cell((19, 19)).index == (0, 0)

@@ -20,6 +20,7 @@ from repro.core.errors import (
     VersionNotFoundError,
 )
 from repro.core.schema import ArraySchema, Attribute, Dimension
+from repro.delta import delta_codec_names
 from repro.storage import (
     PER_VERSION,
     POLICY_AUTO,
@@ -580,6 +581,27 @@ class TestApplyLayout:
         array_id = manager.catalog.get_array("A").array_id
         v4 = manager.catalog.chunks_for_version(array_id, 4)
         assert all(not c.is_delta for c in v4)
+
+    @pytest.mark.parametrize("codec", delta_codec_names())
+    def test_reversed_chain_reads_back(self, tmp_path, schema, rng, codec):
+        """Newest version materialized, each older one a delta against
+        its successor: every codec re-encodes the chain in the
+        direction the layout chose, and every version reads back."""
+        manager = VersionedStorageManager(tmp_path, chunk_bytes=400,
+                                          delta_codec=codec)
+        manager.create_array("A", schema)
+        versions = _versions(rng, count=4)
+        for v in versions:
+            manager.insert("A", v)
+        manager.apply_layout("A", {4: None, 3: 4, 2: 3, 1: 2})
+        for number, expected in enumerate(versions, 1):
+            np.testing.assert_array_equal(
+                manager.select("A", number).single(), expected)
+        array_id = manager.catalog.get_array("A").array_id
+        v1 = manager.catalog.chunks_for_version(array_id, 1)
+        assert all(c.is_delta and c.base_version == 2
+                   and c.delta_codec == codec for c in v1)
+        manager.close()
 
     def test_layout_must_cover_all_versions(self, manager, schema, rng):
         manager.create_array("A", schema)

@@ -81,6 +81,25 @@ class TestChunkCacheBounds:
         assert cache.info()["bytes"] == 0
         assert cache.info()["oversized"] == 1
 
+    def test_no_evict_put_takes_only_free_space(self):
+        small = np.zeros(5, dtype=np.int64)   # 40 bytes
+        cache = ChunkCache(max_bytes=100)
+        cache.put(("arr", 1), small)
+        cache.put(("arr", 2), small, evict=False)
+        cache.put(("arr", 3), small, evict=False)  # 120 > 100: dropped
+        assert cache.get(("arr", 1)) is small
+        assert cache.get(("arr", 2)) is small
+        assert cache.get(("arr", 3)) is None
+        assert cache.info()["prefetched"] == 1
+        assert cache.info()["bytes"] == 80
+
+    def test_fits_counts_refusals(self):
+        cache = ChunkCache(max_bytes=100)
+        cache.put(("arr", 1), np.zeros(5, dtype=np.int64))
+        assert cache.fits(60)
+        assert not cache.fits(61)
+        assert cache.info()["prefetch_declined"] == 1
+
     def test_reput_updates_byte_accounting(self):
         cache = ChunkCache(max_bytes=1000)
         cache.put(("arr", 1), np.zeros(10, dtype=np.int64))
