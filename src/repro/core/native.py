@@ -7,24 +7,30 @@ cache once per step — the numpy encode path makes a dozen whole-array
 passes and ~20 MiB of temporaries per 1 MiB chunk.  A scalar C loop
 does the same work in one stream per kernel.
 
-The write side is two passes per chunk.  :func:`delta_zigzag_stats`
-is the *analysis* pass — cell pair in, delta code + width-histogram
-bucket out — one kernel family over every cell type
-(signed / unsigned / bool of 1, 2, 4, 8 bytes as wrapping int64
-differences, float16/32/64 as xor of bit images), reading the chunk in
-place from its canvas by ``(rows, cols, row_stride)``.
-:func:`split_pack` is the *split-and-pack* pass: the codes, split at
-the width the cost curve chose, leave as the packed dense section and
-the packed outlier table (at width 0: the sparse codec's table).
-:func:`pack_bits` is the carry-register pack behind every other
-``pack_unsigned`` call.  The read side is one call per chunk:
-:func:`fold_chain` parses every level of a delta chain out of its
-stored payload, zigzag-decodes in register and applies it straight to
-the cells of the version being read, in the cell's own width and in
-place in one contiguous run of cells — a contiguous canvas window, or
-the decode thread's chunk buffer that is copied into a strided
-window once.  The zigzag decode and the carry-register unpack
-serve the level-by-level decoders.
+The write side costs what changed, not what the chunk holds.
+:func:`delta_zigzag_stats` is the *analysis* pass — cell pair in,
+delta code + width-histogram bucket out — one kernel family over every
+cell type (signed / unsigned / bool of 1, 2, 4, 8 bytes as wrapping
+int64 differences, float16/32/64 as xor of bit images), reading the
+chunk in place from its canvas by ``(rows, cols, row_stride)``.  It
+skips every 64-byte run equal to the base and keeps only a *run list*:
+the codes of the runs that differ and their spans; on the insert path
+it also copies those runs of the new version over the hot slot's
+canvas (the base it just read), which so becomes the new version
+without a whole-version copy.  :func:`pack_runs` is the one *pack*:
+it walks the run list, the gaps between runs leaving as bulk zeros,
+and emits the dense section, the split's packed small codes and
+outlier table, or the sparse table (the split at width 0);
+:func:`pack_bits`, behind every other ``pack_unsigned`` call, is the
+same kernel over one run of every value.
+
+The read side is one call per chunk: :func:`fold_chain` parses every
+level of a delta chain out of its stored payload, zigzag-decodes in
+register and applies it straight to the cells of the version being
+read, in the cell's own width and in place in one contiguous run of
+cells — a contiguous canvas window, or the decode thread's chunk
+buffer that is copied into a strided window once.  The zigzag decode
+and the carry-register unpack serve the level-by-level decoders.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they
 are gated behind runtime compilation with the host C compiler and
@@ -73,13 +79,21 @@ _SOURCE = r"""
  * One kernel family over every cell type: the chunk is read in place
  * as `rows` runs of `cols` cells, `*_stride` bytes apart (a chunk of a
  * version canvas; rows = 1 for a contiguous array), through memcpy
- * loads so zero-copy payload views need no alignment.  Each cell pair
- * becomes its unsigned delta code — zigzag of the wrapping int64
- * difference (ARITHMETIC) or the xor of the bit images (XOR) — and is
- * counted into the 65-bucket exact-bit-length histogram in the same
- * stream.  64-byte runs of equal cells are skipped: they are code 0,
- * bucket 0.  Matches numpy's compute_delta -> zigzag_encode -> width
- * bincount bit for bit. */
+ * loads so zero-copy payload views need no alignment.  Cells are taken
+ * 64 bytes at a time: a run equal to the base is code 0, bucket 0, and
+ * writes nothing.  A run that differs — and a row's tail shorter than
+ * a run — has each cell pair coded, zigzag of the wrapping int64
+ * difference (ARITHMETIC) or the xor of the bit images (XOR), and
+ * counted into the 65-bucket exact-bit-length histogram; its codes go
+ * to `codes` back to back and its span — first cell (row-major index
+ * into the chunk) and cell count — to `spans`, merged into the
+ * previous span when it continues it.  Every span after the first
+ * follows at least one skipped run, so the codes and spans of a chunk
+ * of n cells never take more than n and n / 8 + 1 entries.  With
+ * `adopt` set the coded cells of the target are then copied over the
+ * base, which so ends holding the target: equal runs already do.
+ * Matches numpy's compute_delta -> zigzag_encode -> width bincount bit
+ * for bit, with the codes outside the spans left implicit. */
 static inline int repro_same64(const unsigned char *a,
                                const unsigned char *b)
 {
@@ -93,17 +107,16 @@ static inline int repro_same64(const unsigned char *a,
 
 /* WIDEN: cell -> its int64 value's (or bit image's) uint64 image. */
 #define DELTA_KERNEL(NAME, T, WIDEN)                                   \
-static void NAME(const unsigned char *t, const unsigned char *b,       \
-                 int use_xor, int64_t rows, int64_t cols,              \
-                 int64_t t_stride, int64_t b_stride,                   \
-                 uint64_t *codes, int64_t *hist)                       \
+static int64_t NAME(const unsigned char *t, unsigned char *b,          \
+                    int use_xor, int adopt, int64_t rows, int64_t cols,\
+                    int64_t t_stride, int64_t b_stride,                \
+                    uint64_t *codes, int64_t *spans, int64_t *hist)    \
 {                                                                      \
     enum { S = sizeof(T), RUN = 64 / sizeof(T) };                      \
-    int64_t zeros = 0;                                                 \
+    int64_t zeros = 0, nspans = 0, end = -1;                           \
     for (int64_t r = 0; r < rows; r++) {                               \
         const unsigned char *tr = t + r * t_stride;                    \
-        const unsigned char *br = b + r * b_stride;                    \
-        uint64_t *cr = codes + r * cols;                               \
+        unsigned char *br = b + r * b_stride;                          \
         /* A chunk row ends mid-page, where the hardware streamer      \
          * stops: ask for the head of the next row ourselves. */       \
         if (r + 1 < rows)                                              \
@@ -117,15 +130,23 @@ static void NAME(const unsigned char *t, const unsigned char *b,       \
             if (stop > cols) {                                         \
                 stop = cols;                                           \
             } else if (repro_same64(tr + i * S, br + i * S)) {         \
-                memset(cr + i, 0, RUN * sizeof(uint64_t));             \
                 zeros += RUN;                                          \
                 i = stop;                                              \
                 continue;                                              \
             }                                                          \
-            for (; i < stop; i++) {                                    \
+            int64_t first = r * cols + i;                              \
+            if (first == end) {                                        \
+                spans[2 * nspans - 1] += stop - i;                     \
+            } else {                                                   \
+                spans[2 * nspans] = first;                             \
+                spans[2 * nspans + 1] = stop - i;                      \
+                nspans++;                                              \
+            }                                                          \
+            end = r * cols + stop;                                     \
+            for (int64_t j = i; j < stop; j++) {                       \
                 T tv, bv;                                              \
-                memcpy(&tv, tr + i * S, S);                            \
-                memcpy(&bv, br + i * S, S);                            \
+                memcpy(&tv, tr + j * S, S);                            \
+                memcpy(&bv, br + j * S, S);                            \
                 uint64_t code;                                         \
                 if (use_xor) {                                         \
                     code = WIDEN(tv) ^ WIDEN(bv);                      \
@@ -136,15 +157,19 @@ static void NAME(const unsigned char *t, const unsigned char *b,       \
                     uint64_t d = WIDEN(tv) - WIDEN(bv);                \
                     code = (d << 1) ^ (0 - (d >> 63));                 \
                 }                                                      \
-                cr[i] = code;                                          \
+                *codes++ = code;                                       \
                 if (code)                                              \
                     hist[64 - __builtin_clzll(code)]++;                \
                 else                                                   \
                     zeros++;                                           \
             }                                                          \
+            if (adopt)                                                 \
+                memcpy(br + i * S, tr + i * S, (size_t)(stop - i) * S);\
+            i = stop;                                                  \
         }                                                              \
     }                                                                  \
     hist[0] += zeros;                                                  \
+    return nspans;                                                     \
 }
 
 #define AS_SIGNED(v) ((uint64_t)(int64_t)(v))
@@ -161,16 +186,17 @@ DELTA_KERNEL(repro_delta_u64, uint64_t, AS_UNSIGNED)
 DELTA_KERNEL(repro_delta_bool, uint8_t, AS_TRUTH)
 
 /* `kind` indexes the cell types in the order above (floats arrive as
- * the same-width unsigned kind with use_xor set).  Returns 0, or -1
- * for a kind this build does not know. */
-int repro_delta_codes(const unsigned char *t, const unsigned char *b,
-                      int kind, int use_xor, int64_t rows, int64_t cols,
-                      int64_t t_stride, int64_t b_stride,
-                      uint64_t *codes, int64_t *hist)
+ * the same-width unsigned kind with use_xor set).  Returns the span
+ * count, or -1 for a kind this build does not know. */
+int64_t repro_delta_codes(const unsigned char *t, unsigned char *b,
+                          int kind, int use_xor, int adopt, int64_t rows,
+                          int64_t cols, int64_t t_stride, int64_t b_stride,
+                          uint64_t *codes, int64_t *spans, int64_t *hist)
 {
-    static void (*const kernels[])(
-        const unsigned char *, const unsigned char *, int, int64_t,
-        int64_t, int64_t, int64_t, uint64_t *, int64_t *) = {
+    static int64_t (*const kernels[])(
+        const unsigned char *, unsigned char *, int, int, int64_t,
+        int64_t, int64_t, int64_t, uint64_t *, int64_t *,
+        int64_t *) = {
         repro_delta_i8, repro_delta_i16, repro_delta_i32,
         repro_delta_i64, repro_delta_u8, repro_delta_u16,
         repro_delta_u32, repro_delta_u64, repro_delta_bool,
@@ -178,12 +204,11 @@ int repro_delta_codes(const unsigned char *t, const unsigned char *b,
     if (kind < 0 || kind >= (int)(sizeof kernels / sizeof kernels[0]))
         return -1;
     memset(hist, 0, 65 * sizeof(int64_t));
-    kernels[kind](t, b, use_xor, rows, cols, t_stride, b_stride, codes,
-                  hist);
-    return 0;
+    return kernels[kind](t, b, use_xor, adopt, rows, cols, t_stride,
+                         b_stride, codes, spans, hist);
 }
 
-/* ---- Write side, pass 2: split and pack -------------------------- */
+/* ---- Write side, pass 2: the pack -------------------------------- */
 typedef struct {
     uint64_t *w;
     uint64_t acc;
@@ -216,51 +241,51 @@ static inline void repro_push_zeros(repro_stream *s, int64_t count)
     s->fill = fill;
 }
 
-/* The hybrid codec's three sections in one pass over the codes: the
- * dense stream of every code below 2**small_bits (zero at outlier
- * positions), and the outliers' positions and values, each packed
- * LSB-first at its own width.  small_bits = 0 stores no dense stream
- * and makes every nonzero code an outlier — the sparse codec's
- * layout.  The caller sizes the three word buffers from the width
- * histogram (`outliers` codes need more than small_bits); the return
- * value is the outlier count found, or -1 the moment the codes would
- * overrun that count, so a stale histogram can never write out of
- * bounds.  Runs of eight zero codes skip the per-code loop. */
-int64_t repro_split_pack(const uint64_t *codes, int64_t n,
-                         int64_t small_bits, int64_t position_bits,
-                         int64_t value_bits, int64_t outliers,
-                         uint64_t *small_words, uint64_t *position_words,
-                         uint64_t *value_words)
+/* The one pack, over a code array of `n` cells given as the analysis
+ * pass leaves it: `codes` back to back for the `nspans` (first cell,
+ * cell count) spans, every cell outside them code 0.  Writes the dense
+ * stream of every code below 2**small_bits (zero at outlier
+ * positions) and the outliers' positions and values, each packed
+ * LSB-first at its own width: the gaps between spans go out as bulk
+ * zeros, and an outlier's position is its span's first cell plus its
+ * offset in the span.  small_bits = 0 stores no dense stream and makes
+ * every nonzero code an outlier — the sparse codec's layout; a split
+ * with no outliers is the dense layout, and one span over every cell
+ * packs a plain array.  The caller sizes the three word buffers from
+ * the width histogram (`outliers` codes need more than small_bits);
+ * the return value is the outlier count found, or -1 the moment the
+ * codes would overrun that count or a span is not ascending inside
+ * [0, n), so a stale histogram can never write out of bounds. */
+int64_t repro_pack_runs(const uint64_t *codes, const int64_t *spans,
+                        int64_t nspans, int64_t n, int64_t small_bits,
+                        int64_t position_bits, int64_t value_bits,
+                        int64_t outliers, uint64_t *small_words,
+                        uint64_t *position_words, uint64_t *value_words)
 {
     repro_stream small = {small_words, 0, 0, small_bits};
     repro_stream positions = {position_words, 0, 0, position_bits};
     repro_stream values = {value_words, 0, 0, value_bits};
-    int64_t found = 0;
-    int64_t i = 0;
-    while (i < n) {
-        int64_t stop = i + 8;
-        if (stop > n) {
-            stop = n;
-        } else if (!(codes[i] | codes[i + 1] | codes[i + 2] | codes[i + 3]
-                     | codes[i + 4] | codes[i + 5] | codes[i + 6]
-                     | codes[i + 7])) {
-            repro_push_zeros(&small, 8);
-            i = stop;
-            continue;
-        }
-        for (; i < stop; i++) {
-            uint64_t x = codes[i];
+    int64_t found = 0, at = 0;
+    for (int64_t s = 0; s < nspans; s++) {
+        int64_t first = spans[2 * s], count = spans[2 * s + 1];
+        if (first < at || count < 0 || count > n - first)
+            return -1;
+        repro_push_zeros(&small, first - at);
+        for (int64_t j = 0; j < count; j++) {
+            uint64_t x = *codes++;
             if (small_bits < 64 && (x >> small_bits)) {
                 if (found == outliers)
                     return -1;
                 found++;
-                repro_push(&positions, (uint64_t)i);
+                repro_push(&positions, (uint64_t)(first + j));
                 repro_push(&values, x);
                 x = 0;
             }
             repro_push(&small, x);
         }
+        at = first + count;
     }
+    repro_push_zeros(&small, n - at);
     if (small.fill)
         *small.w = small.acc;
     if (positions.fill)
@@ -268,34 +293,6 @@ int64_t repro_split_pack(const uint64_t *codes, int64_t n,
     if (values.fill)
         *values.w = values.acc;
     return found;
-}
-
-/* LSB-first bit stream pack for any width 1..64: value i occupies
- * stream bits [i*bits, (i+1)*bits).  A single carry register crosses
- * word boundaries, so each input is loaded once and each output word
- * stored once.  The trailing partial word is zero-padded. */
-void repro_pack_bits(const uint64_t *v, int64_t n, int64_t bits,
-                     uint64_t *w)
-{
-    if (bits == 64) {
-        memcpy(w, v, (size_t)n * sizeof(uint64_t));
-        return;
-    }
-    uint64_t acc = 0;
-    int64_t fill = 0;
-    int64_t wi = 0;
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t x = v[i];
-        acc |= x << fill;
-        fill += bits;
-        if (fill >= 64) {
-            w[wi++] = acc;
-            fill -= 64;
-            acc = fill ? x >> (bits - fill) : 0;
-        }
-    }
-    if (fill)
-        w[wi] = acc;
 }
 
 /* Inverse zigzag over the uint64 bit image: 0,1,2,3 -> 0,-1,1,-2.
@@ -310,7 +307,7 @@ void repro_zigzag_decode(const uint64_t *c, uint64_t *out, int64_t n)
 }
 
 /* LSB-first bit stream unpack for widths 1..63: the carry-register
- * inverse of repro_pack_bits (width 64 is a plain dtype reinterpret
+ * inverse of repro_pack_runs (width 64 is a plain dtype reinterpret
  * upstream and never reaches here).  The stream arrives as raw bytes
  * so the trailing partial word never reads past the buffer; the tail
  * is zero-extended exactly like the numpy word loader. */
@@ -589,17 +586,16 @@ def _compile() -> ctypes.CDLL | None:
         # typed ``data_as`` cast per argument is measurable.
         lib.repro_delta_codes.argtypes = [
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, ctypes.c_int,
+            ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_void_p]
+        lib.repro_delta_codes.restype = ctypes.c_int64
+        lib.repro_pack_runs.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-        lib.repro_delta_codes.restype = ctypes.c_int
-        lib.repro_split_pack.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-        lib.repro_split_pack.restype = ctypes.c_int64
-        lib.repro_pack_bits.argtypes = [
-            _U64_P, ctypes.c_int64, ctypes.c_int64, _U64_P]
-        lib.repro_pack_bits.restype = None
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_void_p]
+        lib.repro_pack_runs.restype = ctypes.c_int64
         lib.repro_zigzag_decode.argtypes = [_U64_P, _U64_P,
                                             ctypes.c_int64]
         lib.repro_zigzag_decode.restype = None
@@ -714,19 +710,31 @@ def _as_rows(array: np.ndarray
     return np.ascontiguousarray(array), 1, array.size, 0
 
 
+def scratch_cells(n: int) -> int:
+    """uint64 cells of scratch :func:`delta_zigzag_stats` needs to keep
+    the run list of a chunk of ``n`` cells: ``n`` codes, then two
+    entries for each of at most ``n // 8 + 1`` spans."""
+    return n + 2 * (n // 8 + 1)
+
+
 def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
-                       out: np.ndarray | None = None
-                       ) -> tuple[np.ndarray, np.ndarray] | None:
+                       out: np.ndarray | None = None, adopt: bool = False
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Fused delta + code + width histogram of one chunk, or None.
 
     The write path's analysis pass for every cell type
     :func:`repro.core.numeric.delta_mode_for` accepts, read in place:
     ``target`` and ``base`` may be row-strided views of their canvases
-    (see :func:`_as_rows`).  Returns ``(codes, width_counts)``: the flat
-    uint64 code array and the count of codes per exact bit length,
-    both bit-identical to the numpy pipeline's.  ``out`` (flat uint64,
-    at least ``target.size`` long) receives the codes instead of a
+    (see :func:`_as_rows`).  Returns ``(codes, spans, width_counts)``,
+    the *run list* of the chunk's flat code array — ``spans`` the
+    ``(first cell, cell count)`` rows of the runs that differ from the
+    base, ascending, and ``codes`` their codes back to back; every
+    other code is 0 — and the count of codes per exact bit length,
+    bit-identical to the numpy pipeline's.  ``out`` (flat uint64, at
+    least :func:`scratch_cells` long) holds the run list instead of a
     fresh array; the caller must be done with the previous contents.
+    With ``adopt`` the writable ``base`` ends holding ``target``'s
+    cells: the kernel copies each run it coded.
     """
     lib = _active()
     if lib is None:
@@ -759,58 +767,74 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
     if None in strides:
         return decline(kernel, "target and base rows differ")
     kind, use_xor = cell
-    if out is None or out.size < n or out.dtype != np.uint64 \
+    need = scratch_cells(n)
+    if out is None or out.size < need or out.dtype != np.uint64 \
             or not out.flags.c_contiguous or not out.flags.writeable:
-        out = np.empty(n, dtype=np.uint64)
-    codes = out[:n]
+        out = np.empty(need, dtype=np.uint64)
+    spans = out[n:need].view(np.int64)
     hist = np.empty(65, dtype=np.int64)
-    status = lib.repro_delta_codes(
+    # A base read through a copy (a 3-d window) is adopted afterwards.
+    in_place = adopt and sides[1][0] is base
+    count = lib.repro_delta_codes(
         sides[0][0].ctypes.data, sides[1][0].ctypes.data,
-        kind, use_xor, rows, cols, *strides,
-        codes.ctypes.data, hist.ctypes.data)
-    if status:
+        kind, use_xor, in_place, rows, cols, *strides,
+        out.ctypes.data, spans.ctypes.data, hist.ctypes.data)
+    if count < 0:
         return decline(kernel, "cell kind unknown to this build")
-    return codes, hist
+    if adopt and not in_place:
+        np.copyto(base, target)
+    spans = spans[:2 * count].reshape(count, 2)
+    return out[:int(spans[:, 1].sum())], spans, hist
 
 
-def split_pack(codes: np.ndarray, small_bits: int, outliers: int,
-               value_bits: int) -> tuple[bytes, bytes, bytes] | None:
-    """The hybrid split's three packed sections in one pass, or None.
+def pack_runs(codes: np.ndarray, spans: np.ndarray, n: int,
+              small_bits: int, outliers: int, value_bits: int
+              ) -> tuple[bytes, bytes, bytes] | None:
+    """The split's three packed sections in one pass over a run list,
+    or None.
 
-    ``codes`` is the flat uint64 code array, ``outliers`` how many of
-    them need more than ``small_bits`` bits and ``value_bits`` the
-    width of the largest — both read off the width histogram the
-    analysis pass already produced, never re-derived.  Returns the
-    packed ``(small, positions, values)`` byte strings exactly as
+    ``codes`` and ``spans`` are a run list of ``n`` cells as
+    :func:`delta_zigzag_stats` returns it, ``outliers`` how many codes
+    need more than ``small_bits`` bits and ``value_bits`` the width of
+    the largest — both read off the width histogram the analysis pass
+    already produced, never re-derived.  Returns the packed ``(small,
+    positions, values)`` byte strings exactly as
     :func:`repro.core.bitpack.pack_unsigned` would emit them for the
-    masked small array, the outlier positions and the outlier values;
-    ``small_bits = 0`` is the sparse codec's layout (empty dense
-    section, every nonzero code in the table).
+    full code array masked at the outliers, the outlier positions and
+    the outlier values; ``small_bits = 0`` is the sparse codec's layout
+    (empty dense section, every nonzero code in the table), and
+    ``small_bits`` = the widest code with no outliers the dense one.
     """
     lib = _active()
     if lib is None:
         return None
-    kernel = "split_pack"
+    kernel = "pack_runs"
     if not isinstance(codes, np.ndarray) or codes.dtype != np.uint64 \
             or codes.ndim != 1 or not codes.flags.c_contiguous:
         return decline(kernel, "codes are not a flat uint64 array")
-    n = codes.size
-    if n == 0:
+    if not isinstance(spans, np.ndarray) or spans.dtype != np.int64 \
+            or spans.ndim != 2 or spans.shape[1] != 2 \
+            or not spans.flags.c_contiguous:
+        return decline(kernel, "spans are not (first, count) int64 rows")
+    if n <= 0:
         return decline(kernel, "empty")
     if sys.byteorder != "little":
         return decline(kernel, "big-endian host")
     if not (0 <= small_bits <= 64 and 0 <= value_bits <= 64
             and 0 <= outliers <= n):
         return decline(kernel, "split parameters out of range")
+    if int(spans[:, 1].sum()) > codes.size:
+        return decline(kernel, "spans name more codes than given")
     position_bits = (n - 1).bit_length()
     sections = [(n * small_bits + 7) // 8,
                 (outliers * position_bits + 7) // 8,
                 (outliers * value_bits + 7) // 8]
     words = [np.empty((nbytes + 7) // 8, dtype=np.uint64)
              for nbytes in sections]
-    found = lib.repro_split_pack(
-        codes.ctypes.data, n, small_bits, position_bits, value_bits,
-        outliers, *(section.ctypes.data for section in words))
+    found = lib.repro_pack_runs(
+        codes.ctypes.data, spans.ctypes.data, spans.shape[0], n,
+        small_bits, position_bits, value_bits, outliers,
+        *(section.ctypes.data for section in words))
     if found != outliers:
         return decline(kernel, "outlier count disagrees with the codes")
     return tuple(w.view(np.uint8)[:nbytes].tobytes()
@@ -822,17 +846,21 @@ def pack_bits(values: np.ndarray, bits: int) -> np.ndarray | None:
 
     ``values`` must be flat, C-contiguous uint64 already validated to
     fit ``bits`` (the caller, :func:`repro.core.bitpack.pack_unsigned`,
-    checks).  Byte-identical to the numpy block kernel.
+    checks).  The pack kernel over one span of every value, with no
+    outliers; byte-identical to the numpy block kernel.
     """
     lib = _active()
     if (lib is None or not isinstance(values, np.ndarray)
-            or not values.flags.c_contiguous or values.size == 0):
+            or values.dtype != np.uint64 or not values.flags.c_contiguous
+            or values.size == 0 or not 0 < bits <= 64):
         return None
     n = values.size
     words = np.empty((n * bits + 63) // 64, dtype=np.uint64)
-    lib.repro_pack_bits(
-        values.ctypes.data_as(_U64_P), ctypes.c_int64(n),
-        ctypes.c_int64(bits), words.ctypes.data_as(_U64_P))
+    whole = np.array([[0, n]], dtype=np.int64)
+    if lib.repro_pack_runs(values.ctypes.data, whole.ctypes.data, 1, n,
+                           bits, 0, 0, 0, words.ctypes.data, None,
+                           None) != 0:
+        return None
     return words
 
 

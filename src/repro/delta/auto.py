@@ -121,8 +121,8 @@ def materialized_size(target: np.ndarray, compressor: Codec
 def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                   compressor: Codec | None = None,
                   candidates: tuple[DeltaCodec, ...] | None = None,
-                  *, scratch: np.ndarray | None = None
-                  ) -> PlannedEncoding:
+                  *, scratch: np.ndarray | None = None,
+                  adopt: bool = False) -> PlannedEncoding:
     """Pick the cheapest representation of ``target`` in a single pass.
 
     ``base`` is the version the optimizer proposes to delta against
@@ -138,9 +138,11 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
     the materialized form is sized analytically under the identity
     compressor, so when a delta wins its payload is never produced.
 
-    ``scratch`` is storage the plan's code array may live in (see
-    ``CodePlan.build``); the returned decision holds only encoded
-    bytes, so the lender may reuse it as soon as this returns.
+    ``scratch`` is storage the plan's run list may live in, and
+    ``adopt`` leaves ``base`` holding ``target``'s cells (see
+    ``CodePlan.build``: every candidate must be composable); the
+    returned decision holds only encoded bytes, so the lender may
+    reuse the scratch as soon as this returns.
     """
     compressor = compressor or IdentityCodec()
     mat_size, mat_payload = materialized_size(target, compressor)
@@ -153,7 +155,7 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                                bytes_saved=0)
 
     candidates = candidates or default_delta_candidates()
-    plan = CodePlan.build(target, base, scratch=scratch)
+    plan = CodePlan.build(target, base, scratch=scratch, adopt=adopt)
     best_codec: DeltaCodec | None = None
     best_size = mat_size
     best_parts: list[bytes] | None = None

@@ -219,11 +219,11 @@ class CodeArrayDeltaCodec(DeltaCodec):
     # -- encode: always from a plan ------------------------------------
     def encode_from_plan(self, plan: CodePlan) -> list[bytes]:
         return [self._frame(plan.target, plan.mode),
-                *self._seal(self._encode(plan.codes, plan.stats))]
+                *self._seal(self._encode(plan.runs, plan.stats))]
 
     def plan_size(self, plan: CodePlan) -> int | None:
         return self._frame_size(plan.target) + \
-            self._size(plan.codes, plan.stats)
+            self._size(plan.runs, plan.stats)
 
     def encode_parts(self, target: np.ndarray,
                      base: np.ndarray) -> list[bytes]:

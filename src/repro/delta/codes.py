@@ -5,11 +5,11 @@ of two versions to a flat array of unsigned 64-bit *codes* (arithmetic
 deltas are zigzag-mapped so small signed differences become small codes;
 float XOR deltas are already unsigned).  :class:`CodePlan` is the one
 place that reduction happens: one pass over a ``(target, base)`` pair
-yields the codes and their :class:`CodeStats` width histogram, and
-everything downstream — pricing a candidate, pricing a Materialization
-Matrix entry (Section IV-A), choosing the hybrid split, emitting a
-payload — is arithmetic on that histogram plus at most one
-split-and-pack pass over the codes.
+yields the codes — as a run list, only the runs of cells that changed —
+and their :class:`CodeStats` width histogram, and everything
+downstream — pricing a candidate, pricing a Materialization Matrix
+entry (Section IV-A), choosing the hybrid split, emitting a payload —
+is arithmetic on that histogram plus at most one pack over the runs.
 
 The three storage strategies of Section III-B.3 apply to the code array:
 
@@ -31,9 +31,9 @@ against), and which of the two section kinds — :data:`SMALL`,
 :data:`TABLE` — its payload is made of, which is all :func:`fold_chain`
 (the read path: every level of a chain folded straight into the cells
 of the version being read) needs to know of it.  The size and encode
-functions take the plan's ``stats``; a caller holding bare codes omits
-it and pays for the histogram on the function's first line — there is
-one body either way.
+functions take the plan's run list and ``stats``; a caller holding a
+bare code array passes it and omits ``stats``, paying for the
+histogram on the function's first line — there is one body either way.
 
 The decoders accept any buffer-protocol object and slice it through
 ``memoryview`` (no ``bytes()`` copies on the read path).  They trust
@@ -47,6 +47,8 @@ sized from it — a corrupt payload raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,63 +195,123 @@ class CodeStats:
         return curve
 
 
+class _Runs(NamedTuple):
+    """A flat code array of ``n`` cells as its *run list*: ``spans``
+    are ``(first cell, cell count)`` rows, ascending and disjoint, and
+    ``codes`` their codes back to back; every cell outside them is
+    code 0.  The analysis kernel emits only the runs that differ from
+    the base; a bare array is one run over every cell."""
+
+    n: int
+    codes: np.ndarray
+    spans: np.ndarray
+
+    @classmethod
+    def of(cls, codes) -> "_Runs":
+        """``codes`` as a run list: itself when it is one, else one
+        run over the whole (flattened, uint64) array."""
+        if isinstance(codes, _Runs):
+            return codes
+        codes = np.ascontiguousarray(codes, dtype=np.uint64).ravel()
+        return cls(codes.size, codes,
+                   np.array([[0, codes.size]], dtype=np.int64))
+
+    def expand(self) -> np.ndarray:
+        """The full flat code array (the run's own codes when one run
+        covers every cell)."""
+        first, count = self.spans[:, 0], self.spans[:, 1]
+        if len(self.spans) == 1 and first[0] == 0 and count[0] == self.n:
+            return self.codes[:self.n]
+        full = np.zeros(self.n, dtype=np.uint64)
+        total = int(count.sum())
+        # Cell of the k-th code: its run's first cell plus its offset
+        # within the run.
+        cells = np.arange(total) + np.repeat(first - np.cumsum(count)
+                                             + count, count)
+        full[cells] = self.codes[:total]
+        return full
+
+
 @dataclass(frozen=True)
 class CodePlan:
     """The shared single-pass state of one ``(target, base)`` delta.
 
     Computed once per pair and handed to every consumer — each
     candidate codec on the write path, the Materialization Matrix, the
-    table benches: the compose ``mode``, the flat unsigned ``codes``
-    the strategies of Section III-B.3 operate on, and the code array's
+    table benches: the compose ``mode``, the code array the strategies
+    of Section III-B.3 operate on as its run list ``runs`` (on the
+    compiled path only the runs that differ from the base; the numpy
+    path's full array is one run), and the code array's
     :class:`CodeStats`.  Dense width, sparse nonzero count and the full
     hybrid split-cost curve all fall out of the same statistics, so
     pricing a representation costs arithmetic on a 65-bucket histogram,
-    not a pass over the chunk.
+    not a pass over the chunk, and packing the winner walks only the
+    runs.  :attr:`codes` is the full flat array, expanded on first use
+    (the numpy packers, the table benches, tests).
     """
 
     target: np.ndarray
     base: np.ndarray
     mode: str
-    codes: np.ndarray
+    runs: _Runs
     stats: CodeStats
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        return self.runs.expand()
 
     @classmethod
     def build(cls, target: np.ndarray, base: np.ndarray, *,
-              scratch: np.ndarray | None = None) -> "CodePlan":
+              scratch: np.ndarray | None = None,
+              adopt: bool = False) -> "CodePlan":
         """Plan ``target`` against ``base``.
 
         Both arrays may be strided chunk views; the compiled analysis
         pass reads them in place.  ``scratch`` (flat uint64, at least
-        ``target.size`` long) lends the plan its code array's storage:
-        the plan is then only valid until the lender reuses it.
+        :func:`repro.core.native.scratch_cells` of ``target.size``
+        long) lends the plan its run list's storage: the plan is then
+        only valid until the lender reuses it.  ``adopt`` leaves the
+        (writable) ``base`` holding ``target``'s cells — the kernel
+        copies just the runs that differ — so ``plan.base`` is the
+        target's contents afterwards: only codecs that take nothing
+        from it after planning (the composable ones) may encode such a
+        plan.
         """
         numeric.check_same_layout(target, base)
+        if adopt and not base.flags.writeable:
+            raise ValueError("adopting a delta base needs it writable")
         mode = numeric.delta_mode_for(target.dtype)
-        fused = native.delta_zigzag_stats(target, base, out=scratch)
+        fused = native.delta_zigzag_stats(target, base, out=scratch,
+                                          adopt=adopt)
         if fused is not None:
-            codes, counts = fused
-            return cls(target, base, mode, codes,
-                       CodeStats.from_width_counts(codes.size, counts))
+            codes, spans, counts = fused
+            return cls(target, base, mode, _Runs(target.size, codes, spans),
+                       CodeStats.from_width_counts(target.size, counts))
         delta, _ = numeric.compute_delta(target, base)
         codes = delta_to_codes(delta, mode)
-        return cls(target, base, mode, codes, CodeStats.from_codes(codes))
+        if adopt:
+            np.copyto(base, target)
+        return cls(target, base, mode, _Runs.of(codes),
+                   CodeStats.from_codes(codes))
 
 
 # ----------------------------------------------------------------------
 # Dense strategy
 # ----------------------------------------------------------------------
-def dense_size(codes: np.ndarray, stats: CodeStats | None = None) -> int:
+def dense_size(codes: np.ndarray | _Runs,
+               stats: CodeStats | None = None) -> int:
     """Encoded bytes of the dense strategy (1-byte width header)."""
     stats = stats or CodeStats.from_codes(codes)
     return 1 + bitpack.packed_size(stats.n, stats.max_bits)
 
 
-def encode_dense_parts(codes: np.ndarray,
+def encode_dense_parts(codes: np.ndarray | _Runs,
                        stats: CodeStats | None = None) -> list[bytes]:
-    """Dense D-bit encoding as its constituent buffers."""
+    """Dense D-bit encoding as its constituent buffers: the split at
+    the widest code, which has no outliers."""
     stats = stats or CodeStats.from_codes(codes)
-    return [pack_u8(stats.max_bits),
-            bitpack.pack_unsigned(codes, stats.max_bits)]
+    small, _, _ = _pack(_Runs.of(codes), stats.max_bits, 0, 0)
+    return [pack_u8(stats.max_bits), small]
 
 
 def encode_dense(codes: np.ndarray) -> bytes:
@@ -271,8 +333,34 @@ def decode_dense(data, offset: int, count: int
 # ----------------------------------------------------------------------
 # The split: packed small codes + an outlier table (sparse and hybrid)
 # ----------------------------------------------------------------------
-def _split_parts(codes: np.ndarray, small_bits: int, stats: CodeStats
-                 ) -> tuple[bytes, list[bytes]]:
+def _pack(runs: _Runs, small_bits: int, outliers: int, value_bits: int
+          ) -> tuple[bytes, bytes, bytes]:
+    """The packed ``(small, positions, values)`` sections of ``runs``
+    split at ``small_bits``: every code below ``2**small_bits`` in the
+    small section (zero at the outlier positions; none at width 0), the
+    ``outliers`` others' positions and values at ``value_bits``.  The
+    compiled pack walks the run list; the numpy form over the full
+    array is the byte-identical fallback."""
+    sections = native.pack_runs(runs.codes, runs.spans, runs.n,
+                                small_bits, outliers, value_bits)
+    if sections is not None:
+        return sections
+    codes = runs.expand()
+    position_bits = bitpack.required_bits(max(0, runs.n - 1))
+    positions = np.flatnonzero(codes >> np.uint64(small_bits)) \
+        if outliers else codes[:0]
+    small = codes
+    if outliers and small_bits:
+        small = codes.copy()
+        small[positions] = 0
+    return (bitpack.pack_unsigned(small, small_bits) if small_bits
+            else b"",
+            bitpack.pack_unsigned(positions, position_bits),
+            bitpack.pack_unsigned(codes[positions], value_bits))
+
+
+def _split_parts(codes: np.ndarray | _Runs, small_bits: int,
+                 stats: CodeStats) -> tuple[bytes, list[bytes]]:
     """``codes`` split at ``small_bits``: the packed small-code section
     (zeros at the outlier positions) and the outlier table (count,
     position width, value width, positions, values).
@@ -281,28 +369,15 @@ def _split_parts(codes: np.ndarray, small_bits: int, stats: CodeStats
     hybrid encoding the small width byte, the section and the table.
     The outlier count and value width are read off ``stats`` (the
     outliers include the array maximum whenever there are any), so
-    nothing is re-scanned, and the compiled pass writes all three
-    streams at once; the numpy form under it is the byte-identical
-    fallback.  ``small_bits`` < 64: the cost curve never selects 64
+    nothing is re-scanned, and one pack writes all three streams.
+    ``small_bits`` < 64: the cost curve never selects 64
     (``curve[64] >= curve[63]``), and sparse passes 0.
     """
     outliers = stats.outliers_at(small_bits)
     value_bits = stats.max_bits if outliers else 0
-    position_bits = bitpack.required_bits(max(0, codes.size - 1))
-    sections = native.split_pack(codes, small_bits, outliers, value_bits)
-    if sections is None:
-        positions = np.flatnonzero(codes >> np.uint64(small_bits)) \
-            if outliers else codes[:0]
-        small = codes
-        if outliers and small_bits:
-            small = codes.copy()
-            small[positions] = 0
-        sections = (
-            bitpack.pack_unsigned(small, small_bits) if small_bits
-            else b"",
-            bitpack.pack_unsigned(positions, position_bits),
-            bitpack.pack_unsigned(codes[positions], value_bits))
-    small, positions, values = sections
+    position_bits = bitpack.required_bits(max(0, stats.n - 1))
+    small, positions, values = _pack(_Runs.of(codes), small_bits,
+                                     outliers, value_bits)
     return small, [pack_i64(outliers), pack_u8(position_bits),
                    pack_u8(value_bits), positions, values]
 
@@ -337,7 +412,8 @@ def _read_outliers(data: memoryview, offset: int, count: int, what: str
 # ----------------------------------------------------------------------
 # Sparse strategy
 # ----------------------------------------------------------------------
-def sparse_size(codes: np.ndarray, stats: CodeStats | None = None) -> int:
+def sparse_size(codes: np.ndarray | _Runs,
+                stats: CodeStats | None = None) -> int:
     """Encoded bytes of the sparse strategy without materializing it.
 
     Codes are unsigned, so when any is nonzero the array maximum *is*
@@ -351,7 +427,7 @@ def sparse_size(codes: np.ndarray, stats: CodeStats | None = None) -> int:
             + bitpack.packed_size(stats.nonzero, stats.max_bits))
 
 
-def encode_sparse_parts(codes: np.ndarray,
+def encode_sparse_parts(codes: np.ndarray | _Runs,
                         stats: CodeStats | None = None) -> list[bytes]:
     """Sparse encoding as its constituent buffers: the outlier table of
     the split at width 0."""
@@ -377,13 +453,14 @@ def decode_sparse(data, offset: int, count: int
 # ----------------------------------------------------------------------
 # Hybrid strategy
 # ----------------------------------------------------------------------
-def hybrid_size(codes: np.ndarray, stats: CodeStats | None = None) -> int:
+def hybrid_size(codes: np.ndarray | _Runs,
+                stats: CodeStats | None = None) -> int:
     """Encoded bytes of the optimal hybrid split, without encoding."""
     stats = stats or CodeStats.from_codes(codes)
     return int(stats.split_curve().min())
 
 
-def hybrid_split_width(codes: np.ndarray,
+def hybrid_split_width(codes: np.ndarray | _Runs,
                        stats: CodeStats | None = None) -> int:
     """The small-code bit width the optimal hybrid split uses (the
     narrowest of the cheapest)."""
@@ -391,7 +468,7 @@ def hybrid_split_width(codes: np.ndarray,
     return int(np.argmin(stats.split_curve()))
 
 
-def encode_hybrid_parts(codes: np.ndarray,
+def encode_hybrid_parts(codes: np.ndarray | _Runs,
                         stats: CodeStats | None = None) -> list[bytes]:
     """Optimal small/large split encoding as its constituent buffers."""
     stats = stats or CodeStats.from_codes(codes)

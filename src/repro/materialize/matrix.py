@@ -188,4 +188,4 @@ def _delta_cost(flat_a: np.ndarray, flat_b: np.ndarray,
         flat_a, flat_b = flat_a[sample_index], flat_b[sample_index]
         scale = total_cells / len(sample_index)
     plan = CodePlan.build(flat_a, flat_b)
-    return float(hybrid_size(plan.codes, plan.stats)) * scale
+    return float(hybrid_size(plan.runs, plan.stats)) * scale

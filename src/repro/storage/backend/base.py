@@ -39,6 +39,9 @@ class StorageBackend(ABC):
     name: str = "abstract"
     #: True when the backend holds no durable state (nothing on disk).
     ephemeral: bool = False
+    #: True when :meth:`sync` makes the bytes it names crash-safe (an
+    #: fsync barrier), so the catalog commit after it is worth one too.
+    durable: bool = False
     # The durability barrier's executor (see _fan_barrier): built by
     # the first barrier that has more than one object to flush.
     _barrier_pool: ThreadPoolExecutor | None = None

@@ -91,6 +91,7 @@ class FaultInjectingBackend(StorageBackend):
         self.inner = inner
         self.seed = seed
         self.ephemeral = inner.ephemeral
+        self.durable = inner.durable
         raw = seeded_fault_schedule(seed) if schedule is None else schedule
         unknown = set(raw) - set(FAULT_KINDS)
         if unknown:

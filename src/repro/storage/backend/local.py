@@ -49,18 +49,26 @@ class LocalFileBackend(StorageBackend):
             with self._fresh_lock:
                 self._fresh_files.add(target)
 
+    def _open(self, target: Path, mode: str):
+        """``open(target, mode)``, creating the object's directories
+        the first time one is missing — so an insert into directories
+        that exist makes no ``mkdir`` call at all."""
+        try:
+            return open(target, mode)
+        except FileNotFoundError:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            return open(target, mode)
+
     def write(self, path: str, payload: bytes) -> None:
         target = self._resolve(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
         self._note_fresh(target)
-        with open(target, "wb") as handle:
+        with self._open(target, "wb") as handle:
             handle.write(payload)
 
     def append(self, path: str, payload: bytes) -> int:
         target = self._resolve(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
         self._note_fresh(target)
-        with open(target, "ab") as handle:
+        with self._open(target, "ab") as handle:
             offset = handle.tell()
             handle.write(payload)
         return offset

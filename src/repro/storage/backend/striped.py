@@ -32,6 +32,7 @@ class StripedBackend(StorageBackend):
             raise StorageError("a striped backend needs at least one child")
         self.children = children
         self.ephemeral = all(child.ephemeral for child in children)
+        self.durable = all(child.durable for child in children)
 
     def bind_stats(self, stats: "IOStats") -> None:
         for child in self.children:

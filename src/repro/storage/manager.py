@@ -91,16 +91,19 @@ class Shipment:
 class _Staged:
     """A write placed and synced but not committed (``_stage``); a new
     array's ``record`` and rows have no ``array_id`` until the commit.
-    ``head`` is the last version's contents."""
+    ``head`` is the last version's contents, and ``lease`` the hot
+    slot's (:meth:`_HotSlot.lend`) when that version was encoded onto
+    the slot's canvas, which then already holds it."""
 
     record: ArrayRecord
     versions: VersionRows
     chunks: list[ChunkRecord]
     head: ArrayData
+    lease: object | None = None
 
 
 class _HotSlot:
-    """The last version written, snapshotted into store-owned memory.
+    """The last version written, held in store-owned memory.
 
     A chain-policy insert deltas against the data the manager was just
     handed instead of re-reconstructing the parent through its whole
@@ -109,18 +112,44 @@ class _HotSlot:
     ``insert(buf)`` leaves ``buf`` writable, and a simulation loop
     that mutates ``buf`` in place between inserts would otherwise
     delta the next version against an already-mutated "base".  So the
-    version is copied into one canvas per attribute, allocated once
-    per layout and reused across inserts (one ``np.copyto`` each).
+    version lives in one canvas per attribute, allocated once per
+    layout and reused across inserts.  The next version gets there one
+    of two ways: an encode that :meth:`lend` handed the canvas copies
+    into it just the runs of cells that changed, and :meth:`adopt`
+    names the result; any other write is copied in whole
+    (:meth:`remember`).
     """
 
     def __init__(self):
         self._key: tuple[str, int] | None = None
         self._canvases: dict[str, np.ndarray] = {}
         self._data: ArrayData | None = None
+        self._lease: object | None = None
 
     def get(self, name: str, version: int) -> ArrayData | None:
         """The snapshot of ``name@version`` when that is what is held."""
         return self._data if self._key == (name, version) else None
+
+    def lend(self, name: str, version: int
+             ) -> tuple[dict[str, np.ndarray], object] | None:
+        """The writable canvases and a lease on them, when they hold
+        ``name@version``: un-named from here on — the borrower
+        overwrites them with the next version, and only :meth:`adopt`
+        with this lease names them again."""
+        if self._key != (name, version):
+            return None
+        self._key = None
+        self._lease = object()
+        return self._canvases, self._lease
+
+    def adopt(self, name: str, version: int, lease: object) -> bool:
+        """Name the lent canvases ``name@version`` — no copy — unless
+        another write touched the slot since ``lease`` was taken."""
+        if lease is None or lease is not self._lease:
+            return False
+        self._lease = None
+        self._key = (name, version)
+        return True
 
     def remember(self, name: str, version: int, data: ArrayData) -> None:
         sources = {attr: data.attribute(attr)
@@ -134,13 +163,15 @@ class _HotSlot:
             # ArrayData freezes views of its own; the canvases stay
             # writable here.
             self._data = ArrayData(data.schema, self._canvases)
-        self._key = None  # never a named, half-copied canvas
+        self._key = self._lease = None  # never a named, half-copied canvas
         for attr, values in sources.items():
             np.copyto(self._canvases[attr], values)
         self._key = (name, version)
 
     def forget(self, name: str) -> None:
-        """Drop the snapshot if it is of array ``name``."""
+        """Drop the snapshot if it is of array ``name`` (and any lease
+        out on the canvases)."""
+        self._lease = None
         if self._key is not None and self._key[0] == name:
             self._key = None
 
@@ -172,7 +203,8 @@ class VersionedStorageManager:
         # memory-backed store performs zero file I/O end to end.
         catalog_path = None if backend.ephemeral \
             else self.root / "metadata.db"
-        self.catalog = MetadataCatalog(catalog_path)
+        self.catalog = MetadataCatalog(catalog_path,
+                                       durable=backend.durable)
         self.chunk_bytes = chunk_bytes
         self.compressor_name = compressor
         self.delta_codec_name = delta_codec
@@ -826,18 +858,17 @@ class VersionedStorageManager:
             return attribute
         return record.schema.attributes[0].name
 
-    def _encode(self, stage, record: ArrayRecord, version: int,
-                data: ArrayData, base_version: int | None, held):
-        """Run one encode ``stage`` for one version, its base ``held``
-        (the version last staged, with its contents) when that is the
-        base, else :meth:`_version_contents`."""
-        base_data: ArrayData | None = None
-        if base_version is not None and self.encoder.wants_base:
-            base_data = held[1] if held is not None \
-                and held[0] == base_version \
-                else self._version_contents(record, base_version)
-        return stage(record, record.grid, version, data,
-                     base_data=base_data, base_version=base_version)
+    def _base_of(self, record: ArrayRecord, base_version: int | None,
+                 held) -> ArrayData | None:
+        """What a version encodes against: nothing when it has no base
+        or the policy never deltas, else ``held`` (the version last
+        staged, with its contents) when that is the base, else
+        :meth:`_version_contents`."""
+        if base_version is None or not self.encoder.wants_base:
+            return None
+        if held is not None and held[0] == base_version:
+            return held[1]
+        return self._version_contents(record, base_version)
 
     def _stage(self, name: str, contents, *, kind: str = "insert",
                version: int | None = None,
@@ -846,7 +877,10 @@ class VersionedStorageManager:
                merge_parents: list | None = None,
                origin: tuple[str, int | None] | None = None) -> _Staged:
         """Plan, encode, place and barrier every version of one write;
-        no catalog write, no hot slot (:meth:`_commit` does both).
+        no catalog write.  A version whose base the hot slot holds
+        borrows the slot's canvas (:meth:`_HotSlot.lend`, which
+        un-names it) and is encoded onto it; :meth:`_commit` names it,
+        or copies the last version in.
 
         ``contents`` become consecutive versions of ``name``, each the
         lineage child and delta of the one before; the first is
@@ -876,13 +910,23 @@ class VersionedStorageManager:
             raise StorageError(
                 f"array {name!r} is append-only: it is at version "
                 f"{latest}, cannot write version {version}")
-        rows, chunks, held = [], [], None
+        rows, chunks, held, lease = [], [], None, None
         try:
             for number, payload in enumerate(contents, version):
                 parent = parent_version if number == version else number - 1
                 data = self._normalize_payload(record, payload)
-                chunks += self._encode(self.encoder.write_version, record,
-                                       number, data, parent, held)
+                base_data = self._base_of(record, parent, held)
+                # A base the hot slot holds is encoded against in
+                # place: the encode leaves the canvas holding ``data``.
+                canvas = lease = None
+                if base_data is not None \
+                        and base_data is self._hot.get(record.name, parent) \
+                        and self.encoder.composes:
+                    canvas, lease = self._hot.lend(record.name, parent)
+                chunks += self.encoder.write_version(
+                    record, record.grid, number, data,
+                    base_data=base_data, base_version=parent,
+                    canvas=canvas)
                 rows.append((VersionRecord(
                     record.array_id, number, parent, kind,
                     self._now() if timestamp is None else timestamp),
@@ -892,7 +936,7 @@ class VersionedStorageManager:
         except BaseException:
             self._discard(record)
             raise
-        return _Staged(record, rows, chunks, held[1])
+        return _Staged(record, rows, chunks, held[1], lease)
 
     def _discard(self, record: ArrayRecord) -> None:
         """Drop what a failed write placed for a new array (its name was
@@ -903,8 +947,9 @@ class VersionedStorageManager:
 
     def _commit(self, staged: _Staged) -> int:
         """Commit a staged write in one catalog transaction, then put
-        its last version — returned — in the hot slot (its only
-        writer).  A refused commit discards the stage."""
+        its last version — returned — in the hot slot (the only code
+        that names one there): name the canvas the stage encoded it
+        onto, else copy it in.  A refused commit discards the stage."""
         record = staged.record
         try:
             self.catalog.put_chunks(
@@ -914,7 +959,8 @@ class VersionedStorageManager:
             self._discard(record)
             raise
         version = staged.versions[-1][0].version
-        if self.encoder.wants_base:
+        if self.encoder.wants_base and not self._hot.adopt(
+                record.name, version, staged.lease):
             self._hot.remember(record.name, version, staged.head)
         return version
 
@@ -945,8 +991,10 @@ class VersionedStorageManager:
         held = None
         for version, base_version in plan:
             data = self._select(snap, version)
-            staged += self._encode(self.encoder.stage_version, record,
-                                   version, data, base_version, held)
+            staged += self.encoder.stage_version(
+                record, record.grid, version, data,
+                base_data=self._base_of(record, base_version, held),
+                base_version=base_version)
             held = (version, data)
 
         old = snap.all_chunks()

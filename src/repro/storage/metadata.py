@@ -395,10 +395,25 @@ class MetadataCatalog:
     seen — one open catalog per store.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        """``path`` of None keeps the catalog in memory (tests)."""
+    def __init__(self, path: str | Path | None = None, *,
+                 durable: bool = False):
+        """``path`` of None keeps the catalog in memory (tests).
+
+        A file catalog logs ahead (``journal_mode=WAL``: a commit
+        appends to the log instead of rewriting pages through a
+        rollback journal) and syncs each commit (``synchronous=FULL``)
+        only when ``durable`` — the store's backend makes its bytes
+        crash-safe at the barrier before the commit, so the commit
+        naming them is worth an fsync too.  Otherwise ``NORMAL``: a
+        power loss may drop the last commits, never tear one, and a
+        process crash loses nothing.
+        """
         self._conn = sqlite3.connect(str(path) if path else ":memory:",
                                      check_same_thread=False)
+        if path:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous="
+                               + ("FULL" if durable else "NORMAL"))
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.RLock()
         self._by_name: dict[str, ArraySnapshot] = {}

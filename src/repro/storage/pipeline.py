@@ -64,6 +64,7 @@ from typing import Callable
 import numpy as np
 
 from repro.compression.registry import get_codec
+from repro.core import native
 from repro.core.array import ArrayData
 from repro.core.errors import (
     CodecError,
@@ -71,7 +72,11 @@ from repro.core.errors import (
     NoOverwriteError,
     StorageError,
 )
-from repro.delta.auto import EncodingDecision, plan_encoding
+from repro.delta.auto import (
+    EncodingDecision,
+    default_delta_candidates,
+    plan_encoding,
+)
 from repro.delta.base import fold_chain
 from repro.delta.registry import get_delta_codec
 from repro.storage.chunking import ChunkGrid, ChunkRef
@@ -396,8 +401,8 @@ class EncodePipeline(_PooledStage):
         self.store = store
         self.delta_policy = delta_policy
         self.delta_codec_name = delta_codec
-        # One code-array buffer per encoding thread, reused chunk
-        # after chunk: a plan's codes are dead once its decision (pure
+        # One run-list buffer per encoding thread, reused chunk after
+        # chunk: a plan's run list is dead once its decision (pure
         # bytes) is returned, and a task runs on one thread.
         self._scratch = threading.local()
         self._init_pool(workers)
@@ -407,6 +412,20 @@ class EncodePipeline(_PooledStage):
         """Whether the policy ever deltas (the base version is worth
         reconstructing before encoding)."""
         return self.delta_policy != POLICY_MATERIALIZE
+
+    @property
+    def composes(self) -> bool:
+        """Whether every delta candidate composes — takes nothing from
+        the base after planning — so an encode may adopt its base
+        canvas (:meth:`write_version`'s ``canvas``)."""
+        return self.wants_base and all(
+            codec.composable for codec in self._candidates())
+
+    def _candidates(self) -> tuple:
+        """The delta codecs the policy tries on a chunk."""
+        if self.delta_policy == POLICY_CHAIN:
+            return (get_delta_codec(self.delta_codec_name),)
+        return default_delta_candidates()
 
     # ------------------------------------------------------------------
     # Stage 1: plan
@@ -427,46 +446,55 @@ class EncodePipeline(_PooledStage):
     # Stage 2: encode
     # ------------------------------------------------------------------
     def encode_chunk(self, target: np.ndarray, base: np.ndarray | None,
-                     compressor) -> EncodingDecision:
+                     compressor, *, adopt: bool = False
+                     ) -> EncodingDecision:
         """Pick and produce one chunk's representation.
 
         The decision comes from the single-pass
-        :func:`~repro.delta.auto.plan_encoding` — one delta, one code
-        array, one set of width statistics, one encode — and the
+        :func:`~repro.delta.auto.plan_encoding` — one delta, one run
+        list, one set of width statistics, one encode — and the
         representations it sized but never produced are recorded in
-        the store's counters.
+        the store's counters.  ``adopt`` (only when :attr:`composes`)
+        leaves the writable ``base`` window holding ``target``'s cells.
         """
         scratch = None
         if self.delta_policy == POLICY_MATERIALIZE or base is None:
             base = None
             candidates = None
+            adopt = False
         else:
-            candidates = (get_delta_codec(self.delta_codec_name),) \
-                if self.delta_policy == POLICY_CHAIN else None
-            scratch = getattr(self._scratch, "codes", None)
-            if scratch is None or scratch.size < target.size:
-                scratch = self._scratch.codes = np.empty(
-                    target.size, dtype=np.uint64)
+            candidates = self._candidates()
+            scratch = getattr(self._scratch, "runs", None)
+            need = native.scratch_cells(target.size)
+            if scratch is None or scratch.size < need:
+                scratch = self._scratch.runs = np.empty(
+                    need, dtype=np.uint64)
         planned = plan_encoding(target, base, compressor=compressor,
-                                candidates=candidates, scratch=scratch)
+                                candidates=candidates, scratch=scratch,
+                                adopt=adopt)
         self.store.stats.record_encode_plan(planned.encodes_avoided,
                                             planned.bytes_saved)
         return planned.decision
 
     def _encode_task(self, task: EncodeTask, data: ArrayData,
-                     base_data: ArrayData | None,
-                     compressor) -> EncodingDecision:
-        target = data.attribute(task.attribute)[task.chunk.slices()]
+                     base_data: ArrayData | None, compressor,
+                     canvas: dict[str, np.ndarray] | None
+                     ) -> EncodingDecision:
+        window = task.chunk.slices()
+        target = data.attribute(task.attribute)[window]
         base = None
-        if base_data is not None:
-            base = base_data.attribute(
-                task.attribute)[task.chunk.slices()]
-        decision = self.encode_chunk(target, base, compressor)
+        if canvas is not None:
+            base = canvas[task.attribute][window]
+        elif base_data is not None:
+            base = base_data.attribute(task.attribute)[window]
+        decision = self.encode_chunk(target, base, compressor,
+                                     adopt=canvas is not None)
         self.store.stats.record_encode_task()
         return decision
 
     def _encode_tasks(self, tasks: list[EncodeTask], data: ArrayData,
-                      base_data: ArrayData | None, compressor):
+                      base_data: ArrayData | None, compressor,
+                      canvas: dict[str, np.ndarray] | None):
         """Yield each task's :class:`EncodingDecision` in task order.
 
         The parallel path groups tasks into contiguous blocks (a few
@@ -482,7 +510,8 @@ class EncodePipeline(_PooledStage):
             if self.workers > 1 else 1  # ceil division
 
         def encode_block(block: list[EncodeTask]):
-            return [self._encode_task(task, data, base_data, compressor)
+            return [self._encode_task(task, data, base_data, compressor,
+                                      canvas)
                     for task in block]
 
         blocks = [tasks[i:i + step] for i in range(0, len(tasks), step)]
@@ -497,7 +526,9 @@ class EncodePipeline(_PooledStage):
                      version: int, data: ArrayData,
                      base_data: ArrayData | None,
                      base_version: int | None,
-                     committed: list[ChunkRecord]) -> list[ChunkRecord]:
+                     committed: list[ChunkRecord],
+                     canvas: dict[str, np.ndarray] | None = None
+                     ) -> list[ChunkRecord]:
         """Plan, encode and place every task of one version; the
         :class:`ChunkRecord` rows, in task order.
 
@@ -514,7 +545,7 @@ class EncodePipeline(_PooledStage):
                       for chunk in committed}
         records = []
         with closing(self._encode_tasks(tasks, data, base_data,
-                                        compressor)) as decisions:
+                                        compressor, canvas)) as decisions:
             for task, decision in zip(tasks, decisions):
                 location = self.store.write_chunk(
                     record.name, version, task.attribute,
@@ -548,19 +579,26 @@ class EncodePipeline(_PooledStage):
     def write_version(self, record: ArrayRecord, grid: ChunkGrid,
                       version: int, data: ArrayData, *,
                       base_data: ArrayData | None,
-                      base_version: int | None) -> list[ChunkRecord]:
+                      base_version: int | None,
+                      canvas: dict[str, np.ndarray] | None = None
+                      ) -> list[ChunkRecord]:
         """Plan, encode, place and barrier every chunk of a *new*
         version (a committed one raises :class:`NoOverwriteError`) and
         return the rows for the caller to commit.  ``base_data`` is the
-        base's contents (None to materialize).  A failure leaves only
-        bytes no row names.  The chunk cache is not touched.
+        base's contents (None to materialize).  ``canvas`` (only when
+        :attr:`composes`) is the writable arrays ``base_data`` views:
+        each chunk is then encoded against its window of them in place
+        and leaves the window holding ``data``'s cells, so after the
+        last chunk the canvas *is* this version.  A failure leaves only
+        bytes no row names — and a canvas partly overwritten.  The
+        chunk cache is not touched.
         """
         if record.array_id is not None and \
                 self.catalog.chunks_for_version(record.array_id, version):
             raise NoOverwriteError(
                 f"version {version} of {record.name!r} already exists")
         records = self._place_tasks(record, grid, version, data,
-                                    base_data, base_version, [])
+                                    base_data, base_version, [], canvas)
         # No row may name bytes a crash would lose; on the object backend
         # this completes every multipart upload the version staged.
         self.store.sync_chunks([chunk.location for chunk in records])

@@ -515,6 +515,44 @@ class TestStageThenCommit:
         cluster.close()
 
 
+    @pytest.mark.parametrize("workers", [0, 4])
+    def test_a_failed_stage_fan_leaves_no_stale_canvas(self, tmp_path, rng,
+                                                       workers):
+        """The copies staged before another copy's stage failed encoded
+        the new version onto their hot-slot canvases; the retry with
+        other data must delta against version 1 on every copy, exactly
+        as a cluster that never saw the failed insert."""
+        schema = ArraySchema.simple((12, 8), dtype=np.int32)
+        data = rng.integers(0, 100, (12, 8)).astype(np.int32)
+        retried = data.copy()
+        retried[::3] += 7
+        clusters = {}
+        for label in ("failed", "replay"):
+            cluster = clusters[label] = ClusterCoordinator(
+                tmp_path / label, nodes=3, replication=2, chunk_bytes=128,
+                backend="memory", workers=workers)
+            cluster.create_array("A", schema)
+            cluster.insert("A", data)
+        failed = clusters["failed"]
+        last = failed.replicas[-1][-1]
+        _refuse_placements(last, "injected placement fault")
+        with pytest.raises(StorageError, match="injected placement"):
+            failed.insert("A", data + 1)
+        del last.store.write_chunk
+        for cluster in clusters.values():
+            assert cluster.insert("A", retried) == 2
+        np.testing.assert_array_equal(failed.select("A", 2).single(),
+                                      retried)
+        assert failed.fingerprint() == clusters["replay"].fingerprint()
+        for row, replay_row in zip(failed.replicas,
+                                   clusters["replay"].replicas):
+            for manager, replay in zip(row, replay_row):
+                assert manager.stored_digests("A") == \
+                    replay.stored_digests("A")
+        for cluster in clusters.values():
+            cluster.close()
+
+
 def _assert_no_orphan_rows(manager) -> None:
     """The node catalog holds no version or chunk rows for arrays (or
     versions) that no longer exist — a failed fan-out must compensate

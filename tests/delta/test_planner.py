@@ -35,6 +35,7 @@ from repro.delta import (
 )
 from repro.delta.auto import CodePlan, plan_encoding
 from repro.delta.codes import (
+    _Runs,
     codes_to_delta,
     delta_to_codes,
     hybrid_split_width,
@@ -248,7 +249,7 @@ class TestNativeKernels:
         base = rng.integers(-2**62, 2**62, n, dtype=np.int64)
         fused = native.delta_zigzag_stats(target, base)
         assert fused is not None
-        codes, hist = fused
+        codes, hist = _expanded(n, fused), fused[2]
         delta, mode = compute_delta(target, base)
         expected = delta_to_codes(delta, mode)
         assert np.array_equal(codes, expected)
@@ -332,6 +333,12 @@ def _cells(rng, dtype: np.dtype, shape) -> np.ndarray:
     return raw.view(dtype).reshape(shape)
 
 
+def _expanded(n: int, fused) -> np.ndarray:
+    """The full code array of a ``delta_zigzag_stats`` run list."""
+    codes, spans, _ = fused
+    return _Runs(n, codes, spans).expand()
+
+
 def _reference_plan(target, base) -> CodePlan:
     """The plan the numpy path builds for the same inputs."""
     with native.disabled():
@@ -378,7 +385,7 @@ class TestNativeEveryCellType:
         fused = native.delta_zigzag_stats(target, base)
         assert fused is not None
         reference = _reference_plan(target, base)
-        codes, counts = fused
+        codes, counts = _expanded(target.size, fused), fused[2]
         assert np.array_equal(codes, reference.codes)
         assert np.array_equal(counts, reference.stats.width_counts)
 
@@ -468,13 +475,183 @@ class TestNativeEveryCellType:
                                                codes), small_bits),
                 bitpack.pack_unsigned(positions, 11),
                 bitpack.pack_unsigned(values, value_bits))
-        assert native.split_pack(codes, small_bits, positions.size,
-                                 value_bits) == expected
-        # A count the codes overrun is refused, not written past.
-        if positions.size:
-            assert native.split_pack(codes, small_bits,
-                                     positions.size - 1,
-                                     value_bits) is None
+        # The same codes as one run over every cell, and as the run
+        # list of their nonzero stretches (gaps of zeros left out).
+        nonzero = np.flatnonzero(np.diff(np.r_[0, codes != 0, 0]))
+        first, stop = nonzero[::2], nonzero[1::2]
+        run_lists = [
+            (codes, np.array([[0, codes.size]], dtype=np.int64)),
+            (codes[codes != 0], np.stack([first, stop - first], axis=1))]
+        for run_codes, spans in run_lists:
+            assert native.pack_runs(run_codes, spans, codes.size,
+                                    small_bits, positions.size,
+                                    value_bits) == expected
+            # A count the codes overrun is refused, not written past.
+            if positions.size:
+                assert native.pack_runs(run_codes, spans, codes.size,
+                                        small_bits, positions.size - 1,
+                                        value_bits) is None
+
+
+#: Windows of a (12, 70) canvas for the run-list tests: rows of 37
+#: cells end mid-run for every cell width (runs are 8..64 cells).
+_RUN_LAYOUTS = {
+    "contiguous": lambda canvas: np.ascontiguousarray(canvas[1:11, 3:40]),
+    "row-strided": lambda canvas: canvas[1:11, 3:40],
+    "3-d": lambda canvas: canvas.reshape(3, 4, 70)[:, 1:3, 5:60],
+}
+
+
+def _top_bit_flipped(cells: np.ndarray) -> np.ndarray:
+    """``cells`` with the highest bit of every cell flipped: codes of
+    the cell's full width (64 for 8-byte cells)."""
+    if cells.dtype.kind == "b":
+        return ~cells
+    image = cells.view(f"u{cells.itemsize}")
+    top = np.array(1 << (8 * cells.itemsize - 1), dtype=image.dtype)
+    return (image ^ top).view(cells.dtype)
+
+
+#: Target canvases derived from a base canvas, by how many runs differ.
+_RUN_CASES = {
+    "no-run-changed": lambda rng, base: base.copy(),
+    "one-cell-per-row": lambda rng, base: _one_cell_per_row(base),
+    "every-run-changed": lambda rng, base: _top_bit_flipped(base),
+    "random": lambda rng, base: _cells(rng, base.dtype, base.shape),
+}
+
+
+def _one_cell_per_row(base: np.ndarray) -> np.ndarray:
+    target = base.copy()
+    target[:, 20] = _top_bit_flipped(target[:, 20])
+    return target
+
+
+@pytest.mark.skipif(not native.available(),
+                    reason="native kernels did not compile")
+class TestRunList:
+    """The analysis kernel keeps only the runs that differ and the pack
+    walks only them: held to the numpy oracle — full code array, width
+    histogram, every payload — for every cell kind the kernel knows,
+    chunk layout and share of changed runs; with and without the base
+    adopting the target."""
+
+    @pytest.mark.parametrize("case", sorted(_RUN_CASES))
+    @pytest.mark.parametrize("layout", sorted(_RUN_LAYOUTS))
+    @pytest.mark.parametrize("cell", sorted(native._CELL_KINDS))
+    def test_matches_numpy(self, rng, cell, layout, case):
+        dtype = np.dtype("?" if cell == "b1" else cell)
+        base_canvas = _cells(rng, dtype, (12, 70))
+        target_canvas = _RUN_CASES[case](rng, base_canvas)
+        window = _RUN_LAYOUTS[layout]
+        target, base = window(target_canvas), window(base_canvas)
+        reference = _reference_plan(target, base)
+        plan = CodePlan.build(target, base)
+        codes, spans = plan.runs.codes, plan.runs.spans
+        if case == "no-run-changed":
+            # Only the tails shorter than a run (of 64 bytes) are coded:
+            # the one tail of a contiguous chunk (the 3-d window is read
+            # through a contiguous copy), one per row of a strided one.
+            run = 64 // dtype.itemsize
+            tails = 10 * (37 % run) if layout == "row-strided" \
+                else target.size % run
+            assert codes.size == tails and not codes.any()
+        assert spans[:, 1].sum() == codes.size
+        assert np.array_equal(plan.codes, reference.codes)
+        assert np.array_equal(plan.stats.width_counts,
+                              reference.stats.width_counts)
+        if case == "every-run-changed" and dtype.itemsize == 8:
+            assert plan.stats.max_bits == 64
+        _assert_family_agrees(target, base, plan, reference)
+
+    @pytest.mark.parametrize("kernels", ["native", "numpy"])
+    @pytest.mark.parametrize("layout", sorted(_RUN_LAYOUTS))
+    @pytest.mark.parametrize("cell", ["i4", "u1", "f8", "b1"])
+    def test_adopt_leaves_the_base_holding_the_target(
+            self, rng, cell, layout, kernels):
+        dtype = np.dtype("?" if cell == "b1" else cell)
+        base_canvas = _cells(rng, dtype, (12, 70))
+        target_canvas = _one_cell_per_row(base_canvas)
+        target_canvas[5] = _cells(rng, dtype, (70,))
+        window = _RUN_LAYOUTS[layout]
+        target = window(target_canvas)
+        reference = _reference_plan(target, window(base_canvas).copy())
+        canvas = base_canvas.copy()
+        base = window(canvas)
+        scope = native.disabled() if kernels == "numpy" \
+            else contextlib.nullcontext()
+        with scope:
+            plan = CodePlan.build(target, base, adopt=True)
+            for codec in _code_array_codecs():
+                assert b"".join(codec.encode_from_plan(plan)) == \
+                    b"".join(codec.encode_from_plan(reference)), codec.name
+        assert np.array_equal(plan.codes, reference.codes)
+        # The window holds the target, bit for bit; nothing outside it
+        # changed.
+        assert base.tobytes() == np.ascontiguousarray(target).tobytes()
+        outside = np.ones(canvas.shape, dtype=bool)
+        window(outside)[...] = False
+        assert canvas[outside].tobytes() == base_canvas[outside].tobytes()
+
+    def test_adopt_needs_a_writable_base(self, rng):
+        base = np.zeros(64, dtype=np.int32)
+        base.setflags(write=False)
+        with pytest.raises(ValueError, match="writable"):
+            CodePlan.build(base + 1, base, adopt=True)
+
+    def test_run_list_fits_its_scratch(self, rng):
+        # Alternating changed and equal runs: the most spans a chunk can
+        # have, inside the scratch the pipeline lends.
+        base = np.zeros(4096, dtype=np.int64)
+        target = base.copy()
+        target[::16] = 1
+        scratch = np.full(native.scratch_cells(target.size), 7,
+                          dtype=np.uint64)
+        codes, spans, _ = native.delta_zigzag_stats(target, base,
+                                                    out=scratch)
+        assert spans.shape == (256, 2)
+        assert np.shares_memory(codes, scratch) \
+            and np.shares_memory(spans, scratch)
+        assert np.array_equal(_expanded(target.size, (codes, spans, None)),
+                              CodePlan.build(target, base).codes)
+
+    def test_stale_histogram_writes_nothing_out_of_bounds(self, rng):
+        # The pack sized for one outlier fewer than the codes hold:
+        # refused at the overrun, every canary word beyond the sized
+        # sections intact.
+        lib = native._load()
+        codes = np.array([0, 5, 900, 0, 700, 3], dtype=np.uint64)
+        spans = np.array([[2, 2], [9, 4]], dtype=np.int64)
+        n, small_bits, value_bits, outliers = 16, 3, 10, 1
+        canary = np.uint64(0xA5A5A5A5A5A5A5A5)
+        sized = [(n * small_bits + 63) // 64,
+                 (outliers * 4 + 63) // 64,
+                 (outliers * value_bits + 63) // 64]
+        buffers = [np.full(words + 4, canary, dtype=np.uint64)
+                   for words in sized]
+        found = lib.repro_pack_runs(
+            codes.ctypes.data, spans.ctypes.data, len(spans), n,
+            small_bits, 4, value_bits, outliers,
+            *(buffer.ctypes.data for buffer in buffers))
+        assert found == -1
+        for words, buffer in zip(sized, buffers):
+            assert (buffer[words:] == canary).all()
+        # The wrapper declines, so the numpy path packs instead.
+        assert native.pack_runs(codes, spans, n, small_bits, outliers,
+                                value_bits) is None
+        assert native.pack_runs(codes, spans, n, small_bits, 2,
+                                value_bits) is not None
+
+    @pytest.mark.parametrize("spans", [
+        [[4, 2], [2, 2]],    # descending
+        [[0, 4], [3, 2]],    # overlapping
+        [[14, 4]],           # past the last cell
+        [[0, -1]],           # negative count
+    ], ids=["descending", "overlapping", "past-the-end", "negative"])
+    def test_malformed_spans_are_refused(self, spans):
+        codes = np.arange(1, 7, dtype=np.uint64)
+        assert native.pack_runs(codes, np.array(spans, dtype=np.int64),
+                                16, 3, 3, 3) is None
 
 
 def _decide_with_oracle(manager: VersionedStorageManager) -> None:
@@ -482,13 +659,16 @@ def _decide_with_oracle(manager: VersionedStorageManager) -> None:
     the same policy-to-candidates rule the pipeline applies."""
     encoder = manager.encoder
 
-    def encode_chunk(target, base, compressor):
+    def encode_chunk(target, base, compressor, *, adopt=False):
         if encoder.delta_policy == "materialize":
             base = None
         candidates = (get_delta_codec(encoder.delta_codec_name),) \
             if encoder.delta_policy == "chain" else None
-        return choose_encoding(target, base, compressor=compressor,
-                               candidates=candidates)
+        decision = choose_encoding(target, base, compressor=compressor,
+                                   candidates=candidates)
+        if adopt:
+            base[...] = target
+        return decision
 
     encoder.encode_chunk = encode_chunk
 

@@ -17,6 +17,7 @@ a ``select`` of that version, and one canvas.
 
 from __future__ import annotations
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core import native
 from repro.core.array import DeltaListPayload
 from repro.core.schema import ArraySchema
 from repro.storage import VersionedStorageManager
+from repro.storage.manager import _HotSlot
 
 DTYPES = [np.int64, np.int32, np.int16, np.uint8, np.uint64,
           np.bool_, np.float64, np.float32]
@@ -293,3 +295,184 @@ class TestColdBaseCost:
         assert np.array_equal(manager.select("a", 9).single(),
                               versions[8])
         manager.close()
+
+
+def _replayed(root, history, **kwargs) -> tuple[str, list]:
+    """The fingerprint and stored digests of a fresh store that
+    inserted ``history`` (with the hot slot serving every base)."""
+    manager = VersionedStorageManager(root, chunk_bytes=1600, **kwargs)
+    manager.create_array("a", ArraySchema.simple(history[0].shape,
+                                                 dtype=history[0].dtype))
+    for data in history:
+        manager.insert("a", data)
+    stored = manager.fingerprint(), manager.stored_digests("a")
+    manager.close()
+    return stored
+
+
+class TestHotSlotAdoption:
+    """An insert whose base the hot slot holds is encoded onto the
+    slot's canvas, which so becomes the new version without a copy.
+    Whatever happens to the canvas on the way, the stored bytes are
+    those of a store that never had a hot slot."""
+
+    def _manager(self, root, **kwargs):
+        manager = VersionedStorageManager(root, chunk_bytes=1600,
+                                          **kwargs)
+        manager.create_array("a", ArraySchema.simple((40, 40),
+                                                     dtype=np.int32))
+        return manager
+
+    def test_a_hot_insert_is_adopted_not_copied(self, tmp_path,
+                                                monkeypatch):
+        versions = _versions(np.int32, depth=4)
+        manager = self._manager(tmp_path / "s", backend="memory")
+        manager.insert("a", versions[0])
+        copies = []
+        remember = _HotSlot.remember
+        monkeypatch.setattr(_HotSlot, "remember",
+                            lambda slot, *args: copies.append(args[:2])
+                            or remember(slot, *args))
+        for data in versions[1:]:
+            manager.insert("a", data)
+        assert copies == []
+        assert np.array_equal(manager._hot.get("a", 4).attribute("value"),
+                              versions[3])
+        assert manager.fingerprint() == _replayed(
+            tmp_path / "replay", versions, backend="memory")[0]
+        manager.close()
+
+    def test_mutating_the_callers_buffer_changes_no_delta(self, tmp_path):
+        versions = _versions(np.int32, depth=4)
+        manager = self._manager(tmp_path / "s", backend="memory")
+        buffer = versions[0].copy()
+        for number, data in enumerate(versions, start=1):
+            buffer[...] = data
+            manager.insert("a", buffer)
+            # The caller goes on writing into the buffer it inserted.
+            buffer[...] = -7
+        for number, data in enumerate(versions, start=1):
+            assert np.array_equal(manager.select("a", number).single(),
+                                  data)
+        assert manager.fingerprint() == _replayed(
+            tmp_path / "replay", versions, backend="memory")[0]
+        manager.close()
+
+    @pytest.mark.parametrize("workers", [0, 4])
+    @pytest.mark.parametrize("fault", [6, 8], ids=["mid-version",
+                                                   "last-chunk"])
+    def test_a_failed_stage_leaves_no_stale_canvas(self, tmp_path, fault,
+                                                   workers):
+        # Four chunks a version, appended in order: append 6 is the
+        # second chunk of version 2, append 8 its last.  The chunks
+        # encoded before the fault have overwritten their canvas
+        # windows; a retry with other data must not delta against them.
+        from repro.core.errors import StorageError
+        from repro.storage.backend import (
+            FaultInjectingBackend,
+            InMemoryBackend,
+        )
+
+        versions = _versions(np.int32, depth=3)
+        backend = FaultInjectingBackend(
+            InMemoryBackend(), schedule={"append": frozenset({fault})})
+        manager = self._manager(tmp_path / "s", backend=backend,
+                                workers=workers)
+        manager.insert("a", versions[0])
+        with pytest.raises(StorageError):
+            manager.insert("a", versions[1])
+        assert manager.get_versions("a") == [1]
+        retried = versions[2]
+        assert manager.insert("a", retried) == 2
+        assert np.array_equal(manager.select("a", 2).single(), retried)
+        # The failed placements left bytes no row names, so offsets
+        # differ from the replay's; the stored payloads may not.
+        assert manager.stored_digests("a") == _replayed(
+            tmp_path / "replay", [versions[0], retried],
+            backend="memory")[1]
+        manager.close()
+
+    @pytest.mark.parametrize("codec", ["bsdiff", "mpeg-like"])
+    def test_a_transform_chain_never_adopts(self, tmp_path, codec,
+                                            monkeypatch):
+        # These codecs read the base after planning, so the canvas is
+        # never lent: every commit copies, and the bytes are those the
+        # numpy kernels store.
+        versions = _versions(np.int32, depth=3)
+        lent = []
+        lend = _HotSlot.lend
+        prints = {}
+        for kernels in ("native", "numpy"):
+            manager = self._manager(tmp_path / kernels, backend="memory",
+                                    delta_codec=codec)
+            monkeypatch.setattr(_HotSlot, "lend",
+                                lambda slot, *args: lent.append(args)
+                                or lend(slot, *args))
+            with (native.disabled() if kernels == "numpy"
+                  else contextlib.nullcontext()):
+                for data in versions:
+                    manager.insert("a", data)
+            prints[kernels] = manager.fingerprint()
+            manager.close()
+        assert lent == []
+        assert prints["native"] == prints["numpy"]
+
+    def test_a_multi_version_stage_adopts_only_a_head_on_the_canvas(
+            self, tmp_path):
+        versions = _versions(np.int32, depth=4)
+        manager = self._manager(tmp_path / "s", backend="memory")
+        manager.insert("a", versions[0])
+        manager.insert("a", versions[1])
+        # Version 3 deltas against the slot's canvas (lent and
+        # overwritten), version 4 against version 3's payload: the head
+        # is not on the canvas, so the commit copies it in.
+        staged = manager._stage("a", [versions[2], versions[3]])
+        assert staged.lease is None
+        assert manager._hot.get("a", 2) is None
+        manager._commit(staged)
+        assert np.array_equal(manager._hot.get("a", 4).attribute("value"),
+                              versions[3])
+        # A one-version stage on the canvas is adopted as it stands.
+        staged = manager._stage("a", [versions[0]])
+        assert staged.lease is not None
+        manager._commit(staged)
+        assert np.array_equal(manager._hot.get("a", 5).attribute("value"),
+                              versions[0])
+        assert manager.fingerprint() == _replayed(
+            tmp_path / "replay", versions + [versions[0]],
+            backend="memory")[0]
+        manager.close()
+
+    def test_parallel_encodes_adopt_disjoint_windows(self, tmp_path):
+        # More encode threads than cores, each adopting its chunks'
+        # windows of one canvas, with thread switches forced often: the
+        # canvas must still be exactly the head after every insert.
+        import sys
+
+        versions = _versions(np.int32, depth=12, shape=(64, 64))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            manager = VersionedStorageManager(
+                tmp_path / "s", chunk_bytes=256, backend="memory",
+                workers=8)
+            manager.create_array("a", ArraySchema.simple(
+                (64, 64), dtype=np.int32))
+            for number, data in enumerate(versions, start=1):
+                manager.insert("a", data)
+                assert np.array_equal(
+                    manager._hot.get("a", number).attribute("value"),
+                    data)
+            prints = manager.fingerprint()
+            manager.close()
+        finally:
+            sys.setswitchinterval(interval)
+        serial = VersionedStorageManager(
+            tmp_path / "serial", chunk_bytes=256, backend="memory",
+            workers=0)
+        serial.create_array("a", ArraySchema.simple((64, 64),
+                                                    dtype=np.int32))
+        for data in versions:
+            serial.insert("a", data)
+        assert serial.fingerprint() == prints
+        serial.close()
