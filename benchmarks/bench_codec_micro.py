@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.compression import get_codec
+from repro.baselines import (
+    AdaptiveLZCodec,
+    NullSuppressionCodec,
+    PNGLikeCodec,
+    RunLengthCodec,
+)
+from repro.compression import IdentityCodec, LempelZivCodec
 from repro.datasets import noaa_series
 from repro.delta import get_delta_codec
 
@@ -40,20 +46,23 @@ def bench_delta_decode(benchmark, chunk_pair, codec_name):
     assert out.tobytes() == target.tobytes()
 
 
-@pytest.mark.parametrize("codec_name",
-                         ["none", "lz", "adaptive-lz", "rle",
-                          "null-suppression", "png"])
-def bench_compression_encode(benchmark, chunk_pair, codec_name):
+@pytest.mark.parametrize("codec",
+                         [IdentityCodec(), LempelZivCodec(),
+                          AdaptiveLZCodec(), RunLengthCodec(),
+                          NullSuppressionCodec(), PNGLikeCodec()],
+                         ids=lambda codec: codec.name)
+def bench_compression_encode(benchmark, chunk_pair, codec):
     target, _ = chunk_pair
-    codec = get_codec(codec_name)
     blob = benchmark(codec.encode, target)
     assert codec.decode(blob).tobytes() == target.tobytes()
 
 
-@pytest.mark.parametrize("codec_name", ["none", "lz", "adaptive-lz"])
-def bench_compression_decode(benchmark, chunk_pair, codec_name):
+@pytest.mark.parametrize("codec",
+                         [IdentityCodec(), LempelZivCodec(),
+                          AdaptiveLZCodec()],
+                         ids=lambda codec: codec.name)
+def bench_compression_decode(benchmark, chunk_pair, codec):
     target, _ = chunk_pair
-    codec = get_codec(codec_name)
     blob = codec.encode(target)
     out = benchmark(codec.decode, blob)
     assert out.tobytes() == target.tobytes()

@@ -13,9 +13,7 @@ work."  This codec implements that future work:
   whole payload compressed, and the final encoding keeps whichever
   representation actually turned out smaller.
 
-Each payload carries a one-byte tag so decoding is self-describing, and
-the codec registers as ``"adaptive-lz"`` for use as a storage-manager
-compressor.
+Each payload carries a one-byte tag so decoding is self-describing.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from repro.compression.lz import lz_bytes, unlz_bytes
 from repro.core import numeric
 from repro.core.errors import CodecError
 from repro.core.serial import pack_bytes, pack_i64, unpack_bytes, unpack_i64
-from repro.delta.base import DeltaCodec
+from repro.delta.base import pack_frame, unpack_frame
 
 #: Matches shorter than this are treated as literals.
 MIN_MATCH = 16
@@ -138,8 +138,13 @@ def _lcp_arrays(a: np.ndarray, b: np.ndarray) -> int:
     return int(mismatch[0]) if mismatch.size else limit
 
 
-class BSDiffDeltaCodec(DeltaCodec):
-    """Suffix-array binary differ with diff/extra/control streams."""
+class BSDiffDeltaCodec:
+    """Suffix-array binary differ with diff/extra/control streams.
+
+    A Table I comparison row, not a store codec: ``encode`` /
+    ``decode_forward`` over the store's delta frame
+    (:func:`repro.delta.base.pack_frame`).
+    """
 
     name = "bsdiff"
 
@@ -181,18 +186,20 @@ class BSDiffDeltaCodec(DeltaCodec):
             pack_i64(a) + pack_i64(b) + pack_i64(c) for a, b, c in control)
         mode = numeric.delta_mode_for(target.dtype)
         return b"".join([
-            self._frame(target, mode),
+            pack_frame(target, mode),
             pack_bytes(lz_bytes(control_bytes)),
             pack_bytes(lz_bytes(bytes(diff))),
             pack_bytes(lz_bytes(bytes(extra))),
         ])
 
     def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
-        dtype, shape, _mode, offset = self._unframe(data, base)
+        dtype, shape, _mode, offset = unpack_frame(data, base)
         control_blob, offset = unpack_bytes(data, offset)
         diff_blob, offset = unpack_bytes(data, offset)
         extra_blob, offset = unpack_bytes(data, offset)
-        self._check_consumed(offset, data)
+        if offset != len(data):
+            raise CodecError(f"bsdiff delta payload has {len(data) - offset} "
+                             "undecoded trailing bytes")
         control_bytes = unlz_bytes(control_blob)
         diff = unlz_bytes(diff_blob)
         extra = unlz_bytes(extra_blob)

@@ -27,11 +27,16 @@ from repro.core.serial import (
     unpack_i64,
 )
 from repro.delta import codes as code_store
-from repro.delta.base import DeltaCodec
+from repro.delta.base import pack_frame, unpack_frame
 
 
-class MPEGLikeDeltaCodec(DeltaCodec):
-    """Block-matching motion-compensated delta (directional)."""
+class MPEGLikeDeltaCodec:
+    """Block-matching motion-compensated delta (directional).
+
+    A Table I comparison row, not a store codec: ``encode`` /
+    ``decode_forward`` over the store's delta frame
+    (:func:`repro.delta.base.pack_frame`).
+    """
 
     name = "mpeg-like"
 
@@ -83,7 +88,7 @@ class MPEGLikeDeltaCodec(DeltaCodec):
         dy_codes = (best_dy + self.radius).astype(np.uint64).ravel()
         dx_codes = (best_dx + self.radius).astype(np.uint64).ravel()
         return b"".join([
-            self._frame(np.asarray(target), mode),
+            pack_frame(np.asarray(target), mode),
             pack_i64(self.block),
             pack_i64(self.radius),
             bitpack.pack_unsigned(dy_codes, mv_bits),
@@ -92,7 +97,7 @@ class MPEGLikeDeltaCodec(DeltaCodec):
         ])
 
     def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
-        dtype, shape, mode, offset = self._unframe(data, base)
+        dtype, shape, mode, offset = unpack_frame(data, base)
         block, offset = unpack_i64(data, offset)
         radius, offset = unpack_i64(data, offset)
         if block < 1 or radius < 0:
@@ -117,7 +122,9 @@ class MPEGLikeDeltaCodec(DeltaCodec):
         predicted = _predict(base2d, dy, dx, block)
         residual_codes, end = code_store.decode_hybrid(data, offset,
                                                        base.size)
-        self._check_consumed(end, data)
+        if end != len(data):
+            raise CodecError(f"mpeg-like delta payload has {len(data) - end} "
+                             "undecoded trailing bytes")
         residual = code_store.codes_to_delta(residual_codes, mode) \
             .reshape(predicted.shape)
         target2d = numeric.apply_delta_forward(predicted, residual, mode,

@@ -2,10 +2,10 @@
 
 Deep delta chains are where Section III's chain policy pays its read
 amplification: a depth-*k* select must decode *k* delta levels on top
-of the materialized root.  The fused decode folds every composable
-level into one accumulator — dense levels by a vectorized ``out=``
-add/xor, sparse and hybrid levels by an O(nnz) scatter — and applies
-it to the root exactly once.
+of the materialized root.  The fused decode folds every
+level straight into one copy of the root, at the cells' own width —
+dense levels over every cell, sparse and hybrid levels by an O(nnz)
+scatter.
 
 This experiment measures that read on multi-MB chunks.  The grid is
 ``chain_depth`` x ``delta_codec`` x ``backend`` x ``native`` (the

@@ -25,20 +25,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines import BSDiffDeltaCodec, MPEGLikeDeltaCodec
 from repro.bench.harness import fmt_bytes, fmt_seconds, print_table, timed
 from repro.datasets import noaa_series
 from repro.delta import (
-    BSDiffDeltaCodec,
     DeltaCodec,
     DenseDeltaCodec,
     HybridDeltaCodec,
-    MPEGLikeDeltaCodec,
     SparseDeltaCodec,
 )
 
+#: A Table I row's codec: a store delta codec, a comparison baseline,
+#: or None for the uncompressed row.
+RowCodec = DeltaCodec | MPEGLikeDeltaCodec | BSDiffDeltaCodec | None
+
 
 def _chain_import(series: list[np.ndarray],
-                  codec: DeltaCodec | None) -> list[bytes]:
+                  codec: RowCodec) -> list[bytes]:
     """Encode a version series as a linear chain of deltas."""
     payloads = [series[0].tobytes()]
     for previous, current in zip(series, series[1:]):
@@ -50,7 +53,7 @@ def _chain_import(series: list[np.ndarray],
 
 
 def _chain_query(series: list[np.ndarray], payloads: list[bytes],
-                 codec: DeltaCodec | None) -> None:
+                 codec: RowCodec) -> None:
     """Reconstruct every version of the chain, verifying the contents."""
     current = np.frombuffer(payloads[0],
                             dtype=series[0].dtype).reshape(series[0].shape)
@@ -64,7 +67,7 @@ def _chain_query(series: list[np.ndarray], payloads: list[bytes],
             assert current.tobytes() == series[index].tobytes()
 
 
-def algorithms(mpeg_radius: int = 4) -> dict[str, DeltaCodec | None]:
+def algorithms(mpeg_radius: int = 4) -> dict[str, RowCodec]:
     """Table I's algorithm rows.
 
     ``mpeg_radius`` scales the block-matcher search window; the paper

@@ -21,14 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines import JPEG2000LikeCodec, PNGLikeCodec, RunLengthCodec
 from repro.bench.harness import fmt_bytes, fmt_seconds, print_table, timed
-from repro.compression import (
-    Codec,
-    JPEG2000LikeCodec,
-    LempelZivCodec,
-    PNGLikeCodec,
-    RunLengthCodec,
-)
+from repro.compression import Codec, LempelZivCodec
 from repro.datasets import noaa_series
 from repro.delta import CodePlan, codes as code_store
 

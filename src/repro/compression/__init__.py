@@ -1,38 +1,23 @@
-"""Chunk compression library (Section III-B.2).
+"""Chunk compression (Section III-B.2).
 
-Reimplements the SciDB compression library codecs the paper evaluates:
-run-length encoding, null suppression, Lempel-Ziv, plus the image-derived
-PNG-like and JPEG2000-like codecs, and a from-scratch LZW used for
-ablations.  All codecs are lossless for every supported dtype.
+The store compresses materialized chunks with one of two codecs: none,
+or Lempel-Ziv, the winner of Table II.  Both are lossless for every
+supported dtype.  The other codecs the paper evaluates — run-length
+encoding, null suppression, the PNG-like and JPEG2000-like codecs,
+LZW and adaptive LZ — are comparison baselines in
+:mod:`repro.baselines`.
 """
 
-from repro.compression.adaptive import AdaptiveLZCodec
 from repro.compression.base import Codec, IdentityCodec
-from repro.compression.jpeg2000_like import JPEG2000LikeCodec
 from repro.compression.lz import LempelZivCodec, lz_bytes, unlz_bytes
-from repro.compression.lzw import LZWCodec
-from repro.compression.null_suppression import NullSuppressionCodec
-from repro.compression.png_like import PNGLikeCodec
-from repro.compression.registry import (
-    codec_names,
-    get_codec,
-    register_codec,
-)
-from repro.compression.rle import RunLengthCodec
+from repro.compression.registry import codec_names, get_codec
 
 __all__ = [
-    "AdaptiveLZCodec",
     "Codec",
     "IdentityCodec",
-    "JPEG2000LikeCodec",
-    "LZWCodec",
     "LempelZivCodec",
-    "NullSuppressionCodec",
-    "PNGLikeCodec",
-    "RunLengthCodec",
     "codec_names",
     "get_codec",
     "lz_bytes",
-    "register_codec",
     "unlz_bytes",
 ]

@@ -10,6 +10,9 @@ Codecs must be *lossless* for every supported dtype: ``decode(encode(a))``
 returns an array equal to ``a`` bit-for-bit (NaN payloads included).  The
 chunk store treats codec output as opaque bytes; the codec name is
 recorded in the version metadata so the select path knows how to decode.
+The store writes two codecs (:mod:`repro.compression.registry`); the
+comparison codecs of Table II implement the same interface in
+:mod:`repro.baselines`.
 """
 
 from __future__ import annotations

@@ -1,53 +1,34 @@
-"""Codec registry: look up compression codecs by the name stored in metadata.
+"""The store's compressors, keyed by the name an array records.
 
 The version metadata records, per chunk, the name of the compression
-codec that produced it (Section II-A step three).  The select path uses
-this registry to find the matching decoder.
+codec that produced it (Section II-A step three); the select path looks
+the decoder up here.  The table is fixed: no compression, and
+Lempel-Ziv, Table II's winner.  Table II's other rows are comparison
+baselines in :mod:`repro.baselines`; a name not in the table raises
+:class:`CodecError`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.compression.adaptive import AdaptiveLZCodec
 from repro.compression.base import Codec, IdentityCodec
-from repro.compression.jpeg2000_like import JPEG2000LikeCodec
 from repro.compression.lz import LempelZivCodec
-from repro.compression.lzw import LZWCodec
-from repro.compression.null_suppression import NullSuppressionCodec
-from repro.compression.png_like import PNGLikeCodec
-from repro.compression.rle import RunLengthCodec
 from repro.core.errors import CodecError
 
-_FACTORIES: dict[str, Callable[[], Codec]] = {}
-
-
-def register_codec(name: str, factory: Callable[[], Codec]) -> None:
-    """Register (or replace) a codec factory under ``name``."""
-    _FACTORIES[name] = factory
+_CODECS: dict[str, Codec] = {
+    codec.name: codec for codec in (IdentityCodec(), LempelZivCodec())
+}
 
 
 def codec_names() -> tuple[str, ...]:
-    """All registered codec names, sorted."""
-    return tuple(sorted(_FACTORIES))
+    """Every store compressor name, sorted."""
+    return tuple(sorted(_CODECS))
 
 
 def get_codec(name: str) -> Codec:
-    """Instantiate the codec registered under ``name``."""
+    """The store compressor recorded as ``name``."""
     try:
-        factory = _FACTORIES[name]
+        return _CODECS[name]
     except KeyError:
         raise CodecError(
             f"unknown compression codec {name!r}; "
             f"registered: {codec_names()}") from None
-    return factory()
-
-
-register_codec(AdaptiveLZCodec.name, AdaptiveLZCodec)
-register_codec(IdentityCodec.name, IdentityCodec)
-register_codec(RunLengthCodec.name, RunLengthCodec)
-register_codec(NullSuppressionCodec.name, NullSuppressionCodec)
-register_codec(LempelZivCodec.name, LempelZivCodec)
-register_codec(LZWCodec.name, LZWCodec)
-register_codec(PNGLikeCodec.name, PNGLikeCodec)
-register_codec(JPEG2000LikeCodec.name, JPEG2000LikeCodec)

@@ -1,8 +1,10 @@
 """Delta encoding of array versions (Section III).
 
-Provides the paper's differencing algorithms — dense, sparse, hybrid
-(with optional LZ), the MPEG-2-like block matcher and a BSDiff-style
-binary differ — plus automatic materialize-vs-delta selection.
+Provides the store's differencing family — dense, sparse and hybrid
+(with optional LZ) — plus automatic materialize-vs-delta selection.
+Table I's other algorithms, the MPEG-2-like block matcher and the
+BSDiff-style binary differ, are comparison baselines in
+:mod:`repro.baselines`.
 """
 
 from repro.delta.auto import (
@@ -14,32 +16,22 @@ from repro.delta.auto import (
 )
 from repro.delta.base import DeltaCodec
 from repro.delta.codes import CodeStats
-from repro.delta.bsdiff import BSDiffDeltaCodec, suffix_array
 from repro.delta.dense import DenseDeltaCodec
 from repro.delta.hybrid import HybridDeltaCodec
-from repro.delta.mpeg_like import MPEGLikeDeltaCodec
-from repro.delta.registry import (
-    delta_codec_names,
-    get_delta_codec,
-    register_delta_codec,
-)
+from repro.delta.registry import delta_codec_names, get_delta_codec
 from repro.delta.sparse import SparseDeltaCodec
 
 __all__ = [
-    "BSDiffDeltaCodec",
     "CodePlan",
     "CodeStats",
     "DeltaCodec",
     "DenseDeltaCodec",
     "EncodingDecision",
     "HybridDeltaCodec",
-    "MPEGLikeDeltaCodec",
     "PlannedEncoding",
     "SparseDeltaCodec",
     "default_delta_candidates",
     "plan_encoding",
     "delta_codec_names",
     "get_delta_codec",
-    "register_delta_codec",
-    "suffix_array",
 ]

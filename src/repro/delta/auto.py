@@ -133,16 +133,16 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
     strictly smaller).  The delta, code array and width statistics are
     computed once and shared; candidates
     that can size themselves from the plan are never encoded unless
-    they win; candidates that cannot (LZ stages, transform codecs) are
-    encoded exactly once and their parts cached for the win case; and
+    they win; candidates that cannot (an LZ stage) are encoded exactly
+    once and their parts cached for the win case; and
     the materialized form is sized analytically under the identity
     compressor, so when a delta wins its payload is never produced.
 
     ``scratch`` is storage the plan's run list may live in, and
     ``adopt`` leaves ``base`` holding ``target``'s cells (see
-    ``CodePlan.build``: every candidate must be composable); the
-    returned decision holds only encoded bytes, so the lender may
-    reuse the scratch as soon as this returns.
+    ``CodePlan.build``); the returned decision holds only encoded
+    bytes, so the lender may reuse the scratch as soon as this
+    returns.
     """
     compressor = compressor or IdentityCodec()
     mat_size, mat_payload = materialized_size(target, compressor)

@@ -273,9 +273,9 @@ class CodePlan:
         only valid until the lender reuses it.  ``adopt`` leaves the
         (writable) ``base`` holding ``target``'s cells — the kernel
         copies just the runs that differ — so ``plan.base`` is the
-        target's contents afterwards: only codecs that take nothing
-        from it after planning (the composable ones) may encode such a
-        plan.
+        target's contents afterwards.  Every store delta codec encodes
+        from the run list alone and never reads ``plan.base``, so any
+        of them may encode an adopted plan.
         """
         numeric.check_same_layout(target, base)
         if adopt and not base.flags.writeable:

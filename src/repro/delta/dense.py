@@ -9,10 +9,10 @@ stored at the single minimal bit width D.
 from __future__ import annotations
 
 from repro.delta import codes as code_store
-from repro.delta.base import CodeArrayDeltaCodec
+from repro.delta.base import DeltaCodec
 
 
-class DenseDeltaCodec(CodeArrayDeltaCodec):
+class DenseDeltaCodec(DeltaCodec):
     """Uniform minimal-width bit-packed cellwise delta."""
 
     name = "dense"

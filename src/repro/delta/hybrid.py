@@ -16,10 +16,10 @@ from __future__ import annotations
 from repro.compression.lz import lz_bytes, unlz_bytes
 from repro.core.serial import pack_u8, unpack_u8
 from repro.delta import codes as code_store
-from repro.delta.base import CodeArrayDeltaCodec
+from repro.delta.base import DeltaCodec
 
 
-class HybridDeltaCodec(CodeArrayDeltaCodec):
+class HybridDeltaCodec(DeltaCodec):
     """Optimal small/large split delta, optionally LZ-compressed."""
 
     name = "hybrid"

@@ -1,45 +1,37 @@
-"""Delta codec registry keyed by the name stored in version metadata."""
+"""The store's delta codecs, keyed by the name a chunk row records.
+
+The table is fixed: the dense / sparse / hybrid family, hybrid also
+with its LZ stage.  Codecs hold no state, so one instance of each
+serves every lookup.  Table I's other rows (the MPEG-2-like matcher,
+BSDiff) are comparison baselines in :mod:`repro.baselines`; a chunk
+row naming one, or any other name, raises :class:`CodecError`.
+"""
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.errors import CodecError
 from repro.delta.base import DeltaCodec
-from repro.delta.bsdiff import BSDiffDeltaCodec
 from repro.delta.dense import DenseDeltaCodec
 from repro.delta.hybrid import HybridDeltaCodec
-from repro.delta.mpeg_like import MPEGLikeDeltaCodec
 from repro.delta.sparse import SparseDeltaCodec
 
-_FACTORIES: dict[str, Callable[[], DeltaCodec]] = {}
-
-
-def register_delta_codec(name: str,
-                         factory: Callable[[], DeltaCodec]) -> None:
-    """Register (or replace) a delta codec factory under ``name``."""
-    _FACTORIES[name] = factory
+_CODECS: dict[str, DeltaCodec] = {
+    codec.name: codec
+    for codec in (DenseDeltaCodec(), SparseDeltaCodec(),
+                  HybridDeltaCodec(), HybridDeltaCodec(lz=True))
+}
 
 
 def delta_codec_names() -> tuple[str, ...]:
-    """All registered delta codec names, sorted."""
-    return tuple(sorted(_FACTORIES))
+    """Every store delta codec name, sorted."""
+    return tuple(sorted(_CODECS))
 
 
 def get_delta_codec(name: str) -> DeltaCodec:
-    """Instantiate the delta codec registered under ``name``."""
+    """The store delta codec recorded as ``name``."""
     try:
-        factory = _FACTORIES[name]
+        return _CODECS[name]
     except KeyError:
         raise CodecError(
             f"unknown delta codec {name!r}; "
             f"registered: {delta_codec_names()}") from None
-    return factory()
-
-
-register_delta_codec(DenseDeltaCodec.name, DenseDeltaCodec)
-register_delta_codec(SparseDeltaCodec.name, SparseDeltaCodec)
-register_delta_codec(HybridDeltaCodec.name, HybridDeltaCodec)
-register_delta_codec("hybrid+lz", lambda: HybridDeltaCodec(lz=True))
-register_delta_codec(MPEGLikeDeltaCodec.name, MPEGLikeDeltaCodec)
-register_delta_codec(BSDiffDeltaCodec.name, BSDiffDeltaCodec)

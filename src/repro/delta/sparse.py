@@ -9,10 +9,10 @@ stored.
 from __future__ import annotations
 
 from repro.delta import codes as code_store
-from repro.delta.base import CodeArrayDeltaCodec
+from repro.delta.base import DeltaCodec
 
 
-class SparseDeltaCodec(CodeArrayDeltaCodec):
+class SparseDeltaCodec(DeltaCodec):
     """Position/value pairs for the nonzero delta codes only."""
 
     name = "sparse"

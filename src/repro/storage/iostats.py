@@ -52,12 +52,13 @@ place its work is visible outside wall-clock time.
 The fused read path is covered by three counters: ``chains_fused``
 (chunk reconstructions that folded their whole delta chain, one level
 or many, onto one copy of the root), ``fused_levels`` (delta levels
-those folds absorbed — the level-by-level decodes the fusion avoided),
-and ``scatter_levels`` (the subset of those levels applied at O(nnz)
-from a sparse/hybrid outlier table instead of a dense pass).  The scan
-bench reports them next to MB/s so the fused path's coverage is
-visible, and the equivalence oracle asserts they are exactly zero when
-the stepwise path must run.
+those folds absorbed — the per-level copies the fusion avoided), and
+``scatter_levels`` (the subset of those levels applied at O(nnz) from
+a sparse/hybrid outlier table instead of a dense pass).  A cache warm
+fill folds its chain one level at a time, into one owning copy per
+level, and counts none of them.  The scan bench reports them next to
+MB/s so the fused path's coverage is visible, and the equivalence
+oracle asserts they are exactly zero on a warm fill.
 
 The cluster coordinator adds replication accounting on its own stats
 instance: ``replica_writes`` counts redundant version copies landed on
@@ -173,10 +174,9 @@ class IOStats:
         path: ``levels`` delta levels folded onto one copy of the root
         (instead of ``levels`` full-array decodes), of which
         ``scatter_levels`` were applied at O(nnz) from a sparse/hybrid
-        outlier table instead of a dense pass.  The
-        equivalence oracle asserts the counter is zero whenever the
-        stepwise path must run (a cache warm fill, non-composable
-        codecs)."""
+        outlier table instead of a dense pass.  A cache warm fill,
+        which folds level by level to keep every intermediate, is not
+        recorded."""
         with self._lock:
             self.chains_fused += 1
             self.fused_levels += levels

@@ -33,9 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.compression.registry import get_codec
 from repro.core.array import ArrayData, DeltaListPayload, Payload
 from repro.core.errors import ArrayExistsError, StorageError
 from repro.core.schema import ArraySchema
+from repro.delta.registry import get_delta_codec
 from repro.storage.backend import StorageBackend, resolve_backend
 from repro.storage.chunking import DEFAULT_CHUNK_BYTES, ChunkGrid
 from repro.storage.chunkstore import COLOCATED, ChunkStore
@@ -191,6 +193,8 @@ class VersionedStorageManager:
         # Validate configuration before creating any durable state
         # (directories, catalog files, backend objects).
         ensure_policy(delta_policy)
+        get_codec(compressor)
+        get_delta_codec(delta_codec)
         self.workers = resolve_workers(workers)
         self.root = Path(root)
         backend = resolve_backend(backend, self.root / "data")
@@ -287,7 +291,10 @@ class VersionedStorageManager:
                     parent_version: int | None = None,
                     chunk_shape: tuple[int, ...] | None = None
                     ) -> ArrayRecord:
-        """A new array's record, no ``array_id`` yet, defaults filled."""
+        """A new array's record, no ``array_id`` yet, defaults filled.
+        A compressor the store does not write raises
+        :class:`CodecError`."""
+        get_codec(compressor or self.compressor_name)
         if chunk_shape is not None:
             # Validate eagerly so a bad shape fails at Create.
             ChunkGrid(schema.shape, schema.cell_size,
@@ -558,10 +565,9 @@ class VersionedStorageManager:
         land at their requested indices): on a linear chain every walk
         then stops at the deepest previously-resolved version, so the
         common chain prefixes are folded exactly once.  The ordering is
-        what keeps the payload-read count identical on the fused path,
-        which records only requested versions into the scope — the
-        stepwise path got the same sharing for free from its
-        materialized intermediates.
+        what reads each payload once: a one-version fold records only
+        the requested versions into the scope (a warm fill records
+        every intermediate it folds).
         """
         record = snap.record
         attr = self._resolve_attribute(record, attribute)
@@ -920,8 +926,7 @@ class VersionedStorageManager:
                 # place: the encode leaves the canvas holding ``data``.
                 canvas = lease = None
                 if base_data is not None \
-                        and base_data is self._hot.get(record.name, parent) \
-                        and self.encoder.composes:
+                        and base_data is self._hot.get(record.name, parent):
                     canvas, lease = self._hot.lend(record.name, parent)
                 chunks += self.encoder.write_version(
                     record, record.grid, number, data,

@@ -15,7 +15,7 @@ makes the stages first-class:
 * :class:`DecodePipeline` — the select path: **locate** the chunk's
   delta chain in the read's catalog snapshot, **read** the chain
   (batched, one backend open per distinct object), **decompress** the
-  materialized root, **delta-decode** forward along the chain, and
+  materialized root, **fold** the chain's delta levels onto it, and
   **assemble** result arrays;
 * :class:`ChunkCache` — one bytes-bounded LRU of decoded chunks,
   populated by reads (version contents are immutable, so only deleting
@@ -40,13 +40,12 @@ Two invariants both pipelines are built around:
 * **Byte identity across acceleration.**  Every fast path — the chain
   fold at the cell's own width and the compiled kernels in
   :mod:`repro.core.native` — must produce exactly the bytes of the
-  plain numpy, level-by-level path.  Store fingerprints may never
+  plain numpy, level-by-level decode.  Store fingerprints may never
   depend on ``REPRO_NATIVE``, worker count, or whether an insert's
   base canvas came from the manager's hot slot or a ``select``.
-* **Graceful fallback.**  Each fast path gates itself on dtype,
-  layout, and codec composability and returns ``None``/raises nothing
-  when it does not apply; the caller falls back to the slower exact
-  path silently.
+* **Graceful fallback.**  Each compiled kernel gates itself on dtype
+  and layout and returns ``None``/raises nothing when it does not
+  apply; the caller falls back to the numpy form silently.
 """
 
 from __future__ import annotations
@@ -413,14 +412,6 @@ class EncodePipeline(_PooledStage):
         reconstructing before encoding)."""
         return self.delta_policy != POLICY_MATERIALIZE
 
-    @property
-    def composes(self) -> bool:
-        """Whether every delta candidate composes — takes nothing from
-        the base after planning — so an encode may adopt its base
-        canvas (:meth:`write_version`'s ``canvas``)."""
-        return self.wants_base and all(
-            codec.composable for codec in self._candidates())
-
     def _candidates(self) -> tuple:
         """The delta codecs the policy tries on a chunk."""
         if self.delta_policy == POLICY_CHAIN:
@@ -454,8 +445,8 @@ class EncodePipeline(_PooledStage):
         :func:`~repro.delta.auto.plan_encoding` — one delta, one run
         list, one set of width statistics, one encode — and the
         representations it sized but never produced are recorded in
-        the store's counters.  ``adopt`` (only when :attr:`composes`)
-        leaves the writable ``base`` window holding ``target``'s cells.
+        the store's counters.  ``adopt`` leaves the writable ``base``
+        window holding ``target``'s cells.
         """
         scratch = None
         if self.delta_policy == POLICY_MATERIALIZE or base is None:
@@ -585,8 +576,8 @@ class EncodePipeline(_PooledStage):
         """Plan, encode, place and barrier every chunk of a *new*
         version (a committed one raises :class:`NoOverwriteError`) and
         return the rows for the caller to commit.  ``base_data`` is the
-        base's contents (None to materialize).  ``canvas`` (only when
-        :attr:`composes`) is the writable arrays ``base_data`` views:
+        base's contents (None to materialize).  ``canvas`` is the
+        writable arrays ``base_data`` views:
         each chunk is then encoded against its window of them in place
         and leaves the window holding ``data``'s cells, so after the
         last chunk the canvas *is* this version.  A failure leaves only
@@ -606,8 +597,8 @@ class EncodePipeline(_PooledStage):
 
 
 class DecodePipeline(_PooledStage):
-    """The select path: locate → read chain → decompress → delta-decode
-    → assemble (Figure 1, right; Figure 2's read pattern).
+    """The select path: locate → read chain → decompress → fold →
+    assemble (Figure 1, right; Figure 2's read pattern).
 
     Per-chunk reconstruction is independent (each chunk walks its own
     delta chain with its own scope), so :meth:`read_version` and
@@ -616,34 +607,33 @@ class DecodePipeline(_PooledStage):
     writes a disjoint region of the output canvas, so the result is
     byte-identical to the serial pass regardless of completion order.
 
-    A cache miss does one of two jobs, chosen per chunk from what the
-    code can observe (the located chain's size, the cache's free
+    There is one way to decode a delta level: fold it into cells that
+    hold its base (:func:`repro.delta.base.fold_chain`).  Every store
+    delta codec composes — wrapping addition, xor — so levels apply in
+    place, at the cells' own width, sparse/hybrid levels at O(nnz).  A
+    cache miss does one of two jobs with it, chosen per chunk from what
+    the code can observe (the located chain's size, the cache's free
     space), not from a setting:
 
-    * **Read one version** (the default).  The chain folds: both
-      delta modes compose associatively and commutatively (wrapping
-      addition, xor), so the decoded root is copied once into
-      contiguous cells and every composable level is applied to them
-      in place, at the cells' own width, sparse/hybrid levels at
-      O(nnz): one compiled call per chunk instead of k full-array
-      decodes.  The cells are the caller's canvas window when that is
-      contiguous and nothing else will hold on to it, a buffer of the
-      chunk's own when the cache will, and otherwise the decoding
-      thread's chunk buffer, copied into the strided window once
-      after the fold.  A non-composable level (``bsdiff``,
-      ``mpeg_like`` transform the base rather than difference against
-      it) forces the stepwise decode.  Either way only the requested
-      version is admitted to the cache.
+    * **Read one version** (the default).  The decoded root is copied
+      once into contiguous cells and the whole chain folds onto them
+      in one compiled call.  The cells are the caller's canvas window
+      when that is contiguous and nothing else will hold on to it, a
+      buffer of the chunk's own when the cache will, and otherwise the
+      decoding thread's chunk buffer, copied into the strided window
+      once after the fold.  Only the requested version is admitted to
+      the cache.
     * **Warm-fill a chain.**  When every located level fits the
-      cache's *free* space, the chain decodes stepwise and every
-      intermediate version is admitted too, through the non-evicting
-      put: later reads of those versions are hits, and no entry a
-      caller asked for is ever displaced.  A chain that does not fit
-      is declined and read as one version.
+      cache's *free* space, each level is folded into an owning copy
+      of the one before, and every intermediate version is admitted
+      too, through the non-evicting put: later reads of those versions
+      are hits, and no entry a caller asked for is ever displaced.  A
+      chain that does not fit is declined and read as one version.
 
     The walk probes the cache at every level, so a cached ancestor
     ends it and only the suffix is read.  Both jobs read the same
-    payloads and produce the same bytes.
+    payloads, produce the same bytes, and name a corrupt level the
+    same way: array, version and chunk.
     """
 
     _pool_prefix = "repro-decode"
@@ -702,39 +692,39 @@ class DecodePipeline(_PooledStage):
             [chunk_record.location for chunk_record in chain])
 
         # Stage 3: decompress the materialized root (or start from the
-        # already-resolved version the chain stopped at).  A fold only
-        # ever *reads* its base (it is copied to where the levels are
-        # applied) and never admits it, so the decompress may hand
-        # back a zero-copy read-only view of the payload bytes; every
-        # other consumer gets the owning copy it always got.
+        # already-resolved version the chain stopped at).  A one-version
+        # read only ever *reads* its root (it is copied to where the
+        # levels are applied) and never admits it, so the decompress
+        # may hand back a zero-copy read-only view of the payload
+        # bytes; a warm fill admits the root and gets an owning copy.
         resolved: list[int] = []
         root = chain.pop() if base_version is None else None
-        codecs = self._fusible(chain, warm_fill)
+        codecs = self._codecs(record, chunk, chain)
         if root is None:
             data = scope[base_version]
-            if not chain:
-                # The resolved version itself: nothing to fold onto it.
-                codecs = None
         else:
             codec = get_codec(root.compressor)
-            data = codec.decode_view(payloads.pop()) \
-                if codecs is not None else codec.decode(payloads.pop())
+            data = codec.decode(payloads.pop()) if warm_fill \
+                else codec.decode_view(payloads.pop())
             scope[root.version] = data
             resolved.append(root.version)
 
-        # Stage 4: delta-decode — folded into one copy of the root
-        # when the whole chain composes, stepwise otherwise.
-        if codecs is not None:
+        # Stage 4: fold — level by level on a warm fill, else the whole
+        # chain onto one copy of the root.  The resolved version itself
+        # has nothing to fold onto it.
+        if warm_fill:
+            for level, codec, payload in zip(reversed(chain),
+                                             reversed(codecs),
+                                             reversed(payloads)):
+                cells = data.copy()
+                self._fold(record, chunk, [level], [codec], [payload],
+                           data, cells)
+                scope[level.version] = data = cells
+                resolved.append(level.version)
+        elif root is not None or chain:
             data = self._fused_apply(record, chunk, chain, codecs,
                                      payloads, data, out)
             scope[version] = data
-        else:
-            for chunk_record, payload in zip(reversed(chain),
-                                             reversed(payloads)):
-                codec = get_delta_codec(chunk_record.delta_codec)
-                data = codec.decode_forward(payload, data)
-                scope[chunk_record.version] = data
-                resolved.append(chunk_record.version)
 
         if self.cache.enabled:
             # Each entry is admitted only while its version is still the
@@ -791,23 +781,37 @@ class DecodePipeline(_PooledStage):
         return chain, None
 
     @staticmethod
-    def _fusible(chain: list[ChunkRecord], warm_fill: bool
-                 ) -> list | None:
-        """The codecs of the located delta levels, in chain order,
-        when the chain folds — every level composable (a bare
-        materialized root trivially so: no levels), and not a warm
-        fill, which wants the intermediates a fold never
-        materializes — else None.  The one codec lookup per level."""
-        if warm_fill:
-            return None
+    def _codecs(record: ArrayRecord, chunk: ChunkRef,
+                chain: list[ChunkRecord]) -> list:
+        """The delta codecs of the located levels, in chain order.  A
+        level naming no store codec (one a store written before the
+        comparison codecs left it may name) raises :class:`CodecError`
+        naming array, version and chunk."""
         codecs = []
         for level in chain:
-            codec = get_delta_codec(level.delta_codec) \
-                if level.delta_codec is not None else None
-            if codec is None or not codec.composable:
-                return None
-            codecs.append(codec)
+            try:
+                codecs.append(get_delta_codec(level.delta_codec))
+            except CodecError as exc:
+                raise CodecError(
+                    f"{record.name!r} version {level.version} "
+                    f"chunk {chunk.name}: {exc}") from exc
         return codecs
+
+    @staticmethod
+    def _fold(record: ArrayRecord, chunk: ChunkRef,
+              chain: list[ChunkRecord], codecs: list,
+              payloads: list, base: np.ndarray, cells: np.ndarray) -> None:
+        """Fold ``chain``'s levels into ``cells``, which hold ``base``'s
+        (:func:`repro.delta.base.fold_chain`); a malformed level is
+        named — array, version, chunk — in the :class:`CodecError`."""
+        try:
+            fold_chain(codecs, payloads, base, cells)
+        except DeltaLevelError as exc:
+            level = chain[exc.level]
+            raise CodecError(
+                f"{record.name!r} version {level.version} "
+                f"chunk {chunk.name}: corrupt "
+                f"{level.delta_codec} delta: {exc}") from exc
 
     def _fused_apply(self, record: ArrayRecord, chunk: ChunkRef,
                      chain: list[ChunkRecord], codecs: list,
@@ -840,13 +844,7 @@ class DecodePipeline(_PooledStage):
             else self._chunk_buffer(base)
         np.copyto(cells, base)
         if chain:
-            try:
-                fold_chain(codecs, payloads, base, cells)
-            except DeltaLevelError as exc:
-                raise CodecError(
-                    f"{record.name!r} version {chain[exc.level].version} "
-                    f"chunk {chunk.name}: corrupt "
-                    f"{chain[exc.level].delta_codec} delta: {exc}") from exc
+            self._fold(record, chunk, chain, codecs, payloads, base, cells)
             self.store.stats.record_chain_fused(
                 len(chain), sum(codec.scatters for codec in codecs))
         if cells is not out:
@@ -881,7 +879,7 @@ class DecodePipeline(_PooledStage):
         Every chunk is lent its window of the output canvas
         (``reconstruct(out=)``): a folded chain lands there from the
         fold itself and only results that live elsewhere (cache
-        entries, stepwise decodes) are copied in.
+        entries, warm fills) are copied in.
         """
         snap = array if isinstance(array, ArraySnapshot) \
             else self.catalog.snapshot(array.name)

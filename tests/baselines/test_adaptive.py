@@ -5,13 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression import AdaptiveLZCodec, get_codec
+from repro.baselines import AdaptiveLZCodec
+from repro.compression import get_codec
 from repro.core.errors import CodecError
 
 
 class TestAdaptiveLZ:
-    def test_registered(self):
-        assert get_codec("adaptive-lz").name == "adaptive-lz"
+    def test_not_a_store_compressor(self):
+        assert AdaptiveLZCodec().name == "adaptive-lz"
+        with pytest.raises(CodecError, match="adaptive-lz"):
+            get_codec("adaptive-lz")
 
     def test_small_payloads_stay_raw(self):
         codec = AdaptiveLZCodec(min_bytes=4096)
@@ -87,18 +90,3 @@ class TestAdaptiveLZ:
         data[-8:] = b"\x01" * 8
         with pytest.raises(CodecError):
             codec.decode(bytes(data))
-
-    def test_usable_as_manager_compressor(self, tmp_path, rng):
-        from repro.core.schema import ArraySchema
-        from repro.storage import VersionedStorageManager
-
-        manager = VersionedStorageManager(
-            tmp_path, chunk_bytes=64 * 1024, compressor="adaptive-lz",
-            delta_policy="materialize")
-        manager.create_array(
-            "A", ArraySchema.simple((64, 64), dtype=np.int32))
-        compressible = np.zeros((64, 64), dtype=np.int32)
-        manager.insert("A", compressible)
-        np.testing.assert_array_equal(
-            manager.select("A", 1).single(), compressible)
-        assert manager.stored_bytes("A") < compressible.nbytes / 10

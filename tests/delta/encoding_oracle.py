@@ -18,8 +18,7 @@ boolean-mask splits — where ``src/`` reads everything off one width
 histogram and one compiled split pass.  (``codec.encode_parts`` is now
 the planner's own code, so calling it here would compare the planner
 with itself.)  Only the leaf bit-packer and the frame serializers are
-shared; transform codecs (bsdiff, mpeg-like) have a single encoder and
-go through it.
+shared.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Round-trip and behaviour tests for the delta codecs (Table I set)."""
+"""Round-trip and behaviour tests for the store's delta codecs (Table I's
+array-aware rows)."""
 
 from __future__ import annotations
 
@@ -11,21 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import bitpack, native, numeric
-from repro.core.errors import (
-    CodecError,
-    DeltaShapeMismatchError,
-    ReproError,
+from codec_cases import (
+    DeltaBackwardRoundTrips,
+    DeltaForwardRoundTrips,
+    check_corrupt_decode_forward,
+    corruptions,
+    delta_pair as _pair,
+    frame_agrees,
 )
-from repro.core.serial import unpack_array_header
+from repro.core import bitpack, native, numeric
+from repro.core.errors import CodecError, ReproError
 from repro.delta import codes as code_store
-from repro.delta.base import fold_chain
+from repro.delta.base import fold_chain, pack_frame
 from repro.delta.codes import CodePlan
 from repro.delta import (
-    BSDiffDeltaCodec,
     DenseDeltaCodec,
     HybridDeltaCodec,
-    MPEGLikeDeltaCodec,
     SparseDeltaCodec,
     delta_codec_names,
     get_delta_codec,
@@ -36,93 +38,17 @@ ALL_CODECS = [
     SparseDeltaCodec(),
     HybridDeltaCodec(),
     HybridDeltaCodec(lz=True),
-    MPEGLikeDeltaCodec(block=8, radius=2),
-    BSDiffDeltaCodec(),
 ]
-DTYPES = [np.uint8, np.int16, np.int32, np.int64, np.float32, np.float64]
-
-
-def _pair(dtype, shape, rng, similarity=0.95):
-    """Two versions that agree on ~similarity of their cells."""
-    if np.dtype(dtype).kind == "f":
-        base = rng.normal(0, 100, size=shape).astype(dtype)
-        noise = rng.normal(0, 1, size=shape).astype(dtype)
-    else:
-        info = np.iinfo(dtype)
-        lo, hi = max(info.min, -1000), min(info.max, 1000)
-        base = rng.integers(lo, hi, size=shape).astype(dtype)
-        noise = rng.integers(-3, 4, size=shape).astype(dtype)
-    mask = rng.random(size=shape) > similarity
-    with np.errstate(over="ignore"):
-        target = np.where(mask, base + noise, base).astype(dtype)
-    return target, base
 
 
 @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
-class TestForwardRoundTrip:
-    @pytest.mark.parametrize("dtype", DTYPES, ids=str)
-    def test_similar_versions(self, codec, dtype, rng):
-        target, base = _pair(dtype, (24, 32), rng)
-        data = codec.encode(target, base)
-        out = codec.decode_forward(data, base)
-        assert out.tobytes() == target.tobytes()
-        assert out.shape == target.shape
-        assert out.dtype == target.dtype
-
-    def test_identical_versions(self, codec, rng):
-        base = rng.normal(0, 10, size=(16, 16)).astype(np.float32)
-        data = codec.encode(base.copy(), base)
-        out = codec.decode_forward(data, base)
-        assert out.tobytes() == base.tobytes()
-
-    def test_completely_different(self, codec, rng):
-        target = rng.integers(0, 2**31, size=(8, 8)).astype(np.int32)
-        base = rng.integers(0, 2**31, size=(8, 8)).astype(np.int32)
-        data = codec.encode(target, base)
-        out = codec.decode_forward(data, base)
-        assert out.tobytes() == target.tobytes()
-
-    def test_1d(self, codec, rng):
-        target, base = _pair(np.int32, (100,), rng)
-        data = codec.encode(target, base)
-        assert codec.decode_forward(data, base).tobytes() == target.tobytes()
-
-    def test_3d(self, codec, rng):
-        target, base = _pair(np.int16, (4, 6, 8), rng)
-        data = codec.encode(target, base)
-        out = codec.decode_forward(data, base)
-        assert out.tobytes() == target.tobytes()
-        assert out.shape == target.shape
-
-    def test_shape_mismatch_rejected(self, codec):
-        with pytest.raises(DeltaShapeMismatchError):
-            codec.encode(np.zeros((2, 2), dtype=np.int32),
-                         np.zeros((2, 3), dtype=np.int32))
-
-    def test_nan_inf_bit_exact(self, codec):
-        base = np.array([[1.0, np.nan], [np.inf, -0.0]], dtype=np.float64)
-        target = np.array([[np.nan, np.nan], [np.inf, 2.0]],
-                          dtype=np.float64)
-        data = codec.encode(target, base)
-        out = codec.decode_forward(data, base)
-        assert out.tobytes() == target.tobytes()
+class TestForwardRoundTrip(DeltaForwardRoundTrips):
+    pass
 
 
 @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
-class TestBackwardRoundTrip:
-    """Observation 2's "reconstruct ... in both directions": a layout
-    may store the older version as a delta against the newer one, and
-    the store then re-encodes the pair the other way round."""
-
-    @pytest.mark.parametrize("dtype", [np.int32, np.float64], ids=str)
-    def test_base_from_target(self, codec, dtype, rng):
-        target, base = _pair(dtype, (20, 20), rng)
-        forward = codec.encode(target, base)
-        backward = codec.encode(base, target)
-        assert codec.decode_forward(forward, base).tobytes() == \
-            target.tobytes()
-        assert codec.decode_forward(backward, target).tobytes() == \
-            base.tobytes()
+class TestBackwardRoundTrip(DeltaBackwardRoundTrips):
+    pass
 
 
 class TestSizes:
@@ -160,58 +86,11 @@ class TestSizes:
             sparse = len(SparseDeltaCodec().encode(target, base))
             assert hybrid <= min(dense, sparse) + 16
 
-    def test_mpeg_detects_shift(self, rng):
-        # A pure translation must produce a much smaller residual with
-        # motion compensation than with the plain hybrid delta.
-        base = rng.integers(0, 255, size=(64, 64)).astype(np.uint8)
-        target = np.roll(base, shift=(3, 2), axis=(0, 1))
-        mpeg = MPEGLikeDeltaCodec(block=16, radius=4)
-        hybrid = HybridDeltaCodec()
-        mpeg_size = len(mpeg.encode(target, base))
-        hybrid_size = len(hybrid.encode(target, base))
-        assert mpeg_size < hybrid_size / 4
-        out = mpeg.decode_forward(mpeg.encode(target, base), base)
-        assert out.tobytes() == target.tobytes()
-
-    def test_bsdiff_compresses_mostly_equal_bytes(self, rng):
-        base = rng.integers(0, 255, size=4096).astype(np.uint8)
-        target = base.copy()
-        target[100:120] += 1
-        size = len(BSDiffDeltaCodec().encode(target, base))
-        assert size < base.nbytes / 4
-
-
-class TestSuffixArray:
-    def test_small_known(self):
-        from repro.delta import suffix_array
-
-        data = np.frombuffer(b"banana", dtype=np.uint8)
-        sa = suffix_array(data)
-        suffixes = [bytes(data[i:]).decode() for i in sa]
-        assert suffixes == sorted("banana"[i:] for i in range(6))
-
-    def test_empty(self):
-        from repro.delta import suffix_array
-
-        assert suffix_array(np.zeros(0, dtype=np.uint8)).size == 0
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.binary(min_size=1, max_size=200))
-    def test_sorted_property(self, data):
-        from repro.delta import suffix_array
-
-        array = np.frombuffer(data, dtype=np.uint8)
-        sa = suffix_array(array)
-        suffixes = [data[i:] for i in sa]
-        assert suffixes == sorted(data[i:] for i in range(len(data)))
-
 
 class TestRegistry:
-    def test_names(self):
-        names = delta_codec_names()
-        for expected in ("dense", "sparse", "hybrid", "hybrid+lz",
-                         "mpeg-like", "bsdiff"):
-            assert expected in names
+    def test_names_are_the_store_codecs(self):
+        assert delta_codec_names() == ("dense", "hybrid", "hybrid+lz",
+                                       "sparse")
 
     def test_get(self):
         assert get_delta_codec("hybrid").name == "hybrid"
@@ -220,6 +99,11 @@ class TestRegistry:
     def test_unknown(self):
         with pytest.raises(CodecError):
             get_delta_codec("vcdiff")
+
+    @pytest.mark.parametrize("name", ["mpeg-like", "bsdiff"])
+    def test_comparison_codecs_are_not_store_codecs(self, name):
+        with pytest.raises(CodecError, match=name):
+            get_delta_codec(name)
 
 
 @settings(max_examples=25, deadline=None)
@@ -261,10 +145,7 @@ class TestEncodeParts:
             len(codec.encode(target, base))
 
 
-@pytest.mark.parametrize("codec", [DenseDeltaCodec(), SparseDeltaCodec(),
-                                   HybridDeltaCodec(),
-                                   HybridDeltaCodec(lz=True)],
-                         ids=lambda c: c.name)
+@pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
 class TestStrictDecode:
     """Decoders consume exactly the payload they are handed — trailing
     garbage means a placement/addressing bug and must surface, not be
@@ -284,40 +165,13 @@ class TestStrictDecode:
         np.testing.assert_array_equal(out, target)
 
 
-def _corruptions(rng, payload: bytes, trials: int):
-    """Seeded hostile variants of ``payload``: truncations, single bit
-    flips anywhere, and whole-byte smashes in the header region (frame,
-    width bytes, the outlier count) — the fields that size things."""
-    for _ in range(trials):
-        yield payload[:int(rng.integers(0, len(payload)))]
-        flipped = bytearray(payload)
-        flipped[int(rng.integers(0, len(payload)))] ^= \
-            1 << int(rng.integers(0, 8))
-        yield bytes(flipped)
-        smashed = bytearray(payload)
-        smashed[int(rng.integers(0, min(48, len(payload))))] = \
-            int(rng.integers(0, 256))
-        yield bytes(smashed)
-
-
-def _frame_agrees(payload: bytes, base: np.ndarray) -> bool:
-    try:
-        dtype, shape, _ = unpack_array_header(payload)
-    except CodecError:
-        return False
-    return (dtype, shape) == (base.dtype, base.shape)
-
-
 @pytest.mark.parametrize("kernels", [True, False],
                          ids=["native", "numpy"])
 @pytest.mark.parametrize("dtype", [np.int32, np.float32], ids=str)
 class TestCorruptPayloads:
     """A payload is bytes from disk: whatever is wrong with it, a
-    decoder raises a typed :class:`ReproError` — never a MemoryError
-    from an allocation the bytes sized, never numpy's ValueError from
-    a shape the bytes chose — and never hands back an array for a
-    frame that disagrees with the array it was asked to decode
-    against."""
+    decoder raises a typed :class:`ReproError` (see
+    :func:`codec_cases.check_corrupt_decode_forward`)."""
 
     TRIALS = 40
 
@@ -329,31 +183,17 @@ class TestCorruptPayloads:
 
     @pytest.mark.parametrize("name", delta_codec_names())
     def test_decode_forward(self, name, dtype, kernels, rng):
-        codec = get_delta_codec(name)
-        payload, target, base = self._payload(name, dtype, rng)
         with contextlib.nullcontext() if kernels else native.disabled():
-            assert codec.decode_forward(payload, base).tobytes() == \
-                target.tobytes()
-            wrong = np.zeros((16, 12), dtype=base.dtype)
-            with pytest.raises(ReproError):
-                codec.decode_forward(payload, wrong)
-            for bad in _corruptions(rng, payload, self.TRIALS):
-                try:
-                    out = codec.decode_forward(bad, base)
-                except ReproError:
-                    continue
-                assert _frame_agrees(bad, base)
-                assert (out.dtype, out.shape) == (base.dtype, base.shape)
+            check_corrupt_decode_forward(get_delta_codec(name), dtype, rng,
+                                         self.TRIALS)
 
-    @pytest.mark.parametrize("name", [
-        name for name in delta_codec_names()
-        if get_delta_codec(name).composable])
+    @pytest.mark.parametrize("name", delta_codec_names())
     def test_accumulate(self, name, dtype, kernels, rng):
         codec = get_delta_codec(name)
         payload, _, base = self._payload(name, dtype, rng)
         mode = numeric.delta_mode_for(base.dtype)
         with contextlib.nullcontext() if kernels else native.disabled():
-            for bad in _corruptions(rng, payload, self.TRIALS):
+            for bad in corruptions(rng, payload, self.TRIALS):
                 # As the read pipeline calls it: an accumulator sized
                 # from the chunk being decoded, never from the bytes.
                 accumulator = numeric.delta_accumulator(mode, base.size)
@@ -366,8 +206,6 @@ class TestCorruptPayloads:
                 assert math.prod(shape) == base.size
 
 
-COMPOSABLE = [name for name in delta_codec_names()
-              if get_delta_codec(name).composable]
 CANARY = 0x5A
 
 
@@ -376,7 +214,7 @@ CANARY = 0x5A
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64,
                                    np.float16, np.float32, np.float64],
                          ids=str)
-@pytest.mark.parametrize("name", COMPOSABLE)
+@pytest.mark.parametrize("name", delta_codec_names())
 class TestCorruptFold:
     """The read path's entry point (:func:`repro.delta.base.fold_chain`)
     parses stored bytes and writes into the caller's cells: for every
@@ -402,7 +240,7 @@ class TestCorruptFold:
     @staticmethod
     def _payload(codec, section, base) -> bytes:
         mode = numeric.delta_mode_for(base.dtype)
-        return codec._frame(base, mode) + b"".join(codec._seal([section]))
+        return pack_frame(base, mode) + b"".join(codec._seal([section]))
 
     @staticmethod
     def _fold(codec, payload, base, kernels):
@@ -487,9 +325,9 @@ class TestCorruptFold:
     def test_random_corruption(self, name, dtype, kernels, rng):
         codec, section, _, base = self._level(name, dtype, rng)
         payload = self._payload(codec, section, base)
-        for bad in _corruptions(rng, payload, 30):
+        for bad in corruptions(rng, payload, 30):
             got = self._fold(codec, bad, base, kernels)
-            assert got is None or _frame_agrees(bad, base)
+            assert got is None or frame_agrees(bad, base)
 
 
 

@@ -13,6 +13,8 @@ reference pages are held to the code by tier-1 tests:
 * the backend-spec table must cover every registry name and every
   parameterized spec form ``ensure_backend_spec`` accepts, and its
   example specs must actually validate;
+* the store-codec table in ``docs/architecture.md`` must name exactly
+  the keys of the store's delta and compressor tables;
 * every module under ``src/repro/cluster/`` and
   ``src/repro/storage/backend/`` must be named in
   ``docs/architecture.md``, so the package maps cannot rot;
@@ -39,6 +41,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.compression import codec_names
+from repro.delta import delta_codec_names
 from repro.storage.backend import BACKEND_NAMES, ensure_backend_spec
 
 REPO = Path(__file__).resolve().parents[2]
@@ -116,6 +120,21 @@ class TestBackendSpecs:
         assert specs
         for spec in specs:
             assert ensure_backend_spec(spec) == spec
+
+
+STORE_CODEC_ROW = re.compile(r"^\|\s*(delta|compressor)\s*\|\s*`([^`]+)`",
+                             re.M)
+
+
+def test_store_codec_table_names_exactly_the_store_tables():
+    rows = STORE_CODEC_ROW.findall((DOCS / "architecture.md").read_text())
+    assert rows, "the gate matched nothing: table moved?"
+    documented = {table: sorted(name for kind, name in rows
+                                if kind == table)
+                  for table in ("delta", "compressor")}
+    assert documented == {"delta": sorted(delta_codec_names()),
+                          "compressor": sorted(codec_names())}, (
+        f"docs/architecture.md store-codec table drifted: {documented}")
 
 
 def _unnamed_modules(package: str) -> list[str]:

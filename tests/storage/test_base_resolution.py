@@ -17,7 +17,6 @@ a ``select`` of that version, and one canvas.
 
 from __future__ import annotations
 
-import contextlib
 import tracemalloc
 
 import numpy as np
@@ -208,19 +207,16 @@ class TestOneFingerprint:
 
 
     @pytest.mark.parametrize("kwargs", [
-        dict(delta_policy="chain", delta_codec="bsdiff"),
         dict(delta_policy="materialize"),
-    ], ids=["stepwise-base", "no-base"])
+    ], ids=["no-base"])
     def test_policies_the_fold_does_not_serve(self, tmp_path, kwargs):
-        # A bsdiff chain decodes level by level, so that is how its
-        # cold base is read; the materialize policy asks for no base.
+        # The materialize policy asks for no base.
         versions = _versions(np.int64, depth=3, shape=(16, 16))
         prints = {}
         for label, cold in (("hot", False), ("cold", True)):
             store = _Store(tmp_path / label, **kwargs)
             _reopen_before_every_insert(store, versions, cold)
-            if kwargs["delta_policy"] == "materialize":
-                assert store.sources == []
+            assert store.sources == []
             prints[label] = store.manager.fingerprint()
             for number, data in enumerate(versions, start=1):
                 assert np.array_equal(
@@ -391,31 +387,6 @@ class TestHotSlotAdoption:
             tmp_path / "replay", [versions[0], retried],
             backend="memory")[1]
         manager.close()
-
-    @pytest.mark.parametrize("codec", ["bsdiff", "mpeg-like"])
-    def test_a_transform_chain_never_adopts(self, tmp_path, codec,
-                                            monkeypatch):
-        # These codecs read the base after planning, so the canvas is
-        # never lent: every commit copies, and the bytes are those the
-        # numpy kernels store.
-        versions = _versions(np.int32, depth=3)
-        lent = []
-        lend = _HotSlot.lend
-        prints = {}
-        for kernels in ("native", "numpy"):
-            manager = self._manager(tmp_path / kernels, backend="memory",
-                                    delta_codec=codec)
-            monkeypatch.setattr(_HotSlot, "lend",
-                                lambda slot, *args: lent.append(args)
-                                or lend(slot, *args))
-            with (native.disabled() if kernels == "numpy"
-                  else contextlib.nullcontext()):
-                for data in versions:
-                    manager.insert("a", data)
-            prints[kernels] = manager.fingerprint()
-            manager.close()
-        assert lent == []
-        assert prints["native"] == prints["numpy"]
 
     def test_a_multi_version_stage_adopts_only_a_head_on_the_canvas(
             self, tmp_path):

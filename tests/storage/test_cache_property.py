@@ -69,7 +69,6 @@ def _step(rng, data):
 @given(depth=st.integers(2, 7),
        codec=st.sampled_from(("dense", "sparse", "hybrid")),
        dtype=st.sampled_from((np.int64, np.float64)),
-       bsdiff_at=st.one_of(st.none(), st.integers(2, 7)),
        budget=st.sampled_from(("off", "chunk", "half-chain", "all")),
        workers=st.sampled_from((0, 4)),
        ops=st.lists(st.one_of(
@@ -79,8 +78,7 @@ def _step(rng, data):
            min_size=1, max_size=14),
        seed=st.integers(0, 2 ** 16))
 def test_cached_store_equals_cache_off_store(depth, codec, dtype,
-                                             bsdiff_at, budget, workers,
-                                             ops, seed):
+                                             budget, workers, ops, seed):
     max_bytes = {"off": 0, "chunk": CHUNK_BYTES,
                  "half-chain": max(1, depth // 2) * CHUNK_BYTES,
                  "all": 64 * CHUNKS * CHUNK_BYTES}[budget]
@@ -98,11 +96,7 @@ def test_cached_store_equals_cache_off_store(depth, codec, dtype,
         data = _step(rng, truth[-1]) if truth else (
             rng.normal(size=SHAPE) if np.dtype(dtype).kind == "f"
             else rng.integers(-1000, 1000, SHAPE)).astype(dtype)
-        # One level of the chain may be bsdiff: not composable, so
-        # every read across it takes the stepwise decode.
-        level_codec = "bsdiff" if len(truth) + 1 == bsdiff_at else codec
         for store in stores:
-            store.encoder.delta_codec_name = level_codec
             assert store.insert("A", data) == len(truth) + 1
         truth.append(data)
 

@@ -1,19 +1,20 @@
 """Fused-vs-stepwise delta-chain read equivalence oracle.
 
-The fused read path (:meth:`DecodePipeline.reconstruct`) copies the
-decoded root once into contiguous cells — the caller's canvas window
-when that is contiguous, else the decoding thread's chunk buffer, which
-is copied into the window after the fold — and folds every composable
-level of the chain onto those cells in place, at the cells' own width.
-Its contract is byte-exactness: for every delta
-policy, both delta modes (ARITHMETIC for integers, XOR for floats),
-every cell type, chain depth and destination layout, and adversarial
-cell values (wraparound at every width, NaN / signed-zero / infinity
-bit patterns), the fused result must equal the level-by-level result
-bit for bit, kernels on or off.  The level-by-level reference is
-:func:`_stepwise_select` below — the stored chain walked with one
+The read path (:meth:`DecodePipeline.reconstruct`) copies the decoded
+root once into contiguous cells — the caller's canvas window when that
+is contiguous, else the decoding thread's chunk buffer, which is copied
+into the window after the fold — and folds every level of the chain
+onto those cells in place, at the cells' own width; a cache warm fill
+folds the same levels one at a time, into an owning copy per level.
+Its contract is byte-exactness: for every delta policy, both delta
+modes (ARITHMETIC for integers, XOR for floats), every cell type, chain
+depth and destination layout, and adversarial cell values (wraparound
+at every width, NaN / signed-zero / infinity bit patterns), the fused
+result and every warm-filled level must equal the level-by-level
+result bit for bit, kernels on or off.  The level-by-level reference
+is :func:`_stepwise_select` below — the stored chain walked with one
 ``decode_forward`` per level, straight off the catalog and the chunk
-store — so both sides decode the very same stored bytes.
+store — so every side decodes the very same stored bytes.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from repro.compression.registry import get_codec
 from repro.core import native
 from repro.core.errors import CodecError
 from repro.core.schema import ArraySchema
+from repro.delta.base import frame_size
 from repro.delta.registry import get_delta_codec
 from repro.storage import pipeline
 from repro.storage.manager import VersionedStorageManager
-from repro.storage.pipeline import DecodePipeline
+from repro.storage.pipeline import ChunkCache, DecodePipeline
 
 DEPTH = 8
 SHAPE = (16, 16)
@@ -162,7 +164,7 @@ def test_fused_equals_stepwise(tmp_path, policy, kwargs, mode, dtype,
             assert got_fused.tobytes() == got_step.tobytes()
             assert got_fused.tobytes() == \
                 np.ascontiguousarray(expected).tobytes()
-        # Depth-3+ selects of a composable chain must actually fuse.
+        # Depth-3+ selects must actually fuse.
         assert manager.stats.snapshot().chains_fused > 0
         # Reading must not disturb the store.
         assert manager.fingerprint("A") == before
@@ -203,19 +205,6 @@ def test_depth_one_chain_folds(tmp_path):
         with manager.stats.measure() as window:
             got = manager.select("A", 1).attribute("value")
         assert np.array_equal(got, versions[0])
-        assert window.chains_fused == 0
-
-
-@pytest.mark.parametrize("codec", ["bsdiff", "mpeg-like"])
-def test_non_composable_codecs_fall_back(tmp_path, codec):
-    """Directional codecs decode level-by-level, results still exact."""
-    versions = _int_versions()
-    with _build(tmp_path / "s", versions, np.int64,
-                delta_policy="chain", delta_codec=codec) as manager:
-        with manager.stats.measure() as window:
-            got = manager.select("A", DEPTH).attribute("value")
-        assert got.tobytes() == \
-            np.ascontiguousarray(versions[DEPTH - 1]).tobytes()
         assert window.chains_fused == 0
 
 
@@ -261,9 +250,9 @@ def _cached_chain(root, versions, **cache):
 
 
 def test_roomy_cache_warm_fills_stepwise(tmp_path):
-    """A chain that fits the cache's free space is warm-filled: no
-    fusion on that first read, every version along the chain admitted,
-    and every later read a hit."""
+    """A chain that fits the cache's free space is warm-filled level by
+    level: no fusion on that first read, every version along the chain
+    admitted, and every later read a hit."""
     versions = _int_versions()
     with _cached_chain(tmp_path / "s", versions,
                        cache_bytes=64 * CHUNK) as manager:
@@ -425,8 +414,9 @@ def _build_grid(root, dtype, shape, chunk_shape, versions):
                          ids=[name for name, _, _ in LAYOUTS])
 @pytest.mark.parametrize("dtype", CELL_TYPES, ids=str)
 def test_equivalence_grid(tmp_path, dtype, layout, shape, chunk_shape):
-    """Fused read == stepwise ``decode_forward`` == kernels off, by
-    ``tobytes()``, at every depth 1..8, serial and fanned."""
+    """Fused read == stepwise ``decode_forward`` == kernels off ==
+    every level of a warm fill, by ``tobytes()``, at every depth 1..8,
+    serial and fanned."""
     versions = _grid_versions(dtype, shape, DEPTH)
     with _build_grid(tmp_path / "s", dtype, shape, chunk_shape,
                      versions) as manager:
@@ -443,6 +433,7 @@ def test_equivalence_grid(tmp_path, dtype, layout, shape, chunk_shape):
         fanned = DecodePipeline(manager.catalog, manager.store, workers=4)
         try:
             for depth in range(1, DEPTH + 1):
+                _check_warm_fill(manager, record, grid, depth, versions)
                 expected = versions[depth - 1].tobytes()
                 assert _stepwise_select(manager, "A", depth).tobytes() \
                     == expected
@@ -458,6 +449,30 @@ def test_equivalence_grid(tmp_path, dtype, layout, shape, chunk_shape):
                         .tobytes() == expected
         finally:
             fanned.close()
+
+
+def _check_warm_fill(manager, record, grid, depth, versions) -> None:
+    """One read of ``depth`` through an empty, roomy cache: a warm fill
+    that folds nothing as a chain, admits every version along it, and
+    whose every admitted level is that version, byte for byte."""
+    chunks = grid.chunks()
+    nbytes = sum(version.nbytes for version in versions)
+    warm = DecodePipeline(manager.catalog, manager.store,
+                          cache=ChunkCache(max_bytes=4 * nbytes))
+    try:
+        with manager.stats.measure() as window:
+            got = warm.read_version(record, grid, depth).attribute("value")
+    finally:
+        warm.close()
+    assert got.tobytes() == versions[depth - 1].tobytes()
+    assert window.chains_fused == 0
+    info = warm.cache.info()
+    assert info["prefetched"] == (depth - 1) * len(chunks)
+    assert info["entries"] == depth * len(chunks)
+    for (_, version, _, name), data in warm.cache._entries.items():
+        (chunk,) = [chunk for chunk in chunks if chunk.name == name]
+        assert data.tobytes() == np.ascontiguousarray(
+            versions[version - 1][chunk.slices()]).tobytes()
 
 
 def test_misaligned_zero_copy_root(tmp_path):
@@ -546,20 +561,25 @@ def test_read_allocates_no_chunk_sized_temporary(tmp_path):
         assert peak <= canvas.nbytes + (256 << 10) + (128 << 10), peak
 
 
+def _corrupt_level(manager, version: int, like: np.ndarray):
+    """Make the entry count of ``version``'s sparse table (past its
+    frame) huge in the stored bytes; that version's chunk row."""
+    record = manager.catalog.get_array("A")
+    (level,) = manager.catalog.chunks_for_version(record.array_id, version)
+    backend, path = manager.store.backend, level.location.path
+    stored = bytearray(backend.read(path, 0, backend.total_bytes(path)))
+    at = level.location.offset + frame_size(like)
+    stored[at:at + 8] = (1 << 40).to_bytes(8, "little")
+    backend.write(path, bytes(stored))
+    return level
+
+
 def test_corrupt_level_is_named(tmp_path):
     """A malformed level's error says which array, version and chunk."""
     versions = _int_versions()
     with _build(tmp_path / "s", versions, np.int64, backend="memory",
                 delta_policy="chain", delta_codec="sparse") as manager:
-        record = manager.catalog.get_array("A")
-        (level,) = manager.catalog.chunks_for_version(record.array_id, 5)
-        backend, path = manager.store.backend, level.location.path
-        stored = bytearray(backend.read(path, 0, backend.total_bytes(path)))
-        # Past the frame: the sparse table's entry count, made huge.
-        at = level.location.offset + \
-            get_delta_codec("sparse")._frame_size(versions[0])
-        stored[at:at + 8] = (1 << 40).to_bytes(8, "little")
-        backend.write(path, bytes(stored))
+        level = _corrupt_level(manager, 5, versions[0])
         for kernels_off in (False, True):
             with pytest.raises(CodecError) as refused:
                 if kernels_off:
@@ -574,6 +594,35 @@ def test_corrupt_level_is_named(tmp_path):
         # Versions below the damage still read.
         assert manager.select("A", 4).attribute("value").tobytes() == \
             versions[3].tobytes()
+
+
+def test_corrupt_level_is_named_alike_on_a_warm_fill(tmp_path):
+    """A warm fill folds level by level; a malformed level in the
+    middle of its chain raises the very error a cache-off read raises,
+    naming array, version and chunk, and nothing is admitted."""
+    versions = _int_versions()
+    with _build(tmp_path / "s", versions, np.int64, backend="memory",
+                delta_policy="chain", delta_codec="sparse") as manager:
+        level = _corrupt_level(manager, 5, versions[0])
+        record = manager.catalog.get_array("A")
+        warm = DecodePipeline(manager.catalog, manager.store,
+                              cache=ChunkCache(max_bytes=64 * CHUNK))
+        refusals = []
+        try:
+            for read in (lambda: manager.select("A", DEPTH),
+                         lambda: warm.read_version(
+                             record, manager.grid_for(record), DEPTH)):
+                with pytest.raises(CodecError) as refused:
+                    read()
+                refusals.append(str(refused.value))
+            info = warm.cache.info()
+        finally:
+            warm.close()
+        assert info["prefetch_declined"] == 0      # it was a warm fill
+        assert info["entries"] == 0
+        assert refusals[0] == refusals[1]
+        assert "'A' version 5" in refusals[1]
+        assert f"chunk {level.chunk_name}" in refusals[1]
 
 
 @pytest.mark.parametrize("workers", [0, 4])

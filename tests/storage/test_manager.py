@@ -15,6 +15,7 @@ from repro.core.array import (
 from repro.core.errors import (
     ArrayExistsError,
     ArrayNotFoundError,
+    CodecError,
     SchemaError,
     StorageError,
     VersionNotFoundError,
@@ -88,6 +89,65 @@ class TestLifecycle:
         manager.create_array("B", schema)
         manager.create_array("A", schema)
         assert manager.list_arrays() == ["A", "B"]
+
+
+class TestStoreCodecs:
+    """The store reads and writes only the codecs in its two tables."""
+
+    @pytest.mark.parametrize("kwargs", [dict(compressor="bogus"),
+                                        dict(compressor="rle"),
+                                        dict(delta_codec="nope"),
+                                        dict(delta_codec="bsdiff")],
+                             ids=lambda kwargs: "=".join(*kwargs.items()))
+    def test_unknown_codec_refused_before_any_state(self, tmp_path,
+                                                    kwargs):
+        root = tmp_path / "store"
+        with pytest.raises(CodecError, match=next(iter(kwargs.values()))):
+            VersionedStorageManager(root, **kwargs)
+        assert not root.exists()
+
+    def test_create_array_refuses_an_unknown_compressor(self, manager,
+                                                        schema):
+        with pytest.raises(CodecError, match="rle"):
+            manager.create_array("A", schema, compressor="rle")
+        assert manager.list_arrays() == []
+        assert manager.store.total_bytes("A") == 0
+
+    def test_rows_naming_a_comparison_codec_fail_loudly(self, tmp_path,
+                                                        schema, rng):
+        """A store written when ``rle`` and ``bsdiff`` were store codecs
+        no longer opens those rows: a select names the codec (and, for a
+        delta level, the array, version and chunk) and returns nothing."""
+        versions = _versions(rng, count=2)
+        with VersionedStorageManager(tmp_path, chunk_bytes=400) as manager:
+            for name in ("A", "B"):
+                manager.create_array(name, schema)
+                for data in versions:
+                    manager.insert(name, data)
+            record = manager.catalog.get_array("B")
+            level = manager.catalog.chunks_for_version(record.array_id, 2)[0]
+            assert level.is_delta
+            conn = manager.catalog._conn
+            with conn:
+                conn.execute(
+                    "UPDATE chunks SET compressor = 'rle' WHERE array_id ="
+                    " (SELECT id FROM arrays WHERE name = 'A')"
+                    " AND version_num = 1")
+                conn.execute(
+                    "UPDATE chunks SET delta_codec = 'bsdiff' WHERE"
+                    " array_id = ? AND version_num = 2 AND chunk_name = ?",
+                    (record.array_id, level.chunk_name))
+        with VersionedStorageManager(tmp_path, chunk_bytes=400) as manager:
+            for version in (1, 2):
+                with pytest.raises(CodecError, match="'rle'"):
+                    manager.select("A", version)
+            with pytest.raises(CodecError) as refused:
+                manager.select("B", 2)
+            message = str(refused.value)
+            assert "'bsdiff'" in message
+            assert f"'B' version 2 chunk {level.chunk_name}" in message
+            np.testing.assert_array_equal(manager.select("B", 1).single(),
+                                          versions[0])
 
 
 class TestPayloadForms:
