@@ -1,6 +1,6 @@
-"""Design-choice ablations (DESIGN.md Section 5)."""
+"""Design-choice ablations (docs/paper.md, §III rows)."""
 
-from repro.bench import ablations
+from paper import ablations
 
 
 def bench_chunk_size_sweep(run_once):

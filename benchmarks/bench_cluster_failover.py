@@ -5,20 +5,21 @@ The sweep runs the (nodes x replication) grid — unreplicated baseline,
 the production R=2 shape, full triplication — each cell ingesting the
 same deterministic dataset, reading it back through a killed node,
 resyncing a blank replacement replica from its peers, and resharding
-onto one more node while a reader thread keeps selecting.  Wall-clock
-columns are hardware-dependent and asserted nowhere; what must hold
-everywhere is the replication contract: one *logical* cluster
-fingerprint across every cell and across every reshard, reads that
-survive a dead host exactly when a quorum exists (failing loudly when
-it does not), failovers counted exactly when they happened, exact
-replica-write accounting, and exact repair accounting (the replaced
-copy replays exactly the band's versions, R=1 cells have no peer and
-skip the scenario).  The rows land in ``BENCH_cluster.json`` (uploaded
-as a CI artifact and gated against the committed copy like the other
-fingerprint artifacts).
+onto one more node while a reader thread keeps selecting (``run()``
+raises if any of those reads fails or returns the wrong bytes).  The
+artifact carries no wall clock (``cluster-rf2`` in ``benchmarks/e2e``
+times the cluster); what must hold everywhere is the replication
+contract: one *logical* cluster fingerprint across every cell and
+across every reshard, reads that survive a dead host exactly when a
+quorum exists (failing loudly when it does not), failovers counted
+exactly when they happened, exact replica-write accounting, and exact
+repair accounting (the replaced copy replays exactly the band's
+versions, R=1 cells have no peer and skip the scenario).  The rows
+land in ``BENCH_cluster.json`` (uploaded as a CI artifact and gated
+against the committed copy like the other fingerprint artifacts).
 """
 
-from repro.bench import cluster
+from paper import cluster
 
 
 def bench_cluster_failover(run_once):
@@ -37,7 +38,6 @@ def bench_cluster_failover(run_once):
             # say so loudly instead of serving partial data.
             assert not row["killed_read_ok"]
             # ... and no peer exists to repair a replacement from.
-            assert row["repair_seconds"] is None
             assert row["repaired_versions"] is None
         else:
             # A surviving quorum serves every read, and the failovers
@@ -45,19 +45,14 @@ def bench_cluster_failover(run_once):
             assert row["killed_read_ok"]
             assert row["killed_failovers"] >= row["versions"]
             # Exact repair accounting: the blank replacement replayed
-            # exactly its band's versions, at a measurable rate.
+            # exactly its band's versions.
             assert row["repaired_versions"] == row["versions"]
             assert row["repair_bytes"] > 0
-            assert row["repair_mb_per_sec"] > 0
-        # The online rebalance kept serving: the concurrent reader
-        # observed at least one select, and its p50 is a real latency.
-        assert row["rebalance_read_p50_ms"] > 0
         # Exact replication accounting: every version landed one
         # redundant copy per extra replica per band.
         assert row["replica_writes"] == \
             row["versions"] * row["nodes"] * (row["replication"] - 1)
         assert row["migrated_chunks"] > 0
-        assert row["versions_per_sec"] > 0
 
     # Both degraded and replicated cells actually ran.
     assert {row["replication"] for row in rows} == {1, 2, 3}

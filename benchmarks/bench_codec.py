@@ -11,8 +11,8 @@ gated against the committed ``BENCH_codec.json`` by the fingerprint
 regression check).
 """
 
-from repro.bench import codec
-from repro.bench.harness import native_axis
+from paper import codec
+from paper.harness import native_axis
 
 
 def bench_codec_kernels(run_once):

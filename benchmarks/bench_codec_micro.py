@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import (
+from paper.baselines import (
     AdaptiveLZCodec,
     NullSuppressionCodec,
     PNGLikeCodec,

@@ -12,7 +12,7 @@ as a CI artifact and compared against the committed copy by the
 fingerprint regression gate).
 """
 
-from repro.bench import fig2
+from paper import fig2
 
 BACKENDS = ("local", "memory", "object")
 

@@ -1,4 +1,4 @@
-"""Experiment I1 — ingest throughput through the staged write pipeline.
+"""Experiment I1 — ingest conformance through the staged write pipeline.
 
 The sweep runs the workers axis (serial vs parallel encode + placement
 fan-out) against five backends (buffered local files, durable local
@@ -6,17 +6,17 @@ files with the group-commit fsync barrier, in-memory, striped local,
 and the S3-style object store with its multipart staging + finalize
 barrier), then adds the CPU-bound ``chain`` cells (every version
 hybrid-delta-encoded against its parent) on the fast substrates.  The
-wall-clock columns are hardware-dependent and asserted nowhere; what
-must hold everywhere is the determinism contract: within each
-``delta_policy`` profile every cell stores byte-identical payloads at
-byte-identical locations with identical catalog rows (one SHA-256
-fingerprint per profile), executes exactly one encode task per placed
-chunk, and commits each version's rows in one transaction.  The rows
+artifact carries no wall clock (``ingest-chain`` in ``benchmarks/e2e``
+times ingest); what must hold everywhere is the determinism contract:
+within each ``delta_policy`` profile every cell stores byte-identical
+payloads at byte-identical locations with identical catalog rows (one
+SHA-256 fingerprint per profile), executes exactly one encode task per
+placed chunk, and commits each version's rows in one transaction.  The rows
 land in ``BENCH_ingest.json`` (uploaded as a CI artifact next to
 ``BENCH_fig2.json``).
 """
 
-from repro.bench import ingest
+from paper import ingest
 
 
 def bench_ingest_parallel(run_once):
@@ -42,7 +42,6 @@ def bench_ingest_parallel(run_once):
             assert row["encode_tasks"] == row["chunks_written"]
             assert row["encode_tasks"] == policy_rows[0]["encode_tasks"]
             assert row["bytes_written"] == policy_rows[0]["bytes_written"]
-            assert row["versions_per_sec"] > 0
 
         # Both halves of the workers axis actually ran.
         assert {row["workers"] for row in policy_rows} == {1, 4}

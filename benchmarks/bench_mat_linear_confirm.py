@@ -1,6 +1,6 @@
 """Experiment M4 — Section V-D: the optimum degenerates to a chain."""
 
-from repro.bench import materialization
+from paper import materialization
 
 
 def bench_mat_linear_confirm(run_once):

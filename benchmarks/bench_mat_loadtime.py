@@ -1,6 +1,6 @@
 """Experiment M3 — Section V-D: optimal-vs-linear load time."""
 
-from repro.bench import materialization
+from paper import materialization
 
 
 def bench_mat_loadtime(run_once):

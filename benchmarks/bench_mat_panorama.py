@@ -1,6 +1,6 @@
 """Experiment M1 — Section V-D: optimal vs linear chain on Panorama."""
 
-from repro.bench import materialization
+from paper import materialization
 
 
 def bench_mat_panorama(run_once):

@@ -1,6 +1,6 @@
 """Experiment M2 — Section V-D: synthetic periodic data sets."""
 
-from repro.bench import materialization
+from paper import materialization
 
 
 def bench_mat_periodic(run_once):

@@ -1,4 +1,4 @@
-"""Experiment S1 — deep-chain scan throughput.
+"""Experiment S1 — deep-chain scan conformance.
 
 The sweep reads one seeded store per (depth, codec, backend) cell
 under each native setting.  ``run()`` itself asserts every select
@@ -7,11 +7,12 @@ the structural claims — which cells fused, how many levels scattered,
 and that the native axis never changes a stored byte.  (The fused
 decode is held to the level-by-level walk in
 ``tests/storage/test_fused_reads.py``.)  Fingerprints are frozen by
-the regression gate against the committed artifact.
+the regression gate against the committed artifact; ``scan-deep`` in
+``benchmarks/e2e`` times the read.
 """
 
-from repro.bench import scan
-from repro.bench.harness import native_axis
+from paper import scan
+from paper.harness import native_axis
 
 #: Local files plus the S3-style object store — the committed artifact
 #: must cover both, so the wrapper pins the axis (the module default is
@@ -29,7 +30,6 @@ def bench_scan_throughput(run_once):
     stores = {}
     for row in rows:
         assert len(row["fingerprint"]) == 64
-        assert row["mb_per_sec"] > 0
         codec, depth = row["delta_codec"], row["chain_depth"]
         stores.setdefault((row["backend"], codec, depth), set()) \
             .add(row["fingerprint"])

@@ -1,6 +1,6 @@
 """Experiment T1 — Table I: differencing algorithm comparison."""
 
-from repro.bench import table1
+from paper import table1
 
 
 def bench_table1_delta_algorithms(run_once):

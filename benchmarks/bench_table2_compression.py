@@ -1,6 +1,6 @@
 """Experiment T2 — Table II: compression on delta arrays."""
 
-from repro.bench import table2
+from paper import table2
 
 
 def bench_table2_compression(run_once):

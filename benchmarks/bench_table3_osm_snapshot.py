@@ -1,6 +1,6 @@
 """Experiment T3 — Table III: OSM snapshot queries, 4 configurations."""
 
-from repro.bench import table3
+from paper import table3
 
 
 def bench_table3_osm_snapshot(run_once):

@@ -1,6 +1,6 @@
 """Experiment T4 — Table IV: OSM range queries over all 16 versions."""
 
-from repro.bench import table4
+from paper import table4
 
 
 def bench_table4_osm_range(run_once):

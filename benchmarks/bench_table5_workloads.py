@@ -1,6 +1,6 @@
 """Experiment T5 — Table V: NOAA/ConceptNet under the five workloads."""
 
-from repro.bench import table5
+from paper import table5
 
 
 def bench_table5_workloads(run_once):

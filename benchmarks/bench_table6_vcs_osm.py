@@ -1,6 +1,6 @@
 """Experiment T6 — Table VI: SVN and Git versus our system on OSM."""
 
-from repro.bench import table6
+from paper import table6
 
 
 def bench_table6_vcs_osm(run_once):

@@ -1,6 +1,6 @@
 """Experiment T7 — Table VII: SVN and Git versus our system on NOAA."""
 
-from repro.bench import table7
+from paper import table7
 
 
 def bench_table7_vcs_noaa(run_once):

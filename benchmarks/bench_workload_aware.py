@@ -1,6 +1,6 @@
 """Experiment M5 — Section V-D: workload-aware vs space-optimal layouts."""
 
-from repro.bench import workload_aware
+from paper import workload_aware
 
 
 def bench_workload_aware(run_once):

@@ -1,7 +1,7 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one paper table or figure (DESIGN.md's
-per-experiment index) and prints the paper-shaped rows with ``-s``.
+Each benchmark regenerates one paper table or figure (the
+docs/paper.md index) and prints the paper-shaped rows with ``-s``.
 Experiments are macro-benchmarks, so every one runs as a single
 pedantic round — the interesting output is the printed table, with
 pytest-benchmark recording the end-to-end wall clock.

@@ -19,7 +19,7 @@ Quickstart::
     db.insert("Example", 2 * np.arange(9, dtype=np.int32).reshape(3, 3))
     stack = db.execute("SELECT * FROM Example@*;").value   # 2x3x3
 
-See README.md for the architecture overview and DESIGN.md for the
+See README.md for the architecture overview and docs/paper.md for the
 paper-to-module mapping.
 """
 
@@ -35,7 +35,6 @@ from repro.core import (
     SparsePayload,
 )
 from repro.materialize import (
-    BatchUpdatePlanner,
     Layout,
     MaterializationMatrix,
     RangeQuery,
@@ -56,7 +55,6 @@ __all__ = [
     "ArrayData",
     "ArraySchema",
     "Attribute",
-    "BatchUpdatePlanner",
     "ClusterCoordinator",
     "Database",
     "DeltaListPayload",

@@ -30,12 +30,30 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.bench.harness import fmt_bytes, fmt_seconds
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema
 from repro.query.engine import Database
 from repro.storage.backend import ensure_backend_spec
 from repro.storage.pipeline import resolve_workers
+
+
+def fmt_bytes(count: float) -> str:
+    """Human-readable byte count (``1.53 GB`` style, as in the tables)."""
+    value = float(count)
+    for unit in ("B", "KB", "MB", "GB", "TB"):
+        if abs(value) < 1024 or unit == "TB":
+            if unit == "B":
+                return f"{int(value)} {unit}"
+            return f"{value:.2f} {unit}"
+        value /= 1024
+    raise AssertionError("unreachable")
+
+
+def fmt_seconds(seconds: float) -> str:
+    """Seconds with paper-style precision (``42.63 s``)."""
+    if seconds < 0.01:
+        return f"{seconds * 1000:.2f} ms"
+    return f"{seconds:.2f} s"
 
 
 def _cmd_list(db: Database, _args) -> int:

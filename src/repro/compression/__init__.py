@@ -5,7 +5,7 @@ or Lempel-Ziv, the winner of Table II.  Both are lossless for every
 supported dtype.  The other codecs the paper evaluates — run-length
 encoding, null suppression, the PNG-like and JPEG2000-like codecs,
 LZW and adaptive LZ — are comparison baselines in
-:mod:`repro.baselines`.
+``benchmarks/paper/baselines/``, outside the package.
 """
 
 from repro.compression.base import Codec, IdentityCodec

@@ -12,7 +12,7 @@ chunk store treats codec output as opaque bytes; the codec name is
 recorded in the version metadata so the select path knows how to decode.
 The store writes two codecs (:mod:`repro.compression.registry`); the
 comparison codecs of Table II implement the same interface in
-:mod:`repro.baselines`.
+``benchmarks/paper/baselines/``, outside the package.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The version metadata records, per chunk, the name of the compression
 codec that produced it (Section II-A step three); the select path looks
 the decoder up here.  The table is fixed: no compression, and
 Lempel-Ziv, Table II's winner.  Table II's other rows are comparison
-baselines in :mod:`repro.baselines`; a name not in the table raises
-:class:`CodecError`.
+baselines in ``benchmarks/paper/baselines/``; a name not in the table
+raises :class:`CodecError`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Synthetic equivalents of the paper's four evaluation data sets.
 
 Each generator reproduces the statistical property that drives the
-corresponding experiments (see DESIGN.md's substitution table): NOAA's
+corresponding experiments (see docs/paper.md's scale column): NOAA's
 smooth drift + single-pixel noise, ConceptNet's sparse churn, OSM's
 near-identical weekly map tiles, Switch Panorama's periodic scenes, and
 the Section V-D synthetic periodic patterns.

@@ -5,7 +5,7 @@ relationships between various 'concepts' ... weekly snapshots from 2008.
 Each version is about 1,000,000 by 1,000,000 large with around 430,000
 data points (represented as 32-bit integers)."
 
-Scaled substitution (documented in DESIGN.md): the generator produces an
+Scaled substitution (documented in docs/paper.md): the generator produces an
 ``n x n`` grid (default 1024) with a configurable nonzero budget, a
 power-law degree distribution (a few hub concepts carry most relations,
 as in the real semantic network), and weekly *churn*: each snapshot adds

@@ -12,7 +12,7 @@ light canvas, wider trunk roads plus narrow residential streets — and
 evolves it very slowly: each weekly version adds or redraws only a few
 road segments.  That extreme inter-version similarity of a large dense
 raster is the property Tables III, IV and VI measure; the tiles are
-scaled from 1 GB to megabytes (scale factor recorded in EXPERIMENTS.md).
+scaled from 1 GB to megabytes (scale recorded in docs/paper.md).
 """
 
 from __future__ import annotations

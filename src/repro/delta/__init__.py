@@ -4,7 +4,7 @@ Provides the store's differencing family — dense, sparse and hybrid
 (with optional LZ) — plus automatic materialize-vs-delta selection.
 Table I's other algorithms, the MPEG-2-like block matcher and the
 BSDiff-style binary differ, are comparison baselines in
-:mod:`repro.baselines`.
+``benchmarks/paper/baselines/``, outside the package.
 """
 
 from repro.delta.auto import (

@@ -3,8 +3,8 @@
 The table is fixed: the dense / sparse / hybrid family, hybrid also
 with its LZ stage.  Codecs hold no state, so one instance of each
 serves every lookup.  Table I's other rows (the MPEG-2-like matcher,
-BSDiff) are comparison baselines in :mod:`repro.baselines`; a chunk
-row naming one, or any other name, raises :class:`CodecError`.
+BSDiff) are comparison baselines in ``benchmarks/paper/baselines/``; a
+chunk row naming one, or any other name, raises :class:`CodecError`.
 """
 
 from __future__ import annotations

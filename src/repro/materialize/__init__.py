@@ -16,11 +16,6 @@ from repro.materialize.spanning import (
     optimal_layout,
     prim_mst,
 )
-from repro.materialize.updates import (
-    BatchUpdatePlanner,
-    extend_matrix,
-    incremental_insert,
-)
 from repro.materialize.workload_opt import (
     RangeQuery,
     RegionQuery,
@@ -36,7 +31,6 @@ from repro.materialize.workload_opt import (
 )
 
 __all__ = [
-    "BatchUpdatePlanner",
     "Layout",
     "MaterializationMatrix",
     "RangeQuery",
@@ -48,10 +42,8 @@ __all__ = [
     "algorithm1_mst",
     "algorithm2_forest",
     "exhaustive_optimal",
-    "extend_matrix",
     "greedy_workload_layout",
     "head_biased_layout",
-    "incremental_insert",
     "kruskal_mst",
     "optimal_layout",
     "prim_mst",

@@ -181,7 +181,7 @@ def _delta_cost(flat_a: np.ndarray, flat_b: np.ndarray,
     cell.  The matrix keeps the paper's symmetry by always differencing
     the lower-id version against the higher-id one; callers must pass
     ``flat_a`` as the earlier version (see :meth:`build` and
-    :func:`repro.materialize.updates.extend_matrix`).
+    ``extend_matrix`` in ``benchmarks/paper/updates.py``).
     """
     scale = 1.0
     if sample_index is not None:

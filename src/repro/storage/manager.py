@@ -295,12 +295,12 @@ class VersionedStorageManager:
         A compressor the store does not write raises
         :class:`CodecError`."""
         get_codec(compressor or self.compressor_name)
-        if chunk_shape is not None:
-            # Validate eagerly so a bad shape fails at Create.
-            ChunkGrid(schema.shape, schema.cell_size,
-                      chunk_bytes or self.chunk_bytes, chunk_shape)
+        if chunk_bytes is None:
+            chunk_bytes = self.chunk_bytes
+        # Validate eagerly so a bad shape or budget fails at Create.
+        ChunkGrid(schema.shape, schema.cell_size, chunk_bytes, chunk_shape)
         return ArrayRecord(
-            None, name, schema, chunk_bytes or self.chunk_bytes,
+            None, name, schema, chunk_bytes,
             compressor or self.compressor_name, self._now(),
             parent_array, parent_version,
             tuple(chunk_shape) if chunk_shape else None)

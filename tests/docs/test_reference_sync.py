@@ -26,7 +26,14 @@ reference pages are held to the code by tier-1 tests:
   a real file;
 * every third-party module imported under ``src/`` must be declared in
   ``pyproject.toml``'s ``dependencies``, and ``import repro`` must
-  succeed without the undeclared ones.
+  succeed without the undeclared ones;
+* the library is the store: no file under ``src/`` imports a module
+  from ``benchmarks/`` (the paper reproduction ``paper``, the gate
+  ``check_bench_regression``, ...), and ``import repro, repro.cli``
+  loads none of them;
+* ``docs/paper.md`` names only paths that exist, and names every
+  ``benchmarks/paper/`` module and every ``benchmarks/bench_*.py``
+  driver.
 """
 
 from __future__ import annotations
@@ -213,8 +220,8 @@ def _declared_dependencies() -> set[str]:
 
 
 def _src_imports() -> dict[str, str]:
-    """Top-level module of every absolute import under ``src/``, with
-    the first file importing it."""
+    """Every module an absolute import under ``src/`` names, with the
+    first file importing it."""
     found: dict[str, str] = {}
     for path in sorted((REPO / "src").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -225,13 +232,14 @@ def _src_imports() -> dict[str, str]:
             else:
                 continue
             for name in names:
-                found.setdefault(name.split(".")[0],
-                                 str(path.relative_to(REPO)))
+                found.setdefault(name, str(path.relative_to(REPO)))
     return found
 
 
 def test_src_imports_only_declared_dependencies():
-    imported = _src_imports()
+    imported = {}
+    for name, path in _src_imports().items():
+        imported.setdefault(name.split(".")[0], path)
     assert "numpy" in imported, "the gate matched nothing: src moved?"
     declared = _declared_dependencies()
     undeclared = {name: path for name, path in imported.items()
@@ -251,3 +259,75 @@ def test_import_repro_without_scipy():
          "import sys; sys.modules['scipy'] = None; import repro, repro.cli"],
         env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+#: Where the paper reproduction lived inside the package until it moved
+#: to ``benchmarks/paper/``.
+MOVED_OUT = ("repro.bench", "repro.baselines", "repro.workloads")
+
+
+def _benchmark_modules() -> set[str]:
+    """Top-level names importable from ``benchmarks/``: its scripts and
+    every package under it."""
+    bench = REPO / "benchmarks"
+    names = {path.stem for path in bench.glob("*.py")}
+    names |= {path.parent.name for path in bench.rglob("__init__.py")}
+    return names
+
+
+def _is_benchmark_module(name: str, benchmark: set[str]) -> bool:
+    return name.split(".")[0] in benchmark or \
+        any(name == moved or name.startswith(moved + ".")
+            for moved in MOVED_OUT)
+
+
+def test_src_imports_nothing_from_benchmarks():
+    benchmark = _benchmark_modules()
+    assert {"paper", "check_bench_regression"} <= benchmark, \
+        "the gate matched nothing: benchmarks/ moved?"
+    offending = {name: path for name, path in _src_imports().items()
+                 if _is_benchmark_module(name, benchmark)}
+    assert not offending, f"src/ imports benchmark code: {offending}"
+
+
+def test_import_repro_loads_no_benchmark_module():
+    # benchmarks/ is importable here, so a stray import would load
+    # rather than fail.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(REPO / "src"), str(REPO / "benchmarks"),
+        env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = result.stdout.split()
+    assert "repro.cli" in loaded
+    benchmark = _benchmark_modules()
+    assert not [name for name in loaded
+                if _is_benchmark_module(name, benchmark)]
+
+
+PAPER_INDEX = DOCS / "paper.md"
+REPO_PATH = re.compile(r"`((?:src|benchmarks|tests|examples|docs)/[^`\s]*)`")
+
+
+def test_paper_index_names_only_existing_paths():
+    named = REPO_PATH.findall(PAPER_INDEX.read_text())
+    assert named, "the gate matched nothing: docs/paper.md moved?"
+    missing = sorted({path for path in named
+                      if "*" not in path and "<" not in path
+                      and not (REPO / path).exists()})
+    assert not missing, f"docs/paper.md names missing paths: {missing}"
+
+
+def test_paper_index_names_every_experiment_and_driver():
+    named = set(REPO_PATH.findall(PAPER_INDEX.read_text()))
+    bench = REPO / "benchmarks"
+    expected = [*(bench / "paper").rglob("*.py"), *bench.glob("bench_*.py")]
+    unnamed = sorted(
+        str(path.relative_to(REPO)) for path in expected
+        if path.name != "__init__.py"
+        and str(path.relative_to(REPO)) not in named)
+    assert not unnamed, f"docs/paper.md does not name {unnamed}"

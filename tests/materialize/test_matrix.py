@@ -10,11 +10,7 @@ import pytest
 
 from repro.compression import IdentityCodec, LempelZivCodec
 from repro.core.errors import DeltaShapeMismatchError, ReproError
-from repro.materialize import (
-    MaterializationMatrix,
-    extend_matrix,
-    optimal_layout,
-)
+from repro.materialize import MaterializationMatrix, optimal_layout
 
 # The sort-based hybrid pricing lives with the planner's oracle.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "delta"))
@@ -159,7 +155,7 @@ class TestPricedLikeTheOracle:
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32],
                              ids=str)
-    def test_exact_sampled_and_extended(self, rng, dtype):
+    def test_exact_and_sampled(self, rng, dtype):
         contents = self._series(rng, dtype)
         exact = MaterializationMatrix.build(contents)
         oracle = _oracle_costs(contents)
@@ -174,17 +170,6 @@ class TestPricedLikeTheOracle:
         sampled_oracle = _oracle_costs(contents, sample_index)
         assert np.array_equal(sampled.costs, sampled_oracle.costs)
         assert optimal_layout(sampled) == optimal_layout(sampled_oracle)
-
-        head = max(contents)
-        older = {v: a for v, a in contents.items() if v != head}
-        for index, full in ((None, exact), (sample_index, sampled)):
-            grown = extend_matrix(
-                MaterializationMatrix.build(
-                    older, sample_fraction=None if index is None else 0.1),
-                older, head, contents[head],
-                materialized_size=full.materialize_size(head),
-                sample_index=index)
-            assert np.array_equal(grown.costs, full.costs)
 
 
 class TestRestrict:

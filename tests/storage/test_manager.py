@@ -113,6 +113,22 @@ class TestStoreCodecs:
         assert manager.list_arrays() == []
         assert manager.store.total_bytes("A") == 0
 
+    @pytest.mark.parametrize("manager_budget,array_budget",
+                             [(400, -5), (400, 0), (0, None)],
+                             ids=["negative", "zero", "manager-zero"])
+    def test_create_array_refuses_a_budget_no_insert_can_use(
+            self, tmp_path, manager_budget, array_budget):
+        # A budget below one cell used to commit the array and fail
+        # only at its first insert (or, at 0, silently take the
+        # manager default).
+        schema = ArraySchema.simple((8, 8), dtype=np.int32)
+        with VersionedStorageManager(
+                tmp_path, chunk_bytes=manager_budget) as manager:
+            with pytest.raises(StorageError, match="chunk budget"):
+                manager.create_array("b", schema,
+                                     chunk_bytes=array_budget)
+            assert manager.list_arrays() == []
+
     def test_rows_naming_a_comparison_codec_fail_loudly(self, tmp_path,
                                                         schema, rng):
         """A store written when ``rle`` and ``bsdiff`` were store codecs

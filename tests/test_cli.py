@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import fmt_bytes, fmt_seconds, main
+from repro.core.errors import StorageError
 from repro.query.engine import Database
 
 
@@ -21,6 +22,18 @@ def store(tmp_path):
     db.branch("Example", 1, "Fork")
     db.close()
     return root
+
+
+class TestFormatting:
+    def test_fmt_bytes(self):
+        assert fmt_bytes(512) == "512 B"
+        assert fmt_bytes(2048) == "2.00 KB"
+        assert fmt_bytes(3 * 2**20) == "3.00 MB"
+        assert fmt_bytes(5 * 2**30) == "5.00 GB"
+
+    def test_fmt_seconds(self):
+        assert fmt_seconds(0.001) == "1.00 ms"
+        assert fmt_seconds(1.5) == "1.50 s"
 
 
 class TestCLI:
@@ -95,6 +108,16 @@ class TestCLI:
         np.save(path, data)
         assert main([str(store), "ingest", "Scans", str(path),
                      str(tmp_path / "typo.npy")]) == 2
+        with Database(store) as db:
+            assert "Scans" not in db.manager.list_arrays()
+
+    def test_ingest_unusable_chunk_budget_creates_nothing(
+            self, store, tmp_path):
+        path = tmp_path / "frame.npy"
+        np.save(path, np.ones((4, 4), dtype=np.int32))
+        with pytest.raises(StorageError, match="chunk budget"):
+            main([str(store), "ingest", "Scans", str(path),
+                  "--chunk-bytes", "0"])
         with Database(store) as db:
             assert "Scans" not in db.manager.list_arrays()
 
