@@ -58,12 +58,16 @@ from repro.cluster.partitioning import (
     band_schema,
     band_slice,
 )
-from repro.core.array import ArrayData, Payload, _sliced_schema
+from repro.core.array import ArrayData, Payload, sliced_schema
 from repro.core.errors import ReproError, StorageError
 from repro.core.schema import ArraySchema
 from repro.storage.backend import StorageBackend
 from repro.storage.iostats import IOStats
-from repro.storage.manager import VersionedStorageManager, _Staged
+from repro.storage.manager import (
+    VersionedStorageManager,
+    _Staged,
+    region_corners,
+)
 from repro.storage.pipeline import resolve_workers
 
 #: Cluster lifecycle events — debug per failover hop, info per repair
@@ -787,8 +791,7 @@ class ClusterCoordinator:
                 if partitioner is None else f"array {name!r} has no "
                 f"published version {version}")
         schema = gen.schemas[name]
-        lo = schema.to_zero_based(corner_lo)
-        hi = schema.to_zero_based(corner_hi)
+        lo, hi = region_corners(schema, corner_lo, corner_hi)
         region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         axis = partitioner.axis
 
@@ -815,7 +818,7 @@ class ClusterCoordinator:
                                min(hi[axis], band.hi) - lo[axis])
             for attr in schema.attributes:
                 canvases[attr.name][index] = part.attribute(attr.name)
-        return ArrayData(_sliced_schema(schema, lo, hi), canvases)
+        return ArrayData(sliced_schema(schema, region_shape), canvases)
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:

@@ -17,6 +17,7 @@ delta lists, the contents of the base version).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.core.errors import (
     DimensionError,
     SchemaError,
 )
-from repro.core.schema import ArraySchema
+from repro.core.schema import ArraySchema, Dimension
 
 
 class ArrayData:
@@ -125,15 +126,14 @@ class ArrayData:
                 f"attributes={list(self._attributes)})")
 
 
-def _sliced_schema(schema: ArraySchema, lo: tuple[int, ...],
-                   hi: tuple[int, ...]) -> ArraySchema:
-    """Schema for a hyper-rectangle slice (multi-attribute case)."""
-    from repro.core.schema import Dimension
-
-    dims = tuple(
-        Dimension(d.name, 0, h - l)
-        for d, l, h in zip(schema.dimensions, lo, hi)
-    )
+@lru_cache(maxsize=256)
+def sliced_schema(schema: ArraySchema,
+                  shape: tuple[int, ...]) -> ArraySchema:
+    """Schema of a ``shape``-sized hyper-rectangle of ``schema``: the
+    same names and attributes, zero-based.  Memoised, so repeated
+    region reads share one (immutable) schema object."""
+    dims = tuple(Dimension(d.name, 0, extent - 1)
+                 for d, extent in zip(schema.dimensions, shape))
     return ArraySchema(dimensions=dims, attributes=schema.attributes)
 
 

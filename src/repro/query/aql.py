@@ -19,11 +19,19 @@ accepted.  ``SUBSAMPLE`` takes inclusive (lo, hi) coordinate pairs per
 spatial axis, plus an optional trailing pair indexing the stacked time
 axis when the target is a multi-version stack — exactly the Appendix A
 example, which selects a 2x2x2 cube from a 3x3x3 stack.
+
+:func:`parse` reads each SELECT *shape* once: statements that differ
+only in their numbers share one template, kept in a bounded LRU
+(:data:`SHAPE_CACHE_SIZE`).  The cache holds syntax only; everything
+that depends on the store or on the numbers' values is checked by the
+executor on every call.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -376,9 +384,72 @@ class _Parser:
             f"found {token.text!r}", token.position)
 
 
+# ----------------------------------------------------------------------
+# Statement shapes
+# ----------------------------------------------------------------------
+#: Splits a statement around its number tokens.  Quoted strings and
+#: identifiers are matched whole (group 1), so digits inside them stay
+#: text, exactly as :data:`_TOKEN_RE` reads them; group 2 is a number
+#: token (``x-3`` is ``x`` then ``-3``, ``1-5`` is ``1`` then ``-5``).
+_SHAPE_RE = re.compile(r"('[^']*'|[A-Za-z_][A-Za-z_0-9]*)|(-?\d+)")
+
+#: How many statement shapes :func:`parse` keeps.
+SHAPE_CACHE_SIZE = 256
+
+#: shape -> template (literals -> Statement), least recently used first.
+_TEMPLATES: OrderedDict = OrderedDict()
+_TEMPLATES_LOCK = threading.Lock()
+
+
+def _shape(source: str) -> tuple[tuple, list[int]]:
+    """``(shape, literals)`` of a statement.
+
+    The shape is the text between number tokens plus the identifiers
+    and strings in it (``None`` where a number stood); the literals are
+    the numbers' values, in order.  Two statements of one shape differ
+    only in their numbers, so they tokenize to the same token kinds
+    and, when either parses, both parse alike.
+    """
+    pieces = _SHAPE_RE.split(source)
+    return ((tuple(pieces[0::3]), tuple(pieces[1::3])),
+            [int(text) for text in pieces[2::3] if text is not None])
+
+
+def _select_template(statement: SelectStatement):
+    """``literals -> SelectStatement`` for every statement of
+    ``statement``'s shape: a numbered version id and then the
+    SUBSAMPLE coordinates are a SELECT's only number tokens."""
+    spec, subsample = statement.spec, statement.subsample
+    first = 0 if spec.version is None else 1
+
+    def build(literals: list[int]) -> SelectStatement:
+        return SelectStatement(
+            VersionSpec(spec.array, literals[0]) if first else spec,
+            None if subsample is None else tuple(literals[first:]))
+    return build
+
+
 def parse(source: str) -> Statement:
-    """Parse one AQL statement."""
-    return _Parser(tokenize(source), source).statement()
+    """Parse one AQL statement.
+
+    A SELECT whose shape was parsed before is built from its template;
+    any other statement parses cold, and a syntax error raises before
+    anything is kept.
+    """
+    shape, literals = _shape(source)
+    with _TEMPLATES_LOCK:
+        template = _TEMPLATES.get(shape)
+        if template is not None:
+            _TEMPLATES.move_to_end(shape)
+    if template is not None:
+        return template(literals)
+    statement = _Parser(tokenize(source), source).statement()
+    if isinstance(statement, SelectStatement):
+        with _TEMPLATES_LOCK:
+            _TEMPLATES[shape] = _select_template(statement)
+            if len(_TEMPLATES) > SHAPE_CACHE_SIZE:
+                _TEMPLATES.popitem(last=False)
+    return statement
 
 
 # ----------------------------------------------------------------------
@@ -488,20 +559,14 @@ class AQLExecutor:
         if statement.subsample is None:
             return self.processor.select(spec)
 
-        record = self.manager.catalog.get_array(spec.array)
-        ndim = record.schema.ndim
-        pairs = [tuple(statement.subsample[i:i + 2])
-                 for i in range(0, len(statement.subsample), 2)]
-        if len(pairs) == ndim:
-            window_pairs, time_range = pairs, None
-        elif len(pairs) == ndim + 1:
-            window_pairs, time_range = pairs[:-1], pairs[-1]
-        else:
+        coordinates = statement.subsample
+        ndim = self.manager.catalog.get_array(spec.array).schema.ndim
+        pairs = len(coordinates) // 2
+        if pairs not in (ndim, ndim + 1):
             raise AQLExecutionError(
-                f"SUBSAMPLE got {len(pairs)} coordinate pairs; array has "
+                f"SUBSAMPLE got {pairs} coordinate pairs; array has "
                 f"{ndim} dimensions (pass {ndim} pairs, or {ndim + 1} "
                 "with a trailing time range)")
-        corner_lo = tuple(lo for lo, _ in window_pairs)
-        corner_hi = tuple(hi for _, hi in window_pairs)
-        return self.processor.select(spec, window=(corner_lo, corner_hi),
-                                     time_range=time_range)
+        window = (coordinates[0:2 * ndim:2], coordinates[1:2 * ndim:2])
+        return self.processor.select(
+            spec, window=window, time_range=coordinates[2 * ndim:] or None)

@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from repro.core.errors import DimensionError, StorageError
 
@@ -67,7 +66,7 @@ class ChunkRef:
     lo: tuple[int, ...]
     hi: tuple[int, ...]
 
-    @property
+    @cached_property
     def name(self) -> str:
         """The paper's file name: ``chunk-<lo...>-<hi...>.dat``."""
         parts = [str(c) for c in self.lo] + [str(c) for c in self.hi]
@@ -83,7 +82,7 @@ class ChunkRef:
 
     def slices(self) -> tuple[slice, ...]:
         """Numpy basic-indexing slices selecting this chunk's cells."""
-        return tuple(np.s_[l:h + 1] for l, h in zip(self.lo, self.hi))
+        return tuple(slice(l, h + 1) for l, h in zip(self.lo, self.hi))
 
 
 class ChunkGrid:
@@ -134,6 +133,25 @@ class ChunkGrid:
     def ndim(self) -> int:
         return len(self.shape)
 
+    @cached_property
+    def _refs(self) -> tuple[ChunkRef, ...]:
+        """Every chunk, in row-major grid order, built once per grid."""
+        def ref(index):
+            lo = tuple(c * stride for c, stride in zip(index, self.strides))
+            hi = tuple(min(l + stride - 1, extent - 1)
+                       for l, stride, extent in zip(lo, self.strides,
+                                                    self.shape))
+            return ChunkRef(index=index, lo=lo, hi=hi)
+        return tuple(ref(index) for index in itertools.product(
+            *(range(count) for count in self.counts)))
+
+    def _flat(self, index: tuple[int, ...]) -> int:
+        """Row-major position of a grid index in :attr:`_refs`."""
+        flat = 0
+        for component, count in zip(index, self.counts):
+            flat = flat * count + component
+        return flat
+
     def chunk_at(self, index: tuple[int, ...]) -> ChunkRef:
         """The chunk with the given grid index vector."""
         if len(index) != self.ndim:
@@ -143,11 +161,7 @@ class ChunkGrid:
             if not 0 <= component < count:
                 raise DimensionError(
                     f"chunk index {index} outside grid {self.counts}")
-        lo = tuple(c * stride for c, stride in zip(index, self.strides))
-        hi = tuple(min(l + stride - 1, extent - 1)
-                   for l, stride, extent in zip(lo, self.strides,
-                                                self.shape))
-        return ChunkRef(index=tuple(index), lo=lo, hi=hi)
+        return self._refs[self._flat(index)]
 
     def chunk_for_cell(self, cell: tuple[int, ...]) -> ChunkRef:
         """Closed-form cell -> chunk mapping (the paper's fX/fY formula)."""
@@ -164,9 +178,7 @@ class ChunkGrid:
 
     def chunks(self) -> list[ChunkRef]:
         """All chunks of the grid, in row-major grid order."""
-        return [self.chunk_at(index)
-                for index in itertools.product(
-                    *(range(count) for count in self.counts))]
+        return list(self._refs)
 
     def chunks_overlapping(self, lo: tuple[int, ...],
                            hi: tuple[int, ...]) -> list[ChunkRef]:
@@ -185,7 +197,8 @@ class ChunkGrid:
                     f"region [{lo}, {hi}] outside array shape {self.shape}")
         ranges = [range(l // stride, h // stride + 1)
                   for l, h, stride in zip(lo, hi, self.strides)]
-        return [self.chunk_at(index)
+        refs = self._refs
+        return [refs[self._flat(index)]
                 for index in itertools.product(*ranges)]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.compression.registry import get_codec
 from repro.core.array import ArrayData, DeltaListPayload, Payload
-from repro.core.errors import ArrayExistsError, StorageError
+from repro.core.errors import ArrayExistsError, DimensionError, StorageError
 from repro.core.schema import ArraySchema
 from repro.delta.registry import get_delta_codec
 from repro.storage.backend import StorageBackend, resolve_backend
@@ -67,7 +67,25 @@ __all__ = [
     "POLICY_CHAIN",
     "POLICY_MATERIALIZE",
     "VersionedStorageManager",
+    "region_corners",
 ]
+
+
+def region_corners(schema: ArraySchema, corner_lo: tuple[int, ...],
+                   corner_hi: tuple[int, ...]
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The zero-based ``(lo, hi)`` of a region given by two corners in
+    user coordinates, each inside the array and ``lo`` <= ``hi`` on
+    every dimension."""
+    lo = schema.to_zero_based(corner_lo)
+    hi = schema.to_zero_based(corner_hi)
+    for dim, first, last in zip(schema.dimensions, corner_lo, corner_hi):
+        if first > last:
+            raise DimensionError(
+                f"region runs backwards on dimension {dim.name}: from "
+                f"{first} down to {last}; the low corner must not exceed "
+                f"the high one")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -523,8 +541,7 @@ class VersionedStorageManager:
         snap = self.catalog.snapshot(name)
         snap.get_version(version)  # existence check
         record = snap.record
-        lo = record.schema.to_zero_based(corner_lo)
-        hi = record.schema.to_zero_based(corner_hi)
+        lo, hi = region_corners(record.schema, corner_lo, corner_hi)
         return self.decoder.read_region(snap, record.grid, version, lo, hi)
 
     def select_versions(self, name: str, versions: list[int],
@@ -547,8 +564,7 @@ class VersionedStorageManager:
                                attribute: str | None = None) -> np.ndarray:
         """Form 4: stack one hyper-rectangle across several versions."""
         snap = self.catalog.snapshot(name)
-        lo = snap.record.schema.to_zero_based(corner_lo)
-        hi = snap.record.schema.to_zero_based(corner_hi)
+        lo, hi = region_corners(snap.record.schema, corner_lo, corner_hi)
         return self._stacked_select(snap, versions, attribute, lo, hi)
 
     def _stacked_select(self, snap: ArraySnapshot, versions: list[int],

@@ -29,6 +29,7 @@ import sqlite3
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -226,7 +227,7 @@ class ArraySnapshot:
         row = self._versions.get(version)
         if row is None:
             raise VersionNotFoundError(
-                f"array {self.record.array_id} has no version {version}")
+                f"array {self.record.name!r} has no version {version}")
         return row
 
     def get_versions(self) -> list[VersionRecord]:
@@ -241,9 +242,10 @@ class ArraySnapshot:
         eligible = [number for number, row in self._versions.items()
                     if row.timestamp <= timestamp]
         if not eligible:
+            bound = datetime.fromtimestamp(timestamp, timezone.utc)
             raise VersionNotFoundError(
-                f"array {self.record.array_id} has no version at or "
-                f"before {timestamp}")
+                f"array {self.record.name!r} has no version at or "
+                f"before {bound.isoformat(sep=' ')}")
         return eligible[-1]
 
     def merge_parents_of(self, version: int) -> list[tuple[str, int]]:
@@ -253,7 +255,7 @@ class ArraySnapshot:
         version = self._labels.get(label)
         if version is None:
             raise VersionNotFoundError(
-                f"array {self.record.array_id} has no label {label!r}")
+                f"array {self.record.name!r} has no label {label!r}")
         return version
 
     def labels_of(self, version: int | None = None

@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.compression.registry import get_codec
 from repro.core import native
-from repro.core.array import ArrayData
+from repro.core.array import ArrayData, sliced_schema
 from repro.core.errors import (
     CodecError,
     DeltaLevelError,
@@ -916,10 +916,10 @@ class DecodePipeline(_PooledStage):
         contents can never be mutated through the result; a slice
         spanning the whole chunk stays zero-copy).
         """
-        from repro.core.array import _sliced_schema
-
         schema = snap.record.schema
-        chunks = list(grid.chunks_overlapping(lo, hi))
+        chunks = grid.chunks_overlapping(lo, hi)
+        region = sliced_schema(schema, tuple(h - l + 1
+                                             for l, h in zip(lo, hi)))
         if len(chunks) == 1:
             src, _ = overlap_slices(chunks[0], lo, hi)
             tasks = [(attr, chunks[0], None)
@@ -929,20 +929,19 @@ class DecodePipeline(_PooledStage):
                 for (attr, _, _), data in self._reconstruct_tasks(
                     snap, version, tasks)
             }
-            return ArrayData(_sliced_schema(schema, lo, hi), attributes)
+            return ArrayData(region, attributes)
 
-        region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         tasks = [(attr, chunk, None) for attr in schema.attributes
                  for chunk in chunks]
         attributes = {
-            attr.name: np.empty(region_shape, dtype=attr.dtype)
+            attr.name: np.empty(region.shape, dtype=attr.dtype)
             for attr in schema.attributes
         }
         for (attr, chunk, _), data in self._reconstruct_tasks(
                 snap, version, tasks):
             src, dst = overlap_slices(chunk, lo, hi)
             attributes[attr.name][dst] = data[src]
-        return ArrayData(_sliced_schema(schema, lo, hi), attributes)
+        return ArrayData(region, attributes)
 
     def _reconstruct_tasks(self, snap: ArraySnapshot, version: int,
                            tasks: list):
@@ -976,6 +975,6 @@ def overlap_slices(chunk: ChunkRef, lo: tuple[int, ...],
     for c_lo, c_hi, r_lo, r_hi in zip(chunk.lo, chunk.hi, lo, hi):
         start = max(c_lo, r_lo)
         stop = min(c_hi, r_hi)
-        src.append(np.s_[start - c_lo:stop - c_lo + 1])
-        dst.append(np.s_[start - r_lo:stop - r_lo + 1])
+        src.append(slice(start - c_lo, stop - c_lo + 1))
+        dst.append(slice(start - r_lo, stop - r_lo + 1))
     return tuple(src), tuple(dst)
