@@ -5,8 +5,8 @@
 * Table I's non-array delta algorithms: the MPEG-2-like block matcher
   and the BSDiff-style binary differ.
 * Table II's other compressors — run-length encoding, null
-  suppression, the PNG-like and JPEG2000-like codecs — plus LZW and
-  adaptive LZ.
+  suppression, the PNG-like and JPEG2000-like codecs — plus adaptive
+  LZ.
 
 None of them is a store codec: the store writes only the codecs in
 :mod:`repro.delta.registry` and :mod:`repro.compression.registry`.
@@ -17,7 +17,6 @@ from paper.baselines.base import BaselineVCS
 from paper.baselines.bsdiff import BSDiffDeltaCodec, suffix_array
 from paper.baselines.git_like import GitLikeRepository, GitOutOfMemoryError
 from paper.baselines.jpeg2000_like import JPEG2000LikeCodec
-from paper.baselines.lzw import LZWCodec
 from paper.baselines.mpeg_like import MPEGLikeDeltaCodec
 from paper.baselines.null_suppression import NullSuppressionCodec
 from paper.baselines.png_like import PNGLikeCodec
@@ -32,7 +31,6 @@ __all__ = [
     "GitLikeRepository",
     "GitOutOfMemoryError",
     "JPEG2000LikeCodec",
-    "LZWCodec",
     "MPEGLikeDeltaCodec",
     "NullSuppressionCodec",
     "PNGLikeCodec",

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from paper.harness import print_table
+from paper.harness import fan_width, print_table
 from repro.cluster import ClusterCoordinator
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema
@@ -160,15 +160,15 @@ def run(versions: int = 6, shape: tuple[int, ...] = (96, 64),
     reference: str | None = None
     with tempfile.TemporaryDirectory(dir=workdir) as scratch:
         for nodes, replication in cells:
-            cluster = ClusterCoordinator(
-                Path(scratch) / f"n{nodes}-r{replication}",
-                nodes=nodes, replication=replication,
-                chunk_bytes=chunk_bytes, backend=backend,
-                workers=workers)
-            try:
-                row = _cell(cluster, datas, nodes + 1)
-            finally:
-                cluster.close()
+            with fan_width(workers):
+                cluster = ClusterCoordinator(
+                    Path(scratch) / f"n{nodes}-r{replication}",
+                    nodes=nodes, replication=replication,
+                    chunk_bytes=chunk_bytes, backend=backend)
+                try:
+                    row = _cell(cluster, datas, nodes + 1)
+                finally:
+                    cluster.close()
             if reference is None:
                 reference = row["fingerprint"]
             rows.append({

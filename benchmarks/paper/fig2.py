@@ -19,8 +19,9 @@ down: the chain's spans coalesce into *ranged GETs*, and ``ranged_gets``
 stays constant in chain depth exactly like ``file_opens`` (the
 ``bytes_over_fetched`` column shows what the request-size floor traded
 for those round trips).  The workers axis (``workers=(1, 4)``) repeats
-everything under parallel chunk reconstruction — the counters (and the
-constant-opens invariant) must be identical to the serial run.  Each
+everything at a fan width of 4 (:func:`paper.harness.fan_width`) — the
+counters (and the constant-opens invariant) must be identical to the
+inline run.  Each
 row also carries the store's SHA-256 ``fingerprint``: equal across
 every cell of one depth (no backend or workers degree may change a
 stored byte), and stable across runs — the regression gate CI compares
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from paper.harness import backend_axis, print_table, workers_axis
+from paper.harness import backend_axis, fan_width, print_table, workers_axis
 from repro.core.schema import ArraySchema
 from repro.storage import VersionedStorageManager
 
@@ -45,16 +46,14 @@ ARRAY = "fig2"
 
 
 def _build(root: Path, versions: int, rng: np.random.Generator,
-           backend: str = "local",
-           workers: int = 0) -> VersionedStorageManager:
+           backend: str = "local") -> VersionedStorageManager:
     # 20x20 int64 cells with 800-byte chunks -> stride 10 -> 2x2 grid,
     # exactly the figure's four chunks.
     manager = VersionedStorageManager(root, chunk_bytes=800,
                                       compressor="none",
                                       delta_codec="hybrid",
                                       delta_policy="chain",
-                                      backend=backend,
-                                      workers=workers)
+                                      backend=backend)
     manager.create_array(ARRAY, ArraySchema.simple((20, 20),
                                                    dtype=np.int64))
     data = rng.integers(0, 1000, (20, 20)).astype(np.int64)
@@ -63,6 +62,29 @@ def _build(root: Path, versions: int, rng: np.random.Generator,
         mask = rng.random((20, 20)) > 0.9
         data = np.where(mask, data + 1, data)
     return manager
+
+
+def _cell(root: Path, backend: str, degree: int, depth: int,
+          rng: np.random.Generator) -> dict:
+    """One store of ``depth`` versions and the figure's query on it."""
+    manager = _build(root, depth, rng, backend=backend)
+    with manager.stats.measure() as window:
+        # The figure's region: the top half, overlapping the two upper
+        # chunks.
+        manager.select_region(ARRAY, depth, (0, 0), (9, 19))
+    row = {
+        "backend": backend,
+        "workers": degree,
+        "chain_depth": depth,
+        "chunks_overlapping_query": 2,
+        "chunks_read": window.chunks_read,
+        "file_opens": window.file_opens,
+        "ranged_gets": window.ranged_gets,
+        "bytes_over_fetched": window.bytes_over_fetched,
+        "fingerprint": manager.fingerprint(ARRAY),
+    }
+    manager.close()
+    return row
 
 
 def run(max_chain: int = 6, *, backends=None, workers=None,
@@ -75,27 +97,11 @@ def run(max_chain: int = 6, *, backends=None, workers=None,
         for backend in backend_axis(backends):
             for degree in workers_axis(workers):
                 rng = np.random.default_rng(2012)
-                for depth in range(1, max_chain + 1):
-                    manager = _build(
-                        Path(scratch) / backend / f"w{degree}-d{depth}",
-                        depth, rng, backend=backend, workers=degree)
-                    with manager.stats.measure() as window:
-                        # The figure's region: the top half, overlapping
-                        # the two upper chunks.
-                        manager.select_region(ARRAY, depth,
-                                              (0, 0), (9, 19))
-                    rows.append({
-                        "backend": backend,
-                        "workers": degree,
-                        "chain_depth": depth,
-                        "chunks_overlapping_query": 2,
-                        "chunks_read": window.chunks_read,
-                        "file_opens": window.file_opens,
-                        "ranged_gets": window.ranged_gets,
-                        "bytes_over_fetched": window.bytes_over_fetched,
-                        "fingerprint": manager.fingerprint(ARRAY),
-                    })
-                    manager.close()
+                with fan_width(degree):
+                    for depth in range(1, max_chain + 1):
+                        rows.append(_cell(
+                            Path(scratch) / backend / f"w{degree}-d{depth}",
+                            backend, degree, depth, rng))
 
     if json_path is not None:
         Path(json_path).write_text(json.dumps(rows, indent=2))

@@ -14,9 +14,10 @@ import time
 from contextlib import contextmanager
 
 from repro.cli import fmt_bytes, fmt_seconds
+from repro.storage import pipeline
 
-__all__ = ["backend_axis", "fmt_bytes", "fmt_seconds", "native_axis",
-           "print_table", "timed", "workers_axis"]
+__all__ = ["backend_axis", "fan_width", "fmt_bytes", "fmt_seconds",
+           "native_axis", "print_table", "timed", "workers_axis"]
 
 
 def backend_axis(backends=None) -> tuple[str, ...]:
@@ -37,16 +38,33 @@ def backend_axis(backends=None) -> tuple[str, ...]:
 def workers_axis(workers=None) -> tuple[int, ...]:
     """Normalize an experiment's ``workers`` argument.
 
-    None means the serial default; an int names a single degree; any
-    iterable is swept in order — the workers analogue of
-    :func:`backend_axis`, for experiments comparing serial against
-    parallel decode.
+    None means the inline default; an int names a single fan width;
+    any iterable is swept in order — the workers analogue of
+    :func:`backend_axis`, for experiments comparing inline against
+    pooled encode and decode.  Each degree reaches the store through
+    :func:`fan_width`.
     """
     if workers is None:
         return (1,)
     if isinstance(workers, int):
         return (workers,)
     return tuple(workers)
+
+
+@contextmanager
+def fan_width(workers: int | None):
+    """Run the block with the store's pipelines ``workers`` threads
+    wide (None: the host's own width).  The store takes no such
+    setting — its width is the CPUs it may run on — so an experiment
+    sweeping a ``workers`` column pins the module constant instead."""
+    if workers is None:
+        yield
+        return
+    saved, pipeline.FAN_WIDTH = pipeline.FAN_WIDTH, workers
+    try:
+        yield
+    finally:
+        pipeline.FAN_WIDTH = saved
 
 
 def native_axis() -> tuple[int, ...]:

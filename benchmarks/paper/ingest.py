@@ -32,7 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from paper.harness import backend_axis, fmt_bytes, print_table, workers_axis
+from paper.harness import (
+    backend_axis,
+    fan_width,
+    fmt_bytes,
+    print_table,
+    workers_axis,
+)
 from repro.core.schema import ArraySchema
 from repro.storage import VersionedStorageManager
 
@@ -48,7 +54,7 @@ def _dataset(versions: int, shape: tuple[int, ...],
 
 
 def _ingest_once(root: Path, datas: list[np.ndarray], backend: str,
-                 degree: int, chunk_bytes: int,
+                 chunk_bytes: int,
                  delta_policy: str) -> VersionedStorageManager:
     """Build a fresh store, insert every version, return the (still
     open) manager."""
@@ -56,8 +62,7 @@ def _ingest_once(root: Path, datas: list[np.ndarray], backend: str,
                                       compressor="none",
                                       delta_codec="hybrid",
                                       delta_policy=delta_policy,
-                                      backend=backend,
-                                      workers=degree)
+                                      backend=backend)
     manager.create_array(ARRAY, ArraySchema.simple(
         datas[0].shape, dtype=datas[0].dtype))
     for data in datas:
@@ -80,12 +85,13 @@ def run(versions: int = 12, shape: tuple[int, ...] = (1024, 1024),
     with tempfile.TemporaryDirectory(dir=workdir) as scratch:
         for backend in backend_axis(backends):
             for degree in workers_axis(workers):
-                manager = _ingest_once(
-                    Path(scratch) / backend.replace(":", "_")
-                    / f"w{degree}", datas, backend, degree,
-                    chunk_bytes, delta_policy)
+                with fan_width(degree):
+                    manager = _ingest_once(
+                        Path(scratch) / backend.replace(":", "_")
+                        / f"w{degree}", datas, backend,
+                        chunk_bytes, delta_policy)
+                    fingerprint = manager.fingerprint(ARRAY)
                 window = manager.stats
-                fingerprint = manager.fingerprint(ARRAY)
                 if reference is None:
                     reference = fingerprint
                 rows.append({

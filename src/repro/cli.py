@@ -8,7 +8,7 @@ Usage::
     python -m repro.cli <store-root> chunks <array> <version>
     python -m repro.cli <store-root> layout <array>
     python -m repro.cli <store-root> sql "VERSIONS(Example);"
-    python -m repro.cli <store-root> --workers 4 ingest <array> a.npy b.npy
+    python -m repro.cli <store-root> ingest <array> a.npy b.npy
 
 ``list`` enumerates arrays; ``info`` prints schema and storage figures;
 ``versions`` the version history with parentage; ``chunks`` the
@@ -16,9 +16,7 @@ per-chunk encoding records of one version (which delta codec, which
 base, where on disk); ``layout`` the current materialization structure
 as a tree; ``sql`` executes one AQL statement; ``ingest`` appends one
 version per ``.npy`` file (creating the array from the first file's
-shape and dtype when absent) and reports throughput — ``--workers``
-sets the encode *and* decode parallelism, so ingest fans chunk encoding
-across the thread pool.
+shape and dtype when absent) and reports throughput.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema
 from repro.query.engine import Database
 from repro.storage.backend import ensure_backend_spec
-from repro.storage.pipeline import resolve_workers
 
 
 def fmt_bytes(count: float) -> str:
@@ -205,21 +202,6 @@ def _backend_spec(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _workers_count(text: str) -> int:
-    """argparse type for ``--workers``: delegates to the storage
-    layer's own validator so the CLI and the ``workers=`` kwarg can
-    never drift."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"workers must be an integer, got {text!r}") from None
-    try:
-        return resolve_workers(value)
-    except StorageError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
@@ -239,11 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                              " deterministic seeded fault schedule"
                              " over an inner backend — seed 0 is"
                              " fault-free)")
-    parser.add_argument("--workers", type=_workers_count, default=None,
-                        help="parallel chunk encode/reconstruction"
-                             " degree, applied to reads and to ingest"
-                             " (default: the REPRO_WORKERS environment"
-                             " variable, else serial)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("list").set_defaults(func=_cmd_list)
@@ -282,8 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    with Database(args.root, backend=args.backend,
-                  workers=args.workers) as db:
+    with Database(args.root, backend=args.backend) as db:
         return args.func(db, args)
 
 

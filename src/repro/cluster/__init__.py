@@ -6,8 +6,8 @@ with ArrayStore-style regular range partitioning (the paper's
 reference [2]).
 
 Modules: ``coordinator`` (routing, generation pinning, locking; builds
-every fleet of managers and owns the stage → commit → fence write fan, the
-failover reader and the node fan), ``repair`` (the copy comparison,
+every fleet of managers and owns the stage → commit → fence write fan and
+the failover reader), ``repair`` (the copy comparison,
 anti-entropy repair by shipping stored bytes, replacement, verified
 revive), ``rebalance`` (online resharding into a private fleet: the
 lineage-row reader, catch-up passes, one swap), ``partitioning`` (band

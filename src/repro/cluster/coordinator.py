@@ -32,8 +32,8 @@ loss and cluster growth first-class:
   primary *and* one neighbor's replica — the classic failure shape.
 * **Rebalancing** (:mod:`repro.cluster.rebalance`) and **anti-entropy
   repair** (:mod:`repro.cluster.repair`) are maintenance flows driven
-  through the primitives here — the failover reader, the node fan, and
-  the fleet builder; this module keeps their public entry points,
+  through the primitives here — the failover reader and the fleet
+  builder; this module keeps their public entry points,
   which validate, take the maintenance lock and delegate.
 """
 
@@ -43,7 +43,6 @@ import hashlib
 import logging
 import shutil
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
@@ -68,7 +67,6 @@ from repro.storage.manager import (
     _Staged,
     region_corners,
 )
-from repro.storage.pipeline import resolve_workers
 
 #: Cluster lifecycle events — debug per failover hop, info per repair
 #: and generation swap, warning per fenced copy — routed by the caller.
@@ -161,15 +159,11 @@ class ClusterCoordinator:
     the node count — more copies than hosts would stack replicas on
     the same failure domain.
 
-    ``workers`` is per-node parallelism: each node's manager fans its
-    chunk encodes and reconstructions across its own executors, and
-    the coordinator additionally fans *node-level* work through one
-    pool (``repro-cluster``) — region selects query the overlapping
-    nodes in parallel, and ``insert``/``branch``/``merge`` and a
-    rebalance's replays write every copy at once (the replicas are
-    fully independent storage systems, so node-level fan-out needs no
-    extra locking).  Other keyword arguments configure every manager
-    the cluster builds, rebalanced and replacement copies included.
+    Node-level work runs on the calling thread, one copy after
+    another; each node's manager fans its own chunk encodes and decodes
+    across its pipelines' pools, the store's only CPU concurrency.
+    Other keyword arguments configure every manager the cluster builds,
+    rebalanced and replacement copies included.
 
     The coordinator owns a cluster-level :class:`IOStats` (``stats``)
     for the replication counters: ``failovers``, ``replica_writes``,
@@ -179,8 +173,7 @@ class ClusterCoordinator:
 
     def __init__(self, root: str | Path, nodes: int = 4, *,
                  replication: int = 1,
-                 backend=None, workers: int | None = None,
-                 **manager_kwargs):
+                 backend=None, **manager_kwargs):
         if nodes < 1:
             raise StorageError("a cluster needs at least one node")
         if replication < 1:
@@ -193,7 +186,6 @@ class ClusterCoordinator:
             raise StorageError(
                 "a cluster needs one backend per node; pass a backend"
                 " name or factory, not a shared instance")
-        self.workers = resolve_workers(workers)
         self.root = Path(root)
         self.replication = replication
         self.stats = IOStats()
@@ -201,8 +193,6 @@ class ClusterCoordinator:
         # built with the same substrate and per-manager configuration.
         self._backend_spec = backend
         self._manager_kwargs = dict(manager_kwargs)
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
         # Serializes cluster writes against each other and against the
         # rebalance swap; reads never take it (they pin a generation).
         self._write_lock = threading.Lock()
@@ -214,10 +204,9 @@ class ClusterCoordinator:
 
     def _new_manager(self, root: Path) -> VersionedStorageManager:
         """Every manager the cluster builds — constructor, rebalance,
-        replacement — has its backend spec, workers and settings."""
+        replacement — has its backend spec and settings."""
         return VersionedStorageManager(
-            root, backend=self._backend_spec, workers=self.workers,
-            **self._manager_kwargs)
+            root, backend=self._backend_spec, **self._manager_kwargs)
 
     def _build_generation(self, number: int, nodes: int) -> _Generation:
         """Bring up generation ``number``: ``nodes`` bands x
@@ -635,15 +624,6 @@ class ClusterCoordinator:
         ``what``."""
         self._check_all_writable()
         pairs = self._pairs()
-
-        def commit_one(index: int) -> Exception | None:
-            node, replica = pairs[index]
-            try:
-                commit(self.replicas[node][replica], handles[index])
-            except Exception as exc:  # returned: the fan never stops
-                return exc
-            return None
-
         handles, error = self._settle_nodes(
             lambda pair: stage(pair[0], self.replicas[pair[0]][pair[1]]),
             pairs)
@@ -654,9 +634,10 @@ class ClusterCoordinator:
                         self.replicas[node][replica]._discard(
                             handle.record)
             raise error
-        errors, _ = self._settle_nodes(commit_one, range(len(pairs)))
-        for (node, replica), exc in zip(pairs, errors):
-            if exc is not None:
+        for (node, replica), handle in zip(pairs, handles):
+            try:
+                commit(self.replicas[node][replica], handle)
+            except Exception as exc:  # fenced: the fan never stops
                 self._dead.add((node, replica))
                 _log.warning("fenced replica %d of node %d: its commit of "
                              "%s failed (%s)", replica, node, what, exc)
@@ -670,34 +651,19 @@ class ClusterCoordinator:
             (len(committed) - self.nodes) * versions)
 
     def _settle_nodes(self, operation, items) -> tuple[list, object]:
-        """Apply ``operation`` to every item, fanning across the node
-        executor when configured, and wait for *every* submitted
-        operation before returning — dropping a write's stages, or
-        closing a failed rebalance's fleet, is only sound once no
-        straggler is still mutating its node.  Returns ``(results,
-        first_error)`` in item order, with None results for failed
-        (or, serially, never-attempted) items.
+        """Apply ``operation`` to every item in order on the calling
+        thread, stopping at the first error.  Returns ``(results,
+        first_error)`` in item order, with None results for the failed
+        item and the items never attempted after it.
         """
         items = list(items)
         results: list = [None] * len(items)
-        error = None
-        if self.workers > 1 and len(items) > 1:
-            pool = self._pool()
-            futures = [pool.submit(operation, item) for item in items]
-            for index, future in enumerate(futures):
-                try:
-                    results[index] = future.result()
-                except BaseException as exc:
-                    if error is None:
-                        error = exc
-        else:
-            for index, item in enumerate(items):
-                try:
-                    results[index] = operation(item)
-                except BaseException as exc:
-                    error = exc
-                    break  # serial: later items were never started
-        return results, error
+        for index, item in enumerate(items):
+            try:
+                results[index] = operation(item)
+            except BaseException as exc:
+                return results, exc
+        return results, None
 
     def get_versions(self, name: str) -> list[int]:
         """The array's published versions: up to its head."""
@@ -800,19 +766,13 @@ class ClusterCoordinator:
             for attr in schema.attributes
         }
 
-        def fetch(band):
+        for band in partitioner.bands_overlapping(lo, hi):
             local_lo, local_hi = partitioner.clip_region(band, lo, hi)
-            return self._read_node(
+            part = self._read_node(
                 band.node,
                 lambda manager: manager.select_region(
                     name, version, local_lo, local_hi),
                 gen)
-
-        bands = list(partitioner.bands_overlapping(lo, hi))
-        parts, error = self._settle_nodes(fetch, bands)
-        if error is not None:
-            raise error
-        for band, part in zip(bands, parts):
             index = axis_index(schema.ndim, axis,
                                max(lo[axis], band.lo) - lo[axis],
                                min(hi[axis], band.hi) - lo[axis])
@@ -919,27 +879,7 @@ class ClusterCoordinator:
                         data.attribute(attr.name)))
         return digest.hexdigest()
 
-    def _pool(self) -> ThreadPoolExecutor:
-        """One lazily-created node fan-out executor per coordinator,
-        reused across queries (a fresh pool per select would put
-        thread spawn/join on the hot query path); sized to the replica
-        grid so a replicated write can fan every copy at once."""
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=min(self.workers,
-                                    self.nodes * self.replication),
-                    thread_name_prefix="repro-cluster")
-            return self._executor
-
-    def _shutdown_executor(self) -> None:
-        with self._executor_lock:
-            pool, self._executor = self._executor, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
     def close(self) -> None:
-        self._shutdown_executor()
         self._live.close()
 
     # ------------------------------------------------------------------

@@ -115,9 +115,6 @@ def rebalance(cluster, new_node_count: int, seed: int) -> int:
     _log.info("generation swap %d -> %d: %d nodes, %d catch-up passes, "
               "%d migrated chunks", old_gen.number, number,
               new_node_count, passes, migrated)
-    # The node fan-out pool was sized for the old replica grid;
-    # drop it so the next fan-out recreates it at the new width.
-    cluster._shutdown_executor()
     # Release the old generation only after every in-flight read
     # that pinned it has finished — closing a manager out from
     # under a serving read is exactly what "online" must not do.
@@ -200,14 +197,11 @@ def _sync_array(cluster, fresh, name: str, seed: int) -> bool:
               for manager in row]
     for version, parent_version, kind, timestamp, parents in tail:
         bands = _migrate_version(cluster, name, version, plan, fresh)
-        _, error = cluster._settle_nodes(
-            lambda copy: copy[1].replay_version(
-                name, bands[copy[0]], version=version, kind=kind,
+        for node, manager in copies:
+            manager.replay_version(
+                name, bands[node], version=version, kind=kind,
                 parent_version=parent_version, timestamp=timestamp,
-                merge_parents=list(parents) or None),
-            copies)
-        if error is not None:
-            raise error
+                merge_parents=list(parents) or None)
         fresh.heads[name] = version
     return rebuilt or bool(tail)
 

@@ -3,8 +3,8 @@
 The store compresses materialized chunks with one of two codecs: none,
 or Lempel-Ziv, the winner of Table II.  Both are lossless for every
 supported dtype.  The other codecs the paper evaluates — run-length
-encoding, null suppression, the PNG-like and JPEG2000-like codecs,
-LZW and adaptive LZ — are comparison baselines in
+encoding, null suppression, the PNG-like and JPEG2000-like codecs
+and adaptive LZ — are comparison baselines in
 ``benchmarks/paper/baselines/``, outside the package.
 """
 

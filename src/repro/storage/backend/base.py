@@ -128,8 +128,8 @@ class StorageBackend(ABC):
 
         What a barrier waits on is I/O (an fsync, a remote store's
         complete-upload round trip), so its depth is the barrier's own
-        and has nothing to do with the CPU-oriented ``workers`` degree
-        above: it is the same at ``workers=0``.  One task per object;
+        and has nothing to do with the pipelines' CPU fan above: it is
+        the same on a one-CPU host.  One task per object;
         a single object is flushed inline and builds no pool, so a
         backend whose barrier is a no-op never owns a thread.
         """

@@ -79,9 +79,9 @@ class FaultInjectingBackend(StorageBackend):
     The counters are lock-protected (concurrent readers and a writer
     may share one instance), and the fault decision depends only on
     ``(seed, kind, index)``.  The write pipeline places a version's
-    chunks from one thread in canonical task order at every ``workers``
-    degree, so which placement draws fault #N — and with it the whole
-    schedule — replays identically across runs and degrees.
+    chunks from one thread in canonical task order at every fan width,
+    so which placement draws fault #N — and with it the whole schedule
+    — replays identically across runs and widths.
     """
 
     name = "faulty"

@@ -170,8 +170,7 @@ def default_backend_spec() -> str:
 
     Defers to the ``REPRO_BACKEND`` environment variable — the CI
     matrix runs the whole storage/query/cluster subset over the object
-    path this way, mirroring how ``REPRO_WORKERS`` forces the
-    parallelism degree — and falls back to the paper's local files.
+    path this way — and falls back to the paper's local files.
     Malformed values are rejected loudly: an env cell silently falling
     back to local files would make the object-backend matrix row test
     nothing.

@@ -16,7 +16,7 @@ the chunk-cache hit/miss counters, so cache effectiveness shows up in
 the same report as the I/O it avoided.  The counter is logical — one
 per distinct object per batched read, whatever the backend does to
 serve it — so the chain-depth invariants are the same on every
-backend and at every ``workers`` degree.
+backend and at every fan width.
 
 The object-store backend adds request-level accounting: every ranged
 GET it issues is counted in ``ranged_gets``, and every byte the
@@ -136,7 +136,7 @@ class IOStats:
         delta+compress unit of work; ``chunks_written``/``bytes_written``
         count the placements that follow).  The encode stage's parallel
         fan-out must report exactly one task per chunk regardless of the
-        workers degree, so the counter shares the lock discipline of the
+        fan width, so the counter shares the lock discipline of the
         read-side counters."""
         with self._lock:
             self.encode_tasks += 1

@@ -59,7 +59,6 @@ from repro.storage.pipeline import (
     EncodePipeline,
     ensure_policy,
     overlap_slices as _overlap_slices,
-    resolve_workers,
 )
 
 __all__ = [
@@ -206,14 +205,12 @@ class VersionedStorageManager:
                  delta_policy: str = POLICY_CHAIN,
                  placement: str = COLOCATED,
                  cache_bytes: int = 0,
-                 backend: "StorageBackend | str | None" = None,
-                 workers: int | None = None):
+                 backend: "StorageBackend | str | None" = None):
         # Validate configuration before creating any durable state
         # (directories, catalog files, backend objects).
         ensure_policy(delta_policy)
         get_codec(compressor)
         get_delta_codec(delta_codec)
-        self.workers = resolve_workers(workers)
         self.root = Path(root)
         backend = resolve_backend(backend, self.root / "data")
         if not backend.ephemeral:
@@ -240,11 +237,9 @@ class VersionedStorageManager:
         self.cache = ChunkCache(max_bytes=cache_bytes, stats=self.stats)
         self.encoder = EncodePipeline(self.catalog, self.store,
                                       delta_policy=delta_policy,
-                                      delta_codec=delta_codec,
-                                      workers=self.workers)
+                                      delta_codec=delta_codec)
         self.decoder = DecodePipeline(self.catalog, self.store,
-                                      cache=self.cache,
-                                      workers=self.workers)
+                                      cache=self.cache)
         # Write-side hot-version slot: saves the O(depth) parent
         # reconstruction per insert.  Version contents never change
         # once written; deletion invalidates the slot since a deleted

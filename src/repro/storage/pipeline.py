@@ -7,8 +7,7 @@ makes the stages first-class:
 * :class:`EncodePipeline` — the insert path, staged as **plan**
   (enumerate one encode task per (attribute, chunk) with its target and
   base slices), **encode** (delta-encode against the policy-selected
-  base and compress, fanned across a shared thread pool when
-  ``workers`` > 1), and **commit** (place every payload in the chunk
+  base and compress, fanned across the encode pool), and **commit** (place every payload in the chunk
   store in task order from the calling thread, raise the backend's
   durability barrier, then record all encoding decisions in the
   Version Metadata in one transaction);
@@ -27,13 +26,15 @@ The pipelines own *how* versions are encoded and decoded;
 ``VersionedStorageManager`` shrinks to orchestration — catalog
 bookkeeping, version lineage, and layout re-organization.
 
-They also own the store's CPU concurrency — all of it.  ``workers`` is
-one fan per direction, both through one ordered sliding window
-(:meth:`_PooledStage._ordered`): encode blocks on the way in, per-chunk
-reconstructions on the way out.  Nothing below fans again — a task
-reads its chain and the consuming thread places its payload serially —
-so no pool ever waits on another, and an operation that raises first
-cancels or waits out every task it started.
+They also own the store's CPU concurrency — all of it.  There is one
+fan per direction, :data:`FAN_WIDTH` lanes wide (a pool's threads and
+the calling thread), both through one ordered sliding window
+(:meth:`_PooledStage._ordered`): encode blocks on the way in,
+per-chunk decodes on the way out.  Nothing below fans again — a task
+reads its chain and the consuming thread places its payload or admits
+its chunk serially — so no pool ever waits on another, no pool thread
+touches the chunk cache, and an operation that raises first cancels or
+waits out every task it started.
 
 Two invariants both pipelines are built around:
 
@@ -41,7 +42,7 @@ Two invariants both pipelines are built around:
   fold at the cell's own width and the compiled kernels in
   :mod:`repro.core.native` — must produce exactly the bytes of the
   plain numpy, level-by-level decode.  Store fingerprints may never
-  depend on ``REPRO_NATIVE``, worker count, or whether an insert's
+  depend on ``REPRO_NATIVE``, the fan width, or whether an insert's
   base canvas came from the manager's hot slot or a ``select``.
 * **Graceful fallback.**  Each compiled kernel gates itself on dtype
   and layout and returns ``None``/raises nothing when it does not
@@ -54,7 +55,7 @@ import itertools
 import os
 import threading
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
@@ -97,6 +98,11 @@ _POLICIES = (POLICY_AUTO, POLICY_CHAIN, POLICY_MATERIALIZE)
 #: The largest chunk buffer a decoding thread keeps: an L2's worth.
 _KEPT_FOLD_BYTES = 2 << 20
 
+#: Lanes per pipeline fan: the CPUs this process may run on, read once
+#: at import.  At 1 every task runs inline on the calling thread.
+FAN_WIDTH = len(os.sched_getaffinity(0)) \
+    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 
 def ensure_policy(delta_policy: str) -> str:
     """Validate an insert-time delta policy name (returns it unchanged).
@@ -112,30 +118,6 @@ def ensure_policy(delta_policy: str) -> str:
     return delta_policy
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Resolve a ``workers`` knob to a concrete parallelism degree.
-
-    ``None`` defers to the ``REPRO_WORKERS`` environment variable (the
-    CI matrix runs the suite under several degrees this way); 0 and 1
-    both mean the serial path.  Malformed or negative values are
-    rejected loudly — a misconfigured environment silently falling
-    back to serial would make a parallel CI cell test nothing — and,
-    like :func:`ensure_policy`, callers validate before creating
-    durable state.
-    """
-    if workers is None:
-        raw = os.environ.get("REPRO_WORKERS", "0")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise StorageError(
-                f"REPRO_WORKERS must be an integer, got {raw!r}"
-            ) from None
-    if workers < 0:
-        raise StorageError(f"workers must be >= 0, got {workers}")
-    return workers
-
-
 class ChunkCache:
     """Bytes-bounded LRU of decoded chunks, keyed by
     ``(array_id, version, attribute, chunk_name)``.
@@ -145,10 +127,11 @@ class ChunkCache:
     :class:`IOStats` so cache effectiveness appears next to the I/O it
     avoided.
 
-    Every operation holds an internal lock: the decode pipeline's
-    parallel per-chunk fan-out shares one cache across threads, and the
-    byte accounting and hit/miss counters must stay exact under
-    concurrency.  A single entry larger than ``max_bytes`` is never
+    Every operation holds an internal lock: client threads share one
+    manager, and the byte accounting and hit/miss counters must stay
+    exact under concurrency.  The decode pool never calls in — a read
+    plans and admits its chunks on the calling thread — so the cache's
+    state is a function of the operation sequence alone.  A single entry larger than ``max_bytes`` is never
     admitted (admitting it would evict the entire cache, itself
     included); rejections are counted and reported by :meth:`info`.
 
@@ -156,7 +139,7 @@ class ChunkCache:
     evict least-recently-used entries (:meth:`put`); the intermediates
     a warm fill decoded on the way only ever take free space
     (``put(..., evict=False)``), so they can never displace a demanded
-    entry however parallel readers interleave with :meth:`fits`.
+    entry however concurrent readers interleave with :meth:`fits`.
     """
 
     def __init__(self, max_bytes: int = 0,
@@ -291,14 +274,14 @@ class ChunkCache:
 class _PooledStage:
     """Shared executor machinery for the encode and decode pipelines.
 
-    Each pipeline owns one thread pool of ``workers`` threads, created
-    lazily by the first call that fans out.
+    Each pipeline owns one thread pool of ``FAN_WIDTH - 1`` threads,
+    created lazily by the first call that fans out; the thread that
+    consumes the results is the fan's last lane (see :meth:`_ordered`).
     """
 
     _pool_prefix = "repro-stage"
 
-    def _init_pool(self, workers: int) -> None:
-        self.workers = workers
+    def _init_pool(self) -> None:
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
 
@@ -313,39 +296,56 @@ class _PooledStage:
         with self._executor_lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers,
+                    max_workers=FAN_WIDTH - 1,
                     thread_name_prefix=self._pool_prefix)
             return self._executor
 
     def _ordered(self, function, items: list):
         """Yield ``function(item)`` for every item, in item order.
 
-        Inline at ``workers`` <= 1.  Otherwise a sliding window of
-        ``workers + 1`` calls is in flight on the pool: each time the
-        consumer takes the oldest result, the next item is submitted,
-        so at most ``i + workers + 2`` calls have started when item
-        ``i``'s result (or error) reaches the consumer, and what is in
-        flight stays bounded by the window rather than the operation.
-        Closing the generator early (the consumer failed) or an error
-        settles the window first: see :meth:`_abandon`.
+        Inline at a width of 1 (or for a single item).  Otherwise a
+        sliding window of ``width + 1`` calls is in flight: each time
+        the consumer takes the oldest result, the next item is
+        submitted, so at most ``i + width + 2`` calls have started when
+        item ``i``'s result (or error) reaches the consumer, and what
+        is in flight stays bounded by the window rather than the
+        operation.  Closing the generator early (the consumer failed)
+        or an error settles the window first: see :meth:`_abandon`.
+
+        The consumer is one of the ``width`` lanes.  While the oldest
+        result is not ready it claims the oldest call no pool thread
+        has started and runs it itself, so the fan never has more
+        runnable threads than CPUs, and when the pool's threads get no
+        CPU (another process holds it) the consumer still does the
+        work at the serial pace instead of sleeping.
         """
-        if self.workers <= 1 or len(items) <= 1:
+        width = FAN_WIDTH
+        if width <= 1 or len(items) <= 1:
             for item in items:
                 yield function(item)
             return
         pool = self._pool()
         pending = iter(items)
-        window: deque = deque(
-            pool.submit(function, item)
-            for item in itertools.islice(pending, self.workers + 1))
+        window: deque = deque()     # [item, future], oldest first
+
+        def top_up() -> None:
+            for item in itertools.islice(pending,
+                                         width + 1 - len(window)):
+                window.append([item, pool.submit(function, item)])
+
         try:
+            top_up()
             while window:
-                future = window.popleft()
-                for item in itertools.islice(pending, 1):
-                    window.append(pool.submit(function, item))
+                for entry in window:
+                    if window[0][1].done():
+                        break
+                    if entry[1].cancel():   # no pool thread has it
+                        entry[1] = _run_here(function, entry[0])
+                _, future = window.popleft()
+                top_up()
                 yield future.result()
         finally:
-            self._abandon(window)
+            self._abandon([future for _, future in window])
 
     @staticmethod
     def _abandon(futures) -> None:
@@ -356,6 +356,18 @@ class _PooledStage:
         for future in futures:
             future.cancel()
         wait(futures)
+
+
+def _run_here(function, item) -> Future:
+    """``function(item)`` run on the calling thread, as a settled
+    future: its error is raised where the window reaches it, in item
+    order, like a pool thread's."""
+    future = Future()
+    try:
+        future.set_result(function(item))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
 
 
 @dataclass(frozen=True)
@@ -379,13 +391,13 @@ class EncodePipeline(_PooledStage):
 
     Chunk encoding (delta against the base slice, then compress) is
     CPU-bound and independent per chunk, so the encode stage fans tasks
-    across a shared thread-pool executor when ``workers`` > 1 — the
-    write-side mirror of :class:`DecodePipeline`'s per-chunk fan-out.
+    across the pipeline's pool — the write-side mirror of
+    :class:`DecodePipeline`'s per-chunk fan-out.
     The place stage does not fan: the calling thread places each
     decision as it arrives, in task order, while the encode window
     keeps later blocks in flight — so placement overlaps encoding, and
-    every backend sees its writes in the same order at every worker
-    count (co-located append offsets, stored bytes, catalog rows and
+    every backend sees its writes in the same order at every fan
+    width (co-located append offsets, stored bytes, catalog rows and
     a seeded fault schedule all replay exactly).
     """
 
@@ -393,8 +405,7 @@ class EncodePipeline(_PooledStage):
 
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
                  delta_policy: str = POLICY_CHAIN,
-                 delta_codec: str = "hybrid",
-                 workers: int = 0):
+                 delta_codec: str = "hybrid"):
         ensure_policy(delta_policy)
         self.catalog = catalog
         self.store = store
@@ -404,7 +415,7 @@ class EncodePipeline(_PooledStage):
         # chunk: a plan's run list is dead once its decision (pure
         # bytes) is returned, and a task runs on one thread.
         self._scratch = threading.local()
-        self._init_pool(workers)
+        self._init_pool()
 
     @property
     def wants_base(self) -> bool:
@@ -489,7 +500,7 @@ class EncodePipeline(_PooledStage):
         """Yield each task's :class:`EncodingDecision` in task order.
 
         The parallel path groups tasks into contiguous blocks (a few
-        per worker, so fine-grained grids do not pay one dispatch per
+        per pool thread, so fine-grained grids do not pay one dispatch per
         tiny chunk) and runs them through the ordered window
         (:meth:`_ordered`) — the commit stage downstream consumes
         decisions exactly as the serial loop produced them, placement
@@ -497,8 +508,8 @@ class EncodePipeline(_PooledStage):
         encoded-payload memory in flight stays bounded by the window
         rather than the whole version.
         """
-        step = -(-len(tasks) // (self.workers * 4)) \
-            if self.workers > 1 else 1  # ceil division
+        width = FAN_WIDTH
+        step = -(-len(tasks) // (width * 4)) if width > 1 else 1  # ceil
 
         def encode_block(block: list[EncodeTask]):
             return [self._encode_task(task, data, base_data, compressor,
@@ -525,7 +536,7 @@ class EncodePipeline(_PooledStage):
 
         The calling thread places each decision the moment the encode
         stage yields it, so placements reach the backend one at a time
-        in canonical task order whatever ``workers`` is — while the
+        in canonical task order whatever the fan width — while the
         encode window keeps the following blocks in flight.  Each
         placement lands beside the ``committed`` row it supersedes,
         never on its bytes.
@@ -596,16 +607,38 @@ class EncodePipeline(_PooledStage):
         return records
 
 
+@dataclass(frozen=True)
+class _Miss:
+    """One chunk the cache did not answer, planned on the calling
+    thread: the located chain (from ``version`` down), the contents it
+    stops at (None: it ends at its materialized root), the job chosen
+    for it, and the canvas window it may fold into."""
+
+    snap: ArraySnapshot
+    version: int
+    attribute: str
+    chunk: ChunkRef
+    chain: list[ChunkRecord]
+    base: np.ndarray | None
+    warm_fill: bool
+    out: np.ndarray | None
+    #: Cache bytes its admission will take (0 with the cache off).
+    admits: int
+
+
 class DecodePipeline(_PooledStage):
     """The select path: locate → read chain → decompress → fold →
     assemble (Figure 1, right; Figure 2's read pattern).
 
-    Per-chunk reconstruction is independent (each chunk walks its own
-    delta chain with its own scope), so :meth:`read_version` and
-    :meth:`read_region` fan chunks across a shared thread-pool executor
-    when ``workers`` > 1.  Assembly stays deterministic: every chunk
-    writes a disjoint region of the output canvas, so the result is
-    byte-identical to the serial pass regardless of completion order.
+    A read runs in three steps.  The calling thread *plans* every
+    chunk first: the cache lookup, the chain walk (with its cache
+    probes) and the job choice below.  Only the misses go to the pool,
+    whose stage reads, decompresses and folds and touches neither the
+    cache nor any scope.  The calling thread then *admits* each result
+    in task order.  Hits never reach the pool, and the cache sees the
+    same calls in the same order at every fan width.  Assembly stays
+    deterministic: every chunk writes a disjoint region of the output
+    canvas, so the result is byte-identical at every width.
 
     There is one way to decode a delta level: fold it into cells that
     hold its base (:func:`repro.delta.base.fold_chain`).  Every store
@@ -639,20 +672,20 @@ class DecodePipeline(_PooledStage):
     _pool_prefix = "repro-decode"
 
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
-                 cache: ChunkCache | None = None,
-                 workers: int = 0):
+                 cache: ChunkCache | None = None):
         self.catalog = catalog
         self.store = store
         self.cache = cache if cache is not None else ChunkCache()
         # One chunk buffer per decoding thread (see _fused_apply).
         self._buffers = threading.local()
-        self._init_pool(workers)
+        self._init_pool()
 
     def reconstruct(self, snap: ArraySnapshot, version: int,
                     attribute: str, chunk: ChunkRef,
                     scope: dict[int, np.ndarray] | None = None, *,
                     out: np.ndarray | None = None) -> np.ndarray:
-        """Unwind the delta chain of one chunk (Figure 2's read pattern).
+        """Unwind the delta chain of one chunk (Figure 2's read pattern)
+        on the calling thread: plan, decode, admit.
 
         The chain is located in ``snap``, the caller's pinned snapshot.
         ``scope`` maps already-resolved versions of this chunk to their
@@ -667,90 +700,126 @@ class DecodePipeline(_PooledStage):
         returned; every other result is an array of its own that the
         caller copies, as without ``out``.
         """
-        record = snap.record
         if scope is None:
             scope = {}
-        key = (record.array_id, version, attribute, chunk.name)
+        miss = self._plan(snap, version, attribute, chunk, scope, out)
+        if not isinstance(miss, _Miss):
+            return miss
+        data, resolved = self._decode(miss)
+        scope.update(resolved)
+        return self._admit(miss, data, resolved)
+
+    def _plan(self, snap: ArraySnapshot, version: int, attribute: str,
+              chunk: ChunkRef, scope: dict[int, np.ndarray],
+              out: np.ndarray | None,
+              admitting: int = 0) -> np.ndarray | _Miss:
+        """Calling thread, before anything decodes: the cached chunk
+        (recorded into ``scope``), or the :class:`_Miss` to decode —
+        its chain located and its job chosen.
+
+        ``admitting`` is what the call's misses planned before this one
+        will admit: a warm fill must fit the free space they leave, as
+        it would had they been admitted already."""
+        record = snap.record
         if self.cache.enabled:
             out = None      # a cache entry must own its bytes
-            cached = self.cache.get(key)
+            cached = self.cache.get(
+                (record.array_id, version, attribute, chunk.name))
             if cached is not None:
                 scope[version] = cached
                 return cached
-
-        # Stage 1: locate, and pick the job — past the cache hit that
-        # most reads end at, which the size arithmetic must not slow.
+        # Past the cache hit that most reads end at, which the size
+        # arithmetic must not slow.
         chain, base_version = self._locate_chain(snap, version,
                                                  attribute, chunk, scope)
-        warm_fill = self.cache.enabled and len(chain) > 1 and \
-            self.cache.fits(
-                len(chain) * chunk.cell_count
-                * record.schema.attribute(attribute).dtype.itemsize)
+        admits = 0
+        warm_fill = False
+        if self.cache.enabled:
+            nbytes = chunk.cell_count \
+                * record.schema.attribute(attribute).dtype.itemsize
+            warm_fill = len(chain) > 1 and \
+                self.cache.fits(admitting + len(chain) * nbytes)
+            admits = len(chain) * nbytes if warm_fill else nbytes
+        base = None if base_version is None else scope[base_version]
+        return _Miss(snap, version, attribute, chunk, chain, base,
+                     warm_fill, out, admits)
 
-        # Stage 2: read — the whole chain, one open per distinct object.
+    def _decode(self, miss: _Miss
+                ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """The pool's stage: read, decompress and fold one planned
+        miss.  Returns the chunk and every version it resolved on the
+        way (deepest first); touches no cache and no scope."""
+        record, chunk = miss.snap.record, miss.chunk
+        chain = list(miss.chain)
+        # Read — the whole chain, one open per distinct object.
         payloads = self.store.read_chunks(
             [chunk_record.location for chunk_record in chain])
 
-        # Stage 3: decompress the materialized root (or start from the
+        # Decompress the materialized root (or start from the
         # already-resolved version the chain stopped at).  A one-version
         # read only ever *reads* its root (it is copied to where the
         # levels are applied) and never admits it, so the decompress
         # may hand back a zero-copy read-only view of the payload
         # bytes; a warm fill admits the root and gets an owning copy.
-        resolved: list[int] = []
-        root = chain.pop() if base_version is None else None
+        resolved: dict[int, np.ndarray] = {}
+        root = chain.pop() if miss.base is None else None
         codecs = self._codecs(record, chunk, chain)
         if root is None:
-            data = scope[base_version]
+            data = miss.base
         else:
             codec = get_codec(root.compressor)
-            data = codec.decode(payloads.pop()) if warm_fill \
+            data = codec.decode(payloads.pop()) if miss.warm_fill \
                 else codec.decode_view(payloads.pop())
-            scope[root.version] = data
-            resolved.append(root.version)
+            resolved[root.version] = data
 
-        # Stage 4: fold — level by level on a warm fill, else the whole
-        # chain onto one copy of the root.  The resolved version itself
-        # has nothing to fold onto it.
-        if warm_fill:
+        # Fold — level by level on a warm fill, else the whole chain
+        # onto one copy of the root.  The resolved version itself has
+        # nothing to fold onto it.
+        if miss.warm_fill:
             for level, codec, payload in zip(reversed(chain),
                                              reversed(codecs),
                                              reversed(payloads)):
                 cells = data.copy()
                 self._fold(record, chunk, [level], [codec], [payload],
                            data, cells)
-                scope[level.version] = data = cells
-                resolved.append(level.version)
+                resolved[level.version] = data = cells
         elif root is not None or chain:
             data = self._fused_apply(record, chunk, chain, codecs,
-                                     payloads, data, out)
-            scope[version] = data
+                                     payloads, data, miss.out)
+            resolved[miss.version] = data
+        return data, resolved
 
-        if self.cache.enabled:
-            # Each entry is admitted only while its version is still the
-            # one the catalog publishes: a read pinned before a
-            # ``delete_version`` swap must not cache the deleted
-            # version under a number the next insert reuses.
-            publishes = self.catalog.publishes
-            if warm_fill:
-                # Deepest first; a put drops if a parallel reader has
-                # used the room since ``fits`` looked.
-                for intermediate in resolved:
-                    if intermediate != version:
-                        self.cache.put(
-                            (record.array_id, intermediate, attribute,
-                             chunk.name), scope[intermediate],
-                            evict=False,
-                            valid=partial(publishes, snap, intermediate))
-            self.cache.put(key, data,
-                           valid=partial(publishes, snap, version))
+    def _admit(self, miss: _Miss, data: np.ndarray,
+               resolved: dict[int, np.ndarray]) -> np.ndarray:
+        """Calling thread, in task order: cache what a miss decoded;
+        returns the chunk.
+
+        Each entry is admitted only while its version is still the one
+        the catalog publishes: a read pinned before a ``delete_version``
+        swap must not cache the deleted version under a number the next
+        insert reuses.  A warm fill's intermediates go first, deepest
+        first, and only into free space."""
+        if not self.cache.enabled:
+            return data
+        publishes = self.catalog.publishes
+        array_id, attribute = miss.snap.record.array_id, miss.attribute
+        if miss.warm_fill:
+            for version, cells in resolved.items():
+                if version != miss.version:
+                    self.cache.put(
+                        (array_id, version, attribute, miss.chunk.name),
+                        cells, evict=False,
+                        valid=partial(publishes, miss.snap, version))
+        self.cache.put((array_id, miss.version, attribute,
+                        miss.chunk.name), data,
+                       valid=partial(publishes, miss.snap, miss.version))
         return data
 
     def _locate_chain(self, snap: ArraySnapshot, version: int,
                       attribute: str, chunk: ChunkRef,
                       stop_at: dict[int, np.ndarray]
                       ) -> tuple[list[ChunkRecord], int | None]:
-        """Stage 1: one chunk's delta chain, walked in the read's pinned
+        """The plan's walk: one chunk's delta chain in the read's pinned
         snapshot (:meth:`ArraySnapshot.walk_chain`) — no SQL, no lock.
 
         Returns the chunk records from ``version`` downwards and the
@@ -948,19 +1017,29 @@ class DecodePipeline(_PooledStage):
         """Reconstruct every ``(attribute, chunk, out)`` task in one
         snapshot, yielding ``(task, chunk_data)`` pairs in task order.
 
-        The tasks run through the ordered window (:meth:`_ordered`), so
-        callers assemble canvases identically to the serial path; each
-        chunk's scope is private and the ``out`` windows are disjoint,
-        making the tasks fully independent.  A chunk that fails (a
-        corrupt payload) settles the window before its error leaves.
+        Every task is planned first, on this thread, each warm-fill
+        choice counting the bytes the misses before it will admit; the
+        misses then run through the ordered window (:meth:`_ordered`)
+        and each is admitted here as it is yielded.  A miss's decode is private to
+        it (the ``out`` windows are disjoint), so the tasks are fully
+        independent.  A chunk that fails (a corrupt payload) settles
+        the window before its error leaves.
         """
-        def run(task):
-            attr, chunk, out = task
-            return self.reconstruct(snap, version, attr.name, chunk,
-                                    out=out)
-
-        with closing(self._ordered(run, tasks)) as results:
-            yield from zip(tasks, results)
+        planned, admitting = [], 0
+        for attr, chunk, out in tasks:
+            planned.append(self._plan(snap, version, attr.name, chunk, {},
+                                      out, admitting))
+            if isinstance(planned[-1], _Miss):
+                admitting += planned[-1].admits
+        misses = [miss for miss in planned if isinstance(miss, _Miss)]
+        if not misses:      # the cache answered it all: no window
+            yield from zip(tasks, planned)
+            return
+        with closing(self._ordered(self._decode, misses)) as decoded:
+            for task, data in zip(tasks, planned):
+                if isinstance(data, _Miss):
+                    data = self._admit(data, *next(decoded))
+                yield task, data
 
 
 def overlap_slices(chunk: ChunkRef, lo: tuple[int, ...],

@@ -27,7 +27,6 @@ sweep without touching the defaults.
 from __future__ import annotations
 
 import os
-import threading
 import zlib
 
 import numpy as np
@@ -525,34 +524,6 @@ class TestRebalanceChaos:
                        for row in cluster.replicas for manager in row
                        for record in [manager.catalog.get_array("B")]}
             assert origins == {(None, None)}
-        finally:
-            cluster.close()
-
-    def test_rebalance_runs_one_node_pool(self, tmp_path, monkeypatch):
-        """The fleet a rebalance fills has no coordinator of its own:
-        its replays fan through the cluster's one node pool, so no
-        ``repro-cluster`` thread name is ever held twice."""
-        cluster = ClusterCoordinator(
-            tmp_path / "cluster", nodes=3, replication=2,
-            chunk_bytes=512, backend="memory", workers=4)
-        try:
-            _workload(cluster)
-            original = rebalance_flow._sync_generation
-            census = []
-
-            def counting_sync(old, fresh, seed):
-                changed = original(old, fresh, seed)
-                census.append([
-                    thread.name for thread in threading.enumerate()
-                    if thread.name.startswith("repro-cluster")])
-                return changed
-
-            monkeypatch.setattr(rebalance_flow, "_sync_generation",
-                                counting_sync)
-            cluster.rebalance(4)
-            assert census and all(census)
-            for names in census:
-                assert len(names) == len(set(names)), names
         finally:
             cluster.close()
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.cluster import rebalance as rebalance_flow
 from repro.core.array import ArrayData
 from repro.core.errors import ReproError, SchemaError, StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
-from repro.storage import InMemoryBackend, VersionedStorageManager
+from repro.storage import InMemoryBackend, VersionedStorageManager, pipeline
 from repro.storage.chunkstore import ChunkStore
 
 #: Every (band, replica) position of the 3 x 2 grid the rollback tests
@@ -290,7 +291,7 @@ class TestObjectStoreCluster:
         from repro.storage import ObjectStoreBackend
 
         cluster = ClusterCoordinator(tmp_path, nodes=3, chunk_bytes=512,
-                                     backend="object", workers=4)
+                                     backend="object")
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
         cluster.create_array("A", schema)
         versions = []
@@ -312,11 +313,10 @@ class TestObjectStoreCluster:
 
 
 class TestClusterBranchMerge:
-    @pytest.fixture(params=[0, 4])
-    def filled(self, tmp_path, rng, request):
+    @pytest.fixture
+    def filled(self, tmp_path, rng, fan_width):
         cluster = ClusterCoordinator(tmp_path, nodes=3, chunk_bytes=512,
-                                     backend="memory",
-                                     workers=request.param)
+                                     backend="memory")
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
         cluster.create_array("A", schema)
         versions = []
@@ -386,7 +386,7 @@ class TestClusterBranchMerge:
         import time
 
         cluster = ClusterCoordinator(tmp_path, nodes=3, chunk_bytes=512,
-                                     backend="memory", workers=4)
+                                     backend="memory")
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
         cluster.create_array("A", schema)
         data = rng.integers(0, 100, (12, 8)).astype(np.int32)
@@ -476,15 +476,13 @@ class TestClusterBranchMerge:
 
 
 class TestStageThenCommit:
-    @pytest.mark.parametrize("workers", [0, 4])
     def test_a_failed_undo_cannot_wedge_later_inserts(self, tmp_path, rng,
-                                                      workers):
+                                                      fan_width):
         """A 2 x 2 cluster whose insert fails on copy (1, 1) while copy
         (0, 0) cannot delete a version: the insert leaves no trace on
         any copy, fences none, and the next insert lands."""
         cluster = ClusterCoordinator(tmp_path, nodes=2, replication=2,
-                                     chunk_bytes=512, backend="memory",
-                                     workers=workers)
+                                     chunk_bytes=512, backend="memory")
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
         cluster.create_array("A", schema)
         data = rng.integers(0, 100, (12, 8)).astype(np.int32)
@@ -515,9 +513,8 @@ class TestStageThenCommit:
         cluster.close()
 
 
-    @pytest.mark.parametrize("workers", [0, 4])
     def test_a_failed_stage_fan_leaves_no_stale_canvas(self, tmp_path, rng,
-                                                       workers):
+                                                       fan_width):
         """The copies staged before another copy's stage failed encoded
         the new version onto their hot-slot canvases; the retry with
         other data must delta against version 1 on every copy, exactly
@@ -530,7 +527,7 @@ class TestStageThenCommit:
         for label in ("failed", "replay"):
             cluster = clusters[label] = ClusterCoordinator(
                 tmp_path / label, nodes=3, replication=2, chunk_bytes=128,
-                backend="memory", workers=workers)
+                backend="memory")
             cluster.create_array("A", schema)
             cluster.insert("A", data)
         failed = clusters["failed"]
@@ -571,14 +568,13 @@ def _assert_no_orphan_rows(manager) -> None:
     assert orphan_chunks == orphan_versions == dangling_chunks == 0
 
 
-@pytest.fixture(params=[0, 4])
-def replicated(tmp_path, rng, request):
+@pytest.fixture
+def replicated(tmp_path, rng, fan_width):
     """A 3-band, replication=2 in-memory cluster holding 3 versions,
-    exercised serial and with node fan-out (shared by the replication
-    and mid-fan-out-death suites)."""
+    exercised at both fan widths (shared by the replication and
+    mid-fan-out-death suites)."""
     cluster = ClusterCoordinator(tmp_path, nodes=3, replication=2,
-                                 chunk_bytes=512, backend="memory",
-                                 workers=request.param)
+                                 chunk_bytes=512, backend="memory")
     schema = ArraySchema.simple((12, 8), dtype=np.int32)
     cluster.create_array("A", schema)
     versions = []
@@ -781,15 +777,14 @@ class TestArrayLifecycleAtomicity:
         assert cluster.list_arrays() == ["A"]
         cluster.close()
 
-    @pytest.mark.parametrize("workers", [0, 4])
     @pytest.mark.parametrize("node,replica", GRID_3X2)
     def test_create_array_mid_grid_failure_fences_the_copy(
-            self, tmp_path, caplog, node, replica, workers):
+            self, tmp_path, caplog, node, replica, fan_width):
         """A copy whose create is refused is fenced and the array is
         created on the rest; writes refuse until the copy is revived
         with a repair, which creates it there too."""
         cluster = ClusterCoordinator(tmp_path, nodes=3, replication=2,
-                                     backend="memory", workers=workers)
+                                     backend="memory")
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
         victim = cluster.replicas[node][replica]
         original = victim.create_array
@@ -822,14 +817,13 @@ class TestArrayLifecycleAtomicity:
                                       data)
         cluster.close()
 
-    @pytest.mark.parametrize("workers", [0, 4])
-    def test_create_array_converges_over_retries(self, tmp_path, workers):
+    def test_create_array_converges_over_retries(self, tmp_path, fan_width):
         """A band whose every copy refuses the create fails it and
         leaves the partitions the other bands created; once the band
         is back, a retry counts those as created.  A copy holding the
         name any other way refuses it before any copy changes."""
         cluster = ClusterCoordinator(tmp_path, nodes=3, replication=2,
-                                     backend="memory", workers=workers)
+                                     backend="memory")
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
 
         def refusing_create(*args, **kwargs):
@@ -1091,18 +1085,16 @@ class TestRebalance:
         cluster.rebalance(4)
         assert cluster.fingerprint() == fingerprint
 
-    @pytest.mark.parametrize("workers", [0, 4])
     @pytest.mark.parametrize("node,replica",
                              [(n, r) for n in range(4) for r in range(2)])
     def test_fault_in_replay_fan_leaves_no_partial_version(
-            self, tmp_path, rng, monkeypatch, node, replica, workers):
+            self, tmp_path, rng, monkeypatch, node, replica, fan_width):
         """A copy of the *fresh* generation failing mid-replay sinks
         the rebalance, and the fleet no reader could reach yet goes
         whole: the old generation serves unchanged, no ``gen1``
         directory is left, nothing is counted, and a retry lands."""
         cluster = ClusterCoordinator(tmp_path, nodes=3, replication=2,
-                                     chunk_bytes=512, backend="local",
-                                     workers=workers)
+                                     chunk_bytes=512, backend="local")
         cluster.create_array("A",
                              ArraySchema.simple((12, 8), dtype=np.int32))
         data = rng.integers(0, 100, (12, 8)).astype(np.int32)
@@ -1218,70 +1210,77 @@ class TestValidation:
         cluster.close()
 
 
+def _cluster_history(root, rng) -> tuple:
+    """Three inserts into a 3-node cluster, and everything it answers."""
+    cluster = ClusterCoordinator(root, nodes=3, chunk_bytes=512,
+                                 backend="memory")
+    cluster.create_array("A", ArraySchema.simple((24, 10), dtype=np.int32))
+    data = rng.integers(0, 100, (24, 10)).astype(np.int32)
+    inserted = []
+    for _ in range(3):
+        inserted.append(cluster.insert("A", data))
+        data = data + 1
+    answers = (inserted,
+               [cluster.select("A", version).single()
+                for version in (1, 2, 3)],
+               cluster.select_region("A", 3, (2, 1), (21, 8)).single(),
+               cluster.select_versions("A", [1, 3]),
+               [manager.stored_bytes("A") for manager in cluster.managers],
+               cluster.fingerprint())
+    cluster.close()
+    return answers
+
+
 class TestClusterWorkers:
-    def test_parallel_cluster_matches_serial(self, tmp_path, rng):
-        schema = ArraySchema.simple((24, 10), dtype=np.int32)
-        serial = ClusterCoordinator(tmp_path / "serial", nodes=3,
-                                    chunk_bytes=512, backend="memory")
-        parallel = ClusterCoordinator(tmp_path / "parallel", nodes=3,
-                                      chunk_bytes=512, backend="memory",
-                                      workers=4)
-        for cluster in (serial, parallel):
-            cluster.create_array("A", schema)
-        data = rng.integers(0, 100, (24, 10)).astype(np.int32)
-        for _ in range(3):
-            serial.insert("A", data)
-            parallel.insert("A", data)
-            data = data + 1
-        for version in (1, 2, 3):
-            np.testing.assert_array_equal(
-                parallel.select("A", version).single(),
-                serial.select("A", version).single())
-        np.testing.assert_array_equal(
-            parallel.select_region("A", 3, (2, 1), (21, 8)).single(),
-            serial.select_region("A", 3, (2, 1), (21, 8)).single())
-        np.testing.assert_array_equal(
-            parallel.select_versions("A", [1, 3]),
-            serial.select_versions("A", [1, 3]))
-        serial.close()
-        parallel.close()
+    def test_parallel_cluster_matches_serial(self, tmp_path, monkeypatch):
+        """Every node's manager fans its own chunks; the cluster answers
+        and stores the same at every fan width."""
+        runs = []
+        for width in (1, 4):
+            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
+            runs.append(_cluster_history(tmp_path / f"w{width}",
+                                         np.random.default_rng(3)))
+        inline, pooled = runs
+        assert inline[0] == pooled[0] == [1, 2, 3]
+        for left, right in zip(inline[1], pooled[1]):
+            np.testing.assert_array_equal(left, right)
+        np.testing.assert_array_equal(inline[2], pooled[2])
+        np.testing.assert_array_equal(inline[3], pooled[3])
+        assert inline[4:] == pooled[4:]
 
-    def test_workers_reach_every_node(self, tmp_path):
-        cluster = ClusterCoordinator(tmp_path, nodes=2, workers=3,
+    def test_workers_is_not_an_option(self, tmp_path):
+        with pytest.raises(TypeError):
+            ClusterCoordinator(tmp_path, nodes=2, workers=3,
+                               backend="memory")
+
+    @pytest.mark.parametrize("fan_width", [4], indirect=True)
+    def test_every_thread_belongs_to_a_node_pipeline(self, tmp_path,
+                                                    fan_width):
+        """The coordinator runs no pool of its own: a write, a read and
+        a rebalance start only the nodes' encode and decode threads,
+        and closing the cluster ends them all."""
+        before = set(threading.enumerate())
+        cluster = ClusterCoordinator(tmp_path, nodes=2, chunk_bytes=512,
                                      backend="memory")
-        assert cluster.workers == 3
-        assert all(manager.workers == 3
-                   for manager in cluster.managers)
+        cluster.create_array("A", ArraySchema.simple((48, 40),
+                                                     dtype=np.int32))
+        data = np.arange(48 * 40, dtype=np.int32).reshape(48, 40)
+        cluster.insert("A", data)
+        cluster.insert("A", data + 1)
+        assert cluster.rebalance(3) > 0
+        np.testing.assert_array_equal(cluster.select("A", 2).single(),
+                                      data + 1)
+        started = [thread for thread in threading.enumerate()
+                   if thread not in before]
+        assert {thread.name.rsplit("_", 1)[0] for thread in started} == \
+            {"repro-encode", "repro-decode"}
         cluster.close()
-
-    def test_parallel_insert_fans_nodes(self, tmp_path, rng):
-        """Concurrent node inserts land the same versions and bytes as
-        the serial node loop."""
-        schema = ArraySchema.simple((24, 10), dtype=np.int32)
-        serial = ClusterCoordinator(tmp_path / "serial", nodes=3,
-                                    chunk_bytes=512, backend="memory")
-        parallel = ClusterCoordinator(tmp_path / "parallel", nodes=3,
-                                      chunk_bytes=512, backend="memory",
-                                      workers=4)
-        for cluster in (serial, parallel):
-            cluster.create_array("A", schema)
-        data = rng.integers(0, 100, (24, 10)).astype(np.int32)
-        for _ in range(3):
-            assert serial.insert("A", data) == parallel.insert("A", data)
-            data = data + 1
-        for version in (1, 2, 3):
-            np.testing.assert_array_equal(
-                parallel.select("A", version).single(),
-                serial.select("A", version).single())
-        for left, right in zip(serial.managers, parallel.managers):
-            assert left.stored_bytes("A") == right.stored_bytes("A")
-        serial.close()
-        parallel.close()
+        assert [thread for thread in threading.enumerate()
+                if thread not in before] == []
 
     def test_striped_nodes(self, tmp_path, rng):
         """Each node can itself stripe its payloads."""
-        cluster = ClusterCoordinator(tmp_path, nodes=2, workers=2,
-                                     chunk_bytes=512,
+        cluster = ClusterCoordinator(tmp_path, nodes=2, chunk_bytes=512,
                                      backend="striped:2:memory")
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
         cluster.create_array("A", schema)

@@ -771,12 +771,11 @@ class TestCommitFence:
 
         manager.catalog.put_chunks = refusing
 
-    @pytest.mark.parametrize("workers", [0, 4])
     def test_a_fenced_commit_heals_by_revive_with_repair(
-            self, tmp_path, caplog, workers):
+            self, tmp_path, caplog, fan_width):
         cluster = ClusterCoordinator(tmp_path / "cluster", nodes=3,
                                      replication=2, chunk_bytes=512,
-                                     backend="memory", workers=workers)
+                                     backend="memory")
         try:
             _workload(cluster)
             writes = cluster.stats.replica_writes
@@ -811,12 +810,10 @@ class TestCommitFence:
         finally:
             cluster.close()
 
-    @pytest.mark.parametrize("workers", [0, 4])
     def test_a_band_without_a_commit_keeps_the_head_until_revive(
-            self, tmp_path, workers):
+            self, tmp_path, fan_width):
         cluster = ClusterCoordinator(tmp_path / "cluster", nodes=2,
-                                     chunk_bytes=512, backend="memory",
-                                     workers=workers)
+                                     chunk_bytes=512, backend="memory")
         mirror = ClusterCoordinator(tmp_path / "mirror", nodes=2,
                                     chunk_bytes=512, backend="memory")
         try:
@@ -855,12 +852,11 @@ class TestCommitFence:
             cluster.close()
             mirror.close()
 
-    @pytest.mark.parametrize("workers", [0, 4])
     def test_rebalance_leaves_an_unpublished_version_behind(
-            self, tmp_path, workers):
+            self, tmp_path, fan_width):
         cluster = ClusterCoordinator(tmp_path / "cluster", nodes=2,
                                      replication=2, chunk_bytes=512,
-                                     backend="memory", workers=workers)
+                                     backend="memory")
         try:
             _workload(cluster)
             for replica in range(2):

@@ -1,17 +1,16 @@
 """Shared fixtures for the test suite.
 
-The suite honors two environment knobs the CI matrix sweeps:
+The suite honors one environment knob the CI matrix sweeps:
+``REPRO_BACKEND``, the default storage backend spec of every manager
+(``resolve_backend``), so ``object`` runs the same subset against the
+S3-style object path (ranged GETs, multipart staging).  It is
+validated once, up front: a matrix cell with a typo must fail the
+whole session loudly, not silently test the local path under an
+object label.
 
-* ``REPRO_WORKERS`` — the default parallelism degree of every manager
-  (``resolve_workers``), so ``workers=4`` runs the whole subset through
-  the encode/decode thread pools;
-* ``REPRO_BACKEND`` — the default storage backend spec of every
-  manager (``resolve_backend``), so ``object`` runs the same subset
-  against the S3-style object path (ranged GETs, multipart staging).
-
-Both are validated once, up front: a matrix cell with a typo must fail
-the whole session loudly, not silently test the serial/local path
-under a parallel/object label.
+The pipelines' fan width is the host's CPU count, not a setting; a
+test that must run both the inline path and the pooled one takes the
+:func:`fan_width` fixture, which pins it.
 """
 
 from __future__ import annotations
@@ -21,17 +20,24 @@ import os
 import numpy as np
 import pytest
 
+from repro.storage import pipeline
 from repro.storage.backend import ensure_backend_spec
-from repro.storage.pipeline import resolve_workers
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _validate_matrix_env() -> None:
-    """Fail fast on a malformed ``REPRO_BACKEND`` / ``REPRO_WORKERS``."""
+    """Fail fast on a malformed ``REPRO_BACKEND``."""
     spec = os.environ.get("REPRO_BACKEND")
     if spec:
         ensure_backend_spec(spec)
-    resolve_workers(None)
+
+
+@pytest.fixture(params=[1, 4], ids=lambda width: f"width{width}")
+def fan_width(request, monkeypatch) -> int:
+    """Pin the pipelines' fan width: 1 runs every task inline on the
+    calling thread, 4 through the pools, whatever the host has."""
+    monkeypatch.setattr(pipeline, "FAN_WIDTH", request.param)
+    return request.param
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from codec_cases import CompressorRoundTrips
 from paper.baselines import (
     JPEG2000LikeCodec,
-    LZWCodec,
     NullSuppressionCodec,
     PNGLikeCodec,
     RunLengthCodec,
@@ -22,7 +21,6 @@ from repro.core.errors import CodecError
 CODECS = [
     RunLengthCodec(),
     NullSuppressionCodec(),
-    LZWCodec(),
     PNGLikeCodec(),
     JPEG2000LikeCodec(),
 ]
@@ -46,11 +44,6 @@ class TestCompressionEffectiveness:
         codec = NullSuppressionCodec()
         assert len(codec.encode(array)) < array.nbytes / 3
 
-    def test_lzw_crushes_repetitive_bytes(self):
-        array = np.tile(np.arange(16, dtype=np.uint8), 256)
-        codec = LZWCodec()
-        assert len(codec.encode(array)) < array.nbytes / 2
-
     def test_png_beats_plain_lz_on_gradients(self):
         # Smooth gradients are exactly what the filters decorrelate.
         gradient = np.add.outer(np.arange(128), np.arange(128)) \
@@ -65,19 +58,6 @@ class TestCompressionEffectiveness:
             .astype(np.int32)
         codec = JPEG2000LikeCodec()
         assert len(codec.encode(smooth)) < smooth.nbytes / 2
-
-
-class TestLZWResets:
-    def test_dictionary_reset_roundtrip(self, rng):
-        # A small code budget forces repeated dictionary resets.
-        codec = LZWCodec(max_code_bits=9)
-        data = rng.integers(0, 256, size=4096).astype(np.uint8)
-        out = codec.decode(codec.encode(data))
-        assert out.tobytes() == data.tobytes()
-
-    def test_invalid_code_bits(self):
-        with pytest.raises(CodecError):
-            LZWCodec(max_code_bits=5)
 
 
 class TestCorruptionHandling:

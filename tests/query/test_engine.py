@@ -17,7 +17,6 @@ _OPTIONS = {
     "delta_policy": ("auto", lambda m: m.delta_policy),
     "placement": ("per-version", lambda m: m.store.placement),
     "cache_bytes": (4096, lambda m: m.cache.max_bytes),
-    "workers": (3, lambda m: m.workers),
 }
 
 
@@ -143,6 +142,14 @@ class TestDatabaseFacade:
     def test_unknown_option_rejected_before_side_effects(self, tmp_path):
         with pytest.raises(TypeError):
             Database(tmp_path / "old", cache_chunks=8)
+        assert not (tmp_path / "old").exists()
+
+    def test_workers_is_not_an_option(self, tmp_path):
+        """The fan width is the host's CPU count, not a setting."""
+        with pytest.raises(TypeError):
+            Database(tmp_path / "old", workers=4)
+        with pytest.raises(TypeError):
+            VersionedStorageManager(tmp_path / "old", workers=4)
         assert not (tmp_path / "old").exists()
 
     def test_bad_option_fails_before_side_effects(self, tmp_path):

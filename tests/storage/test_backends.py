@@ -4,7 +4,7 @@ The :class:`~repro.storage.backend.StorageBackend` contract is
 exercised twice — once against the raw byte API (including the striped
 composite and the batched ``read_many``), once end-to-end
 through :class:`VersionedStorageManager` across the (backend x
-placement x workers) grid, where every configuration must return
+placement x fan width) grid, where every configuration must return
 byte-identical query results.
 """
 
@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema
+from repro.storage import pipeline
 from repro.storage import (
     COLOCATED,
     PER_VERSION,
@@ -568,18 +569,18 @@ class TestResolveBackend:
             resolve_backend("tape", tmp_path)
 
 
-#: The (backend, placement, workers) grid every storage semantic must
+#: The (backend, placement, fan width) grid every storage semantic must
 #: agree on: plain, striped, object-store, and (fault-free)
-#: fault-injection-wrapped backends, serial and parallel decode.
-CONFIGS = [("local", COLOCATED, 0), ("local", PER_VERSION, 0),
-           ("memory", COLOCATED, 0), ("memory", PER_VERSION, 0),
-           ("striped:3", COLOCATED, 0), ("striped:3", PER_VERSION, 4),
+#: fault-injection-wrapped backends, inline and pooled decode.
+CONFIGS = [("local", COLOCATED, 1), ("local", PER_VERSION, 1),
+           ("memory", COLOCATED, 1), ("memory", PER_VERSION, 1),
+           ("striped:3", COLOCATED, 1), ("striped:3", PER_VERSION, 4),
            ("striped:3:memory", COLOCATED, 4),
            ("local", COLOCATED, 4), ("memory", COLOCATED, 4),
-           ("object", COLOCATED, 0), ("object", PER_VERSION, 4),
+           ("object", COLOCATED, 1), ("object", PER_VERSION, 4),
            ("object:durable", COLOCATED, 4),
            ("striped:2:object", COLOCATED, 4),
-           ("faulty:0", COLOCATED, 0), ("faulty:0:memory", PER_VERSION, 0),
+           ("faulty:0", COLOCATED, 1), ("faulty:0:memory", PER_VERSION, 1),
            ("faulty:0:object", COLOCATED, 4)]
 
 
@@ -606,18 +607,21 @@ def _exercise(manager: VersionedStorageManager) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend_name,placement,workers", CONFIGS)
-def test_manager_conformance_identical(tmp_path, backend_name, placement,
-                                       workers):
-    """Every backend/placement/workers triple returns byte-identical
+@pytest.mark.parametrize("backend_name,placement,fan_width", CONFIGS,
+                         indirect=["fan_width"])
+def test_manager_conformance_identical(tmp_path, monkeypatch,
+                                       backend_name, placement, fan_width):
+    """Every backend/placement/width triple returns byte-identical
     results."""
-    with VersionedStorageManager(
-            tmp_path / "ref", chunk_bytes=512,
-            placement=COLOCATED, workers=0) as reference_manager:
-        reference = _exercise(reference_manager)
+    with monkeypatch.context() as inline:
+        inline.setattr(pipeline, "FAN_WIDTH", 1)
+        with VersionedStorageManager(
+                tmp_path / "ref", chunk_bytes=512,
+                placement=COLOCATED) as reference_manager:
+            reference = _exercise(reference_manager)
     with VersionedStorageManager(
             tmp_path / "sub", chunk_bytes=512, placement=placement,
-            backend=backend_name, workers=workers) as manager:
+            backend=backend_name) as manager:
         observed = _exercise(manager)
 
     assert observed["versions"] == reference["versions"]
@@ -631,7 +635,7 @@ def test_manager_conformance_identical(tmp_path, backend_name, placement,
 
 
 #: ``fingerprint()`` after the co-located ``_exercise`` history: one
-#: value on every backend at every worker count, pinned so that a
+#: value on every backend at every fan width, pinned so that a
 #: change to how rewrites place, compact or commit shows up here.  The
 #: ``reorganize`` compacts into ``@r2`` objects: ``@r1`` are the ones the
 #: ``delete_version`` before it committed, which it may not write over.
@@ -645,8 +649,9 @@ GOLDEN_DIGESTS = \
 
 
 @pytest.mark.parametrize("placement", [COLOCATED, PER_VERSION])
-def test_exercise_stores_the_golden_bytes(tmp_path, placement):
-    """Every backend and worker count stores one history as the same
+def test_exercise_stores_the_golden_bytes(tmp_path, monkeypatch,
+                                          placement):
+    """Every backend and fan width stores one history as the same
     bytes; co-located, those are the pinned golden bytes.  Per-version
     placement names its objects differently where a rewrite ran, so
     its fingerprint is only held to one value across the grid."""
@@ -654,11 +659,11 @@ def test_exercise_stores_the_golden_bytes(tmp_path, placement):
                           if where == placement)
     fingerprints, digests = set(), set()
     for index, spec in enumerate(specs):
-        for workers in (0, 4):
+        for width in (1, 4):
+            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
             with VersionedStorageManager(
-                    tmp_path / f"{index}-w{workers}", chunk_bytes=512,
-                    placement=placement, backend=spec,
-                    workers=workers) as manager:
+                    tmp_path / f"{index}-w{width}", chunk_bytes=512,
+                    placement=placement, backend=spec) as manager:
                 _exercise(manager)
                 fingerprints.add(manager.fingerprint())
                 lists = tuple(listing(name) for listing in (

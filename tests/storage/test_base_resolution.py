@@ -25,7 +25,7 @@ import pytest
 from repro.core import native
 from repro.core.array import DeltaListPayload
 from repro.core.schema import ArraySchema
-from repro.storage import VersionedStorageManager
+from repro.storage import VersionedStorageManager, pipeline
 from repro.storage.manager import _HotSlot
 
 DTYPES = [np.int64, np.int32, np.int16, np.uint8, np.uint64,
@@ -264,7 +264,9 @@ class TestColdBaseCost:
 
     @pytest.mark.skipif(not native.available(),
                         reason="native kernels did not compile")
-    def test_cold_base_insert_allocates_one_canvas(self, tmp_path):
+    @pytest.mark.parametrize("fan_width", [1], indirect=True)
+    def test_cold_base_insert_allocates_one_canvas(self, tmp_path,
+                                                   fan_width):
         # 16 chunks of 256 KiB, depth 8.  The slot is emptied rather
         # than the store reopened so that its own snapshot canvas — the
         # same allocation on a hot insert — stays out of the window.
@@ -275,7 +277,7 @@ class TestColdBaseCost:
         version_bytes = versions[0].nbytes
         manager = VersionedStorageManager(
             tmp_path / "s", chunk_bytes=256 << 10, delta_policy="chain",
-            backend="local", workers=0)
+            backend="local")
         manager.create_array("a", ArraySchema.simple(shape,
                                                      dtype=np.int32))
         for data in versions[:8]:
@@ -354,11 +356,10 @@ class TestHotSlotAdoption:
             tmp_path / "replay", versions, backend="memory")[0]
         manager.close()
 
-    @pytest.mark.parametrize("workers", [0, 4])
     @pytest.mark.parametrize("fault", [6, 8], ids=["mid-version",
                                                    "last-chunk"])
     def test_a_failed_stage_leaves_no_stale_canvas(self, tmp_path, fault,
-                                                   workers):
+                                                   fan_width):
         # Four chunks a version, appended in order: append 6 is the
         # second chunk of version 2, append 8 its last.  The chunks
         # encoded before the fault have overwritten their canvas
@@ -372,8 +373,7 @@ class TestHotSlotAdoption:
         versions = _versions(np.int32, depth=3)
         backend = FaultInjectingBackend(
             InMemoryBackend(), schedule={"append": frozenset({fault})})
-        manager = self._manager(tmp_path / "s", backend=backend,
-                                workers=workers)
+        manager = self._manager(tmp_path / "s", backend=backend)
         manager.insert("a", versions[0])
         with pytest.raises(StorageError):
             manager.insert("a", versions[1])
@@ -414,7 +414,8 @@ class TestHotSlotAdoption:
             backend="memory")[0]
         manager.close()
 
-    def test_parallel_encodes_adopt_disjoint_windows(self, tmp_path):
+    def test_parallel_encodes_adopt_disjoint_windows(self, tmp_path,
+                                                     monkeypatch):
         # More encode threads than cores, each adopting its chunks'
         # windows of one canvas, with thread switches forced often: the
         # canvas must still be exactly the head after every insert.
@@ -423,10 +424,10 @@ class TestHotSlotAdoption:
         versions = _versions(np.int32, depth=12, shape=(64, 64))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        monkeypatch.setattr(pipeline, "FAN_WIDTH", 8)
         try:
             manager = VersionedStorageManager(
-                tmp_path / "s", chunk_bytes=256, backend="memory",
-                workers=8)
+                tmp_path / "s", chunk_bytes=256, backend="memory")
             manager.create_array("a", ArraySchema.simple(
                 (64, 64), dtype=np.int32))
             for number, data in enumerate(versions, start=1):
@@ -438,9 +439,9 @@ class TestHotSlotAdoption:
             manager.close()
         finally:
             sys.setswitchinterval(interval)
+        monkeypatch.setattr(pipeline, "FAN_WIDTH", 1)
         serial = VersionedStorageManager(
-            tmp_path / "serial", chunk_bytes=256, backend="memory",
-            workers=0)
+            tmp_path / "serial", chunk_bytes=256, backend="memory")
         serial.create_array("a", ArraySchema.simple((64, 64),
                                                     dtype=np.int32))
         for data in versions:

@@ -1,7 +1,7 @@
 """Property tests of the chunk cache's two admission strengths and of
 cached stores against a cache-off twin.
 
-Whatever the chain depth, codec, cache budget, parallelism, and
+Whatever the chain depth, codec, cache budget, fan width, and
 interleaving of reads with appends, a cached store must return exactly
 what the same store returns with the cache off; its byte budget must
 hold after every operation; and a speculative
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.schema import ArraySchema
-from repro.storage import ChunkCache, VersionedStorageManager
+from repro.storage import ChunkCache, VersionedStorageManager, pipeline
 
 SHAPE = (24, 24)
 CHUNK_BYTES = 12 * 12 * 8  # a 2x2 grid of 8-byte cells
@@ -70,7 +70,7 @@ def _step(rng, data):
        codec=st.sampled_from(("dense", "sparse", "hybrid")),
        dtype=st.sampled_from((np.int64, np.float64)),
        budget=st.sampled_from(("off", "chunk", "half-chain", "all")),
-       workers=st.sampled_from((0, 4)),
+       width=st.sampled_from((1, 4)),
        ops=st.lists(st.one_of(
            st.tuples(st.just("read"), st.integers(0, 63)),
            st.tuples(st.just("range"), st.integers(0, 63)),
@@ -78,16 +78,17 @@ def _step(rng, data):
            min_size=1, max_size=14),
        seed=st.integers(0, 2 ** 16))
 def test_cached_store_equals_cache_off_store(depth, codec, dtype,
-                                             budget, workers, ops, seed):
+                                             budget, width, ops, seed):
     max_bytes = {"off": 0, "chunk": CHUNK_BYTES,
                  "half-chain": max(1, depth // 2) * CHUNK_BYTES,
                  "all": 64 * CHUNKS * CHUNK_BYTES}[budget]
     rng = np.random.default_rng(seed)
     schema = ArraySchema.simple(SHAPE, dtype=dtype)
+    # Hypothesis reruns the body, so it pins the width itself.
+    saved_width, pipeline.FAN_WIDTH = pipeline.FAN_WIDTH, width
     stores = [VersionedStorageManager(
         f"/unused/{name}", backend="memory", chunk_bytes=CHUNK_BYTES,
-        delta_policy="chain", delta_codec=codec, workers=workers,
-        cache_bytes=cache_bytes)
+        delta_policy="chain", delta_codec=codec, cache_bytes=cache_bytes)
         for name, cache_bytes in (("plain", 0), ("cached", max_bytes))]
     plain, cached = stores
     truth: list[np.ndarray] = []
@@ -100,17 +101,17 @@ def test_cached_store_equals_cache_off_store(depth, codec, dtype,
             assert store.insert("A", data) == len(truth) + 1
         truth.append(data)
 
-    if workers == 0:
-        # Serial reads make before/after comparable: a speculative
-        # admission must never cost the cache an entry.
-        admit = cached.cache.put
+    # Reads admit on the calling thread at every width, so before and
+    # after are comparable: a speculative admission must never cost
+    # the cache an entry.
+    admit = cached.cache.put
 
-        def checked_put(key, data, *, evict=True, valid=None):
-            before = cached.cache_info()["entries"]
-            admit(key, data, evict=evict, valid=valid)
-            assert evict or cached.cache_info()["entries"] >= before
+    def checked_put(key, data, *, evict=True, valid=None):
+        before = cached.cache_info()["entries"]
+        admit(key, data, evict=evict, valid=valid)
+        assert evict or cached.cache_info()["entries"] >= before
 
-        cached.cache.put = checked_put
+    cached.cache.put = checked_put
 
     def check_budgets():
         info = cached.cache_info()
@@ -144,3 +145,4 @@ def test_cached_store_equals_cache_off_store(depth, codec, dtype,
     finally:
         for store in stores:
             store.close()
+        pipeline.FAN_WIDTH = saved_width

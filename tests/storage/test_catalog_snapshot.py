@@ -40,7 +40,7 @@ class _Store:
     def _open(self) -> VersionedStorageManager:
         return VersionedStorageManager(self.root, chunk_bytes=64,
                                        placement=self.placement,
-                                       backend="local", workers=0)
+                                       backend="local")
 
     def reopen(self) -> None:
         self.manager.close()

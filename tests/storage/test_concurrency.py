@@ -1,8 +1,8 @@
 """Concurrent decode, chain warm fill, and transactional write batching.
 
-The parallel select path must be invisible except in wall-clock: the
+The pooled select path must be invisible except in wall-clock: the
 same bytes, the same exact I/O counters, the same cache occupancy as
-the serial pass.  The write path must be atomic at version granularity:
+the inline pass at a fan width of 1.  The write path must be atomic at version granularity:
 a failure anywhere mid-write leaves zero chunk rows in the catalog.
 Concurrency itself is held to a census — three kinds of pool under
 one manager, none of them nested, none alive after ``close()`` — and
@@ -11,6 +11,7 @@ an operation that raises leaves none of its tasks running.
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
@@ -21,6 +22,7 @@ import pytest
 
 from repro.core.errors import CodecError, NoOverwriteError, StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
+from repro.storage import pipeline
 from repro.storage import (
     COLOCATED,
     PER_VERSION,
@@ -41,11 +43,10 @@ def _two_attr_schema(shape=(24, 24)) -> ArraySchema:
                                    Attribute("b", np.dtype(np.float32))))
 
 
-def _loaded(root, *, versions=4, workers=0, **kwargs):
+def _loaded(root, *, versions=4, **kwargs):
     manager = VersionedStorageManager(root, chunk_bytes=800,
                                       compressor="none",
-                                      delta_policy="chain",
-                                      workers=workers, **kwargs)
+                                      delta_policy="chain", **kwargs)
     schema = _two_attr_schema()
     manager.create_array("A", schema)
     rng = np.random.default_rng(42)
@@ -59,67 +60,59 @@ def _loaded(root, *, versions=4, workers=0, **kwargs):
     return manager
 
 
+def _at_widths(monkeypatch, read) -> dict:
+    """``read()`` inline (width 1) and through the pools (width 4)."""
+    results = {}
+    for width in (1, 4):
+        monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
+        results[width] = read()
+    return results
+
+
 class TestParallelDecodeDeterminism:
-    def test_read_version_byte_identical(self, tmp_path):
-        serial = _loaded(tmp_path / "serial", workers=0)
-        parallel = _loaded(tmp_path / "parallel", workers=4)
-        for version in serial.get_versions("A"):
-            left = serial.select("A", version)
-            right = parallel.select("A", version)
+    def test_read_version_byte_identical(self, tmp_path, monkeypatch):
+        manager = _loaded(tmp_path)
+        versions = manager.get_versions("A")
+        results = _at_widths(monkeypatch, lambda: [
+            manager.select("A", version) for version in versions])
+        for left, right in zip(results[1], results[4]):
             for attr in ("a", "b"):
                 np.testing.assert_array_equal(left.attribute(attr),
                                               right.attribute(attr))
-        serial.close()
-        parallel.close()
+        manager.close()
 
-    def test_read_region_byte_identical(self, tmp_path):
-        serial = _loaded(tmp_path / "serial", workers=0)
-        parallel = _loaded(tmp_path / "parallel", workers=4)
-        for lo, hi in [((0, 0), (23, 23)), ((3, 5), (20, 18)),
-                       ((7, 7), (7, 7))]:
-            left = serial.select_region("A", 4, lo, hi)
-            right = parallel.select_region("A", 4, lo, hi)
+    def test_read_region_byte_identical(self, tmp_path, monkeypatch):
+        manager = _loaded(tmp_path)
+        regions = [((0, 0), (23, 23)), ((3, 5), (20, 18)),
+                   ((7, 7), (7, 7))]
+        results = _at_widths(monkeypatch, lambda: [
+            manager.select_region("A", 4, lo, hi) for lo, hi in regions])
+        for left, right in zip(results[1], results[4]):
             for attr in ("a", "b"):
                 np.testing.assert_array_equal(left.attribute(attr),
                                               right.attribute(attr))
-        serial.close()
-        parallel.close()
+        manager.close()
 
-    def test_constructor_workers_sizes_the_decode_pool(self, tmp_path):
-        """The constructor's degree is the only one: a parallel manager
-        reopened over a serially written store fans its reads across a
-        pool of exactly that many threads, same bytes."""
-        _loaded(tmp_path, workers=0).close()
-        serial = VersionedStorageManager(tmp_path, workers=1)
-        parallel = VersionedStorageManager(tmp_path, workers=4)
-        left = serial.select("A", 4)
-        right = parallel.select("A", 4)
-        for attr in ("a", "b"):
-            np.testing.assert_array_equal(left.attribute(attr),
-                                          right.attribute(attr))
-        assert serial.decoder._executor is None  # never fanned out
-        assert parallel.decoder._executor._max_workers == 4
-        serial.close()
-        parallel.close()
+    def test_io_counters_exact_under_parallelism(self, tmp_path,
+                                                 monkeypatch):
+        """Lock-protected IOStats: not one lost increment at width 4."""
+        manager = _loaded(tmp_path)
 
-    def test_io_counters_exact_under_parallelism(self, tmp_path):
-        """Lock-protected IOStats: not one lost increment at workers=4."""
-        serial = _loaded(tmp_path / "serial", workers=0)
-        parallel = _loaded(tmp_path / "parallel", workers=4)
-        with serial.stats.measure() as expected:
-            serial.select("A", 4)
-        with parallel.stats.measure() as observed:
-            parallel.select("A", 4)
-        assert observed.chunks_read == expected.chunks_read
-        assert observed.bytes_read == expected.bytes_read
-        assert observed.file_opens == expected.file_opens
-        serial.close()
-        parallel.close()
+        def measured():
+            with manager.stats.measure() as window:
+                manager.select("A", 4)
+            return window
+
+        results = _at_widths(monkeypatch, measured)
+        assert results[4].chunks_read == results[1].chunks_read
+        assert results[4].bytes_read == results[1].bytes_read
+        assert results[4].file_opens == results[1].file_opens
+        manager.close()
 
     def test_concurrent_selects_share_one_cache_exactly(self, tmp_path):
         """Many threads select through one locked cache; byte
         accounting must match a single-threaded replay."""
-        manager = _loaded(tmp_path, workers=2, cache_bytes=1 << 20)
+        manager = _loaded(tmp_path, cache_bytes=1 << 20)
         versions = manager.get_versions("A")
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(manager.select, "A", version)
@@ -138,25 +131,172 @@ class TestParallelDecodeDeterminism:
         manager.close()
 
 
-class TestWorkersConfiguration:
-    def test_malformed_env_rejected_loudly(self, tmp_path, monkeypatch):
-        """A misconfigured REPRO_WORKERS must fail, not silently run
-        serial (the CI parallel matrix cell would test nothing)."""
-        monkeypatch.setenv("REPRO_WORKERS", "four")
-        with pytest.raises(StorageError):
-            VersionedStorageManager(tmp_path / "bad")
-        assert not (tmp_path / "bad").exists()  # no durable state
+class _Threads:
+    """Wraps a pipeline stage: the thread each call ran on."""
 
-    def test_env_default_applies(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        manager = VersionedStorageManager(tmp_path, backend="memory")
-        assert manager.workers == 3
+    def __init__(self, function):
+        self.function = function
+        self.calls: list[str] = []
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(threading.current_thread().name)
+        return self.function(*args, **kwargs)
+
+
+class _Lanes(_Threads):
+    """A :class:`_Threads` spy whose calls on the consuming thread wait
+    (a bounded while) until a pool thread has made one: while the
+    consumer runs a call itself, the pool takes the next."""
+
+    def __init__(self, function):
+        super().__init__(function)
+        self.pooled = threading.Event()
+
+    def __call__(self, *args, **kwargs):
+        if threading.current_thread() is threading.main_thread():
+            self.pooled.wait(timeout=10)
+        else:
+            self.pooled.set()
+        return super().__call__(*args, **kwargs)
+
+
+def _cached_sequence(root, backend="memory", **kwargs) -> tuple:
+    """A fixed read sequence over a tight cache: warm fills, free-space
+    refusals and LRU evictions across multi-chunk selects.  Returns
+    the store's counters, the cache's, the window of a re-read whose
+    entries were evicted on the way, and the threads that called the
+    cache."""
+    manager = _chained(root, depth=6, backend=backend,
+                       cache_bytes=14 * 800, **kwargs)
+    calls = [_Threads(getattr(manager.cache, name))
+             for name in ("get", "peek", "fits", "put")]
+    for spy, name in zip(calls, ("get", "peek", "fits", "put")):
+        setattr(manager.cache, name, spy)
+    manager.select("C", 3)      # warm fill: v1-v3 of all four chunks
+    manager.select("C", 6)      # stops at v3, declined, evicts v1
+    manager.select_region("C", 5, (0, 0), (9, 19))
+    manager.select_versions_region("C", [2, 4, 6], (5, 5), (14, 14))
+    with manager.stats.measure() as reread:
+        manager.select("C", 1)
+    manager.cache.clear()
+    manager.select("C", 4)      # three chains fill, the fourth no longer fits
+    counters = (manager.stats.snapshot(), manager.cache_info())
+    manager.close()
+    return counters + (reread, {name for spy in calls
+                                for name in spy.calls})
+
+
+class TestTheCallingThreadOwnsTheCache:
+    """A read plans and admits on the calling thread; the pool only
+    reads, decompresses and folds.  The cache therefore sees the same
+    calls in the same order at every fan width, and a read the cache
+    answers never reaches the pool."""
+
+    @pytest.mark.skipif(pipeline.FAN_WIDTH < 2,
+                        reason="the host has one CPU: the fan is inline")
+    def test_default_manager_fans_on_the_host_cpus(self, tmp_path,
+                                                   monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert pipeline.FAN_WIDTH == len(os.sched_getaffinity(0))
+        data = np.arange(64 * 64, dtype=np.int64).reshape(64, 64)
+
+        def run(root, spy):
+            manager = VersionedStorageManager(root, backend="memory",
+                                              chunk_bytes=2048)
+            manager.create_array("A", ArraySchema.simple((64, 64),
+                                                         dtype=np.int64))
+            encodes = manager.encoder.encode_chunk = spy(
+                manager.encoder.encode_chunk)
+            decodes = manager.decoder._decode = spy(
+                manager.decoder._decode)
+            manager.insert("A", data)
+            manager.insert("A", data + 1)
+            np.testing.assert_array_equal(manager.select("A", 2).single(),
+                                          data + 1)
+            assert len(decodes.calls) == 16
+            fingerprint = manager.fingerprint()
+            manager.close()
+            return set(encodes.calls), set(decodes.calls), fingerprint
+
+        # The consumer is one of the fan's lanes; the pool's threads
+        # are the others.
+        encoders, decoders, fanned = run(tmp_path / "default", _Lanes)
+        for threads, pool in ((encoders, "repro-encode"),
+                              (decoders, "repro-decode")):
+            lanes = {name.rsplit("_", 1)[0] for name in threads}
+            assert pool in lanes <= {pool, "MainThread"}
+        monkeypatch.setattr(pipeline, "FAN_WIDTH", 1)
+        encoders, decoders, inline = run(tmp_path / "inline", _Threads)
+        assert encoders == decoders == {"MainThread"}
+        assert fanned == inline
+
+    def test_cache_state_is_the_same_at_every_width(self, tmp_path,
+                                                    monkeypatch):
+        runs = []
+        for index, width in enumerate((1, 4, 4)):
+            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
+            runs.append(_cached_sequence(tmp_path / str(index)))
+        stats, info, reread, callers = runs[0]
+        # The sequence exercises all three admission outcomes.
+        assert info["prefetched"] > 0 and info["prefetch_declined"] > 0
+        assert reread.cache_misses == 4     # v1 was evicted
+        assert callers == {"MainThread"}
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("placement", (COLOCATED, PER_VERSION))
+    @pytest.mark.parametrize("spec", (
+        "local", "durable", "memory", "object", "object:durable",
+        "striped:2", "striped:2:durable", "striped:2:object",
+        "faulty:0:durable"))
+    def test_counters_repeat_on_every_backend(self, tmp_path, monkeypatch,
+                                              spec, placement):
+        """Whatever the backend legs and placement, the pooled read
+        leaves the store's counters and the cache's exactly as the
+        inline one does."""
+        runs = []
+        for width in (1, 4):
+            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
+            runs.append(_cached_sequence(tmp_path / f"w{width}",
+                                         backend=spec,
+                                         placement=placement))
+        inline, pooled = runs
+        assert inline[3] == pooled[3] == {"MainThread"}
+        assert inline[:3] == pooled[:3]
+        assert inline[0].chunks_read > 0
+
+    @pytest.mark.parametrize("stage", ("EncodePipeline", "DecodePipeline"))
+    def test_the_pipelines_take_no_width(self, tmp_path, stage):
+        """The width is the constant, not a constructor argument."""
+        manager = _chained(tmp_path, depth=1, backend="memory")
+        with pytest.raises(TypeError):
+            getattr(pipeline, stage)(manager.catalog, manager.store,
+                                     workers=4)
         manager.close()
 
-    def test_negative_workers_rejected(self, tmp_path):
-        with pytest.raises(StorageError):
-            VersionedStorageManager(tmp_path / "bad", workers=-1)
-        assert not (tmp_path / "bad").exists()
+    @pytest.mark.parametrize("fan_width", [4], indirect=True)
+    def test_a_cached_region_submits_nothing(self, tmp_path, fan_width):
+        manager = _chained(tmp_path, backend="memory",
+                           cache_bytes=1 << 20)
+        manager.select("C", 5)      # warm fill: every version cached
+        executor = manager.decoder._executor
+        submitted = []
+        submit = executor.submit
+
+        def counting(*args, **kwargs):
+            submitted.append(args)
+            return submit(*args, **kwargs)
+
+        executor.submit = counting
+        with manager.stats.measure() as window:
+            for version in (5, 3, 1):
+                manager.select_region("C", version, (2, 2), (17, 17))
+        assert window.cache_hits == 3 * 4 and window.cache_misses == 0
+        assert submitted == []
+        # The spy sees a region the cache cannot answer.
+        manager.cache.clear()
+        manager.select_region("C", 5, (2, 2), (17, 17))
+        assert len(submitted) == 4
+        manager.close()
 
 
 def _repro_threads(before: set) -> list[threading.Thread]:
@@ -165,11 +305,57 @@ def _repro_threads(before: set) -> list[threading.Thread]:
             if thread not in before and thread.name.startswith("repro-")]
 
 
+class TestTheCallerIsALane:
+    """The consuming thread is one of the fan's lanes: a call whose
+    pool threads get no CPU (another process holds it) still finishes,
+    on the calling thread, at the serial pace."""
+
+    @pytest.mark.parametrize("fan_width", [4], indirect=True)
+    def test_a_call_finishes_while_its_pool_is_busy(self, tmp_path,
+                                                     fan_width):
+        from repro.core.array import ArrayData
+        manager = _loaded(tmp_path, versions=2)
+        old = manager.select("A", 2)
+        new = ArrayData(old.schema, {name: old.attribute(name) + 1
+                                     for name in ("a", "b")})
+        release = threading.Event()
+        for stage in (manager.encoder, manager.decoder):
+            for _ in range(fan_width - 1):
+                stage._pool().submit(release.wait, 30)
+        encodes = manager.encoder.encode_chunk = _Threads(
+            manager.encoder.encode_chunk)
+        decodes = manager.decoder._decode = _Threads(
+            manager.decoder._decode)
+        reads = {}
+
+        def call():
+            manager.insert("A", new)
+            reads.update(old=manager.select("A", 2),
+                         new=manager.select("A", 3))
+
+        caller = threading.Thread(target=call, name="caller")
+        caller.start()
+        caller.join(timeout=10)
+        finished = not caller.is_alive()
+        release.set()
+        caller.join()
+        assert finished, "the call waited on busy pool threads"
+        assert set(encodes.calls) == set(decodes.calls) == {"caller"}
+        for name in ("a", "b"):
+            np.testing.assert_array_equal(reads["old"].attribute(name),
+                                          old.attribute(name))
+            np.testing.assert_array_equal(reads["new"].attribute(name),
+                                          new.attribute(name))
+        manager.close()
+
+
+@pytest.mark.parametrize("fan_width", [4], indirect=True)
 class TestThreadCensus:
     """One fan per direction plus the barrier's own: whatever the
-    backend spec and placement, a manager at ``workers=4`` runs encode
-    workers, decode workers and — only where a leg of the backend has
-    a real barrier — ``SYNC_FAN`` barrier workers, and nothing else."""
+    backend spec and placement, a manager at a fan width of 4 runs
+    encode workers, decode workers and — only where a leg of the
+    backend has a real barrier — ``SYNC_FAN`` barrier workers, and
+    nothing else."""
 
     SPECS = ("local", "durable", "memory", "object", "object:durable",
              "striped:2", "striped:2:durable", "striped:2:object",
@@ -177,9 +363,10 @@ class TestThreadCensus:
 
     @pytest.mark.parametrize("placement", (COLOCATED, PER_VERSION))
     @pytest.mark.parametrize("spec", SPECS)
-    def test_pool_kinds_and_lifetime(self, tmp_path, spec, placement):
+    def test_pool_kinds_and_lifetime(self, tmp_path, spec, placement,
+                                     fan_width):
         before = set(threading.enumerate())
-        manager = _loaded(tmp_path, versions=5, workers=4, backend=spec,
+        manager = _loaded(tmp_path, versions=5, backend=spec,
                           placement=placement)
         manager.select("A", 5)
         manager.select_region("A", 4, (3, 5), (20, 18))
@@ -227,6 +414,7 @@ class _InFlight:
                 self.running -= 1
 
 
+@pytest.mark.parametrize("fan_width", [4], indirect=True)
 class TestFailedOperationsLeaveNothingRunning:
     """An insert or select that raises has cancelled or waited out
     every task it started by the time the caller sees the error: the
@@ -237,12 +425,13 @@ class TestFailedOperationsLeaveNothingRunning:
     def _manager(self, tmp_path, backend):
         manager = VersionedStorageManager(
             tmp_path, chunk_bytes=16 * 1024, delta_policy="chain",
-            backend=backend, workers=4)
+            backend=backend)
         manager.create_array(
             "A", ArraySchema.simple(self.SHAPE, dtype=np.int32))
         return manager
 
-    def test_failed_insert_stops_its_encode_tasks(self, tmp_path):
+    def test_failed_insert_stops_its_encode_tasks(self, tmp_path,
+                                                  fan_width):
         rng = np.random.default_rng(20)
         data = rng.integers(0, 1000, self.SHAPE).astype(np.int32)
         clean = self._manager(tmp_path / "clean", InMemoryBackend())
@@ -273,7 +462,8 @@ class TestFailedOperationsLeaveNothingRunning:
                                       data)
         manager.close()
 
-    def test_failed_select_stops_its_decode_tasks(self, tmp_path):
+    def test_failed_select_stops_its_decode_tasks(self, tmp_path,
+                                                  fan_width):
         rng = np.random.default_rng(21)
         data = rng.integers(0, 1000, self.SHAPE).astype(np.int32)
         manager = self._manager(tmp_path, "memory")
@@ -294,8 +484,8 @@ class TestFailedOperationsLeaveNothingRunning:
             b"\xff" * location.length
         manager.backend.write(location.path, bytes(blob))
 
-        decodes = manager.decoder.reconstruct = _InFlight(
-            manager.decoder.reconstruct)
+        decodes = manager.decoder._decode = _InFlight(
+            manager.decoder._decode)
         with pytest.raises(CodecError):
             manager.select("A", 2)
         at_raise = manager.stats.snapshot(), decodes.started
@@ -304,8 +494,8 @@ class TestFailedOperationsLeaveNothingRunning:
         assert (manager.stats.snapshot(), decodes.started) == at_raise
         # The ordered window: when the victim's error reaches the
         # consumer, only it, the chunks before it and the window
-        # behind it (workers + 1, one refilled) have been submitted.
-        assert index + 1 <= decodes.started <= index + manager.workers + 2
+        # behind it (width + 1, one refilled) have been submitted.
+        assert index + 1 <= decodes.started <= index + fan_width + 2
         # Version 1 shares the objects but not the smashed bytes.
         np.testing.assert_array_equal(manager.select("A", 1).single(),
                                       data)
@@ -326,11 +516,6 @@ def _chained(root, depth=5, **kwargs):
         manager.insert("C", data)
         data = np.where(rng.random((20, 20)) > 0.9, data + 1, data)
     return manager
-
-
-#: The tight-cache tests assert exact counters, which need the serial
-#: chunk order whatever the CI matrix cell says.
-SERIAL = dict(workers=0)
 
 
 def _answers(snap) -> tuple:
@@ -373,35 +558,32 @@ class TestOneSnapshotPerCall:
         assert current.labels_of() == [("middle", 6)]
         manager.close()
 
-    @pytest.mark.parametrize("workers", [0, 4])
     def test_selects_beside_layout_swaps_see_one_snapshot(self, tmp_path,
-                                                          workers):
+                                                          fan_width):
         # Per-version placement never reuses an object name, so a read
         # pinned on a snapshot whose objects were reclaimed can only be
         # refused (co-located staging appends to a recreated base path).
-        manager = _chained(tmp_path, depth=8, workers=workers,
-                           backend="memory", placement=PER_VERSION)
+        manager = _chained(tmp_path, depth=8, backend="memory",
+                           placement=PER_VERSION)
         truth = {v: manager.select("C", v).single().copy()
                  for v in range(1, 9)}
         # Which snapshot each chunk of each whole-version read was
         # located in, keyed by the canvas its window belongs to.
         located: list[tuple[np.ndarray, object]] = []
-        reconstruct = manager.decoder.reconstruct
+        decode = manager.decoder._decode
 
-        def spy(array, version, attribute, chunk, scope=None, *,
-                out=None):
-            if out is not None:
-                located.append((out.base, array))
-            return reconstruct(array, version, attribute, chunk, scope,
-                               out=out)
+        def spy(miss):
+            if miss.out is not None:
+                located.append((miss.out.base, miss.snap))
+            return decode(miss)
 
-        manager.decoder.reconstruct = spy
+        manager.decoder._decode = spy
         stop = threading.Event()
         wrong: list[str] = []
         reads = [0]
 
         def reader():
-            rng = np.random.default_rng(workers)
+            rng = np.random.default_rng(fan_width)
             while not stop.is_set():
                 version = int(rng.integers(1, 9))
                 try:
@@ -478,7 +660,7 @@ class TestOneSnapshotPerCall:
         # bytes stay, so the read pinned before the swap succeeds — and
         # must not leave the deleted contents cached under the number
         # the next insert reuses.
-        manager = _chained(tmp_path, depth=3, workers=0, backend="memory",
+        manager = _chained(tmp_path, depth=3, backend="memory",
                            placement=COLOCATED, **cache)
         old = manager.select("C", 3).single().copy()
         manager.cache.clear()
@@ -501,7 +683,7 @@ class TestOneSnapshotPerCall:
         # SQLite hands the re-created array the dropped one's id, so a
         # stale entry would be read as the new array's version 1.
         manager = VersionedStorageManager(tmp_path, backend="memory",
-                                          workers=0, cache_bytes=1 << 20)
+                                          cache_bytes=1 << 20)
         schema = ArraySchema.simple((8, 8), dtype=np.int64)
         array_id = manager.create_array("D", schema).array_id
         manager.insert("D", np.ones((8, 8), np.int64))
@@ -547,11 +729,12 @@ class TestChainPrefetch:
         assert window.chunks_read == 4 * 2
         manager.close()
 
-    def test_tight_cache_fuses_and_admits_requested_only(self, tmp_path):
+    def test_tight_cache_fuses_and_admits_requested_only(self, tmp_path,
+                                                         fan_width):
         # Budget: one whole version (4 chunks of 800 B) plus one chunk
         # — a 5-deep chain of any chunk can never fit the free space.
         budget = 5 * 800
-        manager = _chained(tmp_path, cache_bytes=budget, **SERIAL)
+        manager = _chained(tmp_path, cache_bytes=budget)
         manager.select("C", 1)  # demanded: v1's four chunks
         demanded = manager.cache_info()["entries"]
         assert demanded == 4
@@ -573,13 +756,31 @@ class TestChainPrefetch:
             assert window.cache_misses == 4
         manager.close()
 
-    def test_deep_cold_read_keeps_demanded_entries(self, tmp_path):
+    def test_a_call_warm_fills_only_what_its_free_space_holds(
+            self, tmp_path, fan_width):
+        # Room for two of the four 3-deep chains plus two single
+        # chunks.  The whole call is planned before anything is
+        # admitted, yet each warm fill must see the free space the
+        # chunks before it will take: two fill, two read fused.
+        budget = 2 * 3 * 800 + 2 * 800
+        manager = _chained(tmp_path, cache_bytes=budget)
+        with manager.stats.measure() as window:
+            manager.select("C", 3)
+        info = manager.cache_info()
+        assert info["prefetch_declined"] == 2
+        assert info["prefetched"] == 2 * 2      # v1 and v2 of two chunks
+        assert window.chains_fused == 2
+        assert info["entries"] == 2 * 3 + 2 and info["bytes"] == budget
+        manager.close()
+
+    def test_deep_cold_read_keeps_demanded_entries(self, tmp_path,
+                                                   fan_width):
         # Budget: array D's four demanded chunks plus the four chunks
         # of the version about to be requested.  The free space is
         # under one 5-deep chain, so every fill declines, the requested
         # chunks fit exactly, and nothing demanded is evicted.
         budget = 8 * 800
-        manager = _chained(tmp_path, cache_bytes=budget, **SERIAL)
+        manager = _chained(tmp_path, cache_bytes=budget)
         manager.create_array("D", ArraySchema.simple((20, 20),
                                                      dtype=np.int64))
         manager.insert("D", np.arange(400, dtype=np.int64)
@@ -596,10 +797,11 @@ class TestChainPrefetch:
         assert window.chunks_read == 0  # still cached
         manager.close()
 
-    def test_fused_read_leaves_cached_base_untouched(self, tmp_path):
+    def test_fused_read_leaves_cached_base_untouched(self, tmp_path,
+                                                     fan_width):
         """A fused walk that stops at a cached ancestor applies onto a
         fresh accumulator, never through the cached array."""
-        manager = _chained(tmp_path, cache_bytes=8 * 800, **SERIAL)
+        manager = _chained(tmp_path, cache_bytes=8 * 800)
         manager.select("C", 2)  # warm fill: v1 + v2 use every byte
         before = manager.select("C", 2).single().copy()
         with manager.stats.measure() as window:

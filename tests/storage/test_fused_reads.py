@@ -328,7 +328,7 @@ def test_read_region_single_chunk_returns_view(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The equivalence grid: cell type x depth x destination layout x workers
+# The equivalence grid: cell type x depth x destination layout x width
 # ----------------------------------------------------------------------
 CELL_TYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
               np.uint32, np.uint64, np.bool_, np.float16, np.float32,
@@ -399,7 +399,7 @@ def _grid_versions(dtype, shape, depth: int) -> list[np.ndarray]:
 
 def _build_grid(root, dtype, shape, chunk_shape, versions):
     manager = VersionedStorageManager(root, backend="memory",
-                                      delta_policy="chain", workers=0)
+                                      delta_policy="chain")
     manager.create_array(
         "A", ArraySchema.simple(shape, dtype, attribute="value"),
         chunk_shape=chunk_shape)
@@ -413,10 +413,12 @@ def _build_grid(root, dtype, shape, chunk_shape, versions):
 @pytest.mark.parametrize("layout,shape,chunk_shape", LAYOUTS,
                          ids=[name for name, _, _ in LAYOUTS])
 @pytest.mark.parametrize("dtype", CELL_TYPES, ids=str)
-def test_equivalence_grid(tmp_path, dtype, layout, shape, chunk_shape):
+def test_equivalence_grid(tmp_path, monkeypatch, dtype, layout, shape,
+                          chunk_shape):
     """Fused read == stepwise ``decode_forward`` == kernels off ==
     every level of a warm fill, by ``tobytes()``, at every depth 1..8,
-    serial and fanned."""
+    inline and fanned."""
+    monkeypatch.setattr(pipeline, "FAN_WIDTH", 1)
     versions = _grid_versions(dtype, shape, DEPTH)
     with _build_grid(tmp_path / "s", dtype, shape, chunk_shape,
                      versions) as manager:
@@ -430,7 +432,7 @@ def test_equivalence_grid(tmp_path, dtype, layout, shape, chunk_shape):
             assert [level.delta_codec for level in reversed(chain)] == \
                 [None] + [LEVEL_CODECS[level % 4]
                           for level in range(1, DEPTH)]
-        fanned = DecodePipeline(manager.catalog, manager.store, workers=4)
+        fanned = DecodePipeline(manager.catalog, manager.store)
         try:
             for depth in range(1, DEPTH + 1):
                 _check_warm_fill(manager, record, grid, depth, versions)
@@ -442,8 +444,10 @@ def test_equivalence_grid(tmp_path, dtype, layout, shape, chunk_shape):
                 assert got.tobytes() == expected
                 assert window.fused_levels == \
                     (depth - 1) * len(grid.chunks())
-                assert fanned.read_version(record, grid, depth) \
-                    .attribute("value").tobytes() == expected
+                with monkeypatch.context() as pooled:
+                    pooled.setattr(pipeline, "FAN_WIDTH", 4)
+                    assert fanned.read_version(record, grid, depth) \
+                        .attribute("value").tobytes() == expected
                 with native.disabled():
                     assert manager.select("A", depth).attribute("value") \
                         .tobytes() == expected
@@ -498,7 +502,7 @@ def test_cache_entries_own_their_bytes(tmp_path):
     versions = _grid_versions(np.int32, (40, 36), DEPTH)
     manager = VersionedStorageManager(
         tmp_path / "s", backend="memory", delta_policy="chain",
-        workers=0, cache_bytes=3 * 40 * 36 * 4)
+        cache_bytes=3 * 40 * 36 * 4)
     with manager:
         manager.create_array(
             "A", ArraySchema.simple((40, 36), np.int32, attribute="value"),
@@ -521,7 +525,8 @@ def test_cache_entries_own_their_bytes(tmp_path):
 
 @pytest.mark.skipif(not native.available(),
                     reason="the numpy fold unpacks into temporaries")
-def test_read_allocates_no_chunk_sized_temporary(tmp_path):
+@pytest.mark.parametrize("fan_width", [1], indirect=True)
+def test_read_allocates_no_chunk_sized_temporary(tmp_path, fan_width):
     """The decode half of the allocation gate: a cache-off read of a
     16-chunk, depth-8 int32 array peaks at its canvas plus small
     change — each strided chunk's root is copied into the thread's
@@ -534,7 +539,7 @@ def test_read_allocates_no_chunk_sized_temporary(tmp_path):
     rng = np.random.default_rng(5)
     data = rng.integers(-1000, 1000, shape).astype(np.int32)
     manager = VersionedStorageManager(tmp_path / "s", backend="local",
-                                      workers=0, delta_policy="chain")
+                                      delta_policy="chain")
     with manager:
         manager.create_array(
             "A", ArraySchema.simple(shape, np.int32, attribute="value"),
@@ -625,14 +630,13 @@ def test_corrupt_level_is_named_alike_on_a_warm_fill(tmp_path):
         assert f"chunk {level.chunk_name}" in refusals[1]
 
 
-@pytest.mark.parametrize("workers", [0, 4])
-def test_concurrent_reads_fold_in_their_own_buffers(tmp_path, workers):
+def test_concurrent_reads_fold_in_their_own_buffers(tmp_path, fan_width):
     """Every decoding thread folds in a chunk buffer of its own: four
     clients reading different versions at once (strided windows, chunks
     of two sizes, cache off) each get exactly their version."""
     versions = _grid_versions(np.int32, (40, 36), DEPTH)
     manager = VersionedStorageManager(tmp_path / "s", backend="memory",
-                                      delta_policy="chain", workers=workers)
+                                      delta_policy="chain")
     with manager:
         manager.create_array(
             "A", ArraySchema.simple((40, 36), np.int32, attribute="value"),
@@ -666,9 +670,9 @@ def test_concurrent_reads_fold_in_their_own_buffers(tmp_path, workers):
         assert manager.stats.snapshot().chains_fused > 0
 
 
-@pytest.mark.parametrize("workers", [0, 4])
 @pytest.mark.parametrize("kept", [True, False], ids=["kept", "dropped"])
-def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, workers, kept):
+def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, fan_width,
+                                     kept):
     """What the decoding threads keep once a read is over, counted from
     before their first read: one strided chunk's cells per thread while
     a chunk fits ``_KEPT_FOLD_BYTES``, released by ``close()``, and
@@ -681,7 +685,7 @@ def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, workers, kept):
     data = rng.integers(-1000, 1000, shape).astype(np.int32)
     native.available()              # the kernels load before counting
     manager = VersionedStorageManager(tmp_path / "s", backend="memory",
-                                      workers=workers, delta_policy="chain")
+                                      delta_policy="chain")
     with manager:
         manager.create_array(
             "A", ArraySchema.simple(shape, np.int32, attribute="value"),
@@ -704,7 +708,7 @@ def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, workers, kept):
             tracemalloc.stop()
     canvas = got.attribute("value")
     assert canvas.tobytes() == data.tobytes()
-    threads = max(1, min(workers, len(grid.chunks())))
+    threads = min(fan_width, len(grid.chunks()))
     if kept:
         assert chunk_bytes <= held - canvas.nbytes \
             <= threads * chunk_bytes + slack, held

@@ -2,7 +2,7 @@
 
 The encode stage's thread-pool fan-out must be invisible except in
 wall-clock: byte-identical payloads at byte-identical locations with
-identical catalog rows for any workers degree, on any backend.  The
+identical catalog rows at any fan width, on any backend.  The
 commit stage must stay atomic at version granularity — a mid-encode
 failure leaves zero chunk rows, no observable version, and a warm
 cache — and concurrent readers must never see a version that is not
@@ -19,6 +19,7 @@ import pytest
 from repro.core.array import ArrayData
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
+from repro.storage import pipeline
 from repro.storage import (
     FaultInjectingBackend,
     InMemoryBackend,
@@ -28,7 +29,8 @@ from repro.storage import (
 
 BACKENDS = ("local", "durable", "memory", "striped:2:memory",
             "object", "striped:2:object")
-DEGREES = (0, 1, 4)
+#: Fan widths a test sweeps within one run: inline, and two pools.
+WIDTHS = (1, 2, 4)
 
 
 def _schema(shape=(20, 20)) -> ArraySchema:
@@ -56,20 +58,23 @@ def _fill(manager: VersionedStorageManager, versions: int = 3) -> None:
 
 class TestParallelWriteConformance:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stores_byte_identical_across_workers(self, tmp_path,
-                                                  backend):
+    def test_stores_byte_identical_across_widths(self, tmp_path,
+                                                 monkeypatch, backend):
         fingerprints = set()
-        for degree in DEGREES:
+        for width in WIDTHS:
+            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
             manager = VersionedStorageManager(
-                tmp_path / f"{backend.replace(':', '_')}-w{degree}",
+                tmp_path / f"{backend.replace(':', '_')}-w{width}",
                 chunk_bytes=800, compressor="none",
-                delta_policy="chain", backend=backend, workers=degree)
+                delta_policy="chain", backend=backend)
             _fill(manager)
             fingerprints.add(manager.fingerprint())
             manager.close()
         assert len(fingerprints) == 1
 
-    def test_fingerprint_identical_across_backends(self, tmp_path):
+    @pytest.mark.parametrize("fan_width", [4], indirect=True)
+    def test_fingerprint_identical_across_backends(self, tmp_path,
+                                                   fan_width):
         """Placement is backend-agnostic: the same logical store means
         the same paths, offsets, and bytes on every substrate."""
         fingerprints = set()
@@ -77,41 +82,16 @@ class TestParallelWriteConformance:
             manager = VersionedStorageManager(
                 tmp_path / backend.replace(":", "_"),
                 chunk_bytes=800, compressor="none",
-                delta_policy="chain", backend=backend, workers=4)
+                delta_policy="chain", backend=backend)
             _fill(manager)
             fingerprints.add(manager.fingerprint())
             manager.close()
         assert len(fingerprints) == 1
 
-    def test_constructor_workers_sizes_the_encode_pool(self, tmp_path):
-        serial = VersionedStorageManager(tmp_path / "serial",
-                                         chunk_bytes=800,
-                                         delta_policy="chain", workers=0)
-        parallel = VersionedStorageManager(tmp_path / "parallel",
-                                           chunk_bytes=800,
-                                           delta_policy="chain",
-                                           workers=4)
-        schema = _schema()
-        rng = np.random.default_rng(11)
-        a = rng.integers(0, 100, (20, 20)).astype(np.int64)
-        b = rng.random((20, 20)).astype(np.float32)
-        for manager in (serial, parallel):
-            manager.create_array("A", schema)
-        data = ArrayData(schema, {"a": a, "b": b})
-        serial.insert("A", data)
-        parallel.insert("A", data)
-        assert serial.fingerprint() == parallel.fingerprint()
-        assert serial.encoder._executor is None  # never fanned out
-        assert parallel.encoder._executor._max_workers == 4
-        serial.close()
-        parallel.close()
-
-    @pytest.mark.parametrize("degree", DEGREES)
-    def test_one_encode_task_per_chunk(self, tmp_path, degree):
+    def test_one_encode_task_per_chunk(self, tmp_path, fan_width):
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
                                           backend="memory",
-                                          delta_policy="chain",
-                                          workers=degree)
+                                          delta_policy="chain")
         schema = _schema()
         manager.create_array("A", schema)
         rng = np.random.default_rng(3)
@@ -145,20 +125,22 @@ class _RecordingBackend(InMemoryBackend):
 class TestPlacementOrder:
     """Placements reach the backend one at a time in canonical task
     order — attributes in schema order, chunks in grid order — at every
-    workers degree.  That is what lets a backend whose behaviour
+    fan width.  That is what lets a backend whose behaviour
     depends on operation order (the fault injector's seeded schedule)
     sit under a parallel manager without a flag."""
 
     @pytest.mark.parametrize("placement", ("colocated", "per-version"))
-    def test_backend_sees_task_order_at_every_degree(self, tmp_path,
-                                                     placement):
+    def test_backend_sees_task_order_at_every_width(self, tmp_path,
+                                                    monkeypatch,
+                                                    placement):
         logs = []
-        for degree in DEGREES:
+        for width in WIDTHS:
+            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
             backend = _RecordingBackend()
             manager = VersionedStorageManager(
-                tmp_path / f"w{degree}", chunk_bytes=800,
+                tmp_path / f"w{width}", chunk_bytes=800,
                 delta_policy="chain", placement=placement,
-                backend=backend, workers=degree)
+                backend=backend)
             _fill(manager)
             record = manager.catalog.get_array("A")
             tasks = manager.encoder.plan_version(
@@ -173,18 +155,19 @@ class TestPlacementOrder:
         assert logs[0] == logs[1] == logs[2]
 
     @pytest.mark.parametrize("seed", (7, 23))
-    def test_fault_schedule_replays_at_every_degree(self, tmp_path,
-                                                    seed):
-        """The Nth append is the same append at workers 0, 1 and 4, so
+    def test_fault_schedule_replays_at_every_width(self, tmp_path,
+                                                   monkeypatch, seed):
+        """The Nth append is the same append at widths 1, 2 and 4, so
         a seeded schedule tears the same payload at the same byte and
         the retried history leaves the same store."""
         outcomes = []
-        for degree in DEGREES:
+        for width in WIDTHS:
+            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
             backend = FaultInjectingBackend(InMemoryBackend(), seed=seed)
             assert backend.schedule["append"]
             manager = VersionedStorageManager(
-                tmp_path / f"w{degree}", chunk_bytes=800,
-                delta_policy="chain", backend=backend, workers=degree)
+                tmp_path / f"w{width}", chunk_bytes=800,
+                delta_policy="chain", backend=backend)
             schema = _schema()
             manager.create_array("A", schema)
             rng = np.random.default_rng(seed)
@@ -208,11 +191,9 @@ class TestPlacementOrder:
 
 
 class TestMidEncodeFailure:
-    @pytest.mark.parametrize("degree", (0, 4))
-    def test_zero_rows_no_version_warm_cache(self, tmp_path, degree):
+    def test_zero_rows_no_version_warm_cache(self, tmp_path, fan_width):
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
                                           delta_policy="chain",
-                                          workers=degree,
                                           cache_bytes=1 << 20)
         schema = _schema()
         manager.create_array("A", schema)
@@ -324,13 +305,13 @@ class TestMidEncodeFailure:
 
 
 class TestConcurrentReadersDuringParallelInsert:
-    def test_readers_never_see_partial_version(self, tmp_path):
+    @pytest.mark.parametrize("fan_width", [4], indirect=True)
+    def test_readers_never_see_partial_version(self, tmp_path, fan_width):
         """Chunk rows land before the version row, and both commit
         atomically — so any version a reader can *name* is fully
         readable, even while a parallel insert is in flight."""
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
-                                          delta_policy="chain",
-                                          workers=4)
+                                          delta_policy="chain")
         schema = _schema()
         manager.create_array("A", schema)
         rng = np.random.default_rng(13)
@@ -502,11 +483,11 @@ class TestDurabilityBarrier:
         assert len(synced_paths) == events[1][1]  # one object per chunk
         manager.close()
 
-    def test_durable_store_reads_back(self, tmp_path):
+    @pytest.mark.parametrize("fan_width", [4], indirect=True)
+    def test_durable_store_reads_back(self, tmp_path, fan_width):
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
                                           backend="durable",
-                                          delta_policy="chain",
-                                          workers=4)
+                                          delta_policy="chain")
         _fill(manager)
         reread = VersionedStorageManager(tmp_path, chunk_bytes=800,
                                          backend="durable",
@@ -551,11 +532,11 @@ class TestObjectFinalizeBarrier:
         assert backend.pending_parts() == 0
         manager.close()
 
-    def test_object_store_reads_back_across_reopen(self, tmp_path):
+    @pytest.mark.parametrize("fan_width", [4], indirect=True)
+    def test_object_store_reads_back_across_reopen(self, tmp_path, fan_width):
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
                                           backend="object",
-                                          delta_policy="chain",
-                                          workers=4)
+                                          delta_policy="chain")
         _fill(manager)
         expected = {version: manager.select("A", version).attribute("a")
                     for version in (1, 2, 3)}

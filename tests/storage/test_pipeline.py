@@ -21,6 +21,7 @@ from repro.storage import (
     ChunkCache,
     IOStats,
     VersionedStorageManager,
+    pipeline,
 )
 
 
@@ -253,18 +254,19 @@ class TestEncodeScratch:
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32])
     @pytest.mark.parametrize("delta_policy", ["chain", "auto"])
-    def test_one_fingerprint_across_workers_and_kernels(
-            self, tmp_path, rng, dtype, delta_policy):
+    def test_one_fingerprint_across_widths_and_kernels(
+            self, tmp_path, monkeypatch, rng, dtype, delta_policy):
         # 150 x 170 in ~4 KiB chunks: edge chunks of three other sizes
         # follow full ones through the same (larger) scratch buffer.
         history = _history(rng, dtype)
         prints = {}
-        for label, workers, numpy_only in (("serial", 0, False),
-                                           ("pool", 4, False),
-                                           ("numpy", 4, True)):
+        for label, width, numpy_only in (("inline", 1, False),
+                                         ("pool", 4, False),
+                                         ("numpy", 4, True)):
+            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
             manager = VersionedStorageManager(
                 tmp_path / label, chunk_bytes=4096, backend="local",
-                delta_policy=delta_policy, workers=workers)
+                delta_policy=delta_policy)
             manager.create_array("a", ArraySchema.simple(
                 history[0].shape, dtype=dtype))
             scope = native.disabled() if numpy_only else nullcontext()

@@ -92,8 +92,7 @@ class TestApplyLayoutMemory:
             flat[rng.choice(flat.size, flat.size // 100,
                             replace=False)] += 1
             history.append(step)
-        with VersionedStorageManager(root, backend="memory",
-                                     workers=0) as manager:
+        with VersionedStorageManager(root, backend="memory") as manager:
             manager.create_array("A", ArraySchema.simple(
                 self.SHAPE, dtype=np.int32))
             for data in history:

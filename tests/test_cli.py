@@ -80,8 +80,7 @@ class TestCLI:
             path = tmp_path / f"frame{index}.npy"
             np.save(path, data)
             files.append(str(path))
-        assert main([str(store), "--workers", "2", "ingest", "Scans",
-                     *files]) == 0
+        assert main([str(store), "ingest", "Scans", *files]) == 0
         out = capsys.readouterr().out
         assert "v1" in out and "v2" in out
         assert "ingested 2 version(s)" in out
@@ -152,11 +151,6 @@ class TestCLI:
 
 
 class TestConcurrencyFlags:
-    def test_workers_flag(self, store, capsys):
-        assert main([str(store), "--workers", "4", "info",
-                     "Example"]) == 0
-        assert "versions:    2" in capsys.readouterr().out
-
     def test_striped_backend_round_trip(self, tmp_path, capsys):
         root = tmp_path / "striped-store"
         with Database(root, chunk_bytes=2048,
@@ -165,8 +159,8 @@ class TestConcurrencyFlags:
                        "( A::INTEGER ) [ I=0:7, J=0:7 ];")
             db.insert("Example",
                       np.arange(64, dtype=np.int32).reshape(8, 8))
-        assert main([str(root), "--backend", "striped:2", "--workers",
-                     "2", "info", "Example"]) == 0
+        assert main([str(root), "--backend", "striped:2", "info",
+                     "Example"]) == 0
         out = capsys.readouterr().out
         assert "versions:    1" in out
 
@@ -177,8 +171,8 @@ class TestConcurrencyFlags:
                        "( A::INTEGER ) [ I=0:7, J=0:7 ];")
             db.insert("Example",
                       np.arange(64, dtype=np.int32).reshape(8, 8))
-        assert main([str(root), "--backend", "object", "--workers",
-                     "2", "info", "Example"]) == 0
+        assert main([str(root), "--backend", "object", "info",
+                     "Example"]) == 0
         out = capsys.readouterr().out
         assert "versions:    1" in out
 
@@ -206,10 +200,9 @@ class TestConcurrencyFlags:
                 main([str(root), "--backend", spec, "list"])
         assert not root.exists()
 
-    def test_negative_workers_fails_before_side_effects(self, tmp_path):
+    def test_workers_flag_is_gone(self, tmp_path):
+        """The fan width is the host's CPU count, not a flag."""
         root = tmp_path / "never-created"
         with pytest.raises(SystemExit):
-            main([str(root), "--workers", "-1", "list"])
-        with pytest.raises(SystemExit):
-            main([str(root), "--workers", "many", "list"])
+            main([str(root), "--workers", "4", "list"])
         assert not root.exists()
