@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 
 from repro.cli import fmt_bytes, fmt_seconds
-from repro.storage import pipeline
+from repro.storage import fan
 
 __all__ = ["backend_axis", "fan_width", "fmt_bytes", "fmt_seconds",
            "native_axis", "print_table", "timed", "workers_axis"]
@@ -53,18 +53,23 @@ def workers_axis(workers=None) -> tuple[int, ...]:
 
 @contextmanager
 def fan_width(workers: int | None):
-    """Run the block with the store's pipelines ``workers`` threads
-    wide (None: the host's own width).  The store takes no such
-    setting — its width is the CPUs it may run on — so an experiment
-    sweeping a ``workers`` column pins the module constant instead."""
+    """Run the block with the store's CPU fan ``workers`` lanes wide
+    (None: the host's own width).  The store takes no such setting —
+    its width is the CPUs it may run on, and its one CPU pool is the
+    process's (:mod:`repro.storage.fan`) — so an experiment sweeping a
+    ``workers`` column swaps in the width and a pool of ``workers - 1``
+    threads for the block, and shuts that pool down after it."""
     if workers is None:
         yield
         return
-    saved, pipeline.FAN_WIDTH = pipeline.FAN_WIDTH, workers
+    saved = fan.FAN_WIDTH, fan._cpu
+    pool = fan.lanes(workers)
+    fan.FAN_WIDTH, fan._cpu = workers, pool
     try:
         yield
     finally:
-        pipeline.FAN_WIDTH = saved
+        fan.FAN_WIDTH, fan._cpu = saved
+        pool.shutdown()
 
 
 def native_axis() -> tuple[int, ...]:

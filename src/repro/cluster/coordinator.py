@@ -160,8 +160,9 @@ class ClusterCoordinator:
     the same failure domain.
 
     Node-level work runs on the calling thread, one copy after
-    another; each node's manager fans its own chunk encodes and decodes
-    across its pipelines' pools, the store's only CPU concurrency.
+    another; each node's manager fans its chunk encodes and decodes
+    across the process's one CPU fan (:mod:`repro.storage.fan`), which
+    every node shares — the store's only CPU concurrency.
     Other keyword arguments configure every manager the cluster builds,
     rebalanced and replacement copies included.
 

@@ -134,11 +134,8 @@ class MaterializationMatrix:
         total_cells = first.size
 
         sample_index: np.ndarray | None = None
+        check_sample_fraction(sample_fraction)
         if sample_fraction is not None:
-            if not 0 < sample_fraction <= 1:
-                raise ReproError(
-                    f"sample_fraction must be in (0, 1], "
-                    f"got {sample_fraction}")
             rng = rng or np.random.default_rng(0)
             sample_count = max(1, int(round(total_cells * sample_fraction)))
             sample_index = rng.choice(total_cells, size=sample_count,
@@ -170,6 +167,13 @@ class MaterializationMatrix:
         }
         return cls.build(contents, compressor=compressor,
                          sample_fraction=sample_fraction, rng=rng)
+
+
+def check_sample_fraction(sample_fraction: float | None) -> None:
+    """Refuse a sample fraction outside (0, 1]; None samples nothing."""
+    if sample_fraction is not None and not 0 < sample_fraction <= 1:
+        raise ReproError(
+            f"sample_fraction must be in (0, 1], got {sample_fraction}")
 
 
 def _delta_cost(flat_a: np.ndarray, flat_b: np.ndarray,

@@ -8,8 +8,7 @@ keyed byte-container contract (write / append / read / read_many /
 sync / delete) that lets new substrates drop in without touching
 encoding semantics.  One module per substrate:
 
-* :mod:`.base` — the :class:`StorageBackend` ABC and the durability
-  barrier's fan (:data:`SYNC_FAN`);
+* :mod:`.base` — the :class:`StorageBackend` ABC;
 * :mod:`.local` — :class:`LocalFileBackend`, the paper's local
   filesystem; ``durable=True`` (registry name ``"durable"``) arms the
   per-version group-fsync barrier;
@@ -36,16 +35,16 @@ pass instead of one ``open()`` per payload.  Its payloads are
 read-only bytes-like objects and may be views of the stored bytes (the
 memory and object backends copy nothing).  The contract carries no
 concurrency argument: reads are parallelised above it (one
-reconstruction task per chunk, in the decode pipeline) and the one fan
-below it is the durability barrier's own (:data:`SYNC_FAN`), which a
-backend with a real barrier raises by itself.
+reconstruction task per chunk, in the decode pipeline) and a backend
+with a real durability barrier fans it on the process's sync fan
+(:func:`repro.storage.fan.barrier`) by itself.
 
 Paths are backend-relative strings with ``/`` separators (the same
 strings the metadata catalog records in chunk locations), so a store
 written by one backend can be described identically by another.
 """
 
-from repro.storage.backend.base import SYNC_FAN, StorageBackend
+from repro.storage.backend.base import StorageBackend
 from repro.storage.backend.faulty import (
     FAULT_HORIZON,
     FAULT_KINDS,
@@ -78,7 +77,6 @@ __all__ = [
     "LocalFileBackend",
     "OBJECT_REQUEST_FLOOR",
     "ObjectStoreBackend",
-    "SYNC_FAN",
     "StorageBackend",
     "StripedBackend",
     "default_backend_spec",

@@ -1,25 +1,12 @@
-"""The backend contract: the :class:`StorageBackend` ABC and the
-durability barrier's fan (:data:`SYNC_FAN`), the one thread pool below
-the contract."""
+"""The backend contract: the :class:`StorageBackend` ABC."""
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.errors import StorageError
 from repro.storage.iostats import IOStats
-
-#: Durability-barrier fan depth.  An fsync wait is I/O, not CPU: the
-#: filesystem journal group-commits concurrent flushes, and batching
-#: saturates around this queue depth on commodity disks — so the
-#: barrier fans to this fixed width (bounded by the object count).
-SYNC_FAN = 8
-
-# Guards the lazy creation (and detach) of every backend's barrier pool.
-_barrier_guard = threading.Lock()
 
 
 class StorageBackend(ABC):
@@ -42,9 +29,6 @@ class StorageBackend(ABC):
     #: True when :meth:`sync` makes the bytes it names crash-safe (an
     #: fsync barrier), so the catalog commit after it is worth one too.
     durable: bool = False
-    # The durability barrier's executor (see _fan_barrier): built by
-    # the first barrier that has more than one object to flush.
-    _barrier_pool: ThreadPoolExecutor | None = None
 
     def bind_stats(self, stats: "IOStats") -> None:
         """Attach an :class:`IOStats` sink for backend-level counters.
@@ -87,9 +71,10 @@ class StorageBackend(ABC):
         The default is a no-op — the paper's prototype semantics, where
         the page cache owns write-back.  Backends opened in durable
         mode (``LocalFileBackend(durable=True)``) honor the barrier by
-        fsyncing every listed object, :data:`SYNC_FAN` at a time, so
-        the filesystem journal batches the commits instead of paying
-        one full flush per object.  On the object store the barrier is
+        fsyncing every listed object on the process's sync fan
+        (:func:`repro.storage.fan.barrier`), so the filesystem journal
+        batches the commits instead of paying one full flush per
+        object.  On the object store the barrier is
         a **finalize barrier**: every listed object's pending multipart
         upload is completed, so the staged parts become committed
         object bytes.  The write pipeline calls this once per version,
@@ -122,42 +107,11 @@ class StorageBackend(ABC):
     def total_bytes(self, prefix: str = "") -> int:
         """Stored bytes under ``prefix`` (the whole backend when '')."""
 
-    def _fan_barrier(self, flush, targets: Sequence) -> None:
-        """Run ``flush(target)`` for every target, :data:`SYNC_FAN` at
-        a time — the one fan below the backend contract.
-
-        What a barrier waits on is I/O (an fsync, a remote store's
-        complete-upload round trip), so its depth is the barrier's own
-        and has nothing to do with the pipelines' CPU fan above: it is
-        the same on a one-CPU host.  One task per object;
-        a single object is flushed inline and builds no pool, so a
-        backend whose barrier is a no-op never owns a thread.
-        """
-        if len(targets) < 2:
-            for target in targets:
-                flush(target)
-            return
-        with _barrier_guard:
-            if self._barrier_pool is None:
-                self._barrier_pool = ThreadPoolExecutor(
-                    max_workers=SYNC_FAN,
-                    thread_name_prefix="repro-sync")
-            pool = self._barrier_pool
-        list(pool.map(flush, targets))
-
     def close(self) -> None:
-        """Release auxiliary resources (idempotent).
-
-        Shuts down the barrier executor if one was ever built; a later
-        barrier simply recreates it, so a backend instance stays usable
-        after close.  The pool is detached under the guard but drained
-        outside it, so closing one backend never stalls other backends'
-        barriers on the shared creation lock.
-        """
-        with _barrier_guard:
-            pool, self._barrier_pool = self._barrier_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Release what the backend holds beyond its bytes (idempotent):
+        pending uploads on the object store, the children of a
+        composite.  The base backend holds nothing; a closed backend
+        stays usable."""
 
 
 def checked_spans(path: str, spans: Sequence[tuple[int, int]]

@@ -10,6 +10,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.core.errors import StorageError
+from repro.storage import fan
 from repro.storage.backend.base import StorageBackend, checked_spans
 
 
@@ -23,8 +24,8 @@ class LocalFileBackend(StorageBackend):
     pipeline leaves payload bytes crash-safe *before* the catalog
     transaction that names them commits, at a per-version rather than
     per-chunk flush cost.  The fsync waits release the GIL and are
-    fanned :data:`SYNC_FAN` deep, which lets the filesystem journal
-    batch the commits.
+    fanned :data:`~repro.storage.fan.SYNC_FAN` deep on the process's
+    sync fan, which lets the filesystem journal batch the commits.
     """
 
     name = "local"
@@ -87,8 +88,7 @@ class LocalFileBackend(StorageBackend):
 
         # The journal group-commits whatever flushes are in flight, so
         # depth — not CPU parallelism — sets the batching factor.
-        self._fan_barrier(lambda path: fsync_at(self._resolve(path)),
-                          distinct)
+        fan.barrier(lambda path: fsync_at(self._resolve(path)), distinct)
         # A freshly created file is only crash-safe once its directory
         # entry is too: fsync each distinct parent directory up to the
         # backend root, or the barrier could survive the data but lose

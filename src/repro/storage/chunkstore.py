@@ -26,8 +26,9 @@ catalog.
 The store runs on its caller's thread and owns no pool: a read is
 parallelised above it (the decode pipeline hands each chunk's
 reconstruction — and with it that chunk's ``read_chunks`` call — to
-its own worker), placements arrive one at a time in canonical task
-order, and the durability barrier's fan belongs to the backend.
+the CPU fan), placements arrive one at a time in canonical task
+order, and a backend with a real barrier fans it on the sync fan
+(:mod:`repro.storage.fan`).
 """
 
 from __future__ import annotations

@@ -211,11 +211,18 @@ class VersionedStorageManager:
         ensure_policy(delta_policy)
         get_codec(compressor)
         get_delta_codec(delta_codec)
+        self.stats = IOStats()
+        # The paper's cost model "ignores caching effects ... since they
+        # are often negligible in our context for very large arrays";
+        # the cache is therefore off unless given a byte budget, and
+        # exists for interactive workloads.  Like the hot slot below
+        # it relies on version contents never changing: only
+        # deletions invalidate it.
+        self.cache = ChunkCache(max_bytes=cache_bytes, stats=self.stats)
         self.root = Path(root)
         backend = resolve_backend(backend, self.root / "data")
         if not backend.ephemeral:
             self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = IOStats()
         self.store = ChunkStore(self.root / "data", placement=placement,
                                 stats=self.stats, backend=backend)
         # An ephemeral backend keeps the catalog off disk too, so a
@@ -228,13 +235,6 @@ class VersionedStorageManager:
         self.compressor_name = compressor
         self.delta_codec_name = delta_codec
         self._tick = itertools.count(1)
-        # The paper's cost model "ignores caching effects ... since they
-        # are often negligible in our context for very large arrays";
-        # the cache is therefore off unless given a byte budget, and
-        # exists for interactive workloads.  Like the hot slot below
-        # it relies on version contents never changing: only
-        # deletions invalidate it.
-        self.cache = ChunkCache(max_bytes=cache_bytes, stats=self.stats)
         self.encoder = EncodePipeline(self.catalog, self.store,
                                       delta_policy=delta_policy,
                                       delta_codec=delta_codec)
@@ -260,13 +260,11 @@ class VersionedStorageManager:
         return self.cache.info()
 
     def close(self) -> None:
-        """Release the catalog connection, the encode, decode, and
-        store/backend executors, and cached chunks.  On the object
-        backend this also aborts any pending multipart uploads —
+        """Release the catalog connection and cached chunks; the
+        threads are the process's (:mod:`repro.storage.fan`).  On the
+        object backend this also aborts any pending multipart uploads —
         staged parts of versions that never reached their finalize
         barrier are dropped, never silently committed."""
-        self.encoder.close()
-        self.decoder.close()
         self.store.close()
         self.cache.clear()
         self.catalog.close()
@@ -629,7 +627,7 @@ class VersionedStorageManager:
         record = snap.record
         versions = snap.get_versions()
         stored = snap.stored_bytes()
-        dense = record.schema.dense_size * max(1, len(versions))
+        dense = record.schema.dense_size * len(versions)
         sparsity = None
         if versions:
             latest = self._select(snap, versions[-1].version)
@@ -817,13 +815,26 @@ class VersionedStorageManager:
         large arrays.  This is the paper's "background re-organization
         step" packaged as one call.
         """
-        from repro.materialize.matrix import MaterializationMatrix
+        from repro.materialize.matrix import (
+            MaterializationMatrix,
+            check_sample_fraction,
+        )
         from repro.materialize.spanning import optimal_layout
         from repro.materialize.workload_opt import (
             head_biased_layout,
             workload_aware_layout,
         )
 
+        # Refuse before the matrix selects every version.
+        self._resolve_attribute(self.catalog.get_array(name), attribute)
+        if mode not in ("space", "head", "workload"):
+            raise StorageError(
+                f"unknown reorganize mode {mode!r}; expected "
+                "'space', 'head', or 'workload'")
+        if mode == "workload" and workload is None:
+            raise StorageError(
+                "reorganize(mode='workload') needs a workload")
+        check_sample_fraction(sample_fraction)
         matrix = MaterializationMatrix.from_manager(
             self, name, attribute=attribute,
             sample_fraction=sample_fraction)
@@ -831,15 +842,8 @@ class VersionedStorageManager:
             layout = optimal_layout(matrix)
         elif mode == "head":
             layout = head_biased_layout(matrix)
-        elif mode == "workload":
-            if workload is None:
-                raise StorageError(
-                    "reorganize(mode='workload') needs a workload")
-            layout = workload_aware_layout(matrix, workload)
         else:
-            raise StorageError(
-                f"unknown reorganize mode {mode!r}; expected "
-                "'space', 'head', or 'workload'")
+            layout = workload_aware_layout(matrix, workload)
         self.apply_layout(name, dict(layout.parent_of))
 
     # ------------------------------------------------------------------

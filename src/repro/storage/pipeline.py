@@ -7,10 +7,11 @@ makes the stages first-class:
 * :class:`EncodePipeline` — the insert path, staged as **plan**
   (enumerate one encode task per (attribute, chunk) with its target and
   base slices), **encode** (delta-encode against the policy-selected
-  base and compress, fanned across the encode pool), and **commit** (place every payload in the chunk
-  store in task order from the calling thread, raise the backend's
-  durability barrier, then record all encoding decisions in the
-  Version Metadata in one transaction);
+  base and compress, fanned across the process's CPU fan), and
+  **commit** (place every payload in the chunk store in task order
+  from the calling thread, raise the backend's durability barrier,
+  then record all encoding decisions in the Version Metadata in one
+  transaction);
 * :class:`DecodePipeline` — the select path: **locate** the chunk's
   delta chain in the read's catalog snapshot, **read** the chain
   (batched, one backend open per distinct object), **decompress** the
@@ -26,15 +27,14 @@ The pipelines own *how* versions are encoded and decoded;
 ``VersionedStorageManager`` shrinks to orchestration — catalog
 bookkeeping, version lineage, and layout re-organization.
 
-They also own the store's CPU concurrency — all of it.  There is one
-fan per direction, :data:`FAN_WIDTH` lanes wide (a pool's threads and
-the calling thread), both through one ordered sliding window
-(:meth:`_PooledStage._ordered`): encode blocks on the way in,
-per-chunk decodes on the way out.  Nothing below fans again — a task
-reads its chain and the consuming thread places its payload or admits
-its chunk serially — so no pool ever waits on another, no pool thread
-touches the chunk cache, and an operation that raises first cancels or
-waits out every task it started.
+They also decide what the store's CPU fan runs (the threads live in
+:mod:`repro.storage.fan`, one pool per process): encode blocks on the
+way in, per-chunk decodes on the way out, both through its one ordered
+sliding window (:func:`~repro.storage.fan.ordered`).  Nothing below
+fans again — a task reads its chain and the consuming thread places
+its payload or admits its chunk serially — so no task ever waits on
+another, no pool thread touches the chunk cache, and an operation that
+raises first cancels or waits out every task it started.
 
 Two invariants both pipelines are built around:
 
@@ -51,11 +51,8 @@ Two invariants both pipelines are built around:
 
 from __future__ import annotations
 
-import itertools
-import os
 import threading
-from collections import OrderedDict, deque
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from collections import OrderedDict
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
@@ -79,6 +76,7 @@ from repro.delta.auto import (
 )
 from repro.delta.base import fold_chain
 from repro.delta.registry import get_delta_codec
+from repro.storage import fan
 from repro.storage.chunking import ChunkGrid, ChunkRef
 from repro.storage.chunkstore import ChunkStore
 from repro.storage.iostats import IOStats
@@ -97,11 +95,6 @@ _POLICIES = (POLICY_AUTO, POLICY_CHAIN, POLICY_MATERIALIZE)
 
 #: The largest chunk buffer a decoding thread keeps: an L2's worth.
 _KEPT_FOLD_BYTES = 2 << 20
-
-#: Lanes per pipeline fan: the CPUs this process may run on, read once
-#: at import.  At 1 every task runs inline on the calling thread.
-FAN_WIDTH = len(os.sched_getaffinity(0)) \
-    if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def ensure_policy(delta_policy: str) -> str:
@@ -122,14 +115,15 @@ class ChunkCache:
     """Bytes-bounded LRU of decoded chunks, keyed by
     ``(array_id, version, attribute, chunk_name)``.
 
-    ``max_bytes`` is the one budget; zero disables the cache entirely
-    (:attr:`enabled`).  Hits and misses are mirrored into the attached
-    :class:`IOStats` so cache effectiveness appears next to the I/O it
-    avoided.
+    ``max_bytes`` is the one budget, a byte count; zero disables the
+    cache entirely (:attr:`enabled`), and anything else that is not a
+    count of zero or more raises :class:`StorageError`.  Hits and
+    misses are mirrored into the attached :class:`IOStats` so cache
+    effectiveness appears next to the I/O it avoided.
 
     Every operation holds an internal lock: client threads share one
     manager, and the byte accounting and hit/miss counters must stay
-    exact under concurrency.  The decode pool never calls in — a read
+    exact under concurrency.  The CPU fan never calls in — a read
     plans and admits its chunks on the calling thread — so the cache's
     state is a function of the operation sequence alone.  A single entry larger than ``max_bytes`` is never
     admitted (admitting it would evict the entire cache, itself
@@ -144,6 +138,10 @@ class ChunkCache:
 
     def __init__(self, max_bytes: int = 0,
                  stats: IOStats | None = None):
+        if not isinstance(max_bytes, (int, np.integer)) or max_bytes < 0:
+            raise StorageError(
+                f"cache budget must be a byte count >= 0, "
+                f"got {max_bytes!r}")
         self.max_bytes = max_bytes
         self.stats = stats
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
@@ -271,105 +269,6 @@ class ChunkCache:
             }
 
 
-class _PooledStage:
-    """Shared executor machinery for the encode and decode pipelines.
-
-    Each pipeline owns one thread pool of ``FAN_WIDTH - 1`` threads,
-    created lazily by the first call that fans out; the thread that
-    consumes the results is the fan's last lane (see :meth:`_ordered`).
-    """
-
-    _pool_prefix = "repro-stage"
-
-    def _init_pool(self) -> None:
-        self._executor: ThreadPoolExecutor | None = None
-        self._executor_lock = threading.Lock()
-
-    def close(self) -> None:
-        """Shut down the shared executor (idempotent)."""
-        with self._executor_lock:
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=FAN_WIDTH - 1,
-                    thread_name_prefix=self._pool_prefix)
-            return self._executor
-
-    def _ordered(self, function, items: list):
-        """Yield ``function(item)`` for every item, in item order.
-
-        Inline at a width of 1 (or for a single item).  Otherwise a
-        sliding window of ``width + 1`` calls is in flight: each time
-        the consumer takes the oldest result, the next item is
-        submitted, so at most ``i + width + 2`` calls have started when
-        item ``i``'s result (or error) reaches the consumer, and what
-        is in flight stays bounded by the window rather than the
-        operation.  Closing the generator early (the consumer failed)
-        or an error settles the window first: see :meth:`_abandon`.
-
-        The consumer is one of the ``width`` lanes.  While the oldest
-        result is not ready it claims the oldest call no pool thread
-        has started and runs it itself, so the fan never has more
-        runnable threads than CPUs, and when the pool's threads get no
-        CPU (another process holds it) the consumer still does the
-        work at the serial pace instead of sleeping.
-        """
-        width = FAN_WIDTH
-        if width <= 1 or len(items) <= 1:
-            for item in items:
-                yield function(item)
-            return
-        pool = self._pool()
-        pending = iter(items)
-        window: deque = deque()     # [item, future], oldest first
-
-        def top_up() -> None:
-            for item in itertools.islice(pending,
-                                         width + 1 - len(window)):
-                window.append([item, pool.submit(function, item)])
-
-        try:
-            top_up()
-            while window:
-                for entry in window:
-                    if window[0][1].done():
-                        break
-                    if entry[1].cancel():   # no pool thread has it
-                        entry[1] = _run_here(function, entry[0])
-                _, future = window.popleft()
-                top_up()
-                yield future.result()
-        finally:
-            self._abandon([future for _, future in window])
-
-    @staticmethod
-    def _abandon(futures) -> None:
-        """Cancel the tasks that have not started and wait for those
-        that have, so nothing of an operation that is about to raise
-        keeps running — bumping counters, writing into a canvas nobody
-        holds — after it has."""
-        for future in futures:
-            future.cancel()
-        wait(futures)
-
-
-def _run_here(function, item) -> Future:
-    """``function(item)`` run on the calling thread, as a settled
-    future: its error is raised where the window reaches it, in item
-    order, like a pool thread's."""
-    future = Future()
-    try:
-        future.set_result(function(item))
-    except Exception as exc:
-        future.set_exception(exc)
-    return future
-
-
 @dataclass(frozen=True)
 class EncodeTask:
     """One (attribute, chunk) unit of the encode stage's fan-out.
@@ -385,14 +284,14 @@ class EncodeTask:
     chunk: ChunkRef
 
 
-class EncodePipeline(_PooledStage):
+class EncodePipeline:
     """The insert path: plan → encode → place → barrier (Figure 1,
     left); the manager commits the rows it returns.
 
     Chunk encoding (delta against the base slice, then compress) is
     CPU-bound and independent per chunk, so the encode stage fans tasks
-    across the pipeline's pool — the write-side mirror of
-    :class:`DecodePipeline`'s per-chunk fan-out.
+    across the CPU fan (:mod:`repro.storage.fan`) — the write-side
+    mirror of :class:`DecodePipeline`'s per-chunk fan-out.
     The place stage does not fan: the calling thread places each
     decision as it arrives, in task order, while the encode window
     keeps later blocks in flight — so placement overlaps encoding, and
@@ -400,8 +299,6 @@ class EncodePipeline(_PooledStage):
     width (co-located append offsets, stored bytes, catalog rows and
     a seeded fault schedule all replay exactly).
     """
-
-    _pool_prefix = "repro-encode"
 
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
                  delta_policy: str = POLICY_CHAIN,
@@ -415,7 +312,6 @@ class EncodePipeline(_PooledStage):
         # chunk: a plan's run list is dead once its decision (pure
         # bytes) is returned, and a task runs on one thread.
         self._scratch = threading.local()
-        self._init_pool()
 
     @property
     def wants_base(self) -> bool:
@@ -502,13 +398,13 @@ class EncodePipeline(_PooledStage):
         The parallel path groups tasks into contiguous blocks (a few
         per pool thread, so fine-grained grids do not pay one dispatch per
         tiny chunk) and runs them through the ordered window
-        (:meth:`_ordered`) — the commit stage downstream consumes
+        (:func:`fan.ordered`) — the commit stage downstream consumes
         decisions exactly as the serial loop produced them, placement
         of early chunks overlaps the encoding of later ones, and the
         encoded-payload memory in flight stays bounded by the window
         rather than the whole version.
         """
-        width = FAN_WIDTH
+        width = fan.FAN_WIDTH
         step = -(-len(tasks) // (width * 4)) if width > 1 else 1  # ceil
 
         def encode_block(block: list[EncodeTask]):
@@ -517,7 +413,7 @@ class EncodePipeline(_PooledStage):
                     for task in block]
 
         blocks = [tasks[i:i + step] for i in range(0, len(tasks), step)]
-        with closing(self._ordered(encode_block, blocks)) as decisions:
+        with closing(fan.ordered(encode_block, blocks)) as decisions:
             for block in decisions:
                 yield from block
 
@@ -626,7 +522,7 @@ class _Miss:
     admits: int
 
 
-class DecodePipeline(_PooledStage):
+class DecodePipeline:
     """The select path: locate → read chain → decompress → fold →
     assemble (Figure 1, right; Figure 2's read pattern).
 
@@ -669,8 +565,6 @@ class DecodePipeline(_PooledStage):
     same way: array, version and chunk.
     """
 
-    _pool_prefix = "repro-decode"
-
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
                  cache: ChunkCache | None = None):
         self.catalog = catalog
@@ -678,7 +572,6 @@ class DecodePipeline(_PooledStage):
         self.cache = cache if cache is not None else ChunkCache()
         # One chunk buffer per decoding thread (see _fused_apply).
         self._buffers = threading.local()
-        self._init_pool()
 
     def reconstruct(self, snap: ArraySnapshot, version: int,
                     attribute: str, chunk: ChunkRef,
@@ -931,11 +824,6 @@ class DecodePipeline(_PooledStage):
             buffer = self._buffers.cells = np.empty(like.nbytes, np.uint8)
         return buffer[:like.nbytes].view(like.dtype).reshape(like.shape)
 
-    def close(self) -> None:
-        """Shut down the pool and release every thread's chunk buffer."""
-        super().close()
-        self._buffers = threading.local()
-
     # ------------------------------------------------------------------
     # Stage 5: assembly
     # ------------------------------------------------------------------
@@ -1019,11 +907,11 @@ class DecodePipeline(_PooledStage):
 
         Every task is planned first, on this thread, each warm-fill
         choice counting the bytes the misses before it will admit; the
-        misses then run through the ordered window (:meth:`_ordered`)
-        and each is admitted here as it is yielded.  A miss's decode is private to
-        it (the ``out`` windows are disjoint), so the tasks are fully
-        independent.  A chunk that fails (a corrupt payload) settles
-        the window before its error leaves.
+        misses then run through the ordered window (:func:`fan.ordered`)
+        and each is admitted here as it is yielded.  A miss's decode is
+        private to it (the ``out`` windows are disjoint), so the tasks
+        are fully independent.  A chunk that fails (a corrupt payload)
+        settles the window before its error leaves.
         """
         planned, admitting = [], 0
         for attr, chunk, out in tasks:
@@ -1035,7 +923,7 @@ class DecodePipeline(_PooledStage):
         if not misses:      # the cache answered it all: no window
             yield from zip(tasks, planned)
             return
-        with closing(self._ordered(self._decode, misses)) as decoded:
+        with closing(fan.ordered(self._decode, misses)) as decoded:
             for task, data in zip(tasks, planned):
                 if isinstance(data, _Miss):
                     data = self._admit(data, *next(decoded))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.cluster import rebalance as rebalance_flow
 from repro.core.array import ArrayData
 from repro.core.errors import ReproError, SchemaError, StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
-from repro.storage import InMemoryBackend, VersionedStorageManager, pipeline
+from repro.storage import InMemoryBackend, VersionedStorageManager, fan
 from repro.storage.chunkstore import ChunkStore
 
 #: Every (band, replica) position of the 3 x 2 grid the rollback tests
@@ -217,6 +218,23 @@ class TestMaintenance:
         for number, expected in enumerate(versions, 1):
             np.testing.assert_array_equal(
                 cluster.select("A", number).single(), expected)
+
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(mode="maximal"), dict(mode="workload"),
+        dict(sample_fraction=0.0), dict(sample_fraction=1.5),
+        dict(attribute="ghost")],
+        ids=["mode", "workload", "fraction-0", "fraction-1.5",
+             "attribute"])
+    def test_reorganize_refuses_before_any_copy_reads(self, loaded,
+                                                      kwargs):
+        cluster, _ = loaded
+        for stats in cluster.node_stats():
+            stats.reset()
+        with pytest.raises(ReproError):
+            cluster.reorganize("A", **kwargs)
+        assert [stats.chunks_read for stats in cluster.node_stats()] \
+            == [0, 0, 0]
 
 
 class TestMultiAttribute:
@@ -1231,15 +1249,44 @@ def _cluster_history(root, rng) -> tuple:
     return answers
 
 
+class _CountingPool(ThreadPoolExecutor):
+    """A fan pool that counts the tasks it has started and those
+    running now, with every thread it may have started up front — a
+    fresh pool starts one thread per task while none is idle — so any
+    thread a store starts beyond them is a pool of its own."""
+
+    def __init__(self, size: int, prefix: str):
+        super().__init__(size, thread_name_prefix=prefix)
+        self.started = self.running = 0
+        self._count = threading.Lock()
+        gate = threading.Barrier(size + 1, timeout=30)
+        for _ in range(size):
+            super().submit(gate.wait)
+        gate.wait()
+
+    def submit(self, function, /, *args, **kwargs):
+        def counted():
+            with self._count:
+                self.started += 1
+                self.running += 1
+            try:
+                return function(*args, **kwargs)
+            finally:
+                with self._count:
+                    self.running -= 1
+
+        return super().submit(counted)
+
+
 class TestClusterWorkers:
-    def test_parallel_cluster_matches_serial(self, tmp_path, monkeypatch):
+    def test_parallel_cluster_matches_serial(self, tmp_path, pin_fan):
         """Every node's manager fans its own chunks; the cluster answers
         and stores the same at every fan width."""
         runs = []
         for width in (1, 4):
-            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
-            runs.append(_cluster_history(tmp_path / f"w{width}",
-                                         np.random.default_rng(3)))
+            with pin_fan(width):
+                runs.append(_cluster_history(tmp_path / f"w{width}",
+                                             np.random.default_rng(3)))
         inline, pooled = runs
         assert inline[0] == pooled[0] == [1, 2, 3]
         for left, right in zip(inline[1], pooled[1]):
@@ -1254,29 +1301,70 @@ class TestClusterWorkers:
                                backend="memory")
 
     @pytest.mark.parametrize("fan_width", [4], indirect=True)
-    def test_every_thread_belongs_to_a_node_pipeline(self, tmp_path,
-                                                    fan_width):
-        """The coordinator runs no pool of its own: a write, a read and
-        a rebalance start only the nodes' encode and decode threads,
-        and closing the cluster ends them all."""
+    def test_one_cpu_fan_and_one_sync_fan_per_process(
+            self, tmp_path, fan_width):
+        """A 3 x 2 cluster, a durable manager and an ``object:durable``
+        one share the process's two fans: writes, reads, regions,
+        deletions and a rebalance start no thread beyond their
+        ``FAN_WIDTH - 1 + SYNC_FAN``, a manager opened after the others
+        closed starts none, and closing everything leaves no task
+        running.  The coordinator runs no pool of its own."""
         before = set(threading.enumerate())
-        cluster = ClusterCoordinator(tmp_path, nodes=2, chunk_bytes=512,
-                                     backend="memory")
-        cluster.create_array("A", ArraySchema.simple((48, 40),
-                                                     dtype=np.int32))
+        cpu = _CountingPool(fan.FAN_WIDTH - 1, "repro-cpu")
+        sync = _CountingPool(fan.SYNC_FAN, "repro-sync")
+        saved = fan._cpu, fan._sync
+        fan._cpu, fan._sync = cpu, sync
+        schema = ArraySchema.simple((48, 40), dtype=np.int32)
         data = np.arange(48 * 40, dtype=np.int32).reshape(48, 40)
-        cluster.insert("A", data)
-        cluster.insert("A", data + 1)
-        assert cluster.rebalance(3) > 0
-        np.testing.assert_array_equal(cluster.select("A", 2).single(),
-                                      data + 1)
-        started = [thread for thread in threading.enumerate()
-                   if thread not in before]
-        assert {thread.name.rsplit("_", 1)[0] for thread in started} == \
-            {"repro-encode", "repro-decode"}
-        cluster.close()
-        assert [thread for thread in threading.enumerate()
-                if thread not in before] == []
+
+        def exercise(store) -> None:
+            store.create_array("A", schema)
+            for step in range(3):
+                store.insert("A", data + step)
+            np.testing.assert_array_equal(store.select("A", 3).single(),
+                                          data + 2)
+            np.testing.assert_array_equal(
+                store.select_region("A", 2, (3, 5), (40, 30)).single(),
+                data[3:41, 5:31] + 1)
+
+        try:
+            stores = [
+                ClusterCoordinator(tmp_path / "cluster", nodes=3,
+                                   replication=2, chunk_bytes=512,
+                                   backend="memory"),
+                VersionedStorageManager(tmp_path / "durable",
+                                        chunk_bytes=512, backend="durable"),
+                VersionedStorageManager(tmp_path / "object",
+                                        chunk_bytes=512,
+                                        backend="object:durable"),
+            ]
+            for store in stores:
+                exercise(store)
+            for manager in stores[1:]:
+                manager.delete_version("A", 2)
+            assert stores[0].rebalance(4) > 0
+            started = [thread for thread in threading.enumerate()
+                       if thread not in before]
+            assert sorted(thread.name for thread in started) == sorted(
+                [f"repro-cpu_{n}" for n in range(fan.FAN_WIDTH - 1)]
+                + [f"repro-sync_{n}" for n in range(fan.SYNC_FAN)])
+            assert cpu.started > 0 and sync.started > 0
+            for store in stores:
+                store.close()
+            assert cpu.running == sync.running == 0
+
+            opened = set(threading.enumerate())
+            with VersionedStorageManager(tmp_path / "late",
+                                         chunk_bytes=512,
+                                         backend="durable") as late:
+                exercise(late)
+            assert [thread for thread in threading.enumerate()
+                    if thread not in opened] == []
+            assert cpu.running == sync.running == 0
+        finally:
+            fan._cpu, fan._sync = saved
+            cpu.shutdown()
+            sync.shutdown()
 
     def test_striped_nodes(self, tmp_path, rng):
         """Each node can itself stripe its payloads."""

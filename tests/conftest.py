@@ -8,19 +8,24 @@ validated once, up front: a matrix cell with a typo must fail the
 whole session loudly, not silently test the local path under an
 object label.
 
-The pipelines' fan width is the host's CPU count, not a setting; a
+The store's CPU fan width is the host's CPU count, not a setting; a
 test that must run both the inline path and the pooled one takes the
-:func:`fan_width` fixture, which pins it.
+:func:`fan_width` fixture, which pins it, and a test that compares
+widths within itself takes :func:`pin_fan`.  Both swap in a pool of
+the pinned width for their scope (:func:`repro.storage.fan.lanes`,
+one per width for the whole session), so the process's own pool never
+runs a pinned test's tasks.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.storage import pipeline
+from repro.storage import fan
 from repro.storage.backend import ensure_backend_spec
 
 
@@ -32,12 +37,38 @@ def _validate_matrix_env() -> None:
         ensure_backend_spec(spec)
 
 
+#: The pool of each pinned width.  Like the process's own, it outlives
+#: every manager that fans on it, so tests share it.
+_POOLS: dict = {}
+
+
+@contextmanager
+def _pinned(width: int):
+    """The CPU fan ``width`` lanes wide for the block, on the pool of
+    that width."""
+    saved = fan.FAN_WIDTH, fan._cpu
+    if width not in _POOLS:
+        _POOLS[width] = fan.lanes(width)
+    fan.FAN_WIDTH, fan._cpu = width, _POOLS[width]
+    try:
+        yield width
+    finally:
+        fan.FAN_WIDTH, fan._cpu = saved
+
+
 @pytest.fixture(params=[1, 4], ids=lambda width: f"width{width}")
-def fan_width(request, monkeypatch) -> int:
-    """Pin the pipelines' fan width: 1 runs every task inline on the
-    calling thread, 4 through the pools, whatever the host has."""
-    monkeypatch.setattr(pipeline, "FAN_WIDTH", request.param)
-    return request.param
+def fan_width(request) -> int:
+    """Pin the CPU fan's width: 1 runs every task inline on the
+    calling thread, 4 through the pool, whatever the host has."""
+    with _pinned(request.param):
+        yield request.param
+
+
+@pytest.fixture
+def pin_fan():
+    """``with pin_fan(width):`` pins the CPU fan for a block — for a
+    test that compares widths within itself."""
+    return _pinned
 
 
 @pytest.fixture

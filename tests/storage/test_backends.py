@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema
-from repro.storage import pipeline
 from repro.storage import (
     COLOCATED,
     PER_VERSION,
@@ -609,16 +608,14 @@ def _exercise(manager: VersionedStorageManager) -> dict:
 
 @pytest.mark.parametrize("backend_name,placement,fan_width", CONFIGS,
                          indirect=["fan_width"])
-def test_manager_conformance_identical(tmp_path, monkeypatch,
+def test_manager_conformance_identical(tmp_path, pin_fan,
                                        backend_name, placement, fan_width):
     """Every backend/placement/width triple returns byte-identical
     results."""
-    with monkeypatch.context() as inline:
-        inline.setattr(pipeline, "FAN_WIDTH", 1)
-        with VersionedStorageManager(
-                tmp_path / "ref", chunk_bytes=512,
-                placement=COLOCATED) as reference_manager:
-            reference = _exercise(reference_manager)
+    with pin_fan(1), VersionedStorageManager(
+            tmp_path / "ref", chunk_bytes=512,
+            placement=COLOCATED) as reference_manager:
+        reference = _exercise(reference_manager)
     with VersionedStorageManager(
             tmp_path / "sub", chunk_bytes=512, placement=placement,
             backend=backend_name) as manager:
@@ -649,8 +646,7 @@ GOLDEN_DIGESTS = \
 
 
 @pytest.mark.parametrize("placement", [COLOCATED, PER_VERSION])
-def test_exercise_stores_the_golden_bytes(tmp_path, monkeypatch,
-                                          placement):
+def test_exercise_stores_the_golden_bytes(tmp_path, pin_fan, placement):
     """Every backend and fan width stores one history as the same
     bytes; co-located, those are the pinned golden bytes.  Per-version
     placement names its objects differently where a rewrite ran, so
@@ -660,8 +656,7 @@ def test_exercise_stores_the_golden_bytes(tmp_path, monkeypatch,
     fingerprints, digests = set(), set()
     for index, spec in enumerate(specs):
         for width in (1, 4):
-            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
-            with VersionedStorageManager(
+            with pin_fan(width), VersionedStorageManager(
                     tmp_path / f"{index}-w{width}", chunk_bytes=512,
                     placement=placement, backend=spec) as manager:
                 _exercise(manager)

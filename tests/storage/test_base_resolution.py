@@ -25,7 +25,7 @@ import pytest
 from repro.core import native
 from repro.core.array import DeltaListPayload
 from repro.core.schema import ArraySchema
-from repro.storage import VersionedStorageManager, pipeline
+from repro.storage import VersionedStorageManager
 from repro.storage.manager import _HotSlot
 
 DTYPES = [np.int64, np.int32, np.int16, np.uint8, np.uint64,
@@ -415,7 +415,7 @@ class TestHotSlotAdoption:
         manager.close()
 
     def test_parallel_encodes_adopt_disjoint_windows(self, tmp_path,
-                                                     monkeypatch):
+                                                     pin_fan):
         # More encode threads than cores, each adopting its chunks'
         # windows of one canvas, with thread switches forced often: the
         # canvas must still be exactly the head after every insert.
@@ -424,27 +424,27 @@ class TestHotSlotAdoption:
         versions = _versions(np.int32, depth=12, shape=(64, 64))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
-        monkeypatch.setattr(pipeline, "FAN_WIDTH", 8)
         try:
-            manager = VersionedStorageManager(
-                tmp_path / "s", chunk_bytes=256, backend="memory")
-            manager.create_array("a", ArraySchema.simple(
-                (64, 64), dtype=np.int32))
-            for number, data in enumerate(versions, start=1):
-                manager.insert("a", data)
-                assert np.array_equal(
-                    manager._hot.get("a", number).attribute("value"),
-                    data)
-            prints = manager.fingerprint()
-            manager.close()
+            with pin_fan(8):
+                manager = VersionedStorageManager(
+                    tmp_path / "s", chunk_bytes=256, backend="memory")
+                manager.create_array("a", ArraySchema.simple(
+                    (64, 64), dtype=np.int32))
+                for number, data in enumerate(versions, start=1):
+                    manager.insert("a", data)
+                    assert np.array_equal(
+                        manager._hot.get("a", number).attribute("value"),
+                        data)
+                prints = manager.fingerprint()
+                manager.close()
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(pipeline, "FAN_WIDTH", 1)
-        serial = VersionedStorageManager(
-            tmp_path / "serial", chunk_bytes=256, backend="memory")
-        serial.create_array("a", ArraySchema.simple((64, 64),
-                                                    dtype=np.int32))
-        for data in versions:
-            serial.insert("a", data)
-        assert serial.fingerprint() == prints
-        serial.close()
+        with pin_fan(1):
+            serial = VersionedStorageManager(
+                tmp_path / "serial", chunk_bytes=256, backend="memory")
+            serial.create_array("a", ArraySchema.simple((64, 64),
+                                                        dtype=np.int32))
+            for data in versions:
+                serial.insert("a", data)
+            assert serial.fingerprint() == prints
+            serial.close()

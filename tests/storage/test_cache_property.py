@@ -11,11 +11,11 @@ hold after every operation; and a speculative
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.schema import ArraySchema
-from repro.storage import ChunkCache, VersionedStorageManager, pipeline
+from repro.storage import ChunkCache, VersionedStorageManager
 
 SHAPE = (24, 24)
 CHUNK_BYTES = 12 * 12 * 8  # a 2x2 grid of 8-byte cells
@@ -65,7 +65,10 @@ def _step(rng, data):
     return data
 
 
-@settings(max_examples=30, deadline=None)
+# ``pin_fan`` hands back one stateless function, so sharing it across
+# examples is safe.
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(depth=st.integers(2, 7),
        codec=st.sampled_from(("dense", "sparse", "hybrid")),
        dtype=st.sampled_from((np.int64, np.float64)),
@@ -77,7 +80,7 @@ def _step(rng, data):
            st.tuples(st.just("append"), st.just(0))),
            min_size=1, max_size=14),
        seed=st.integers(0, 2 ** 16))
-def test_cached_store_equals_cache_off_store(depth, codec, dtype,
+def test_cached_store_equals_cache_off_store(pin_fan, depth, codec, dtype,
                                              budget, width, ops, seed):
     max_bytes = {"off": 0, "chunk": CHUNK_BYTES,
                  "half-chain": max(1, depth // 2) * CHUNK_BYTES,
@@ -85,64 +88,63 @@ def test_cached_store_equals_cache_off_store(depth, codec, dtype,
     rng = np.random.default_rng(seed)
     schema = ArraySchema.simple(SHAPE, dtype=dtype)
     # Hypothesis reruns the body, so it pins the width itself.
-    saved_width, pipeline.FAN_WIDTH = pipeline.FAN_WIDTH, width
-    stores = [VersionedStorageManager(
-        f"/unused/{name}", backend="memory", chunk_bytes=CHUNK_BYTES,
-        delta_policy="chain", delta_codec=codec, cache_bytes=cache_bytes)
-        for name, cache_bytes in (("plain", 0), ("cached", max_bytes))]
-    plain, cached = stores
-    truth: list[np.ndarray] = []
+    with pin_fan(width):
+        stores = [VersionedStorageManager(
+            f"/unused/{name}", backend="memory", chunk_bytes=CHUNK_BYTES,
+            delta_policy="chain", delta_codec=codec, cache_bytes=cache_bytes)
+            for name, cache_bytes in (("plain", 0), ("cached", max_bytes))]
+        plain, cached = stores
+        truth: list[np.ndarray] = []
 
-    def append():
-        data = _step(rng, truth[-1]) if truth else (
-            rng.normal(size=SHAPE) if np.dtype(dtype).kind == "f"
-            else rng.integers(-1000, 1000, SHAPE)).astype(dtype)
-        for store in stores:
-            assert store.insert("A", data) == len(truth) + 1
-        truth.append(data)
+        def append():
+            data = _step(rng, truth[-1]) if truth else (
+                rng.normal(size=SHAPE) if np.dtype(dtype).kind == "f"
+                else rng.integers(-1000, 1000, SHAPE)).astype(dtype)
+            for store in stores:
+                assert store.insert("A", data) == len(truth) + 1
+            truth.append(data)
 
-    # Reads admit on the calling thread at every width, so before and
-    # after are comparable: a speculative admission must never cost
-    # the cache an entry.
-    admit = cached.cache.put
+        # Reads admit on the calling thread at every width, so before and
+        # after are comparable: a speculative admission must never cost
+        # the cache an entry.
+        admit = cached.cache.put
 
-    def checked_put(key, data, *, evict=True, valid=None):
-        before = cached.cache_info()["entries"]
-        admit(key, data, evict=evict, valid=valid)
-        assert evict or cached.cache_info()["entries"] >= before
+        def checked_put(key, data, *, evict=True, valid=None):
+            before = cached.cache_info()["entries"]
+            admit(key, data, evict=evict, valid=valid)
+            assert evict or cached.cache_info()["entries"] >= before
 
-    cached.cache.put = checked_put
+        cached.cache.put = checked_put
 
-    def check_budgets():
-        info = cached.cache_info()
-        if max_bytes:
-            assert info["bytes"] <= max_bytes
+        def check_budgets():
+            info = cached.cache_info()
+            if max_bytes:
+                assert info["bytes"] <= max_bytes
 
-    try:
-        for store in stores:
-            store.create_array("A", schema)
-        for _ in range(depth):
-            append()
-        for kind, pick in ops:
-            if kind == "append":
+        try:
+            for store in stores:
+                store.create_array("A", schema)
+            for _ in range(depth):
                 append()
-            elif kind == "read":
-                version = 1 + pick % len(truth)
-                got = cached.select("A", version).single()
-                want = plain.select("A", version).single()
-                assert got.tobytes() == want.tobytes() \
-                    == truth[version - 1].tobytes()
-            else:
-                start = 1 + pick % len(truth)
-                versions = list(range(start, min(len(truth),
-                                                 start + 2) + 1))
-                got = cached.select_versions("A", versions)
-                want = plain.select_versions("A", versions)
-                assert got.tobytes() == want.tobytes()
-            check_budgets()
-        if budget == "off":
-            assert cached.cache_info()["entries"] == 0
-    finally:
-        for store in stores:
-            store.close()
-        pipeline.FAN_WIDTH = saved_width
+            for kind, pick in ops:
+                if kind == "append":
+                    append()
+                elif kind == "read":
+                    version = 1 + pick % len(truth)
+                    got = cached.select("A", version).single()
+                    want = plain.select("A", version).single()
+                    assert got.tobytes() == want.tobytes() \
+                        == truth[version - 1].tobytes()
+                else:
+                    start = 1 + pick % len(truth)
+                    versions = list(range(start, min(len(truth),
+                                                     start + 2) + 1))
+                    got = cached.select_versions("A", versions)
+                    want = plain.select_versions("A", versions)
+                    assert got.tobytes() == want.tobytes()
+                check_budgets()
+            if budget == "off":
+                assert cached.cache_info()["entries"] == 0
+        finally:
+            for store in stores:
+                store.close()

@@ -4,9 +4,9 @@ The pooled select path must be invisible except in wall-clock: the
 same bytes, the same exact I/O counters, the same cache occupancy as
 the inline pass at a fan width of 1.  The write path must be atomic at version granularity:
 a failure anywhere mid-write leaves zero chunk rows in the catalog.
-Concurrency itself is held to a census — three kinds of pool under
-one manager, none of them nested, none alive after ``close()`` — and
-an operation that raises leaves none of its tasks running.
+Concurrency itself is held to a census — the process's CPU fan and
+sync fan and nothing else, neither nested in the other — and an
+operation that raises leaves none of its tasks running.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.errors import CodecError, NoOverwriteError, StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
-from repro.storage import pipeline
+from repro.storage import fan, pipeline
 from repro.storage import (
     COLOCATED,
     PER_VERSION,
@@ -60,20 +60,20 @@ def _loaded(root, *, versions=4, **kwargs):
     return manager
 
 
-def _at_widths(monkeypatch, read) -> dict:
-    """``read()`` inline (width 1) and through the pools (width 4)."""
+def _at_widths(pin_fan, read) -> dict:
+    """``read()`` inline (width 1) and through the pool (width 4)."""
     results = {}
     for width in (1, 4):
-        monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
-        results[width] = read()
+        with pin_fan(width):
+            results[width] = read()
     return results
 
 
 class TestParallelDecodeDeterminism:
-    def test_read_version_byte_identical(self, tmp_path, monkeypatch):
+    def test_read_version_byte_identical(self, tmp_path, pin_fan):
         manager = _loaded(tmp_path)
         versions = manager.get_versions("A")
-        results = _at_widths(monkeypatch, lambda: [
+        results = _at_widths(pin_fan, lambda: [
             manager.select("A", version) for version in versions])
         for left, right in zip(results[1], results[4]):
             for attr in ("a", "b"):
@@ -81,11 +81,11 @@ class TestParallelDecodeDeterminism:
                                               right.attribute(attr))
         manager.close()
 
-    def test_read_region_byte_identical(self, tmp_path, monkeypatch):
+    def test_read_region_byte_identical(self, tmp_path, pin_fan):
         manager = _loaded(tmp_path)
         regions = [((0, 0), (23, 23)), ((3, 5), (20, 18)),
                    ((7, 7), (7, 7))]
-        results = _at_widths(monkeypatch, lambda: [
+        results = _at_widths(pin_fan, lambda: [
             manager.select_region("A", 4, lo, hi) for lo, hi in regions])
         for left, right in zip(results[1], results[4]):
             for attr in ("a", "b"):
@@ -94,7 +94,7 @@ class TestParallelDecodeDeterminism:
         manager.close()
 
     def test_io_counters_exact_under_parallelism(self, tmp_path,
-                                                 monkeypatch):
+                                                 pin_fan):
         """Lock-protected IOStats: not one lost increment at width 4."""
         manager = _loaded(tmp_path)
 
@@ -103,7 +103,7 @@ class TestParallelDecodeDeterminism:
                 manager.select("A", 4)
             return window
 
-        results = _at_widths(monkeypatch, measured)
+        results = _at_widths(pin_fan, measured)
         assert results[4].chunks_read == results[1].chunks_read
         assert results[4].bytes_read == results[1].bytes_read
         assert results[4].file_opens == results[1].file_opens
@@ -192,12 +192,12 @@ class TestTheCallingThreadOwnsTheCache:
     calls in the same order at every fan width, and a read the cache
     answers never reaches the pool."""
 
-    @pytest.mark.skipif(pipeline.FAN_WIDTH < 2,
+    @pytest.mark.skipif(fan.FAN_WIDTH < 2,
                         reason="the host has one CPU: the fan is inline")
     def test_default_manager_fans_on_the_host_cpus(self, tmp_path,
-                                                   monkeypatch):
+                                                   pin_fan):
         if hasattr(os, "sched_getaffinity"):
-            assert pipeline.FAN_WIDTH == len(os.sched_getaffinity(0))
+            assert fan.FAN_WIDTH == len(os.sched_getaffinity(0))
         data = np.arange(64 * 64, dtype=np.int64).reshape(64, 64)
 
         def run(root, spy):
@@ -218,24 +218,23 @@ class TestTheCallingThreadOwnsTheCache:
             manager.close()
             return set(encodes.calls), set(decodes.calls), fingerprint
 
-        # The consumer is one of the fan's lanes; the pool's threads
-        # are the others.
+        # The consumer is one of the fan's lanes; the process's CPU
+        # pool's threads are the others, for encodes and decodes alike.
         encoders, decoders, fanned = run(tmp_path / "default", _Lanes)
-        for threads, pool in ((encoders, "repro-encode"),
-                              (decoders, "repro-decode")):
+        for threads in (encoders, decoders):
             lanes = {name.rsplit("_", 1)[0] for name in threads}
-            assert pool in lanes <= {pool, "MainThread"}
-        monkeypatch.setattr(pipeline, "FAN_WIDTH", 1)
-        encoders, decoders, inline = run(tmp_path / "inline", _Threads)
-        assert encoders == decoders == {"MainThread"}
-        assert fanned == inline
+            assert "repro-cpu" in lanes <= {"repro-cpu", "MainThread"}
+        with pin_fan(1):
+            encoders, decoders, inline = run(tmp_path / "inline", _Threads)
+            assert encoders == decoders == {"MainThread"}
+            assert fanned == inline
 
     def test_cache_state_is_the_same_at_every_width(self, tmp_path,
-                                                    monkeypatch):
+                                                    pin_fan):
         runs = []
         for index, width in enumerate((1, 4, 4)):
-            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
-            runs.append(_cached_sequence(tmp_path / str(index)))
+            with pin_fan(width):
+                runs.append(_cached_sequence(tmp_path / str(index)))
         stats, info, reread, callers = runs[0]
         # The sequence exercises all three admission outcomes.
         assert info["prefetched"] > 0 and info["prefetch_declined"] > 0
@@ -248,17 +247,17 @@ class TestTheCallingThreadOwnsTheCache:
         "local", "durable", "memory", "object", "object:durable",
         "striped:2", "striped:2:durable", "striped:2:object",
         "faulty:0:durable"))
-    def test_counters_repeat_on_every_backend(self, tmp_path, monkeypatch,
+    def test_counters_repeat_on_every_backend(self, tmp_path, pin_fan,
                                               spec, placement):
         """Whatever the backend legs and placement, the pooled read
         leaves the store's counters and the cache's exactly as the
         inline one does."""
         runs = []
         for width in (1, 4):
-            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
-            runs.append(_cached_sequence(tmp_path / f"w{width}",
-                                         backend=spec,
-                                         placement=placement))
+            with pin_fan(width):
+                runs.append(_cached_sequence(tmp_path / f"w{width}",
+                                             backend=spec,
+                                             placement=placement))
         inline, pooled = runs
         assert inline[3] == pooled[3] == {"MainThread"}
         assert inline[:3] == pooled[:3]
@@ -274,19 +273,19 @@ class TestTheCallingThreadOwnsTheCache:
         manager.close()
 
     @pytest.mark.parametrize("fan_width", [4], indirect=True)
-    def test_a_cached_region_submits_nothing(self, tmp_path, fan_width):
+    def test_a_cached_region_submits_nothing(self, tmp_path, monkeypatch,
+                                             fan_width):
         manager = _chained(tmp_path, backend="memory",
                            cache_bytes=1 << 20)
         manager.select("C", 5)      # warm fill: every version cached
-        executor = manager.decoder._executor
         submitted = []
-        submit = executor.submit
+        submit = fan._cpu.submit
 
         def counting(*args, **kwargs):
             submitted.append(args)
             return submit(*args, **kwargs)
 
-        executor.submit = counting
+        monkeypatch.setattr(fan._cpu, "submit", counting)
         with manager.stats.measure() as window:
             for version in (5, 3, 1):
                 manager.select_region("C", version, (2, 2), (17, 17))
@@ -319,9 +318,8 @@ class TestTheCallerIsALane:
         new = ArrayData(old.schema, {name: old.attribute(name) + 1
                                      for name in ("a", "b")})
         release = threading.Event()
-        for stage in (manager.encoder, manager.decoder):
-            for _ in range(fan_width - 1):
-                stage._pool().submit(release.wait, 30)
+        for _ in range(fan_width - 1):
+            fan._cpu.submit(release.wait, 30)
         encodes = manager.encoder.encode_chunk = _Threads(
             manager.encoder.encode_chunk)
         decodes = manager.decoder._decode = _Threads(
@@ -351,11 +349,13 @@ class TestTheCallerIsALane:
 
 @pytest.mark.parametrize("fan_width", [4], indirect=True)
 class TestThreadCensus:
-    """One fan per direction plus the barrier's own: whatever the
-    backend spec and placement, a manager at a fan width of 4 runs
-    encode workers, decode workers and — only where a leg of the
-    backend has a real barrier — ``SYNC_FAN`` barrier workers, and
-    nothing else."""
+    """The process's two fans and nothing else: whatever the backend
+    spec and placement, a manager at a fan width of 4 runs its encodes
+    and decodes on the CPU fan and — only where a leg of the backend
+    has a real barrier — its fsyncs on the sync fan.  Closing a manager
+    ends none of those threads (they are the process's) and leaves its
+    backend serving.  ``tests/cluster/test_coordinator.py`` holds the
+    census across managers."""
 
     SPECS = ("local", "durable", "memory", "object", "object:durable",
              "striped:2", "striped:2:durable", "striped:2:object",
@@ -363,34 +363,42 @@ class TestThreadCensus:
 
     @pytest.mark.parametrize("placement", (COLOCATED, PER_VERSION))
     @pytest.mark.parametrize("spec", SPECS)
-    def test_pool_kinds_and_lifetime(self, tmp_path, spec, placement,
-                                     fan_width):
+    def test_a_closed_manager_leaves_its_backend_serving(
+            self, tmp_path, monkeypatch, spec, placement, fan_width):
         before = set(threading.enumerate())
+        submitted = {"cpu": 0, "sync": 0}
+        for name in submitted:
+            pool = getattr(fan, f"_{name}")
+
+            def counting(*args, _submit=pool.submit, _name=name,
+                         **kwargs):
+                submitted[_name] += 1
+                return _submit(*args, **kwargs)
+
+            monkeypatch.setattr(pool, "submit", counting)
         manager = _loaded(tmp_path, versions=5, backend=spec,
                           placement=placement)
         manager.select("A", 5)
         manager.select_region("A", 4, (3, 5), (20, 18))
         manager.delete_version("A", 3)
 
-        kinds = {thread.name.rsplit("_", 1)[0]
-                 for thread in _repro_threads(before)}
-        assert {"repro-encode", "repro-decode"} <= kinds
-        assert kinds <= {"repro-encode", "repro-decode", "repro-sync"}
-        # A barrier pool exists exactly where a barrier does.
-        assert ("repro-sync" in kinds) == ("durable" in spec)
+        assert submitted["cpu"] > 0
+        # The sync fan runs exactly where a barrier does.
+        assert (submitted["sync"] > 0) == ("durable" in spec)
+        pools = set(fan._cpu._threads) | set(fan._sync._threads)
+        assert set(_repro_threads(before)) <= pools
 
         backend = manager.backend
         manager.close()
-        assert _repro_threads(before) == []
         # Closed is not dead: the backend serves, and raises its
-        # barrier (rebuilding the pool it needs), again.
+        # barrier, again.
         backend.write("probe/a.dat", b"xy")
         backend.append("probe/b.dat", b"z")
         backend.sync(["probe/a.dat", "probe/b.dat"])
         assert backend.read_many("probe/a.dat", [(1, 1), (0, 1)]) == \
             [b"y", b"x"]
         backend.close()
-        assert _repro_threads(before) == []
+        assert set(_repro_threads(before)) <= pools
 
 
 class _InFlight:

@@ -413,15 +413,14 @@ def _build_grid(root, dtype, shape, chunk_shape, versions):
 @pytest.mark.parametrize("layout,shape,chunk_shape", LAYOUTS,
                          ids=[name for name, _, _ in LAYOUTS])
 @pytest.mark.parametrize("dtype", CELL_TYPES, ids=str)
-def test_equivalence_grid(tmp_path, monkeypatch, dtype, layout, shape,
+def test_equivalence_grid(tmp_path, pin_fan, dtype, layout, shape,
                           chunk_shape):
     """Fused read == stepwise ``decode_forward`` == kernels off ==
     every level of a warm fill, by ``tobytes()``, at every depth 1..8,
     inline and fanned."""
-    monkeypatch.setattr(pipeline, "FAN_WIDTH", 1)
     versions = _grid_versions(dtype, shape, DEPTH)
-    with _build_grid(tmp_path / "s", dtype, shape, chunk_shape,
-                     versions) as manager:
+    with pin_fan(1), _build_grid(tmp_path / "s", dtype, shape, chunk_shape,
+                                 versions) as manager:
         record = manager.catalog.get_array("A")
         grid = manager.grid_for(record)
         # The deepest read really is a mixed chain of DEPTH - 1 levels,
@@ -433,26 +432,22 @@ def test_equivalence_grid(tmp_path, monkeypatch, dtype, layout, shape,
                 [None] + [LEVEL_CODECS[level % 4]
                           for level in range(1, DEPTH)]
         fanned = DecodePipeline(manager.catalog, manager.store)
-        try:
-            for depth in range(1, DEPTH + 1):
-                _check_warm_fill(manager, record, grid, depth, versions)
-                expected = versions[depth - 1].tobytes()
-                assert _stepwise_select(manager, "A", depth).tobytes() \
-                    == expected
-                with manager.stats.measure() as window:
-                    got = manager.select("A", depth).attribute("value")
-                assert got.tobytes() == expected
-                assert window.fused_levels == \
-                    (depth - 1) * len(grid.chunks())
-                with monkeypatch.context() as pooled:
-                    pooled.setattr(pipeline, "FAN_WIDTH", 4)
-                    assert fanned.read_version(record, grid, depth) \
-                        .attribute("value").tobytes() == expected
-                with native.disabled():
-                    assert manager.select("A", depth).attribute("value") \
-                        .tobytes() == expected
-        finally:
-            fanned.close()
+        for depth in range(1, DEPTH + 1):
+            _check_warm_fill(manager, record, grid, depth, versions)
+            expected = versions[depth - 1].tobytes()
+            assert _stepwise_select(manager, "A", depth).tobytes() \
+                == expected
+            with manager.stats.measure() as window:
+                got = manager.select("A", depth).attribute("value")
+            assert got.tobytes() == expected
+            assert window.fused_levels == \
+                (depth - 1) * len(grid.chunks())
+            with pin_fan(4):
+                assert fanned.read_version(record, grid, depth) \
+                    .attribute("value").tobytes() == expected
+            with native.disabled():
+                assert manager.select("A", depth).attribute("value") \
+                    .tobytes() == expected
 
 
 def _check_warm_fill(manager, record, grid, depth, versions) -> None:
@@ -463,11 +458,8 @@ def _check_warm_fill(manager, record, grid, depth, versions) -> None:
     nbytes = sum(version.nbytes for version in versions)
     warm = DecodePipeline(manager.catalog, manager.store,
                           cache=ChunkCache(max_bytes=4 * nbytes))
-    try:
-        with manager.stats.measure() as window:
-            got = warm.read_version(record, grid, depth).attribute("value")
-    finally:
-        warm.close()
+    with manager.stats.measure() as window:
+        got = warm.read_version(record, grid, depth).attribute("value")
     assert got.tobytes() == versions[depth - 1].tobytes()
     assert window.chains_fused == 0
     info = warm.cache.info()
@@ -613,16 +605,13 @@ def test_corrupt_level_is_named_alike_on_a_warm_fill(tmp_path):
         warm = DecodePipeline(manager.catalog, manager.store,
                               cache=ChunkCache(max_bytes=64 * CHUNK))
         refusals = []
-        try:
-            for read in (lambda: manager.select("A", DEPTH),
-                         lambda: warm.read_version(
-                             record, manager.grid_for(record), DEPTH)):
-                with pytest.raises(CodecError) as refused:
-                    read()
-                refusals.append(str(refused.value))
-            info = warm.cache.info()
-        finally:
-            warm.close()
+        for read in (lambda: manager.select("A", DEPTH),
+                     lambda: warm.read_version(
+                         record, manager.grid_for(record), DEPTH)):
+            with pytest.raises(CodecError) as refused:
+                read()
+            refusals.append(str(refused.value))
+        info = warm.cache.info()
         assert info["prefetch_declined"] == 0      # it was a warm fill
         assert info["entries"] == 0
         assert refusals[0] == refusals[1]
@@ -675,8 +664,8 @@ def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, fan_width,
                                      kept):
     """What the decoding threads keep once a read is over, counted from
     before their first read: one strided chunk's cells per thread while
-    a chunk fits ``_KEPT_FOLD_BYTES``, released by ``close()``, and
-    nothing for a chunk larger than that."""
+    a chunk fits ``_KEPT_FOLD_BYTES``, released with the manager that
+    read them, and nothing for a chunk larger than that."""
     if not kept:
         monkeypatch.setattr(pipeline, "_KEPT_FOLD_BYTES", 64 << 10)
     shape, chunk_shape = (512, 512), (256, 256)
@@ -686,26 +675,26 @@ def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, fan_width,
     native.available()              # the kernels load before counting
     manager = VersionedStorageManager(tmp_path / "s", backend="memory",
                                       delta_policy="chain")
-    with manager:
-        manager.create_array(
-            "A", ArraySchema.simple(shape, np.int32, attribute="value"),
-            chunk_shape=chunk_shape)
-        for level in range(DEPTH):
-            if level:
-                data = data.copy()
-                cells = rng.choice(data.size, 500, replace=False)
-                data.reshape(-1)[cells] += 7
-            manager.insert("A", data)
-        record = manager.catalog.get_array("A")
-        grid = manager.grid_for(record)
-        tracemalloc.start()
-        try:
-            got = manager.decoder.read_version(record, grid, DEPTH)
-            held, _ = tracemalloc.get_traced_memory()
-            manager.decoder.close()
-            released, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    manager.create_array(
+        "A", ArraySchema.simple(shape, np.int32, attribute="value"),
+        chunk_shape=chunk_shape)
+    for level in range(DEPTH):
+        if level:
+            data = data.copy()
+            cells = rng.choice(data.size, 500, replace=False)
+            data.reshape(-1)[cells] += 7
+        manager.insert("A", data)
+    record = manager.catalog.get_array("A")
+    grid = manager.grid_for(record)
+    tracemalloc.start()
+    try:
+        got = manager.decoder.read_version(record, grid, DEPTH)
+        held, _ = tracemalloc.get_traced_memory()
+        manager.close()
+        del manager     # its decoder, and every thread's buffer with it
+        released, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     canvas = got.attribute("value")
     assert canvas.tobytes() == data.tobytes()
     threads = min(fan_width, len(grid.chunks()))

@@ -642,6 +642,16 @@ class TestProperties:
         assert props["stored_bytes"] > 0
         assert props["sparsity"] == pytest.approx(399 / 400)
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_logical_bytes_count_the_versions(self, manager, schema, rng,
+                                              count):
+        manager.create_array("A", schema)
+        for data in _versions(rng, count=2)[:count]:
+            manager.insert("A", data)
+        props = manager.properties("A")
+        assert props["versions"] == count
+        assert props["logical_bytes"] == schema.dense_size * count
+
 
 class TestApplyLayout:
     def test_re_encode_to_star_layout(self, manager, schema, rng):

@@ -19,7 +19,6 @@ import pytest
 from repro.core.array import ArrayData
 from repro.core.errors import StorageError
 from repro.core.schema import ArraySchema, Attribute, Dimension
-from repro.storage import pipeline
 from repro.storage import (
     FaultInjectingBackend,
     InMemoryBackend,
@@ -59,17 +58,17 @@ def _fill(manager: VersionedStorageManager, versions: int = 3) -> None:
 class TestParallelWriteConformance:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stores_byte_identical_across_widths(self, tmp_path,
-                                                 monkeypatch, backend):
+                                                 pin_fan, backend):
         fingerprints = set()
         for width in WIDTHS:
-            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
-            manager = VersionedStorageManager(
-                tmp_path / f"{backend.replace(':', '_')}-w{width}",
-                chunk_bytes=800, compressor="none",
-                delta_policy="chain", backend=backend)
-            _fill(manager)
-            fingerprints.add(manager.fingerprint())
-            manager.close()
+            with pin_fan(width):
+                manager = VersionedStorageManager(
+                    tmp_path / f"{backend.replace(':', '_')}-w{width}",
+                    chunk_bytes=800, compressor="none",
+                    delta_policy="chain", backend=backend)
+                _fill(manager)
+                fingerprints.add(manager.fingerprint())
+                manager.close()
         assert len(fingerprints) == 1
 
     @pytest.mark.parametrize("fan_width", [4], indirect=True)
@@ -131,62 +130,62 @@ class TestPlacementOrder:
 
     @pytest.mark.parametrize("placement", ("colocated", "per-version"))
     def test_backend_sees_task_order_at_every_width(self, tmp_path,
-                                                    monkeypatch,
+                                                    pin_fan,
                                                     placement):
         logs = []
         for width in WIDTHS:
-            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
-            backend = _RecordingBackend()
-            manager = VersionedStorageManager(
-                tmp_path / f"w{width}", chunk_bytes=800,
-                delta_policy="chain", placement=placement,
-                backend=backend)
-            _fill(manager)
-            record = manager.catalog.get_array("A")
-            tasks = manager.encoder.plan_version(
-                record, manager.grid_for(record))
-            # The first insert's placements, in plan order.
-            assert [path for _, path in backend.log[:len(tasks)]] == [
-                manager.store._chunk_path("A", 1, task.attribute,
-                                          task.chunk.name)
-                for task in tasks]
-            logs.append(backend.log)
-            manager.close()
+            with pin_fan(width):
+                backend = _RecordingBackend()
+                manager = VersionedStorageManager(
+                    tmp_path / f"w{width}", chunk_bytes=800,
+                    delta_policy="chain", placement=placement,
+                    backend=backend)
+                _fill(manager)
+                record = manager.catalog.get_array("A")
+                tasks = manager.encoder.plan_version(
+                    record, manager.grid_for(record))
+                # The first insert's placements, in plan order.
+                assert [path for _, path in backend.log[:len(tasks)]] == [
+                    manager.store._chunk_path("A", 1, task.attribute,
+                                              task.chunk.name)
+                    for task in tasks]
+                logs.append(backend.log)
+                manager.close()
         assert logs[0] == logs[1] == logs[2]
 
     @pytest.mark.parametrize("seed", (7, 23))
     def test_fault_schedule_replays_at_every_width(self, tmp_path,
-                                                   monkeypatch, seed):
+                                                   pin_fan, seed):
         """The Nth append is the same append at widths 1, 2 and 4, so
         a seeded schedule tears the same payload at the same byte and
         the retried history leaves the same store."""
         outcomes = []
         for width in WIDTHS:
-            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
-            backend = FaultInjectingBackend(InMemoryBackend(), seed=seed)
-            assert backend.schedule["append"]
-            manager = VersionedStorageManager(
-                tmp_path / f"w{width}", chunk_bytes=800,
-                delta_policy="chain", backend=backend)
-            schema = _schema()
-            manager.create_array("A", schema)
-            rng = np.random.default_rng(seed)
-            failed = []
-            for version in range(1, 7):
-                data = ArrayData(schema, {
-                    "a": rng.integers(0, 9, (20, 20)).astype(np.int64),
-                    "b": rng.random((20, 20)).astype(np.float32)})
-                while True:
-                    try:
-                        assert manager.insert("A", data) == version
-                        break
-                    except StorageError as exc:
-                        failed.append((version, str(exc)))
-            assert failed, "the schedule never fired: nothing was tested"
-            outcomes.append((failed, backend.injected,
-                             backend.total_bytes(),
-                             manager.fingerprint()))
-            manager.close()
+            with pin_fan(width):
+                backend = FaultInjectingBackend(InMemoryBackend(), seed=seed)
+                assert backend.schedule["append"]
+                manager = VersionedStorageManager(
+                    tmp_path / f"w{width}", chunk_bytes=800,
+                    delta_policy="chain", backend=backend)
+                schema = _schema()
+                manager.create_array("A", schema)
+                rng = np.random.default_rng(seed)
+                failed = []
+                for version in range(1, 7):
+                    data = ArrayData(schema, {
+                        "a": rng.integers(0, 9, (20, 20)).astype(np.int64),
+                        "b": rng.random((20, 20)).astype(np.float32)})
+                    while True:
+                        try:
+                            assert manager.insert("A", data) == version
+                            break
+                        except StorageError as exc:
+                            failed.append((version, str(exc)))
+                assert failed, "the schedule never fired: nothing was tested"
+                outcomes.append((failed, backend.injected,
+                                 backend.total_bytes(),
+                                 manager.fingerprint()))
+                manager.close()
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 

@@ -21,7 +21,6 @@ from repro.storage import (
     ChunkCache,
     IOStats,
     VersionedStorageManager,
-    pipeline,
 )
 
 
@@ -155,6 +154,16 @@ class TestEagerValidation:
         # Nothing durable was created by the failed constructor.
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("cache_bytes", [-1, "lots", 1.5])
+    def test_bad_cache_budget_fails_before_side_effects(self, tmp_path,
+                                                        cache_bytes):
+        # -1 used to turn the cache off silently, and "lots" to create
+        # the store and fail with a bare TypeError at the first read.
+        with pytest.raises(StorageError, match="cache budget"):
+            VersionedStorageManager(tmp_path / "bad",
+                                    cache_bytes=cache_bytes)
+        assert not (tmp_path / "bad").exists()
+
 
 class TestManagerByteBudget:
     def test_cache_bytes_knob(self, tmp_path, rng):
@@ -255,7 +264,7 @@ class TestEncodeScratch:
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32])
     @pytest.mark.parametrize("delta_policy", ["chain", "auto"])
     def test_one_fingerprint_across_widths_and_kernels(
-            self, tmp_path, monkeypatch, rng, dtype, delta_policy):
+            self, tmp_path, pin_fan, rng, dtype, delta_policy):
         # 150 x 170 in ~4 KiB chunks: edge chunks of three other sizes
         # follow full ones through the same (larger) scratch buffer.
         history = _history(rng, dtype)
@@ -263,25 +272,25 @@ class TestEncodeScratch:
         for label, width, numpy_only in (("inline", 1, False),
                                          ("pool", 4, False),
                                          ("numpy", 4, True)):
-            monkeypatch.setattr(pipeline, "FAN_WIDTH", width)
-            manager = VersionedStorageManager(
-                tmp_path / label, chunk_bytes=4096, backend="local",
-                delta_policy=delta_policy)
-            manager.create_array("a", ArraySchema.simple(
-                history[0].shape, dtype=dtype))
-            scope = native.disabled() if numpy_only else nullcontext()
-            with scope:
-                for data in history[:-1]:
-                    manager.insert("a", data)
-                # A write elsewhere takes the hot slot, so the last
-                # insert deltas against a ``select`` of its parent.
-                manager.branch("a", 2, "b")
-                manager.insert("a", history[-1])
-            prints[label] = manager.fingerprint()
-            for version, data in enumerate(history, start=1):
-                assert np.array_equal(
-                    manager.select("a", version).single(), data)
-            manager.close()
+            with pin_fan(width):
+                manager = VersionedStorageManager(
+                    tmp_path / label, chunk_bytes=4096, backend="local",
+                    delta_policy=delta_policy)
+                manager.create_array("a", ArraySchema.simple(
+                    history[0].shape, dtype=dtype))
+                scope = native.disabled() if numpy_only else nullcontext()
+                with scope:
+                    for data in history[:-1]:
+                        manager.insert("a", data)
+                    # A write elsewhere takes the hot slot, so the last
+                    # insert deltas against a ``select`` of its parent.
+                    manager.branch("a", 2, "b")
+                    manager.insert("a", history[-1])
+                prints[label] = manager.fingerprint()
+                for version, data in enumerate(history, start=1):
+                    assert np.array_equal(
+                        manager.select("a", version).single(), data)
+                manager.close()
         assert len(set(prints.values())) == 1
 
     @pytest.mark.skipif(not native.available(),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import native
-from repro.core.errors import StorageError
+from repro.core.errors import ReproError, StorageError
 from repro.core.schema import ArraySchema
 from repro.datasets import periodic_series
 from repro.materialize import SnapshotQuery, WeightedQuery
@@ -73,6 +73,29 @@ class TestReorganize:
         for number, expected in enumerate(series, 1):
             np.testing.assert_array_equal(
                 manager.select("P", number).single(), expected)
+
+
+#: Arguments ``reorganize`` refuses, and what the refusal says.
+REFUSALS = [(dict(mode="maximal"), "unknown reorganize mode"),
+            (dict(mode="workload"), "needs a workload"),
+            (dict(sample_fraction=0.0), "sample_fraction"),
+            (dict(sample_fraction=1.5), "sample_fraction"),
+            (dict(attribute="ghost"), "no attribute 'ghost'")]
+
+
+@pytest.mark.parametrize("kwargs,message", REFUSALS,
+                         ids=["mode", "workload", "fraction-0",
+                              "fraction-1.5", "attribute"])
+def test_reorganize_refuses_before_it_reads(periodic_store, kwargs,
+                                            message):
+    """A bad mode, a workload mode with no workload, a sample fraction
+    outside (0, 1] and an attribute the array lacks are refused before
+    the matrix selects a single version."""
+    manager, _ = periodic_store
+    manager.stats.reset()
+    with pytest.raises(ReproError, match=message):
+        manager.reorganize("P", **kwargs)
+    assert manager.stats.chunks_read == 0
 
 
 class TestApplyLayoutMemory:
