@@ -16,8 +16,9 @@ from contextlib import contextmanager
 from repro.cli import fmt_bytes, fmt_seconds
 from repro.storage import fan
 
-__all__ = ["backend_axis", "fan_width", "fmt_bytes", "fmt_seconds",
-           "native_axis", "print_table", "timed", "workers_axis"]
+__all__ = ["backend_axis", "cold_head", "fan_width", "fmt_bytes",
+           "fmt_seconds", "native_axis", "print_table", "timed",
+           "workers_axis"]
 
 
 def backend_axis(backends=None) -> tuple[str, ...]:
@@ -33,6 +34,14 @@ def backend_axis(backends=None) -> tuple[str, ...]:
     if isinstance(backends, str):
         return (backends,)
     return tuple(backends)
+
+
+def cold_head(manager, name: str) -> None:
+    """Drop the version of array ``name`` that ``manager`` holds in its
+    hot slot, so the next whole read of the head decodes the stored
+    layout.  The paper measures reads of what is stored; a held head
+    is one memory copy, whatever the layout, and would hide it."""
+    manager._hot.forget(name)
 
 
 def workers_axis(workers=None) -> tuple[int, ...]:

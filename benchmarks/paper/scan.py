@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from paper.harness import backend_axis, native_axis, print_table
+from paper.harness import backend_axis, cold_head, native_axis, print_table
 from repro.core import native
 from repro.core.schema import ArraySchema
 from repro.storage import VersionedStorageManager
@@ -96,6 +96,7 @@ def run(depths=DEFAULT_DEPTHS, codecs=DEFAULT_CODECS, *,
                     root = Path(scratch) / backend / codec / str(depth)
                     versions = _versions(depth, rng)
                     manager = _build(root, codec, versions, backend)
+                    cold_head(manager, ARRAY)
                     fingerprint = manager.fingerprint(ARRAY)
                     for use_native in native_axis():
                         with contextlib.ExitStack() as stack:

@@ -19,7 +19,13 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from paper.harness import fmt_bytes, fmt_seconds, print_table, timed
+from paper.harness import (
+    cold_head,
+    fmt_bytes,
+    fmt_seconds,
+    print_table,
+    timed,
+)
 from paper.osm_stores import ARRAY, build_all, one_chunk_region
 
 
@@ -33,6 +39,7 @@ def run(versions: int = 16, shape: tuple[int, int] = (512, 512), *,
         latest = len(tiles)
         rows = []
         for name, (manager, _import_seconds) in stores.items():
+            cold_head(manager, ARRAY)
             with manager.stats.measure() as full_io, timed() as full_timer:
                 out = manager.select(ARRAY, latest)
             assert out.single().tobytes() == tiles[-1].tobytes()

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from paper.harness import fmt_bytes, fmt_seconds, print_table
+from paper.harness import cold_head, fmt_bytes, fmt_seconds, print_table
 from repro.core.array import SparsePayload
 from repro.core.schema import ArraySchema
 from repro.datasets import conceptnet_series, noaa_series
@@ -94,20 +94,23 @@ def run(versions: int = 10, *, noaa_shape: tuple[int, int] = (96, 96),
                     # Updates mutate version count; regenerate per run.
                     count = len(manager.get_versions(array))
                     operations = workload_by_name(workload_name, count)
+                    cold_head(manager, array)
                     report = run_workload(manager, array, operations,
                                           name=workload_name)
                     row[f"{workload_name}_seconds"] = report.seconds
+                    row[f"{workload_name}_chunks"] = report.chunks_read
                 rows.append(row)
                 manager.catalog.close()
 
     if not quiet:
         print_table(
             "Table V: NOAA and ConceptNet workloads",
-            ["Data", "Comp.", "Size", "Head", "Rand.", "Range", "Up.",
-             "Mix."],
+            ["Data", "Comp.", "Size", "Head", "Head chunks", "Rand.",
+             "Range", "Up.", "Mix."],
             [[row["dataset"], row["compression"],
               fmt_bytes(row["size_bytes"]),
               fmt_seconds(row["head_seconds"]),
+              str(row["head_chunks"]),
               fmt_seconds(row["random_seconds"]),
               fmt_seconds(row["range_seconds"]),
               fmt_seconds(row["update_seconds"]),

@@ -72,7 +72,8 @@ def _cmd_info(db: Database, args) -> int:
     print(f"versions:    {props['versions']}")
     print(f"stored:      {fmt_bytes(props['stored_bytes'])}")
     print(f"logical:     {fmt_bytes(props['logical_bytes'])}")
-    print(f"ratio:       {props['compression_ratio']:.2f}x")
+    ratio = props["compression_ratio"]
+    print("ratio:       " + ("-" if ratio is None else f"{ratio:.2f}x"))
     if props["sparsity"] is not None:
         print(f"sparsity:    {props['sparsity']:.2%} empty")
     return 0

@@ -60,6 +60,11 @@ level, and counts none of them.  The scan bench reports them next to
 MB/s so the fused path's coverage is visible, and the equivalence
 oracle asserts they are exactly zero on a warm fill.
 
+A whole-version read the manager's hot slot answers — one copy of the
+version it wrote last, no chain read and no fold — is counted in
+``hot_reads``, and in nothing else: it reads no chunk, opens no object
+and touches no cache.
+
 The cluster coordinator adds replication accounting on its own stats
 instance: ``replica_writes`` counts redundant version copies landed on
 non-primary replicas, ``failovers`` counts reads that abandoned a dead
@@ -107,6 +112,7 @@ class IOStats:
     chains_fused: int = 0
     fused_levels: int = 0
     scatter_levels: int = 0
+    hot_reads: int = 0
     failovers: int = 0
     replica_writes: int = 0
     migrated_chunks: int = 0
@@ -181,6 +187,12 @@ class IOStats:
             self.chains_fused += 1
             self.fused_levels += levels
             self.scatter_levels += scatter_levels
+
+    def record_hot_read(self) -> None:
+        """Account one whole-version read served by copying the hot
+        slot's canvases instead of decoding."""
+        with self._lock:
+            self.hot_reads += 1
 
     def record_cache_hit(self) -> None:
         """Account one chunk-cache hit (a read the cache absorbed)."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -34,7 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.compression.registry import get_codec
-from repro.core.array import ArrayData, DeltaListPayload, Payload
+from repro.core.array import (
+    ArrayData,
+    DeltaListPayload,
+    Payload,
+    sliced_schema,
+)
 from repro.core.errors import ArrayExistsError, DimensionError, StorageError
 from repro.core.schema import ArraySchema
 from repro.delta.registry import get_delta_codec
@@ -122,7 +128,9 @@ class _Staged:
 
 
 class _HotSlot:
-    """The last version written, held in store-owned memory.
+    """The last version written, held in store-owned memory: the base
+    the next insert deltas against, and the answer to a whole-version
+    read of that version.
 
     A chain-policy insert deltas against the data the manager was just
     handed instead of re-reconstructing the parent through its whole
@@ -136,18 +144,47 @@ class _HotSlot:
     of two ways: an encode that :meth:`lend` handed the canvas copies
     into it just the runs of cells that changed, and :meth:`adopt`
     names the result; any other write is copied in whole
-    (:meth:`remember`).
+    (:meth:`remember`) — into canvases of its own when the current ones
+    are lent to an encode or named for another array, whose next insert
+    may be deltaing against them.
+
+    A read is answered by one copy of the canvases (:meth:`read`), and
+    only for the catalog row the commit that named them published:
+    a row is an object of its own per commit, so a reader pinned
+    before a ``delete_version`` of the head and the re-insert of its
+    number — same lineage, same timestamp, equal by value — is not
+    served the new contents.  The lent canvases are overwritten on
+    the CPU fan's lanes while no lock is held, so everything that
+    names, un-names or copies them — :meth:`lend`, :meth:`adopt`,
+    :meth:`remember`, :meth:`forget` and :meth:`read` — holds the
+    slot's lock: a reader copies the whole named version, or finds
+    nothing named and decodes.  :meth:`get` hands the write path the
+    canvases themselves, without the lock: only a writer changes them.
     """
 
     def __init__(self):
+        self._lock = threading.Lock()
         self._key: tuple[str, int] | None = None
+        #: The catalog row the named version was published under.
+        self._row: VersionRecord | None = None
         self._canvases: dict[str, np.ndarray] = {}
         self._data: ArrayData | None = None
-        self._lease: object | None = None
+        #: The array of the insert the canvases are lent to, and the
+        #: lease's identity.
+        self._lease: tuple[str, object] | None = None
 
     def get(self, name: str, version: int) -> ArrayData | None:
         """The snapshot of ``name@version`` when that is what is held."""
         return self._data if self._key == (name, version) else None
+
+    def read(self, row: VersionRecord) -> dict[str, np.ndarray] | None:
+        """A copy of each canvas when they hold the version ``row``
+        was published as — that very row object — else None."""
+        with self._lock:
+            if self._row is not row:
+                return None
+            return {attr: np.copy(canvas)
+                    for attr, canvas in self._canvases.items()}
 
     def lend(self, name: str, version: int
              ) -> tuple[dict[str, np.ndarray], object] | None:
@@ -155,44 +192,61 @@ class _HotSlot:
         ``name@version``: un-named from here on — the borrower
         overwrites them with the next version, and only :meth:`adopt`
         with this lease names them again."""
-        if self._key != (name, version):
-            return None
-        self._key = None
-        self._lease = object()
-        return self._canvases, self._lease
+        with self._lock:
+            if self._key != (name, version):
+                return None
+            self._key = self._row = None
+            self._lease = (name, object())
+            return self._canvases, self._lease
 
-    def adopt(self, name: str, version: int, lease: object) -> bool:
-        """Name the lent canvases ``name@version`` — no copy — unless
-        another write touched the slot since ``lease`` was taken."""
-        if lease is None or lease is not self._lease:
-            return False
-        self._lease = None
-        self._key = (name, version)
-        return True
+    def adopt(self, name: str, version: int, lease: object,
+              row: VersionRecord) -> bool:
+        """Name the lent canvases ``name@version``, published as
+        ``row`` — no copy — unless another write touched the slot since
+        ``lease`` was taken."""
+        with self._lock:
+            if lease is None or lease is not self._lease:
+                return False
+            self._lease = None
+            self._key, self._row = (name, version), row
+            return True
 
-    def remember(self, name: str, version: int, data: ArrayData) -> None:
+    def remember(self, name: str, version: int, data: ArrayData,
+                 row: VersionRecord) -> None:
+        """Copy ``data`` in whole as ``name@version``, published as
+        ``row``."""
         sources = {attr: data.attribute(attr)
                    for attr in data.attribute_names}
         layout = {attr: (values.shape, values.dtype)
                   for attr, values in sources.items()}
-        if layout != {attr: (canvas.shape, canvas.dtype)
-                      for attr, canvas in self._canvases.items()}:
-            self._canvases = {attr: np.empty_like(values)
-                              for attr, values in sources.items()}
-            # ArrayData freezes views of its own; the canvases stay
-            # writable here.
-            self._data = ArrayData(data.schema, self._canvases)
-        self._key = self._lease = None  # never a named, half-copied canvas
-        for attr, values in sources.items():
-            np.copyto(self._canvases[attr], values)
-        self._key = (name, version)
+        with self._lock:
+            # Canvases lent to an encode, or named for another array
+            # (whose next insert may hold them as its base), are not
+            # this write's to overwrite: it gets canvases of its own.
+            taken = self._lease is not None or (
+                self._key is not None and self._key[0] != name)
+            # Never a named, half-copied canvas.
+            self._key = self._row = self._lease = None
+            if taken or layout != {attr: (canvas.shape, canvas.dtype)
+                                   for attr, canvas in
+                                   self._canvases.items()}:
+                self._canvases = {attr: np.empty_like(values)
+                                  for attr, values in sources.items()}
+                # ArrayData freezes views of its own; the canvases stay
+                # writable here.
+                self._data = ArrayData(data.schema, self._canvases)
+            for attr, values in sources.items():
+                np.copyto(self._canvases[attr], values)
+            self._key, self._row = (name, version), row
 
     def forget(self, name: str) -> None:
-        """Drop the snapshot if it is of array ``name`` (and any lease
-        out on the canvases)."""
-        self._lease = None
-        if self._key is not None and self._key[0] == name:
-            self._key = None
+        """Drop the snapshot if it is of array ``name``, and a lease
+        out on the canvases to an insert into ``name``."""
+        with self._lock:
+            if self._lease is not None and self._lease[0] == name:
+                self._lease = None
+            if self._key is not None and self._key[0] == name:
+                self._key = self._row = None
 
 
 class VersionedStorageManager:
@@ -240,10 +294,11 @@ class VersionedStorageManager:
                                       delta_codec=delta_codec)
         self.decoder = DecodePipeline(self.catalog, self.store,
                                       cache=self.cache)
-        # Write-side hot-version slot: saves the O(depth) parent
-        # reconstruction per insert.  Version contents never change
-        # once written; deletion invalidates the slot since a deleted
-        # head's number can be reused.
+        # The hot-version slot: saves the O(depth) parent
+        # reconstruction per insert, and the chain fold of a whole read
+        # of the version it holds.  Version contents never change once
+        # written; deletion invalidates the slot since a deleted head's
+        # number can be reused.
         self._hot = _HotSlot()
 
     @property
@@ -524,8 +579,9 @@ class VersionedStorageManager:
         return self._select(self.catalog.snapshot(name), version)
 
     def _select(self, snap: ArraySnapshot, version: int) -> ArrayData:
-        snap.get_version(version)  # existence check
-        return self.decoder.read_version(snap, snap.record.grid, version)
+        held = self._held(snap, version, snap.record.schema)
+        return held if held is not None \
+            else self.decoder.read_version(snap, snap.record.grid, version)
 
     def select_region(self, name: str, version: int,
                       corner_lo: tuple[int, ...],
@@ -535,7 +591,26 @@ class VersionedStorageManager:
         snap.get_version(version)  # existence check
         record = snap.record
         lo, hi = region_corners(record.schema, corner_lo, corner_hi)
+        if not any(lo) and all(h + 1 == n for h, n in
+                               zip(hi, record.grid.shape)):
+            held = self._held(snap, version, sliced_schema(
+                record.schema, record.grid.shape))
+            if held is not None:
+                return held
         return self.decoder.read_region(snap, record.grid, version, lo, hi)
+
+    def _held(self, snap: ArraySnapshot, version: int,
+              schema: ArraySchema) -> ArrayData | None:
+        """The whole of ``version``, as ``schema``, copied from the hot
+        slot when it holds the row ``snap`` publishes for that number
+        (no chain read, no fold, no cache); else None, and the caller
+        decodes.  The one rule a whole-version read takes the slot by;
+        a version ``snap`` lacks raises :class:`VersionNotFoundError`."""
+        copies = self._hot.read(snap.get_version(version))
+        if copies is None:
+            return None
+        self.stats.record_hot_read()
+        return ArrayData(schema, copies)
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:
@@ -641,7 +716,7 @@ class VersionedStorageManager:
             "versions": len(versions),
             "stored_bytes": stored,
             "logical_bytes": dense,
-            "compression_ratio": dense / stored if stored else float("inf"),
+            "compression_ratio": dense / stored if stored else None,
             "sparsity": sparsity,
         }
 
@@ -968,20 +1043,23 @@ class VersionedStorageManager:
     def _commit(self, staged: _Staged) -> int:
         """Commit a staged write in one catalog transaction, then put
         its last version — returned — in the hot slot (the only code
-        that names one there): name the canvas the stage encoded it
-        onto, else copy it in.  A refused commit discards the stage."""
+        that names one there), under the row the transaction published:
+        name the canvas the stage encoded it onto, else copy it in.  A
+        refused commit discards the stage."""
         record = staged.record
         try:
-            self.catalog.put_chunks(
+            published = self.catalog.put_chunks(
                 staged.chunks, versions=staged.versions,
                 create=record if record.array_id is None else None)
         except BaseException:
             self._discard(record)
             raise
         version = staged.versions[-1][0].version
-        if self.encoder.wants_base and not self._hot.adopt(
-                record.name, version, staged.lease):
-            self._hot.remember(record.name, version, staged.head)
+        if self.encoder.wants_base:
+            row = published.get_version(version)
+            if not self._hot.adopt(record.name, version, staged.lease,
+                                   row):
+                self._hot.remember(record.name, version, staged.head, row)
         return version
 
     def _rewrite(self, snap: ArraySnapshot,

@@ -656,7 +656,8 @@ class MetadataCatalog:
     def put_chunks(self, records: list[ChunkRecord],
                    versions: VersionRows = (),
                    drop: VersionRecord | None = None,
-                   create: ArrayRecord | None = None) -> None:
+                   create: ArrayRecord | None = None
+                   ) -> ArraySnapshot | None:
         """Insert or replace many chunk records of one array in one
         transaction — the only writer of array, version, merge-parent
         and chunk rows besides :meth:`delete_array`.
@@ -674,6 +675,10 @@ class MetadataCatalog:
         in the same transaction.  Passing ``create`` (a new array's
         record, with no ``array_id``, as every row given) inserts the
         array row first and files every row under its new id.
+
+        Returns the snapshot the commit published, or None for an
+        array no reader has touched yet (its snapshot is built from
+        SQL when one does).
         """
         array_ids = {record.array_id for record in records} | {
             row.array_id for row, _ in versions}
@@ -739,8 +744,11 @@ class MetadataCatalog:
             # An array not yet touched is read from SQL when it is.
             snap = ArraySnapshot(create) if create is not None \
                 else self._by_id.get(next(iter(array_ids), None))
-            if snap is not None:
-                self._publish(snap.derive(records, versions, drop))
+            if snap is None:
+                return None
+            snap = snap.derive(records, versions, drop)
+            self._publish(snap)
+            return snap
 
     def get_chunk(self, array_id: int, version: int, attribute: str,
                   chunk_name: str) -> ChunkRecord:

@@ -153,8 +153,11 @@ class TestLifecycle:
 
 
 class TestRouting:
-    def test_region_within_one_band_touches_one_node(self, loaded):
+    def test_region_within_one_band_touches_one_node(self, loaded, cold):
         cluster, versions = loaded
+        for copies in cluster.replicas:
+            for manager in copies:
+                cold(manager, "A")
         for stats in cluster.node_stats():
             stats.reset()
         out = cluster.select_region("A", 3, (0, 0), (3, 7))

@@ -15,6 +15,10 @@ widths within itself takes :func:`pin_fan`.  Both swap in a pool of
 the pinned width for their scope (:func:`repro.storage.fan.lanes`,
 one per width for the whole session), so the process's own pool never
 runs a pinned test's tasks.
+
+A whole read of the version a manager wrote last is one copy of its
+hot slot, not a decode; a test that reads that head to exercise the
+decode path drops the slot first with the :func:`cold` fixture.
 """
 
 from __future__ import annotations
@@ -69,6 +73,22 @@ def pin_fan():
     """``with pin_fan(width):`` pins the CPU fan for a block — for a
     test that compares widths within itself."""
     return _pinned
+
+
+def _cold(manager, name: str):
+    """``manager`` with its hot slot's copy of array ``name`` dropped."""
+    manager._hot.forget(name)
+    return manager
+
+
+@pytest.fixture
+def cold():
+    """``cold(manager, name)`` drops the hot slot's copy of array
+    ``name`` and returns ``manager``, so the next whole read of the
+    head it just wrote decodes the stored chunks, as a read of any
+    older version does — for a test that exercises the fold, the chunk
+    cache or their counters through that head."""
+    return _cold
 
 
 @pytest.fixture

@@ -168,13 +168,14 @@ class TestDatabaseFacade:
         with Database(tmp_path / "ctx") as reopened:
             np.testing.assert_array_equal(reopened.select("A@1"), data)
 
-    def test_cache_knobs_and_stats_exposed(self, tmp_path, rng):
+    def test_cache_knobs_and_stats_exposed(self, tmp_path, rng, cold):
         data = rng.integers(0, 9, (4, 4)).astype(np.int32)
         with Database(tmp_path / "cached", chunk_bytes=4096,
                       cache_bytes=8 * data.nbytes) as db:
             db.execute("CREATE UPDATABLE ARRAY A ( V::INTEGER ) "
                        "[ I=0:3, J=0:3 ];")
             db.insert("A", data)
+            cold(db.manager, "A")
             db.select("A@1")
             before = db.stats.chunks_read
             db.select("A@1")

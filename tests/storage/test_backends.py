@@ -301,7 +301,7 @@ class TestObjectStoreBackend:
         with pytest.raises(StorageError):
             ObjectStoreBackend(tmp_path / "store", request_floor=-1)
 
-    def test_chain_read_costs_one_get_per_object(self, tmp_path):
+    def test_chain_read_costs_one_get_per_object(self, tmp_path, cold):
         """The decode path's observable: a co-located chain of many
         payloads in one object is one ranged GET, however deep."""
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
@@ -314,7 +314,7 @@ class TestObjectStoreBackend:
         for version in range(5):
             manager.insert("A", data + version)
         with manager.stats.measure() as window:
-            manager.select("A", 5)
+            cold(manager, "A").select("A", 5)
         # One chunk -> one object -> one coalesced GET for the whole
         # five-deep chain (and one logical open, as on local files).
         assert window.ranged_gets == window.file_opens == 1

@@ -86,8 +86,9 @@ class _Store:
     def prime(self, name: str, version: int) -> None:
         """Put ``name@version`` in the hot slot, as having just
         written it would."""
-        self.manager._hot.remember(name, version,
-                                   self.manager.select(name, version))
+        self.manager._hot.remember(
+            name, version, self.manager.select(name, version),
+            self.manager.catalog.snapshot(name).get_version(version))
 
     def create(self, name: str, like: np.ndarray) -> None:
         self.manager.create_array(

@@ -42,9 +42,9 @@ class TestChunkCache:
         assert info["max_bytes"] == 0
         assert info["hits"] == 0
 
-    def test_repeat_reads_hit(self, filled):
+    def test_repeat_reads_hit(self, filled, cold):
         manager, versions = filled
-        manager.select("A", 4)
+        cold(manager, "A").select("A", 4)
         before = manager.stats.chunks_read
         out = manager.select("A", 4)
         assert manager.stats.chunks_read == before  # no disk I/O

@@ -195,7 +195,7 @@ class TestTheCallingThreadOwnsTheCache:
     @pytest.mark.skipif(fan.FAN_WIDTH < 2,
                         reason="the host has one CPU: the fan is inline")
     def test_default_manager_fans_on_the_host_cpus(self, tmp_path,
-                                                   pin_fan):
+                                                   pin_fan, cold):
         if hasattr(os, "sched_getaffinity"):
             assert fan.FAN_WIDTH == len(os.sched_getaffinity(0))
         data = np.arange(64 * 64, dtype=np.int64).reshape(64, 64)
@@ -211,8 +211,8 @@ class TestTheCallingThreadOwnsTheCache:
                 manager.decoder._decode)
             manager.insert("A", data)
             manager.insert("A", data + 1)
-            np.testing.assert_array_equal(manager.select("A", 2).single(),
-                                          data + 1)
+            np.testing.assert_array_equal(
+                cold(manager, "A").select("A", 2).single(), data + 1)
             assert len(decodes.calls) == 16
             fingerprint = manager.fingerprint()
             manager.close()
@@ -274,9 +274,9 @@ class TestTheCallingThreadOwnsTheCache:
 
     @pytest.mark.parametrize("fan_width", [4], indirect=True)
     def test_a_cached_region_submits_nothing(self, tmp_path, monkeypatch,
-                                             fan_width):
-        manager = _chained(tmp_path, backend="memory",
-                           cache_bytes=1 << 20)
+                                             fan_width, cold):
+        manager = cold(_chained(tmp_path, backend="memory",
+                                cache_bytes=1 << 20), "C")
         manager.select("C", 5)      # warm fill: every version cached
         submitted = []
         submit = fan._cpu.submit
@@ -471,12 +471,13 @@ class TestFailedOperationsLeaveNothingRunning:
         manager.close()
 
     def test_failed_select_stops_its_decode_tasks(self, tmp_path,
-                                                  fan_width):
+                                                  fan_width, cold):
         rng = np.random.default_rng(21)
         data = rng.integers(0, 1000, self.SHAPE).astype(np.int32)
         manager = self._manager(tmp_path, "memory")
         manager.insert("A", data)
         manager.insert("A", data + 1)
+        cold(manager, "A")
         record = manager.catalog.get_array("A")
         # Smash the second chunk's delta level (in read order): its
         # frame no longer parses, the 62 chunks queued behind it still
@@ -663,7 +664,7 @@ class TestOneSnapshotPerCall:
                                        dict(cache_bytes=800)],
                              ids=["warm-fill", "fused"])
     def test_read_pinned_before_a_delete_never_caches_it(self, tmp_path,
-                                                         cache):
+                                                         cache, cold):
         # Co-located with the reclaim held back: the deleted head's
         # bytes stay, so the read pinned before the swap succeeds — and
         # must not leave the deleted contents cached under the number
@@ -672,7 +673,8 @@ class TestOneSnapshotPerCall:
                            placement=COLOCATED, **cache)
         old = manager.select("C", 3).single().copy()
         manager.cache.clear()
-        release, thread, result = self._stalled_select(manager, "C", 3)
+        release, thread, result = self._stalled_select(
+            cold(manager, "C"), "C", 3)
         reclaim = manager.store.reclaim
         manager.store.reclaim = lambda paths: None
         manager.delete_version("C", 3)
@@ -687,7 +689,8 @@ class TestOneSnapshotPerCall:
                                       old + 7)
         manager.close()
 
-    def test_read_pinned_before_a_drop_never_caches_it(self, tmp_path):
+    def test_read_pinned_before_a_drop_never_caches_it(self, tmp_path,
+                                                       cold):
         # SQLite hands the re-created array the dropped one's id, so a
         # stale entry would be read as the new array's version 1.
         manager = VersionedStorageManager(tmp_path, backend="memory",
@@ -695,7 +698,8 @@ class TestOneSnapshotPerCall:
         schema = ArraySchema.simple((8, 8), dtype=np.int64)
         array_id = manager.create_array("D", schema).array_id
         manager.insert("D", np.ones((8, 8), np.int64))
-        release, thread, result = self._stalled_select(manager, "D", 1)
+        release, thread, result = self._stalled_select(
+            cold(manager, "D"), "D", 1)
         manager.delete_array("D")
         assert manager.create_array("D", schema).array_id == array_id
         manager.insert("D", np.full((8, 8), 5, np.int64))
@@ -712,8 +716,8 @@ class TestChainPrefetch:
     when it fits the cache's free space, or read just the requested
     version (fused) when it does not."""
 
-    def test_roomy_cache_warm_fills_whole_chain(self, tmp_path):
-        manager = _chained(tmp_path, cache_bytes=1 << 20)
+    def test_roomy_cache_warm_fills_whole_chain(self, tmp_path, cold):
+        manager = cold(_chained(tmp_path, cache_bytes=1 << 20), "C")
         with manager.stats.measure() as first:
             manager.select("C", 5)  # decodes every chain root→5 once
         assert first.chunks_read == 4 * 5  # 4 chunks, 5-deep chains
@@ -728,8 +732,9 @@ class TestChainPrefetch:
         assert window.cache_misses == 0
         manager.close()
 
-    def test_cached_ancestor_terminates_later_chain_walks(self, tmp_path):
-        manager = _chained(tmp_path, cache_bytes=1 << 20)
+    def test_cached_ancestor_terminates_later_chain_walks(self, tmp_path,
+                                                          cold):
+        manager = cold(_chained(tmp_path, cache_bytes=1 << 20), "C")
         manager.select("C", 3)
         with manager.stats.measure() as window:
             manager.select("C", 5)  # chain walk stops at cached v3
@@ -738,11 +743,11 @@ class TestChainPrefetch:
         manager.close()
 
     def test_tight_cache_fuses_and_admits_requested_only(self, tmp_path,
-                                                         fan_width):
+                                                         fan_width, cold):
         # Budget: one whole version (4 chunks of 800 B) plus one chunk
         # — a 5-deep chain of any chunk can never fit the free space.
         budget = 5 * 800
-        manager = _chained(tmp_path, cache_bytes=budget)
+        manager = cold(_chained(tmp_path, cache_bytes=budget), "C")
         manager.select("C", 1)  # demanded: v1's four chunks
         demanded = manager.cache_info()["entries"]
         assert demanded == 4
@@ -782,7 +787,7 @@ class TestChainPrefetch:
         manager.close()
 
     def test_deep_cold_read_keeps_demanded_entries(self, tmp_path,
-                                                   fan_width):
+                                                   fan_width, cold):
         # Budget: array D's four demanded chunks plus the four chunks
         # of the version about to be requested.  The free space is
         # under one 5-deep chain, so every fill declines, the requested
@@ -793,7 +798,7 @@ class TestChainPrefetch:
                                                      dtype=np.int64))
         manager.insert("D", np.arange(400, dtype=np.int64)
                        .reshape(20, 20))
-        manager.select("D", 1)
+        cold(manager, "D").select("D", 1)
         with manager.stats.measure() as window:
             manager.select("C", 5)
         assert window.chains_fused == 4
@@ -806,10 +811,10 @@ class TestChainPrefetch:
         manager.close()
 
     def test_fused_read_leaves_cached_base_untouched(self, tmp_path,
-                                                     fan_width):
+                                                     fan_width, cold):
         """A fused walk that stops at a cached ancestor applies onto a
         fresh accumulator, never through the cached array."""
-        manager = _chained(tmp_path, cache_bytes=8 * 800)
+        manager = cold(_chained(tmp_path, cache_bytes=8 * 800), "C")
         manager.select("C", 2)  # warm fill: v1 + v2 use every byte
         before = manager.select("C", 2).single().copy()
         with manager.stats.measure() as window:
@@ -931,9 +936,10 @@ class TestTransactionalWriteBatching:
         assert manager.get_versions("M") == [1, 2]
         manager.close()
 
-    def test_rejected_overwrite_keeps_cache_warm(self, tmp_path):
+    def test_rejected_overwrite_keeps_cache_warm(self, tmp_path, cold):
         """Regression: NoOverwriteError must not invalidate the cache."""
-        manager = _loaded(tmp_path, versions=2, cache_bytes=1 << 20)
+        manager = cold(_loaded(tmp_path, versions=2, cache_bytes=1 << 20),
+                       "A")
         contents = manager.select("A", 2)  # warms the cache
         warm = manager.cache_info()["entries"]
         assert warm > 0

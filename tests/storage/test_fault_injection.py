@@ -69,12 +69,12 @@ class TestCorruptChunks:
         with pytest.raises(StorageError):
             filled.select("A", 1)
 
-    def test_truncated_chunk_file(self, filled, tmp_path):
+    def test_truncated_chunk_file(self, filled, tmp_path, cold):
         for path in _chunk_files(tmp_path):
             payload = path.read_bytes()
             path.write_bytes(payload[:len(payload) // 2])
         with pytest.raises((StorageError, CodecError)):
-            filled.select("A", 3)
+            cold(filled, "A").select("A", 3)
 
     def test_flipped_payload_bytes(self, filled, tmp_path):
         # Corrupt the compressed payload: decoding must raise, not
@@ -97,7 +97,7 @@ class TestCorruptChunks:
         (16, 17),               # a count the root does not have
         (1 << 40, 1 << 20),     # 4 EiB if believed
     ])
-    def test_reframed_delta_level(self, filled, tmp_path, extents):
+    def test_reframed_delta_level(self, filled, tmp_path, extents, cold):
         # Version 3 reads fused (two delta levels).  Rewrite the shape
         # in the head level's frame: the fold is sized from the decoded
         # root and every frame is held against it first, so the lie is
@@ -113,7 +113,7 @@ class TestCorruptChunks:
         path.write_bytes(bytes(stored))
         with pytest.raises(CodecError, match="'A' version 3 chunk .*"
                            "does not match the array it decodes against"):
-            filled.select("A", 3)
+            cold(filled, "A").select("A", 3)
         assert filled.stats.chains_fused == 0
 
 
@@ -313,7 +313,7 @@ class TestManagerUnderInjectedFaults:
         assert manager.insert("A", data + 1) == 2
         manager.close()
 
-    def test_dead_node_reads_fail_loudly(self, tmp_path, rng):
+    def test_dead_node_reads_fail_loudly(self, tmp_path, rng, cold):
         backend = FaultInjectingBackend(InMemoryBackend(), seed=0)
         manager = VersionedStorageManager(tmp_path, chunk_bytes=1024,
                                           backend=backend)
@@ -322,8 +322,10 @@ class TestManagerUnderInjectedFaults:
         data = rng.integers(0, 100, (8, 8)).astype(np.int32)
         manager.insert("A", data)
         backend.mark_dead()
+        # The head the manager holds is served from memory; a read of
+        # the stored bytes is what must fail.
         with pytest.raises(StorageError, match="dead"):
-            manager.select("A", 1)
+            cold(manager, "A").select("A", 1)
         backend.revive()
         np.testing.assert_array_equal(manager.select("A", 1).single(),
                                       data)

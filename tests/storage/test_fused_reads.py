@@ -170,19 +170,21 @@ def test_fused_equals_stepwise(tmp_path, policy, kwargs, mode, dtype,
         assert manager.fingerprint("A") == before
 
 
-def test_fused_counters_exact(tmp_path):
+def test_fused_counters_exact(tmp_path, cold):
     """One deep select records exactly one fused chain, all levels."""
     versions = _int_versions()
-    with _build(tmp_path / "s", versions, np.int64,
-                delta_policy="chain", delta_codec="sparse") as manager:
+    with cold(_build(tmp_path / "s", versions, np.int64,
+                     delta_policy="chain", delta_codec="sparse"),
+              "A") as manager:
         with manager.stats.measure() as window:
             manager.select("A", DEPTH)
         assert window.chains_fused == 1
         assert window.fused_levels == DEPTH - 1
         # Every sparse level composes by scatter, not a dense pass.
         assert window.scatter_levels == DEPTH - 1
-    with _build(tmp_path / "d", versions, np.int64,
-                delta_policy="chain", delta_codec="dense") as manager:
+    with cold(_build(tmp_path / "d", versions, np.int64,
+                     delta_policy="chain", delta_codec="dense"),
+              "A") as manager:
         with manager.stats.measure() as window:
             manager.select("A", DEPTH)
         assert window.chains_fused == 1
@@ -190,13 +192,14 @@ def test_fused_counters_exact(tmp_path):
         assert window.scatter_levels == 0
 
 
-def test_depth_one_chain_folds(tmp_path):
+def test_depth_one_chain_folds(tmp_path, cold):
     """One delta level folds like any other chain (a stepwise decode
     would build a full-size codes canvas and widen the root for it);
     a bare materialized root is no chain at all."""
     versions = _int_versions()[:2]
-    with _build(tmp_path / "s", versions, np.int64,
-                delta_policy="chain", delta_codec="sparse") as manager:
+    with cold(_build(tmp_path / "s", versions, np.int64,
+                     delta_policy="chain", delta_codec="sparse"),
+              "A") as manager:
         with manager.stats.measure() as window:
             got = manager.select("A", 2).attribute("value")
         assert np.array_equal(got, versions[1])
@@ -249,13 +252,13 @@ def _cached_chain(root, versions, **cache):
     return manager
 
 
-def test_roomy_cache_warm_fills_stepwise(tmp_path):
+def test_roomy_cache_warm_fills_stepwise(tmp_path, cold):
     """A chain that fits the cache's free space is warm-filled level by
     level: no fusion on that first read, every version along the chain
     admitted, and every later read a hit."""
     versions = _int_versions()
-    with _cached_chain(tmp_path / "s", versions,
-                       cache_bytes=64 * CHUNK) as manager:
+    with cold(_cached_chain(tmp_path / "s", versions,
+                            cache_bytes=64 * CHUNK), "A") as manager:
         with manager.stats.measure() as window:
             manager.select("A", DEPTH)
         assert window.chains_fused == 0
@@ -268,12 +271,12 @@ def test_roomy_cache_warm_fills_stepwise(tmp_path):
         assert window.cache_misses == 0
 
 
-def test_tight_cache_fuses_and_admits_requested_only(tmp_path):
+def test_tight_cache_fuses_and_admits_requested_only(tmp_path, cold):
     """A chain that does not fit the free space is read for the
     requested version alone: fused, one admission, repeat reads hit."""
     versions = _int_versions()
-    with _cached_chain(tmp_path / "s", versions,
-                       cache_bytes=2 * CHUNK) as manager:
+    with cold(_cached_chain(tmp_path / "s", versions,
+                            cache_bytes=2 * CHUNK), "A") as manager:
         with manager.stats.measure() as window:
             first = manager.select("A", DEPTH).attribute("value")
         assert window.chains_fused == 1
@@ -287,16 +290,17 @@ def test_tight_cache_fuses_and_admits_requested_only(tmp_path):
             == versions[DEPTH - 1].tobytes()
 
 
-def test_append_leaves_cache_in_place(tmp_path):
+def test_append_leaves_cache_in_place(tmp_path, cold):
     """Version contents are immutable, so an append invalidates
     nothing: old versions are still hits afterwards."""
     versions = _int_versions()
-    with _cached_chain(tmp_path / "s", versions[:-1],
-                       cache_bytes=64 * CHUNK) as manager:
+    with cold(_cached_chain(tmp_path / "s", versions[:-1],
+                            cache_bytes=64 * CHUNK), "A") as manager:
         manager.select("A", DEPTH - 1)
         entries = manager.cache_info()["entries"]
         assert entries == DEPTH - 1
         manager.insert("A", versions[-1].copy())
+        cold(manager, "A")
         assert manager.cache_info()["entries"] == entries
         with manager.stats.measure() as window:
             old = manager.select("A", 3).attribute("value")
@@ -413,14 +417,15 @@ def _build_grid(root, dtype, shape, chunk_shape, versions):
 @pytest.mark.parametrize("layout,shape,chunk_shape", LAYOUTS,
                          ids=[name for name, _, _ in LAYOUTS])
 @pytest.mark.parametrize("dtype", CELL_TYPES, ids=str)
-def test_equivalence_grid(tmp_path, pin_fan, dtype, layout, shape,
+def test_equivalence_grid(tmp_path, pin_fan, cold, dtype, layout, shape,
                           chunk_shape):
     """Fused read == stepwise ``decode_forward`` == kernels off ==
     every level of a warm fill, by ``tobytes()``, at every depth 1..8,
     inline and fanned."""
     versions = _grid_versions(dtype, shape, DEPTH)
-    with pin_fan(1), _build_grid(tmp_path / "s", dtype, shape, chunk_shape,
-                                 versions) as manager:
+    with pin_fan(1), cold(_build_grid(tmp_path / "s", dtype, shape,
+                                      chunk_shape, versions),
+                          "A") as manager:
         record = manager.catalog.get_array("A")
         grid = manager.grid_for(record)
         # The deepest read really is a mixed chain of DEPTH - 1 levels,
@@ -518,7 +523,8 @@ def test_cache_entries_own_their_bytes(tmp_path):
 @pytest.mark.skipif(not native.available(),
                     reason="the numpy fold unpacks into temporaries")
 @pytest.mark.parametrize("fan_width", [1], indirect=True)
-def test_read_allocates_no_chunk_sized_temporary(tmp_path, fan_width):
+def test_read_allocates_no_chunk_sized_temporary(tmp_path, fan_width,
+                                                cold):
     """The decode half of the allocation gate: a cache-off read of a
     16-chunk, depth-8 int32 array peaks at its canvas plus small
     change — each strided chunk's root is copied into the thread's
@@ -545,7 +551,7 @@ def test_read_allocates_no_chunk_sized_temporary(tmp_path, fan_width):
         record = manager.catalog.get_array("A")
         grid = manager.grid_for(record)
         assert len(grid.chunks()) == 16
-        manager.select("A", DEPTH)          # kernels built, pools warm
+        cold(manager, "A").select("A", DEPTH)   # kernels built, pools warm
         tracemalloc.start()
         try:
             got = manager.decoder.read_version(record, grid, DEPTH)
@@ -571,11 +577,12 @@ def _corrupt_level(manager, version: int, like: np.ndarray):
     return level
 
 
-def test_corrupt_level_is_named(tmp_path):
+def test_corrupt_level_is_named(tmp_path, cold):
     """A malformed level's error says which array, version and chunk."""
     versions = _int_versions()
-    with _build(tmp_path / "s", versions, np.int64, backend="memory",
-                delta_policy="chain", delta_codec="sparse") as manager:
+    with cold(_build(tmp_path / "s", versions, np.int64, backend="memory",
+                     delta_policy="chain", delta_codec="sparse"),
+              "A") as manager:
         level = _corrupt_level(manager, 5, versions[0])
         for kernels_off in (False, True):
             with pytest.raises(CodecError) as refused:
@@ -593,13 +600,14 @@ def test_corrupt_level_is_named(tmp_path):
             versions[3].tobytes()
 
 
-def test_corrupt_level_is_named_alike_on_a_warm_fill(tmp_path):
+def test_corrupt_level_is_named_alike_on_a_warm_fill(tmp_path, cold):
     """A warm fill folds level by level; a malformed level in the
     middle of its chain raises the very error a cache-off read raises,
     naming array, version and chunk, and nothing is admitted."""
     versions = _int_versions()
-    with _build(tmp_path / "s", versions, np.int64, backend="memory",
-                delta_policy="chain", delta_codec="sparse") as manager:
+    with cold(_build(tmp_path / "s", versions, np.int64, backend="memory",
+                     delta_policy="chain", delta_codec="sparse"),
+              "A") as manager:
         level = _corrupt_level(manager, 5, versions[0])
         record = manager.catalog.get_array("A")
         warm = DecodePipeline(manager.catalog, manager.store,

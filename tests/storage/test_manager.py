@@ -314,11 +314,11 @@ class TestRegionSelects:
         out = manager.select_region("A", 1, (5, 5), (14, 14))
         np.testing.assert_array_equal(out.single(), data[5:15, 5:15])
 
-    def test_region_reads_fewer_chunks(self, manager, schema, rng):
+    def test_region_reads_fewer_chunks(self, manager, schema, rng, cold):
         manager.create_array("A", schema)
         manager.insert("A", rng.integers(0, 9, (20, 20)).astype(np.int32))
         with manager.stats.measure() as full:
-            manager.select("A", 1)
+            cold(manager, "A").select("A", 1)
         with manager.stats.measure() as sub:
             manager.select_region("A", 1, (0, 0), (5, 5))
         assert sub.chunks_read < full.chunks_read
@@ -651,6 +651,15 @@ class TestProperties:
         props = manager.properties("A")
         assert props["versions"] == count
         assert props["logical_bytes"] == schema.dense_size * count
+
+    def test_a_fresh_array_has_no_ratio(self, manager, schema):
+        # Nothing stored, nothing to divide by: no ratio, as no
+        # sparsity — never an infinite one.
+        manager.create_array("A", schema)
+        props = manager.properties("A")
+        assert (props["stored_bytes"], props["logical_bytes"]) == (0, 0)
+        assert props["compression_ratio"] is None
+        assert props["sparsity"] is None
 
 
 class TestApplyLayout:

@@ -190,7 +190,8 @@ class TestPlacementOrder:
 
 
 class TestMidEncodeFailure:
-    def test_zero_rows_no_version_warm_cache(self, tmp_path, fan_width):
+    def test_zero_rows_no_version_warm_cache(self, tmp_path, fan_width,
+                                             cold):
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
                                           delta_policy="chain",
                                           cache_bytes=1 << 20)
@@ -201,7 +202,7 @@ class TestMidEncodeFailure:
             "a": rng.integers(0, 9, (20, 20)).astype(np.int64),
             "b": rng.random((20, 20)).astype(np.float32)})
         manager.insert("A", data)
-        manager.select("A", 1)  # warms the cache
+        cold(manager, "A").select("A", 1)  # warms the cache
         warm = manager.cache_info()["entries"]
         assert warm > 0
 
@@ -279,7 +280,7 @@ class TestMidEncodeFailure:
             == []
         manager.close()
 
-    def test_successful_insert_leaves_cache_in_place(self, tmp_path):
+    def test_successful_insert_leaves_cache_in_place(self, tmp_path, cold):
         manager = VersionedStorageManager(tmp_path, chunk_bytes=800,
                                           delta_policy="chain",
                                           cache_bytes=1 << 20)
@@ -290,7 +291,7 @@ class TestMidEncodeFailure:
             "a": rng.integers(0, 9, (20, 20)).astype(np.int64),
             "b": rng.random((20, 20)).astype(np.float32)})
         manager.insert("A", data)
-        manager.select("A", 1)
+        cold(manager, "A").select("A", 1)
         warm = manager.cache_info()["entries"]
         assert warm > 0
         manager.insert("A", data)

@@ -166,14 +166,14 @@ class TestEagerValidation:
 
 
 class TestManagerByteBudget:
-    def test_cache_bytes_knob(self, tmp_path, rng):
+    def test_cache_bytes_knob(self, tmp_path, rng, cold):
         manager = VersionedStorageManager(tmp_path, chunk_bytes=2048,
                                           cache_bytes=1 << 20)
         manager.create_array("A", ArraySchema.simple((16, 16),
                                                      dtype=np.int32))
         data = rng.integers(0, 100, (16, 16)).astype(np.int32)
         manager.insert("A", data)
-        manager.select("A", 1)
+        cold(manager, "A").select("A", 1)
         before = manager.stats.chunks_read
         out = manager.select("A", 1)
         assert manager.stats.chunks_read == before  # served by cache

@@ -49,6 +49,16 @@ class TestCLI:
         assert "A::INTEGER" in out
         assert "versions:    2" in out
 
+    def test_info_of_a_fresh_array_prints_no_ratio(self, tmp_path, capsys):
+        root = tmp_path / "fresh"
+        with Database(root) as db:
+            db.execute("CREATE UPDATABLE ARRAY Empty "
+                       "( A::INTEGER ) [ I=0:7 ];")
+        assert main([str(root), "info", "Empty"]) == 0
+        out = capsys.readouterr().out
+        assert "ratio:       -\n" in out
+        assert "inf" not in out and "sparsity" not in out
+
     def test_info_branch_parentage(self, store, capsys):
         main([str(store), "info", "Fork"])
         out = capsys.readouterr().out
