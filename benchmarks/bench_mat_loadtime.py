@@ -10,6 +10,8 @@ def bench_mat_loadtime(run_once):
     # the time to generate the n^2 materialization matrix".
     assert result["optimal_seconds"] > result["linear_seconds"]
     # The sampled S x R / N estimator mitigates the matrix cost while
-    # still finding a near-optimal layout.
-    assert result["sampled_seconds"] < result["optimal_seconds"]
+    # still finding a near-optimal layout.  The saving is asserted on
+    # the cells each matrix priced, not on one-shot wall clock, which
+    # a busy machine can invert.
+    assert result["sampled_cells_priced"] < result["optimal_cells_priced"]
     assert result["sampled_matches_exact"]

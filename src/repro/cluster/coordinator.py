@@ -10,8 +10,8 @@ system."
 :class:`ClusterCoordinator` is that query-processor-side fan-out: it
 partitions every array into bands (one per node), runs independent
 :class:`~repro.storage.manager.VersionedStorageManager` instances per
-node — each node delta-encodes *its own* partition locally, exactly as
-the paper states — and reassembles query results.  All single-node
+node — each band is delta-encoded locally, on its own, as the paper
+states — and reassembles query results.  All single-node
 semantics (no-overwrite, branches, layout re-organization) apply per
 node.
 
@@ -20,8 +20,9 @@ loss and cluster growth first-class:
 
 * **Replication** — ``replication=R`` keeps R identical copies of
   every band, each in its own manager.  Every copy *stages* a write
-  (place, barrier), then every copy *commits* it: a stage failure
-  commits nothing, and a copy whose commit fails is fenced for
+  (place, barrier) — the band's first live copy encodes it, the others
+  place the encoder's bytes — then every copy *commits* it: a stage
+  failure commits nothing, and a copy whose commit fails is fenced for
   revive/repair — never undone.  Reads see versions up to the head
   (the newest every band committed), served by the first live replica
   and *failing over* to the next on error (``IOStats.failovers``
@@ -416,8 +417,8 @@ class ClusterCoordinator:
         """The array's lineage rows, served with failover:
         ``(version, parent_version, kind, merge_parents)`` per
         version, in version order.  Rebalance and repair preserve
-        these exactly (timestamps excluded — every replica stamps its
-        own clock)."""
+        these exactly.  Timestamps are left out: a band's copies share
+        their encoder's, but each band stamps its own clock."""
         head = self._head(name)
         return [(version, parent_version, kind, parents)
                 for version, parent_version, kind, _, parents
@@ -442,7 +443,7 @@ class ClusterCoordinator:
             schemas = [band_schema(schema, partitioner.local_shape(node))
                        for node in range(self.nodes)]
 
-            def stage(node: int, manager) -> _Staged:
+            def stage(node: int, manager, _) -> _Staged:
                 record = manager._new_record(name, schemas[node], **kwargs)
                 if name in manager.list_arrays():  # an earlier attempt's?
                     held = manager.catalog.snapshot(name)
@@ -533,15 +534,18 @@ class ClusterCoordinator:
                 head = self._head(name)
                 version = head + 1
 
-                def stage(node: int, manager):
+                def stage(node: int, manager, encoded):
                     # Unpublished (its write missed a band): dropped.
                     for stale in reversed(manager.get_versions(name)):
                         if stale <= head:
                             break
                         manager.delete_version(name, stale)
+                    if encoded is not None:
+                        return manager._stage_copy(encoded)
                     return manager._stage(
                         name, [locals_by_node[node]], version=version,
-                        parent_version=head or None, timestamp=timestamp)
+                        parent_version=head or None, timestamp=timestamp,
+                        ship=True)
 
                 self._write_all(stage, VersionedStorageManager._commit,
                                 what=f"version {version} of {name!r}")
@@ -556,10 +560,10 @@ class ClusterCoordinator:
         """Branch every band copy of the source version (Branch)."""
         self._derive_array(
             new_name, [(source_name, source_version)],
-            lambda _, manager: manager._stage(
+            lambda manager: manager._stage(
                 new_name, [manager.select(source_name, source_version)],
                 kind="branch-root", timestamp=timestamp,
-                origin=(source_name, source_version)))
+                origin=(source_name, source_version), ship=True))
         return new_name
 
     def merge(self, parents: list[tuple[str, int]], new_name: str,
@@ -571,18 +575,20 @@ class ClusterCoordinator:
             raise StorageError("merge requires at least two parent versions")
         self._derive_array(
             new_name, parents,
-            lambda _, manager: manager._stage(
+            lambda manager: manager._stage(
                 new_name, (manager.select(*parent) for parent in parents),
                 kind="merge", timestamp=timestamp,
                 merge_parents=[[(array, number)]
                                for array, number in parents],
-                origin=(parents[0][0], None)))
+                origin=(parents[0][0], None), ship=True))
         return new_name
 
     def _derive_array(self, new_name: str, sources: list[tuple[str, int]],
-                      stage) -> None:
+                      encode) -> None:
         """Branch/merge: write ``new_name`` (one version per published
-        source version, all of one schema) through the write fan and
+        source version, all of one schema) through the write fan —
+        ``encode(manager)`` stages it on each band's encoder, whose
+        siblings place its bytes — and
         register it with a partitioning equal to the first source's but
         of its own, which an online rebalance pass tells from a later
         registration's.  The name must be free on the registry and every
@@ -602,6 +608,11 @@ class ClusterCoordinator:
                     new_name in manager.list_arrays()
                     for row in self.replicas for manager in row):
                 raise StorageError(f"array {new_name!r} already exists")
+
+            def stage(_, manager, encoded):
+                return encode(manager) if encoded is None \
+                    else manager._stage_copy(encoded)
+
             self._write_all(stage, VersionedStorageManager._commit,
                             what=f"array {new_name!r}",
                             versions=len(sources))
@@ -613,10 +624,16 @@ class ClusterCoordinator:
     def _write_all(self, stage, commit, *, what: str,
                    versions: int = 1) -> None:
         """The one replicated write fan, under the caller's write lock:
-        ``stage(node, manager)`` (all that touches bytes) on every copy,
-        then ``commit(manager, handle)`` (one catalog transaction).  A
-        dead copy raises first; a stage failure (once every straggler
-        settled) discards every handle and raises, nothing committed.
+        ``stage(node, manager, encoded)`` (all that touches bytes) on
+        every copy, then ``commit(manager, handle)`` (one catalog
+        transaction).  Copies stage in :meth:`_pairs` order, so each
+        band's first copy — its *encoder* — stages with ``encoded``
+        None, and every later copy of the band — a *sibling* — with the
+        encoder's handle, whose rows and payloads it places instead of
+        encoding the band again (:meth:`VersionedStorageManager.
+        _stage_copy`).  A dead copy raises first; a stage failure (once
+        every straggler settled) discards every handle and raises,
+        nothing committed.
         Every commit is tried; a copy whose commit raises is fenced
         (marked dead, a warning logged) for revive/repair, even if the
         write then fails.  The write stands when every band has a live
@@ -625,9 +642,16 @@ class ClusterCoordinator:
         ``what``."""
         self._check_all_writable()
         pairs = self._pairs()
-        handles, error = self._settle_nodes(
-            lambda pair: stage(pair[0], self.replicas[pair[0]][pair[1]]),
-            pairs)
+        encoders: dict[int, _Staged] = {}
+
+        def stage_pair(pair):
+            node, replica = pair
+            handle = stage(node, self.replicas[node][replica],
+                           encoders.get(node))
+            encoders.setdefault(node, handle)
+            return handle
+
+        handles, error = self._settle_nodes(stage_pair, pairs)
         if error is not None:
             for (node, replica), handle in zip(pairs, handles):
                 if handle is not None:
@@ -750,7 +774,14 @@ class ClusterCoordinator:
 
     def _select_region(self, gen: "_Generation", name: str, version: int,
                        corner_lo: tuple[int, ...],
-                       corner_hi: tuple[int, ...]) -> ArrayData:
+                       corner_hi: tuple[int, ...],
+                       out: dict[str, np.ndarray] | None = None
+                       ) -> ArrayData | None:
+        """The region against ``gen``, in ``out`` — region-shaped
+        canvases of the attributes it names; then None — or in fresh
+        canvases of every attribute.  Each overlapping band's copy
+        fills its window of them itself (``select_region(out=)``): one
+        copy per band from a held head."""
         partitioner = gen.partitioners.get(name)
         if partitioner is None or version > gen.heads[name]:
             raise StorageError(
@@ -761,34 +792,37 @@ class ClusterCoordinator:
         lo, hi = region_corners(schema, corner_lo, corner_hi)
         region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         axis = partitioner.axis
-
-        canvases = {
+        canvases = out if out is not None else {
             attr.name: np.empty(region_shape, dtype=attr.dtype)
-            for attr in schema.attributes
-        }
-
+            for attr in schema.attributes}
         for band in partitioner.bands_overlapping(lo, hi):
             local_lo, local_hi = partitioner.clip_region(band, lo, hi)
-            part = self._read_node(
-                band.node,
-                lambda manager: manager.select_region(
-                    name, version, local_lo, local_hi),
-                gen)
             index = axis_index(schema.ndim, axis,
                                max(lo[axis], band.lo) - lo[axis],
                                min(hi[axis], band.hi) - lo[axis])
-            for attr in schema.attributes:
-                canvases[attr.name][index] = part.attribute(attr.name)
-        return ArrayData(sliced_schema(schema, region_shape), canvases)
+            windows = {attr: canvas[index]
+                       for attr, canvas in canvases.items()}
+            self._read_node(
+                band.node,
+                lambda manager: manager.select_region(
+                    name, version, local_lo, local_hi, out=windows),
+                gen)
+        return None if out is not None else \
+            ArrayData(sliced_schema(schema, region_shape), canvases)
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:
-        """The stacked (N+1-dimensional) select across the cluster."""
+        """The stacked (N+1-dimensional) select across the cluster:
+        every band fills its window of each layer in place."""
         schema = self._schema(name)
         attr = schema.attribute(attribute or schema.attributes[0].name)
         stack = np.empty((len(versions), *schema.shape), dtype=attr.dtype)
-        for layer, version in enumerate(versions):
-            stack[layer] = self.select(name, version).attribute(attr.name)
+        lo = tuple(0 for _ in schema.shape)
+        hi = tuple(extent - 1 for extent in schema.shape)
+        with self._pinned() as gen:
+            for layer, version in enumerate(versions):
+                self._select_region(gen, name, version, lo, hi,
+                                    {attr.name: stack[layer]})
         return stack
 
     # ------------------------------------------------------------------

@@ -37,10 +37,14 @@ class MaterializationMatrix:
     ``versions`` are the caller's version identifiers; ``costs[i, j]``
     (symmetric) is the estimated byte size of delta-encoding version i
     against version j, and ``costs[i, i]`` of materializing version i.
+    ``cells_priced`` counts the cells :meth:`build` compared to price
+    the pairs — every cell of every pair, or only the sampled ones
+    (0 for a matrix built otherwise).
     """
 
     versions: tuple[int, ...]
     costs: np.ndarray
+    cells_priced: int = 0
 
     def __post_init__(self) -> None:
         n = len(self.versions)
@@ -149,7 +153,10 @@ class MaterializationMatrix:
             for j in range(i + 1, n):
                 costs[i, j] = costs[j, i] = _delta_cost(
                     flats[i], flats[j], sample_index, total_cells)
-        return cls(versions=ids, costs=costs)
+        pair_cells = total_cells if sample_index is None \
+            else len(sample_index)
+        return cls(versions=ids, costs=costs,
+                   cells_priced=n * (n - 1) // 2 * pair_cells)
 
     @classmethod
     def from_manager(cls, manager, name: str, *,

@@ -118,13 +118,16 @@ class _Staged:
     array's ``record`` and rows have no ``array_id`` until the commit.
     ``head`` is the last version's contents, and ``lease`` the hot
     slot's (:meth:`_HotSlot.lend`) when that version was encoded onto
-    the slot's canvas, which then already holds it."""
+    the slot's canvas, which then already holds it.  ``payloads`` are
+    the chunk rows' bytes as placed, kept only when another copy will
+    place them too (``_stage(ship=True)``, :meth:`_stage_copy`)."""
 
     record: ArrayRecord
     versions: VersionRows
     chunks: list[ChunkRecord]
     head: ArrayData
     lease: object | None = None
+    payloads: list | None = None
 
 
 class _HotSlot:
@@ -148,8 +151,9 @@ class _HotSlot:
     are lent to an encode or named for another array, whose next insert
     may be deltaing against them.
 
-    A read is answered by one copy of the canvases (:meth:`read`), and
-    only for the catalog row the commit that named them published:
+    A read is answered by one copy of the canvases (:meth:`read`) into
+    the reader's canvases or fresh ones, and only for the catalog row
+    the commit that named them published:
     a row is an object of its own per commit, so a reader pinned
     before a ``delete_version`` of the head and the re-insert of its
     number — same lineage, same timestamp, equal by value — is not
@@ -177,14 +181,22 @@ class _HotSlot:
         """The snapshot of ``name@version`` when that is what is held."""
         return self._data if self._key == (name, version) else None
 
-    def read(self, row: VersionRecord) -> dict[str, np.ndarray] | None:
-        """A copy of each canvas when they hold the version ``row``
-        was published as — that very row object — else None."""
+    def read(self, row: VersionRecord,
+             out: dict[str, np.ndarray] | None = None
+             ) -> dict[str, np.ndarray] | None:
+        """When the canvases hold the version ``row`` was published as
+        — that very row object — copy them into ``out`` (the attributes
+        it names) or fresh arrays (every attribute) and return those;
+        else None."""
         with self._lock:
             if self._row is not row:
                 return None
-            return {attr: np.copy(canvas)
-                    for attr, canvas in self._canvases.items()}
+            if out is None:
+                out = {attr: np.empty_like(canvas)
+                       for attr, canvas in self._canvases.items()}
+            for attr, window in out.items():
+                np.copyto(window, self._canvases[attr])
+            return out
 
     def lend(self, name: str, version: int
              ) -> tuple[dict[str, np.ndarray], object] | None:
@@ -490,61 +502,87 @@ class VersionedStorageManager:
         """Append another copy's stored versions to ``name``: place →
         one barrier → one catalog swap, with no encode stage.
 
-        Each payload goes through this store's own
-        :meth:`ChunkStore.write_chunk`, so this copy keeps its own
-        locations; each chunk row keeps the source's delta codec,
-        delta base and compressor under this array's id, and each
-        version its source lineage row (kind, parent, merge parents,
-        timestamp).  One durability barrier over every placed payload,
-        then one :meth:`MetadataCatalog.put_chunks` transaction commits
+        The placement is :meth:`_place`: this copy keeps its own
+        locations, each chunk row the source's delta codec, delta base
+        and compressor under this array's id, and each version its
+        source lineage row (kind, parent, merge parents, timestamp).
+        Then one :meth:`MetadataCatalog.put_chunks` transaction commits
         every version at once — so a version may delta against a later
         one (a re-organized source), and a fault anywhere before the
         commit leaves no shipped version behind, only bytes no row
         names (dropped by the next compacting rewrite).
 
         Nothing is decoded, encoded or verified here: the copy ends up
-        storing exactly its source's bytes.  Refused before anything is
-        placed: a source whose storage identity (schema, chunk
-        geometry, compressor) is not this array's, a version not above
-        this array's latest, and a delta base neither side holds.
+        storing exactly its source's bytes.
         """
-        snap = self.catalog.snapshot(name)
-        record, source = snap.record, shipment.record
+        placed = self._place(name, shipment)
+        self.catalog.put_chunks(placed.chunks, versions=placed.versions)
+
+    def _place(self, name: str, shipment: Shipment) -> _Staged:
+        """Stage another copy's versions of ``name`` exactly as that
+        copy stores them: each payload through this store's own
+        :meth:`ChunkStore.write_chunk`, then one durability barrier
+        over every placed payload; no plan, no encode, no catalog
+        write.  The placement of :meth:`import_versions` and of
+        :meth:`_stage_copy`.
+
+        A shipment whose record has no ``array_id`` creates ``name``
+        with that record (a branch or merge staged on another copy),
+        and is refused when the name is in use here.  Also refused
+        before anything is placed: a source whose storage identity
+        (schema, chunk geometry, compressor) is not this array's, a
+        version not above this array's latest, and a delta base
+        neither side holds.  A fault while placing discards what a new
+        array placed.
+        """
+        source = shipment.record
+        if source.array_id is None:
+            if name in self.catalog.list_arrays():
+                raise ArrayExistsError(f"array {name!r} already exists")
+            record, stored = source, set()
+        else:
+            snap = self.catalog.snapshot(name)
+            record = snap.record
+            stored = {row.version for row in snap.get_versions()}
         if (record.schema, record.chunk_bytes, record.chunk_shape,
                 record.compressor) != (source.schema, source.chunk_bytes,
                                        source.chunk_shape,
                                        source.compressor):
             raise StorageError(
-                f"cannot import into {name!r}: the shipment comes from "
+                f"cannot place versions into {name!r}: they come from "
                 f"an array stored differently")
         numbers = [row.version for row, _ in shipment.versions]
-        latest = snap.latest_version() or 0
+        latest = max(stored, default=0)
         if numbers and (numbers != sorted(set(numbers))
                         or numbers[0] <= latest):
             raise StorageError(
-                f"import_versions is append-only: array {name!r} is at "
-                f"version {latest}, cannot import versions {numbers}")
+                f"array {name!r} is append-only: it is at version "
+                f"{latest}, cannot place versions {numbers}")
         shipped = set(numbers)
-        bases = {row.version for row in snap.get_versions()} | shipped | {
-            None}
+        bases = stored | shipped | {None}
         for chunk in shipment.chunks:
             if chunk.version not in shipped or \
                     chunk.base_version not in bases:
                 raise StorageError(
-                    f"cannot import {name!r} v{chunk.version}: its chunk "
+                    f"cannot place {name!r} v{chunk.version}: its chunk "
                     f"{chunk.attribute}/{chunk.chunk_name} names a "
                     f"version neither copy holds")
-        rows = [replace(chunk, array_id=record.array_id,
-                        location=self.store.write_chunk(
-                            name, chunk.version, chunk.attribute,
-                            chunk.chunk_name, payload))
-                for chunk, payload in zip(shipment.chunks,
-                                          shipment.payloads)]
-        if rows:
-            self.store.sync_chunks([chunk.location for chunk in rows])
-        self.catalog.put_chunks(
-            rows, versions=[(replace(row, array_id=record.array_id), parents)
-                            for row, parents in shipment.versions])
+        try:
+            rows = [replace(chunk, array_id=record.array_id,
+                            location=self.store.write_chunk(
+                                name, chunk.version, chunk.attribute,
+                                chunk.chunk_name, payload))
+                    for chunk, payload in zip(shipment.chunks,
+                                              shipment.payloads)]
+            if rows:
+                self.store.sync_chunks([chunk.location for chunk in rows])
+        except BaseException:
+            self._discard(record)
+            raise
+        return _Staged(record,
+                       [(replace(row, array_id=record.array_id), parents)
+                        for row, parents in shipment.versions],
+                       rows, None)
 
     def delete_version(self, name: str, version: int) -> None:
         """Remove one version, re-encoding any versions delta'ed on it.
@@ -578,39 +616,58 @@ class VersionedStorageManager:
         """Form 1: the full contents of one version."""
         return self._select(self.catalog.snapshot(name), version)
 
-    def _select(self, snap: ArraySnapshot, version: int) -> ArrayData:
-        held = self._held(snap, version, snap.record.schema)
-        return held if held is not None \
-            else self.decoder.read_version(snap, snap.record.grid, version)
+    def _select(self, snap: ArraySnapshot, version: int, *,
+                schema: ArraySchema | None = None,
+                out: dict[str, np.ndarray] | None = None
+                ) -> ArrayData | None:
+        """The whole of ``version``: in ``out`` (array-shaped canvases
+        of the attributes it names; then None) or in fresh canvases, as
+        ``schema`` (default the array's).  One copy from the hot slot
+        when it holds the row ``snap`` publishes for that number (no
+        chain read, no fold, no cache), else the decode's assembly
+        (:meth:`DecodePipeline.read_version`) — the one rule a
+        whole-version read takes the slot by.  A version ``snap`` lacks
+        raises :class:`VersionNotFoundError`."""
+        filled = self._hot.read(snap.get_version(version), out)
+        if filled is not None:
+            self.stats.record_hot_read()
+        else:
+            data = self.decoder.read_version(snap, snap.record.grid,
+                                             version, out=out)
+            if data is None or schema is None:
+                return data
+            filled = {attr: data.attribute(attr)
+                      for attr in data.attribute_names}
+        return None if out is not None else \
+            ArrayData(schema or snap.record.schema, filled)
 
     def select_region(self, name: str, version: int,
                       corner_lo: tuple[int, ...],
-                      corner_hi: tuple[int, ...]) -> ArrayData:
-        """Form 2: a hyper-rectangle of one version (user coordinates)."""
+                      corner_hi: tuple[int, ...], *,
+                      out: dict[str, np.ndarray] | None = None
+                      ) -> ArrayData | None:
+        """Form 2: a hyper-rectangle of one version (user coordinates).
+
+        ``out`` maps attribute names to region-shaped arrays, which may
+        be strided windows of a larger canvas (a cluster band's window
+        of the coordinator's): the call fills those attributes there
+        and returns None.  A box spanning the whole array is the
+        whole-version read (:meth:`_select`), landing in ``out`` itself.
+        """
         snap = self.catalog.snapshot(name)
         snap.get_version(version)  # existence check
         record = snap.record
         lo, hi = region_corners(record.schema, corner_lo, corner_hi)
         if not any(lo) and all(h + 1 == n for h, n in
                                zip(hi, record.grid.shape)):
-            held = self._held(snap, version, sliced_schema(
+            return self._select(snap, version, out=out, schema=sliced_schema(
                 record.schema, record.grid.shape))
-            if held is not None:
-                return held
-        return self.decoder.read_region(snap, record.grid, version, lo, hi)
-
-    def _held(self, snap: ArraySnapshot, version: int,
-              schema: ArraySchema) -> ArrayData | None:
-        """The whole of ``version``, as ``schema``, copied from the hot
-        slot when it holds the row ``snap`` publishes for that number
-        (no chain read, no fold, no cache); else None, and the caller
-        decodes.  The one rule a whole-version read takes the slot by;
-        a version ``snap`` lacks raises :class:`VersionNotFoundError`."""
-        copies = self._hot.read(snap.get_version(version))
-        if copies is None:
-            return None
-        self.stats.record_hot_read()
-        return ArrayData(schema, copies)
+        region = self.decoder.read_region(snap, record.grid, version, lo, hi)
+        if out is None:
+            return region
+        for attr, window in out.items():
+            np.copyto(window, region.attribute(attr))
+        return None
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:
@@ -652,16 +709,28 @@ class VersionedStorageManager:
         what reads each payload once: a one-version fold records only
         the requested versions into the scope (a warm fill records
         every intermediate it folds).
+
+        When the box is the whole array, a layer whose version the hot
+        slot holds is one copy of the slot into that layer, as a
+        whole-version read is (:meth:`_HotSlot.read`), and takes no
+        part in the chunk walk.
         """
         record = snap.record
         attr = self._resolve_attribute(record, attribute)
-        for v in versions:
-            snap.get_version(v)
+        rows = [snap.get_version(v) for v in versions]
         dtype = record.schema.attribute(attr).dtype
         region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
         out = np.empty((len(versions),) + region_shape, dtype=dtype)
         grid = record.grid
-        order = sorted(enumerate(versions), key=lambda pair: pair[1])
+        whole = region_shape == grid.shape
+        pending = []
+        for layer, version in enumerate(versions):
+            if whole and self._hot.read(rows[layer],
+                                        {attr: out[layer]}) is not None:
+                self.stats.record_hot_read()
+            else:
+                pending.append((layer, version))
+        order = sorted(pending, key=lambda pair: pair[1])
         for chunk in grid.chunks_overlapping(lo, hi):
             scope: dict[int, np.ndarray] = {}
             src, dst = _overlap_slices(chunk, lo, hi)
@@ -753,18 +822,18 @@ class VersionedStorageManager:
         Each digest is SHA-256 over the version's lineage row —
         (version, parent_version, kind, merge parents) — and its fully
         reassembled payload bytes per attribute, in schema order.  Two
-        things the physical :meth:`fingerprint` covers are deliberately
-        excluded: **timestamps** (every replica stamps its own logical
-        clock, so byte-identical contents carry different timestamps)
-        and **placement** (paths, offsets, delta bases — replicas may
-        legitimately diverge in layout after ``reorganize`` or a repack
-        while holding identical contents).  These digests *define*
-        replica equality, and computing them decodes every version;
-        anti-entropy repair compares the cheaper :meth:`stored_digests`
-        first and falls back to these lists only when two copies
-        store their versions differently: a stale copy then shows up as
-        a strict prefix of its peer's list, a diverged one as a
-        mismatching entry.
+        things are deliberately excluded: **timestamps** (lineage
+        metadata, not contents: the copies of a cluster band share
+        their encoder's, but a rebuilt array or another band stamps
+        its own clock) and **placement** (paths, offsets, delta bases
+        — replicas may legitimately diverge in layout after
+        ``reorganize`` or a repack while holding identical contents).
+        These digests *define* replica equality, and computing them
+        decodes every version; anti-entropy repair compares the
+        cheaper :meth:`stored_digests` first and falls back to these
+        lists only when two copies store their versions differently: a
+        stale copy then shows up as a strict prefix of its peer's list,
+        a diverged one as a mismatching entry.
         """
         snap = self.catalog.snapshot(name)
         digests: list[tuple[int, str]] = []
@@ -789,8 +858,8 @@ class VersionedStorageManager:
         merge parents) and, per chunk row in (attribute, chunk name)
         order, its delta codec, delta base and compressor and its
         length-framed payload bytes.  Timestamps and locations (path,
-        offset, length) are left out: each copy stamps its own clock
-        and places and repacks its own objects.
+        offset, length) are left out: timestamps are not contents, and
+        each copy places and repacks its own objects.
 
         Equal lists prove equal contents: a version's contents are a
         pure function of the array record, its chunk rows and payloads,
@@ -971,12 +1040,15 @@ class VersionedStorageManager:
                parent_version: int | None = None,
                timestamp: float | None = None,
                merge_parents: list | None = None,
-               origin: tuple[str, int | None] | None = None) -> _Staged:
+               origin: tuple[str, int | None] | None = None,
+               ship: bool = False) -> _Staged:
         """Plan, encode, place and barrier every version of one write;
         no catalog write.  A version whose base the hot slot holds
         borrows the slot's canvas (:meth:`_HotSlot.lend`, which
         un-names it) and is encoded onto it; :meth:`_commit` names it,
-        or copies the last version in.
+        or copies the last version in.  ``ship`` keeps the placed
+        payloads in the result, for other copies to place
+        (:meth:`_stage_copy`).
 
         ``contents`` become consecutive versions of ``name``, each the
         lineage child and delta of the one before; the first is
@@ -1007,6 +1079,7 @@ class VersionedStorageManager:
                 f"array {name!r} is append-only: it is at version "
                 f"{latest}, cannot write version {version}")
         rows, chunks, held, lease = [], [], None, None
+        payloads = [] if ship else None
         try:
             for number, payload in enumerate(contents, version):
                 parent = parent_version if number == version else number - 1
@@ -1021,7 +1094,7 @@ class VersionedStorageManager:
                 chunks += self.encoder.write_version(
                     record, record.grid, number, data,
                     base_data=base_data, base_version=parent,
-                    canvas=canvas)
+                    canvas=canvas, payloads=payloads)
                 rows.append((VersionRecord(
                     record.array_id, number, parent, kind,
                     self._now() if timestamp is None else timestamp),
@@ -1031,7 +1104,18 @@ class VersionedStorageManager:
         except BaseException:
             self._discard(record)
             raise
-        return _Staged(record, rows, chunks, held[1], lease)
+        return _Staged(record, rows, chunks, held[1], lease, payloads)
+
+    def _stage_copy(self, staged: _Staged) -> _Staged:
+        """Stage here what another copy of the same array staged with
+        ``_stage(ship=True)``: its version rows (timestamps included),
+        its chunk rows under this copy's ``array_id`` and its payloads,
+        placed by :meth:`_place` — no plan, no encode, no base read.
+        Its :meth:`_commit` copies ``staged.head`` into the hot slot."""
+        placed = self._place(staged.record.name, Shipment(
+            staged.record, staged.versions, staged.chunks,
+            staged.payloads))
+        return replace(placed, head=staged.head)
 
     def _discard(self, record: ArrayRecord) -> None:
         """Drop what a failed write placed for a new array (its name was

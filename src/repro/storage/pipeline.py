@@ -425,7 +425,8 @@ class EncodePipeline:
                      base_data: ArrayData | None,
                      base_version: int | None,
                      committed: list[ChunkRecord],
-                     canvas: dict[str, np.ndarray] | None = None
+                     canvas: dict[str, np.ndarray] | None = None,
+                     payloads: list | None = None
                      ) -> list[ChunkRecord]:
         """Plan, encode and place every task of one version; the
         :class:`ChunkRecord` rows, in task order.
@@ -435,7 +436,8 @@ class EncodePipeline:
         in canonical task order whatever the fan width — while the
         encode window keeps the following blocks in flight.  Each
         placement lands beside the ``committed`` row it supersedes,
-        never on its bytes.
+        never on its bytes.  ``payloads``, when given, collects each
+        row's payload as composed for placement (still one join).
         """
         compressor = get_codec(record.compressor)
         tasks = self.plan_version(record, grid)
@@ -445,9 +447,13 @@ class EncodePipeline:
         with closing(self._encode_tasks(tasks, data, base_data,
                                         compressor, canvas)) as decisions:
             for task, decision in zip(tasks, decisions):
+                payload = decision.parts
+                if payloads is not None:
+                    payload = decision.payload
+                    payloads.append(payload)
                 location = self.store.write_chunk(
                     record.name, version, task.attribute,
-                    task.chunk.name, decision.parts,
+                    task.chunk.name, payload,
                     supersedes.get((task.attribute, task.chunk.name)))
                 records.append(ChunkRecord(
                     array_id=record.array_id,
@@ -478,7 +484,8 @@ class EncodePipeline:
                       version: int, data: ArrayData, *,
                       base_data: ArrayData | None,
                       base_version: int | None,
-                      canvas: dict[str, np.ndarray] | None = None
+                      canvas: dict[str, np.ndarray] | None = None,
+                      payloads: list | None = None
                       ) -> list[ChunkRecord]:
         """Plan, encode, place and barrier every chunk of a *new*
         version (a committed one raises :class:`NoOverwriteError`) and
@@ -487,7 +494,8 @@ class EncodePipeline:
         writable arrays ``base_data`` views:
         each chunk is then encoded against its window of them in place
         and leaves the window holding ``data``'s cells, so after the
-        last chunk the canvas *is* this version.  A failure leaves only
+        last chunk the canvas *is* this version.  ``payloads`` collects
+        each row's placed bytes, in row order.  A failure leaves only
         bytes no row names — and a canvas partly overwritten.  The
         chunk cache is not touched.
         """
@@ -496,7 +504,8 @@ class EncodePipeline:
             raise NoOverwriteError(
                 f"version {version} of {record.name!r} already exists")
         records = self._place_tasks(record, grid, version, data,
-                                    base_data, base_version, [], canvas)
+                                    base_data, base_version, [], canvas,
+                                    payloads)
         # No row may name bytes a crash would lose; on the object backend
         # this completes every multipart upload the version staged.
         self.store.sync_chunks([chunk.location for chunk in records])
@@ -828,37 +837,44 @@ class DecodePipeline:
     # Stage 5: assembly
     # ------------------------------------------------------------------
     def read_version(self, array: ArraySnapshot | ArrayRecord,
-                     grid: ChunkGrid, version: int) -> ArrayData:
+                     grid: ChunkGrid, version: int, *,
+                     out: dict[str, np.ndarray] | None = None
+                     ) -> ArrayData | None:
         """Assemble the full contents of one version, every chunk
         located in ``array``'s snapshot — for a bare record the array's
         current one, taken once for the call.
 
-        Every chunk is lent its window of the output canvas
-        (``reconstruct(out=)``): a folded chain lands there from the
-        fold itself and only results that live elsewhere (cache
-        entries, warm fills) are copied in.
+        ``out`` maps attribute names to array-shaped canvases, which
+        may be strided windows of a larger canvas: the version's
+        attributes it names are assembled there and None is returned.
+        Without it every attribute lands in a fresh canvas.  Every
+        chunk is lent its window of the canvas (``reconstruct(out=)``):
+        a folded chain lands there from the fold itself and only
+        results that live elsewhere (cache entries, warm fills) are
+        copied in.
         """
         snap = array if isinstance(array, ArraySnapshot) \
             else self.catalog.snapshot(array.name)
         schema = snap.record.schema
-        attributes = {attr.name: np.empty(schema.shape, dtype=attr.dtype)
-                      for attr in schema.attributes}
-        tasks = [(attr, chunk, attributes[attr.name][chunk.slices()])
-                 for attr in schema.attributes
+        canvases = out if out is not None else {
+            attr.name: np.empty(schema.shape, dtype=attr.dtype)
+            for attr in schema.attributes}
+        tasks = [(attr, chunk, canvases[attr.name][chunk.slices()])
+                 for attr in schema.attributes if attr.name in canvases
                  for chunk in grid.chunks()]
         for (attr, _, window), data in self._reconstruct_tasks(
                 snap, version, tasks):
             if data is window:
                 continue
-            if data.shape == schema.shape:
+            if out is None and data.shape == schema.shape:
                 # A single chunk spanning the whole canvas *is* the
                 # canvas: skip the copy.  ArrayData hands out only a
                 # read-only view of it, so the contents are exactly as
                 # immutable as the copied canvas was.
-                attributes[attr.name] = data
+                canvases[attr.name] = data
             else:
                 window[...] = data
-        return ArrayData(schema, attributes)
+        return None if out is not None else ArrayData(schema, canvases)
 
     def read_region(self, snap: ArraySnapshot, grid: ChunkGrid,
                     version: int, lo: tuple[int, ...],

@@ -110,7 +110,9 @@ def _retry(op, attempts: int = 120):
 def _workload(cluster: ClusterCoordinator) -> dict[str, np.ndarray]:
     """The deterministic write mix every cell replays: inserts, a
     branch, and a follow-on insert on the branch (5 cluster versions).
-    Returns the expected latest contents per array."""
+    Returns the expected latest contents per array.  After every write
+    each band's siblings store exactly their encoder's bytes, however
+    many attempts the faults cost."""
     rng = np.random.default_rng(20120401)
     schema = ArraySchema.simple(SHAPE, dtype=np.int32)
     cluster.create_array("A", schema)
@@ -118,10 +120,24 @@ def _workload(cluster: ClusterCoordinator) -> dict[str, np.ndarray]:
     for step in range(3):
         payload = data + step
         _retry(lambda: cluster.insert("A", payload))
+        _assert_siblings_match_encoders(cluster)
     _retry(lambda: cluster.branch("A", 2, "B"))
+    _assert_siblings_match_encoders(cluster)
     branch_head = data * 2
     _retry(lambda: cluster.insert("B", branch_head))
+    _assert_siblings_match_encoders(cluster)
     return {"A": data + 2, "B": branch_head}
+
+
+def _assert_siblings_match_encoders(cluster: ClusterCoordinator) -> None:
+    """Every band copy after the first (a sibling, which places the
+    band's encoded bytes) stores what the first (its encoder) does."""
+    for row in cluster.replicas:
+        encoder, *siblings = row
+        for name in cluster.list_arrays():
+            digests = encoder.stored_digests(name)
+            for sibling in siblings:
+                assert sibling.stored_digests(name) == digests, name
 
 
 #: Cluster versions the workload lands: 3 inserts + 1 branch root + 1

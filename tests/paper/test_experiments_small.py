@@ -111,6 +111,9 @@ class TestMaterializationExperiments:
                                               quiet=True)
         assert result["optimal_seconds"] > 0
         assert result["sampled_matches_exact"]
+        # 45 pairs, each over all 256 cells or over a 5 % sample of 13.
+        assert result["optimal_cells_priced"] == 45 * 256
+        assert result["sampled_cells_priced"] == 45 * 13
 
     def test_linear_confirm_small(self):
         result = materialization.run_linear_confirm(versions=6,

@@ -211,7 +211,7 @@ def test_depth_one_chain_folds(tmp_path, cold):
         assert window.chains_fused == 0
 
 
-def test_select_versions_shares_chain_scope(tmp_path):
+def test_select_versions_shares_chain_scope(tmp_path, cold):
     """Multi-version stacked selects fold common chain prefixes once.
 
     The fused path records only requested versions into the shared
@@ -221,8 +221,9 @@ def test_select_versions_shares_chain_scope(tmp_path):
     """
     versions = _int_versions()
     order = [DEPTH, 3, 5, 1]        # deliberately unsorted
-    with _build(tmp_path / "s", versions, np.int64,
-                delta_policy="chain", delta_codec="hybrid") as m:
+    with cold(_build(tmp_path / "s", versions, np.int64,
+                     delta_policy="chain", delta_codec="hybrid"),
+              "A") as m:
         with m.stats.measure() as window:
             full = m.select_versions("A", list(range(1, DEPTH + 1)))
         # Ascending contiguous range: every chunk payload is read

@@ -188,7 +188,7 @@ class _Paused:
     """A reader paused inside the slot's copy while an encode writes
     over the canvases it copies.
 
-    ``np.copy`` on the reader thread, once armed, waits (up to
+    ``np.copyto`` on the reader thread, once armed, waits (up to
     ``PAUSE`` seconds) for an encode to have overwritten a chunk
     window, then copies and lets that encode go on.  The encode spy
     waits for the copy the same way.  Without the slot's lock the copy
@@ -203,7 +203,7 @@ class _Paused:
         self.written = threading.Event()
         self.copied = threading.Event()
         self.reader: threading.Thread | None = None
-        copy = np.copy
+        copy = np.copyto
 
         def paused_copy(*args, **kwargs):
             if threading.current_thread() is self.reader \
@@ -226,7 +226,7 @@ class _Paused:
                 self.copied.wait(timeout=self.PAUSE)
             return decision
 
-        monkeypatch.setattr(np, "copy", paused_copy)
+        monkeypatch.setattr(np, "copyto", paused_copy)
         manager.encoder.encode_chunk = paused_encode
 
     def arm(self) -> None:
@@ -355,11 +355,11 @@ def _select_paused_at_the_slot(manager, name: str, version: int):
     stalled, release = threading.Event(), threading.Event()
     read = manager._hot.read
 
-    def spy(row):
+    def spy(row, *out):
         if not stalled.is_set():
             stalled.set()
             release.wait(timeout=60)
-        return read(row)
+        return read(row, *out)
 
     manager._hot.read = spy
     result: list = []

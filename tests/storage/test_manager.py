@@ -344,11 +344,13 @@ class TestRegionSelects:
         np.testing.assert_array_equal(stacked[0], versions[1][:5, :5])
         np.testing.assert_array_equal(stacked[1], versions[2][:5, :5])
 
-    def test_range_select_shares_chain_reads(self, manager, schema, rng):
+    def test_range_select_shares_chain_reads(self, manager, schema, rng,
+                                             cold):
         # Reading versions [1..4] must not re-read the chain per version.
         manager.create_array("A", schema)
         for v in _versions(rng, count=4):
             manager.insert("A", v)
+        cold(manager, "A")
         with manager.stats.measure() as window:
             manager.select_versions("A", [1, 2, 3, 4])
         array_id = manager.catalog.get_array("A").array_id
