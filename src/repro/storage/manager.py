@@ -614,32 +614,50 @@ class VersionedStorageManager:
     # ------------------------------------------------------------------
     def select(self, name: str, version: int) -> ArrayData:
         """Form 1: the full contents of one version."""
-        return self._select(self.catalog.snapshot(name), version)
+        snap = self.catalog.snapshot(name)
+        data = self._select(snap, version)
+        return ArrayData(snap.record.schema,
+                         {attr: data.attribute(attr)
+                          for attr in data.attribute_names})
 
-    def _select(self, snap: ArraySnapshot, version: int, *,
-                schema: ArraySchema | None = None,
+    def _select(self, snap: ArraySnapshot, version: int,
+                lo: tuple[int, ...] | None = None,
+                hi: tuple[int, ...] | None = None, *,
                 out: dict[str, np.ndarray] | None = None
                 ) -> ArrayData | None:
-        """The whole of ``version``: in ``out`` (array-shaped canvases
-        of the attributes it names; then None) or in fresh canvases, as
-        ``schema`` (default the array's).  One copy from the hot slot
-        when it holds the row ``snap`` publishes for that number (no
-        chain read, no fold, no cache), else the decode's assembly
-        (:meth:`DecodePipeline.read_version`) — the one rule a
-        whole-version read takes the slot by.  A version ``snap`` lacks
+        """The zero-based box [``lo``, ``hi``] of ``version`` (default
+        the whole array): in ``out`` (box-shaped canvases of the
+        attributes it names; then None) or as a region
+        (:func:`sliced_schema`).  The decoder's box read
+        (:meth:`DecodePipeline.read_region`) unless the hot slot holds
+        the whole box (:meth:`_hot_box`).  A version ``snap`` lacks
         raises :class:`VersionNotFoundError`."""
-        filled = self._hot.read(snap.get_version(version), out)
+        row = snap.get_version(version)
+        shape = snap.record.grid.shape
+        if lo is None:
+            lo, hi = (0,) * len(shape), tuple(n - 1 for n in shape)
+        filled = self._hot_box(snap, row, lo, hi, out)
+        if filled is None:
+            return self.decoder.read_region(snap, version, lo, hi, out=out)
+        return None if out is not None else \
+            ArrayData(sliced_schema(snap.record.schema, shape), filled)
+
+    def _hot_box(self, snap: ArraySnapshot, row: VersionRecord,
+                 lo: tuple[int, ...], hi: tuple[int, ...],
+                 out: dict[str, np.ndarray] | None
+                 ) -> dict[str, np.ndarray] | None:
+        """The one rule a read takes the hot slot by: a box spanning
+        the whole array, of the version the slot holds as the very row
+        ``snap`` publishes, is one copy of its canvases — into ``out``
+        (the attributes it names) or fresh arrays, returned — with no
+        chain read, no fold and no cache.  Else None."""
+        if any(lo) or any(h + 1 != n for h, n in
+                          zip(hi, snap.record.grid.shape)):
+            return None
+        filled = self._hot.read(row, out)
         if filled is not None:
             self.stats.record_hot_read()
-        else:
-            data = self.decoder.read_version(snap, snap.record.grid,
-                                             version, out=out)
-            if data is None or schema is None:
-                return data
-            filled = {attr: data.attribute(attr)
-                      for attr in data.attribute_names}
-        return None if out is not None else \
-            ArrayData(schema or snap.record.schema, filled)
+        return filled
 
     def select_region(self, name: str, version: int,
                       corner_lo: tuple[int, ...],
@@ -651,23 +669,11 @@ class VersionedStorageManager:
         ``out`` maps attribute names to region-shaped arrays, which may
         be strided windows of a larger canvas (a cluster band's window
         of the coordinator's): the call fills those attributes there
-        and returns None.  A box spanning the whole array is the
-        whole-version read (:meth:`_select`), landing in ``out`` itself.
+        and returns None.
         """
         snap = self.catalog.snapshot(name)
-        snap.get_version(version)  # existence check
-        record = snap.record
-        lo, hi = region_corners(record.schema, corner_lo, corner_hi)
-        if not any(lo) and all(h + 1 == n for h, n in
-                               zip(hi, record.grid.shape)):
-            return self._select(snap, version, out=out, schema=sliced_schema(
-                record.schema, record.grid.shape))
-        region = self.decoder.read_region(snap, record.grid, version, lo, hi)
-        if out is None:
-            return region
-        for attr, window in out.items():
-            np.copyto(window, region.attribute(attr))
-        return None
+        lo, hi = region_corners(snap.record.schema, corner_lo, corner_hi)
+        return self._select(snap, version, lo, hi, out=out)
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:
@@ -700,7 +706,9 @@ class VersionedStorageManager:
         Versions are resolved chunk-by-chunk with a shared chain scope,
         so a range query over a delta chain reads each payload once —
         this is what makes the paper's Table IV range selects read ~2 GB
-        rather than 16 x the chain length.
+        rather than 16 x the chain length.  Each chunk of each layer is
+        one box read (:meth:`DecodePipeline.read_region`) of the
+        chunk's part of the box, landing in its window of that layer.
 
         Resolution runs in ascending version order (output layers still
         land at their requested indices): on a linear chain every walk
@@ -708,37 +716,30 @@ class VersionedStorageManager:
         common chain prefixes are folded exactly once.  The ordering is
         what reads each payload once: a one-version fold records only
         the requested versions into the scope (a warm fill records
-        every intermediate it folds).
+        every intermediate it folds).  A scope lives for one chunk, so
+        what it holds stays one chunk per version.
 
-        When the box is the whole array, a layer whose version the hot
-        slot holds is one copy of the slot into that layer, as a
-        whole-version read is (:meth:`_HotSlot.read`), and takes no
-        part in the chunk walk.
+        A layer the hot slot holds is one copy of the slot
+        (:meth:`_hot_box`) and takes no part in the chunk walk.
         """
         record = snap.record
         attr = self._resolve_attribute(record, attribute)
         rows = [snap.get_version(v) for v in versions]
         dtype = record.schema.attribute(attr).dtype
-        region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        out = np.empty((len(versions),) + region_shape, dtype=dtype)
-        grid = record.grid
-        whole = region_shape == grid.shape
-        pending = []
-        for layer, version in enumerate(versions):
-            if whole and self._hot.read(rows[layer],
-                                        {attr: out[layer]}) is not None:
-                self.stats.record_hot_read()
-            else:
-                pending.append((layer, version))
-        order = sorted(pending, key=lambda pair: pair[1])
-        for chunk in grid.chunks_overlapping(lo, hi):
-            scope: dict[int, np.ndarray] = {}
-            src, dst = _overlap_slices(chunk, lo, hi)
-            for layer, version in order:
-                data = self.decoder.reconstruct(snap, version, attr,
-                                                chunk, scope)
-                out[(layer,) + dst] = data[src]
-        return out
+        stack = np.empty((len(versions),) + tuple(
+            h - l + 1 for l, h in zip(lo, hi)), dtype=dtype)
+        pending = sorted(
+            (version, layer) for layer, version in enumerate(versions)
+            if self._hot_box(snap, rows[layer], lo, hi,
+                             {attr: stack[layer]}) is None)
+        for chunk in record.grid.chunks_overlapping(lo, hi):
+            scope: dict = {}
+            _, dst = _overlap_slices(chunk, lo, hi)
+            box = tuple(map(max, chunk.lo, lo)), tuple(map(min, chunk.hi, hi))
+            for version, layer in pending:
+                self.decoder.read_region(snap, version, *box, scope=scope,
+                                         out={attr: stack[(layer,) + dst]})
+        return stack
 
     # ------------------------------------------------------------------
     # Metadata queries (Section II-C)

@@ -56,6 +56,7 @@ from collections import OrderedDict
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
+from operator import le
 from typing import Callable
 
 import numpy as np
@@ -517,7 +518,8 @@ class _Miss:
     """One chunk the cache did not answer, planned on the calling
     thread: the located chain (from ``version`` down), the contents it
     stops at (None: it ends at its materialized root), the job chosen
-    for it, and the canvas window it may fold into."""
+    for it, the canvas window it may fold into, and the read's scope
+    for this chunk, which its admission records into."""
 
     snap: ArraySnapshot
     version: int
@@ -529,6 +531,7 @@ class _Miss:
     out: np.ndarray | None
     #: Cache bytes its admission will take (0 with the cache off).
     admits: int
+    scope: dict[int, np.ndarray] | None
 
 
 class DecodePipeline:
@@ -582,58 +585,35 @@ class DecodePipeline:
         # One chunk buffer per decoding thread (see _fused_apply).
         self._buffers = threading.local()
 
-    def reconstruct(self, snap: ArraySnapshot, version: int,
-                    attribute: str, chunk: ChunkRef,
-                    scope: dict[int, np.ndarray] | None = None, *,
-                    out: np.ndarray | None = None) -> np.ndarray:
-        """Unwind the delta chain of one chunk (Figure 2's read pattern)
-        on the calling thread: plan, decode, admit.
-
-        The chain is located in ``snap``, the caller's pinned snapshot.
-        ``scope`` maps already-resolved versions of this chunk to their
-        contents; chains stop as soon as they reach a resolved version,
-        so multi-version queries share the work of common prefixes.  The
-        whole chain is read in one batched pass — for co-located
-        placement that is a single backend open regardless of depth.
-
-        ``out`` is where the caller will put the chunk anyway (its
-        window of the version's canvas).  A folded read the cache
-        will not keep is written right there and ``out`` itself
-        returned; every other result is an array of its own that the
-        caller copies, as without ``out``.
-        """
-        if scope is None:
-            scope = {}
-        miss = self._plan(snap, version, attribute, chunk, scope, out)
-        if not isinstance(miss, _Miss):
-            return miss
-        data, resolved = self._decode(miss)
-        scope.update(resolved)
-        return self._admit(miss, data, resolved)
-
     def _plan(self, snap: ArraySnapshot, version: int, attribute: str,
-              chunk: ChunkRef, scope: dict[int, np.ndarray],
-              out: np.ndarray | None,
+              chunk: ChunkRef, out: np.ndarray | None,
+              scope: dict | None,
               admitting: int = 0) -> np.ndarray | _Miss:
-        """Calling thread, before anything decodes: the cached chunk
-        (recorded into ``scope``), or the :class:`_Miss` to decode —
-        its chain located and its job chosen.
+        """Calling thread, before anything decodes: the cached chunk,
+        or the :class:`_Miss` to decode — its chain located and its job
+        chosen.
 
+        ``scope`` is the read's (:meth:`read_region`): a cache hit, and
+        a walk's stop, are recorded into this chunk's part of it.
         ``admitting`` is what the call's misses planned before this one
         will admit: a warm fill must fit the free space they leave, as
         it would had they been admitted already."""
         record = snap.record
+        resolved = None if scope is None else \
+            scope.setdefault((attribute, chunk.name), {})
         if self.cache.enabled:
             out = None      # a cache entry must own its bytes
             cached = self.cache.get(
                 (record.array_id, version, attribute, chunk.name))
             if cached is not None:
-                scope[version] = cached
+                if resolved is not None:
+                    resolved[version] = cached
                 return cached
         # Past the cache hit that most reads end at, which the size
         # arithmetic must not slow.
+        stop_at = {} if resolved is None else resolved
         chain, base_version = self._locate_chain(snap, version,
-                                                 attribute, chunk, scope)
+                                                 attribute, chunk, stop_at)
         admits = 0
         warm_fill = False
         if self.cache.enabled:
@@ -642,9 +622,9 @@ class DecodePipeline:
             warm_fill = len(chain) > 1 and \
                 self.cache.fits(admitting + len(chain) * nbytes)
             admits = len(chain) * nbytes if warm_fill else nbytes
-        base = None if base_version is None else scope[base_version]
+        base = None if base_version is None else stop_at[base_version]
         return _Miss(snap, version, attribute, chunk, chain, base,
-                     warm_fill, out, admits)
+                     warm_fill, out, admits, resolved)
 
     def _decode(self, miss: _Miss
                 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -700,7 +680,10 @@ class DecodePipeline:
         the catalog publishes: a read pinned before a ``delete_version``
         swap must not cache the deleted version under a number the next
         insert reuses.  A warm fill's intermediates go first, deepest
-        first, and only into free space."""
+        first, and only into free space.  Every resolved version enters
+        the miss's scope, when the read has one."""
+        if miss.scope is not None:
+            miss.scope.update(resolved)
         if not self.cache.enabled:
             return data
         publishes = self.catalog.publishes
@@ -836,103 +819,81 @@ class DecodePipeline:
     # ------------------------------------------------------------------
     # Stage 5: assembly
     # ------------------------------------------------------------------
-    def read_version(self, array: ArraySnapshot | ArrayRecord,
-                     grid: ChunkGrid, version: int, *,
-                     out: dict[str, np.ndarray] | None = None
-                     ) -> ArrayData | None:
-        """Assemble the full contents of one version, every chunk
-        located in ``array``'s snapshot — for a bare record the array's
-        current one, taken once for the call.
+    def read_region(self, snap: ArraySnapshot, version: int,
+                    lo: tuple[int, ...], hi: tuple[int, ...], *,
+                    out: dict[str, np.ndarray] | None = None,
+                    scope: dict | None = None) -> ArrayData | None:
+        """Assemble the zero-based box [``lo``, ``hi``] (inclusive) of
+        one version, every chunk located in the pinned snapshot
+        ``snap`` — the one read every select form is made of.
 
-        ``out`` maps attribute names to array-shaped canvases, which
-        may be strided windows of a larger canvas: the version's
-        attributes it names are assembled there and None is returned.
-        Without it every attribute lands in a fresh canvas.  Every
-        chunk is lent its window of the canvas (``reconstruct(out=)``):
-        a folded chain lands there from the fold itself and only
-        results that live elsewhere (cache entries, warm fills) are
-        copied in.
-        """
-        snap = array if isinstance(array, ArraySnapshot) \
-            else self.catalog.snapshot(array.name)
-        schema = snap.record.schema
-        canvases = out if out is not None else {
-            attr.name: np.empty(schema.shape, dtype=attr.dtype)
-            for attr in schema.attributes}
-        tasks = [(attr, chunk, canvases[attr.name][chunk.slices()])
-                 for attr in schema.attributes if attr.name in canvases
-                 for chunk in grid.chunks()]
-        for (attr, _, window), data in self._reconstruct_tasks(
-                snap, version, tasks):
-            if data is window:
-                continue
-            if out is None and data.shape == schema.shape:
-                # A single chunk spanning the whole canvas *is* the
-                # canvas: skip the copy.  ArrayData hands out only a
-                # read-only view of it, so the contents are exactly as
-                # immutable as the copied canvas was.
-                canvases[attr.name] = data
-            else:
-                window[...] = data
-        return None if out is not None else ArrayData(schema, canvases)
+        ``out`` maps attribute names to box-shaped canvases, which may
+        be strided windows of a larger canvas: the attributes it names
+        are assembled there and None is returned.  Without it every
+        attribute lands in a fresh canvas, returned as an
+        :class:`ArrayData` of the box (:func:`sliced_schema`) — except
+        when one chunk covers the box: then the result views that
+        chunk's cells, read-only, so a cached chunk can never be
+        mutated through it.
 
-    def read_region(self, snap: ArraySnapshot, grid: ChunkGrid,
-                    version: int, lo: tuple[int, ...],
-                    hi: tuple[int, ...]) -> ArrayData:
-        """Assemble a zero-based hyper-rectangle of one version, every
-        chunk located in the pinned snapshot ``snap``.
+        A chunk lying wholly inside the box is lent its window of the
+        canvas (:meth:`_fused_apply`): a folded chain lands there from
+        the fold itself, and only results that live elsewhere (cache
+        entries, warm fills) are copied in.  A chunk the box cuts is
+        decoded into cells of its own and its overlap copied.
 
-        When exactly one chunk covers the query, the reconstructed
-        chunk already holds the answer: its sliced view is returned
-        directly instead of copying through a region-shaped canvas
-        (:class:`ArrayData` marks the views read-only, so cached chunk
-        contents can never be mutated through the result; a slice
-        spanning the whole chunk stays zero-copy).
+        ``scope`` lets reads share their chain walks: it maps
+        ``(attribute, chunk name)`` to that chunk's versions resolved
+        so far, a walk stops at the first version it finds there, and
+        every version a read resolves is recorded into it.  Without
+        one, nothing a read decodes outlives its chunk.
         """
         schema = snap.record.schema
-        chunks = grid.chunks_overlapping(lo, hi)
-        region = sliced_schema(schema, tuple(h - l + 1
-                                             for l, h in zip(lo, hi)))
-        if len(chunks) == 1:
-            src, _ = overlap_slices(chunks[0], lo, hi)
-            tasks = [(attr, chunks[0], None)
-                     for attr in schema.attributes]
-            attributes = {
-                attr.name: data[src]
-                for (attr, _, _), data in self._reconstruct_tasks(
-                    snap, version, tasks)
-            }
-            return ArrayData(region, attributes)
-
-        tasks = [(attr, chunk, None) for attr in schema.attributes
+        chunks = snap.record.grid.chunks_overlapping(lo, hi)
+        canvases = out
+        if out is None:
+            region = sliced_schema(schema, tuple(h - l + 1
+                                                 for l, h in zip(lo, hi)))
+            if len(chunks) == 1:
+                src, _ = overlap_slices(chunks[0], lo, hi)
+                tasks = [(attr.name, chunks[0], None, src, None)
+                         for attr in schema.attributes]
+                return ArrayData(region, {
+                    task[0]: data[src] for task, data in
+                    self._reconstruct_tasks(snap, version, tasks, scope)})
+            canvases = {attr.name: np.empty(region.shape, dtype=attr.dtype)
+                        for attr in schema.attributes}
+        boxes = [(chunk, *overlap_slices(chunk, lo, hi),
+                  all(map(le, lo, chunk.lo)) and all(map(le, chunk.hi, hi)))
                  for chunk in chunks]
-        attributes = {
-            attr.name: np.empty(region.shape, dtype=attr.dtype)
-            for attr in schema.attributes
-        }
-        for (attr, chunk, _), data in self._reconstruct_tasks(
-                snap, version, tasks):
-            src, dst = overlap_slices(chunk, lo, hi)
-            attributes[attr.name][dst] = data[src]
-        return ArrayData(region, attributes)
+        tasks = [(attr.name, chunk,
+                  canvases[attr.name][dst] if inside else None, src, dst)
+                 for attr in schema.attributes if attr.name in canvases
+                 for chunk, src, dst, inside in boxes]
+        for (name, _, window, src, dst), data in self._reconstruct_tasks(
+                snap, version, tasks, scope):
+            if data is not window:
+                canvases[name][dst] = data[src]
+        return None if out is not None else ArrayData(region, canvases)
 
     def _reconstruct_tasks(self, snap: ArraySnapshot, version: int,
-                           tasks: list):
-        """Reconstruct every ``(attribute, chunk, out)`` task in one
-        snapshot, yielding ``(task, chunk_data)`` pairs in task order.
+                           tasks: list, scope: dict | None):
+        """Reconstruct every ``(attribute, chunk, window, ...)`` task in
+        one snapshot, yielding ``(task, chunk_data)`` pairs in task
+        order.
 
         Every task is planned first, on this thread, each warm-fill
         choice counting the bytes the misses before it will admit; the
         misses then run through the ordered window (:func:`fan.ordered`)
         and each is admitted here as it is yielded.  A miss's decode is
-        private to it (the ``out`` windows are disjoint), so the tasks
-        are fully independent.  A chunk that fails (a corrupt payload)
+        private to it (the windows are disjoint), so the tasks are
+        fully independent.  A chunk that fails (a corrupt payload)
         settles the window before its error leaves.
         """
         planned, admitting = [], 0
-        for attr, chunk, out in tasks:
-            planned.append(self._plan(snap, version, attr.name, chunk, {},
-                                      out, admitting))
+        for attribute, chunk, window, _, _ in tasks:
+            planned.append(self._plan(snap, version, attribute, chunk,
+                                      window, scope, admitting))
             if isinstance(planned[-1], _Miss):
                 admitting += planned[-1].admits
         misses = [miss for miss in planned if isinstance(miss, _Miss)]

@@ -81,10 +81,10 @@ def _flip_last_payload_byte(manager, name: str, version: int) -> None:
 
 @pytest.fixture
 def decodes(monkeypatch) -> Counter:
-    """Counts ``read_version`` and ``reconstruct`` calls on every
-    manager, keyed by (``id`` of its decode pipeline, method)."""
+    """Counts ``read_region`` calls — every decode's one entry — on
+    every manager, keyed by (``id`` of its decode pipeline, method)."""
     calls: Counter = Counter()
-    for method in ("read_version", "reconstruct"):
+    for method in ("read_region",):
         original = getattr(DecodePipeline, method)
 
         def counted(self, *args, _method=method, _original=original,
@@ -388,7 +388,7 @@ class TestVerifiedRevive:
             assert cluster.stats.repairs == 0
             versions = len(cluster.get_versions("A"))
             for manager in (copy, peer):
-                assert decodes[id(manager.decoder), "read_version"] == \
+                assert decodes[id(manager.decoder), "read_region"] == \
                     versions
         finally:
             cluster.close()
@@ -732,8 +732,8 @@ class TestRepair:
             decodes.clear()
             cluster.insert("M", data)
             peer = cluster.replicas[1][1]
-            assert decodes[id(repaired.decoder), "read_version"] == 1
-            assert decodes[id(peer.decoder), "read_version"] == 0
+            assert decodes[id(repaired.decoder), "read_region"] == 1
+            assert decodes[id(peer.decoder), "read_region"] == 0
             _assert_stored_identical(cluster, (1, 0), (1, 1))
         finally:
             cluster.close()

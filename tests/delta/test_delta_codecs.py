@@ -245,7 +245,7 @@ class TestCorruptFold:
     @staticmethod
     def _fold(codec, payload, base, kernels):
         """Fold one level onto ``base`` in a contiguous window of a
-        canary frame, as ``read_version`` does into its chunk buffer;
+        canary frame, as ``read_region`` does into its chunk buffer;
         the folded window, or None for a refused payload."""
         frame = np.full(base.nbytes + 32, CANARY, dtype=np.uint8)
         window = frame[16:-16].view(base.dtype).reshape(base.shape)

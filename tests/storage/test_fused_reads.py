@@ -1,6 +1,6 @@
 """Fused-vs-stepwise delta-chain read equivalence oracle.
 
-The read path (:meth:`DecodePipeline.reconstruct`) copies the decoded
+The read path (:meth:`DecodePipeline.read_region`) copies the decoded
 root once into contiguous cells — the caller's canvas window when that
 is contiguous, else the decoding thread's chunk buffer, which is copied
 into the window after the fold — and folds every level of the chain
@@ -124,6 +124,14 @@ def _build(root, versions, dtype, **kwargs):
     for data in versions:
         manager.insert("A", data.copy())
     return manager
+
+
+def _read_whole(decoder, manager, version):
+    """The whole of ``A@version`` through ``decoder``'s box read."""
+    snap = manager.catalog.snapshot("A")
+    shape = snap.record.schema.shape
+    return decoder.read_region(snap, version, (0,) * len(shape),
+                               tuple(extent - 1 for extent in shape))
 
 
 def _stepwise_select(manager, name, version) -> np.ndarray:
@@ -449,7 +457,7 @@ def test_equivalence_grid(tmp_path, pin_fan, cold, dtype, layout, shape,
             assert window.fused_levels == \
                 (depth - 1) * len(grid.chunks())
             with pin_fan(4):
-                assert fanned.read_version(record, grid, depth) \
+                assert _read_whole(fanned, manager, depth) \
                     .attribute("value").tobytes() == expected
             with native.disabled():
                 assert manager.select("A", depth).attribute("value") \
@@ -465,7 +473,7 @@ def _check_warm_fill(manager, record, grid, depth, versions) -> None:
     warm = DecodePipeline(manager.catalog, manager.store,
                           cache=ChunkCache(max_bytes=4 * nbytes))
     with manager.stats.measure() as window:
-        got = warm.read_version(record, grid, depth).attribute("value")
+        got = _read_whole(warm, manager, depth).attribute("value")
     assert got.tobytes() == versions[depth - 1].tobytes()
     assert window.chains_fused == 0
     info = warm.cache.info()
@@ -555,7 +563,7 @@ def test_read_allocates_no_chunk_sized_temporary(tmp_path, fan_width,
         cold(manager, "A").select("A", DEPTH)   # kernels built, pools warm
         tracemalloc.start()
         try:
-            got = manager.decoder.read_version(record, grid, DEPTH)
+            got = _read_whole(manager.decoder, manager, DEPTH)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -610,13 +618,11 @@ def test_corrupt_level_is_named_alike_on_a_warm_fill(tmp_path, cold):
                      delta_policy="chain", delta_codec="sparse"),
               "A") as manager:
         level = _corrupt_level(manager, 5, versions[0])
-        record = manager.catalog.get_array("A")
         warm = DecodePipeline(manager.catalog, manager.store,
                               cache=ChunkCache(max_bytes=64 * CHUNK))
         refusals = []
         for read in (lambda: manager.select("A", DEPTH),
-                     lambda: warm.read_version(
-                         record, manager.grid_for(record), DEPTH)):
+                     lambda: _read_whole(warm, manager, DEPTH)):
             with pytest.raises(CodecError) as refused:
                 read()
             refusals.append(str(refused.value))
@@ -697,7 +703,7 @@ def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, fan_width,
     grid = manager.grid_for(record)
     tracemalloc.start()
     try:
-        got = manager.decoder.read_version(record, grid, DEPTH)
+        got = _read_whole(manager.decoder, manager, DEPTH)
         held, _ = tracemalloc.get_traced_memory()
         manager.close()
         del manager     # its decoder, and every thread's buffer with it

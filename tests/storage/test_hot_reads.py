@@ -35,6 +35,9 @@ from repro.storage import (
 )
 
 SHAPE = (32, 48)
+#: The longest any test here waits for another thread's event; a
+#: working store signals within milliseconds.
+WAIT = 10
 
 
 def _versions(count: int, shape=SHAPE) -> list[np.ndarray]:
@@ -259,12 +262,12 @@ def test_a_reader_never_copies_a_torn_head(tmp_path, fan_width,
             paused.arm()
             # The reader is inside a copy of the head when the insert
             # that lends the slot starts.
-            assert paused.copying.wait(timeout=30)
+            assert paused.copying.wait(timeout=WAIT)
             manager.insert("A", data)
-            assert paused.copied.wait(timeout=30)
+            assert paused.copied.wait(timeout=WAIT)
     finally:
         stop.set()
-        paused.reader.join(timeout=60)
+        paused.reader.join(timeout=WAIT)
     assert not paused.reader.is_alive()
     assert wrong == []
     assert manager.stats.hot_reads > 0
@@ -302,7 +305,7 @@ def test_readers_racing_inserts_see_whole_versions(tmp_path, fan_width):
     finally:
         stop.set()
         for thread in readers:
-            thread.join(timeout=60)
+            thread.join(timeout=WAIT)
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in readers)
     assert wrong == []
@@ -336,7 +339,7 @@ def test_inserts_into_two_arrays_keep_their_own_bases(tmp_path):
     for thread in writers:
         thread.start()
     for thread in writers:
-        thread.join(timeout=60)
+        thread.join(timeout=WAIT)
     assert not any(thread.is_alive() for thread in writers)
     for name in "AB":
         manager._hot.forget(name)
@@ -358,7 +361,7 @@ def _select_paused_at_the_slot(manager, name: str, version: int):
     def spy(row, *out):
         if not stalled.is_set():
             stalled.set()
-            release.wait(timeout=60)
+            release.wait(timeout=WAIT)
         return read(row, *out)
 
     manager._hot.read = spy
@@ -372,7 +375,7 @@ def _select_paused_at_the_slot(manager, name: str, version: int):
 
     thread = threading.Thread(target=reader)
     thread.start()
-    assert stalled.wait(timeout=60)
+    assert stalled.wait(timeout=WAIT)
     return release, thread, result
 
 
@@ -399,7 +402,7 @@ class TestTheSlotAnswersOnlyItsOwnRow:
         republished = manager.catalog.snapshot("A").get_version(3)
         assert republished == pinned and republished is not pinned
         release.set()
-        thread.join(timeout=60)
+        thread.join(timeout=WAIT)
         assert not thread.is_alive()
         assert result[0].tobytes() == versions[2].tobytes()
         del manager._hot.read
@@ -429,7 +432,7 @@ class TestTheSlotAnswersOnlyItsOwnRow:
         republished = manager.catalog.snapshot("A").get_version(1)
         assert republished == pinned and republished is not pinned
         release.set()
-        thread.join(timeout=60)
+        thread.join(timeout=WAIT)
         assert not thread.is_alive()
         assert result[0].tobytes() == versions[0].tobytes()
         del manager._hot.read

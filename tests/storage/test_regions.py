@@ -86,10 +86,12 @@ class TestReadRegionEdges:
 
     def test_full_region_equals_read_version(self, stored):
         manager, contents = stored
+        snap = manager.catalog.snapshot("A")
         for version, expected in enumerate(contents, 1):
             full = manager.select_region("A", version,
                                          (0, 0), (15, 15)).single()
-            whole = manager.select("A", version).single()
+            whole = manager.decoder.read_region(snap, version, (0, 0),
+                                                (15, 15)).single()
             np.testing.assert_array_equal(full, whole)
             np.testing.assert_array_equal(full, expected)
 
