@@ -1,10 +1,11 @@
 """Tour of the version materialization optimizer (Section IV).
 
 Builds a Materialization Matrix over a periodic frame series, compares
-the layouts the paper's algorithms produce — linear chain, Algorithm 1
-MST, Algorithm 2 forest, the exact virtual-root optimum, head-biased,
-and workload-aware — and applies the best one to a live store via
-background re-organization (Section IV-E).
+the layouts the store runs — the linear chain it writes, the exact
+virtual-root optimum, head-biased and workload-aware — and applies the
+best one to a live store via background re-organization (Section IV-E).
+The paper's Algorithms 1 and 2 live with the reproduction, in
+``benchmarks/paper/spanning.py``.
 
 Run with::
 
@@ -24,8 +25,6 @@ from repro import (
     RangeQuery,
     SnapshotQuery,
     WeightedQuery,
-    algorithm1_mst,
-    algorithm2_forest,
     head_biased_layout,
     optimal_layout,
     workload_aware_layout,
@@ -47,8 +46,6 @@ def main() -> None:
 
     layouts = {
         "linear chain": Layout.linear_chain(contents),
-        "Algorithm 1 (MST)": algorithm1_mst(matrix),
-        "Algorithm 2 (forest)": algorithm2_forest(matrix),
         "virtual-root optimum": optimal_layout(matrix),
         "head-biased (IV-E)": head_biased_layout(matrix),
     }

@@ -3,9 +3,9 @@
 A from-scratch reproduction of *Efficient Versioning for Scientific
 Array Databases* (Seering, Cudre-Mauroux, Madden, Stonebraker —
 ICDE 2012): a chunked, no-overwrite array store that automatically
-delta-encodes versions, spanning-tree/forest algorithms that choose
-which versions to materialize, workload-aware layouts, and an AQL-style
-declarative front end.
+delta-encodes versions, a virtual-root spanning-tree optimizer that
+chooses which versions to materialize, workload-aware layouts, and an
+AQL-style declarative front end.
 
 Quickstart::
 
@@ -40,8 +40,6 @@ from repro.materialize import (
     RangeQuery,
     SnapshotQuery,
     WeightedQuery,
-    algorithm1_mst,
-    algorithm2_forest,
     head_biased_layout,
     optimal_layout,
     workload_aware_layout,
@@ -69,8 +67,6 @@ __all__ = [
     "VersionSpec",
     "VersionedStorageManager",
     "WeightedQuery",
-    "algorithm1_mst",
-    "algorithm2_forest",
     "head_biased_layout",
     "optimal_layout",
     "workload_aware_layout",

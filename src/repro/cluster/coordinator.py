@@ -631,9 +631,9 @@ class ClusterCoordinator:
         None, and every later copy of the band — a *sibling* — with the
         encoder's handle, whose rows and payloads it places instead of
         encoding the band again (:meth:`VersionedStorageManager.
-        _stage_copy`).  A dead copy raises first; a stage failure (once
-        every straggler settled) discards every handle and raises,
-        nothing committed.
+        _stage_copy`).  A dead copy raises first; a stage failure
+        discards every handle staged before it and raises, nothing
+        committed.
         Every commit is tried; a copy whose commit raises is fenced
         (marked dead, a warning logged) for revive/repair, even if the
         write then fails.  The write stands when every band has a live
@@ -643,22 +643,18 @@ class ClusterCoordinator:
         self._check_all_writable()
         pairs = self._pairs()
         encoders: dict[int, _Staged] = {}
-
-        def stage_pair(pair):
-            node, replica = pair
-            handle = stage(node, self.replicas[node][replica],
-                           encoders.get(node))
-            encoders.setdefault(node, handle)
-            return handle
-
-        handles, error = self._settle_nodes(stage_pair, pairs)
-        if error is not None:
+        handles: list[_Staged] = []
+        try:
+            for node, replica in pairs:
+                handle = stage(node, self.replicas[node][replica],
+                               encoders.get(node))
+                encoders.setdefault(node, handle)
+                handles.append(handle)
+        except BaseException:
             for (node, replica), handle in zip(pairs, handles):
-                if handle is not None:
-                    with suppress(ReproError):  # raise the stage's error
-                        self.replicas[node][replica]._discard(
-                            handle.record)
-            raise error
+                with suppress(ReproError):  # raise the stage's error
+                    self.replicas[node][replica]._discard(handle.record)
+            raise
         for (node, replica), handle in zip(pairs, handles):
             try:
                 commit(self.replicas[node][replica], handle)
@@ -674,21 +670,6 @@ class ClusterCoordinator:
                 f"{what} committed on no live copy of band(s) {lacking}")
         self.stats.record_replica_writes(
             (len(committed) - self.nodes) * versions)
-
-    def _settle_nodes(self, operation, items) -> tuple[list, object]:
-        """Apply ``operation`` to every item in order on the calling
-        thread, stopping at the first error.  Returns ``(results,
-        first_error)`` in item order, with None results for the failed
-        item and the items never attempted after it.
-        """
-        items = list(items)
-        results: list = [None] * len(items)
-        for index, item in enumerate(items):
-            try:
-                results[index] = operation(item)
-            except BaseException as exc:
-                return results, exc
-        return results, None
 
     def get_versions(self, name: str) -> list[int]:
         """The array's published versions: up to its head."""

@@ -1,21 +1,16 @@
-"""Version materialization algorithms (Section IV).
+"""Version materialization: the layouts ``reorganize`` runs (Section IV).
 
 Decides which versions of an array to store in full and which to delta
-against which others, minimizing total storage (spanning tree / forest
-algorithms) or workload I/O cost (workload-aware layouts), with
-incremental policies for newly arriving versions.
+against which others, minimizing total storage (the virtual-root
+spanning tree, also under the head-biased constraint) or workload I/O
+cost (workload-aware layouts).  The paper's Algorithms 1 and 2 and its
+incremental policies for new versions live with the reproduction in
+``benchmarks/paper/``.
 """
 
-from repro.materialize.layout import Layout
+from repro.materialize.layout import Layout, UnionFind
 from repro.materialize.matrix import MaterializationMatrix
-from repro.materialize.spanning import (
-    UnionFind,
-    algorithm1_mst,
-    algorithm2_forest,
-    kruskal_mst,
-    optimal_layout,
-    prim_mst,
-)
+from repro.materialize.spanning import optimal_layout
 from repro.materialize.workload_opt import (
     RangeQuery,
     RegionQuery,
@@ -39,14 +34,10 @@ __all__ = [
     "UnionFind",
     "WeightedQuery",
     "Workload",
-    "algorithm1_mst",
-    "algorithm2_forest",
     "exhaustive_optimal",
     "greedy_workload_layout",
     "head_biased_layout",
-    "kruskal_mst",
     "optimal_layout",
-    "prim_mst",
     "segmented_layout",
     "workload_aware_layout",
     "workload_cost",

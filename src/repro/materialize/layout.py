@@ -17,10 +17,12 @@ Observations 2–4:
   (here, since every node stores its base, a forest of rooted trees).
 
 :class:`Layout` is a thin immutable mapping ``version -> parent`` (None
-meaning materialized) with the validity predicate, cost evaluation
-against a :class:`~repro.materialize.matrix.MaterializationMatrix`, and
-the closure computation used by the workload-aware cost model of
-Section IV-D.
+meaning materialized) with the validity predicate (over
+:class:`UnionFind`, the package's one union-find), cost evaluation
+against a :class:`~repro.materialize.matrix.MaterializationMatrix`, the
+closure computation used by the workload-aware cost model of Section
+IV-D, and :meth:`Layout.from_tree`, the one orientation of a spanning
+tree of the virtual-root graph.
 """
 
 from __future__ import annotations
@@ -30,6 +32,33 @@ from typing import Iterable, Mapping
 
 from repro.core.errors import InvalidLayoutError
 from repro.materialize.matrix import MaterializationMatrix
+
+
+class UnionFind:
+    """Disjoint sets with path compression and union by size."""
+
+    def __init__(self, items):
+        self._parent = {item: item for item in items}
+        self._size = {item: 1 for item in items}
+
+    def find(self, item):
+        root = item
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[item] != root:
+            self._parent[item], item = root, self._parent[item]
+        return root
+
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; False when already joined."""
+        root_a, root_b = self.find(a), self.find(b)
+        if root_a == root_b:
+            return False
+        if self._size[root_a] < self._size[root_b]:
+            root_a, root_b = root_b, root_a
+        self._parent[root_b] = root_a
+        self._size[root_a] += self._size[root_b]
+        return True
 
 
 @dataclass(frozen=True)
@@ -68,33 +97,15 @@ class Layout:
         incoming arc by construction — each tree then contains exactly
         one materialized root.
         """
-        parent = {v: v for v in self.parent_of}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        forest = UnionFind(self.parent_of)
         for version, base in self.parent_of.items():
             if base is None:
                 continue
             if base not in self.parent_of or base == version:
                 return False
-            root_a, root_b = find(version), find(base)
-            if root_a == root_b:
+            if not forest.union(version, base):
                 return False  # undirected cycle (Observation 2)
-            parent[root_a] = root_b
-        # A forest with one incoming arc per node: each component must
-        # contain exactly one materialized version.
-        roots_per_component: dict[int, int] = {}
-        for version, base in self.parent_of.items():
-            component = find(version)
-            if base is None:
-                roots_per_component[component] = \
-                    roots_per_component.get(component, 0) + 1
-        components = {find(v) for v in self.parent_of}
-        return all(roots_per_component.get(c, 0) == 1 for c in components)
+        return True
 
     def require_valid(self) -> "Layout":
         if not self.is_valid():
@@ -157,6 +168,34 @@ class Layout:
         updated = dict(self.parent_of)
         updated[version] = parent
         return Layout(updated)
+
+    @classmethod
+    def from_tree(cls, edges: Iterable[tuple[int | None, int | None]]
+                  ) -> "Layout":
+        """Orient a spanning tree of the virtual-root graph.
+
+        ``None`` is the virtual root, "the disk": a version adjacent to
+        it is materialized, every other version deltas against its
+        neighbour on the path to it.  A tree has one orientation from a
+        given root, so the order of ``edges`` does not change the
+        layout.
+        """
+        adjacency: dict[int | None, list[int | None]] = {None: []}
+        for a, b in edges:
+            adjacency.setdefault(a, []).append(b)
+            adjacency.setdefault(b, []).append(a)
+        parent_of: dict[int, int | None] = {}
+        stack: list[tuple[int | None, int | None]] = [(None, None)]
+        seen: set[int | None] = {None}
+        while stack:
+            node, parent = stack.pop()
+            if node is not None:
+                parent_of[node] = parent
+            for neighbour in adjacency[node]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    stack.append((neighbour, node))
+        return cls(parent_of)
 
     @classmethod
     def linear_chain(cls, versions: Iterable[int],

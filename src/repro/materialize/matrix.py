@@ -96,18 +96,6 @@ class MaterializationMatrix:
             versions=subset,
             costs=self.costs[np.ix_(index, index)].copy())
 
-    def materialization_always_larger(self) -> bool:
-        """Section IV-C's simplifying assumption: MM(i,i) > MM(i,j) for all j.
-
-        When it holds, the optimal layout has exactly one materialized
-        version (the plain MST case); otherwise the spanning *forest*
-        generalization can win.
-        """
-        diag = np.diag(self.costs)
-        off = self.costs.copy()
-        np.fill_diagonal(off, -np.inf)  # exclude self-comparisons
-        return bool(np.all(diag[:, None] > off - 1e-12))
-
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -36,6 +37,13 @@ from repro.core.errors import ReproError, WorkloadError
 from repro.materialize.layout import Layout
 from repro.materialize.matrix import MaterializationMatrix
 from repro.materialize.spanning import optimal_layout
+
+#: The largest matrix :func:`exhaustive_optimal` enumerates: 8^6 trees.
+EXHAUSTIVE_MAX_VERSIONS = 7
+#: :func:`workload_aware_layout` searches exhaustively up to this size.
+EXHAUSTIVE_LIMIT = 6
+#: Moves :func:`greedy_workload_layout` applies before it stops.
+GREEDY_MAX_ROUNDS = 100
 
 
 # ----------------------------------------------------------------------
@@ -102,10 +110,9 @@ class WeightedQuery:
 Workload = list[WeightedQuery]
 
 
-def validate_workload(workload: Workload,
-                      matrix: MaterializationMatrix) -> None:
-    """Every queried version must exist in the matrix."""
-    known = set(matrix.versions)
+def validate_workload(workload: Workload, versions: Iterable[int]) -> None:
+    """Every queried version must be one of ``versions``."""
+    known = set(versions)
     for item in workload:
         missing = set(item.query.versions()) - known
         if missing:
@@ -154,61 +161,29 @@ def _prufer_to_edges(sequence: tuple[int, ...],
     return edges
 
 
-def _layout_from_tree(edges: list[tuple[int, int]],
-                      matrix: MaterializationMatrix) -> Layout:
-    """Orient a virtual-root tree (node 0 = virtual) into a Layout."""
-    versions = matrix.versions
-    adjacency: dict[int, list[int]] = {i: [] for i in
-                                       range(len(versions) + 1)}
-    for a, b in edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    parent_of: dict[int, int | None] = {}
-    stack = [(0, None)]
-    seen = {0}
-    while stack:
-        node, parent = stack.pop()
-        if node != 0:
-            version = versions[node - 1]
-            parent_of[version] = None if parent == 0 else \
-                versions[parent - 1]
-        for neighbour in adjacency[node]:
-            if neighbour not in seen:
-                seen.add(neighbour)
-                stack.append((neighbour, node))
-    return Layout(parent_of)
-
-
 def exhaustive_optimal(matrix: MaterializationMatrix,
-                       workload: Workload,
-                       max_versions: int = 7) -> Layout:
+                       workload: Workload) -> Layout:
     """Exact I/O-optimal layout by full spanning-tree enumeration.
 
     Enumerates all (n+1)^(n-1) spanning trees of the virtual-root graph
     via Prüfer sequences (Cayley's formula — the count the paper cites
     as the reason exhaustive search does not scale).
     """
-    validate_workload(workload, matrix)
+    validate_workload(workload, matrix.versions)
     n = matrix.n
-    if n > max_versions:
+    if n > EXHAUSTIVE_MAX_VERSIONS:
         raise ReproError(
-            f"exhaustive search limited to {max_versions} versions; "
-            f"matrix has {n} (Cayley growth: (n+1)^(n-1) trees)")
-    if n == 1:
-        return Layout({matrix.versions[0]: None})
-
+            f"exhaustive search limited to {EXHAUSTIVE_MAX_VERSIONS} "
+            f"versions; matrix has {n} (Cayley growth: (n+1)^(n-1) trees)")
     node_count = n + 1
+    label = (None, *matrix.versions)  # node 0 is the virtual root
     best_layout: Layout | None = None
     best_cost = np.inf
     best_size = np.inf
     for sequence in itertools.product(range(node_count),
                                       repeat=node_count - 2):
         edges = _prufer_to_edges(tuple(sequence), node_count)
-        if not any(0 in edge for edge in edges):
-            continue  # no materialized version at all
-        layout = _layout_from_tree(edges, matrix)
-        if not layout.is_valid():
-            continue
+        layout = Layout.from_tree((label[a], label[b]) for a, b in edges)
         cost = workload_cost(layout, workload, matrix)
         # Tie-break on storage so results are deterministic.
         key = (cost, layout.total_size(matrix))
@@ -224,20 +199,19 @@ def exhaustive_optimal(matrix: MaterializationMatrix,
 # ----------------------------------------------------------------------
 def greedy_workload_layout(matrix: MaterializationMatrix,
                            workload: Workload,
-                           start: Layout | None = None,
-                           max_rounds: int = 100) -> Layout:
+                           start: Layout | None = None) -> Layout:
     """Hill-climb over single-version re-encoding moves.
 
     Each move re-encodes one version — materializing it or delta-ing it
     against a different version — keeping the layout valid.  Moves are
     applied best-first until a local optimum.
     """
-    validate_workload(workload, matrix)
+    validate_workload(workload, matrix.versions)
     layout = start or optimal_layout(matrix)
     current_cost = workload_cost(layout, workload, matrix)
     versions = layout.versions
 
-    for _ in range(max_rounds):
+    for _ in range(GREEDY_MAX_ROUNDS):
         best_move: Layout | None = None
         best_cost = current_cost
         for version in versions:
@@ -294,7 +268,7 @@ def segmented_layout(matrix: MaterializationMatrix,
     for; a final merge pass joins adjacent segments when that lowers the
     workload cost.
     """
-    validate_workload(workload, matrix)
+    validate_workload(workload, matrix.versions)
     boundaries = _segments(matrix.versions, workload)
 
     parent_of: dict[int, int | None] = {}
@@ -342,13 +316,11 @@ def _segments(versions: tuple[int, ...],
 
 
 def workload_aware_layout(matrix: MaterializationMatrix,
-                          workload: Workload,
-                          exhaustive_limit: int = 6) -> Layout:
+                          workload: Workload) -> Layout:
     """The front door: exact when tiny, candidates + greedy otherwise."""
-    validate_workload(workload, matrix)
-    if matrix.n <= exhaustive_limit:
-        return exhaustive_optimal(matrix, workload,
-                                  max_versions=exhaustive_limit)
+    validate_workload(workload, matrix.versions)
+    if matrix.n <= EXHAUSTIVE_LIMIT:
+        return exhaustive_optimal(matrix, workload)
 
     candidates = [
         optimal_layout(matrix),

@@ -967,18 +967,23 @@ class VersionedStorageManager:
         from repro.materialize.spanning import optimal_layout
         from repro.materialize.workload_opt import (
             head_biased_layout,
+            validate_workload,
             workload_aware_layout,
         )
 
         # Refuse before the matrix selects every version.
-        self._resolve_attribute(self.catalog.get_array(name), attribute)
+        snap = self.catalog.snapshot(name)
+        self._resolve_attribute(snap.record, attribute)
         if mode not in ("space", "head", "workload"):
             raise StorageError(
                 f"unknown reorganize mode {mode!r}; expected "
                 "'space', 'head', or 'workload'")
-        if mode == "workload" and workload is None:
-            raise StorageError(
-                "reorganize(mode='workload') needs a workload")
+        if mode == "workload":
+            if workload is None:
+                raise StorageError(
+                    "reorganize(mode='workload') needs a workload")
+            validate_workload(workload,
+                              (v.version for v in snap.get_versions()))
         check_sample_fraction(sample_fraction)
         matrix = MaterializationMatrix.from_manager(
             self, name, attribute=attribute,

@@ -72,19 +72,6 @@ class TestBuild:
         with pytest.raises(ReproError):
             matrix.materialize_size(99)
 
-    def test_assumption_check(self, rng):
-        matrix = MaterializationMatrix.build(_version_family(rng))
-        # Similar versions: deltas always beat materialization.
-        assert matrix.materialization_always_larger()
-        # Unrelated uint8 versions: zigzag'ed deltas span [-255, 255]
-        # and need 9 bits per cell, more than the 8-bit materialization.
-        unrelated = {
-            1: rng.integers(0, 256, (64, 64)).astype(np.uint8),
-            2: rng.integers(0, 256, (64, 64)).astype(np.uint8),
-        }
-        assert not MaterializationMatrix.build(
-            unrelated).materialization_always_larger()
-
 
 class TestSampling:
     def test_sampled_estimate_close_to_exact(self, rng):

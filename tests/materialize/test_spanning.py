@@ -1,4 +1,4 @@
-"""Tests for the spanning-tree / forest layout algorithms (Section IV-C)."""
+"""Tests for the virtual-root spanning-tree optimum (Section IV-C)."""
 
 from __future__ import annotations
 
@@ -13,11 +13,9 @@ from repro.materialize import (
     Layout,
     MaterializationMatrix,
     UnionFind,
-    algorithm1_mst,
-    algorithm2_forest,
-    kruskal_mst,
+    exhaustive_optimal,
+    head_biased_layout,
     optimal_layout,
-    prim_mst,
 )
 
 
@@ -55,95 +53,6 @@ class TestUnionFind:
         assert all(uf.find(i) == root for i in range(100))
 
 
-class TestMSTPrimitives:
-    def test_kruskal_known_graph(self):
-        edges = [(1.0, 1, 2), (2.0, 2, 3), (10.0, 1, 3)]
-        mst = kruskal_mst([1, 2, 3], edges)
-        assert sum(w for w, _, _ in mst) == 3.0
-
-    def test_prim_agrees_with_kruskal(self, rng):
-        nodes = list(range(6))
-        weights = {}
-        edges = []
-        for a in nodes:
-            for b in nodes:
-                if a < b:
-                    w = float(rng.integers(1, 100))
-                    weights[(a, b)] = w
-                    weights[(b, a)] = w
-                    edges.append((w, a, b))
-        kruskal_total = sum(w for w, _, _ in kruskal_mst(nodes, edges))
-        prim_total = sum(w for w, _, _ in prim_mst(nodes, weights))
-        assert kruskal_total == prim_total
-
-
-class TestAlgorithm1:
-    def test_single_version(self):
-        layout = algorithm1_mst(_matrix([[42.0]]))
-        assert layout.parent_of == {1: None}
-
-    def test_roots_at_cheapest_materialization(self):
-        matrix = _matrix([
-            [100, 5, 9],
-            [5, 60, 5],
-            [9, 5, 90],
-        ])
-        layout = algorithm1_mst(matrix)
-        assert layout.materialized == (2,)
-        assert layout.is_valid()
-
-    def test_optimal_when_assumption_holds(self):
-        # Deltas all cheaper than any materialization: Algorithm 1 must
-        # equal the exact optimum (the paper's claim).
-        matrix = _matrix([
-            [100, 10, 30, 40],
-            [10, 110, 15, 35],
-            [30, 15, 120, 12],
-            [40, 35, 12, 90],
-        ])
-        assert matrix.materialization_always_larger()
-        layout = algorithm1_mst(matrix)
-        assert layout.total_size(matrix) == _brute_force_optimum(matrix)
-
-    def test_prim_variant_same_cost(self):
-        matrix = _matrix([
-            [100, 10, 30],
-            [10, 110, 15],
-            [30, 15, 120],
-        ])
-        a = algorithm1_mst(matrix, use_prim=False)
-        b = algorithm1_mst(matrix, use_prim=True)
-        assert a.total_size(matrix) == b.total_size(matrix)
-
-
-class TestAlgorithm2:
-    def test_splits_when_materialization_beats_delta(self):
-        # Two clusters of similar versions with an expensive delta
-        # between them: materializing one per cluster wins.
-        matrix = _matrix([
-            [100, 5, 500, 500],
-            [5, 100, 500, 500],
-            [500, 500, 100, 5],
-            [500, 500, 5, 100],
-        ])
-        tree = algorithm1_mst(matrix)
-        forest = algorithm2_forest(matrix)
-        assert forest.total_size(matrix) < tree.total_size(matrix)
-        assert len(forest.materialized) == 2
-        assert forest.is_valid()
-        assert forest.total_size(matrix) == 100 + 5 + 100 + 5
-
-    def test_no_split_when_assumption_holds(self):
-        matrix = _matrix([
-            [100, 10, 30],
-            [10, 110, 15],
-            [30, 15, 120],
-        ])
-        tree = algorithm1_mst(matrix)
-        forest = algorithm2_forest(matrix)
-        assert forest.parent_of == tree.parent_of
-
-
 class TestOptimalLayout:
     def test_matches_brute_force(self, rng):
         for _ in range(20):
@@ -157,30 +66,29 @@ class TestOptimalLayout:
             assert layout.total_size(matrix) == \
                 pytest.approx(_brute_force_optimum(matrix))
 
-    def test_never_worse_than_heuristics(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 7))
-            costs = rng.integers(1, 1000, size=(n, n)).astype(float)
-            costs = (costs + costs.T) / 2
-            matrix = MaterializationMatrix(
-                versions=tuple(range(1, n + 1)), costs=costs)
-            exact = optimal_layout(matrix).total_size(matrix)
-            assert exact <= algorithm1_mst(matrix).total_size(matrix) + 1e-9
-            assert exact <= algorithm2_forest(matrix) \
-                .total_size(matrix) + 1e-9
+    @pytest.mark.parametrize("costs,expected", [
+        # Deltas of weight 2 tie five ways; 3's materialization (3)
+        # ties with the (1, 5) delta and is listed first.
+        ([[4, 2, 2, 4, 3], [2, 4, 2, 2, 4], [2, 2, 3, 3, 2],
+          [4, 2, 3, 4, 2], [3, 4, 2, 2, 4]],
+         {1: 3, 2: 1, 3: None, 4: 2, 5: 3}),
+        # Every edge weighs the same: the virtual edges come first.
+        ([[7] * 4] * 4, {1: None, 2: None, 3: None, 4: None}),
+        # 1's materialization ties with its deltas: it stays a root.
+        ([[5, 5, 5, 5], [5, 5, 1, 5], [5, 1, 5, 1], [5, 5, 1, 5]],
+         {1: None, 2: None, 3: 2, 4: 3}),
+    ], ids=["pairs", "all-equal", "virtual-first"])
+    def test_tie_break_is_pinned(self, costs, expected):
+        """Equal weights keep Kruskal's order — virtual edges first,
+        then pairs i < j, sorted stably by weight — so ``reorganize``
+        keeps storing the same bytes."""
+        assert optimal_layout(_matrix(costs)).parent_of == expected
 
-    def test_algorithm1_matches_optimal_under_assumption(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 6))
-            deltas = rng.integers(1, 50, size=(n, n)).astype(float)
-            deltas = (deltas + deltas.T) / 2
-            costs = deltas.copy()
-            np.fill_diagonal(costs, 1000.0)  # materialization dominates
-            matrix = MaterializationMatrix(
-                versions=tuple(range(1, n + 1)), costs=costs)
-            assert matrix.materialization_always_larger()
-            assert algorithm1_mst(matrix).total_size(matrix) == \
-                pytest.approx(optimal_layout(matrix).total_size(matrix))
+    def test_head_biased_tie_break_is_pinned(self):
+        matrix = _matrix([[4, 2, 2, 4, 3], [2, 4, 2, 2, 4], [2, 2, 3, 3, 2],
+                          [4, 2, 3, 4, 2], [3, 4, 2, 2, 4]])
+        assert head_biased_layout(matrix).parent_of == \
+            {1: 3, 2: 1, 3: 5, 4: 2, 5: None}
 
     def test_periodic_pattern_found(self):
         """The Section V-D synthetic scenario in miniature: versions
@@ -244,3 +152,19 @@ def test_optimal_layout_property(data, n):
         candidate = Layout(parent_of)
         if candidate.is_valid():
             assert optimal_size <= candidate.total_size(matrix) + 1e-6
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_exhaustive_search_with_no_workload_finds_the_optimum(data, n):
+    """With an empty workload every layout costs 0, so the exhaustive
+    search breaks its tie on storage: two independent searches — Prüfer
+    enumeration and Kruskal — through the one tree orientation."""
+    values = data.draw(st.lists(st.integers(1, 20), min_size=n * n,
+                                max_size=n * n))
+    costs = np.array(values, dtype=float).reshape(n, n)
+    costs = np.triu(costs) + np.triu(costs, 1).T
+    matrix = MaterializationMatrix(versions=tuple(range(1, n + 1)),
+                                   costs=costs)
+    assert exhaustive_optimal(matrix, []).total_size(matrix) == \
+        optimal_layout(matrix).total_size(matrix)

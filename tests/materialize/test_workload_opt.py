@@ -99,8 +99,7 @@ class TestExhaustive:
     def test_respects_version_limit(self):
         matrix = _chain_matrix(9)
         with pytest.raises(ReproError):
-            exhaustive_optimal(matrix, [WeightedQuery(SnapshotQuery(1))],
-                               max_versions=7)
+            exhaustive_optimal(matrix, [WeightedQuery(SnapshotQuery(1))])
 
     def test_beats_or_matches_all_heuristics(self, rng):
         for _ in range(5):

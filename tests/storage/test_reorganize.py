@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core import native
-from repro.core.errors import ReproError, StorageError
+from repro.core.errors import ReproError, StorageError, WorkloadError
 from repro.core.schema import ArraySchema
 from repro.datasets import periodic_series
-from repro.materialize import SnapshotQuery, WeightedQuery
+from repro.materialize import RangeQuery, SnapshotQuery, WeightedQuery
 from repro.storage import VersionedStorageManager
+from repro.storage.iostats import IOStats
 
 
 @pytest.fixture
@@ -96,6 +97,20 @@ def test_reorganize_refuses_before_it_reads(periodic_store, kwargs,
     with pytest.raises(ReproError, match=message):
         manager.reorganize("P", **kwargs)
     assert manager.stats.chunks_read == 0
+
+
+def test_reorganize_refuses_an_unknown_version_before_it_reads(
+        periodic_store):
+    """A workload naming a version the array lacks is refused against
+    the snapshot's version list: no chunk read, no hot-slot copy, no
+    cache probe — no read counter moves."""
+    manager, _ = periodic_store
+    workload = [WeightedQuery(SnapshotQuery(3)),
+                WeightedQuery(RangeQuery(8, 10))]
+    before = manager.stats.snapshot()
+    with pytest.raises(WorkloadError, match=r"unknown versions \[10\]"):
+        manager.reorganize("P", mode="workload", workload=workload)
+    assert manager.stats.delta_since(before) == IOStats()
 
 
 class TestApplyLayoutMemory:
