@@ -61,13 +61,10 @@ from repro.cluster.partitioning import (
 from repro.core.array import ArrayData, Payload, sliced_schema
 from repro.core.errors import ReproError, StorageError
 from repro.core.schema import ArraySchema
+from repro.storage import writes
 from repro.storage.backend import StorageBackend
 from repro.storage.iostats import IOStats
-from repro.storage.manager import (
-    VersionedStorageManager,
-    _Staged,
-    region_corners,
-)
+from repro.storage.manager import VersionedStorageManager, region_corners
 
 #: Cluster lifecycle events — debug per failover hop, info per repair
 #: and generation swap, warning per fenced copy — routed by the caller.
@@ -432,10 +429,10 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     def create_array(self, name: str, schema: ArraySchema,
                      **kwargs) -> None:
-        """Create the array's partition on every band copy: a write
-        fan (:meth:`_write_all`) whose commit is the create.  Convergent
-        like :meth:`delete_array`: a copy holding the name with no
-        versions and this storage identity counts as created."""
+        """Create the array's partition on every band copy: a write fan
+        (:meth:`_write_all`) of empty handles, each committing the
+        create.  Convergent like :meth:`delete_array`: a copy holding the
+        name with no versions and this storage identity counts."""
         with self._write_lock:
             if name in self._partitioners:
                 raise StorageError(f"array {name!r} already exists")
@@ -443,8 +440,9 @@ class ClusterCoordinator:
             schemas = [band_schema(schema, partitioner.local_shape(node))
                        for node in range(self.nodes)]
 
-            def stage(node: int, manager, _) -> _Staged:
-                record = manager._new_record(name, schemas[node], **kwargs)
+            def stage(node: int, manager, _) -> writes.Shipment:
+                record = writes.new_record(manager, name, schemas[node],
+                                           **kwargs)
                 if name in manager.list_arrays():  # an earlier attempt's?
                     held = manager.catalog.snapshot(name)
                     if held.get_versions() or held.record != replace(
@@ -452,15 +450,10 @@ class ClusterCoordinator:
                             created_at=held.record.created_at):
                         raise StorageError(f"array {name!r} already "
                                            f"exists on node {node}")
-                return _Staged(record, [], [], None)
+                    record = held.record  # committed: nothing to create
+                return writes.Shipment(record, [], [])
 
-            def create(manager, staged: _Staged) -> None:
-                if name not in manager.list_arrays():  # else staged as held
-                    manager.create_array(name, staged.record.schema,
-                                         **kwargs)
-
-            self._write_all(stage, create, what=f"array {name!r}",
-                            versions=0)
+            self._write_all(stage, what=f"array {name!r}", versions=0)
             self._heads[name] = 0
             self._schemas[name] = schema
             self._partitioners[name] = partitioner
@@ -541,14 +534,13 @@ class ClusterCoordinator:
                             break
                         manager.delete_version(name, stale)
                     if encoded is not None:
-                        return manager._stage_copy(encoded)
-                    return manager._stage(
-                        name, [locals_by_node[node]], version=version,
-                        parent_version=head or None, timestamp=timestamp,
-                        ship=True)
+                        return writes.place(manager, name, encoded)
+                    return writes.stage(
+                        manager, name, [locals_by_node[node]],
+                        version=version, parent_version=head or None,
+                        timestamp=timestamp, ship=True)
 
-                self._write_all(stage, VersionedStorageManager._commit,
-                                what=f"version {version} of {name!r}")
+                self._write_all(stage, what=f"version {version} of {name!r}")
                 self._heads[name] = version
                 return version
         raise StorageError(
@@ -560,8 +552,9 @@ class ClusterCoordinator:
         """Branch every band copy of the source version (Branch)."""
         self._derive_array(
             new_name, [(source_name, source_version)],
-            lambda manager: manager._stage(
-                new_name, [manager.select(source_name, source_version)],
+            lambda manager: writes.stage(
+                manager, new_name,
+                [manager.select(source_name, source_version)],
                 kind="branch-root", timestamp=timestamp,
                 origin=(source_name, source_version), ship=True))
         return new_name
@@ -575,8 +568,9 @@ class ClusterCoordinator:
             raise StorageError("merge requires at least two parent versions")
         self._derive_array(
             new_name, parents,
-            lambda manager: manager._stage(
-                new_name, (manager.select(*parent) for parent in parents),
+            lambda manager: writes.stage(
+                manager, new_name,
+                (manager.select(*parent) for parent in parents),
                 kind="merge", timestamp=timestamp,
                 merge_parents=[[(array, number)]
                                for array, number in parents],
@@ -611,29 +605,27 @@ class ClusterCoordinator:
 
             def stage(_, manager, encoded):
                 return encode(manager) if encoded is None \
-                    else manager._stage_copy(encoded)
+                    else writes.place(manager, new_name, encoded)
 
-            self._write_all(stage, VersionedStorageManager._commit,
-                            what=f"array {new_name!r}",
+            self._write_all(stage, what=f"array {new_name!r}",
                             versions=len(sources))
             self._heads[new_name] = len(sources)
             self._schemas[new_name] = schema
             self._partitioners[new_name] = RangePartitioner(schema.shape,
                                                             self.nodes)
 
-    def _write_all(self, stage, commit, *, what: str,
-                   versions: int = 1) -> None:
+    def _write_all(self, stage, *, what: str, versions: int = 1) -> None:
         """The one replicated write fan, under the caller's write lock:
         ``stage(node, manager, encoded)`` (all that touches bytes) on
-        every copy, then ``commit(manager, handle)`` (one catalog
-        transaction).  Copies stage in :meth:`_pairs` order, so each
-        band's first copy — its *encoder* — stages with ``encoded``
+        every copy returns its :class:`~repro.storage.writes.Shipment`,
+        then :func:`~repro.storage.writes.commit` files each (one
+        catalog transaction).  Copies stage in :meth:`_pairs` order, so
+        each band's first copy — its *encoder* — stages with ``encoded``
         None, and every later copy of the band — a *sibling* — with the
         encoder's handle, whose rows and payloads it places instead of
-        encoding the band again (:meth:`VersionedStorageManager.
-        _stage_copy`).  A dead copy raises first; a stage failure
-        discards every handle staged before it and raises, nothing
-        committed.
+        encoding the band again (:func:`~repro.storage.writes.place`).
+        A dead copy raises first; a stage failure discards every handle
+        staged before it and raises, nothing committed.
         Every commit is tried; a copy whose commit raises is fenced
         (marked dead, a warning logged) for revive/repair, even if the
         write then fails.  The write stands when every band has a live
@@ -642,8 +634,8 @@ class ClusterCoordinator:
         ``what``."""
         self._check_all_writable()
         pairs = self._pairs()
-        encoders: dict[int, _Staged] = {}
-        handles: list[_Staged] = []
+        encoders: dict[int, writes.Shipment] = {}
+        handles: list[writes.Shipment] = []
         try:
             for node, replica in pairs:
                 handle = stage(node, self.replicas[node][replica],
@@ -653,11 +645,12 @@ class ClusterCoordinator:
         except BaseException:
             for (node, replica), handle in zip(pairs, handles):
                 with suppress(ReproError):  # raise the stage's error
-                    self.replicas[node][replica]._discard(handle.record)
+                    writes.discard(self.replicas[node][replica],
+                                   handle.record)
             raise
         for (node, replica), handle in zip(pairs, handles):
             try:
-                commit(self.replicas[node][replica], handle)
+                writes.commit(self.replicas[node][replica], handle)
             except Exception as exc:  # fenced: the fan never stops
                 self._dead.add((node, replica))
                 _log.warning("fenced replica %d of node %d: its commit of "

@@ -4,7 +4,9 @@ Layering (bottom up): :mod:`~repro.storage.backend` holds bytes,
 :mod:`~repro.storage.chunkstore` places chunks over a backend,
 :mod:`~repro.storage.pipeline` encodes/decodes versions through the
 store, and :mod:`~repro.storage.manager` orchestrates catalog +
-pipelines into the paper's versioned-array semantics.  Every thread
+pipelines into the paper's versioned-array semantics, writing through
+:mod:`~repro.storage.writes` (stage or place, then one commit) and
+:mod:`~repro.storage.rewrite`.  Every thread
 any of them starts belongs to :mod:`~repro.storage.fan`, one CPU pool
 and one sync pool per process.
 """

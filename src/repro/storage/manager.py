@@ -21,27 +21,22 @@ The manager is an orchestrator over three separable layers:
 What remains here is the paper's *semantics*: version numbering and
 lineage, branches and merges, the four select forms, deletion with
 re-encoding of dependents, and layout re-organization (Section IV-E).
+Its version writes are staged writes (:mod:`repro.storage.writes`),
+its deletions and re-organizations rewrites (:mod:`repro.storage.rewrite`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import threading
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from repro.compression.registry import get_codec
-from repro.core.array import (
-    ArrayData,
-    DeltaListPayload,
-    Payload,
-    sliced_schema,
-)
-from repro.core.errors import ArrayExistsError, DimensionError, StorageError
+from repro.core.array import ArrayData, Payload, sliced_schema
+from repro.core.errors import DimensionError, StorageError
 from repro.core.schema import ArraySchema
 from repro.delta.registry import get_delta_codec
 from repro.storage.backend import StorageBackend, resolve_backend
@@ -51,10 +46,8 @@ from repro.storage.iostats import IOStats
 from repro.storage.metadata import (
     ArrayRecord,
     ArraySnapshot,
-    ChunkRecord,
     MetadataCatalog,
     VersionRecord,
-    VersionRows,
 )
 from repro.storage.pipeline import (
     POLICY_AUTO,
@@ -65,6 +58,15 @@ from repro.storage.pipeline import (
     EncodePipeline,
     ensure_policy,
     overlap_slices as _overlap_slices,
+)
+from repro.storage.rewrite import layout_for, rewrite, topological_order
+from repro.storage.writes import (
+    Shipment,
+    _HotSlot,
+    commit,
+    new_record,
+    place,
+    stage,
 )
 
 __all__ = [
@@ -91,174 +93,6 @@ def region_corners(schema: ArraySchema, corner_lo: tuple[int, ...],
                 f"{first} down to {last}; the low corner must not exceed "
                 f"the high one")
     return lo, hi
-
-
-@dataclass(frozen=True)
-class Shipment:
-    """Some versions of one array exactly as one copy stores them:
-    :meth:`VersionedStorageManager.export_versions` reads it from one
-    snapshot, :meth:`~VersionedStorageManager.import_versions` commits
-    it on another copy.
-
-    ``versions`` pairs each lineage row with its merge parents, in
-    version order; ``chunks`` are their chunk rows in catalog order and
-    ``payloads`` each row's stored bytes, undecoded.  Array ids and
-    locations are the source's, and an import keeps neither.
-    """
-
-    record: ArrayRecord
-    versions: VersionRows
-    chunks: list[ChunkRecord]
-    payloads: list
-
-
-@dataclass(frozen=True)
-class _Staged:
-    """A write placed and synced but not committed (``_stage``); a new
-    array's ``record`` and rows have no ``array_id`` until the commit.
-    ``head`` is the last version's contents, and ``lease`` the hot
-    slot's (:meth:`_HotSlot.lend`) when that version was encoded onto
-    the slot's canvas, which then already holds it.  ``payloads`` are
-    the chunk rows' bytes as placed, kept only when another copy will
-    place them too (``_stage(ship=True)``, :meth:`_stage_copy`)."""
-
-    record: ArrayRecord
-    versions: VersionRows
-    chunks: list[ChunkRecord]
-    head: ArrayData
-    lease: object | None = None
-    payloads: list | None = None
-
-
-class _HotSlot:
-    """The last version written, held in store-owned memory: the base
-    the next insert deltas against, and the answer to a whole-version
-    read of that version.
-
-    A chain-policy insert deltas against the data the manager was just
-    handed instead of re-reconstructing the parent through its whole
-    delta chain.  The slot must never alias memory the caller can
-    still reach — ``ArrayData`` marks only its own view read-only, so
-    ``insert(buf)`` leaves ``buf`` writable, and a simulation loop
-    that mutates ``buf`` in place between inserts would otherwise
-    delta the next version against an already-mutated "base".  So the
-    version lives in one canvas per attribute, allocated once per
-    layout and reused across inserts.  The next version gets there one
-    of two ways: an encode that :meth:`lend` handed the canvas copies
-    into it just the runs of cells that changed, and :meth:`adopt`
-    names the result; any other write is copied in whole
-    (:meth:`remember`) — into canvases of its own when the current ones
-    are lent to an encode or named for another array, whose next insert
-    may be deltaing against them.
-
-    A read is answered by one copy of the canvases (:meth:`read`) into
-    the reader's canvases or fresh ones, and only for the catalog row
-    the commit that named them published:
-    a row is an object of its own per commit, so a reader pinned
-    before a ``delete_version`` of the head and the re-insert of its
-    number — same lineage, same timestamp, equal by value — is not
-    served the new contents.  The lent canvases are overwritten on
-    the CPU fan's lanes while no lock is held, so everything that
-    names, un-names or copies them — :meth:`lend`, :meth:`adopt`,
-    :meth:`remember`, :meth:`forget` and :meth:`read` — holds the
-    slot's lock: a reader copies the whole named version, or finds
-    nothing named and decodes.  :meth:`get` hands the write path the
-    canvases themselves, without the lock: only a writer changes them.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._key: tuple[str, int] | None = None
-        #: The catalog row the named version was published under.
-        self._row: VersionRecord | None = None
-        self._canvases: dict[str, np.ndarray] = {}
-        self._data: ArrayData | None = None
-        #: The array of the insert the canvases are lent to, and the
-        #: lease's identity.
-        self._lease: tuple[str, object] | None = None
-
-    def get(self, name: str, version: int) -> ArrayData | None:
-        """The snapshot of ``name@version`` when that is what is held."""
-        return self._data if self._key == (name, version) else None
-
-    def read(self, row: VersionRecord,
-             out: dict[str, np.ndarray] | None = None
-             ) -> dict[str, np.ndarray] | None:
-        """When the canvases hold the version ``row`` was published as
-        — that very row object — copy them into ``out`` (the attributes
-        it names) or fresh arrays (every attribute) and return those;
-        else None."""
-        with self._lock:
-            if self._row is not row:
-                return None
-            if out is None:
-                out = {attr: np.empty_like(canvas)
-                       for attr, canvas in self._canvases.items()}
-            for attr, window in out.items():
-                np.copyto(window, self._canvases[attr])
-            return out
-
-    def lend(self, name: str, version: int
-             ) -> tuple[dict[str, np.ndarray], object] | None:
-        """The writable canvases and a lease on them, when they hold
-        ``name@version``: un-named from here on — the borrower
-        overwrites them with the next version, and only :meth:`adopt`
-        with this lease names them again."""
-        with self._lock:
-            if self._key != (name, version):
-                return None
-            self._key = self._row = None
-            self._lease = (name, object())
-            return self._canvases, self._lease
-
-    def adopt(self, name: str, version: int, lease: object,
-              row: VersionRecord) -> bool:
-        """Name the lent canvases ``name@version``, published as
-        ``row`` — no copy — unless another write touched the slot since
-        ``lease`` was taken."""
-        with self._lock:
-            if lease is None or lease is not self._lease:
-                return False
-            self._lease = None
-            self._key, self._row = (name, version), row
-            return True
-
-    def remember(self, name: str, version: int, data: ArrayData,
-                 row: VersionRecord) -> None:
-        """Copy ``data`` in whole as ``name@version``, published as
-        ``row``."""
-        sources = {attr: data.attribute(attr)
-                   for attr in data.attribute_names}
-        layout = {attr: (values.shape, values.dtype)
-                  for attr, values in sources.items()}
-        with self._lock:
-            # Canvases lent to an encode, or named for another array
-            # (whose next insert may hold them as its base), are not
-            # this write's to overwrite: it gets canvases of its own.
-            taken = self._lease is not None or (
-                self._key is not None and self._key[0] != name)
-            # Never a named, half-copied canvas.
-            self._key = self._row = self._lease = None
-            if taken or layout != {attr: (canvas.shape, canvas.dtype)
-                                   for attr, canvas in
-                                   self._canvases.items()}:
-                self._canvases = {attr: np.empty_like(values)
-                                  for attr, values in sources.items()}
-                # ArrayData freezes views of its own; the canvases stay
-                # writable here.
-                self._data = ArrayData(data.schema, self._canvases)
-            for attr, values in sources.items():
-                np.copyto(self._canvases[attr], values)
-            self._key, self._row = (name, version), row
-
-    def forget(self, name: str) -> None:
-        """Drop the snapshot if it is of array ``name``, and a lease
-        out on the canvases to an insert into ``name``."""
-        with self._lock:
-            if self._lease is not None and self._lease[0] == name:
-                self._lease = None
-            if self._key is not None and self._key[0] == name:
-                self._key = self._row = None
 
 
 class VersionedStorageManager:
@@ -357,31 +191,10 @@ class VersionedStorageManager:
         ``chunk_shape`` fixes explicit per-dimension chunk strides
         instead of the default even division of the byte budget.
         """
-        self.catalog.put_chunks([], create=self._new_record(
-            name, schema, chunk_bytes, compressor, parent_array,
-            parent_version, chunk_shape))
+        commit(self, Shipment(new_record(
+            self, name, schema, chunk_bytes, compressor, parent_array,
+            parent_version, chunk_shape), [], []))
         return self.catalog.get_array(name)
-
-    def _new_record(self, name: str, schema: ArraySchema,
-                    chunk_bytes: int | None = None,
-                    compressor: str | None = None,
-                    parent_array: str | None = None,
-                    parent_version: int | None = None,
-                    chunk_shape: tuple[int, ...] | None = None
-                    ) -> ArrayRecord:
-        """A new array's record, no ``array_id`` yet, defaults filled.
-        A compressor the store does not write raises
-        :class:`CodecError`."""
-        get_codec(compressor or self.compressor_name)
-        if chunk_bytes is None:
-            chunk_bytes = self.chunk_bytes
-        # Validate eagerly so a bad shape or budget fails at Create.
-        ChunkGrid(schema.shape, schema.cell_size, chunk_bytes, chunk_shape)
-        return ArrayRecord(
-            None, name, schema, chunk_bytes,
-            compressor or self.compressor_name, self._now(),
-            parent_array, parent_version,
-            tuple(chunk_shape) if chunk_shape else None)
 
     def delete_array(self, name: str) -> None:
         """Drop an array, its versions, and its stored bytes."""
@@ -411,13 +224,14 @@ class VersionedStorageManager:
 
         The version row and all of its chunk rows commit in one
         catalog transaction *after* every payload is placed and behind
-        the durability barrier (:meth:`_stage`, then :meth:`_commit`):
+        the durability barrier (:func:`~repro.storage.writes.stage`,
+        then :func:`~repro.storage.writes.commit`):
         a concurrent reader can never name a version whose chunks are
         still being encoded, and a failure (or a crash) before it
         leaves no catalog trace at all.
         """
-        return self._commit(self._stage(name, [payload],
-                                        timestamp=timestamp))
+        return commit(self, stage(self, name, [payload],
+                                  timestamp=timestamp))
 
     def branch(self, source_name: str, source_version: int,
                new_name: str,
@@ -429,8 +243,8 @@ class VersionedStorageManager:
         branch's version 1 has the same contents as the source version.
         The array row commits with the version's rows, all or nothing.
         """
-        self._commit(self._stage(
-            new_name, [self.select(source_name, source_version)],
+        commit(self, stage(
+            self, new_name, [self.select(source_name, source_version)],
             kind="branch-root", timestamp=timestamp,
             origin=(source_name, source_version)))
         return self.catalog.get_array(new_name)
@@ -454,8 +268,8 @@ class VersionedStorageManager:
                     first_array.schema:
                 raise StorageError(
                     "merge parents must share the same schema")
-        self._commit(self._stage(
-            new_name, (self.select(*parent) for parent in parents),
+        commit(self, stage(
+            self, new_name, (self.select(*parent) for parent in parents),
             kind="merge", timestamp=timestamp,
             merge_parents=[[(array, number)] for array, number in parents],
             origin=(parents[0][0], None)))
@@ -474,10 +288,10 @@ class VersionedStorageManager:
         kind, parent link, merge parents and timestamp, so a copy the
         rebalance catch-up rebuilds (re-encoding: its bands change chunk
         geometry) answers lineage queries like its source.  Append-only:
-        ``version`` must be exactly one past this array's latest.
+        ``version`` must be above this array's latest.
         """
-        return self._commit(self._stage(
-            name, [payload], kind=kind, version=version,
+        return commit(self, stage(
+            self, name, [payload], kind=kind, version=version,
             parent_version=parent_version, timestamp=timestamp,
             merge_parents=[merge_parents or ()]))
 
@@ -502,97 +316,33 @@ class VersionedStorageManager:
         """Append another copy's stored versions to ``name``: place →
         one barrier → one catalog swap, with no encode stage.
 
-        The placement is :meth:`_place`: this copy keeps its own
-        locations, each chunk row the source's delta codec, delta base
-        and compressor under this array's id, and each version its
-        source lineage row (kind, parent, merge parents, timestamp).
-        Then one :meth:`MetadataCatalog.put_chunks` transaction commits
-        every version at once — so a version may delta against a later
-        one (a re-organized source), and a fault anywhere before the
-        commit leaves no shipped version behind, only bytes no row
-        names (dropped by the next compacting rewrite).
+        The placement (:func:`~repro.storage.writes.place`) keeps this
+        copy's own locations, each chunk row the source's delta codec,
+        delta base and compressor under this array's id, and each
+        version its source lineage row (kind, parent, merge parents,
+        timestamp).  Then one transaction commits every version at once
+        (and creates ``name`` when the shipment's record has no
+        ``array_id``) — so a version may delta against a later one (a
+        re-organized source), and a fault anywhere before the commit
+        leaves no shipped version behind, only bytes no row names
+        (dropped by the next compacting rewrite, or at once for a new
+        array).
 
         Nothing is decoded, encoded or verified here: the copy ends up
         storing exactly its source's bytes.
         """
-        placed = self._place(name, shipment)
-        self.catalog.put_chunks(placed.chunks, versions=placed.versions)
-
-    def _place(self, name: str, shipment: Shipment) -> _Staged:
-        """Stage another copy's versions of ``name`` exactly as that
-        copy stores them: each payload through this store's own
-        :meth:`ChunkStore.write_chunk`, then one durability barrier
-        over every placed payload; no plan, no encode, no catalog
-        write.  The placement of :meth:`import_versions` and of
-        :meth:`_stage_copy`.
-
-        A shipment whose record has no ``array_id`` creates ``name``
-        with that record (a branch or merge staged on another copy),
-        and is refused when the name is in use here.  Also refused
-        before anything is placed: a source whose storage identity
-        (schema, chunk geometry, compressor) is not this array's, a
-        version not above this array's latest, and a delta base
-        neither side holds.  A fault while placing discards what a new
-        array placed.
-        """
-        source = shipment.record
-        if source.array_id is None:
-            if name in self.catalog.list_arrays():
-                raise ArrayExistsError(f"array {name!r} already exists")
-            record, stored = source, set()
-        else:
-            snap = self.catalog.snapshot(name)
-            record = snap.record
-            stored = {row.version for row in snap.get_versions()}
-        if (record.schema, record.chunk_bytes, record.chunk_shape,
-                record.compressor) != (source.schema, source.chunk_bytes,
-                                       source.chunk_shape,
-                                       source.compressor):
-            raise StorageError(
-                f"cannot place versions into {name!r}: they come from "
-                f"an array stored differently")
-        numbers = [row.version for row, _ in shipment.versions]
-        latest = max(stored, default=0)
-        if numbers and (numbers != sorted(set(numbers))
-                        or numbers[0] <= latest):
-            raise StorageError(
-                f"array {name!r} is append-only: it is at version "
-                f"{latest}, cannot place versions {numbers}")
-        shipped = set(numbers)
-        bases = stored | shipped | {None}
-        for chunk in shipment.chunks:
-            if chunk.version not in shipped or \
-                    chunk.base_version not in bases:
-                raise StorageError(
-                    f"cannot place {name!r} v{chunk.version}: its chunk "
-                    f"{chunk.attribute}/{chunk.chunk_name} names a "
-                    f"version neither copy holds")
-        try:
-            rows = [replace(chunk, array_id=record.array_id,
-                            location=self.store.write_chunk(
-                                name, chunk.version, chunk.attribute,
-                                chunk.chunk_name, payload))
-                    for chunk, payload in zip(shipment.chunks,
-                                              shipment.payloads)]
-            if rows:
-                self.store.sync_chunks([chunk.location for chunk in rows])
-        except BaseException:
-            self._discard(record)
-            raise
-        return _Staged(record,
-                       [(replace(row, array_id=record.array_id), parents)
-                        for row, parents in shipment.versions],
-                       rows, None)
+        commit(self, place(self, name, shipment))
 
     def delete_version(self, name: str, version: int) -> None:
         """Remove one version, re-encoding any versions delta'ed on it.
 
-        One rewrite (:meth:`_rewrite`): each dependent is re-encoded
-        against the deleted version's own stored base (or materialized
-        when the chain ends there), and one catalog transaction swaps
-        their rows, drops the version with its labels and merge
-        parents, and re-parents its children to its own parent.  A
-        fault before that commit leaves the store as it was.
+        One rewrite (:func:`~repro.storage.rewrite.rewrite`): each
+        dependent is re-encoded against the deleted version's own
+        stored base (or materialized when the chain ends there), and
+        one catalog transaction swaps their rows, drops the version
+        with its labels and merge parents, and re-parents its children
+        to its own parent.  A fault before that commit leaves the store
+        as it was.
         """
         snap = self.catalog.snapshot(name)
         deleted = snap.get_version(version)
@@ -603,9 +353,9 @@ class VersionedStorageManager:
         bases = {chunk.base_version for chunk in
                  snap.chunks_for_version(version) if chunk.is_delta}
         deleted_base = bases.pop() if len(bases) == 1 else None
-        self._rewrite(snap, [(dependent, deleted_base)
+        rewrite(self, snap, [(dependent, deleted_base)
                              for dependent in sorted(dependents)],
-                      drop=deleted)
+                drop=deleted)
 
     # ------------------------------------------------------------------
     # Selection (Section II-B's four forms).  Each public call takes the
@@ -933,10 +683,11 @@ class VersionedStorageManager:
         and form a forest (validity per Section IV-B is the optimizer's
         responsibility; this method verifies reconstructability).
 
-        One rewrite (:meth:`_rewrite`) in topological order of the new
-        forest.  The old layout stays readable until its one catalog
-        swap, so versions stream out of it a few canvases at a time,
-        and a fault part-way leaves it whole.
+        One rewrite (:func:`~repro.storage.rewrite.rewrite`) in
+        topological order of the new forest.  The old layout stays
+        readable until its one catalog swap, so versions stream out of
+        it a few canvases at a time, and a fault part-way leaves it
+        whole.
         """
         snap = self.catalog.snapshot(name)
         versions = [v.version for v in snap.get_versions()]
@@ -944,8 +695,8 @@ class VersionedStorageManager:
             raise StorageError(
                 f"layout covers versions {sorted(parent_of)} but the array "
                 f"has {versions}")
-        self._rewrite(snap, [(v, parent_of[v])
-                             for v in _topological_order(parent_of)])
+        rewrite(self, snap, [(v, parent_of[v])
+                             for v in topological_order(parent_of)])
 
     def reorganize(self, name: str, *, mode: str = "space",
                    workload=None, attribute: str | None = None,
@@ -960,68 +711,13 @@ class VersionedStorageManager:
         large arrays.  This is the paper's "background re-organization
         step" packaged as one call.
         """
-        from repro.materialize.matrix import (
-            MaterializationMatrix,
-            check_sample_fraction,
-        )
-        from repro.materialize.spanning import optimal_layout
-        from repro.materialize.workload_opt import (
-            head_biased_layout,
-            validate_workload,
-            workload_aware_layout,
-        )
-
-        # Refuse before the matrix selects every version.
-        snap = self.catalog.snapshot(name)
-        self._resolve_attribute(snap.record, attribute)
-        if mode not in ("space", "head", "workload"):
-            raise StorageError(
-                f"unknown reorganize mode {mode!r}; expected "
-                "'space', 'head', or 'workload'")
-        if mode == "workload":
-            if workload is None:
-                raise StorageError(
-                    "reorganize(mode='workload') needs a workload")
-            validate_workload(workload,
-                              (v.version for v in snap.get_versions()))
-        check_sample_fraction(sample_fraction)
-        matrix = MaterializationMatrix.from_manager(
-            self, name, attribute=attribute,
-            sample_fraction=sample_fraction)
-        if mode == "space":
-            layout = optimal_layout(matrix)
-        elif mode == "head":
-            layout = head_biased_layout(matrix)
-        else:
-            layout = workload_aware_layout(matrix, workload)
-        self.apply_layout(name, dict(layout.parent_of))
+        self.apply_layout(name, layout_for(
+            self, name, mode=mode, workload=workload, attribute=attribute,
+            sample_fraction=sample_fraction))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _version_contents(self, record: ArrayRecord,
-                          version: int) -> ArrayData:
-        """A committed version the write path deltas against or
-        patches: the hot slot's snapshot when it holds that version,
-        else an ordinary :meth:`select` — a canvas either way."""
-        held = self._hot.get(record.name, version)
-        return held if held is not None \
-            else self.select(record.name, version)
-
-    def _normalize_payload(self, record: ArrayRecord,
-                           payload: Payload | ArrayData | np.ndarray
-                           ) -> ArrayData:
-        if isinstance(payload, ArrayData):
-            # The one form that arrives with a schema of its own: an
-            # encode with no delta base would never compare the two.
-            return payload.conforming(record.schema)
-        if isinstance(payload, np.ndarray):
-            return ArrayData.from_single(record.schema, payload)
-        if isinstance(payload, DeltaListPayload):
-            base = self._version_contents(record, payload.base_version)
-            return payload.to_array_data(record.schema, base=base)
-        return payload.to_array_data(record.schema)
-
     def _resolve_attribute(self, record: ArrayRecord,
                            attribute: str | None) -> str:
         if attribute is not None:
@@ -1029,214 +725,7 @@ class VersionedStorageManager:
             return attribute
         return record.schema.attributes[0].name
 
-    def _base_of(self, record: ArrayRecord, base_version: int | None,
-                 held) -> ArrayData | None:
-        """What a version encodes against: nothing when it has no base
-        or the policy never deltas, else ``held`` (the version last
-        staged, with its contents) when that is the base, else
-        :meth:`_version_contents`."""
-        if base_version is None or not self.encoder.wants_base:
-            return None
-        if held is not None and held[0] == base_version:
-            return held[1]
-        return self._version_contents(record, base_version)
-
-    def _stage(self, name: str, contents, *, kind: str = "insert",
-               version: int | None = None,
-               parent_version: int | None = None,
-               timestamp: float | None = None,
-               merge_parents: list | None = None,
-               origin: tuple[str, int | None] | None = None,
-               ship: bool = False) -> _Staged:
-        """Plan, encode, place and barrier every version of one write;
-        no catalog write.  A version whose base the hot slot holds
-        borrows the slot's canvas (:meth:`_HotSlot.lend`, which
-        un-names it) and is encoded onto it; :meth:`_commit` names it,
-        or copies the last version in.  ``ship`` keeps the placed
-        payloads in the result, for other copies to place
-        (:meth:`_stage_copy`).
-
-        ``contents`` become consecutive versions of ``name``, each the
-        lineage child and delta of the one before; the first is
-        ``version``, child of ``parent_version`` (default: one past the
-        latest, and the latest).  ``merge_parents`` lists each one's.
-        ``origin`` = ``(array, v)`` creates ``name`` like ``array``,
-        branched off ``array@v`` unless ``v`` is None — refused before
-        a byte lands under the name's paths if the name is in use."""
-        if kind not in ("insert", "branch-root", "merge"):
-            raise StorageError(f"unknown version kind {kind!r}")
-        if origin is None:
-            record = self.catalog.get_array(name)
-            latest = self.catalog.latest_version(record.array_id) or 0
-        else:
-            if name in self.catalog.list_arrays():
-                raise ArrayExistsError(f"array {name!r} already exists")
-            source = self.catalog.get_array(origin[0])
-            record = self._new_record(
-                name, source.schema, chunk_bytes=source.chunk_bytes,
-                compressor=source.compressor,
-                parent_array=None if origin[1] is None else origin[0],
-                parent_version=origin[1], chunk_shape=source.chunk_shape)
-            latest = 0
-        if version is None:
-            version, parent_version = latest + 1, latest or None
-        elif version != latest + 1:
-            raise StorageError(
-                f"array {name!r} is append-only: it is at version "
-                f"{latest}, cannot write version {version}")
-        rows, chunks, held, lease = [], [], None, None
-        payloads = [] if ship else None
-        try:
-            for number, payload in enumerate(contents, version):
-                parent = parent_version if number == version else number - 1
-                data = self._normalize_payload(record, payload)
-                base_data = self._base_of(record, parent, held)
-                # A base the hot slot holds is encoded against in
-                # place: the encode leaves the canvas holding ``data``.
-                canvas = lease = None
-                if base_data is not None \
-                        and base_data is self._hot.get(record.name, parent):
-                    canvas, lease = self._hot.lend(record.name, parent)
-                chunks += self.encoder.write_version(
-                    record, record.grid, number, data,
-                    base_data=base_data, base_version=parent,
-                    canvas=canvas, payloads=payloads)
-                rows.append((VersionRecord(
-                    record.array_id, number, parent, kind,
-                    self._now() if timestamp is None else timestamp),
-                    tuple(merge_parents[number - version])
-                    if merge_parents else ()))
-                held = (number, data)
-        except BaseException:
-            self._discard(record)
-            raise
-        return _Staged(record, rows, chunks, held[1], lease, payloads)
-
-    def _stage_copy(self, staged: _Staged) -> _Staged:
-        """Stage here what another copy of the same array staged with
-        ``_stage(ship=True)``: its version rows (timestamps included),
-        its chunk rows under this copy's ``array_id`` and its payloads,
-        placed by :meth:`_place` — no plan, no encode, no base read.
-        Its :meth:`_commit` copies ``staged.head`` into the hot slot."""
-        placed = self._place(staged.record.name, Shipment(
-            staged.record, staged.versions, staged.chunks,
-            staged.payloads))
-        return replace(placed, head=staged.head)
-
-    def _discard(self, record: ArrayRecord) -> None:
-        """Drop what a failed write placed for a new array (its name was
-        free: all of it); an append's wait for the next rewrite."""
-        if record.array_id is None \
-                and record.name not in self.catalog.list_arrays():
-            self.store.delete_array(record.name)
-
-    def _commit(self, staged: _Staged) -> int:
-        """Commit a staged write in one catalog transaction, then put
-        its last version — returned — in the hot slot (the only code
-        that names one there), under the row the transaction published:
-        name the canvas the stage encoded it onto, else copy it in.  A
-        refused commit discards the stage."""
-        record = staged.record
-        try:
-            published = self.catalog.put_chunks(
-                staged.chunks, versions=staged.versions,
-                create=record if record.array_id is None else None)
-        except BaseException:
-            self._discard(record)
-            raise
-        version = staged.versions[-1][0].version
-        if self.encoder.wants_base:
-            row = published.get_version(version)
-            if not self._hot.adopt(record.name, version, staged.lease,
-                                   row):
-                self._hot.remember(record.name, version, staged.head, row)
-        return version
-
-    def _rewrite(self, snap: ArraySnapshot,
-                 plan: list[tuple[int, int | None]], *,
-                 drop: VersionRecord | None = None) -> None:
-        """The one rewrite protocol: stage → barrier → swap → reclaim.
-
-        ``plan`` lists ``(version, base_version)`` re-encodes, bases
-        first; ``drop`` is a version to delete in the same swap.
-
-        1. *Stage* each planned version, ``select``-ed from ``snap``
-           (the committed layout), beside its committed encoding.
-        2. *Compact* (co-located) every surviving payload into new
-           ``@r<n>`` objects.
-        3. One durability *barrier* over what the swap names.
-        4. *Swap* in one catalog transaction.
-        5. Invalidate the cache and hot slot, *reclaim* what no row
-           names any more.
-
-        Nothing before step 4 touches a committed row or a byte one
-        names: a fault there leaves the store reading as before, and a
-        concurrent reader sees the old layout until the swap.  A fault
-        during reclaim leaks bytes but never corrupts.
-        """
-        record = snap.record
-        staged: list[ChunkRecord] = []
-        held = None
-        for version, base_version in plan:
-            data = self._select(snap, version)
-            staged += self.encoder.stage_version(
-                record, record.grid, version, data,
-                base_data=self._base_of(record, base_version, held),
-                base_version=base_version)
-            held = (version, data)
-
-        old = snap.all_chunks()
-        # Catalog order, each staged row in place of the one it replaces.
-        live = {(chunk.version, chunk.attribute, chunk.chunk_name): chunk
-                for chunk in old + staged
-                if drop is None or chunk.version != drop.version}
-        swap = staged
-        if self.store.placement == COLOCATED:
-            moved = self.store.repack(
-                record.name,
-                [(chunk.location, key) for key, chunk in live.items()],
-                committed={chunk.location.path for chunk in old})
-            swap = [replace(chunk, location=moved[key])
-                    for key, chunk in live.items()]
-            live = dict(zip(live, swap))
-        if swap:
-            self.store.sync_chunks([chunk.location for chunk in swap])
-        self.catalog.put_chunks(swap, drop=drop)
-        # Not earlier: the stage's selects may have re-cached a
-        # deleted version on their way down its chain, and a deleted
-        # head's number is reused by the next insert.  A read pinned
-        # before the swap cannot re-cache it after this either
-        # (``MetadataCatalog.publishes`` refuses the entry).
-        self.cache.invalidate_array(record.array_id)
-        self._hot.forget(record.name)
-        named = {chunk.location.path for chunk in live.values()}
-        self.store.reclaim({chunk.location.path for chunk in old + staged}
-                           - named)
-
     def _now(self) -> float:
         # A strictly increasing logical clock keeps catalog timestamps
         # deterministic; wall-clock seconds provide the coarse component.
         return time.time() + next(self._tick) * 1e-6
-
-
-def _topological_order(parent_of: dict[int, int | None]) -> list[int]:
-    """Materialized roots first, then children in dependency order."""
-    children: dict[int | None, list[int]] = {}
-    for version, parent in parent_of.items():
-        children.setdefault(parent, []).append(version)
-    order: list[int] = []
-    frontier = sorted(children.get(None, []))
-    if not frontier:
-        raise StorageError("layout has no materialized version")
-    visited: set[int] = set()
-    while frontier:
-        version = frontier.pop(0)
-        if version in visited:
-            raise StorageError("layout contains a cycle")
-        visited.add(version)
-        order.append(version)
-        frontier.extend(sorted(children.get(version, [])))
-    if len(order) != len(parent_of):
-        raise StorageError(
-            "layout contains a cycle or unreachable versions")
-    return order

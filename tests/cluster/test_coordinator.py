@@ -808,15 +808,14 @@ class TestArrayLifecycleAtomicity:
                                      backend="memory")
         schema = ArraySchema.simple((12, 8), dtype=np.int32)
         victim = cluster.replicas[node][replica]
-        original = victim.create_array
 
         def refusing_create(*args, **kwargs):
             raise StorageError("catalog refused")
 
-        victim.create_array = refusing_create
+        victim.catalog.put_chunks = refusing_create
         with caplog.at_level(logging.WARNING, logger="repro.cluster"):
             cluster.create_array("A", schema)
-        victim.create_array = original
+        del victim.catalog.put_chunks
         assert cluster.list_arrays() == ["A"]
         assert cluster.dead_replicas() == [(node, replica)]
         assert [r.message for r in caplog.records
@@ -851,11 +850,11 @@ class TestArrayLifecycleAtomicity:
             raise StorageError("catalog refused")
 
         for manager in cluster.replicas[1]:
-            manager.create_array = refusing_create
+            manager.catalog.put_chunks = refusing_create
         with pytest.raises(StorageError, match=r"band\(s\) \[1\]"):
             cluster.create_array("A", schema)
         for manager in cluster.replicas[1]:
-            del manager.create_array
+            del manager.catalog.put_chunks
         assert cluster.list_arrays() == []
         assert cluster.dead_replicas() == [(1, 0), (1, 1)]
         assert [manager.list_arrays() for row in cluster.replicas

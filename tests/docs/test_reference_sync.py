@@ -161,6 +161,12 @@ def test_architecture_names_every_cluster_module():
         f"docs/architecture.md does not name cluster modules {missing}")
 
 
+def test_architecture_names_every_storage_module():
+    missing = _unnamed_modules("storage")
+    assert not missing, (
+        f"docs/architecture.md does not name storage modules {missing}")
+
+
 def test_architecture_names_every_backend_module():
     missing = _unnamed_modules("storage/backend")
     assert not missing, (

@@ -1,8 +1,8 @@
 """Where the write path gets a version's contents, byte for byte.
 
 An insert under a delta policy needs its base version, and a
-delta-list update the version it patches.  Both ask one manager
-function, ``_version_contents``: the hot slot's snapshot when that is
+delta-list update the version it patches.  Both ask one write-path
+function, ``writes.version_contents``: the hot slot's snapshot when that is
 the version held, else an ordinary ``select`` — so a base is always a
 canvas, and which of the two served it must never show in the stored
 bytes.  Every scenario here runs one logical history twice, once with
@@ -25,8 +25,8 @@ import pytest
 from repro.core import native
 from repro.core.array import DeltaListPayload
 from repro.core.schema import ArraySchema
-from repro.storage import VersionedStorageManager
-from repro.storage.manager import _HotSlot
+from repro.storage import VersionedStorageManager, writes
+from repro.storage.writes import _HotSlot
 
 DTYPES = [np.int64, np.int32, np.int16, np.uint8, np.uint64,
           np.bool_, np.float64, np.float32]
@@ -60,28 +60,29 @@ def _versions(dtype, depth=5, shape=(40, 40), seed=2012):
 
 class _Store:
     """One store under test: reopenable, and recording — per call of
-    ``_version_contents`` — whether the hot slot or ``select`` served."""
+    ``writes.version_contents`` on its manager — whether the hot slot
+    or ``select`` served."""
 
-    def __init__(self, root, **kwargs):
+    def __init__(self, root, monkeypatch, **kwargs):
         self.root = root
         self.kwargs = dict(chunk_bytes=4000, **kwargs)
         self.sources: list[str] = []
         self.manager = None
         self.reopen()
+        resolve = writes.version_contents
+
+        def recording(manager, record, version):
+            if manager is self.manager:
+                held = manager._hot.get(record.name, version)
+                self.sources.append("select" if held is None else "hot")
+            return resolve(manager, record, version)
+
+        monkeypatch.setattr(writes, "version_contents", recording)
 
     def reopen(self) -> None:
         if self.manager is not None:
             self.manager.close()
-        manager = self.manager = VersionedStorageManager(
-            self.root, **self.kwargs)
-        resolve = manager._version_contents
-
-        def recording(record, version):
-            held = manager._hot.get(record.name, version)
-            self.sources.append("select" if held is None else "hot")
-            return resolve(record, version)
-
-        manager._version_contents = recording
+        self.manager = VersionedStorageManager(self.root, **self.kwargs)
 
     def prime(self, name: str, version: int) -> None:
         """Put ``name@version`` in the hot slot, as having just
@@ -185,14 +186,15 @@ class TestOneFingerprint:
     @pytest.mark.parametrize("dtype", DTYPES,
                              ids=[np.dtype(d).name for d in DTYPES])
     def test_hot_and_select_bases_store_the_same_bytes(
-            self, tmp_path, dtype, delta_policy, cache_bytes, scenario):
+            self, tmp_path, monkeypatch, dtype, delta_policy, cache_bytes,
+            scenario):
         run, hot_sources, cold_sources = SCENARIOS[scenario]
         versions = _versions(dtype)
         prints = {}
         for label, cold, expected in (("hot", False, hot_sources),
                                       ("cold", True, cold_sources)):
-            store = _Store(tmp_path / label, delta_policy=delta_policy,
-                           cache_bytes=cache_bytes)
+            store = _Store(tmp_path / label, monkeypatch,
+                           delta_policy=delta_policy, cache_bytes=cache_bytes)
             contents = run(store, versions, cold)
             # The scenario really took the path it is named for.
             assert store.sources == expected
@@ -210,12 +212,13 @@ class TestOneFingerprint:
     @pytest.mark.parametrize("kwargs", [
         dict(delta_policy="materialize"),
     ], ids=["no-base"])
-    def test_policies_the_fold_does_not_serve(self, tmp_path, kwargs):
+    def test_policies_the_fold_does_not_serve(self, tmp_path, monkeypatch,
+                                              kwargs):
         # The materialize policy asks for no base.
         versions = _versions(np.int64, depth=3, shape=(16, 16))
         prints = {}
         for label, cold in (("hot", False), ("cold", True)):
-            store = _Store(tmp_path / label, **kwargs)
+            store = _Store(tmp_path / label, monkeypatch, **kwargs)
             _reopen_before_every_insert(store, versions, cold)
             assert store.sources == []
             prints[label] = store.manager.fingerprint()
@@ -227,9 +230,10 @@ class TestOneFingerprint:
 
 
 class TestColdBaseCost:
-    def test_reads_its_base_exactly_as_a_select_does(self, tmp_path):
+    def test_reads_its_base_exactly_as_a_select_does(self, tmp_path,
+                                                     monkeypatch):
         versions = _versions(np.int32, depth=6)
-        store = _Store(tmp_path / "s", delta_policy="chain")
+        store = _Store(tmp_path / "s", monkeypatch, delta_policy="chain")
         store.create("a", versions[0])
         for data in versions[:5]:
             store.manager.insert("a", data)
@@ -398,16 +402,16 @@ class TestHotSlotAdoption:
         # Version 3 deltas against the slot's canvas (lent and
         # overwritten), version 4 against version 3's payload: the head
         # is not on the canvas, so the commit copies it in.
-        staged = manager._stage("a", [versions[2], versions[3]])
+        staged = writes.stage(manager, "a", [versions[2], versions[3]])
         assert staged.lease is None
         assert manager._hot.get("a", 2) is None
-        manager._commit(staged)
+        writes.commit(manager, staged)
         assert np.array_equal(manager._hot.get("a", 4).attribute("value"),
                               versions[3])
         # A one-version stage on the canvas is adopted as it stands.
-        staged = manager._stage("a", [versions[0]])
+        staged = writes.stage(manager, "a", [versions[0]])
         assert staged.lease is not None
-        manager._commit(staged)
+        writes.commit(manager, staged)
         assert np.array_equal(manager._hot.get("a", 5).attribute("value"),
                               versions[0])
         assert manager.fingerprint() == _replayed(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -462,6 +464,19 @@ class TestStageThenCommit:
         np.testing.assert_array_equal(manager.select("A", 2).single(),
                                       base + 2)
 
+    def test_a_replay_at_or_below_the_head_places_nothing(self, manager,
+                                                          schema, rng):
+        manager.create_array("A", schema)
+        for data in _versions(rng, count=2):
+            manager.insert("A", data)
+        before = manager.fingerprint(), manager.store.total_bytes()
+        for version in (1, 2):
+            with pytest.raises(StorageError, match="append-only"):
+                manager.replay_version("A", _versions(rng, count=1)[0],
+                                       version=version)
+        assert (manager.fingerprint(), manager.store.total_bytes()) == \
+            before
+
     def test_branch_onto_a_name_in_use_places_nothing(self, manager,
                                                       schema, rng):
         manager.create_array("A", schema)
@@ -820,6 +835,59 @@ class TestShipVersions:
             target.delete_version("A", head)
         target.import_versions("A", source.export_versions("A", after=2))
         assert target.stored_digests("A") == source.stored_digests("A")
+        source.close()
+        target.close()
+
+    @staticmethod
+    def _new_array(shipment):
+        """``shipment`` as a branch staged on another copy ships it: a
+        record with no ``array_id``, which creates the array."""
+        return replace(shipment, record=replace(shipment.record,
+                                                array_id=None))
+
+    def test_an_import_into_a_free_name_creates_the_array(
+            self, tmp_path, schema, rng):
+        source = self._source(tmp_path, schema, rng)
+        target = VersionedStorageManager(tmp_path / "target",
+                                         chunk_bytes=400, backend="memory")
+        traced = []
+        target.catalog._conn.set_trace_callback(traced.append)
+        target.import_versions("A", self._new_array(
+            source.export_versions("A")))
+        target.catalog._conn.set_trace_callback(None)
+        assert traced.count("COMMIT") == 1
+        assert target.list_arrays() == ["A"]
+        assert target.stored_digests("A") == source.stored_digests("A")
+        for version in source.get_versions("A"):
+            np.testing.assert_array_equal(
+                target.select("A", version).single(),
+                source.select("A", version).single())
+        assert_catalog_matches_sql(target.catalog)
+        source.close()
+        target.close()
+
+    def test_a_refused_import_into_a_free_name_leaves_no_object(
+            self, tmp_path, schema, rng):
+        source = self._source(tmp_path, schema, rng)
+        target = VersionedStorageManager(tmp_path / "target",
+                                         chunk_bytes=400, backend="memory")
+
+        def refusing(*args, **kwargs):
+            raise StorageError("catalog refused")
+
+        target.catalog.put_chunks = refusing
+        with pytest.raises(StorageError, match="catalog refused"):
+            target.import_versions("A", self._new_array(
+                source.export_versions("A")))
+        del target.catalog.put_chunks
+        assert target.list_arrays() == []
+        assert target.backend._objects == {}
+        # The name is free and clean: a later array of it starts at
+        # offset 0, as on a store that never saw the refused import.
+        target.create_array("A", schema)
+        target.insert("A", source.select("A", 1))
+        assert [chunk.location.offset for chunk in
+                target.catalog.snapshot("A").all_chunks()][0] == 0
         source.close()
         target.close()
 
