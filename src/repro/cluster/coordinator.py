@@ -58,7 +58,7 @@ from repro.cluster.partitioning import (
     band_schema,
     band_slice,
 )
-from repro.core.array import ArrayData, Payload, sliced_schema
+from repro.core.array import ArrayData, Payload
 from repro.core.errors import ReproError, StorageError
 from repro.core.schema import ArraySchema
 from repro.storage import writes
@@ -782,7 +782,7 @@ class ClusterCoordinator:
                     name, version, local_lo, local_hi, out=windows),
                 gen)
         return None if out is not None else \
-            ArrayData(sliced_schema(schema, region_shape), canvases)
+            ArrayData(schema.sliced(region_shape), canvases)
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:

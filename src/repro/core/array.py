@@ -17,7 +17,6 @@ delta lists, the contents of the base version).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.core.errors import (
     DimensionError,
     SchemaError,
 )
-from repro.core.schema import ArraySchema, Dimension
+from repro.core.schema import ArraySchema
 
 
 class ArrayData:
@@ -65,9 +64,9 @@ class ArrayData:
             values = np.ascontiguousarray(values).view()
             values.setflags(write=False)
             normalized[attr.name] = values
-        extra = set(attributes) - {a.name for a in schema.attributes}
-        if extra:
-            raise SchemaError(f"payload has unknown attributes {sorted(extra)}")
+        if len(attributes) != len(normalized):
+            raise SchemaError(f"payload has unknown attributes "
+                              f"{sorted(set(attributes) - set(normalized))}")
         self._attributes = normalized
 
     # ------------------------------------------------------------------
@@ -91,8 +90,10 @@ class ArrayData:
 
     def attribute(self, name: str) -> np.ndarray:
         """The (read-only) ndarray of one attribute."""
-        self.schema.attribute(name)  # validates the name
-        return self._attributes[name]
+        values = self._attributes.get(name)
+        if values is None:
+            self.schema.attribute(name)  # raises, naming the attributes
+        return values
 
     def single(self) -> np.ndarray:
         """The ndarray of a single-attribute array."""
@@ -124,17 +125,6 @@ class ArrayData:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ArrayData(shape={self.schema.shape}, "
                 f"attributes={list(self._attributes)})")
-
-
-@lru_cache(maxsize=256)
-def sliced_schema(schema: ArraySchema,
-                  shape: tuple[int, ...]) -> ArraySchema:
-    """Schema of a ``shape``-sized hyper-rectangle of ``schema``: the
-    same names and attributes, zero-based.  Memoised, so repeated
-    region reads share one (immutable) schema object."""
-    dims = tuple(Dimension(d.name, 0, extent - 1)
-                 for d, extent in zip(schema.dimensions, shape))
-    return ArraySchema(dimensions=dims, attributes=schema.attributes)
 
 
 # ----------------------------------------------------------------------

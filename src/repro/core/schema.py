@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -161,19 +162,42 @@ class ArraySchema:
             raise SchemaError(f"duplicate dimension/attribute names: {names}")
 
     # ------------------------------------------------------------------
-    # Geometry helpers
+    # Geometry helpers (the derived ones are computed once per schema;
+    # a cached value is no field, so equality and hashing ignore it)
     # ------------------------------------------------------------------
-    @property
+    @cached_property
     def ndim(self) -> int:
         """Number of dimensions."""
         return len(self.dimensions)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         """Cell counts per dimension."""
         return tuple(d.length for d in self.dimensions)
 
-    @property
+    def sliced(self, shape: tuple[int, ...]) -> "ArraySchema":
+        """The schema of a ``shape``-sized box of this one: the same
+        names and attributes, zero-based.  Built once per shape and
+        kept on this schema (its last 256 box shapes), so repeated
+        region reads share one immutable schema object and a lookup
+        hashes only ``shape``."""
+        boxes = self._boxes
+        sliced = boxes.get(shape)
+        if sliced is None:
+            if len(boxes) >= 256:
+                boxes.clear()
+            sliced = boxes[shape] = ArraySchema(
+                dimensions=tuple(Dimension(d.name, 0, extent - 1)
+                                 for d, extent in zip(self.dimensions,
+                                                      shape)),
+                attributes=self.attributes)
+        return sliced
+
+    @cached_property
+    def _boxes(self) -> dict:
+        return {}
+
+    @cached_property
     def origin(self) -> tuple[int, ...]:
         """Lower coordinate bound per dimension."""
         return tuple(d.lo for d in self.dimensions)

@@ -412,7 +412,7 @@ def _shape(source: str) -> tuple[tuple, list[int]]:
     """
     pieces = _SHAPE_RE.split(source)
     return ((tuple(pieces[0::3]), tuple(pieces[1::3])),
-            [int(text) for text in pieces[2::3] if text is not None])
+            list(map(int, filter(None, pieces[2::3]))))
 
 
 def _select_template(statement: SelectStatement):
@@ -482,6 +482,8 @@ class AQLExecutor:
         return self.run(parse(source))
 
     def run(self, statement: Statement) -> AQLResult:
+        if isinstance(statement, SelectStatement):
+            return AQLResult("select", self._run_select(statement))
         if isinstance(statement, CreateArrayStatement):
             self.manager.create_array(statement.name, statement.schema)
             return AQLResult("create", statement.name)
@@ -494,8 +496,6 @@ class AQLExecutor:
             return AQLResult(
                 "versions",
                 [f"{statement.name}@{v}" for v in versions])
-        if isinstance(statement, SelectStatement):
-            return AQLResult("select", self._run_select(statement))
         if isinstance(statement, BranchStatement):
             version = self._one_version("BRANCH", statement.source)
             self.manager.branch(statement.source.array, version,
@@ -555,12 +555,15 @@ class AQLExecutor:
         return np.frombuffer(raw, dtype=dtype).reshape(schema.shape).copy()
 
     def _run_select(self, statement: SelectStatement) -> np.ndarray:
+        """One select, read from one snapshot of its array: SUBSAMPLE's
+        arity is checked against the very record the select reads."""
         spec = statement.spec
+        snap = self.manager.catalog.snapshot(spec.array)
         if statement.subsample is None:
-            return self.processor.select(spec)
+            return self.processor.select(spec, snap=snap)
 
         coordinates = statement.subsample
-        ndim = self.manager.catalog.get_array(spec.array).schema.ndim
+        ndim = snap.record.schema.ndim
         pairs = len(coordinates) // 2
         if pairs not in (ndim, ndim + 1):
             raise AQLExecutionError(
@@ -569,4 +572,5 @@ class AQLExecutor:
                 "with a trailing time range)")
         window = (coordinates[0:2 * ndim:2], coordinates[1:2 * ndim:2])
         return self.processor.select(
-            spec, window=window, time_range=coordinates[2 * ndim:] or None)
+            spec, window=window, time_range=coordinates[2 * ndim:] or None,
+            snap=snap)

@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.array import ArrayData
 from repro.core.errors import AQLExecutionError, VersionNotFoundError
 from repro.storage.manager import VersionedStorageManager
+from repro.storage.metadata import ArraySnapshot
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,12 @@ def parse_date(text: str) -> float:
 
 
 class QueryProcessor:
-    """Resolves version specs and executes the four select forms."""
+    """Resolves version specs and executes the four select forms.
+
+    Each form's ``array`` is an array name or a catalog snapshot of it
+    (:meth:`~repro.storage.metadata.MetadataCatalog.snapshot`) that the
+    caller pinned, as the storage manager's select forms take it.
+    """
 
     def __init__(self, manager: VersionedStorageManager):
         self.manager = manager
@@ -73,42 +79,46 @@ class QueryProcessor:
     # ------------------------------------------------------------------
     # Version resolution
     # ------------------------------------------------------------------
-    def resolve(self, spec: VersionSpec) -> list[int]:
-        """The concrete version ids a spec denotes (ordered)."""
+    def resolve(self, spec: VersionSpec,
+                snap: ArraySnapshot | None = None) -> list[int]:
+        """The concrete version ids a spec denotes (ordered), read from
+        ``snap`` when the caller pinned the array's snapshot."""
+        if spec.version is not None:
+            return [spec.version]
+        if snap is None:
+            snap = self.manager.catalog.snapshot(spec.array)
         if spec.all_versions:
-            versions = self.manager.get_versions(spec.array)
+            versions = [row.version for row in snap.get_versions()]
             if not versions:
                 raise VersionNotFoundError(
                     f"array {spec.array!r} has no versions")
             return versions
         if spec.date is not None:
-            return [self.manager.version_at(spec.array,
-                                            parse_date(spec.date))]
-        if spec.label is not None:
-            return [self.manager.version_for_label(spec.array,
-                                                   spec.label)]
-        return [spec.version]
+            return [snap.version_at(parse_date(spec.date))]
+        return [snap.version_for_label(spec.label)]
 
     # ------------------------------------------------------------------
     # The four select forms
     # ------------------------------------------------------------------
-    def select_version(self, array: str, version: int) -> ArrayData:
+    def select_version(self, array: str | ArraySnapshot,
+                       version: int) -> ArrayData:
         """Form 1: array name + version id -> full contents."""
         return self.manager.select(array, version)
 
-    def select_window(self, array: str, version: int,
+    def select_window(self, array: str | ArraySnapshot, version: int,
                       corner_lo: tuple[int, ...],
                       corner_hi: tuple[int, ...]) -> ArrayData:
         """Form 2: + two opposite corners of a hyper-rectangle."""
         return self.manager.select_region(array, version, corner_lo,
                                           corner_hi)
 
-    def select_stack(self, array: str, versions: list[int],
+    def select_stack(self, array: str | ArraySnapshot, versions: list[int],
                      attribute: str | None = None) -> np.ndarray:
         """Form 3: ordered version list -> N+1-dimensional stack."""
         return self.manager.select_versions(array, versions, attribute)
 
-    def select_stack_window(self, array: str, versions: list[int],
+    def select_stack_window(self, array: str | ArraySnapshot,
+                            versions: list[int],
                             corner_lo: tuple[int, ...],
                             corner_hi: tuple[int, ...],
                             attribute: str | None = None) -> np.ndarray:
@@ -121,7 +131,8 @@ class QueryProcessor:
     # ------------------------------------------------------------------
     def select(self, spec: VersionSpec,
                window: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-               time_range: tuple[int, int] | None = None) -> np.ndarray:
+               time_range: tuple[int, int] | None = None, *,
+               snap: ArraySnapshot | None = None) -> np.ndarray:
         """Evaluate any select against a version spec.
 
         ``window`` restricts the spatial region; ``time_range`` (pairs of
@@ -129,8 +140,12 @@ class QueryProcessor:
         restricts the stacked dimension — this is how ``SUBSAMPLE`` maps
         onto the processor.  Single-version selects return N-dimensional
         arrays; multi-version selects return N+1-dimensional stacks.
+        The whole select reads one committed state of the array: the
+        snapshot taken here, or ``snap`` when the caller pinned one.
         """
-        versions = self.resolve(spec)
+        if snap is None:
+            snap = self.manager.catalog.snapshot(spec.array)
+        versions = self.resolve(spec, snap)
         if time_range is not None:
             first, last = time_range
             if not (0 <= first <= last < len(versions)):
@@ -143,10 +158,8 @@ class QueryProcessor:
             and time_range is None
         if single:
             if window is None:
-                return self.select_version(spec.array,
-                                           versions[0]).single()
-            return self.select_window(spec.array, versions[0],
-                                      *window).single()
+                return self.select_version(snap, versions[0]).single()
+            return self.select_window(snap, versions[0], *window).single()
         if window is None:
-            return self.select_stack(spec.array, versions)
-        return self.select_stack_window(spec.array, versions, *window)
+            return self.select_stack(snap, versions)
+        return self.select_stack_window(snap, versions, *window)

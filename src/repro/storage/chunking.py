@@ -195,11 +195,24 @@ class ChunkGrid:
             if l < 0 or h >= extent:
                 raise DimensionError(
                     f"region [{lo}, {hi}] outside array shape {self.shape}")
-        ranges = [range(l // stride, h // stride + 1)
-                  for l, h, stride in zip(lo, hi, self.strides)]
+        return list(self.box(lo, hi))
+
+    def box(self, lo: tuple[int, ...],
+            hi: tuple[int, ...]) -> tuple[ChunkRef, ...]:
+        """:meth:`chunks_overlapping` of a box already known to be
+        valid, unchecked: a box inside one chunk is one index
+        computation."""
+        flat, single = 0, True
+        for l, h, stride, count in zip(lo, hi, self.strides, self.counts):
+            first = l // stride
+            single = single and first == h // stride
+            flat = flat * count + first
         refs = self._refs
-        return [refs[self._flat(index)]
-                for index in itertools.product(*ranges)]
+        if single:
+            return (refs[flat],)
+        return tuple(refs[self._flat(index)] for index in itertools.product(
+            *(range(l // stride, h // stride + 1)
+              for l, h, stride in zip(lo, hi, self.strides))))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ChunkGrid(shape={self.shape}, strides={self.strides}, "

@@ -30,12 +30,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import time
+from operator import le, lt, sub
 from pathlib import Path
 
 import numpy as np
 
 from repro.compression.registry import get_codec
-from repro.core.array import ArrayData, Payload, sliced_schema
+from repro.core.array import ArrayData, Payload
 from repro.core.errors import DimensionError, StorageError
 from repro.core.schema import ArraySchema
 from repro.delta.registry import get_delta_codec
@@ -57,7 +58,6 @@ from repro.storage.pipeline import (
     DecodePipeline,
     EncodePipeline,
     ensure_policy,
-    overlap_slices as _overlap_slices,
 )
 from repro.storage.rewrite import layout_for, rewrite, topological_order
 from repro.storage.writes import (
@@ -83,7 +83,15 @@ def region_corners(schema: ArraySchema, corner_lo: tuple[int, ...],
                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The zero-based ``(lo, hi)`` of a region given by two corners in
     user coordinates, each inside the array and ``lo`` <= ``hi`` on
-    every dimension."""
+    every dimension — the one check of a box every read plan trusts
+    (:class:`~repro.storage.pipeline.ReadPlan`)."""
+    origin = schema.origin
+    lo = tuple(map(sub, corner_lo, origin))
+    hi = tuple(map(sub, corner_hi, origin))
+    if len(corner_lo) == len(corner_hi) == len(origin) and min(lo) >= 0 \
+            and all(map(le, lo, hi)) and all(map(lt, hi, schema.shape)):
+        return lo, hi
+    # A corner is off: the checks in their order, for the message.
     lo = schema.to_zero_based(corner_lo)
     hi = schema.to_zero_based(corner_hi)
     for dim, first, last in zip(schema.dimensions, corner_lo, corner_hi):
@@ -360,11 +368,17 @@ class VersionedStorageManager:
     # ------------------------------------------------------------------
     # Selection (Section II-B's four forms).  Each public call takes the
     # array's catalog snapshot once and resolves everything from it, so
-    # it sees exactly one committed state.
+    # it sees exactly one committed state.  ``name`` may also be that
+    # snapshot, pinned by a caller that resolves more from it (the AQL
+    # executor checks a statement's arity against the record it reads).
     # ------------------------------------------------------------------
-    def select(self, name: str, version: int) -> ArrayData:
+    def _pin(self, name: str | ArraySnapshot) -> ArraySnapshot:
+        return name if isinstance(name, ArraySnapshot) \
+            else self.catalog.snapshot(name)
+
+    def select(self, name: str | ArraySnapshot, version: int) -> ArrayData:
         """Form 1: the full contents of one version."""
-        snap = self.catalog.snapshot(name)
+        snap = self._pin(name)
         data = self._select(snap, version)
         return ArrayData(snap.record.schema,
                          {attr: data.attribute(attr)
@@ -378,7 +392,7 @@ class VersionedStorageManager:
         """The zero-based box [``lo``, ``hi``] of ``version`` (default
         the whole array): in ``out`` (box-shaped canvases of the
         attributes it names; then None) or as a region
-        (:func:`sliced_schema`).  The decoder's box read
+        (:meth:`ArraySchema.sliced`).  The decoder's box read
         (:meth:`DecodePipeline.read_region`) unless the hot slot holds
         the whole box (:meth:`_hot_box`).  A version ``snap`` lacks
         raises :class:`VersionNotFoundError`."""
@@ -390,7 +404,7 @@ class VersionedStorageManager:
         if filled is None:
             return self.decoder.read_region(snap, version, lo, hi, out=out)
         return None if out is not None else \
-            ArrayData(sliced_schema(snap.record.schema, shape), filled)
+            ArrayData(snap.record.schema.sliced(shape), filled)
 
     def _hot_box(self, snap: ArraySnapshot, row: VersionRecord,
                  lo: tuple[int, ...], hi: tuple[int, ...],
@@ -409,7 +423,7 @@ class VersionedStorageManager:
             self.stats.record_hot_read()
         return filled
 
-    def select_region(self, name: str, version: int,
+    def select_region(self, name: str | ArraySnapshot, version: int,
                       corner_lo: tuple[int, ...],
                       corner_hi: tuple[int, ...], *,
                       out: dict[str, np.ndarray] | None = None
@@ -421,11 +435,12 @@ class VersionedStorageManager:
         of the coordinator's): the call fills those attributes there
         and returns None.
         """
-        snap = self.catalog.snapshot(name)
+        snap = self._pin(name)
         lo, hi = region_corners(snap.record.schema, corner_lo, corner_hi)
         return self._select(snap, version, lo, hi, out=out)
 
-    def select_versions(self, name: str, versions: list[int],
+    def select_versions(self, name: str | ArraySnapshot,
+                        versions: list[int],
                         attribute: str | None = None) -> np.ndarray:
         """Form 3: stack whole versions along a new leading axis.
 
@@ -433,41 +448,32 @@ class VersionedStorageManager:
         N+1-dimensional array that is effectively a stack of the
         specified versions."
         """
-        snap = self.catalog.snapshot(name)
+        snap = self._pin(name)
         shape = snap.record.schema.shape
         lo = tuple(0 for _ in shape)
         hi = tuple(extent - 1 for extent in shape)
         return self._stacked_select(snap, versions, attribute, lo, hi)
 
-    def select_versions_region(self, name: str, versions: list[int],
+    def select_versions_region(self, name: str | ArraySnapshot,
+                               versions: list[int],
                                corner_lo: tuple[int, ...],
                                corner_hi: tuple[int, ...],
                                attribute: str | None = None) -> np.ndarray:
         """Form 4: stack one hyper-rectangle across several versions."""
-        snap = self.catalog.snapshot(name)
+        snap = self._pin(name)
         lo, hi = region_corners(snap.record.schema, corner_lo, corner_hi)
         return self._stacked_select(snap, versions, attribute, lo, hi)
 
     def _stacked_select(self, snap: ArraySnapshot, versions: list[int],
                         attribute: str | None, lo: tuple[int, ...],
                         hi: tuple[int, ...]) -> np.ndarray:
-        """Shared implementation of the stacked select forms.
-
-        Versions are resolved chunk-by-chunk with a shared chain scope,
-        so a range query over a delta chain reads each payload once —
-        this is what makes the paper's Table IV range selects read ~2 GB
-        rather than 16 x the chain length.  Each chunk of each layer is
-        one box read (:meth:`DecodePipeline.read_region`) of the
-        chunk's part of the box, landing in its window of that layer.
-
-        Resolution runs in ascending version order (output layers still
-        land at their requested indices): on a linear chain every walk
-        then stops at the deepest previously-resolved version, so the
-        common chain prefixes are folded exactly once.  The ordering is
-        what reads each payload once: a one-version fold records only
-        the requested versions into the scope (a warm fill records
-        every intermediate it folds).  A scope lives for one chunk, so
-        what it holds stays one chunk per version.
+        """Shared implementation of the stacked select forms: one box
+        read of every layer (:meth:`DecodePipeline.read_region` with a
+        list of versions — one plan, each chunk's versions resolved in
+        ascending order with a shared chain scope), so a range query
+        over a delta chain reads each payload once.  This is what
+        makes the paper's Table IV range selects read ~2 GB rather than
+        16 x the chain length.
 
         A layer the hot slot holds is one copy of the slot
         (:meth:`_hot_box`) and takes no part in the chunk walk.
@@ -478,17 +484,13 @@ class VersionedStorageManager:
         dtype = record.schema.attribute(attr).dtype
         stack = np.empty((len(versions),) + tuple(
             h - l + 1 for l, h in zip(lo, hi)), dtype=dtype)
-        pending = sorted(
-            (version, layer) for layer, version in enumerate(versions)
-            if self._hot_box(snap, rows[layer], lo, hi,
-                             {attr: stack[layer]}) is None)
-        for chunk in record.grid.chunks_overlapping(lo, hi):
-            scope: dict = {}
-            _, dst = _overlap_slices(chunk, lo, hi)
-            box = tuple(map(max, chunk.lo, lo)), tuple(map(min, chunk.hi, hi))
-            for version, layer in pending:
-                self.decoder.read_region(snap, version, *box, scope=scope,
-                                         out={attr: stack[(layer,) + dst]})
+        pending = [layer for layer, row in enumerate(rows)
+                   if self._hot_box(snap, row, lo, hi,
+                                    {attr: stack[layer]}) is None]
+        if pending:
+            self.decoder.read_region(
+                snap, [versions[layer] for layer in pending], lo, hi,
+                out={attr: [stack[layer] for layer in pending]})
         return stack
 
     # ------------------------------------------------------------------

@@ -52,7 +52,7 @@ Two invariants both pipelines are built around:
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.compression.registry import get_codec
 from repro.core import native
-from repro.core.array import ArrayData, sliced_schema
+from repro.core.array import ArrayData
 from repro.core.errors import (
     CodecError,
     DeltaLevelError,
@@ -202,10 +202,14 @@ class ChunkCache:
         dropped.  Asking under the lock orders the answer against
         :meth:`invalidate_array`: a writer that publishes first and
         invalidates after either makes ``valid`` refuse or clears the
-        entry it admitted."""
+        entry it admitted.
+
+        An admitted entry is read-only, so no view a read hands out
+        can be made writable again and change it."""
         with self._lock:
             if valid is not None and not valid():
                 return
+            data.setflags(write=False)
             if not evict:
                 if key not in self._entries and \
                         self._has_room(data.nbytes):
@@ -513,25 +517,67 @@ class EncodePipeline:
         return records
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Miss:
     """One chunk the cache did not answer, planned on the calling
-    thread: the located chain (from ``version`` down), the contents it
-    stops at (None: it ends at its materialized root), the job chosen
-    for it, the canvas window it may fold into, and the read's scope
-    for this chunk, which its admission records into."""
+    thread: its read ``task`` (see :meth:`DecodePipeline._resolve`),
+    the located chain (from ``version`` down), the version the walk
+    stopped at (None: the materialized root) with its contents when
+    known, the job chosen, the cells it may fold into, and the read's
+    scope for this chunk, which its admission records into.  Only the
+    run decoding it changes it (:meth:`DecodePipeline._decode_run`)."""
 
     snap: ArraySnapshot
     version: int
     attribute: str
     chunk: ChunkRef
+    task: tuple
     chain: list[ChunkRecord]
+    base_version: int | None
     base: np.ndarray | None
     warm_fill: bool
     out: np.ndarray | None
     #: Cache bytes its admission will take (0 with the cache off).
     admits: int
     scope: dict[int, np.ndarray] | None
+
+
+class ReadPlan:
+    """One box of one array resolved against its chunk grid, once per
+    read (:meth:`DecodePipeline.read_region`, of one version or a
+    whole stack).  ``parts`` holds each overlapping chunk in grid
+    order with its ``(src, dst)`` slices — its cells in the chunk,
+    their place in the box — and whether it lies wholly inside the
+    box; a read keys their cache entries ``(array_id, version,
+    attribute, chunk name)``.  ``schema`` is the box's zero-based
+    schema (:meth:`~repro.core.schema.ArraySchema.sliced`).
+
+    The box is trusted: its corners were checked once, by
+    :func:`~repro.storage.manager.region_corners` (or it is the whole
+    array), so a box inside one chunk is one index computation.  A
+    plan is the geometry of the record it was built on, valid for
+    exactly the record a published snapshot names.
+    """
+
+    __slots__ = ("schema", "parts")
+
+    def __init__(self, record: ArrayRecord, lo: tuple[int, ...],
+                 hi: tuple[int, ...]):
+        self.schema = record.schema.sliced(
+            tuple([h - l + 1 for l, h in zip(lo, hi)]))
+        chunks = record.grid.box(lo, hi)
+        if len(chunks) == 1:    # the box is inside this chunk
+            chunk, = chunks
+            self.parts = ((chunk, tuple([
+                slice(l - first, h - first + 1)
+                for l, h, first in zip(lo, hi, chunk.lo)]),
+                (slice(None),) * len(lo),
+                chunk.lo == tuple(lo) and chunk.hi == tuple(hi)),)
+            return
+        self.parts = tuple([
+            (chunk, *overlap_slices(chunk, lo, hi),
+             all(map(le, lo, chunk.lo)) and all(map(le, chunk.hi, hi)))
+            for chunk in chunks])
 
 
 class DecodePipeline:
@@ -585,33 +631,33 @@ class DecodePipeline:
         # One chunk buffer per decoding thread (see _fused_apply).
         self._buffers = threading.local()
 
-    def _plan(self, snap: ArraySnapshot, version: int, attribute: str,
-              chunk: ChunkRef, out: np.ndarray | None,
+    def _plan(self, snap: ArraySnapshot, task: tuple,
               scope: dict | None,
               admitting: int = 0) -> np.ndarray | _Miss:
-        """Calling thread, before anything decodes: the cached chunk,
-        or the :class:`_Miss` to decode — its chain located and its job
-        chosen.
+        """Calling thread, before anything decodes: the cached chunk
+        of a ``(version, attribute, chunk, src, dst, canvas, window)``
+        read task, or the :class:`_Miss` to decode — its chain located
+        and its job chosen.
 
-        ``scope`` is the read's (:meth:`read_region`): a cache hit, and
-        a walk's stop, are recorded into this chunk's part of it.
-        ``admitting`` is what the call's misses planned before this one
-        will admit: a warm fill must fit the free space they leave, as
-        it would had they been admitted already."""
+        ``scope`` is this chunk's versions resolved so far by the read
+        (:meth:`_read_stack`): a cache hit, and a walk's stop, are
+        recorded into it.  ``admitting`` is what the call's misses
+        planned before this one will admit: a warm fill must fit the
+        free space they leave, as it would had they been admitted
+        already."""
+        version, attribute, chunk, _, _, _, out = task
         record = snap.record
-        resolved = None if scope is None else \
-            scope.setdefault((attribute, chunk.name), {})
         if self.cache.enabled:
             out = None      # a cache entry must own its bytes
             cached = self.cache.get(
                 (record.array_id, version, attribute, chunk.name))
             if cached is not None:
-                if resolved is not None:
-                    resolved[version] = cached
+                if scope is not None:
+                    scope[version] = cached
                 return cached
         # Past the cache hit that most reads end at, which the size
         # arithmetic must not slow.
-        stop_at = {} if resolved is None else resolved
+        stop_at = {} if scope is None else scope
         chain, base_version = self._locate_chain(snap, version,
                                                  attribute, chunk, stop_at)
         admits = 0
@@ -623,8 +669,8 @@ class DecodePipeline:
                 self.cache.fits(admitting + len(chain) * nbytes)
             admits = len(chain) * nbytes if warm_fill else nbytes
         base = None if base_version is None else stop_at[base_version]
-        return _Miss(snap, version, attribute, chunk, chain, base,
-                     warm_fill, out, admits, resolved)
+        return _Miss(snap, version, attribute, chunk, task, chain,
+                     base_version, base, warm_fill, out, admits, scope)
 
     def _decode(self, miss: _Miss
                 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -644,7 +690,7 @@ class DecodePipeline:
         # may hand back a zero-copy read-only view of the payload
         # bytes; a warm fill admits the root and gets an owning copy.
         resolved: dict[int, np.ndarray] = {}
-        root = chain.pop() if miss.base is None else None
+        root = chain.pop() if miss.base_version is None else None
         codecs = self._codecs(record, chunk, chain)
         if root is None:
             data = miss.base
@@ -670,6 +716,41 @@ class DecodePipeline:
                                      payloads, data, miss.out)
             resolved[miss.version] = data
         return data, resolved
+
+    def _decode_run(self, run: list[_Miss]) -> list:
+        """The pool's task: decode a run of planned misses in turn —
+        one miss, or one chunk's layers of a cache-off stack, each
+        folding onto versions the ones before it resolved — and place
+        each in its canvas.  A version the run resolves is held only
+        while a later miss still folds onto it, and the last such miss
+        folds in place on it when the run allocated it, so a stack
+        holds about one chunk per running run, whatever its depth.
+        Returns, per miss, ``(chunk, resolved)`` for the calling thread
+        to admit or hand out, or None once placed with the cache off."""
+        waiting = Counter(miss.base_version for miss in run)
+        held: dict[int, np.ndarray] = {}
+        results = []
+        for miss in run:
+            if miss.base_version in held:
+                waiting[miss.base_version] -= 1
+                if waiting[miss.base_version]:
+                    miss.base = held[miss.base_version]
+                else:
+                    miss.base = held.pop(miss.base_version)
+                    if miss.out is None and miss.base.flags.owndata \
+                            and miss.base.flags.writeable:
+                        miss.out = miss.base    # its last use: in place
+            data, resolved = self._decode(miss)
+            miss.base = miss.out = None     # held keeps what is needed
+            _, _, _, src, dst, canvas, window = miss.task
+            if canvas is not None and data is not window:
+                canvas[dst] = data[src]
+            held.update((version, cells) for version, cells
+                        in resolved.items() if waiting[version])
+            results.append(None if canvas is not None
+                           and not self.cache.enabled
+                           else (data, resolved))
+        return results
 
     def _admit(self, miss: _Miss, data: np.ndarray,
                resolved: dict[int, np.ndarray]) -> np.ndarray:
@@ -819,92 +900,135 @@ class DecodePipeline:
     # ------------------------------------------------------------------
     # Stage 5: assembly
     # ------------------------------------------------------------------
-    def read_region(self, snap: ArraySnapshot, version: int,
+    def read_region(self, snap: ArraySnapshot, version: int | list[int],
                     lo: tuple[int, ...], hi: tuple[int, ...], *,
-                    out: dict[str, np.ndarray] | None = None,
-                    scope: dict | None = None) -> ArrayData | None:
+                    out: dict | None = None) -> ArrayData | None:
         """Assemble the zero-based box [``lo``, ``hi``] (inclusive) of
         one version, every chunk located in the pinned snapshot
-        ``snap`` — the one read every select form is made of.
+        ``snap``: one :class:`ReadPlan`, executed — the one read every
+        select form is made of.
 
         ``out`` maps attribute names to box-shaped canvases, which may
         be strided windows of a larger canvas: the attributes it names
         are assembled there and None is returned.  Without it every
         attribute lands in a fresh canvas, returned as an
-        :class:`ArrayData` of the box (:func:`sliced_schema`) — except
-        when one chunk covers the box: then the result views that
-        chunk's cells, read-only, so a cached chunk can never be
-        mutated through it.
+        :class:`ArrayData` of the box — except when one chunk covers
+        the box: then each attribute is that chunk's cells cut to the
+        box, read-only, which views the chunk only when the box spans
+        whole rows of it (else :class:`ArrayData` copies it once), so
+        no cached chunk can be written through the result.  A list of
+        versions reads each one's box into a layer: ``out`` maps one
+        attribute to one canvas per listed version
+        (:meth:`_read_stack`).
 
         A chunk lying wholly inside the box is lent its window of the
         canvas (:meth:`_fused_apply`): a folded chain lands there from
         the fold itself, and only results that live elsewhere (cache
         entries, warm fills) are copied in.  A chunk the box cuts is
         decoded into cells of its own and its overlap copied.
-
-        ``scope`` lets reads share their chain walks: it maps
-        ``(attribute, chunk name)`` to that chunk's versions resolved
-        so far, a walk stops at the first version it finds there, and
-        every version a read resolves is recorded into it.  Without
-        one, nothing a read decodes outlives its chunk.
         """
-        schema = snap.record.schema
-        chunks = snap.record.grid.chunks_overlapping(lo, hi)
-        canvases = out
-        if out is None:
-            region = sliced_schema(schema, tuple(h - l + 1
-                                                 for l, h in zip(lo, hi)))
-            if len(chunks) == 1:
-                src, _ = overlap_slices(chunks[0], lo, hi)
-                tasks = [(attr.name, chunks[0], None, src, None)
-                         for attr in schema.attributes]
-                return ArrayData(region, {
-                    task[0]: data[src] for task, data in
-                    self._reconstruct_tasks(snap, version, tasks, scope)})
-            canvases = {attr.name: np.empty(region.shape, dtype=attr.dtype)
-                        for attr in schema.attributes}
-        boxes = [(chunk, *overlap_slices(chunk, lo, hi),
-                  all(map(le, lo, chunk.lo)) and all(map(le, chunk.hi, hi)))
-                 for chunk in chunks]
-        tasks = [(attr.name, chunk,
-                  canvases[attr.name][dst] if inside else None, src, dst)
-                 for attr in schema.attributes if attr.name in canvases
-                 for chunk, src, dst, inside in boxes]
-        for (name, _, window, src, dst), data in self._reconstruct_tasks(
-                snap, version, tasks, scope):
-            if data is not window:
-                canvases[name][dst] = data[src]
-        return None if out is not None else ArrayData(region, canvases)
+        plan = ReadPlan(snap.record, lo, hi)
+        if isinstance(version, list):
+            (attribute, layers), = out.items()
+            self._read_stack(snap, plan, version, attribute, layers)
+            return None
+        schema = plan.schema
+        if out is None and len(plan.parts) == 1:
+            (chunk, src, _, _), = plan.parts
+            tasks = [(version, attr.name, chunk, src, None, None, None)
+                     for attr in schema.attributes]
+            return ArrayData(schema, {task[1]: data[src] for task, data
+                                      in zip(tasks, self._resolve(snap,
+                                                                  tasks))})
+        canvases = out if out is not None else {
+            attr.name: np.empty(schema.shape, dtype=attr.dtype)
+            for attr in schema.attributes}
+        for _ in self._resolve(snap, [
+                (version, attr.name, chunk, src, dst, canvases[attr.name],
+                 canvases[attr.name][dst] if inside else None)
+                for attr in schema.attributes if attr.name in canvases
+                for chunk, src, dst, inside in plan.parts]):
+            pass
+        return None if out is not None else ArrayData(schema, canvases)
 
-    def _reconstruct_tasks(self, snap: ArraySnapshot, version: int,
-                           tasks: list, scope: dict | None):
-        """Reconstruct every ``(attribute, chunk, window, ...)`` task in
-        one snapshot, yielding ``(task, chunk_data)`` pairs in task
-        order.
+    def _resolve(self, snap: ArraySnapshot, tasks: list,
+                 scope: dict | None = None):
+        """The chunk of every independent ``(version, attribute, chunk,
+        src, dst, canvas, window)`` task of one snapshot, in task
+        order, each placed in its canvas (``canvas[dst] = chunk[src]``)
+        unless it landed in its ``window``.
 
         Every task is planned first, on this thread, each warm-fill
-        choice counting the bytes the misses before it will admit; the
-        misses then run through the ordered window (:func:`fan.ordered`)
-        and each is admitted here as it is yielded.  A miss's decode is
-        private to it (the windows are disjoint), so the tasks are
-        fully independent.  A chunk that fails (a corrupt payload)
-        settles the window before its error leaves.
-        """
-        planned, admitting = [], 0
-        for attribute, chunk, window, _, _ in tasks:
-            planned.append(self._plan(snap, version, attribute, chunk,
-                                      window, scope, admitting))
-            if isinstance(planned[-1], _Miss):
-                admitting += planned[-1].admits
-        misses = [miss for miss in planned if isinstance(miss, _Miss)]
-        if not misses:      # the cache answered it all: no window
-            yield from zip(tasks, planned)
-            return
-        with closing(fan.ordered(self._decode, misses)) as decoded:
-            for task, data in zip(tasks, planned):
-                if isinstance(data, _Miss):
-                    data = self._admit(data, *next(decoded))
-                yield task, data
+        choice counting the bytes the misses before it will admit; a
+        hit is placed at once.  The misses then run through one
+        ordered window (:func:`fan.ordered`) and are admitted here in
+        task order.  Returns a list when the cache answered every task,
+        else a generator yielding each chunk as it is admitted (None
+        for one a cache-off decode placed).  A chunk that fails (a
+        corrupt payload) settles the window before its error leaves."""
+        planned, runs, admitting = [], [], 0
+        for task in tasks:
+            got = self._plan(snap, task, scope, admitting)
+            if type(got) is _Miss:
+                admitting += got.admits
+                runs.append([got])
+            else:
+                _, _, _, src, dst, canvas, window = task
+                if canvas is not None and got is not window:
+                    canvas[dst] = got[src]
+            planned.append(got)
+        return self._admitted(planned, runs) if runs else planned
+
+    def _admitted(self, planned: list, runs: list[list[_Miss]]):
+        with closing(fan.ordered(self._decode_run, runs)) as decoded:
+            for got in planned:
+                if type(got) is _Miss:
+                    (result,) = next(decoded)
+                    got = None if result is None else \
+                        self._admit(got, *result)
+                yield got
+
+    def _read_stack(self, snap: ArraySnapshot, plan: ReadPlan,
+                    versions: list[int], attribute: str,
+                    layers: list[np.ndarray]) -> None:
+        """Read ``plan``'s box of every version in ``versions`` into
+        its layer, chunk after chunk.
+
+        Per chunk the versions resolve in ascending order into one
+        scope, so on a linear chain every walk stops at the version
+        before it and a range over a chain reads each payload once —
+        the paper's Table IV range selects.  With the cache off every
+        chunk × layer is planned first, a walk stopping where an
+        earlier layer's miss will resolve, and each chunk's misses are
+        one run (:meth:`_decode_run`) of one fan batch; a layer folds
+        into cells of its own, which the next layer folding onto it
+        takes over, and is copied into its canvas.  With the cache on
+        each chunk × layer is planned, decoded and admitted in turn, so
+        the cache sees its calls in the order one read per chunk ×
+        layer makes them."""
+        order = sorted(range(len(versions)), key=versions.__getitem__)
+        runs = []
+        for chunk, src, dst, _ in plan.parts:
+            scope: dict = {}
+            tasks = [(versions[layer], attribute, chunk, src, dst,
+                      layers[layer], None) for layer in order]
+            if self.cache.enabled:
+                for task in tasks:
+                    for _ in self._resolve(snap, [task], scope):
+                        pass
+                continue
+            run = []
+            for task in tasks:
+                miss = self._plan(snap, task, scope)
+                if miss.chain:  # mark what its decode will resolve
+                    scope[miss.version] = None
+                    if miss.base_version is None:   # its root too
+                        scope[miss.chain[-1].version] = None
+                run.append(miss)
+            runs.append(run)
+        if runs:
+            for _ in fan.ordered(self._decode_run, runs):
+                pass
 
 
 def overlap_slices(chunk: ChunkRef, lo: tuple[int, ...],
@@ -914,11 +1038,10 @@ def overlap_slices(chunk: ChunkRef, lo: tuple[int, ...],
     Returns ``(src, dst)`` where ``src`` indexes within the chunk array
     and ``dst`` within the region-shaped output canvas.
     """
-    src = []
-    dst = []
+    src, dst = [], []
     for c_lo, c_hi, r_lo, r_hi in zip(chunk.lo, chunk.hi, lo, hi):
-        start = max(c_lo, r_lo)
-        stop = min(c_hi, r_hi)
-        src.append(slice(start - c_lo, stop - c_lo + 1))
-        dst.append(slice(start - r_lo, stop - r_lo + 1))
+        start = c_lo if c_lo > r_lo else r_lo
+        stop = (c_hi if c_hi < r_hi else r_hi) + 1
+        src.append(slice(start - c_lo, stop - c_lo))
+        dst.append(slice(start - r_lo, stop - r_lo))
     return tuple(src), tuple(dst)

@@ -159,6 +159,56 @@ class TestNothingButSyntaxIsCached:
         assert len(counted_tokenize) == 6
 
 
+class TestOneSnapshotPerSelect:
+    """A SELECT takes its array's catalog snapshot once: SUBSAMPLE's
+    arity, the version spec and the read all come from that one
+    committed state."""
+
+    @pytest.mark.parametrize("statement", [
+        "SELECT * FROM A@2;",
+        "SELECT * FROM A@*;",
+        "SELECT * FROM SUBSAMPLE(A@1, 0, 1, 0, 1);",
+        "SELECT * FROM SUBSAMPLE(A@*, 0, 1, 0, 1, 0, 1);",
+    ])
+    def test_one_catalog_lookup(self, db, monkeypatch, statement):
+        catalog = db.manager.catalog
+        taken = []
+        snapshot = catalog.snapshot
+
+        def counted(name):
+            taken.append(snapshot(name))
+            return taken[-1]
+        monkeypatch.setattr(catalog, "snapshot", counted)
+        for _ in range(2):      # a cold parse, then a template hit
+            db.execute(statement)
+        assert len(taken) == 2
+
+    def test_rank_change_between_check_and_read(self, db, monkeypatch):
+        """A drop and a re-create at another rank commit right after
+        the statement pinned its snapshot: it still answers, at the
+        rank it checked, from the array it pinned (whose bytes a
+        stubbed reclaim keeps)."""
+        statement = "SELECT * FROM SUBSAMPLE(A@1, 0, 1, 0, 1);"
+        expected = db.execute(statement).value
+        manager = db.manager
+        monkeypatch.setattr(manager.store, "delete_array", lambda name: None)
+        snapshot = manager.catalog.snapshot
+
+        def racing(name):
+            pinned = snapshot(name)
+            monkeypatch.setattr(manager.catalog, "snapshot", snapshot)
+            manager.delete_array("A")
+            db.execute("CREATE UPDATABLE ARRAY A ( V::INTEGER ) "
+                       "[ I=0:3, J=0:3, K=0:3 ];")
+            manager.insert("A", np.zeros((4, 4, 4), dtype=np.int32))
+            return pinned
+        monkeypatch.setattr(manager.catalog, "snapshot", racing)
+        np.testing.assert_array_equal(db.execute(statement).value, expected)
+        with pytest.raises(AQLExecutionError,
+                           match="got 2 coordinate pairs; array has 3"):
+            db.execute(statement)
+
+
 class TestBound:
     def test_cache_stays_at_its_bound(self):
         extra = 50

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.core.array import ArrayData
 from repro.core.schema import ArraySchema, Attribute, Dimension
 from repro.storage import COLOCATED, PER_VERSION, VersionedStorageManager
+from repro.storage import fan, pipeline
 
 #: A 4 x 4 grid of ragged chunks over non-zero-based coordinates.
 ORIGIN = (3, -2)
@@ -204,3 +205,96 @@ def test_stacked_select_holds_one_chunk_per_version(tmp_path, fan_width,
             stack, np.stack([version[window] for version in versions]))
         assert peak <= stack.nbytes + depth * chunk_bytes + (256 << 10), \
             peak
+
+
+@pytest.mark.parametrize("cache", ["off", "roomy"])
+def test_one_chunk_box_is_a_view_only_across_whole_rows(cache, cold):
+    """With one chunk under the box and no ``out``, each attribute is
+    the chunk's cells cut to the box: a view of the chunk when the box
+    spans whole rows of it, else the one contiguous copy ``ArrayData``
+    makes.  Both are read-only, and no cached chunk can be written
+    through either, not even by setting the flag back."""
+    with VersionedStorageManager("/unused/view", backend="memory",
+                                 delta_policy="chain",
+                                 cache_bytes=CACHES[cache]) as manager:
+        manager.create_array("A", SCHEMA, chunk_shape=CHUNK_SHAPE)
+        truth = _versions(5)[:2]
+        for data in truth:
+            manager.insert("A", ArrayData(SCHEMA, data))
+        cold(manager, "A")
+        snap = manager.catalog.snapshot("A")
+        chunk = snap.record.grid.chunk_at((1, 1))
+        rows = chunk.lo, (chunk.hi[0] - 2, chunk.hi[1])
+        cut = chunk.lo, (chunk.hi[0], chunk.hi[1] - 1)
+        boxes = {"whole": (chunk.lo, chunk.hi), "rows": rows, "cut": cut}
+        reads = {label: [manager.decoder.read_region(snap, 2, lo, hi)
+                         for _ in range(2)]
+                 for label, (lo, hi) in boxes.items()}
+        for label, (lo, hi) in boxes.items():
+            window = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
+            for attr in SCHEMA.attributes:
+                name = attr.name
+                first, again = (read.attribute(name)
+                                for read in reads[label])
+                np.testing.assert_array_equal(again, truth[1][name][window])
+                assert np.shares_memory(first, again) == \
+                    (label != "cut" and cache == "roomy")
+                for cells in (first, again):
+                    assert not cells.flags.writeable
+                    with pytest.raises(ValueError):
+                        cells[(0,) * cells.ndim] = 1
+                if cache == "off":
+                    continue
+                entry = manager.cache.peek(
+                    (snap.record.array_id, 2, name, chunk.name))
+                assert np.shares_memory(again, entry) == (label != "cut")
+                assert not entry.flags.writeable
+                if label != "cut":
+                    with pytest.raises(ValueError):
+                        again.setflags(write=True)
+                np.testing.assert_array_equal(
+                    entry, truth[1][name][chunk.slices()])
+
+
+def test_stacked_select_is_one_plan_and_one_fan_batch(monkeypatch,
+                                                      fan_width, cold):
+    """A cache-off stacked select builds one read plan for all its
+    layers and sends every chunk x layer to the fan in one batch, one
+    run per chunk; each run's walks stop at the layer below, so every
+    chunk row in the box is read once."""
+    truth = _versions(3)
+    with VersionedStorageManager("/unused/stack", backend="memory",
+                                 delta_policy="chain") as manager:
+        manager.create_array("A", SCHEMA, chunk_shape=CHUNK_SHAPE)
+        for data in truth:
+            manager.insert("A", ArrayData(SCHEMA, data))
+        cold(manager, "A")
+        plans, batches = [], []
+
+        class CountedPlan(pipeline.ReadPlan):
+            def __init__(self, *args):
+                plans.append(args)
+                super().__init__(*args)
+
+        ordered = fan.ordered
+
+        def spy(function, items):
+            batches.append(len(items))
+            return ordered(function, items)
+
+        monkeypatch.setattr(pipeline, "ReadPlan", CountedPlan)
+        monkeypatch.setattr(fan, "ordered", spy)
+        lo, hi = (2, 3), (15, 12)
+        versions = [DEPTH, 2, 4, 1, 3]
+        with manager.stats.measure() as window:
+            stack = manager.select_versions_region(
+                "A", versions, tuple(map(sum, zip(lo, ORIGIN))),
+                tuple(map(sum, zip(hi, ORIGIN))), attribute="count")
+        chunks = manager.catalog.snapshot("A").record.grid \
+            .chunks_overlapping(lo, hi)
+    box = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
+    np.testing.assert_array_equal(
+        stack, np.stack([truth[v - 1]["count"][box] for v in versions]))
+    assert len(plans) == 1
+    assert batches == [len(chunks)]
+    assert window.chunks_read == DEPTH * len(chunks)

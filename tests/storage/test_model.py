@@ -4,15 +4,18 @@ A hypothesis state machine drives two arrays of one ``local`` manager
 through inserts, delta-list updates, branches, merges,
 ``delete_version``, ``reorganize(mode="space")``, shipping an array to
 a second manager (``export_versions`` → ``import_versions``) and
-close + reopen.  The model is a dict of arrays: per array name, each
-live version's contents.  After every rule each live version reads
-back equal by ``select``, by one ``select_region`` window and by
+close + reopen.  A twin manager with a small chunk cache takes every
+rule too, so each rule's reads run through cache hits, misses, warm
+fills and evictions there and through the cache-off path here.  The
+model is a dict of arrays: per array name, each live version's
+contents.  After every rule each live version reads back equal, on
+both managers, by ``select``, by one ``select_region`` window and by
 ``select_versions``; the catalog's snapshot equals its SQL rows
 (``catalog_oracle``); and a whole read of the version the hot slot
 holds — one copy of the slot — equals a cold decode of it.  At
-teardown the store's ``fingerprint()`` equals that of a fresh manager
+teardown both stores' ``fingerprint()`` equal that of a fresh manager
 the same operations were replayed into: stored bytes are a function
-of the logical history alone.
+of the logical history alone, cache or no cache.
 """
 
 from __future__ import annotations
@@ -41,17 +44,21 @@ NAMES = ("a", "b")
 SCHEMA = ArraySchema.simple((8, 6), dtype=np.int32)
 #: 16 cells a chunk: every version spans several chunks.
 OPTIONS = dict(chunk_bytes=64, backend="local")
+#: The twin's cache: about a dozen chunks, so reads evict and some
+#: chains are declined a warm fill.
+CACHED = dict(OPTIONS, cache_bytes=768)
 seeds = st.integers(0, 2 ** 16)
 
 
-def _run(manager: VersionedStorageManager, op: tuple
-         ) -> VersionedStorageManager:
+def _run(manager: VersionedStorageManager, op: tuple,
+         options: dict = OPTIONS) -> VersionedStorageManager:
     """Apply one logged operation to ``manager``; return the manager
-    to go on with (a reopened one after ``reopen``)."""
+    to go on with (a reopened one, with ``options``, after
+    ``reopen``)."""
     kind, *args = op
     if kind == "reopen":
         manager.close()
-        return VersionedStorageManager(manager.root, **OPTIONS)
+        return VersionedStorageManager(manager.root, **options)
     if kind == "create":
         manager.create_array(args[0], SCHEMA)
     elif kind == "insert":
@@ -87,6 +94,8 @@ class StoreModel(RuleBasedStateMachine):
         self.root = Path(tempfile.mkdtemp(prefix="repro-model-"))
         self.manager = VersionedStorageManager(self.root / "store",
                                                **OPTIONS)
+        self.cached = VersionedStorageManager(self.root / "cached",
+                                              **CACHED)
         self.second = VersionedStorageManager(self.root / "second",
                                               chunk_bytes=64,
                                               backend="memory")
@@ -100,6 +109,7 @@ class StoreModel(RuleBasedStateMachine):
     def _apply(self, op: tuple) -> None:
         self.log.append(op)
         self.manager = _run(self.manager, op)
+        self.cached = _run(self.cached, op, CACHED)
 
     def _live(self, name: str) -> list[int]:
         return sorted(self.model[name])
@@ -210,7 +220,10 @@ class StoreModel(RuleBasedStateMachine):
     # -- invariants -----------------------------------------------------
     @invariant()
     def every_select_form_reads_the_model(self):
-        manager = self.manager
+        for manager in (self.manager, self.cached):
+            self._reads_the_model(manager)
+
+    def _reads_the_model(self, manager: VersionedStorageManager) -> None:
         for name in NAMES:
             live = self._live(name)
             assert manager.get_versions(name) == live
@@ -230,6 +243,7 @@ class StoreModel(RuleBasedStateMachine):
     @invariant()
     def the_catalog_matches_its_rows(self):
         assert_catalog_matches_sql(self.manager.catalog)
+        assert_catalog_matches_sql(self.cached.catalog)
 
     @invariant()
     def the_slot_reads_as_a_cold_decode(self):
@@ -254,10 +268,12 @@ class StoreModel(RuleBasedStateMachine):
                                                **OPTIONS)
             for op in self.log:
                 replayed = _run(replayed, op)
-            assert replayed.fingerprint() == self.manager.fingerprint()
+            assert replayed.fingerprint() == self.manager.fingerprint() \
+                == self.cached.fingerprint()
             replayed.close()
         finally:
             self.manager.close()
+            self.cached.close()
             self.second.close()
             shutil.rmtree(self.root, ignore_errors=True)
 

@@ -1,5 +1,6 @@
 """Region geometry is built once per array: a grid's chunk refs once per
-grid, a region's result schema once per (schema, region shape)."""
+grid, a region's result schema once per (schema, region shape), and a
+schema's shape once per schema."""
 
 from __future__ import annotations
 
@@ -8,7 +9,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.array import sliced_schema
 from repro.core.errors import DimensionError
 from repro.core.schema import ArraySchema
 from repro.storage import VersionedStorageManager
@@ -72,14 +72,23 @@ class TestChunkRefsBuiltOnce:
 class TestSlicedSchemaMemo:
     def test_one_schema_per_region_shape(self):
         schema = ArraySchema.simple((16, 16), dtype=np.int64)
-        first = sliced_schema(schema, (3, 5))
-        assert sliced_schema(schema, (3, 5)) is first
-        assert sliced_schema(schema, (5, 3)) is not first
+        first = schema.sliced((3, 5))
+        assert schema.sliced((3, 5)) is first
+        assert schema.sliced((5, 3)) is not first
         assert first.shape == (3, 5)
         assert first.origin == (0, 0)
         assert [d.name for d in first.dimensions] == \
             [d.name for d in schema.dimensions]
         assert first.attributes == schema.attributes
+
+    def test_derived_geometry_is_cached_outside_equality(self):
+        schema = ArraySchema.simple((16, 16), dtype=np.int64)
+        twin = ArraySchema.simple((16, 16), dtype=np.int64)
+        assert schema.shape is schema.shape
+        assert (schema.ndim, schema.shape) == (2, (16, 16))
+        schema.sliced((3, 5))
+        assert schema == twin and hash(schema) == hash(twin)
+        assert repr(schema) == repr(twin)
 
     def test_region_reads_share_the_schema(self, tmp_path):
         manager = VersionedStorageManager(tmp_path, chunk_bytes=512,
