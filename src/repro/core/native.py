@@ -13,14 +13,16 @@ delta code + width-histogram bucket out — one kernel family over every
 cell type (signed / unsigned / bool of 1, 2, 4, 8 bytes as wrapping
 int64 differences, float16/32/64 as xor of bit images), reading the
 chunk in place from its canvas by ``(rows, cols, row_stride)``.  It
-skips every 64-byte run equal to the base and keeps only a *run list*:
-the codes of the runs that differ and their spans; on the insert path
-it also copies those runs of the new version over the hot slot's
-canvas (the base it just read), which so becomes the new version
-without a whole-version copy.  :func:`pack_runs` is the one *pack*:
-it walks the run list, the gaps between runs leaving as bulk zeros,
-and emits the dense section, the split's packed small codes and
-outlier table, or the sparse table (the split at width 0);
+skips every 64-byte run equal to the base, codes only the cells of a
+differing run whose bytes differ (read off the run's byte-difference
+mask) and keeps only a *run list*: those cells' codes and the maximal
+spans they form; on the insert path it also copies each differing run
+of the new version over the hot slot's canvas (the base it just
+read), which so becomes the new version without a whole-version copy.
+:func:`pack_runs` is the one *pack*: it walks the run list — only real
+codes, the gaps between spans leaving as bulk zeros — and emits the
+dense section, the split's packed small codes and outlier table, or
+the sparse table (the split at width 0);
 :func:`pack_bits`, behind every other ``pack_unsigned`` call, is the
 same kernel over one run of every value.
 
@@ -80,73 +82,103 @@ _SOURCE = r"""
  * as `rows` runs of `cols` cells, `*_stride` bytes apart (a chunk of a
  * version canvas; rows = 1 for a contiguous array), through memcpy
  * loads so zero-copy payload views need no alignment.  Cells are taken
- * 64 bytes at a time: a run equal to the base is code 0, bucket 0, and
- * writes nothing.  A run that differs — and a row's tail shorter than
- * a run — has each cell pair coded, zigzag of the wrapping int64
- * difference (ARITHMETIC) or the xor of the bit images (XOR), and
- * counted into the 65-bucket exact-bit-length histogram; its codes go
- * to `codes` back to back and its span — first cell (row-major index
- * into the chunk) and cell count — to `spans`, merged into the
- * previous span when it continues it.  Every span after the first
- * follows at least one skipped run, so the codes and spans of a chunk
- * of n cells never take more than n and n / 8 + 1 entries.  With
- * `adopt` set the coded cells of the target are then copied over the
- * base, which so ends holding the target: equal runs already do.
- * Matches numpy's compute_delta -> zigzag_encode -> width bincount bit
- * for bit, with the codes outside the spans left implicit. */
-static inline int repro_same64(const unsigned char *a,
-                               const unsigned char *b)
+ * 64 bytes at a time: a run equal to the base is one compare and a
+ * skip.  A run that differs yields its byte-difference mask (bit k set
+ * when byte k differs; a row's tail shorter than a run builds the same
+ * mask byte by byte), and only the cells with a set bit are coded,
+ * zigzag of the wrapping int64 difference (ARITHMETIC) or the xor of
+ * the bit images (XOR), and counted into the 65-bucket exact-bit-length
+ * histogram.  Their codes go to `codes` back to back and the spans —
+ * maximal stretches of differing cells, first cell (row-major index
+ * into the chunk) and cell count — to `spans`; `*ncodes` is set to the
+ * code count.  Two spans are at least one equal cell apart, so the
+ * codes and spans of a chunk of n cells never take more than n and
+ * n / 2 + 1 entries.  With `adopt` set each differing run of the target
+ * is then copied over the base, which so ends holding the target:
+ * equal runs already do.  Matches numpy's compute_delta ->
+ * zigzag_encode -> width bincount bit for bit, with the codes outside
+ * the spans (every equal cell's) left implicit.  The masks are built
+ * in portable C (SWAR over eight 64-bit words) on a little-endian host;
+ * the wrapper declines a big-endian one. */
+
+/* Bit k of the result set when byte k of `d` is nonzero: OR each byte
+ * down into its low bit, then gather the eight low bits with one
+ * carry-free multiply. */
+static inline uint64_t repro_nonzero_bytes(uint64_t d)
 {
-    uint64_t x[8], y[8], diff = 0;
-    memcpy(x, a, 64);
-    memcpy(y, b, 64);
-    for (int k = 0; k < 8; k++)
-        diff |= x[k] ^ y[k];
-    return diff == 0;
+    d |= d >> 4;
+    d |= d >> 2;
+    d |= d >> 1;
+    return ((d & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
 }
 
-/* WIDEN: cell -> its int64 value's (or bit image's) uint64 image. */
+/* Byte-difference mask of one 64-byte run: 0 when the run is equal. */
+static inline uint64_t repro_diff64(const unsigned char *a,
+                                    const unsigned char *b)
+{
+    uint64_t x[8], y[8], any = 0, mask = 0;
+    memcpy(x, a, 64);
+    memcpy(y, b, 64);
+    for (int k = 0; k < 8; k++) {
+        x[k] ^= y[k];
+        any |= x[k];
+    }
+    if (!any)
+        return 0;
+    for (int k = 0; k < 8; k++)
+        mask |= repro_nonzero_bytes(x[k]) << (8 * k);
+    return mask;
+}
+
+/* The same mask over `nbytes` < 64 bytes. */
+static inline uint64_t repro_diff_tail(const unsigned char *a,
+                                       const unsigned char *b,
+                                       int64_t nbytes)
+{
+    uint64_t mask = 0;
+    for (int64_t k = 0; k < nbytes; k++)
+        mask |= (uint64_t)(a[k] != b[k]) << k;
+    return mask;
+}
+
+/* WIDEN: cell -> its int64 value's (or bit image's) uint64 image.
+ * CELL is the mask bits of the run's first cell: after the lowest set
+ * bit names cell j, shifting CELL by j * S (< 64) clears all of it. */
 #define DELTA_KERNEL(NAME, T, WIDEN)                                   \
 static int64_t NAME(const unsigned char *t, unsigned char *b,          \
                     int use_xor, int adopt, int64_t rows, int64_t cols,\
                     int64_t t_stride, int64_t b_stride,                \
-                    uint64_t *codes, int64_t *spans, int64_t *hist)    \
+                    uint64_t *codes, int64_t *spans, int64_t *hist,    \
+                    int64_t *ncodes)                                   \
 {                                                                      \
     enum { S = sizeof(T), RUN = 64 / sizeof(T) };                      \
-    int64_t zeros = 0, nspans = 0, end = -1;                           \
+    const uint64_t CELL = ~0ULL >> (64 - S);                           \
+    uint64_t *const first_code = codes;                                \
+    int64_t nspans = 0, end = -1;                                      \
     for (int64_t r = 0; r < rows; r++) {                               \
         const unsigned char *tr = t + r * t_stride;                    \
         unsigned char *br = b + r * b_stride;                          \
         /* A chunk row ends mid-page, where the hardware streamer      \
-         * stops: ask for the head of the next row ourselves. */       \
-        if (r + 1 < rows)                                              \
-            for (int k = 0; k < 4; k++) {                              \
-                __builtin_prefetch(tr + t_stride + 64 * k);            \
-                __builtin_prefetch(br + b_stride + 64 * k);            \
-            }                                                          \
-        int64_t i = 0;                                                 \
-        while (i < cols) {                                             \
-            int64_t stop = i + RUN;                                    \
-            if (stop > cols) {                                         \
-                stop = cols;                                           \
-            } else if (repro_same64(tr + i * S, br + i * S)) {         \
-                zeros += RUN;                                          \
-                i = stop;                                              \
+         * stops: each run asks for the same run of the next row. */   \
+        int64_t ahead_t = r + 1 < rows ? t_stride : 0;                 \
+        int64_t ahead_b = r + 1 < rows ? b_stride : 0;                 \
+        for (int64_t i = 0; i < cols; i += RUN) {                      \
+            const unsigned char *tp = tr + i * S;                      \
+            unsigned char *bp = br + i * S;                            \
+            __builtin_prefetch(tp + ahead_t);                          \
+            __builtin_prefetch(bp + ahead_b);                          \
+            int64_t bytes = cols - i < RUN ? (cols - i) * S : 64;      \
+            uint64_t mask = bytes == 64 ? repro_diff64(tp, bp)         \
+                : repro_diff_tail(tp, bp, bytes);                      \
+            if (!mask)                                                 \
                 continue;                                              \
-            }                                                          \
-            int64_t first = r * cols + i;                              \
-            if (first == end) {                                        \
-                spans[2 * nspans - 1] += stop - i;                     \
-            } else {                                                   \
-                spans[2 * nspans] = first;                             \
-                spans[2 * nspans + 1] = stop - i;                      \
-                nspans++;                                              \
-            }                                                          \
-            end = r * cols + stop;                                     \
-            for (int64_t j = i; j < stop; j++) {                       \
+            int64_t at = r * cols + i;                                 \
+            do {                                                       \
+                int64_t j = __builtin_ctzll(mask) / S;                 \
+                mask &= ~(CELL << (j * S));                            \
                 T tv, bv;                                              \
-                memcpy(&tv, tr + j * S, S);                            \
-                memcpy(&bv, br + j * S, S);                            \
+                memcpy(&tv, tp + j * S, S);                            \
+                memcpy(&bv, bp + j * S, S);                            \
                 uint64_t code;                                         \
                 if (use_xor) {                                         \
                     code = WIDEN(tv) ^ WIDEN(bv);                      \
@@ -160,15 +192,20 @@ static int64_t NAME(const unsigned char *t, unsigned char *b,          \
                 *codes++ = code;                                       \
                 if (code)                                              \
                     hist[64 - __builtin_clzll(code)]++;                \
-                else                                                   \
-                    zeros++;                                           \
-            }                                                          \
+                if (at + j == end) {                                   \
+                    spans[2 * nspans - 1]++;                           \
+                } else {                                               \
+                    spans[2 * nspans] = at + j;                        \
+                    spans[2 * nspans + 1] = 1;                         \
+                    nspans++;                                          \
+                }                                                      \
+                end = at + j + 1;                                      \
+            } while (mask);                                            \
             if (adopt)                                                 \
-                memcpy(br + i * S, tr + i * S, (size_t)(stop - i) * S);\
-            i = stop;                                                  \
+                memcpy(bp, tp, (size_t)bytes);                         \
         }                                                              \
     }                                                                  \
-    hist[0] += zeros;                                                  \
+    *ncodes = codes - first_code;                                      \
     return nspans;                                                     \
 }
 
@@ -187,15 +224,18 @@ DELTA_KERNEL(repro_delta_bool, uint8_t, AS_TRUTH)
 
 /* `kind` indexes the cell types in the order above (floats arrive as
  * the same-width unsigned kind with use_xor set).  Returns the span
- * count, or -1 for a kind this build does not know. */
+ * count and sets `*ncodes`, or returns -1 for a kind this build does
+ * not know.  Every cell without a code is code 0 (bucket 0), and so is
+ * a bool cell whose bytes differ but whose truth does not. */
 int64_t repro_delta_codes(const unsigned char *t, unsigned char *b,
                           int kind, int use_xor, int adopt, int64_t rows,
                           int64_t cols, int64_t t_stride, int64_t b_stride,
-                          uint64_t *codes, int64_t *spans, int64_t *hist)
+                          uint64_t *codes, int64_t *spans, int64_t *hist,
+                          int64_t *ncodes)
 {
     static int64_t (*const kernels[])(
         const unsigned char *, unsigned char *, int, int, int64_t,
-        int64_t, int64_t, int64_t, uint64_t *, int64_t *,
+        int64_t, int64_t, int64_t, uint64_t *, int64_t *, int64_t *,
         int64_t *) = {
         repro_delta_i8, repro_delta_i16, repro_delta_i32,
         repro_delta_i64, repro_delta_u8, repro_delta_u16,
@@ -204,8 +244,14 @@ int64_t repro_delta_codes(const unsigned char *t, unsigned char *b,
     if (kind < 0 || kind >= (int)(sizeof kernels / sizeof kernels[0]))
         return -1;
     memset(hist, 0, 65 * sizeof(int64_t));
-    return kernels[kind](t, b, use_xor, adopt, rows, cols, t_stride,
-                         b_stride, codes, spans, hist);
+    int64_t nspans = kernels[kind](t, b, use_xor, adopt, rows, cols,
+                                   t_stride, b_stride, codes, spans, hist,
+                                   ncodes);
+    int64_t nonzero = 0;
+    for (int k = 1; k < 65; k++)
+        nonzero += hist[k];
+    hist[0] = rows * cols - nonzero;
+    return nspans;
 }
 
 /* ---- Write side, pass 2: the pack -------------------------------- */
@@ -242,9 +288,9 @@ static inline void repro_push_zeros(repro_stream *s, int64_t count)
 }
 
 /* The one pack, over a code array of `n` cells given as the analysis
- * pass leaves it: `codes` back to back for the `nspans` (first cell,
- * cell count) spans, every cell outside them code 0.  Writes the dense
- * stream of every code below 2**small_bits (zero at outlier
+ * pass leaves it: `ncodes` codes back to back for the `nspans` (first
+ * cell, cell count) spans, every cell outside them code 0.  Writes the
+ * dense stream of every code below 2**small_bits (zero at outlier
  * positions) and the outliers' positions and values, each packed
  * LSB-first at its own width: the gaps between spans go out as bulk
  * zeros, and an outlier's position is its span's first cell plus its
@@ -254,13 +300,16 @@ static inline void repro_push_zeros(repro_stream *s, int64_t count)
  * packs a plain array.  The caller sizes the three word buffers from
  * the width histogram (`outliers` codes need more than small_bits);
  * the return value is the outlier count found, or -1 the moment the
- * codes would overrun that count or a span is not ascending inside
- * [0, n), so a stale histogram can never write out of bounds. */
-int64_t repro_pack_runs(const uint64_t *codes, const int64_t *spans,
-                        int64_t nspans, int64_t n, int64_t small_bits,
-                        int64_t position_bits, int64_t value_bits,
-                        int64_t outliers, uint64_t *small_words,
-                        uint64_t *position_words, uint64_t *value_words)
+ * codes would overrun that count, a span is not ascending inside
+ * [0, n) or the spans name more than `ncodes` codes, so a stale
+ * histogram or a short code array can never read or write out of
+ * bounds. */
+int64_t repro_pack_runs(const uint64_t *codes, int64_t ncodes,
+                        const int64_t *spans, int64_t nspans, int64_t n,
+                        int64_t small_bits, int64_t position_bits,
+                        int64_t value_bits, int64_t outliers,
+                        uint64_t *small_words, uint64_t *position_words,
+                        uint64_t *value_words)
 {
     repro_stream small = {small_words, 0, 0, small_bits};
     repro_stream positions = {position_words, 0, 0, position_bits};
@@ -268,8 +317,10 @@ int64_t repro_pack_runs(const uint64_t *codes, const int64_t *spans,
     int64_t found = 0, at = 0;
     for (int64_t s = 0; s < nspans; s++) {
         int64_t first = spans[2 * s], count = spans[2 * s + 1];
-        if (first < at || count < 0 || count > n - first)
+        if (first < at || count < 0 || count > n - first
+                || count > ncodes)
             return -1;
+        ncodes -= count;
         repro_push_zeros(&small, first - at);
         for (int64_t j = 0; j < count; j++) {
             uint64_t x = *codes++;
@@ -588,13 +639,13 @@ def _compile() -> ctypes.CDLL | None:
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, ctypes.c_int,
             ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p]
+            ctypes.c_void_p, ctypes.c_void_p]
         lib.repro_delta_codes.restype = ctypes.c_int64
         lib.repro_pack_runs.argtypes = [
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p]
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
         lib.repro_pack_runs.restype = ctypes.c_int64
         lib.repro_zigzag_decode.argtypes = [_U64_P, _U64_P,
                                             ctypes.c_int64]
@@ -713,8 +764,9 @@ def _as_rows(array: np.ndarray
 def scratch_cells(n: int) -> int:
     """uint64 cells of scratch :func:`delta_zigzag_stats` needs to keep
     the run list of a chunk of ``n`` cells: ``n`` codes, then two
-    entries for each of at most ``n // 8 + 1`` spans."""
-    return n + 2 * (n // 8 + 1)
+    entries for each of at most ``n // 2 + 1`` spans (every other cell
+    changed)."""
+    return n + 2 * (n // 2 + 1)
 
 
 def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
@@ -727,14 +779,15 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
     ``target`` and ``base`` may be row-strided views of their canvases
     (see :func:`_as_rows`).  Returns ``(codes, spans, width_counts)``,
     the *run list* of the chunk's flat code array — ``spans`` the
-    ``(first cell, cell count)`` rows of the runs that differ from the
-    base, ascending, and ``codes`` their codes back to back; every
-    other code is 0 — and the count of codes per exact bit length,
-    bit-identical to the numpy pipeline's.  ``out`` (flat uint64, at
-    least :func:`scratch_cells` long) holds the run list instead of a
-    fresh array; the caller must be done with the previous contents.
+    ``(first cell, cell count)`` rows of the maximal stretches of cells
+    whose bytes differ from the base's, ascending, and ``codes`` their
+    codes back to back; every other code is 0 — and the count of codes
+    per exact bit length, bit-identical to the numpy pipeline's.
+    ``out`` (flat uint64, at least :func:`scratch_cells` long) holds
+    the run list instead of a fresh array; the caller must be done with
+    the previous contents.
     With ``adopt`` the writable ``base`` ends holding ``target``'s
-    cells: the kernel copies each run it coded.
+    cells: the kernel copies each 64-byte run that holds a coded cell.
     """
     lib = _active()
     if lib is None:
@@ -754,6 +807,8 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
     n = target.size
     if n == 0:
         return decline(kernel, "empty")
+    if sys.byteorder != "little":
+        return decline(kernel, "big-endian host")
     sides = (_as_rows(target), _as_rows(base))
     if None in sides:
         return decline(kernel, "non-unit inner stride")
@@ -772,24 +827,26 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
             or not out.flags.c_contiguous or not out.flags.writeable:
         out = np.empty(need, dtype=np.uint64)
     spans = out[n:need].view(np.int64)
-    hist = np.empty(65, dtype=np.int64)
+    # The width histogram, then the code count in the last slot.
+    tally = np.empty(66, dtype=np.int64)
+    at = tally.ctypes.data
     # A base read through a copy (a 3-d window) is adopted afterwards.
     in_place = adopt and sides[1][0] is base
     count = lib.repro_delta_codes(
         sides[0][0].ctypes.data, sides[1][0].ctypes.data,
         kind, use_xor, in_place, rows, cols, *strides,
-        out.ctypes.data, spans.ctypes.data, hist.ctypes.data)
+        out.ctypes.data, spans.ctypes.data, at, at + 65 * 8)
     if count < 0:
         return decline(kernel, "cell kind unknown to this build")
     if adopt and not in_place:
         np.copyto(base, target)
-    spans = spans[:2 * count].reshape(count, 2)
-    return out[:int(spans[:, 1].sum())], spans, hist
+    return (out[:int(tally[65])], spans[:2 * count].reshape(count, 2),
+            tally[:65])
 
 
 def pack_runs(codes: np.ndarray, spans: np.ndarray, n: int,
               small_bits: int, outliers: int, value_bits: int
-              ) -> tuple[bytes, bytes, bytes] | None:
+              ) -> tuple[memoryview, memoryview, memoryview] | None:
     """The split's three packed sections in one pass over a run list,
     or None.
 
@@ -798,12 +855,13 @@ def pack_runs(codes: np.ndarray, spans: np.ndarray, n: int,
     need more than ``small_bits`` bits and ``value_bits`` the width of
     the largest — both read off the width histogram the analysis pass
     already produced, never re-derived.  Returns the packed ``(small,
-    positions, values)`` byte strings exactly as
-    :func:`repro.core.bitpack.pack_unsigned` would emit them for the
-    full code array masked at the outliers, the outlier positions and
-    the outlier values; ``small_bits = 0`` is the sparse codec's layout
-    (empty dense section, every nonzero code in the table), and
-    ``small_bits`` = the widest code with no outliers the dense one.
+    positions, values)`` sections — views of one buffer — holding
+    exactly the bytes :func:`repro.core.bitpack.pack_unsigned` would
+    emit for the full code array masked at the outliers, the outlier
+    positions and the outlier values; ``small_bits = 0`` is the sparse
+    codec's layout (empty dense section, every nonzero code in the
+    table), and ``small_bits`` = the widest code with no outliers the
+    dense one.
     """
     lib = _active()
     if lib is None:
@@ -823,22 +881,25 @@ def pack_runs(codes: np.ndarray, spans: np.ndarray, n: int,
     if not (0 <= small_bits <= 64 and 0 <= value_bits <= 64
             and 0 <= outliers <= n):
         return decline(kernel, "split parameters out of range")
-    if int(spans[:, 1].sum()) > codes.size:
-        return decline(kernel, "spans name more codes than given")
     position_bits = (n - 1).bit_length()
     sections = [(n * small_bits + 7) // 8,
                 (outliers * position_bits + 7) // 8,
                 (outliers * value_bits + 7) // 8]
-    words = [np.empty((nbytes + 7) // 8, dtype=np.uint64)
-             for nbytes in sections]
+    # One allocation; each section starts on a word boundary.
+    small, positions = ((nbytes + 7) // 8 * 8 for nbytes in sections[:2])
+    starts = (0, small, small + positions)
+    words = np.empty((starts[2] + sections[2] + 7) // 8, dtype=np.uint64)
+    at = words.ctypes.data
     found = lib.repro_pack_runs(
-        codes.ctypes.data, spans.ctypes.data, spans.shape[0], n,
-        small_bits, position_bits, value_bits, outliers,
-        *(section.ctypes.data for section in words))
+        codes.ctypes.data, codes.size, spans.ctypes.data, spans.shape[0],
+        n, small_bits, position_bits, value_bits, outliers,
+        at + starts[0], at + starts[1], at + starts[2])
     if found != outliers:
-        return decline(kernel, "outlier count disagrees with the codes")
-    return tuple(w.view(np.uint8)[:nbytes].tobytes()
-                 for w, nbytes in zip(words, sections))
+        return decline(kernel, "the spans or the outlier count disagree"
+                               " with the codes")
+    packed = memoryview(words).cast("B")
+    return tuple(packed[start:start + nbytes]
+                 for start, nbytes in zip(starts, sections))
 
 
 def pack_bits(values: np.ndarray, bits: int) -> np.ndarray | None:
@@ -857,8 +918,8 @@ def pack_bits(values: np.ndarray, bits: int) -> np.ndarray | None:
     n = values.size
     words = np.empty((n * bits + 63) // 64, dtype=np.uint64)
     whole = np.array([[0, n]], dtype=np.int64)
-    if lib.repro_pack_runs(values.ctypes.data, whole.ctypes.data, 1, n,
-                           bits, 0, 0, 0, words.ctypes.data, None,
+    if lib.repro_pack_runs(values.ctypes.data, n, whole.ctypes.data, 1,
+                           n, bits, 0, 0, 0, words.ctypes.data, None,
                            None) != 0:
         return None
     return words

@@ -5,8 +5,8 @@ of two versions to a flat array of unsigned 64-bit *codes* (arithmetic
 deltas are zigzag-mapped so small signed differences become small codes;
 float XOR deltas are already unsigned).  :class:`CodePlan` is the one
 place that reduction happens: one pass over a ``(target, base)`` pair
-yields the codes — as a run list, only the runs of cells that changed —
-and their :class:`CodeStats` width histogram, and everything
+yields the codes — as a run list, only the cells that changed — and
+their :class:`CodeStats` width histogram, and everything
 downstream — pricing a candidate, pricing a Materialization Matrix
 entry (Section IV-A), choosing the hybrid split, emitting a payload —
 is arithmetic on that histogram plus at most one pack over the runs.
@@ -199,8 +199,9 @@ class _Runs(NamedTuple):
     """A flat code array of ``n`` cells as its *run list*: ``spans``
     are ``(first cell, cell count)`` rows, ascending and disjoint, and
     ``codes`` their codes back to back; every cell outside them is
-    code 0.  The analysis kernel emits only the runs that differ from
-    the base; a bare array is one run over every cell."""
+    code 0.  The analysis kernel emits only the cells whose bytes
+    differ from the base's, one span per maximal stretch of them; a
+    bare array is one run over every cell."""
 
     n: int
     codes: np.ndarray
@@ -240,13 +241,13 @@ class CodePlan:
     candidate codec on the write path, the Materialization Matrix, the
     table benches: the compose ``mode``, the code array the strategies
     of Section III-B.3 operate on as its run list ``runs`` (on the
-    compiled path only the runs that differ from the base; the numpy
+    compiled path only the cells that differ from the base; the numpy
     path's full array is one run), and the code array's
     :class:`CodeStats`.  Dense width, sparse nonzero count and the full
     hybrid split-cost curve all fall out of the same statistics, so
     pricing a representation costs arithmetic on a 65-bucket histogram,
     not a pass over the chunk, and packing the winner walks only the
-    runs.  :attr:`codes` is the full flat array, expanded on first use
+    run list's codes.  :attr:`codes` is the full flat array, expanded on first use
     (the numpy packers, the table benches, tests).
     """
 
@@ -272,7 +273,7 @@ class CodePlan:
         long) lends the plan its run list's storage: the plan is then
         only valid until the lender reuses it.  ``adopt`` leaves the
         (writable) ``base`` holding ``target``'s cells — the kernel
-        copies just the runs that differ — so ``plan.base`` is the
+        copies just the 64-byte runs that differ — so ``plan.base`` is the
         target's contents afterwards.  Every store delta codec encodes
         from the run list alone and never reads ``plan.base``, so any
         of them may encode an adopted plan.
@@ -334,13 +335,13 @@ def decode_dense(data, offset: int, count: int
 # The split: packed small codes + an outlier table (sparse and hybrid)
 # ----------------------------------------------------------------------
 def _pack(runs: _Runs, small_bits: int, outliers: int, value_bits: int
-          ) -> tuple[bytes, bytes, bytes]:
+          ) -> tuple[bytes | memoryview, ...]:
     """The packed ``(small, positions, values)`` sections of ``runs``
     split at ``small_bits``: every code below ``2**small_bits`` in the
     small section (zero at the outlier positions; none at width 0), the
     ``outliers`` others' positions and values at ``value_bits``.  The
-    compiled pack walks the run list; the numpy form over the full
-    array is the byte-identical fallback."""
+    compiled pack walks the run list into views of one buffer; the
+    numpy form over the full array is the byte-identical fallback."""
     sections = native.pack_runs(runs.codes, runs.spans, runs.n,
                                 small_bits, outliers, value_bits)
     if sections is not None:

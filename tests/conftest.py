@@ -14,7 +14,9 @@ test that must run both the inline path and the pooled one takes the
 widths within itself takes :func:`pin_fan`.  Both swap in a pool of
 the pinned width for their scope (:func:`repro.storage.fan.lanes`,
 one per width for the whole session), so the process's own pool never
-runs a pinned test's tasks.
+runs a pinned test's tasks.  Code that takes no fixtures (a hypothesis
+state machine) imports :func:`pinned_fan`, the context manager behind
+both.
 
 A whole read of the version a manager wrote last is one copy of its
 hot slot, not a decode; a test that reads that head to exercise the
@@ -47,7 +49,7 @@ _POOLS: dict = {}
 
 
 @contextmanager
-def _pinned(width: int):
+def pinned_fan(width: int):
     """The CPU fan ``width`` lanes wide for the block, on the pool of
     that width."""
     saved = fan.FAN_WIDTH, fan._cpu
@@ -64,7 +66,7 @@ def _pinned(width: int):
 def fan_width(request) -> int:
     """Pin the CPU fan's width: 1 runs every task inline on the
     calling thread, 4 through the pool, whatever the host has."""
-    with _pinned(request.param):
+    with pinned_fan(request.param):
         yield request.param
 
 
@@ -72,7 +74,7 @@ def fan_width(request) -> int:
 def pin_fan():
     """``with pin_fan(width):`` pins the CPU fan for a block — for a
     test that compares widths within itself."""
-    return _pinned
+    return pinned_fan
 
 
 def _cold(manager, name: str):

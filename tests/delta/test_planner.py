@@ -516,15 +516,32 @@ def _top_bit_flipped(cells: np.ndarray) -> np.ndarray:
 _RUN_CASES = {
     "no-run-changed": lambda rng, base: base.copy(),
     "one-cell-per-row": lambda rng, base: _one_cell_per_row(base),
+    "row-tails-changed": lambda rng, base: _one_cell_per_row(base, 39),
     "every-run-changed": lambda rng, base: _top_bit_flipped(base),
     "random": lambda rng, base: _cells(rng, base.dtype, base.shape),
 }
 
 
-def _one_cell_per_row(base: np.ndarray) -> np.ndarray:
+def _one_cell_per_row(base: np.ndarray, column: int = 20) -> np.ndarray:
+    """``base`` with one column flipped: column 39 is the last cell of
+    every row of the 2-d windows, inside the tail shorter than a run
+    that each row of the row-strided window ends in."""
     target = base.copy()
-    target[:, 20] = _top_bit_flipped(target[:, 20])
+    target[:, column] = _top_bit_flipped(target[:, column])
     return target
+
+
+def _changed_spans(target: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The ``(first cell, cell count)`` rows of the maximal stretches
+    of cells whose bytes differ, in row-major order."""
+    def cell_bytes(cells):
+        cells = np.ascontiguousarray(cells)
+        return cells.reshape(-1).view(np.uint8).reshape(cells.size, -1)
+
+    changed = (cell_bytes(target) != cell_bytes(base)).any(axis=1)
+    edges = np.flatnonzero(np.diff(np.r_[0, changed.astype(np.int8), 0]))
+    first, stop = edges[::2], edges[1::2]
+    return np.stack([first, stop - first], axis=1).astype(np.int64)
 
 
 @pytest.mark.skipif(not native.available(),
@@ -548,15 +565,19 @@ class TestRunList:
         reference = _reference_plan(target, base)
         plan = CodePlan.build(target, base)
         codes, spans = plan.runs.codes, plan.runs.spans
+        # The run list holds exactly the cells whose bytes differ, each
+        # maximal stretch of them one span: an unchanged chunk codes
+        # nothing, and (bool aside, whose differing bytes may agree in
+        # truth) no coded cell is code 0.
+        expected = _changed_spans(target, base)
+        assert np.array_equal(spans, expected)
+        assert codes.size == expected[:, 1].sum()
         if case == "no-run-changed":
-            # Only the tails shorter than a run (of 64 bytes) are coded:
-            # the one tail of a contiguous chunk (the 3-d window is read
-            # through a contiguous copy), one per row of a strided one.
-            run = 64 // dtype.itemsize
-            tails = 10 * (37 % run) if layout == "row-strided" \
-                else target.size % run
-            assert codes.size == tails and not codes.any()
-        assert spans[:, 1].sum() == codes.size
+            assert codes.size == 0 and spans.shape == (0, 2)
+        if case in ("one-cell-per-row", "row-tails-changed"):
+            assert codes.size == target.size // target.shape[-1]
+        if dtype.kind != "b":
+            assert codes.all()
         assert np.array_equal(plan.codes, reference.codes)
         assert np.array_equal(plan.stats.width_counts,
                               reference.stats.width_counts)
@@ -599,30 +620,53 @@ class TestRunList:
         with pytest.raises(ValueError, match="writable"):
             CodePlan.build(base + 1, base, adopt=True)
 
-    def test_run_list_fits_its_scratch(self, rng):
-        # Alternating changed and equal runs: the most spans a chunk can
-        # have, inside the scratch the pipeline lends.
-        base = np.zeros(4096, dtype=np.int64)
-        target = base.copy()
-        target[::16] = 1
-        scratch = np.full(native.scratch_cells(target.size), 7,
-                          dtype=np.uint64)
-        codes, spans, _ = native.delta_zigzag_stats(target, base,
-                                                    out=scratch)
-        assert spans.shape == (256, 2)
+    @pytest.mark.parametrize("layout", ["contiguous", "row-strided"])
+    @pytest.mark.parametrize("cell", ["u1", "i2", "u4", "i8", "b1", "f2",
+                                      "f4", "f8"])
+    def test_run_list_fits_its_scratch(self, rng, cell, layout):
+        # Every other cell changed: the most spans a chunk can have —
+        # n // 2 + 1 of them, n odd — inside the scratch the pipeline
+        # lends, and not a word past it.
+        dtype = np.dtype("?" if cell == "b1" else cell)
+        base_canvas = _cells(rng, dtype, (12, 70))
+        target_canvas = base_canvas.copy()
+        # 11 rows of 37 cells: an odd count.
+        base, target = base_canvas[1:12, 3:40], target_canvas[1:12, 3:40]
+        if layout == "contiguous":
+            base, target = base.copy(), target.copy()
+        flat = np.ascontiguousarray(target).reshape(-1)
+        flat[::2] = _top_bit_flipped(flat[::2])
+        target[...] = flat.reshape(target.shape)
+        n = target.size
+        assert n % 2 == 1
+        need = native.scratch_cells(n)
+        canary = np.uint64(0xA5A5A5A5A5A5A5A5)
+        scratch = np.full(need + 4, canary, dtype=np.uint64)
+        codes, spans, counts = native.delta_zigzag_stats(
+            target, base, out=scratch)
+        assert spans.shape == (n // 2 + 1, 2)
+        assert codes.size == n // 2 + 1
+        assert (scratch[need:] == canary).all()
         assert np.shares_memory(codes, scratch) \
             and np.shares_memory(spans, scratch)
-        assert np.array_equal(_expanded(target.size, (codes, spans, None)),
-                              CodePlan.build(target, base).codes)
+        reference = _reference_plan(target, base)
+        assert np.array_equal(_expanded(n, (codes, spans, None)),
+                              reference.codes)
+        assert np.array_equal(counts, reference.stats.width_counts)
 
-    def test_stale_histogram_writes_nothing_out_of_bounds(self, rng):
-        # The pack sized for one outlier fewer than the codes hold:
-        # refused at the overrun, every canary word beyond the sized
-        # sections intact.
+    @pytest.mark.parametrize("short", ["outliers", "codes"])
+    def test_stale_histogram_writes_nothing_out_of_bounds(self, rng,
+                                                          short):
+        # The pack sized for one outlier fewer than the codes hold, or
+        # told it holds one code fewer than the spans name: refused at
+        # the overrun, every canary word beyond the sized sections
+        # intact.
         lib = native._load()
         codes = np.array([0, 5, 900, 0, 700, 3], dtype=np.uint64)
         spans = np.array([[2, 2], [9, 4]], dtype=np.int64)
-        n, small_bits, value_bits, outliers = 16, 3, 10, 1
+        n, small_bits, value_bits = 16, 3, 10
+        outliers = 1 if short == "outliers" else 2
+        ncodes = codes.size - (short == "codes")
         canary = np.uint64(0xA5A5A5A5A5A5A5A5)
         sized = [(n * small_bits + 63) // 64,
                  (outliers * 4 + 63) // 64,
@@ -630,14 +674,16 @@ class TestRunList:
         buffers = [np.full(words + 4, canary, dtype=np.uint64)
                    for words in sized]
         found = lib.repro_pack_runs(
-            codes.ctypes.data, spans.ctypes.data, len(spans), n,
+            codes.ctypes.data, ncodes, spans.ctypes.data, len(spans), n,
             small_bits, 4, value_bits, outliers,
             *(buffer.ctypes.data for buffer in buffers))
         assert found == -1
         for words, buffer in zip(sized, buffers):
             assert (buffer[words:] == canary).all()
         # The wrapper declines, so the numpy path packs instead.
-        assert native.pack_runs(codes, spans, n, small_bits, outliers,
+        assert native.pack_runs(codes, spans, n, small_bits, 1,
+                                value_bits) is None
+        assert native.pack_runs(codes[:-1], spans, n, small_bits, 2,
                                 value_bits) is None
         assert native.pack_runs(codes, spans, n, small_bits, 2,
                                 value_bits) is not None
@@ -647,7 +693,9 @@ class TestRunList:
         [[0, 4], [3, 2]],    # overlapping
         [[14, 4]],           # past the last cell
         [[0, -1]],           # negative count
-    ], ids=["descending", "overlapping", "past-the-end", "negative"])
+        [[0, 4], [8, 4]],    # more codes than given
+    ], ids=["descending", "overlapping", "past-the-end", "negative",
+            "too-many-codes"])
     def test_malformed_spans_are_refused(self, spans):
         codes = np.arange(1, 7, dtype=np.uint64)
         assert native.pack_runs(codes, np.array(spans, dtype=np.int64),

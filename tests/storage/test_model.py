@@ -4,18 +4,22 @@ A hypothesis state machine drives two arrays of one ``local`` manager
 through inserts, delta-list updates, branches, merges,
 ``delete_version``, ``reorganize(mode="space")``, shipping an array to
 a second manager (``export_versions`` → ``import_versions``) and
-close + reopen.  A twin manager with a small chunk cache takes every
-rule too, so each rule's reads run through cache hits, misses, warm
-fills and evictions there and through the cache-off path here.  The
+close + reopen.  Two twin managers take every rule too: one with a
+small chunk cache, so each rule's reads run through cache hits,
+misses, warm fills and evictions there and through the cache-off path
+here, and one whose every rule and read runs through a CPU fan four
+lanes wide, where the other two run every encode and decode inline
+(fan width 1).  The
 model is a dict of arrays: per array name, each live version's
 contents.  After every rule each live version reads back equal, on
 both managers, by ``select``, by one ``select_region`` window and by
 ``select_versions``; the catalog's snapshot equals its SQL rows
 (``catalog_oracle``); and a whole read of the version the hot slot
 holds — one copy of the slot — equals a cold decode of it.  At
-teardown both stores' ``fingerprint()`` equal that of a fresh manager
-the same operations were replayed into: stored bytes are a function
-of the logical history alone, cache or no cache.
+teardown all three stores' ``fingerprint()`` equal that of a fresh
+manager the same operations were replayed into: stored bytes are a
+function of the logical history alone, cache or no cache, at any fan
+width.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from hypothesis.stateful import (
 )
 
 from catalog_oracle import assert_catalog_matches_sql
+from conftest import pinned_fan
 from repro.core.array import DeltaListPayload
 from repro.core.schema import ArraySchema
 from repro.storage import VersionedStorageManager
@@ -47,6 +52,8 @@ OPTIONS = dict(chunk_bytes=64, backend="local")
 #: The twin's cache: about a dozen chunks, so reads evict and some
 #: chains are declined a warm fill.
 CACHED = dict(OPTIONS, cache_bytes=768)
+#: The wide twin's fan width; the other managers run at width 1.
+WIDE = 4
 seeds = st.integers(0, 2 ** 16)
 
 
@@ -96,6 +103,7 @@ class StoreModel(RuleBasedStateMachine):
                                                **OPTIONS)
         self.cached = VersionedStorageManager(self.root / "cached",
                                               **CACHED)
+        self.wide = VersionedStorageManager(self.root / "wide", **OPTIONS)
         self.second = VersionedStorageManager(self.root / "second",
                                               chunk_bytes=64,
                                               backend="memory")
@@ -108,8 +116,11 @@ class StoreModel(RuleBasedStateMachine):
 
     def _apply(self, op: tuple) -> None:
         self.log.append(op)
-        self.manager = _run(self.manager, op)
-        self.cached = _run(self.cached, op, CACHED)
+        with pinned_fan(1):
+            self.manager = _run(self.manager, op)
+            self.cached = _run(self.cached, op, CACHED)
+        with pinned_fan(WIDE):
+            self.wide = _run(self.wide, op)
 
     def _live(self, name: str) -> list[int]:
         return sorted(self.model[name])
@@ -220,8 +231,11 @@ class StoreModel(RuleBasedStateMachine):
     # -- invariants -----------------------------------------------------
     @invariant()
     def every_select_form_reads_the_model(self):
-        for manager in (self.manager, self.cached):
-            self._reads_the_model(manager)
+        with pinned_fan(1):
+            for manager in (self.manager, self.cached):
+                self._reads_the_model(manager)
+        with pinned_fan(WIDE):
+            self._reads_the_model(self.wide)
 
     def _reads_the_model(self, manager: VersionedStorageManager) -> None:
         for name in NAMES:
@@ -244,6 +258,7 @@ class StoreModel(RuleBasedStateMachine):
     def the_catalog_matches_its_rows(self):
         assert_catalog_matches_sql(self.manager.catalog)
         assert_catalog_matches_sql(self.cached.catalog)
+        assert_catalog_matches_sql(self.wide.catalog)
 
     @invariant()
     def the_slot_reads_as_a_cold_decode(self):
@@ -269,11 +284,12 @@ class StoreModel(RuleBasedStateMachine):
             for op in self.log:
                 replayed = _run(replayed, op)
             assert replayed.fingerprint() == self.manager.fingerprint() \
-                == self.cached.fingerprint()
+                == self.cached.fingerprint() == self.wide.fingerprint()
             replayed.close()
         finally:
             self.manager.close()
             self.cached.close()
+            self.wide.close()
             self.second.close()
             shutil.rmtree(self.root, ignore_errors=True)
 
