@@ -738,65 +738,70 @@ class ClusterCoordinator:
                       corner_lo: tuple[int, ...],
                       corner_hi: tuple[int, ...]) -> ArrayData:
         """Route a region query to the overlapping nodes only, each
-        band served by its first live replica (reads fail over).  The
-        whole query runs against one pinned generation, so an online
-        rebalance swapping mid-query can neither mix topologies nor
-        close the managers the query is reading."""
+        band served by its first live replica (reads fail over) and
+        filling its window of the result itself
+        (``select_region(out=)``): one copy per band from a held head.
+        The whole query runs against one pinned generation, so an
+        online rebalance swapping mid-query can neither mix topologies
+        nor close the managers the query is reading."""
         with self._pinned() as gen:
-            return self._select_region(gen, name, version,
-                                       corner_lo, corner_hi)
+            partitioner = self._published(gen, name, [version])
+            schema = gen.schemas[name]
+            lo, hi = region_corners(schema, corner_lo, corner_hi)
+            region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+            axis = partitioner.axis
+            canvases = {attr.name: np.empty(region_shape, dtype=attr.dtype)
+                        for attr in schema.attributes}
+            for band in partitioner.bands_overlapping(lo, hi):
+                local_lo, local_hi = partitioner.clip_region(band, lo, hi)
+                index = axis_index(schema.ndim, axis,
+                                   max(lo[axis], band.lo) - lo[axis],
+                                   min(hi[axis], band.hi) - lo[axis])
+                windows = {attr: canvas[index]
+                           for attr, canvas in canvases.items()}
+                self._read_node(
+                    band.node,
+                    lambda manager: manager.select_region(
+                        name, version, local_lo, local_hi, out=windows),
+                    gen)
+        return ArrayData(schema.sliced(region_shape), canvases)
 
-    def _select_region(self, gen: "_Generation", name: str, version: int,
-                       corner_lo: tuple[int, ...],
-                       corner_hi: tuple[int, ...],
-                       out: dict[str, np.ndarray] | None = None
-                       ) -> ArrayData | None:
-        """The region against ``gen``, in ``out`` — region-shaped
-        canvases of the attributes it names; then None — or in fresh
-        canvases of every attribute.  Each overlapping band's copy
-        fills its window of them itself (``select_region(out=)``): one
-        copy per band from a held head."""
+    @staticmethod
+    def _published(gen: "_Generation", name: str,
+                   versions: list[int]) -> RangePartitioner:
+        """``name``'s partitioner in ``gen``, once every version in
+        ``versions`` is published there (none above its head)."""
         partitioner = gen.partitioners.get(name)
-        if partitioner is None or version > gen.heads[name]:
+        if partitioner is None:
             raise StorageError(
-                f"array {name!r} is not registered with this coordinator"
-                if partitioner is None else f"array {name!r} has no "
-                f"published version {version}")
-        schema = gen.schemas[name]
-        lo, hi = region_corners(schema, corner_lo, corner_hi)
-        region_shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-        axis = partitioner.axis
-        canvases = out if out is not None else {
-            attr.name: np.empty(region_shape, dtype=attr.dtype)
-            for attr in schema.attributes}
-        for band in partitioner.bands_overlapping(lo, hi):
-            local_lo, local_hi = partitioner.clip_region(band, lo, hi)
-            index = axis_index(schema.ndim, axis,
-                               max(lo[axis], band.lo) - lo[axis],
-                               min(hi[axis], band.hi) - lo[axis])
-            windows = {attr: canvas[index]
-                       for attr, canvas in canvases.items()}
-            self._read_node(
-                band.node,
-                lambda manager: manager.select_region(
-                    name, version, local_lo, local_hi, out=windows),
-                gen)
-        return None if out is not None else \
-            ArrayData(schema.sliced(region_shape), canvases)
+                f"array {name!r} is not registered with this coordinator")
+        for version in versions:
+            if version > gen.heads[name]:
+                raise StorageError(f"array {name!r} has no "
+                                   f"published version {version}")
+        return partitioner
 
     def select_versions(self, name: str, versions: list[int],
                         attribute: str | None = None) -> np.ndarray:
-        """The stacked (N+1-dimensional) select across the cluster:
-        every band fills its window of each layer in place."""
-        schema = self._schema(name)
-        attr = schema.attribute(attribute or schema.attributes[0].name)
-        stack = np.empty((len(versions), *schema.shape), dtype=attr.dtype)
-        lo = tuple(0 for _ in schema.shape)
-        hi = tuple(extent - 1 for extent in schema.shape)
+        """The stacked (N+1-dimensional) select across the cluster: one
+        stacked read per band (``select_versions_region``, failing over
+        per band), so a range over a chain reads each band's payloads
+        once, and each band's stack lands in its window of every
+        layer."""
         with self._pinned() as gen:
-            for layer, version in enumerate(versions):
-                self._select_region(gen, name, version, lo, hi,
-                                    {attr.name: stack[layer]})
+            partitioner = self._published(gen, name, versions)
+            schema = gen.schemas[name]
+            attr = schema.attribute(attribute or schema.attributes[0].name)
+            stack = np.empty((len(versions), *schema.shape), attr.dtype)
+            whole = tuple(extent - 1 for extent in schema.shape)
+            for band in partitioner.bands:
+                lo, hi = partitioner.clip_region(band, (0,) * len(whole),
+                                                 whole)
+                stack[(slice(None), *axis_index(
+                    schema.ndim, partitioner.axis, band.lo, band.hi))] = \
+                    self._read_node(band.node, lambda manager: (
+                        manager.select_versions_region(
+                            name, versions, lo, hi, attr.name)), gen)
         return stack
 
     # ------------------------------------------------------------------

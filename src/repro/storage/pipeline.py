@@ -119,8 +119,9 @@ class ChunkCache:
     ``max_bytes`` is the one budget, a byte count; zero disables the
     cache entirely (:attr:`enabled`), and anything else that is not a
     count of zero or more raises :class:`StorageError`.  Hits and
-    misses are mirrored into the attached :class:`IOStats` so cache
-    effectiveness appears next to the I/O it avoided.
+    misses are counted once, in ``stats`` — the store's
+    :class:`IOStats` when one is attached, so cache effectiveness
+    appears next to the I/O it avoided, else one of the cache's own.
 
     Every operation holds an internal lock: client threads share one
     manager, and the byte accounting and hit/miss counters must stay
@@ -144,12 +145,10 @@ class ChunkCache:
                 f"cache budget must be a byte count >= 0, "
                 f"got {max_bytes!r}")
         self.max_bytes = max_bytes
-        self.stats = stats
+        self.stats = stats if stats is not None else IOStats()
         self._entries: OrderedDict[tuple, np.ndarray] = OrderedDict()
         self._bytes = 0
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
         self.oversized = 0
         self.prefetched = 0
         self.prefetch_declined = 0
@@ -161,16 +160,12 @@ class ChunkCache:
     def get(self, key: tuple) -> np.ndarray | None:
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-            else:
+            if entry is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
-        if self.stats is not None:
-            if entry is None:
-                self.stats.record_cache_miss()
-            else:
-                self.stats.record_cache_hit()
+        if entry is None:
+            self.stats.record_cache_miss()
+        else:
+            self.stats.record_cache_hit()
         return entry
 
     def peek(self, key: tuple) -> np.ndarray | None:
@@ -186,9 +181,7 @@ class ChunkCache:
             if entry is None:
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
-        if self.stats is not None:
-            self.stats.record_cache_hit()
+        self.stats.record_cache_hit()
         return entry
 
     def put(self, key: tuple, data: np.ndarray, *,
@@ -266,8 +259,8 @@ class ChunkCache:
                 "max_bytes": self.max_bytes,
                 "entries": len(self._entries),
                 "bytes": self._bytes,
-                "hits": self.hits,
-                "misses": self.misses,
+                "hits": self.stats.cache_hits,
+                "misses": self.stats.cache_misses,
                 "oversized": self.oversized,
                 "prefetched": self.prefetched,
                 "prefetch_declined": self.prefetch_declined,
@@ -523,8 +516,7 @@ class _Miss:
     thread: its read ``task`` (see :meth:`DecodePipeline._resolve`),
     the located chain (from ``version`` down), the version the walk
     stopped at (None: the materialized root) with its contents when
-    known, the job chosen, the cells it may fold into, and the read's
-    scope for this chunk, which its admission records into.  Only the
+    known, the job chosen and the cells it may fold into.  Only the
     run decoding it changes it (:meth:`DecodePipeline._decode_run`)."""
 
     snap: ArraySnapshot
@@ -539,7 +531,6 @@ class _Miss:
     out: np.ndarray | None
     #: Cache bytes its admission will take (0 with the cache off).
     admits: int
-    scope: dict[int, np.ndarray] | None
 
 
 class ReadPlan:
@@ -584,12 +575,13 @@ class DecodePipeline:
     """The select path: locate → read chain → decompress → fold →
     assemble (Figure 1, right; Figure 2's read pattern).
 
-    A read runs in three steps.  The calling thread *plans* every
-    chunk first: the cache lookup, the chain walk (with its cache
-    probes) and the job choice below.  Only the misses go to the pool,
-    whose stage reads, decompresses and folds and touches neither the
-    cache nor any scope.  The calling thread then *admits* each result
-    in task order.  Hits never reach the pool, and the cache sees the
+    Every read — one version or a stack — runs in the same three
+    steps (:meth:`_resolve`).  The calling thread *plans* every task
+    first: the cache lookup, the chain walk (with its cache probes)
+    and the job choice below.  Only the misses go to the pool, whose
+    stage reads, decompresses and folds and touches neither the cache
+    nor any scope.  The calling thread then *admits* each result in
+    task order.  Hits never reach the pool, and the cache sees the
     same calls in the same order at every fan width.  Assembly stays
     deterministic: every chunk writes a disjoint region of the output
     canvas, so the result is byte-identical at every width.
@@ -639,12 +631,15 @@ class DecodePipeline:
         read task, or the :class:`_Miss` to decode — its chain located
         and its job chosen.
 
-        ``scope`` is this chunk's versions resolved so far by the read
-        (:meth:`_read_stack`): a cache hit, and a walk's stop, are
-        recorded into it.  ``admitting`` is what the call's misses
-        planned before this one will admit: a warm fill must fit the
-        free space they leave, as it would had they been admitted
-        already."""
+        ``scope`` maps the versions of this chunk that the read's
+        earlier tasks of its group resolve (:meth:`_read_stack`) to
+        their contents — None for one a miss planned before this one
+        will decode, which the run hands on (:meth:`_decode_run`).  A
+        walk stops at the first version in it; a hit, and what a miss
+        will resolve, are recorded into it.  ``admitting`` is what the
+        read's misses planned before this one will admit: a warm fill
+        must fit the free space they leave, as it would had they been
+        admitted already."""
         version, attribute, chunk, _, _, _, out = task
         record = snap.record
         if self.cache.enabled:
@@ -669,8 +664,13 @@ class DecodePipeline:
                 self.cache.fits(admitting + len(chain) * nbytes)
             admits = len(chain) * nbytes if warm_fill else nbytes
         base = None if base_version is None else stop_at[base_version]
+        if scope is not None and chain:     # mark what its decode resolves
+            resolves = chain if warm_fill else \
+                chain[:1] + chain[-1:] * (base_version is None)
+            scope.update(dict.fromkeys(
+                [level.version for level in resolves]))
         return _Miss(snap, version, attribute, chunk, task, chain,
-                     base_version, base, warm_fill, out, admits, scope)
+                     base_version, base, warm_fill, out, admits)
 
     def _decode(self, miss: _Miss
                 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -719,14 +719,15 @@ class DecodePipeline:
 
     def _decode_run(self, run: list[_Miss]) -> list:
         """The pool's task: decode a run of planned misses in turn —
-        one miss, or one chunk's layers of a cache-off stack, each
-        folding onto versions the ones before it resolved — and place
-        each in its canvas.  A version the run resolves is held only
-        while a later miss still folds onto it, and the last such miss
-        folds in place on it when the run allocated it, so a stack
-        holds about one chunk per running run, whatever its depth.
-        Returns, per miss, ``(chunk, resolved)`` for the calling thread
-        to admit or hand out, or None once placed with the cache off."""
+        one miss, or one chunk's layers of a stack, each folding onto
+        versions the ones before it resolved — and place each in its
+        canvas.  A version the run resolves is held only while a later
+        miss still folds onto it.  With the cache off nothing will
+        admit it, so the last such miss folds in place on it when the
+        run allocated it, and a stack holds about one chunk per running
+        run, whatever its depth.  Returns, per miss, ``(chunk,
+        resolved)`` for the calling thread to admit or hand out, or
+        None once placed with the cache off."""
         waiting = Counter(miss.base_version for miss in run)
         held: dict[int, np.ndarray] = {}
         results = []
@@ -737,7 +738,8 @@ class DecodePipeline:
                     miss.base = held[miss.base_version]
                 else:
                     miss.base = held.pop(miss.base_version)
-                    if miss.out is None and miss.base.flags.owndata \
+                    if not self.cache.enabled and miss.out is None \
+                            and miss.base.flags.owndata \
                             and miss.base.flags.writeable:
                         miss.out = miss.base    # its last use: in place
             data, resolved = self._decode(miss)
@@ -761,10 +763,7 @@ class DecodePipeline:
         the catalog publishes: a read pinned before a ``delete_version``
         swap must not cache the deleted version under a number the next
         insert reuses.  A warm fill's intermediates go first, deepest
-        first, and only into free space.  Every resolved version enters
-        the miss's scope, when the read has one."""
-        if miss.scope is not None:
-            miss.scope.update(resolved)
+        first, and only into free space."""
         if not self.cache.enabled:
             return data
         publishes = self.catalog.publishes
@@ -937,53 +936,62 @@ class DecodePipeline:
             (chunk, src, _, _), = plan.parts
             tasks = [(version, attr.name, chunk, src, None, None, None)
                      for attr in schema.attributes]
-            return ArrayData(schema, {task[1]: data[src] for task, data
-                                      in zip(tasks, self._resolve(snap,
-                                                                  tasks))})
+            return ArrayData(schema, {
+                task[1]: data[src] for task, data in zip(
+                    tasks, self._resolve(snap, [[task] for task in tasks]))})
         canvases = out if out is not None else {
             attr.name: np.empty(schema.shape, dtype=attr.dtype)
             for attr in schema.attributes}
         for _ in self._resolve(snap, [
-                (version, attr.name, chunk, src, dst, canvases[attr.name],
-                 canvases[attr.name][dst] if inside else None)
+                [(version, attr.name, chunk, src, dst, canvases[attr.name],
+                  canvases[attr.name][dst] if inside else None)]
                 for attr in schema.attributes if attr.name in canvases
                 for chunk, src, dst, inside in plan.parts]):
             pass
         return None if out is not None else ArrayData(schema, canvases)
 
-    def _resolve(self, snap: ArraySnapshot, tasks: list,
-                 scope: dict | None = None):
-        """The chunk of every independent ``(version, attribute, chunk,
-        src, dst, canvas, window)`` task of one snapshot, in task
-        order, each placed in its canvas (``canvas[dst] = chunk[src]``)
-        unless it landed in its ``window``.
+    def _resolve(self, snap: ArraySnapshot, groups: list[list[tuple]]):
+        """The chunk of every ``(version, attribute, chunk, src, dst,
+        canvas, window)`` task of one snapshot, in task order, each
+        placed in its canvas (``canvas[dst] = chunk[src]``) unless it
+        landed in its ``window`` — the one executor of every read.
 
+        A group is tasks of one chunk that may fold onto each other
+        (one stacked chunk's layers, ascending), planned in one scope
+        (:meth:`_plan`); a task no other needs is a group of its own.
         Every task is planned first, on this thread, each warm-fill
-        choice counting the bytes the misses before it will admit; a
-        hit is placed at once.  The misses then run through one
-        ordered window (:func:`fan.ordered`) and are admitted here in
-        task order.  Returns a list when the cache answered every task,
-        else a generator yielding each chunk as it is admitted (None
-        for one a cache-off decode placed).  A chunk that fails (a
-        corrupt payload) settles the window before its error leaves."""
+        choice counting the bytes the read's misses before it will
+        admit; a hit is placed at once.  Each group's misses are then
+        one run (:meth:`_decode_run`) of one ordered window
+        (:func:`fan.ordered`), and are admitted here in task order.
+        Returns a list when the cache answered every task, else a
+        generator yielding each chunk as it is admitted (None for one a
+        cache-off decode placed).  A chunk that fails (a corrupt
+        payload) settles the window before its error leaves."""
         planned, runs, admitting = [], [], 0
-        for task in tasks:
-            got = self._plan(snap, task, scope, admitting)
-            if type(got) is _Miss:
-                admitting += got.admits
-                runs.append([got])
-            else:
-                _, _, _, src, dst, canvas, window = task
-                if canvas is not None and got is not window:
-                    canvas[dst] = got[src]
-            planned.append(got)
+        for group in groups:
+            scope = {} if len(group) > 1 else None
+            run = []
+            for task in group:
+                got = self._plan(snap, task, scope, admitting)
+                if type(got) is _Miss:
+                    admitting += got.admits
+                    run.append(got)
+                else:
+                    _, _, _, src, dst, canvas, window = task
+                    if canvas is not None and got is not window:
+                        canvas[dst] = got[src]
+                planned.append(got)
+            if run:
+                runs.append(run)
         return self._admitted(planned, runs) if runs else planned
 
     def _admitted(self, planned: list, runs: list[list[_Miss]]):
         with closing(fan.ordered(self._decode_run, runs)) as decoded:
+            results = (result for run in decoded for result in run)
             for got in planned:
                 if type(got) is _Miss:
-                    (result,) = next(decoded)
+                    result = next(results)
                     got = None if result is None else \
                         self._admit(got, *result)
                 yield got
@@ -992,43 +1000,22 @@ class DecodePipeline:
                     versions: list[int], attribute: str,
                     layers: list[np.ndarray]) -> None:
         """Read ``plan``'s box of every version in ``versions`` into
-        its layer, chunk after chunk.
+        its layer: one :meth:`_resolve` whose groups are the chunks.
 
-        Per chunk the versions resolve in ascending order into one
-        scope, so on a linear chain every walk stops at the version
-        before it and a range over a chain reads each payload once —
-        the paper's Table IV range selects.  With the cache off every
-        chunk × layer is planned first, a walk stopping where an
-        earlier layer's miss will resolve, and each chunk's misses are
-        one run (:meth:`_decode_run`) of one fan batch; a layer folds
-        into cells of its own, which the next layer folding onto it
-        takes over, and is copied into its canvas.  With the cache on
-        each chunk × layer is planned, decoded and admitted in turn, so
-        the cache sees its calls in the order one read per chunk ×
-        layer makes them."""
+        Per chunk the versions are planned in ascending order into one
+        scope, a walk stopping where an earlier layer resolves, so on a
+        linear chain every walk stops at the version before it and a
+        range over a chain reads each payload once — the paper's Table
+        IV range selects.  Each chunk's misses are one run of the read's
+        one fan batch; a layer folds into cells of its own, which the
+        next layer folding onto it reads (or, with the cache off, takes
+        over), and is copied into its canvas."""
         order = sorted(range(len(versions)), key=versions.__getitem__)
-        runs = []
-        for chunk, src, dst, _ in plan.parts:
-            scope: dict = {}
-            tasks = [(versions[layer], attribute, chunk, src, dst,
-                      layers[layer], None) for layer in order]
-            if self.cache.enabled:
-                for task in tasks:
-                    for _ in self._resolve(snap, [task], scope):
-                        pass
-                continue
-            run = []
-            for task in tasks:
-                miss = self._plan(snap, task, scope)
-                if miss.chain:  # mark what its decode will resolve
-                    scope[miss.version] = None
-                    if miss.base_version is None:   # its root too
-                        scope[miss.chain[-1].version] = None
-                run.append(miss)
-            runs.append(run)
-        if runs:
-            for _ in fan.ordered(self._decode_run, runs):
-                pass
+        for _ in self._resolve(snap, [
+                [(versions[layer], attribute, chunk, src, dst,
+                  layers[layer], None) for layer in order]
+                for chunk, src, dst, _ in plan.parts]):
+            pass
 
 
 def overlap_slices(chunk: ChunkRef, lo: tuple[int, ...],

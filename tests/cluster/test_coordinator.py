@@ -202,6 +202,59 @@ class TestRouting:
         assert [stats.chunks_read for stats in cluster.node_stats()] \
             == [0, 0, 0]
 
+    @staticmethod
+    def _chain_of_eight(tmp_path, replication: int = 1):
+        """Two bands of two chunks each, and eight versions of one
+        delta chain on every copy."""
+        cluster = ClusterCoordinator(tmp_path, nodes=2, backend="memory",
+                                     replication=replication,
+                                     delta_policy="chain")
+        cluster.create_array("A", ArraySchema.simple((8, 6), np.int32),
+                             chunk_shape=(2, 6))
+        rng = np.random.default_rng(8)
+        data = rng.integers(0, 1000, (8, 6)).astype(np.int32)
+        versions = []
+        for _ in range(8):
+            data = data.copy()
+            data[rng.integers(0, 8, 4), rng.integers(0, 6, 4)] += 1
+            cluster.insert("A", data)
+            versions.append(data)
+        return cluster, versions
+
+    def test_range_select_reads_each_band_once(self, tmp_path):
+        """A stacked select is one stacked read per band, so a range
+        over a chain reads each band's chunk rows once: 7 layers x 4
+        chunks = 28 rows, where a read per layer would walk 1 + 2 + ...
+        + 7 levels per chunk (112)."""
+        cluster, versions = self._chain_of_eight(tmp_path)
+        for stats in cluster.node_stats():
+            stats.reset()
+        layers = list(range(1, 8))
+        stack = cluster.select_versions("A", layers)
+        np.testing.assert_array_equal(stack, np.stack(versions[:7]))
+        assert [stats.chunks_read for stats in cluster.node_stats()] \
+            == [14, 14]
+        cluster.close()
+
+    def test_range_select_fails_over_per_band(self, tmp_path):
+        cluster, versions = self._chain_of_eight(tmp_path, replication=2)
+        cluster.mark_dead(1, 0)
+        before = cluster.stats.failovers
+        stack = cluster.select_versions("A", [8, 3, 5])
+        np.testing.assert_array_equal(
+            stack, np.stack([versions[7], versions[2], versions[4]]))
+        assert cluster.stats.failovers == before + 1
+        cluster.close()
+
+    def test_range_select_above_the_head_reads_nothing(self, loaded):
+        cluster, _ = loaded
+        for stats in cluster.node_stats():
+            stats.reset()
+        with pytest.raises(StorageError, match="no published version 4"):
+            cluster.select_versions("A", [1, 4, 2])
+        assert [stats.chunks_read for stats in cluster.node_stats()] \
+            == [0, 0, 0]
+
 
 class TestMaintenance:
     def test_stored_bytes_sums_nodes(self, loaded):

@@ -390,8 +390,13 @@ class TestDisabledScope:
         import os
         import subprocess
         import sys
+        from pathlib import Path
 
-        env = dict(os.environ, REPRO_NATIVE="0")
+        # The child does not inherit pytest's ``pythonpath``: hand it
+        # the source tree, so the probe runs from an uninstalled checkout.
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, REPRO_NATIVE="0", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         probe = (
             "import numpy as np\n"
             "from repro.core import native\n"

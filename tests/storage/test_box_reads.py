@@ -298,3 +298,95 @@ def test_stacked_select_is_one_plan_and_one_fan_batch(monkeypatch,
     assert len(plans) == 1
     assert batches == [len(chunks)]
     assert window.chunks_read == DEPTH * len(chunks)
+
+
+def _stacking(monkeypatch) -> list:
+    """Spy on the fan: each ``fan.ordered`` call is recorded as the
+    length of each run it was handed."""
+    calls, ordered = [], fan.ordered
+
+    def spy(function, items):
+        calls.append([len(run) for run in items])
+        return ordered(function, items)
+
+    monkeypatch.setattr(fan, "ordered", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cache", ["tight", "roomy"])
+def test_cached_stacked_select_is_one_fan_batch(monkeypatch, fan_width,
+                                                cold, cache):
+    """With the cache on, a cold stacked select plans every chunk x
+    layer first too: its misses go to the fan in one batch, one run per
+    chunk holding every layer, each walk stopping at the layer below,
+    so every chunk row in the box is read once.  Each layer's chunk is
+    then admitted: a second stack is answered by the cache alone when
+    it holds every chunk."""
+    truth = _versions(5)
+    with VersionedStorageManager("/unused/stack", backend="memory",
+                                 delta_policy="chain",
+                                 cache_bytes=CACHES[cache]) as manager:
+        manager.create_array("A", SCHEMA, chunk_shape=CHUNK_SHAPE)
+        for data in truth:
+            manager.insert("A", ArrayData(SCHEMA, data))
+        cold(manager, "A")
+        calls = _stacking(monkeypatch)
+        lo, hi = (2, 3), (15, 12)
+        corners = (tuple(map(sum, zip(lo, ORIGIN))),
+                   tuple(map(sum, zip(hi, ORIGIN))))
+        versions = [DEPTH, 2, 4, 1, 3]
+        with manager.stats.measure() as window:
+            stack = manager.select_versions_region(
+                "A", versions, *corners, attribute="count")
+        chunks = manager.catalog.snapshot("A").record.grid \
+            .chunks_overlapping(lo, hi)
+        assert calls == [[DEPTH] * len(chunks)]
+        assert window.chunks_read == DEPTH * len(chunks)
+        assert window.cache_misses == DEPTH * len(chunks)
+        again = manager.select_versions_region(
+            "A", versions, *corners, attribute="count")
+        assert len(calls) == (1 if cache == "roomy" else 2)
+    box = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
+    expected = np.stack([truth[v - 1]["count"][box] for v in versions])
+    np.testing.assert_array_equal(stack, expected)
+    np.testing.assert_array_equal(again, expected)
+
+
+@pytest.mark.parametrize("layout", ["chain", "head"])
+@pytest.mark.parametrize("versions", [[DEPTH, 2, 4, 1, 3], [4, 2, 4],
+                                      [3, DEPTH]],
+                         ids=["all", "repeated", "suffix"])
+def test_cached_stack_equals_uncached_stack_and_layer_selects(
+        cold, fan_width, layout, versions):
+    """A stack read through the cache — cold, then warm — equals the
+    cache-off stack and one ``select_region`` per layer, on a forward
+    chain and after ``reorganize(mode="head")`` turns it around (the
+    head materialized, every older version a delta of the next)."""
+    truth = _versions(11)
+    lo, hi = (1, 0), (18, 16)
+    corners = (tuple(map(sum, zip(lo, ORIGIN))),
+               tuple(map(sum, zip(hi, ORIGIN))))
+    stacks = {}
+    for cache, budget in sorted(CACHES.items()):
+        with VersionedStorageManager("/unused/stack", backend="memory",
+                                     delta_policy="chain",
+                                     cache_bytes=budget) as manager:
+            manager.create_array("A", SCHEMA, chunk_shape=CHUNK_SHAPE)
+            for data in truth:
+                manager.insert("A", ArrayData(SCHEMA, data))
+            if layout == "head":
+                manager.reorganize("A", mode="head")
+            cold(manager, "A")
+            for attr in ("count", "level"):
+                layers = np.stack([manager.select_region(
+                    "A", v, *corners).attribute(attr) for v in versions])
+                manager.cache.clear()
+                for turn in ("cold", "warm"):
+                    stacks[cache, attr, turn] = stack = \
+                        manager.select_versions_region(
+                            "A", versions, *corners, attribute=attr)
+                    np.testing.assert_array_equal(stack, layers)
+    box = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
+    for (_, attr, _), stack in stacks.items():
+        np.testing.assert_array_equal(stack, np.stack(
+            [truth[v - 1][attr][box] for v in versions]))

@@ -4,19 +4,19 @@ A hypothesis state machine drives two arrays of one ``local`` manager
 through inserts, delta-list updates, branches, merges,
 ``delete_version``, ``reorganize(mode="space")``, shipping an array to
 a second manager (``export_versions`` → ``import_versions``) and
-close + reopen.  Two twin managers take every rule too: one with a
+close + reopen.  Three twin managers take every rule too: one with a
 small chunk cache, so each rule's reads run through cache hits,
 misses, warm fills and evictions there and through the cache-off path
-here, and one whose every rule and read runs through a CPU fan four
-lanes wide, where the other two run every encode and decode inline
-(fan width 1).  The
-model is a dict of arrays: per array name, each live version's
-contents.  After every rule each live version reads back equal, on
-both managers, by ``select``, by one ``select_region`` window and by
-``select_versions``; the catalog's snapshot equals its SQL rows
-(``catalog_oracle``); and a whole read of the version the hot slot
-holds — one copy of the slot — equals a cold decode of it.  At
-teardown all three stores' ``fingerprint()`` equal that of a fresh
+here; one whose every rule and read runs through a CPU fan four lanes
+wide, where the others run every encode and decode inline (fan width
+1); and one both cached and four lanes wide, so a cached stack's runs
+fan too.  The model is a dict of arrays: per array name, each live
+version's contents.  After every rule each live version reads back
+equal, on every manager, by ``select``, by one ``select_region``
+window and by ``select_versions``; the catalog's snapshot equals its
+SQL rows (``catalog_oracle``); and a whole read of the version the hot
+slot holds — one copy of the slot — equals a cold decode of it.  At
+teardown all four stores' ``fingerprint()`` equal that of a fresh
 manager the same operations were replayed into: stored bytes are a
 function of the logical history alone, cache or no cache, at any fan
 width.
@@ -104,6 +104,8 @@ class StoreModel(RuleBasedStateMachine):
         self.cached = VersionedStorageManager(self.root / "cached",
                                               **CACHED)
         self.wide = VersionedStorageManager(self.root / "wide", **OPTIONS)
+        self.cached_wide = VersionedStorageManager(
+            self.root / "cached-wide", **CACHED)
         self.second = VersionedStorageManager(self.root / "second",
                                               chunk_bytes=64,
                                               backend="memory")
@@ -121,6 +123,7 @@ class StoreModel(RuleBasedStateMachine):
             self.cached = _run(self.cached, op, CACHED)
         with pinned_fan(WIDE):
             self.wide = _run(self.wide, op)
+            self.cached_wide = _run(self.cached_wide, op, CACHED)
 
     def _live(self, name: str) -> list[int]:
         return sorted(self.model[name])
@@ -235,7 +238,8 @@ class StoreModel(RuleBasedStateMachine):
             for manager in (self.manager, self.cached):
                 self._reads_the_model(manager)
         with pinned_fan(WIDE):
-            self._reads_the_model(self.wide)
+            for manager in (self.wide, self.cached_wide):
+                self._reads_the_model(manager)
 
     def _reads_the_model(self, manager: VersionedStorageManager) -> None:
         for name in NAMES:
@@ -259,6 +263,7 @@ class StoreModel(RuleBasedStateMachine):
         assert_catalog_matches_sql(self.manager.catalog)
         assert_catalog_matches_sql(self.cached.catalog)
         assert_catalog_matches_sql(self.wide.catalog)
+        assert_catalog_matches_sql(self.cached_wide.catalog)
 
     @invariant()
     def the_slot_reads_as_a_cold_decode(self):
@@ -284,12 +289,14 @@ class StoreModel(RuleBasedStateMachine):
             for op in self.log:
                 replayed = _run(replayed, op)
             assert replayed.fingerprint() == self.manager.fingerprint() \
-                == self.cached.fingerprint() == self.wide.fingerprint()
+                == self.cached.fingerprint() == self.wide.fingerprint() \
+                == self.cached_wide.fingerprint()
             replayed.close()
         finally:
             self.manager.close()
             self.cached.close()
             self.wide.close()
+            self.cached_wide.close()
             self.second.close()
             shutil.rmtree(self.root, ignore_errors=True)
 

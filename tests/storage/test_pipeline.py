@@ -125,8 +125,19 @@ class TestChunkCacheBounds:
         cache.get(("arr", 1))
         cache.put(("arr", 1), data)
         cache.get(("arr", 1))
-        assert (cache.hits, cache.misses) == (1, 1)
         assert (stats.cache_hits, stats.cache_misses) == (1, 1)
+        assert (cache.info()["hits"], cache.info()["misses"]) == (1, 1)
+
+    def test_a_detached_cache_counts_in_its_own_iostats(self):
+        data = np.zeros(4)
+        cache = ChunkCache(max_bytes=4 * data.nbytes)
+        cache.get(("arr", 1))
+        cache.put(("arr", 1), data)
+        cache.get(("arr", 1))
+        cache.peek(("arr", 1))
+        cache.peek(("arr", 2))      # a speculative miss is not counted
+        assert (cache.stats.cache_hits, cache.stats.cache_misses) == (2, 1)
+        assert (cache.info()["hits"], cache.info()["misses"]) == (2, 1)
 
     def test_put_asks_valid_under_the_lock(self):
         data = np.zeros(4)
