@@ -17,9 +17,12 @@ comparison codecs of Table II implement the same interface in
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
+
+from repro.core.errors import CodecError
 
 
 class Codec(ABC):
@@ -79,6 +82,11 @@ class IdentityCodec(Codec):
         from repro.core.serial import unpack_array_header
 
         dtype, shape, offset = unpack_array_header(data)
-        count = int(np.prod(shape)) if shape else 1
-        flat = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-        return flat.reshape(shape)
+        count = math.prod(shape)
+        try:
+            flat = np.frombuffer(data, dtype=dtype, count=count,
+                                 offset=offset)
+            return flat.reshape(shape)
+        except (ValueError, OverflowError) as exc:
+            # Extents the payload does not hold (or negative ones).
+            raise CodecError(f"corrupt array payload: {exc}") from exc

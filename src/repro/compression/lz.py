@@ -15,6 +15,7 @@ On-disk layout::
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -52,9 +53,11 @@ class LempelZivCodec(Codec):
             raw = zlib.decompress(data[offset:])
         except zlib.error as exc:
             raise CodecError(f"LZ stream corrupt: {exc}") from exc
-        count = int(np.prod(shape)) if shape else 1
-        flat = np.frombuffer(raw, dtype=dtype, count=count)
-        return flat.reshape(shape).copy()
+        try:
+            flat = np.frombuffer(raw, dtype=dtype, count=math.prod(shape))
+            return flat.reshape(shape).copy()
+        except (ValueError, OverflowError) as exc:
+            raise CodecError(f"corrupt array payload: {exc}") from exc
 
 
 def lz_bytes(blob: bytes, level: int = 6) -> bytes:

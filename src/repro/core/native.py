@@ -26,13 +26,17 @@ the sparse table (the split at width 0);
 :func:`pack_bits`, behind every other ``pack_unsigned`` call, is the
 same kernel over one run of every value.
 
-The read side is one call per chunk: :func:`fold_chain` parses every
-level of a delta chain out of its stored payload, zigzag-decodes in
-register and applies it straight to the cells of the version being
-read, in the cell's own width and in place in one contiguous run of
-cells — a contiguous canvas window, or the decode thread's chunk
-buffer that is copied into a strided window once.  The zigzag decode
-and the carry-register unpack serve the level-by-level decoders.
+The read side is one call per chunk, with one C entry behind it.
+:class:`ChunkFold` hands it a chunk's whole decode: it checks the root
+payload's array header and every level's delta frame (and hybrid seal
+byte) against the bytes the chunk implies, copies the root into one
+contiguous run of cells — a contiguous canvas window, or the decode
+thread's chunk buffer — parses every level out of its stored payload,
+zigzag-decodes in register and applies it in place in the cell's own
+width, and copies the cells into a strided window once.
+:func:`fold_chain` is the same entry over sections already unframed,
+folded in place.  The zigzag decode and the carry-register unpack
+serve the level-by-level decoders.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they
 are gated behind runtime compilation with the host C compiler and
@@ -47,7 +51,8 @@ says so once on the ``repro.native`` logger.  Every wrapper returns
 ``None`` (or ``False`` for in-place kernels) instead of raising when
 its gate rejects the input, and callers fall through to numpy; the
 write-side wrappers and the fold say why at ``debug``, once per
-reason.
+reason (:class:`ChunkFold` returns False, and its caller decodes the
+long way).
 
 The shared object is cached under ``.cache/native/`` next to the
 package (keyed by a hash of the C source and the compiler flags —
@@ -59,9 +64,11 @@ the first kernel request; ctypes releases the GIL around every call.
 
 from __future__ import annotations
 
+import array
 import ctypes
 import hashlib
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -391,15 +398,22 @@ void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
     }
 }
 
-/* ---- Read side: the chain fold ------------------------------------
+/* ---- Read side: one chunk's decode --------------------------------
  *
- * A delta chain is folded level by level straight into the cells of
- * the version being read: the destination already holds the decoded
- * root (or is `accumulate`'s zeroed 64-bit accumulator) as `count`
- * adjacent cells — a contiguous canvas window, or the decode thread's
- * chunk buffer, which stays in L2 across the levels where a window
- * whose rows sit a canvas row apart would not.  Each level is one
- * code-array payload section — `layout` says which parts it has:
+ * One call rebuilds one chunk of the version being read: it copies the
+ * base into `count` adjacent cells, folds every level of the delta
+ * chain onto them and copies them into the destination window.  The
+ * cells are a contiguous canvas window, or the decode thread's chunk
+ * buffer, which stays in L2 across the levels where a window whose
+ * rows sit a canvas row apart would not (or `accumulate`'s zeroed
+ * 64-bit accumulator).  ctypes releases the GIL for the whole call.
+ *
+ * The base is a `none`-codec root payload — an array header, which
+ * must equal the one the chunk implies byte for byte, then the cells —
+ * or cells a held layer already resolved.  Each level is a whole
+ * stored payload: the delta frame the chunk implies (compared byte for
+ * byte), for hybrid one seal byte that must say "no LZ", then one
+ * code-array section — `layout` says which parts it has:
  *
  *   FOLD_SMALL  u8 width, then `count` codes packed at it (dense, and
  *               hybrid's small codes: zero at outlier positions);
@@ -411,13 +425,15 @@ void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
  * (XOR) and applied as `cell op= (cell_t)delta` in the cell's own
  * width: the deltas were computed mod 2^64 and mod 2^w is a ring
  * image of that, so the narrow fold is exact.  Nothing in the bytes is
- * trusted: every width, the entry count and every section length are
- * checked against `len` and `count` before the section is read, and
- * every position before the cell is touched. */
+ * trusted: the root header, every frame and seal byte are checked
+ * before anything is written, and every width, the entry count and
+ * every section length against `len` and `count` before the section
+ * is read, every position before the cell is touched. */
 enum {
-    FOLD_SMALL = 1, FOLD_TABLE = 2,
+    FOLD_SMALL = 1, FOLD_TABLE = 2, FOLD_SEALED = 4,
     FOLD_TRUNCATED = 1, FOLD_WIDTH, FOLD_ENTRIES, FOLD_POSITION,
-    FOLD_TRAILING, FOLD_ARGUMENT
+    FOLD_TRAILING, FOLD_ARGUMENT,
+    FOLD_DECLINED = 1
 };
 
 /* LSB-first reader of `bits`-wide values (0..64): the carry register
@@ -543,15 +559,75 @@ FOLD_KERNEL(repro_fold_xor2, uint16_t, FOLD_XOR)
 FOLD_KERNEL(repro_fold_xor4, uint32_t, FOLD_XOR)
 FOLD_KERNEL(repro_fold_xor8, uint64_t, FOLD_XOR)
 
-/* Fold `levels` sections — pointer, length and layout each — into one
- * destination of `count` adjacent cells of `width` bytes.  Returns 0,
- * or -(8 * level + reason) for the first level that is not a
- * well-formed section over `count` cells; the destination is then
- * partly folded and must be discarded. */
-int64_t repro_fold_chain(unsigned char *dest, int width, int use_xor,
-                         int64_t count, int64_t levels,
-                         const unsigned char *const *sections,
-                         const int64_t *lengths, const int *layouts)
+/* Copy `count` contiguous cells of `width` bytes into an `ndim`-d
+ * window at `dst`: `geometry` holds its extents, then its byte
+ * strides (any sign).  The caller has checked that the extents
+ * multiply to `count`; offsets stay integers until a cell is copied. */
+static void repro_to_window(unsigned char *dst, int64_t ndim,
+                            const int64_t *geometry,
+                            const unsigned char *src, int width,
+                            int64_t count)
+{
+    if (ndim == 0) {
+        memcpy(dst, src, (size_t)width);
+        return;
+    }
+    const int64_t *extents = geometry, *strides = geometry + ndim;
+    int64_t inner = extents[ndim - 1], step = strides[ndim - 1];
+    int64_t row_bytes = inner * width;
+    int64_t index[64] = {0};
+    int64_t at = 0;
+    for (int64_t done = 0; done < count; done += inner) {
+        if (step == width) {
+            memcpy(dst + at, src, (size_t)row_bytes);
+        } else {
+            for (int64_t j = 0; j < inner; j++)
+                memcpy(dst + at + j * step, src + j * width,
+                       (size_t)width);
+        }
+        src += row_bytes;
+        for (int64_t d = ndim - 2; d >= 0; d--) {
+            at += strides[d];
+            if (++index[d] < extents[d])
+                break;
+            at -= strides[d] * extents[d];
+            index[d] = 0;
+        }
+    }
+}
+
+/* The one read-side entry: rebuild one chunk of `count` cells of
+ * `width` bytes.
+ *
+ *   base, base_len      the base: with `header_len` > 0 a root
+ *                       payload of that header then the cells, else
+ *                       the cells alone;
+ *   header, frame       the array header and delta frame the chunk
+ *                       implies (either may be empty);
+ *   levels, level_desc  (address, length, layout) per level payload;
+ *                       a layout with FOLD_SEALED has a seal byte;
+ *   cells               contiguous cells the chain folds into (may be
+ *                       the base itself: no copy), or NULL for a chain
+ *                       of no levels, copied into the window directly;
+ *   window, ndim,       the destination, NULL when it is `cells`:
+ *   geometry            extents then byte strides (repro_to_window).
+ *
+ * `truth` (bool cells) turns every folded byte into 0 or 1.  Returns 0
+ * when the chunk is in place, FOLD_DECLINED when the root header, a
+ * frame or a seal byte is not the expected one (or the base is not
+ * exactly header plus cells) — checked before anything is written, so
+ * the caller can take the long way — or -(8 * level + reason) for the
+ * first level that is not a well-formed section over `count` cells;
+ * the cells are then partly folded and must be discarded, and the
+ * window is untouched unless it is the cells. */
+int64_t repro_fold_chain(unsigned char *cells, int width, int use_xor,
+                         int truth, int64_t count,
+                         const unsigned char *base, int64_t base_len,
+                         const unsigned char *header, int64_t header_len,
+                         const unsigned char *frame, int64_t frame_len,
+                         int64_t levels, const int64_t *level_desc,
+                         unsigned char *window, int64_t ndim,
+                         const int64_t *geometry)
 {
     static int (*const kernels[2][4])(
         unsigned char *, int64_t, const unsigned char *, int64_t,
@@ -564,15 +640,54 @@ int64_t repro_fold_chain(unsigned char *dest, int width, int use_xor,
     int slot = width == 1 ? 0 : width == 2 ? 1 : width == 4 ? 2
         : width == 8 ? 3 : -1;
     /* 2^56 cells keep every count * bits below 2^63. */
-    if (slot < 0 || count < 1 || count > (1LL << 56))
+    if (slot < 0 || count < 1 || count > (1LL << 56) || levels < 0
+            || header_len < 0 || frame_len < 0
+            || (levels > 0 && !cells) || (!cells && !window)
+            || ndim < 0 || ndim > 64)
         return -FOLD_ARGUMENT;
+    if (window) {
+        int64_t cells_in = 1;
+        for (int64_t d = 0; d < ndim; d++) {
+            if (geometry[d] < 1 || geometry[d] > count / cells_in)
+                return -FOLD_ARGUMENT;
+            cells_in *= geometry[d];
+        }
+        if (cells_in != count)
+            return -FOLD_ARGUMENT;
+    }
+    int64_t nbytes = count * width;
+    /* memcmp is never handed an empty (possibly NULL) prefix. */
+    if (base_len != header_len + nbytes
+            || (header_len && memcmp(base, header, (size_t)header_len)))
+        return FOLD_DECLINED;
     for (int64_t level = 0; level < levels; level++) {
+        const unsigned char *p =
+            (const unsigned char *)(intptr_t)level_desc[3 * level];
+        int64_t len = level_desc[3 * level + 1];
+        int sealed = (level_desc[3 * level + 2] & FOLD_SEALED) != 0;
+        if (len < frame_len + sealed
+                || (frame_len && memcmp(p, frame, (size_t)frame_len))
+                || (sealed && p[frame_len] != 0))
+            return FOLD_DECLINED;
+    }
+    const unsigned char *from = base + header_len;
+    if (cells && cells != from)
+        memcpy(cells, from, (size_t)nbytes);
+    for (int64_t level = 0; level < levels; level++) {
+        const int64_t *desc = level_desc + 3 * level;
+        int64_t skip = frame_len + ((desc[2] & FOLD_SEALED) != 0);
         int reason = kernels[use_xor != 0][slot](
-            dest, count, sections[level], lengths[level],
-            layouts[level]);
+            cells, count, (const unsigned char *)(intptr_t)desc[0] + skip,
+            desc[1] - skip, (int)(desc[2] & (FOLD_SMALL | FOLD_TABLE)));
         if (reason)
             return -(8 * level + reason);
     }
+    if (truth && levels > 0)
+        for (int64_t i = 0; i < nbytes; i++)
+            cells[i] = cells[i] != 0;
+    if (window)
+        repro_to_window(window, ndim, geometry, cells ? cells : from,
+                        width, count);
     return 0;
 }
 """
@@ -655,9 +770,11 @@ def _compile() -> ctypes.CDLL | None:
             _U64_P]
         lib.repro_unpack_bits.restype = None
         lib.repro_fold_chain.argtypes = [
-            ctypes.c_void_p, ctypes.c_int, ctypes.c_int, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p]
+            ctypes.c_void_p, ctypes.c_int, ctypes.c_int, ctypes.c_int,
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+            ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p,
+            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
         lib.repro_fold_chain.restype = ctypes.c_int64
         return lib
     _log.warning("compiled kernels unavailable (CC=%s), numpy fallbacks"
@@ -968,28 +1085,51 @@ def unpack_bits(data, bits: int, count: int) -> np.ndarray | None:
     return out
 
 
-#: ``layouts`` bits of :func:`fold_chain`: the parts one code-array
-#: payload section has (the C side's ``FOLD_SMALL`` / ``FOLD_TABLE``).
+#: ``layouts`` bits of :func:`fold_chain` and :class:`ChunkFold`: the
+#: parts one code-array payload section has (the C side's
+#: ``FOLD_SMALL`` / ``FOLD_TABLE``), and — whole stored payloads only —
+#: a seal byte between the frame and the section that must say "no LZ".
 FOLD_SMALL = 1
 FOLD_TABLE = 2
+FOLD_SEALED = 4
+
+#: The C entry's status for a base or level whose prefix is not the
+#: expected one, refused before anything was written.
+_FOLD_DECLINED = 1
+
+_frombuffer = np.frombuffer
+_BYTE = np.uint8
+
+
+def _level_table(payloads: list, layouts: list[int]) -> array.array:
+    """The ``(address, length, layout)`` int64 rows the C entry reads
+    its levels from (its address: ``buffer_info()[0]``).  The rows hold
+    plain addresses: the caller keeps the payloads alive for the
+    call."""
+    rows = []
+    for payload, layout in zip(payloads, layouts):
+        raw = _frombuffer(payload, _BYTE)
+        rows += (raw.ctypes.data, raw.size, layout)
+    return array.array("q", rows)
 
 
 def fold_chain(dest: np.ndarray, sections: list, layouts: list[int],
                use_xor: bool) -> int | None:
     """Fold a chain's code-array sections into ``dest`` in place.
 
-    The read path's one kernel: ``dest`` is C-contiguous and holds the
-    decoded root in the cell's own dtype, or a zeroed 64-bit
-    accumulator, and every level (``sections[i]`` any bytes-like
-    object, ``layouts[i]`` its ``FOLD_*`` parts) is parsed,
-    zigzag-decoded unless ``use_xor`` and applied as wrapping add / xor
-    at the cell width.  Returns 0 when every level folded,
-    ``-(8 * level + reason)`` for the first malformed one (reason 1: a
-    section overruns its payload, 2: a bit width above 64, 3: more
-    table entries than cells, 4: a position outside the chunk, 5:
-    trailing bytes; ``dest`` is then partly folded — discard it), or
-    None when the gate declined and the caller must run the numpy
-    fold.
+    ``dest`` is C-contiguous and holds the decoded root in the cell's
+    own dtype, or a zeroed 64-bit accumulator, and every level
+    (``sections[i]`` any bytes-like object, ``layouts[i]`` its
+    ``FOLD_SMALL`` / ``FOLD_TABLE`` parts, already unframed and
+    unsealed) is parsed, zigzag-decoded unless ``use_xor`` and applied
+    as wrapping add / xor at the cell width — the read side's one C
+    entry with ``dest`` as its own base and no window.  Returns 0 when
+    every level folded, ``-(8 * level + reason)`` for the first
+    malformed one (reason 1: a section overruns its payload, 2: a bit
+    width above 64, 3: more table entries than cells, 4: a position
+    outside the chunk, 5: trailing bytes; ``dest`` is then partly
+    folded — discard it), or None when the gate declined and the
+    caller must run the numpy fold.
     """
     lib = _active()
     kernel = "fold_chain"
@@ -1007,13 +1147,118 @@ def fold_chain(dest: np.ndarray, sections: list, layouts: list[int],
         return decline(kernel, "empty")
     if not dest.flags.c_contiguous:
         return decline(kernel, "destination is not C-contiguous")
-    levels = len(sections)
-    # The uint8 views keep every section's buffer alive (and give its
-    # address, read-only or not) for the duration of the call.
-    raw = [np.frombuffer(section, dtype=np.uint8) for section in sections]
-    pointers = (ctypes.c_void_p * levels)(
-        *[view.ctypes.data for view in raw])
-    lengths = (ctypes.c_int64 * levels)(*[view.size for view in raw])
+    table = _level_table(sections, layouts)
+    at = dest.ctypes.data
     return lib.repro_fold_chain(
-        dest.ctypes.data, dest.itemsize, use_xor, dest.size, levels,
-        pointers, lengths, (ctypes.c_int * levels)(*layouts))
+        at, dest.itemsize, use_xor, 0, dest.size, at, dest.nbytes, None,
+        0, None, 0, len(sections), table.buffer_info()[0], None, 0, None)
+
+
+class ChunkFold:
+    """One chunk's whole decode as one native call, for chunks of one
+    ``(dtype, shape)`` (build it once, with :func:`chunk_fold`).
+
+    A call copies the base into contiguous cells, checks and folds
+    every level of a delta chain onto them and copies them into the
+    destination window, all in C with the GIL released.  The base is
+    the chain's root payload of the ``none`` compressor — ``header``,
+    then the cells — or an ndarray of cells a held layer resolved; a
+    level is a whole stored delta payload: ``frame``, a seal byte when
+    its layout has :data:`FOLD_SEALED`, then its section.  The header,
+    each frame and each seal byte are compared with the expected bytes
+    before anything is written, so a refusal leaves the caller free to
+    decode the long way."""
+
+    __slots__ = ("dtype", "shape", "count", "_header", "_frame", "_cell")
+
+    def __init__(self, dtype: np.dtype, shape: tuple[int, ...],
+                 header: bytes, frame: bytes, use_xor: bool):
+        self.dtype = dtype
+        self.shape = shape
+        self.count = math.prod(shape)
+        self._header = header
+        self._frame = frame
+        self._cell = (dtype.itemsize, int(use_xor), int(dtype.kind == "b"),
+                      self.count)
+
+    def __call__(self, base, payloads: list, layouts: list[int],
+                 cells: np.ndarray | None,
+                 window: np.ndarray | None = None) -> bool:
+        """Rebuild one chunk; whether it is in place.
+
+        ``payloads`` are the levels to fold (any order: they commute),
+        ``layouts`` their ``FOLD_*`` bits.  ``cells`` are contiguous
+        cells of this chunk's layout to fold in — the base's own
+        cells fold in place — or None for no levels, the base then
+        copied straight into ``window``.  ``window`` is a writable
+        view of this layout (any strides) that receives the cells,
+        None when ``cells`` are the destination.  False means nothing
+        usable was produced: the kernels are off, a prefix is not the
+        expected one, or a level is malformed (``cells`` are then
+        partly folded) — decode the long way, which names the fault.
+        """
+        lib = _active()
+        refusal = "kernels disabled or unavailable" if lib is None \
+            else self._refusal(base, cells, window)
+        if refusal:
+            decline("fold_chain", refusal)
+            return False
+        width, use_xor, truth, count = self._cell
+        if type(base) is np.ndarray:
+            header, base_at, base_len = None, base.ctypes.data, base.nbytes
+        else:
+            raw = _frombuffer(base, _BYTE)
+            header, base_at, base_len = \
+                self._header, raw.ctypes.data, raw.size
+        geometry = window_at = None
+        ndim = 0
+        if window is not None:
+            ndim = window.ndim
+            geometry = array.array("q", window.shape + window.strides)
+            window_at = window.ctypes.data
+        table = _level_table(payloads, layouts) if payloads else None
+        status = lib.repro_fold_chain(
+            None if cells is None else cells.ctypes.data, width, use_xor,
+            truth, count, base_at, base_len, header,
+            0 if header is None else len(header), self._frame,
+            len(self._frame), len(payloads),
+            None if table is None else table.buffer_info()[0], window_at,
+            ndim, None if geometry is None else geometry.buffer_info()[0])
+        if status:
+            decline("fold_chain", "a root header, frame or seal byte is"
+                                  " not the expected one"
+                    if status == _FOLD_DECLINED else "a malformed level")
+        return not status
+
+
+    def _refusal(self, base, cells: np.ndarray | None,
+                 window: np.ndarray | None) -> str | None:
+        """Why the arrays a call is handed are not this layout's cells
+        as the C entry needs them, or None."""
+        def cells_of_the_chunk(array: np.ndarray) -> bool:
+            return array.dtype == self.dtype and array.shape == self.shape
+        if type(base) is np.ndarray and not (
+                cells_of_the_chunk(base) and base.flags.c_contiguous):
+            return "base is not contiguous cells of the chunk's layout"
+        if cells is not None and not (
+                cells_of_the_chunk(cells) and cells.flags.c_contiguous
+                and cells.flags.writeable):
+            return "cells are not writable contiguous cells of the chunk"
+        if window is not None and not (
+                cells_of_the_chunk(window) and window.flags.writeable):
+            return "window is not a writable view of the chunk's layout"
+        return None
+
+
+def chunk_fold(dtype: np.dtype, shape: tuple[int, ...], header: bytes,
+               frame: bytes, use_xor: bool) -> ChunkFold | None:
+    """The :class:`ChunkFold` of chunks of ``(dtype, shape)``, or None
+    when no kernel folds that cell type on this host.  ``header`` and
+    ``frame`` are the array header and the delta frame such a chunk's
+    root and levels start with."""
+    dtype = np.dtype(dtype)
+    if dtype.itemsize not in (1, 2, 4, 8) or dtype.kind not in "iubf" \
+            or not dtype.isnative or sys.byteorder != "little" \
+            or 0 in shape:
+        return None
+    return ChunkFold(dtype, tuple(shape), header, frame, use_xor)

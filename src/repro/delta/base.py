@@ -23,10 +23,13 @@ to it.
 
 Every member composes: a level is a cell-wise difference, wrapping
 addition or xor, so the read path never decodes a chain level by
-level.  :func:`fold_chain` checks each level's frame, hands the
-sections of the whole chain to :func:`repro.delta.codes.fold_chain`
-and they are applied straight to the cells of the version being read
-— all of them at once, or (a cache warm fill) one at a time.
+level.  :func:`chunk_fold` gives it one native call per chunk, which
+compares the root's header and each level's frame with the bytes the
+chunk implies itself.  What that call declines goes the long way:
+:func:`fold_chain` checks each level's frame, hands the sections of the
+whole chain to :func:`repro.delta.codes.fold_chain` and they are
+applied straight to the cells of the version being read — all of them
+at once, or (a cache warm fill) one at a time.
 ``decode_forward`` and ``accumulate`` remain as the one-level forms
 the tests check the fold against.
 
@@ -44,6 +47,7 @@ that escapes is a :class:`~repro.core.errors.CodecError`.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,6 +125,15 @@ class DeltaCodec:
     #: Whether a level folds at O(nnz) via its outlier table rather
     #: than a full dense pass (sparse/hybrid; observability only).
     scatters: bool = False
+
+    @property
+    def fold_layout(self) -> int | None:
+        """What a whole stored level of this codec holds past its frame,
+        as :class:`~repro.core.native.ChunkFold` reads it: the section's
+        ``layout`` parts, plus :data:`~repro.core.native.FOLD_SEALED`
+        when a seal byte precedes them.  None: its levels need
+        :meth:`_unseal`'s work first."""
+        return self.layout
 
     def _seal(self, parts: list[bytes]) -> list[bytes]:
         return parts
@@ -218,6 +231,24 @@ class DeltaCodec:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+@lru_cache(maxsize=256)
+def chunk_fold(dtype: np.dtype, shape: tuple[int, ...]
+               ) -> native.ChunkFold | None:
+    """The one-call decode of chunks of ``(dtype, shape)``
+    (:class:`~repro.core.native.ChunkFold`), built once per layout: it
+    expects a root to start with the array header the ``none``
+    compressor writes and every level with :func:`pack_frame`'s bytes.
+    None when no kernel folds the cell type."""
+    try:
+        mode = numeric.delta_mode_for(dtype)
+    except CodecError:
+        return None
+    header = pack_array_header(dtype, shape)
+    return native.chunk_fold(dtype, shape, header,
+                             header + pack_u8(_MODE_TO_TAG[mode]),
+                             mode == numeric.XOR)
 
 
 def fold_chain(codecs: list[DeltaCodec], payloads: list,

@@ -14,6 +14,7 @@ used throughout Section V.
 from __future__ import annotations
 
 from repro.compression.lz import lz_bytes, unlz_bytes
+from repro.core import native
 from repro.core.serial import pack_u8, unpack_u8
 from repro.delta import codes as code_store
 from repro.delta.base import DeltaCodec
@@ -40,6 +41,12 @@ class HybridDeltaCodec(DeltaCodec):
             # here; the un-compressed path hands its sections through.
             parts = [lz_bytes(b"".join(parts))]
         return [pack_u8(int(self.lz)), *parts]
+
+    @property
+    def fold_layout(self) -> int | None:
+        # An LZ stage must be undone in Python; the flag byte of a
+        # plain level is checked by the kernel.
+        return None if self.lz else self.layout | native.FOLD_SEALED
 
     def _unseal(self, payload: memoryview):
         lz_flag, offset = unpack_u8(payload, 0)

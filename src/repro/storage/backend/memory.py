@@ -45,21 +45,27 @@ class _MemoryObject:
                 self._length += len(segment)
         return offset
 
-    def read(self, offset: int, length: int):
-        """``length`` bytes at ``offset``, or None past the end."""
+    def read_many(self, spans: Sequence[tuple[int, int]]) -> list:
+        """The bytes of every ``(offset, length)`` span (None for one
+        past the end), under one hold of the lock."""
         with self._lock:
-            if offset + length > self._length:
-                return None
-            index = bisect_right(self._starts, offset) - 1
-            pieces = []
-            while length:
-                start = offset - self._starts[index]
-                piece = memoryview(self._segments[index])[
-                    start:start + length]
-                pieces.append(piece)
-                offset += len(piece)
-                length -= len(piece)
-                index += 1
+            return [self._read(offset, length) for offset, length in spans]
+
+    def _read(self, offset: int, length: int):
+        """``length`` bytes at ``offset``, or None past the end (the
+        lock held)."""
+        if offset + length > self._length:
+            return None
+        index = bisect_right(self._starts, offset) - 1
+        pieces = []
+        while length:
+            start = offset - self._starts[index]
+            piece = memoryview(self._segments[index])[
+                start:start + length]
+            pieces.append(piece)
+            offset += len(piece)
+            length -= len(piece)
+            index += 1
         return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
 
@@ -90,14 +96,12 @@ class InMemoryBackend(StorageBackend):
         obj = self._objects.get(path)
         if obj is None:
             raise StorageError(f"missing chunk file {path}")
-        payloads = []
-        for offset, length in checked_spans(path, spans):
-            payload = obj.read(offset, length)
-            if payload is None:
-                raise StorageError(
-                    f"chunk file {path} truncated: wanted {length} "
-                    f"bytes at {offset}, got {max(0, len(obj) - offset)}")
-            payloads.append(payload)
+        payloads = obj.read_many(checked_spans(path, spans))
+        if None in payloads:
+            offset, length = spans[payloads.index(None)]
+            raise StorageError(
+                f"chunk file {path} truncated: wanted {length} "
+                f"bytes at {offset}, got {max(0, len(obj) - offset)}")
         return payloads
 
     def delete(self, prefix: str) -> None:

@@ -152,11 +152,11 @@ class ChunkStore:
         for path, indexes in by_path.items():
             spans = [(locations[i].offset, locations[i].length)
                      for i in indexes]
-            self.stats.record_open()
-            for i, payload in zip(indexes,
-                                  self.backend.read_many(path, spans)):
-                self.stats.record_read(len(payload))
+            read = self.backend.read_many(path, spans)
+            for i, payload in zip(indexes, read):
                 payloads[i] = payload
+            self.stats.record_reads(len(read),
+                                    sum([len(payload) for payload in read]))
         return payloads  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

@@ -131,6 +131,14 @@ class IOStats:
             self.bytes_read += nbytes
             self.chunks_read += 1
 
+    def record_reads(self, count: int, nbytes: int) -> None:
+        """Account one object of a batched read: one open and ``count``
+        chunk reads of ``nbytes`` in all."""
+        with self._lock:
+            self.file_opens += 1
+            self.bytes_read += nbytes
+            self.chunks_read += count
+
     def record_write(self, nbytes: int) -> None:
         """Account one chunk write of ``nbytes``."""
         with self._lock:

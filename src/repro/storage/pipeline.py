@@ -51,6 +51,7 @@ Two invariants both pipelines are built around:
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import Counter, OrderedDict
 from contextlib import closing
@@ -75,8 +76,8 @@ from repro.delta.auto import (
     default_delta_candidates,
     plan_encoding,
 )
-from repro.delta.base import fold_chain
-from repro.delta.registry import get_delta_codec
+from repro.delta.base import chunk_fold, fold_chain
+from repro.delta.registry import delta_codec_names, get_delta_codec
 from repro.storage import fan
 from repro.storage.chunking import ChunkGrid, ChunkRef
 from repro.storage.chunkstore import ChunkStore
@@ -96,6 +97,13 @@ _POLICIES = (POLICY_AUTO, POLICY_CHAIN, POLICY_MATERIALIZE)
 
 #: The largest chunk buffer a decoding thread keeps: an L2's worth.
 _KEPT_FOLD_BYTES = 2 << 20
+
+#: Each store delta codec's levels as the one-call decode reads them
+#: (:attr:`~repro.delta.base.DeltaCodec.fold_layout`); a codec it
+#: cannot read (``hybrid+lz``) is absent and decodes the long way.
+_FOLD_LAYOUTS = {codec.name: codec.fold_layout
+                 for codec in map(get_delta_codec, delta_codec_names())
+                 if codec.fold_layout is not None}
 
 
 def ensure_policy(delta_policy: str) -> str:
@@ -594,23 +602,27 @@ class DecodePipeline:
     the code can observe (the located chain's size, the cache's free
     space), not from a setting:
 
-    * **Read one version** (the default).  The decoded root is copied
-      once into contiguous cells and the whole chain folds onto them
-      in one compiled call.  The cells are the caller's canvas window
-      when that is contiguous and nothing else will hold on to it, a
-      buffer of the chunk's own when the cache will, and otherwise the
-      decoding thread's chunk buffer, copied into the strided window
-      once after the fold.  Only the requested version is admitted to
-      the cache.
+    * **Read one version** (the default).  One native call, with the
+      GIL released, copies the root once into contiguous cells, checks
+      and folds the whole chain onto them and copies them into the
+      canvas window.  The cells are the caller's canvas window when
+      that is contiguous and nothing else will hold on to it, a buffer
+      of the chunk's own when the cache will, and otherwise the
+      decoding thread's chunk buffer.  Only the requested version is
+      admitted to the cache.
     * **Warm-fill a chain.**  When every located level fits the
       cache's *free* space, each level is folded into an owning copy
-      of the one before, and every intermediate version is admitted
-      too, through the non-evicting put: later reads of those versions
-      are hits, and no entry a caller asked for is ever displaced.  A
-      chain that does not fit is declined and read as one version.
+      of the one before — one native call per version — and every
+      intermediate version is admitted too, through the non-evicting
+      put: later reads of those versions are hits, and no entry a
+      caller asked for is ever displaced.  A chain that does not fit
+      is declined and read as one version.
 
-    The walk probes the cache at every level, so a cached ancestor
-    ends it and only the suffix is read.  Both jobs read the same
+    A chunk the native call declines or fails on is decoded the long
+    way (:meth:`_fused_apply`, or level by level on a warm fill) from
+    the same payloads; see :meth:`_decode_in_one_call`.  The walk
+    probes the cache at every level, so a cached ancestor ends it and
+    only the suffix is read.  Both jobs, either way, read the same
     payloads, produce the same bytes, and name a corrupt level the
     same way: array, version and chunk.
     """
@@ -620,7 +632,7 @@ class DecodePipeline:
         self.catalog = catalog
         self.store = store
         self.cache = cache if cache is not None else ChunkCache()
-        # One chunk buffer per decoding thread (see _fused_apply).
+        # One chunk buffer per decoding thread (see _chunk_buffer).
         self._buffers = threading.local()
 
     def _plan(self, snap: ArraySnapshot, task: tuple,
@@ -676,12 +688,20 @@ class DecodePipeline:
                 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """The pool's stage: read, decompress and fold one planned
         miss.  Returns the chunk and every version it resolved on the
-        way (deepest first); touches no cache and no scope."""
+        way (deepest first); touches no cache and no scope.
+
+        The chain is read in one batch and, where the kernels take it,
+        decoded in one native call (:meth:`_decode_in_one_call`).
+        Anything they decline is decoded the long way below, from the
+        same payloads: the one that names a corrupt payload."""
         record, chunk = miss.snap.record, miss.chunk
         chain = list(miss.chain)
         # Read — the whole chain, one open per distinct object.
         payloads = self.store.read_chunks(
             [chunk_record.location for chunk_record in chain])
+        decoded = self._decode_in_one_call(miss, payloads)
+        if decoded is not None:
+            return decoded
 
         # Decompress the materialized root (or start from the
         # already-resolved version the chain stopped at).  A one-version
@@ -695,9 +715,7 @@ class DecodePipeline:
         if root is None:
             data = miss.base
         else:
-            codec = get_codec(root.compressor)
-            data = codec.decode(payloads.pop()) if miss.warm_fill \
-                else codec.decode_view(payloads.pop())
+            data = self._decode_root(miss, root, payloads.pop())
             resolved[root.version] = data
 
         # Fold — level by level on a warm fill, else the whole chain
@@ -716,6 +734,84 @@ class DecodePipeline:
                                      payloads, data, miss.out)
             resolved[miss.version] = data
         return data, resolved
+
+    def _decode_in_one_call(self, miss: _Miss, payloads: list
+                            ) -> tuple[np.ndarray, dict] | None:
+        """:meth:`_decode`'s result from one native call per chunk
+        (:class:`~repro.core.native.ChunkFold`, a call per version on
+        a warm fill), or None to decode the long way.
+
+        The kernel takes the base — the root payload of the ``none``
+        compressor, checked against the header the chunk implies, or
+        the cells a held layer resolved — and every level's whole
+        payload, checked against the frame the chunk implies and, for
+        hybrid, a seal byte that says "no LZ".  It copies the base into
+        the cells it folds in (none when a held base is folded in
+        place), folds every level and copies the cells into the canvas
+        window: the cells are the window when it is contiguous, else
+        this thread's chunk buffer.  It declines — before it writes
+        anything — an ``lz`` root, an LZ-sealed level, a frame spelled
+        the long way and a cell type it has no kernel for; a malformed
+        level fails it part-way.  Either way the long way runs, on
+        cells of its own, and raises the error that names the payload.
+        """
+        chain = miss.chain
+        if miss.base_version is None:
+            if chain[-1].compressor != "none":
+                return None
+            base, levels, payloads = payloads[-1], chain[:-1], payloads[:-1]
+        elif chain:
+            base, levels = miss.base, chain
+        else:
+            return None     # the version in hand is the chunk
+        layouts = [_FOLD_LAYOUTS.get(level.delta_codec) for level in levels]
+        if None in layouts:
+            return None
+        dtype = miss.snap.record.schema.attribute(miss.attribute).dtype
+        fold = chunk_fold(dtype, miss.chunk.shape)
+        if fold is None:
+            return None
+        shape = fold.shape
+        resolved: dict[int, np.ndarray] = {}
+        if miss.warm_fill:
+            data = base
+            if miss.base_version is None:
+                data = np.empty(shape, dtype)
+                if not fold(base, (), (), data):
+                    return None
+                resolved[chain[-1].version] = data
+            for level, payload, layout in zip(reversed(levels),
+                                              reversed(payloads),
+                                              reversed(layouts)):
+                cells = np.empty(shape, dtype)
+                if not fold(data, (payload,), (layout,), cells):
+                    return None
+                resolved[level.version] = data = cells
+            return data, resolved
+        out = miss.out
+        if out is None or out.dtype != dtype or out.shape != shape:
+            out = np.empty(shape, dtype)
+        if out.flags.c_contiguous:
+            cells, window = out, None
+        elif levels:
+            cells, window = self._chunk_buffer(dtype, shape), out
+        else:
+            cells, window = None, out
+        if not fold(base, payloads, layouts, cells, window):
+            return None
+        if levels:
+            self.store.stats.record_chain_fused(
+                len(levels), sum([bool(layout & native.FOLD_TABLE)
+                                  for layout in layouts]))
+            if miss.base_version is None:
+                # The root, for a later layer of a stack folding onto
+                # it: a read-only view of its payload, as the long way
+                # hands on.
+                resolved[chain[-1].version] = np.frombuffer(
+                    base, dtype, fold.count,
+                    len(base) - fold.count * dtype.itemsize).reshape(shape)
+        resolved[miss.version] = out
+        return out, resolved
 
     def _decode_run(self, run: list[_Miss]) -> list:
         """The pool's task: decode a run of planned misses in turn —
@@ -815,6 +911,28 @@ class DecodePipeline:
         return chain, None
 
     @staticmethod
+    def _decode_root(miss: _Miss, root: ChunkRecord, payload) -> np.ndarray:
+        """Decompress a chain's materialized root: a zero-copy read-only
+        view where the compressor allows and the read only reads it, an
+        owning copy on a warm fill (it is admitted).  A root that does
+        not decode to the chunk's dtype and shape is refused — array,
+        version and chunk named — before anything is sized from it."""
+        record, chunk = miss.snap.record, miss.chunk
+        dtype = record.schema.attribute(miss.attribute).dtype
+        named = f"{record.name!r} version {root.version} chunk {chunk.name}"
+        try:
+            codec = get_codec(root.compressor)
+            data = codec.decode(payload) if miss.warm_fill \
+                else codec.decode_view(payload)
+        except CodecError as exc:
+            raise CodecError(f"{named}: {exc}") from exc
+        if (data.dtype, data.shape) != (dtype, chunk.shape):
+            raise CodecError(
+                f"{named}: root ({data.dtype}, {data.shape}) does not "
+                f"match the chunk ({dtype}, {chunk.shape})")
+        return data
+
+    @staticmethod
     def _codecs(record: ArrayRecord, chunk: ChunkRef,
                 chain: list[ChunkRecord]) -> list:
         """The delta codecs of the located levels, in chain order.  A
@@ -851,17 +969,20 @@ class DecodePipeline:
                      chain: list[ChunkRecord], codecs: list,
                      payloads: list[bytes], base: np.ndarray,
                      out: np.ndarray | None) -> np.ndarray:
-        """The materialized root with every level of ``chain`` folded
-        onto it (:func:`repro.delta.base.fold_chain`), in ``out`` when
-        the caller lent its canvas window, else in a buffer of its own.
+        """The long way of a one-version read, for a chunk the native
+        call declined or failed on: the decoded root with every level
+        of ``chain`` folded onto it (:func:`repro.delta.base.fold_chain`),
+        in ``out`` when the caller lent its canvas window, else in a
+        buffer of its own.
 
-        The fold runs on contiguous cells.  A contiguous ``out`` (or a
-        buffer of its own) is folded in place.  A strided window is
-        not: its rows sit a canvas row apart, so they crowd into a few
-        L2 sets and miss on every level.  The root is copied into this
-        thread's chunk buffer instead, folded there while it stays in
-        L2, and copied into the window once.  That measures faster
-        even for chunks far larger than L2, whose buffer is not kept.
+        The fold runs on contiguous cells, chosen as the native call
+        chooses them.  A contiguous ``out`` (or a buffer of its own) is
+        folded in place.  A strided window is not: its rows sit a
+        canvas row apart, so they crowd into a few L2 sets and miss on
+        every level.  The root is copied into this thread's chunk
+        buffer instead, folded there while it stays in L2, and copied
+        into the window once.  That measures faster even for chunks
+        far larger than L2, whose buffer is not kept.
 
         Everything is sized from the decoded root, never from a
         payload's frame: a level whose header disagrees with the
@@ -875,7 +996,7 @@ class DecodePipeline:
                 (base.dtype, base.shape):
             out = np.empty(base.shape, dtype=base.dtype)
         cells = out if out.flags.c_contiguous or not chain \
-            else self._chunk_buffer(base)
+            else self._chunk_buffer(base.dtype, base.shape)
         np.copyto(cells, base)
         if chain:
             self._fold(record, chunk, chain, codecs, payloads, base, cells)
@@ -885,16 +1006,19 @@ class DecodePipeline:
             np.copyto(out, cells)
         return out
 
-    def _chunk_buffer(self, like: np.ndarray) -> np.ndarray:
-        """Contiguous cells shaped like ``like``: this thread's chunk
-        buffer, grow-only up to :data:`_KEPT_FOLD_BYTES` so the fold
-        allocates nothing per chunk, else cells of the chunk's own."""
-        if like.nbytes > _KEPT_FOLD_BYTES:
-            return np.empty(like.shape, like.dtype)
+    def _chunk_buffer(self, dtype: np.dtype,
+                      shape: tuple[int, ...]) -> np.ndarray:
+        """Contiguous cells of ``dtype`` and ``shape``: this thread's
+        chunk buffer, grow-only up to :data:`_KEPT_FOLD_BYTES` so the
+        fold allocates nothing per chunk, else cells of the chunk's
+        own."""
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes > _KEPT_FOLD_BYTES:
+            return np.empty(shape, dtype)
         buffer = getattr(self._buffers, "cells", None)
-        if buffer is None or buffer.nbytes < like.nbytes:
-            buffer = self._buffers.cells = np.empty(like.nbytes, np.uint8)
-        return buffer[:like.nbytes].view(like.dtype).reshape(like.shape)
+        if buffer is None or buffer.nbytes < nbytes:
+            buffer = self._buffers.cells = np.empty(nbytes, np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
 
     # ------------------------------------------------------------------
     # Stage 5: assembly

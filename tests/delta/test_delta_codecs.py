@@ -23,7 +23,8 @@ from codec_cases import (
 from repro.core import bitpack, native, numeric
 from repro.core.errors import CodecError, ReproError
 from repro.delta import codes as code_store
-from repro.delta.base import fold_chain, pack_frame
+from repro.compression.base import IdentityCodec
+from repro.delta.base import chunk_fold, fold_chain, pack_frame
 from repro.delta.codes import CodePlan
 from repro.delta import (
     DenseDeltaCodec,
@@ -331,6 +332,193 @@ class TestCorruptFold:
 
 
 
+def _canvas(dtype, shape):
+    """A canary-filled canvas and a strided window of ``shape`` in it,
+    one row and three cells in from its corner."""
+    rows, cols = shape
+    itemsize = np.dtype(dtype).itemsize
+    canvas = np.full((rows + 2) * 2 * cols * itemsize, CANARY,
+                     dtype=np.uint8).view(dtype).reshape(rows + 2, 2 * cols)
+    return canvas, canvas[1:-1, 3:3 + cols]
+
+
+@pytest.mark.parametrize("kernels", [True, False],
+                         ids=["native", "numpy"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64,
+                                   np.float16, np.float32, np.float64],
+                         ids=str)
+@pytest.mark.parametrize("name", delta_codec_names())
+# A flipped header bit can turn "<i4" into "<a4", which numpy parses
+# with a DeprecationWarning on the long way.
+@pytest.mark.filterwarnings("ignore:Data type alias:DeprecationWarning")
+class TestChunkFold:
+    """The one-call decode (:func:`repro.delta.base.chunk_fold`) against
+    the long way it stands in for — the root's ``decode_view``, then
+    :func:`fold_chain` — on the same stored bytes.  Where the call
+    rebuilds the chunk, into a strided window of a canary-filled
+    canvas, the long way gives the same bytes; where it refuses, the
+    canvas is untouched and the long way decodes or raises only a
+    :class:`CodecError`.  Nothing escapes the call itself."""
+
+    SHAPE = TestCorruptFold.SHAPE
+
+    @classmethod
+    def _chain(cls, name, dtype, rng):
+        """``(root, levels, target)``: a none-codec root payload and two
+        stored levels onto it, the top one with real outliers."""
+        codec = get_delta_codec(name)
+        middle, base = _pair(dtype, cls.SHAPE, rng, similarity=0.8)
+        target = middle.copy()
+        bits = target.view(f"u{target.itemsize}")
+        bits[3, 5] ^= 1 << (8 * target.itemsize - 2)
+        bits[7, 2] ^= 1 << (8 * target.itemsize - 3)
+        return (IdentityCodec().encode(base),
+                [codec.encode(target, middle), codec.encode(middle, base)],
+                target)
+
+    def _agree(self, name, dtype, root, levels, kernels) -> bool:
+        """Decode ``root`` and ``levels`` both ways and hold them to the
+        contract above; whether the one call rebuilt the chunk."""
+        codec = get_delta_codec(name)
+        canvas, window = _canvas(dtype, self.SHAPE)
+        before = canvas.copy()
+        fold = chunk_fold(np.dtype(dtype), self.SHAPE)
+        layouts = [codec.fold_layout] * len(levels)
+        with contextlib.nullcontext() if kernels else native.disabled():
+            done = None not in layouts and fold(
+                root, levels, layouts, np.empty(self.SHAPE, dtype), window)
+            try:
+                base = IdentityCodec().decode_view(root)
+                long_way = base.copy()
+                fold_chain([codec] * len(levels), levels, base, long_way)
+            except CodecError:
+                long_way = None
+        assert done in (True, False)
+        if done:
+            assert long_way is not None
+            assert window.tobytes() == long_way.tobytes()
+            before[1:-1, 3:3 + self.SHAPE[1]] = window
+        assert canvas.tobytes() == before.tobytes()
+        return done
+
+    def test_valid_chain_in_one_call(self, name, dtype, kernels, rng):
+        root, levels, target = self._chain(name, dtype, rng)
+        canvas, window = _canvas(dtype, self.SHAPE)
+        codec = get_delta_codec(name)
+        in_one_call = kernels and codec.fold_layout is not None
+        assert self._agree(name, dtype, root, levels, kernels) \
+            == in_one_call
+        base = IdentityCodec().decode(root)
+        fold_chain([codec] * 2, levels, base, base)
+        assert base.tobytes() == target.tobytes()
+
+    def test_every_truncation(self, name, dtype, kernels, rng):
+        """Cut the root and each level at every byte, and give each one
+        trailing byte: the call refuses every one."""
+        root, levels, _ = self._chain(name, dtype, rng)
+        for cut in range(len(root)):
+            assert not self._agree(name, dtype, root[:cut], levels,
+                                   kernels), cut
+        assert not self._agree(name, dtype, root + b"\0", levels, kernels)
+        for at, level in enumerate(levels):
+            for cut in [*range(len(level)), None]:
+                bad = level[:cut] if cut is not None else level + b"\0"
+                chain = levels[:at] + [bad] + levels[at + 1:]
+                assert not self._agree(name, dtype, root, chain,
+                                       kernels), (at, cut)
+
+    def test_respelled_root_and_frame(self, name, dtype, kernels, rng):
+        """A root header or a frame that names the dtype another way
+        ("=" for its byte order) is valid: the call declines it and the
+        long way decodes it."""
+        root, levels, _ = self._chain(name, dtype, rng)
+        respelled = [payload[:1] + b"=" + payload[2:]
+                     for payload in (root, levels[0])]
+        chains = [(respelled[0], levels), (root, [respelled[1], levels[1]])]
+        layouts = [get_delta_codec(name).fold_layout] * 2
+        for base, chain in chains:
+            assert not self._agree(name, dtype, base, chain, kernels)
+            if kernels and None not in layouts:
+                # Refused before the root is copied: the cells are
+                # as they were.
+                cells = np.zeros(self.SHAPE, dtype)
+                assert not chunk_fold(np.dtype(dtype), self.SHAPE)(
+                    base, chain, layouts, cells)
+                assert not cells.view(np.uint8).any()
+
+    def test_hostile_fields(self, name, dtype, kernels, rng):
+        """Every width byte, table entry count and a position past the
+        last cell, in the top level's section, and bit flips through
+        the root's header and each frame."""
+        root, levels, _ = self._chain(name, dtype, rng)
+        codec = get_delta_codec(name)
+        if codec.fold_layout is None:
+            return      # the call never reads an LZ-sealed level
+        start = len(pack_frame(np.empty(self.SHAPE, dtype),
+                               numeric.delta_mode_for(dtype))) \
+            + bool(codec.fold_layout & native.FOLD_SEALED)
+        section = levels[0][start:]
+
+        def agree(at, replacement: bytes) -> bool:
+            bad = bytearray(levels[0])
+            bad[start + at:start + at + len(replacement)] = replacement
+            return self._agree(name, dtype, root, [bytes(bad), levels[1]],
+                               kernels)
+
+        table_at = 0
+        if codec.layout & code_store.SMALL:
+            for width in range(256):
+                assert not agree(0, bytes([width])) or width <= 64
+            table_at = 1 + bitpack.packed_size(192, section[0])
+        if codec.layout & code_store.TABLE:
+            for width in range(256):
+                assert not agree(table_at + 8, bytes([width])) \
+                    or width <= 64
+                assert not agree(table_at + 9, bytes([width])) \
+                    or width <= 64
+            for claim in (-1, 193, 1 << 40, (1 << 63) - 1, -(1 << 63)):
+                assert not agree(table_at, claim.to_bytes(
+                    8, "little", signed=True)), claim
+            assert not agree(table_at + 10, b"\xff")
+        for payload_at, payload in enumerate([root, *levels]):
+            for at in range(start):
+                for bit in range(8):
+                    bad = bytearray(payload)
+                    bad[at] ^= 1 << bit
+                    chain = [root, *levels]
+                    chain[payload_at] = bytes(bad)
+                    self._agree(name, dtype, chain[0], chain[1:], kernels)
+
+    def test_random_corruption(self, name, dtype, kernels, rng):
+        root, levels, _ = self._chain(name, dtype, rng)
+        for bad in corruptions(rng, root, 20):
+            self._agree(name, dtype, bad, levels, kernels)
+        for bad in corruptions(rng, levels[0], 20):
+            self._agree(name, dtype, root, [bad, levels[1]], kernels)
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
+def test_lz_sealed_hybrid_level_takes_the_long_way(rng, kernels):
+    """A level under the plain hybrid name whose seal byte says LZ is
+    valid — ``_unseal`` inflates it — but not the call's to read: it
+    declines before writing, and the long way gives the target."""
+    codec = get_delta_codec("hybrid")
+    target, base = _pair(np.int32, (12, 16), rng)
+    sealed = HybridDeltaCodec(lz=True).encode(target, base)
+    root = IdentityCodec().encode(base)
+    canvas, window = _canvas(np.int32, (12, 16))
+    before = canvas.copy()
+    cells = np.zeros_like(base)
+    with contextlib.nullcontext() if kernels else native.disabled():
+        assert not chunk_fold(np.dtype(np.int32), (12, 16))(
+            root, [sealed], [codec.fold_layout], cells, window)
+        assert not cells.any()      # refused before the root was copied
+        cells[...] = base
+        fold_chain([codec], [sealed], base, cells)
+    assert canvas.tobytes() == before.tobytes()
+    assert cells.tobytes() == target.tobytes()
+
+
 def test_respelled_frame_takes_the_long_way_and_says_so(rng, caplog,
                                                         monkeypatch):
     """The fold recognises a level by comparing its first bytes with
@@ -367,3 +555,28 @@ def test_fold_refuses_a_strided_destination(rng, kernels):
         with pytest.raises(ValueError, match="C-contiguous"):
             fold_chain([codec], [payload], base, canvas[:, :16])
     assert np.array_equal(canvas[:, :16], base) and not canvas[:, 16:].any()
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
+def test_bool_cells_fold_to_booleans(kernels):
+    """A well-formed level whose deltas take a bool cell past 1 (only a
+    corrupt one can) leaves booleans either way: the call and the long
+    way both turn every folded byte into 0 or 1."""
+    base = np.zeros((4, 8), dtype=bool)
+    base[0] = True
+    deltas = np.tile(np.array([5, -3, 2, 0], dtype=np.int64), 8)
+    payload = pack_frame(base, numeric.ARITHMETIC) \
+        + code_store.encode_dense(bitpack.zigzag_encode(deltas))
+    codec = get_delta_codec("dense")
+    canvas, window = _canvas(np.uint8, (4, 8))
+    window = window.view(bool)
+    with contextlib.nullcontext() if kernels else native.disabled():
+        done = chunk_fold(np.dtype(bool), (4, 8))(
+            IdentityCodec().encode(base), [payload], [codec.fold_layout],
+            np.empty_like(base), window)
+        cells = base.copy()
+        fold_chain([codec], [payload], base, cells)
+    assert done == kernels
+    assert set(cells.view(np.uint8).ravel().tolist()) == {0, 1}
+    if done:
+        assert window.tobytes() == cells.tobytes()

@@ -19,6 +19,7 @@ store — so every side decodes the very same stored bytes.
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import threading
 import tracemalloc
@@ -30,7 +31,8 @@ from repro.compression.registry import get_codec
 from repro.core import native
 from repro.core.errors import CodecError
 from repro.core.schema import ArraySchema
-from repro.delta.base import frame_size
+from repro.core.serial import pack_array_header
+from repro.delta.base import DeltaCodec, frame_size
 from repro.delta.registry import get_delta_codec
 from repro.storage import pipeline
 from repro.storage.manager import VersionedStorageManager
@@ -719,3 +721,162 @@ def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, fan_width,
     else:
         assert held - canvas.nbytes <= slack, held
     assert released - canvas.nbytes <= slack, released
+
+
+# ----------------------------------------------------------------------
+# One native call per chunk, and the long way for what it declines
+# ----------------------------------------------------------------------
+def _hybrid_chain(root, **kwargs):
+    """A (40, 36) int32 array of DEPTH versions in (20, 16) chunks —
+    six chunks, strided windows of two widths — every level hybrid."""
+    versions = _grid_versions(np.int32, (40, 36), DEPTH)
+    manager = VersionedStorageManager(root, delta_policy="chain",
+                                      **kwargs)
+    manager.create_array(
+        "A", ArraySchema.simple((40, 36), np.int32, attribute="value"),
+        chunk_shape=(20, 16))
+    for data in versions:
+        manager.insert("A", data.copy())
+    return manager, versions
+
+
+def _count_calls(monkeypatch) -> list:
+    """Count the calls into the compiled fold entry (from any thread)."""
+    lib = native._load()
+    real, calls = lib.repro_fold_chain, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lib, "repro_fold_chain", counted)
+    return calls
+
+
+@pytest.mark.skipif(not native.available(),
+                    reason="counts the compiled calls")
+def test_one_native_call_per_chunk(tmp_path, monkeypatch, fan_width, cold):
+    """A cache-off whole-version select of a depth-k chain is exactly
+    one compiled call per chunk — root copy, root header and frame
+    checks, every level and the window copy — and no frame is parsed in
+    Python, inline and fanned."""
+    manager, versions = _hybrid_chain(tmp_path / "s", backend="memory")
+    with cold(manager, "A"):
+        chunks = manager.grid_for(manager.catalog.get_array("A")).chunks()
+        snap = manager.catalog.snapshot("A")
+        assert all(len(list(snap.walk_chain(DEPTH, "value", chunk.name)))
+                   == DEPTH for chunk in chunks)
+        calls = _count_calls(monkeypatch)
+        sections = []
+        section = DeltaCodec.section
+        monkeypatch.setattr(
+            DeltaCodec, "section",
+            lambda codec, *args: sections.append(codec)
+            or section(codec, *args))
+        for depth in (1, 2, 5, DEPTH):
+            calls.clear()
+            with manager.stats.measure() as window:
+                got = manager.select("A", depth).attribute("value")
+            assert got.tobytes() == versions[depth - 1].tobytes()
+            assert len(calls) == len(chunks)
+            assert window.fused_levels == (depth - 1) * len(chunks)
+        assert sections == []
+
+
+def test_lz_sealed_levels_take_the_long_way(tmp_path, monkeypatch):
+    """Levels stored LZ-sealed under the plain ``hybrid`` name are
+    valid (the codec inflates them) but not the compiled call's to
+    read: it declines each chunk before writing anything, and the long
+    way reads every version byte for byte."""
+    root = tmp_path / "s"
+    manager, versions = _hybrid_chain(root, backend="local",
+                                      delta_codec="hybrid+lz")
+    manager.catalog._conn.execute(
+        "UPDATE chunks SET delta_codec = 'hybrid'"
+        " WHERE delta_codec = 'hybrid+lz'")
+    manager.catalog._conn.commit()
+    manager.close()
+    with VersionedStorageManager(root, delta_policy="chain") as manager:
+        snap = manager.catalog.snapshot("A")
+        assert {row.delta_codec for row in snap.walk_chain(
+            DEPTH, "value", "chunk-0-0-19-15.dat")} == {"hybrid", None}
+        for kernels in (True, False):
+            with contextlib.nullcontext() if kernels else native.disabled():
+                for depth in range(1, DEPTH + 1):
+                    assert manager.select("A", depth).attribute("value") \
+                        .tobytes() == versions[depth - 1].tobytes()
+
+
+def _rewrite_stored(manager, edit) -> None:
+    """Apply ``edit(payload) -> payload`` (same length) to every stored
+    payload of array A."""
+    record = manager.catalog.get_array("A")
+    backend = manager.store.backend
+    for row in manager.catalog.all_chunks(record.array_id):
+        path, at = row.location.path, row.location.offset
+        stored = bytearray(backend.read(path, 0, backend.total_bytes(path)))
+        payload = edit(bytes(stored[at:at + row.location.length]))
+        assert len(payload) == row.location.length
+        stored[at:at + len(payload)] = payload
+        backend.write(path, bytes(stored))
+
+
+def test_respelled_headers_take_the_long_way(tmp_path, cold):
+    """Every root header and delta frame spelling its dtype "=i4"
+    rather than "<i4" is valid: the compiled call declines each one and
+    the long way reads every version byte for byte, cache on or off."""
+    for cache in (0, 1 << 20):
+        manager, versions = _hybrid_chain(tmp_path / f"s{cache}",
+                                          backend="memory",
+                                          cache_bytes=cache)
+        with cold(manager, "A"):
+            _rewrite_stored(manager,
+                            lambda payload: payload[:1] + b"=" + payload[2:])
+            for depth in (DEPTH, *range(1, DEPTH + 1)):
+                assert manager.select("A", depth).attribute("value") \
+                    .tobytes() == versions[depth - 1].tobytes()
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
+def test_root_header_disagreeing_with_the_chunk_is_named(tmp_path, cold,
+                                                         kernels):
+    """A root whose header names another shape with the same cells is
+    refused — array, version and chunk named — whether the chain above
+    it is empty or not, and never reshaped into the canvas."""
+    manager, _ = _hybrid_chain(tmp_path / "s", backend="memory")
+    with cold(manager, "A"):
+        header = pack_array_header(np.dtype(np.int32), (20, 16))
+        swapped = pack_array_header(np.dtype(np.int32), (16, 20))
+        _rewrite_stored(manager, lambda payload: swapped
+                        + payload[len(header):]
+                        if payload.startswith(header) else payload)
+        for depth in (1, DEPTH):
+            with contextlib.nullcontext() if kernels \
+                    else native.disabled():
+                with pytest.raises(CodecError) as refused:
+                    manager.select("A", depth)
+            message = str(refused.value)
+            assert message.startswith("'A' version 1 chunk chunk-0-0-19-15")
+            assert "root (int32, (16, 20)) does not match the chunk" \
+                in message
+
+
+def test_corrupt_level_names_what_the_long_way_names(tmp_path, cold,
+                                                    monkeypatch):
+    """A malformed level fails the compiled call part-way; the read
+    then raises exactly the error the long way alone raises."""
+    versions = _int_versions()
+    with cold(_build(tmp_path / "s", versions, np.int64, backend="memory",
+                     delta_policy="chain", delta_codec="sparse"),
+              "A") as manager:
+        _corrupt_level(manager, 5, versions[0])
+        refusals = []
+        for one_call in (True, False):
+            if not one_call:
+                monkeypatch.setattr(DecodePipeline, "_decode_in_one_call",
+                                    lambda *args: None)
+            with pytest.raises(CodecError) as refused:
+                manager.select("A", DEPTH)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        assert refusals[0].startswith("'A' version 5 chunk ")
