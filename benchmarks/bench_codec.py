@@ -38,11 +38,13 @@ def bench_codec_kernels(run_once):
 
     # The whole point of the word kernels: on chunk-sized cells at
     # word-kernel widths they must beat the per-bit reference outright
-    # (the margin is 2-500x in practice; the floors keep the gate
-    # robust to a noisy CI host).  The narrowest widths intentionally
-    # dispatch to the same per-bit algorithm as the reference, so they
-    # only owe parity — except under the compiled kernels, which
-    # handle every width 1..63 in one carry-register loop.
+    # (the margin is 2-500x in practice; each speedup is the median of
+    # alternating rounds' ratios, not one best-of timing per side, and
+    # the floors keep the gate robust to a noisy CI host).  The
+    # narrowest widths intentionally dispatch to the same per-bit
+    # algorithm as the reference, so they only owe parity — except
+    # under the compiled kernels, which handle every width 1..63 in one
+    # carry-register loop.
     chunk_cells = [row for row in rows if row["count"] == 32768]
     assert chunk_cells
     for row in chunk_cells:

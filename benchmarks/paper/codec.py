@@ -14,7 +14,10 @@ to native=0 on hosts without a compiler) and reports, per cell:
   against an in-bench *bit-matrix reference* (the seed implementation:
   expand every value to single-bit bytes, ``np.packbits`` the matrix),
   so the artifact records how much the word kernels buy on the same
-  host that produced the timing;
+  host that produced the timing: the median, over alternating rounds,
+  of the reference's time over the kernel's in the same round, so a
+  host that slows down for a moment slows both sides of one ratio
+  instead of one side of the only one;
 * ``fingerprint`` — SHA-256 of the packed stream, which the regression
   gate compares against the committed artifact: the kernels may change
   wall clock only, never a stored byte.
@@ -30,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import statistics
 from pathlib import Path
 
 import numpy as np
@@ -74,13 +78,29 @@ def _codes(bits: int, count: int, seed: int = 2012) -> np.ndarray:
     return rng.integers(0, 2**bits, size=count, dtype=np.uint64)
 
 
-def _best_of(func, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        with timed() as clock:
-            func()
-        best = min(best, clock.seconds)
-    return best
+#: The fewest alternating rounds a speedup is the median of.
+MIN_ROUNDS = 5
+
+
+def _race(kernel, reference, rounds: int) -> tuple[float, float]:
+    """``(kernel seconds, speedup)``: ``kernel`` and ``reference`` timed
+    back to back in ``rounds`` (at least :data:`MIN_ROUNDS`) rounds,
+    each round running them in the other order from the last.  The
+    kernel's time is its fastest pass; the speedup the median of the
+    rounds' reference-over-kernel ratios."""
+    best, ratios = float("inf"), []
+    for round_ in range(max(MIN_ROUNDS, rounds)):
+        sides = [("kernel", kernel), ("reference", reference)]
+        if round_ % 2:
+            sides.reverse()
+        seconds = {}
+        for name, func in sides:
+            with timed() as clock:
+                func()
+            seconds[name] = clock.seconds
+        best = min(best, seconds["kernel"])
+        ratios.append(seconds["reference"] / seconds["kernel"])
+    return best, statistics.median(ratios)
 
 
 def run(bits_axis=DEFAULT_BITS, counts=DEFAULT_COUNTS, *,
@@ -90,7 +110,8 @@ def run(bits_axis=DEFAULT_BITS, counts=DEFAULT_COUNTS, *,
 
     Every cell packs the same seeded codes with both the word kernels
     and the bit-matrix reference, asserts they agree byte for byte,
-    and keeps each side's fastest pass.
+    and races the two sides in ``repeats`` alternating rounds
+    (:func:`_race`).
     """
     rows = []
     for bits in bits_axis:
@@ -113,16 +134,12 @@ def run(bits_axis=DEFAULT_BITS, counts=DEFAULT_COUNTS, *,
                         raise AssertionError(
                             f"native pack diverged at bits={bits} "
                             f"count={count} native={use_native}")
-                    pack_s = _best_of(
+                    pack_s, pack_speedup = _race(
                         lambda: bitpack.pack_unsigned(values, bits),
-                        repeats)
-                    unpack_s = _best_of(
+                        lambda: _bit_matrix_pack(values, bits), repeats)
+                    unpack_s, unpack_speedup = _race(
                         lambda: bitpack.unpack_unsigned(packed, bits,
                                                         count),
-                        repeats)
-                    ref_pack_s = _best_of(
-                        lambda: _bit_matrix_pack(values, bits), repeats)
-                    ref_unpack_s = _best_of(
                         lambda: _bit_matrix_unpack(packed, bits, count),
                         repeats)
 
@@ -134,8 +151,8 @@ def run(bits_axis=DEFAULT_BITS, counts=DEFAULT_COUNTS, *,
                     "raw_mb": raw_mb,
                     "pack_mb_per_sec": raw_mb / pack_s,
                     "unpack_mb_per_sec": raw_mb / unpack_s,
-                    "pack_speedup": ref_pack_s / pack_s,
-                    "unpack_speedup": ref_unpack_s / unpack_s,
+                    "pack_speedup": pack_speedup,
+                    "unpack_speedup": unpack_speedup,
                     "fingerprint": hashlib.sha256(packed).hexdigest(),
                 })
 

@@ -86,7 +86,14 @@ class IdentityCodec(Codec):
         try:
             flat = np.frombuffer(data, dtype=dtype, count=count,
                                  offset=offset)
-            return flat.reshape(shape)
+            cells = flat.reshape(shape)
         except (ValueError, OverflowError) as exc:
             # Extents the payload does not hold (or negative ones).
             raise CodecError(f"corrupt array payload: {exc}") from exc
+        # frombuffer stops after ``count`` cells; bytes past them are
+        # refused, as every delta codec refuses its trailing bytes.
+        surplus = memoryview(data).nbytes - offset - flat.nbytes
+        if surplus:
+            raise CodecError(
+                f"array payload has {surplus} undecoded trailing bytes")
+        return cells

@@ -7,24 +7,29 @@ cache once per step — the numpy encode path makes a dozen whole-array
 passes and ~20 MiB of temporaries per 1 MiB chunk.  A scalar C loop
 does the same work in one stream per kernel.
 
-The write side costs what changed, not what the chunk holds.
-:func:`delta_zigzag_stats` is the *analysis* pass — cell pair in,
-delta code + width-histogram bucket out — one kernel family over every
-cell type (signed / unsigned / bool of 1, 2, 4, 8 bytes as wrapping
-int64 differences, float16/32/64 as xor of bit images), reading the
-chunk in place from its canvas by ``(rows, cols, row_stride)``.  It
-skips every 64-byte run equal to the base, codes only the cells of a
-differing run whose bytes differ (read off the run's byte-difference
-mask) and keeps only a *run list*: those cells' codes and the maximal
-spans they form; on the insert path it also copies each differing run
-of the new version over the hot slot's canvas (the base it just
-read), which so becomes the new version without a whole-version copy.
-:func:`pack_runs` is the one *pack*: it walks the run list — only real
-codes, the gaps between spans leaving as bulk zeros — and emits the
-dense section, the split's packed small codes and outlier table, or
-the sparse table (the split at width 0);
-:func:`pack_bits`, behind every other ``pack_unsigned`` call, is the
-same kernel over one run of every value.
+The write side costs what changed, not what the chunk holds, and is
+one call per chunk.  The *analysis* pass — cell pair in, delta code +
+width-histogram bucket out — is one kernel family over every cell type
+(signed / unsigned / bool of 1, 2, 4, 8 bytes as wrapping int64
+differences, float16/32/64 as xor of bit images), reading the chunk in
+place from its canvas by ``(rows, cols, row_stride)``.  It skips every
+64-byte run equal to the base, codes only the cells of a differing run
+whose bytes differ (read off the run's byte-difference mask) and keeps
+only a *run list*: those cells' codes and the maximal spans they form;
+on the insert path it also copies each differing run of the new
+version over the hot slot's canvas (the base it just read), which so
+becomes the new version without a whole-version copy.  The one *pack*
+walks the run list — only real codes, the gaps between spans leaving
+as bulk zeros — and emits the dense section, the split's packed small
+codes and outlier table, or the sparse table (the split at width 0).
+:class:`ChunkEncode` runs both for the insert path in one C entry: the
+analysis pass, every representation sized off the histogram with the
+planner's tie rule, and the winner packed behind its prefix into one
+caller buffer.  :func:`delta_zigzag_stats` and :func:`pack_runs` are
+the two passes on their own, for the planner (what the one call
+declines) and the Materialization Matrix; :func:`pack_bits`, behind
+every other ``pack_unsigned`` call, is the pack over one run of every
+value.
 
 The read side is one call per chunk, with one C entry behind it.
 :class:`ChunkFold` hands it a chunk's whole decode: it checks the root
@@ -52,7 +57,7 @@ says so once on the ``repro.native`` logger.  Every wrapper returns
 its gate rejects the input, and callers fall through to numpy; the
 write-side wrappers and the fold say why at ``debug``, once per
 reason (:class:`ChunkFold` returns False, and its caller decodes the
-long way).
+long way; :class:`ChunkEncode` returns None, and its caller plans).
 
 The shared object is cached under ``.cache/native/`` next to the
 package (keyed by a hash of the C source and the compiler flags —
@@ -261,9 +266,17 @@ int64_t repro_delta_codes(const unsigned char *t, unsigned char *b,
     return nspans;
 }
 
-/* ---- Write side, pass 2: the pack -------------------------------- */
+/* What a delta level's payload holds past its frame: the sections the
+ * fold reads and the encode writes, and a seal byte before them. */
+enum { FOLD_SMALL = 1, FOLD_TABLE = 2, FOLD_SEALED = 4 };
+
+/* ---- Write side, pass 2: the pack --------------------------------
+ *
+ * A stream writes whole 64-bit words through memcpy, so it may start at
+ * any byte, and its last partial word only as the bytes it fills: the
+ * encode entry packs sections back to back in one payload. */
 typedef struct {
-    uint64_t *w;
+    unsigned char *w;
     uint64_t acc;
     int64_t fill;
     int64_t bits;
@@ -276,7 +289,8 @@ static inline void repro_push(repro_stream *s, uint64_t x)
     s->acc |= x << s->fill;
     s->fill += s->bits;
     if (s->fill >= 64) {
-        *s->w++ = s->acc;
+        memcpy(s->w, &s->acc, 8);
+        s->w += 8;
         s->fill -= 64;
         s->acc = s->fill ? x >> (s->bits - s->fill) : 0;
     }
@@ -287,11 +301,19 @@ static inline void repro_push_zeros(repro_stream *s, int64_t count)
 {
     int64_t fill = s->fill + count * s->bits;
     while (fill >= 64) {
-        *s->w++ = s->acc;
+        memcpy(s->w, &s->acc, 8);
+        s->w += 8;
         s->acc = 0;
         fill -= 64;
     }
     s->fill = fill;
+}
+
+/* Write the partial word left in the stream: its filled bytes only. */
+static inline void repro_flush(repro_stream *s)
+{
+    if (s->fill)
+        memcpy(s->w, &s->acc, (size_t)(s->fill + 7) / 8);
 }
 
 /* The one pack, over a code array of `n` cells given as the analysis
@@ -304,7 +326,7 @@ static inline void repro_push_zeros(repro_stream *s, int64_t count)
  * offset in the span.  small_bits = 0 stores no dense stream and makes
  * every nonzero code an outlier — the sparse codec's layout; a split
  * with no outliers is the dense layout, and one span over every cell
- * packs a plain array.  The caller sizes the three word buffers from
+ * packs a plain array.  The caller sizes the three sections from
  * the width histogram (`outliers` codes need more than small_bits);
  * the return value is the outlier count found, or -1 the moment the
  * codes would overrun that count, a span is not ascending inside
@@ -315,12 +337,13 @@ int64_t repro_pack_runs(const uint64_t *codes, int64_t ncodes,
                         const int64_t *spans, int64_t nspans, int64_t n,
                         int64_t small_bits, int64_t position_bits,
                         int64_t value_bits, int64_t outliers,
-                        uint64_t *small_words, uint64_t *position_words,
-                        uint64_t *value_words)
+                        unsigned char *small_out,
+                        unsigned char *position_out,
+                        unsigned char *value_out)
 {
-    repro_stream small = {small_words, 0, 0, small_bits};
-    repro_stream positions = {position_words, 0, 0, position_bits};
-    repro_stream values = {value_words, 0, 0, value_bits};
+    repro_stream small = {small_out, 0, 0, small_bits};
+    repro_stream positions = {position_out, 0, 0, position_bits};
+    repro_stream values = {value_out, 0, 0, value_bits};
     int64_t found = 0, at = 0;
     for (int64_t s = 0; s < nspans; s++) {
         int64_t first = spans[2 * s], count = spans[2 * s + 1];
@@ -344,13 +367,220 @@ int64_t repro_pack_runs(const uint64_t *codes, int64_t ncodes,
         at = first + count;
     }
     repro_push_zeros(&small, n - at);
-    if (small.fill)
-        *small.w = small.acc;
-    if (positions.fill)
-        *positions.w = positions.acc;
-    if (values.fill)
-        *values.w = values.acc;
+    repro_flush(&small);
+    repro_flush(&positions);
+    repro_flush(&values);
     return found;
+}
+
+/* ---- Write side: one chunk's encode ------------------------------
+ *
+ * One call makes a chunk's whole encode decision and payload, the
+ * planner's (repro.delta.auto.plan_encoding) byte for byte: the
+ * analysis pass above (adopting the target into the base when asked),
+ * every representation sized from the 65-bucket histogram alone, the
+ * cheapest packed behind its prefix into `out`.  ctypes releases the
+ * GIL for the whole call.
+ *
+ * A delta's payload is the frame, for hybrid one seal byte saying "no
+ * LZ", then the sections `layout` names — the parts the fold reads:
+ *
+ *   FOLD_SMALL alone    dense: u8 width, every code at the widest;
+ *   FOLD_TABLE alone    sparse: the outlier table of the split at 0;
+ *   both                hybrid: u8 width, the small codes, the table,
+ *                       split at the cheapest width (the narrowest of
+ *                       equally cheap ones);
+ *
+ * an outlier table being i64 entries, u8 position width, u8 value
+ * width, the packed positions and the packed values.  The materialized
+ * form is the `none` compressor's: the array header, then the cells.
+ * It comes first and a candidate replaces the one before it only when
+ * strictly smaller, so `out` never needs more than the materialized
+ * size. */
+enum { ENCODE_DECLINED = -1, ENCODE_BROKEN = -2, ENCODE_CANDIDATES = 8 };
+
+static const int64_t repro_cell_bytes[] = {1, 2, 4, 8, 1, 2, 4, 8, 1};
+
+static inline int64_t repro_packed(int64_t count, int64_t bits)
+{
+    return (count * bits + 7) / 8;
+}
+
+/* A code array's order statistics, off its width histogram. */
+typedef struct {
+    int64_t n, max_bits, nonzero, position_bits;
+    int64_t at_most[65];     /* codes of at most d bits */
+} repro_stats;
+
+/* Codes the split at `d` keeps as outliers.  At d = 64 (reached only
+ * when some code is 64 bits wide) every code counts, as the planner's
+ * sorted search did: its 1 << 64 threshold wrapped to 0. */
+static inline int64_t repro_outliers(const repro_stats *s, int64_t d)
+{
+    return d == 64 ? s->n : s->n - s->at_most[d];
+}
+
+/* Byte size of the sections of `layout`, and the split they pack at. */
+static int64_t repro_section_size(const repro_stats *s, int layout,
+                                  int64_t *small_bits, int64_t *outliers)
+{
+    if (!(layout & FOLD_TABLE)) {
+        *small_bits = s->max_bits;
+        *outliers = 0;
+        return 1 + repro_packed(s->n, s->max_bits);
+    }
+    if (!(layout & FOLD_SMALL)) {
+        *small_bits = 0;
+        *outliers = s->nonzero;
+        return 10 + repro_packed(s->nonzero, s->position_bits)
+            + repro_packed(s->nonzero, s->max_bits);
+    }
+    int64_t best = -1;
+    for (int64_t d = 0; d <= s->max_bits; d++) {
+        int64_t out = repro_outliers(s, d);
+        int64_t cost = 11 + repro_packed(s->n, d)
+            + repro_packed(out, s->position_bits)
+            + repro_packed(out, s->max_bits);
+        if (best < 0 || cost < best) {
+            best = cost;
+            *small_bits = d;
+            *outliers = out;
+        }
+    }
+    return best;
+}
+
+/* Pack the sections of `layout` at `p`; their byte count, or -1 when
+ * the run list disagrees with the histogram. */
+static int64_t repro_pack_sections(const uint64_t *codes, int64_t ncodes,
+                                   const int64_t *spans, int64_t nspans,
+                                   const repro_stats *s, int layout,
+                                   int64_t small_bits, int64_t outliers,
+                                   unsigned char *p)
+{
+    unsigned char *const start = p;
+    unsigned char *small = NULL, *positions = NULL, *values = NULL;
+    int64_t value_bits = outliers ? s->max_bits : 0;
+    if (layout & FOLD_SMALL) {
+        *p++ = (unsigned char)small_bits;
+        small = p;
+        p += repro_packed(s->n, small_bits);
+    }
+    if (layout & FOLD_TABLE) {
+        memcpy(p, &outliers, 8);
+        p[8] = (unsigned char)s->position_bits;
+        p[9] = (unsigned char)value_bits;
+        positions = p + 10;
+        values = positions + repro_packed(outliers, s->position_bits);
+        p = values + repro_packed(outliers, value_bits);
+    }
+    if (repro_pack_runs(codes, ncodes, spans, nspans, s->n, small_bits,
+                        s->position_bits, value_bits, outliers, small,
+                        positions, values) != outliers)
+        return -1;
+    return p - start;
+}
+
+/* The one write-side entry: encode one chunk of rows x cols cells of
+ * cell kind `kind` (repro_delta_codes), `target` against `base`.
+ *
+ *   header, frame       the materialized prefix (array header) and the
+ *                       delta frame the chunk implies;
+ *   layouts             the candidates' layouts in the planner's order,
+ *                       FOLD_SEALED for a seal byte after the frame;
+ *   scratch             the run list: rows * cols codes, then room for
+ *                       rows * cols / 2 + 1 spans;
+ *   out, out_len        the payload; at least the materialized size;
+ *   result              winner (-1 materialized, else the candidate's
+ *                       index), representations sized but never
+ *                       produced, and their bytes.
+ *
+ * Returns the payload's length; ENCODE_DECLINED for arguments it does
+ * not take, before anything is read or written; ENCODE_BROKEN if the
+ * pack disagrees with the histogram, which cannot happen — the base
+ * may by then hold the target, so that is no decline. */
+int64_t repro_encode_chunk(const unsigned char *target,
+                           unsigned char *base, int kind, int use_xor,
+                           int adopt, int64_t rows, int64_t cols,
+                           int64_t t_stride, int64_t b_stride,
+                           const unsigned char *header, int64_t header_len,
+                           const unsigned char *frame, int64_t frame_len,
+                           int64_t ncandidates, const int64_t *layouts,
+                           uint64_t *scratch, unsigned char *out,
+                           int64_t out_len, int64_t *result)
+{
+    if (kind < 0
+            || kind >= (int)(sizeof repro_cell_bytes
+                             / sizeof repro_cell_bytes[0])
+            || rows < 1 || cols < 1 || rows > (1LL << 56) / cols
+            || header_len < 0 || frame_len < 0 || ncandidates < 1
+            || ncandidates > ENCODE_CANDIDATES)
+        return ENCODE_DECLINED;
+    for (int64_t c = 0; c < ncandidates; c++)
+        if ((layouts[c] & ~(int64_t)(FOLD_SMALL | FOLD_TABLE | FOLD_SEALED))
+                || !(layouts[c] & (FOLD_SMALL | FOLD_TABLE)))
+            return ENCODE_DECLINED;
+    int64_t n = rows * cols, width = repro_cell_bytes[kind];
+    int64_t materialized = header_len + n * width;
+    if (out_len < materialized)
+        return ENCODE_DECLINED;
+
+    int64_t hist[65], ncodes;
+    int64_t *spans = (int64_t *)(scratch + n);
+    int64_t nspans = repro_delta_codes(target, base, kind, use_xor, adopt,
+                                       rows, cols, t_stride, b_stride,
+                                       scratch, spans, hist, &ncodes);
+    repro_stats s = {n, 0, n - hist[0], n > 1 ? 64 - __builtin_clzll(
+                         (uint64_t)(n - 1)) : 0, {0}};
+    int64_t below = 0;
+    for (int d = 0; d < 65; d++) {
+        below += hist[d];
+        s.at_most[d] = below;
+        if (hist[d])
+            s.max_bits = d;
+    }
+
+    int64_t sizes[ENCODE_CANDIDATES], small_bits[ENCODE_CANDIDATES];
+    int64_t outliers[ENCODE_CANDIDATES];
+    int64_t winner = -1, best = materialized;
+    for (int64_t c = 0; c < ncandidates; c++) {
+        sizes[c] = frame_len + ((layouts[c] & FOLD_SEALED) != 0)
+            + repro_section_size(&s, (int)layouts[c], &small_bits[c],
+                                 &outliers[c]);
+        if (sizes[c] < best) {
+            best = sizes[c];
+            winner = c;
+        }
+    }
+    int64_t avoided = winner >= 0, saved = winner >= 0 ? materialized : 0;
+    for (int64_t c = 0; c < ncandidates; c++)
+        if (c != winner) {
+            avoided++;
+            saved += sizes[c];
+        }
+    result[0] = winner;
+    result[1] = avoided;
+    result[2] = saved;
+
+    if (winner < 0) {
+        memcpy(out, header, (size_t)header_len);
+        unsigned char *q = out + header_len;
+        for (int64_t r = 0; r < rows; r++, q += cols * width)
+            memcpy(q, target + r * t_stride, (size_t)(cols * width));
+        return materialized;
+    }
+    int layout = (int)layouts[winner];
+    unsigned char *p = out;
+    memcpy(p, frame, (size_t)frame_len);
+    p += frame_len;
+    if (layout & FOLD_SEALED)
+        *p++ = 0;
+    int64_t packed = repro_pack_sections(scratch, ncodes, spans, nspans, &s,
+                                         layout, small_bits[winner],
+                                         outliers[winner], p);
+    if (packed < 0 || (p - out) + packed != best)
+        return ENCODE_BROKEN;
+    return best;
 }
 
 /* Inverse zigzag over the uint64 bit image: 0,1,2,3 -> 0,-1,1,-2.
@@ -430,7 +660,6 @@ void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
  * every section length against `len` and `count` before the section
  * is read, every position before the cell is touched. */
 enum {
-    FOLD_SMALL = 1, FOLD_TABLE = 2, FOLD_SEALED = 4,
     FOLD_TRUNCATED = 1, FOLD_WIDTH, FOLD_ENTRIES, FOLD_POSITION,
     FOLD_TRAILING, FOLD_ARGUMENT,
     FOLD_DECLINED = 1
@@ -776,6 +1005,14 @@ def _compile() -> ctypes.CDLL | None:
             ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
         lib.repro_fold_chain.restype = ctypes.c_int64
+        lib.repro_encode_chunk.argtypes = [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, ctypes.c_int,
+            ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
+            ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_void_p]
+        lib.repro_encode_chunk.restype = ctypes.c_int64
         return lib
     _log.warning("compiled kernels unavailable (CC=%s), numpy fallbacks"
                  " in use: %s", compiler, "; ".join(failures))
@@ -878,16 +1115,36 @@ def _as_rows(array: np.ndarray
     return np.ascontiguousarray(array), 1, array.size, 0
 
 
+def _paired_rows(target: np.ndarray, base: np.ndarray
+                 ) -> tuple[tuple, int, int, tuple[int, int]] | str:
+    """``((target read, base read), rows, cols, (target stride, base
+    stride))``: a chunk pair as the analysis kernel reads it — each side
+    as :func:`_as_rows` gives it, both as ``rows`` runs of ``cols``
+    cells — or why the pair cannot be read that way."""
+    sides = (_as_rows(target), _as_rows(base))
+    if None in sides:
+        return "non-unit inner stride"
+    # A contiguous side reads as rows of any length, so it adopts the
+    # other side's (a chunk view of a canvas against a decoded root).
+    rows, cols = next((side[1:3] for side in sides if side[1] > 1),
+                      (1, target.size))
+    strides = tuple(side[3] if side[1:3] == (rows, cols)
+                    else cols * target.itemsize if side[1] == 1 else None
+                    for side in sides)
+    if None in strides:
+        return "target and base rows differ"
+    return (sides[0][0], sides[1][0]), rows, cols, strides
+
+
 def scratch_cells(n: int) -> int:
-    """uint64 cells of scratch :func:`delta_zigzag_stats` needs to keep
-    the run list of a chunk of ``n`` cells: ``n`` codes, then two
-    entries for each of at most ``n // 2 + 1`` spans (every other cell
-    changed)."""
+    """uint64 cells the analysis pass needs to keep the run list of a
+    chunk of ``n`` cells: ``n`` codes, then two entries for each of at
+    most ``n // 2 + 1`` spans (every other cell changed)."""
     return n + 2 * (n // 2 + 1)
 
 
 def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
-                       out: np.ndarray | None = None, adopt: bool = False
+                       adopt: bool = False
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Fused delta + code + width histogram of one chunk, or None.
 
@@ -900,9 +1157,6 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
     whose bytes differ from the base's, ascending, and ``codes`` their
     codes back to back; every other code is 0 — and the count of codes
     per exact bit length, bit-identical to the numpy pipeline's.
-    ``out`` (flat uint64, at least :func:`scratch_cells` long) holds
-    the run list instead of a fresh array; the caller must be done with
-    the previous contents.
     With ``adopt`` the writable ``base`` ends holding ``target``'s
     cells: the kernel copies each 64-byte run that holds a coded cell.
     """
@@ -926,31 +1180,20 @@ def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
         return decline(kernel, "empty")
     if sys.byteorder != "little":
         return decline(kernel, "big-endian host")
-    sides = (_as_rows(target), _as_rows(base))
-    if None in sides:
-        return decline(kernel, "non-unit inner stride")
-    # A contiguous side reads as rows of any length, so it adopts the
-    # other side's (a chunk view of a canvas against a decoded root).
-    rows, cols = next((side[1:3] for side in sides if side[1] > 1),
-                      (1, n))
-    strides = [side[3] if side[1:3] == (rows, cols)
-               else cols * target.itemsize if side[1] == 1 else None
-               for side in sides]
-    if None in strides:
-        return decline(kernel, "target and base rows differ")
+    pair = _paired_rows(target, base)
+    if isinstance(pair, str):
+        return decline(kernel, pair)
+    reads, rows, cols, strides = pair
     kind, use_xor = cell
-    need = scratch_cells(n)
-    if out is None or out.size < need or out.dtype != np.uint64 \
-            or not out.flags.c_contiguous or not out.flags.writeable:
-        out = np.empty(need, dtype=np.uint64)
-    spans = out[n:need].view(np.int64)
+    out = np.empty(scratch_cells(n), dtype=np.uint64)
+    spans = out[n:].view(np.int64)
     # The width histogram, then the code count in the last slot.
     tally = np.empty(66, dtype=np.int64)
     at = tally.ctypes.data
     # A base read through a copy (a 3-d window) is adopted afterwards.
-    in_place = adopt and sides[1][0] is base
+    in_place = adopt and reads[1] is base
     count = lib.repro_delta_codes(
-        sides[0][0].ctypes.data, sides[1][0].ctypes.data,
+        reads[0].ctypes.data, reads[1].ctypes.data,
         kind, use_xor, in_place, rows, cols, *strides,
         out.ctypes.data, spans.ctypes.data, at, at + 65 * 8)
     if count < 0:
@@ -1262,3 +1505,124 @@ def chunk_fold(dtype: np.dtype, shape: tuple[int, ...], header: bytes,
             or 0 in shape:
         return None
     return ChunkFold(dtype, tuple(shape), header, frame, use_xor)
+
+
+#: The C entry's status for arguments it does not take, refused before
+#: anything was read or written.
+_ENCODE_DECLINED = -1
+#: Candidates one call sizes at most (the C side's ENCODE_CANDIDATES).
+_ENCODE_CANDIDATES = 8
+
+
+class ChunkEncode:
+    """One chunk's whole encode as one native call, for chunks of one
+    ``(dtype, shape)`` and one candidate list (build it once, with
+    :func:`chunk_encode`).
+
+    A call runs the analysis pass over a ``(target, base)`` chunk pair
+    read in place, sizes the materialized form and every candidate from
+    the width histogram, and packs the cheapest behind its prefix — the
+    array header, or the delta frame and, for a layout with
+    :data:`FOLD_SEALED`, a seal byte saying "no LZ" — all in C with the
+    GIL released: :func:`repro.delta.auto.plan_encoding`'s decision
+    under the ``none`` compressor, byte for byte."""
+
+    __slots__ = ("dtype", "shape", "words", "_names", "_header", "_frame",
+                 "_cell", "_layouts", "_materialized", "_payload_bytes")
+
+    def __init__(self, dtype: np.dtype, shape: tuple[int, ...],
+                 header: bytes, frame: bytes, names: tuple[str, ...],
+                 layouts: tuple[int, ...]):
+        kind, use_xor = _CELL_KINDS[dtype.kind + str(dtype.itemsize)]
+        count = math.prod(shape)
+        self.dtype = dtype
+        self.shape = shape
+        self._names = names
+        self._header = header
+        self._frame = frame
+        self._cell = (kind, use_xor)
+        self._layouts = array.array("q", layouts)
+        self._materialized = len(header) + count * dtype.itemsize
+        # The payload, then the run list, in one buffer of words.
+        self._payload_bytes = -(-self._materialized // 8) * 8
+        #: uint64 words of the ``space`` a call writes into.
+        self.words = self._payload_bytes // 8 + scratch_cells(count)
+
+    def __call__(self, target: np.ndarray, base: np.ndarray, adopt: bool,
+                 space: np.ndarray
+                 ) -> tuple[str | None, bytes, int, int] | None:
+        """Encode one chunk: ``(winner, payload, encodes_avoided,
+        bytes_saved)`` — the winning candidate's name, None when the
+        materialized form wins — or None, with nothing written, when
+        the kernels are off or the arrays are not this layout's
+        cells as the kernel reads them in place (decide with the
+        planner then).
+
+        ``space`` is flat writable uint64 of at least :attr:`words`,
+        the caller's to reuse once this returns.  With ``adopt`` the
+        writable ``base`` ends holding ``target``'s cells."""
+        lib = _active()
+        geometry = "kernels disabled or unavailable" if lib is None \
+            else self._geometry(target, base, adopt, space)
+        if isinstance(geometry, str):
+            return decline("encode_chunk", geometry)
+        rows, cols, strides = geometry
+        result = array.array("q", (0, 0, 0))
+        at = space.ctypes.data
+        size = lib.repro_encode_chunk(
+            target.ctypes.data, base.ctypes.data, *self._cell, adopt, rows,
+            cols, *strides, self._header, len(self._header), self._frame,
+            len(self._frame), len(self._names),
+            self._layouts.buffer_info()[0], at + self._payload_bytes, at,
+            self._materialized, result.buffer_info()[0])
+        if size == _ENCODE_DECLINED:
+            return decline("encode_chunk", "arguments the kernel refuses")
+        if size < 0:
+            # The base may hold the target already: no planner can
+            # redo this chunk, so this is no decline.
+            raise RuntimeError("the compiled encode's pack disagreed with"
+                               " its own width histogram")
+        winner, avoided, saved = result
+        return (None if winner < 0 else self._names[winner],
+                ctypes.string_at(at, size), avoided, saved)
+
+    def _geometry(self, target, base, adopt: bool, space
+                  ) -> tuple[int, int, tuple[int, int]] | str:
+        """``(rows, cols, strides)`` of the pair as the kernel reads it
+        in place (:func:`_paired_rows`), or why it cannot."""
+        for cells in (target, base):
+            if not isinstance(cells, np.ndarray) or cells.dtype != self.dtype \
+                    or cells.shape != self.shape:
+                return "arrays are not cells of the chunk's layout"
+        if adopt and not base.flags.writeable:
+            return "adopting a read-only base"
+        if not (isinstance(space, np.ndarray) and space.dtype == np.uint64
+                and space.flags.c_contiguous and space.flags.writeable
+                and space.size >= self.words):
+            return "space is not writable uint64 words enough"
+        pair = _paired_rows(target, base)
+        if isinstance(pair, str):
+            return pair
+        reads, rows, cols, strides = pair
+        if reads[0] is not target or reads[1] is not base:
+            return "a window read through a copy"
+        return rows, cols, strides
+
+
+def chunk_encode(dtype: np.dtype, shape: tuple[int, ...], header: bytes,
+                 frame: bytes, names: tuple[str, ...],
+                 layouts: tuple[int, ...]) -> ChunkEncode | None:
+    """The :class:`ChunkEncode` of chunks of ``(dtype, shape)`` against
+    the candidates ``names`` (their :data:`FOLD_SMALL` /
+    :data:`FOLD_TABLE` / :data:`FOLD_SEALED` ``layouts``, in the
+    planner's order), or None when no kernel encodes that cell type on
+    this host.  ``header`` and ``frame`` are the materialized form's
+    array header and the delta frame such a chunk's payloads start
+    with."""
+    dtype = np.dtype(dtype)
+    if dtype.kind + str(dtype.itemsize) not in _CELL_KINDS \
+            or not dtype.isnative or sys.byteorder != "little" \
+            or 0 in shape or not 0 < len(names) <= _ENCODE_CANDIDATES:
+        return None
+    return ChunkEncode(dtype, tuple(shape), header, frame, tuple(names),
+                       tuple(layouts))

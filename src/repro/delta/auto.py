@@ -15,7 +15,10 @@ way to price or emit a delta; every candidate is *sized* from the
 shared plan (exact sizes, not estimates — the codecs'
 ``plan_size`` is byte-accurate), the materialized size is derived
 analytically under the identity compressor, and exactly one encoder
-runs: the winner's, fed the already-computed codes.  The literal "try both" form — encode
+runs: the winner's, fed the already-computed codes.  On the insert
+path the same decision is one compiled call per chunk
+(:func:`chunk_encode`), and this planner decides what that call
+declines.  The literal "try both" form — encode
 the materialized representation and every candidate, keep the smallest
 — picks the same winner with the same payload bytes; it lives in
 ``tests/delta/encoding_oracle.py`` as the reference the planner's
@@ -30,10 +33,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from repro.compression.base import Codec, IdentityCodec
+from repro.core import native, numeric
+from repro.core.errors import CodecError
 from repro.core.serial import pack_array_header
-from repro.delta.base import DeltaCodec
+from repro.delta.base import DeltaCodec, layout_frame
 from repro.delta.codes import CodePlan
 from repro.delta.hybrid import HybridDeltaCodec
+from repro.delta.registry import get_delta_codec
 from repro.delta.sparse import SparseDeltaCodec
 
 
@@ -121,8 +127,7 @@ def materialized_size(target: np.ndarray, compressor: Codec
 def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                   compressor: Codec | None = None,
                   candidates: tuple[DeltaCodec, ...] | None = None,
-                  *, scratch: np.ndarray | None = None,
-                  adopt: bool = False) -> PlannedEncoding:
+                  *, adopt: bool = False) -> PlannedEncoding:
     """Pick the cheapest representation of ``target`` in a single pass.
 
     ``base`` is the version the optimizer proposes to delta against
@@ -138,11 +143,9 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
     the materialized form is sized analytically under the identity
     compressor, so when a delta wins its payload is never produced.
 
-    ``scratch`` is storage the plan's run list may live in, and
     ``adopt`` leaves ``base`` holding ``target``'s cells (see
-    ``CodePlan.build``); the returned decision holds only encoded
-    bytes, so the lender may reuse the scratch as soon as this
-    returns.
+    ``CodePlan.build``).  The write pipeline asks :func:`chunk_encode`'s
+    one native call first and comes here for what it declines.
     """
     compressor = compressor or IdentityCodec()
     mat_size, mat_payload = materialized_size(target, compressor)
@@ -155,7 +158,7 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                                bytes_saved=0)
 
     candidates = candidates or default_delta_candidates()
-    plan = CodePlan.build(target, base, scratch=scratch, adopt=adopt)
+    plan = CodePlan.build(target, base, adopt=adopt)
     best_codec: DeltaCodec | None = None
     best_size = mat_size
     best_parts: list[bytes] | None = None
@@ -198,3 +201,32 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
     return PlannedEncoding(decision=decision,
                            encodes_avoided=encodes_avoided,
                            bytes_saved=bytes_saved)
+
+
+@lru_cache(maxsize=256)
+def chunk_encode(dtype: np.dtype, shape: tuple[int, ...],
+                 candidates: tuple[str, ...], compressor: str
+                 ) -> native.ChunkEncode | None:
+    """The one-call encode (:class:`~repro.core.native.ChunkEncode`) of
+    chunks of ``(dtype, shape)`` against the store delta codecs named
+    ``candidates``, in order, under the compressor named
+    ``compressor``: :func:`plan_encoding`'s decision, payload and
+    savings, built once per layout.  None when the call cannot make
+    that decision — a compressor other than ``none`` (its size is known
+    only by compressing), a candidate whose level the fold cannot read
+    (``hybrid+lz``: its size is known only by compressing too), a
+    candidate named twice, or a cell type no kernel encodes."""
+    layouts = tuple(get_delta_codec(name).fold_layout
+                    for name in candidates)
+    if compressor != IdentityCodec.name or None in layouts \
+            or len(set(candidates)) != len(candidates):
+        return None
+    try:
+        mode = numeric.delta_mode_for(dtype)
+    except CodecError:
+        return None
+    # ascontiguousarray promotes a 0-d chunk to shape (1,) in the
+    # materialized header (see materialized_size); its frame keeps ().
+    return native.chunk_encode(
+        dtype, shape, pack_array_header(dtype, shape or (1,)),
+        layout_frame(dtype, shape, mode), candidates, layouts)

@@ -68,8 +68,13 @@ _TAG_TO_MODE = {tag: mode for mode, tag in _MODE_TO_TAG.items()}
 
 def pack_frame(like: np.ndarray, mode: str) -> bytes:
     """The frame of a delta between arrays of ``like``'s layout."""
-    return pack_array_header(like.dtype, like.shape) \
-        + pack_u8(_MODE_TO_TAG[mode])
+    return layout_frame(like.dtype, like.shape, mode)
+
+
+def layout_frame(dtype: np.dtype, shape: tuple[int, ...],
+                 mode: str) -> bytes:
+    """The frame of a delta between arrays of ``(dtype, shape)``."""
+    return pack_array_header(dtype, shape) + pack_u8(_MODE_TO_TAG[mode])
 
 
 def frame_size(like: np.ndarray) -> int:
@@ -245,9 +250,8 @@ def chunk_fold(dtype: np.dtype, shape: tuple[int, ...]
         mode = numeric.delta_mode_for(dtype)
     except CodecError:
         return None
-    header = pack_array_header(dtype, shape)
-    return native.chunk_fold(dtype, shape, header,
-                             header + pack_u8(_MODE_TO_TAG[mode]),
+    return native.chunk_fold(dtype, shape, pack_array_header(dtype, shape),
+                             layout_frame(dtype, shape, mode),
                              mode == numeric.XOR)
 
 

@@ -263,18 +263,14 @@ class CodePlan:
 
     @classmethod
     def build(cls, target: np.ndarray, base: np.ndarray, *,
-              scratch: np.ndarray | None = None,
               adopt: bool = False) -> "CodePlan":
         """Plan ``target`` against ``base``.
 
         Both arrays may be strided chunk views; the compiled analysis
-        pass reads them in place.  ``scratch`` (flat uint64, at least
-        :func:`repro.core.native.scratch_cells` of ``target.size``
-        long) lends the plan its run list's storage: the plan is then
-        only valid until the lender reuses it.  ``adopt`` leaves the
-        (writable) ``base`` holding ``target``'s cells — the kernel
-        copies just the 64-byte runs that differ — so ``plan.base`` is the
-        target's contents afterwards.  Every store delta codec encodes
+        pass reads them in place.  ``adopt`` leaves the (writable)
+        ``base`` holding ``target``'s cells — the kernel copies just the
+        64-byte runs that differ — so ``plan.base`` is the target's
+        contents afterwards.  Every store delta codec encodes
         from the run list alone and never reads ``plan.base``, so any
         of them may encode an adopted plan.
         """
@@ -282,8 +278,7 @@ class CodePlan:
         if adopt and not base.flags.writeable:
             raise ValueError("adopting a delta base needs it writable")
         mode = numeric.delta_mode_for(target.dtype)
-        fused = native.delta_zigzag_stats(target, base, out=scratch,
-                                          adopt=adopt)
+        fused = native.delta_zigzag_stats(target, base, adopt=adopt)
         if fused is not None:
             codes, spans, counts = fused
             return cls(target, base, mode, _Runs(target.size, codes, spans),

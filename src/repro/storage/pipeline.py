@@ -73,6 +73,8 @@ from repro.core.errors import (
 )
 from repro.delta.auto import (
     EncodingDecision,
+    PlannedEncoding,
+    chunk_encode,
     default_delta_candidates,
     plan_encoding,
 )
@@ -94,6 +96,10 @@ POLICY_AUTO = "auto"          # try the candidate codecs, keep the smallest
 POLICY_CHAIN = "chain"        # delta against the parent (fallback: smaller)
 POLICY_MATERIALIZE = "materialize"  # never delta on insert
 _POLICIES = (POLICY_AUTO, POLICY_CHAIN, POLICY_MATERIALIZE)
+
+#: The delta codecs the ``auto`` policy tries, by name.
+_DEFAULT_CANDIDATES = tuple(codec.name
+                            for codec in default_delta_candidates())
 
 #: The largest chunk buffer a decoding thread keeps: an L2's worth.
 _KEPT_FOLD_BYTES = 2 << 20
@@ -314,10 +320,11 @@ class EncodePipeline:
         self.store = store
         self.delta_policy = delta_policy
         self.delta_codec_name = delta_codec
-        # One run-list buffer per encoding thread, reused chunk after
-        # chunk: a plan's run list is dead once its decision (pure
-        # bytes) is returned, and a task runs on one thread.
-        self._scratch = threading.local()
+        # One buffer per encoding thread for the one-call encode to
+        # write a chunk's payload and run list into, reused chunk after
+        # chunk: it is dead once the payload is copied out, and a task
+        # runs on one thread.
+        self._space = threading.local()
 
     @property
     def wants_base(self) -> bool:
@@ -325,11 +332,12 @@ class EncodePipeline:
         reconstructing before encoding)."""
         return self.delta_policy != POLICY_MATERIALIZE
 
-    def _candidates(self) -> tuple:
-        """The delta codecs the policy tries on a chunk."""
+    def _candidates(self) -> tuple[str, ...]:
+        """The names of the delta codecs the policy tries on a chunk,
+        in the planner's order."""
         if self.delta_policy == POLICY_CHAIN:
-            return (get_delta_codec(self.delta_codec_name),)
-        return default_delta_candidates()
+            return (self.delta_codec_name,)
+        return _DEFAULT_CANDIDATES
 
     # ------------------------------------------------------------------
     # Stage 1: plan
@@ -354,31 +362,58 @@ class EncodePipeline:
                      ) -> EncodingDecision:
         """Pick and produce one chunk's representation.
 
-        The decision comes from the single-pass
+        A delta candidate is decided and encoded in one native call
+        (:meth:`_encode_in_one_call`); what that declines, and a chunk
+        with no base, goes through the single-pass
         :func:`~repro.delta.auto.plan_encoding` — one delta, one run
-        list, one set of width statistics, one encode — and the
-        representations it sized but never produced are recorded in
-        the store's counters.  ``adopt`` leaves the writable ``base``
-        window holding ``target``'s cells.
+        list, one set of width statistics, one encode — to the same
+        bytes.  Either way the representations sized but never
+        produced are recorded in the store's counters.  ``adopt``
+        leaves the writable ``base`` window holding ``target``'s cells.
         """
-        scratch = None
         if self.delta_policy == POLICY_MATERIALIZE or base is None:
-            base = None
-            candidates = None
-            adopt = False
+            planned = plan_encoding(target, None, compressor=compressor)
         else:
-            candidates = self._candidates()
-            scratch = getattr(self._scratch, "runs", None)
-            need = native.scratch_cells(target.size)
-            if scratch is None or scratch.size < need:
-                scratch = self._scratch.runs = np.empty(
-                    need, dtype=np.uint64)
-        planned = plan_encoding(target, base, compressor=compressor,
-                                candidates=candidates, scratch=scratch,
-                                adopt=adopt)
+            names = self._candidates()
+            planned = self._encode_in_one_call(target, base, compressor,
+                                               names, adopt)
+            if planned is None:
+                planned = plan_encoding(
+                    target, base, compressor=compressor,
+                    candidates=tuple(map(get_delta_codec, names)),
+                    adopt=adopt)
         self.store.stats.record_encode_plan(planned.encodes_avoided,
                                             planned.bytes_saved)
         return planned.decision
+
+    def _encode_in_one_call(self, target: np.ndarray, base: np.ndarray,
+                            compressor, names: tuple[str, ...],
+                            adopt: bool) -> PlannedEncoding | None:
+        """:func:`~repro.delta.auto.plan_encoding`'s result from one
+        native call (:class:`~repro.core.native.ChunkEncode`): the
+        analysis pass, the size of every representation off its width
+        histogram, and the winner's pack behind its prefix, written
+        into this thread's buffer and copied out once.  None, with
+        nothing written, for what the call declines: kernels
+        off, a compressor other than ``none``, a ``hybrid+lz``
+        candidate, a window read through a copy (a 3-d chunk view), a
+        big-endian host."""
+        encode = chunk_encode(target.dtype, target.shape, names,
+                              compressor.name)
+        if encode is None:
+            return None
+        space = getattr(self._space, "words", None)
+        if space is None or space.size < encode.words:
+            space = self._space.words = np.empty(encode.words,
+                                                 dtype=np.uint64)
+        done = encode(target, base, adopt, space)
+        if done is None:
+            return None
+        winner, payload, avoided, saved = done
+        return PlannedEncoding(
+            EncodingDecision(delta_codec=winner, size=len(payload),
+                             parts=(payload,)),
+            encodes_avoided=avoided, bytes_saved=saved)
 
     def _encode_task(self, task: EncodeTask, data: ArrayData,
                      base_data: ArrayData | None, compressor,

@@ -33,7 +33,7 @@ from repro.delta import (
     SparseDeltaCodec,
     get_delta_codec,
 )
-from repro.delta.auto import CodePlan, plan_encoding
+from repro.delta.auto import CodePlan, chunk_encode, plan_encoding
 from repro.delta.codes import (
     _Runs,
     codes_to_delta,
@@ -625,8 +625,9 @@ class TestRunList:
                                       "f4", "f8"])
     def test_run_list_fits_its_scratch(self, rng, cell, layout):
         # Every other cell changed: the most spans a chunk can have —
-        # n // 2 + 1 of them, n odd — inside the scratch the pipeline
-        # lends, and not a word past it.
+        # n // 2 + 1 of them, n odd — inside the space the pipeline
+        # lends the one-call encode, up to its last word and not a word
+        # past it.
         dtype = np.dtype("?" if cell == "b1" else cell)
         base_canvas = _cells(rng, dtype, (12, 70))
         target_canvas = base_canvas.copy()
@@ -639,20 +640,23 @@ class TestRunList:
         target[...] = flat.reshape(target.shape)
         n = target.size
         assert n % 2 == 1
-        need = native.scratch_cells(n)
-        canary = np.uint64(0xA5A5A5A5A5A5A5A5)
-        scratch = np.full(need + 4, canary, dtype=np.uint64)
-        codes, spans, counts = native.delta_zigzag_stats(
-            target, base, out=scratch)
+        codes, spans, counts = native.delta_zigzag_stats(target, base)
         assert spans.shape == (n // 2 + 1, 2)
         assert codes.size == n // 2 + 1
-        assert (scratch[need:] == canary).all()
-        assert np.shares_memory(codes, scratch) \
-            and np.shares_memory(spans, scratch)
         reference = _reference_plan(target, base)
         assert np.array_equal(_expanded(n, (codes, spans, None)),
                               reference.codes)
         assert np.array_equal(counts, reference.stats.width_counts)
+        encode = chunk_encode(dtype, target.shape, ("hybrid", "sparse"),
+                              "none")
+        canary = np.uint64(0xA5A5A5A5A5A5A5A5)
+        space = np.full(encode.words + 4, canary, dtype=np.uint64)
+        winner, payload, _, _ = encode(target, base, False, space)
+        # The last span's cell count (1) is the space's last word.
+        assert space[encode.words - 1] == 1
+        assert (space[encode.words:] == canary).all()
+        planned = plan_encoding(target, base).decision
+        assert (winner, payload) == (planned.delta_codec, planned.payload)
 
     @pytest.mark.parametrize("short", ["outliers", "codes"])
     def test_stale_histogram_writes_nothing_out_of_bounds(self, rng,

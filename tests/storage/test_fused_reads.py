@@ -861,6 +861,31 @@ def test_root_header_disagreeing_with_the_chunk_is_named(tmp_path, cold,
                 in message
 
 
+@pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
+def test_root_with_a_surplus_byte_is_named(tmp_path, kernels):
+    """A root row one byte longer than its payload — its cells, then
+    the first byte of the next version's — is declined by the one-call
+    decode and refused by the long way, naming array, version, chunk
+    and the surplus, whether the chain above it is empty or not."""
+    root = tmp_path / "s"
+    manager, _ = _hybrid_chain(root, backend="local")
+    manager.catalog._conn.execute(
+        "UPDATE chunks SET length = length + 1 WHERE version_num = 1")
+    manager.catalog._conn.commit()
+    manager.close()
+    with VersionedStorageManager(root, delta_policy="chain",
+                                 backend="local") as manager:
+        for depth in (1, DEPTH):
+            with contextlib.nullcontext() if kernels \
+                    else native.disabled():
+                with pytest.raises(CodecError) as refused:
+                    manager.select("A", depth)
+            message = str(refused.value)
+            assert message.startswith("'A' version 1 chunk chunk-0-0-19-15")
+            assert "array payload has 1 undecoded trailing bytes" \
+                in message
+
+
 def test_corrupt_level_names_what_the_long_way_names(tmp_path, cold,
                                                     monkeypatch):
     """A malformed level fails the compiled call part-way; the read

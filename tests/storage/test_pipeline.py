@@ -268,9 +268,9 @@ def _history(rng, dtype, shape=(150, 170), versions=5):
 
 
 class TestEncodeScratch:
-    """The encode stage reads chunk views in place and lends every plan
-    one per-thread code buffer; neither may show in the stored bytes or
-    in the allocator."""
+    """The encode stage reads chunk views in place and lends the
+    one-call encode one per-thread buffer for its payload and run list;
+    neither may show in the stored bytes or in the allocator."""
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32])
     @pytest.mark.parametrize("delta_policy", ["chain", "auto"])
@@ -332,9 +332,8 @@ class TestEncodeScratch:
         finally:
             tracemalloc.stop()
         assert again.is_delta and again.payload == first.payload
-        # Second call: the scratch exists, so all that is allocated is
-        # the encoded sections (~11 KiB, twice while being cut to size)
-        # and histogram-sized bookkeeping — nowhere near the 1 MiB
-        # chunk, let alone its 2 MiB code array.
+        # Second call: the buffer exists, so all that is allocated is
+        # the payload copied out of it (~11 KiB) and bookkeeping —
+        # nowhere near the 1 MiB chunk, let alone its 2 MiB code array.
         assert peak < 96 * 1024, peak
         manager.close()
