@@ -47,15 +47,20 @@ class LempelZivCodec(Codec):
         return header + pack_u8(self.level) + compressed
 
     def decode(self, data: bytes) -> np.ndarray:
+        """The array; a stream with bytes after its end, or one that
+        inflates to other than its cells' bytes, raises
+        :class:`CodecError`."""
         dtype, shape, offset = unpack_array_header(data)
         _level, offset = unpack_u8(data, offset)
+        raw = unlz_bytes(memoryview(data)[offset:])
+        count = math.prod(shape)
+        if len(raw) != count * dtype.itemsize:
+            raise CodecError(
+                f"LZ stream inflates to {len(raw)} bytes, not the "
+                f"{count * dtype.itemsize} of {count} {dtype} cells")
         try:
-            raw = zlib.decompress(data[offset:])
-        except zlib.error as exc:
-            raise CodecError(f"LZ stream corrupt: {exc}") from exc
-        try:
-            flat = np.frombuffer(raw, dtype=dtype, count=math.prod(shape))
-            return flat.reshape(shape).copy()
+            return np.frombuffer(raw, dtype=dtype,
+                                 count=count).reshape(shape).copy()
         except (ValueError, OverflowError) as exc:
             raise CodecError(f"corrupt array payload: {exc}") from exc
 

@@ -31,17 +31,17 @@ declines) and the Materialization Matrix; :func:`pack_bits`, behind
 every other ``pack_unsigned`` call, is the pack over one run of every
 value.
 
-The read side is one call per chunk, with one C entry behind it.
-:class:`ChunkFold` hands it a chunk's whole decode: it checks the root
-payload's array header and every level's delta frame (and hybrid seal
-byte) against the bytes the chunk implies, copies the root into one
-contiguous run of cells — a contiguous canvas window, or the decode
-thread's chunk buffer — parses every level out of its stored payload,
-zigzag-decodes in register and applies it in place in the cell's own
-width, and copies the cells into a strided window once.
-:func:`fold_chain` is the same entry over sections already unframed,
-folded in place.  The zigzag decode and the carry-register unpack
-serve the level-by-level decoders.
+The read side is one call per chunk, with one C entry behind it and
+one Python face, :class:`ChunkFold`.  It hands the entry a chunk's
+whole decode: it checks the root payload's array header and every
+level's delta frame (and hybrid seal byte) against the bytes the chunk
+implies, copies the root into one contiguous run of cells — a
+contiguous canvas window, or the decode thread's chunk buffer — parses
+every level out of its stored payload (or out of a bare section, a
+level the caller unframed and unsealed itself), zigzag-decodes in
+register and applies it in place in the cell's own width, and copies
+the cells into a strided window once.  The zigzag decode and the
+carry-register unpack serve the level-by-level decoders.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they
 are gated behind runtime compilation with the host C compiler and
@@ -54,10 +54,11 @@ bytes, fingerprints and test results are identical either way; only
 throughput changes, so a build that failed under every cache root
 says so once on the ``repro.native`` logger.  Every wrapper returns
 ``None`` (or ``False`` for in-place kernels) instead of raising when
-its gate rejects the input, and callers fall through to numpy; the
-write-side wrappers and the fold say why at ``debug``, once per
-reason (:class:`ChunkFold` returns False, and its caller decodes the
-long way; :class:`ChunkEncode` returns None, and its caller plans).
+its gate rejects the input, and callers fall through to numpy;
+:class:`ChunkFold` runs its numpy form itself, under the same
+contract.  The write-side wrappers and the fold say why at ``debug``,
+once per reason (:class:`ChunkEncode` returns None, and its caller
+plans).
 
 The shared object is cached under ``.cache/native/`` next to the
 package (keyed by a hash of the C source and the compiler flags —
@@ -83,6 +84,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+from repro.core.errors import DeltaLevelError
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -267,8 +270,10 @@ int64_t repro_delta_codes(const unsigned char *t, unsigned char *b,
 }
 
 /* What a delta level's payload holds past its frame: the sections the
- * fold reads and the encode writes, and a seal byte before them. */
-enum { FOLD_SMALL = 1, FOLD_TABLE = 2, FOLD_SEALED = 4 };
+ * fold reads and the encode writes, and a seal byte before them.  The
+ * fold also takes FOLD_BARE: a level that is its sections alone, its
+ * frame and seal already stripped and checked by the caller. */
+enum { FOLD_SMALL = 1, FOLD_TABLE = 2, FOLD_SEALED = 4, FOLD_BARE = 8 };
 
 /* ---- Write side, pass 2: the pack --------------------------------
  *
@@ -643,7 +648,8 @@ void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
  * or cells a held layer already resolved.  Each level is a whole
  * stored payload: the delta frame the chunk implies (compared byte for
  * byte), for hybrid one seal byte that must say "no LZ", then one
- * code-array section — `layout` says which parts it has:
+ * code-array section — or, with FOLD_BARE in its `layout`, that section
+ * alone.  `layout` says which parts the section has:
  *
  *   FOLD_SMALL  u8 width, then `count` codes packed at it (dense, and
  *               hybrid's small codes: zero at outlier positions);
@@ -658,7 +664,8 @@ void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
  * trusted: the root header, every frame and seal byte are checked
  * before anything is written, and every width, the entry count and
  * every section length against `len` and `count` before the section
- * is read, every position before the cell is touched. */
+ * is read, every position before the cell is touched.  The reasons a
+ * level fails are FOLD_REASONS in the Python wrapper, in this order. */
 enum {
     FOLD_TRUNCATED = 1, FOLD_WIDTH, FOLD_ENTRIES, FOLD_POSITION,
     FOLD_TRAILING, FOLD_ARGUMENT,
@@ -834,7 +841,8 @@ static void repro_to_window(unsigned char *dst, int64_t ndim,
  *   header, frame       the array header and delta frame the chunk
  *                       implies (either may be empty);
  *   levels, level_desc  (address, length, layout) per level payload;
- *                       a layout with FOLD_SEALED has a seal byte;
+ *                       a layout with FOLD_SEALED has a seal byte, one
+ *                       with FOLD_BARE neither frame nor seal byte;
  *   cells               contiguous cells the chain folds into (may be
  *                       the base itself: no copy), or NULL for a chain
  *                       of no levels, copied into the window directly;
@@ -845,8 +853,9 @@ static void repro_to_window(unsigned char *dst, int64_t ndim,
  * when the chunk is in place, FOLD_DECLINED when the root header, a
  * frame or a seal byte is not the expected one (or the base is not
  * exactly header plus cells) — checked before anything is written, so
- * the caller can take the long way — or -(8 * level + reason) for the
- * first level that is not a well-formed section over `count` cells;
+ * the caller can hand the chunk in again as cells and bare sections —
+ * or -(8 * level + reason) for the first level that is not a
+ * well-formed section over `count` cells;
  * the cells are then partly folded and must be discarded, and the
  * window is untouched unless it is the cells. */
 int64_t repro_fold_chain(unsigned char *cells, int width, int use_xor,
@@ -890,6 +899,8 @@ int64_t repro_fold_chain(unsigned char *cells, int width, int use_xor,
             || (header_len && memcmp(base, header, (size_t)header_len)))
         return FOLD_DECLINED;
     for (int64_t level = 0; level < levels; level++) {
+        if (level_desc[3 * level + 2] & FOLD_BARE)
+            continue;
         const unsigned char *p =
             (const unsigned char *)(intptr_t)level_desc[3 * level];
         int64_t len = level_desc[3 * level + 1];
@@ -904,7 +915,8 @@ int64_t repro_fold_chain(unsigned char *cells, int width, int use_xor,
         memcpy(cells, from, (size_t)nbytes);
     for (int64_t level = 0; level < levels; level++) {
         const int64_t *desc = level_desc + 3 * level;
-        int64_t skip = frame_len + ((desc[2] & FOLD_SEALED) != 0);
+        int64_t skip = desc[2] & FOLD_BARE ? 0
+            : frame_len + ((desc[2] & FOLD_SEALED) != 0);
         int reason = kernels[use_xor != 0][slot](
             cells, count, (const unsigned char *)(intptr_t)desc[0] + skip,
             desc[1] - skip, (int)(desc[2] & (FOLD_SMALL | FOLD_TABLE)));
@@ -1328,183 +1340,206 @@ def unpack_bits(data, bits: int, count: int) -> np.ndarray | None:
     return out
 
 
-#: ``layouts`` bits of :func:`fold_chain` and :class:`ChunkFold`: the
-#: parts one code-array payload section has (the C side's
-#: ``FOLD_SMALL`` / ``FOLD_TABLE``), and — whole stored payloads only —
-#: a seal byte between the frame and the section that must say "no LZ".
+#: ``layouts`` bits of :class:`ChunkFold` (the C side's enum): the parts
+#: one code-array payload section has, ``FOLD_SMALL`` / ``FOLD_TABLE``;
+#: ``FOLD_SEALED``, a seal byte between the frame and the section that
+#: must say "no LZ"; and ``FOLD_BARE``, a level that is its section
+#: alone, unframed and unsealed by the caller.
 FOLD_SMALL = 1
 FOLD_TABLE = 2
 FOLD_SEALED = 4
+FOLD_BARE = 8
 
-#: The C entry's status for a base or level whose prefix is not the
-#: expected one, refused before anything was written.
-_FOLD_DECLINED = 1
+#: :class:`ChunkFold`'s status for a root header, frame or seal byte
+#: that is not the expected spelling, refused before anything was
+#: written.
+FOLD_DECLINED = 1
+
+#: What the fold found wrong with a level, by the C enum's reason code.
+FOLD_REASONS = {
+    1: "a packed section overruns the payload",
+    2: "bit width outside [0, 64]",
+    3: "outlier table claims more entries than the chunk has cells",
+    4: "outlier position out of range",
+    5: "undecoded trailing bytes",
+}
 
 _frombuffer = np.frombuffer
 _BYTE = np.uint8
 
 
-def _level_table(payloads: list, layouts: list[int]) -> array.array:
-    """The ``(address, length, layout)`` int64 rows the C entry reads
-    its levels from (its address: ``buffer_info()[0]``).  The rows hold
-    plain addresses: the caller keeps the payloads alive for the
-    call."""
-    rows = []
-    for payload, layout in zip(payloads, layouts):
-        raw = _frombuffer(payload, _BYTE)
-        rows += (raw.ctypes.data, raw.size, layout)
-    return array.array("q", rows)
-
-
-def fold_chain(dest: np.ndarray, sections: list, layouts: list[int],
-               use_xor: bool) -> int | None:
-    """Fold a chain's code-array sections into ``dest`` in place.
-
-    ``dest`` is C-contiguous and holds the decoded root in the cell's
-    own dtype, or a zeroed 64-bit accumulator, and every level
-    (``sections[i]`` any bytes-like object, ``layouts[i]`` its
-    ``FOLD_SMALL`` / ``FOLD_TABLE`` parts, already unframed and
-    unsealed) is parsed, zigzag-decoded unless ``use_xor`` and applied
-    as wrapping add / xor at the cell width — the read side's one C
-    entry with ``dest`` as its own base and no window.  Returns 0 when
-    every level folded, ``-(8 * level + reason)`` for the first
-    malformed one (reason 1: a section overruns its payload, 2: a bit
-    width above 64, 3: more table entries than cells, 4: a position
-    outside the chunk, 5: trailing bytes; ``dest`` is then partly
-    folded — discard it), or None when the gate declined and the
-    caller must run the numpy fold.
-    """
-    lib = _active()
-    kernel = "fold_chain"
-    if lib is None:
-        return decline(kernel, "kernels disabled or unavailable")
-    if sys.byteorder != "little":
-        return decline(kernel, "big-endian host")
-    if not isinstance(dest, np.ndarray) or not dest.flags.writeable:
-        return decline(kernel, "destination is not a writable ndarray")
-    if dest.itemsize not in (1, 2, 4, 8) or dest.dtype.kind not in "iubf":
-        return decline(kernel, f"unsupported dtype {dest.dtype}")
-    if not dest.dtype.isnative:
-        return decline(kernel, f"byte-swapped dtype {dest.dtype}")
-    if dest.size == 0:
-        return decline(kernel, "empty")
-    if not dest.flags.c_contiguous:
-        return decline(kernel, "destination is not C-contiguous")
-    table = _level_table(sections, layouts)
-    at = dest.ctypes.data
-    return lib.repro_fold_chain(
-        at, dest.itemsize, use_xor, 0, dest.size, at, dest.nbytes, None,
-        0, None, 0, len(sections), table.buffer_info()[0], None, 0, None)
-
-
 class ChunkFold:
-    """One chunk's whole decode as one native call, for chunks of one
-    ``(dtype, shape)`` (build it once, with :func:`chunk_fold`).
+    """One chunk's whole decode for chunks of one ``(dtype, shape)``
+    (built once per layout by :func:`repro.delta.base.chunk_fold`): the
+    one Python face of the C entry ``repro_fold_chain``.
 
     A call copies the base into contiguous cells, checks and folds
     every level of a delta chain onto them and copies them into the
     destination window, all in C with the GIL released.  The base is
     the chain's root payload of the ``none`` compressor — ``header``,
-    then the cells — or an ndarray of cells a held layer resolved; a
-    level is a whole stored delta payload: ``frame``, a seal byte when
-    its layout has :data:`FOLD_SEALED`, then its section.  The header,
-    each frame and each seal byte are compared with the expected bytes
-    before anything is written, so a refusal leaves the caller free to
-    decode the long way."""
+    then the cells — or an ndarray of cells (a held layer, a root
+    decompressed in Python).  A level is a whole stored delta payload
+    — ``frame``, a seal byte when its layout has :data:`FOLD_SEALED`,
+    then its section — or, with :data:`FOLD_BARE`, its section alone.
+    The header, each frame and each seal byte are compared with the
+    expected bytes before anything is written.
 
-    __slots__ = ("dtype", "shape", "count", "_header", "_frame", "_cell")
+    Where no kernel runs — kernels off, a cell type or host the C entry
+    does not take — the same contract runs in numpy, the section fold
+    being :func:`repro.delta.codes._fold_numpy`.  ``frame`` is None for
+    a cell type no delta is defined for: every whole level is then
+    declined."""
+
+    __slots__ = ("dtype", "shape", "count", "header", "frame", "_cell",
+                 "_unfit")
 
     def __init__(self, dtype: np.dtype, shape: tuple[int, ...],
-                 header: bytes, frame: bytes, use_xor: bool):
-        self.dtype = dtype
-        self.shape = shape
+                 header: bytes, frame: bytes | None, use_xor: bool):
+        self.dtype = dtype = np.dtype(dtype)
+        self.shape = shape = tuple(shape)
         self.count = math.prod(shape)
-        self._header = header
-        self._frame = frame
+        self.header = header
+        self.frame = frame
         self._cell = (dtype.itemsize, int(use_xor), int(dtype.kind == "b"),
                       self.count)
+        # Why the C entry cannot fold this layout, or None.
+        self._unfit = (
+            "big-endian host" if sys.byteorder != "little"
+            else f"unsupported dtype {dtype}"
+            if dtype.itemsize not in (1, 2, 4, 8) or dtype.kind not in "iubf"
+            else f"byte-swapped dtype {dtype}" if not dtype.isnative
+            else "empty" if not self.count else None)
 
     def __call__(self, base, payloads: list, layouts: list[int],
                  cells: np.ndarray | None,
-                 window: np.ndarray | None = None) -> bool:
-        """Rebuild one chunk; whether it is in place.
+                 window: np.ndarray | None = None) -> int:
+        """Rebuild one chunk: 0 once it is in place, or
+        :data:`FOLD_DECLINED` when a root header, frame or seal byte is
+        not the expected one (nothing was written: hand the chunk in
+        again as cells and bare sections).
 
         ``payloads`` are the levels to fold (any order: they commute),
-        ``layouts`` their ``FOLD_*`` bits.  ``cells`` are contiguous
-        cells of this chunk's layout to fold in — the base's own
-        cells fold in place — or None for no levels, the base then
-        copied straight into ``window``.  ``window`` is a writable
-        view of this layout (any strides) that receives the cells,
-        None when ``cells`` are the destination.  False means nothing
-        usable was produced: the kernels are off, a prefix is not the
-        expected one, or a level is malformed (``cells`` are then
-        partly folded) — decode the long way, which names the fault.
+        ``layouts`` their ``FOLD_*`` bits.  ``cells`` are writable
+        contiguous cells of this chunk's layout to fold in — the base's
+        own cells fold in place — or None for no levels, the base then
+        copied straight into ``window``.  ``window`` is a writable view
+        of this layout (any strides) that receives the cells, None when
+        ``cells`` are the destination; arrays of any other layout raise
+        ``ValueError``.  A malformed level raises
+        :class:`~repro.core.errors.DeltaLevelError` with its index;
+        ``cells`` are then partly folded.
         """
+        self._check(base, cells, window, payloads)
         lib = _active()
-        refusal = "kernels disabled or unavailable" if lib is None \
-            else self._refusal(base, cells, window)
-        if refusal:
-            decline("fold_chain", refusal)
-            return False
-        width, use_xor, truth, count = self._cell
-        if type(base) is np.ndarray:
-            header, base_at, base_len = None, base.ctypes.data, base.nbytes
+        unfit = "kernels disabled or unavailable" if lib is None \
+            else self._unfit
+        if unfit:
+            decline("fold_chain", unfit)
+            status = self._fold_numpy(base, payloads, layouts, cells,
+                                      window)
         else:
-            raw = _frombuffer(base, _BYTE)
-            header, base_at, base_len = \
-                self._header, raw.ctypes.data, raw.size
-        geometry = window_at = None
-        ndim = 0
-        if window is not None:
-            ndim = window.ndim
-            geometry = array.array("q", window.shape + window.strides)
-            window_at = window.ctypes.data
-        table = _level_table(payloads, layouts) if payloads else None
-        status = lib.repro_fold_chain(
-            None if cells is None else cells.ctypes.data, width, use_xor,
-            truth, count, base_at, base_len, header,
-            0 if header is None else len(header), self._frame,
-            len(self._frame), len(payloads),
-            None if table is None else table.buffer_info()[0], window_at,
-            ndim, None if geometry is None else geometry.buffer_info()[0])
+            width, use_xor, truth, count = self._cell
+            if type(base) is np.ndarray:
+                header, base_at, base_len = \
+                    None, base.ctypes.data, base.nbytes
+            else:
+                raw = _frombuffer(base, _BYTE)
+                header, base_at, base_len = \
+                    self.header, raw.ctypes.data, raw.size
+            geometry = window_at = None
+            ndim = 0
+            if window is not None:
+                ndim = window.ndim
+                geometry = array.array("q", window.shape + window.strides)
+                window_at = window.ctypes.data
+            table = None
+            if payloads:
+                # (address, length, layout) per level: plain addresses,
+                # the caller keeps the payloads alive for the call.
+                rows = []
+                for payload, layout in zip(payloads, layouts):
+                    raw = _frombuffer(payload, _BYTE)
+                    rows += (raw.ctypes.data, raw.size, layout)
+                table = array.array("q", rows)
+            status = lib.repro_fold_chain(
+                None if cells is None else cells.ctypes.data, width,
+                use_xor, truth, count, base_at, base_len, header,
+                0 if header is None else len(header), self.frame,
+                len(self.frame), len(payloads),
+                None if table is None else table.buffer_info()[0],
+                window_at, ndim,
+                None if geometry is None else geometry.buffer_info()[0])
+        if status < 0:
+            level, reason = divmod(-status, 8)
+            raise DeltaLevelError(
+                level, FOLD_REASONS.get(reason, f"fold reason {reason}"))
         if status:
             decline("fold_chain", "a root header, frame or seal byte is"
-                                  " not the expected one"
-                    if status == _FOLD_DECLINED else "a malformed level")
-        return not status
+                                  " not the expected one")
+        return status
 
+    def _fold_numpy(self, base, payloads, layouts, cells, window) -> int:
+        """The C entry's contract in numpy: the same checks before
+        anything is written, the same statuses."""
+        # The section fold lives with the section readers, which import
+        # this module.
+        from repro.delta import codes
+        if type(base) is not np.ndarray:
+            raw = _frombuffer(base, _BYTE)
+            start = len(self.header)
+            if raw.size != start + self.count * self.dtype.itemsize \
+                    or raw[:start].tobytes() != self.header:
+                return FOLD_DECLINED
+            base = raw[start:].view(self.dtype).reshape(self.shape)
+        sections, frame = [], self.frame
+        for payload, layout in zip(payloads, layouts):
+            raw = _frombuffer(payload, _BYTE)
+            if not layout & FOLD_BARE:
+                if frame is None:
+                    return FOLD_DECLINED
+                skip = len(frame) + bool(layout & FOLD_SEALED)
+                if raw.size < skip or raw[:len(frame)].tobytes() != frame \
+                        or (skip > len(frame) and raw[len(frame)]):
+                    return FOLD_DECLINED
+                raw = raw[skip:]
+            sections.append(raw)
+        if cells is None:
+            np.copyto(window, base)
+            return 0
+        if cells is not base:
+            np.copyto(cells, base)
+        codes._fold_numpy(sections, layouts, cells, bool(self._cell[1]))
+        if self._cell[2] and payloads:
+            # Valid chains only ever produce 0 and 1; bytes from a
+            # corrupt one must still leave booleans.
+            truth = cells.view(_BYTE)
+            np.not_equal(truth, 0, out=truth)
+        if window is not None:
+            np.copyto(window, cells)
+        return 0
 
-    def _refusal(self, base, cells: np.ndarray | None,
-                 window: np.ndarray | None) -> str | None:
-        """Why the arrays a call is handed are not this layout's cells
-        as the C entry needs them, or None."""
+    def _check(self, base, cells: np.ndarray | None,
+               window: np.ndarray | None, payloads: list) -> None:
+        """Refuse arrays that are not this layout's cells as the C entry
+        needs them (a caller error: nothing is written)."""
         def cells_of_the_chunk(array: np.ndarray) -> bool:
             return array.dtype == self.dtype and array.shape == self.shape
         if type(base) is np.ndarray and not (
                 cells_of_the_chunk(base) and base.flags.c_contiguous):
-            return "base is not contiguous cells of the chunk's layout"
-        if cells is not None and not (
-                cells_of_the_chunk(cells) and cells.flags.c_contiguous
-                and cells.flags.writeable):
-            return "cells are not writable contiguous cells of the chunk"
+            raise ValueError(
+                "base is not contiguous cells of the chunk's layout")
+        if cells is None:
+            if payloads or window is None:
+                raise ValueError("levels need cells to fold in, and no"
+                                 " cells need a window")
+        elif not (cells_of_the_chunk(cells) and cells.flags.c_contiguous
+                  and cells.flags.writeable):
+            raise ValueError(
+                "cells are not writable C-contiguous cells of the chunk")
         if window is not None and not (
                 cells_of_the_chunk(window) and window.flags.writeable):
-            return "window is not a writable view of the chunk's layout"
-        return None
-
-
-def chunk_fold(dtype: np.dtype, shape: tuple[int, ...], header: bytes,
-               frame: bytes, use_xor: bool) -> ChunkFold | None:
-    """The :class:`ChunkFold` of chunks of ``(dtype, shape)``, or None
-    when no kernel folds that cell type on this host.  ``header`` and
-    ``frame`` are the array header and the delta frame such a chunk's
-    root and levels start with."""
-    dtype = np.dtype(dtype)
-    if dtype.itemsize not in (1, 2, 4, 8) or dtype.kind not in "iubf" \
-            or not dtype.isnative or sys.byteorder != "little" \
-            or 0 in shape:
-        return None
-    return ChunkFold(dtype, tuple(shape), header, frame, use_xor)
+            raise ValueError(
+                "window is not a writable view of the chunk's layout")
 
 
 #: The C entry's status for arguments it does not take, refused before

@@ -23,22 +23,22 @@ to it.
 
 Every member composes: a level is a cell-wise difference, wrapping
 addition or xor, so the read path never decodes a chain level by
-level.  :func:`chunk_fold` gives it one native call per chunk, which
-compares the root's header and each level's frame with the bytes the
-chunk implies itself.  What that call declines goes the long way:
-:func:`fold_chain` checks each level's frame, hands the sections of the
-whole chain to :func:`repro.delta.codes.fold_chain` and they are
-applied straight to the cells of the version being read — all of them
-at once, or (a cache warm fill) one at a time.
-``decode_forward`` and ``accumulate`` remain as the one-level forms
-the tests check the fold against.
+level.  :func:`chunk_fold` gives it one call per chunk
+(:class:`~repro.core.native.ChunkFold`), which compares the root's
+header and each level's frame with the bytes the chunk implies itself
+and folds every level straight into the cells of the version being
+read.  A level it cannot read as stored — LZ-sealed, or a frame
+spelled another way — goes to the same call as its bare section
+(:func:`bare_levels`).  ``decode_forward`` remains as the one-level
+form the tests check the fold against, and ``accumulate`` folds one
+level into a 64-bit accumulator through the same call.
 
 **Corrupt payloads.**  A decoder is handed the array it decodes
 against, and the frame must agree with it: ``decode_forward`` checks
-the frame's ``(dtype, shape)`` against its ``base`` argument,
-:func:`fold_chain` against the decoded root (one prefix compare with
-the frame the root implies), ``accumulate`` its ``(mode, cell
-count)`` against the accumulator it is given — always *before*
+the frame's ``(dtype, shape)`` against its ``base`` argument, the
+fold against the chunk's layout (one prefix compare with the frame
+it implies, else :func:`unpack_frame`), ``accumulate`` its ``(mode,
+cell count)`` against the accumulator it is given — always *before*
 anything is sized from the bytes — and every codec rejects undecoded
 trailing bytes.  Whatever is wrong with a payload, the only exception
 that escapes is a :class:`~repro.core.errors.CodecError`.
@@ -59,7 +59,6 @@ from repro.core.serial import (
     unpack_array_header,
     unpack_u8,
 )
-from repro.delta import codes as code_store
 from repro.delta.codes import CodePlan, codes_to_delta
 
 _MODE_TO_TAG = {numeric.ARITHMETIC: 0, numeric.XOR: 1}
@@ -127,9 +126,6 @@ class DeltaCodec:
 
     #: Registry key and the name recorded in version metadata.
     name: str = "abstract"
-    #: Whether a level folds at O(nnz) via its outlier table rather
-    #: than a full dense pass (sparse/hybrid; observability only).
-    scatters: bool = False
 
     @property
     def fold_layout(self) -> int | None:
@@ -137,7 +133,8 @@ class DeltaCodec:
         as :class:`~repro.core.native.ChunkFold` reads it: the section's
         ``layout`` parts, plus :data:`~repro.core.native.FOLD_SEALED`
         when a seal byte precedes them.  None: its levels need
-        :meth:`_unseal`'s work first."""
+        :meth:`_unseal`'s work first, and go to the call bare
+        (:func:`bare_levels`)."""
         return self.layout
 
     def _seal(self, parts: list[bytes]) -> list[bytes]:
@@ -195,18 +192,20 @@ class DeltaCodec:
         return numeric.apply_delta_forward(
             base, codes_to_delta(codes, mode).reshape(shape), mode, dtype)
 
-    def section(self, data, frame: bytes, like: np.ndarray):
-        """The unframed, unsealed payload of a level over ``like``.
+    def section(self, data, frame: bytes | None, like):
+        """The unframed, unsealed payload of a level over ``like``
+        (anything with the ``dtype`` and ``shape`` of the chunk).
 
-        ``frame`` is the frame ``like`` implies, built once per chain:
-        a level that starts with exactly those bytes needs no parsing.
-        One that does not is either corrupt — :func:`unpack_frame`
-        says how — or spelled differently, and then parsed the long
-        way.
+        ``frame`` is the frame ``like`` implies, built once per layout
+        (None for a dtype no delta is defined for): a level that starts
+        with exactly those bytes needs no parsing.  One that does not
+        is either corrupt — :func:`unpack_frame` says how — or spelled
+        differently, and then parsed in full.
         """
         data = memoryview(data)
-        offset = len(frame)
-        if data[:offset] != frame:
+        if frame is not None and data[:len(frame)] == frame:
+            offset = len(frame)
+        else:
             native.decline("fold_chain", "frame prefix mismatch")
             offset = unpack_frame(data, like)[3]
         return self._unseal(data[offset:])
@@ -217,8 +216,8 @@ class DeltaCodec:
         (:func:`repro.core.numeric.delta_accumulator`).
 
         Returns ``(accumulator, mode, dtype, shape)``; ``None`` starts
-        a fresh accumulator.  A whole chain goes through
-        :func:`fold_chain`.
+        a fresh accumulator.  The level folds through the read path's
+        call (:class:`~repro.core.native.ChunkFold`) as a bare section.
         """
         payload, count, mode, dtype, shape = self._open(data)
         if accumulator is None:
@@ -231,7 +230,10 @@ class DeltaCodec:
                 f"delta frame ({mode}, {count} cells) does not match "
                 f"the accumulator ({accumulator.dtype}, "
                 f"{accumulator.size} cells)")
-        code_store.fold_chain([payload], [self.layout], accumulator, mode)
+        fold = native.ChunkFold(accumulator.dtype, accumulator.shape, b"",
+                                b"", mode == numeric.XOR)
+        fold(accumulator, [payload], [self.layout | native.FOLD_BARE],
+             accumulator)
         return accumulator, mode, dtype, shape
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -239,41 +241,35 @@ class DeltaCodec:
 
 
 @lru_cache(maxsize=256)
-def chunk_fold(dtype: np.dtype, shape: tuple[int, ...]
-               ) -> native.ChunkFold | None:
+def chunk_fold(dtype: np.dtype, shape: tuple[int, ...]) -> native.ChunkFold:
     """The one-call decode of chunks of ``(dtype, shape)``
     (:class:`~repro.core.native.ChunkFold`), built once per layout: it
     expects a root to start with the array header the ``none``
-    compressor writes and every level with :func:`pack_frame`'s bytes.
-    None when no kernel folds the cell type."""
+    compressor writes and every level with :func:`pack_frame`'s bytes
+    (a dtype no delta is defined for has no frame: its levels can only
+    be refused)."""
     try:
         mode = numeric.delta_mode_for(dtype)
     except CodecError:
-        return None
-    return native.chunk_fold(dtype, shape, pack_array_header(dtype, shape),
-                             layout_frame(dtype, shape, mode),
-                             mode == numeric.XOR)
+        mode = frame = None
+    else:
+        frame = layout_frame(dtype, shape, mode)
+    return native.ChunkFold(dtype, shape, pack_array_header(dtype, shape),
+                            frame, mode == numeric.XOR)
 
 
-def fold_chain(codecs: list[DeltaCodec], payloads: list,
-               like: np.ndarray, dest: np.ndarray) -> None:
-    """Fold a chain of delta levels into ``dest`` in place.
-
-    ``payloads[i]`` is a stored delta, encoded by ``codecs[i]``,
-    between two arrays of ``like``'s dtype and shape (the chain's
-    decoded root); ``dest`` holds ``like.size`` cells — see
-    :func:`repro.delta.codes.fold_chain` for what it may be.  Every
-    level's frame is checked against ``like`` before anything is
-    folded.  A malformed level raises
-    :class:`~repro.core.errors.DeltaLevelError` carrying its index.
-    """
-    mode = numeric.delta_mode_for(like.dtype)
-    frame = pack_frame(like, mode)
+def bare_levels(codecs: list[DeltaCodec], payloads: list,
+                fold: native.ChunkFold) -> tuple[list, list[int]]:
+    """Stored levels of ``fold``'s chunks, ``payloads[i]`` encoded by
+    ``codecs[i]``, as ``fold`` takes them bare: each one's unframed,
+    unsealed section (:meth:`DeltaCodec.section`) and its layout with
+    :data:`~repro.core.native.FOLD_BARE`.  A level whose frame or seal
+    is malformed raises :class:`~repro.core.errors.DeltaLevelError`
+    carrying its index."""
     sections = []
     try:
         for codec, payload in zip(codecs, payloads):
-            sections.append(codec.section(payload, frame, like))
+            sections.append(codec.section(payload, fold.frame, fold))
     except CodecError as exc:
         raise DeltaLevelError(len(sections), str(exc)) from exc
-    code_store.fold_chain(sections, [codec.layout for codec in codecs],
-                          dest, mode)
+    return sections, [codec.layout | native.FOLD_BARE for codec in codecs]

@@ -28,12 +28,14 @@ buffers the payload is made of — the zero-copy handoff the write
 pipeline joins exactly once at placement; ``encode_*`` is the joined
 form), ``decode_*`` (the stepwise canvas form the fused read is tested
 against), and which of the two section kinds — :data:`SMALL`,
-:data:`TABLE` — its payload is made of, which is all :func:`fold_chain`
-(the read path: every level of a chain folded straight into the cells
-of the version being read) needs to know of it.  The size and encode
-functions take the plan's run list and ``stats``; a caller holding a
-bare code array passes it and omits ``stats``, paying for the
-histogram on the function's first line — there is one body either way.
+:data:`TABLE` — its payload is made of, which is all the chain fold
+(the read path, :class:`~repro.core.native.ChunkFold`: every level of a
+chain folded straight into the cells of the version being read;
+:func:`_fold_numpy` is its numpy form) needs to know of it.  The size
+and encode functions take the plan's run list and ``stats``; a caller
+holding a bare code array passes it and omits ``stats``, paying for
+the histogram on the function's first line — there is one body either
+way.
 
 The decoders accept any buffer-protocol object and slice it through
 ``memoryview`` (no ``bytes()`` copies on the read path).  They trust
@@ -502,62 +504,29 @@ def decode_hybrid(data, offset: int, count: int
 SMALL = native.FOLD_SMALL
 TABLE = native.FOLD_TABLE
 
-#: What the compiled fold found wrong with a level, by reason code.
-_FOLD_REASONS = {
-    1: "a packed section overruns the payload",
-    2: "bit width outside [0, 64]",
-    3: "outlier table claims more entries than the chunk has cells",
-    4: "outlier position out of range",
-    5: "undecoded trailing bytes",
-}
 
+def _fold_numpy(sections: list, layouts: list[int], dest: np.ndarray,
+                use_xor: bool) -> None:
+    """Fold every level of a delta chain into ``dest`` in place: the
+    numpy form of :class:`~repro.core.native.ChunkFold`'s fold, which
+    runs it where no kernel does.
 
-def fold_chain(sections: list, layouts: list[int], dest: np.ndarray,
-               mode: str) -> None:
-    """Fold every level of a delta chain into ``dest`` in place.
-
-    ``dest`` is C-contiguous (anything else raises ``ValueError``) and
-    already holds what the chain composes onto: the decoded root in the
-    cell's own dtype — the read path folds a chunk in a contiguous
-    window of its canvas or in its thread's chunk buffer — or a zeroed
-    flat 64-bit accumulator (:func:`repro.core.numeric.delta_accumulator`)
-    for ``accumulate``.  ``sections[i]`` is level *i*'s unframed payload
-    and ``layouts[i]`` its :data:`SMALL` / :data:`TABLE` parts.  Each level
-    is applied as ``cell op= (cell type) delta``: the deltas were
-    computed as wrapping int64 differences (xor images for floats) and
-    arithmetic mod 2^w is a ring image of arithmetic mod 2^64, so
-    folding at the cell's width gives exactly the bytes of widening the
-    root, composing in 64 bits and narrowing back — without the two
-    conversions.  Both operations commute, so level order is free.
-
-    One compiled call folds the whole chain
-    (:func:`repro.core.native.fold_chain`); where its gate declines,
-    each level is unpacked and applied with numpy.  A malformed level
+    ``dest`` is C-contiguous and holds what the chain composes onto —
+    the base's cells, or a zeroed flat 64-bit accumulator
+    (:func:`repro.core.numeric.delta_accumulator`).  ``sections[i]`` is
+    level *i*'s unframed payload and ``layouts[i]`` its :data:`SMALL` /
+    :data:`TABLE` parts.  Each level is unpacked and applied as
+    ``cell op= (cell type) delta`` on the unsigned image of the cells:
+    the deltas were computed as wrapping int64 differences (xor images
+    for floats) and arithmetic mod 2^w is a ring image of arithmetic
+    mod 2^64, so folding at the cell's width gives exactly the bytes of
+    widening, composing in 64 bits and narrowing back.  Positions are
+    unique within a level, so fancy-indexed in-place ops are exact, and
+    both operations commute, so level order is free.  A malformed level
     raises :class:`~repro.core.errors.DeltaLevelError` naming its
     index, and ``dest`` is then partly folded: discard it.
     """
-    if not dest.flags.c_contiguous:
-        raise ValueError("fold_chain needs a C-contiguous destination")
-    status = native.fold_chain(dest, sections, layouts,
-                               mode == numeric.XOR)
-    if status is None:
-        _fold_numpy(sections, layouts, dest, mode)
-    elif status:
-        level, reason = divmod(-status, 8)
-        raise DeltaLevelError(
-            level, _FOLD_REASONS.get(reason, f"fold reason {reason}"))
-    if dest.dtype.kind == "b":
-        # Valid chains only ever produce 0 and 1; bytes from a corrupt
-        # one must still leave a bool array holding booleans.
-        truth = dest.view(np.uint8)
-        np.not_equal(truth, 0, out=truth)
-
-
-def _fold_numpy(sections: list, layouts: list[int], dest: np.ndarray,
-                mode: str) -> None:
-    """The fold without the kernel: per level, unpack and apply in
-    place on the unsigned image of the cells (positions are unique
-    within a level, so fancy-indexed in-place ops are exact)."""
+    mode = numeric.XOR if use_xor else numeric.ARITHMETIC
     cells = dest.reshape(-1).view(f"{dest.dtype.str[0]}u{dest.itemsize}")
     count = cells.size
 

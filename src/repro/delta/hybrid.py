@@ -24,7 +24,6 @@ class HybridDeltaCodec(DeltaCodec):
     """Optimal small/large split delta, optionally LZ-compressed."""
 
     name = "hybrid"
-    scatters = True
     _size = staticmethod(code_store.hybrid_size)
     _encode = staticmethod(code_store.encode_hybrid_parts)
     _decode = staticmethod(code_store.decode_hybrid)

@@ -78,7 +78,7 @@ from repro.delta.auto import (
     default_delta_candidates,
     plan_encoding,
 )
-from repro.delta.base import chunk_fold, fold_chain
+from repro.delta.base import bare_levels, chunk_fold
 from repro.delta.registry import delta_codec_names, get_delta_codec
 from repro.storage import fan
 from repro.storage.chunking import ChunkGrid, ChunkRef
@@ -106,7 +106,8 @@ _KEPT_FOLD_BYTES = 2 << 20
 
 #: Each store delta codec's levels as the one-call decode reads them
 #: (:attr:`~repro.delta.base.DeltaCodec.fold_layout`); a codec it
-#: cannot read (``hybrid+lz``) is absent and decodes the long way.
+#: cannot read as stored (``hybrid+lz``) is absent, and its levels go
+#: to the call as bare sections.
 _FOLD_LAYOUTS = {codec.name: codec.fold_layout
                  for codec in map(get_delta_codec, delta_codec_names())
                  if codec.fold_layout is not None}
@@ -629,37 +630,38 @@ class DecodePipeline:
     deterministic: every chunk writes a disjoint region of the output
     canvas, so the result is byte-identical at every width.
 
-    There is one way to decode a delta level: fold it into cells that
-    hold its base (:func:`repro.delta.base.fold_chain`).  Every store
-    delta codec composes — wrapping addition, xor — so levels apply in
-    place, at the cells' own width, sparse/hybrid levels at O(nnz).  A
-    cache miss does one of two jobs with it, chosen per chunk from what
-    the code can observe (the located chain's size, the cache's free
-    space), not from a setting:
+    There is one way to decode a chunk: one call of its fold
+    (:class:`~repro.core.native.ChunkFold`, made in :meth:`_decode`),
+    which copies the base into contiguous cells and folds delta levels
+    onto them.  Every store delta codec composes — wrapping addition,
+    xor — so levels apply in place, at the cells' own width,
+    sparse/hybrid levels at O(nnz).  A cache miss does one of two jobs
+    with it, chosen per chunk from what the code can observe (the
+    located chain's size, the cache's free space), not from a setting:
 
-    * **Read one version** (the default).  One native call, with the
-      GIL released, copies the root once into contiguous cells, checks
-      and folds the whole chain onto them and copies them into the
-      canvas window.  The cells are the caller's canvas window when
-      that is contiguous and nothing else will hold on to it, a buffer
-      of the chunk's own when the cache will, and otherwise the
-      decoding thread's chunk buffer.  Only the requested version is
-      admitted to the cache.
+    * **Read one version** (the default).  One call, in C with the GIL
+      released, copies the root once into contiguous cells, checks and
+      folds the whole chain onto them and copies them into the canvas
+      window.  The cells are the caller's canvas window when that is
+      contiguous and nothing else will hold on to it, a buffer of the
+      chunk's own when the cache will, and otherwise the decoding
+      thread's chunk buffer.  Only the requested version is admitted
+      to the cache.
     * **Warm-fill a chain.**  When every located level fits the
       cache's *free* space, each level is folded into an owning copy
-      of the one before — one native call per version — and every
+      of the one before — one call per version — and every
       intermediate version is admitted too, through the non-evicting
       put: later reads of those versions are hits, and no entry a
       caller asked for is ever displaced.  A chain that does not fit
       is declined and read as one version.
 
-    A chunk the native call declines or fails on is decoded the long
-    way (:meth:`_fused_apply`, or level by level on a warm fill) from
-    the same payloads; see :meth:`_decode_in_one_call`.  The walk
-    probes the cache at every level, so a cached ancestor ends it and
-    only the suffix is read.  Both jobs, either way, read the same
-    payloads, produce the same bytes, and name a corrupt level the
-    same way: array, version and chunk.
+    What the call does not read as stored — an ``lz`` root, an
+    LZ-sealed level, a header or frame spelled another way — goes to
+    the same call as cells and bare sections; with the kernels off the
+    call runs its numpy form.  The walk probes the cache at every
+    level, so a cached ancestor ends it and only the suffix is read.
+    Both jobs read the same payloads, produce the same bytes, and name
+    a corrupt level the same way: array, version and chunk.
     """
 
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
@@ -725,127 +727,92 @@ class DecodePipeline:
         miss.  Returns the chunk and every version it resolved on the
         way (deepest first); touches no cache and no scope.
 
-        The chain is read in one batch and, where the kernels take it,
-        decoded in one native call (:meth:`_decode_in_one_call`).
-        Anything they decline is decoded the long way below, from the
-        same payloads: the one that names a corrupt payload."""
+        The chain is read in one batch, and each version the miss
+        resolves is one call of the chunk's fold
+        (:class:`~repro.core.native.ChunkFold`): the requested version,
+        or on a warm fill the root and then each level in turn, each
+        into cells of its own.  The call takes the base — the root's
+        stored payload, or cells: a held version, a root of another
+        compressor (:meth:`_decode_root`) — and every level as stored.
+        A level it cannot read as stored (``hybrid+lz``) goes in as its
+        bare section (:func:`~repro.delta.base.bare_levels`).  A header,
+        frame or seal byte the call declines sends that version in once
+        more the bare way — the root as cells, every level as its bare
+        section — every header parsed in Python, which names a corrupt
+        one.  A malformed level is named — array, version, chunk — in
+        the error.
+
+        The cells are the canvas window the caller lent when it is
+        contiguous.  A strided window's rows sit a canvas row apart and
+        would miss L2 on every level, so its chunk is folded in this
+        thread's chunk buffer and copied into it by the same call.
+        With no window lent, the cells are the chunk's own."""
         record, chunk = miss.snap.record, miss.chunk
-        chain = list(miss.chain)
+        levels = miss.chain
         # Read — the whole chain, one open per distinct object.
         payloads = self.store.read_chunks(
-            [chunk_record.location for chunk_record in chain])
-        decoded = self._decode_in_one_call(miss, payloads)
-        if decoded is not None:
-            return decoded
-
-        # Decompress the materialized root (or start from the
-        # already-resolved version the chain stopped at).  A one-version
-        # read only ever *reads* its root (it is copied to where the
-        # levels are applied) and never admits it, so the decompress
-        # may hand back a zero-copy read-only view of the payload
-        # bytes; a warm fill admits the root and gets an owning copy.
-        resolved: dict[int, np.ndarray] = {}
-        root = chain.pop() if miss.base_version is None else None
-        codecs = self._codecs(record, chunk, chain)
-        if root is None:
-            data = miss.base
-        else:
-            data = self._decode_root(miss, root, payloads.pop())
-            resolved[root.version] = data
-
-        # Fold — level by level on a warm fill, else the whole chain
-        # onto one copy of the root.  The resolved version itself has
-        # nothing to fold onto it.
-        if miss.warm_fill:
-            for level, codec, payload in zip(reversed(chain),
-                                             reversed(codecs),
-                                             reversed(payloads)):
-                cells = data.copy()
-                self._fold(record, chunk, [level], [codec], [payload],
-                           data, cells)
-                resolved[level.version] = data = cells
-        elif root is not None or chain:
-            data = self._fused_apply(record, chunk, chain, codecs,
-                                     payloads, data, miss.out)
-            resolved[miss.version] = data
-        return data, resolved
-
-    def _decode_in_one_call(self, miss: _Miss, payloads: list
-                            ) -> tuple[np.ndarray, dict] | None:
-        """:meth:`_decode`'s result from one native call per chunk
-        (:class:`~repro.core.native.ChunkFold`, a call per version on
-        a warm fill), or None to decode the long way.
-
-        The kernel takes the base — the root payload of the ``none``
-        compressor, checked against the header the chunk implies, or
-        the cells a held layer resolved — and every level's whole
-        payload, checked against the frame the chunk implies and, for
-        hybrid, a seal byte that says "no LZ".  It copies the base into
-        the cells it folds in (none when a held base is folded in
-        place), folds every level and copies the cells into the canvas
-        window: the cells are the window when it is contiguous, else
-        this thread's chunk buffer.  It declines — before it writes
-        anything — an ``lz`` root, an LZ-sealed level, a frame spelled
-        the long way and a cell type it has no kernel for; a malformed
-        level fails it part-way.  Either way the long way runs, on
-        cells of its own, and raises the error that names the payload.
-        """
-        chain = miss.chain
+            [chunk_record.location for chunk_record in levels])
+        fold = chunk_fold(record.schema.attribute(miss.attribute).dtype,
+                          chunk.shape)
+        base, root = miss.base, None
         if miss.base_version is None:
-            if chain[-1].compressor != "none":
-                return None
-            base, levels, payloads = payloads[-1], chain[:-1], payloads[:-1]
-        elif chain:
-            base, levels = miss.base, chain
-        else:
-            return None     # the version in hand is the chunk
-        layouts = [_FOLD_LAYOUTS.get(level.delta_codec) for level in levels]
-        if None in layouts:
-            return None
-        dtype = miss.snap.record.schema.attribute(miss.attribute).dtype
-        fold = chunk_fold(dtype, miss.chunk.shape)
-        if fold is None:
-            return None
-        shape = fold.shape
-        resolved: dict[int, np.ndarray] = {}
+            root, base, levels = levels[-1], payloads.pop(), levels[:-1]
+            if root.compressor != "none":
+                base = self._decode_root(miss, root, base)
+        elif not levels:
+            return base, {}     # the version in hand is the chunk
+        steps = [(miss.version, levels, payloads)]
         if miss.warm_fill:
-            data = base
-            if miss.base_version is None:
-                data = np.empty(shape, dtype)
-                if not fold(base, (), (), data):
-                    return None
-                resolved[chain[-1].version] = data
-            for level, payload, layout in zip(reversed(levels),
-                                              reversed(payloads),
-                                              reversed(layouts)):
-                cells = np.empty(shape, dtype)
-                if not fold(data, (payload,), (layout,), cells):
-                    return None
-                resolved[level.version] = data = cells
-            return data, resolved
-        out = miss.out
-        if out is None or out.dtype != dtype or out.shape != shape:
-            out = np.empty(shape, dtype)
-        if out.flags.c_contiguous:
-            cells, window = out, None
-        elif levels:
-            cells, window = self._chunk_buffer(dtype, shape), out
-        else:
-            cells, window = None, out
-        if not fold(base, payloads, layouts, cells, window):
-            return None
-        if levels:
-            self.store.stats.record_chain_fused(
-                len(levels), sum([bool(layout & native.FOLD_TABLE)
-                                  for layout in layouts]))
-            if miss.base_version is None:
-                # The root, for a later layer of a stack folding onto
-                # it: a read-only view of its payload, as the long way
-                # hands on.
-                resolved[chain[-1].version] = np.frombuffer(
-                    base, dtype, fold.count,
-                    len(base) - fold.count * dtype.itemsize).reshape(shape)
-        resolved[miss.version] = out
+            steps = [(level.version, [level], [payload]) for level, payload
+                     in zip(reversed(levels), reversed(payloads))]
+            if root is not None:
+                steps.insert(0, (root.version, [], []))
+        resolved: dict[int, np.ndarray] = {}
+        for version, rows, stored in steps:
+            out = miss.out
+            if out is None or out.dtype != fold.dtype \
+                    or out.shape != fold.shape:
+                out = np.empty(fold.shape, fold.dtype)
+            if out.flags.c_contiguous:
+                cells, window = out, None
+            elif rows:
+                cells, window = \
+                    self._chunk_buffer(fold.dtype, fold.shape), out
+            else:
+                cells, window = None, out
+            layouts = [_FOLD_LAYOUTS.get(row.delta_codec) for row in rows]
+            try:
+                handed = stored
+                if None in layouts:
+                    handed, layouts = bare_levels(
+                        self._codecs(record, chunk, rows), stored, fold)
+                if fold(base, handed, layouts, cells, window):
+                    # Declined a spelling: every header parsed in Python.
+                    if type(base) is not np.ndarray:
+                        base = self._decode_root(miss, root, base)
+                    handed, layouts = bare_levels(
+                        self._codecs(record, chunk, rows), stored, fold)
+                    fold(base, handed, layouts, cells, window)
+            except DeltaLevelError as exc:
+                level = rows[exc.level]
+                raise CodecError(
+                    f"{record.name!r} version {level.version} "
+                    f"chunk {chunk.name}: corrupt "
+                    f"{level.delta_codec} delta: {exc}") from exc
+            if rows and not miss.warm_fill:
+                self.store.stats.record_chain_fused(
+                    len(rows), sum([bool(layout & native.FOLD_TABLE)
+                                    for layout in layouts]))
+                if root is not None:
+                    # The root, for a later layer of a stack folding
+                    # onto it: its cells, a read-only view of the
+                    # payload when the call read it as stored.
+                    resolved[root.version] = base \
+                        if type(base) is np.ndarray else np.frombuffer(
+                            base, fold.dtype, fold.count,
+                            len(base) - fold.count * fold.dtype.itemsize
+                        ).reshape(fold.shape)
+            resolved[version] = base = out
         return out, resolved
 
     def _decode_run(self, run: list[_Miss]) -> list:
@@ -947,18 +914,16 @@ class DecodePipeline:
 
     @staticmethod
     def _decode_root(miss: _Miss, root: ChunkRecord, payload) -> np.ndarray:
-        """Decompress a chain's materialized root: a zero-copy read-only
-        view where the compressor allows and the read only reads it, an
-        owning copy on a warm fill (it is admitted).  A root that does
-        not decode to the chunk's dtype and shape is refused — array,
-        version and chunk named — before anything is sized from it."""
+        """Decompress a chain's materialized root, for the fold to copy:
+        a zero-copy read-only view where the compressor allows.  A root
+        that does not decode to the chunk's dtype and shape is refused
+        — array, version and chunk named — before anything is sized
+        from it."""
         record, chunk = miss.snap.record, miss.chunk
         dtype = record.schema.attribute(miss.attribute).dtype
         named = f"{record.name!r} version {root.version} chunk {chunk.name}"
         try:
-            codec = get_codec(root.compressor)
-            data = codec.decode(payload) if miss.warm_fill \
-                else codec.decode_view(payload)
+            data = get_codec(root.compressor).decode_view(payload)
         except CodecError as exc:
             raise CodecError(f"{named}: {exc}") from exc
         if (data.dtype, data.shape) != (dtype, chunk.shape):
@@ -983,63 +948,6 @@ class DecodePipeline:
                     f"{record.name!r} version {level.version} "
                     f"chunk {chunk.name}: {exc}") from exc
         return codecs
-
-    @staticmethod
-    def _fold(record: ArrayRecord, chunk: ChunkRef,
-              chain: list[ChunkRecord], codecs: list,
-              payloads: list, base: np.ndarray, cells: np.ndarray) -> None:
-        """Fold ``chain``'s levels into ``cells``, which hold ``base``'s
-        (:func:`repro.delta.base.fold_chain`); a malformed level is
-        named — array, version, chunk — in the :class:`CodecError`."""
-        try:
-            fold_chain(codecs, payloads, base, cells)
-        except DeltaLevelError as exc:
-            level = chain[exc.level]
-            raise CodecError(
-                f"{record.name!r} version {level.version} "
-                f"chunk {chunk.name}: corrupt "
-                f"{level.delta_codec} delta: {exc}") from exc
-
-    def _fused_apply(self, record: ArrayRecord, chunk: ChunkRef,
-                     chain: list[ChunkRecord], codecs: list,
-                     payloads: list[bytes], base: np.ndarray,
-                     out: np.ndarray | None) -> np.ndarray:
-        """The long way of a one-version read, for a chunk the native
-        call declined or failed on: the decoded root with every level
-        of ``chain`` folded onto it (:func:`repro.delta.base.fold_chain`),
-        in ``out`` when the caller lent its canvas window, else in a
-        buffer of its own.
-
-        The fold runs on contiguous cells, chosen as the native call
-        chooses them.  A contiguous ``out`` (or a buffer of its own) is
-        folded in place.  A strided window is not: its rows sit a
-        canvas row apart, so they crowd into a few L2 sets and miss on
-        every level.  The root is copied into this thread's chunk
-        buffer instead, folded there while it stays in L2, and copied
-        into the window once.  That measures faster even for chunks
-        far larger than L2, whose buffer is not kept.
-
-        Everything is sized from the decoded root, never from a
-        payload's frame: a level whose header disagrees with the
-        root's dtype or shape fails its frame check before anything is
-        folded, and a malformed one is named — array, version, chunk —
-        in the error.  Compose order is irrelevant (wrapping addition
-        and xor are associative *and* commutative), so levels fold in
-        read order.
-        """
-        if out is None or (out.dtype, out.shape) != \
-                (base.dtype, base.shape):
-            out = np.empty(base.shape, dtype=base.dtype)
-        cells = out if out.flags.c_contiguous or not chain \
-            else self._chunk_buffer(base.dtype, base.shape)
-        np.copyto(cells, base)
-        if chain:
-            self._fold(record, chunk, chain, codecs, payloads, base, cells)
-            self.store.stats.record_chain_fused(
-                len(chain), sum(codec.scatters for codec in codecs))
-        if cells is not out:
-            np.copyto(out, cells)
-        return out
 
     def _chunk_buffer(self, dtype: np.dtype,
                       shape: tuple[int, ...]) -> np.ndarray:
@@ -1080,7 +988,7 @@ class DecodePipeline:
         (:meth:`_read_stack`).
 
         A chunk lying wholly inside the box is lent its window of the
-        canvas (:meth:`_fused_apply`): a folded chain lands there from
+        canvas (:meth:`_decode`): a folded chain lands there from
         the fold itself, and only results that live elsewhere (cache
         entries, warm fills) are copied in.  A chunk the box cuts is
         decoded into cells of its own and its overlap copied.

@@ -18,6 +18,7 @@ from repro.compression import (
     unlz_bytes,
 )
 from repro.core.errors import CodecError
+from repro.core.serial import pack_array_header, pack_u8
 
 
 @pytest.mark.parametrize("codec", [IdentityCodec(), LempelZivCodec()],
@@ -73,6 +74,27 @@ class TestCorruptionHandling:
     def test_invalid_zlib_level(self):
         with pytest.raises(CodecError):
             LempelZivCodec(level=0)
+
+    def test_lz_bytes_after_the_stream_are_refused(self, rng):
+        """An ``lz`` root reaches the read path's one call as cells, so
+        its decode is the only check between its bytes and a canvas."""
+        codec = LempelZivCodec()
+        array = rng.integers(0, 5, size=(6, 8)).astype(np.int32)
+        payload = codec.encode(array)
+        assert np.array_equal(codec.decode(payload), array)
+        with pytest.raises(CodecError, match="1 trailing bytes"):
+            codec.decode(payload + b"\0")
+
+    @pytest.mark.parametrize("extra", [4, -4], ids=["long", "short"])
+    def test_lz_stream_of_other_than_its_cells_is_refused(self, rng,
+                                                          extra):
+        array = rng.integers(0, 5, size=(6, 8)).astype(np.int32)
+        raw = array.tobytes() + bytes(max(extra, 0))
+        payload = pack_array_header(array.dtype, array.shape) \
+            + pack_u8(6) + lz_bytes(raw[:len(raw) + min(extra, 0)])
+        expected = f"inflates to {array.nbytes + extra} bytes"
+        with pytest.raises(CodecError, match=expected):
+            LempelZivCodec().decode(payload)
 
 
 @settings(max_examples=25, deadline=None)

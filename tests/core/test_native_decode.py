@@ -3,13 +3,14 @@
 The encode-side kernels are covered next to the planner
 (``tests/delta/test_planner.py``); this file owns the decode side:
 zigzag decode, D-bit unpack across every width and the chain fold.
-Every kernel's contract is the same — byte-identical to the numpy
+The unpack kernels' contract is the same — byte-identical to the numpy
 fallback, returning ``None`` (so the caller falls back) on any dtype,
 layout, or size it does not handle — and every test here asserts both
-halves of it.  The fold additionally parses bytes from disk and writes
-through caller strides: whatever the bytes say, it reports a malformed
-level and never touches a byte outside its destination, a contiguous
-run of cells inside a canary frame.
+halves of it.  The fold (:class:`native.ChunkFold`, here over bare
+sections) runs its numpy form itself and is held against it; it
+parses bytes from disk and writes through caller strides: whatever the
+bytes say, it names a malformed level and never touches a byte outside
+its destination, a contiguous run of cells inside a canary frame.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import bitpack, native
+from repro.core.errors import DeltaLevelError
 from repro.delta import codes as code_store
 
 pytestmark = pytest.mark.skipif(not native.available(),
@@ -153,13 +155,58 @@ def _canaries_intact(frame: np.ndarray) -> bool:
                 and (frame[-PAD:] == CANARY).all())
 
 
+def _call(cells: np.ndarray, sections: list, layouts: list[int],
+          use_xor: bool) -> tuple[int, int] | None:
+    """Fold bare ``sections`` into ``cells`` in place through the one
+    call (:class:`native.ChunkFold` over cells of their own layout, as
+    ``accumulate`` makes it): None once folded, else the failing
+    level and its reason code (:data:`native.FOLD_REASONS`)."""
+    fold = native.ChunkFold(cells.dtype, cells.shape, b"", b"", use_xor)
+    try:
+        assert fold(cells, sections,
+                    [layout | native.FOLD_BARE for layout in layouts],
+                    cells) == 0
+    except DeltaLevelError as exc:
+        return exc.level, _REASON_CODES[str(exc)]
+    return None
+
+
+def _fold(cells: np.ndarray, sections: list, layouts: list[int],
+          use_xor: bool) -> tuple[int, int] | None:
+    """:func:`_call`, held against the numpy fold
+    (:func:`repro.delta.codes._fold_numpy`) on a copy of ``cells``:
+    both fold the same bytes or both refuse the same level."""
+    reference = cells.copy()
+    try:
+        code_store._fold_numpy(sections, layouts, reference, use_xor)
+        refused = None
+    except DeltaLevelError as exc:
+        refused = exc.level
+    failed = _call(cells, sections, layouts, use_xor)
+    assert (failed and failed[0]) == refused
+    if failed is None and cells.dtype == bool:
+        reference = reference.view(np.uint8) != 0
+    assert failed is not None or cells.tobytes() == reference.tobytes()
+    return failed
+
+
+#: :data:`native.FOLD_REASONS` backwards: a message's reason code.
+_REASON_CODES = {message: code
+                 for code, message in native.FOLD_REASONS.items()}
+
+
 class TestFoldChain:
+    """The C entry over bare sections, folded in place, against the
+    numpy fold: every width x operation x section layout, and hostile
+    bytes in every field."""
+
     @pytest.mark.parametrize("strategy", FOLD_SECTIONS)
     @pytest.mark.parametrize("dtype", FOLD_DTYPES, ids=str)
     def test_matches_wide_compose(self, dtype, strategy):
         """Every width x operation x section layout, three levels, in a
         canary frame: the narrow in-place fold equals widening,
-        composing in 64 bits and truncating — and stays in its window."""
+        composing in 64 bits and truncating — and stays in its window.
+        Bool cells end as 0 or 1."""
         rng = np.random.default_rng(2012)
         encode, layout = FOLD_SECTIONS[strategy]
         use_xor = _use_xor(dtype)
@@ -173,8 +220,9 @@ class TestFoldChain:
             codes = _level_codes(rng, 54, use_xor)
             sections.append(encode(codes))
             expected = _fold_reference(expected, codes, use_xor)
-        assert native.fold_chain(window, sections, [layout] * 3,
-                                 use_xor) == 0
+        if expected.dtype == bool:
+            expected = expected.view(np.uint8) != 0
+        assert _fold(window, sections, [layout] * 3, use_xor) is None
         assert window.tobytes() == expected.tobytes()
         assert _canaries_intact(frame)
 
@@ -183,14 +231,12 @@ class TestFoldChain:
         cells = np.array([127, -128, 5], dtype=np.int8)
         deltas = np.array([3, -3, 0], dtype=np.int64)
         section = code_store.encode_dense(bitpack.zigzag_encode(deltas))
-        assert native.fold_chain(cells, [section], [native.FOLD_SMALL],
-                                 False) == 0
+        assert _fold(cells, [section], [native.FOLD_SMALL], False) is None
         assert cells.tolist() == [-126, 125, 5]
         wide = np.array([2**64 - 1, 2**63], dtype=np.uint64)
         deltas = np.array([1, -1], dtype=np.int64)
         section = code_store.encode_sparse(bitpack.zigzag_encode(deltas))
-        assert native.fold_chain(wide, [section], [native.FOLD_TABLE],
-                                 False) == 0
+        assert _fold(wide, [section], [native.FOLD_TABLE], False) is None
         assert wide.tolist() == [0, 2**63 - 1]
 
     @pytest.mark.parametrize("shape", [(2, 3, 5), (4, 1), (5,)],
@@ -203,9 +249,9 @@ class TestFoldChain:
         window[...] = rng.integers(-100, 100, shape)
         codes = _level_codes(rng, window.size, False)
         expected = _fold_reference(window.copy(), codes, False)
-        assert native.fold_chain(
-            window, [code_store.encode_hybrid(codes)],
-            [native.FOLD_SMALL | native.FOLD_TABLE], False) == 0
+        assert _fold(window, [code_store.encode_hybrid(codes)],
+                     [native.FOLD_SMALL | native.FOLD_TABLE],
+                     False) is None
         assert np.array_equal(window, expected)
         assert _canaries_intact(frame)
 
@@ -214,16 +260,16 @@ class TestFoldChain:
         np.s_[1:3, 2:4, :],         # rows one stride apart
         np.s_[:, 2, 3:4],           # one column
     ])
-    def test_strided_destination_is_declined(self, index):
-        """The kernel has no stride addressing: a window that is not
-        C-contiguous goes back to the caller untouched."""
+    def test_strided_destination_is_refused(self, index):
+        """The kernel has no stride addressing for the cells it folds:
+        cells that are not C-contiguous are refused, untouched."""
         canvas = np.arange(4 * 5 * 6, dtype=np.int32).reshape(4, 5, 6)
         before = canvas.copy()
         window = canvas[index]
         section = code_store.encode_dense(
             np.ones(window.size, dtype=np.uint64))
-        assert native.fold_chain(window, [section], [native.FOLD_SMALL],
-                                 False) is None
+        with pytest.raises(ValueError, match="contiguous"):
+            _call(window, [section], [native.FOLD_SMALL], False)
         assert np.array_equal(canvas, before)
 
     def test_unsorted_and_repeated_positions_are_exact(self):
@@ -237,8 +283,7 @@ class TestFoldChain:
             bitpack.pack_unsigned(values, 5)])
         _, window = _in_canary_frame((2, 4), np.int32)
         window[...] = 0
-        assert native.fold_chain(window, [table], [native.FOLD_TABLE],
-                                 False) == 0
+        assert _call(window, [table], [native.FOLD_TABLE], False) is None
         assert window.reshape(-1).tolist() == [9, 0, 1, 0, 0, 0, 0, 3]
 
     @pytest.mark.parametrize("strategy", FOLD_SECTIONS)
@@ -252,20 +297,19 @@ class TestFoldChain:
         frame, window = _in_canary_frame((4, 6), dtype)
         for cut in range(len(section)):
             window[...] = 0
-            status = native.fold_chain(window, [section[:cut]], [layout],
-                                       use_xor)
-            assert status is not None and status < 0, cut
-            assert -status % 8 == 1      # "section overruns the payload"
-        assert native.fold_chain(window, [section + b"\0"], [layout],
-                                 use_xor) == -5     # trailing bytes
+            # "a packed section overruns the payload"
+            assert _fold(window, [section[:cut]], [layout],
+                         use_xor) == (0, 1), cut
+        assert _fold(window, [section + b"\0"], [layout],
+                     use_xor) == (0, 5)     # trailing bytes
         assert _canaries_intact(frame)
 
     @pytest.mark.parametrize("use_xor", [False, True], ids=["add", "xor"])
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
     def test_hostile_header_fields(self, width, use_xor):
         """Small width, entry count, position width and value width set
-        to everything a byte (or eight) can say: a status, never a
-        write outside the window."""
+        to everything a byte (or eight) can say: a refusal naming the
+        level, never a write outside the window."""
         rng = np.random.default_rng(5)
         dtype = np.dtype(f"u{width}")
         codes = _level_codes(rng, 24, use_xor)
@@ -275,33 +319,31 @@ class TestFoldChain:
         frame, window = _in_canary_frame((4, 6), dtype)
         layout = native.FOLD_SMALL | native.FOLD_TABLE
 
-        def status_of(section) -> int:
+        def failure(section) -> tuple[int, int] | None:
             window[...] = 0
-            status = native.fold_chain(window, [bytes(section)], [layout],
-                                       use_xor)
-            assert status is not None
+            failed = _fold(window, [bytes(section)], [layout], use_xor)
             assert _canaries_intact(frame)
-            return status
+            return failed
 
-        assert status_of(hybrid) == 0
+        assert failure(hybrid) is None
         for at in (0, table_at + 8, table_at + 9):   # the three widths
             for value in (65, 66, 128, 255):
                 bad = bytearray(hybrid)
                 bad[at] = value
-                assert status_of(bad) == -2          # width above 64
+                assert failure(bad) == (0, 2)        # width above 64
             for value in range(65):
                 bad = bytearray(hybrid)
                 bad[at] = value
-                assert status_of(bad) <= 0
+                failure(bad)
         for entries in (-1, 25, 1 << 40, (1 << 63) - 1, -(1 << 63)):
             bad = bytearray(hybrid)
             bad[table_at:table_at + 8] = entries.to_bytes(
                 8, "little", signed=True)
-            assert status_of(bad) == -3              # entries > cells
+            assert failure(bad) == (0, 3)            # entries > cells
         # A count the cells allow but the payload cannot hold.
         bad = bytearray(hybrid)
         bad[table_at:table_at + 8] = (24).to_bytes(8, "little")
-        assert status_of(bad) == -1
+        assert failure(bad) == (0, 1)
 
     def test_position_past_the_chunk_is_refused(self):
         # 24 cells need 5 position bits, which can say up to 31.
@@ -314,66 +356,69 @@ class TestFoldChain:
                                       3)])
             frame, window = _in_canary_frame((4, 6), np.int16)
             window[...] = 0
-            assert native.fold_chain(window, [table], [native.FOLD_TABLE],
-                                     False) == -4
+            assert _fold(window, [table], [native.FOLD_TABLE],
+                         False) == (0, 4)
             assert _canaries_intact(frame)
         # 64-bit positions: the sign bit must not index backwards.
         table = b"".join([
             (1).to_bytes(8, "little"), bytes([64, 1]),
             (2**64 - 8).to_bytes(8, "little"), b"\x01"])
-        assert native.fold_chain(window, [table], [native.FOLD_TABLE],
-                                 False) == -4
+        assert _fold(window, [table], [native.FOLD_TABLE], False) == (0, 4)
         assert _canaries_intact(frame)
 
     def test_failing_level_is_named(self):
         good = code_store.encode_dense(np.ones(6, dtype=np.uint64))
         cells = np.zeros(6, dtype=np.int32)
-        status = native.fold_chain(
-            cells, [good, good, good[:-1], good],
-            [native.FOLD_SMALL] * 4, False)
-        assert divmod(-status, 8) == (2, 1)
+        assert _fold(cells, [good, good, good[:-1], good],
+                     [native.FOLD_SMALL] * 4, False) == (2, 1)
 
     def test_declines_say_why(self, caplog, monkeypatch):
+        """A layout the C entry does not take folds in numpy and says
+        why, once per reason; cells that are not writable contiguous
+        cells of the layout are refused before anything is written."""
         monkeypatch.setattr(native, "_declined", set())
         section = code_store.encode_dense(np.ones(8, dtype=np.uint64))
         layouts = [native.FOLD_SMALL]
         cells = np.zeros(16, dtype=np.int32)
         read_only = np.zeros(8, dtype=np.int32)
         read_only.flags.writeable = False
+        swapped = np.zeros(8, dtype=">i4")
         with caplog.at_level("DEBUG", logger="repro.native"):
-            assert native.fold_chain(cells[::2], [section], layouts,
-                                     False) is None
-            assert native.fold_chain(np.zeros(8, dtype=">i4"), [section],
-                                     layouts, False) is None
-            assert native.fold_chain(np.zeros(8, dtype=np.complex64),
-                                     [section], layouts, False) is None
-            assert native.fold_chain(read_only, [section], layouts,
-                                     False) is None
+            assert _call(swapped, [section], layouts, False) is None
+            assert swapped.tolist() == [-1] * 8
+            assert _call(np.zeros(8, dtype=np.complex64), [section],
+                         layouts, False) is None
             with native.disabled():
-                assert native.fold_chain(cells[:8], [section], layouts,
-                                         False) is None
+                assert _call(cells[:8], [section], layouts, False) is None
+            assert cells[:8].tolist() == [-1] * 8
+            for refused in (cells[8:][::2], read_only):
+                with pytest.raises(ValueError):
+                    _call(refused, [section], layouts, False)
         said = [record.getMessage() for record in caplog.records]
-        for reason in ("destination is not C-contiguous",
-                       "byte-swapped dtype >i4",
+        for reason in ("byte-swapped dtype >i4",
                        "unsupported dtype complex64",
-                       "not a writable ndarray",
                        "kernels disabled or unavailable"):
             assert any("fold_chain" in line and reason in line
                        for line in said), reason
-        assert not cells.any() and not read_only.any()
+        assert not cells[8:].any() and not read_only.any()
 
 
 class TestDisabledScope:
-    def test_disabled_turns_every_kernel_off(self):
+    def test_disabled_turns_every_kernel_off(self, monkeypatch):
         codes = np.arange(8, dtype=np.uint64)
         acc = np.zeros(8, dtype=np.int64)
         section = code_store.encode_dense(codes)
+        lib = native._load()
+        real, calls = lib.repro_fold_chain, []
+        monkeypatch.setattr(lib, "repro_fold_chain",
+                            lambda *args: calls.append(args) or real(*args))
         with native.disabled():
             assert native.zigzag_decode(codes) is None
             assert native.unpack_bits(b"\x00" * 8, 7, 4) is None
-            assert native.fold_chain(acc, [section], [native.FOLD_SMALL],
-                                     False) is None
+            assert _call(acc, [section], [native.FOLD_SMALL], False) is None
             assert native.delta_zigzag_stats(acc, acc) is None
+        assert calls == []      # the fold ran in numpy
+        assert acc.tolist() == [0, -1, 1, -2, 2, -3, 3, -4]
         assert native.zigzag_decode(codes) is not None
 
     def test_disabled_nests(self):
@@ -400,13 +445,17 @@ class TestDisabledScope:
         probe = (
             "import numpy as np\n"
             "from repro.core import native\n"
+            "from repro.delta import codes as code_store\n"
             "codes = np.arange(8, dtype=np.uint64)\n"
             "assert not native.available()\n"
             "assert native.zigzag_decode(codes) is None\n"
             "assert native.unpack_bits(b'\\x00' * 8, 7, 4) is None\n"
             "acc = np.zeros(8, dtype=np.int64)\n"
-            "assert native.fold_chain(acc, [b'\\x00'], [1], False) is None\n"
             "assert native.delta_zigzag_stats(acc, acc) is None\n"
+            "fold = native.ChunkFold(acc.dtype, acc.shape, b'', b'', False)\n"
+            "assert fold(acc, [code_store.encode_dense(codes)],\n"
+            "            [native.FOLD_SMALL | native.FOLD_BARE], acc) == 0\n"
+            "assert acc.tolist() == [0, -1, 1, -2, 2, -3, 3, -4]\n"
         )
         subprocess.run([sys.executable, "-c", probe], check=True,
                        env=env)

@@ -21,10 +21,10 @@ from codec_cases import (
     frame_agrees,
 )
 from repro.core import bitpack, native, numeric
-from repro.core.errors import CodecError, ReproError
+from repro.core.errors import CodecError, DeltaLevelError, ReproError
 from repro.delta import codes as code_store
 from repro.compression.base import IdentityCodec
-from repro.delta.base import chunk_fold, fold_chain, pack_frame
+from repro.delta.base import bare_levels, chunk_fold, pack_frame
 from repro.delta.codes import CodePlan
 from repro.delta import (
     DenseDeltaCodec,
@@ -209,19 +209,43 @@ class TestCorruptPayloads:
 
 CANARY = 0x5A
 
+#: The fold's two forms: the compiled call, where the kernels built, and
+#: its numpy form (:func:`repro.delta.codes._fold_numpy`).
+KERNELS = [
+    pytest.param(True, id="native", marks=pytest.mark.skipif(
+        not native.available(), reason="native kernels did not compile")),
+    pytest.param(False, id="numpy"),
+]
 
-@pytest.mark.parametrize("kernels", [True, False],
-                         ids=["native", "numpy"])
+
+def _kernels(on: bool):
+    return contextlib.nullcontext() if on else native.disabled()
+
+
+def _read_path(codec, base, payloads, cells, window=None) -> None:
+    """Fold ``codec``'s stored ``payloads`` onto ``base`` (a root
+    payload, or cells) as the read path makes its calls: the levels as
+    stored where the call reads them so, and once more as cells and
+    bare sections when it declines."""
+    fold = chunk_fold(cells.dtype, cells.shape)
+    layouts = [codec.fold_layout] * len(payloads)
+    if None in layouts or fold(base, payloads, layouts, cells, window):
+        if type(base) is not np.ndarray:
+            base = IdentityCodec().decode_view(base)
+        fold(base, *bare_levels([codec] * len(payloads), payloads, fold),
+             cells, window)
+
+
+@pytest.mark.parametrize("kernels", KERNELS)
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64,
                                    np.float16, np.float32, np.float64],
                          ids=str)
 @pytest.mark.parametrize("name", delta_codec_names())
 class TestCorruptFold:
-    """The read path's entry point (:func:`repro.delta.base.fold_chain`)
-    parses stored bytes and writes into the caller's cells: for every
-    cell width x operation x strategy, whatever is wrong with a level
-    only a :class:`CodecError` escapes and no byte outside the
-    destination window changes."""
+    """The read path's fold (:func:`_read_path`) parses stored bytes and
+    writes into the caller's cells: for every cell width x operation x
+    strategy, whatever is wrong with a level only a :class:`CodecError`
+    escapes and no byte outside the destination window changes."""
 
     SHAPE = (12, 16)    # 192 cells: 8 position bits can say up to 255
 
@@ -245,16 +269,16 @@ class TestCorruptFold:
 
     @staticmethod
     def _fold(codec, payload, base, kernels):
-        """Fold one level onto ``base`` in a contiguous window of a
-        canary frame, as ``read_region`` does into its chunk buffer;
-        the folded window, or None for a refused payload."""
+        """Fold one level onto ``base`` in place, in a contiguous window
+        of a canary frame, as a read folds onto a held layer; the
+        folded window, or None for a refused payload."""
         frame = np.full(base.nbytes + 32, CANARY, dtype=np.uint8)
         window = frame[16:-16].view(base.dtype).reshape(base.shape)
         window[...] = base
         refused = False
-        with contextlib.nullcontext() if kernels else native.disabled():
+        with _kernels(kernels):
             try:
-                fold_chain([codec], [payload], base, window)
+                _read_path(codec, window, [payload], window)
             except CodecError:
                 refused = True
         assert (frame[:16] == CANARY).all() and \
@@ -342,23 +366,25 @@ def _canvas(dtype, shape):
     return canvas, canvas[1:-1, 3:3 + cols]
 
 
-@pytest.mark.parametrize("kernels", [True, False],
-                         ids=["native", "numpy"])
+@pytest.mark.parametrize("kernels", KERNELS)
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64,
                                    np.float16, np.float32, np.float64],
                          ids=str)
 @pytest.mark.parametrize("name", delta_codec_names())
 # A flipped header bit can turn "<i4" into "<a4", which numpy parses
-# with a DeprecationWarning on the long way.
+# with a DeprecationWarning when the root is decoded in Python.
 @pytest.mark.filterwarnings("ignore:Data type alias:DeprecationWarning")
 class TestChunkFold:
-    """The one-call decode (:func:`repro.delta.base.chunk_fold`) against
-    the long way it stands in for — the root's ``decode_view``, then
-    :func:`fold_chain` — on the same stored bytes.  Where the call
-    rebuilds the chunk, into a strided window of a canary-filled
-    canvas, the long way gives the same bytes; where it refuses, the
-    canvas is untouched and the long way decodes or raises only a
-    :class:`CodecError`.  Nothing escapes the call itself."""
+    """The one call (:func:`repro.delta.base.chunk_fold`) over stored
+    bytes against the long way — the root's ``decode_view``, each
+    level's bare section (:func:`~repro.delta.base.bare_levels`) and the
+    numpy section fold (:func:`repro.delta.codes._fold_numpy`) — on the
+    same bytes.  Where the call rebuilds the chunk, into a strided
+    window of a canary-filled canvas, the long way gives the same
+    bytes; where it declines or a level is malformed, the canvas is
+    untouched and the long way decodes or raises only a
+    :class:`CodecError`.  Nothing but a
+    :class:`~repro.core.errors.DeltaLevelError` escapes the call."""
 
     SHAPE = TestCorruptFold.SHAPE
 
@@ -384,16 +410,23 @@ class TestChunkFold:
         before = canvas.copy()
         fold = chunk_fold(np.dtype(dtype), self.SHAPE)
         layouts = [codec.fold_layout] * len(levels)
-        with contextlib.nullcontext() if kernels else native.disabled():
-            done = None not in layouts and fold(
-                root, levels, layouts, np.empty(self.SHAPE, dtype), window)
-            try:
-                base = IdentityCodec().decode_view(root)
-                long_way = base.copy()
-                fold_chain([codec] * len(levels), levels, base, long_way)
-            except CodecError:
-                long_way = None
-        assert done in (True, False)
+        done = False
+        with _kernels(kernels):
+            if None not in layouts:
+                try:
+                    done = fold(root, levels, layouts,
+                                np.empty(self.SHAPE, dtype), window) == 0
+                except DeltaLevelError:
+                    pass
+        try:
+            long_way = IdentityCodec().decode_view(root).copy()
+            sections, bare = bare_levels([codec] * len(levels), levels,
+                                         fold)
+            code_store._fold_numpy(
+                sections, bare, long_way,
+                numeric.delta_mode_for(dtype) == numeric.XOR)
+        except CodecError:
+            long_way = None
         if done:
             assert long_way is not None
             assert window.tobytes() == long_way.tobytes()
@@ -402,14 +435,18 @@ class TestChunkFold:
         return done
 
     def test_valid_chain_in_one_call(self, name, dtype, kernels, rng):
+        """A chain the call reads as stored is rebuilt by it; an
+        LZ-sealed one is declined, and the same call over its bare
+        sections, in place on the root's cells, gives the target."""
         root, levels, target = self._chain(name, dtype, rng)
-        canvas, window = _canvas(dtype, self.SHAPE)
         codec = get_delta_codec(name)
-        in_one_call = kernels and codec.fold_layout is not None
         assert self._agree(name, dtype, root, levels, kernels) \
-            == in_one_call
+            == (codec.fold_layout is not None)
         base = IdentityCodec().decode(root)
-        fold_chain([codec] * 2, levels, base, base)
+        fold = chunk_fold(np.dtype(dtype), self.SHAPE)
+        with _kernels(kernels):
+            assert fold(base, *bare_levels([codec] * 2, levels, fold),
+                        base) == 0
         assert base.tobytes() == target.tobytes()
 
     def test_every_truncation(self, name, dtype, kernels, rng):
@@ -429,22 +466,25 @@ class TestChunkFold:
 
     def test_respelled_root_and_frame(self, name, dtype, kernels, rng):
         """A root header or a frame that names the dtype another way
-        ("=" for its byte order) is valid: the call declines it and the
-        long way decodes it."""
-        root, levels, _ = self._chain(name, dtype, rng)
+        ("=" for its byte order) is valid: the call declines it before
+        the root is copied, and the read path, calling again with cells
+        and bare sections, decodes it."""
+        root, levels, target = self._chain(name, dtype, rng)
         respelled = [payload[:1] + b"=" + payload[2:]
                      for payload in (root, levels[0])]
         chains = [(respelled[0], levels), (root, [respelled[1], levels[1]])]
-        layouts = [get_delta_codec(name).fold_layout] * 2
+        codec = get_delta_codec(name)
+        layouts = [codec.fold_layout] * 2
         for base, chain in chains:
             assert not self._agree(name, dtype, base, chain, kernels)
-            if kernels and None not in layouts:
-                # Refused before the root is copied: the cells are
-                # as they were.
-                cells = np.zeros(self.SHAPE, dtype)
-                assert not chunk_fold(np.dtype(dtype), self.SHAPE)(
-                    base, chain, layouts, cells)
-                assert not cells.view(np.uint8).any()
+            cells = np.zeros(self.SHAPE, dtype)
+            with _kernels(kernels):
+                if None not in layouts:
+                    assert chunk_fold(np.dtype(dtype), self.SHAPE)(
+                        base, chain, layouts, cells) == native.FOLD_DECLINED
+                    assert not cells.view(np.uint8).any()
+                _read_path(codec, base, chain, cells)
+            assert cells.tobytes() == target.tobytes()
 
     def test_hostile_fields(self, name, dtype, kernels, rng):
         """Every width byte, table entry count and a position past the
@@ -497,11 +537,12 @@ class TestChunkFold:
             self._agree(name, dtype, root, [bad, levels[1]], kernels)
 
 
-@pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
-def test_lz_sealed_hybrid_level_takes_the_long_way(rng, kernels):
+@pytest.mark.parametrize("kernels", KERNELS)
+def test_lz_sealed_hybrid_level_folds_bare(rng, kernels):
     """A level under the plain hybrid name whose seal byte says LZ is
-    valid — ``_unseal`` inflates it — but not the call's to read: it
-    declines before writing, and the long way gives the target."""
+    valid — ``_unseal`` inflates it — but not the call's to read as
+    stored: it declines before writing, and the same call over the
+    level's bare section gives the target."""
     codec = get_delta_codec("hybrid")
     target, base = _pair(np.int32, (12, 16), rng)
     sealed = HybridDeltaCodec(lz=True).encode(target, base)
@@ -509,59 +550,66 @@ def test_lz_sealed_hybrid_level_takes_the_long_way(rng, kernels):
     canvas, window = _canvas(np.int32, (12, 16))
     before = canvas.copy()
     cells = np.zeros_like(base)
-    with contextlib.nullcontext() if kernels else native.disabled():
-        assert not chunk_fold(np.dtype(np.int32), (12, 16))(
-            root, [sealed], [codec.fold_layout], cells, window)
+    fold = chunk_fold(np.dtype(np.int32), (12, 16))
+    with _kernels(kernels):
+        assert fold(root, [sealed], [codec.fold_layout], cells,
+                    window) == native.FOLD_DECLINED
         assert not cells.any()      # refused before the root was copied
-        cells[...] = base
-        fold_chain([codec], [sealed], base, cells)
+        assert canvas.tobytes() == before.tobytes()
+        assert fold(root, *bare_levels([codec], [sealed], fold), cells,
+                    window) == 0
+    assert window.tobytes() == target.tobytes()
+    before[1:-1, 3:19] = target
     assert canvas.tobytes() == before.tobytes()
-    assert cells.tobytes() == target.tobytes()
 
 
-def test_respelled_frame_takes_the_long_way_and_says_so(rng, caplog,
-                                                        monkeypatch):
-    """The fold recognises a level by comparing its first bytes with
-    the frame the root implies.  A frame that names the same dtype
-    another way ("=i4" for "<i4") is not corrupt: it is parsed in full,
-    the level still folds, and the miss is logged once."""
+def test_respelled_frame_is_parsed_in_full_and_says_so(rng, caplog,
+                                                       monkeypatch):
+    """A level's bare section is cut off by comparing its first bytes
+    with the frame the chunk implies.  A frame that names the same
+    dtype another way ("=i4" for "<i4") is not corrupt: it is parsed in
+    full, the level still folds, and the miss is logged once."""
     monkeypatch.setattr(native, "_declined", set())
     codec = get_delta_codec("hybrid")
     target, base = _pair(np.int32, (12, 16), rng)
     payload = codec.encode(target, base)
     assert payload[:4] == b"\x03<i4"
     respelled = b"\x03=i4" + payload[4:]
+    fold = chunk_fold(np.dtype(np.int32), (12, 16))
     out = base.copy()
     with caplog.at_level("DEBUG", logger="repro.native"):
-        fold_chain([codec, codec], [payload, respelled], base,
-                   np.zeros_like(base))
-        fold_chain([codec], [respelled], base, out)
+        bare_levels([codec, codec], [payload, respelled], fold)
+        sections, layouts = bare_levels([codec], [respelled], fold)
+    assert fold(out, sections, layouts, out) == 0
     assert out.tobytes() == target.tobytes()
     said = [record.getMessage() for record in caplog.records]
     assert said.count(
         "native declined fold_chain: frame prefix mismatch") == 1
 
 
-@pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize("kernels", KERNELS)
 def test_fold_refuses_a_strided_destination(rng, kernels):
-    """The fold writes only contiguous cells; a strided window is a
-    caller error, refused before anything is folded."""
+    """The fold writes only contiguous cells; strided ones are a caller
+    error, refused before anything is folded."""
     codec = get_delta_codec("hybrid")
     target, base = _pair(np.int32, (12, 16), rng)
     payload = codec.encode(target, base)
     canvas = np.zeros((12, 32), dtype=np.int32)
     canvas[:, :16] = base
-    with contextlib.nullcontext() if kernels else native.disabled():
+    fold = chunk_fold(np.dtype(np.int32), (12, 16))
+    with _kernels(kernels):
         with pytest.raises(ValueError, match="C-contiguous"):
-            fold_chain([codec], [payload], base, canvas[:, :16])
+            fold(IdentityCodec().encode(base), [payload],
+                 [codec.fold_layout], canvas[:, :16])
     assert np.array_equal(canvas[:, :16], base) and not canvas[:, 16:].any()
 
 
-@pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
+@pytest.mark.parametrize("kernels", KERNELS)
 def test_bool_cells_fold_to_booleans(kernels):
     """A well-formed level whose deltas take a bool cell past 1 (only a
-    corrupt one can) leaves booleans either way: the call and the long
-    way both turn every folded byte into 0 or 1."""
+    corrupt one can) leaves booleans: the call, into a window as
+    stored and in place over the level's bare section, turns every
+    folded byte into 0 or 1."""
     base = np.zeros((4, 8), dtype=bool)
     base[0] = True
     deltas = np.tile(np.array([5, -3, 2, 0], dtype=np.int64), 8)
@@ -570,13 +618,42 @@ def test_bool_cells_fold_to_booleans(kernels):
     codec = get_delta_codec("dense")
     canvas, window = _canvas(np.uint8, (4, 8))
     window = window.view(bool)
-    with contextlib.nullcontext() if kernels else native.disabled():
-        done = chunk_fold(np.dtype(bool), (4, 8))(
-            IdentityCodec().encode(base), [payload], [codec.fold_layout],
-            np.empty_like(base), window)
-        cells = base.copy()
-        fold_chain([codec], [payload], base, cells)
-    assert done == kernels
+    fold = chunk_fold(np.dtype(bool), (4, 8))
+    cells = base.copy()
+    with _kernels(kernels):
+        assert fold(IdentityCodec().encode(base), [payload],
+                    [codec.fold_layout], np.empty_like(base), window) == 0
+        assert fold(cells, *bare_levels([codec], [payload], fold),
+                    cells) == 0
     assert set(cells.view(np.uint8).ravel().tolist()) == {0, 1}
-    if done:
-        assert window.tobytes() == cells.tobytes()
+    assert window.tobytes() == cells.tobytes()
+
+
+@pytest.mark.skipif(not native.available(),
+                    reason="counts the compiled calls")
+@pytest.mark.parametrize("name", delta_codec_names())
+def test_accumulate_is_one_compiled_call_per_level(name, rng, monkeypatch):
+    """``accumulate`` folds each level through the read path's call
+    (:class:`native.ChunkFold`), as a bare section: a chain of three
+    levels is three compiled calls, and the accumulator holds their
+    composition."""
+    lib = native._load()
+    real, calls = lib.repro_fold_chain, []
+    monkeypatch.setattr(lib, "repro_fold_chain",
+                        lambda *args: calls.append(args) or real(*args))
+    face, faced = native.ChunkFold.__call__, []
+    monkeypatch.setattr(native.ChunkFold, "__call__",
+                        lambda *args: faced.append(args) or face(*args))
+    codec = get_delta_codec(name)
+    versions = [rng.integers(-50, 50, (12, 16)).astype(np.int32)]
+    for _ in range(3):
+        cells = versions[-1].copy()
+        cells.reshape(-1)[rng.choice(cells.size, 20, replace=False)] += 7
+        versions.append(cells)
+    accumulator = None
+    for base, target in zip(versions, versions[1:]):
+        accumulator = codec.accumulate(codec.encode(target, base),
+                                       accumulator)[0]
+    assert len(calls) == len(faced) == 3
+    composed = versions[0].reshape(-1).astype(np.int64) + accumulator
+    assert composed.astype(np.int32).tobytes() == versions[-1].tobytes()

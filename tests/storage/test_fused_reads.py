@@ -32,6 +32,7 @@ from repro.core import native
 from repro.core.errors import CodecError
 from repro.core.schema import ArraySchema
 from repro.core.serial import pack_array_header
+from repro.delta import codes as code_store
 from repro.delta.base import DeltaCodec, frame_size
 from repro.delta.registry import get_delta_codec
 from repro.storage import pipeline
@@ -724,7 +725,7 @@ def test_fold_buffer_kept_is_bounded(tmp_path, monkeypatch, fan_width,
 
 
 # ----------------------------------------------------------------------
-# One native call per chunk, and the long way for what it declines
+# One call per chunk, whatever the chain's codecs and spelling
 # ----------------------------------------------------------------------
 def _hybrid_chain(root, **kwargs):
     """A (40, 36) int32 array of DEPTH versions in (20, 16) chunks —
@@ -783,11 +784,12 @@ def test_one_native_call_per_chunk(tmp_path, monkeypatch, fan_width, cold):
         assert sections == []
 
 
-def test_lz_sealed_levels_take_the_long_way(tmp_path, monkeypatch):
+def test_lz_sealed_levels_fold_as_bare_sections(tmp_path, monkeypatch):
     """Levels stored LZ-sealed under the plain ``hybrid`` name are
     valid (the codec inflates them) but not the compiled call's to
-    read: it declines each chunk before writing anything, and the long
-    way reads every version byte for byte."""
+    read as stored: it declines each chunk before writing anything,
+    and the chunk goes in once more as its levels' bare sections —
+    every version byte for byte, kernels on or off."""
     root = tmp_path / "s"
     manager, versions = _hybrid_chain(root, backend="local",
                                       delta_codec="hybrid+lz")
@@ -796,7 +798,8 @@ def test_lz_sealed_levels_take_the_long_way(tmp_path, monkeypatch):
         " WHERE delta_codec = 'hybrid+lz'")
     manager.catalog._conn.commit()
     manager.close()
-    with VersionedStorageManager(root, delta_policy="chain") as manager:
+    with VersionedStorageManager(root, delta_policy="chain",
+                                 backend="local") as manager:
         snap = manager.catalog.snapshot("A")
         assert {row.delta_codec for row in snap.walk_chain(
             DEPTH, "value", "chunk-0-0-19-15.dat")} == {"hybrid", None}
@@ -805,6 +808,11 @@ def test_lz_sealed_levels_take_the_long_way(tmp_path, monkeypatch):
                 for depth in range(1, DEPTH + 1):
                     assert manager.select("A", depth).attribute("value") \
                         .tobytes() == versions[depth - 1].tobytes()
+        if native.available():
+            chunks = manager.grid_for(snap.record).chunks()
+            calls = _count_calls(monkeypatch)
+            manager.select("A", DEPTH)
+            assert len(calls) == 2 * len(chunks)   # declined, then bare
 
 
 def _rewrite_stored(manager, edit) -> None:
@@ -821,10 +829,12 @@ def _rewrite_stored(manager, edit) -> None:
         backend.write(path, bytes(stored))
 
 
-def test_respelled_headers_take_the_long_way(tmp_path, cold):
+def test_respelled_headers_go_in_again_bare(tmp_path, cold):
     """Every root header and delta frame spelling its dtype "=i4"
-    rather than "<i4" is valid: the compiled call declines each one and
-    the long way reads every version byte for byte, cache on or off."""
+    rather than "<i4" is valid: the call declines each one, and the
+    chunk goes in again as the root's cells and the levels' bare
+    sections, every header parsed in Python — every version byte for
+    byte, cache on or off."""
     for cache in (0, 1 << 20):
         manager, versions = _hybrid_chain(tmp_path / f"s{cache}",
                                           backend="memory",
@@ -864,9 +874,10 @@ def test_root_header_disagreeing_with_the_chunk_is_named(tmp_path, cold,
 @pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
 def test_root_with_a_surplus_byte_is_named(tmp_path, kernels):
     """A root row one byte longer than its payload — its cells, then
-    the first byte of the next version's — is declined by the one-call
-    decode and refused by the long way, naming array, version, chunk
-    and the surplus, whether the chain above it is empty or not."""
+    the first byte of the next version's — is declined by the call and
+    refused when the root is decoded in Python, naming array, version,
+    chunk and the surplus, whether the chain above it is empty or
+    not."""
     root = tmp_path / "s"
     manager, _ = _hybrid_chain(root, backend="local")
     manager.catalog._conn.execute(
@@ -886,22 +897,72 @@ def test_root_with_a_surplus_byte_is_named(tmp_path, kernels):
                 in message
 
 
-def test_corrupt_level_names_what_the_long_way_names(tmp_path, cold,
-                                                    monkeypatch):
-    """A malformed level fails the compiled call part-way; the read
-    then raises exactly the error the long way alone raises."""
+@pytest.mark.skipif(not native.available(),
+                    reason="counts the compiled calls")
+def test_corrupt_level_is_one_call_per_version(tmp_path, cold,
+                                               monkeypatch):
+    """A malformed level fails its call part-way, and that call's error
+    is the read's: the chunk is decoded once, not again to name the
+    fault.  A one-version read — cache off, or a cache too small for
+    the chain — is one call; a warm fill one per version up to the
+    malformed level.  The message is the same every way."""
     versions = _int_versions()
+    expected = ("'A' version 5 chunk chunk-0-0-15-15.dat: corrupt sparse"
+                " delta: outlier table claims more entries than the"
+                " chunk has cells")
     with cold(_build(tmp_path / "s", versions, np.int64, backend="memory",
                      delta_policy="chain", delta_codec="sparse"),
               "A") as manager:
         _corrupt_level(manager, 5, versions[0])
-        refusals = []
-        for one_call in (True, False):
-            if not one_call:
-                monkeypatch.setattr(DecodePipeline, "_decode_in_one_call",
-                                    lambda *args: None)
+        tight, roomy = (DecodePipeline(manager.catalog, manager.store,
+                                       cache=ChunkCache(max_bytes=budget))
+                        for budget in (2 * CHUNK, 64 * CHUNK))
+        calls = _count_calls(monkeypatch)
+        for read, made in ((lambda: manager.select("A", DEPTH), 1),
+                           (lambda: _read_whole(tight, manager, DEPTH), 1),
+                           (lambda: _read_whole(roomy, manager, DEPTH), 5)):
+            calls.clear()
             with pytest.raises(CodecError) as refused:
-                manager.select("A", DEPTH)
-            refusals.append(str(refused.value))
-        assert refusals[0] == refusals[1]
-        assert refusals[0].startswith("'A' version 5 chunk ")
+                read()
+            assert str(refused.value) == expected
+            assert len(calls) == made
+        assert tight.cache.info()["prefetch_declined"] == 1
+        assert roomy.cache.info()["prefetch_declined"] == 0
+        assert roomy.cache.info()["entries"] == 0
+
+
+@pytest.mark.skipif(not native.available(),
+                    reason="counts the compiled calls")
+@pytest.mark.parametrize("kwargs", [dict(delta_codec="hybrid+lz"),
+                                    dict(compressor="lz")],
+                         ids=["hybrid+lz", "lz-root"])
+def test_lz_chains_are_one_call_per_chunk(tmp_path, monkeypatch, cold,
+                                          kwargs):
+    """A ``hybrid+lz`` chain (its levels go in as bare sections, its
+    root as stored) and a chain on an ``lz`` root (it goes in as cells)
+    are each one compiled call per chunk, and nothing folds in
+    numpy."""
+    manager, versions = _hybrid_chain(tmp_path / "s", backend="memory",
+                                      **kwargs)
+    with cold(manager, "A"):
+        chunks = manager.grid_for(manager.catalog.get_array("A")).chunks()
+        snap = manager.catalog.snapshot("A")
+        rows = list(snap.walk_chain(DEPTH, "value", chunks[0].name))
+        assert len(rows) == DEPTH
+        assert (rows[0].delta_codec, rows[-1].compressor) == (
+            kwargs.get("delta_codec", "hybrid"),
+            kwargs.get("compressor", "none"))
+        calls = _count_calls(monkeypatch)
+        numpy_folds = []
+        monkeypatch.setattr(code_store, "_fold_numpy",
+                            lambda *args: numpy_folds.append(args))
+        for depth in (1, 2, DEPTH):
+            calls.clear()
+            got = manager.select("A", depth).attribute("value")
+            assert got.tobytes() == versions[depth - 1].tobytes()
+            assert len(calls) == len(chunks)
+            # Argument 8 is the root header's length: 0 when the base
+            # went in as cells.
+            assert {bool(call[8]) for call in calls} == {
+                rows[-1].compressor == "none"}
+        assert numpy_folds == []
