@@ -3,7 +3,9 @@
 The paper's Table IV range selects stack one box of many versions.  A
 stacked select is one read plan over all its layers: per chunk the
 versions resolve in ascending order and share one chain scope, and
-every chunk's layers are one task of one fan batch, cache on or off.
+every chunk's layers are one run of one of the read's few batches —
+each batch one task of the CPU fan and one compiled call — cache on or
+off.
 This bench reads all 16 versions of a 512 x 512 int32 array cut into
 64 chunks of 64 x 64 cells, on the memory backend, with the cache off
 (cold), as the first select on an empty cache big enough to hold

@@ -58,11 +58,13 @@ class DeltaLevelError(CodecError):
     """One level of a delta chain is not a well-formed payload.
 
     ``level`` indexes the chain's payloads as they were handed to the
-    fold, so the caller that knows the chain can name the version.
+    fold, and ``chunk`` the chunk in the fold's batch, so the caller
+    that knows the chain can name the version.
     """
 
-    def __init__(self, level: int, message: str):
+    def __init__(self, level: int, message: str, chunk: int = 0):
         self.level = level
+        self.chunk = chunk
         super().__init__(message)
 
 

@@ -31,16 +31,20 @@ declines) and the Materialization Matrix; :func:`pack_bits`, behind
 every other ``pack_unsigned`` call, is the pack over one run of every
 value.
 
-The read side is one call per chunk, with one C entry behind it and
-one Python face, :class:`ChunkFold`.  It hands the entry a chunk's
-whole decode: it checks the root payload's array header and every
-level's delta frame (and hybrid seal byte) against the bytes the chunk
-implies, copies the root into one contiguous run of cells — a
-contiguous canvas window, or the decode thread's chunk buffer — parses
-every level out of its stored payload (or out of a bare section, a
-level the caller unframed and unsealed itself), zigzag-decodes in
-register and applies it in place in the cell's own width, and copies
-the cells into a strided window once.  The zigzag decode and the
+The read side is one call per batch of chunks, with one C entry
+behind it and one Python face, :class:`FoldBatch` (chunks laid out by
+a :class:`ChunkFold`).  It hands the entry every chunk's whole decode
+as tables — a descriptor per chunk, a buffer slot and layout per
+level, the address and length of every buffer — and per chunk the
+entry checks the root payload's array header and every level's delta
+frame (and hybrid seal byte) against the bytes the chunk implies,
+copies the root into one contiguous run of cells — a contiguous
+canvas window, cells of the chunk's own, or the decode thread's chunk
+buffer — parses every level out of its stored payload (or out of a
+bare section, a level the caller unframed and unsealed itself),
+zigzag-decodes in register and applies it in place in the cell's own
+width, and copies the cells, or the box of them a read cuts, into a
+strided window once.  The zigzag decode and the
 carry-register unpack serve the level-by-level decoders.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they
@@ -55,7 +59,7 @@ throughput changes, so a build that failed under every cache root
 says so once on the ``repro.native`` logger.  Every wrapper returns
 ``None`` (or ``False`` for in-place kernels) instead of raising when
 its gate rejects the input, and callers fall through to numpy;
-:class:`ChunkFold` runs its numpy form itself, under the same
+:class:`FoldBatch` runs a chunk's numpy form itself, under the same
 contract.  The write-side wrappers and the fold say why at ``debug``,
 once per reason (:class:`ChunkEncode` returns None, and its caller
 plans).
@@ -633,15 +637,16 @@ void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
     }
 }
 
-/* ---- Read side: one chunk's decode --------------------------------
+/* ---- Read side: a batch of chunk decodes ---------------------------
  *
- * One call rebuilds one chunk of the version being read: it copies the
- * base into `count` adjacent cells, folds every level of the delta
- * chain onto them and copies them into the destination window.  The
- * cells are a contiguous canvas window, or the decode thread's chunk
- * buffer, which stays in L2 across the levels where a window whose
- * rows sit a canvas row apart would not (or `accumulate`'s zeroed
- * 64-bit accumulator).  ctypes releases the GIL for the whole call.
+ * One call rebuilds a batch of chunks of the versions being read, in
+ * order.  Per chunk it copies the base into `count` adjacent cells,
+ * folds every level of the delta chain onto them and copies them into
+ * the destination window.  The cells are a contiguous canvas window,
+ * cells of the chunk's own, or the decode thread's chunk buffer, which
+ * stays in L2 across the levels where a window whose rows sit a canvas
+ * row apart would not (or `accumulate`'s zeroed 64-bit accumulator).
+ * ctypes releases the GIL for the whole call.
  *
  * The base is a `none`-codec root payload — an array header, which
  * must equal the one the chunk implies byte for byte, then the cells —
@@ -795,77 +800,95 @@ FOLD_KERNEL(repro_fold_xor2, uint16_t, FOLD_XOR)
 FOLD_KERNEL(repro_fold_xor4, uint32_t, FOLD_XOR)
 FOLD_KERNEL(repro_fold_xor8, uint64_t, FOLD_XOR)
 
-/* Copy `count` contiguous cells of `width` bytes into an `ndim`-d
- * window at `dst`: `geometry` holds its extents, then its byte
- * strides (any sign).  The caller has checked that the extents
- * multiply to `count`; offsets stay integers until a cell is copied. */
+/* Copy a box of a chunk's cells, contiguous in C order at `src`, into
+ * an `ndim`-d window at `dst`: `geometry` holds the chunk's extents,
+ * the box's first index in it, the box's extents (the window's), then
+ * the window's byte strides (any sign).  The caller has checked that
+ * the box lies in the chunk; offsets stay integers until a cell is
+ * copied. */
 static void repro_to_window(unsigned char *dst, int64_t ndim,
                             const int64_t *geometry,
-                            const unsigned char *src, int width,
-                            int64_t count)
+                            const unsigned char *src, int64_t width)
 {
     if (ndim == 0) {
         memcpy(dst, src, (size_t)width);
         return;
     }
-    const int64_t *extents = geometry, *strides = geometry + ndim;
+    const int64_t *shape = geometry, *first = geometry + ndim;
+    const int64_t *extents = geometry + 2 * ndim;
+    const int64_t *strides = geometry + 3 * ndim;
+    int64_t pitch[64];
+    pitch[ndim - 1] = width;
+    for (int64_t d = ndim - 2; d >= 0; d--)
+        pitch[d] = pitch[d + 1] * shape[d + 1];
+    for (int64_t d = 0; d < ndim; d++)
+        src += first[d] * pitch[d];
     int64_t inner = extents[ndim - 1], step = strides[ndim - 1];
-    int64_t row_bytes = inner * width;
     int64_t index[64] = {0};
-    int64_t at = 0;
-    for (int64_t done = 0; done < count; done += inner) {
+    int64_t at = 0, from = 0, d;
+    do {
         if (step == width) {
-            memcpy(dst + at, src, (size_t)row_bytes);
+            memcpy(dst + at, src + from, (size_t)(inner * width));
         } else {
             for (int64_t j = 0; j < inner; j++)
-                memcpy(dst + at + j * step, src + j * width,
+                memcpy(dst + at + j * step, src + from + j * width,
                        (size_t)width);
         }
-        src += row_bytes;
-        for (int64_t d = ndim - 2; d >= 0; d--) {
+        for (d = ndim - 2; d >= 0; d--) {
             at += strides[d];
+            from += pitch[d];
             if (++index[d] < extents[d])
                 break;
             at -= strides[d] * extents[d];
+            from -= pitch[d] * extents[d];
             index[d] = 0;
         }
-    }
+    } while (d >= 0);
 }
 
-/* The one read-side entry: rebuild one chunk of `count` cells of
- * `width` bytes.
- *
- *   base, base_len      the base: with `header_len` > 0 a root
- *                       payload of that header then the cells, else
- *                       the cells alone;
- *   header, frame       the array header and delta frame the chunk
- *                       implies (either may be empty);
- *   levels, level_desc  (address, length, layout) per level payload;
- *                       a layout with FOLD_SEALED has a seal byte, one
- *                       with FOLD_BARE neither frame nor seal byte;
- *   cells               contiguous cells the chain folds into (may be
- *                       the base itself: no copy), or NULL for a chain
- *                       of no levels, copied into the window directly;
- *   window, ndim,       the destination, NULL when it is `cells`:
- *   geometry            extents then byte strides (repro_to_window).
- *
+/* One chunk of a batch, as the descriptor table holds it: FOLD_FIELDS
+ * int64 fields, every buffer named by its slot in the batch's buffer
+ * table (address and byte length); a slot of -1 is "none". */
+enum {
+    D_WIDTH, D_XOR, D_TRUTH, D_COUNT,
+    D_CELLS,        /* the contiguous cells the chain folds into, or -1
+                     * for a chain of no levels, copied straight into
+                     * the window; may be the base's own cells */
+    D_BASE,         /* the base: a root payload, or cells */
+    D_HEADER,       /* the array header a root payload starts with, or
+                     * -1: the base is cells alone */
+    D_FRAME,        /* the delta frame every whole level starts with,
+                     * or -1: the chunk's cell type has none, and every
+                     * whole level is declined */
+    D_ROW, D_LEVELS,    /* the chunk's first level and its level count */
+    D_WINDOW, D_NDIM,   /* the destination window or -1 (the cells are
+                         * it), and the chunk's number of dimensions */
+    D_GEOMETRY,     /* the window's geometry (repro_to_window) from
+                     * this entry of the geometry table */
+    FOLD_FIELDS
+};
+
+/* Rebuild one chunk of `count` cells of `width` bytes: check the root
+ * header and every level's frame and seal byte, copy the base into the
+ * cells, fold every level onto them and copy them into the window.  A
+ * level is a buffer slot and a layout: a whole stored payload — frame,
+ * a seal byte with FOLD_SEALED, then its section — or with FOLD_BARE
+ * the section alone.  The window receives the box of the cells its
+ * geometry names (the whole chunk, or the part a read's box cuts).
  * `truth` (bool cells) turns every folded byte into 0 or 1.  Returns 0
- * when the chunk is in place, FOLD_DECLINED when the root header, a
+ * when the chunk is in place; FOLD_DECLINED when the root header, a
  * frame or a seal byte is not the expected one (or the base is not
- * exactly header plus cells) — checked before anything is written, so
- * the caller can hand the chunk in again as cells and bare sections —
- * or -(8 * level + reason) for the first level that is not a
- * well-formed section over `count` cells;
- * the cells are then partly folded and must be discarded, and the
- * window is untouched unless it is the cells. */
-int64_t repro_fold_chain(unsigned char *cells, int width, int use_xor,
-                         int truth, int64_t count,
-                         const unsigned char *base, int64_t base_len,
-                         const unsigned char *header, int64_t header_len,
-                         const unsigned char *frame, int64_t frame_len,
-                         int64_t levels, const int64_t *level_desc,
-                         unsigned char *window, int64_t ndim,
-                         const int64_t *geometry)
+ * exactly header plus cells) — checked before anything is written;
+ * -(8 * level + reason) for the first level that is not a well-formed
+ * section over `count` cells (the cells are then partly folded, and
+ * the window untouched unless it is the cells); or -FOLD_ARGUMENT for
+ * a descriptor that does not fit the tables. */
+static int64_t repro_fold_one(const int64_t *d, const int64_t *slots,
+                              const int64_t *layouts, int64_t nrows,
+                              const int64_t *geometry,
+                              int64_t ngeometry,
+                              unsigned char *const *buffers,
+                              const int64_t *lengths, int64_t nbuffers)
 {
     static int (*const kernels[2][4])(
         unsigned char *, int64_t, const unsigned char *, int64_t,
@@ -875,37 +898,75 @@ int64_t repro_fold_chain(unsigned char *cells, int width, int use_xor,
         {repro_fold_xor1, repro_fold_xor2, repro_fold_xor4,
          repro_fold_xor8},
     };
+    int64_t width = d[D_WIDTH], count = d[D_COUNT];
+    int64_t levels = d[D_LEVELS], ndim = d[D_NDIM];
     int slot = width == 1 ? 0 : width == 2 ? 1 : width == 4 ? 2
         : width == 8 ? 3 : -1;
     /* 2^56 cells keep every count * bits below 2^63. */
     if (slot < 0 || count < 1 || count > (1LL << 56) || levels < 0
-            || header_len < 0 || frame_len < 0
-            || (levels > 0 && !cells) || (!cells && !window)
+            || d[D_ROW] < 0 || d[D_ROW] > nrows - levels
             || ndim < 0 || ndim > 64)
         return -FOLD_ARGUMENT;
-    if (window) {
+    for (int f = D_CELLS; f <= D_FRAME; f++)
+        if (d[f] < -1 || d[f] >= nbuffers)
+            return -FOLD_ARGUMENT;
+    if (d[D_WINDOW] < -1 || d[D_WINDOW] >= nbuffers || d[D_BASE] < 0
+            || (levels > 0 && d[D_CELLS] < 0)
+            || (d[D_CELLS] < 0 && d[D_WINDOW] < 0))
+        return -FOLD_ARGUMENT;
+    int64_t nbytes = count * width;
+    unsigned char *cells = d[D_CELLS] < 0 ? NULL : buffers[d[D_CELLS]];
+    if (cells && lengths[d[D_CELLS]] != nbytes)
+        return -FOLD_ARGUMENT;
+    unsigned char *window = NULL;
+    const int64_t *shape = NULL;
+    if (d[D_WINDOW] >= 0) {
+        if (d[D_GEOMETRY] < 0 || d[D_GEOMETRY] > ngeometry - 4 * ndim)
+            return -FOLD_ARGUMENT;
+        window = buffers[d[D_WINDOW]];
+        shape = geometry + d[D_GEOMETRY];
+        const int64_t *first = shape + ndim, *extents = shape + 2 * ndim;
         int64_t cells_in = 1;
-        for (int64_t d = 0; d < ndim; d++) {
-            if (geometry[d] < 1 || geometry[d] > count / cells_in)
+        for (int64_t i = 0; i < ndim; i++) {
+            if (shape[i] < 1 || shape[i] > count / cells_in
+                    || first[i] < 0 || extents[i] < 1
+                    || first[i] > shape[i] - extents[i])
                 return -FOLD_ARGUMENT;
-            cells_in *= geometry[d];
+            cells_in *= shape[i];
         }
         if (cells_in != count)
             return -FOLD_ARGUMENT;
     }
-    int64_t nbytes = count * width;
+    slots += d[D_ROW];
+    layouts += d[D_ROW];
+    for (int64_t level = 0; level < levels; level++)
+        if (slots[level] < 0 || slots[level] >= nbuffers)
+            return -FOLD_ARGUMENT;
+
+    const unsigned char *base = buffers[d[D_BASE]];
+    int64_t base_len = lengths[d[D_BASE]];
+    const unsigned char *header = NULL, *frame = NULL;
+    int64_t header_len = 0, frame_len = 0;
+    if (d[D_HEADER] >= 0) {
+        header = buffers[d[D_HEADER]];
+        header_len = lengths[d[D_HEADER]];
+    }
+    if (d[D_FRAME] >= 0) {
+        frame = buffers[d[D_FRAME]];
+        frame_len = lengths[d[D_FRAME]];
+    }
     /* memcmp is never handed an empty (possibly NULL) prefix. */
     if (base_len != header_len + nbytes
             || (header_len && memcmp(base, header, (size_t)header_len)))
         return FOLD_DECLINED;
     for (int64_t level = 0; level < levels; level++) {
-        if (level_desc[3 * level + 2] & FOLD_BARE)
+        int64_t layout = layouts[level];
+        if (layout & FOLD_BARE)
             continue;
-        const unsigned char *p =
-            (const unsigned char *)(intptr_t)level_desc[3 * level];
-        int64_t len = level_desc[3 * level + 1];
-        int sealed = (level_desc[3 * level + 2] & FOLD_SEALED) != 0;
-        if (len < frame_len + sealed
+        const unsigned char *p = buffers[slots[level]];
+        int64_t len = lengths[slots[level]];
+        int sealed = (layout & FOLD_SEALED) != 0;
+        if (!frame || len < frame_len + sealed
                 || (frame_len && memcmp(p, frame, (size_t)frame_len))
                 || (sealed && p[frame_len] != 0))
             return FOLD_DECLINED;
@@ -914,22 +975,59 @@ int64_t repro_fold_chain(unsigned char *cells, int width, int use_xor,
     if (cells && cells != from)
         memcpy(cells, from, (size_t)nbytes);
     for (int64_t level = 0; level < levels; level++) {
-        const int64_t *desc = level_desc + 3 * level;
-        int64_t skip = desc[2] & FOLD_BARE ? 0
-            : frame_len + ((desc[2] & FOLD_SEALED) != 0);
-        int reason = kernels[use_xor != 0][slot](
-            cells, count, (const unsigned char *)(intptr_t)desc[0] + skip,
-            desc[1] - skip, (int)(desc[2] & (FOLD_SMALL | FOLD_TABLE)));
+        int64_t layout = layouts[level];
+        int64_t skip = layout & FOLD_BARE ? 0
+            : frame_len + ((layout & FOLD_SEALED) != 0);
+        int64_t reason = kernels[d[D_XOR] != 0][slot](
+            cells, count, buffers[slots[level]] + skip,
+            lengths[slots[level]] - skip,
+            (int)(layout & (FOLD_SMALL | FOLD_TABLE)));
         if (reason)
             return -(8 * level + reason);
     }
-    if (truth && levels > 0)
+    if (d[D_TRUTH] && levels > 0)
         for (int64_t i = 0; i < nbytes; i++)
             cells[i] = cells[i] != 0;
     if (window)
-        repro_to_window(window, ndim, geometry, cells ? cells : from,
-                        width, count);
+        repro_to_window(window, ndim, shape, cells ? cells : from, width);
     return 0;
+}
+
+/* The one read-side entry: rebuild a batch of `chunks` chunks, in
+ * descriptor order, so a chunk may fold onto cells an earlier one of
+ * the batch rebuilt (a warm fill's versions, a stack's layers).
+ *
+ *   desc                FOLD_FIELDS per chunk (see above);
+ *   slots, layouts,     the buffer slot and the layout of every level,
+ *   nrows               each chunk's levels adjacent;
+ *   geometry, ngeometry every window's geometry (repro_to_window);
+ *   buffers, lengths,   the address and byte length of every buffer
+ *   nbuffers            the tables name: cells, windows, bases,
+ *                       headers, frames and level payloads.
+ *
+ * Stops at the first chunk that does not come back 0 and returns its
+ * index, its status (repro_fold_one) in `*status`: nothing past it is
+ * written.  Returns `chunks`, status 0, once every chunk is in place.
+ * ctypes releases the GIL for the whole call. */
+int64_t repro_fold_chain(int64_t chunks, const int64_t *desc,
+                         const int64_t *slots, const int64_t *layouts,
+                         int64_t nrows,
+                         const int64_t *geometry, int64_t ngeometry,
+                         unsigned char *const *buffers,
+                         const int64_t *lengths, int64_t nbuffers,
+                         int64_t *status)
+{
+    for (int64_t chunk = 0; chunk < chunks; chunk++) {
+        int64_t got = repro_fold_one(desc + FOLD_FIELDS * chunk, slots,
+                                     layouts, nrows, geometry, ngeometry,
+                                     buffers, lengths, nbuffers);
+        if (got) {
+            *status = got;
+            return chunk;
+        }
+    }
+    *status = 0;
+    return chunks;
 }
 """
 
@@ -1011,11 +1109,10 @@ def _compile() -> ctypes.CDLL | None:
             _U64_P]
         lib.repro_unpack_bits.restype = None
         lib.repro_fold_chain.argtypes = [
-            ctypes.c_void_p, ctypes.c_int, ctypes.c_int, ctypes.c_int,
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-            ctypes.c_char_p, ctypes.c_int64, ctypes.c_char_p,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.c_int64, ctypes.c_void_p]
         lib.repro_fold_chain.restype = ctypes.c_int64
         lib.repro_encode_chunk.argtypes = [
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, ctypes.c_int,
@@ -1340,7 +1437,7 @@ def unpack_bits(data, bits: int, count: int) -> np.ndarray | None:
     return out
 
 
-#: ``layouts`` bits of :class:`ChunkFold` (the C side's enum): the parts
+#: ``layouts`` bits of :class:`FoldBatch` (the C side's enum): the parts
 #: one code-array payload section has, ``FOLD_SMALL`` / ``FOLD_TABLE``;
 #: ``FOLD_SEALED``, a seal byte between the frame and the section that
 #: must say "no LZ"; and ``FOLD_BARE``, a level that is its section
@@ -1350,7 +1447,7 @@ FOLD_TABLE = 2
 FOLD_SEALED = 4
 FOLD_BARE = 8
 
-#: :class:`ChunkFold`'s status for a root header, frame or seal byte
+#: :class:`FoldBatch`'s status for a root header, frame or seal byte
 #: that is not the expected spelling, refused before anything was
 #: written.
 FOLD_DECLINED = 1
@@ -1369,20 +1466,22 @@ _BYTE = np.uint8
 
 
 class ChunkFold:
-    """One chunk's whole decode for chunks of one ``(dtype, shape)``
-    (built once per layout by :func:`repro.delta.base.chunk_fold`): the
-    one Python face of the C entry ``repro_fold_chain``.
+    """The layout of chunks of one ``(dtype, shape)`` as the read path's
+    one decode reads them (built once per layout by
+    :func:`repro.delta.base.chunk_fold`): the cells, the array
+    ``header`` a root payload of the ``none`` compressor starts with and
+    the delta ``frame`` every whole level starts with.
 
-    A call copies the base into contiguous cells, checks and folds
-    every level of a delta chain onto them and copies them into the
-    destination window, all in C with the GIL released.  The base is
-    the chain's root payload of the ``none`` compressor — ``header``,
-    then the cells — or an ndarray of cells (a held layer, a root
-    decompressed in Python).  A level is a whole stored delta payload
-    — ``frame``, a seal byte when its layout has :data:`FOLD_SEALED`,
-    then its section — or, with :data:`FOLD_BARE`, its section alone.
-    The header, each frame and each seal byte are compared with the
-    expected bytes before anything is written.
+    A chunk's decode (queued with :meth:`FoldBatch.add`) copies the
+    base into contiguous cells, checks and folds every level of a delta
+    chain onto them and copies them into the destination window.  The
+    base is the chain's root payload — ``header``, then the cells — or
+    an ndarray of cells (a held layer, a root decompressed in Python).
+    A level is a whole stored delta payload — ``frame``, a seal byte
+    when its layout has :data:`FOLD_SEALED`, then its section — or,
+    with :data:`FOLD_BARE`, its section alone.  The header, each frame
+    and each seal byte are compared with the expected bytes before
+    anything is written.
 
     Where no kernel runs — kernels off, a cell type or host the C entry
     does not take — the same contract runs in numpy, the section fold
@@ -1390,8 +1489,8 @@ class ChunkFold:
     a cell type no delta is defined for: every whole level is then
     declined."""
 
-    __slots__ = ("dtype", "shape", "count", "header", "frame", "_cell",
-                 "_unfit")
+    __slots__ = ("dtype", "shape", "count", "header", "frame", "whole",
+                 "origin", "corner", "_cell", "_unfit")
 
     def __init__(self, dtype: np.dtype, shape: tuple[int, ...],
                  header: bytes, frame: bytes | None, use_xor: bool):
@@ -1400,6 +1499,11 @@ class ChunkFold:
         self.count = math.prod(shape)
         self.header = header
         self.frame = frame
+        # The box of all of a chunk, its first index, and the slices of
+        # a window's first cell.
+        self.whole = (slice(None),) * len(shape)
+        self.origin = (0,) * len(shape)
+        self.corner = (slice(0, 1),) * len(shape)
         self._cell = (dtype.itemsize, int(use_xor), int(dtype.kind == "b"),
                       self.count)
         # Why the C entry cannot fold this layout, or None.
@@ -1410,77 +1514,10 @@ class ChunkFold:
             else f"byte-swapped dtype {dtype}" if not dtype.isnative
             else "empty" if not self.count else None)
 
-    def __call__(self, base, payloads: list, layouts: list[int],
-                 cells: np.ndarray | None,
-                 window: np.ndarray | None = None) -> int:
-        """Rebuild one chunk: 0 once it is in place, or
-        :data:`FOLD_DECLINED` when a root header, frame or seal byte is
-        not the expected one (nothing was written: hand the chunk in
-        again as cells and bare sections).
-
-        ``payloads`` are the levels to fold (any order: they commute),
-        ``layouts`` their ``FOLD_*`` bits.  ``cells`` are writable
-        contiguous cells of this chunk's layout to fold in — the base's
-        own cells fold in place — or None for no levels, the base then
-        copied straight into ``window``.  ``window`` is a writable view
-        of this layout (any strides) that receives the cells, None when
-        ``cells`` are the destination; arrays of any other layout raise
-        ``ValueError``.  A malformed level raises
-        :class:`~repro.core.errors.DeltaLevelError` with its index;
-        ``cells`` are then partly folded.
-        """
-        self._check(base, cells, window, payloads)
-        lib = _active()
-        unfit = "kernels disabled or unavailable" if lib is None \
-            else self._unfit
-        if unfit:
-            decline("fold_chain", unfit)
-            status = self._fold_numpy(base, payloads, layouts, cells,
-                                      window)
-        else:
-            width, use_xor, truth, count = self._cell
-            if type(base) is np.ndarray:
-                header, base_at, base_len = \
-                    None, base.ctypes.data, base.nbytes
-            else:
-                raw = _frombuffer(base, _BYTE)
-                header, base_at, base_len = \
-                    self.header, raw.ctypes.data, raw.size
-            geometry = window_at = None
-            ndim = 0
-            if window is not None:
-                ndim = window.ndim
-                geometry = array.array("q", window.shape + window.strides)
-                window_at = window.ctypes.data
-            table = None
-            if payloads:
-                # (address, length, layout) per level: plain addresses,
-                # the caller keeps the payloads alive for the call.
-                rows = []
-                for payload, layout in zip(payloads, layouts):
-                    raw = _frombuffer(payload, _BYTE)
-                    rows += (raw.ctypes.data, raw.size, layout)
-                table = array.array("q", rows)
-            status = lib.repro_fold_chain(
-                None if cells is None else cells.ctypes.data, width,
-                use_xor, truth, count, base_at, base_len, header,
-                0 if header is None else len(header), self.frame,
-                len(self.frame), len(payloads),
-                None if table is None else table.buffer_info()[0],
-                window_at, ndim,
-                None if geometry is None else geometry.buffer_info()[0])
-        if status < 0:
-            level, reason = divmod(-status, 8)
-            raise DeltaLevelError(
-                level, FOLD_REASONS.get(reason, f"fold reason {reason}"))
-        if status:
-            decline("fold_chain", "a root header, frame or seal byte is"
-                                  " not the expected one")
-        return status
-
-    def _fold_numpy(self, base, payloads, layouts, cells, window) -> int:
-        """The C entry's contract in numpy: the same checks before
-        anything is written, the same statuses."""
+    def _fold_numpy(self, base, payloads, layouts, cells, window,
+                    box) -> int:
+        """One chunk of the C entry's contract in numpy: the same checks
+        before anything is written, the same statuses."""
         # The section fold lives with the section readers, which import
         # this module.
         from repro.delta import codes
@@ -1504,7 +1541,7 @@ class ChunkFold:
                 raw = raw[skip:]
             sections.append(raw)
         if cells is None:
-            np.copyto(window, base)
+            np.copyto(window, base[box])
             return 0
         if cells is not base:
             np.copyto(cells, base)
@@ -1515,11 +1552,12 @@ class ChunkFold:
             truth = cells.view(_BYTE)
             np.not_equal(truth, 0, out=truth)
         if window is not None:
-            np.copyto(window, cells)
+            np.copyto(window, cells[box])
         return 0
 
     def _check(self, base, cells: np.ndarray | None,
-               window: np.ndarray | None, payloads: list) -> None:
+               window: np.ndarray | None, box: tuple, payloads: list
+               ) -> None:
         """Refuse arrays that are not this layout's cells as the C entry
         needs them (a caller error: nothing is written)."""
         def cells_of_the_chunk(array: np.ndarray) -> bool:
@@ -1536,10 +1574,213 @@ class ChunkFold:
                   and cells.flags.writeable):
             raise ValueError(
                 "cells are not writable C-contiguous cells of the chunk")
-        if window is not None and not (
-                cells_of_the_chunk(window) and window.flags.writeable):
-            raise ValueError(
-                "window is not a writable view of the chunk's layout")
+        if window is None:
+            return
+        shape = self.shape
+        if box is not self.whole:
+            shape = tuple([len(range(*part.indices(extent)))
+                           if part.step in (None, 1) else -1
+                           for part, extent in zip(box, self.shape)])
+        if not (window.dtype == self.dtype and window.shape == shape
+                and window.flags.writeable):
+            raise ValueError("window is not a writable view of the box's"
+                             " layout in the chunk")
+
+
+#: int64 fields per chunk of the C entry's descriptor table (its
+#: FOLD_FIELDS): cell width, xor, truth, count; the cells, base,
+#: header and frame slots; first level and level count; window
+#: slot, its dimensions and its first geometry entry.
+_FOLD_FIELDS = 13
+
+_char_p = ctypes.c_char_p
+_BYTES = {bytes}
+_cell_at = ctypes.c_char.from_buffer
+_addressof = ctypes.addressof
+
+
+class FoldBatch:
+    """Chunks to rebuild in one call of the C entry
+    ``repro_fold_chain``: the read path's one decode face.
+
+    :meth:`add` queues one chunk — its layout (:class:`ChunkFold`),
+    base, levels, cells and window, as :class:`ChunkFold` describes
+    them — and :meth:`run` rebuilds the queued chunks in order, all in
+    C with the GIL released.  A chunk may take as its base the cells of
+    one queued before it (a warm fill's versions, a stack's layers):
+    they are rebuilt by the time it is.  The call gets one descriptor
+    per chunk and one ``(buffer, layout)`` row per level, each buffer
+    a slot of one address table: a ``bytes`` payload goes in as itself
+    (no numpy object per payload), cells and windows by address.
+    Chunks whose layout the C entry does not take, or every chunk with
+    the kernels off, run :meth:`ChunkFold._fold_numpy` in turn under
+    the same contract.
+    """
+
+    __slots__ = ("_chunks", "_tables")
+
+    def __init__(self):
+        self._chunks: list[tuple] = []
+        self._tables: tuple | None = None
+
+    def add(self, fold: ChunkFold, base, payloads: list,
+            layouts: list[int], cells: np.ndarray | None,
+            window: np.ndarray | None = None, box: tuple | None = None
+            ) -> None:
+        """Queue one chunk of ``fold``'s layout.  ``payloads`` are its
+        levels (any order: they commute), ``layouts`` their ``FOLD_*``
+        bits.  ``cells`` are writable contiguous cells of the layout to
+        fold in — the base's own cells fold in place — or None for no
+        levels, the base then copied straight into ``window``.
+        ``window`` is a writable view (any strides) that receives the
+        ``box`` of the cells — step-1 slices of the chunk, None for all
+        of it — and so has the box's shape; None when ``cells`` are the
+        destination.  Arrays of any other layout raise ``ValueError``
+        here, and nothing is queued."""
+        if box is None:
+            box = fold.whole
+        fold._check(base, cells, window, box, payloads)
+        self._chunks.append(
+            (fold, base, payloads, layouts, cells, window, box))
+        self._tables = None
+
+    def run(self, start: int = 0) -> tuple[int, int]:
+        """Rebuild the queued chunks from ``start`` on, in order, up to
+        the first that does not come back in place.
+
+        Returns ``(index, status)``: the number of chunks queued and 0
+        once every chunk is in place, or the index of a chunk whose root
+        header, frame or seal byte is not the expected one and
+        :data:`FOLD_DECLINED` — nothing of it or past it was written:
+        hand it in again as cells and bare sections, then run on from
+        ``index + 1``.  A malformed level raises
+        :class:`~repro.core.errors.DeltaLevelError` carrying the level's
+        and the chunk's index; that chunk's cells are then partly
+        folded, the chunks before it are in place and nothing past it
+        was written."""
+        lib = _active()
+        chunks = self._chunks
+        at = start
+        while at < len(chunks):
+            fold = chunks[at][0]
+            unfit = "kernels disabled or unavailable" if lib is None \
+                else fold._unfit
+            if not unfit:
+                stop = at + 1
+                while stop < len(chunks) and chunks[stop][0]._unfit is None:
+                    stop += 1
+                at, status = self._native(lib, at, stop)
+            else:
+                decline("fold_chain", unfit)
+                try:
+                    status = fold._fold_numpy(*chunks[at][1:])
+                except DeltaLevelError as exc:
+                    exc.chunk = at
+                    raise
+                at += not status
+            if status:
+                decline("fold_chain", "a root header, frame or seal byte"
+                                      " is not the expected one")
+                return at, status
+        return at, 0
+
+    def _native(self, lib, start: int, stop: int) -> tuple[int, int]:
+        """Chunks ``start`` up to ``stop`` through one call of the C
+        entry: the index it stopped at and its status."""
+        if self._tables is None:
+            self._tables = self._build()
+        desc, slots, layouts, geometry, handles, lengths = self._tables
+        status = array.array("q", (0,))
+        done = start + lib.repro_fold_chain(
+            stop - start, desc.buffer_info()[0] + 8 * _FOLD_FIELDS * start,
+            slots.buffer_info()[0], layouts.buffer_info()[0], len(slots),
+            geometry.buffer_info()[0], len(geometry), handles,
+            lengths.buffer_info()[0], len(lengths),
+            status.buffer_info()[0])
+        code = status[0]
+        if code < 0:
+            level, reason = divmod(-code, 8)
+            raise DeltaLevelError(
+                level, FOLD_REASONS.get(reason, f"fold reason {reason}"),
+                chunk=done)
+        return done, code
+
+    def _build(self) -> tuple:
+        """The C entry's tables for every queued chunk: descriptors,
+        every level's buffer slot and layout, window geometry, and the
+        address and length of every buffer they name."""
+        handles: list = []
+        lengths: list[int] = []
+        desc: list[int] = []
+        slots: list[int] = []
+        layouts: list[int] = []
+        geometry: list[int] = []
+        prefixes: dict[int, tuple[int, int]] = {}
+        for fold, base, payloads, levels, cells, window, box \
+                in self._chunks:
+            prefix = prefixes.get(id(fold))
+            if prefix is None:
+                header, frame = fold.header, fold.frame
+                prefix = prefixes[id(fold)] = (
+                    len(handles), -1 if frame is None else len(handles) + 1)
+                handles += (header, frame)
+                lengths += (len(header), 0 if frame is None else len(frame))
+            header_slot, frame_slot = prefix
+            base_slot = len(handles)
+            if type(base) is np.ndarray:
+                header_slot = -1
+                handles.append(_addressof(_cell_at(base))
+                               if base.flags.writeable else base.ctypes.data)
+                lengths.append(base.nbytes)
+            elif type(base) is bytes:
+                handles.append(base)
+                lengths.append(len(base))
+            else:
+                raw = _frombuffer(base, _BYTE)
+                handles.append(raw.ctypes.data)
+                lengths.append(raw.size)
+            cells_slot = -1
+            if cells is base:
+                cells_slot = base_slot
+            elif cells is not None:
+                cells_slot = len(handles)
+                handles.append(_addressof(_cell_at(cells)))
+                lengths.append(cells.nbytes)
+            window_slot = first = -1
+            if window is not None:
+                window_slot, first = len(handles), len(geometry)
+                # Its first cell is a contiguous view: its address is
+                # the window's, without a numpy object per window.
+                handles.append(_addressof(_cell_at(
+                    window[fold.corner] if fold.corner else window)))
+                lengths.append(window.nbytes)
+                geometry += fold.shape
+                geometry += [part.indices(extent)[0]
+                             for part, extent in zip(box, fold.shape)] \
+                    if box is not fold.whole else fold.origin
+                geometry += window.shape
+                geometry += window.strides
+            desc += (*fold._cell, cells_slot, base_slot, header_slot,
+                     frame_slot, len(slots), len(payloads), window_slot,
+                     len(fold.shape), first)
+            slots += range(len(handles), len(handles) + len(payloads))
+            layouts += levels
+            if set(map(type, payloads)) <= _BYTES:
+                handles += payloads
+                lengths += map(len, payloads)
+                continue
+            for payload in payloads:
+                raw = _frombuffer(payload, _BYTE)
+                handles.append(raw.ctypes.data)
+                lengths.append(raw.size)
+        # Every ``bytes`` in by address (the queued chunks hold them).
+        addresses = (_char_p * len(handles))()
+        addresses[:] = handles
+        # No table is empty: the C side is never handed a null array.
+        return (array.array("q", desc), array.array("q", slots or (0,)),
+                array.array("q", layouts or (0,)),
+                array.array("q", geometry or (0,)), addresses,
+                array.array("q", lengths))
 
 
 #: The C entry's status for arguments it does not take, refused before

@@ -23,11 +23,12 @@ to it.
 
 Every member composes: a level is a cell-wise difference, wrapping
 addition or xor, so the read path never decodes a chain level by
-level.  :func:`chunk_fold` gives it one call per chunk
-(:class:`~repro.core.native.ChunkFold`), which compares the root's
-header and each level's frame with the bytes the chunk implies itself
-and folds every level straight into the cells of the version being
-read.  A level it cannot read as stored — LZ-sealed, or a frame
+level.  :func:`chunk_fold` gives it the layout of a chunk
+(:class:`~repro.core.native.ChunkFold`) for its one call per batch of
+chunks (:class:`~repro.core.native.FoldBatch`), which compares the
+root's header and each level's frame with the bytes the chunk implies
+itself and folds every level straight into the cells of the version
+being read.  A level it cannot read as stored — LZ-sealed, or a frame
 spelled another way — goes to the same call as its bare section
 (:func:`bare_levels`).  ``decode_forward`` remains as the one-level
 form the tests check the fold against, and ``accumulate`` folds one
@@ -217,7 +218,8 @@ class DeltaCodec:
 
         Returns ``(accumulator, mode, dtype, shape)``; ``None`` starts
         a fresh accumulator.  The level folds through the read path's
-        call (:class:`~repro.core.native.ChunkFold`) as a bare section.
+        call (:class:`~repro.core.native.FoldBatch`) as a bare section,
+        a batch of one chunk.
         """
         payload, count, mode, dtype, shape = self._open(data)
         if accumulator is None:
@@ -230,10 +232,12 @@ class DeltaCodec:
                 f"delta frame ({mode}, {count} cells) does not match "
                 f"the accumulator ({accumulator.dtype}, "
                 f"{accumulator.size} cells)")
-        fold = native.ChunkFold(accumulator.dtype, accumulator.shape, b"",
-                                b"", mode == numeric.XOR)
-        fold(accumulator, [payload], [self.layout | native.FOLD_BARE],
-             accumulator)
+        batch = native.FoldBatch()
+        batch.add(native.ChunkFold(accumulator.dtype, accumulator.shape,
+                                   b"", b"", mode == numeric.XOR),
+                  accumulator, [payload], [self.layout | native.FOLD_BARE],
+                  accumulator)
+        batch.run()
         return accumulator, mode, dtype, shape
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -242,8 +246,9 @@ class DeltaCodec:
 
 @lru_cache(maxsize=256)
 def chunk_fold(dtype: np.dtype, shape: tuple[int, ...]) -> native.ChunkFold:
-    """The one-call decode of chunks of ``(dtype, shape)``
-    (:class:`~repro.core.native.ChunkFold`), built once per layout: it
+    """The layout of chunks of ``(dtype, shape)`` as the one decode
+    call reads them (:class:`~repro.core.native.ChunkFold`), built once
+    per layout: it
     expects a root to start with the array header the ``none``
     compressor writes and every level with :func:`pack_frame`'s bytes
     (a dtype no delta is defined for has no frame: its levels can only

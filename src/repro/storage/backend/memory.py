@@ -15,8 +15,10 @@ class _MemoryObject:
     segments and the offset each one starts at.
 
     Every chunk payload is one ``write`` or ``append``, so it is one
-    segment, and reading it back is a read-only ``memoryview`` slice of
-    that segment: no copy, and the view pins only its own payload.
+    segment, and reading it back hands over that stored ``bytes``
+    segment itself (a span inside a segment is a read-only
+    ``memoryview`` slice of it): no copy, and the read pins only its
+    own payload.
     Only a span that crosses segments is joined; the object as a whole
     never is (one growing buffer would realloc-copy the whole object
     every few appends, and slicing it would copy every payload read).
@@ -57,6 +59,9 @@ class _MemoryObject:
         if offset + length > self._length:
             return None
         index = bisect_right(self._starts, offset) - 1
+        segment = self._segments[index]
+        if offset == self._starts[index] and length == len(segment):
+            return segment
         pieces = []
         while length:
             start = offset - self._starts[index]
@@ -74,7 +79,7 @@ class InMemoryBackend(StorageBackend):
 
     Used by tests, benchmark baselines ("how fast without the disk?"),
     and cluster simulation, where every node gets its own instance.
-    Reads hand back views of the stored bytes (see
+    Reads hand back the stored bytes or views of them (see
     :class:`_MemoryObject`), so a payload costs no copy at all.
     """
 

@@ -72,11 +72,11 @@ class ChunkRef:
         parts = [str(c) for c in self.lo] + [str(c) for c in self.hi]
         return "chunk-" + "-".join(parts) + ".dat"
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
-        return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
+        return tuple([h - l + 1 for l, h in zip(self.lo, self.hi)])
 
-    @property
+    @cached_property
     def cell_count(self) -> int:
         return math.prod(self.shape)
 
@@ -210,9 +210,12 @@ class ChunkGrid:
         refs = self._refs
         if single:
             return (refs[flat],)
-        return tuple(refs[self._flat(index)] for index in itertools.product(
-            *(range(l // stride, h // stride + 1)
-              for l, h, stride in zip(lo, hi, self.strides))))
+        spans = [range(l // stride, h // stride + 1)
+                 for l, h, stride in zip(lo, hi, self.strides)]
+        if list(map(len, spans)) == list(self.counts):   # every chunk
+            return refs
+        return tuple(refs[self._flat(index)]
+                     for index in itertools.product(*spans))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ChunkGrid(shape={self.shape}, strides={self.strides}, "

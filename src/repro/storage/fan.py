@@ -12,9 +12,14 @@ touches neither.
 
 * **The CPU fan** — :data:`FAN_WIDTH` lanes: ``FAN_WIDTH - 1``
   ``repro-cpu`` threads plus whichever thread consumes the results.
-  Every encode block and every decoded cache miss of every manager
-  runs through :func:`ordered`, its one ordered sliding window.
-  Nothing below it fans again, so no task ever waits on another.
+  Every encode block and every decode batch of every manager runs
+  through :func:`ordered`, its one ordered sliding window.  A read
+  hands it a few batches of its cache misses, each one compiled call,
+  and none when its work would not pay for a hand-off
+  (:data:`repro.storage.pipeline._HANDOFF_BYTES`, measured): an item
+  costs some 20 us to hand to a lane, more than the decode of a small
+  chunk.  Nothing below it fans again, so no task ever waits on
+  another.
 * **The sync fan** — :data:`SYNC_FAN` ``repro-sync`` threads for the
   durability barrier (:func:`barrier`).  An fsync wait is I/O, not
   CPU, so its depth has nothing to do with the CPU fan's width: it is

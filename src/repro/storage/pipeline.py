@@ -29,12 +29,13 @@ bookkeeping, version lineage, and layout re-organization.
 
 They also decide what the store's CPU fan runs (the threads live in
 :mod:`repro.storage.fan`, one pool per process): encode blocks on the
-way in, per-chunk decodes on the way out, both through its one ordered
-sliding window (:func:`~repro.storage.fan.ordered`).  Nothing below
-fans again — a task reads its chain and the consuming thread places
-its payload or admits its chunk serially — so no task ever waits on
-another, no pool thread touches the chunk cache, and an operation that
-raises first cancels or waits out every task it started.
+way in, a read's few decode batches on the way out, both through its
+one ordered sliding window (:func:`~repro.storage.fan.ordered`).
+Nothing below fans again — a batch reads its chains and the consuming
+thread places its payload or admits its chunks serially — so no task
+ever waits on another, no pool thread touches the chunk cache, and an
+operation that raises first cancels or waits out every task it
+started.
 
 Two invariants both pipelines are built around:
 
@@ -57,7 +58,6 @@ from collections import Counter, OrderedDict
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
-from operator import le
 from typing import Callable
 
 import numpy as np
@@ -103,6 +103,17 @@ _DEFAULT_CANDIDATES = tuple(codec.name
 
 #: The largest chunk buffer a decoding thread keeps: an L2's worth.
 _KEPT_FOLD_BYTES = 2 << 20
+
+#: The fan's hand-off cost as decode work — payload bytes read plus
+#: chunk bytes copied (:meth:`DecodePipeline._batches`): a read with
+#: less work than this per lane, or per miss, runs as one batch on the
+#: calling thread.  Measured on a shared 2-core x86-64 VM: one
+#: ``fan.ordered`` item costs 22.4-24.6 us more at width 2 than inline
+#: (2 000 rounds of 8 trivial items, five runs), and one batch decodes
+#: 7.5-9.4 bytes per ns (16 chunks of 1 MiB int32, sparse chains of
+#: depth 1-16, from memory, width 1): 23.5 us x 8.4 bytes/ns.  The
+#: Python around one miss is about as long, 20-30 us.
+_HANDOFF_BYTES = 197_000
 
 #: Each store delta codec's levels as the one-call decode reads them
 #: (:attr:`~repro.delta.base.DeltaCodec.fold_layout`); a codec it
@@ -560,8 +571,10 @@ class _Miss:
     thread: its read ``task`` (see :meth:`DecodePipeline._resolve`),
     the located chain (from ``version`` down), the version the walk
     stopped at (None: the materialized root) with its contents when
-    known, the job chosen and the cells it may fold into.  Only the
-    run decoding it changes it (:meth:`DecodePipeline._decode_run`)."""
+    known, the job chosen and its task's canvas window (None when the
+    caller takes the chunk).  Nothing changes it once planned: the
+    batch decoding it (:meth:`DecodePipeline._decode_batch`) keeps what
+    it resolves on the side."""
 
     snap: ArraySnapshot
     version: int
@@ -582,10 +595,10 @@ class ReadPlan:
     read (:meth:`DecodePipeline.read_region`, of one version or a
     whole stack).  ``parts`` holds each overlapping chunk in grid
     order with its ``(src, dst)`` slices — its cells in the chunk,
-    their place in the box — and whether it lies wholly inside the
-    box; a read keys their cache entries ``(array_id, version,
-    attribute, chunk name)``.  ``schema`` is the box's zero-based
-    schema (:meth:`~repro.core.schema.ArraySchema.sliced`).
+    their place in the box; a read keys their cache entries
+    ``(array_id, version, attribute, chunk name)``.  ``schema`` is the
+    box's zero-based schema
+    (:meth:`~repro.core.schema.ArraySchema.sliced`).
 
     The box is trusted: its corners were checked once, by
     :func:`~repro.storage.manager.region_corners` (or it is the whole
@@ -606,13 +619,10 @@ class ReadPlan:
             self.parts = ((chunk, tuple([
                 slice(l - first, h - first + 1)
                 for l, h, first in zip(lo, hi, chunk.lo)]),
-                (slice(None),) * len(lo),
-                chunk.lo == tuple(lo) and chunk.hi == tuple(hi)),)
+                (slice(None),) * len(lo)),)
             return
-        self.parts = tuple([
-            (chunk, *overlap_slices(chunk, lo, hi),
-             all(map(le, lo, chunk.lo)) and all(map(le, chunk.hi, hi)))
-            for chunk in chunks])
+        self.parts = tuple([(chunk, *overlap_slices(chunk, lo, hi))
+                            for chunk in chunks])
 
 
 class DecodePipeline:
@@ -622,46 +632,55 @@ class DecodePipeline:
     Every read — one version or a stack — runs in the same three
     steps (:meth:`_resolve`).  The calling thread *plans* every task
     first: the cache lookup, the chain walk (with its cache probes)
-    and the job choice below.  Only the misses go to the pool, whose
-    stage reads, decompresses and folds and touches neither the cache
-    nor any scope.  The calling thread then *admits* each result in
-    task order.  Hits never reach the pool, and the cache sees the
-    same calls in the same order at every fan width.  Assembly stays
-    deterministic: every chunk writes a disjoint region of the output
-    canvas, so the result is byte-identical at every width.
+    and the job choice below.  Only the misses are decoded, cut into a
+    few batches of about equal work (:meth:`_batches`: one at a fan
+    width of 1 or when the read's work would not pay for handing a
+    batch to a lane, else at most two per lane), each one task of the
+    fan that reads, decompresses, folds and places its chunks and
+    touches neither the cache nor any scope.  The calling thread then
+    *admits* each result in task order.  Hits never reach a batch, and
+    the cache sees the same calls in the same order at every fan
+    width.  Assembly stays deterministic: every chunk writes a disjoint
+    region of the output canvas, so the result is byte-identical at
+    every width.
 
-    There is one way to decode a chunk: one call of its fold
-    (:class:`~repro.core.native.ChunkFold`, made in :meth:`_decode`),
-    which copies the base into contiguous cells and folds delta levels
-    onto them.  Every store delta codec composes — wrapping addition,
-    xor — so levels apply in place, at the cells' own width,
-    sparse/hybrid levels at O(nnz).  A cache miss does one of two jobs
-    with it, chosen per chunk from what the code can observe (the
-    located chain's size, the cache's free space), not from a setting:
+    The batch is the unit of decode: one ``read_chunks`` call reads
+    every chain of it, and one call of the C entry
+    (:class:`~repro.core.native.FoldBatch`, queued in
+    :meth:`_decode_batch`) rebuilds every chunk of it in task order —
+    per chunk, it copies the base into contiguous cells, folds delta
+    levels onto them and copies them, or the box of them the read
+    cuts, into the canvas window.  Every store delta codec composes —
+    wrapping addition, xor — so levels apply in place, at the cells'
+    own width, sparse/hybrid levels at O(nnz).  A cache miss does one
+    of two jobs with it, chosen per chunk from what the code can
+    observe (the located chain's size, the cache's free space), not
+    from a setting:
 
-    * **Read one version** (the default).  One call, in C with the GIL
-      released, copies the root once into contiguous cells, checks and
-      folds the whole chain onto them and copies them into the canvas
-      window.  The cells are the caller's canvas window when that is
-      contiguous and nothing else will hold on to it, a buffer of the
-      chunk's own when the cache will, and otherwise the decoding
-      thread's chunk buffer.  Only the requested version is admitted
-      to the cache.
+    * **Read one version** (the default).  One chunk of the call, in C
+      with the GIL released, copies the root once into contiguous
+      cells, checks and folds the whole chain onto them and copies them
+      into the canvas window.  The cells are the caller's canvas
+      window when that is contiguous and nothing else will hold on to
+      it, a buffer of the chunk's own when the cache or a later layer
+      will, and otherwise the decoding thread's chunk buffer.  Only the
+      requested version is admitted to the cache.
     * **Warm-fill a chain.**  When every located level fits the
       cache's *free* space, each level is folded into an owning copy
-      of the one before — one call per version — and every
-      intermediate version is admitted too, through the non-evicting
-      put: later reads of those versions are hits, and no entry a
-      caller asked for is ever displaced.  A chain that does not fit
-      is declined and read as one version.
+      of the one before — one chunk of the call per version — and
+      every intermediate version is admitted too, through the
+      non-evicting put: later reads of those versions are hits, and no
+      entry a caller asked for is ever displaced.  A chain that does
+      not fit is declined and read as one version.
 
     What the call does not read as stored — an ``lz`` root, an
     LZ-sealed level, a header or frame spelled another way — goes to
-    the same call as cells and bare sections; with the kernels off the
-    call runs its numpy form.  The walk probes the cache at every
-    level, so a cached ancestor ends it and only the suffix is read.
-    Both jobs read the same payloads, produce the same bytes, and name
-    a corrupt level the same way: array, version and chunk.
+    it as cells and bare sections, a declined chunk on its own before
+    the batch runs on; with the kernels off the call runs its numpy
+    form.  The walk probes the cache at every level, so a cached
+    ancestor ends it and only the suffix is read.  Both jobs read the
+    same payloads, produce the same bytes, and name a corrupt level
+    the same way: array, version and chunk.
     """
 
     def __init__(self, catalog: MetadataCatalog, store: ChunkStore, *,
@@ -676,23 +695,22 @@ class DecodePipeline:
               scope: dict | None,
               admitting: int = 0) -> np.ndarray | _Miss:
         """Calling thread, before anything decodes: the cached chunk
-        of a ``(version, attribute, chunk, src, dst, canvas, window)``
-        read task, or the :class:`_Miss` to decode — its chain located
+        of a ``(version, attribute, chunk, src, window)`` read task,
+        or the :class:`_Miss` to decode — its chain located
         and its job chosen.
 
         ``scope`` maps the versions of this chunk that the read's
         earlier tasks of its group resolve (:meth:`_read_stack`) to
         their contents — None for one a miss planned before this one
-        will decode, which the run hands on (:meth:`_decode_run`).  A
-        walk stops at the first version in it; a hit, and what a miss
+        will decode, which its batch hands on (:meth:`_decode_batch`).
+        A walk stops at the first version in it; a hit, and what a miss
         will resolve, are recorded into it.  ``admitting`` is what the
         read's misses planned before this one will admit: a warm fill
         must fit the free space they leave, as it would had they been
         admitted already."""
-        version, attribute, chunk, _, _, _, out = task
+        version, attribute, chunk, _, out = task
         record = snap.record
         if self.cache.enabled:
-            out = None      # a cache entry must own its bytes
             cached = self.cache.get(
                 (record.array_id, version, attribute, chunk.name))
             if cached is not None:
@@ -721,136 +739,195 @@ class DecodePipeline:
         return _Miss(snap, version, attribute, chunk, task, chain,
                      base_version, base, warm_fill, out, admits)
 
-    def _decode(self, miss: _Miss
-                ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """The pool's stage: read, decompress and fold one planned
-        miss.  Returns the chunk and every version it resolved on the
-        way (deepest first); touches no cache and no scope.
+    def _decode_batch(self, runs: list[list[_Miss]]) -> list:
+        """The pool's task: read, decompress and fold a batch of planned
+        misses — runs of one chunk each, a run's misses folding onto
+        versions its earlier ones resolve — each into its window.
+        Returns, per miss, ``(chunk, resolved)`` for the calling thread
+        to admit or hand out (``resolved``: on a warm fill every version
+        decoded on the way, deepest first), or None once placed with
+        the cache off; touches no cache and no scope.
 
-        The chain is read in one batch, and each version the miss
-        resolves is one call of the chunk's fold
-        (:class:`~repro.core.native.ChunkFold`): the requested version,
-        or on a warm fill the root and then each level in turn, each
-        into cells of its own.  The call takes the base — the root's
-        stored payload, or cells: a held version, a root of another
-        compressor (:meth:`_decode_root`) — and every level as stored.
-        A level it cannot read as stored (``hybrid+lz``) goes in as its
-        bare section (:func:`~repro.delta.base.bare_levels`).  A header,
-        frame or seal byte the call declines sends that version in once
-        more the bare way — the root as cells, every level as its bare
-        section — every header parsed in Python, which names a corrupt
-        one.  A malformed level is named — array, version, chunk — in
-        the error.
+        Every chain of the batch is read by one ``read_chunks`` call (a
+        chain's payloads in one open per distinct object, as one call
+        per chain would), and every chunk of it is folded and placed by
+        one call of the C entry (:class:`~repro.core.native.FoldBatch`),
+        in task order: a one-version read is one chunk of the batch, a
+        warm fill the root and then each level in turn.  A chunk takes
+        the base — the root's stored payload, or cells: a held version,
+        a root of another compressor (:meth:`_decode_root`) — and every
+        level as stored.  A level the call cannot read as stored
+        (``hybrid+lz``) goes in as its bare section
+        (:func:`~repro.delta.base.bare_levels`).  A chunk whose header,
+        frame or seal byte the call declines goes in again on its own
+        the bare way — the root as cells, every level as its bare
+        section, every header parsed in Python, which names a corrupt
+        one — and the batch runs on past it.  A malformed level is
+        named — array, version, chunk — in the error.
 
-        The cells are the canvas window the caller lent when it is
-        contiguous.  A strided window's rows sit a canvas row apart and
-        would miss L2 on every level, so its chunk is folded in this
-        thread's chunk buffer and copied into it by the same call.
-        With no window lent, the cells are the chunk's own."""
-        record, chunk = miss.snap.record, miss.chunk
-        levels = miss.chain
-        # Read — the whole chain, one open per distinct object.
+        Where a chunk folds: in cells of its own when it outlives the
+        call (the cache admits it, the caller takes it, or a miss of
+        its run other than the next folds onto it); else in its window
+        when that is all of the chunk and contiguous; else in this
+        thread's chunk buffer, from which the call copies the box's
+        part into the window — a strided window's rows sit a canvas row
+        apart and would miss L2 on every level.  With the cache off the
+        last miss folding onto a version its run folded folds in place
+        on it, so a stack folds each chunk's layers in one buffer,
+        whatever its depth."""
+        misses = [miss for run in runs for miss in run]
         payloads = self.store.read_chunks(
-            [chunk_record.location for chunk_record in levels])
-        fold = chunk_fold(record.schema.attribute(miss.attribute).dtype,
-                          chunk.shape)
-        base, root = miss.base, None
-        if miss.base_version is None:
-            root, base, levels = levels[-1], payloads.pop(), levels[:-1]
-            if root.compressor != "none":
-                base = self._decode_root(miss, root, base)
-        elif not levels:
-            return base, {}     # the version in hand is the chunk
-        steps = [(miss.version, levels, payloads)]
-        if miss.warm_fill:
-            steps = [(level.version, [level], [payload]) for level, payload
-                     in zip(reversed(levels), reversed(payloads))]
-            if root is not None:
-                steps.insert(0, (root.version, [], []))
-        resolved: dict[int, np.ndarray] = {}
-        for version, rows, stored in steps:
-            out = miss.out
-            if out is None or out.dtype != fold.dtype \
-                    or out.shape != fold.shape:
-                out = np.empty(fold.shape, fold.dtype)
-            if out.flags.c_contiguous:
-                cells, window = out, None
-            elif rows:
-                cells, window = \
-                    self._chunk_buffer(fold.dtype, fold.shape), out
-            else:
-                cells, window = None, out
-            layouts = [_FOLD_LAYOUTS.get(row.delta_codec) for row in rows]
-            try:
-                handed = stored
-                if None in layouts:
-                    handed, layouts = bare_levels(
-                        self._codecs(record, chunk, rows), stored, fold)
-                if fold(base, handed, layouts, cells, window):
-                    # Declined a spelling: every header parsed in Python.
-                    if type(base) is not np.ndarray:
-                        base = self._decode_root(miss, root, base)
-                    handed, layouts = bare_levels(
-                        self._codecs(record, chunk, rows), stored, fold)
-                    fold(base, handed, layouts, cells, window)
-            except DeltaLevelError as exc:
-                level = rows[exc.level]
-                raise CodecError(
-                    f"{record.name!r} version {level.version} "
-                    f"chunk {chunk.name}: corrupt "
-                    f"{level.delta_codec} delta: {exc}") from exc
-            if rows and not miss.warm_fill:
-                self.store.stats.record_chain_fused(
-                    len(rows), sum([bool(layout & native.FOLD_TABLE)
-                                    for layout in layouts]))
-                if root is not None:
-                    # The root, for a later layer of a stack folding
-                    # onto it: its cells, a read-only view of the
-                    # payload when the call read it as stored.
-                    resolved[root.version] = base \
-                        if type(base) is np.ndarray else np.frombuffer(
-                            base, fold.dtype, fold.count,
-                            len(base) - fold.count * fold.dtype.itemsize
-                        ).reshape(fold.shape)
-            resolved[version] = base = out
-        return out, resolved
-
-    def _decode_run(self, run: list[_Miss]) -> list:
-        """The pool's task: decode a run of planned misses in turn —
-        one miss, or one chunk's layers of a stack, each folding onto
-        versions the ones before it resolved — and place each in its
-        canvas.  A version the run resolves is held only while a later
-        miss still folds onto it.  With the cache off nothing will
-        admit it, so the last such miss folds in place on it when the
-        run allocated it, and a stack holds about one chunk per running
-        run, whatever its depth.  Returns, per miss, ``(chunk,
-        resolved)`` for the calling thread to admit or hand out, or
-        None once placed with the cache off."""
-        waiting = Counter(miss.base_version for miss in run)
-        held: dict[int, np.ndarray] = {}
+            [row.location for miss in misses for row in miss.chain],
+            [len(miss.chain) for miss in misses])
+        cache_on = self.cache.enabled
+        batch = native.FoldBatch()
+        folds: dict[tuple, native.ChunkFold] = {}
+        scratch: dict[native.ChunkFold, np.ndarray] = {}  # chunk buffers
+        steps: list[list] = []      # per chunk: _refold's arguments
         results = []
-        for miss in run:
-            if miss.base_version in held:
-                waiting[miss.base_version] -= 1
-                if waiting[miss.base_version]:
-                    miss.base = held[miss.base_version]
-                else:
-                    miss.base = held.pop(miss.base_version)
-                    if not self.cache.enabled and miss.out is None \
-                            and miss.base.flags.owndata \
-                            and miss.base.flags.writeable:
-                        miss.out = miss.base    # its last use: in place
-            data, resolved = self._decode(miss)
-            miss.base = miss.out = None     # held keeps what is needed
-            _, _, _, src, dst, canvas, window = miss.task
-            if canvas is not None and data is not window:
-                canvas[dst] = data[src]
-            held.update((version, cells) for version, cells
-                        in resolved.items() if waiting[version])
-            results.append(None if canvas is not None
-                           and not self.cache.enabled
-                           else (data, resolved))
+        at = 0
+        for run in runs:
+            waiting = Counter([miss.base_version for miss in run]) \
+                if len(run) > 1 else {}
+            held: dict[int, np.ndarray] = {}
+            owned: set[int] = set()     # cells this run allocated
+            mine: set[int] = set()      # ... or folded in a chunk buffer
+            for index, miss in enumerate(run):
+                chain, base, window = miss.chain, miss.base, miss.out
+                stored = payloads[at:at + len(chain)]
+                at += len(chain)
+                last_use = False
+                if miss.base_version in held:
+                    waiting[miss.base_version] -= 1
+                    base = held[miss.base_version]
+                    if not waiting[miss.base_version]:
+                        del held[miss.base_version]
+                        last_use = not cache_on and id(base) in mine
+                fold = folds.get((miss.attribute, miss.chunk.shape))
+                if fold is None:
+                    fold = folds[miss.attribute, miss.chunk.shape] = \
+                        chunk_fold(miss.snap.record.schema.attribute(
+                            miss.attribute).dtype, miss.chunk.shape)
+                box = None if window is None \
+                    or window.shape == fold.shape else miss.task[3]
+                jobs = [(miss.version, chain, stored)]
+                if miss.base_version is None:
+                    root, base = chain[-1], stored.pop()
+                    jobs = [(miss.version, chain[:-1], stored)]
+                    if root.compressor != "none":
+                        base = self._decode_root(miss, root, base)
+                    if waiting.get(root.version):
+                        held[root.version] = base \
+                            if type(base) is np.ndarray \
+                            else self._decode_root(miss, root, base)
+                    if miss.warm_fill:
+                        jobs = [(root.version, [], [])] + [
+                            (row.version, [row], [payload])
+                            for row, payload in zip(reversed(chain[:-1]),
+                                                    reversed(stored))]
+                elif miss.warm_fill:
+                    jobs = [(row.version, [row], [payload]) for row, payload
+                            in zip(reversed(chain), reversed(stored))]
+                following = run[index + 1] if index + 1 < len(run) else None
+                resolved: dict[int, np.ndarray] = {}
+                for version, rows, parts in jobs:
+                    final = version == miss.version
+                    into = window if final else None
+                    # Handed straight to the next job: the next miss of
+                    # the run folds onto it, and nothing else does.
+                    waits = waiting.get(version, 0)
+                    handed = final and following is not None \
+                        and following.base_version == version \
+                        and waits == 1
+                    if cache_on or into is None or (waits and not handed):
+                        cells = base if last_use and id(base) in owned \
+                            else np.empty(fold.shape, fold.dtype)
+                        owned.add(id(cells))
+                        mine.add(id(cells))
+                    elif not rows and not handed:
+                        cells = None
+                    elif box is None and into.flags.c_contiguous \
+                            and not handed:
+                        cells, into = into, None
+                    else:
+                        cells = base if last_use else scratch.get(fold)
+                        if cells is None:
+                            cells = scratch[fold] = self._chunk_buffer(
+                                fold.dtype, fold.shape)
+                        mine.add(id(cells))
+                    layouts = [_FOLD_LAYOUTS.get(row.delta_codec)
+                               for row in rows]
+                    handed_in = parts
+                    if None in layouts:
+                        try:
+                            handed_in, layouts = self._bare(miss, rows,
+                                                            parts, fold)
+                        except DeltaLevelError as exc:
+                            raise self._corrupt(miss, rows, exc) from exc
+                    batch.add(fold, base, handed_in, layouts, cells, into,
+                              box if final else None)
+                    steps.append([miss, rows, parts, layouts, fold, base,
+                                  cells, into, box if final else None])
+                    if miss.warm_fill:
+                        resolved[version] = cells
+                    if waits:
+                        held[version] = cells
+                    base, last_use = cells, False
+                results.append(None if window is not None and not cache_on
+                               else (base, resolved))
+        done = 0
+        try:
+            while True:
+                done, status = batch.run(done)
+                if not status:
+                    break
+                self._refold(*steps[done])
+                done += 1
+        except DeltaLevelError as exc:
+            done = exc.chunk
+            raise self._corrupt(*steps[done][:2], exc) from exc
+        finally:
+            for miss, rows, _, layouts, *_ in steps[:done]:
+                if rows and not miss.warm_fill:
+                    self.store.stats.record_chain_fused(
+                        len(rows), sum([bool(layout & native.FOLD_TABLE)
+                                        for layout in layouts]))
         return results
+
+    def _refold(self, miss: _Miss, rows: list[ChunkRecord], stored: list,
+                layouts: list[int], fold: native.ChunkFold, base, cells,
+                window, box) -> None:
+        """A chunk of a batch the call declined, on its own the bare
+        way: the root as cells, every level as its bare section
+        (``layouts`` takes their bits).  A malformed level raises
+        :class:`CodecError` naming array, version and chunk."""
+        if type(base) is not np.ndarray:
+            base = self._decode_root(miss, miss.chain[-1], base)
+        one = native.FoldBatch()
+        try:
+            handed, layouts[:] = self._bare(miss, rows, stored, fold)
+            one.add(fold, base, handed, layouts, cells, window, box)
+            one.run()
+        except DeltaLevelError as exc:
+            raise self._corrupt(miss, rows, exc) from exc
+
+    @staticmethod
+    def _corrupt(miss: _Miss, rows: list[ChunkRecord],
+                 exc: DeltaLevelError) -> CodecError:
+        """The error for a malformed level of ``rows``: array, version
+        and chunk named."""
+        level = rows[exc.level]
+        return CodecError(
+            f"{miss.snap.record.name!r} version {level.version} "
+            f"chunk {miss.chunk.name}: corrupt {level.delta_codec} "
+            f"delta: {exc}")
+
+    def _bare(self, miss: _Miss, rows: list[ChunkRecord], stored: list,
+              fold: native.ChunkFold) -> tuple[list, list[int]]:
+        """``rows``' stored levels as the call takes them bare
+        (:func:`~repro.delta.base.bare_levels`)."""
+        return bare_levels(self._codecs(miss.snap.record, miss.chunk, rows),
+                           stored, fold)
 
     def _admit(self, miss: _Miss, data: np.ndarray,
                resolved: dict[int, np.ndarray]) -> np.ndarray:
@@ -895,9 +972,10 @@ class DecodePipeline:
         :class:`StorageError`.
         """
         array_id = snap.record.array_id
+        probing = self.cache.enabled
         chain: list[ChunkRecord] = []
         for row in snap.walk_chain(version, attribute, chunk.name):
-            if row.version not in stop_at and self.cache.enabled \
+            if probing and row.version not in stop_at \
                     and row.version != version:
                 cached = self.cache.peek((array_id, row.version,
                                           attribute, chunk.name))
@@ -987,11 +1065,10 @@ class DecodePipeline:
         attribute to one canvas per listed version
         (:meth:`_read_stack`).
 
-        A chunk lying wholly inside the box is lent its window of the
-        canvas (:meth:`_decode`): a folded chain lands there from
-        the fold itself, and only results that live elsewhere (cache
-        entries, warm fills) are copied in.  A chunk the box cuts is
-        decoded into cells of its own and its overlap copied.
+        Every chunk is lent its window of the canvas — all of it, or
+        the part the box cuts — and lands there from the call that
+        folds it (:meth:`_decode_batch`); only a cache hit is copied in
+        here.
         """
         plan = ReadPlan(snap.record, lo, hi)
         if isinstance(version, list):
@@ -1000,8 +1077,8 @@ class DecodePipeline:
             return None
         schema = plan.schema
         if out is None and len(plan.parts) == 1:
-            (chunk, src, _, _), = plan.parts
-            tasks = [(version, attr.name, chunk, src, None, None, None)
+            (chunk, src, _), = plan.parts
+            tasks = [(version, attr.name, chunk, src, None)
                      for attr in schema.attributes]
             return ArrayData(schema, {
                 task[1]: data[src] for task, data in zip(
@@ -1010,18 +1087,17 @@ class DecodePipeline:
             attr.name: np.empty(schema.shape, dtype=attr.dtype)
             for attr in schema.attributes}
         for _ in self._resolve(snap, [
-                [(version, attr.name, chunk, src, dst, canvases[attr.name],
-                  canvases[attr.name][dst] if inside else None)]
+                [(version, attr.name, chunk, src, canvases[attr.name][dst])]
                 for attr in schema.attributes if attr.name in canvases
-                for chunk, src, dst, inside in plan.parts]):
+                for chunk, src, dst in plan.parts]):
             pass
         return None if out is not None else ArrayData(schema, canvases)
 
     def _resolve(self, snap: ArraySnapshot, groups: list[list[tuple]]):
-        """The chunk of every ``(version, attribute, chunk, src, dst,
-        canvas, window)`` task of one snapshot, in task order, each
-        placed in its canvas (``canvas[dst] = chunk[src]``) unless it
-        landed in its ``window`` — the one executor of every read.
+        """The chunk of every ``(version, attribute, chunk, src,
+        window)`` task of one snapshot, in task order, each chunk's
+        ``src`` cells placed in its canvas ``window`` (None: the caller
+        takes the chunk) — the one executor of every read.
 
         A group is tasks of one chunk that may fold onto each other
         (one stacked chunk's layers, ascending), planned in one scope
@@ -1029,8 +1105,10 @@ class DecodePipeline:
         Every task is planned first, on this thread, each warm-fill
         choice counting the bytes the read's misses before it will
         admit; a hit is placed at once.  Each group's misses are then
-        one run (:meth:`_decode_run`) of one ordered window
-        (:func:`fan.ordered`), and are admitted here in task order.
+        one run, and the runs are cut into a few batches
+        (:meth:`_batches`), each one task (:meth:`_decode_batch`) of
+        one ordered window (:func:`fan.ordered`); what they decode is
+        admitted here in task order.
         Returns a list when the cache answered every task, else a
         generator yielding each chunk as it is admitted (None for one a
         cache-off decode placed).  A chunk that fails (a corrupt
@@ -1045,17 +1123,54 @@ class DecodePipeline:
                     admitting += got.admits
                     run.append(got)
                 else:
-                    _, _, _, src, dst, canvas, window = task
-                    if canvas is not None and got is not window:
-                        canvas[dst] = got[src]
+                    _, _, _, src, window = task
+                    if window is not None:
+                        window[...] = got[src]
                 planned.append(got)
             if run:
                 runs.append(run)
-        return self._admitted(planned, runs) if runs else planned
+        return self._admitted(planned, self._batches(runs)) if runs \
+            else planned
 
-    def _admitted(self, planned: list, runs: list[list[_Miss]]):
-        with closing(fan.ordered(self._decode_run, runs)) as decoded:
-            results = (result for run in decoded for result in run)
+    @staticmethod
+    def _batches(runs: list[list[_Miss]]) -> list[list[list[_Miss]]]:
+        """The read's runs cut into contiguous batches of about equal
+        work, in task order, no run split: at most two per lane.  A
+        miss's work is what the plan already knows it moves: its located
+        chain's payload bytes and the chunk's cells.  A read is one
+        batch at a fan width of 1, and whenever its work is below the
+        fan's hand-off cost (:data:`_HANDOFF_BYTES`) per lane — handing
+        it out would cost more than it saves — or per miss: a miss's
+        Python, which holds the GIL, costs about one hand-off too, so
+        lanes given such misses only contend for it."""
+        width = fan.FAN_WIDTH
+        if width <= 1 or len(runs) == 1:
+            return [runs]
+        schema = runs[0][0].snap.record.schema     # one per read
+        itemsize = {attribute.name: attribute.dtype.itemsize
+                    for attribute in schema.attributes}
+        costs = [sum([row.location.length for row in miss.chain])
+                 + miss.chunk.cell_count * itemsize[miss.attribute]
+                 for run in runs for miss in run]
+        total = sum(costs)
+        if total < max(width, len(costs)) * _HANDOFF_BYTES:
+            return [runs]
+        count = min(2 * width, len(runs))
+        batches, batch, spent = [], [], 0
+        costs = iter(costs)
+        for run in runs:
+            batch.append(run)
+            spent += sum([next(costs) for _ in run])
+            if spent * count >= total * (len(batches) + 1):
+                batches.append(batch)
+                batch = []
+        if batch:
+            batches.append(batch)
+        return batches
+
+    def _admitted(self, planned: list, batches: list[list[list[_Miss]]]):
+        with closing(fan.ordered(self._decode_batch, batches)) as decoded:
+            results = (result for batch in decoded for result in batch)
             for got in planned:
                 if type(got) is _Miss:
                     result = next(results)
@@ -1073,15 +1188,15 @@ class DecodePipeline:
         scope, a walk stopping where an earlier layer resolves, so on a
         linear chain every walk stops at the version before it and a
         range over a chain reads each payload once — the paper's Table
-        IV range selects.  Each chunk's misses are one run of the read's
-        one fan batch; a layer folds into cells of its own, which the
-        next layer folding onto it reads (or, with the cache off, takes
-        over), and is copied into its canvas."""
+        IV range selects.  Each chunk's misses are one run of one of the
+        read's batches: a layer folds onto the one below it — with the
+        cache off in the same cells, which the call copies into each
+        layer's window in turn."""
         order = sorted(range(len(versions)), key=versions.__getitem__)
         for _ in self._resolve(snap, [
-                [(versions[layer], attribute, chunk, src, dst,
-                  layers[layer], None) for layer in order]
-                for chunk, src, dst, _ in plan.parts]):
+                [(versions[layer], attribute, chunk, src, layers[layer][dst])
+                 for layer in order]
+                for chunk, src, dst in plan.parts]):
             pass
 
 

@@ -6,8 +6,9 @@ zigzag decode, D-bit unpack across every width and the chain fold.
 The unpack kernels' contract is the same — byte-identical to the numpy
 fallback, returning ``None`` (so the caller falls back) on any dtype,
 layout, or size it does not handle — and every test here asserts both
-halves of it.  The fold (:class:`native.ChunkFold`, here over bare
-sections) runs its numpy form itself and is held against it; it
+halves of it.  The fold (:class:`native.FoldBatch`, here one chunk
+over bare sections) runs its numpy form itself and is held against it;
+it
 parses bytes from disk and writes through caller strides: whatever the
 bytes say, it names a malformed level and never touches a byte outside
 its destination, a contiguous run of cells inside a canary frame.
@@ -158,15 +159,18 @@ def _canaries_intact(frame: np.ndarray) -> bool:
 def _call(cells: np.ndarray, sections: list, layouts: list[int],
           use_xor: bool) -> tuple[int, int] | None:
     """Fold bare ``sections`` into ``cells`` in place through the one
-    call (:class:`native.ChunkFold` over cells of their own layout, as
-    ``accumulate`` makes it): None once folded, else the failing
-    level and its reason code (:data:`native.FOLD_REASONS`)."""
-    fold = native.ChunkFold(cells.dtype, cells.shape, b"", b"", use_xor)
+    call (a :class:`native.FoldBatch` of one chunk of the cells' own
+    layout, as ``accumulate`` makes it): None once folded, else the
+    failing level and its reason code (:data:`native.FOLD_REASONS`)."""
+    batch = native.FoldBatch()
+    batch.add(native.ChunkFold(cells.dtype, cells.shape, b"", b"",
+                               use_xor),
+              cells, sections,
+              [layout | native.FOLD_BARE for layout in layouts], cells)
     try:
-        assert fold(cells, sections,
-                    [layout | native.FOLD_BARE for layout in layouts],
-                    cells) == 0
+        assert batch.run() == (1, 0)
     except DeltaLevelError as exc:
+        assert exc.chunk == 0
         return exc.level, _REASON_CODES[str(exc)]
     return None
 
@@ -452,9 +456,12 @@ class TestDisabledScope:
             "assert native.unpack_bits(b'\\x00' * 8, 7, 4) is None\n"
             "acc = np.zeros(8, dtype=np.int64)\n"
             "assert native.delta_zigzag_stats(acc, acc) is None\n"
-            "fold = native.ChunkFold(acc.dtype, acc.shape, b'', b'', False)\n"
-            "assert fold(acc, [code_store.encode_dense(codes)],\n"
-            "            [native.FOLD_SMALL | native.FOLD_BARE], acc) == 0\n"
+            "batch = native.FoldBatch()\n"
+            "batch.add(native.ChunkFold(acc.dtype, acc.shape, b'', b'',\n"
+            "                           False),\n"
+            "          acc, [code_store.encode_dense(codes)],\n"
+            "          [native.FOLD_SMALL | native.FOLD_BARE], acc)\n"
+            "assert batch.run() == (1, 0)\n"
             "assert acc.tolist() == [0, -1, 1, -2, 2, -3, 3, -4]\n"
         )
         subprocess.run([sys.executable, "-c", probe], check=True,

@@ -222,6 +222,16 @@ def _kernels(on: bool):
     return contextlib.nullcontext() if on else native.disabled()
 
 
+def _one(fold, base, payloads, layouts, cells, window=None) -> int:
+    """One chunk through the one call (:class:`native.FoldBatch` of one
+    descriptor): 0 once rebuilt, or :data:`native.FOLD_DECLINED`."""
+    batch = native.FoldBatch()
+    batch.add(fold, base, payloads, layouts, cells, window)
+    done, status = batch.run()
+    assert (done, bool(status)) in ((0, True), (1, False))
+    return status
+
+
 def _read_path(codec, base, payloads, cells, window=None) -> None:
     """Fold ``codec``'s stored ``payloads`` onto ``base`` (a root
     payload, or cells) as the read path makes its calls: the levels as
@@ -229,11 +239,12 @@ def _read_path(codec, base, payloads, cells, window=None) -> None:
     bare sections when it declines."""
     fold = chunk_fold(cells.dtype, cells.shape)
     layouts = [codec.fold_layout] * len(payloads)
-    if None in layouts or fold(base, payloads, layouts, cells, window):
+    if None in layouts or _one(fold, base, payloads, layouts, cells,
+                               window):
         if type(base) is not np.ndarray:
             base = IdentityCodec().decode_view(base)
-        fold(base, *bare_levels([codec] * len(payloads), payloads, fold),
-             cells, window)
+        _one(fold, base, *bare_levels([codec] * len(payloads), payloads,
+                                      fold), cells, window)
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
@@ -356,14 +367,19 @@ class TestCorruptFold:
 
 
 
-def _canvas(dtype, shape):
-    """A canary-filled canvas and a strided window of ``shape`` in it,
-    one row and three cells in from its corner."""
+def _canvas(dtype, shape, windows: int = 1):
+    """A canary-filled canvas and ``windows`` strided windows of
+    ``shape`` in it, side by side, each one row and three cells in from
+    the canary around it; the canvas and the window, or the list of
+    windows."""
     rows, cols = shape
+    width = 3 + windows * (cols + 3)
     itemsize = np.dtype(dtype).itemsize
-    canvas = np.full((rows + 2) * 2 * cols * itemsize, CANARY,
-                     dtype=np.uint8).view(dtype).reshape(rows + 2, 2 * cols)
-    return canvas, canvas[1:-1, 3:3 + cols]
+    canvas = np.full((rows + 2) * width * itemsize, CANARY,
+                     dtype=np.uint8).view(dtype).reshape(rows + 2, width)
+    cut = [canvas[1:-1, 3 + at * (cols + 3):3 + at * (cols + 3) + cols]
+           for at in range(windows)]
+    return canvas, cut[0] if windows == 1 else cut
 
 
 @pytest.mark.parametrize("kernels", KERNELS)
@@ -375,49 +391,68 @@ def _canvas(dtype, shape):
 # with a DeprecationWarning when the root is decoded in Python.
 @pytest.mark.filterwarnings("ignore:Data type alias:DeprecationWarning")
 class TestChunkFold:
-    """The one call (:func:`repro.delta.base.chunk_fold`) over stored
-    bytes against the long way — the root's ``decode_view``, each
-    level's bare section (:func:`~repro.delta.base.bare_levels`) and the
-    numpy section fold (:func:`repro.delta.codes._fold_numpy`) — on the
-    same bytes.  Where the call rebuilds the chunk, into a strided
-    window of a canary-filled canvas, the long way gives the same
-    bytes; where it declines or a level is malformed, the canvas is
-    untouched and the long way decodes or raises only a
+    """The one call (:class:`native.FoldBatch`, chunks laid out by
+    :func:`repro.delta.base.chunk_fold`) over stored bytes against the
+    long way — the root's ``decode_view``, each level's bare section
+    (:func:`~repro.delta.base.bare_levels`) and the numpy section fold
+    (:func:`repro.delta.codes._fold_numpy`) — on the same bytes.  The
+    chunk under test goes in between two valid ones of one batch, each
+    into a strided window of one canary-filled canvas.  Where the call
+    rebuilds it, the long way gives the same bytes and the batch runs
+    on; where it declines or a level is malformed, the batch stops
+    there — the chunk before it in place, its own window and the one
+    after it untouched — and the long way decodes or raises only a
     :class:`CodecError`.  Nothing but a
     :class:`~repro.core.errors.DeltaLevelError` escapes the call."""
 
     SHAPE = TestCorruptFold.SHAPE
 
-    @classmethod
-    def _chain(cls, name, dtype, rng):
+    def _chain(self, name, dtype, rng):
         """``(root, levels, target)``: a none-codec root payload and two
-        stored levels onto it, the top one with real outliers."""
+        stored levels onto it, the top one with real outliers — kept as
+        the valid neighbours of every chunk this test hands the call."""
         codec = get_delta_codec(name)
-        middle, base = _pair(dtype, cls.SHAPE, rng, similarity=0.8)
+        middle, base = _pair(dtype, self.SHAPE, rng, similarity=0.8)
         target = middle.copy()
         bits = target.view(f"u{target.itemsize}")
         bits[3, 5] ^= 1 << (8 * target.itemsize - 2)
         bits[7, 2] ^= 1 << (8 * target.itemsize - 3)
-        return (IdentityCodec().encode(base),
-                [codec.encode(target, middle), codec.encode(middle, base)],
-                target)
+        self.valid = (IdentityCodec().encode(base),
+                      [codec.encode(target, middle),
+                       codec.encode(middle, base)], target)
+        return self.valid
 
     def _agree(self, name, dtype, root, levels, kernels) -> bool:
         """Decode ``root`` and ``levels`` both ways and hold them to the
         contract above; whether the one call rebuilt the chunk."""
         codec = get_delta_codec(name)
-        canvas, window = _canvas(dtype, self.SHAPE)
+        canvas, windows = _canvas(dtype, self.SHAPE, 3)
         before = canvas.copy()
         fold = chunk_fold(np.dtype(dtype), self.SHAPE)
         layouts = [codec.fold_layout] * len(levels)
+        valid_root, valid_levels, valid_target = self.valid
         done = False
-        with _kernels(kernels):
-            if None not in layouts:
+        if None not in layouts:
+            batch = native.FoldBatch()
+            for at, (base, chain) in enumerate([
+                    (valid_root, valid_levels), (root, levels),
+                    (valid_root, valid_levels)]):
+                batch.add(fold, base, chain, layouts,
+                          np.empty(self.SHAPE, dtype), windows[at])
+            with _kernels(kernels):
                 try:
-                    done = fold(root, levels, layouts,
-                                np.empty(self.SHAPE, dtype), window) == 0
-                except DeltaLevelError:
-                    pass
+                    stopped, status = batch.run()
+                except DeltaLevelError as exc:
+                    stopped, status = exc.chunk, -1
+            done = stopped == 3
+            assert done == (status == 0) and stopped in (1, 3)
+            # Whatever the chunk under test is, the one before it is in
+            # place; the one after it is rebuilt only if it was.
+            assert windows[0].tobytes() == valid_target.tobytes()
+            before[1:-1, 3:3 + self.SHAPE[1]] = windows[0]
+            if done:
+                assert windows[2].tobytes() == valid_target.tobytes()
+                before[1:-1, -3 - self.SHAPE[1]:-3] = windows[2]
         try:
             long_way = IdentityCodec().decode_view(root).copy()
             sections, bare = bare_levels([codec] * len(levels), levels,
@@ -429,8 +464,9 @@ class TestChunkFold:
             long_way = None
         if done:
             assert long_way is not None
-            assert window.tobytes() == long_way.tobytes()
-            before[1:-1, 3:3 + self.SHAPE[1]] = window
+            assert windows[1].tobytes() == long_way.tobytes()
+            before[1:-1, 6 + self.SHAPE[1]:6 + 2 * self.SHAPE[1]] = \
+                windows[1]
         assert canvas.tobytes() == before.tobytes()
         return done
 
@@ -445,7 +481,7 @@ class TestChunkFold:
         base = IdentityCodec().decode(root)
         fold = chunk_fold(np.dtype(dtype), self.SHAPE)
         with _kernels(kernels):
-            assert fold(base, *bare_levels([codec] * 2, levels, fold),
+            assert _one(fold, base, *bare_levels([codec] * 2, levels, fold),
                         base) == 0
         assert base.tobytes() == target.tobytes()
 
@@ -480,8 +516,9 @@ class TestChunkFold:
             cells = np.zeros(self.SHAPE, dtype)
             with _kernels(kernels):
                 if None not in layouts:
-                    assert chunk_fold(np.dtype(dtype), self.SHAPE)(
-                        base, chain, layouts, cells) == native.FOLD_DECLINED
+                    assert _one(chunk_fold(np.dtype(dtype), self.SHAPE),
+                                base, chain, layouts, cells) \
+                        == native.FOLD_DECLINED
                     assert not cells.view(np.uint8).any()
                 _read_path(codec, base, chain, cells)
             assert cells.tobytes() == target.tobytes()
@@ -552,12 +589,12 @@ def test_lz_sealed_hybrid_level_folds_bare(rng, kernels):
     cells = np.zeros_like(base)
     fold = chunk_fold(np.dtype(np.int32), (12, 16))
     with _kernels(kernels):
-        assert fold(root, [sealed], [codec.fold_layout], cells,
+        assert _one(fold, root, [sealed], [codec.fold_layout], cells,
                     window) == native.FOLD_DECLINED
         assert not cells.any()      # refused before the root was copied
         assert canvas.tobytes() == before.tobytes()
-        assert fold(root, *bare_levels([codec], [sealed], fold), cells,
-                    window) == 0
+        assert _one(fold, root, *bare_levels([codec], [sealed], fold),
+                    cells, window) == 0
     assert window.tobytes() == target.tobytes()
     before[1:-1, 3:19] = target
     assert canvas.tobytes() == before.tobytes()
@@ -580,7 +617,7 @@ def test_respelled_frame_is_parsed_in_full_and_says_so(rng, caplog,
     with caplog.at_level("DEBUG", logger="repro.native"):
         bare_levels([codec, codec], [payload, respelled], fold)
         sections, layouts = bare_levels([codec], [respelled], fold)
-    assert fold(out, sections, layouts, out) == 0
+    assert _one(fold, out, sections, layouts, out) == 0
     assert out.tobytes() == target.tobytes()
     said = [record.getMessage() for record in caplog.records]
     assert said.count(
@@ -599,7 +636,7 @@ def test_fold_refuses_a_strided_destination(rng, kernels):
     fold = chunk_fold(np.dtype(np.int32), (12, 16))
     with _kernels(kernels):
         with pytest.raises(ValueError, match="C-contiguous"):
-            fold(IdentityCodec().encode(base), [payload],
+            _one(fold, IdentityCodec().encode(base), [payload],
                  [codec.fold_layout], canvas[:, :16])
     assert np.array_equal(canvas[:, :16], base) and not canvas[:, 16:].any()
 
@@ -621,9 +658,9 @@ def test_bool_cells_fold_to_booleans(kernels):
     fold = chunk_fold(np.dtype(bool), (4, 8))
     cells = base.copy()
     with _kernels(kernels):
-        assert fold(IdentityCodec().encode(base), [payload],
+        assert _one(fold, IdentityCodec().encode(base), [payload],
                     [codec.fold_layout], np.empty_like(base), window) == 0
-        assert fold(cells, *bare_levels([codec], [payload], fold),
+        assert _one(fold, cells, *bare_levels([codec], [payload], fold),
                     cells) == 0
     assert set(cells.view(np.uint8).ravel().tolist()) == {0, 1}
     assert window.tobytes() == cells.tobytes()
@@ -634,15 +671,15 @@ def test_bool_cells_fold_to_booleans(kernels):
 @pytest.mark.parametrize("name", delta_codec_names())
 def test_accumulate_is_one_compiled_call_per_level(name, rng, monkeypatch):
     """``accumulate`` folds each level through the read path's call
-    (:class:`native.ChunkFold`), as a bare section: a chain of three
-    levels is three compiled calls, and the accumulator holds their
-    composition."""
+    (:class:`native.FoldBatch`, one chunk), as a bare section: a chain
+    of three levels is three compiled calls, and the accumulator holds
+    their composition."""
     lib = native._load()
     real, calls = lib.repro_fold_chain, []
     monkeypatch.setattr(lib, "repro_fold_chain",
                         lambda *args: calls.append(args) or real(*args))
-    face, faced = native.ChunkFold.__call__, []
-    monkeypatch.setattr(native.ChunkFold, "__call__",
+    face, faced = native.FoldBatch.run, []
+    monkeypatch.setattr(native.FoldBatch, "run",
                         lambda *args: faced.append(args) or face(*args))
     codec = get_delta_codec(name)
     versions = [rng.integers(-50, 50, (12, 16)).astype(np.int32)]

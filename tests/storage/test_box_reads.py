@@ -207,6 +207,30 @@ def test_stacked_select_holds_one_chunk_per_version(tmp_path, fan_width,
             peak
 
 
+@pytest.mark.parametrize("box", [((0, 0), (511, 511)),
+                                 ((30, 30), (480, 480))],
+                         ids=["whole", "region"])
+def test_stacked_layers_folding_onto_one_version(tmp_path, fan_width, cold,
+                                                 box):
+    """A cache-off stack over a star layout — every version a delta of
+    version 1 — folds two or more layers of each chunk onto one held
+    version: the layer that takes it in turn must not fold over it
+    while a later one still needs it.  Every layer equals its own
+    select, inline and fanned."""
+    shape, chunk_shape, depth = (512, 512), (128, 128), 6
+    manager, versions = _chain(tmp_path, shape, chunk_shape, depth)
+    with manager:
+        manager.apply_layout("A", {1: None, **{v: 1 for v in
+                                                range(2, depth + 1)}})
+        lo, hi = box
+        window = tuple(slice(l, h + 1) for l, h in zip(lo, hi))
+        layers = [1, 3, 2, 6, 4, 5]
+        stack = cold(manager, "A").select_versions_region("A", layers,
+                                                          lo, hi)
+        np.testing.assert_array_equal(
+            stack, np.stack([versions[v - 1][window] for v in layers]))
+
+
 @pytest.mark.parametrize("cache", ["off", "roomy"])
 def test_one_chunk_box_is_a_view_only_across_whole_rows(cache, cold):
     """With one chunk under the box and no ``out``, each attribute is
@@ -259,9 +283,10 @@ def test_one_chunk_box_is_a_view_only_across_whole_rows(cache, cold):
 def test_stacked_select_is_one_plan_and_one_fan_batch(monkeypatch,
                                                       fan_width, cold):
     """A cache-off stacked select builds one read plan for all its
-    layers and sends every chunk x layer to the fan in one batch, one
-    run per chunk; each run's walks stop at the layer below, so every
-    chunk row in the box is read once."""
+    layers and hands every chunk x layer to the fan at once, one run
+    per chunk — here one batch, as its work does not pay for a lane;
+    each run's walks stop at the layer below, so every chunk row in the
+    box is read once."""
     truth = _versions(3)
     with VersionedStorageManager("/unused/stack", backend="memory",
                                  delta_policy="chain") as manager:
@@ -279,7 +304,7 @@ def test_stacked_select_is_one_plan_and_one_fan_batch(monkeypatch,
         ordered = fan.ordered
 
         def spy(function, items):
-            batches.append(len(items))
+            batches.append([len(batch) for batch in items])
             return ordered(function, items)
 
         monkeypatch.setattr(pipeline, "ReadPlan", CountedPlan)
@@ -296,17 +321,17 @@ def test_stacked_select_is_one_plan_and_one_fan_batch(monkeypatch,
     np.testing.assert_array_equal(
         stack, np.stack([truth[v - 1]["count"][box] for v in versions]))
     assert len(plans) == 1
-    assert batches == [len(chunks)]
+    assert batches == [[len(chunks)]]
     assert window.chunks_read == DEPTH * len(chunks)
 
 
 def _stacking(monkeypatch) -> list:
     """Spy on the fan: each ``fan.ordered`` call is recorded as the
-    length of each run it was handed."""
+    length of each run of each batch it was handed."""
     calls, ordered = [], fan.ordered
 
     def spy(function, items):
-        calls.append([len(run) for run in items])
+        calls.append([[len(run) for run in batch] for batch in items])
         return ordered(function, items)
 
     monkeypatch.setattr(fan, "ordered", spy)
@@ -317,11 +342,11 @@ def _stacking(monkeypatch) -> list:
 def test_cached_stacked_select_is_one_fan_batch(monkeypatch, fan_width,
                                                 cold, cache):
     """With the cache on, a cold stacked select plans every chunk x
-    layer first too: its misses go to the fan in one batch, one run per
-    chunk holding every layer, each walk stopping at the layer below,
-    so every chunk row in the box is read once.  Each layer's chunk is
-    then admitted: a second stack is answered by the cache alone when
-    it holds every chunk."""
+    layer first too: its misses go to the fan at once — here one
+    batch — one run per chunk holding every layer, each walk stopping
+    at the layer below, so every chunk row in the box is read once.
+    Each layer's chunk is then admitted: a second stack is answered by
+    the cache alone when it holds every chunk."""
     truth = _versions(5)
     with VersionedStorageManager("/unused/stack", backend="memory",
                                  delta_policy="chain",
@@ -340,7 +365,7 @@ def test_cached_stacked_select_is_one_fan_batch(monkeypatch, fan_width,
                 "A", versions, *corners, attribute="count")
         chunks = manager.catalog.snapshot("A").record.grid \
             .chunks_overlapping(lo, hi)
-        assert calls == [[DEPTH] * len(chunks)]
+        assert calls == [[[DEPTH] * len(chunks)]]
         assert window.chunks_read == DEPTH * len(chunks)
         assert window.cache_misses == DEPTH * len(chunks)
         again = manager.select_versions_region(

@@ -195,7 +195,8 @@ class TestTheCallingThreadOwnsTheCache:
     @pytest.mark.skipif(fan.FAN_WIDTH < 2,
                         reason="the host has one CPU: the fan is inline")
     def test_default_manager_fans_on_the_host_cpus(self, tmp_path,
-                                                   pin_fan, cold):
+                                                   pin_fan, cold,
+                                                   monkeypatch):
         if hasattr(os, "sched_getaffinity"):
             assert fan.FAN_WIDTH == len(os.sched_getaffinity(0))
         data = np.arange(64 * 64, dtype=np.int64).reshape(64, 64)
@@ -207,19 +208,23 @@ class TestTheCallingThreadOwnsTheCache:
                                                          dtype=np.int64))
             encodes = manager.encoder.encode_chunk = spy(
                 manager.encoder.encode_chunk)
-            decodes = manager.decoder._decode = spy(
-                manager.decoder._decode)
+            decodes = manager.decoder._decode_batch = spy(
+                manager.decoder._decode_batch)
             manager.insert("A", data)
             manager.insert("A", data + 1)
             np.testing.assert_array_equal(
                 cold(manager, "A").select("A", 2).single(), data + 1)
-            assert len(decodes.calls) == 16
+            # Two batches per lane of the 16 chunks, or one inline.
+            assert len(decodes.calls) == \
+                (min(2 * fan.FAN_WIDTH, 16) if fan.FAN_WIDTH > 1 else 1)
             fingerprint = manager.fingerprint()
             manager.close()
             return set(encodes.calls), set(decodes.calls), fingerprint
 
         # The consumer is one of the fan's lanes; the process's CPU
-        # pool's threads are the others, for encodes and decodes alike.
+        # pool's threads are the others, for encodes and decodes alike
+        # (the decode's work made worth a lane whatever its size).
+        monkeypatch.setattr(pipeline, "_HANDOFF_BYTES", 1)
         encoders, decoders, fanned = run(tmp_path / "default", _Lanes)
         for threads in (encoders, decoders):
             lanes = {name.rsplit("_", 1)[0] for name in threads}
@@ -291,8 +296,10 @@ class TestTheCallingThreadOwnsTheCache:
                 manager.select_region("C", version, (2, 2), (17, 17))
         assert window.cache_hits == 3 * 4 and window.cache_misses == 0
         assert submitted == []
-        # The spy sees a region the cache cannot answer.
+        # The spy sees a region the cache cannot answer, once its work
+        # is worth a lane: one batch per chunk.
         manager.cache.clear()
+        monkeypatch.setattr(pipeline, "_HANDOFF_BYTES", 1)
         manager.select_region("C", 5, (2, 2), (17, 17))
         assert len(submitted) == 4
         manager.close()
@@ -311,7 +318,8 @@ class TestTheCallerIsALane:
 
     @pytest.mark.parametrize("fan_width", [4], indirect=True)
     def test_a_call_finishes_while_its_pool_is_busy(self, tmp_path,
-                                                     fan_width):
+                                                     fan_width,
+                                                     monkeypatch):
         from repro.core.array import ArrayData
         manager = _loaded(tmp_path, versions=2)
         old = manager.select("A", 2)
@@ -322,8 +330,10 @@ class TestTheCallerIsALane:
             fan._cpu.submit(release.wait, 30)
         encodes = manager.encoder.encode_chunk = _Threads(
             manager.encoder.encode_chunk)
-        decodes = manager.decoder._decode = _Threads(
-            manager.decoder._decode)
+        decodes = manager.decoder._decode_batch = _Threads(
+            manager.decoder._decode_batch)
+        # Every read's batches worth a lane, so they reach the busy pool.
+        monkeypatch.setattr(pipeline, "_HANDOFF_BYTES", 1)
         reads = {}
 
         def call():
@@ -402,8 +412,8 @@ class TestThreadCensus:
 
 
 class _InFlight:
-    """Wraps a pipeline's per-chunk function: how many calls have
-    started, and how many are running right now."""
+    """Wraps a pipeline's task function: how many calls have started,
+    and how many are running right now."""
 
     def __init__(self, function):
         self.function = function
@@ -471,7 +481,8 @@ class TestFailedOperationsLeaveNothingRunning:
         manager.close()
 
     def test_failed_select_stops_its_decode_tasks(self, tmp_path,
-                                                  fan_width, cold):
+                                                  fan_width, cold,
+                                                  monkeypatch):
         rng = np.random.default_rng(21)
         data = rng.integers(0, 1000, self.SHAPE).astype(np.int32)
         manager = self._manager(tmp_path, "memory")
@@ -493,8 +504,11 @@ class TestFailedOperationsLeaveNothingRunning:
             b"\xff" * location.length
         manager.backend.write(location.path, bytes(blob))
 
-        decodes = manager.decoder._decode = _InFlight(
-            manager.decoder._decode)
+        # Every batch worth a lane: two per lane, of eight chunks each,
+        # the victim in the first.
+        monkeypatch.setattr(pipeline, "_HANDOFF_BYTES", 1)
+        decodes = manager.decoder._decode_batch = _InFlight(
+            manager.decoder._decode_batch)
         with pytest.raises(CodecError):
             manager.select("A", 2)
         at_raise = manager.stats.snapshot(), decodes.started
@@ -502,9 +516,9 @@ class TestFailedOperationsLeaveNothingRunning:
         time.sleep(0.3)
         assert (manager.stats.snapshot(), decodes.started) == at_raise
         # The ordered window: when the victim's error reaches the
-        # consumer, only it, the chunks before it and the window
-        # behind it (width + 1, one refilled) have been submitted.
-        assert index + 1 <= decodes.started <= index + fan_width + 2
+        # consumer, only its batch and the window behind it (width +
+        # 1, one refilled) have been submitted, of 2 x width batches.
+        assert 1 <= decodes.started <= fan_width + 2 < 2 * fan_width
         # Version 1 shares the objects but not the smashed bytes.
         np.testing.assert_array_equal(manager.select("A", 1).single(),
                                       data)
@@ -579,14 +593,14 @@ class TestOneSnapshotPerCall:
         # Which snapshot each chunk of each whole-version read was
         # located in, keyed by the canvas its window belongs to.
         located: list[tuple[np.ndarray, object]] = []
-        decode = manager.decoder._decode
+        decode = manager.decoder._decode_batch
 
-        def spy(miss):
-            if miss.out is not None:
-                located.append((miss.out.base, miss.snap))
-            return decode(miss)
+        def spy(runs):
+            located.extend((miss.out.base, miss.snap) for run in runs
+                           for miss in run if miss.out is not None)
+            return decode(runs)
 
-        manager.decoder._decode = spy
+        manager.decoder._decode_batch = spy
         stop = threading.Event()
         wrong: list[str] = []
         reads = [0]
@@ -639,8 +653,8 @@ class TestOneSnapshotPerCall:
         stalled, release = threading.Event(), threading.Event()
         read_chunks = manager.store.read_chunks
 
-        def spy(locations):
-            payloads = read_chunks(locations)
+        def spy(locations, runs=None):
+            payloads = read_chunks(locations, runs)
             if not stalled.is_set():
                 stalled.set()
                 release.wait(timeout=60)

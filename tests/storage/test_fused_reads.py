@@ -20,6 +20,7 @@ store — so every side decodes the very same stored bytes.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import sys
 import threading
 import tracemalloc
@@ -35,7 +36,7 @@ from repro.core.serial import pack_array_header
 from repro.delta import codes as code_store
 from repro.delta.base import DeltaCodec, frame_size
 from repro.delta.registry import get_delta_codec
-from repro.storage import pipeline
+from repro.storage import fan, pipeline
 from repro.storage.manager import VersionedStorageManager
 from repro.storage.pipeline import ChunkCache, DecodePipeline
 
@@ -538,11 +539,12 @@ def test_cache_entries_own_their_bytes(tmp_path):
 def test_read_allocates_no_chunk_sized_temporary(tmp_path, fan_width,
                                                 cold):
     """The decode half of the allocation gate: a cache-off read of a
-    16-chunk, depth-8 int32 array peaks at its canvas plus small
-    change — each strided chunk's root is copied into the thread's
-    chunk buffer (allocated by the warm-up read; what it keeps is
-    bounded by ``test_fold_buffer_kept_is_bounded``), the chain folded
-    there and the result copied into the canvas, so there is no widened
+    16-chunk, depth-8 int32 array peaks at its canvas, the payloads its
+    one batch reads from files and small change — each strided chunk's
+    root is copied into the thread's chunk buffer (allocated by the
+    warm-up read; what it keeps is bounded by
+    ``test_fold_buffer_kept_is_bounded``), the chain folded there and
+    the result copied into the canvas, so there is no widened
     accumulator, no concatenated position / delta arrays and no
     narrowed copy per chunk."""
     shape, chunk_shape = (1024, 1024), (256, 256)
@@ -571,16 +573,29 @@ def test_read_allocates_no_chunk_sized_temporary(tmp_path, fan_width,
         finally:
             tracemalloc.stop()
         canvas = got.attribute("value")
-        # One 256 KiB root payload is in flight at a time; everything
-        # else (chain payloads, catalog rows, ctypes arrays) is small.
-        assert peak <= canvas.nbytes + (256 << 10) + (128 << 10), peak
+        # The read is one batch, whose chains are read before they are
+        # folded: every payload is in flight at once (16 roots of 256
+        # KiB and their levels); everything else (catalog rows, ctypes
+        # tables) is small.
+        snap = manager.catalog.snapshot("A")
+        stored = sum(row.location.length for chunk in grid.chunks()
+                     for row in snap.walk_chain(DEPTH, "value", chunk.name))
+        assert peak <= canvas.nbytes + stored + (128 << 10), peak
 
 
-def _corrupt_level(manager, version: int, like: np.ndarray):
+def _corrupt_level(manager, version: int, like: np.ndarray,
+                   chunk_name: str | None = None):
     """Make the entry count of ``version``'s sparse table (past its
-    frame) huge in the stored bytes; that version's chunk row."""
+    frame) huge in the stored bytes — of its one chunk, or of chunk
+    ``chunk_name`` — that version's chunk row."""
     record = manager.catalog.get_array("A")
-    (level,) = manager.catalog.chunks_for_version(record.array_id, version)
+    if chunk_name is None:
+        (level,) = manager.catalog.chunks_for_version(record.array_id,
+                                                      version)
+    else:
+        level = manager.catalog.get_chunk(record.array_id, version,
+                                          "value", chunk_name)
+        assert level.delta_codec == "sparse"
     backend, path = manager.store.backend, level.location.path
     stored = bytearray(backend.read(path, 0, backend.total_bytes(path)))
     at = level.location.offset + frame_size(like)
@@ -742,25 +757,55 @@ def _hybrid_chain(root, **kwargs):
 
 
 def _count_calls(monkeypatch) -> list:
-    """Count the calls into the compiled fold entry (from any thread)."""
+    """Count the calls into the compiled fold entry (from any thread):
+    per call, ``(chunks handed, index it stopped at, status)`` and each
+    chunk's descriptor."""
     lib = native._load()
     real, calls = lib.repro_fold_chain, []
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(chunks, desc, *args):
+        fields = native._FOLD_FIELDS
+        table = (ctypes.c_int64 * (fields * chunks)).from_address(desc)
+        descriptors = [tuple(table[at:at + fields])
+                       for at in range(0, fields * chunks, fields)]
+        stopped = real(chunks, desc, *args)
+        status = ctypes.c_int64.from_address(args[-1]).value
+        calls.append(((chunks, stopped, status), descriptors))
+        return stopped
 
     monkeypatch.setattr(lib, "repro_fold_chain", counted)
     return calls
 
 
+#: A descriptor's header slot: -1 when the base went in as cells.
+_HEADER = 6
+
+
+def _count_batches(monkeypatch) -> list:
+    """Spy on the fan: the number of batches each read hands it."""
+    batches, ordered = [], fan.ordered
+
+    def spy(function, items):
+        batches.append(len(items))
+        return ordered(function, items)
+
+    monkeypatch.setattr(fan, "ordered", spy)
+    return batches
+
+
 @pytest.mark.skipif(not native.available(),
                     reason="counts the compiled calls")
-def test_one_native_call_per_chunk(tmp_path, monkeypatch, fan_width, cold):
+@pytest.mark.parametrize("handoff", [None, 1], ids=["measured", "fanned"])
+def test_one_native_call_per_batch(tmp_path, monkeypatch, fan_width, cold,
+                                   handoff):
     """A cache-off whole-version select of a depth-k chain is exactly
-    one compiled call per chunk — root copy, root header and frame
-    checks, every level and the window copy — and no frame is parsed in
-    Python, inline and fanned."""
+    one compiled call per batch — every chunk's root copy, root header
+    and frame checks, every level and the window copy — and no frame is
+    parsed in Python.  At width 1, or when its work does not pay for
+    the fan's hand-off, the read is one batch; fanned, it is at most
+    two batches per lane."""
+    if handoff is not None:
+        monkeypatch.setattr(pipeline, "_HANDOFF_BYTES", handoff)
     manager, versions = _hybrid_chain(tmp_path / "s", backend="memory")
     with cold(manager, "A"):
         chunks = manager.grid_for(manager.catalog.get_array("A")).chunks()
@@ -768,6 +813,7 @@ def test_one_native_call_per_chunk(tmp_path, monkeypatch, fan_width, cold):
         assert all(len(list(snap.walk_chain(DEPTH, "value", chunk.name)))
                    == DEPTH for chunk in chunks)
         calls = _count_calls(monkeypatch)
+        batches = _count_batches(monkeypatch)
         sections = []
         section = DeltaCodec.section
         monkeypatch.setattr(
@@ -776,10 +822,15 @@ def test_one_native_call_per_chunk(tmp_path, monkeypatch, fan_width, cold):
             or section(codec, *args))
         for depth in (1, 2, 5, DEPTH):
             calls.clear()
+            batches.clear()
             with manager.stats.measure() as window:
                 got = manager.select("A", depth).attribute("value")
             assert got.tobytes() == versions[depth - 1].tobytes()
-            assert len(calls) == len(chunks)
+            if fan_width == 1 or handoff is None:
+                assert batches == [1]
+            else:
+                assert 1 < batches[0] <= 2 * fan_width
+            assert len(calls) == batches[0]
             assert window.fused_levels == (depth - 1) * len(chunks)
         assert sections == []
 
@@ -815,12 +866,14 @@ def test_lz_sealed_levels_fold_as_bare_sections(tmp_path, monkeypatch):
             assert len(calls) == 2 * len(chunks)   # declined, then bare
 
 
-def _rewrite_stored(manager, edit) -> None:
+def _rewrite_stored(manager, edit, rows=None) -> None:
     """Apply ``edit(payload) -> payload`` (same length) to every stored
-    payload of array A."""
+    payload of array A, or to those of ``rows``."""
     record = manager.catalog.get_array("A")
     backend = manager.store.backend
-    for row in manager.catalog.all_chunks(record.array_id):
+    if rows is None:
+        rows = manager.catalog.all_chunks(record.array_id)
+    for row in rows:
         path, at = row.location.path, row.location.offset
         stored = bytearray(backend.read(path, 0, backend.total_bytes(path)))
         payload = edit(bytes(stored[at:at + row.location.length]))
@@ -899,13 +952,12 @@ def test_root_with_a_surplus_byte_is_named(tmp_path, kernels):
 
 @pytest.mark.skipif(not native.available(),
                     reason="counts the compiled calls")
-def test_corrupt_level_is_one_call_per_version(tmp_path, cold,
-                                               monkeypatch):
+def test_corrupt_level_is_one_call_per_read(tmp_path, cold, monkeypatch):
     """A malformed level fails its call part-way, and that call's error
     is the read's: the chunk is decoded once, not again to name the
     fault.  A one-version read — cache off, or a cache too small for
-    the chain — is one call; a warm fill one per version up to the
-    malformed level.  The message is the same every way."""
+    the chain — is one call, and so is a warm fill, whose versions are
+    chained inside it.  The message is the same every way."""
     versions = _int_versions()
     expected = ("'A' version 5 chunk chunk-0-0-15-15.dat: corrupt sparse"
                 " delta: outlier table claims more entries than the"
@@ -920,7 +972,7 @@ def test_corrupt_level_is_one_call_per_version(tmp_path, cold,
         calls = _count_calls(monkeypatch)
         for read, made in ((lambda: manager.select("A", DEPTH), 1),
                            (lambda: _read_whole(tight, manager, DEPTH), 1),
-                           (lambda: _read_whole(roomy, manager, DEPTH), 5)):
+                           (lambda: _read_whole(roomy, manager, DEPTH), 1)):
             calls.clear()
             with pytest.raises(CodecError) as refused:
                 read()
@@ -936,12 +988,11 @@ def test_corrupt_level_is_one_call_per_version(tmp_path, cold,
 @pytest.mark.parametrize("kwargs", [dict(delta_codec="hybrid+lz"),
                                     dict(compressor="lz")],
                          ids=["hybrid+lz", "lz-root"])
-def test_lz_chains_are_one_call_per_chunk(tmp_path, monkeypatch, cold,
-                                          kwargs):
+def test_lz_chains_are_one_call_per_read(tmp_path, monkeypatch, cold,
+                                         kwargs):
     """A ``hybrid+lz`` chain (its levels go in as bare sections, its
     root as stored) and a chain on an ``lz`` root (it goes in as cells)
-    are each one compiled call per chunk, and nothing folds in
-    numpy."""
+    are each one compiled call per read, and nothing folds in numpy."""
     manager, versions = _hybrid_chain(tmp_path / "s", backend="memory",
                                       **kwargs)
     with cold(manager, "A"):
@@ -960,9 +1011,110 @@ def test_lz_chains_are_one_call_per_chunk(tmp_path, monkeypatch, cold,
             calls.clear()
             got = manager.select("A", depth).attribute("value")
             assert got.tobytes() == versions[depth - 1].tobytes()
-            assert len(calls) == len(chunks)
-            # Argument 8 is the root header's length: 0 when the base
-            # went in as cells.
-            assert {bool(call[8]) for call in calls} == {
-                rows[-1].compressor == "none"}
+            (call,) = calls
+            assert call[0] == (len(chunks), len(chunks), 0)
+            assert {descriptor[_HEADER] >= 0 for descriptor in call[1]} \
+                == {rows[-1].compressor == "none"}
         assert numpy_folds == []
+
+
+@pytest.mark.skipif(not native.available(),
+                    reason="counts the compiled calls")
+def test_respelled_chunk_in_a_batch_goes_in_again_alone(tmp_path, cold,
+                                                        monkeypatch):
+    """One chunk in the middle of a batch whose root header spells its
+    dtype "=i4": the call folds the chunks before it and stops there;
+    that chunk goes in again on its own, the bare way, and the batch
+    runs on after it — every chunk folds exactly once, and the read is
+    byte for byte."""
+    manager, versions = _hybrid_chain(tmp_path / "s", backend="memory")
+    with cold(manager, "A"):
+        record = manager.catalog.get_array("A")
+        chunks = manager.grid_for(record).chunks()
+        respelled = chunks[2].name
+        _rewrite_stored(
+            manager, lambda payload: payload[:1] + b"=" + payload[2:],
+            [manager.catalog.get_chunk(record.array_id, 1, "value",
+                                       respelled)])
+        calls = _count_calls(monkeypatch)
+        got = manager.select("A", DEPTH).attribute("value")
+        assert got.tobytes() == versions[DEPTH - 1].tobytes()
+        n = len(chunks)
+        assert [call[0] for call in calls] == [
+            (n, 2, native.FOLD_DECLINED), (1, 1, 0), (n - 3, n - 3, 0)]
+        # The chunk went in again with its root as cells.
+        assert calls[0][1][2][_HEADER] >= 0
+        assert calls[1][1][0][_HEADER] == -1
+        assert sum([stopped for (_, stopped, _), _ in calls]) == n
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["native", "numpy"])
+def test_corrupt_level_in_a_batch_names_its_chunk(tmp_path, cold, kernels):
+    """A malformed level in chunk k of a batch raises naming chunk k
+    and its version; the chunks before k sit in their windows of the
+    caller's canvas, nothing past k is written, and nothing outside the
+    windows changes."""
+    versions = _grid_versions(np.int32, (40, 36), DEPTH)
+    manager = VersionedStorageManager(tmp_path / "s", backend="memory",
+                                      delta_policy="chain",
+                                      delta_codec="sparse")
+    manager.create_array(
+        "A", ArraySchema.simple((40, 36), np.int32, attribute="value"),
+        chunk_shape=(20, 16))
+    for data in versions:
+        manager.insert("A", data.copy())
+    with cold(manager, "A"):
+        record = manager.catalog.get_array("A")
+        chunks = manager.grid_for(record).chunks()
+        k = 3
+        level = _corrupt_level(manager, 5, versions[0][:20, :16],
+                               chunks[k].name)
+        canary = np.int32(-0x5A5A5A5B)
+        frame = np.full((44, 40), canary, np.int32)
+        out = frame[2:42, 2:38]
+        with contextlib.nullcontext() if kernels else native.disabled():
+            with pytest.raises(CodecError) as refused:
+                manager.select_region("A", DEPTH, (0, 0), (39, 35),
+                                      out={"value": out})
+        # The two forms say what is wrong in words of their own.
+        assert str(refused.value).startswith(
+            f"'A' version {level.version} chunk {chunks[k].name}: corrupt"
+            " sparse delta: ")
+        written = np.zeros(frame.shape, bool)
+        for index, chunk in enumerate(chunks):
+            window = out[chunk.slices()]
+            if index < k:
+                assert window.tobytes() == \
+                    versions[DEPTH - 1][chunk.slices()].tobytes()
+                written[2:42, 2:38][chunk.slices()] = True
+            elif index > k:
+                assert (window == canary).all()
+        # Chunk k's window may hold its partial fold only in the numpy
+        # form's cells, never in the canvas: the call copies last.
+        assert (out[chunks[k].slices()] == canary).all()
+        assert (frame[~written] == canary).all()
+
+
+@pytest.mark.parametrize("fan_width", [4], indirect=True)
+def test_small_reads_submit_nothing(tmp_path, monkeypatch, fan_width,
+                                    cold):
+    """At width 4, a read of one chunk and a read whose work per lane is
+    below the fan's hand-off cost each run as one batch on the calling
+    thread: nothing reaches the pool.  The same read fans once the
+    hand-off is made free."""
+    manager, versions = _hybrid_chain(tmp_path / "s", backend="memory")
+    with cold(manager, "A"):
+        submitted = []
+        submit = fan._cpu.submit
+        monkeypatch.setattr(fan._cpu, "submit", lambda *args: submitted
+                            .append(args) or submit(*args))
+        one = manager.select_region("A", DEPTH, (0, 0), (19, 15))
+        assert one.attribute("value").tobytes() == \
+            versions[DEPTH - 1][:20, :16].tobytes()
+        whole = manager.select("A", DEPTH)
+        assert whole.attribute("value").tobytes() == \
+            versions[DEPTH - 1].tobytes()
+        assert submitted == []
+        monkeypatch.setattr(pipeline, "_HANDOFF_BYTES", 1)
+        manager.select("A", DEPTH - 1)
+        assert submitted
