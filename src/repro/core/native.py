@@ -804,8 +804,8 @@ FOLD_KERNEL(repro_fold_xor8, uint64_t, FOLD_XOR)
  * an `ndim`-d window at `dst`: `geometry` holds the chunk's extents,
  * the box's first index in it, the box's extents (the window's), then
  * the window's byte strides (any sign).  The caller has checked that
- * the box lies in the chunk; offsets stay integers until a cell is
- * copied. */
+ * the box lies in the chunk and every cell in the window's buffer;
+ * offsets stay integers until a cell is copied. */
 static void repro_to_window(unsigned char *dst, int64_t ndim,
                             const int64_t *geometry,
                             const unsigned char *src, int64_t width)
@@ -864,7 +864,9 @@ enum {
     D_WINDOW, D_NDIM,   /* the destination window or -1 (the cells are
                          * it), and the chunk's number of dimensions */
     D_GEOMETRY,     /* the window's geometry (repro_to_window) from
-                     * this entry of the geometry table */
+                     * this entry of the geometry table; the window's
+                     * buffer is the span its strides reach, from its
+                     * lowest byte */
     FOLD_FIELDS
 };
 
@@ -936,6 +938,27 @@ static int64_t repro_fold_one(const int64_t *d, const int64_t *slots,
         }
         if (cells_in != count)
             return -FOLD_ARGUMENT;
+        /* The window's buffer is the span its strides reach over the
+         * box, from its lowest byte: the first cell sits `below` bytes
+         * into it, and every cell must lie inside it. */
+        const int64_t *strides = shape + 3 * ndim;
+        int64_t room = lengths[d[D_WINDOW]], span = width, below = 0;
+        if (span > room)
+            return -FOLD_ARGUMENT;
+        for (int64_t i = 0; i < ndim; i++) {
+            int64_t s = strides[i], e = extents[i] - 1;
+            if (!e || !s)
+                continue;
+            if (s < -room || s > room)
+                return -FOLD_ARGUMENT;
+            int64_t step = s < 0 ? -s : s;
+            if (e > (room - span) / step)
+                return -FOLD_ARGUMENT;
+            span += e * step;
+            if (s < 0)
+                below += e * step;
+        }
+        window += below;
     }
     slots += d[D_ROW];
     layouts += d[D_ROW];
@@ -1459,6 +1482,7 @@ FOLD_REASONS = {
     3: "outlier table claims more entries than the chunk has cells",
     4: "outlier position out of range",
     5: "undecoded trailing bytes",
+    6: "a descriptor does not fit the call's tables",
 }
 
 _frombuffer = np.frombuffer
@@ -1749,11 +1773,17 @@ class FoldBatch:
             window_slot = first = -1
             if window is not None:
                 window_slot, first = len(handles), len(geometry)
-                # Its first cell is a contiguous view: its address is
-                # the window's, without a numpy object per window.
+                # Its buffer is the span its strides reach, from its
+                # lowest byte, which the C side checks the geometry
+                # against.  Its first cell is a contiguous view: its
+                # address is the window's, without a numpy object per
+                # window.
+                reach = [(extent - 1) * stride for extent, stride
+                         in zip(window.shape, window.strides)]
                 handles.append(_addressof(_cell_at(
-                    window[fold.corner] if fold.corner else window)))
-                lengths.append(window.nbytes)
+                    window[fold.corner] if fold.corner else window))
+                    + sum([step for step in reach if step < 0]))
+                lengths.append(sum(map(abs, reach)) + window.itemsize)
                 geometry += fold.shape
                 geometry += [part.indices(extent)[0]
                              for part, extent in zip(box, fold.shape)] \

@@ -25,8 +25,8 @@ catalog.
 
 The store runs on its caller's thread and owns no pool: a read is
 parallelised above it (the decode pipeline hands each batch of chunk
-reconstructions — and with it that batch's ``read_chunks`` call — to
-the CPU fan), placements arrive one at a time in canonical task
+reconstructions — and with it their chains' ``read_chunks`` calls —
+to the CPU fan), placements arrive one at a time in canonical task
 order, and a backend with a real barrier fans it on the sync fan
 (:mod:`repro.storage.fan`).
 """
@@ -136,34 +136,28 @@ class ChunkStore:
         self.stats.record_open()
         return payload
 
-    def read_chunks(self, locations: list[ChunkLocation],
-                    runs: list[int] | None = None) -> list:
+    def read_chunks(self, locations: list[ChunkLocation]) -> list[bytes]:
         """Read several payloads, one backend open per distinct path.
 
         This is the chain-read fast path: a co-located delta chain's
         payloads share one object, so the whole chain costs a single
         open + seek pass (``file_opens`` in :class:`IOStats` counts the
-        difference).  ``runs`` cuts ``locations`` into consecutive runs
-        of those lengths — the chains of one decode batch — and each
-        run is read as its own batch, so one call costs the opens,
-        reads and ranged GETs of one call per run.  Payloads are
-        returned in ``locations`` order.
+        difference).  Payloads are returned in ``locations`` order.
         """
-        payloads: list = [None] * len(locations)
-        start = 0
-        for stop in itertools.accumulate(runs or (len(locations),)):
-            by_path: dict[str, list[int]] = {}
-            for index in range(start, stop):
-                by_path.setdefault(locations[index].path, []).append(index)
-            start = stop
-            for path, indexes in by_path.items():
-                read = self.backend.read_many(path, [
-                    (locations[i].offset, locations[i].length)
-                    for i in indexes])
-                for i, payload in zip(indexes, read):
-                    payloads[i] = payload
-                self.stats.record_reads(len(read), sum(map(len, read)))
-        return payloads
+        by_path: dict[str, list[int]] = {}
+        for index, location in enumerate(locations):
+            by_path.setdefault(location.path, []).append(index)
+
+        payloads: list[bytes | None] = [None] * len(locations)
+        for path, indexes in by_path.items():
+            spans = [(locations[i].offset, locations[i].length)
+                     for i in indexes]
+            read = self.backend.read_many(path, spans)
+            for i, payload in zip(indexes, read):
+                payloads[i] = payload
+            self.stats.record_reads(len(read),
+                                    sum([len(payload) for payload in read]))
+        return payloads  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     # Maintenance

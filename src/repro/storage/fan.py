@@ -14,8 +14,10 @@ touches neither.
   ``repro-cpu`` threads plus whichever thread consumes the results.
   Every encode block and every decode batch of every manager runs
   through :func:`ordered`, its one ordered sliding window.  A read
-  hands it a few batches of its cache misses, each one compiled call,
-  and none when its work would not pay for a hand-off
+  hands it a few batches of its cache misses, each one compiled call
+  and none over a fixed budget of work
+  (:data:`repro.storage.pipeline._BATCH_BYTES`), and none when its
+  work would not pay for a hand-off
   (:data:`repro.storage.pipeline._HANDOFF_BYTES`, measured): an item
   costs some 20 us to hand to a lane, more than the decode of a small
   chunk.  Nothing below it fans again, so no task ever waits on

@@ -112,8 +112,29 @@ _KEPT_FOLD_BYTES = 2 << 20
 #: (2 000 rounds of 8 trivial items, five runs), and one batch decodes
 #: 7.5-9.4 bytes per ns (16 chunks of 1 MiB int32, sparse chains of
 #: depth 1-16, from memory, width 1): 23.5 us x 8.4 bytes/ns.  The
-#: Python around one miss is about as long, 20-30 us.
+#: Python around one miss is about as long, 20-30 us.  The per-miss
+#: half is measured where it decides: a stacked select of 16 versions
+#: of a 512 x 512 int32 array with every batch fanned, against width 1
+#: (median of 5 selects, 7-13 alternating rounds), took at chunks of
+#: 16 / 64 / 128 KiB — below it — +2 / +5 / +7 % at width 2 and
+#: +5 / +12 / +19 % at width 4 with the cache off, +3 / +5 % and
+#: +5 / +11 % (16 and 128 KiB) cold cached; at 256 / 512 KiB — above
+#: it — -16 / -3 % and -4 / -10 % cache off, -16 / -26 % and
+#: -6 / -17 % cold cached.
 _HANDOFF_BYTES = 197_000
+
+#: The most decode work, in the same measure, one batch takes but for
+#: its last run (:meth:`DecodePipeline._batches`): its payloads, and
+#: the cells it allocates for the cache, are held together until it
+#: returns, so what one lane holds is bounded by this, not by the read.
+#: A batch more costs some 45 us at width 1 — its tables and call, and
+#: the Python after a call that streamed the L2 out (16 chunks of 1 MiB
+#: int32 from memory, depth 0, best of 30: one batch 1.95-2.01 ms, five
+#: 2.09-2.22 ms) — under 4 % of the ~1.2 ms this much work takes there,
+#: less on deeper chains.  At 1 MiB, one batch per 1 MiB chunk, the e2e
+#: ``scan-deep`` workload ran 10-12 % fewer ops/s (8 and 6 alternating
+#: runs).
+_BATCH_BYTES = 16 << 20
 
 #: Each store delta codec's levels as the one-call decode reads them
 #: (:attr:`~repro.delta.base.DeltaCodec.fold_layout`); a codec it
@@ -633,19 +654,19 @@ class DecodePipeline:
     steps (:meth:`_resolve`).  The calling thread *plans* every task
     first: the cache lookup, the chain walk (with its cache probes)
     and the job choice below.  Only the misses are decoded, cut into a
-    few batches of about equal work (:meth:`_batches`: one at a fan
-    width of 1 or when the read's work would not pay for handing a
-    batch to a lane, else at most two per lane), each one task of the
-    fan that reads, decompresses, folds and places its chunks and
-    touches neither the cache nor any scope.  The calling thread then
-    *admits* each result in task order.  Hits never reach a batch, and
-    the cache sees the same calls in the same order at every fan
-    width.  Assembly stays deterministic: every chunk writes a disjoint
-    region of the output canvas, so the result is byte-identical at
-    every width.
+    few batches of about equal work (:meth:`_batches`: one on the
+    calling thread at a fan width of 1 or when the read's work would
+    not pay for handing a batch to a lane, else two per lane; never
+    more than :data:`_BATCH_BYTES` of work but for a last run), each
+    one task of the fan that reads, decompresses, folds and places its
+    chunks and touches neither the cache nor any scope.  The calling
+    thread then *admits* each result in task order.  Hits never reach
+    a batch, and the cache sees the same calls in the same order at
+    every fan width.  Assembly stays deterministic: every chunk writes
+    a disjoint region of the output canvas, so the result is
+    byte-identical at every width.
 
-    The batch is the unit of decode: one ``read_chunks`` call reads
-    every chain of it, and one call of the C entry
+    The batch is the unit of decode: one call of the C entry
     (:class:`~repro.core.native.FoldBatch`, queued in
     :meth:`_decode_batch`) rebuilds every chunk of it in task order —
     per chunk, it copies the base into contiguous cells, folds delta
@@ -748,12 +769,12 @@ class DecodePipeline:
         decoded on the way, deepest first), or None once placed with
         the cache off; touches no cache and no scope.
 
-        Every chain of the batch is read by one ``read_chunks`` call (a
-        chain's payloads in one open per distinct object, as one call
-        per chain would), and every chunk of it is folded and placed by
-        one call of the C entry (:class:`~repro.core.native.FoldBatch`),
-        in task order: a one-version read is one chunk of the batch, a
-        warm fill the root and then each level in turn.  A chunk takes
+        Each chain is read by one ``read_chunks`` call (its payloads in
+        one open per distinct object), and every chunk of the batch is
+        folded and placed by one call of the C entry
+        (:class:`~repro.core.native.FoldBatch`), in task order: a
+        one-version read is one chunk of the batch, a warm fill the root
+        and then each level in turn.  A chunk takes
         the base — the root's stored payload, or cells: a held version,
         a root of another compressor (:meth:`_decode_root`) — and every
         level as stored.  A level the call cannot read as stored
@@ -775,17 +796,12 @@ class DecodePipeline:
         last miss folding onto a version its run folded folds in place
         on it, so a stack folds each chunk's layers in one buffer,
         whatever its depth."""
-        misses = [miss for run in runs for miss in run]
-        payloads = self.store.read_chunks(
-            [row.location for miss in misses for row in miss.chain],
-            [len(miss.chain) for miss in misses])
         cache_on = self.cache.enabled
         batch = native.FoldBatch()
         folds: dict[tuple, native.ChunkFold] = {}
         scratch: dict[native.ChunkFold, np.ndarray] = {}  # chunk buffers
         steps: list[list] = []      # per chunk: _refold's arguments
         results = []
-        at = 0
         for run in runs:
             waiting = Counter([miss.base_version for miss in run]) \
                 if len(run) > 1 else {}
@@ -794,8 +810,8 @@ class DecodePipeline:
             mine: set[int] = set()      # ... or folded in a chunk buffer
             for index, miss in enumerate(run):
                 chain, base, window = miss.chain, miss.base, miss.out
-                stored = payloads[at:at + len(chain)]
-                at += len(chain)
+                stored = self.store.read_chunks(
+                    [row.location for row in chain])
                 last_use = False
                 if miss.base_version in held:
                     waiting[miss.base_version] -= 1
@@ -1129,23 +1145,28 @@ class DecodePipeline:
                 planned.append(got)
             if run:
                 runs.append(run)
-        return self._admitted(planned, self._batches(runs)) if runs \
+        return self._admitted(planned, *self._batches(runs)) if runs \
             else planned
 
     @staticmethod
-    def _batches(runs: list[list[_Miss]]) -> list[list[list[_Miss]]]:
+    def _batches(runs: list[list[_Miss]]
+                 ) -> tuple[list[list[list[_Miss]]], bool]:
         """The read's runs cut into contiguous batches of about equal
-        work, in task order, no run split: at most two per lane.  A
-        miss's work is what the plan already knows it moves: its located
-        chain's payload bytes and the chunk's cells.  A read is one
-        batch at a fan width of 1, and whenever its work is below the
-        fan's hand-off cost (:data:`_HANDOFF_BYTES`) per lane — handing
-        it out would cost more than it saves — or per miss: a miss's
-        Python, which holds the GIL, costs about one hand-off too, so
-        lanes given such misses only contend for it."""
+        work, in task order, no run split, and whether they run on the
+        calling thread.  A miss's work is what the plan already knows it
+        moves: its located chain's payload bytes and the chunk's cells.
+        A read runs on the calling thread at a fan width of 1, and
+        whenever its work is below the fan's hand-off cost
+        (:data:`_HANDOFF_BYTES`) per lane — handing it out would cost
+        more than it saves — or per miss: a miss's Python, which holds
+        the GIL, costs about one hand-off too, so lanes given such
+        misses only contend for it.  It is one batch there, else two
+        per lane; and never a batch of more than :data:`_BATCH_BYTES`
+        of work but for its last run, so what a batch holds at once is
+        bounded whatever the read's size."""
+        if len(runs) == 1:
+            return [runs], True
         width = fan.FAN_WIDTH
-        if width <= 1 or len(runs) == 1:
-            return [runs]
         schema = runs[0][0].snap.record.schema     # one per read
         itemsize = {attribute.name: attribute.dtype.itemsize
                     for attribute in schema.attributes}
@@ -1153,9 +1174,12 @@ class DecodePipeline:
                  + miss.chunk.cell_count * itemsize[miss.attribute]
                  for run in runs for miss in run]
         total = sum(costs)
-        if total < max(width, len(costs)) * _HANDOFF_BYTES:
-            return [runs]
-        count = min(2 * width, len(runs))
+        inline = width <= 1 \
+            or total < max(width, len(costs)) * _HANDOFF_BYTES
+        count = min(max(1 if inline else 2 * width,
+                        -(-total // _BATCH_BYTES)), len(runs))
+        if count == 1:
+            return [runs], inline
         batches, batch, spent = [], [], 0
         costs = iter(costs)
         for run in runs:
@@ -1166,10 +1190,13 @@ class DecodePipeline:
                 batch = []
         if batch:
             batches.append(batch)
-        return batches
+        return batches, inline
 
-    def _admitted(self, planned: list, batches: list[list[list[_Miss]]]):
-        with closing(fan.ordered(self._decode_batch, batches)) as decoded:
+    def _admitted(self, planned: list, batches: list[list[list[_Miss]]],
+                  inline: bool):
+        decoded = (self._decode_batch(batch) for batch in batches) \
+            if inline else fan.ordered(self._decode_batch, batches)
+        with closing(decoded):
             results = (result for batch in decoded for result in batch)
             for got in planned:
                 if type(got) is _Miss:

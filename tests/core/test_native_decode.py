@@ -407,6 +407,45 @@ class TestFoldChain:
         assert not cells[8:].any() and not read_only.any()
 
 
+@pytest.mark.skipif(not native.available(),
+                    reason="the C entry's own checks")
+@pytest.mark.parametrize("flip", [False, True], ids=["forward", "reversed"])
+def test_window_geometry_must_fit_its_buffer(flip):
+    """The call checks every window's geometry against the buffer the
+    tables name for it — the span its strides reach over the box, from
+    its lowest byte.  A strided window, strides of either sign, lands
+    in place; the same tables with that buffer a byte short, or with a
+    row stride past it, are refused before anything is written."""
+    fold = native.ChunkFold(np.int32, (4, 6), b"", b"", False)
+    cells = np.arange(24, dtype=np.int32).reshape(4, 6)
+    frame = np.full((8, 10), -7, dtype=np.int32)
+    window = frame[2:6, 2:8]
+    if flip:
+        window = window[::-1, ::-1]
+    batch = native.FoldBatch()
+    batch.add(fold, cells, [], [], None, window)
+    assert batch.run() == (1, 0)
+    assert window.tolist() == cells.tolist()
+    frame[...] = -7
+    # Descriptor fields 10 and 12: the window's slot and its first
+    # geometry entry (extents, box start, box extents, then strides).
+    slot, first = batch._build()[0][10], batch._build()[0][12]
+    assert batch._build()[3][first + 3 * 2] == window.strides[0]
+    for tamper in ("short", "stride"):
+        tables = batch._build()
+        geometry, lengths = tables[3], tables[5]
+        if tamper == "short":
+            lengths[slot] -= 1
+        else:
+            geometry[first + 3 * 2] *= 3
+        batch._tables = tables
+        with pytest.raises(DeltaLevelError) as refused:
+            batch.run()
+        assert (refused.value.level, refused.value.chunk) == (0, 0)
+        assert str(refused.value) == native.FOLD_REASONS[6]
+        assert (frame == -7).all()
+
+
 class TestDisabledScope:
     def test_disabled_turns_every_kernel_off(self, monkeypatch):
         codes = np.arange(8, dtype=np.uint64)

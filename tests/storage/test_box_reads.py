@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from repro.core.array import ArrayData
 from repro.core.schema import ArraySchema, Attribute, Dimension
 from repro.storage import COLOCATED, PER_VERSION, VersionedStorageManager
-from repro.storage import fan, pipeline
+from repro.storage import pipeline
+from repro.storage.pipeline import DecodePipeline
 
 #: A 4 x 4 grid of ragged chunks over non-zero-based coordinates.
 ORIGIN = (3, -2)
@@ -283,7 +284,7 @@ def test_one_chunk_box_is_a_view_only_across_whole_rows(cache, cold):
 def test_stacked_select_is_one_plan_and_one_fan_batch(monkeypatch,
                                                       fan_width, cold):
     """A cache-off stacked select builds one read plan for all its
-    layers and hands every chunk x layer to the fan at once, one run
+    layers and cuts every chunk x layer into batches at once, one run
     per chunk — here one batch, as its work does not pay for a lane;
     each run's walks stop at the layer below, so every chunk row in the
     box is read once."""
@@ -301,14 +302,15 @@ def test_stacked_select_is_one_plan_and_one_fan_batch(monkeypatch,
                 plans.append(args)
                 super().__init__(*args)
 
-        ordered = fan.ordered
+        cut = DecodePipeline._batches
 
-        def spy(function, items):
-            batches.append([len(batch) for batch in items])
-            return ordered(function, items)
+        def spy(runs):
+            made, inline = cut(runs)
+            batches.append([len(batch) for batch in made])
+            return made, inline
 
         monkeypatch.setattr(pipeline, "ReadPlan", CountedPlan)
-        monkeypatch.setattr(fan, "ordered", spy)
+        monkeypatch.setattr(DecodePipeline, "_batches", staticmethod(spy))
         lo, hi = (2, 3), (15, 12)
         versions = [DEPTH, 2, 4, 1, 3]
         with manager.stats.measure() as window:
@@ -326,15 +328,16 @@ def test_stacked_select_is_one_plan_and_one_fan_batch(monkeypatch,
 
 
 def _stacking(monkeypatch) -> list:
-    """Spy on the fan: each ``fan.ordered`` call is recorded as the
-    length of each run of each batch it was handed."""
-    calls, ordered = [], fan.ordered
+    """Spy on the cut into batches: each read that decodes is recorded
+    as the length of each run of each batch its misses make."""
+    calls, cut = [], DecodePipeline._batches
 
-    def spy(function, items):
-        calls.append([[len(run) for run in batch] for batch in items])
-        return ordered(function, items)
+    def spy(runs):
+        made, inline = cut(runs)
+        calls.append([[len(run) for run in batch] for batch in made])
+        return made, inline
 
-    monkeypatch.setattr(fan, "ordered", spy)
+    monkeypatch.setattr(DecodePipeline, "_batches", staticmethod(spy))
     return calls
 
 
@@ -342,8 +345,8 @@ def _stacking(monkeypatch) -> list:
 def test_cached_stacked_select_is_one_fan_batch(monkeypatch, fan_width,
                                                 cold, cache):
     """With the cache on, a cold stacked select plans every chunk x
-    layer first too: its misses go to the fan at once — here one
-    batch — one run per chunk holding every layer, each walk stopping
+    layer first too: its misses are cut into batches at once — here
+    one batch — one run per chunk holding every layer, each walk stopping
     at the layer below, so every chunk row in the box is read once.
     Each layer's chunk is then admitted: a second stack is answered by
     the cache alone when it holds every chunk."""

@@ -653,8 +653,8 @@ class TestOneSnapshotPerCall:
         stalled, release = threading.Event(), threading.Event()
         read_chunks = manager.store.read_chunks
 
-        def spy(locations, runs=None):
-            payloads = read_chunks(locations, runs)
+        def spy(locations):
+            payloads = read_chunks(locations)
             if not stalled.is_set():
                 stalled.set()
                 release.wait(timeout=60)

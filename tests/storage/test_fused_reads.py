@@ -537,16 +537,18 @@ def test_cache_entries_own_their_bytes(tmp_path):
                     reason="the numpy fold unpacks into temporaries")
 @pytest.mark.parametrize("fan_width", [1], indirect=True)
 def test_read_allocates_no_chunk_sized_temporary(tmp_path, fan_width,
-                                                cold):
+                                                cold, monkeypatch):
     """The decode half of the allocation gate: a cache-off read of a
-    16-chunk, depth-8 int32 array peaks at its canvas, the payloads its
-    one batch reads from files and small change — each strided chunk's
-    root is copied into the thread's chunk buffer (allocated by the
-    warm-up read; what it keeps is bounded by
-    ``test_fold_buffer_kept_is_bounded``), the chain folded there and
-    the result copied into the canvas, so there is no widened
-    accumulator, no concatenated position / delta arrays and no
-    narrowed copy per chunk."""
+    16-chunk, depth-8 int32 array peaks at its canvas, one batch's
+    payloads and small change — each strided chunk's root is copied
+    into the thread's chunk buffer (allocated by the warm-up read; what
+    it keeps is bounded by ``test_fold_buffer_kept_is_bounded``), the
+    chain folded there and the result copied into the canvas, so there
+    is no widened accumulator, no concatenated position / delta arrays
+    and no narrowed copy per chunk.  The batch budget is set to about
+    two of this array's chunks, well below the read: the payloads in
+    flight are bounded by it, not by the read's size."""
+    monkeypatch.setattr(pipeline, "_BATCH_BYTES", 512 << 10)
     shape, chunk_shape = (1024, 1024), (256, 256)
     rng = np.random.default_rng(5)
     data = rng.integers(-1000, 1000, shape).astype(np.int32)
@@ -573,14 +575,12 @@ def test_read_allocates_no_chunk_sized_temporary(tmp_path, fan_width,
         finally:
             tracemalloc.stop()
         canvas = got.attribute("value")
-        # The read is one batch, whose chains are read before they are
-        # folded: every payload is in flight at once (16 roots of 256
-        # KiB and their levels); everything else (catalog rows, ctypes
-        # tables) is small.
-        snap = manager.catalog.snapshot("A")
-        stored = sum(row.location.length for chunk in grid.chunks()
-                     for row in snap.walk_chain(DEPTH, "value", chunk.name))
-        assert peak <= canvas.nbytes + stored + (128 << 10), peak
+        # A batch's payloads are read before it folds: at most its
+        # budget of them (a 256 KiB root or two and their levels) is in
+        # flight at once; everything else (catalog rows, ctypes tables)
+        # is small.
+        assert peak <= canvas.nbytes + pipeline._BATCH_BYTES \
+            + (128 << 10), (peak - canvas.nbytes) >> 10
 
 
 def _corrupt_level(manager, version: int, like: np.ndarray,
@@ -782,14 +782,15 @@ _HEADER = 6
 
 
 def _count_batches(monkeypatch) -> list:
-    """Spy on the fan: the number of batches each read hands it."""
-    batches, ordered = [], fan.ordered
+    """Spy on the cut: the number of batches each read's misses make."""
+    batches, cut = [], DecodePipeline._batches
 
-    def spy(function, items):
-        batches.append(len(items))
-        return ordered(function, items)
+    def spy(runs):
+        made, inline = cut(runs)
+        batches.append(len(made))
+        return made, inline
 
-    monkeypatch.setattr(fan, "ordered", spy)
+    monkeypatch.setattr(DecodePipeline, "_batches", staticmethod(spy))
     return batches
 
 
@@ -1118,3 +1119,47 @@ def test_small_reads_submit_nothing(tmp_path, monkeypatch, fan_width,
         monkeypatch.setattr(pipeline, "_HANDOFF_BYTES", 1)
         manager.select("A", DEPTH - 1)
         assert submitted
+
+
+@pytest.mark.skipif(not native.available(),
+                    reason="counts the compiled calls")
+def test_a_read_over_the_budget_is_cut_into_bounded_batches(
+        tmp_path, monkeypatch, fan_width, cold):
+    """A read whose work is more than the batch budget is cut into
+    several batches at any width, in task order, none over the budget
+    but for its last run — one compiled call each, every chunk folded
+    once, the read byte for byte.  Its work per miss is below the
+    fan's hand-off cost, so every batch runs on the calling thread:
+    nothing reaches the pool."""
+    manager, versions = _hybrid_chain(tmp_path / "s", backend="memory")
+    with cold(manager, "A"):
+        budget = 4096
+        monkeypatch.setattr(pipeline, "_BATCH_BYTES", budget)
+        cut, made = DecodePipeline._batches, []
+
+        def spy(runs):
+            batches, inline = cut(runs)
+            made.append((runs, batches, inline))
+            return batches, inline
+
+        monkeypatch.setattr(DecodePipeline, "_batches", staticmethod(spy))
+        calls = _count_calls(monkeypatch)
+        submitted = []
+        submit = fan._cpu.submit
+        monkeypatch.setattr(fan._cpu, "submit", lambda *args: submitted
+                            .append(args) or submit(*args))
+        got = manager.select("A", DEPTH).attribute("value")
+        assert got.tobytes() == versions[DEPTH - 1].tobytes()
+        (runs, batches, inline), = made
+        assert inline and submitted == []
+        assert len(batches) > 1
+        assert [run for batch in batches for run in batch] == runs
+
+        def work(run) -> int:
+            return sum([sum([row.location.length for row in miss.chain])
+                        + miss.chunk.cell_count * 4 for miss in run])
+
+        assert all(sum(map(work, batch[:-1])) < budget
+                   for batch in batches)
+        assert [call[0] for call in calls] == [
+            (len(batch), len(batch), 0) for batch in batches]
