@@ -9,6 +9,12 @@ kernels alike produce byte-identical packed streams to the reference
 (one SHA-256 fingerprint per cell, identical across the native axis,
 gated against the committed ``BENCH_codec.json`` by the fingerprint
 regression check).
+
+No compiled kernel sits behind ``repro.core.bitpack`` any more (the
+store packs and unpacks inside its one encode call and its one fold
+call), so the native axis now runs the numpy word kernels on both
+sides.  The gates are unchanged; retargeting the axis at the compiled
+calls is a benchmark change of its own.
 """
 
 from paper import codec

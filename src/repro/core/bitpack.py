@@ -21,17 +21,21 @@ and the stream is stored little-endian — which makes the byte string
 exactly the memory image of a little-endian uint64 word array.  The
 kernels exploit that: each value contributes one-or-two shifted 64-bit
 words to the stream, O(count) word operations instead of the seed's
-O(count x bits) per-bit matrix expansion.  The compiled kernels in
-:mod:`repro.core.native` do that in one streaming pass; the numpy
-fallbacks here are the block kernels — 64 values of width D span
-exactly D words, so the shift/word pattern repeats with period 64 and
-the whole array packs (or unpacks) with a fixed number of column
-operations, run per cache-sized tile of blocks so the working set
-stays cache-resident on multi-MB arrays.  The blocked unpack issues
-~2 numpy calls per lane, so small inputs unpack with a
-constant-call-count gather instead.  For D in {8, 16, 32, 64} the
+O(count x bits) per-bit matrix expansion.  They are numpy block
+kernels — 64 values of width D span exactly D words, so the shift/word
+pattern repeats with period 64 and the whole array packs (or unpacks)
+with a fixed number of column operations, run per cache-sized tile of
+blocks so the working set stays cache-resident on multi-MB arrays.
+The blocked unpack issues ~2 numpy calls per lane, so small inputs
+unpack with a constant-call-count gather instead.  For D in {8, 16, 32, 64} the
 stream *is* a little-endian fixed-width integer array, so those widths
-reduce to pure ``astype``/``view`` reinterprets.
+reduce to pure ``astype``/``view`` reinterprets.  No compiled kernel
+sits behind them: the store's write and read paths pack and unpack
+inside their own one compiled call each
+(:class:`~repro.core.native.ChunkEncode`,
+:class:`~repro.core.native.FoldBatch`), and this module is what runs
+where those calls do not — the numpy forms, the comparison codecs and
+the table benches.
 
 ``unpack_unsigned`` is strict about length: the input must be exactly
 the packed size — short *and* trailing bytes both raise — so callers
@@ -47,7 +51,6 @@ import sys
 
 import numpy as np
 
-from repro.core import native
 from repro.core.errors import CodecError
 
 #: Hard upper bound on bit width — codes are manipulated as uint64.
@@ -229,12 +232,7 @@ def pack_unsigned(values: np.ndarray, bits: int) -> bytes:
     if fast is not None:
         return values.astype(fast, copy=False).tobytes()
 
-    # The compiled carry-register kernel emits the identical stream in
-    # one pass when available; the numpy block kernel is the fallback.
-    words = native.pack_bits(values, bits)
-    if words is None:
-        words = _pack_words_blocked(values, bits)
-
+    words = _pack_words_blocked(values, bits)
     needed = (values.size * bits + 7) // 8
     if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
         words = words.astype("<u8")
@@ -269,13 +267,6 @@ def unpack_unsigned(data, bits: int, count: int) -> np.ndarray:
         # astype always copies here, so the result is writable even
         # though np.frombuffer returns a read-only view.
         return np.frombuffer(data, dtype=fast).astype(np.uint64)
-
-    # The compiled carry-register kernel covers every remaining width
-    # in one streaming pass when available; the numpy kernels below
-    # are the byte-identical fallback.
-    values = native.unpack_bits(data, bits, count)
-    if values is not None:
-        return values
 
     mask = np.uint64(0xFFFFFFFFFFFFFFFF) if bits == MAX_BITS \
         else np.uint64((1 << bits) - 1)
@@ -355,9 +346,6 @@ def zigzag_encode(values: np.ndarray) -> np.ndarray:
 def zigzag_decode(codes: np.ndarray) -> np.ndarray:
     """Inverse of :func:`zigzag_encode`."""
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
-    decoded = native.zigzag_decode(codes)
-    if decoded is not None:
-        return decoded.reshape(codes.shape)
     return ((codes >> np.uint64(1)).view(np.int64)
             ^ -(codes & np.uint64(1)).view(np.int64))
 

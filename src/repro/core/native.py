@@ -1,39 +1,38 @@
 """Optional compiled kernels for the hottest encode *and* decode loops.
 
-The numpy kernels in :mod:`repro.core.bitpack` and the planner's
-shared-stats pass are bound by one structural cost: every logical step
-is a whole-array numpy operation, so a chunk is streamed through the
-cache once per step — the numpy encode path makes a dozen whole-array
-passes and ~20 MiB of temporaries per 1 MiB chunk.  A scalar C loop
-does the same work in one stream per kernel.
+The numpy forms — :mod:`repro.core.bitpack`'s word kernels, the
+planner's :class:`~repro.delta.codes.CodePlan` and the fold's numpy form
+— are bound by one structural cost: every logical step is a whole-array
+numpy operation, so a chunk is streamed through the cache once per step
+— the numpy encode makes a dozen whole-array passes and ~20 MiB of
+temporaries per 1 MiB chunk.  A scalar C loop does the same work in one
+stream.  The library has two entries, one per direction, each with one
+Python face.
 
 The write side costs what changed, not what the chunk holds, and is
-one call per chunk.  The *analysis* pass — cell pair in, delta code +
-width-histogram bucket out — is one kernel family over every cell type
-(signed / unsigned / bool of 1, 2, 4, 8 bytes as wrapping int64
-differences, float16/32/64 as xor of bit images), reading the chunk in
-place from its canvas by ``(rows, cols, row_stride)``.  It skips every
-64-byte run equal to the base, codes only the cells of a differing run
-whose bytes differ (read off the run's byte-difference mask) and keeps
-only a *run list*: those cells' codes and the maximal spans they form;
-on the insert path it also copies each differing run of the new
-version over the hot slot's canvas (the base it just read), which so
-becomes the new version without a whole-version copy.  The one *pack*
-walks the run list — only real codes, the gaps between spans leaving
-as bulk zeros — and emits the dense section, the split's packed small
-codes and outlier table, or the sparse table (the split at width 0).
-:class:`ChunkEncode` runs both for the insert path in one C entry: the
-analysis pass, every representation sized off the histogram with the
-planner's tie rule, and the winner packed behind its prefix into one
-caller buffer.  :func:`delta_zigzag_stats` and :func:`pack_runs` are
-the two passes on their own, for the planner (what the one call
-declines) and the Materialization Matrix; :func:`pack_bits`, behind
-every other ``pack_unsigned`` call, is the pack over one run of every
-value.
+one call per chunk, :class:`ChunkEncode` (C entry
+``repro_encode_chunk``).  Its *analysis* pass — cell pair in, delta
+code + width-histogram bucket out — is one kernel family over every
+cell type (signed / unsigned / bool of 1, 2, 4, 8 bytes as wrapping
+int64 differences, float16/32/64 as xor of bit images), reading the
+chunk in place from its canvas by ``(rows, cols, row_stride)``, or
+through a contiguous copy where a window cannot be read that way.  It
+skips every 64-byte run equal to the base, codes only the cells of a
+differing run whose bytes differ (read off the run's byte-difference
+mask) and keeps only a *run list*: those cells' codes and the maximal
+spans they form; on the insert path it also copies each differing run
+of the new version over the hot slot's canvas (the base it just read),
+which so becomes the new version without a whole-version copy.  Every
+representation is then sized off the histogram, and the *pack* walks
+the run list — only real codes, the gaps between spans leaving as bulk
+zeros — to emit one of them: the cheapest under the planner's tie
+rule, a named candidate whatever its size (a codec's own ``encode``, a
+``hybrid+lz`` candidate's sections, which Python seals), or none (the
+Materialization Matrix's prices).
 
-The read side is one call per batch of chunks, with one C entry
-behind it and one Python face, :class:`FoldBatch` (chunks laid out by
-a :class:`ChunkFold`).  It hands the entry every chunk's whole decode
+The read side is one call per batch of chunks, :class:`FoldBatch`
+(C entry ``repro_fold_chain``; chunks laid out by a
+:class:`ChunkFold`).  It hands the entry every chunk's whole decode
 as tables — a descriptor per chunk, a buffer slot and layout per
 level, the address and length of every buffer — and per chunk the
 entry checks the root payload's array header and every level's delta
@@ -44,25 +43,23 @@ buffer — parses every level out of its stored payload (or out of a
 bare section, a level the caller unframed and unsealed itself),
 zigzag-decodes in register and applies it in place in the cell's own
 width, and copies the cells, or the box of them a read cuts, into a
-strided window once.  The zigzag decode and the
-carry-register unpack serve the level-by-level decoders.
+strided window once.  A codec's one-level ``decode_forward`` is a
+batch of one chunk.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they
 are gated behind runtime compilation with the host C compiler and
-every caller keeps its numpy path, which produces byte-identical
+every caller keeps its numpy form, which produces byte-identical
 output (the equivalence is part of the test suite, width by width and
 boundary value by boundary value).  No compiler, a failed compile, a
 read-only tree, ``REPRO_NATIVE=0``, or an in-process
 :func:`disabled` scope all degrade to numpy — behaviour, stored
 bytes, fingerprints and test results are identical either way; only
 throughput changes, so a build that failed under every cache root
-says so once on the ``repro.native`` logger.  Every wrapper returns
-``None`` (or ``False`` for in-place kernels) instead of raising when
-its gate rejects the input, and callers fall through to numpy;
-:class:`FoldBatch` runs a chunk's numpy form itself, under the same
-contract.  The write-side wrappers and the fold say why at ``debug``,
-once per reason (:class:`ChunkEncode` returns None, and its caller
-plans).
+says so once on the ``repro.native`` logger.  The callers check
+:func:`available` and build a :class:`ChunkEncode` only for a cell
+type and host the kernel takes (:func:`chunk_encode` says why not at
+``debug``, once per reason); :class:`FoldBatch` runs a chunk's numpy
+form itself, under the same contract, and says why too.
 
 The shared object is cached under ``.cache/native/`` next to the
 package (keyed by a hash of the C source and the compiler flags —
@@ -86,6 +83,7 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,15 +240,16 @@ DELTA_KERNEL(repro_delta_u64, uint64_t, AS_UNSIGNED)
 DELTA_KERNEL(repro_delta_bool, uint8_t, AS_TRUTH)
 
 /* `kind` indexes the cell types in the order above (floats arrive as
- * the same-width unsigned kind with use_xor set).  Returns the span
- * count and sets `*ncodes`, or returns -1 for a kind this build does
- * not know.  Every cell without a code is code 0 (bucket 0), and so is
- * a bool cell whose bytes differ but whose truth does not. */
-int64_t repro_delta_codes(const unsigned char *t, unsigned char *b,
-                          int kind, int use_xor, int adopt, int64_t rows,
-                          int64_t cols, int64_t t_stride, int64_t b_stride,
-                          uint64_t *codes, int64_t *spans, int64_t *hist,
-                          int64_t *ncodes)
+ * the same-width unsigned kind with use_xor set; the encode entry has
+ * checked it).  Returns the span count and sets `*ncodes`.  Every cell
+ * without a code is code 0 (bucket 0), and so is a bool cell whose
+ * bytes differ but whose truth does not. */
+static int64_t repro_delta_codes(const unsigned char *t, unsigned char *b,
+                                 int kind, int use_xor, int adopt,
+                                 int64_t rows, int64_t cols,
+                                 int64_t t_stride, int64_t b_stride,
+                                 uint64_t *codes, int64_t *spans,
+                                 int64_t *hist, int64_t *ncodes)
 {
     static int64_t (*const kernels[])(
         const unsigned char *, unsigned char *, int, int, int64_t,
@@ -260,8 +259,6 @@ int64_t repro_delta_codes(const unsigned char *t, unsigned char *b,
         repro_delta_i64, repro_delta_u8, repro_delta_u16,
         repro_delta_u32, repro_delta_u64, repro_delta_bool,
     };
-    if (kind < 0 || kind >= (int)(sizeof kernels / sizeof kernels[0]))
-        return -1;
     memset(hist, 0, 65 * sizeof(int64_t));
     int64_t nspans = kernels[kind](t, b, use_xor, adopt, rows, cols,
                                    t_stride, b_stride, codes, spans, hist,
@@ -334,21 +331,21 @@ static inline void repro_flush(repro_stream *s)
  * zeros, and an outlier's position is its span's first cell plus its
  * offset in the span.  small_bits = 0 stores no dense stream and makes
  * every nonzero code an outlier — the sparse codec's layout; a split
- * with no outliers is the dense layout, and one span over every cell
- * packs a plain array.  The caller sizes the three sections from
- * the width histogram (`outliers` codes need more than small_bits);
+ * with no outliers is the dense layout.  The caller sizes the three
+ * sections from the width histogram (`outliers` codes need more than
+ * small_bits);
  * the return value is the outlier count found, or -1 the moment the
  * codes would overrun that count, a span is not ascending inside
  * [0, n) or the spans name more than `ncodes` codes, so a stale
  * histogram or a short code array can never read or write out of
  * bounds. */
-int64_t repro_pack_runs(const uint64_t *codes, int64_t ncodes,
-                        const int64_t *spans, int64_t nspans, int64_t n,
-                        int64_t small_bits, int64_t position_bits,
-                        int64_t value_bits, int64_t outliers,
-                        unsigned char *small_out,
-                        unsigned char *position_out,
-                        unsigned char *value_out)
+static int64_t repro_pack_runs(const uint64_t *codes, int64_t ncodes,
+                               const int64_t *spans, int64_t nspans,
+                               int64_t n, int64_t small_bits,
+                               int64_t position_bits, int64_t value_bits,
+                               int64_t outliers, unsigned char *small_out,
+                               unsigned char *position_out,
+                               unsigned char *value_out)
 {
     repro_stream small = {small_out, 0, 0, small_bits};
     repro_stream positions = {position_out, 0, 0, position_bits};
@@ -384,12 +381,12 @@ int64_t repro_pack_runs(const uint64_t *codes, int64_t ncodes,
 
 /* ---- Write side: one chunk's encode ------------------------------
  *
- * One call makes a chunk's whole encode decision and payload, the
- * planner's (repro.delta.auto.plan_encoding) byte for byte: the
- * analysis pass above (adopting the target into the base when asked),
- * every representation sized from the 65-bucket histogram alone, the
- * cheapest packed behind its prefix into `out`.  ctypes releases the
- * GIL for the whole call.
+ * One call makes a chunk's whole encode: the analysis pass above
+ * (adopting the target into the base when asked), every
+ * representation sized from the 65-bucket histogram alone, and one
+ * packed behind its prefix into `out` — the planner's
+ * (repro.delta.auto.plan_encoding) decision and payload byte for byte.
+ * ctypes releases the GIL for the whole call.
  *
  * A delta's payload is the frame, for hybrid one seal byte saying "no
  * LZ", then the sections `layout` names — the parts the fold reads:
@@ -401,12 +398,17 @@ int64_t repro_pack_runs(const uint64_t *codes, int64_t ncodes,
  *                       equally cheap ones);
  *
  * an outlier table being i64 entries, u8 position width, u8 value
- * width, the packed positions and the packed values.  The materialized
- * form is the `none` compressor's: the array header, then the cells.
- * It comes first and a candidate replaces the one before it only when
- * strictly smaller, so `out` never needs more than the materialized
- * size. */
-enum { ENCODE_DECLINED = -1, ENCODE_BROKEN = -2, ENCODE_CANDIDATES = 8 };
+ * width, the packed positions and the packed values.  A FOLD_BARE
+ * candidate is its sections alone, without frame or seal byte (what an
+ * LZ stage seals, or the Materialization Matrix prices).  The
+ * materialized form is the `none` compressor's — the array header,
+ * then the cells — unless the caller made it and gives its size.  It
+ * comes first in the race and a candidate replaces the one before it
+ * only when strictly smaller. */
+enum { ENCODE_DECLINED = -1, ENCODE_BROKEN = -2, ENCODE_SHORT = -3,
+       ENCODE_CANDIDATES = 8 };
+/* The `pack` modes past a candidate's index. */
+enum { ENCODE_RACE = -1, ENCODE_SIZE = -2 };
 
 static const int64_t repro_cell_bytes[] = {1, 2, 4, 8, 1, 2, 4, 8, 1};
 
@@ -496,18 +498,27 @@ static int64_t repro_pack_sections(const uint64_t *codes, int64_t ncodes,
  *   header, frame       the materialized prefix (array header) and the
  *                       delta frame the chunk implies;
  *   layouts             the candidates' layouts in the planner's order,
- *                       FOLD_SEALED for a seal byte after the frame;
+ *                       FOLD_SEALED for a seal byte after the frame,
+ *                       FOLD_BARE for the sections alone;
+ *   pack                ENCODE_RACE: pack the cheapest representation;
+ *                       a candidate's index: pack it whatever its size;
+ *                       ENCODE_SIZE: pack nothing;
+ *   materialized        the materialized form's size when the caller
+ *                       made it (it then packs as nothing), or -1: the
+ *                       `none` compressor's, packed here;
  *   scratch             the run list: rows * cols codes, then room for
  *                       rows * cols / 2 + 1 spans;
- *   out, out_len        the payload; at least the materialized size;
- *   result              winner (-1 materialized, else the candidate's
- *                       index), representations sized but never
- *                       produced, and their bytes.
+ *   out, out_len        the payload;
+ *   result              the race's winner (-1 materialized, else the
+ *                       candidate's index), the run list's code and
+ *                       span counts, then every candidate's size.
  *
  * Returns the payload's length; ENCODE_DECLINED for arguments it does
- * not take, before anything is read or written; ENCODE_BROKEN if the
- * pack disagrees with the histogram, which cannot happen — the base
- * may by then hold the target, so that is no decline. */
+ * not take, before anything is read or written; ENCODE_SHORT when the
+ * payload would not fit `out_len`, before `out` is written;
+ * ENCODE_BROKEN if the pack disagrees with the histogram, which cannot
+ * happen.  After the analysis the base may hold the target, so neither
+ * of those two is a decline. */
 int64_t repro_encode_chunk(const unsigned char *target,
                            unsigned char *base, int kind, int use_xor,
                            int adopt, int64_t rows, int64_t cols,
@@ -515,6 +526,7 @@ int64_t repro_encode_chunk(const unsigned char *target,
                            const unsigned char *header, int64_t header_len,
                            const unsigned char *frame, int64_t frame_len,
                            int64_t ncandidates, const int64_t *layouts,
+                           int64_t pack, int64_t materialized,
                            uint64_t *scratch, unsigned char *out,
                            int64_t out_len, int64_t *result)
 {
@@ -523,16 +535,19 @@ int64_t repro_encode_chunk(const unsigned char *target,
                              / sizeof repro_cell_bytes[0])
             || rows < 1 || cols < 1 || rows > (1LL << 56) / cols
             || header_len < 0 || frame_len < 0 || ncandidates < 1
-            || ncandidates > ENCODE_CANDIDATES)
+            || ncandidates > ENCODE_CANDIDATES || pack < ENCODE_SIZE
+            || pack >= ncandidates || materialized < -1)
         return ENCODE_DECLINED;
     for (int64_t c = 0; c < ncandidates; c++)
-        if ((layouts[c] & ~(int64_t)(FOLD_SMALL | FOLD_TABLE | FOLD_SEALED))
-                || !(layouts[c] & (FOLD_SMALL | FOLD_TABLE)))
+        if ((layouts[c] & ~(int64_t)(FOLD_SMALL | FOLD_TABLE | FOLD_SEALED
+                                     | FOLD_BARE))
+                || !(layouts[c] & (FOLD_SMALL | FOLD_TABLE))
+                || (layouts[c] & FOLD_BARE && layouts[c] & FOLD_SEALED))
             return ENCODE_DECLINED;
     int64_t n = rows * cols, width = repro_cell_bytes[kind];
-    int64_t materialized = header_len + n * width;
-    if (out_len < materialized)
-        return ENCODE_DECLINED;
+    int64_t mine = materialized < 0;
+    if (mine)
+        materialized = header_len + n * width;
 
     int64_t hist[65], ncodes;
     int64_t *spans = (int64_t *)(scratch + n);
@@ -549,11 +564,12 @@ int64_t repro_encode_chunk(const unsigned char *target,
             s.max_bits = d;
     }
 
-    int64_t sizes[ENCODE_CANDIDATES], small_bits[ENCODE_CANDIDATES];
+    int64_t *sizes = result + 3, small_bits[ENCODE_CANDIDATES];
     int64_t outliers[ENCODE_CANDIDATES];
     int64_t winner = -1, best = materialized;
     for (int64_t c = 0; c < ncandidates; c++) {
-        sizes[c] = frame_len + ((layouts[c] & FOLD_SEALED) != 0)
+        sizes[c] = (layouts[c] & FOLD_BARE ? 0
+                    : frame_len + ((layouts[c] & FOLD_SEALED) != 0))
             + repro_section_size(&s, (int)layouts[c], &small_bits[c],
                                  &outliers[c]);
         if (sizes[c] < best) {
@@ -561,80 +577,37 @@ int64_t repro_encode_chunk(const unsigned char *target,
             winner = c;
         }
     }
-    int64_t avoided = winner >= 0, saved = winner >= 0 ? materialized : 0;
-    for (int64_t c = 0; c < ncandidates; c++)
-        if (c != winner) {
-            avoided++;
-            saved += sizes[c];
-        }
     result[0] = winner;
-    result[1] = avoided;
-    result[2] = saved;
+    result[1] = ncodes;
+    result[2] = nspans;
 
-    if (winner < 0) {
+    int64_t chosen = pack == ENCODE_RACE ? winner : pack;
+    if (pack == ENCODE_SIZE || (chosen < 0 && !mine))
+        return 0;
+    int64_t need = chosen < 0 ? materialized : sizes[chosen];
+    if (need > out_len)
+        return ENCODE_SHORT;
+    if (chosen < 0) {
         memcpy(out, header, (size_t)header_len);
         unsigned char *q = out + header_len;
         for (int64_t r = 0; r < rows; r++, q += cols * width)
             memcpy(q, target + r * t_stride, (size_t)(cols * width));
         return materialized;
     }
-    int layout = (int)layouts[winner];
+    int layout = (int)layouts[chosen];
     unsigned char *p = out;
-    memcpy(p, frame, (size_t)frame_len);
-    p += frame_len;
-    if (layout & FOLD_SEALED)
-        *p++ = 0;
+    if (!(layout & FOLD_BARE)) {
+        memcpy(p, frame, (size_t)frame_len);
+        p += frame_len;
+        if (layout & FOLD_SEALED)
+            *p++ = 0;
+    }
     int64_t packed = repro_pack_sections(scratch, ncodes, spans, nspans, &s,
-                                         layout, small_bits[winner],
-                                         outliers[winner], p);
-    if (packed < 0 || (p - out) + packed != best)
+                                         layout, small_bits[chosen],
+                                         outliers[chosen], p);
+    if (packed < 0 || (p - out) + packed != need)
         return ENCODE_BROKEN;
-    return best;
-}
-
-/* Inverse zigzag over the uint64 bit image: 0,1,2,3 -> 0,-1,1,-2.
- * The output pointer is the two's-complement image of the int64
- * result, so no signed arithmetic (and no overflow UB) is involved. */
-void repro_zigzag_decode(const uint64_t *c, uint64_t *out, int64_t n)
-{
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t v = c[i];
-        out[i] = (v >> 1) ^ (0 - (v & 1));
-    }
-}
-
-/* LSB-first bit stream unpack for widths 1..63: the carry-register
- * inverse of repro_pack_runs (width 64 is a plain dtype reinterpret
- * upstream and never reaches here).  The stream arrives as raw bytes
- * so the trailing partial word never reads past the buffer; the tail
- * is zero-extended exactly like the numpy word loader. */
-void repro_unpack_bits(const unsigned char *src, int64_t nbytes,
-                       int64_t n, int64_t bits, uint64_t *out)
-{
-    uint64_t mask = (1ULL << bits) - 1;
-    int64_t full_words = nbytes / 8;
-    int64_t wi = 0;
-    uint64_t acc = 0;
-    int64_t avail = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (avail < bits) {
-            uint64_t nxt = 0;
-            if (wi < full_words)
-                memcpy(&nxt, src + wi * 8, 8);
-            else
-                memcpy(&nxt, src + wi * 8,
-                       (size_t)(nbytes - wi * 8));
-            wi++;
-            /* avail < bits <= 63, so both shifts stay in range. */
-            out[i] = (acc | (nxt << avail)) & mask;
-            acc = nxt >> (bits - avail);
-            avail += 64 - bits;
-        } else {
-            out[i] = acc & mask;
-            acc >>= bits;
-            avail -= bits;
-        }
-    }
+    return need;
 }
 
 /* ---- Read side: a batch of chunk decodes ---------------------------
@@ -677,10 +650,10 @@ enum {
     FOLD_DECLINED = 1
 };
 
-/* LSB-first reader of `bits`-wide values (0..64): the carry register
- * of repro_unpack_bits, pulled one value at a time so two streams can
- * advance in lock step.  The caller has checked that the stream holds
- * every value it pulls; the tail word is zero-extended. */
+/* LSB-first reader of `bits`-wide values (0..64): a carry register,
+ * pulled one value at a time so two streams can advance in lock
+ * step.  The caller has checked that the stream holds every value it
+ * pulls; the tail word is zero-extended. */
 typedef struct {
     const unsigned char *src, *end;
     uint64_t acc, mask;
@@ -1054,10 +1027,6 @@ int64_t repro_fold_chain(int64_t chunks, const int64_t *desc,
 }
 """
 
-_I64_P = ctypes.POINTER(ctypes.c_int64)
-_U64_P = ctypes.POINTER(ctypes.c_uint64)
-_U8_P = ctypes.POINTER(ctypes.c_uint8)
-
 _log = logging.getLogger("repro.native")
 
 _lock = threading.Lock()
@@ -1109,28 +1078,9 @@ def _compile() -> ctypes.CDLL | None:
                 errors="replace").strip().splitlines()[-3:]
             failures.append(" | ".join([f"{root}: {exc}", *stderr]))
             continue
-        # Buffers go in as plain addresses (``array.ctypes.data``):
-        # these two run once per chunk on the insert path, where a
+        # Buffers go in as plain addresses (``array.ctypes.data``): the
+        # encode call runs once per chunk on the insert path, where a
         # typed ``data_as`` cast per argument is measurable.
-        lib.repro_delta_codes.argtypes = [
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int, ctypes.c_int,
-            ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_void_p]
-        lib.repro_delta_codes.restype = ctypes.c_int64
-        lib.repro_pack_runs.argtypes = [
-            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
-        lib.repro_pack_runs.restype = ctypes.c_int64
-        lib.repro_zigzag_decode.argtypes = [_U64_P, _U64_P,
-                                            ctypes.c_int64]
-        lib.repro_zigzag_decode.restype = None
-        lib.repro_unpack_bits.argtypes = [
-            _U8_P, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-            _U64_P]
-        lib.repro_unpack_bits.restype = None
         lib.repro_fold_chain.argtypes = [
             ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
@@ -1142,8 +1092,9 @@ def _compile() -> ctypes.CDLL | None:
             ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
             ctypes.c_int64, ctypes.c_char_p, ctypes.c_int64,
             ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_int64, ctypes.c_void_p]
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+            ctypes.c_void_p]
         lib.repro_encode_chunk.restype = ctypes.c_int64
         return lib
     _log.warning("compiled kernels unavailable (CC=%s), numpy fallbacks"
@@ -1215,56 +1166,54 @@ def decline(kernel: str, reason: str) -> None:
     return None
 
 
-def _as_rows(array: np.ndarray
-             ) -> tuple[np.ndarray, int, int, int] | None:
+def _as_rows(array: np.ndarray) -> tuple[np.ndarray, int, int, int]:
     """``(array, rows, cols, row_stride_bytes)``: ``array`` as equally
     spaced runs of adjacent cells — a contiguous array (one run), or a
-    chunk view of a row-major canvas.  A window whose runs are more
-    than one stride apart (a 3-d chunk view) comes back as a contiguous
-    copy: one extra pass, still a fraction of the numpy path.  None
-    when the cells of the last axis are not adjacent."""
+    chunk view of a row-major canvas.  A window the kernel cannot read
+    that way (a 3-d chunk view, whose runs are more than one stride
+    apart, or one whose last axis is strided) comes back as a
+    contiguous copy: one extra pass."""
     if array.flags.c_contiguous:
         return array, 1, array.size, 0
-    if array.shape[-1] != 1 and array.strides[-1] != array.itemsize:
-        return None
-    # Drop unit extents, then merge axes that are adjacent in memory.
-    dims = [(extent, stride)
-            for extent, stride in zip(array.shape, array.strides)
-            if extent != 1]
-    merged = [dims[-1]]
-    for extent, stride in reversed(dims[:-1]):
-        inner_extent, inner_stride = merged[0]
-        if stride == inner_extent * inner_stride:
-            merged[0] = (extent * inner_extent, inner_stride)
-        else:
-            merged.insert(0, (extent, stride))
-    if len(merged) == 1:
-        (rows, stride), = merged
-        return array, rows, 1, stride
-    if len(merged) == 2 and merged[1][1] == array.itemsize:
-        (rows, stride), (cols, _) = merged
-        return array, rows, cols, stride
+    if array.shape[-1] == 1 or array.strides[-1] == array.itemsize:
+        # Drop unit extents, then merge axes adjacent in memory.
+        dims = [(extent, stride)
+                for extent, stride in zip(array.shape, array.strides)
+                if extent != 1]
+        merged = [dims[-1]]
+        for extent, stride in reversed(dims[:-1]):
+            inner_extent, inner_stride = merged[0]
+            if stride == inner_extent * inner_stride:
+                merged[0] = (extent * inner_extent, inner_stride)
+            else:
+                merged.insert(0, (extent, stride))
+        if len(merged) == 1:
+            (rows, stride), = merged
+            return array, rows, 1, stride
+        if len(merged) == 2 and merged[1][1] == array.itemsize:
+            (rows, stride), (cols, _) = merged
+            return array, rows, cols, stride
     return np.ascontiguousarray(array), 1, array.size, 0
 
 
 def _paired_rows(target: np.ndarray, base: np.ndarray
-                 ) -> tuple[tuple, int, int, tuple[int, int]] | str:
+                 ) -> tuple[tuple, int, int, tuple[int, int]]:
     """``((target read, base read), rows, cols, (target stride, base
     stride))``: a chunk pair as the analysis kernel reads it — each side
     as :func:`_as_rows` gives it, both as ``rows`` runs of ``cols``
-    cells — or why the pair cannot be read that way."""
+    cells.  A contiguous side reads as rows of any length, so it adopts
+    the other side's (a chunk view of a canvas against a decoded root);
+    when the two sides' rows differ, both are read as contiguous
+    copies."""
     sides = (_as_rows(target), _as_rows(base))
-    if None in sides:
-        return "non-unit inner stride"
-    # A contiguous side reads as rows of any length, so it adopts the
-    # other side's (a chunk view of a canvas against a decoded root).
     rows, cols = next((side[1:3] for side in sides if side[1] > 1),
                       (1, target.size))
     strides = tuple(side[3] if side[1:3] == (rows, cols)
                     else cols * target.itemsize if side[1] == 1 else None
                     for side in sides)
     if None in strides:
-        return "target and base rows differ"
+        return ((np.ascontiguousarray(target), np.ascontiguousarray(base)),
+                1, target.size, (0, 0))
     return (sides[0][0], sides[1][0]), rows, cols, strides
 
 
@@ -1273,191 +1222,6 @@ def scratch_cells(n: int) -> int:
     chunk of ``n`` cells: ``n`` codes, then two entries for each of at
     most ``n // 2 + 1`` spans (every other cell changed)."""
     return n + 2 * (n // 2 + 1)
-
-
-def delta_zigzag_stats(target: np.ndarray, base: np.ndarray, *,
-                       adopt: bool = False
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Fused delta + code + width histogram of one chunk, or None.
-
-    The write path's analysis pass for every cell type
-    :func:`repro.core.numeric.delta_mode_for` accepts, read in place:
-    ``target`` and ``base`` may be row-strided views of their canvases
-    (see :func:`_as_rows`).  Returns ``(codes, spans, width_counts)``,
-    the *run list* of the chunk's flat code array — ``spans`` the
-    ``(first cell, cell count)`` rows of the maximal stretches of cells
-    whose bytes differ from the base's, ascending, and ``codes`` their
-    codes back to back; every other code is 0 — and the count of codes
-    per exact bit length, bit-identical to the numpy pipeline's.
-    With ``adopt`` the writable ``base`` ends holding ``target``'s
-    cells: the kernel copies each 64-byte run that holds a coded cell.
-    """
-    lib = _active()
-    if lib is None:
-        return None
-    kernel = "delta_zigzag_stats"
-    # The isinstance gate matters: numpy *scalars* (0-d arithmetic
-    # results) satisfy the dtype/size checks but carry no ``.ctypes``
-    # buffer interface.
-    if not isinstance(target, np.ndarray) \
-            or not isinstance(base, np.ndarray):
-        return decline(kernel, "not an ndarray")
-    if target.dtype != base.dtype or target.shape != base.shape:
-        return decline(kernel, "dtype or shape mismatch")
-    cell = _CELL_KINDS.get(target.dtype.kind + str(target.itemsize))
-    if cell is None or not target.dtype.isnative:
-        return decline(kernel, f"unsupported dtype {target.dtype}")
-    n = target.size
-    if n == 0:
-        return decline(kernel, "empty")
-    if sys.byteorder != "little":
-        return decline(kernel, "big-endian host")
-    pair = _paired_rows(target, base)
-    if isinstance(pair, str):
-        return decline(kernel, pair)
-    reads, rows, cols, strides = pair
-    kind, use_xor = cell
-    out = np.empty(scratch_cells(n), dtype=np.uint64)
-    spans = out[n:].view(np.int64)
-    # The width histogram, then the code count in the last slot.
-    tally = np.empty(66, dtype=np.int64)
-    at = tally.ctypes.data
-    # A base read through a copy (a 3-d window) is adopted afterwards.
-    in_place = adopt and reads[1] is base
-    count = lib.repro_delta_codes(
-        reads[0].ctypes.data, reads[1].ctypes.data,
-        kind, use_xor, in_place, rows, cols, *strides,
-        out.ctypes.data, spans.ctypes.data, at, at + 65 * 8)
-    if count < 0:
-        return decline(kernel, "cell kind unknown to this build")
-    if adopt and not in_place:
-        np.copyto(base, target)
-    return (out[:int(tally[65])], spans[:2 * count].reshape(count, 2),
-            tally[:65])
-
-
-def pack_runs(codes: np.ndarray, spans: np.ndarray, n: int,
-              small_bits: int, outliers: int, value_bits: int
-              ) -> tuple[memoryview, memoryview, memoryview] | None:
-    """The split's three packed sections in one pass over a run list,
-    or None.
-
-    ``codes`` and ``spans`` are a run list of ``n`` cells as
-    :func:`delta_zigzag_stats` returns it, ``outliers`` how many codes
-    need more than ``small_bits`` bits and ``value_bits`` the width of
-    the largest — both read off the width histogram the analysis pass
-    already produced, never re-derived.  Returns the packed ``(small,
-    positions, values)`` sections — views of one buffer — holding
-    exactly the bytes :func:`repro.core.bitpack.pack_unsigned` would
-    emit for the full code array masked at the outliers, the outlier
-    positions and the outlier values; ``small_bits = 0`` is the sparse
-    codec's layout (empty dense section, every nonzero code in the
-    table), and ``small_bits`` = the widest code with no outliers the
-    dense one.
-    """
-    lib = _active()
-    if lib is None:
-        return None
-    kernel = "pack_runs"
-    if not isinstance(codes, np.ndarray) or codes.dtype != np.uint64 \
-            or codes.ndim != 1 or not codes.flags.c_contiguous:
-        return decline(kernel, "codes are not a flat uint64 array")
-    if not isinstance(spans, np.ndarray) or spans.dtype != np.int64 \
-            or spans.ndim != 2 or spans.shape[1] != 2 \
-            or not spans.flags.c_contiguous:
-        return decline(kernel, "spans are not (first, count) int64 rows")
-    if n <= 0:
-        return decline(kernel, "empty")
-    if sys.byteorder != "little":
-        return decline(kernel, "big-endian host")
-    if not (0 <= small_bits <= 64 and 0 <= value_bits <= 64
-            and 0 <= outliers <= n):
-        return decline(kernel, "split parameters out of range")
-    position_bits = (n - 1).bit_length()
-    sections = [(n * small_bits + 7) // 8,
-                (outliers * position_bits + 7) // 8,
-                (outliers * value_bits + 7) // 8]
-    # One allocation; each section starts on a word boundary.
-    small, positions = ((nbytes + 7) // 8 * 8 for nbytes in sections[:2])
-    starts = (0, small, small + positions)
-    words = np.empty((starts[2] + sections[2] + 7) // 8, dtype=np.uint64)
-    at = words.ctypes.data
-    found = lib.repro_pack_runs(
-        codes.ctypes.data, codes.size, spans.ctypes.data, spans.shape[0],
-        n, small_bits, position_bits, value_bits, outliers,
-        at + starts[0], at + starts[1], at + starts[2])
-    if found != outliers:
-        return decline(kernel, "the spans or the outlier count disagree"
-                               " with the codes")
-    packed = memoryview(words).cast("B")
-    return tuple(packed[start:start + nbytes]
-                 for start, nbytes in zip(starts, sections))
-
-
-def pack_bits(values: np.ndarray, bits: int) -> np.ndarray | None:
-    """LSB-first packed word array of ``values`` at ``bits``, or None.
-
-    ``values`` must be flat, C-contiguous uint64 already validated to
-    fit ``bits`` (the caller, :func:`repro.core.bitpack.pack_unsigned`,
-    checks).  The pack kernel over one span of every value, with no
-    outliers; byte-identical to the numpy block kernel.
-    """
-    lib = _active()
-    if (lib is None or not isinstance(values, np.ndarray)
-            or values.dtype != np.uint64 or not values.flags.c_contiguous
-            or values.size == 0 or not 0 < bits <= 64):
-        return None
-    n = values.size
-    words = np.empty((n * bits + 63) // 64, dtype=np.uint64)
-    whole = np.array([[0, n]], dtype=np.int64)
-    if lib.repro_pack_runs(values.ctypes.data, n, whole.ctypes.data, 1,
-                           n, bits, 0, 0, 0, words.ctypes.data, None,
-                           None) != 0:
-        return None
-    return words
-
-
-def zigzag_decode(codes: np.ndarray) -> np.ndarray | None:
-    """Signed int64 deltas from flat uint64 zigzag codes, or None.
-
-    The decode-side inverse of the fused delta kernel's code stream;
-    bit-identical to :func:`repro.core.bitpack.zigzag_decode`.
-    """
-    lib = _active()
-    if (lib is None or not isinstance(codes, np.ndarray)
-            or codes.dtype != np.uint64
-            or not codes.flags.c_contiguous or codes.size == 0):
-        return None
-    out = np.empty(codes.size, dtype=np.int64)
-    lib.repro_zigzag_decode(
-        codes.ctypes.data_as(_U64_P), out.ctypes.data_as(_U64_P),
-        ctypes.c_int64(codes.size))
-    return out
-
-
-def unpack_bits(data, bits: int, count: int) -> np.ndarray | None:
-    """``count`` uint64 codes from an LSB-first packed stream, or None.
-
-    ``data`` is the raw packed byte buffer already length-validated by
-    the caller (:func:`repro.core.bitpack.unpack_unsigned`); any width
-    1..63 is handled by the one carry-register loop (64 never gets
-    here — it is a dtype reinterpret upstream).  Byte-identical to the
-    numpy gather/blocked kernels.
-    """
-    lib = _active()
-    if lib is None or not 0 < bits < 64 or count <= 0 \
-            or sys.byteorder != "little":
-        return None
-    try:
-        raw = np.frombuffer(data, dtype=np.uint8)
-    except (ValueError, BufferError):
-        return None
-    out = np.empty(count, dtype=np.uint64)
-    lib.repro_unpack_bits(
-        raw.ctypes.data_as(_U8_P), ctypes.c_int64(raw.size),
-        ctypes.c_int64(count), ctypes.c_int64(bits),
-        out.ctypes.data_as(_U64_P))
-    return out
 
 
 #: ``layouts`` bits of :class:`FoldBatch` (the C side's enum): the parts
@@ -1813,11 +1577,28 @@ class FoldBatch:
                 array.array("q", lengths))
 
 
+#: :class:`ChunkEncode`'s ``pack`` modes past a candidate's index (the
+#: C side's): pack the cheapest representation, or pack nothing.
+ENCODE_RACE = -1
+ENCODE_SIZE = -2
 #: The C entry's status for arguments it does not take, refused before
 #: anything was read or written.
 _ENCODE_DECLINED = -1
 #: Candidates one call sizes at most (the C side's ENCODE_CANDIDATES).
 _ENCODE_CANDIDATES = 8
+
+
+class Encoded(NamedTuple):
+    """What one :class:`ChunkEncode` call made: the race's ``winner``
+    (the index of the cheapest candidate, -1 for the materialized
+    form), the ``payload`` it packed (empty when it packed nothing),
+    every candidate's size, in order, and the lengths of the run list it
+    left in its space (:meth:`ChunkEncode.run_list`)."""
+
+    winner: int
+    payload: bytes
+    sizes: tuple[int, ...]
+    runs: tuple[int, int]
 
 
 class ChunkEncode:
@@ -1826,109 +1607,136 @@ class ChunkEncode:
     :func:`chunk_encode`).
 
     A call runs the analysis pass over a ``(target, base)`` chunk pair
-    read in place, sizes the materialized form and every candidate from
-    the width histogram, and packs the cheapest behind its prefix — the
-    array header, or the delta frame and, for a layout with
-    :data:`FOLD_SEALED`, a seal byte saying "no LZ" — all in C with the
-    GIL released: :func:`repro.delta.auto.plan_encoding`'s decision
-    under the ``none`` compressor, byte for byte."""
+    — read in place, or through contiguous copies where the kernel
+    cannot read a side that way — sizes the materialized form and every
+    candidate from the width histogram, and packs one behind its prefix
+    (the array header, or the delta frame and, for a layout with
+    :data:`FOLD_SEALED`, a seal byte saying "no LZ"; a
+    :data:`FOLD_BARE` candidate packs without either), all in C with
+    the GIL released.  Which one is ``pack``'s: the cheapest
+    (:data:`ENCODE_RACE`, ties to the earlier, the materialized form
+    first — :func:`repro.delta.auto.plan_encoding`'s rule), candidate
+    ``pack`` whatever its size, or none (:data:`ENCODE_SIZE`)."""
 
-    __slots__ = ("dtype", "shape", "words", "_names", "_header", "_frame",
-                 "_cell", "_layouts", "_materialized", "_payload_bytes")
+    __slots__ = ("dtype", "shape", "words", "frame", "candidates",
+                 "materialized", "bare", "_header", "_cell", "_layouts",
+                 "_payload_bytes", "_count")
 
     def __init__(self, dtype: np.dtype, shape: tuple[int, ...],
-                 header: bytes, frame: bytes, names: tuple[str, ...],
+                 header: bytes, frame: bytes, candidates: tuple,
                  layouts: tuple[int, ...]):
         kind, use_xor = _CELL_KINDS[dtype.kind + str(dtype.itemsize)]
         count = math.prod(shape)
         self.dtype = dtype
         self.shape = shape
-        self._names = names
+        #: The delta frame a candidate's payload starts with.
+        self.frame = frame
+        #: The caller's labels of the candidates, in order.
+        self.candidates = candidates
+        #: The ``none`` compressor's materialized size.
+        self.materialized = len(header) + count * dtype.itemsize
+        #: Which candidates pack as their sections alone.
+        self.bare = tuple(bool(layout & FOLD_BARE) for layout in layouts)
         self._header = header
-        self._frame = frame
         self._cell = (kind, use_xor)
         self._layouts = array.array("q", layouts)
-        self._materialized = len(header) + count * dtype.itemsize
-        # The payload, then the run list, in one buffer of words.
-        self._payload_bytes = -(-self._materialized // 8) * 8
+        self._count = count
+        # The payload — at most the materialized form, or a candidate
+        # at its widest (frame, seal byte, eleven bytes of widths and
+        # entries, every code 64 bits wide and its position) — then the
+        # run list, in one buffer of words.
+        widest = len(frame) + 12 + 8 * count \
+            + -(-count * (count - 1).bit_length() // 8)
+        self._payload_bytes = -(-max(self.materialized, widest) // 8) * 8
         #: uint64 words of the ``space`` a call writes into.
         self.words = self._payload_bytes // 8 + scratch_cells(count)
 
     def __call__(self, target: np.ndarray, base: np.ndarray, adopt: bool,
-                 space: np.ndarray
-                 ) -> tuple[str | None, bytes, int, int] | None:
-        """Encode one chunk: ``(winner, payload, encodes_avoided,
-        bytes_saved)`` — the winning candidate's name, None when the
-        materialized form wins — or None, with nothing written, when
-        the kernels are off or the arrays are not this layout's
-        cells as the kernel reads them in place (decide with the
-        planner then).
+                 space: np.ndarray | None = None, *,
+                 pack: int = ENCODE_RACE, materialized: int = -1
+                 ) -> Encoded:
+        """Encode one chunk (see :class:`Encoded`).
 
-        ``space`` is flat writable uint64 of at least :attr:`words`,
-        the caller's to reuse once this returns.  With ``adopt`` the
-        writable ``base`` ends holding ``target``'s cells."""
-        lib = _active()
-        geometry = "kernels disabled or unavailable" if lib is None \
-            else self._geometry(target, base, adopt, space)
-        if isinstance(geometry, str):
-            return decline("encode_chunk", geometry)
-        rows, cols, strides = geometry
-        result = array.array("q", (0, 0, 0))
-        at = space.ctypes.data
-        size = lib.repro_encode_chunk(
-            target.ctypes.data, base.ctypes.data, *self._cell, adopt, rows,
-            cols, *strides, self._header, len(self._header), self._frame,
-            len(self._frame), len(self._names),
-            self._layouts.buffer_info()[0], at + self._payload_bytes, at,
-            self._materialized, result.buffer_info()[0])
-        if size == _ENCODE_DECLINED:
-            return decline("encode_chunk", "arguments the kernel refuses")
-        if size < 0:
-            # The base may hold the target already: no planner can
-            # redo this chunk, so this is no decline.
-            raise RuntimeError("the compiled encode's pack disagreed with"
-                               " its own width histogram")
-        winner, avoided, saved = result
-        return (None if winner < 0 else self._names[winner],
-                ctypes.string_at(at, size), avoided, saved)
-
-    def _geometry(self, target, base, adopt: bool, space
-                  ) -> tuple[int, int, tuple[int, int]] | str:
-        """``(rows, cols, strides)`` of the pair as the kernel reads it
-        in place (:func:`_paired_rows`), or why it cannot."""
+        ``materialized`` is the size of a materialized form the caller
+        made (another compressor's): it races at that size, and packs
+        as nothing.  ``space`` is flat writable uint64 of at least
+        :attr:`words` (None: a fresh one), the caller's to reuse once
+        this returns.  With ``adopt`` the writable ``base`` ends holding
+        ``target``'s cells.  Arrays that are not this layout's cells
+        raise ``ValueError`` before anything is written."""
+        lib = _load()
+        if lib is None:
+            raise RuntimeError("the compiled kernels are unavailable")
         for cells in (target, base):
             if not isinstance(cells, np.ndarray) or cells.dtype != self.dtype \
                     or cells.shape != self.shape:
-                return "arrays are not cells of the chunk's layout"
+                raise ValueError("arrays are not cells of the chunk's layout")
         if adopt and not base.flags.writeable:
-            return "adopting a read-only base"
-        if not (isinstance(space, np.ndarray) and space.dtype == np.uint64
-                and space.flags.c_contiguous and space.flags.writeable
-                and space.size >= self.words):
-            return "space is not writable uint64 words enough"
-        pair = _paired_rows(target, base)
-        if isinstance(pair, str):
-            return pair
-        reads, rows, cols, strides = pair
-        if reads[0] is not target or reads[1] is not base:
-            return "a window read through a copy"
-        return rows, cols, strides
+            raise ValueError("adopting a delta base needs it writable")
+        if space is None:
+            space = np.empty(self.words, dtype=np.uint64)
+        elif not (isinstance(space, np.ndarray) and space.dtype == np.uint64
+                  and space.flags.c_contiguous and space.flags.writeable
+                  and space.size >= self.words):
+            raise ValueError("space is not writable uint64 words enough")
+        reads, rows, cols, strides = _paired_rows(target, base)
+        # A base read through a copy is adopted afterwards.
+        in_place = adopt and reads[1] is base
+        result = array.array("q", (0,)) * (3 + len(self._layouts))
+        at = space.ctypes.data
+        size = lib.repro_encode_chunk(
+            reads[0].ctypes.data, reads[1].ctypes.data, *self._cell,
+            in_place, rows, cols, *strides, self._header,
+            len(self._header), self.frame, len(self.frame),
+            len(self._layouts), self._layouts.buffer_info()[0], pack,
+            materialized, at + self._payload_bytes, at,
+            self._payload_bytes, result.buffer_info()[0])
+        if size == _ENCODE_DECLINED:
+            raise ValueError("arguments the compiled encode refuses")
+        if size < 0:
+            # The base may hold the target already: no planner can
+            # redo this chunk.
+            raise RuntimeError("the compiled encode's pack disagreed with"
+                               " its own sizes")
+        if adopt and not in_place:
+            np.copyto(base, target)
+        return Encoded(result[0], ctypes.string_at(at, size),
+                       tuple(result[3:]), (result[1], result[2]))
+
+    def run_list(self, space: np.ndarray, runs: tuple[int, int]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, spans)``: the run list a call with ``space`` left
+        there (``runs`` from its :class:`Encoded`) — ``spans`` the
+        ``(first cell, cell count)`` rows of the maximal stretches of
+        cells whose bytes differ from the base's, ascending, and
+        ``codes`` their codes back to back; every other code is 0.
+        Valid until ``space`` is reused."""
+        ncodes, nspans = runs
+        scratch = space[self._payload_bytes // 8:]
+        spans = scratch[self._count:self._count + 2 * nspans]
+        return scratch[:ncodes], spans.view(np.int64).reshape(nspans, 2)
 
 
 def chunk_encode(dtype: np.dtype, shape: tuple[int, ...], header: bytes,
-                 frame: bytes, names: tuple[str, ...],
+                 frame: bytes, candidates: tuple,
                  layouts: tuple[int, ...]) -> ChunkEncode | None:
     """The :class:`ChunkEncode` of chunks of ``(dtype, shape)`` against
-    the candidates ``names`` (their :data:`FOLD_SMALL` /
-    :data:`FOLD_TABLE` / :data:`FOLD_SEALED` ``layouts``, in the
-    planner's order), or None when no kernel encodes that cell type on
-    this host.  ``header`` and ``frame`` are the materialized form's
-    array header and the delta frame such a chunk's payloads start
-    with."""
+    ``candidates`` (the caller's labels) of :data:`FOLD_SMALL` /
+    :data:`FOLD_TABLE` / :data:`FOLD_SEALED` / :data:`FOLD_BARE`
+    ``layouts``, in the planner's order, or None (and why, at debug)
+    when no kernel encodes chunks of that cell type on this host.
+    ``header`` and ``frame`` are the materialized form's array header
+    and the delta frame such a chunk's payloads start with."""
     dtype = np.dtype(dtype)
+    if sys.byteorder != "little":
+        return decline("encode_chunk", "big-endian host")
     if dtype.kind + str(dtype.itemsize) not in _CELL_KINDS \
-            or not dtype.isnative or sys.byteorder != "little" \
-            or 0 in shape or not 0 < len(names) <= _ENCODE_CANDIDATES:
-        return None
-    return ChunkEncode(dtype, tuple(shape), header, frame, tuple(names),
+            or not dtype.isnative:
+        return decline("encode_chunk", f"unsupported dtype {dtype}")
+    if 0 in shape:
+        return decline("encode_chunk", "empty")
+    if not 0 < len(layouts) <= _ENCODE_CANDIDATES:
+        return decline("encode_chunk",
+                       f"not 1 to {_ENCODE_CANDIDATES} candidates")
+    return ChunkEncode(dtype, tuple(shape), header, frame, candidates,
                        tuple(layouts))

@@ -10,15 +10,16 @@ system" — the user never has to supply the delta-list form to benefit.
 :func:`plan_encoding` makes that decision in a single pass: one
 :class:`~repro.delta.codes.CodePlan` computes the delta, the unsigned
 code array and its width statistics exactly once — the same plan
-``codec.encode`` and the Materialization Matrix build, so there is one
-way to price or emit a delta; every candidate is *sized* from the
+``codec.encode`` and the Materialization Matrix build where no kernel
+runs; every candidate is *sized* from the
 shared plan (exact sizes, not estimates — the codecs'
 ``plan_size`` is byte-accurate), the materialized size is derived
 analytically under the identity compressor, and exactly one encoder
-runs: the winner's, fed the already-computed codes.  On the insert
-path the same decision is one compiled call per chunk
-(:func:`chunk_encode`), and this planner decides what that call
-declines.  The literal "try both" form — encode
+runs: the winner's, fed the already-computed codes.  That is the
+numpy form, which runs where no kernel does: with the kernels on, the
+same decision is one compiled call per chunk (:func:`encode_chunk`,
+two where a ``hybrid+lz`` candidate must be compressed to be sized).
+The literal "try both" form — encode
 the materialized representation and every candidate, keep the smallest
 — picks the same winner with the same payload bytes; it lives in
 ``tests/delta/encoding_oracle.py`` as the reference the planner's
@@ -33,13 +34,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from repro.compression.base import Codec, IdentityCodec
-from repro.core import native, numeric
-from repro.core.errors import CodecError
+from repro.core import native
 from repro.core.serial import pack_array_header
-from repro.delta.base import DeltaCodec, layout_frame
+from repro.delta.base import DeltaCodec
 from repro.delta.codes import CodePlan
 from repro.delta.hybrid import HybridDeltaCodec
-from repro.delta.registry import get_delta_codec
 from repro.delta.sparse import SparseDeltaCodec
 
 
@@ -144,8 +143,9 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
     compressor, so when a delta wins its payload is never produced.
 
     ``adopt`` leaves ``base`` holding ``target``'s cells (see
-    ``CodePlan.build``).  The write pipeline asks :func:`chunk_encode`'s
-    one native call first and comes here for what it declines.
+    ``CodePlan.build``).  This is the kernels-off form of
+    :func:`encode_chunk`, which the write pipeline runs wherever a
+    kernel does.
     """
     compressor = compressor or IdentityCodec()
     mat_size, mat_payload = materialized_size(target, compressor)
@@ -203,30 +203,67 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
                            bytes_saved=bytes_saved)
 
 
-@lru_cache(maxsize=256)
-def chunk_encode(dtype: np.dtype, shape: tuple[int, ...],
-                 candidates: tuple[str, ...], compressor: str
-                 ) -> native.ChunkEncode | None:
-    """The one-call encode (:class:`~repro.core.native.ChunkEncode`) of
-    chunks of ``(dtype, shape)`` against the store delta codecs named
-    ``candidates``, in order, under the compressor named
-    ``compressor``: :func:`plan_encoding`'s decision, payload and
-    savings, built once per layout.  None when the call cannot make
-    that decision — a compressor other than ``none`` (its size is known
-    only by compressing), a candidate whose level the fold cannot read
-    (``hybrid+lz``: its size is known only by compressing too), a
-    candidate named twice, or a cell type no kernel encodes."""
-    layouts = tuple(get_delta_codec(name).fold_layout
-                    for name in candidates)
-    if compressor != IdentityCodec.name or None in layouts \
-            or len(set(candidates)) != len(candidates):
-        return None
-    try:
-        mode = numeric.delta_mode_for(dtype)
-    except CodecError:
-        return None
-    # ascontiguousarray promotes a 0-d chunk to shape (1,) in the
-    # materialized header (see materialized_size); its frame keeps ().
-    return native.chunk_encode(
-        dtype, shape, pack_array_header(dtype, shape or (1,)),
-        layout_frame(dtype, shape, mode), candidates, layouts)
+def encode_chunk(encode: native.ChunkEncode, target: np.ndarray,
+                 base: np.ndarray, compressor: Codec | None = None, *,
+                 adopt: bool = False, space: np.ndarray | None = None
+                 ) -> PlannedEncoding:
+    """:func:`plan_encoding`'s decision, payload and savings for
+    ``target`` against ``base``, through ``encode``
+    (:func:`~repro.delta.base.chunk_encode` of the chunk's layout and
+    the candidate codecs): the form that runs wherever a kernel does.
+
+    One analysis pass packs the cheapest representation.  A compressor
+    other than ``none`` has its materialized form made first, and races
+    at that size.  A ``hybrid+lz`` candidate sizes only by compressing:
+    the first pass packs its sections, sealed here (:meth:`~repro.delta
+    .base.DeltaCodec.packed`), the winner is picked under the planner's
+    tie rule, and a plain winner packs in a second pass.  ``space`` and
+    ``adopt`` are :class:`~repro.core.native.ChunkEncode`'s."""
+    codecs, sealed = encode.candidates, encode.bare
+    if compressor is None or type(compressor) is IdentityCodec:
+        compressor = IdentityCodec()
+        mat_size, mat_payload = encode.materialized, None
+    else:
+        mat_size, mat_payload = materialized_size(target, compressor)
+    if True not in sealed:
+        done = encode(target, base, adopt, space,
+                      materialized=-1 if mat_payload is None else mat_size)
+        winner, payload, sizes, _ = done
+    else:
+        first = sealed.index(True)
+        parts, sizes = codecs[first].packed(encode, first, target, base,
+                                            space=space)
+        sealed_size = sum(map(len, parts))
+        sizes = [sealed_size if seal else size
+                 for seal, size in zip(sealed, sizes)]
+        winner, best = -1, mat_size
+        for index, size in enumerate(sizes):
+            if size < best:
+                winner, best = index, size
+        payload = b""
+        if winner >= 0 and not sealed[winner]:
+            payload = encode(target, base, adopt, space, pack=winner).payload
+        else:
+            if winner >= 0:
+                payload = b"".join(parts)
+            if adopt:
+                np.copyto(base, target)
+    best_codec = codecs[winner] if winner >= 0 else None
+    encodes_avoided = bytes_saved = 0
+    for codec, seal, size in zip(codecs, sealed, sizes):
+        if not seal and codec is not best_codec:
+            encodes_avoided += 1
+            bytes_saved += size
+    if best_codec is None:
+        if mat_payload is None:
+            mat_payload = payload or compressor.encode(target)
+        payload = mat_payload
+    elif mat_payload is None:
+        encodes_avoided += 1
+        bytes_saved += mat_size
+    decision = EncodingDecision(
+        delta_codec=None if best_codec is None else best_codec.name,
+        size=len(payload), parts=(payload,))
+    return PlannedEncoding(decision=decision,
+                           encodes_avoided=encodes_avoided,
+                           bytes_saved=bytes_saved)

@@ -16,10 +16,10 @@ Every stored delta is framed the same way::
 
 :class:`DeltaCodec` is the one body behind the family; its members
 differ only in which :mod:`repro.delta.codes` functions they name.
-That body computes, prices and encodes every delta through one
-:class:`~repro.delta.codes.CodePlan`, so ``encode`` and
-``encode_parts`` are the planner's own code, not a second path next
-to it.
+That body encodes a delta the way the write path does: one compiled
+call packing that codec (:func:`chunk_encode`), or, where no kernel
+runs, one :class:`~repro.delta.codes.CodePlan` — the planner's own
+numpy form — so ``encode`` is never a second path next to it.
 
 Every member composes: a level is a cell-wise difference, wrapping
 addition or xor, so the read path never decodes a chain level by
@@ -30,9 +30,9 @@ root's header and each level's frame with the bytes the chunk implies
 itself and folds every level straight into the cells of the version
 being read.  A level it cannot read as stored — LZ-sealed, or a frame
 spelled another way — goes to the same call as its bare section
-(:func:`bare_levels`).  ``decode_forward`` remains as the one-level
-form the tests check the fold against, and ``accumulate`` folds one
-level into a 64-bit accumulator through the same call.
+(:func:`bare_levels`).  The one-level forms go through it too:
+``decode_forward`` folds one level into a copy of its base, and
+``accumulate`` into a 64-bit accumulator, each a batch of one chunk.
 
 **Corrupt payloads.**  A decoder is handed the array it decodes
 against, and the frame must agree with it: ``decode_forward`` checks
@@ -60,7 +60,7 @@ from repro.core.serial import (
     unpack_array_header,
     unpack_u8,
 )
-from repro.delta.codes import CodePlan, codes_to_delta
+from repro.delta.codes import CodePlan
 
 _MODE_TO_TAG = {numeric.ARITHMETIC: 0, numeric.XOR: 1}
 _TAG_TO_MODE = {tag: mode for mode, tag in _MODE_TO_TAG.items()}
@@ -118,9 +118,10 @@ class DeltaCodec:
     :data:`~repro.delta.codes.TABLE` sections it has), and inherits
     everything else: framing, the unframe prelude with its
     frame-vs-array check, the trailing-bytes check, the decode, the
-    fold, and an encode side that is the planner's
-    (``encode_parts(t, b)`` *is*
-    ``encode_from_plan(CodePlan.build(t, b))``).  :meth:`_seal` /
+    fold, and an encode side that is the write path's
+    (``encode_parts(t, b)`` is the compiled call's forced pack of the
+    codec, or ``encode_from_plan(CodePlan.build(t, b))`` where no
+    kernel runs).  :meth:`_seal` /
     :meth:`_unseal` are the hook for a byte-level stage between the
     frame and the packed sections (hybrid's LZ flag).
     """
@@ -150,7 +151,7 @@ class DeltaCodec:
         the list of buffers the write pipeline joins once, at
         placement."""
         return [pack_frame(plan.target, plan.mode),
-                *self._seal(self._encode(plan.runs, plan.stats))]
+                *self._seal(self._encode(plan.codes, plan.stats))]
 
     def plan_size(self, plan: CodePlan) -> int | None:
         """Exact encoded size, from the plan's statistics alone.
@@ -161,11 +162,33 @@ class DeltaCodec:
         statistics (an LZ stage) and the planner must encode this
         candidate to learn it.
         """
-        return frame_size(plan.target) + self._size(plan.runs, plan.stats)
+        return frame_size(plan.target) + self._size(plan.codes, plan.stats)
 
     def encode_parts(self, target: np.ndarray,
                      base: np.ndarray) -> list[bytes]:
-        return self.encode_from_plan(CodePlan.build(target, base))
+        """The encoded delta as its buffers: one compiled call
+        packing this codec (:func:`chunk_encode`), or its plan's
+        encode where no kernel runs."""
+        target, base = np.asarray(target), np.asarray(base)
+        numeric.check_same_layout(target, base)
+        encode = chunk_encode(target.dtype, target.shape, (self,))
+        if encode is None:
+            return self.encode_from_plan(CodePlan.build(target, base))
+        return self.packed(encode, 0, target, base)[0]
+
+    def packed(self, encode: native.ChunkEncode, index: int,
+               target: np.ndarray, base: np.ndarray, *,
+               adopt: bool = False, space: np.ndarray | None = None
+               ) -> tuple[list[bytes], tuple[int, ...]]:
+        """This codec's payload as candidate ``index`` of ``encode``
+        packs it whatever its size, and every candidate's size: a level
+        the fold reads as stored comes out whole; one that needs
+        :meth:`_seal` (an LZ stage) comes out as its sections, and is
+        framed and sealed here."""
+        done = encode(target, base, adopt, space, pack=index)
+        if encode.bare[index]:
+            return [encode.frame, *self._seal([done.payload])], done.sizes
+        return [done.payload], done.sizes
 
     def encode(self, target: np.ndarray, base: np.ndarray) -> bytes:
         """Encode ``target`` as a delta against ``base``."""
@@ -183,15 +206,17 @@ class DeltaCodec:
                 dtype, shape)
 
     def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
-        """Reconstruct the target given the base it was encoded against."""
-        payload, count, mode, dtype, shape = self._open(data, base)
-        codes, end = self._decode(payload, 0, count)
-        if end != len(payload):
-            raise CodecError(
-                f"{self.name} delta payload has {len(payload) - end} "
-                "undecoded trailing bytes")
-        return numeric.apply_delta_forward(
-            base, codes_to_delta(codes, mode).reshape(shape), mode, dtype)
+        """Reconstruct the target given the base it was encoded against:
+        the level folds into a copy of ``base`` through the read path's
+        call (:class:`~repro.core.native.FoldBatch`) as a bare section,
+        a batch of one chunk."""
+        payload, _, _, dtype, shape = self._open(data, base)
+        cells = np.array(base, dtype=dtype, order="C")
+        batch = native.FoldBatch()
+        batch.add(chunk_fold(dtype, shape), cells, [payload],
+                  [self.layout | native.FOLD_BARE], cells)
+        batch.run()
+        return cells
 
     def section(self, data, frame: bytes | None, like):
         """The unframed, unsealed payload of a level over ``like``
@@ -261,6 +286,41 @@ def chunk_fold(dtype: np.dtype, shape: tuple[int, ...]) -> native.ChunkFold:
         frame = layout_frame(dtype, shape, mode)
     return native.ChunkFold(dtype, shape, pack_array_header(dtype, shape),
                             frame, mode == numeric.XOR)
+
+
+def chunk_encode(dtype: np.dtype, shape: tuple[int, ...],
+                 codecs: tuple[DeltaCodec, ...]
+                 ) -> native.ChunkEncode | None:
+    """The one write-side call (:class:`~repro.core.native.ChunkEncode`)
+    for chunks of ``(dtype, shape)`` against ``codecs``, in order —
+    each one's level as the fold reads it stored, or, for one that
+    needs :meth:`DeltaCodec._seal`'s work, its sections alone
+    (:data:`~repro.core.native.FOLD_BARE`) — built once per layout.
+    None (and why, at debug) where no kernel runs: kernels off or
+    unloadable, a big-endian host, a cell type no kernel knows, an
+    empty chunk."""
+    if not native.available():
+        return native.decline("encode_chunk",
+                              "kernels disabled or unavailable")
+    return _chunk_encode(dtype, shape, codecs)
+
+
+@lru_cache(maxsize=256)
+def _chunk_encode(dtype: np.dtype, shape: tuple[int, ...],
+                  codecs: tuple[DeltaCodec, ...]
+                  ) -> native.ChunkEncode | None:
+    try:
+        mode = numeric.delta_mode_for(dtype)
+    except CodecError:
+        return native.decline("encode_chunk", f"unsupported dtype {dtype}")
+    # ascontiguousarray promotes a 0-d chunk to shape (1,) in the
+    # materialized header (see auto.materialized_size); its frame
+    # keeps ().
+    return native.chunk_encode(
+        dtype, shape, pack_array_header(dtype, shape or (1,)),
+        layout_frame(dtype, shape, mode), codecs,
+        tuple(codec.fold_layout or codec.layout | native.FOLD_BARE
+              for codec in codecs))
 
 
 def bare_levels(codecs: list[DeltaCodec], payloads: list,

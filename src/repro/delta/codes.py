@@ -3,13 +3,15 @@
 Every delta codec in this package first reduces the cell-wise difference
 of two versions to a flat array of unsigned 64-bit *codes* (arithmetic
 deltas are zigzag-mapped so small signed differences become small codes;
-float XOR deltas are already unsigned).  :class:`CodePlan` is the one
-place that reduction happens: one pass over a ``(target, base)`` pair
-yields the codes — as a run list, only the cells that changed — and
-their :class:`CodeStats` width histogram, and everything
+float XOR deltas are already unsigned).  :class:`CodePlan` is the numpy
+form of that reduction: one pass over a ``(target, base)`` pair yields
+the codes and their :class:`CodeStats` width histogram, and everything
 downstream — pricing a candidate, pricing a Materialization Matrix
 entry (Section IV-A), choosing the hybrid split, emitting a payload —
-is arithmetic on that histogram plus at most one pack over the runs.
+is arithmetic on that histogram plus at most one pack of the codes.
+With the kernels on, the same reduction, pricing and pack are one
+compiled call per chunk (:class:`~repro.core.native.ChunkEncode`),
+byte for byte.
 
 The three storage strategies of Section III-B.3 apply to the code array:
 
@@ -32,7 +34,7 @@ against), and which of the two section kinds — :data:`SMALL`,
 (the read path, :class:`~repro.core.native.ChunkFold`: every level of a
 chain folded straight into the cells of the version being read;
 :func:`_fold_numpy` is its numpy form) needs to know of it.  The size
-and encode functions take the plan's run list and ``stats``; a caller
+and encode functions take the plan's codes and ``stats``; a caller
 holding a bare code array passes it and omits ``stats``, paying for
 the histogram on the function's first line — there is one body either
 way.
@@ -49,8 +51,6 @@ sized from it — a corrupt payload raises
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -155,10 +155,9 @@ class CodeStats:
                           counts: np.ndarray) -> "CodeStats":
         """Stats from a precomputed 65-bucket width histogram.
 
-        The fused native kernel emits the histogram alongside the code
-        array; this derives the same order statistics from it that
-        :meth:`from_codes` builds, so both construction paths share one
-        definition of the cumulative quantities.
+        The order statistics :meth:`from_codes` derives from the
+        histogram it counts, kept apart so every cumulative quantity has
+        one definition.
         """
         occupied = np.flatnonzero(counts)
         max_bits = int(occupied[-1]) if occupied.size else 0
@@ -197,118 +196,65 @@ class CodeStats:
         return curve
 
 
-class _Runs(NamedTuple):
-    """A flat code array of ``n`` cells as its *run list*: ``spans``
-    are ``(first cell, cell count)`` rows, ascending and disjoint, and
-    ``codes`` their codes back to back; every cell outside them is
-    code 0.  The analysis kernel emits only the cells whose bytes
-    differ from the base's, one span per maximal stretch of them; a
-    bare array is one run over every cell."""
-
-    n: int
-    codes: np.ndarray
-    spans: np.ndarray
-
-    @classmethod
-    def of(cls, codes) -> "_Runs":
-        """``codes`` as a run list: itself when it is one, else one
-        run over the whole (flattened, uint64) array."""
-        if isinstance(codes, _Runs):
-            return codes
-        codes = np.ascontiguousarray(codes, dtype=np.uint64).ravel()
-        return cls(codes.size, codes,
-                   np.array([[0, codes.size]], dtype=np.int64))
-
-    def expand(self) -> np.ndarray:
-        """The full flat code array (the run's own codes when one run
-        covers every cell)."""
-        first, count = self.spans[:, 0], self.spans[:, 1]
-        if len(self.spans) == 1 and first[0] == 0 and count[0] == self.n:
-            return self.codes[:self.n]
-        full = np.zeros(self.n, dtype=np.uint64)
-        total = int(count.sum())
-        # Cell of the k-th code: its run's first cell plus its offset
-        # within the run.
-        cells = np.arange(total) + np.repeat(first - np.cumsum(count)
-                                             + count, count)
-        full[cells] = self.codes[:total]
-        return full
-
-
 @dataclass(frozen=True)
 class CodePlan:
-    """The shared single-pass state of one ``(target, base)`` delta.
+    """The shared single-pass state of one ``(target, base)`` delta, in
+    numpy: what the write path prices and encodes from where no kernel
+    runs (the kernels' form is one call,
+    :class:`~repro.core.native.ChunkEncode`), and what the table
+    benches read.
 
-    Computed once per pair and handed to every consumer — each
-    candidate codec on the write path, the Materialization Matrix, the
-    table benches: the compose ``mode``, the code array the strategies
-    of Section III-B.3 operate on as its run list ``runs`` (on the
-    compiled path only the cells that differ from the base; the numpy
-    path's full array is one run), and the code array's
-    :class:`CodeStats`.  Dense width, sparse nonzero count and the full
-    hybrid split-cost curve all fall out of the same statistics, so
-    pricing a representation costs arithmetic on a 65-bucket histogram,
-    not a pass over the chunk, and packing the winner walks only the
-    run list's codes.  :attr:`codes` is the full flat array, expanded on first use
-    (the numpy packers, the table benches, tests).
+    Computed once per pair and handed to every consumer: the compose
+    ``mode``, the flat code array the strategies of Section III-B.3
+    operate on, and its :class:`CodeStats`.  Dense width, sparse
+    nonzero count and the full hybrid split-cost curve all fall out of
+    the same statistics, so pricing a representation costs arithmetic
+    on a 65-bucket histogram, not a pass over the chunk.
     """
 
     target: np.ndarray
     base: np.ndarray
     mode: str
-    runs: _Runs
+    codes: np.ndarray
     stats: CodeStats
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        return self.runs.expand()
 
     @classmethod
     def build(cls, target: np.ndarray, base: np.ndarray, *,
               adopt: bool = False) -> "CodePlan":
-        """Plan ``target`` against ``base``.
-
-        Both arrays may be strided chunk views; the compiled analysis
-        pass reads them in place.  ``adopt`` leaves the (writable)
-        ``base`` holding ``target``'s cells — the kernel copies just the
-        64-byte runs that differ — so ``plan.base`` is the target's
-        contents afterwards.  Every store delta codec encodes
-        from the run list alone and never reads ``plan.base``, so any
-        of them may encode an adopted plan.
+        """Plan ``target`` against ``base`` (either may be a strided
+        chunk view).  ``adopt`` leaves the (writable) ``base`` holding
+        ``target``'s cells, so ``plan.base`` is the target's contents
+        afterwards; every store delta codec encodes from the codes
+        alone and never reads ``plan.base``, so any of them may encode
+        an adopted plan.
         """
         numeric.check_same_layout(target, base)
         if adopt and not base.flags.writeable:
             raise ValueError("adopting a delta base needs it writable")
         mode = numeric.delta_mode_for(target.dtype)
-        fused = native.delta_zigzag_stats(target, base, adopt=adopt)
-        if fused is not None:
-            codes, spans, counts = fused
-            return cls(target, base, mode, _Runs(target.size, codes, spans),
-                       CodeStats.from_width_counts(target.size, counts))
         delta, _ = numeric.compute_delta(target, base)
         codes = delta_to_codes(delta, mode)
         if adopt:
             np.copyto(base, target)
-        return cls(target, base, mode, _Runs.of(codes),
-                   CodeStats.from_codes(codes))
+        return cls(target, base, mode, codes, CodeStats.from_codes(codes))
 
 
 # ----------------------------------------------------------------------
 # Dense strategy
 # ----------------------------------------------------------------------
-def dense_size(codes: np.ndarray | _Runs,
+def dense_size(codes: np.ndarray,
                stats: CodeStats | None = None) -> int:
     """Encoded bytes of the dense strategy (1-byte width header)."""
     stats = stats or CodeStats.from_codes(codes)
     return 1 + bitpack.packed_size(stats.n, stats.max_bits)
 
 
-def encode_dense_parts(codes: np.ndarray | _Runs,
+def encode_dense_parts(codes: np.ndarray,
                        stats: CodeStats | None = None) -> list[bytes]:
     """Dense D-bit encoding as its constituent buffers: the split at
     the widest code, which has no outliers."""
     stats = stats or CodeStats.from_codes(codes)
-    small, _, _ = _pack(_Runs.of(codes), stats.max_bits, 0, 0)
+    small, _, _ = _pack(codes, stats.max_bits, 0, 0)
     return [pack_u8(stats.max_bits), small]
 
 
@@ -331,20 +277,14 @@ def decode_dense(data, offset: int, count: int
 # ----------------------------------------------------------------------
 # The split: packed small codes + an outlier table (sparse and hybrid)
 # ----------------------------------------------------------------------
-def _pack(runs: _Runs, small_bits: int, outliers: int, value_bits: int
-          ) -> tuple[bytes | memoryview, ...]:
-    """The packed ``(small, positions, values)`` sections of ``runs``
+def _pack(codes: np.ndarray, small_bits: int, outliers: int,
+          value_bits: int) -> tuple[bytes, bytes, bytes]:
+    """The packed ``(small, positions, values)`` sections of ``codes``
     split at ``small_bits``: every code below ``2**small_bits`` in the
     small section (zero at the outlier positions; none at width 0), the
-    ``outliers`` others' positions and values at ``value_bits``.  The
-    compiled pack walks the run list into views of one buffer; the
-    numpy form over the full array is the byte-identical fallback."""
-    sections = native.pack_runs(runs.codes, runs.spans, runs.n,
-                                small_bits, outliers, value_bits)
-    if sections is not None:
-        return sections
-    codes = runs.expand()
-    position_bits = bitpack.required_bits(max(0, runs.n - 1))
+    ``outliers`` others' positions and values at ``value_bits``."""
+    codes = np.ascontiguousarray(codes, dtype=np.uint64).ravel()
+    position_bits = bitpack.required_bits(max(0, codes.size - 1))
     positions = np.flatnonzero(codes >> np.uint64(small_bits)) \
         if outliers else codes[:0]
     small = codes
@@ -357,7 +297,7 @@ def _pack(runs: _Runs, small_bits: int, outliers: int, value_bits: int
             bitpack.pack_unsigned(codes[positions], value_bits))
 
 
-def _split_parts(codes: np.ndarray | _Runs, small_bits: int,
+def _split_parts(codes: np.ndarray, small_bits: int,
                  stats: CodeStats) -> tuple[bytes, list[bytes]]:
     """``codes`` split at ``small_bits``: the packed small-code section
     (zeros at the outlier positions) and the outlier table (count,
@@ -374,8 +314,8 @@ def _split_parts(codes: np.ndarray | _Runs, small_bits: int,
     outliers = stats.outliers_at(small_bits)
     value_bits = stats.max_bits if outliers else 0
     position_bits = bitpack.required_bits(max(0, stats.n - 1))
-    small, positions, values = _pack(_Runs.of(codes), small_bits,
-                                     outliers, value_bits)
+    small, positions, values = _pack(codes, small_bits, outliers,
+                                     value_bits)
     return small, [pack_i64(outliers), pack_u8(position_bits),
                    pack_u8(value_bits), positions, values]
 
@@ -410,7 +350,7 @@ def _read_outliers(data: memoryview, offset: int, count: int, what: str
 # ----------------------------------------------------------------------
 # Sparse strategy
 # ----------------------------------------------------------------------
-def sparse_size(codes: np.ndarray | _Runs,
+def sparse_size(codes: np.ndarray,
                 stats: CodeStats | None = None) -> int:
     """Encoded bytes of the sparse strategy without materializing it.
 
@@ -425,7 +365,7 @@ def sparse_size(codes: np.ndarray | _Runs,
             + bitpack.packed_size(stats.nonzero, stats.max_bits))
 
 
-def encode_sparse_parts(codes: np.ndarray | _Runs,
+def encode_sparse_parts(codes: np.ndarray,
                         stats: CodeStats | None = None) -> list[bytes]:
     """Sparse encoding as its constituent buffers: the outlier table of
     the split at width 0."""
@@ -451,14 +391,14 @@ def decode_sparse(data, offset: int, count: int
 # ----------------------------------------------------------------------
 # Hybrid strategy
 # ----------------------------------------------------------------------
-def hybrid_size(codes: np.ndarray | _Runs,
+def hybrid_size(codes: np.ndarray,
                 stats: CodeStats | None = None) -> int:
     """Encoded bytes of the optimal hybrid split, without encoding."""
     stats = stats or CodeStats.from_codes(codes)
     return int(stats.split_curve().min())
 
 
-def hybrid_split_width(codes: np.ndarray | _Runs,
+def hybrid_split_width(codes: np.ndarray,
                        stats: CodeStats | None = None) -> int:
     """The small-code bit width the optimal hybrid split uses (the
     narrowest of the cheapest)."""
@@ -466,7 +406,7 @@ def hybrid_split_width(codes: np.ndarray | _Runs,
     return int(np.argmin(stats.split_curve()))
 
 
-def encode_hybrid_parts(codes: np.ndarray | _Runs,
+def encode_hybrid_parts(codes: np.ndarray,
                         stats: CodeStats | None = None) -> list[bytes]:
     """Optimal small/large split encoding as its constituent buffers."""
     stats = stats or CodeStats.from_codes(codes)

@@ -38,11 +38,12 @@ executed by the encode stage), and ``chunks_written`` and
 ``bytes_written`` (the placements that follow, one at a time in task
 order).
 
-The single-pass encode planner adds three more write-side counters:
-``encode_plans`` (chunk encodes decided by
-:func:`~repro.delta.auto.plan_encoding`),
-``codec_encodes_avoided`` (representations the planner sized exactly
-from the shared code plan but never encoded — losing delta candidates,
+The single-pass encode decision adds three more write-side counters:
+``encode_plans`` (chunk encodes decided — by the one compiled call,
+:func:`~repro.delta.auto.encode_chunk`, or where no kernel runs by
+:func:`~repro.delta.auto.plan_encoding`, which count alike),
+``codec_encodes_avoided`` (representations sized exactly from the
+width histogram but never encoded — losing delta candidates,
 plus the materialized payload whenever the cost model proves a delta
 wins under the identity compressor), and ``planner_bytes_saved`` (the
 total size of those never-produced payloads).  The planner's contract
@@ -157,9 +158,9 @@ class IOStats:
 
     def record_encode_plan(self, encodes_avoided: int,
                            bytes_saved: int) -> None:
-        """Account one chunk encode served by the single-pass planner:
+        """Account one chunk encode decided in a single pass:
         ``encodes_avoided`` representations were sized exactly from the
-        shared code plan but never encoded, and ``bytes_saved`` is the
+        width histogram but never encoded, and ``bytes_saved`` is the
         total size of those never-produced payloads.  The planner runs
         inside the encode stage's parallel fan-out, so the counter
         shares the lock discipline of ``encode_tasks``."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.core.errors import (
     ArrayExistsError,
@@ -277,20 +277,24 @@ class ArraySnapshot:
                 f"v{version} {attribute}/{chunk_name}")
         return row
 
-    def walk_chain(self, version: int, attribute: str,
-                   chunk_name: str) -> Iterator[ChunkRecord]:
+    def walk_chain(self, version: int, attribute: str, chunk_name: str,
+                   stop: Callable[[int], bool] | None = None
+                   ) -> Iterator[ChunkRecord]:
         """One chunk's delta chain, lazily: the row of ``version``, then
         of each successive ``base_version``, down to the materialized
         root (``base_version`` None).
 
         A chain that loops ends at the row whose base was already
         yielded — callers tell a cycle from a root by the last row's
-        ``base_version``.  A base with no row raises like
-        :meth:`get_chunk` when the walk reaches it.
+        ``base_version``.  ``stop`` is asked of each version not yet
+        yielded before its row is fetched, ``version`` first: the walk
+        ends before the first it accepts.  A base with no row raises
+        like :meth:`get_chunk` when the walk reaches it.
         """
         seen: set[int] = set()
         cursor: int | None = version
-        while cursor is not None and cursor not in seen:
+        while cursor is not None and cursor not in seen \
+                and not (stop and stop(cursor)):
             seen.add(cursor)
             row = self.get_chunk(cursor, attribute, chunk_name)
             yield row

@@ -73,12 +73,16 @@ from repro.core.errors import (
 )
 from repro.delta.auto import (
     EncodingDecision,
-    PlannedEncoding,
-    chunk_encode,
     default_delta_candidates,
+    encode_chunk,
     plan_encoding,
 )
-from repro.delta.base import bare_levels, chunk_fold
+from repro.delta.base import (
+    DeltaCodec,
+    bare_levels,
+    chunk_encode,
+    chunk_fold,
+)
 from repro.delta.registry import delta_codec_names, get_delta_codec
 from repro.storage import fan
 from repro.storage.chunking import ChunkGrid, ChunkRef
@@ -97,8 +101,8 @@ POLICY_CHAIN = "chain"        # delta against the parent (fallback: smaller)
 POLICY_MATERIALIZE = "materialize"  # never delta on insert
 _POLICIES = (POLICY_AUTO, POLICY_CHAIN, POLICY_MATERIALIZE)
 
-#: The delta codecs the ``auto`` policy tries, by name.
-_DEFAULT_CANDIDATES = tuple(codec.name
+#: The delta codecs the ``auto`` policy tries (the registry's own).
+_DEFAULT_CANDIDATES = tuple(get_delta_codec(codec.name)
                             for codec in default_delta_candidates())
 
 #: The largest chunk buffer a decoding thread keeps: an L2's worth.
@@ -365,11 +369,11 @@ class EncodePipeline:
         reconstructing before encoding)."""
         return self.delta_policy != POLICY_MATERIALIZE
 
-    def _candidates(self) -> tuple[str, ...]:
-        """The names of the delta codecs the policy tries on a chunk,
-        in the planner's order."""
+    def _candidates(self) -> tuple[DeltaCodec, ...]:
+        """The delta codecs the policy tries on a chunk, in the
+        planner's order."""
         if self.delta_policy == POLICY_CHAIN:
-            return (self.delta_codec_name,)
+            return (get_delta_codec(self.delta_codec_name),)
         return _DEFAULT_CANDIDATES
 
     # ------------------------------------------------------------------
@@ -395,11 +399,12 @@ class EncodePipeline:
                      ) -> EncodingDecision:
         """Pick and produce one chunk's representation.
 
-        A delta candidate is decided and encoded in one native call
-        (:meth:`_encode_in_one_call`); what that declines, and a chunk
-        with no base, goes through the single-pass
-        :func:`~repro.delta.auto.plan_encoding` — one delta, one run
-        list, one set of width statistics, one encode — to the same
+        A chunk with a delta base is decided and encoded by the one
+        compiled call (:func:`~repro.delta.auto.encode_chunk`), written
+        into this thread's buffer and copied out once; where no kernel
+        runs, and for a chunk with no base, by the single-pass
+        :func:`~repro.delta.auto.plan_encoding` — one delta, one code
+        array, one set of width statistics, one encode — to the same
         bytes.  Either way the representations sized but never
         produced are recorded in the store's counters.  ``adopt``
         leaves the writable ``base`` window holding ``target``'s cells.
@@ -407,46 +412,25 @@ class EncodePipeline:
         if self.delta_policy == POLICY_MATERIALIZE or base is None:
             planned = plan_encoding(target, None, compressor=compressor)
         else:
-            names = self._candidates()
-            planned = self._encode_in_one_call(target, base, compressor,
-                                               names, adopt)
-            if planned is None:
-                planned = plan_encoding(
-                    target, base, compressor=compressor,
-                    candidates=tuple(map(get_delta_codec, names)),
-                    adopt=adopt)
+            codecs = self._candidates()
+            encode = chunk_encode(target.dtype, target.shape, codecs)
+            if encode is None:
+                planned = plan_encoding(target, base, compressor=compressor,
+                                        candidates=codecs, adopt=adopt)
+            else:
+                planned = encode_chunk(encode, target, base, compressor,
+                                       adopt=adopt,
+                                       space=self._space_for(encode.words))
         self.store.stats.record_encode_plan(planned.encodes_avoided,
                                             planned.bytes_saved)
         return planned.decision
 
-    def _encode_in_one_call(self, target: np.ndarray, base: np.ndarray,
-                            compressor, names: tuple[str, ...],
-                            adopt: bool) -> PlannedEncoding | None:
-        """:func:`~repro.delta.auto.plan_encoding`'s result from one
-        native call (:class:`~repro.core.native.ChunkEncode`): the
-        analysis pass, the size of every representation off its width
-        histogram, and the winner's pack behind its prefix, written
-        into this thread's buffer and copied out once.  None, with
-        nothing written, for what the call declines: kernels
-        off, a compressor other than ``none``, a ``hybrid+lz``
-        candidate, a window read through a copy (a 3-d chunk view), a
-        big-endian host."""
-        encode = chunk_encode(target.dtype, target.shape, names,
-                              compressor.name)
-        if encode is None:
-            return None
+    def _space_for(self, words: int) -> np.ndarray:
+        """This thread's buffer of at least ``words`` uint64 words."""
         space = getattr(self._space, "words", None)
-        if space is None or space.size < encode.words:
-            space = self._space.words = np.empty(encode.words,
-                                                 dtype=np.uint64)
-        done = encode(target, base, adopt, space)
-        if done is None:
-            return None
-        winner, payload, avoided, saved = done
-        return PlannedEncoding(
-            EncodingDecision(delta_codec=winner, size=len(payload),
-                             parts=(payload,)),
-            encodes_avoided=avoided, bytes_saved=saved)
+        if space is None or space.size < words:
+            space = self._space.words = np.empty(words, dtype=np.uint64)
+        return space
 
     def _encode_task(self, task: EncodeTask, data: ArrayData,
                      base_data: ArrayData | None, compressor,
@@ -989,22 +973,27 @@ class DecodePipeline:
         """
         array_id = snap.record.array_id
         probing = self.cache.enabled
-        chain: list[ChunkRecord] = []
-        for row in snap.walk_chain(version, attribute, chunk.name):
-            if probing and row.version not in stop_at \
-                    and row.version != version:
-                cached = self.cache.peek((array_id, row.version,
-                                          attribute, chunk.name))
+
+        def resolved(cursor: int) -> bool:
+            if probing and cursor not in stop_at and cursor != version:
+                cached = self.cache.peek((array_id, cursor, attribute,
+                                          chunk.name))
                 if cached is not None:
-                    stop_at[row.version] = cached
-            if row.version in stop_at:
-                return chain, row.version
-            chain.append(row)
-        if chain[-1].base_version is not None:
-            raise StorageError(
-                f"delta cycle detected for {snap.record.name!r} "
-                f"chunk {chunk.name} at version {chain[-1].base_version}")
-        return chain, None
+                    stop_at[cursor] = cached
+            return cursor in stop_at
+
+        chain = list(snap.walk_chain(version, attribute, chunk.name,
+                                     resolved))
+        if not chain:
+            return chain, version
+        base = chain[-1].base_version
+        if base is None:
+            return chain, None
+        if base in stop_at:
+            return chain, base
+        raise StorageError(
+            f"delta cycle detected for {snap.record.name!r} "
+            f"chunk {chunk.name} at version {base}")
 
     @staticmethod
     def _decode_root(miss: _Miss, root: ChunkRecord, payload) -> np.ndarray:

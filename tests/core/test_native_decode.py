@@ -1,20 +1,25 @@
-"""Native decode kernels vs their numpy references, byte for byte.
+"""The read side's one C entry vs its numpy references, byte for byte.
 
-The encode-side kernels are covered next to the planner
-(``tests/delta/test_planner.py``); this file owns the decode side:
-zigzag decode, D-bit unpack across every width and the chain fold.
-The unpack kernels' contract is the same — byte-identical to the numpy
-fallback, returning ``None`` (so the caller falls back) on any dtype,
-layout, or size it does not handle — and every test here asserts both
-halves of it.  The fold (:class:`native.FoldBatch`, here one chunk
-over bare sections) runs its numpy form itself and is held against it;
-it
-parses bytes from disk and writes through caller strides: whatever the
+The encode side is covered next to the planner
+(``tests/delta/test_planner.py``, ``tests/delta/test_chunk_encode.py``);
+this file owns the decode side: the fold's in-register zigzag decode
+and its D-bit unpack across every width, held against the numpy
+kernels, and the chain fold itself, plus the shape of the library (two
+entries) and the switches that turn it off.  The fold
+(:class:`native.FoldBatch`, here one chunk over bare sections) runs its
+numpy form itself and is held against it; it parses bytes from disk
+and writes through caller strides: whatever the
 bytes say, it names a malformed level and never touches a byte outside
 its destination, a contiguous run of cells inside a canary frame.
 """
 
 from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,21 +29,33 @@ from hypothesis import strategies as st
 from repro.core import bitpack, native
 from repro.core.errors import DeltaLevelError
 from repro.delta import codes as code_store
+from repro.delta.base import chunk_encode
+from repro.delta.registry import delta_codec_names, get_delta_codec
 
 pytestmark = pytest.mark.skipif(not native.available(),
                                 reason="native kernels did not compile")
 
 
+def _dense_fold(values: np.ndarray, bits: int, use_xor: bool
+                ) -> np.ndarray:
+    """``values`` packed at ``bits`` by the numpy packer as one dense
+    level, folded through the one call onto zeroed 64-bit cells."""
+    cells = np.zeros(values.size, dtype=np.uint64 if use_xor else np.int64)
+    section = bytes([bits]) + bitpack.pack_unsigned(values, bits)
+    assert _call(cells, [section], [native.FOLD_SMALL], use_xor) is None
+    return cells
+
+
 class TestZigzagDecode:
+    """The fold's in-register zigzag decode, against the numpy one."""
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5000))
     def test_matches_numpy(self, seed, n):
         rng = np.random.default_rng(seed)
         values = rng.integers(-2**62, 2**62, n, dtype=np.int64)
         codes = bitpack.zigzag_encode(values)
-        got = native.zigzag_decode(codes)
-        assert got is not None
-        assert got.dtype == np.int64
+        got = _dense_fold(codes, 64, False)
         assert np.array_equal(got, values)
         assert np.array_equal(got, bitpack.zigzag_decode(codes))
 
@@ -46,53 +63,38 @@ class TestZigzagDecode:
         values = np.array([0, 1, -1, 2**63 - 1, -2**63, 2**62,
                            -2**62], dtype=np.int64)
         codes = bitpack.zigzag_encode(values)
-        got = native.zigzag_decode(codes)
-        assert got is not None
-        assert np.array_equal(got, values)
-
-    def test_rejects_layouts(self):
-        codes = np.arange(16, dtype=np.uint64)
-        assert native.zigzag_decode(codes[::2]) is None
-        assert native.zigzag_decode(codes.astype(np.int64)) is None
-        assert native.zigzag_decode(
-            np.zeros(0, dtype=np.uint64)) is None
-        assert native.zigzag_decode(codes.tolist()) is None
+        assert np.array_equal(_dense_fold(codes, 64, False), values)
 
 
 class TestUnpackBits:
+    """The fold's carry-register unpack, against the numpy packer."""
+
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), bits=st.integers(1, 63),
+    @given(seed=st.integers(0, 2**32 - 1), bits=st.integers(0, 64),
            n=st.integers(1, 3000))
     def test_every_width_matches_numpy(self, seed, bits, n):
         rng = np.random.default_rng(seed)
-        values = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-        packed = bitpack.pack_unsigned(values, bits)
-        got = native.unpack_bits(packed, bits, n)
-        assert got is not None
+        values = rng.integers(0, 1 << bits, n, dtype=np.uint64) \
+            if bits < 64 else rng.integers(0, 2**64, n, dtype=np.uint64)
+        got = _dense_fold(values, bits, True)
         assert np.array_equal(got, values)
-        with native.disabled():
-            assert np.array_equal(
-                got, bitpack.unpack_unsigned(packed, bits, n))
+        assert np.array_equal(got, bitpack.unpack_unsigned(
+            bitpack.pack_unsigned(values, bits), bits, n))
 
-    def test_rejects_widths_outside_carry_loop(self):
-        # Width 0 and 64 are handled upstream (no payload / dtype
-        # reinterpret); the kernel must refuse them.
-        assert native.unpack_bits(b"", 0, 4) is None
-        assert native.unpack_bits(b"\x00" * 32, 64, 4) is None
-        assert native.unpack_bits(b"\x00" * 8, 7, 0) is None
-
-    def test_full_pipeline_is_gated(self):
-        # End to end: bitpack.unpack_unsigned dispatches to the kernel
-        # when active and to the word kernels inside disabled(), with
-        # identical results.
+    def test_decode_forward_is_the_fold(self):
+        # End to end: a codec's one-level decode is the fold's, kernels
+        # on and off.
         rng = np.random.default_rng(2012)
-        values = rng.integers(0, 1 << 29, 4096, dtype=np.uint64)
-        packed = bitpack.pack_unsigned(values, 29)
-        hot = bitpack.unpack_unsigned(packed, 29, values.size)
-        with native.disabled():
-            cold = bitpack.unpack_unsigned(packed, 29, values.size)
-        assert np.array_equal(hot, cold)
-        assert np.array_equal(hot, values)
+        base = rng.integers(0, 1 << 29, (64, 64)).astype(np.int64)
+        target = base + rng.integers(-3, 4, base.shape)
+        for name in delta_codec_names():
+            codec = get_delta_codec(name)
+            payload = codec.encode(target, base)
+            hot = codec.decode_forward(payload, base)
+            with native.disabled():
+                cold = codec.decode_forward(payload, base)
+            assert np.array_equal(hot, cold)
+            assert np.array_equal(hot, target)
 
 
 #: Cell dtypes by the fold kernel they reach (width x operation).
@@ -446,40 +448,58 @@ def test_window_geometry_must_fit_its_buffer(flip):
         assert (frame == -7).all()
 
 
+def test_the_library_has_one_entry_per_direction():
+    """Two C entries: the write side's ``repro_encode_chunk`` and the
+    read side's ``repro_fold_chain``; the four fine-grained kernels
+    that served the level-by-level paths are gone."""
+    lib = native._load()
+    assert hasattr(lib, "repro_encode_chunk")
+    assert hasattr(lib, "repro_fold_chain")
+    for gone in ("repro_delta_codes", "repro_pack_runs",
+                 "repro_zigzag_decode", "repro_unpack_bits"):
+        assert not hasattr(lib, gone), gone
+    nm = shutil.which("nm")
+    if nm:
+        symbols = subprocess.run([nm, "-D", "--defined-only", lib._name],
+                                 check=True, capture_output=True,
+                                 text=True).stdout.split()
+        assert sorted(name for name in symbols
+                      if name.startswith("repro_")) == [
+            "repro_encode_chunk", "repro_fold_chain"]
+
+
 class TestDisabledScope:
     def test_disabled_turns_every_kernel_off(self, monkeypatch):
         codes = np.arange(8, dtype=np.uint64)
         acc = np.zeros(8, dtype=np.int64)
         section = code_store.encode_dense(codes)
         lib = native._load()
-        real, calls = lib.repro_fold_chain, []
-        monkeypatch.setattr(lib, "repro_fold_chain",
-                            lambda *args: calls.append(args) or real(*args))
+        calls = []
+        for entry in ("repro_fold_chain", "repro_encode_chunk"):
+            real = getattr(lib, entry)
+            monkeypatch.setattr(lib, entry, lambda *args, real=real: (
+                calls.append(args) or real(*args)))
         with native.disabled():
-            assert native.zigzag_decode(codes) is None
-            assert native.unpack_bits(b"\x00" * 8, 7, 4) is None
+            assert not native.available()
             assert _call(acc, [section], [native.FOLD_SMALL], False) is None
-            assert native.delta_zigzag_stats(acc, acc) is None
-        assert calls == []      # the fold ran in numpy
+            assert chunk_encode(acc.dtype, acc.shape,
+                                (get_delta_codec("hybrid"),)) is None
+            payload = get_delta_codec("hybrid").encode(acc + 1, acc)
+        assert calls == []      # the fold and the encode ran in numpy
         assert acc.tolist() == [0, -1, 1, -2, 2, -3, 3, -4]
-        assert native.zigzag_decode(codes) is not None
+        assert get_delta_codec("hybrid").encode(acc + 1, acc) == payload
+        assert len(calls) == 1
 
     def test_disabled_nests(self):
-        codes = np.arange(8, dtype=np.uint64)
         with native.disabled():
             with native.disabled():
-                assert native.zigzag_decode(codes) is None
-            assert native.zigzag_decode(codes) is None
-        assert native.zigzag_decode(codes) is not None
+                assert not native.available()
+            assert not native.available()
+        assert native.available()
 
     def test_env_gate(self):
         # REPRO_NATIVE is latched at first load, so the =0 path needs
-        # a fresh interpreter: every wrapper must report the fallback.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
+        # a fresh interpreter: nothing may reach a kernel.
         # The child does not inherit pytest's ``pythonpath``: hand it
         # the source tree, so the probe runs from an uninstalled checkout.
         src = Path(__file__).resolve().parents[2] / "src"
@@ -489,12 +509,15 @@ class TestDisabledScope:
             "import numpy as np\n"
             "from repro.core import native\n"
             "from repro.delta import codes as code_store\n"
+            "from repro.delta.base import chunk_encode\n"
+            "from repro.delta.registry import get_delta_codec\n"
             "codes = np.arange(8, dtype=np.uint64)\n"
             "assert not native.available()\n"
-            "assert native.zigzag_decode(codes) is None\n"
-            "assert native.unpack_bits(b'\\x00' * 8, 7, 4) is None\n"
             "acc = np.zeros(8, dtype=np.int64)\n"
-            "assert native.delta_zigzag_stats(acc, acc) is None\n"
+            "hybrid = get_delta_codec('hybrid')\n"
+            "assert chunk_encode(acc.dtype, acc.shape, (hybrid,)) is None\n"
+            "assert hybrid.decode_forward(hybrid.encode(acc + 1, acc),\n"
+            "                             acc).tolist() == [1] * 8\n"
             "batch = native.FoldBatch()\n"
             "batch.add(native.ChunkFold(acc.dtype, acc.shape, b'', b'',\n"
             "                           False),\n"
@@ -502,6 +525,7 @@ class TestDisabledScope:
             "          [native.FOLD_SMALL | native.FOLD_BARE], acc)\n"
             "assert batch.run() == (1, 0)\n"
             "assert acc.tolist() == [0, -1, 1, -2, 2, -3, 3, -4]\n"
+            "assert native._lib is None\n"
         )
         subprocess.run([sys.executable, "-c", probe], check=True,
                        env=env)

@@ -1,20 +1,26 @@
 """The one-call encode against the planner and the two-pass oracle.
 
 :class:`repro.core.native.ChunkEncode` (built by
-:func:`repro.delta.auto.chunk_encode`) makes a chunk's whole encode in
-one compiled call: the analysis pass read in place (adopting the target
-into the base when asked), every representation sized off the width
-histogram, the winner packed behind its prefix.  It must decide exactly
-what :func:`repro.delta.auto.plan_encoding` decides — winner, payload
-bytes, ``(encodes_avoided, bytes_saved)`` — and what the literal "try
-both" oracle (:func:`encoding_oracle.choose_encoding`) decides, for
-every cell kind the kernels know, canvas windows and contiguous cells,
-all-equal and all-changed chunks, width-64 codes, one-cell chunks and
-ties; and decline, touching nothing, whatever it cannot decide.
+:func:`repro.delta.base.chunk_encode`) makes a chunk's whole encode in
+one compiled call: the analysis pass (adopting the target into the base
+when asked), every representation sized off the width histogram, and
+one packed behind its prefix — the cheapest, a named candidate whatever
+its size, or none.  :func:`repro.delta.auto.encode_chunk` is the write
+path's decision through it: it must decide exactly what
+:func:`repro.delta.auto.plan_encoding` decides with the kernels off —
+winner, payload bytes, ``(encodes_avoided, bytes_saved)`` — and what the
+literal "try both" oracle (:func:`encoding_oracle.choose_encoding`)
+decides, under both store compressors, for every candidate list of
+store codecs, every cell kind the kernels know, contiguous cells and
+2-d and 3-d canvas windows, all-equal and all-changed chunks, width-64
+codes, one-cell chunks and ties — recording no decline.  The forced
+pack is ``codec.encode``, and the size-only mode the Materialization
+Matrix's price.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
@@ -23,9 +29,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from encoding_oracle import choose_encoding
+from repro.compression import LempelZivCodec
 from repro.core import native
-from repro.delta.auto import chunk_encode, plan_encoding
+from repro.delta.auto import encode_chunk, plan_encoding
+from repro.delta.base import _chunk_encode, chunk_encode
+from repro.delta.codes import CodePlan, hybrid_size
 from repro.delta.registry import get_delta_codec
+from repro.materialize import matrix
 
 pytestmark = pytest.mark.skipif(not native.available(),
                                 reason="native kernels did not compile")
@@ -34,10 +44,26 @@ pytestmark = pytest.mark.skipif(not native.available(),
 CELLS = {cell: np.dtype("?" if cell == "b1" else cell)
          for cell in sorted(native._CELL_KINDS)}
 
-#: The candidate lists the store and the planner's callers use.
-CANDIDATES = [("hybrid",), ("sparse",), ("dense",), ("hybrid", "sparse")]
+STORE_CODECS = ("dense", "sparse", "hybrid", "hybrid+lz")
 
-CANARY = 0xA5
+#: The candidate lists the store and the planner's callers use.
+CANDIDATES = [("hybrid",), ("sparse",), ("dense",), ("hybrid", "sparse"),
+              ("hybrid+lz",), ("hybrid", "hybrid+lz", "sparse")]
+
+#: Every subset, in every order, of the store's codecs.
+EVERY_LIST = [names for k in range(1, len(STORE_CODECS) + 1)
+              for names in itertools.permutations(STORE_CODECS, k)]
+
+COMPRESSORS = {"none": None, "lz": LempelZivCodec()}
+
+CANARY = 0xA5 * 0x0101010101010101
+
+
+@pytest.fixture(autouse=True)
+def _fresh_declines(monkeypatch):
+    """Every test starts with no decline reported, so each one it
+    causes is reported again."""
+    monkeypatch.setattr(native, "_declined", set())
 
 
 def _cells(rng, dtype: np.dtype, shape) -> np.ndarray:
@@ -83,47 +109,67 @@ def _flip_some(rng, base: np.ndarray, count: int) -> np.ndarray:
     return target
 
 
-def _placed(rng, cells: np.ndarray, strided: bool):
-    """``(canvas, window)``: ``cells`` as they are, or as a window of a
-    larger canvas of random cells whose rows sit a canvas row apart."""
-    if not strided or cells.ndim != 2:
+#: Where a chunk's cells sit: as they are, or as a window of a larger
+#: canvas — for a 2-d chunk its rows a canvas row apart (read in
+#: place), for a 3-d chunk rows more than one stride apart (the kernel
+#: reads a copy).
+PLACEMENTS = ("contiguous", "window")
+
+
+def _placed(rng, cells: np.ndarray, placement: str):
+    """``(canvas, window)``: ``cells`` placed as ``placement`` says (a
+    chunk of fewer than two dimensions stays put)."""
+    if placement == "contiguous" or cells.ndim < 2:
         return cells, cells
-    rows, cols = cells.shape
-    canvas = _cells(rng, cells.dtype, (rows + 3, cols + 5))
-    window = canvas[1:1 + rows, 2:2 + cols]
+    canvas = _cells(rng, cells.dtype,
+                    tuple(n + 2 for n in cells.shape[:-1])
+                    + (cells.shape[-1] + 5,))
+    window = canvas[tuple(slice(1, 1 + n) for n in cells.shape)]
     window[...] = cells
     return canvas, window
 
 
-def _one_call(target, base, candidates, adopt=False):
-    """The one call's ``(winner, payload, avoided, saved)``, with a
-    canary past the space it is lent that must survive."""
-    encode = chunk_encode(target.dtype, target.shape, candidates, "none")
+def _encode(names, target, base, compressor=None, adopt=False):
+    """:func:`encode_chunk` on the pair, with a canary past the space
+    it is lent that must survive."""
+    encode = chunk_encode(target.dtype, target.shape,
+                          tuple(map(get_delta_codec, names)))
     assert encode is not None
-    space = np.full(encode.words + 2, CANARY * 0x0101010101010101,
-                    dtype=np.uint64)
-    done = encode(target, base, adopt, space)
-    assert (space[encode.words:] == CANARY * 0x0101010101010101).all()
+    space = np.full(encode.words + 2, CANARY, dtype=np.uint64)
+    done = encode_chunk(encode, target, base, compressor, adopt=adopt,
+                        space=space)
+    assert (space[encode.words:] == CANARY).all()
     return done
 
 
-def _assert_one_call_is_the_planner(rng, target, base, candidates,
-                                    adopt, *, strided=(False, False)):
-    """The one call on ``target`` against ``base`` (each placed in a
-    canvas or not) equals the planner and the oracle, and leaves the
-    base canvas holding the target (``adopt``) or untouched."""
-    _, target_window = _placed(rng, target, strided[0])
-    base_canvas, base_window = _placed(rng, base.copy(), strided[1])
+def _assert_one_call_is_the_planner(rng, target, base, names, adopt, *,
+                                    placement=("contiguous",) * 2,
+                                    compressor="none"):
+    """The one call on ``target`` against ``base`` (each placed as
+    ``placement`` says) equals the planner with the kernels off and the
+    oracle, records no decline, and leaves the base canvas holding the
+    target (``adopt``) or untouched."""
+    _, target_window = _placed(rng, target, placement[0])
+    base_canvas, base_window = _placed(rng, base.copy(), placement[1])
     before = base_canvas.copy()
-    codecs = tuple(map(get_delta_codec, candidates))
-    planned = plan_encoding(target, base, candidates=codecs)
-    oracle = choose_encoding(target, base, candidates=codecs)
-    winner, payload, avoided, saved = _one_call(
-        target_window, base_window, candidates, adopt)
+    codecs = tuple(map(get_delta_codec, names))
+    compressor = COMPRESSORS[compressor]
+    with native.disabled():
+        planned = plan_encoding(target, base, compressor=compressor,
+                                candidates=codecs)
+    oracle = choose_encoding(target, base, compressor=compressor,
+                             candidates=codecs)
+    declined = set(native._declined)
+    done = _encode(names, target_window, base_window, compressor, adopt)
+    assert not {reason for reason in native._declined - declined
+                if reason[0] == "encode_chunk"}
+    winner = done.decision.delta_codec
     assert winner == planned.decision.delta_codec == oracle.delta_codec
-    assert payload == planned.decision.payload == oracle.payload
-    assert (avoided, saved) == (planned.encodes_avoided,
-                                planned.bytes_saved)
+    assert done.decision.payload == planned.decision.payload \
+        == oracle.payload
+    assert done.decision.size == len(done.decision.payload)
+    assert (done.encodes_avoided, done.bytes_saved) == (
+        planned.encodes_avoided, planned.bytes_saved)
     if adopt:
         # The window holds the target bit for bit; nothing else moved.
         assert base_window.tobytes() == target.tobytes()
@@ -136,47 +182,65 @@ def _assert_one_call_is_the_planner(rng, target, base, candidates,
 def _cases(draw):
     dtype = CELLS[draw(st.sampled_from(sorted(CELLS)))]
     shape = draw(st.sampled_from([(1,), (1, 1), (7,), (64,), (9, 13),
-                                  (33, 70)]))
+                                  (33, 70), (3, 5, 7)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = _cells(rng, dtype, shape)
     target = PROFILES[draw(st.sampled_from(sorted(PROFILES)))](rng, base)
-    return (rng, target, base, draw(st.sampled_from(CANDIDATES)),
-            draw(st.booleans()), (draw(st.booleans()), draw(st.booleans())))
+    placement = (draw(st.sampled_from(PLACEMENTS)),
+                 draw(st.sampled_from(PLACEMENTS)))
+    return (rng, target, base, draw(st.sampled_from(EVERY_LIST)),
+            draw(st.booleans()), placement,
+            draw(st.sampled_from(sorted(COMPRESSORS))))
 
 
 class TestOneCallIsThePlanner:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(case=_cases())
     def test_property(self, case):
-        rng, target, base, candidates, adopt, strided = case
-        _assert_one_call_is_the_planner(rng, target, base, candidates,
-                                        adopt, strided=strided)
+        rng, target, base, names, adopt, placement, compressor = case
+        _assert_one_call_is_the_planner(rng, target, base, names, adopt,
+                                        placement=placement,
+                                        compressor=compressor)
 
     @pytest.mark.parametrize("adopt", [False, True], ids=["keep", "adopt"])
-    @pytest.mark.parametrize("strided", [(False, False), (True, True),
-                                         (True, False), (False, True)],
-                             ids=["contiguous", "windows", "target-window",
-                                  "base-window"])
+    @pytest.mark.parametrize("placement", itertools.product(PLACEMENTS,
+                                                            PLACEMENTS),
+                             ids="-".join)
+    @pytest.mark.parametrize("shape", [(12, 70), (3, 4, 35)], ids=str)
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     @pytest.mark.parametrize("cell", sorted(CELLS))
-    def test_every_cell_kind(self, rng, cell, profile, strided, adopt):
-        base = _cells(rng, CELLS[cell], (12, 70))
+    def test_every_cell_kind(self, rng, cell, profile, shape, placement,
+                             adopt):
+        base = _cells(rng, CELLS[cell], shape)
         target = PROFILES[profile](rng, base)
-        for candidates in CANDIDATES:
-            _assert_one_call_is_the_planner(rng, target, base, candidates,
-                                            adopt, strided=strided)
+        for names in CANDIDATES:
+            _assert_one_call_is_the_planner(rng, target, base, names,
+                                            adopt, placement=placement)
+
+    @pytest.mark.parametrize("compressor", sorted(COMPRESSORS))
+    @pytest.mark.parametrize("profile", ["one-cell", "sparse", "random"])
+    def test_every_candidate_list(self, rng, profile, compressor):
+        base = _cells(rng, np.dtype(np.int16), (3, 5, 7))
+        target = PROFILES[profile](rng, base)
+        for names in EVERY_LIST:
+            for adopt in (False, True):
+                _assert_one_call_is_the_planner(
+                    rng, target, base, names, adopt,
+                    placement=("window", "window"), compressor=compressor)
 
     @pytest.mark.parametrize("cell", ["i8", "u8", "f8"])
     def test_width_64_codes(self, rng, cell):
         base = _cells(rng, CELLS[cell], (16, 20))
         target = _top_bit_flipped(base)
         target[3] = base[3]
-        assert native.delta_zigzag_stats(target, base)[2][64] == 300
+        with native.disabled():
+            assert CodePlan.build(target, base).stats.width_counts[64] \
+                == 300
         assert _assert_one_call_is_the_planner(
             rng, target, base, ("dense",), True,
-            strided=(True, True)) is None
-        for candidates in CANDIDATES:
-            _assert_one_call_is_the_planner(rng, target, base, candidates,
+            placement=("window", "window")) is None
+        for names in CANDIDATES:
+            _assert_one_call_is_the_planner(rng, target, base, names,
                                             False)
 
     @pytest.mark.parametrize("shape", [(1,), (1, 1), ()])
@@ -184,10 +248,10 @@ class TestOneCallIsThePlanner:
     def test_one_cell_chunks(self, rng, cell, shape):
         base = _cells(rng, CELLS[cell], shape)
         for target in (base.copy(), _top_bit_flipped(base)):
-            for candidates in CANDIDATES:
+            for names in CANDIDATES:
                 for adopt in (False, True):
                     _assert_one_call_is_the_planner(
-                        rng, target, base, candidates, adopt)
+                        rng, target, base, names, adopt)
 
     def test_materialized_wins_a_tie(self, rng):
         # 16 int8 cells, three codes of at most 7 bits: dense and
@@ -196,13 +260,13 @@ class TestOneCallIsThePlanner:
         base = np.zeros(16, dtype=np.int8)
         target = base.copy()
         target[[2, 9, 15]] = [-64, 5, 1]
-        for candidates in [("dense",), ("sparse",), ("dense", "sparse")]:
+        for names in [("dense",), ("sparse",), ("dense", "sparse")]:
             assert _assert_one_call_is_the_planner(
-                rng, target, base, candidates, False) is None
+                rng, target, base, names, False) is None
 
-    @pytest.mark.parametrize("candidates", [("sparse", "dense"),
-                                            ("dense", "sparse")])
-    def test_earlier_candidate_wins_a_tie(self, rng, candidates):
+    @pytest.mark.parametrize("names", [("sparse", "dense"),
+                                       ("dense", "sparse")])
+    def test_earlier_candidate_wins_a_tie(self, rng, names):
         # 14 int8 cells, one code of 6 bits: dense and sparse both
         # take 12 bytes past the frame, a byte less than the
         # materialized form.
@@ -210,68 +274,157 @@ class TestOneCallIsThePlanner:
         target = base.copy()
         target[4] = 16
         assert _assert_one_call_is_the_planner(
-            rng, target, base, candidates, False) == candidates[0]
+            rng, target, base, names, False) == names[0]
+
+    def test_a_candidate_named_twice(self, rng):
+        base = _cells(rng, np.dtype(np.int32), (9, 13))
+        target = _flip_some(rng, base, 5)
+        for names in [("hybrid", "hybrid"), ("sparse", "hybrid", "sparse"),
+                      ("hybrid+lz", "hybrid", "hybrid+lz")]:
+            _assert_one_call_is_the_planner(rng, target, base, names, True)
 
 
-class TestDeclines:
-    """What the one call cannot decide, it declines before writing
-    anything; the planner decides it."""
+class TestModes:
+    """The forced pack is ``codec.encode``; the size-only mode writes
+    no payload and prices what the numpy forms price."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_cases())
+    def test_forced_pack_is_codec_encode(self, case):
+        rng, target, base, _, adopt, placement, _ = case
+        _, target_window = _placed(rng, target, placement[0])
+        _, base_window = _placed(rng, base.copy(), placement[1])
+        for name in STORE_CODECS:
+            codec = get_delta_codec(name)
+            with native.disabled():
+                expected = codec.encode(target, base)
+            assert codec.encode(target_window, base_window) == expected
+            encode = chunk_encode(target.dtype, target.shape,
+                                  tuple(map(get_delta_codec, STORE_CODECS)))
+            index = STORE_CODECS.index(name)
+            parts, sizes = codec.packed(encode, index, target_window,
+                                        base_window)
+            assert b"".join(parts) == expected
+            if codec.fold_layout is not None:
+                assert sizes[index] == len(expected)
+
+    def test_a_forced_pack_may_outgrow_the_materialized_form(self, rng):
+        base = _cells(rng, np.dtype(np.int64), (16, 16))
+        target = _top_bit_flipped(base)
+        codec = get_delta_codec("sparse")
+        payload = codec.encode(target, base)
+        assert len(payload) > base.nbytes
+        with native.disabled():
+            assert codec.encode(target, base) == payload
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_cases())
+    def test_size_only_is_hybrid_size(self, case):
+        rng, target, base, *_ = case
+        flat_target = target.reshape(-1)
+        flat_base = base.reshape(-1)
+        encode = native.chunk_encode(target.dtype, flat_target.shape, b"",
+                                     b"", ("hybrid",),
+                                     matrix._HYBRID_SECTIONS)
+        space = np.full(encode.words, CANARY, dtype=np.uint64)
+        done = encode(flat_target, flat_base, False, space,
+                      pack=native.ENCODE_SIZE)
+        assert done.payload == b""
+        with native.disabled():
+            plan = CodePlan.build(flat_target, flat_base)
+        assert done.sizes == (hybrid_size(plan.codes, plan.stats),)
+        assert (space[:encode.words - native.scratch_cells(
+            flat_target.size)] == CANARY).all()
+
+    @pytest.mark.parametrize("sample_fraction", [None, 0.1, 0.003])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32,
+                                       np.int64], ids=str)
+    def test_matrix_prices_are_the_numpy_forms(self, rng, dtype,
+                                               sample_fraction):
+        dtype = np.dtype(dtype)
+        frames = [_cells(rng, dtype, (48, 40))]
+        for _ in range(4):
+            frames.append(_flip_some(rng, frames[-1], 150))
+        contents = dict(enumerate(frames, start=1))
+        built = matrix.MaterializationMatrix.build(
+            contents, sample_fraction=sample_fraction)
+        with native.disabled():
+            numpy_built = matrix.MaterializationMatrix.build(
+                contents, sample_fraction=sample_fraction)
+        assert np.array_equal(built.costs, numpy_built.costs)
+
+    def test_a_buffer_too_small_is_refused_before_it_is_written(self, rng):
+        """The call sizes what it would write and refuses a buffer
+        shorter than that, before a byte of it is written."""
+        base = _cells(rng, np.dtype(np.int32), (8, 8))
+        codecs = (get_delta_codec("dense"),)
+        encode = native.chunk_encode(base.dtype, base.shape, b"h",
+                                     b"frame", codecs,
+                                     (codecs[0].fold_layout,))
+        space = np.full(encode.words, CANARY, dtype=np.uint64)
+        # Lend the call a single word of payload room, the run list
+        # right behind it.
+        encode._payload_bytes = 8
+        with pytest.raises(RuntimeError):
+            encode(_top_bit_flipped(base), base, False, space, pack=0)
+        assert space[0] == CANARY
+
+
+class TestWhatItTakes:
+    """The call declines nothing a kernel can encode: only a layout no
+    kernel knows has no call; caller errors raise before anything is
+    written."""
 
     def test_kernels_off(self, rng):
-        base = _cells(rng, np.dtype(np.int32), (8, 8))
-        encode = chunk_encode(base.dtype, base.shape, ("hybrid",), "none")
-        space = np.empty(encode.words, dtype=np.uint64)
-        target = base + 1
+        codecs = (get_delta_codec("hybrid"),)
         with native.disabled():
-            assert encode(target, base, True, space) is None
-        assert not np.array_equal(base, target)
+            assert chunk_encode(np.dtype(np.int32), (8, 8), codecs) is None
+        assert native._declined == {
+            ("encode_chunk", "kernels disabled or unavailable")}
 
-    @pytest.mark.parametrize("candidates, compressor", [
-        (("hybrid+lz",), "none"),
-        (("hybrid", "hybrid+lz"), "none"),
-        (("hybrid",), "lz"),
-        (("hybrid", "hybrid"), "none"),
-    ], ids=["hybrid+lz", "with-hybrid+lz", "lz-compressor", "twice"])
-    def test_no_face_for_what_only_compressing_sizes(self, candidates,
-                                                     compressor):
-        assert chunk_encode(np.dtype(np.int32), (8, 8), candidates,
-                            compressor) is None
+    def test_no_call_for_an_unencodable_layout(self):
+        codecs = (get_delta_codec("hybrid"),)
+        assert chunk_encode(np.dtype(np.complex64), (8, 8), codecs) is None
+        assert chunk_encode(np.dtype(">i4"), (8, 8), codecs) is None
+        assert chunk_encode(np.dtype(np.int32), (0, 8), codecs) is None
+        assert {reason for _, reason in native._declined} == {
+            "unsupported dtype complex64", "unsupported dtype >i4",
+            "empty"}
 
-    def test_no_face_for_an_unencodable_cell_type(self):
-        assert chunk_encode(np.dtype(np.complex64), (8, 8), ("hybrid",),
-                            "none") is None
-        assert chunk_encode(np.dtype(">i4"), (8, 8), ("hybrid",),
-                            "none") is None
+    def test_big_endian_host(self, monkeypatch):
+        _chunk_encode.cache_clear()
+        monkeypatch.setattr(sys, "byteorder", "big")
+        try:
+            assert chunk_encode(np.dtype(np.int32), (8, 8),
+                                (get_delta_codec("hybrid"),)) is None
+        finally:
+            monkeypatch.setattr(sys, "byteorder", "little")
+            _chunk_encode.cache_clear()
 
-    def test_window_read_through_a_copy(self, rng):
-        # A 3-d chunk view: its rows are more than one stride apart, so
-        # the kernel could only read a copy — and adopt into the copy.
-        canvas = _cells(rng, np.dtype(np.int16), (4, 6, 10))
-        target_canvas = canvas + 1
-        window = np.s_[1:3, 1:4, 2:8]
-        base = canvas[window]
-        encode = chunk_encode(base.dtype, base.shape, ("hybrid",), "none")
-        space = np.empty(encode.words, dtype=np.uint64)
-        before = canvas.copy()
-        assert encode(target_canvas[window], base, True, space) is None
-        assert canvas.tobytes() == before.tobytes()
+    def test_strided_last_axis(self, rng):
+        # A window whose cells are not adjacent is read through a copy,
+        # and adopted with a copy.
+        canvas = _cells(rng, np.dtype(np.int32), (8, 16))
+        base_canvas = canvas.copy()
+        target = _flip_some(rng, canvas, 9)[:, ::2]
+        _assert_one_call_is_the_planner(rng, target, canvas[:, ::2],
+                                        ("hybrid", "sparse"), False)
+        base = base_canvas[:, ::2]
+        _encode(("hybrid",), target, base, adopt=True)
+        assert np.array_equal(base, target)
 
     def test_arrays_of_another_layout(self, rng):
         base = _cells(rng, np.dtype(np.int32), (8, 8))
-        encode = chunk_encode(base.dtype, base.shape, ("hybrid",), "none")
+        encode = chunk_encode(base.dtype, base.shape,
+                              (get_delta_codec("hybrid"),))
         space = np.empty(encode.words, dtype=np.uint64)
-        assert encode(base.astype(np.int64), base, False, space) is None
-        assert encode(base.T.copy()[:4], base[:4], False, space) is None
-        assert encode(base, base, False, space[:-1]) is None
         read_only = base.copy()
         read_only.setflags(write=False)
-        assert encode(base + 1, read_only, True, space) is None
-
-    def test_big_endian_host(self, monkeypatch):
-        chunk_encode.cache_clear()
-        monkeypatch.setattr(sys, "byteorder", "big")
-        try:
-            assert chunk_encode(np.dtype(np.int32), (8, 8), ("hybrid",),
-                                "none") is None
-        finally:
-            chunk_encode.cache_clear()
+        for target, against, adopt, room in [
+                (base.astype(np.int64), base, False, space),
+                (base.T.copy()[:4], base[:4], False, space),
+                (base, base, False, space[:-1]),
+                (base + 1, read_only, True, space)]:
+            with pytest.raises(ValueError):
+                encode(target, against, adopt, room)
+        assert np.array_equal(read_only, base)

@@ -33,13 +33,10 @@ from repro.delta import (
     SparseDeltaCodec,
     get_delta_codec,
 )
-from repro.delta.auto import CodePlan, chunk_encode, plan_encoding
-from repro.delta.codes import (
-    _Runs,
-    codes_to_delta,
-    delta_to_codes,
-    hybrid_split_width,
-)
+from repro.delta import codes as code_store
+from repro.delta.auto import CodePlan, encode_chunk, plan_encoding
+from repro.delta.base import chunk_encode, pack_frame
+from repro.delta.codes import codes_to_delta, delta_to_codes
 from repro.storage import VersionedStorageManager
 
 _DTYPES = (np.int64, np.int32, np.uint16, np.int8, np.uint64, np.uint8,
@@ -238,6 +235,27 @@ class TestSharedStats:
         assert np.array_equal(rebuilt.reshape(delta.shape), delta)
 
 
+def _run_list(target, base, *, adopt: bool = False):
+    """``(codes, spans, encode)``: the run list the one encode call's
+    analysis pass leaves in its space (size-only mode), and the call."""
+    target, base = np.asarray(target), np.asarray(base)
+    encode = chunk_encode(target.dtype, target.shape,
+                          (get_delta_codec("hybrid"),))
+    assert encode is not None
+    space = np.empty(encode.words, dtype=np.uint64)
+    done = encode(target, base, adopt, space, pack=native.ENCODE_SIZE)
+    codes, spans = encode.run_list(space, done.runs)
+    return codes.copy(), spans.copy(), encode
+
+
+def _expanded(n: int, codes: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """The full flat code array of a run list over ``n`` cells."""
+    full = np.zeros(n, dtype=np.uint64)
+    cells = [np.arange(first, first + count) for first, count in spans]
+    full[np.concatenate(cells or [np.zeros(0, dtype=np.int64)])] = codes
+    return full
+
+
 @pytest.mark.skipif(not native.available(),
                     reason="native kernels did not compile")
 class TestNativeKernels:
@@ -247,65 +265,83 @@ class TestNativeKernels:
         rng = np.random.default_rng(seed)
         target = rng.integers(-2**62, 2**62, n, dtype=np.int64)
         base = rng.integers(-2**62, 2**62, n, dtype=np.int64)
-        fused = native.delta_zigzag_stats(target, base)
-        assert fused is not None
-        codes, hist = _expanded(n, fused), fused[2]
+        codes, spans, _ = _run_list(target, base)
         delta, mode = compute_delta(target, base)
-        expected = delta_to_codes(delta, mode)
-        assert np.array_equal(codes, expected)
-        assert np.array_equal(
-            hist, CodeStats.from_codes(expected).width_counts)
+        assert np.array_equal(_expanded(n, codes, spans),
+                              delta_to_codes(delta, mode))
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), bits=st.integers(1, 64),
+    @given(seed=st.integers(0, 2**32 - 1), bits=st.integers(0, 64),
            n=st.integers(1, 3000))
     def test_pack_matches_numpy_kernel(self, seed, bits, n):
+        # XOR codes of float64 cells against a zero base are the target
+        # cells' bit images: a dense level packs exactly ``values``, at
+        # their widest width, through the entry's pack.
         rng = np.random.default_rng(seed)
-        if bits < 64:
+        if bits == 0:
+            values = np.zeros(n, dtype=np.uint64)
+        elif bits < 64:
             values = rng.integers(0, 1 << bits, n, dtype=np.uint64)
         else:
             values = rng.integers(0, 2**63, n, dtype=np.uint64) * 2 \
                 + rng.integers(0, 2, n, dtype=np.uint64)
-        words = native.pack_bits(values, bits)
-        assert words is not None
-        needed = (n * bits + 7) // 8
-        got = words.view(np.uint8)[:needed].tobytes()
-        ref_blocked = bitpack._pack_words_blocked(values, bits)
-        assert got == ref_blocked.view(np.uint8)[:needed].tobytes()
+        target = values.view(np.float64)
+        base = np.zeros(n, dtype=np.float64)
+        frame_end = -1 - bitpack.packed_size(n, int(values.max()
+                                                    ).bit_length())
+        payload = get_delta_codec("dense").encode(target, base)
+        assert payload[frame_end:] == code_store.encode_dense(values)
 
-    def test_gated_off_by_dtype_and_layout(self, rng):
-        # The gates that legitimately remain: the inner (last-axis)
-        # stride must be one cell, there must be cells, both sides
-        # must be ndarrays of one dtype and shape.
+    def test_windows_of_any_layout_are_encoded(self, rng):
+        # The inner (last-axis) stride, rows of two sides that differ
+        # and 3-d windows are read through contiguous copies: every
+        # ndarray pair of a cell type a kernel knows is encoded in one
+        # call, with no decline.
+        ints = rng.integers(0, 9, (8, 8, 8), dtype=np.int32)
+        other = ints + 1
+        declined = set(native._declined)
+        for target, base in [(ints[:, 0, ::2], other[:, 0, ::2]),
+                             (ints[0, 0, ::2], other[0, 0, ::2]),
+                             (ints[1:5, 1:7, 2:6], other[1:5, 1:7, 2:6]),
+                             (ints[0, :4, :6], other[0, :6, :4].T)]:
+            codes, spans, _ = _run_list(target, base)
+            delta, mode = compute_delta(target, base)
+            assert np.array_equal(_expanded(target.size, codes, spans),
+                                  delta_to_codes(delta, mode))
+        assert {reason for reason in native._declined - declined
+                if reason[0] == "encode_chunk"} == set()
+
+    def test_gated_off_by_cell_type_and_layout(self, rng):
+        # The gates that legitimately remain: a cell type a kernel
+        # knows, in native order, and cells; both sides ndarrays of the
+        # call's dtype and shape.
+        hybrid = (get_delta_codec("hybrid"),)
         ints = rng.integers(0, 9, (8, 8), dtype=np.int32)
-        assert native.delta_zigzag_stats(ints[:, ::2],
-                                         ints[:, ::2]) is None
-        assert native.delta_zigzag_stats(ints[0, ::2],
-                                         ints[0, ::2]) is None
-        empty = np.zeros(0, dtype=np.int64)
-        assert native.delta_zigzag_stats(empty, empty) is None
-        assert native.delta_zigzag_stats(ints.tolist(), ints) is None
-        assert native.delta_zigzag_stats(np.int32(3),
-                                         np.int32(4)) is None
-        assert native.delta_zigzag_stats(
-            ints, ints.astype(np.int64)) is None
-        assert native.delta_zigzag_stats(ints, ints[:4]) is None
-        swapped = ints.astype(ints.dtype.newbyteorder())
-        assert native.delta_zigzag_stats(swapped, swapped) is None
+        assert chunk_encode(np.dtype(np.int64), (0,), hybrid) is None
+        assert chunk_encode(ints.dtype.newbyteorder(), (8, 8),
+                            hybrid) is None
+        assert chunk_encode(np.dtype(np.complex64), (8, 8), hybrid) is None
+        encode = chunk_encode(ints.dtype, ints.shape, hybrid)
+        for target, base in [(ints.tolist(), ints), (ints, np.int32(4)),
+                             (ints, ints.astype(np.int64)),
+                             (ints, ints[:4]), (ints[:4], ints[:4])]:
+            with pytest.raises(ValueError, match="layout"):
+                encode(target, base, False)
 
     def test_decline_is_logged_once_per_reason(self, caplog,
                                                monkeypatch):
         monkeypatch.setattr(native, "_declined", set())
-        ints = np.arange(16, dtype=np.int32).reshape(4, 4)
+        hybrid = (get_delta_codec("hybrid"),)
         with caplog.at_level("DEBUG", logger="repro.native"):
             for _ in range(3):
-                assert native.delta_zigzag_stats(ints[:, ::2],
-                                                 ints[:, ::2]) is None
-            assert native.delta_zigzag_stats(ints[:0], ints[:0]) is None
+                assert chunk_encode(np.dtype(">i4"), (4, 4),
+                                    hybrid) is None
+            assert chunk_encode(np.dtype(np.int32), (4, 0),
+                                hybrid) is None
         messages = [record.getMessage() for record in caplog.records]
         assert messages == [
-            "native declined delta_zigzag_stats: non-unit inner stride",
-            "native declined delta_zigzag_stats: empty",
+            "native declined encode_chunk: unsupported dtype >i4",
+            "native declined encode_chunk: empty",
         ]
         assert all(record.levelname == "DEBUG"
                    for record in caplog.records)
@@ -320,6 +356,8 @@ _LAYOUTS = {
     "0-d": lambda canvas: canvas[3, 7, ...],
     # A 3-d window: rows more than one stride apart (read via a copy).
     "3-d": lambda canvas: canvas.reshape(2, 5, 12)[:, 1:4, 2:9],
+    # Cells a column apart (read via a copy).
+    "column-strided": lambda canvas: canvas[1:9, 2:12:3],
 }
 
 
@@ -333,41 +371,33 @@ def _cells(rng, dtype: np.dtype, shape) -> np.ndarray:
     return raw.view(dtype).reshape(shape)
 
 
-def _expanded(n: int, fused) -> np.ndarray:
-    """The full code array of a ``delta_zigzag_stats`` run list."""
-    codes, spans, _ = fused
-    return _Runs(n, codes, spans).expand()
-
-
 def _reference_plan(target, base) -> CodePlan:
     """The plan the numpy path builds for the same inputs."""
     with native.disabled():
         return CodePlan.build(target, base)
 
 
-def _assert_family_agrees(target, base, plan, reference):
-    """All four code-array codecs emit the same payload from the
-    kernel-built ``plan``, from the numpy-built ``reference`` plan
-    with the kernels off, and from the sort-and-mask oracle; and the
-    sizes priced from either plan are that payload's length."""
+def _assert_family_agrees(target, base, reference):
+    """All four code-array codecs emit the same payload through the one
+    encode call (``codec.encode``), from the numpy-built ``reference``
+    plan with the kernels off and from the sort-and-mask oracle; and
+    the sizes priced from the plan are that payload's length."""
     for codec in _code_array_codecs():
         expected = reference_encode(codec.name, target, base)
-        assert b"".join(codec.encode_from_plan(plan)) == expected, \
-            codec.name
         with native.disabled():
             assert b"".join(codec.encode_from_plan(reference)) == \
                 expected, codec.name
+            assert codec.encode(target, base) == expected, codec.name
         assert codec.encode(target, base) == expected, codec.name
-        assert codec.plan_size(plan) in (None, len(expected))
         assert codec.plan_size(reference) in (None, len(expected))
 
 
 @pytest.mark.skipif(not native.available(),
                     reason="native kernels did not compile")
 class TestNativeEveryCellType:
-    """The write path's two kernels are held to the numpy path — the
-    oracle — for every dtype ``delta_mode_for`` accepts, so a gate can
-    never again quietly send a whole class of arrays to the fallback."""
+    """The one encode call is held to the numpy path — the oracle — for
+    every dtype ``delta_mode_for`` accepts, so a gate can never again
+    quietly send a whole class of arrays to the fallback."""
 
     @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
     @pytest.mark.parametrize("base_kind", ["canvas", "root"])
@@ -375,19 +405,20 @@ class TestNativeEveryCellType:
         np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
         np.uint32, np.uint64, np.bool_, np.float16, np.float32,
         np.float64])
-    def test_gate_accepts(self, rng, dtype, layout, base_kind):
+    def test_gate_accepts(self, rng, dtype, layout, base_kind,
+                          monkeypatch):
+        monkeypatch.setattr(native, "_declined", set())
         dtype = np.dtype(dtype)
         target = _LAYOUTS[layout](_cells(rng, dtype, (10, 12)))
         base = _LAYOUTS[layout](_cells(rng, dtype, (10, 12)))
         if base_kind == "root":
             # A decoded root is its own contiguous array.
             base = np.ascontiguousarray(base).reshape(target.shape)
-        fused = native.delta_zigzag_stats(target, base)
-        assert fused is not None
+        codes, spans, _ = _run_list(target, base)
         reference = _reference_plan(target, base)
-        codes, counts = _expanded(target.size, fused), fused[2]
-        assert np.array_equal(codes, reference.codes)
-        assert np.array_equal(counts, reference.stats.width_counts)
+        assert np.array_equal(_expanded(target.size, codes, spans),
+                              reference.codes)
+        assert native._declined == set()
 
     @settings(max_examples=150, deadline=None)
     @given(pair=version_pairs, strided=st.booleans(),
@@ -406,14 +437,11 @@ class TestNativeEveryCellType:
                 return window
             target, base = embed(target), embed(base)
         reference = _reference_plan(target, base)
-        plan = CodePlan.build(target, base)
-        assert plan.mode == reference.mode
-        assert np.array_equal(plan.codes, reference.codes)
-        assert np.array_equal(plan.stats.width_counts,
-                              reference.stats.width_counts)
-        assert hybrid_split_width(plan.codes, plan.stats) == \
-            hybrid_split_width(reference.codes, reference.stats)
-        _assert_family_agrees(target, base, plan, reference)
+        if target.size:
+            codes, spans, _ = _run_list(target, base)
+            assert np.array_equal(_expanded(target.size, codes, spans),
+                                  reference.codes)
+        _assert_family_agrees(target, base, reference)
 
     @pytest.mark.parametrize("dtype, target, base", [
         # 33-bit deltas out of 32-bit cells, in both directions.
@@ -450,47 +478,31 @@ class TestNativeEveryCellType:
     @staticmethod
     def _assert_same_encoding(target, base):
         reference = _reference_plan(target, base)
-        plan = CodePlan.build(target, base)
-        assert np.array_equal(plan.codes, reference.codes)
-        assert np.array_equal(plan.stats.width_counts,
-                              reference.stats.width_counts)
-        _assert_family_agrees(target, base, plan, reference)
+        codes, spans, _ = _run_list(target, base)
+        assert np.array_equal(_expanded(target.size, codes, spans),
+                              reference.codes)
+        _assert_family_agrees(target, base, reference)
 
-    @pytest.mark.parametrize("small_bits", range(65))
-    def test_split_pack_at_every_width(self, rng, small_bits):
-        # Codes of every exact bit length 0..64, zero runs included.
-        widths = rng.integers(0, 65, 1500)
+    @pytest.mark.parametrize("max_bits", range(65))
+    def test_split_pack_at_every_width(self, rng, max_bits):
+        # Codes of every exact bit length up to max_bits, zero runs
+        # included, as the XOR codes of float64 cells against zeros:
+        # each codec's sections through the entry equal the numpy
+        # packers', at whichever split the cost search picks.
+        widths = rng.integers(0, max_bits + 1, 1500)
         widths[rng.random(1500) < 0.5] = 0
+        widths[rng.random(1500) < 0.02] = max_bits
         codes = np.array(
             [int(rng.integers(1 << (w - 1), 1 << w, dtype=np.uint64))
              if w else 0 for w in widths.tolist()], dtype=np.uint64)
-        stats = CodeStats.from_codes(codes)
-        is_outlier = np.array([int(c) >> small_bits > 0 for c in codes])
-        positions = np.flatnonzero(is_outlier)
-        values = codes[positions]
-        value_bits = stats.max_bits if positions.size else 0
-        with native.disabled():
-            expected = (
-                bitpack.pack_unsigned(np.where(is_outlier, np.uint64(0),
-                                               codes), small_bits),
-                bitpack.pack_unsigned(positions, 11),
-                bitpack.pack_unsigned(values, value_bits))
-        # The same codes as one run over every cell, and as the run
-        # list of their nonzero stretches (gaps of zeros left out).
-        nonzero = np.flatnonzero(np.diff(np.r_[0, codes != 0, 0]))
-        first, stop = nonzero[::2], nonzero[1::2]
-        run_lists = [
-            (codes, np.array([[0, codes.size]], dtype=np.int64)),
-            (codes[codes != 0], np.stack([first, stop - first], axis=1))]
-        for run_codes, spans in run_lists:
-            assert native.pack_runs(run_codes, spans, codes.size,
-                                    small_bits, positions.size,
-                                    value_bits) == expected
-            # A count the codes overrun is refused, not written past.
-            if positions.size:
-                assert native.pack_runs(run_codes, spans, codes.size,
-                                        small_bits, positions.size - 1,
-                                        value_bits) is None
+        target, base = codes.view(np.float64), np.zeros(codes.size)
+        frame = len(pack_frame(base, "xor"))
+        for name, encode in [("dense", code_store.encode_dense),
+                             ("sparse", code_store.encode_sparse),
+                             ("hybrid", code_store.encode_hybrid)]:
+            payload = get_delta_codec(name).encode(target, base)
+            sealed = name == "hybrid"
+            assert payload[frame + sealed:] == encode(codes), name
 
 
 #: Windows of a (12, 70) canvas for the run-list tests: rows of 37
@@ -547,10 +559,10 @@ def _changed_spans(target: np.ndarray, base: np.ndarray) -> np.ndarray:
 @pytest.mark.skipif(not native.available(),
                     reason="native kernels did not compile")
 class TestRunList:
-    """The analysis kernel keeps only the runs that differ and the pack
-    walks only them: held to the numpy oracle — full code array, width
-    histogram, every payload — for every cell kind the kernel knows,
-    chunk layout and share of changed runs; with and without the base
+    """The encode call's analysis pass keeps only the runs that differ
+    and its pack walks only them: held to the numpy oracle — full code
+    array, every payload — for every cell kind the kernel knows, chunk
+    layout and share of changed runs; with and without the base
     adopting the target."""
 
     @pytest.mark.parametrize("case", sorted(_RUN_CASES))
@@ -563,8 +575,7 @@ class TestRunList:
         window = _RUN_LAYOUTS[layout]
         target, base = window(target_canvas), window(base_canvas)
         reference = _reference_plan(target, base)
-        plan = CodePlan.build(target, base)
-        codes, spans = plan.runs.codes, plan.runs.spans
+        codes, spans, _ = _run_list(target, base)
         # The run list holds exactly the cells whose bytes differ, each
         # maximal stretch of them one span: an unchanged chunk codes
         # nothing, and (bool aside, whose differing bytes may agree in
@@ -578,12 +589,11 @@ class TestRunList:
             assert codes.size == target.size // target.shape[-1]
         if dtype.kind != "b":
             assert codes.all()
-        assert np.array_equal(plan.codes, reference.codes)
-        assert np.array_equal(plan.stats.width_counts,
-                              reference.stats.width_counts)
+        assert np.array_equal(_expanded(target.size, codes, spans),
+                              reference.codes)
         if case == "every-run-changed" and dtype.itemsize == 8:
-            assert plan.stats.max_bits == 64
-        _assert_family_agrees(target, base, plan, reference)
+            assert reference.stats.max_bits == 64
+        _assert_family_agrees(target, base, reference)
 
     @pytest.mark.parametrize("kernels", ["native", "numpy"])
     @pytest.mark.parametrize("layout", sorted(_RUN_LAYOUTS))
@@ -599,14 +609,23 @@ class TestRunList:
         reference = _reference_plan(target, window(base_canvas).copy())
         canvas = base_canvas.copy()
         base = window(canvas)
-        scope = native.disabled() if kernels == "numpy" \
-            else contextlib.nullcontext()
-        with scope:
-            plan = CodePlan.build(target, base, adopt=True)
-            for codec in _code_array_codecs():
+        codecs = _code_array_codecs()
+        if kernels == "numpy":
+            with native.disabled():
+                plan = CodePlan.build(target, base, adopt=True)
+            assert np.array_equal(plan.codes, reference.codes)
+            for codec in codecs:
                 assert b"".join(codec.encode_from_plan(plan)) == \
                     b"".join(codec.encode_from_plan(reference)), codec.name
-        assert np.array_equal(plan.codes, reference.codes)
+        else:
+            # Every codec sizes in the adopting pass; the first packs.
+            encode = chunk_encode(dtype, target.shape, codecs)
+            parts, sizes = codecs[0].packed(encode, 0, target, base,
+                                            adopt=True)
+            assert b"".join(parts) == b"".join(
+                codecs[0].encode_from_plan(reference))
+            assert sizes[:3] == tuple(codec.plan_size(reference)
+                                      for codec in codecs[:3])
         # The window holds the target, bit for bit; nothing outside it
         # changed.
         assert base.tobytes() == np.ascontiguousarray(target).tobytes()
@@ -614,11 +633,16 @@ class TestRunList:
         window(outside)[...] = False
         assert canvas[outside].tobytes() == base_canvas[outside].tobytes()
 
-    def test_adopt_needs_a_writable_base(self, rng):
+    @pytest.mark.parametrize("kernels", ["native", "numpy"])
+    def test_adopt_needs_a_writable_base(self, rng, kernels):
         base = np.zeros(64, dtype=np.int32)
         base.setflags(write=False)
         with pytest.raises(ValueError, match="writable"):
-            CodePlan.build(base + 1, base, adopt=True)
+            if kernels == "numpy":
+                CodePlan.build(base + 1, base, adopt=True)
+            else:
+                chunk_encode(base.dtype, base.shape,
+                             _code_array_codecs())(base + 1, base, True)
 
     @pytest.mark.parametrize("layout", ["contiguous", "row-strided"])
     @pytest.mark.parametrize("cell", ["u1", "i2", "u4", "i8", "b1", "f2",
@@ -640,70 +664,24 @@ class TestRunList:
         target[...] = flat.reshape(target.shape)
         n = target.size
         assert n % 2 == 1
-        codes, spans, counts = native.delta_zigzag_stats(target, base)
+        codecs = (get_delta_codec("hybrid"), get_delta_codec("sparse"))
+        encode = chunk_encode(dtype, target.shape, codecs)
+        canary = np.uint64(0xA5A5A5A5A5A5A5A5)
+        space = np.full(encode.words + 4, canary, dtype=np.uint64)
+        planned = encode_chunk(encode, target, base, space=space)
+        codes, spans = encode.run_list(
+            space, encode(target, base, False, space,
+                          pack=native.ENCODE_SIZE).runs)
         assert spans.shape == (n // 2 + 1, 2)
         assert codes.size == n // 2 + 1
         reference = _reference_plan(target, base)
-        assert np.array_equal(_expanded(n, (codes, spans, None)),
-                              reference.codes)
-        assert np.array_equal(counts, reference.stats.width_counts)
-        encode = chunk_encode(dtype, target.shape, ("hybrid", "sparse"),
-                              "none")
-        canary = np.uint64(0xA5A5A5A5A5A5A5A5)
-        space = np.full(encode.words + 4, canary, dtype=np.uint64)
-        winner, payload, _, _ = encode(target, base, False, space)
+        assert np.array_equal(_expanded(n, codes, spans), reference.codes)
         # The last span's cell count (1) is the space's last word.
         assert space[encode.words - 1] == 1
         assert (space[encode.words:] == canary).all()
-        planned = plan_encoding(target, base).decision
-        assert (winner, payload) == (planned.delta_codec, planned.payload)
-
-    @pytest.mark.parametrize("short", ["outliers", "codes"])
-    def test_stale_histogram_writes_nothing_out_of_bounds(self, rng,
-                                                          short):
-        # The pack sized for one outlier fewer than the codes hold, or
-        # told it holds one code fewer than the spans name: refused at
-        # the overrun, every canary word beyond the sized sections
-        # intact.
-        lib = native._load()
-        codes = np.array([0, 5, 900, 0, 700, 3], dtype=np.uint64)
-        spans = np.array([[2, 2], [9, 4]], dtype=np.int64)
-        n, small_bits, value_bits = 16, 3, 10
-        outliers = 1 if short == "outliers" else 2
-        ncodes = codes.size - (short == "codes")
-        canary = np.uint64(0xA5A5A5A5A5A5A5A5)
-        sized = [(n * small_bits + 63) // 64,
-                 (outliers * 4 + 63) // 64,
-                 (outliers * value_bits + 63) // 64]
-        buffers = [np.full(words + 4, canary, dtype=np.uint64)
-                   for words in sized]
-        found = lib.repro_pack_runs(
-            codes.ctypes.data, ncodes, spans.ctypes.data, len(spans), n,
-            small_bits, 4, value_bits, outliers,
-            *(buffer.ctypes.data for buffer in buffers))
-        assert found == -1
-        for words, buffer in zip(sized, buffers):
-            assert (buffer[words:] == canary).all()
-        # The wrapper declines, so the numpy path packs instead.
-        assert native.pack_runs(codes, spans, n, small_bits, 1,
-                                value_bits) is None
-        assert native.pack_runs(codes[:-1], spans, n, small_bits, 2,
-                                value_bits) is None
-        assert native.pack_runs(codes, spans, n, small_bits, 2,
-                                value_bits) is not None
-
-    @pytest.mark.parametrize("spans", [
-        [[4, 2], [2, 2]],    # descending
-        [[0, 4], [3, 2]],    # overlapping
-        [[14, 4]],           # past the last cell
-        [[0, -1]],           # negative count
-        [[0, 4], [8, 4]],    # more codes than given
-    ], ids=["descending", "overlapping", "past-the-end", "negative",
-            "too-many-codes"])
-    def test_malformed_spans_are_refused(self, spans):
-        codes = np.arange(1, 7, dtype=np.uint64)
-        assert native.pack_runs(codes, np.array(spans, dtype=np.int64),
-                                16, 3, 3, 3) is None
+        expected = plan_encoding(target, base).decision
+        assert (planned.decision.delta_codec, planned.decision.payload) \
+            == (expected.delta_codec, expected.payload)
 
 
 def _decide_with_oracle(manager: VersionedStorageManager) -> None:

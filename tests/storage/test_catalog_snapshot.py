@@ -217,3 +217,34 @@ def test_snapshot_costs_a_bounded_number_of_bytes_per_row(tmp_path,
     assert len(snap.all_chunks()) == len(rows)
     assert held / len(rows) < bound, held / len(rows)
     reopened.close()
+
+
+def test_a_cold_stack_fetches_one_row_per_level_walked(monkeypatch):
+    """A stacked select's layer walks stop at the layer below without
+    fetching its row: on a cold chain of one-level deltas, each layer's
+    walk is one ``get_chunk`` call, and the bottom layer's walks down to
+    the root one call per level."""
+    from repro.storage.metadata import ArraySnapshot
+
+    manager = VersionedStorageManager(
+        "unused", backend="memory", delta_policy="chain")
+    manager.create_array("A", ArraySchema.simple(SHAPE, np.int32),
+                         chunk_shape=(4, 8))
+    data = np.arange(64, dtype=np.int32).reshape(SHAPE)
+    versions = []
+    for step in range(6):
+        data = data + np.int32(step % 3)
+        manager.insert("A", data)
+        versions.append(data)
+    manager._hot.forget("A")
+    fetched = []
+    real = ArraySnapshot.get_chunk
+    monkeypatch.setattr(ArraySnapshot, "get_chunk",
+                        lambda self, *args: fetched.append(args)
+                        or real(self, *args))
+    stack = manager.select_versions("A", [4, 5, 6])
+    assert np.array_equal(stack, np.stack(versions[3:]))
+    # Two chunks: version 4 walks its 4 levels down to the root, 5 and
+    # 6 one level each.
+    assert len(fetched) == 2 * (4 + 1 + 1)
+    manager.close()

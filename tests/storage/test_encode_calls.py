@@ -3,12 +3,11 @@
 The write-side twin of ``test_fused_reads.py::
 test_one_native_call_per_chunk``: a delta insert makes exactly one
 compiled call per chunk (:class:`repro.core.native.ChunkEncode`) and
-builds no :class:`~repro.delta.codes.CodePlan`, inline and fanned.
-What the call declines — kernels off, a ``hybrid+lz`` candidate, an
-``lz`` compressor, chunk windows the kernel could only read through a
-copy, a big-endian host — goes through
-:func:`repro.delta.auto.plan_encoding`, chunk by chunk, and lands the
-stored bytes the two-pass oracle lands.
+builds no :class:`~repro.delta.codes.CodePlan`, inline and fanned —
+under a ``hybrid+lz`` codec, the ``lz`` compressor and 3-d chunk
+windows too.  Only where no kernel runs — kernels off, a big-endian
+host — does :func:`repro.delta.auto.plan_encoding` decide, chunk by
+chunk; every case lands the stored bytes the two-pass oracle lands.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ import pytest
 
 from repro.core import native
 from repro.core.schema import ArraySchema
-from repro.delta.auto import chunk_encode
+from repro.delta.base import _chunk_encode
 from repro.delta.codes import CodePlan
-from repro.delta.registry import get_delta_codec
 from repro.storage import pipeline
 from repro.storage.manager import VersionedStorageManager
 
@@ -112,9 +110,8 @@ def _decide_with_oracle(manager) -> None:
     encoder = manager.encoder
 
     def encode_chunk(target, base, compressor, *, adopt=False):
-        candidates = tuple(map(get_delta_codec, encoder._candidates()))
         decision = choose_encoding(target, base, compressor=compressor,
-                                   candidates=candidates)
+                                   candidates=encoder._candidates())
         if adopt:
             base[...] = target
         return decision
@@ -125,18 +122,18 @@ def _decide_with_oracle(manager) -> None:
 @contextlib.contextmanager
 def _big_endian(monkeypatch):
     """A host that says it is big-endian, for the faces built in it."""
-    chunk_encode.cache_clear()
+    _chunk_encode.cache_clear()
     monkeypatch.setattr(sys, "byteorder", "big")
     try:
         yield
     finally:
         monkeypatch.setattr(sys, "byteorder", "little")
-        chunk_encode.cache_clear()
+        _chunk_encode.cache_clear()
 
 
-#: Store geometry and options of each decline.  (6, 8, 10) in (3, 4, 5)
+#: Store geometry and options of each case.  (6, 8, 10) in (3, 4, 5)
 #: chunks makes every chunk view a 3-d window.
-DECLINES = {
+CASES = {
     "kernels-off": ((40, 36), (20, 16), {}),
     "hybrid+lz": ((40, 36), (20, 16), dict(delta_codec="hybrid+lz")),
     "auto-lz-compressor": ((40, 36), (20, 16),
@@ -145,26 +142,37 @@ DECLINES = {
     "big-endian": ((40, 36), (20, 16), {}),
 }
 
+#: The cases no kernel encodes.
+NO_KERNEL = ("kernels-off", "big-endian")
 
-@pytest.mark.parametrize("decline", sorted(DECLINES))
-def test_declines_take_the_planner(tmp_path, monkeypatch, decline):
-    """A declined chunk is decided by the planner — no compiled call —
-    and the store holds the bytes the two-pass oracle decides."""
-    shape, chunk_shape, options = DECLINES[decline]
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_store_case_is_one_call_or_the_planner(tmp_path, monkeypatch,
+                                                     case):
+    """A chunk with a base is one compiled call, whatever the store
+    codec, compressor or window; only where no kernel runs is it
+    decided by the planner — and the store holds the bytes the
+    two-pass oracle decides either way."""
+    shape, chunk_shape, options = CASES[case]
     native.available()
-    scope = native.disabled() if decline == "kernels-off" \
-        else _big_endian(monkeypatch) if decline == "big-endian" \
+    scope = native.disabled() if case == "kernels-off" \
+        else _big_endian(monkeypatch) if case == "big-endian" \
         else contextlib.nullcontext()
     calls = _spy(monkeypatch)
     with scope:
-        manager, chunks = _store(tmp_path / "declined", shape,
-                                 chunk_shape, **options)
+        manager, chunks = _store(tmp_path / case, shape, chunk_shape,
+                                 **options)
     with manager:
-        assert calls["native"] == []
-        assert calls["planner"] == [False] * chunks \
-            + [True] * chunks * (VERSIONS - 1)
-        declined = manager.fingerprint("A")
-    oracle = VersionedStorageManager(tmp_path / "oracle",
+        deltas = chunks * (VERSIONS - 1)
+        if case in NO_KERNEL:
+            assert calls["native"] == []
+            assert calls["planner"] == [False] * chunks + [True] * deltas
+        else:
+            assert len(calls["native"]) == deltas
+            assert calls["planner"] == [False] * chunks
+            assert calls["plans"] == []
+        stored = manager.fingerprint("A")
+    oracle = VersionedStorageManager(tmp_path / f"{case}-oracle",
                                      backend="memory", **options)
     _decide_with_oracle(oracle)
     oracle.create_array("A", ArraySchema.simple(shape, np.int32),
@@ -172,7 +180,7 @@ def test_declines_take_the_planner(tmp_path, monkeypatch, decline):
     with oracle:
         for data in _versions(shape):
             oracle.insert("A", data.copy())
-        assert oracle.fingerprint("A") == declined
+        assert oracle.fingerprint("A") == stored
         for version, data in enumerate(_versions(shape), start=1):
             assert np.array_equal(oracle.select("A", version).single(),
                                   data)
