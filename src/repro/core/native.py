@@ -510,8 +510,8 @@ static int64_t repro_pack_sections(const uint64_t *codes, int64_t ncodes,
  *                       rows * cols / 2 + 1 spans;
  *   out, out_len        the payload;
  *   result              the race's winner (-1 materialized, else the
- *                       candidate's index), the run list's code and
- *                       span counts, then every candidate's size.
+ *                       candidate's index), then every candidate's
+ *                       size.
  *
  * Returns the payload's length; ENCODE_DECLINED for arguments it does
  * not take, before anything is read or written; ENCODE_SHORT when the
@@ -564,7 +564,7 @@ int64_t repro_encode_chunk(const unsigned char *target,
             s.max_bits = d;
     }
 
-    int64_t *sizes = result + 3, small_bits[ENCODE_CANDIDATES];
+    int64_t *sizes = result + 1, small_bits[ENCODE_CANDIDATES];
     int64_t outliers[ENCODE_CANDIDATES];
     int64_t winner = -1, best = materialized;
     for (int64_t c = 0; c < ncandidates; c++) {
@@ -578,8 +578,6 @@ int64_t repro_encode_chunk(const unsigned char *target,
         }
     }
     result[0] = winner;
-    result[1] = ncodes;
-    result[2] = nspans;
 
     int64_t chosen = pack == ENCODE_RACE ? winner : pack;
     if (pack == ENCODE_SIZE || (chosen < 0 && !mine))
@@ -1219,8 +1217,11 @@ def _paired_rows(target: np.ndarray, base: np.ndarray
 
 def scratch_cells(n: int) -> int:
     """uint64 cells the analysis pass needs to keep the run list of a
-    chunk of ``n`` cells: ``n`` codes, then two entries for each of at
-    most ``n // 2 + 1`` spans (every other cell changed)."""
+    chunk of ``n`` cells: room for ``n`` codes (those of the changed
+    cells, back to back), then for at most ``n // 2 + 1`` spans (every
+    other cell changed), each an int64 ``(first cell, cell count)``
+    pair.  A :class:`ChunkEncode` call keeps it in the last this many
+    of the :attr:`~ChunkEncode.words` of its ``space``."""
     return n + 2 * (n // 2 + 1)
 
 
@@ -1581,9 +1582,14 @@ class FoldBatch:
 #: C side's): pack the cheapest representation, or pack nothing.
 ENCODE_RACE = -1
 ENCODE_SIZE = -2
-#: The C entry's status for arguments it does not take, refused before
-#: anything was read or written.
-_ENCODE_DECLINED = -1
+#: The C entry's statuses besides a payload's length, by code: what
+#: went wrong.  A declined call read and wrote nothing; a short buffer
+#: is refused before the payload is written.
+_ENCODE_FAULTS = {
+    -1: "arguments the compiled encode refuses",
+    -2: "the compiled encode's pack disagreed with its own sizes",
+    -3: "payload buffer too small",
+}
 #: Candidates one call sizes at most (the C side's ENCODE_CANDIDATES).
 _ENCODE_CANDIDATES = 8
 
@@ -1592,13 +1598,11 @@ class Encoded(NamedTuple):
     """What one :class:`ChunkEncode` call made: the race's ``winner``
     (the index of the cheapest candidate, -1 for the materialized
     form), the ``payload`` it packed (empty when it packed nothing),
-    every candidate's size, in order, and the lengths of the run list it
-    left in its space (:meth:`ChunkEncode.run_list`)."""
+    and every candidate's size, in order."""
 
     winner: int
     payload: bytes
     sizes: tuple[int, ...]
-    runs: tuple[int, int]
 
 
 class ChunkEncode:
@@ -1620,7 +1624,7 @@ class ChunkEncode:
 
     __slots__ = ("dtype", "shape", "words", "frame", "candidates",
                  "materialized", "bare", "_header", "_cell", "_layouts",
-                 "_payload_bytes", "_count")
+                 "_payload_bytes")
 
     def __init__(self, dtype: np.dtype, shape: tuple[int, ...],
                  header: bytes, frame: bytes, candidates: tuple,
@@ -1640,7 +1644,6 @@ class ChunkEncode:
         self._header = header
         self._cell = (kind, use_xor)
         self._layouts = array.array("q", layouts)
-        self._count = count
         # The payload — at most the materialized form, or a candidate
         # at its widest (frame, seal byte, eleven bytes of widths and
         # entries, every code 64 bits wide and its position) — then the
@@ -1682,7 +1685,7 @@ class ChunkEncode:
         reads, rows, cols, strides = _paired_rows(target, base)
         # A base read through a copy is adopted afterwards.
         in_place = adopt and reads[1] is base
-        result = array.array("q", (0,)) * (3 + len(self._layouts))
+        result = array.array("q", (0,)) * (1 + len(self._layouts))
         at = space.ctypes.data
         size = lib.repro_encode_chunk(
             reads[0].ctypes.data, reads[1].ctypes.data, *self._cell,
@@ -1691,30 +1694,16 @@ class ChunkEncode:
             len(self._layouts), self._layouts.buffer_info()[0], pack,
             materialized, at + self._payload_bytes, at,
             self._payload_bytes, result.buffer_info()[0])
-        if size == _ENCODE_DECLINED:
-            raise ValueError("arguments the compiled encode refuses")
         if size < 0:
+            if size == -1:
+                raise ValueError(_ENCODE_FAULTS[size])
             # The base may hold the target already: no planner can
             # redo this chunk.
-            raise RuntimeError("the compiled encode's pack disagreed with"
-                               " its own sizes")
+            raise RuntimeError(_ENCODE_FAULTS[size])
         if adopt and not in_place:
             np.copyto(base, target)
         return Encoded(result[0], ctypes.string_at(at, size),
-                       tuple(result[3:]), (result[1], result[2]))
-
-    def run_list(self, space: np.ndarray, runs: tuple[int, int]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """``(codes, spans)``: the run list a call with ``space`` left
-        there (``runs`` from its :class:`Encoded`) — ``spans`` the
-        ``(first cell, cell count)`` rows of the maximal stretches of
-        cells whose bytes differ from the base's, ascending, and
-        ``codes`` their codes back to back; every other code is 0.
-        Valid until ``space`` is reused."""
-        ncodes, nspans = runs
-        scratch = space[self._payload_bytes // 8:]
-        spans = scratch[self._count:self._count + 2 * nspans]
-        return scratch[:ncodes], spans.view(np.int64).reshape(nspans, 2)
+                       tuple(result[1:]))
 
 
 def chunk_encode(dtype: np.dtype, shape: tuple[int, ...], header: bytes,

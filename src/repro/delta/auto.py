@@ -159,10 +159,8 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
 
     candidates = candidates or default_delta_candidates()
     plan = CodePlan.build(target, base, adopt=adopt)
-    best_codec: DeltaCodec | None = None
-    best_size = mat_size
-    best_parts: list[bytes] | None = None
-    sized: list[tuple[DeltaCodec, int, list[bytes] | None]] = []
+    sizes: list[int] = []
+    made: list[list[bytes] | None] = []
     for codec in candidates:
         size = codec.plan_size(plan)
         parts = None
@@ -171,36 +169,54 @@ def plan_encoding(target: np.ndarray, base: np.ndarray | None,
             # win never re-encodes.
             parts = codec.encode_from_plan(plan)
             size = sum(len(part) for part in parts)
-        sized.append((codec, size, parts))
-        if size < best_size:
-            best_codec, best_size, best_parts = codec, size, parts
-
-    encodes_avoided = 0
-    bytes_saved = 0
-    for codec, size, parts in sized:
-        if parts is None and codec is not best_codec:
-            encodes_avoided += 1
-            bytes_saved += size
-
-    if best_codec is None:
+        sizes.append(size)
+        made.append(parts)
+    winner, encodes_avoided, bytes_saved = _decide(
+        candidates, sizes, [parts is not None for parts in made], mat_size,
+        mat_payload is not None)
+    if winner < 0:
         if mat_payload is None:
             mat_payload = compressor.encode(target)
         decision = EncodingDecision(delta_codec=None, size=mat_size,
                                     parts=(mat_payload,))
     else:
-        if mat_payload is None:
-            # The cost model proved a delta wins under the identity
-            # compressor: the materialized payload is never produced.
-            encodes_avoided += 1
-            bytes_saved += mat_size
+        best_parts = made[winner]
         if best_parts is None:
-            best_parts = best_codec.encode_from_plan(plan)
-        decision = EncodingDecision(delta_codec=best_codec.name,
-                                    size=best_size,
+            best_parts = candidates[winner].encode_from_plan(plan)
+        decision = EncodingDecision(delta_codec=candidates[winner].name,
+                                    size=sizes[winner],
                                     parts=tuple(best_parts))
     return PlannedEncoding(decision=decision,
                            encodes_avoided=encodes_avoided,
                            bytes_saved=bytes_saved)
+
+
+def _decide(codecs, sizes, encoded, mat_size: int, mat_encoded: bool
+            ) -> tuple[int, int, int]:
+    """``(winner, encodes_avoided, bytes_saved)`` of one chunk's race:
+    the index of the cheapest candidate (-1: the materialized form,
+    which comes first; a later one must be strictly smaller), and the
+    representations sized exactly but never encoded — every candidate
+    not ``encoded`` and not the winner's codec, and the materialized
+    form when a delta wins and it was not ``mat_encoded`` (the identity
+    compressor's, sized by arithmetic) — with their total size.  The
+    one rule of :func:`plan_encoding` and :func:`encode_chunk`."""
+    winner, best = -1, mat_size
+    for index, size in enumerate(sizes):
+        if size < best:
+            winner, best = index, size
+    best_codec = codecs[winner] if winner >= 0 else None
+    encodes_avoided = bytes_saved = 0
+    for codec, made, size in zip(codecs, encoded, sizes):
+        if not made and codec is not best_codec:
+            encodes_avoided += 1
+            bytes_saved += size
+    if winner >= 0 and not mat_encoded:
+        # The cost model proved a delta wins under the identity
+        # compressor: the materialized payload is never produced.
+        encodes_avoided += 1
+        bytes_saved += mat_size
+    return winner, encodes_avoided, bytes_saved
 
 
 def encode_chunk(encode: native.ChunkEncode, target: np.ndarray,
@@ -216,19 +232,24 @@ def encode_chunk(encode: native.ChunkEncode, target: np.ndarray,
     other than ``none`` has its materialized form made first, and races
     at that size.  A ``hybrid+lz`` candidate sizes only by compressing:
     the first pass packs its sections, sealed here (:meth:`~repro.delta
-    .base.DeltaCodec.packed`), the winner is picked under the planner's
-    tie rule, and a plain winner packs in a second pass.  ``space`` and
-    ``adopt`` are :class:`~repro.core.native.ChunkEncode`'s."""
+    .base.DeltaCodec.packed`), and a plain winner packs in a second
+    pass.  The winner and the savings are :func:`_decide`'s, as the
+    planner's are.  ``space`` and ``adopt`` are
+    :class:`~repro.core.native.ChunkEncode`'s."""
     codecs, sealed = encode.candidates, encode.bare
-    if compressor is None or type(compressor) is IdentityCodec:
-        compressor = IdentityCodec()
+    identity = compressor is None or type(compressor) is IdentityCodec
+    if identity:
         mat_size, mat_payload = encode.materialized, None
     else:
         mat_size, mat_payload = materialized_size(target, compressor)
     if True not in sealed:
-        done = encode(target, base, adopt, space,
-                      materialized=-1 if mat_payload is None else mat_size)
-        winner, payload, sizes, _ = done
+        # The call's race is _decide's: it packed the winner, or under
+        # the identity compressor the materialized form.
+        _, payload, sizes = encode(target, base, adopt, space,
+                                   materialized=-1 if identity
+                                   else mat_size)
+        winner, encodes_avoided, bytes_saved = _decide(
+            codecs, sizes, sealed, mat_size, not identity)
     else:
         first = sealed.index(True)
         parts, sizes = codecs[first].packed(encode, first, target, base,
@@ -236,10 +257,8 @@ def encode_chunk(encode: native.ChunkEncode, target: np.ndarray,
         sealed_size = sum(map(len, parts))
         sizes = [sealed_size if seal else size
                  for seal, size in zip(sealed, sizes)]
-        winner, best = -1, mat_size
-        for index, size in enumerate(sizes):
-            if size < best:
-                winner, best = index, size
+        winner, encodes_avoided, bytes_saved = _decide(
+            codecs, sizes, sealed, mat_size, not identity)
         payload = b""
         if winner >= 0 and not sealed[winner]:
             payload = encode(target, base, adopt, space, pack=winner).payload
@@ -248,21 +267,12 @@ def encode_chunk(encode: native.ChunkEncode, target: np.ndarray,
                 payload = b"".join(parts)
             if adopt:
                 np.copyto(base, target)
-    best_codec = codecs[winner] if winner >= 0 else None
-    encodes_avoided = bytes_saved = 0
-    for codec, seal, size in zip(codecs, sealed, sizes):
-        if not seal and codec is not best_codec:
-            encodes_avoided += 1
-            bytes_saved += size
-    if best_codec is None:
+    if winner < 0:
         if mat_payload is None:
-            mat_payload = payload or compressor.encode(target)
+            mat_payload = payload or IdentityCodec().encode(target)
         payload = mat_payload
-    elif mat_payload is None:
-        encodes_avoided += 1
-        bytes_saved += mat_size
     decision = EncodingDecision(
-        delta_codec=None if best_codec is None else best_codec.name,
+        delta_codec=None if winner < 0 else codecs[winner].name,
         size=len(payload), parts=(payload,))
     return PlannedEncoding(decision=decision,
                            encodes_avoided=encodes_avoided,

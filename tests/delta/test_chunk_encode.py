@@ -365,7 +365,7 @@ class TestModes:
         # Lend the call a single word of payload room, the run list
         # right behind it.
         encode._payload_bytes = 8
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="payload buffer too small"):
             encode(_top_bit_flipped(base), base, False, space, pack=0)
         assert space[0] == CANARY
 

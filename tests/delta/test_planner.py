@@ -15,6 +15,9 @@ write pipeline deciding through the oracle lands the same fingerprint.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -235,17 +238,106 @@ class TestSharedStats:
         assert np.array_equal(rebuilt.reshape(delta.shape), delta)
 
 
-def _run_list(target, base, *, adopt: bool = False):
+def _run_list(target, base):
     """``(codes, spans, encode)``: the run list the one encode call's
-    analysis pass leaves in its space (size-only mode), and the call."""
+    analysis pass leaves in its space (size-only mode), and the call.
+    The space starts as all ones, so the first span whose first cell
+    reads -1 is past the last one the pass wrote."""
     target, base = np.asarray(target), np.asarray(base)
     encode = chunk_encode(target.dtype, target.shape,
                           (get_delta_codec("hybrid"),))
     assert encode is not None
-    space = np.empty(encode.words, dtype=np.uint64)
-    done = encode(target, base, adopt, space, pack=native.ENCODE_SIZE)
-    codes, spans = encode.run_list(space, done.runs)
+    space = np.full(encode.words, np.uint64(2**64 - 1), dtype=np.uint64)
+    encode(target, base, False, space, pack=native.ENCODE_SIZE)
+    codes, spans = _read_run_list(space, encode.words, target.size)
     return codes.copy(), spans.copy(), encode
+
+
+def _read_run_list(space: np.ndarray, words: int, n: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``(codes, spans)`` of the run list a call on chunks of ``n``
+    cells left in the last ``native.scratch_cells(n)`` of the ``words``
+    of ``space``: room for ``n`` codes, then int64 ``(first cell, cell
+    count)`` spans, ascending, up to the first whose first cell is -1
+    (or all of them); the codes are the spans' cells', back to back."""
+    scratch = space[words - native.scratch_cells(n):words]
+    pairs = scratch[n:].view(np.int64).reshape(-1, 2)
+    past = np.flatnonzero(pairs[:, 0] == -1)
+    spans = pairs[:past[0] if past.size else len(pairs)]
+    return scratch[:int(spans[:, 1].sum())], spans
+
+
+#: A shim exporting the encode entry's pack, ``repro_pack_runs``, which
+#: the store's library keeps ``static``.
+_PACK_RUNS_SHIM = r"""
+int64_t probe_pack_runs(const uint64_t *codes, int64_t ncodes,
+                        const int64_t *spans, int64_t nspans, int64_t n,
+                        int64_t small_bits, int64_t position_bits,
+                        int64_t value_bits, int64_t outliers,
+                        unsigned char *small_out,
+                        unsigned char *position_out,
+                        unsigned char *value_out)
+{
+    return repro_pack_runs(codes, ncodes, spans, nspans, n, small_bits,
+                           position_bits, value_bits, outliers, small_out,
+                           position_out, value_out);
+}
+"""
+
+
+@pytest.fixture(scope="module")
+def pack_runs_probe(tmp_path_factory):
+    """``repro_pack_runs`` on its own: the kernels' source plus
+    :data:`_PACK_RUNS_SHIM`, built for this module with the store's
+    compiler and ``CFLAGS`` (a sanitizer build covers it too).  In the
+    store the pack's only input is its own call's analysis pass, so its
+    refusals of malformed run lists and stale counts are reached here."""
+    if not native.available():
+        pytest.skip("native kernels did not compile")
+    root = tmp_path_factory.mktemp("pack-runs-probe")
+    source, library = root / "probe.c", root / "probe.so"
+    source.write_text(native._SOURCE + _PACK_RUNS_SHIM)
+    subprocess.run(
+        [os.environ.get("CC", "cc"), "-O3", "-shared", "-fPIC",
+         *os.environ.get("CFLAGS", "").split(), "-o", str(library),
+         str(source)], check=True, capture_output=True, timeout=120)
+    lib = ctypes.CDLL(str(library))
+    lib.probe_pack_runs.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+        *[ctypes.c_int64] * 6, *[ctypes.c_void_p] * 3]
+    lib.probe_pack_runs.restype = ctypes.c_int64
+    return lib
+
+
+_CANARY = 0xA5
+
+
+def _pack_runs(lib, codes: np.ndarray, spans, n: int, small_bits: int,
+               outliers: int, value_bits: int, *, ncodes: int | None = None
+               ) -> tuple[bytes, bytes, bytes] | None:
+    """The pack's ``(small, positions, values)`` sections of a run list
+    of ``n`` cells, each into a buffer sized for ``outliers`` and
+    canary-filled past that, or None when the pack refused; either way
+    not a byte past any sized section changed."""
+    spans = np.ascontiguousarray(spans, dtype=np.int64)
+    codes = np.ascontiguousarray(codes, dtype=np.uint64)
+    position_bits = (n - 1).bit_length()
+    sized = [(n * small_bits + 7) // 8,
+             (outliers * position_bits + 7) // 8,
+             (outliers * value_bits + 7) // 8]
+    buffers = [np.full(nbytes + 40, _CANARY, dtype=np.uint8)
+               for nbytes in sized]
+    found = lib.probe_pack_runs(
+        codes.ctypes.data, codes.size if ncodes is None else ncodes,
+        spans.ctypes.data, len(spans), n, small_bits, position_bits,
+        value_bits, outliers, *(buffer.ctypes.data for buffer in buffers))
+    for nbytes, buffer in zip(sized, buffers):
+        assert (buffer[nbytes:] == _CANARY).all()
+    if found != outliers:
+        assert found == -1
+        return None
+    return tuple(buffer[:nbytes].tobytes()
+                 for nbytes, buffer in zip(sized, buffers))
 
 
 def _expanded(n: int, codes: np.ndarray, spans: np.ndarray) -> np.ndarray:
@@ -504,6 +596,44 @@ class TestNativeEveryCellType:
             sealed = name == "hybrid"
             assert payload[frame + sealed:] == encode(codes), name
 
+    @pytest.mark.parametrize("small_bits", range(65))
+    def test_pack_runs_at_every_split(self, rng, pack_runs_probe,
+                                      small_bits):
+        # The entry's pack on its own, at a split the cost search may
+        # not pick: codes of every exact bit length 0..64, zero runs
+        # included, against the numpy packers.
+        widths = rng.integers(0, 65, 1500)
+        widths[rng.random(1500) < 0.5] = 0
+        codes = np.array(
+            [int(rng.integers(1 << (w - 1), 1 << w, dtype=np.uint64))
+             if w else 0 for w in widths.tolist()], dtype=np.uint64)
+        stats = CodeStats.from_codes(codes)
+        is_outlier = np.array([int(c) >> small_bits > 0 for c in codes])
+        positions = np.flatnonzero(is_outlier)
+        values = codes[positions]
+        value_bits = stats.max_bits if positions.size else 0
+        expected = (
+            bitpack.pack_unsigned(np.where(is_outlier, np.uint64(0), codes),
+                                  small_bits),
+            bitpack.pack_unsigned(positions, 11),
+            bitpack.pack_unsigned(values, value_bits))
+        # The same codes as one run over every cell, and as the run
+        # list of their nonzero stretches (gaps of zeros left out).
+        nonzero = np.flatnonzero(np.diff(np.r_[0, codes != 0, 0]))
+        first, stop = nonzero[::2], nonzero[1::2]
+        run_lists = [
+            (codes, np.array([[0, codes.size]], dtype=np.int64)),
+            (codes[codes != 0], np.stack([first, stop - first], axis=1))]
+        for run_codes, spans in run_lists:
+            assert _pack_runs(pack_runs_probe, run_codes, spans,
+                              codes.size, small_bits, positions.size,
+                              value_bits) == expected
+            # A count the codes overrun is refused, not written past.
+            if positions.size:
+                assert _pack_runs(pack_runs_probe, run_codes, spans,
+                                  codes.size, small_bits,
+                                  positions.size - 1, value_bits) is None
+
 
 #: Windows of a (12, 70) canvas for the run-list tests: rows of 37
 #: cells end mid-run for every cell width (runs are 8..64 cells).
@@ -669,9 +799,7 @@ class TestRunList:
         canary = np.uint64(0xA5A5A5A5A5A5A5A5)
         space = np.full(encode.words + 4, canary, dtype=np.uint64)
         planned = encode_chunk(encode, target, base, space=space)
-        codes, spans = encode.run_list(
-            space, encode(target, base, False, space,
-                          pack=native.ENCODE_SIZE).runs)
+        codes, spans = _read_run_list(space, encode.words, n)
         assert spans.shape == (n // 2 + 1, 2)
         assert codes.size == n // 2 + 1
         reference = _reference_plan(target, base)
@@ -682,6 +810,36 @@ class TestRunList:
         expected = plan_encoding(target, base).decision
         assert (planned.decision.delta_codec, planned.decision.payload) \
             == (expected.delta_codec, expected.payload)
+
+    @pytest.mark.parametrize("short", ["outliers", "codes"])
+    def test_stale_histogram_writes_nothing_out_of_bounds(
+            self, pack_runs_probe, short):
+        # The pack sized for one outlier fewer than the codes hold, or
+        # told it holds one code fewer than the spans name: refused at
+        # the overrun, every canary byte beyond the sized sections
+        # intact.
+        codes = np.array([0, 5, 900, 0, 700, 3], dtype=np.uint64)
+        spans = [[2, 2], [9, 4]]
+        n, small_bits, value_bits = 16, 3, 10
+        outliers = 1 if short == "outliers" else 2
+        ncodes = codes.size - (short == "codes")
+        assert _pack_runs(pack_runs_probe, codes, spans, n, small_bits,
+                          outliers, value_bits, ncodes=ncodes) is None
+        assert _pack_runs(pack_runs_probe, codes, spans, n, small_bits, 2,
+                          value_bits) is not None
+
+    @pytest.mark.parametrize("spans", [
+        [[4, 2], [2, 2]],    # descending
+        [[0, 4], [3, 2]],    # overlapping
+        [[14, 4]],           # past the last cell
+        [[0, -1]],           # negative count
+        [[0, 4], [8, 4]],    # more codes than given
+    ], ids=["descending", "overlapping", "past-the-end", "negative",
+            "too-many-codes"])
+    def test_malformed_spans_are_refused(self, pack_runs_probe, spans):
+        codes = np.arange(1, 7, dtype=np.uint64)
+        assert _pack_runs(pack_runs_probe, codes, spans, 16, 3, 3,
+                          3) is None
 
 
 def _decide_with_oracle(manager: VersionedStorageManager) -> None:
