@@ -128,8 +128,9 @@ def run_hybrid_threshold(versions: int = 6,
              for previous, current in zip(frames, frames[1:])]
 
     rows = []
-    optimal_total = sum(code_store.hybrid_size(plan.codes, plan.stats)
-                        for plan in plans)
+    optimal_total = sum(code_store.section_size(
+        plan.stats, code_store.SMALL | code_store.TABLE)[0]
+        for plan in plans)
     rows.append({"strategy": "optimal threshold",
                  "size_bytes": optimal_total})
     for fixed_bits in (0, 8, 16, 32):

@@ -29,6 +29,9 @@ from repro.core.serial import (
 from repro.delta import codes as code_store
 from repro.delta.base import pack_frame, unpack_frame
 
+#: The residual's sections: the hybrid split of its codes.
+_HYBRID = code_store.SMALL | code_store.TABLE
+
 
 class MPEGLikeDeltaCodec:
     """Block-matching motion-compensated delta (directional).
@@ -83,6 +86,7 @@ class MPEGLikeDeltaCodec:
         predicted = _predict(base2d, best_dy, best_dx, self.block)
         residual, _ = numeric.compute_delta(target2d, predicted)
         residual_codes = code_store.delta_to_codes(residual, mode)
+        stats = code_store.CodeStats.from_codes(residual_codes)
 
         mv_bits = bitpack.required_bits(2 * self.radius)
         dy_codes = (best_dy + self.radius).astype(np.uint64).ravel()
@@ -93,7 +97,9 @@ class MPEGLikeDeltaCodec:
             pack_i64(self.radius),
             bitpack.pack_unsigned(dy_codes, mv_bits),
             bitpack.pack_unsigned(dx_codes, mv_bits),
-            code_store.encode_hybrid(residual_codes),
+            code_store.pack_sections(residual_codes, stats, _HYBRID,
+                                     code_store.section_size(
+                                         stats, _HYBRID)[1]),
         ])
 
     def decode_forward(self, data: bytes, base: np.ndarray) -> np.ndarray:
@@ -120,11 +126,11 @@ class MPEGLikeDeltaCodec:
         offset += mv_len
 
         predicted = _predict(base2d, dy, dx, block)
-        residual_codes, end = code_store.decode_hybrid(data, offset,
-                                                       base.size)
-        if end != len(data):
-            raise CodecError(f"mpeg-like delta payload has {len(data) - end} "
-                             "undecoded trailing bytes")
+        # The residual is the payload's last section.
+        residual_codes = np.zeros(base.size, dtype=np.uint64)
+        for where, codes in code_store.read_sections(
+                memoryview(data)[offset:], _HYBRID, base.size):
+            residual_codes[where] = codes
         residual = code_store.codes_to_delta(residual_codes, mode) \
             .reshape(predicted.shape)
         target2d = numeric.apply_delta_forward(predicted, residual, mode,

@@ -27,6 +27,9 @@ from repro.compression import Codec, LempelZivCodec
 from repro.datasets import noaa_series
 from repro.delta import CodePlan, codes as code_store
 
+#: The hybrid strategy's sections: the small codes and the outliers.
+_HYBRID = code_store.SMALL | code_store.TABLE
+
 
 def compressors() -> dict[str, Codec | None]:
     """Table II's codec rows (None = hybrid delta only)."""
@@ -58,12 +61,17 @@ def run(versions: int = 10, shape: tuple[int, int] = (96, 96), *,
     for name, codec in compressors().items():
         if codec is None:
             # The baseline row: the hybrid delta encoding itself.
-            encoded = [b"".join(code_store.encode_hybrid_parts(
-                plan.codes, plan.stats)) for plan in plans]
+            encoded = [code_store.pack_sections(
+                plan.codes, plan.stats, _HYBRID,
+                code_store.section_size(plan.stats, _HYBRID)[1])
+                for plan in plans]
             size = sum(len(e) for e in encoded)
             with timed() as query_timer:
                 for blob, delta in zip(encoded, deltas):
-                    out, _ = code_store.decode_hybrid(blob, 0, delta.size)
+                    out = np.zeros(delta.size, dtype=np.uint64)
+                    for where, codes in code_store.read_sections(
+                            blob, _HYBRID, delta.size):
+                        out[where] = codes
                     assert out.shape == delta.ravel().shape
         else:
             encoded = [codec.encode(delta) for delta in deltas]

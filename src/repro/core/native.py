@@ -1,9 +1,9 @@
 """Optional compiled kernels for the hottest encode *and* decode loops.
 
-The numpy forms — :mod:`repro.core.bitpack`'s word kernels, the
-planner's :class:`~repro.delta.codes.CodePlan` and the fold's numpy form
-— are bound by one structural cost: every logical step is a whole-array
-numpy operation, so a chunk is streamed through the cache once per step
+The numpy forms — :mod:`repro.core.bitpack`'s word kernels and the
+two faces' numpy forms built on :mod:`repro.delta.codes` — are bound
+by one structural cost: every logical step is a whole-array numpy
+operation, so a chunk is streamed through the cache once per step
 — the numpy encode makes a dozen whole-array passes and ~20 MiB of
 temporaries per 1 MiB chunk.  A scalar C loop does the same work in one
 stream.  The library has two entries, one per direction, each with one
@@ -25,10 +25,10 @@ of the new version over the hot slot's canvas (the base it just read),
 which so becomes the new version without a whole-version copy.  Every
 representation is then sized off the histogram, and the *pack* walks
 the run list — only real codes, the gaps between spans leaving as bulk
-zeros — to emit one of them: the cheapest under the planner's tie
-rule, a named candidate whatever its size (a codec's own ``encode``, a
-``hybrid+lz`` candidate's sections, which Python seals), or none (the
-Materialization Matrix's prices).
+zeros — to emit one of them: the cheapest (ties to the earlier, the
+materialized form first), a named candidate whatever its size (a
+codec's own ``encode``, a ``hybrid+lz`` candidate's sections, which
+Python seals), or none (the Materialization Matrix's prices).
 
 The read side is one call per batch of chunks, :class:`FoldBatch`
 (C entry ``repro_fold_chain``; chunks laid out by a
@@ -48,18 +48,19 @@ batch of one chunk.
 
 **Byte-identity contract.**  The kernels are *pure accelerators*: they
 are gated behind runtime compilation with the host C compiler and
-every caller keeps its numpy form, which produces byte-identical
-output (the equivalence is part of the test suite, width by width and
+each face keeps its numpy form, which produces byte-identical output
+(the equivalence is part of the test suite, width by width and
 boundary value by boundary value).  No compiler, a failed compile, a
 read-only tree, ``REPRO_NATIVE=0``, or an in-process
 :func:`disabled` scope all degrade to numpy — behaviour, stored
 bytes, fingerprints and test results are identical either way; only
 throughput changes, so a build that failed under every cache root
-says so once on the ``repro.native`` logger.  The callers check
-:func:`available` and build a :class:`ChunkEncode` only for a cell
-type and host the kernel takes (:func:`chunk_encode` says why not at
-``debug``, once per reason); :class:`FoldBatch` runs a chunk's numpy
-form itself, under the same contract, and says why too.
+says so once on the ``repro.native`` logger.  No caller checks:
+:class:`ChunkEncode` and :class:`FoldBatch` each run their numpy form
+themselves where the C entry does not take a call — kernels off, a
+big-endian host, a byte-swapped cell type, an empty chunk
+(:func:`_unfit`, one rule for both), or for the encode more candidates
+than it sizes — and say why at ``debug``, once per reason.
 
 The shared object is cached under ``.cache/native/`` next to the
 package (keyed by a hash of the C source and the compiler flags —
@@ -87,7 +88,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.errors import DeltaLevelError
+from repro.core.errors import CodecError, DeltaLevelError
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -384,8 +385,8 @@ static int64_t repro_pack_runs(const uint64_t *codes, int64_t ncodes,
  * One call makes a chunk's whole encode: the analysis pass above
  * (adopting the target into the base when asked), every
  * representation sized from the 65-bucket histogram alone, and one
- * packed behind its prefix into `out` — the planner's
- * (repro.delta.auto.plan_encoding) decision and payload byte for byte.
+ * packed behind its prefix into `out` — its numpy form's
+ * (repro.delta.codes._encode_numpy) winner and payload byte for byte.
  * ctypes releases the GIL for the whole call.
  *
  * A delta's payload is the frame, for hybrid one seal byte saying "no
@@ -424,8 +425,8 @@ typedef struct {
 } repro_stats;
 
 /* Codes the split at `d` keeps as outliers.  At d = 64 (reached only
- * when some code is 64 bits wide) every code counts, as the planner's
- * sorted search did: its 1 << 64 threshold wrapped to 0. */
+ * when some code is 64 bits wide) every code counts, as in the
+ * sort-based reference search: its 1 << 64 threshold wraps to 0. */
 static inline int64_t repro_outliers(const repro_stats *s, int64_t d)
 {
     return d == 64 ? s->n : s->n - s->at_most[d];
@@ -497,7 +498,7 @@ static int64_t repro_pack_sections(const uint64_t *codes, int64_t ncodes,
  *
  *   header, frame       the materialized prefix (array header) and the
  *                       delta frame the chunk implies;
- *   layouts             the candidates' layouts in the planner's order,
+ *   layouts             the candidates' layouts in the race's order,
  *                       FOLD_SEALED for a seal byte after the frame,
  *                       FOLD_BARE for the sections alone;
  *   pack                ENCODE_RACE: pack the cheapest representation;
@@ -1215,6 +1216,16 @@ def _paired_rows(target: np.ndarray, base: np.ndarray
     return (sides[0][0], sides[1][0]), rows, cols, strides
 
 
+def _unfit(dtype: np.dtype, shape: tuple[int, ...]) -> str | None:
+    """Why neither C entry takes chunks of ``(dtype, shape)`` on this
+    host, or None: each face then runs its numpy form."""
+    return ("big-endian host" if sys.byteorder != "little"
+            else f"unsupported dtype {dtype}"
+            if dtype.itemsize not in (1, 2, 4, 8) or dtype.kind not in "iubf"
+            else f"byte-swapped dtype {dtype}" if not dtype.isnative
+            else "empty" if not math.prod(shape) else None)
+
+
 def scratch_cells(n: int) -> int:
     """uint64 cells the analysis pass needs to keep the run list of a
     chunk of ``n`` cells: room for ``n`` codes (those of the changed
@@ -1296,12 +1307,7 @@ class ChunkFold:
         self._cell = (dtype.itemsize, int(use_xor), int(dtype.kind == "b"),
                       self.count)
         # Why the C entry cannot fold this layout, or None.
-        self._unfit = (
-            "big-endian host" if sys.byteorder != "little"
-            else f"unsupported dtype {dtype}"
-            if dtype.itemsize not in (1, 2, 4, 8) or dtype.kind not in "iubf"
-            else f"byte-swapped dtype {dtype}" if not dtype.isnative
-            else "empty" if not self.count else None)
+        self._unfit = _unfit(dtype, shape)
 
     def _fold_numpy(self, base, payloads, layouts, cells, window,
                     box) -> int:
@@ -1586,7 +1592,7 @@ ENCODE_SIZE = -2
 #: went wrong.  A declined call read and wrote nothing; a short buffer
 #: is refused before the payload is written.
 _ENCODE_FAULTS = {
-    -1: "arguments the compiled encode refuses",
+    -1: "arguments the encode call refuses",
     -2: "the compiled encode's pack disagreed with its own sizes",
     -3: "payload buffer too small",
 }
@@ -1606,9 +1612,10 @@ class Encoded(NamedTuple):
 
 
 class ChunkEncode:
-    """One chunk's whole encode as one native call, for chunks of one
-    ``(dtype, shape)`` and one candidate list (build it once, with
-    :func:`chunk_encode`).
+    """The write path's one encode face: one chunk's whole encode, for
+    chunks of one ``(dtype, shape)`` and one candidate list (build it
+    once, with :func:`chunk_encode`), one call of the C entry
+    ``repro_encode_chunk`` per chunk.
 
     A call runs the analysis pass over a ``(target, base)`` chunk pair
     — read in place, or through contiguous copies where the kernel
@@ -1619,12 +1626,18 @@ class ChunkEncode:
     :data:`FOLD_BARE` candidate packs without either), all in C with
     the GIL released.  Which one is ``pack``'s: the cheapest
     (:data:`ENCODE_RACE`, ties to the earlier, the materialized form
-    first — :func:`repro.delta.auto.plan_encoding`'s rule), candidate
-    ``pack`` whatever its size, or none (:data:`ENCODE_SIZE`)."""
+    first), candidate ``pack`` whatever its size, or none
+    (:data:`ENCODE_SIZE`).
+
+    Where the C entry does not take a call — kernels off or
+    unloadable, a big-endian host, a byte-swapped cell type, an empty
+    chunk, more candidates than it sizes — the same contract runs in
+    numpy (:func:`repro.delta.codes._encode_numpy`), to the same bytes,
+    and says why once at debug, as :class:`FoldBatch` does."""
 
     __slots__ = ("dtype", "shape", "words", "frame", "candidates",
                  "materialized", "bare", "_header", "_cell", "_layouts",
-                 "_payload_bytes")
+                 "_payload_bytes", "_unfit")
 
     def __init__(self, dtype: np.dtype, shape: tuple[int, ...],
                  header: bytes, frame: bytes, candidates: tuple,
@@ -1653,6 +1666,10 @@ class ChunkEncode:
         self._payload_bytes = -(-max(self.materialized, widest) // 8) * 8
         #: uint64 words of the ``space`` a call writes into.
         self.words = self._payload_bytes // 8 + scratch_cells(count)
+        # Why the C entry cannot take this face's calls, or None.
+        self._unfit = _unfit(dtype, shape) or (
+            None if 0 < len(layouts) <= _ENCODE_CANDIDATES
+            else f"not 1 to {_ENCODE_CANDIDATES} candidates")
 
     def __call__(self, target: np.ndarray, base: np.ndarray, adopt: bool,
                  space: np.ndarray | None = None, *,
@@ -1665,23 +1682,29 @@ class ChunkEncode:
         as nothing.  ``space`` is flat writable uint64 of at least
         :attr:`words` (None: a fresh one), the caller's to reuse once
         this returns.  With ``adopt`` the writable ``base`` ends holding
-        ``target``'s cells.  Arrays that are not this layout's cells
-        raise ``ValueError`` before anything is written."""
-        lib = _load()
-        if lib is None:
-            raise RuntimeError("the compiled kernels are unavailable")
+        ``target``'s cells.  Arrays that are not this layout's cells,
+        and arguments the C entry refuses, raise ``ValueError`` before
+        anything is written."""
         for cells in (target, base):
             if not isinstance(cells, np.ndarray) or cells.dtype != self.dtype \
                     or cells.shape != self.shape:
                 raise ValueError("arrays are not cells of the chunk's layout")
         if adopt and not base.flags.writeable:
             raise ValueError("adopting a delta base needs it writable")
+        if space is not None and not (
+                isinstance(space, np.ndarray) and space.dtype == np.uint64
+                and space.flags.c_contiguous and space.flags.writeable
+                and space.size >= self.words):
+            raise ValueError("space is not writable uint64 words enough")
+        lib = _active()
+        unfit = "kernels disabled or unavailable" if lib is None \
+            else self._unfit
+        if unfit:
+            decline("encode_chunk", unfit)
+            return self._encode_numpy(target, base, adopt, pack,
+                                      materialized)
         if space is None:
             space = np.empty(self.words, dtype=np.uint64)
-        elif not (isinstance(space, np.ndarray) and space.dtype == np.uint64
-                  and space.flags.c_contiguous and space.flags.writeable
-                  and space.size >= self.words):
-            raise ValueError("space is not writable uint64 words enough")
         reads, rows, cols, strides = _paired_rows(target, base)
         # A base read through a copy is adopted afterwards.
         in_place = adopt and reads[1] is base
@@ -1697,35 +1720,49 @@ class ChunkEncode:
         if size < 0:
             if size == -1:
                 raise ValueError(_ENCODE_FAULTS[size])
-            # The base may hold the target already: no planner can
-            # redo this chunk.
+            # The base may hold the target already: the chunk cannot be
+            # encoded again from it.
             raise RuntimeError(_ENCODE_FAULTS[size])
         if adopt and not in_place:
             np.copyto(base, target)
         return Encoded(result[0], ctypes.string_at(at, size),
                        tuple(result[1:]))
 
+    def _encode_numpy(self, target, base, adopt: bool, pack: int,
+                      materialized: int) -> Encoded:
+        """One call of the C entry's contract in numpy: the same
+        refusals before anything is written, the same bytes."""
+        # The numpy form lives with the section packers, which import
+        # this module.
+        from repro.delta import codes
+        if not ENCODE_SIZE <= pack < len(self._layouts) \
+                or materialized < -1 or any(
+                    layout & ~(FOLD_SMALL | FOLD_TABLE | FOLD_SEALED
+                               | FOLD_BARE)
+                    or not layout & (FOLD_SMALL | FOLD_TABLE)
+                    or layout & FOLD_BARE and layout & FOLD_SEALED
+                    for layout in self._layouts):
+            raise ValueError(_ENCODE_FAULTS[-1])
+        return Encoded(*codes._encode_numpy(
+            target, base, adopt, self._header, self.frame, self._layouts,
+            pack, materialized))
+
 
 def chunk_encode(dtype: np.dtype, shape: tuple[int, ...], header: bytes,
                  frame: bytes, candidates: tuple,
-                 layouts: tuple[int, ...]) -> ChunkEncode | None:
+                 layouts: tuple[int, ...]) -> ChunkEncode:
     """The :class:`ChunkEncode` of chunks of ``(dtype, shape)`` against
     ``candidates`` (the caller's labels) of :data:`FOLD_SMALL` /
     :data:`FOLD_TABLE` / :data:`FOLD_SEALED` / :data:`FOLD_BARE`
-    ``layouts``, in the planner's order, or None (and why, at debug)
-    when no kernel encodes chunks of that cell type on this host.
-    ``header`` and ``frame`` are the materialized form's array header
-    and the delta frame such a chunk's payloads start with."""
+    ``layouts``, in the race's order, for every cell kind
+    :func:`repro.core.numeric.delta_mode_for` accepts, in any byte
+    order, kernels on or off.  ``header`` and ``frame`` are the
+    materialized form's array header and the delta frame such a chunk's
+    payloads start with.  Any other kind raises
+    :class:`~repro.core.errors.CodecError`, as encoding it would (a
+    byte-swapped float, which no delta is defined for, when called)."""
     dtype = np.dtype(dtype)
-    if sys.byteorder != "little":
-        return decline("encode_chunk", "big-endian host")
-    if dtype.kind + str(dtype.itemsize) not in _CELL_KINDS \
-            or not dtype.isnative:
-        return decline("encode_chunk", f"unsupported dtype {dtype}")
-    if 0 in shape:
-        return decline("encode_chunk", "empty")
-    if not 0 < len(layouts) <= _ENCODE_CANDIDATES:
-        return decline("encode_chunk",
-                       f"not 1 to {_ENCODE_CANDIDATES} candidates")
+    if dtype.kind + str(dtype.itemsize) not in _CELL_KINDS:
+        raise CodecError(f"unsupported cell dtype {dtype}")
     return ChunkEncode(dtype, tuple(shape), header, frame, candidates,
                        tuple(layouts))

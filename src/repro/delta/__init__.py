@@ -8,14 +8,12 @@ BSDiff-style binary differ, are comparison baselines in
 """
 
 from repro.delta.auto import (
-    CodePlan,
     EncodingDecision,
     PlannedEncoding,
     default_delta_candidates,
-    plan_encoding,
 )
 from repro.delta.base import DeltaCodec
-from repro.delta.codes import CodeStats
+from repro.delta.codes import CodePlan, CodeStats
 from repro.delta.dense import DenseDeltaCodec
 from repro.delta.hybrid import HybridDeltaCodec
 from repro.delta.registry import delta_codec_names, get_delta_codec
@@ -31,7 +29,6 @@ __all__ = [
     "PlannedEncoding",
     "SparseDeltaCodec",
     "default_delta_candidates",
-    "plan_encoding",
     "delta_codec_names",
     "get_delta_codec",
 ]

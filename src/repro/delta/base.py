@@ -15,11 +15,11 @@ Every stored delta is framed the same way::
     codec-specific payload
 
 :class:`DeltaCodec` is the one body behind the family; its members
-differ only in which :mod:`repro.delta.codes` functions they name.
-That body encodes a delta the way the write path does: one compiled
-call packing that codec (:func:`chunk_encode`), or, where no kernel
-runs, one :class:`~repro.delta.codes.CodePlan` — the planner's own
-numpy form — so ``encode`` is never a second path next to it.
+differ only in the ``layout`` of their payload — which
+:mod:`repro.delta.codes` sections it is made of.  That body encodes a
+delta the way the write path does: one call of the encode face packing
+that codec (:func:`chunk_encode`), which runs its numpy form itself
+where no kernel does, so ``encode`` is never a second path next to it.
 
 Every member composes: a level is a cell-wise difference, wrapping
 addition or xor, so the read path never decodes a chain level by
@@ -60,7 +60,6 @@ from repro.core.serial import (
     unpack_array_header,
     unpack_u8,
 )
-from repro.delta.codes import CodePlan
 
 _MODE_TO_TAG = {numeric.ARITHMETIC: 0, numeric.XOR: 1}
 _TAG_TO_MODE = {tag: mode for mode, tag in _MODE_TO_TAG.items()}
@@ -75,13 +74,6 @@ def layout_frame(dtype: np.dtype, shape: tuple[int, ...],
                  mode: str) -> bytes:
     """The frame of a delta between arrays of ``(dtype, shape)``."""
     return pack_array_header(dtype, shape) + pack_u8(_MODE_TO_TAG[mode])
-
-
-def frame_size(like: np.ndarray) -> int:
-    """Byte length of :func:`pack_frame` without building it: dtype
-    string length byte + dtype string + ndim byte + extents + the
-    delta mode byte."""
-    return 1 + len(np.dtype(like.dtype).str) + 1 + 8 * like.ndim + 1
 
 
 def unpack_frame(data, like: np.ndarray | None = None
@@ -111,19 +103,15 @@ def unpack_frame(data, like: np.ndarray | None = None
 class DeltaCodec:
     """Encodes one array version as a delta against another.
 
-    A member declares three :mod:`repro.delta.codes` functions —
-    ``_size(codes, stats)``, ``_encode(codes, stats)`` and
-    ``_decode(data, offset, count)`` — plus the ``layout`` of its
-    payload (which of the :data:`~repro.delta.codes.SMALL` /
-    :data:`~repro.delta.codes.TABLE` sections it has), and inherits
-    everything else: framing, the unframe prelude with its
-    frame-vs-array check, the trailing-bytes check, the decode, the
-    fold, and an encode side that is the write path's
-    (``encode_parts(t, b)`` is the compiled call's forced pack of the
-    codec, or ``encode_from_plan(CodePlan.build(t, b))`` where no
-    kernel runs).  :meth:`_seal` /
-    :meth:`_unseal` are the hook for a byte-level stage between the
-    frame and the packed sections (hybrid's LZ flag).
+    A member declares the ``layout`` of its payload (which of the
+    :data:`~repro.delta.codes.SMALL` / :data:`~repro.delta.codes.TABLE`
+    sections it has) and inherits everything else: framing, the
+    unframe prelude with its frame-vs-array check, the trailing-bytes
+    check, the decode, the fold, and an encode side that is the write
+    path's (``encode_parts(t, b)`` is the encode face's forced pack of
+    the codec).  :meth:`_seal` / :meth:`_unseal` are the hook for a
+    byte-level stage between the frame and the packed sections
+    (hybrid's LZ flag).
     """
 
     #: Registry key and the name recorded in version metadata.
@@ -145,35 +133,13 @@ class DeltaCodec:
     def _unseal(self, payload: memoryview):
         return payload
 
-    # -- encode: always from a plan ------------------------------------
-    def encode_from_plan(self, plan: CodePlan) -> list[bytes]:
-        """The encoded delta of the plan's ``(target, base)`` pair, as
-        the list of buffers the write pipeline joins once, at
-        placement."""
-        return [pack_frame(plan.target, plan.mode),
-                *self._seal(self._encode(plan.codes, plan.stats))]
-
-    def plan_size(self, plan: CodePlan) -> int | None:
-        """Exact encoded size, from the plan's statistics alone.
-
-        The single-pass planner sizes every candidate from one delta /
-        code-array / width-histogram computation and encodes only the
-        winner.  ``None`` means the size is data dependent beyond the
-        statistics (an LZ stage) and the planner must encode this
-        candidate to learn it.
-        """
-        return frame_size(plan.target) + self._size(plan.codes, plan.stats)
-
     def encode_parts(self, target: np.ndarray,
                      base: np.ndarray) -> list[bytes]:
-        """The encoded delta as its buffers: one compiled call
-        packing this codec (:func:`chunk_encode`), or its plan's
-        encode where no kernel runs."""
+        """The encoded delta as its buffers: one call of the encode
+        face packing this codec (:func:`chunk_encode`)."""
         target, base = np.asarray(target), np.asarray(base)
         numeric.check_same_layout(target, base)
         encode = chunk_encode(target.dtype, target.shape, (self,))
-        if encode is None:
-            return self.encode_from_plan(CodePlan.build(target, base))
         return self.packed(encode, 0, target, base)[0]
 
     def packed(self, encode: native.ChunkEncode, index: int,
@@ -288,34 +254,20 @@ def chunk_fold(dtype: np.dtype, shape: tuple[int, ...]) -> native.ChunkFold:
                             frame, mode == numeric.XOR)
 
 
-def chunk_encode(dtype: np.dtype, shape: tuple[int, ...],
-                 codecs: tuple[DeltaCodec, ...]
-                 ) -> native.ChunkEncode | None:
-    """The one write-side call (:class:`~repro.core.native.ChunkEncode`)
-    for chunks of ``(dtype, shape)`` against ``codecs``, in order —
-    each one's level as the fold reads it stored, or, for one that
-    needs :meth:`DeltaCodec._seal`'s work, its sections alone
-    (:data:`~repro.core.native.FOLD_BARE`) — built once per layout.
-    None (and why, at debug) where no kernel runs: kernels off or
-    unloadable, a big-endian host, a cell type no kernel knows, an
-    empty chunk."""
-    if not native.available():
-        return native.decline("encode_chunk",
-                              "kernels disabled or unavailable")
-    return _chunk_encode(dtype, shape, codecs)
-
-
 @lru_cache(maxsize=256)
-def _chunk_encode(dtype: np.dtype, shape: tuple[int, ...],
-                  codecs: tuple[DeltaCodec, ...]
-                  ) -> native.ChunkEncode | None:
-    try:
-        mode = numeric.delta_mode_for(dtype)
-    except CodecError:
-        return native.decline("encode_chunk", f"unsupported dtype {dtype}")
+def chunk_encode(dtype: np.dtype, shape: tuple[int, ...],
+                 codecs: tuple[DeltaCodec, ...]) -> native.ChunkEncode:
+    """The write path's one encode face
+    (:class:`~repro.core.native.ChunkEncode`) for chunks of ``(dtype,
+    shape)`` against ``codecs``, in order — each one's level as the
+    fold reads it stored, or, for one that needs
+    :meth:`DeltaCodec._seal`'s work, its sections alone
+    (:data:`~repro.core.native.FOLD_BARE`) — built once per layout,
+    kernels on or off.  A cell type no delta is defined for raises
+    :class:`~repro.core.errors.CodecError`, as encoding it would."""
+    mode = numeric.delta_mode_for(dtype)
     # ascontiguousarray promotes a 0-d chunk to shape (1,) in the
-    # materialized header (see auto.materialized_size); its frame
-    # keeps ().
+    # materialized header (the identity codec's); its frame keeps ().
     return native.chunk_encode(
         dtype, shape, pack_array_header(dtype, shape or (1,)),
         layout_frame(dtype, shape, mode), codecs,

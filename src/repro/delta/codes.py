@@ -1,4 +1,5 @@
-"""Shared encodings of delta *code arrays*, and the plan that feeds them.
+"""Shared encodings of delta *code arrays*, and the numpy forms of the
+two compiled entries.
 
 Every delta codec in this package first reduces the cell-wise difference
 of two versions to a flat array of unsigned 64-bit *codes* (arithmetic
@@ -9,9 +10,6 @@ the codes and their :class:`CodeStats` width histogram, and everything
 downstream — pricing a candidate, pricing a Materialization Matrix
 entry (Section IV-A), choosing the hybrid split, emitting a payload —
 is arithmetic on that histogram plus at most one pack of the codes.
-With the kernels on, the same reduction, pricing and pack are one
-compiled call per chunk (:class:`~repro.core.native.ChunkEncode`),
-byte for byte.
 
 The three storage strategies of Section III-B.3 apply to the code array:
 
@@ -21,26 +19,21 @@ The three storage strategies of Section III-B.3 apply to the code array:
   D' > D bits per cell, we create a separate matrix and store cells that
   require D' bits separately": a D-bit dense array for the small codes
   plus a sparse outlier table, with D chosen by exact cost minimization.
-  Sparse *is* the hybrid split at D = 0 without the dense section, so
-  both share one split writer and one outlier-table reader.
 
-Each strategy is three functions and a layout: ``*_size`` (the exact
-encoded byte count, without encoding), ``encode_*_parts`` (the list of
-buffers the payload is made of — the zero-copy handoff the write
-pipeline joins exactly once at placement; ``encode_*`` is the joined
-form), ``decode_*`` (the stepwise canvas form the fused read is tested
-against), and which of the two section kinds — :data:`SMALL`,
-:data:`TABLE` — its payload is made of, which is all the chain fold
-(the read path, :class:`~repro.core.native.ChunkFold`: every level of a
-chain folded straight into the cells of the version being read;
-:func:`_fold_numpy` is its numpy form) needs to know of it.  The size
-and encode functions take the plan's codes and ``stats``; a caller
-holding a bare code array passes it and omits ``stats``, paying for
-the histogram on the function's first line — there is one body either
-way.
+A strategy is nothing but its *layout*: which of the two section kinds
+— :data:`SMALL`, :data:`TABLE` — its payload is made of (sparse is the
+table of the split at D = 0, without the small section).  So there is
+one sizer, :func:`section_size`, one packer, :func:`pack_sections`, and
+one reader, :func:`read_sections`, each keyed by layout, as the C
+entries' are.  Both directions' numpy forms are built from them:
+:func:`_encode_numpy`, the form of the write path's one call
+(:class:`~repro.core.native.ChunkEncode`), and :func:`_fold_numpy`, the
+form of the read path's (:class:`~repro.core.native.ChunkFold`: every
+level of a chain folded straight into the cells of the version being
+read).  Each runs where its kernel does not, to the same bytes.
 
-The decoders accept any buffer-protocol object and slice it through
-``memoryview`` (no ``bytes()`` copies on the read path).  They trust
+The reader accepts any buffer-protocol object and slices it through
+``memoryview`` (no ``bytes()`` copies on the read path).  It trusts
 nothing in the bytes: every section length is re-derived from the
 ``count`` the *caller* supplies, and the one count the payload itself
 carries (the outlier table's) is checked against it before anything is
@@ -178,31 +171,20 @@ class CodeStats:
         """The hybrid cost curve: ``curve[d]`` is the byte cost of
         storing codes below ``2**d`` densely at ``d`` bits and the rest
         as outliers, for every candidate width ``0..max_bits``.
-
-        The planner reads the curve twice per chunk — sizing the
-        hybrid candidate, then choosing the winning split width at
-        encode time — so it is cached on the instance (stored through
-        ``__dict__`` because the dataclass is frozen).
         """
-        curve = self.__dict__.get("_split_curve")
-        if curve is None:
-            widths = np.arange(self.max_bits + 1)
-            position_bits = bitpack.required_bits(max(0, self.n - 1))
-            curve = ((self.n * widths + 7) // 8
-                     + (self.outliers * position_bits + 7) // 8
-                     + (self.outliers * self.max_bits + 7) // 8
-                     + 8 + 1 + 1 + 1)  # count, small / pos / val widths
-            self.__dict__["_split_curve"] = curve
-        return curve
+        widths = np.arange(self.max_bits + 1)
+        position_bits = bitpack.required_bits(max(0, self.n - 1))
+        return ((self.n * widths + 7) // 8
+                + (self.outliers * position_bits + 7) // 8
+                + (self.outliers * self.max_bits + 7) // 8
+                + 8 + 1 + 1 + 1)  # count, small / pos / val widths
 
 
 @dataclass(frozen=True)
 class CodePlan:
     """The shared single-pass state of one ``(target, base)`` delta, in
-    numpy: what the write path prices and encodes from where no kernel
-    runs (the kernels' form is one call,
-    :class:`~repro.core.native.ChunkEncode`), and what the table
-    benches read.
+    numpy: what the encode face's numpy form (:func:`_encode_numpy`)
+    prices and packs from, and what the table benches read.
 
     Computed once per pair and handed to every consumer: the compose
     ``mode``, the flat code array the strategies of Section III-B.3
@@ -224,9 +206,9 @@ class CodePlan:
         """Plan ``target`` against ``base`` (either may be a strided
         chunk view).  ``adopt`` leaves the (writable) ``base`` holding
         ``target``'s cells, so ``plan.base`` is the target's contents
-        afterwards; every store delta codec encodes from the codes
-        alone and never reads ``plan.base``, so any of them may encode
-        an adopted plan.
+        afterwards; the sections are packed from the codes alone and
+        never read ``plan.base``, so an adopted plan packs as any
+        other.
         """
         numeric.check_same_layout(target, base)
         if adopt and not base.flags.writeable:
@@ -240,202 +222,7 @@ class CodePlan:
 
 
 # ----------------------------------------------------------------------
-# Dense strategy
-# ----------------------------------------------------------------------
-def dense_size(codes: np.ndarray,
-               stats: CodeStats | None = None) -> int:
-    """Encoded bytes of the dense strategy (1-byte width header)."""
-    stats = stats or CodeStats.from_codes(codes)
-    return 1 + bitpack.packed_size(stats.n, stats.max_bits)
-
-
-def encode_dense_parts(codes: np.ndarray,
-                       stats: CodeStats | None = None) -> list[bytes]:
-    """Dense D-bit encoding as its constituent buffers: the split at
-    the widest code, which has no outliers."""
-    stats = stats or CodeStats.from_codes(codes)
-    small, _, _ = _pack(codes, stats.max_bits, 0, 0)
-    return [pack_u8(stats.max_bits), small]
-
-
-def encode_dense(codes: np.ndarray) -> bytes:
-    """Dense D-bit encoding: ``u8 bits`` + packed codes."""
-    return b"".join(encode_dense_parts(codes))
-
-
-def decode_dense(data, offset: int, count: int
-                 ) -> tuple[np.ndarray, int]:
-    """Inverse of :func:`encode_dense`; returns ``(codes, next_offset)``."""
-    data = _view(data)
-    bits, offset = unpack_u8(data, offset)
-    packed_len = bitpack.packed_size(count, bits)
-    codes = bitpack.unpack_unsigned(
-        data[offset:offset + packed_len], bits, count)
-    return codes, offset + packed_len
-
-
-# ----------------------------------------------------------------------
-# The split: packed small codes + an outlier table (sparse and hybrid)
-# ----------------------------------------------------------------------
-def _pack(codes: np.ndarray, small_bits: int, outliers: int,
-          value_bits: int) -> tuple[bytes, bytes, bytes]:
-    """The packed ``(small, positions, values)`` sections of ``codes``
-    split at ``small_bits``: every code below ``2**small_bits`` in the
-    small section (zero at the outlier positions; none at width 0), the
-    ``outliers`` others' positions and values at ``value_bits``."""
-    codes = np.ascontiguousarray(codes, dtype=np.uint64).ravel()
-    position_bits = bitpack.required_bits(max(0, codes.size - 1))
-    positions = np.flatnonzero(codes >> np.uint64(small_bits)) \
-        if outliers else codes[:0]
-    small = codes
-    if outliers and small_bits:
-        small = codes.copy()
-        small[positions] = 0
-    return (bitpack.pack_unsigned(small, small_bits) if small_bits
-            else b"",
-            bitpack.pack_unsigned(positions, position_bits),
-            bitpack.pack_unsigned(codes[positions], value_bits))
-
-
-def _split_parts(codes: np.ndarray, small_bits: int,
-                 stats: CodeStats) -> tuple[bytes, list[bytes]]:
-    """``codes`` split at ``small_bits``: the packed small-code section
-    (zeros at the outlier positions) and the outlier table (count,
-    position width, value width, positions, values).
-
-    The sparse encoding *is* that table at ``small_bits = 0``; the
-    hybrid encoding the small width byte, the section and the table.
-    The outlier count and value width are read off ``stats`` (the
-    outliers include the array maximum whenever there are any), so
-    nothing is re-scanned, and one pack writes all three streams.
-    ``small_bits`` < 64: the cost curve never selects 64
-    (``curve[64] >= curve[63]``), and sparse passes 0.
-    """
-    outliers = stats.outliers_at(small_bits)
-    value_bits = stats.max_bits if outliers else 0
-    position_bits = bitpack.required_bits(max(0, stats.n - 1))
-    small, positions, values = _pack(codes, small_bits, outliers,
-                                     value_bits)
-    return small, [pack_i64(outliers), pack_u8(position_bits),
-                   pack_u8(value_bits), positions, values]
-
-
-def _read_outliers(data: memoryview, offset: int, count: int, what: str
-                   ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Parse one outlier table; returns ``(index, values, next_offset)``.
-
-    The one reader behind every sparse / hybrid decoder, stepwise and
-    fused, so a corrupt payload fails the same way on every path: the
-    entry count is read from the bytes and must fit the ``count`` cells
-    the caller is decoding *before* it sizes anything, and the
-    positions come back as a bounds-checked int64 index.
-    """
-    outliers, offset = unpack_i64(data, offset)
-    if not 0 <= outliers <= count:
-        raise CodecError(
-            f"{what} table claims {outliers} entries for {count} cells")
-    position_bits, offset = unpack_u8(data, offset)
-    value_bits, offset = unpack_u8(data, offset)
-    end = offset + bitpack.packed_size(outliers, position_bits)
-    index = bitpack.unpack_unsigned(
-        data[offset:end], position_bits, outliers).astype(np.int64)
-    offset = end + bitpack.packed_size(outliers, value_bits)
-    values = bitpack.unpack_unsigned(
-        data[end:offset], value_bits, outliers)
-    if index.size and (index.max() >= count or index.min() < 0):
-        raise CodecError(f"{what} position out of range")
-    return index, values, offset
-
-
-# ----------------------------------------------------------------------
-# Sparse strategy
-# ----------------------------------------------------------------------
-def sparse_size(codes: np.ndarray,
-                stats: CodeStats | None = None) -> int:
-    """Encoded bytes of the sparse strategy without materializing it.
-
-    Codes are unsigned, so when any is nonzero the array maximum *is*
-    the nonzero maximum: both the nonzero count and the value width
-    come straight from the histogram.
-    """
-    stats = stats or CodeStats.from_codes(codes)
-    position_bits = bitpack.required_bits(max(0, stats.n - 1))
-    return (8 + 1 + 1
-            + bitpack.packed_size(stats.nonzero, position_bits)
-            + bitpack.packed_size(stats.nonzero, stats.max_bits))
-
-
-def encode_sparse_parts(codes: np.ndarray,
-                        stats: CodeStats | None = None) -> list[bytes]:
-    """Sparse encoding as its constituent buffers: the outlier table of
-    the split at width 0."""
-    stats = stats or CodeStats.from_codes(codes)
-    return _split_parts(codes, 0, stats)[1]
-
-
-def encode_sparse(codes: np.ndarray) -> bytes:
-    """Sparse encoding: nonzero (position, code) pairs, both bit-packed."""
-    return b"".join(encode_sparse_parts(codes))
-
-
-def decode_sparse(data, offset: int, count: int
-                  ) -> tuple[np.ndarray, int]:
-    """Inverse of :func:`encode_sparse`."""
-    index, values, offset = _read_outliers(_view(data), offset, count,
-                                           "sparse delta")
-    codes = np.zeros(count, dtype=np.uint64)
-    codes[index] = values
-    return codes, offset
-
-
-# ----------------------------------------------------------------------
-# Hybrid strategy
-# ----------------------------------------------------------------------
-def hybrid_size(codes: np.ndarray,
-                stats: CodeStats | None = None) -> int:
-    """Encoded bytes of the optimal hybrid split, without encoding."""
-    stats = stats or CodeStats.from_codes(codes)
-    return int(stats.split_curve().min())
-
-
-def hybrid_split_width(codes: np.ndarray,
-                       stats: CodeStats | None = None) -> int:
-    """The small-code bit width the optimal hybrid split uses (the
-    narrowest of the cheapest)."""
-    stats = stats or CodeStats.from_codes(codes)
-    return int(np.argmin(stats.split_curve()))
-
-
-def encode_hybrid_parts(codes: np.ndarray,
-                        stats: CodeStats | None = None) -> list[bytes]:
-    """Optimal small/large split encoding as its constituent buffers."""
-    stats = stats or CodeStats.from_codes(codes)
-    small_bits = hybrid_split_width(codes, stats)
-    small, table = _split_parts(codes, small_bits, stats)
-    return [pack_u8(small_bits), small, *table]
-
-
-def encode_hybrid(codes: np.ndarray) -> bytes:
-    """Optimal small/large split encoding (Section III-B.3)."""
-    return b"".join(encode_hybrid_parts(codes))
-
-
-def decode_hybrid(data, offset: int, count: int
-                  ) -> tuple[np.ndarray, int]:
-    """Inverse of :func:`encode_hybrid`."""
-    data = _view(data)
-    small_bits, offset = unpack_u8(data, offset)
-    small_len = bitpack.packed_size(count, small_bits)
-    codes = bitpack.unpack_unsigned(
-        data[offset:offset + small_len], small_bits, count)
-    index, values, offset = _read_outliers(
-        data, offset + small_len, count, "hybrid delta outlier")
-    codes[index] = values
-    return codes, offset
-
-
-# ----------------------------------------------------------------------
-# The chain fold (the read path)
+# The sections, by layout
 # ----------------------------------------------------------------------
 #: The two kinds of section a strategy's payload is made of: the small
 #: width byte with every code packed at it (dense; hybrid's small
@@ -443,6 +230,152 @@ def decode_hybrid(data, offset: int, count: int
 #: (sparse; hybrid's outliers).
 SMALL = native.FOLD_SMALL
 TABLE = native.FOLD_TABLE
+
+
+def section_size(stats: CodeStats, layout: int) -> tuple[int, int]:
+    """``(bytes, small width)`` of the sections of ``layout`` over a
+    code array of ``stats``, and the split they pack at: dense
+    (:data:`SMALL` alone) at the widest code; sparse (:data:`TABLE`
+    alone) the outlier table of the split at width 0; hybrid (both) at
+    the narrowest of the cheapest splits.  Exact, and never an encode.
+    """
+    if not layout & TABLE:
+        return 1 + bitpack.packed_size(stats.n, stats.max_bits), \
+            stats.max_bits
+    if not layout & SMALL:
+        position_bits = bitpack.required_bits(max(0, stats.n - 1))
+        return (8 + 1 + 1
+                + bitpack.packed_size(stats.nonzero, position_bits)
+                + bitpack.packed_size(stats.nonzero, stats.max_bits)), 0
+    curve = stats.split_curve()
+    small_bits = int(np.argmin(curve))
+    return int(curve[small_bits]), small_bits
+
+
+def pack_sections(codes: np.ndarray, stats: CodeStats, layout: int,
+                  small_bits: int) -> bytes:
+    """The sections of ``layout`` of ``codes`` (of ``stats``), split at
+    ``small_bits`` (:func:`section_size`'s): the small width byte and
+    every code below ``2**small_bits`` packed at it (zero at the outlier
+    positions; no codes at width 0), then the outlier table — entry
+    count, position width, value width, the packed positions, the
+    packed values.  The outliers are the codes wider than
+    ``small_bits`` (none for :data:`SMALL` alone, whose split is the
+    widest code), so their count and value width are read off
+    ``stats``."""
+    codes = np.ascontiguousarray(codes, dtype=np.uint64).ravel()
+    outliers = stats.outliers_at(small_bits) if layout & TABLE else 0
+    positions = np.flatnonzero(codes >> np.uint64(small_bits)) \
+        if outliers else codes[:0]
+    parts = []
+    if layout & SMALL:
+        small = codes
+        if outliers and small_bits:
+            small = codes.copy()
+            small[positions] = 0
+        parts += (pack_u8(small_bits),
+                  bitpack.pack_unsigned(small, small_bits) if small_bits
+                  else b"")
+    if layout & TABLE:
+        value_bits = stats.max_bits if outliers else 0
+        position_bits = bitpack.required_bits(max(0, stats.n - 1))
+        parts += (pack_i64(outliers), pack_u8(position_bits),
+                  pack_u8(value_bits),
+                  bitpack.pack_unsigned(positions, position_bits),
+                  bitpack.pack_unsigned(codes[positions], value_bits))
+    return b"".join(parts)
+
+
+def read_sections(data, layout: int, count: int) -> list[tuple]:
+    """The sections of ``layout`` in ``data`` (one level's section,
+    unframed and unsealed) over ``count`` cells, as ``(where, codes)``
+    pairs: every cell's small code (``where`` is ``slice(None)``;
+    nothing at width 0), then the outlier table's positions and
+    values.  The small codes are zero at the outlier positions, so
+    writing the pairs in order over zeros gives the level's code array.
+
+    Nothing in the bytes is trusted: every length is re-derived from
+    ``count``, the table's entry count is checked against it before
+    anything is sized from it, and bytes past the sections are refused
+    — a malformed section raises :class:`~repro.core.errors.CodecError`.
+    """
+    data = _view(data)
+    parts, offset = [], 0
+    if layout & SMALL:
+        bits, offset = unpack_u8(data, offset)
+        end = offset + bitpack.packed_size(count, bits)
+        if bits:
+            parts.append((slice(None), bitpack.unpack_unsigned(
+                data[offset:end], bits, count)))
+        offset = end
+    if layout & TABLE:
+        outliers, offset = unpack_i64(data, offset)
+        if not 0 <= outliers <= count:
+            raise CodecError(
+                f"outlier table claims {outliers} entries for {count} cells")
+        position_bits, offset = unpack_u8(data, offset)
+        value_bits, offset = unpack_u8(data, offset)
+        end = offset + bitpack.packed_size(outliers, position_bits)
+        index = bitpack.unpack_unsigned(
+            data[offset:end], position_bits, outliers).astype(np.int64)
+        offset = end + bitpack.packed_size(outliers, value_bits)
+        values = bitpack.unpack_unsigned(data[end:offset], value_bits,
+                                         outliers)
+        if index.size and (index.max() >= count or index.min() < 0):
+            raise CodecError("outlier position out of range")
+        parts.append((index, values))
+    if offset != len(data):
+        raise CodecError(f"{len(data) - offset} undecoded trailing bytes")
+    return parts
+
+
+# ----------------------------------------------------------------------
+# The numpy forms of the two C entries
+# ----------------------------------------------------------------------
+def _encode_numpy(target: np.ndarray, base: np.ndarray, adopt: bool,
+                  header: bytes, frame: bytes, layouts, pack: int,
+                  materialized: int) -> tuple[int, bytes, tuple[int, ...]]:
+    """One chunk's encode, ``target`` against ``base``: the numpy form
+    of :class:`~repro.core.native.ChunkEncode`'s call, which runs it
+    where no kernel does — ``(winner, payload, sizes)`` byte for byte.
+
+    One :class:`CodePlan` (adopting the target into the base when
+    asked) gives the codes and their width histogram; the materialized
+    form (``header`` and the cells, unless the caller made it and gives
+    its ``materialized`` size) and every candidate are sized off it
+    (:func:`section_size`, behind the frame and, for a
+    :data:`~repro.core.native.FOLD_SEALED` layout, a seal byte, or
+    nothing for a :data:`~repro.core.native.FOLD_BARE` one); the
+    cheapest wins, ties to the earlier, the materialized form first.
+    ``pack`` says which one is packed: the winner
+    (:data:`~repro.core.native.ENCODE_RACE`), candidate ``pack``, or
+    none (:data:`~repro.core.native.ENCODE_SIZE`)."""
+    plan = CodePlan.build(target, base, adopt=adopt)
+    mine = materialized < 0
+    if mine:
+        materialized = len(header) + target.nbytes
+    sizes, splits = [], []
+    winner, best = -1, materialized
+    for index, layout in enumerate(layouts):
+        size, small_bits = section_size(plan.stats, layout)
+        if not layout & native.FOLD_BARE:
+            size += len(frame) + bool(layout & native.FOLD_SEALED)
+        if size < best:
+            winner, best = index, size
+        sizes.append(size)
+        splits.append(small_bits)
+    chosen = winner if pack == native.ENCODE_RACE else pack
+    if pack == native.ENCODE_SIZE or (chosen < 0 and not mine):
+        payload = b""
+    elif chosen < 0:
+        payload = header + target.tobytes()
+    else:
+        layout = layouts[chosen]
+        prefix = b"" if layout & native.FOLD_BARE \
+            else frame + b"\0" if layout & native.FOLD_SEALED else frame
+        payload = prefix + pack_sections(plan.codes, plan.stats, layout,
+                                         splits[chosen])
+    return winner, payload, tuple(sizes)
 
 
 def _fold_numpy(sections: list, layouts: list[int], dest: np.ndarray,
@@ -479,21 +412,7 @@ def _fold_numpy(sections: list, layouts: list[int], dest: np.ndarray,
 
     for level, (section, layout) in enumerate(zip(sections, layouts)):
         try:
-            data = _view(section)
-            offset = 0
-            if layout & SMALL:
-                bits, offset = unpack_u8(data, offset)
-                end = offset + bitpack.packed_size(count, bits)
-                if bits:
-                    apply(slice(None), bitpack.unpack_unsigned(
-                        data[offset:end], bits, count))
-                offset = end
-            if layout & TABLE:
-                index, values, offset = _read_outliers(
-                    data, offset, count, "delta outlier")
-                apply(index, values)
-            if offset != len(data):
-                raise CodecError(
-                    f"{len(data) - offset} undecoded trailing bytes")
+            for where, codes in read_sections(section, layout, count):
+                apply(where, codes)
         except CodecError as exc:
             raise DeltaLevelError(level, str(exc)) from exc

@@ -16,7 +16,4 @@ class DenseDeltaCodec(DeltaCodec):
     """Uniform minimal-width bit-packed cellwise delta."""
 
     name = "dense"
-    _size = staticmethod(code_store.dense_size)
-    _encode = staticmethod(code_store.encode_dense_parts)
-    _decode = staticmethod(code_store.decode_dense)
     layout = code_store.SMALL

@@ -24,9 +24,6 @@ class HybridDeltaCodec(DeltaCodec):
     """Optimal small/large split delta, optionally LZ-compressed."""
 
     name = "hybrid"
-    _size = staticmethod(code_store.hybrid_size)
-    _encode = staticmethod(code_store.encode_hybrid_parts)
-    _decode = staticmethod(code_store.decode_hybrid)
     layout = code_store.SMALL | code_store.TABLE
 
     def __init__(self, lz: bool = False):
@@ -51,9 +48,3 @@ class HybridDeltaCodec(DeltaCodec):
         lz_flag, offset = unpack_u8(payload, 0)
         payload = payload[offset:]
         return unlz_bytes(payload) if lz_flag else payload
-
-    def plan_size(self, plan) -> int | None:
-        if self.lz:
-            # Data dependent: the planner falls back to (one) encode.
-            return None
-        return 1 + super().plan_size(plan)  # + the LZ flag byte

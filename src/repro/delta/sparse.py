@@ -16,7 +16,4 @@ class SparseDeltaCodec(DeltaCodec):
     """Position/value pairs for the nonzero delta codes only."""
 
     name = "sparse"
-    _size = staticmethod(code_store.sparse_size)
-    _encode = staticmethod(code_store.encode_sparse_parts)
-    _decode = staticmethod(code_store.decode_sparse)
     layout = code_store.TABLE

@@ -10,10 +10,9 @@ O(n^2) pairwise comparisons."
 Two construction strategies are provided:
 
 * **exact** — every pairwise delta is priced as the write path prices
-  it: one compiled call per pair in its size-only mode
-  (:class:`~repro.core.native.ChunkEncode`; a
-  :class:`~repro.delta.codes.CodePlan` where no kernel runs), the
-  hybrid size read off the width histogram (no bytes are actually
+  it: one call of the encode face per pair in its size-only mode
+  (:class:`~repro.core.native.ChunkEncode`, in C or its numpy form),
+  the hybrid size read off the width histogram (no bytes are actually
   encoded);
 * **sampled** — "computing the space S to store the deltas based on a
   random sample of R of the total of N cells ... and then computing
@@ -31,11 +30,11 @@ import numpy as np
 from repro.compression.base import Codec, IdentityCodec
 from repro.core import native
 from repro.core.errors import DeltaShapeMismatchError, ReproError
-from repro.delta.codes import SMALL, TABLE, CodePlan, hybrid_size
 
-#: A pair's price: the hybrid split's sections alone, as
-#: :func:`~repro.delta.codes.hybrid_size` counts them.
-_HYBRID_SECTIONS = (SMALL | TABLE | native.FOLD_BARE,)
+#: A pair's price: the hybrid split's sections alone, without frame or
+#: seal byte.
+_HYBRID_SECTIONS = (native.FOLD_SMALL | native.FOLD_TABLE
+                    | native.FOLD_BARE,)
 
 
 @dataclass(frozen=True)
@@ -195,10 +194,6 @@ def _delta_cost(flat_a: np.ndarray, flat_b: np.ndarray,
         flat_a, flat_b = flat_a[sample_index], flat_b[sample_index]
         scale = total_cells / len(sample_index)
     encode = native.chunk_encode(flat_a.dtype, flat_a.shape, b"", b"",
-                                 ("hybrid",), _HYBRID_SECTIONS) \
-        if native.available() else None
-    if encode is None:
-        plan = CodePlan.build(flat_a, flat_b)
-        return float(hybrid_size(plan.codes, plan.stats)) * scale
+                                 ("hybrid",), _HYBRID_SECTIONS)
     done = encode(flat_a, flat_b, False, pack=native.ENCODE_SIZE)
     return float(done.sizes[0]) * scale

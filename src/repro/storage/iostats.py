@@ -39,15 +39,16 @@ executed by the encode stage), and ``chunks_written`` and
 order).
 
 The single-pass encode decision adds three more write-side counters:
-``encode_plans`` (chunk encodes decided — by the one compiled call,
-:func:`~repro.delta.auto.encode_chunk`, or where no kernel runs by
-:func:`~repro.delta.auto.plan_encoding`, which count alike),
+``encode_plans`` (chunk encodes decided — a chunk with a delta base by
+one call of the encode face, :func:`~repro.delta.auto.encode_chunk`, in
+C or in its numpy form, and a chunk with none by
+:func:`~repro.delta.auto.materialize`, which count alike),
 ``codec_encodes_avoided`` (representations sized exactly from the
 width histogram but never encoded — losing delta candidates,
 plus the materialized payload whenever the cost model proves a delta
 wins under the identity compressor), and ``planner_bytes_saved`` (the
-total size of those never-produced payloads).  The planner's contract
-is that it changes no stored byte, so these counters are the only
+total size of those never-produced payloads).  Sizing before encoding
+changes no stored byte, so these counters are the only
 place its work is visible outside wall-clock time.
 
 The fused read path is covered by three counters: ``chains_fused``
@@ -161,7 +162,7 @@ class IOStats:
         """Account one chunk encode decided in a single pass:
         ``encodes_avoided`` representations were sized exactly from the
         width histogram but never encoded, and ``bytes_saved`` is the
-        total size of those never-produced payloads.  The planner runs
+        total size of those never-produced payloads.  The decision runs
         inside the encode stage's parallel fan-out, so the counter
         shares the lock discipline of ``encode_tasks``."""
         with self._lock:

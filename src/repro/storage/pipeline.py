@@ -42,12 +42,16 @@ Two invariants both pipelines are built around:
 * **Byte identity across acceleration.**  Every fast path — the chain
   fold at the cell's own width and the compiled kernels in
   :mod:`repro.core.native` — must produce exactly the bytes of the
-  plain numpy, level-by-level decode.  Store fingerprints may never
-  depend on ``REPRO_NATIVE``, the fan width, or whether an insert's
-  base canvas came from the manager's hot slot or a ``select``.
-* **Graceful fallback.**  Each compiled kernel gates itself on dtype
-  and layout and returns ``None``/raises nothing when it does not
-  apply; the caller falls back to the numpy form silently.
+  numpy forms.  Store fingerprints may never depend on
+  ``REPRO_NATIVE``, the fan width, or whether an insert's base canvas
+  came from the manager's hot slot or a ``select``.
+* **One face per direction, each with its numpy form.**  A chunk is
+  encoded by one call of :class:`~repro.core.native.ChunkEncode` and a
+  batch of chunks decoded by one :class:`~repro.core.native.FoldBatch`
+  run; where the C entry does not take a call (kernels off, a host or
+  cell type it does not read, an empty chunk), the face runs its numpy
+  form itself and says why once at debug.  No caller branches on
+  whether a kernel runs.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ from repro.delta.auto import (
     EncodingDecision,
     default_delta_candidates,
     encode_chunk,
-    plan_encoding,
+    materialize,
 )
 from repro.delta.base import (
     DeltaCodec,
@@ -371,7 +375,7 @@ class EncodePipeline:
 
     def _candidates(self) -> tuple[DeltaCodec, ...]:
         """The delta codecs the policy tries on a chunk, in the
-        planner's order."""
+        race's order."""
         if self.delta_policy == POLICY_CHAIN:
             return (get_delta_codec(self.delta_codec_name),)
         return _DEFAULT_CANDIDATES
@@ -399,28 +403,24 @@ class EncodePipeline:
                      ) -> EncodingDecision:
         """Pick and produce one chunk's representation.
 
-        A chunk with a delta base is decided and encoded by the one
-        compiled call (:func:`~repro.delta.auto.encode_chunk`), written
-        into this thread's buffer and copied out once; where no kernel
-        runs, and for a chunk with no base, by the single-pass
-        :func:`~repro.delta.auto.plan_encoding` — one delta, one code
-        array, one set of width statistics, one encode — to the same
-        bytes.  Either way the representations sized but never
-        produced are recorded in the store's counters.  ``adopt``
-        leaves the writable ``base`` window holding ``target``'s cells.
+        A chunk with a delta base is decided and encoded by one call of
+        the encode face (:func:`~repro.delta.auto.encode_chunk`),
+        written into this thread's buffer and copied out once — in C,
+        or in the face's numpy form where no kernel runs, to the same
+        bytes; a chunk with no base is the compressor's encode
+        (:func:`~repro.delta.auto.materialize`).  The representations
+        sized but never produced are recorded in the store's counters.
+        ``adopt`` leaves the writable ``base`` window holding
+        ``target``'s cells.
         """
         if self.delta_policy == POLICY_MATERIALIZE or base is None:
-            planned = plan_encoding(target, None, compressor=compressor)
+            planned = materialize(target, compressor)
         else:
-            codecs = self._candidates()
-            encode = chunk_encode(target.dtype, target.shape, codecs)
-            if encode is None:
-                planned = plan_encoding(target, base, compressor=compressor,
-                                        candidates=codecs, adopt=adopt)
-            else:
-                planned = encode_chunk(encode, target, base, compressor,
-                                       adopt=adopt,
-                                       space=self._space_for(encode.words))
+            encode = chunk_encode(target.dtype, target.shape,
+                                  self._candidates())
+            planned = encode_chunk(encode, target, base, compressor,
+                                   adopt=adopt,
+                                   space=self._space_for(encode.words))
         self.store.stats.record_encode_plan(planned.encodes_avoided,
                                             planned.bytes_saved)
         return planned.decision

@@ -192,7 +192,7 @@ class TestWordKernelsAgainstBitMatrixOracle:
     @pytest.mark.parametrize("bits", (7, 8, 13, 32, 64))
     @pytest.mark.parametrize("size", (5, 9000))
     def test_unpack_returns_writable_array(self, bits, size):
-        """decode_hybrid patches outlier codes in place, so every
+        """Callers may patch unpacked codes in place, so every
         unpack path — fast, gather, blocked — must return an array it
         owns, never a read-only frombuffer view."""
         values = np.ones(size, dtype=np.uint64)

@@ -1,6 +1,6 @@
 """The read side's one C entry vs its numpy references, byte for byte.
 
-The encode side is covered next to the planner
+The encode side is covered next to the encode face
 (``tests/delta/test_planner.py``, ``tests/delta/test_chunk_encode.py``);
 this file owns the decode side: the fold's in-register zigzag decode
 and its D-bit unpack across every width, held against the numpy
@@ -101,13 +101,20 @@ class TestUnpackBits:
 FOLD_DTYPES = [np.int8, np.uint8, np.bool_, np.int16, np.uint16, np.int32,
                np.uint32, np.int64, np.uint64, np.float16, np.float32,
                np.float64]
-#: A strategy's section encoder and the layout that names its parts.
+#: A strategy's layout: the parts of its sections.
 FOLD_SECTIONS = {
-    "dense": (code_store.encode_dense, native.FOLD_SMALL),
-    "sparse": (code_store.encode_sparse, native.FOLD_TABLE),
-    "hybrid": (code_store.encode_hybrid,
-               native.FOLD_SMALL | native.FOLD_TABLE),
+    "dense": native.FOLD_SMALL,
+    "sparse": native.FOLD_TABLE,
+    "hybrid": native.FOLD_SMALL | native.FOLD_TABLE,
 }
+
+
+def _pack(codes: np.ndarray, layout: int) -> bytes:
+    """``codes`` as the numpy packer writes ``layout``'s sections, at
+    the split the sizer picks."""
+    stats = code_store.CodeStats.from_codes(codes)
+    return code_store.pack_sections(
+        codes, stats, layout, code_store.section_size(stats, layout)[1])
 CANARY = 0xA5
 #: Canary bytes on each side of a destination.
 PAD = 16
@@ -214,7 +221,7 @@ class TestFoldChain:
         composing in 64 bits and truncating — and stays in its window.
         Bool cells end as 0 or 1."""
         rng = np.random.default_rng(2012)
-        encode, layout = FOLD_SECTIONS[strategy]
+        layout = FOLD_SECTIONS[strategy]
         use_xor = _use_xor(dtype)
         frame, window = _in_canary_frame((6, 9), dtype)
         start = rng.integers(0, 256, 54 * np.dtype(dtype).itemsize,
@@ -224,7 +231,7 @@ class TestFoldChain:
         sections = []
         for _ in range(3):
             codes = _level_codes(rng, 54, use_xor)
-            sections.append(encode(codes))
+            sections.append(_pack(codes, layout))
             expected = _fold_reference(expected, codes, use_xor)
         if expected.dtype == bool:
             expected = expected.view(np.uint8) != 0
@@ -236,12 +243,12 @@ class TestFoldChain:
         """int8 crossing +127 and -128; uint64 with the top bit set."""
         cells = np.array([127, -128, 5], dtype=np.int8)
         deltas = np.array([3, -3, 0], dtype=np.int64)
-        section = code_store.encode_dense(bitpack.zigzag_encode(deltas))
+        section = _pack(bitpack.zigzag_encode(deltas), native.FOLD_SMALL)
         assert _fold(cells, [section], [native.FOLD_SMALL], False) is None
         assert cells.tolist() == [-126, 125, 5]
         wide = np.array([2**64 - 1, 2**63], dtype=np.uint64)
         deltas = np.array([1, -1], dtype=np.int64)
-        section = code_store.encode_sparse(bitpack.zigzag_encode(deltas))
+        section = _pack(bitpack.zigzag_encode(deltas), native.FOLD_TABLE)
         assert _fold(wide, [section], [native.FOLD_TABLE], False) is None
         assert wide.tolist() == [0, 2**63 - 1]
 
@@ -255,8 +262,8 @@ class TestFoldChain:
         window[...] = rng.integers(-100, 100, shape)
         codes = _level_codes(rng, window.size, False)
         expected = _fold_reference(window.copy(), codes, False)
-        assert _fold(window, [code_store.encode_hybrid(codes)],
-                     [native.FOLD_SMALL | native.FOLD_TABLE],
+        layout = native.FOLD_SMALL | native.FOLD_TABLE
+        assert _fold(window, [_pack(codes, layout)], [layout],
                      False) is None
         assert np.array_equal(window, expected)
         assert _canaries_intact(frame)
@@ -272,8 +279,8 @@ class TestFoldChain:
         canvas = np.arange(4 * 5 * 6, dtype=np.int32).reshape(4, 5, 6)
         before = canvas.copy()
         window = canvas[index]
-        section = code_store.encode_dense(
-            np.ones(window.size, dtype=np.uint64))
+        section = _pack(np.ones(window.size, dtype=np.uint64),
+                        native.FOLD_SMALL)
         with pytest.raises(ValueError, match="contiguous"):
             _call(window, [section], [native.FOLD_SMALL], False)
         assert np.array_equal(canvas, before)
@@ -297,9 +304,9 @@ class TestFoldChain:
                                        np.int64], ids=str)
     def test_every_truncation_is_refused(self, dtype, strategy):
         rng = np.random.default_rng(11)
-        encode, layout = FOLD_SECTIONS[strategy]
+        layout = FOLD_SECTIONS[strategy]
         use_xor = _use_xor(dtype)
-        section = encode(_level_codes(rng, 24, use_xor))
+        section = _pack(_level_codes(rng, 24, use_xor), layout)
         frame, window = _in_canary_frame((4, 6), dtype)
         for cut in range(len(section)):
             window[...] = 0
@@ -319,7 +326,7 @@ class TestFoldChain:
         rng = np.random.default_rng(5)
         dtype = np.dtype(f"u{width}")
         codes = _level_codes(rng, 24, use_xor)
-        hybrid = bytearray(code_store.encode_hybrid(codes))
+        hybrid = bytearray(_pack(codes, native.FOLD_SMALL | native.FOLD_TABLE))
         small_bits = hybrid[0]
         table_at = 1 + bitpack.packed_size(24, small_bits)
         frame, window = _in_canary_frame((4, 6), dtype)
@@ -373,7 +380,7 @@ class TestFoldChain:
         assert _canaries_intact(frame)
 
     def test_failing_level_is_named(self):
-        good = code_store.encode_dense(np.ones(6, dtype=np.uint64))
+        good = _pack(np.ones(6, dtype=np.uint64), native.FOLD_SMALL)
         cells = np.zeros(6, dtype=np.int32)
         assert _fold(cells, [good, good, good[:-1], good],
                      [native.FOLD_SMALL] * 4, False) == (2, 1)
@@ -383,7 +390,7 @@ class TestFoldChain:
         why, once per reason; cells that are not writable contiguous
         cells of the layout are refused before anything is written."""
         monkeypatch.setattr(native, "_declined", set())
-        section = code_store.encode_dense(np.ones(8, dtype=np.uint64))
+        section = _pack(np.ones(8, dtype=np.uint64), native.FOLD_SMALL)
         layouts = [native.FOLD_SMALL]
         cells = np.zeros(16, dtype=np.int32)
         read_only = np.zeros(8, dtype=np.int32)
@@ -472,7 +479,7 @@ class TestDisabledScope:
     def test_disabled_turns_every_kernel_off(self, monkeypatch):
         codes = np.arange(8, dtype=np.uint64)
         acc = np.zeros(8, dtype=np.int64)
-        section = code_store.encode_dense(codes)
+        section = _pack(codes, native.FOLD_SMALL)
         lib = native._load()
         calls = []
         for entry in ("repro_fold_chain", "repro_encode_chunk"):
@@ -482,9 +489,10 @@ class TestDisabledScope:
         with native.disabled():
             assert not native.available()
             assert _call(acc, [section], [native.FOLD_SMALL], False) is None
-            assert chunk_encode(acc.dtype, acc.shape,
-                                (get_delta_codec("hybrid"),)) is None
+            encode = chunk_encode(acc.dtype, acc.shape,
+                                  (get_delta_codec("hybrid"),))
             payload = get_delta_codec("hybrid").encode(acc + 1, acc)
+            assert encode(acc + 1, acc, False).payload == payload
         assert calls == []      # the fold and the encode ran in numpy
         assert acc.tolist() == [0, -1, 1, -2, 2, -3, 3, -4]
         assert get_delta_codec("hybrid").encode(acc + 1, acc) == payload
@@ -507,21 +515,21 @@ class TestDisabledScope:
             filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         probe = (
             "import numpy as np\n"
-            "from repro.core import native\n"
-            "from repro.delta import codes as code_store\n"
+            "from repro.core import bitpack, native\n"
             "from repro.delta.base import chunk_encode\n"
             "from repro.delta.registry import get_delta_codec\n"
             "codes = np.arange(8, dtype=np.uint64)\n"
             "assert not native.available()\n"
             "acc = np.zeros(8, dtype=np.int64)\n"
             "hybrid = get_delta_codec('hybrid')\n"
-            "assert chunk_encode(acc.dtype, acc.shape, (hybrid,)) is None\n"
-            "assert hybrid.decode_forward(hybrid.encode(acc + 1, acc),\n"
-            "                             acc).tolist() == [1] * 8\n"
+            "encode = chunk_encode(acc.dtype, acc.shape, (hybrid,))\n"
+            "payload = encode(acc + 1, acc, False).payload\n"
+            "assert payload == hybrid.encode(acc + 1, acc)\n"
+            "assert hybrid.decode_forward(payload, acc).tolist() == [1] * 8\n"
             "batch = native.FoldBatch()\n"
             "batch.add(native.ChunkFold(acc.dtype, acc.shape, b'', b'',\n"
             "                           False),\n"
-            "          acc, [code_store.encode_dense(codes)],\n"
+            "          acc, [bytes([4]) + bitpack.pack_unsigned(codes, 4)],\n"
             "          [native.FOLD_SMALL | native.FOLD_BARE], acc)\n"
             "assert batch.run() == (1, 0)\n"
             "assert acc.tolist() == [0, -1, 1, -2, 2, -3, 3, -4]\n"

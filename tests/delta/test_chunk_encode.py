@@ -1,25 +1,27 @@
-"""The one-call encode against the planner and the two-pass oracle.
+"""The encode face, in C and in its numpy form, against the oracle.
 
 :class:`repro.core.native.ChunkEncode` (built by
 :func:`repro.delta.base.chunk_encode`) makes a chunk's whole encode in
-one compiled call: the analysis pass (adopting the target into the base
-when asked), every representation sized off the width histogram, and
-one packed behind its prefix — the cheapest, a named candidate whatever
-its size, or none.  :func:`repro.delta.auto.encode_chunk` is the write
-path's decision through it: it must decide exactly what
-:func:`repro.delta.auto.plan_encoding` decides with the kernels off —
-winner, payload bytes, ``(encodes_avoided, bytes_saved)`` — and what the
-literal "try both" oracle (:func:`encoding_oracle.choose_encoding`)
-decides, under both store compressors, for every candidate list of
-store codecs, every cell kind the kernels know, contiguous cells and
-2-d and 3-d canvas windows, all-equal and all-changed chunks, width-64
-codes, one-cell chunks and ties — recording no decline.  The forced
-pack is ``codec.encode``, and the size-only mode the Materialization
-Matrix's price.
+one call: the analysis pass (adopting the target into the base when
+asked), every representation sized off the width histogram, and one
+packed behind its prefix — the cheapest, a named candidate whatever its
+size, or none.  Its C call must give exactly what its numpy form gives
+under :func:`repro.core.native.disabled` and what the literal "try
+both" oracle (:func:`encoding_oracle.choose_encoding`) decides, in all
+three modes: the race through :func:`repro.delta.auto.encode_chunk`
+(winner, payload bytes, ``encodes_avoided``, ``bytes_saved``), the
+forced pack (``codec.encode``) and the size-only mode (the
+Materialization Matrix's price) — under both store compressors, for
+every candidate list of store codecs, every cell kind the kernels know,
+contiguous cells and 2-d and 3-d canvas windows, all-equal and
+all-changed chunks, width-64 codes, one-cell chunks and ties, recording
+no decline.  Where the C entry does not take a call, the face runs its
+numpy form and says why.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 
@@ -28,12 +30,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from encoding_oracle import choose_encoding
+from encoding_oracle import choose_encoding, reference_encode
 from repro.compression import LempelZivCodec
 from repro.core import native
-from repro.delta.auto import encode_chunk, plan_encoding
-from repro.delta.base import _chunk_encode, chunk_encode
-from repro.delta.codes import CodePlan, hybrid_size
+from repro.core.errors import CodecError
+from repro.delta import codes as code_store
+from repro.delta.auto import encode_chunk
+from repro.delta.base import chunk_encode
+from repro.delta.codes import CodePlan
 from repro.delta.registry import get_delta_codec
 from repro.materialize import matrix
 
@@ -134,7 +138,6 @@ def _encode(names, target, base, compressor=None, adopt=False):
     it is lent that must survive."""
     encode = chunk_encode(target.dtype, target.shape,
                           tuple(map(get_delta_codec, names)))
-    assert encode is not None
     space = np.full(encode.words + 2, CANARY, dtype=np.uint64)
     done = encode_chunk(encode, target, base, compressor, adopt=adopt,
                         space=space)
@@ -142,21 +145,21 @@ def _encode(names, target, base, compressor=None, adopt=False):
     return done
 
 
-def _assert_one_call_is_the_planner(rng, target, base, names, adopt, *,
-                                    placement=("contiguous",) * 2,
-                                    compressor="none"):
-    """The one call on ``target`` against ``base`` (each placed as
-    ``placement`` says) equals the planner with the kernels off and the
-    oracle, records no decline, and leaves the base canvas holding the
-    target (``adopt``) or untouched."""
+def _assert_one_call_is_the_numpy_form(rng, target, base, names, adopt, *,
+                                       placement=("contiguous",) * 2,
+                                       compressor="none"):
+    """The race on ``target`` against ``base`` (each placed as
+    ``placement`` says) in one C call equals the face's numpy form and
+    the oracle — winner, payload, ``encodes_avoided``, ``bytes_saved``
+    — records no decline, and leaves the base canvas holding the target
+    (``adopt``) or untouched."""
     _, target_window = _placed(rng, target, placement[0])
     base_canvas, base_window = _placed(rng, base.copy(), placement[1])
     before = base_canvas.copy()
     codecs = tuple(map(get_delta_codec, names))
     compressor = COMPRESSORS[compressor]
     with native.disabled():
-        planned = plan_encoding(target, base, compressor=compressor,
-                                candidates=codecs)
+        numpy_form = _encode(names, target, base.copy(), compressor, adopt)
     oracle = choose_encoding(target, base, compressor=compressor,
                              candidates=codecs)
     declined = set(native._declined)
@@ -164,18 +167,44 @@ def _assert_one_call_is_the_planner(rng, target, base, names, adopt, *,
     assert not {reason for reason in native._declined - declined
                 if reason[0] == "encode_chunk"}
     winner = done.decision.delta_codec
-    assert winner == planned.decision.delta_codec == oracle.delta_codec
-    assert done.decision.payload == planned.decision.payload \
+    assert winner == numpy_form.decision.delta_codec == oracle.delta_codec
+    assert done.decision.payload == numpy_form.decision.payload \
         == oracle.payload
     assert done.decision.size == len(done.decision.payload)
     assert (done.encodes_avoided, done.bytes_saved) == (
-        planned.encodes_avoided, planned.bytes_saved)
+        numpy_form.encodes_avoided, numpy_form.bytes_saved)
     if adopt:
         # The window holds the target bit for bit; nothing else moved.
         assert base_window.tobytes() == target.tobytes()
         base_window[...] = base
     assert base_canvas.tobytes() == before.tobytes()
     return winner
+
+
+def _assert_modes_are_the_numpy_form(target, base, names):
+    """The forced pack of every candidate and the size-only mode, in C,
+    equal the face's numpy form — winner, payload, sizes — and the
+    oracle: a forced pack is the codec's payload (a bare candidate's
+    sections, sealed, are), a size its length (a bare one's, its
+    sections')."""
+    codecs = tuple(map(get_delta_codec, names))
+    encode = chunk_encode(target.dtype, target.shape, codecs)
+    for pack in (native.ENCODE_SIZE, *range(len(codecs))):
+        done = encode(target, base, False, pack=pack)
+        with native.disabled():
+            assert encode(target, base, False, pack=pack) == done
+        if pack == native.ENCODE_SIZE:
+            assert done.payload == b""
+            continue
+        codec = codecs[pack]
+        expected = reference_encode(codec.name, target, base)
+        if encode.bare[pack]:
+            assert done.sizes[pack] == len(done.payload)
+            assert b"".join([encode.frame,
+                             *codec._seal([done.payload])]) == expected
+        else:
+            assert done.payload == expected
+            assert done.sizes[pack] == len(expected)
 
 
 @st.composite
@@ -193,14 +222,15 @@ def _cases(draw):
             draw(st.sampled_from(sorted(COMPRESSORS))))
 
 
-class TestOneCallIsThePlanner:
+class TestOneCallIsTheNumpyForm:
     @settings(max_examples=300, deadline=None)
     @given(case=_cases())
     def test_property(self, case):
         rng, target, base, names, adopt, placement, compressor = case
-        _assert_one_call_is_the_planner(rng, target, base, names, adopt,
-                                        placement=placement,
-                                        compressor=compressor)
+        _assert_one_call_is_the_numpy_form(rng, target, base, names, adopt,
+                                           placement=placement,
+                                           compressor=compressor)
+        _assert_modes_are_the_numpy_form(target, base, names)
 
     @pytest.mark.parametrize("adopt", [False, True], ids=["keep", "adopt"])
     @pytest.mark.parametrize("placement", itertools.product(PLACEMENTS,
@@ -214,8 +244,8 @@ class TestOneCallIsThePlanner:
         base = _cells(rng, CELLS[cell], shape)
         target = PROFILES[profile](rng, base)
         for names in CANDIDATES:
-            _assert_one_call_is_the_planner(rng, target, base, names,
-                                            adopt, placement=placement)
+            _assert_one_call_is_the_numpy_form(
+                rng, target, base, names, adopt, placement=placement)
 
     @pytest.mark.parametrize("compressor", sorted(COMPRESSORS))
     @pytest.mark.parametrize("profile", ["one-cell", "sparse", "random"])
@@ -224,7 +254,7 @@ class TestOneCallIsThePlanner:
         target = PROFILES[profile](rng, base)
         for names in EVERY_LIST:
             for adopt in (False, True):
-                _assert_one_call_is_the_planner(
+                _assert_one_call_is_the_numpy_form(
                     rng, target, base, names, adopt,
                     placement=("window", "window"), compressor=compressor)
 
@@ -236,12 +266,12 @@ class TestOneCallIsThePlanner:
         with native.disabled():
             assert CodePlan.build(target, base).stats.width_counts[64] \
                 == 300
-        assert _assert_one_call_is_the_planner(
+        assert _assert_one_call_is_the_numpy_form(
             rng, target, base, ("dense",), True,
             placement=("window", "window")) is None
         for names in CANDIDATES:
-            _assert_one_call_is_the_planner(rng, target, base, names,
-                                            False)
+            _assert_one_call_is_the_numpy_form(rng, target, base, names,
+                                               False)
 
     @pytest.mark.parametrize("shape", [(1,), (1, 1), ()])
     @pytest.mark.parametrize("cell", sorted(CELLS))
@@ -250,7 +280,7 @@ class TestOneCallIsThePlanner:
         for target in (base.copy(), _top_bit_flipped(base)):
             for names in CANDIDATES:
                 for adopt in (False, True):
-                    _assert_one_call_is_the_planner(
+                    _assert_one_call_is_the_numpy_form(
                         rng, target, base, names, adopt)
 
     def test_materialized_wins_a_tie(self, rng):
@@ -261,7 +291,7 @@ class TestOneCallIsThePlanner:
         target = base.copy()
         target[[2, 9, 15]] = [-64, 5, 1]
         for names in [("dense",), ("sparse",), ("dense", "sparse")]:
-            assert _assert_one_call_is_the_planner(
+            assert _assert_one_call_is_the_numpy_form(
                 rng, target, base, names, False) is None
 
     @pytest.mark.parametrize("names", [("sparse", "dense"),
@@ -273,7 +303,7 @@ class TestOneCallIsThePlanner:
         base = np.zeros(14, dtype=np.int8)
         target = base.copy()
         target[4] = 16
-        assert _assert_one_call_is_the_planner(
+        assert _assert_one_call_is_the_numpy_form(
             rng, target, base, names, False) == names[0]
 
     def test_a_candidate_named_twice(self, rng):
@@ -281,7 +311,8 @@ class TestOneCallIsThePlanner:
         target = _flip_some(rng, base, 5)
         for names in [("hybrid", "hybrid"), ("sparse", "hybrid", "sparse"),
                       ("hybrid+lz", "hybrid", "hybrid+lz")]:
-            _assert_one_call_is_the_planner(rng, target, base, names, True)
+            _assert_one_call_is_the_numpy_form(rng, target, base, names,
+                                               True)
 
 
 class TestModes:
@@ -319,7 +350,7 @@ class TestModes:
 
     @settings(max_examples=150, deadline=None)
     @given(case=_cases())
-    def test_size_only_is_hybrid_size(self, case):
+    def test_size_only_is_the_hybrid_sections(self, case):
         rng, target, base, *_ = case
         flat_target = target.reshape(-1)
         flat_base = base.reshape(-1)
@@ -331,8 +362,11 @@ class TestModes:
                       pack=native.ENCODE_SIZE)
         assert done.payload == b""
         with native.disabled():
-            plan = CodePlan.build(flat_target, flat_base)
-        assert done.sizes == (hybrid_size(plan.codes, plan.stats),)
+            assert encode(flat_target, flat_base, False,
+                          pack=native.ENCODE_SIZE) == done
+        plan = CodePlan.build(flat_target, flat_base)
+        assert done.sizes == (code_store.section_size(
+            plan.stats, code_store.SMALL | code_store.TABLE)[0],)
         assert (space[:encode.words - native.scratch_cells(
             flat_target.size)] == CANARY).all()
 
@@ -370,36 +404,97 @@ class TestModes:
         assert space[0] == CANARY
 
 
+def _assert_the_numpy_form_runs(rng, dtype, shape, names, reason):
+    """A face the C entry does not take: every mode lands the oracle's
+    bytes without a compiled call, and says ``reason`` once."""
+    lib = native._load()
+    calls = []
+    real = lib.repro_encode_chunk
+    lib.repro_encode_chunk = lambda *args: calls.append(args) or real(*args)
+    try:
+        base = _cells(rng, np.dtype(dtype).newbyteorder("="), shape) \
+            .astype(dtype)
+        target = _flip_some(rng, base, 3) if base.size else base.copy()
+        codecs = tuple(map(get_delta_codec, names))
+        encode = chunk_encode(base.dtype, base.shape, codecs)
+        done = _encode(names, target, base.copy(), adopt=True)
+        oracle = choose_encoding(target, base, candidates=codecs)
+        assert (done.decision.delta_codec, done.decision.payload) == (
+            oracle.delta_codec, oracle.payload)
+        for index, codec in enumerate(codecs):
+            assert b"".join(codec.packed(encode, index, target, base)[0]) \
+                == reference_encode(codec.name, target, base)
+        sizes = encode(target, base, False, pack=native.ENCODE_SIZE).sizes
+        assert len(sizes) == len(codecs)
+    finally:
+        lib.repro_encode_chunk = real
+    assert calls == []
+    assert native._declined == {("encode_chunk", reason)}
+
+
 class TestWhatItTakes:
-    """The call declines nothing a kernel can encode: only a layout no
-    kernel knows has no call; caller errors raise before anything is
-    written."""
+    """A face exists for every cell type a delta is defined for; where
+    the C entry does not take a call the face runs its numpy form, to
+    the oracle's bytes, and says why; caller errors raise before
+    anything is written, in either form."""
 
     def test_kernels_off(self, rng):
-        codecs = (get_delta_codec("hybrid"),)
         with native.disabled():
-            assert chunk_encode(np.dtype(np.int32), (8, 8), codecs) is None
-        assert native._declined == {
-            ("encode_chunk", "kernels disabled or unavailable")}
+            _assert_the_numpy_form_runs(rng, np.int32, (8, 8),
+                                        ("hybrid", "sparse"),
+                                        "kernels disabled or unavailable")
 
-    def test_no_call_for_an_unencodable_layout(self):
-        codecs = (get_delta_codec("hybrid"),)
-        assert chunk_encode(np.dtype(np.complex64), (8, 8), codecs) is None
-        assert chunk_encode(np.dtype(">i4"), (8, 8), codecs) is None
-        assert chunk_encode(np.dtype(np.int32), (0, 8), codecs) is None
-        assert {reason for _, reason in native._declined} == {
-            "unsupported dtype complex64", "unsupported dtype >i4",
-            "empty"}
+    @pytest.mark.parametrize("dtype, shape, names, reason", [
+        (">i4", (8, 8), ("hybrid", "sparse"), "byte-swapped dtype >i4"),
+        (">u2", (3, 4, 5), ("dense",), "byte-swapped dtype >u2"),
+        (np.int32, (0, 8), ("hybrid", "sparse"), "empty"),
+        (np.int16, (9, 13), ("hybrid", "sparse", "dense") * 3,
+         "not 1 to 8 candidates"),
+    ], ids=["byte-swapped", "byte-swapped-3-d", "empty", "nine"])
+    def test_what_the_c_entry_does_not_take(self, rng, dtype, shape, names,
+                                            reason):
+        _assert_the_numpy_form_runs(rng, dtype, shape, names, reason)
 
-    def test_big_endian_host(self, monkeypatch):
-        _chunk_encode.cache_clear()
+    def test_big_endian_host(self, rng, monkeypatch):
+        chunk_encode.cache_clear()
         monkeypatch.setattr(sys, "byteorder", "big")
         try:
-            assert chunk_encode(np.dtype(np.int32), (8, 8),
-                                (get_delta_codec("hybrid"),)) is None
+            _assert_the_numpy_form_runs(rng, np.int32, (8, 8),
+                                        ("hybrid+lz", "hybrid"),
+                                        "big-endian host")
         finally:
             monkeypatch.setattr(sys, "byteorder", "little")
-            _chunk_encode.cache_clear()
+            chunk_encode.cache_clear()
+
+    def test_no_face_for_a_cell_type_without_a_delta(self):
+        codecs = (get_delta_codec("hybrid"),)
+        for dtype in (np.complex64, ">f4", "U4"):
+            with pytest.raises(CodecError, match="unsupported cell dtype"):
+                chunk_encode(np.dtype(dtype), (8, 8), codecs)
+        with pytest.raises(CodecError, match="unsupported cell dtype"):
+            native.chunk_encode(np.dtype(np.complex64), (8, 8), b"", b"",
+                                ("hybrid",), matrix._HYBRID_SECTIONS)
+        assert native._declined == set()
+
+    @pytest.mark.parametrize("kernels", ["native", "numpy"])
+    def test_arguments_the_call_refuses(self, rng, kernels):
+        base = _cells(rng, np.dtype(np.int32), (8, 8))
+        codecs = (get_delta_codec("hybrid"),)
+        good = native.chunk_encode(base.dtype, base.shape, b"h", b"frame",
+                                   codecs, (codecs[0].fold_layout,))
+        bad_layouts = [native.chunk_encode(base.dtype, base.shape, b"h",
+                                           b"frame", codecs, (layout,))
+                       for layout in (0, native.FOLD_SEALED, 16,
+                                      native.FOLD_SMALL | native.FOLD_BARE
+                                      | native.FOLD_SEALED)]
+        with native.disabled() if kernels == "numpy" \
+                else contextlib.nullcontext():
+            for encode, pack, materialized in [
+                    (good, 1, -1), (good, -3, -1), (good, -1, -2),
+                    *[(encode, -1, -1) for encode in bad_layouts]]:
+                with pytest.raises(ValueError, match="refuses"):
+                    encode(base + 1, base, False, pack=pack,
+                           materialized=materialized)
 
     def test_strided_last_axis(self, rng):
         # A window whose cells are not adjacent is read through a copy,
@@ -407,7 +502,7 @@ class TestWhatItTakes:
         canvas = _cells(rng, np.dtype(np.int32), (8, 16))
         base_canvas = canvas.copy()
         target = _flip_some(rng, canvas, 9)[:, ::2]
-        _assert_one_call_is_the_planner(rng, target, canvas[:, ::2],
+        _assert_one_call_is_the_numpy_form(rng, target, canvas[:, ::2],
                                         ("hybrid", "sparse"), False)
         base = base_canvas[:, ::2]
         _encode(("hybrid",), target, base, adopt=True)

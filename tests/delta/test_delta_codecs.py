@@ -25,7 +25,12 @@ from repro.core.errors import CodecError, DeltaLevelError, ReproError
 from repro.delta import codes as code_store
 from repro.compression.base import IdentityCodec
 from repro.delta.base import bare_levels, chunk_fold, pack_frame
-from repro.delta.codes import CodePlan
+from repro.delta.codes import (
+    CodePlan,
+    CodeStats,
+    pack_sections,
+    section_size,
+)
 from repro.delta import (
     DenseDeltaCodec,
     HybridDeltaCodec,
@@ -270,7 +275,8 @@ class TestCorruptFold:
         bits[3, 5] ^= 1 << (8 * target.itemsize - 2)
         bits[7, 2] ^= 1 << (8 * target.itemsize - 3)
         plan = CodePlan.build(target, base)
-        section = b"".join(codec._encode(plan.codes, plan.stats))
+        section = pack_sections(plan.codes, plan.stats, codec.layout,
+                                section_size(plan.stats, codec.layout)[1])
         return codec, section, target, base
 
     @staticmethod
@@ -649,9 +655,11 @@ def test_bool_cells_fold_to_booleans(kernels):
     folded byte into 0 or 1."""
     base = np.zeros((4, 8), dtype=bool)
     base[0] = True
-    deltas = np.tile(np.array([5, -3, 2, 0], dtype=np.int64), 8)
-    payload = pack_frame(base, numeric.ARITHMETIC) \
-        + code_store.encode_dense(bitpack.zigzag_encode(deltas))
+    codes = bitpack.zigzag_encode(
+        np.tile(np.array([5, -3, 2, 0], dtype=np.int64), 8))
+    stats = CodeStats.from_codes(codes)
+    payload = pack_frame(base, numeric.ARITHMETIC) + pack_sections(
+        codes, stats, code_store.SMALL, stats.max_bits)
     codec = get_delta_codec("dense")
     canvas, window = _canvas(np.uint8, (4, 8))
     window = window.view(bool)

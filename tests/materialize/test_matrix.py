@@ -121,7 +121,7 @@ def _oracle_costs(contents, sample_index=None):
 
 
 class TestPricedLikeTheOracle:
-    """The matrix prices a pair from the write path's ``CodePlan``
+    """The matrix prices a pair from the encode face's width
     histogram; the numbers must be the ones the sort-and-search
     estimator gave, so every layout computed from them is unchanged."""
 

@@ -34,7 +34,7 @@ from repro.core.errors import CodecError
 from repro.core.schema import ArraySchema
 from repro.core.serial import pack_array_header
 from repro.delta import codes as code_store
-from repro.delta.base import DeltaCodec, frame_size
+from repro.delta.base import DeltaCodec, chunk_fold
 from repro.delta.registry import get_delta_codec
 from repro.storage import fan, pipeline
 from repro.storage.manager import VersionedStorageManager
@@ -598,7 +598,8 @@ def _corrupt_level(manager, version: int, like: np.ndarray,
         assert level.delta_codec == "sparse"
     backend, path = manager.store.backend, level.location.path
     stored = bytearray(backend.read(path, 0, backend.total_bytes(path)))
-    at = level.location.offset + frame_size(like)
+    at = level.location.offset + len(chunk_fold(like.dtype,
+                                                like.shape).frame)
     stored[at:at + 8] = (1 << 40).to_bytes(8, "little")
     backend.write(path, bytes(stored))
     return level
